@@ -1,10 +1,20 @@
 """Operations, channels, and finite instruments.
 
-An operation is a completely positive trace-non-increasing map, stored
-canonically as its Choi matrix with an optional Kraus-operator cache.  An
-instrument is a finite label-indexed family of operations whose sum is
-trace-preserving; it induces a unique observable that reproduces its outcome
-probabilities.
+An operation is a completely positive trace-non-increasing map.  Kraus
+operators are its primary representation wherever they are known; the Choi
+matrix is formed from them on first use.  The constructor validates by input:
+
+- Kraus operators alone: CP by construction, so only trace-non-increase is
+  checked, on the d x d matrix ``sum_k K_k^* K_k``;
+- a Choi matrix: Hermitian, positive semidefinite and trace-non-increasing;
+- both: the Choi checks, plus that the Kraus operators reproduce the matrix.
+
+``kraus_ops()`` of a Choi-only operation extracts canonical Kraus operators
+from the Choi eigendecomposition once and caches them.  Kraus lists built
+here and in ``models`` (compositions, total channels, model instruments) are
+not minimal; ``minimal_kraus`` cuts one to its Choi rank.  An instrument is a
+finite label-indexed family of operations whose sum is trace-preserving; it
+induces a unique observable that reproduces its outcome probabilities.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -43,51 +53,114 @@ CHOI_TOL = 1e-8
 KRAUS_EIG_TOL = 1e-10
 
 
-def _kraus_to_choi(ops: Sequence[Array], dim: int) -> Array:
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in ops:
-        v = k.T.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return choi
+def _kraus_stack(ops: Sequence[object]) -> Array:
+    """Read-only ``(r, d, d)`` stack of square Kraus operators of one shape."""
+    mats = [as_matrix(k) for k in ops]
+    if not mats:
+        raise DimensionError("need at least one Kraus operator")
+    dim = mats[0].shape[0]
+    for k in mats:
+        if k.shape != (dim, dim):
+            raise DimensionError(f"Kraus operator shape {k.shape}, expected {(dim, dim)}")
+    stack = np.stack(mats)
+    stack.setflags(write=False)
+    return stack
 
 
-def _choi_to_kraus(choi: Array, dim: int, tol: float = KRAUS_EIG_TOL) -> list[Array]:
+def _kraus_vectors(stack: Array) -> Array:
+    """Columns ``v[(i, a)] = K[a, i]``, one per Kraus operator: ``choi = V V^*``."""
+    r, dim, _ = stack.shape
+    return stack.transpose(2, 1, 0).reshape(dim * dim, r)
+
+
+def kraus_from_vectors(vecs: Array, dim: int) -> Array:
+    """``(r, d, d)`` stack of the Kraus operators whose ``vec(K^T)`` are the
+    ``r`` columns of ``vecs``; the inverse of ``_kraus_vectors``."""
+    return vecs.T.reshape(-1, dim, dim).transpose(0, 2, 1)
+
+
+def _kraus_to_choi(stack: Array) -> Array:
+    v = _kraus_vectors(stack)
+    return v @ v.conj().T
+
+
+def _choi_to_kraus(choi: Array, dim: int, tol: float = KRAUS_EIG_TOL) -> Array:
+    """Canonical Kraus stack: one operator per Choi eigenvalue above ``tol``."""
     w, vecs = np.linalg.eigh(hermitian_part(choi))
-    ops = []
-    for k in range(w.size):
-        if w[k] > tol:
-            ops.append(np.sqrt(w[k]) * vecs[:, k].reshape(dim, dim).T)
-    return ops
+    keep = w > tol
+    return kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim)
+
+
+def minimal_kraus(ops: Sequence[Array], dim: int) -> list[Array]:
+    """Kraus operators of the same map, as many as its Choi rank.
+
+    A list of linearly independent operators comes back unchanged.  Any
+    other is replaced by the canonical operators from an SVD of the stacked
+    ``vec(K^T)`` columns, whose squared singular values are the Choi
+    eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest are kept,
+    and the largest always is.  An empty list stays empty.
+    """
+    if len(ops) == 0:
+        return []
+    u, s, _ = np.linalg.svd(_kraus_vectors(np.stack(ops)), full_matrices=False)
+    keep = s * s > KRAUS_EIG_TOL * s[0] ** 2
+    keep[0] = True
+    if np.count_nonzero(keep) == len(ops):
+        return list(ops)
+    return list(kraus_from_vectors(u[:, keep] * s[keep], dim))
+
+
+def bounded_kraus(ops: Sequence[Array], dim: int) -> Sequence[Array]:
+    """Kraus operators of the same map, at least one and at most ``dim**2``.
+
+    Lists within the bound come back unchanged, longer ones are reduced by
+    ``minimal_kraus``, and an empty list (the zero map, as extracted from a
+    zero Choi matrix) becomes one zero operator.
+    """
+    if len(ops) == 0:
+        return [np.zeros((dim, dim), dtype=complex)]
+    if len(ops) <= dim * dim:
+        return ops
+    return minimal_kraus(ops, dim)
 
 
 class Operation:
-    """Completely positive trace-non-increasing map in Choi form."""
+    """Completely positive trace-non-increasing map, from Kraus operators,
+    a Choi matrix, or both (see the module docstring for what each checks)."""
 
-    def __init__(self, choi: object, kraus: Sequence[Array] | None = None, atol: float = CHOI_TOL):
-        c = as_matrix(choi)
-        n = c.shape[0]
-        dim = int(round(np.sqrt(n)))
-        if c.shape != (n, n) or dim * dim != n:
-            raise DimensionError(f"Choi matrix shape {c.shape} is not a square of a square")
-        c = ensure_hermitian(c, tol=max(atol, 1e-9 * n))
-        w = np.linalg.eigvalsh(c)
-        scale = max(1.0, float(w[-1]))
-        if w[0] < -atol * scale:
-            raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
-        self.dim = dim
-        c.setflags(write=False)
-        self.choi = c
-        self._kraus = None
-        if kraus is not None:
-            ops = [as_matrix(k) for k in kraus]
-            for k in ops:
-                if k.shape != (dim, dim):
-                    raise DimensionError(f"Kraus operator shape {k.shape}, expected {(dim, dim)}")
-            rebuilt = _kraus_to_choi(ops, dim)
-            residual = frob(rebuilt - c)
-            if residual > max(atol, 1e-8 * scale):
-                raise InvariantViolation("kraus-matches-choi", residual)
-            self._kraus = tuple(ops)
+    def __init__(
+        self,
+        choi: object | None = None,
+        kraus: Sequence[object] | None = None,
+        atol: float = CHOI_TOL,
+    ):
+        self._kraus = None if kraus is None else _kraus_stack(kraus)
+        if choi is None:
+            if self._kraus is None:
+                raise DimensionError("an operation needs a Choi matrix or Kraus operators")
+            self.dim = self._kraus.shape[1]
+        else:
+            c = as_matrix(choi)
+            n = c.shape[0]
+            dim = int(round(np.sqrt(n)))
+            if c.shape != (n, n) or dim * dim != n:
+                raise DimensionError(f"Choi matrix shape {c.shape} is not a square of a square")
+            c = ensure_hermitian(c, tol=max(atol, 1e-9 * n))
+            w = np.linalg.eigvalsh(c)
+            scale = max(1.0, float(w[-1]))
+            if w[0] < -atol * scale:
+                raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
+            self.dim = dim
+            c.setflags(write=False)
+            self.choi = c
+            if self._kraus is not None:
+                if self._kraus.shape[1] != dim:
+                    raise DimensionError(
+                        f"Kraus operator shape {self._kraus.shape[1:]}, expected {(dim, dim)}"
+                    )
+                residual = frob(_kraus_to_choi(self._kraus) - c)
+                if residual > max(atol, 1e-8 * scale):
+                    raise InvariantViolation("kraus-matches-choi", residual)
         eff = self.induced_effect
         top = float(np.linalg.eigvalsh(eff)[-1])
         if top > 1.0 + max(atol, 1e-8):
@@ -95,11 +168,7 @@ class Operation:
 
     @classmethod
     def from_kraus(cls, ops: Sequence[object], atol: float = CHOI_TOL) -> "Operation":
-        mats = [as_matrix(k) for k in ops]
-        if not mats:
-            raise DimensionError("need at least one Kraus operator")
-        dim = mats[0].shape[0]
-        return cls(_kraus_to_choi(mats, dim), kraus=mats, atol=atol)
+        return cls(kraus=ops, atol=atol)
 
     @classmethod
     def from_choi(cls, choi: object, atol: float = CHOI_TOL) -> "Operation":
@@ -114,10 +183,27 @@ class Operation:
         return cls.from_kraus([as_matrix(u)])
 
     @cached_property
+    def choi(self) -> Array:
+        """Choi matrix; set by the constructor for Choi input, else formed
+        from the Kraus operators on first use."""
+        c = _kraus_to_choi(self._kraus)
+        c.setflags(write=False)
+        return c
+
+    @cached_property
     def induced_effect(self) -> Array:
         """Effect ``A`` with ``tr[Phi(rho)] = tr(rho A)`` for every state."""
+        if self._kraus is not None:
+            rows = self._kraus.reshape(-1, self.dim)
+            return hermitian_part(rows.conj().T @ rows)
         c4 = self.choi.reshape(self.dim, self.dim, self.dim, self.dim)
         return hermitian_part(np.einsum("iaja->ij", c4).T)
+
+    @cached_property
+    def _canonical_kraus(self) -> Array:
+        stack = _choi_to_kraus(self.choi, self.dim)
+        stack.setflags(write=False)
+        return stack
 
     def apply(self, mat: object) -> Array:
         """Linear action on a matrix (no state validation; see ``op_apply``)."""
@@ -125,26 +211,26 @@ class Operation:
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"input shape {m.shape}, expected {(self.dim, self.dim)}")
         if self._kraus is not None:
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for k in self._kraus:
-                out += k @ m @ k.conj().T
-            return out
+            return (self._kraus @ m @ self._kraus.conj().transpose(0, 2, 1)).sum(axis=0)
         c4 = self.choi.reshape(self.dim, self.dim, self.dim, self.dim)
         return np.einsum("ij,iajb->ab", m, c4)
 
     def kraus_ops(self, tol: float = KRAUS_EIG_TOL) -> list[Array]:
-        """Kraus operators: the cached list when present, else extracted
-        from the Choi eigendecomposition (eigenvalues above ``tol``)."""
+        """Kraus operators: the given list when present, else extracted
+        from the Choi eigendecomposition (eigenvalues above ``tol``; the
+        extraction at the default ``tol`` is cached)."""
         if self._kraus is not None:
             return list(self._kraus)
-        return _choi_to_kraus(self.choi, self.dim, tol)
+        if tol == KRAUS_EIG_TOL:
+            return list(self._canonical_kraus)
+        return list(_choi_to_kraus(self.choi, self.dim, tol))
 
     def is_channel(self, tol: float = CHOI_TOL) -> bool:
         return frob(self.induced_effect - np.eye(self.dim)) <= tol
 
     def __repr__(self) -> str:
         kind = "channel" if self.is_channel() else "operation"
-        return f"Operation(dim={self.dim}, {kind}, kraus={'cached' if self._kraus else 'derived'})"
+        return f"Operation(dim={self.dim}, {kind}, kraus={'cached' if self._kraus is not None else 'derived'})"
 
 
 def ensure_channel(op: Operation, tol: float = CHOI_TOL) -> Operation:
@@ -278,11 +364,12 @@ def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
 
 
 def compose_operations(second: Operation, first: Operation, atol: float = CHOI_TOL) -> Operation:
-    """Operation performing ``first`` and then ``second``."""
+    """Operation performing ``first`` and then ``second``; its Kraus
+    operators are the pairwise products, reduced as in ``bounded_kraus``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
     ops = [t @ s for s in first.kraus_ops() for t in second.kraus_ops()]
-    return Operation.from_kraus(ops, atol=atol)
+    return Operation.from_kraus(bounded_kraus(ops, first.dim), atol=atol)
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
@@ -300,9 +387,10 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
 
 
 def instr_channel(i: Instrument) -> Operation:
-    """The instrument's total channel, the sum of its outcome operations."""
-    total = sum(op.choi for _, op in i.items())
-    return ensure_channel(Operation.from_choi(total))
+    """The instrument's total channel, the sum of its outcome operations,
+    with the outcomes' Kraus operators together as its own."""
+    ops = [k for _, op in i.items() for k in op.kraus_ops()]
+    return ensure_channel(Operation.from_kraus(bounded_kraus(ops, i.dim)))
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:

@@ -98,6 +98,25 @@ def herm_eig(m: object) -> tuple[Array, Array]:
     return w, v
 
 
+def _psd_eig(m: object, neg_tol: float) -> tuple[Array, Array]:
+    """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of a PSD Hermitian
+    matrix, for the eigenvalues above the noise floor of ``herm_sqrt``.  The
+    largest is always kept, so a zero matrix keeps one zero eigenvalue."""
+    w, v = herm_eig(m)
+    if w[0] < -neg_tol:
+        raise NotPositiveSemidefinite(f"eigenvalue {w[0]:.3g} below -{neg_tol:.3g}")
+    keep = w > 1e-12 * max(float(w[-1]), 0.0)
+    keep[-1] = True
+    return v[:, keep], np.sqrt(np.clip(w[keep], 0.0, None))
+
+
+def root_factor(m: object, neg_tol: float = PSD_TOL) -> Array:
+    """``R`` with ``m = R R^*`` for a PSD Hermitian matrix, one column per
+    eigenvalue above the noise floor (see ``herm_sqrt``)."""
+    v, r = _psd_eig(m, neg_tol)
+    return v * r
+
+
 def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
     """Unique positive square root of a PSD Hermitian matrix.
 
@@ -107,12 +126,8 @@ def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
     root would otherwise amplify eigensolver noise of size ``eps`` into
     errors of size ``sqrt(eps)``.
     """
-    w, v = herm_eig(m)
-    if w[0] < -neg_tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {w[0]:.3g} below -{neg_tol:.3g}")
-    floor = 1e-12 * max(float(w[-1]), 0.0)
-    w = np.where(w < floor, 0.0, w)
-    return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
+    v, r = _psd_eig(m, neg_tol)
+    return hermitian_part((v * r) @ v.conj().T)
 
 
 def psd_part(m: Array) -> Array:
@@ -147,10 +162,11 @@ def partial_trace_first(m: object, dim_base: int, dim_probe: int) -> Array:
 
 def _phase_fix(v: Array, tol: float = 1e-9) -> Array:
     """Rotate a vector so its first entry of significant magnitude is real positive."""
-    for entry in v:
-        if abs(entry) > tol:
-            return v * (abs(entry) / entry)
-    raise ZeroVector("cannot phase-fix a zero vector")
+    significant = np.flatnonzero(np.abs(v) > tol)
+    if significant.size == 0:
+        raise ZeroVector("cannot phase-fix a zero vector")
+    entry = v[significant[0]]
+    return v * (abs(entry) / entry)
 
 
 def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
@@ -161,34 +177,38 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     in index order, dropping dependent candidates; each new column gets its
     phase fixed so its first nonzero entry is real positive.
     """
-    cols: list[Array] = []
+    u = np.zeros((dim, dim), dtype=complex)
+    u_adj = np.zeros((dim, dim), dtype=complex)  # rows: conjugates of u's columns
+    count = 0
     for c in columns:
         v = as_vector(c)
         if v.size != dim:
             raise DimensionError(f"column has length {v.size}, expected {dim}")
-        cols.append(v)
-    if len(cols) > dim:
-        raise DimensionError(f"{len(cols)} columns exceed dimension {dim}")
-    if cols:
-        g = np.array([[np.vdot(x, y) for y in cols] for x in cols])
-        if frob(g - np.eye(len(cols))) > ORTHO_TOL * max(1, len(cols)):
+        if count == dim:
+            raise DimensionError(f"{len(columns)} columns exceed dimension {dim}")
+        u[:, count] = v
+        u_adj[count] = v.conj()
+        count += 1
+    if count:
+        g = u_adj[:count] @ u[:, :count]
+        if frob(g - np.eye(count)) > ORTHO_TOL * count:
             raise NotIsometry("input columns are not orthonormal")
 
     for k in range(dim):
-        if len(cols) == dim:
+        if count == dim:
             break
         v = np.zeros(dim, dtype=complex)
         v[k] = 1.0
         for _ in range(2):  # re-orthogonalize for stability
-            for c in cols:
-                v = v - np.vdot(c, v) * c
+            v = v - u[:, :count] @ (u_adj[:count] @ v)
         norm = np.linalg.norm(v)
         if norm < 1e-6:
             continue  # standard basis vector dependent on accepted columns
-        cols.append(_phase_fix(v / norm))
-    if len(cols) != dim:
+        u[:, count] = _phase_fix(v / norm)
+        u_adj[count] = u[:, count].conj()
+        count += 1
+    if count != dim:
         raise NotIsometry("could not complete the given columns to a unitary")
-    u = np.column_stack(cols)
     return u
 
 

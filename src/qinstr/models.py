@@ -21,7 +21,14 @@ from .errors import (
     NotIsometry,
     NotNormal,
 )
-from .instruments import Instrument, Operation, ensure_channel
+from .instruments import (
+    Instrument,
+    Operation,
+    bounded_kraus,
+    ensure_channel,
+    kraus_from_vectors,
+    minimal_kraus,
+)
 from .linalg import (
     Array,
     as_matrix,
@@ -30,8 +37,7 @@ from .linalg import (
     herm_eig,
     hermitian_part,
     is_unitary,
-    partial_trace_second,
-    tensor_product,
+    root_factor,
 )
 from .observables import Label, Observable, classify_observable
 
@@ -103,27 +109,29 @@ class FIMM:
 
 
 def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
-    """Instrument measured by a model.
+    """Instrument measured by a model, in closed Kraus form.
 
     Outcome ``x`` maps ``rho`` to the probe-trace of
-    ``nu(rho (x) eta) (1 (x) F_x)``; the Choi matrices are assembled by
-    evaluating that formula on the matrix units of the base space.
+    ``nu(rho (x) eta) (1 (x) F_x)``.  For ``nu = U . U^*`` and
+    ``P[(i, a), (k, m)] = <a, k| U |i, m>`` its Choi matrix is
+    ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
+    the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
+    ``eta = R_eta R_eta^*``.  A Choi-form interaction contributes one such
+    set per Kraus operator of its own.
     """
     d, dk = m.dim_base, m.dim_probe
-    images: dict[Label, Array] = {x: np.zeros((d, d, d, d), dtype=complex) for x in m.pointer.labels}
-    eye_probe = {x: np.kron(np.eye(d), m.pointer[x]) for x in m.pointer.labels}
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            evolved = m.apply_interaction(tensor_product(unit, m.probe_state))
-            for x in m.pointer.labels:
-                out = partial_trace_second(evolved @ eye_probe[x], d, dk)
-                images[x][i, :, j, :] = out
-    return Instrument(
-        {x: Operation.from_choi(c4.reshape(d * d, d * d), atol=atol) for x, c4 in images.items()},
-        sum_tol=atol,
-    )
+    if isinstance(m.interaction, Operation):
+        couplings = m.interaction.kraus_ops()
+    else:
+        couplings = [m.interaction]
+    ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
+    root_eta = root_factor(m.probe_state)
+    ops: dict[Label, Operation] = {}
+    for x in m.pointer.labels:
+        factor = np.kron(root_factor(m.pointer[x].T), root_eta)
+        kraus = kraus_from_vectors(np.hstack([p @ factor for p in ps]), d)
+        ops[x] = Operation.from_kraus(bounded_kraus(kraus, d), atol=atol)
+    return Instrument(ops, sum_tol=atol)
 
 
 def swap_unitary(d: int) -> Array:
@@ -211,9 +219,11 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     basis-pairing model measures.
 
     Outcome ``x`` maps ``rho`` to
-    ``sum_ij <psi_i, rho psi_j> <phi_j, F_x phi_i> |psi_i><psi_j|``; the
-    channel dephases in the base basis; the observable mixes base-basis
-    projections with pointer diagonal weights.
+    ``sum_ij <psi_i, rho psi_j> <phi_j, F_x phi_i> |psi_i><psi_j|``, a Schur
+    multiplier in the base basis: with ``h^T = R R^*`` its Kraus operators
+    are ``W diag(R[:, l]) W^*``.  The channel dephases in the base basis;
+    the observable mixes base-basis projections with pointer diagonal
+    weights.
     """
     w = model.base_basis
     phi = model.probe_basis
@@ -225,14 +235,8 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     observable_effects: dict[Label, Array] = {}
     for x in model.pointer.labels:
         h = phi.conj().T @ model.pointer[x] @ phi  # h[i, j] = <phi_i, F_x phi_j>
-        c4 = np.zeros((d, d, d, d), dtype=complex)
-        for k in range(d):
-            for l in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[k, l] = 1.0
-                coef = (w.conj().T @ unit @ w) * h.T  # B[i,j] * <phi_j, F_x phi_i>
-                c4[k, :, l, :] = w @ coef @ w.conj().T
-        instrument_ops[x] = Operation.from_choi(c4.reshape(d * d, d * d))
+        roots = root_factor(h.T)
+        instrument_ops[x] = Operation.from_kraus([(w * r) @ w.conj().T for r in roots.T])
         observable_effects[x] = sum(h[i, i].real * base_projs[i] for i in range(d))
     return Instrument(instrument_ops), channel, Observable(observable_effects)
 
@@ -280,7 +284,8 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     """Realize an instrument as a sharp measurement model.
 
     The probe carries one basis slot per Kraus operator (outcome-major,
-    Kraus-index-minor); the isometry stacking the operators is polished to
+    Kraus-index-minor), after ``minimal_kraus`` cuts each outcome's list to
+    its Choi rank; the isometry stacking the operators is polished to
     exact orthonormality and completed to a unitary; the pointer
     coarse-grains slots by outcome, so it is atomic exactly when every
     outcome has a single Kraus operator.
@@ -290,7 +295,7 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     slot_ranges: dict[Label, tuple[int, int]] = {}
     for x in instr.labels:
         start = len(slots)
-        slots.extend(instr[x].kraus_ops())
+        slots.extend(minimal_kraus(instr[x].kraus_ops(), d))
         slot_ranges[x] = (start, len(slots))
     n = len(slots)
     if n == 0:

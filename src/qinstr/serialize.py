@@ -85,6 +85,8 @@ def decode_matrix(data: object, what: str = "matrix") -> Array:
             else:
                 raise DocumentError(f"{what}: entries must be numbers or [re, im] pairs")
         rows.append(entries)
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DocumentError(f"{what}: rows of unequal length")
     return np.asarray(rows, dtype=complex)
 
 
@@ -195,7 +197,10 @@ def _load_instrument(data: dict) -> Instrument:
         if not isinstance(entry, dict):
             raise DocumentError(f"instrument[{text}]: expected an object")
         if "kraus" in entry:
-            mats = [decode_matrix(k, f"instrument[{text}].kraus") for k in entry["kraus"]]
+            kraus = entry["kraus"]
+            if not isinstance(kraus, list) or not kraus:
+                raise DocumentError(f"instrument[{text}].kraus: expected a nonempty list of matrices")
+            mats = [decode_matrix(k, f"instrument[{text}].kraus") for k in kraus]
             ops[parse_label(text)] = Operation.from_kraus(mats)
         elif "choi" in entry:
             ops[parse_label(text)] = Operation.from_choi(decode_matrix(entry["choi"], f"instrument[{text}].choi"))

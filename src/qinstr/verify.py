@@ -190,7 +190,13 @@ def _suite_lem_1_2(seed: int, trials: int, scale: float) -> VerificationReport:
         worst = max(worst, complementarity_residual(atomic_observable(basis1), atomic_observable(basis2)))
     gap_ok = True
     for d in (2, 3):
-        u, v = random_unitary(d, rng), random_unitary(d, rng)
+        # A random pair can be nearly unbiased, and then its residual is
+        # small for a good reason; redraw until the overlaps deviate from
+        # 1/d by at least 0.05 (residual/deviation >= 1 for d = 2, 3).
+        while True:
+            u, v = random_unitary(d, rng), random_unitary(d, rng)
+            if np.max(np.abs(np.abs(u.conj().T @ v) ** 2 - 1.0 / d)) >= 0.05:
+                break
         residual = complementarity_residual(atomic_observable(u), atomic_observable(v))
         gap_ok = gap_ok and residual >= 1e-3
     status = "pass" if worst <= tol and gap_ok else "fail"

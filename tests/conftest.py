@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,22 @@ P_PLUS = proj(PLUS)
 P_MINUS = proj(MINUS)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+# Malformed "kraus" fields of a one-outcome qubit instrument document; each
+# must fail to load with a DocumentError.
+_ROW = [[1.0, 0.0], [0.0, 0.0]]
+MALFORMED_KRAUS = {
+    "not-a-list": 5,
+    "empty-list": [],
+    "ragged-rows": [[_ROW, [[0.0, 0.0]]]],
+    "wrong-shape": [[_ROW + [[0.0, 0.0]], _ROW + [[1.0, 0.0]]]],
+    "mixed-shapes": [[_ROW, _ROW], [[[1.0, 0.0]]]],
+}
+
+
+def kraus_document(kraus: object) -> str:
+    payload = {"kind": "instrument", "dim": 2, "labels": ["0"], "operations": {"0": {"kraus": kraus}}}
+    return json.dumps(payload)
 
 
 @pytest.fixture

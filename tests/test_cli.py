@@ -8,7 +8,7 @@ from qinstr.instruments import instruments_close
 from qinstr.observables import observables_close
 from qinstr.serialize import load_document, save_document
 
-from conftest import P0, P1, P_PLUS, P_MINUS
+from conftest import MALFORMED_KRAUS, P0, P1, P_PLUS, P_MINUS, kraus_document
 from qinstr.observables import Observable
 
 
@@ -190,6 +190,13 @@ class TestValidateCommand:
         z_path, _, _ = z_files
         assert run(["validate", str(z_path)]) == 0
         assert "valid observable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_KRAUS))
+    def test_malformed_kraus_exit_code(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        bad.write_text(kraus_document(MALFORMED_KRAUS[case]))
+        assert run(["validate", str(bad)]) == 3
+        assert "invalid" in capsys.readouterr().err
 
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         payload = {

@@ -74,9 +74,14 @@ class TestOperation:
                 via_choi = Operation.from_choi(op.choi).apply(rho)
                 assert frob(via_kraus - via_choi) < 1e-10
 
-    def test_kraus_choi_consistency_enforced(self):
-        with pytest.raises(InvariantViolation):
+    def test_kraus_choi_consistency_enforced(self, rng):
+        with pytest.raises(InvariantViolation) as exc:
             Operation(np.eye(4), kraus=[np.eye(2)])
+        assert exc.value.invariant == "kraus-matches-choi"
+        i = random_instrument(3, 2, rng)
+        with pytest.raises(InvariantViolation) as exc:
+            Operation(i["0"].choi, kraus=i["1"].kraus_ops())
+        assert exc.value.invariant == "kraus-matches-choi"
 
     def test_choi_psd_enforced(self):
         bad = np.diag([1.0, -0.5, 0.0, 0.0])
@@ -84,8 +89,46 @@ class TestOperation:
             Operation.from_choi(bad)
 
     def test_trace_non_increasing_enforced(self):
-        with pytest.raises(InvariantViolation):
-            Operation.from_kraus([1.5 * np.eye(2)])
+        # Kraus input skips the Choi checks but not this one.
+        for total in (2.25, 1.01):
+            with pytest.raises(InvariantViolation) as exc:
+                Operation.from_kraus([np.sqrt(total) * np.eye(2)])
+            assert exc.value.invariant == "trace-non-increasing"
+            assert exc.value.residual == pytest.approx(total - 1.0)
+
+    def test_compose_bounds_kraus_count(self, rng):
+        first = random_instrument(2, 1, rng, kraus_per_outcome=3)["0"]
+        second = random_instrument(2, 1, rng, kraus_per_outcome=3)["0"]
+        composed = compose_operations(second, first)
+        assert len(composed.kraus_ops()) <= 4
+        rho = random_state(2, rng)
+        expected = second.apply(first.apply(rho))
+        assert frob(composed.apply(rho) - expected) < 1e-12
+        products = [t @ s for s in first.kraus_ops() for t in second.kraus_ops()]
+        assert frob(composed.choi - Operation.from_kraus(products).choi) < 1e-12
+
+    def test_compose_keeps_tiny_operations(self, rng):
+        # 9 products of weight ~1e-16 exceed the bound d^2 = 4; the
+        # reduction's cutoff is relative, so it keeps the whole map
+        first, second = (
+            Operation.from_kraus([1e-4 * k for k in op.kraus_ops()])
+            for op in (random_instrument(2, 1, rng, kraus_per_outcome=3)["0"] for _ in range(2))
+        )
+        composed = compose_operations(second, first)
+        products = [t @ s for s in first.kraus_ops() for t in second.kraus_ops()]
+        expected = sum(np.outer(p.T.reshape(-1), p.T.reshape(-1).conj()) for p in products)
+        assert 0 < len(composed.kraus_ops()) <= 4
+        assert frob(composed.choi - expected) < 1e-10 * frob(expected)
+
+    def test_compose_with_zero_operation(self, rng):
+        zero = Operation.from_choi(np.zeros((4, 4)))
+        assert zero.kraus_ops() == []
+        for composed in (
+            compose_operations(Operation.identity(2), zero),
+            compose_operations(zero, random_instrument(2, 1, rng, kraus_per_outcome=3)["0"]),
+        ):
+            assert composed.dim == 2
+            assert frob(composed.choi) == 0.0
 
     def test_kraus_extraction_round_trip(self, rng):
         i = random_instrument(2, 2, rng)

@@ -3,17 +3,19 @@ import pytest
 
 from qinstr.errors import DimensionError, NotCommutative, NotNormal
 from qinstr.instruments import (
+    Instrument,
     Operation,
     induced_observable,
     instr_channel,
     instr_coexist_verify,
+    instr_conditioned,
     instruments_close,
     luders_instrument,
     kraus_instrument,
     operations_close,
     trivial_instrument,
 )
-from qinstr.linalg import frob, tensor_product
+from qinstr.linalg import frob, partial_trace_second, tensor_product
 from qinstr.models import (
     FIMM,
     VonNeumannModel,
@@ -117,6 +119,121 @@ class TestModelInstrument:
                 lhs = np.trace(instr[x].apply(rho)).real
                 rhs = np.trace(evolved @ tensor_product(np.eye(2), m.pointer[x])).real
                 assert abs(lhs - rhs) < 1e-9
+
+
+def _matrix_unit_choi(m: FIMM) -> dict:
+    """Reference Choi matrices: the model formula evaluated on every matrix
+    unit of the base space, one interaction application per unit."""
+    d, dk = m.dim_base, m.dim_probe
+    images = {x: np.zeros((d, d, d, d), dtype=complex) for x in m.pointer.labels}
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            evolved = m.apply_interaction(tensor_product(unit, m.probe_state))
+            for x in m.pointer.labels:
+                weighted = evolved @ tensor_product(np.eye(d), m.pointer[x])
+                images[x][i, :, j, :] = partial_trace_second(weighted, d, dk)
+    return {x: c4.reshape(d * d, d * d) for x, c4 in images.items()}
+
+
+class _EigenOrders:
+    """Records the order of every matrix passed to numpy's Hermitian
+    eigensolvers while installed."""
+
+    def __init__(self, monkeypatch):
+        self.orders: list[int] = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, self._recording(original))
+
+    def _recording(self, fn):
+        def wrapper(a, *args, **kwargs):
+            self.orders.append(np.shape(a)[0])
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("dk", [2, 3, 4, 5])
+    def test_matches_matrix_unit_formula(self, d, dk):
+        rng = np.random.default_rng([d, dk])
+        unitary_model = random_fimm(d, dk, 3, rng)
+        channel = instr_channel(random_instrument(d * dk, 2, rng, kraus_per_outcome=1))
+        choi_model = FIMM(
+            d, dk, random_state(dk, rng), Operation.from_choi(channel.choi), random_observable(dk, 3, rng)
+        )
+        for m in (unitary_model, choi_model):
+            expected = _matrix_unit_choi(m)
+            instr = model_instrument(m)
+            for x in m.pointer.labels:
+                assert frob(instr[x].choi - expected[x]) < 1e-13
+
+    def test_tiny_pointer_effect(self, rng):
+        # 9 Kraus columns per outcome exceed d^2 = 4, and every Choi
+        # eigenvalue of outcome "a" is ~1e-12
+        d, dk = 2, 3
+        m = FIMM(
+            d,
+            dk,
+            np.eye(dk) / dk,
+            random_unitary(d * dk, rng),
+            Observable({"a": 1e-12 * np.eye(dk), "b": (1 - 1e-12) * np.eye(dk)}),
+        )
+        expected = _matrix_unit_choi(m)
+        instr = model_instrument(m)
+        for x in m.pointer.labels:
+            assert frob(instr[x].choi - expected[x]) < 1e-10 * frob(expected[x])
+
+    def test_mixed_probe_dilation_stays_atomic(self, rng):
+        # a product interaction with a mixed probe gives rank-one outcomes
+        # from two Kraus columns each, one of them zero
+        d = 2
+        m = FIMM(
+            d,
+            d,
+            np.diag([0.7, 0.3]).astype(complex),
+            tensor_product(random_unitary(d, rng), np.eye(d)),
+            Observable({"a": proj([1, 0]), "b": proj([0, 1])}),
+        )
+        instr = model_instrument(m)
+        assert [len(op.kraus_ops()) for _, op in instr.items()] == [2, 2]
+        dilated = dilate_instrument(instr)
+        assert dilated.dim_probe == 2
+        assert classify_observable(dilated.pointer).atomic
+        extracted = normal_fimm_kraus_extract(dilated)
+        assert instruments_close(kraus_instrument(extracted), instr, 1e-10)
+        assert instruments_close(model_instrument(dilated), instr, 1e-10)
+
+    def test_dilation_round_trip_has_no_choi_sized_eigensolve(self, rng, monkeypatch):
+        d = 12
+        instr = random_instrument(d, 3, rng, kraus_per_outcome=2)
+        eig = _EigenOrders(monkeypatch)
+        out = model_instrument(dilate_instrument(instr))
+        assert eig.orders and max(eig.orders) < d * d
+        assert instruments_close(out, instr, 1e-10)
+
+    def test_conditioning_extracts_each_operation_once(self, rng, monkeypatch):
+        d = 4
+        i, j = (
+            Instrument({x: Operation.from_choi(op.choi) for x, op in random_instrument(d, m, rng).items()})
+            for m in (2, 3)
+        )
+        eig = _EigenOrders(monkeypatch)
+        first = instr_conditioned(i, j)
+        # one canonical extraction per input outcome; none for the channel
+        # of ``i`` or the composed outcomes
+        assert sum(n >= d * d for n in eig.orders) == len(i) + len(j)
+        eig.orders.clear()
+        again = instr_conditioned(i, j)
+        assert not any(n >= d * d for n in eig.orders)
+        assert instruments_close(first, again, 0.0)
+        channel = sum(op.choi for _, op in i.items())
+        for y, jy in j.items():
+            expected = np.einsum("iajc,abcd->ibjd", channel.reshape(d, d, d, d), jy.choi.reshape(d, d, d, d))
+            assert frob(first[y].choi - expected.reshape(d * d, d * d)) < 1e-12
 
 
 class TestTrivialFimm:

@@ -22,7 +22,7 @@ from qinstr.serialize import (
     save_document,
 )
 
-from conftest import P0
+from conftest import MALFORMED_KRAUS, P0, kraus_document
 
 
 class TestCanonicalJson:
@@ -144,6 +144,11 @@ class TestKrausLoading:
         path.write_text(json.dumps(payload))
         doc = load_document(str(path))
         assert instruments_close(doc.obj, luders_instrument(sharp_z), 1e-10)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_KRAUS))
+    def test_malformed_kraus_is_document_error(self, case):
+        with pytest.raises(DocumentError):
+            loads_document(kraus_document(MALFORMED_KRAUS[case]))
 
 
 class TestInvariantReporting:

@@ -42,3 +42,9 @@ def test_different_seed_changes_draws():
     a = run_suite("lem-3.1", seed=1)
     b = run_suite("lem-3.1", seed=2)
     assert a.max_residual != b.max_residual
+
+
+@pytest.mark.parametrize("seed", [94, 311])
+def test_lem_1_2_redraws_near_unbiased_pairs(seed):
+    # these seeds first draw a nearly unbiased "generic" pair
+    assert run_suite("lem-1.2", seed=seed).status == "pass"
