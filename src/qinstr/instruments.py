@@ -47,6 +47,7 @@ from .observables import (
     check_label,
     check_weights,
     combine_labels,
+    complementarity_defects,
 )
 
 CHOI_TOL = 1e-8
@@ -355,9 +356,17 @@ def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
 
 
 def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
-    """True when one Kraus operator suffices (Choi matrix of rank one)."""
-    w = np.linalg.eigvalsh(phi.choi)
-    top = float(w[-1])
+    """True when one Kraus operator suffices (Choi matrix of rank one).
+
+    Known Kraus operators are read through the singular values of their
+    stacked ``vec(K^T)`` columns, whose squares are the Choi eigenvalues;
+    only a Choi-only operation eigensolves its Choi matrix.
+    """
+    if phi._kraus is not None:
+        w = np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2
+    else:
+        w = np.linalg.eigvalsh(phi.choi)
+    top = float(w.max())
     if top <= 0.0:
         return False
     return int(np.sum(w > rel_tol * top)) == 1
@@ -434,7 +443,8 @@ def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     return Instrument(out)
 
 
-def _hermitian_basis(dim: int) -> list[Array]:
+def _hermitian_basis(dim: int) -> Array:
+    """``(d^2, d, d)`` stack of the symmetrized matrix units."""
     basis = []
     for i in range(dim):
         m = np.zeros((dim, dim), dtype=complex)
@@ -449,37 +459,26 @@ def _hermitian_basis(dim: int) -> list[Array]:
             m[i, j] = -0.5j
             m[j, i] = 0.5j
             basis.append(m)
-    return basis
+    return np.stack(basis)
 
 
 def instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL) -> bool:
     """A definite value of either instrument completely randomizes the other.
 
     The defining identities quantify over all states; both sides are linear
-    in the state, so they are checked on a Hermitian operator basis (the
-    symmetrized matrix units), which is equivalent, not an approximation.
+    in the state, so they are checked on a Hermitian operator basis ``s_k``
+    (the symmetrized matrix units), which is equivalent, not an
+    approximation.  With ``A`` and ``B`` the induced observables,
+    ``tr I_x(s) = tr(s A_x)`` and ``tr J_y(s) = tr(s B_y)``, so the identity
+    ``tr J_y(sqrt(A_x) s sqrt(A_x)) = tr I_x(s) / n`` reads
+    ``tr(s_k D_ab[x, y]) = 0`` for the defects of ``complementarity_defects``,
+    and likewise with ``D_ba``.  Every coefficient must be within ``tol``.
     """
-    if i.dim != j.dim:
-        raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    a = induced_observable(i)
-    b = induced_observable(j)
-    n, m = len(j), len(i)
-    roots_a = {x: herm_sqrt(a[x]) for x in a.labels}
-    roots_b = {y: herm_sqrt(b[y]) for y in b.labels}
-    for sigma in _hermitian_basis(i.dim):
-        for x, ix in i.items():
-            cond = roots_a[x] @ sigma @ roots_a[x]
-            ref = np.trace(ix.apply(sigma)) / n
-            for _, jy in j.items():
-                if abs(np.trace(jy.apply(cond)) - ref) > tol:
-                    return False
-        for y, jy in j.items():
-            cond = roots_b[y] @ sigma @ roots_b[y]
-            ref = np.trace(jy.apply(sigma)) / m
-            for _, ix in i.items():
-                if abs(np.trace(ix.apply(cond)) - ref) > tol:
-                    return False
-    return True
+    d = i.dim
+    d_ab, d_ba = complementarity_defects(induced_observable(i), induced_observable(j))
+    defects = np.concatenate([d_ab.reshape(-1, d, d), d_ba.reshape(-1, d, d)])
+    coefficients = np.einsum("kab,nba->nk", _hermitian_basis(d), defects)
+    return bool(np.all(np.abs(coefficients) <= tol))
 
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:

@@ -33,11 +33,13 @@ PSD_TOL = 1e-9
 ORTHO_TOL = 1e-9
 
 
-def as_matrix(m: object) -> Array:
-    """Coerce to a finite 2-D complex matrix."""
+def as_matrix(m: object, stack: bool = False) -> Array:
+    """Coerce to a finite 2-D complex matrix, or with ``stack`` to a
+    ``(k, r, c)`` stack of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.ndim != 2 + stack or 0 in a.shape:
+        what = "stack of 2-D matrices" if stack else "2-D matrix"
+        raise DimensionError(f"expected a {what}, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise QinstrError("matrix contains non-finite entries")
     return a
@@ -63,20 +65,23 @@ def spectral_norm(a: Array) -> float:
 
 
 def hermitian_part(m: Array) -> Array:
-    return (m + m.conj().T) / 2.0
+    """``(M + M^*) / 2``, matrix by matrix over any leading axes."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
-def ensure_hermitian(m: object, tol: float | None = None) -> Array:
+def ensure_hermitian(m: object, tol: float | None = None, stack: bool = False) -> Array:
     """Return the symmetrization of ``m``, rejecting grossly non-Hermitian input.
 
     The allowed anti-Hermitian residual is ``HERM_TOL * dim`` unless ``tol``
-    is given explicitly.
+    is given explicitly; with ``stack``, ``m`` is a ``(k, d, d)`` stack and
+    the limit holds for each matrix.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    limit = HERM_TOL * a.shape[0] if tol is None else tol
-    residual = frob(a - a.conj().T)
+    a = as_matrix(m, stack)
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionError(f"expected square matrices, got shape {a.shape}")
+    limit = HERM_TOL * a.shape[-1] if tol is None else tol
+    skew = a - a.conj().swapaxes(-1, -2)
+    residual = float(np.linalg.norm(skew, axis=(-2, -1)).max()) if stack else frob(skew)
     if residual > limit:
         raise NotHermitian(f"anti-Hermitian residual {residual:.3g} exceeds {limit:.3g}")
     return hermitian_part(a)
@@ -87,13 +92,14 @@ def herm_eig(m: object) -> tuple[Array, Array]:
 
     Returns ``(w, V)`` with real eigenvalues ``w`` ascending and unitary ``V``
     such that ``m = V diag(w) V^*``.  Backed by the deterministic LAPACK
-    Hermitian solver.
+    Hermitian solver.  A ``(k, d, d)`` stack is decomposed in one call,
+    giving ``(k, d)`` eigenvalues and ``(k, d, d)`` eigenvectors.
     """
-    a = ensure_hermitian(m)
+    a = ensure_hermitian(m, stack=np.ndim(m) == 3)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        off = frob(a - np.diag(np.diag(a)))
+        off = frob(a - a * np.eye(a.shape[-1]))
         raise EigenSolverError(f"eigensolver did not converge; off-diagonal residual {off:.3g}") from exc
     return w, v
 
@@ -101,12 +107,18 @@ def herm_eig(m: object) -> tuple[Array, Array]:
 def _psd_eig(m: object, neg_tol: float) -> tuple[Array, Array]:
     """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of a PSD Hermitian
     matrix, for the eigenvalues above the noise floor of ``herm_sqrt``.  The
-    largest is always kept, so a zero matrix keeps one zero eigenvalue."""
+    largest is always kept, so a zero matrix keeps one zero eigenvalue.  For
+    a ``(k, d, d)`` stack every matrix keeps all ``d`` columns, and the roots
+    below its floor are set to zero instead."""
     w, v = herm_eig(m)
-    if w[0] < -neg_tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {w[0]:.3g} below -{neg_tol:.3g}")
-    keep = w > 1e-12 * max(float(w[-1]), 0.0)
-    keep[-1] = True
+    stack = w.ndim == 2
+    low = w[:, 0].min() if stack else w[0]
+    if low < -neg_tol:
+        raise NotPositiveSemidefinite(f"eigenvalue {low:.3g} below -{neg_tol:.3g}")
+    keep = w > 1e-12 * (np.maximum(w[:, -1:], 0.0) if stack else max(float(w[-1]), 0.0))
+    keep[..., -1] = True
+    if stack:
+        return v, np.sqrt(np.clip(w, 0.0, None)) * keep
     return v[:, keep], np.sqrt(np.clip(w[keep], 0.0, None))
 
 
@@ -118,16 +130,17 @@ def root_factor(m: object, neg_tol: float = PSD_TOL) -> Array:
 
 
 def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
-    """Unique positive square root of a PSD Hermitian matrix.
+    """Unique positive square root of a PSD Hermitian matrix, or of each
+    matrix of a ``(k, d, d)`` stack, from one eigendecomposition call.
 
     Eigenvalues in ``[-neg_tol, 0)`` are clamped to zero; anything below
     ``-neg_tol`` raises ``NotPositiveSemidefinite``.  Eigenvalues below a
-    relative noise floor of ``1e-12 * max(w)`` are zeroed as well: the square
-    root would otherwise amplify eigensolver noise of size ``eps`` into
-    errors of size ``sqrt(eps)``.
+    relative noise floor of ``1e-12 * max(w)``, per matrix, are zeroed as
+    well: the square root would otherwise amplify eigensolver noise of size
+    ``eps`` into errors of size ``sqrt(eps)``.
     """
     v, r = _psd_eig(m, neg_tol)
-    return hermitian_part((v * r) @ v.conj().T)
+    return hermitian_part((v * r[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def psd_part(m: Array) -> Array:

@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import ensure_effect, ensure_state, seq_product
+from .effects import EFFECT_EIG_TOL, ensure_effect, ensure_state, seq_product
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
     WeightError,
 )
-from .linalg import Array, commutator_norm, frob, hermitian_part
+from .linalg import Array, commutator_norm, frob, herm_sqrt, hermitian_part
 
 Label = str | tuple[str, ...]
 
@@ -270,33 +270,44 @@ def obs_commute(a: Observable, b: Observable, tol: float = SUM_TOL) -> bool:
     )
 
 
+def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]:
+    """Defects of the complementarity identities, as two stacks.
+
+    ``D_ab[x, y] = A_x o B_y - A_x / n`` has shape ``(m, n, d, d)`` and
+    ``D_ba[y, x] = B_y o A_x - B_y / m`` has shape ``(n, m, d, d)``, with
+    ``m`` and ``n`` the outcome counts of ``a`` and ``b``.  Each observable's
+    square roots come from one batched eigendecomposition, and the products
+    keep the effect-range check of ``seq_product`` (one batched
+    ``eigvalsh``).
+    """
+    if a.dim != b.dim:
+        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
+    ea = np.stack([e for _, e in a.items()])
+    eb = np.stack([e for _, e in b.items()])
+    ra, rb = herm_sqrt(ea)[:, None], herm_sqrt(eb)[:, None]
+    ab = hermitian_part(ra @ eb[None] @ ra)
+    ba = hermitian_part(rb @ ea[None] @ rb)
+    d = a.dim
+    w = np.linalg.eigvalsh(np.concatenate([ab.reshape(-1, d, d), ba.reshape(-1, d, d)]))
+    low, high = float(w[:, 0].min()), float(w[:, -1].max())
+    if low < -EFFECT_EIG_TOL or high > 1.0 + EFFECT_EIG_TOL:
+        raise InvariantViolation("effect-range", max(0.0, -low, high - 1.0))
+    return ab - ea[:, None] / len(b), ba - eb[:, None] / len(a)
+
+
+def complementarity_residual(a: Observable, b: Observable) -> float:
+    """Largest Frobenius norm among the defects of ``complementarity_defects``."""
+    return max(float(np.linalg.norm(d, axis=(-2, -1)).max()) for d in complementarity_defects(a, b))
+
+
 def obs_complementary(a: Observable, b: Observable, tol: float = SUM_TOL) -> bool:
     """A definite value of either observable completely randomizes the other.
 
     Checks ``A_x o B_y = A_x / n`` and ``B_y o A_x = B_y / m`` for all pairs,
-    with ``n`` and ``m`` the outcome counts of ``b`` and ``a``.
+    with ``n`` and ``m`` the outcome counts of ``b`` and ``a``: every defect
+    of ``complementarity_defects`` must be within ``tol`` in Frobenius norm.
     """
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    n, m = len(b), len(a)
-    for _, ax in a.items():
-        for _, by in b.items():
-            if frob(seq_product(ax, by) - ax / n) > tol:
-                return False
-            if frob(seq_product(by, ax) - by / m) > tol:
-                return False
-    return True
-
-
-def complementarity_residual(a: Observable, b: Observable) -> float:
-    """Largest deviation from the complementarity identities."""
-    n, m = len(b), len(a)
-    residual = 0.0
-    for _, ax in a.items():
-        for _, by in b.items():
-            residual = max(residual, frob(seq_product(ax, by) - ax / n))
-            residual = max(residual, frob(seq_product(by, ax) - by / m))
-    return residual
+    return complementarity_residual(a, b) <= tol
 
 
 def fourier_mub(d: int) -> tuple[Array, Array]:

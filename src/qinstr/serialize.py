@@ -69,6 +69,23 @@ def encode_matrix(m: Array) -> list:
     return [[[float(e.real), float(e.imag)] for e in row] for row in a]
 
 
+# Types of a decoded JSON number.  An exact type test, because ``bool`` is
+# an ``int`` subclass and JSON ``true`` is not a number.
+_NUMBER_TYPES = (int, float)
+
+
+def _number(value: object, what: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise DocumentError(f"{what}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: object, what: str) -> int:
+    if type(value) not in _NUMBER_TYPES or (type(value) is float and not value.is_integer()):
+        raise DocumentError(f"{what}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def decode_matrix(data: object, what: str = "matrix") -> Array:
     if not isinstance(data, list) or not data:
         raise DocumentError(f"{what}: expected a nonempty list of rows")
@@ -78,10 +95,10 @@ def decode_matrix(data: object, what: str = "matrix") -> Array:
             raise DocumentError(f"{what}: expected a list of rows")
         entries = []
         for e in row:
-            if isinstance(e, (int, float)):
+            if type(e) is list and len(e) == 2 and type(e[0]) in _NUMBER_TYPES and type(e[1]) in _NUMBER_TYPES:
+                entries.append(complex(e[0], e[1]))
+            elif type(e) in _NUMBER_TYPES:
                 entries.append(complex(e))
-            elif isinstance(e, list) and len(e) == 2:
-                entries.append(complex(float(e[0]), float(e[1])))
             else:
                 raise DocumentError(f"{what}: entries must be numbers or [re, im] pairs")
         rows.append(entries)
@@ -167,11 +184,18 @@ def _require(data: dict, key: str) -> object:
     return data[key]
 
 
+def _label_texts(data: dict, key: str, what: str) -> list[str]:
+    texts = _require(data, key)
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise DocumentError(f"{what}: {key} must be a list of strings")
+    return texts
+
+
 def _decode_labelled_effects(data: dict, what: str) -> dict[Label, Array]:
-    labels = _require(data, "labels")
+    labels = _label_texts(data, "labels", what)
     effects = _require(data, "effects")
-    if not isinstance(labels, list) or not isinstance(effects, dict):
-        raise DocumentError(f"{what}: labels must be a list and effects a mapping")
+    if not isinstance(effects, dict):
+        raise DocumentError(f"{what}: effects must be a mapping")
     out: dict[Label, Array] = {}
     for text in labels:
         if text not in effects:
@@ -185,10 +209,10 @@ def _load_observable(data: dict) -> Observable:
 
 
 def _load_instrument(data: dict) -> Instrument:
-    labels = _require(data, "labels")
+    labels = _label_texts(data, "labels", "instrument")
     operations = _require(data, "operations")
-    if not isinstance(labels, list) or not isinstance(operations, dict):
-        raise DocumentError("instrument: labels must be a list and operations a mapping")
+    if not isinstance(operations, dict):
+        raise DocumentError("instrument: operations must be a mapping")
     ops: dict[Label, Operation] = {}
     for text in labels:
         if text not in operations:
@@ -210,8 +234,8 @@ def _load_instrument(data: dict) -> Instrument:
 
 
 def _load_fimm(data: dict) -> FIMM:
-    dim_base = int(_require(data, "dim"))
-    dim_probe = int(_require(data, "dim_probe"))
+    dim_base = _integer(_require(data, "dim"), "dim")
+    dim_probe = _integer(_require(data, "dim_probe"), "dim_probe")
     eta = decode_matrix(_require(data, "probe_state"), "probe_state")
     pointer = Observable(_decode_labelled_effects(_require(data, "pointer"), "pointer"))
     inter = _require(data, "interaction")
@@ -227,8 +251,8 @@ def _load_fimm(data: dict) -> FIMM:
 
 
 def _load_stochastic(data: dict) -> StochasticMatrix:
-    rows = _require(data, "row_labels")
-    cols = _require(data, "col_labels")
+    rows = _label_texts(data, "row_labels", "stochastic")
+    cols = _label_texts(data, "col_labels", "stochastic")
     matrix = decode_real_matrix(_require(data, "matrix"), "stochastic matrix")
     return StochasticMatrix([parse_label(r) for r in rows], [parse_label(c) for c in cols], matrix)
 
@@ -257,7 +281,7 @@ def loads_document(text: str) -> Document:
         elif kind == "stochastic":
             obj = _load_stochastic(data)
         else:
-            obj = float(_require(data, "value"))
+            obj = _number(_require(data, "value"), "value")
     except InvariantViolation as exc:
         raise DocumentError(
             f"{exc.invariant}, residual {exc.residual:.6g}", exc.invariant, exc.residual
@@ -266,6 +290,8 @@ def loads_document(text: str) -> Document:
         raise
     except QinstrError as exc:
         raise DocumentError(str(exc)) from exc
+    except OverflowError as exc:
+        raise DocumentError(f"number out of range: {exc}") from exc
     if kind in ("effect", "state"):
         dim = obj.shape[0]
     elif kind in ("observable", "instrument"):
@@ -275,7 +301,7 @@ def loads_document(text: str) -> Document:
     else:
         dim = 0
     declared = data.get("dim")
-    if declared is not None and kind not in ("stochastic", "scalar") and int(declared) != dim:
+    if declared is not None and _integer(declared, "dim") != dim and kind not in ("stochastic", "scalar"):
         raise DocumentError(f"declared dim {declared} does not match content dim {dim}")
     return Document(kind, dim, obj)
 

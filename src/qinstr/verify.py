@@ -242,8 +242,9 @@ def _suite_thm_2_2(seed: int, trials: int, scale: float) -> VerificationReport:
         relabeled = [Instrument(dict(p.items())) for p in parts]
         mixed = instr_convex_combo(weights, relabeled)
         a_mix = induced_observable(mixed)
+        a_parts = [induced_observable(p) for p in parts]
         for x in a_mix.labels:
-            expected = sum(w * induced_observable(p)[x] for w, p in zip(weights, parts))
+            expected = sum(w * a_p[x] for w, a_p in zip(weights, a_parts))
             worst = max(worst, frob(a_mix[x] - expected))
     a, b = sharp_qubit_z(), sharp_qubit_x()
     b_relab = Observable({"0": b["+"], "1": b["-"]})

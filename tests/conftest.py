@@ -36,6 +36,35 @@ MALFORMED_KRAUS = {
 }
 
 
+# Malformed documents of other kinds; each must fail to load with a
+# DocumentError rather than a raw ValueError, or be accepted by mistake.
+_IDENTITY = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_FIMM = {
+    "kind": "fimm",
+    "dim": 2,
+    "dim_probe": 2,
+    "probe_state": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    "interaction": {"unitary": [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]},
+    "pointer": {"labels": ["0"], "effects": {"0": _IDENTITY}},
+}
+MALFORMED_DOCUMENTS = {
+    "scalar-string-value": {"kind": "scalar", "value": "abc"},
+    "scalar-bool-value": {"kind": "scalar", "value": True},
+    "fimm-string-dim": {**_FIMM, "dim": "x"},
+    "fimm-string-dim-probe": {**_FIMM, "dim_probe": "x"},
+    "effect-string-dim": {"kind": "effect", "dim": "x", "matrix": _IDENTITY},
+    "effect-fractional-dim": {"kind": "effect", "dim": 2.5, "matrix": _IDENTITY},
+    "observable-string-dim": {"kind": "observable", "dim": "x", "labels": ["0"], "effects": {"0": _IDENTITY}},
+    "pair-with-string": {"kind": "effect", "matrix": [[["a", 0], 0], [0, 1]]},
+    "bool-entry": {"kind": "effect", "matrix": [[True, 0], [0, 1]]},
+    "bool-in-pair": {"kind": "effect", "matrix": [[[1, False], 0], [0, 1]]},
+    "string-entry": {"kind": "effect", "matrix": [["1", 0], [0, 1]]},
+    "non-string-label": {"kind": "observable", "labels": [["0"]], "effects": {"0": _IDENTITY}},
+    "non-string-row-label": {"kind": "stochastic", "row_labels": [1], "col_labels": ["a"], "matrix": [[1.0]]},
+    "integer-overflow": {"kind": "scalar", "value": 10**400},
+}
+
+
 def kraus_document(kraus: object) -> str:
     payload = {"kind": "instrument", "dim": 2, "labels": ["0"], "operations": {"0": {"kraus": kraus}}}
     return json.dumps(payload)

@@ -290,6 +290,28 @@ class TestSingleKraus:
     def test_identity_single(self):
         assert is_single_kraus(Operation.identity(3))
 
+    def test_kraus_input_agrees_with_choi_input(self, rng, monkeypatch):
+        k = random_kraus_instrument(3, 2, rng)["0"].kraus_ops()[0]
+        ops = [
+            [k],
+            [k / 2, k / 2],  # parallel operators: still rank one
+            [k, np.zeros((3, 3))],
+            [k, 1e-6 * np.eye(3)],  # second Choi eigenvalue below 1e-8 of the first
+            [k, 1e-3 * np.eye(3)],  # and above it
+            [k / 2, np.eye(3) / 2],
+            [np.zeros((3, 3))],
+        ]
+        kraus_form = [Operation.from_kraus(o) for o in ops]
+        choi_form = [Operation.from_choi(op.choi) for op in kraus_form]
+        expected = [is_single_kraus(op) for op in choi_form]
+        assert expected == [True, True, True, True, False, False, False]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Choi eigensolve on Kraus input")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert [is_single_kraus(op) for op in kraus_form] == expected
+
 
 class TestProductAndConditioned:
     def test_identity_product_scales(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qinstr.errors import DimensionError, NotIsometry, NotPositiveSemidefinite
+from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite
 from qinstr.linalg import (
     complete_to_unitary,
     frob,
@@ -66,6 +66,44 @@ class TestHermSqrt:
             r = herm_sqrt(m)
             assert frob(r @ r - m) < 1e-8
             assert np.linalg.eigvalsh(r)[0] > -1e-10
+
+
+class TestStackedHermSqrt:
+    def test_matches_matrix_by_matrix(self, rng):
+        for d in (2, 3, 5):
+            stack = np.stack([random_psd(d, rng) for _ in range(4)])
+            roots = herm_sqrt(stack)
+            assert roots.shape == stack.shape
+            for m, r in zip(stack, roots):
+                assert frob(r - herm_sqrt(m)) < 1e-14
+
+    def test_noise_floor_is_per_matrix(self):
+        # 1e-14 is below the floor of the first matrix (1e-12 of 1) but not
+        # below that of the second (1e-12 of 1e-13): one floor for the whole
+        # stack would drop it from both.
+        stack = np.stack([np.diag([1.0, 1e-14]), np.diag([1e-13, 1e-14]), np.zeros((2, 2))])
+        roots = herm_sqrt(stack)
+        for m, r in zip(stack, roots):
+            np.testing.assert_array_equal(r, herm_sqrt(m))
+        assert roots[0][1, 1] == 0.0
+        assert roots[1][1, 1] == pytest.approx(1e-7, rel=1e-12)
+        assert not roots[2].any()
+
+    def test_non_psd_member_rejected(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.1]), np.eye(2)])
+        with pytest.raises(NotPositiveSemidefinite):
+            herm_sqrt(stack)
+
+    def test_eig_of_stack(self, rng):
+        stack = np.stack([random_psd(3, rng) for _ in range(3)])
+        w, v = herm_eig(stack)
+        assert w.shape == (3, 3) and v.shape == (3, 3, 3)
+        for m, wk, vk in zip(stack, w, v):
+            assert frob((vk * wk) @ vk.conj().T - m) < 1e-12
+
+    def test_stack_must_be_hermitian(self):
+        with pytest.raises(NotHermitian):
+            herm_sqrt(np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]))
 
 
 class TestTensorProduct:

@@ -22,7 +22,7 @@ from qinstr.serialize import (
     save_document,
 )
 
-from conftest import MALFORMED_KRAUS, P0, kraus_document
+from conftest import MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, kraus_document
 
 
 class TestCanonicalJson:
@@ -149,6 +149,22 @@ class TestKrausLoading:
     def test_malformed_kraus_is_document_error(self, case):
         with pytest.raises(DocumentError):
             loads_document(kraus_document(MALFORMED_KRAUS[case]))
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+    def test_is_document_error(self, case):
+        with pytest.raises(DocumentError):
+            loads_document(json.dumps(MALFORMED_DOCUMENTS[case]))
+
+    def test_well_formed_fimm_loads(self):
+        from conftest import _FIMM
+
+        assert loads_document(json.dumps(_FIMM)).kind == "fimm"
+
+    def test_integral_float_dim_accepted(self):
+        doc = loads_document(json.dumps({"kind": "effect", "dim": 2.0, "matrix": [[1, 0], [0, 1]]}))
+        assert doc.dim == 2
 
 
 class TestInvariantReporting:
