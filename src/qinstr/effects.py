@@ -4,6 +4,12 @@ An effect is a Hermitian matrix ``a`` with ``0 <= a <= 1``; it answers a
 yes-no measurement.  Measuring ``a`` first and ``b`` second yields the
 sequential product ``sqrt(a) b sqrt(a)``, which conditions ``b`` on the
 occurrence of ``a``.
+
+Families of effects are handled as ``(k, d, d)`` stacks: ``ensure_effects``
+validates a stack with one batched eigendecomposition, and ``seq_products``
+forms every pairwise sequential product of two stacks from one batched
+square root.  ``ensure_effect`` and ``seq_product`` are their one-element
+cases.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import (
     Array,
+    as_matrix,
     as_vector,
     ensure_hermitian,
     frob,
@@ -27,21 +34,33 @@ EFFECT_EIG_TOL = 1e-9
 STATE_TRACE_TOL = 1e-9
 
 
-def ensure_effect(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
-    """Validate and normalize an effect matrix.
+def ensure_effects(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
+    """Validate and normalize a ``(k, d, d)`` stack of effect matrices.
 
-    Eigenvalues within ``eig_tol`` of ``[0, 1]`` are clamped onto the
-    interval; anything further out fails construction.
+    Each matrix must be Hermitian within ``ensure_hermitian``'s limit, and
+    its eigenvalues, from one batched eigendecomposition, must lie within
+    ``eig_tol`` of ``[0, 1]``; otherwise ``InvariantViolation("effect-range")``
+    reports the residual of the first failing matrix.  Matrices with
+    eigenvalues just outside ``[0, 1]`` are clamped onto it; the others are
+    returned as symmetrized.
     """
-    a = ensure_hermitian(m)
+    a = ensure_hermitian(m, stack=True)
     w, v = np.linalg.eigh(a)
-    low, high = float(w[0]), float(w[-1])
-    if low < -eig_tol or high > 1.0 + eig_tol:
-        residual = max(0.0, -low, high - 1.0)
-        raise InvariantViolation("effect-range", residual)
-    if low < 0.0 or high > 1.0:
-        a = hermitian_part((v * np.clip(w, 0.0, 1.0)) @ v.conj().T)
+    low, high = w[:, 0], w[:, -1]
+    bad = (low < -eig_tol) | (high > 1.0 + eig_tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvariantViolation("effect-range", max(0.0, -float(low[k]), float(high[k]) - 1.0))
+    out = (low < 0.0) | (high > 1.0)
+    if out.any():
+        vo = v[out]
+        a[out] = hermitian_part((vo * np.clip(w[out], 0.0, 1.0)[:, None, :]) @ vo.conj().swapaxes(-1, -2))
     return a
+
+
+def ensure_effect(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
+    """Validate and normalize one effect matrix, as ``ensure_effects`` does."""
+    return ensure_effects(as_matrix(m)[None], eig_tol)[0]
 
 
 def ensure_partial_state(m: object, tol: float = STATE_TRACE_TOL) -> Array:
@@ -80,12 +99,22 @@ def atom(phi: object) -> Array:
     return np.outer(v, v.conj())
 
 
+def seq_products(a: Array, b: Array) -> Array:
+    """Every sequential product ``sqrt(a[x]) b[y] sqrt(a[x])`` of two validated
+    effect stacks ``(m, d, d)`` and ``(n, d, d)``, as an ``(m, n, d, d)`` array.
+
+    The roots of ``a`` come from one batched ``herm_sqrt``, and the products
+    are validated as effects by one ``ensure_effects`` call.
+    """
+    _same_dim(a[0], b[0])
+    m, n, d = len(a), len(b), a.shape[-1]
+    r = herm_sqrt(a)[:, None]
+    return ensure_effects((r @ b[None] @ r).reshape(m * n, d, d)).reshape(m, n, d, d)
+
+
 def seq_product(a: object, b: object) -> Array:
     """Sequential product ``sqrt(a) b sqrt(a)``: measure ``a``, then ``b``."""
-    ea, eb = ensure_effect(a), ensure_effect(b)
-    _same_dim(ea, eb)
-    r = herm_sqrt(ea)
-    return ensure_effect(r @ eb @ r)
+    return seq_products(ensure_effect(a)[None], ensure_effect(b)[None])[0, 0]
 
 
 def complement(a: object) -> Array:
@@ -205,9 +234,9 @@ def joint_feasibility_search(
 
     for _ in range(iters):
         blocks = project_affine(blocks)
-        blocks = np.stack([psd_part(bl) for bl in blocks])
+        blocks = psd_part(blocks)
         residual = np.einsum("ck,kij->cij", mat, blocks) - target
-        if max(frob(r) for r in residual) <= tol:
+        if np.linalg.norm(residual, axis=(-2, -1)).max() <= tol:
             return [[blocks[x * n + y] for y in range(n)] for x in range(m)]
     return None
 

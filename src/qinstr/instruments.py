@@ -11,10 +11,13 @@ matrix is formed from them on first use.  The constructor validates by input:
 
 ``kraus_ops()`` of a Choi-only operation extracts canonical Kraus operators
 from the Choi eigendecomposition once and caches them.  Kraus lists built
-here and in ``models`` (compositions, total channels, model instruments) are
-not minimal; ``minimal_kraus`` cuts one to its Choi rank.  An instrument is a
-finite label-indexed family of operations whose sum is trace-preserving; it
-induces a unique observable that reproduces its outcome probabilities.
+here and in ``models`` (compositions, total channels, mixtures,
+post-processings, trivial and model instruments) are not minimal;
+``minimal_kraus`` cuts one to its Choi rank.  A mixture or post-processing
+stays in Kraus form when every term has Kraus operators and is a Choi sum
+otherwise.  An instrument is a finite label-indexed family of operations
+whose sum is trace-preserving; it induces a unique observable that
+reproduces its outcome probabilities.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -39,7 +42,7 @@ from .errors import (
     NotComplete,
     ShapeError,
 )
-from .linalg import Array, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part
+from .linalg import Array, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part, root_factor
 from .observables import (
     Label,
     Observable,
@@ -55,15 +58,21 @@ KRAUS_EIG_TOL = 1e-10
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
-    """Read-only ``(r, d, d)`` stack of square Kraus operators of one shape."""
-    mats = [as_matrix(k) for k in ops]
-    if not mats:
+    """Read-only ``(r, d, d)`` stack of square Kraus operators of one shape,
+    coerced in one call; never a view of the caller's array."""
+    if len(ops) == 0:
         raise DimensionError("need at least one Kraus operator")
-    dim = mats[0].shape[0]
-    for k in mats:
-        if k.shape != (dim, dim):
-            raise DimensionError(f"Kraus operator shape {k.shape}, expected {(dim, dim)}")
-    stack = np.stack(mats)
+    try:
+        stack = as_matrix(ops, stack=True)
+    except (ValueError, DimensionError):
+        shapes = {np.shape(k) for k in ops}
+        if len(shapes) > 1:
+            raise DimensionError(f"Kraus operators of mixed shapes {sorted(shapes)}") from None
+        raise
+    if stack.shape[1] != stack.shape[2]:
+        raise DimensionError(f"Kraus operator shape {stack.shape[1:]} is not square")
+    if isinstance(ops, np.ndarray) and np.may_share_memory(stack, ops):
+        stack = stack.copy()
     stack.setflags(write=False)
     return stack
 
@@ -319,17 +328,26 @@ def induced_observable(instr: Instrument) -> Observable:
 
 def luders_instrument(a: Observable) -> Instrument:
     """Instrument with outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``."""
-    return Instrument({x: Operation.from_kraus([herm_sqrt(e)]) for x, e in a.items()})
+    roots = herm_sqrt(a.stack)
+    return Instrument({x: Operation.from_kraus([r]) for x, r in zip(a.labels, roots)})
 
 
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
-    """Instrument that discards the input: ``rho -> tr(rho A_x) alpha``."""
+    """Instrument that discards the input: ``rho -> tr(rho A_x) alpha``.
+
+    With ``alpha = R R^*`` and ``A_x = S S^*`` (``root_factor``), outcome
+    ``x`` has the Kraus operators ``r_k s_j^*`` over the columns of ``R``
+    and ``S``; its Choi matrix is ``A_x^T (x) alpha``.
+    """
     st = ensure_state(alpha)
     if st.shape[0] != a.dim:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
-    return Instrument(
-        {x: Operation.from_choi(np.kron(e.T, st)) for x, e in a.items()}
-    )
+    r = root_factor(st)
+    ops = {}
+    for x, e in a.items():
+        s = root_factor(e)
+        ops[x] = Operation.from_kraus(np.einsum("ak,ij->jkai", r, s.conj()).reshape(-1, a.dim, a.dim))
+    return Instrument(ops)
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
@@ -411,6 +429,22 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     return Instrument({y: compose_operations(jy, ihat) for y, jy in j.items()})
 
 
+def _weighted_sum(weights: Sequence[float], ops: Sequence[Operation]) -> Operation:
+    """The operation ``sum_k weights[k] ops[k]`` for nonnegative weights.
+
+    When every term has Kraus operators, the result's are the
+    ``sqrt(w_k) K`` of the terms with nonzero weight, reduced as in
+    ``bounded_kraus`` (no weight left gives one zero operator): no Choi
+    eigensolve.  Otherwise the Choi matrices are summed and validated by
+    ``from_choi``; extracting Kraus operators from Choi-only terms would
+    cost one eigensolve per term instead of one for the sum.
+    """
+    if all(op._kraus is not None for op in ops):
+        terms = [np.sqrt(w) * op._kraus for w, op in zip(weights, ops) if w > 0]
+        return Operation.from_kraus(bounded_kraus(np.concatenate(terms) if terms else [], ops[0].dim))
+    return Operation.from_choi(sum(w * op.choi for w, op in zip(weights, ops)))
+
+
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
     """Outcome-wise mixture of instruments sharing one value-space."""
     if not instruments:
@@ -422,25 +456,15 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
             raise LabelError("instruments do not share a value-space")
         if i.dim != instruments[0].dim:
             raise DimensionError("instruments of mixed dimensions")
-    return Instrument(
-        {
-            x: Operation.from_choi(sum(wi * i[x].choi for wi, i in zip(w, instruments)))
-            for x in labels
-        }
-    )
+    return Instrument({x: _weighted_sum(w, [i[x] for i in instruments]) for x in labels})
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     """Classical relabeling of outcomes: ``(nu . I)_y = sum_x nu[x, y] I_x``."""
     if set(nu.row_labels) != set(i.labels):
         raise ShapeError("stochastic matrix rows do not match the instrument's labels")
-    out: dict[Label, Operation] = {}
-    for cidx, y in enumerate(nu.col_labels):
-        total = np.zeros_like(i[i.labels[0]].choi)
-        for ridx, x in enumerate(nu.row_labels):
-            total = total + nu.matrix[ridx, cidx] * i[x].choi
-        out[y] = Operation.from_choi(total)
-    return Instrument(out)
+    ops = [i[x] for x in nu.row_labels]
+    return Instrument({y: _weighted_sum(nu.matrix[:, c], ops) for c, y in enumerate(nu.col_labels)})
 
 
 def _hermitian_basis(dim: int) -> Array:

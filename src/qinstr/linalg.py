@@ -40,7 +40,7 @@ def as_matrix(m: object, stack: bool = False) -> Array:
     if a.ndim != 2 + stack or 0 in a.shape:
         what = "stack of 2-D matrices" if stack else "2-D matrix"
         raise DimensionError(f"expected a {what}, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise QinstrError("matrix contains non-finite entries")
     return a
 
@@ -49,7 +49,7 @@ def as_vector(v: object) -> Array:
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size < 1:
         raise DimensionError("expected a nonempty vector")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise QinstrError("vector contains non-finite entries")
     return a
 
@@ -144,10 +144,10 @@ def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
 
 
 def psd_part(m: Array) -> Array:
-    """Projection onto the PSD cone (eigenvalue clamp at zero)."""
+    """Projection onto the PSD cone (eigenvalue clamp at zero), matrix by
+    matrix over any leading axes."""
     w, v = np.linalg.eigh(hermitian_part(m))
-    w = np.clip(w, 0.0, None)
-    return hermitian_part((v * w) @ v.conj().T)
+    return hermitian_part((v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def tensor_product(a: object, b: object) -> Array:
@@ -238,7 +238,3 @@ def is_unitary(u: Array, tol: float = 1e-8) -> bool:
     if a.shape[0] != a.shape[1]:
         return False
     return frob(a.conj().T @ a - np.eye(a.shape[0])) <= tol
-
-
-def commutator_norm(a: Array, b: Array) -> float:
-    return frob(a @ b - b @ a)

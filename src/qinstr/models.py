@@ -26,11 +26,13 @@ from .instruments import (
     Operation,
     bounded_kraus,
     ensure_channel,
+    instr_post_process,
     kraus_from_vectors,
     minimal_kraus,
 )
 from .linalg import (
     Array,
+    _phase_fix,
     as_matrix,
     complete_to_unitary,
     frob,
@@ -39,7 +41,7 @@ from .linalg import (
     is_unitary,
     root_factor,
 )
-from .observables import Label, Observable, classify_observable
+from .observables import Label, Observable, StochasticMatrix, classify_observable, obs_post_process
 
 MODEL_TOL = 1e-7
 
@@ -49,11 +51,7 @@ def _phase_fixed_unit_vector(m: Array, tol: float = 1e-8) -> Array:
     w, v = herm_eig(m)
     if w[-1] <= tol or (w.size > 1 and w[-2] > tol * max(1.0, w[-1])):
         raise NotNormal("matrix is not rank one within tolerance")
-    vec = v[:, -1]
-    for entry in vec:
-        if abs(entry) > 1e-9:
-            return vec * (abs(entry) / entry)
-    raise NotNormal("degenerate eigenvector")
+    return _phase_fix(v[:, -1])
 
 
 class FIMM:
@@ -386,11 +384,20 @@ def luders_positivity_check(m: FIMM, tol: float = 1e-8) -> bool:
     return True
 
 
-def _split_pair(label: Label) -> tuple[Label, Label]:
-    if not isinstance(label, tuple) or len(label) < 2:
-        raise LabelError(f"label {label!r} is not a product label")
-    rest = label[1:]
-    return label[0], (rest[0] if len(rest) == 1 else rest)
+def _marginal_maps(labels: tuple[Label, ...]) -> tuple[StochasticMatrix, StochasticMatrix]:
+    """The 0/1 matrices that coarse-grain product labels onto their first
+    factor and onto the rest, each factor's labels in order of appearance."""
+    pairs = []
+    for label in labels:
+        if not isinstance(label, tuple) or len(label) < 2:
+            raise LabelError(f"label {label!r} is not a product label")
+        pairs.append((label[0], label[1] if len(label) == 2 else label[1:]))
+
+    def onto(side: int) -> StochasticMatrix:
+        targets = list(dict.fromkeys(p[side] for p in pairs))
+        return StochasticMatrix(labels, targets, [[float(p[side] == t) for t in targets] for p in pairs])
+
+    return onto(0), onto(1)
 
 
 def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
@@ -401,44 +408,16 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     labels; each returned model coarse-grains that pointer over one factor,
     so the two pointers commute.
     """
-    dilated = dilate_instrument(joint)
-    first_labels: list[Label] = []
-    second_labels: list[Label] = []
-    for lab in joint.labels:
-        x, y = _split_pair(lab)
-        if x not in first_labels:
-            first_labels.append(x)
-        if y not in second_labels:
-            second_labels.append(y)
-    zero = np.zeros((dilated.dim_probe, dilated.dim_probe), dtype=complex)
-    f1 = {x: zero.copy() for x in first_labels}
-    f2 = {y: zero.copy() for y in second_labels}
-    for lab in joint.labels:
-        x, y = _split_pair(lab)
-        f1[x] = f1[x] + dilated.pointer[lab]
-        f2[y] = f2[y] + dilated.pointer[lab]
-    m1 = FIMM(dilated.dim_base, dilated.dim_probe, dilated.probe_state, dilated.interaction, Observable(f1))
-    m2 = FIMM(dilated.dim_base, dilated.dim_probe, dilated.probe_state, dilated.interaction, Observable(f2))
-    return m1, m2
+    maps = _marginal_maps(joint.labels)
+    m = dilate_instrument(joint)
+    first, second = (
+        FIMM(m.dim_base, m.dim_probe, m.probe_state, m.interaction, obs_post_process(nu, m.pointer)) for nu in maps
+    )
+    return first, second
 
 
 def marginal_instruments(joint: Instrument) -> tuple[Instrument, Instrument]:
-    """The two marginals of an instrument on a product value-space."""
-    first_labels: list[Label] = []
-    second_labels: list[Label] = []
-    for lab in joint.labels:
-        x, y = _split_pair(lab)
-        if x not in first_labels:
-            first_labels.append(x)
-        if y not in second_labels:
-            second_labels.append(y)
-    chois_i = {x: None for x in first_labels}
-    chois_j = {y: None for y in second_labels}
-    for lab in joint.labels:
-        x, y = _split_pair(lab)
-        c = joint[lab].choi
-        chois_i[x] = c if chois_i[x] is None else chois_i[x] + c
-        chois_j[y] = c if chois_j[y] is None else chois_j[y] + c
-    i = Instrument({x: Operation.from_choi(c) for x, c in chois_i.items()})
-    j = Instrument({y: Operation.from_choi(c) for y, c in chois_j.items()})
-    return i, j
+    """The two marginals of an instrument on a product value-space: its
+    post-processings by the 0/1 matrices of ``_marginal_maps``."""
+    first, second = _marginal_maps(joint.labels)
+    return instr_post_process(first, joint), instr_post_process(second, joint)

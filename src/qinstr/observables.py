@@ -3,6 +3,12 @@
 An observable is a finite, label-indexed family of effects summing to the
 identity (a finite-outcome POVM).  Product value-spaces use tuple labels;
 combining labels flattens, so a triple product carries labels ``(x, y, z)``.
+
+An observable stores its effects as one read-only ``(m, d, d)`` stack in
+label order, validated by a single ``ensure_effects`` call.  Combinators
+work on stacks: sequential products, conditioning, triple joints and
+complementarity defects come from ``seq_products``, and mixtures and
+post-processing are contractions with the weights.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import EFFECT_EIG_TOL, ensure_effect, ensure_state, seq_product
+from .effects import ensure_effect, ensure_effects, ensure_state, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -20,7 +26,7 @@ from .errors import (
     ShapeError,
     WeightError,
 )
-from .linalg import Array, commutator_norm, frob, herm_sqrt, hermitian_part
+from .linalg import Array, as_matrix, frob, hermitian_part
 
 Label = str | tuple[str, ...]
 
@@ -61,29 +67,32 @@ def parse_label(text: str) -> Label:
 
 
 class Observable:
-    """Ordered map from outcome labels to effects that sums to the identity."""
+    """Ordered map from outcome labels to effects that sums to the identity.
+
+    ``stack`` holds the effects as a read-only ``(m, d, d)`` array in label
+    order; the mapping's values are views of it.
+    """
 
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]], sum_tol: float = SUM_TOL):
         items = list(effects.items()) if isinstance(effects, Mapping) else list(effects)
         if not items:
             raise LabelError("an observable needs at least one outcome")
-        normalized: dict[Label, Array] = {}
-        for label, matrix in items:
-            label = check_label(label)
-            if label in normalized:
-                raise LabelError(f"duplicate label {label!r}")
-            e = ensure_effect(matrix)
-            e.setflags(write=False)
-            normalized[label] = e
-        dims = {e.shape[0] for e in normalized.values()}
-        if len(dims) != 1:
-            raise DimensionError(f"effects of mixed dimensions {sorted(dims)}")
-        self.dim = dims.pop()
-        total = sum(normalized.values())
-        residual = frob(total - np.eye(self.dim))
+        labels = [check_label(label) for label, _ in items]
+        if len(set(labels)) != len(labels):
+            duplicate = next(x for k, x in enumerate(labels) if x in labels[:k])
+            raise LabelError(f"duplicate label {duplicate!r}")
+        mats = [as_matrix(matrix) for _, matrix in items]
+        shapes = {e.shape for e in mats}
+        if len(shapes) != 1:
+            raise DimensionError(f"effects of mixed shapes {sorted(shapes)}")
+        stack = ensure_effects(np.stack(mats))
+        self.dim = stack.shape[-1]
+        residual = frob(stack.sum(0) - np.eye(self.dim))
         if residual > sum_tol:
             raise InvariantViolation("sum-to-identity", residual)
-        self._effects = normalized
+        stack.setflags(write=False)
+        self.stack = stack
+        self._effects = dict(zip(labels, stack))
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -156,46 +165,27 @@ class ObservableFlags:
     sharp: bool
 
 
-def _effect_rank(e: Array) -> int:
-    w = np.linalg.eigvalsh(e)
-    top = float(w[-1])
-    if top <= RANK_REL_TOL:
-        return 0
-    return int(np.sum(w > RANK_REL_TOL * top))
-
-
-def _is_projection(e: Array, tol: float = SUM_TOL) -> bool:
-    return frob(e @ e - e) <= tol
+def _commutator_norms(s: Array, t: Array) -> Array:
+    """Frobenius norms of the commutators ``[s_k, t_k]`` of two stacks of
+    equal length."""
+    return np.linalg.norm(s @ t - t @ s, axis=(-2, -1))
 
 
 def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
     """Effect of a set of outcomes, ``sum_{x in X} A_x``."""
-    total = np.zeros((a.dim, a.dim), dtype=complex)
-    for x in subset:
-        total = total + a[x]
-    return total
+    return sum((a[x] for x in subset), np.zeros((a.dim, a.dim), dtype=complex))
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
     """Observable of measuring ``a`` first and ``b`` second, on product labels."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    return Observable(
-        {combine_labels(x, y): seq_product(ax, by) for x, ax in a.items() for y, by in b.items()}
-    )
+    products = seq_products(a.stack, b.stack).reshape(-1, a.dim, a.dim)
+    labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
+    return Observable(zip(labels, products))
 
 
 def obs_conditioned(a: Observable, b: Observable) -> Observable:
     """Observable ``b`` conditioned by ``a``: outcome ``y`` is ``sum_x A_x o B_y``."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    out: dict[Label, Array] = {}
-    for y, by in b.items():
-        total = np.zeros((a.dim, a.dim), dtype=complex)
-        for _, ax in a.items():
-            total = total + seq_product(ax, by)
-        out[y] = total
-    return Observable(out)
+    return Observable(zip(b.labels, seq_products(a.stack, b.stack).sum(0)))
 
 
 def check_weights(weights: Sequence[float], count: int, tol: float = 1e-10) -> np.ndarray:
@@ -220,22 +210,15 @@ def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]
             raise LabelError("observables do not share a value-space")
         if o.dim != observables[0].dim:
             raise DimensionError("observables of mixed dimensions")
-    return Observable(
-        {x: sum(wi * o[x] for wi, o in zip(w, observables)) for x in labels}
-    )
+    return Observable(zip(labels, np.tensordot(w, np.stack([o.stack for o in observables]), 1)))
 
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``."""
     if set(nu.row_labels) != set(b.labels):
         raise ShapeError("stochastic matrix rows do not match the observable's labels")
-    out: dict[Label, Array] = {}
-    for j, z in enumerate(nu.col_labels):
-        total = np.zeros((b.dim, b.dim), dtype=complex)
-        for i, y in enumerate(nu.row_labels):
-            total = total + nu.matrix[i, j] * b[y]
-        out[z] = total
-    return Observable(out)
+    rows = np.stack([b[y] for y in nu.row_labels])
+    return Observable(zip(nu.col_labels, np.tensordot(nu.matrix.T, rows, 1)))
 
 
 def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
@@ -245,29 +228,29 @@ def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
     rank-one projection; indecomposable: every effect rank one; commutative:
     all pairs of effects commute; sharp: every effect a projection.
     """
-    eye = np.eye(a.dim)
-    identity = all(frob(e - (np.trace(e).real / a.dim) * eye) <= tol for _, e in a.items())
-    ranks = [_effect_rank(e) for _, e in a.items()]
-    projections = [_is_projection(e, tol) for _, e in a.items()]
-    atomic = all(r == 1 and p for r, p in zip(ranks, projections))
-    indecomposable = all(r == 1 for r in ranks)
-    effects = [e for _, e in a.items()]
-    commutative = all(
-        commutator_norm(effects[i], effects[j]) <= tol
-        for i in range(len(effects))
-        for j in range(i + 1, len(effects))
+    s = a.stack
+    scalars = np.trace(s, axis1=1, axis2=2).real[:, None, None] / a.dim * np.eye(a.dim)
+    identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= tol))
+    w = np.linalg.eigvalsh(s)
+    top = w[:, -1:]
+    rank_one = (top[:, 0] > RANK_REL_TOL) & (np.sum(w > RANK_REL_TOL * top, axis=1) == 1)
+    projections = np.linalg.norm(s @ s - s, axis=(1, 2)) <= tol
+    i, j = np.triu_indices(len(s), 1)
+    return ObservableFlags(
+        identity=identity,
+        atomic=bool(np.all(rank_one & projections)),
+        indecomposable=bool(np.all(rank_one)),
+        commutative=bool(np.all(_commutator_norms(s[i], s[j]) <= tol)),
+        sharp=bool(np.all(projections)),
     )
-    sharp = all(projections)
-    return ObservableFlags(identity, atomic, indecomposable, commutative, sharp)
 
 
 def obs_commute(a: Observable, b: Observable, tol: float = SUM_TOL) -> bool:
     """True when every effect of ``a`` commutes with every effect of ``b``."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    return all(
-        commutator_norm(ax, by) <= tol for _, ax in a.items() for _, by in b.items()
-    )
+    i, j = np.indices((len(a), len(b))).reshape(2, -1)
+    return bool(np.all(_commutator_norms(a.stack[i], b.stack[j]) <= tol))
 
 
 def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]:
@@ -275,24 +258,11 @@ def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]
 
     ``D_ab[x, y] = A_x o B_y - A_x / n`` has shape ``(m, n, d, d)`` and
     ``D_ba[y, x] = B_y o A_x - B_y / m`` has shape ``(n, m, d, d)``, with
-    ``m`` and ``n`` the outcome counts of ``a`` and ``b``.  Each observable's
-    square roots come from one batched eigendecomposition, and the products
-    keep the effect-range check of ``seq_product`` (one batched
-    ``eigvalsh``).
+    ``m`` and ``n`` the outcome counts of ``a`` and ``b``; both product
+    stacks come from ``seq_products``.
     """
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    ea = np.stack([e for _, e in a.items()])
-    eb = np.stack([e for _, e in b.items()])
-    ra, rb = herm_sqrt(ea)[:, None], herm_sqrt(eb)[:, None]
-    ab = hermitian_part(ra @ eb[None] @ ra)
-    ba = hermitian_part(rb @ ea[None] @ rb)
-    d = a.dim
-    w = np.linalg.eigvalsh(np.concatenate([ab.reshape(-1, d, d), ba.reshape(-1, d, d)]))
-    low, high = float(w[:, 0].min()), float(w[:, -1].max())
-    if low < -EFFECT_EIG_TOL or high > 1.0 + EFFECT_EIG_TOL:
-        raise InvariantViolation("effect-range", max(0.0, -low, high - 1.0))
-    return ab - ea[:, None] / len(b), ba - eb[:, None] / len(a)
+    ea, eb = a.stack, b.stack
+    return seq_products(ea, eb) - ea[:, None] / len(b), seq_products(eb, ea) - eb[:, None] / len(a)
 
 
 def complementarity_residual(a: Observable, b: Observable) -> float:
@@ -370,12 +340,10 @@ def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
     """
     if not (a.dim == b.dim == c.dim):
         raise DimensionError("dimension mismatch")
-    out: dict[Label, Array] = {}
-    for x, ax in a.items():
-        for y, by in b.items():
-            for z, cz in c.items():
-                out[combine_labels(x, combine_labels(y, z))] = seq_product(ax, seq_product(by, cz))
-    return Observable(out)
+    inner = seq_products(b.stack, c.stack).reshape(-1, a.dim, a.dim)
+    products = seq_products(a.stack, inner).reshape(-1, a.dim, a.dim)
+    labels = [combine_labels(x, combine_labels(y, z)) for x in a.labels for y in b.labels for z in c.labels]
+    return Observable(zip(labels, products))
 
 
 def joint_probability_then(
@@ -389,9 +357,11 @@ def joint_probability_then(
     if r.shape[0] != a.dim or a.dim != b.dim:
         raise DimensionError("dimension mismatch")
     by = obs_effect_of_subset(b, y_set)
-    total = 0.0
-    for x in x_set:
-        total += float(np.trace(r @ seq_product(a[x], by)).real)
+    ax = [a[x] for x in x_set]
+    if not ax:
+        return 0.0
+    products = seq_products(np.stack(ax), ensure_effect(by)[None])[:, 0]
+    total = float(np.einsum("ij,kji->", r, products).real)
     return min(1.0, max(0.0, total))
 
 

@@ -70,6 +70,37 @@ def kraus_document(kraus: object) -> str:
     return json.dumps(payload)
 
 
+class EigenCalls:
+    """Records ``(order, batch)`` of every call to numpy's Hermitian
+    eigensolvers while installed: the matrix order ``shape[-1]`` and the
+    number of matrices in the call."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[int, int]] = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, self._recording(original))
+
+    def _recording(self, fn):
+        def wrapper(a, *args, **kwargs):
+            shape = np.shape(a)
+            self.calls.append((shape[-1], int(np.prod(shape[:-2]))))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    @property
+    def orders(self) -> list[int]:
+        return [n for n, _ in self.calls]
+
+
+@pytest.fixture
+def eig_calls(monkeypatch) -> EigenCalls:
+    """Eigensolver recorder, installed for the rest of the test; clear
+    ``calls`` after building inputs to count one call alone."""
+    return EigenCalls(monkeypatch)
+
+
 @pytest.fixture
 def sharp_z() -> Observable:
     return Observable({"0": P0, "1": P1})

@@ -8,7 +8,7 @@ basis element, outcome and pair, and one ``seq_product`` per ordered pair.
 import numpy as np
 import pytest
 
-import qinstr.observables as observables
+import qinstr.effects as effects
 from qinstr.effects import seq_product
 from qinstr.errors import DimensionError, InvariantViolation
 from qinstr.instruments import (
@@ -212,7 +212,7 @@ class TestKernel:
 
     def test_products_keep_effect_range_check(self, rng, monkeypatch):
         # Roots scaled by 1.5 push every product above the identity.
-        monkeypatch.setattr(observables, "herm_sqrt", lambda m: 1.5 * herm_sqrt(m))
+        monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.5 * herm_sqrt(m))
         b1, b2 = fourier_mub(2)
         with pytest.raises(InvariantViolation) as exc:
             complementarity_residual(atomic_observable(b1), atomic_observable(b2))

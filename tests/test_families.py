@@ -1,0 +1,469 @@
+"""Stacked family kernels against the per-matrix code they replaced.
+
+The oracles are the former library implementations: the per-effect
+``ensure_effect`` loop of ``Observable``, the per-pair ``seq_product``
+behind the observable combinators, and the Choi sums of
+``instr_convex_combo``, ``instr_post_process`` and ``marginal_instruments``.
+"""
+
+import numpy as np
+import pytest
+
+import qinstr.effects as effects
+from qinstr.effects import EFFECT_EIG_TOL, ensure_effect, ensure_effects, seq_product, seq_products
+from qinstr.errors import DimensionError, InvariantViolation, LabelError, NotHermitian, QinstrError
+from qinstr.instruments import (
+    Instrument,
+    Operation,
+    instr_convex_combo,
+    instr_post_process,
+    is_single_kraus,
+    luders_instrument,
+    trivial_instrument,
+)
+from qinstr.linalg import ensure_hermitian, frob, herm_sqrt, hermitian_part
+from qinstr.models import marginal_instruments
+from qinstr.observables import (
+    RANK_REL_TOL,
+    SUM_TOL,
+    Observable,
+    ObservableFlags,
+    StochasticMatrix,
+    atomic_observable,
+    check_label,
+    classify_observable,
+    combine_labels,
+    fourier_mub,
+    identity_observable,
+    joint_probability_then,
+    obs_commute,
+    obs_conditioned,
+    obs_seq_product,
+    obs_triple_joint,
+)
+from qinstr.rand import (
+    random_commutative_observable,
+    random_instrument,
+    random_observable,
+    random_simplex,
+    random_state,
+    random_stochastic,
+    random_unitary,
+)
+from qinstr.verify import stored_trivial_instrument
+
+DIMS = [2, 3, 4, 5]
+
+
+# -- oracles: the per-matrix code the kernels replaced --------------------------
+
+
+def loop_ensure_effect(m, eig_tol=EFFECT_EIG_TOL):
+    a = ensure_hermitian(m)
+    w, v = np.linalg.eigh(a)
+    low, high = float(w[0]), float(w[-1])
+    if low < -eig_tol or high > 1.0 + eig_tol:
+        raise InvariantViolation("effect-range", max(0.0, -low, high - 1.0))
+    if low < 0.0 or high > 1.0:
+        a = hermitian_part((v * np.clip(w, 0.0, 1.0)) @ v.conj().T)
+    return a
+
+
+def loop_observable(items, sum_tol=SUM_TOL) -> dict:
+    normalized = {}
+    for label, matrix in items:
+        label = check_label(label)
+        if label in normalized:
+            raise LabelError(f"duplicate label {label!r}")
+        normalized[label] = loop_ensure_effect(matrix)
+    dims = {e.shape[0] for e in normalized.values()}
+    if len(dims) != 1:
+        raise DimensionError(f"effects of mixed dimensions {sorted(dims)}")
+    residual = frob(sum(normalized.values()) - np.eye(dims.pop()))
+    if residual > sum_tol:
+        raise InvariantViolation("sum-to-identity", residual)
+    return normalized
+
+
+def loop_seq_product(a, b):
+    ea, eb = loop_ensure_effect(a), loop_ensure_effect(b)
+    r = herm_sqrt(ea)
+    return loop_ensure_effect(r @ eb @ r)
+
+
+def loop_classify(a, tol=SUM_TOL) -> ObservableFlags:
+    effects = [e for _, e in a.items()]
+    eye = np.eye(a.dim)
+    identity = all(frob(e - (np.trace(e).real / a.dim) * eye) <= tol for e in effects)
+    ranks = []
+    for e in effects:
+        w = np.linalg.eigvalsh(e)
+        ranks.append(0 if w[-1] <= RANK_REL_TOL else int(np.sum(w > RANK_REL_TOL * w[-1])))
+    projections = [frob(e @ e - e) <= tol for e in effects]
+    commutative = all(
+        frob(effects[i] @ effects[j] - effects[j] @ effects[i]) <= tol
+        for i in range(len(effects))
+        for j in range(i + 1, len(effects))
+    )
+    return ObservableFlags(
+        identity,
+        all(r == 1 and p for r, p in zip(ranks, projections)),
+        all(r == 1 for r in ranks),
+        commutative,
+        all(projections),
+    )
+
+
+def choi_convex_combo(weights, instruments) -> dict:
+    return {x: sum(w * i[x].choi for w, i in zip(weights, instruments)) for x in instruments[0].labels}
+
+
+def choi_post_process(nu, instr) -> dict:
+    out = {}
+    for c, y in enumerate(nu.col_labels):
+        total = np.zeros_like(instr[instr.labels[0]].choi)
+        for r, x in enumerate(nu.row_labels):
+            total = total + nu.matrix[r, c] * instr[x].choi
+        out[y] = total
+    return out
+
+
+def choi_marginals(joint) -> tuple[dict, dict]:
+    first, second = {}, {}
+    for lab in joint.labels:
+        x, y = lab[0], (lab[1] if len(lab) == 2 else lab[1:])
+        first[x] = first.get(x, 0) + joint[lab].choi
+        second[y] = second.get(y, 0) + joint[lab].choi
+    return first, second
+
+
+def assert_chois_close(instr, expected: dict, tol=1e-14):
+    assert instr.labels == tuple(expected)
+    for x, c in expected.items():
+        assert frob(instr[x].choi - c) <= tol
+
+
+def _effect_with_top(d, top, rng):
+    """A random effect whose largest eigenvalue is ``top``."""
+    u = random_unitary(d, rng)
+    w = np.linspace(0.2, top, d)
+    return (u * w) @ u.conj().T
+
+
+# -- L1: effect validation ------------------------------------------------------
+
+
+class TestEnsureEffects:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_matches_per_effect_loop(self, d, rng):
+        # in range, just above 1 and just below 0 (both clamped), and exact
+        stack = np.stack(
+            [
+                random_observable(d, 2, rng)["0"],
+                _effect_with_top(d, 1.0 + 1e-11, rng),
+                np.eye(d) - _effect_with_top(d, 1.0 + 1e-11, rng),
+                np.eye(d),
+            ]
+        )
+        out = ensure_effects(stack)
+        for k, m in enumerate(stack):
+            expected = loop_ensure_effect(m)
+            assert frob(out[k] - expected) <= 1e-14
+            assert frob(ensure_effect(m) - expected) <= 1e-14
+        w = np.linalg.eigvalsh(out)
+        assert w.min() >= -1e-15 and w.max() <= 1.0 + 1e-15
+        assert [np.array_equal(out[k], hermitian_part(stack[k])) for k in range(4)] == [True, False, False, True]
+
+    def test_clamps_only_matrices_outside_the_interval(self, rng):
+        inside = random_observable(3, 2, rng)["0"]
+        outside = _effect_with_top(3, 1.0 + 1e-11, rng)
+        out = ensure_effects(np.stack([inside, outside]))
+        assert np.array_equal(out[0], hermitian_part(inside))
+        assert not np.array_equal(out[1], hermitian_part(outside))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_effect_range_reports_first_failing_matrix(self, k, rng):
+        stack = [random_observable(3, 2, rng)["0"] for _ in range(4)]
+        stack[k] = _effect_with_top(3, 1.0 + 1e-6, rng)
+        stack[3] = _effect_with_top(3, 1.0 + 1e-3, rng)
+        with pytest.raises(InvariantViolation) as exc:
+            ensure_effects(np.stack(stack))
+        with pytest.raises(InvariantViolation) as oracle:
+            loop_observable([(str(n), m) for n, m in enumerate(stack)])
+        assert exc.value.invariant == oracle.value.invariant == "effect-range"
+        assert exc.value.residual == oracle.value.residual
+        assert abs(exc.value.residual - 1e-6) < 1e-12
+
+
+# -- L1: observables ------------------------------------------------------------
+
+
+def _single_faults(rng) -> dict:
+    a = random_observable(2, 3, rng)
+    good = list(a.items())
+    skew = good[0][1] + 1e-3 * np.array([[0, 1], [-1, 0]])
+    nan = good[0][1].copy()
+    nan[0, 1] = np.nan
+    wide = _effect_with_top(2, 1.0 + 1e-6, rng)
+    return {
+        "effect-range": [good[0], ("w", wide), good[2]],
+        "non-hermitian": [(good[0][0], skew), *good[1:]],
+        "mixed-dimensions": [*good, ("z", np.zeros((3, 3)))],
+        "duplicate-label": [*good, (good[0][0], np.zeros((2, 2)))],
+        "nan": [(good[0][0], nan), *good[1:]],
+        "sum": good[:2],
+    }
+
+
+class TestObservable:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_matches_per_effect_loop(self, d, rng):
+        items = list(random_observable(d, 4, rng).items())
+        obs = Observable(items)
+        expected = loop_observable(items)
+        assert obs.labels == tuple(expected)
+        for x, e in expected.items():
+            assert frob(obs[x] - e) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("effect-range", InvariantViolation),
+            ("non-hermitian", NotHermitian),
+            ("mixed-dimensions", DimensionError),
+            ("duplicate-label", LabelError),
+            ("nan", QinstrError),
+            ("sum", InvariantViolation),
+        ],
+    )
+    def test_single_fault_errors_match_the_loop(self, fault, error, rng):
+        items = _single_faults(rng)[fault]
+        with pytest.raises(QinstrError) as exc:
+            Observable(items)
+        with pytest.raises(QinstrError) as oracle:
+            loop_observable(items)
+        assert type(exc.value) is type(oracle.value) is error
+        if error is InvariantViolation:
+            assert exc.value.invariant == oracle.value.invariant
+            assert abs(exc.value.residual - oracle.value.residual) <= 1e-15
+
+    def test_effects_are_read_only_views_of_the_stack(self, rng):
+        items = list(random_observable(3, 3, rng).items())
+        source = [np.array(m) for _, m in items]
+        obs = Observable(zip((x for x, _ in items), source))
+        assert obs.stack.shape == (3, 3, 3) and not obs.stack.flags.writeable
+        for k, x in enumerate(obs.labels):
+            assert np.shares_memory(obs[x], obs.stack) and not obs[x].flags.writeable
+            assert source[k].flags.writeable and not np.shares_memory(obs[x], source[k])
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_classify_and_commute_match_loops(self, d, rng):
+        b1, b2 = fourier_mub(d)
+        family = [
+            random_observable(d, 3, rng),
+            random_commutative_observable(d, 3, rng),
+            atomic_observable(b1),
+            atomic_observable(random_unitary(d, rng) @ b2),
+            identity_observable({"0": 0.25, "1": 0.75}, d),
+            Observable({"p": np.diag([1.0] + [0.0] * (d - 1)), "q": np.diag([0.0] + [1.0] * (d - 1))}),
+        ]
+        for a in family:
+            assert classify_observable(a) == loop_classify(a)
+            for b in family:
+                expected = all(frob(x @ y - y @ x) <= SUM_TOL for _, x in a.items() for _, y in b.items())
+                assert obs_commute(a, b) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_one_eigensolve_per_observable(self, m, rng, eig_calls):
+        items = list(random_observable(3, m, rng).items())
+        eig_calls.calls.clear()
+        Observable(items)
+        assert eig_calls.calls == [(3, m)]
+
+
+# -- L2: sequential products ----------------------------------------------------
+
+
+class TestSeqProducts:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_matches_per_pair_loop(self, d, rng):
+        a, b = random_observable(d, 2, rng), random_observable(d, 3, rng)
+        out = seq_products(a.stack, b.stack)
+        assert out.shape == (2, 3, d, d)
+        for s, (_, ax) in enumerate(a.items()):
+            for t, (_, by) in enumerate(b.items()):
+                expected = loop_seq_product(ax, by)
+                assert frob(out[s, t] - expected) <= 1e-14
+                assert frob(seq_product(ax, by) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_observable_combinators_match_loops(self, d, rng):
+        a, b, c = (random_observable(d, m, rng) for m in (2, 3, 2))
+        product = obs_seq_product(a, b)
+        conditioned = obs_conditioned(a, b)
+        triple = obs_triple_joint(a, b, c)
+        for x, ax in a.items():
+            for y, by in b.items():
+                assert frob(product[combine_labels(x, y)] - loop_seq_product(ax, by)) <= 1e-14
+                for z, cz in c.items():
+                    expected = loop_seq_product(ax, loop_seq_product(by, cz))
+                    assert frob(triple[(x, y, z)] - expected) <= 1e-14
+        for y, by in b.items():
+            expected = sum(loop_seq_product(ax, by) for _, ax in a.items())
+            assert frob(conditioned[y] - expected) <= 1e-14
+        rho = random_state(d, rng)
+        xs, ys = a.labels[:1], b.labels[1:]
+        by = sum(b[y] for y in ys)
+        expected = sum(np.trace(rho @ loop_seq_product(a[x], by)).real for x in xs)
+        assert abs(joint_probability_then(rho, a, xs, b, ys) - expected) <= 1e-14
+        assert joint_probability_then(rho, a, [], b, ys) == 0.0
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (5, 3)])
+    def test_obs_seq_product_eigensolves_do_not_grow_with_outcomes(self, m, n, rng, eig_calls):
+        a, b = random_observable(3, m, rng), random_observable(3, n, rng)
+        eig_calls.calls.clear()
+        obs_seq_product(a, b)
+        # one root of a, one range check of the products, one for the result
+        assert eig_calls.calls == [(3, m), (3, m * n), (3, m * n)]
+
+    def test_products_keep_effect_range_check(self, rng, monkeypatch):
+        a, b = random_observable(2, 2, rng), random_observable(2, 2, rng)
+        monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.5 * herm_sqrt(m))
+        for call in (lambda: seq_product(a["0"], np.eye(2)), lambda: obs_seq_product(a, b)):
+            with pytest.raises(InvariantViolation) as exc:
+                call()
+            assert exc.value.invariant == "effect-range"
+
+    def test_luders_roots_from_one_eigensolve(self, rng, eig_calls):
+        a = random_observable(3, 4, rng)
+        eig_calls.calls.clear()
+        instr = luders_instrument(a)
+        assert eig_calls.calls[0] == (3, 4)
+        for x, e in a.items():
+            assert frob(instr[x].kraus_ops()[0] - herm_sqrt(e)) <= 1e-14
+
+
+# -- L2: weighted sums of operations ---------------------------------------------
+
+
+def _choi_only(instr: Instrument) -> Instrument:
+    return Instrument({x: Operation.from_choi(op.choi) for x, op in instr.items()})
+
+
+def _no_choi_sized_eigensolve(eig_calls, d):
+    return all(n < d * d for n in eig_calls.orders)
+
+
+class TestWeightedSum:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_kraus_form_convex_combo(self, d, rng, eig_calls):
+        instruments = [random_instrument(d, 3, rng) for _ in range(3)]
+        weights = random_simplex(3, rng)
+        eig_calls.calls.clear()
+        out = instr_convex_combo(weights, instruments)
+        assert _no_choi_sized_eigensolve(eig_calls, d)
+        assert all(op._kraus is not None for _, op in out.items())
+        assert_chois_close(out, choi_convex_combo(weights, instruments))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_kraus_form_post_process(self, d, rng, eig_calls):
+        instr = random_instrument(d, 3, rng)
+        nu = random_stochastic(list(instr.labels), ["a", "b"], rng)
+        eig_calls.calls.clear()
+        out = instr_post_process(nu, instr)
+        assert _no_choi_sized_eigensolve(eig_calls, d)
+        assert all(op._kraus is not None for _, op in out.items())
+        assert_chois_close(out, choi_post_process(nu, instr))
+
+    def test_zero_weights_are_dropped(self, rng):
+        instr = random_instrument(2, 2, rng)
+        other = random_instrument(2, 2, rng)
+        combo = instr_convex_combo([1.0, 0.0], [instr, other])
+        for x, op in combo.items():
+            assert len(op.kraus_ops()) == len(instr[x].kraus_ops())
+        nu = StochasticMatrix(instr.labels, ["all", "none"], [[1.0, 0.0], [1.0, 0.0]])
+        out = instr_post_process(nu, instr)
+        assert len(out["none"].kraus_ops()) == 1
+        assert not np.any(out["none"].choi)
+        assert_chois_close(out, choi_post_process(nu, instr))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_choi_only_operand_takes_the_choi_route(self, d, rng, eig_calls):
+        kraus_form = random_instrument(d, 2, rng)
+        choi_form = _choi_only(random_instrument(d, 2, rng))
+        weights = [0.4, 0.6]
+        eig_calls.calls.clear()
+        out = instr_convex_combo(weights, [kraus_form, choi_form])
+        # one Choi PSD check per outcome, no Kraus extraction of the operand
+        assert sum(n == d * d for n in eig_calls.orders) == len(out)
+        assert all(op._kraus is None for _, op in out.items())
+        assert_chois_close(out, choi_convex_combo(weights, [kraus_form, choi_form]))
+        nu = random_stochastic(list(choi_form.labels), ["a", "b", "c"], rng)
+        processed = instr_post_process(nu, choi_form)
+        assert all(op._kraus is None for _, op in processed.items())
+        assert_chois_close(processed, choi_post_process(nu, choi_form))
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("choi_only", [False, True])
+    def test_marginal_instruments(self, d, choi_only, rng, eig_calls):
+        labels = [(x, y) for x in "ab" for y in "uvw"]
+        joint = Instrument(zip(labels, (op for _, op in random_instrument(d, 6, rng).items())))
+        joint = _choi_only(joint) if choi_only else joint
+        eig_calls.calls.clear()
+        first, second = marginal_instruments(joint)
+        assert _no_choi_sized_eigensolve(eig_calls, d) != choi_only
+        expected_first, expected_second = choi_marginals(joint)
+        assert_chois_close(first, expected_first)
+        assert_chois_close(second, expected_second)
+
+
+# -- L2: the trivial instrument --------------------------------------------------
+
+
+class TestTrivialInstrument:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_kraus_form_matches_kron(self, d, rng, eig_calls):
+        a = random_observable(d, 3, rng)
+        alpha = random_state(d, rng)
+        eig_calls.calls.clear()
+        instr = trivial_instrument(a, alpha)
+        assert _no_choi_sized_eigensolve(eig_calls, d)
+        for x, e in a.items():
+            assert len(instr[x].kraus_ops()) <= d * d
+            assert frob(instr[x].choi - np.kron(e.T, alpha)) <= 1e-14
+
+    def test_stored_instrument_has_rank_four_outcomes(self):
+        for _, op in stored_trivial_instrument().items():
+            w = np.linalg.eigvalsh(op.choi)
+            assert int(np.sum(w > 1e-8 * w[-1])) == 4
+            assert not is_single_kraus(op)
+
+
+# -- L1: Kraus input --------------------------------------------------------------
+
+
+class TestKrausStack:
+    def test_caller_array_stays_writeable_and_unaliased(self, rng):
+        ops = np.stack([np.sqrt(0.5) * random_unitary(3, rng) for _ in range(2)])
+        before = ops.copy()
+        op = Operation.from_kraus(ops)
+        assert ops.flags.writeable
+        assert not np.shares_memory(op._kraus, ops)
+        ops[0] = 0.0
+        assert np.array_equal(np.stack(op.kraus_ops()), before)
+
+    @pytest.mark.parametrize(
+        "ops, error",
+        [
+            ([], DimensionError),
+            ([np.eye(2), np.eye(3)], DimensionError),
+            ([np.eye(2), np.ones(2)], DimensionError),
+            ([np.ones((2, 3))], DimensionError),
+            ([np.ones(2)], DimensionError),
+            ([np.full((2, 2), np.nan)], QinstrError),
+        ],
+    )
+    def test_malformed_operators(self, ops, error):
+        with pytest.raises(QinstrError) as exc:
+            Operation.from_kraus(ops)
+        assert type(exc.value) is error

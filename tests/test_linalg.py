@@ -10,6 +10,7 @@ from qinstr.linalg import (
     matrices_close,
     partial_trace_first,
     partial_trace_second,
+    psd_part,
     tensor_product,
 )
 from qinstr.models import swap_unitary
@@ -100,6 +101,13 @@ class TestStackedHermSqrt:
         assert w.shape == (3, 3) and v.shape == (3, 3, 3)
         for m, wk, vk in zip(stack, w, v):
             assert frob((vk * wk) @ vk.conj().T - m) < 1e-12
+
+    def test_psd_part_of_stack_matches_loop(self, rng):
+        stack = np.stack([ginibre(3, rng) + ginibre(3, rng).conj().T for _ in range(4)])
+        for m, p in zip(stack, psd_part(stack)):
+            w, v = np.linalg.eigh((m + m.conj().T) / 2)
+            expected = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            assert frob(p - (expected + expected.conj().T) / 2) < 1e-14
 
     def test_stack_must_be_hermitian(self):
         with pytest.raises(NotHermitian):

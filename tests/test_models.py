@@ -137,24 +137,6 @@ def _matrix_unit_choi(m: FIMM) -> dict:
     return {x: c4.reshape(d * d, d * d) for x, c4 in images.items()}
 
 
-class _EigenOrders:
-    """Records the order of every matrix passed to numpy's Hermitian
-    eigensolvers while installed."""
-
-    def __init__(self, monkeypatch):
-        self.orders: list[int] = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, self._recording(original))
-
-    def _recording(self, fn):
-        def wrapper(a, *args, **kwargs):
-            self.orders.append(np.shape(a)[0])
-            return fn(a, *args, **kwargs)
-
-        return wrapper
-
-
 class TestClosedForm:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("dk", [2, 3, 4, 5])
@@ -207,28 +189,28 @@ class TestClosedForm:
         assert instruments_close(kraus_instrument(extracted), instr, 1e-10)
         assert instruments_close(model_instrument(dilated), instr, 1e-10)
 
-    def test_dilation_round_trip_has_no_choi_sized_eigensolve(self, rng, monkeypatch):
+    def test_dilation_round_trip_has_no_choi_sized_eigensolve(self, rng, eig_calls):
         d = 12
         instr = random_instrument(d, 3, rng, kraus_per_outcome=2)
-        eig = _EigenOrders(monkeypatch)
+        eig_calls.calls.clear()
         out = model_instrument(dilate_instrument(instr))
-        assert eig.orders and max(eig.orders) < d * d
+        assert eig_calls.orders and max(eig_calls.orders) < d * d
         assert instruments_close(out, instr, 1e-10)
 
-    def test_conditioning_extracts_each_operation_once(self, rng, monkeypatch):
+    def test_conditioning_extracts_each_operation_once(self, rng, eig_calls):
         d = 4
         i, j = (
             Instrument({x: Operation.from_choi(op.choi) for x, op in random_instrument(d, m, rng).items()})
             for m in (2, 3)
         )
-        eig = _EigenOrders(monkeypatch)
+        eig_calls.calls.clear()
         first = instr_conditioned(i, j)
         # one canonical extraction per input outcome; none for the channel
         # of ``i`` or the composed outcomes
-        assert sum(n >= d * d for n in eig.orders) == len(i) + len(j)
-        eig.orders.clear()
+        assert sum(n >= d * d for n in eig_calls.orders) == len(i) + len(j)
+        eig_calls.calls.clear()
         again = instr_conditioned(i, j)
-        assert not any(n >= d * d for n in eig.orders)
+        assert not any(n >= d * d for n in eig_calls.orders)
         assert instruments_close(first, again, 0.0)
         channel = sum(op.choi for _, op in i.items())
         for y, jy in j.items():
