@@ -47,7 +47,7 @@ def ensure_effects(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
     a = ensure_hermitian(m, stack=True)
     w, v = np.linalg.eigh(a)
     low, high = w[:, 0], w[:, -1]
-    bad = (low < -eig_tol) | (high > 1.0 + eig_tol)
+    bad = ~((low >= -eig_tol) & (high <= 1.0 + eig_tol))
     if bad.any():
         k = int(np.argmax(bad))
         raise InvariantViolation("effect-range", max(0.0, -float(low[k]), float(high[k]) - 1.0))
@@ -67,10 +67,10 @@ def ensure_partial_state(m: object, tol: float = STATE_TRACE_TOL) -> Array:
     """Validate a PSD matrix with trace at most one."""
     a = ensure_hermitian(m)
     w = np.linalg.eigvalsh(a)
-    if w[0] < -tol * max(1.0, abs(w[-1])):
+    if not w[0] >= -tol * max(1.0, abs(w[-1])):
         raise InvariantViolation("positive-semidefinite", float(-w[0]))
     tr = float(np.trace(a).real)
-    if tr > 1.0 + tol:
+    if not tr <= 1.0 + tol:
         raise InvariantViolation("trace-at-most-one", tr - 1.0)
     return a
 
@@ -79,7 +79,7 @@ def ensure_state(m: object, tol: float = STATE_TRACE_TOL) -> Array:
     """Validate a density matrix (PSD, unit trace)."""
     a = ensure_partial_state(m, tol)
     tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > tol:
+    if not abs(tr - 1.0) <= tol:
         raise InvariantViolation("trace-one", abs(tr - 1.0))
     return a
 

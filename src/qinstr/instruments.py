@@ -15,9 +15,10 @@ here and in ``models`` (compositions, total channels, mixtures,
 post-processings, trivial and model instruments) are not minimal;
 ``minimal_kraus`` cuts one to its Choi rank.  A mixture or post-processing
 stays in Kraus form when every term has Kraus operators and is a Choi sum
-otherwise.  An instrument is a finite label-indexed family of operations
-whose sum is trace-preserving; it induces a unique observable that
-reproduces its outcome probabilities.
+otherwise.  An instrument is a labelled family (``observables.LabelledFamily``)
+of operations whose sum is trace-preserving.  It keeps its induced effects
+as one ``(m, d, d)`` stack: the unique observable that reproduces its
+outcome probabilities.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -35,22 +36,20 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .effects import ensure_partial_state, ensure_state
-from .errors import (
-    DimensionError,
-    InvariantViolation,
-    LabelError,
-    NotComplete,
-    ShapeError,
-)
+from .errors import DimensionError, InvariantViolation, NotComplete
 from .linalg import Array, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part, root_factor
 from .observables import (
     Label,
+    LabelledFamily,
     Observable,
     StochasticMatrix,
-    check_label,
     check_weights,
     combine_labels,
     complementarity_defects,
+    family_distance,
+    marginal_defect,
+    row_members,
+    shared_value_space,
 )
 
 CHOI_TOL = 1e-8
@@ -158,7 +157,7 @@ class Operation:
             c = ensure_hermitian(c, tol=max(atol, 1e-9 * n))
             w = np.linalg.eigvalsh(c)
             scale = max(1.0, float(w[-1]))
-            if w[0] < -atol * scale:
+            if not w[0] >= -atol * scale:
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
             self.dim = dim
             c.setflags(write=False)
@@ -169,11 +168,11 @@ class Operation:
                         f"Kraus operator shape {self._kraus.shape[1:]}, expected {(dim, dim)}"
                     )
                 residual = frob(_kraus_to_choi(self._kraus) - c)
-                if residual > max(atol, 1e-8 * scale):
+                if not residual <= max(atol, 1e-8 * scale):
                     raise InvariantViolation("kraus-matches-choi", residual)
         eff = self.induced_effect
         top = float(np.linalg.eigvalsh(eff)[-1])
-        if top > 1.0 + max(atol, 1e-8):
+        if not top <= 1.0 + max(atol, 1e-8):
             raise InvariantViolation("trace-non-increasing", top - 1.0)
 
     @classmethod
@@ -265,65 +264,40 @@ def op_apply(phi: Operation, rho: object) -> Array:
     return hermitian_part(phi.apply(r))
 
 
-class Instrument:
-    """Label-indexed family of operations summing to a channel."""
+class Instrument(LabelledFamily):
+    """Family of operations, one per outcome label, summing to a channel.
+
+    ``effects`` holds the outcomes' induced effects as a read-only
+    ``(m, d, d)`` stack in label order.
+    """
 
     def __init__(self, operations: Mapping[Label, Operation] | Iterable[tuple[Label, Operation]], sum_tol: float = CHOI_TOL):
-        items = list(operations.items()) if isinstance(operations, Mapping) else list(operations)
-        if not items:
-            raise LabelError("an instrument needs at least one outcome")
-        ops: dict[Label, Operation] = {}
-        for label, op in items:
-            label = check_label(label)
-            if label in ops:
-                raise LabelError(f"duplicate label {label!r}")
-            if not isinstance(op, Operation):
-                raise DimensionError("instrument outcomes must be Operation instances")
-            ops[label] = op
-        dims = {op.dim for op in ops.values()}
-        if len(dims) != 1:
-            raise DimensionError(f"operations of mixed dimensions {sorted(dims)}")
-        self.dim = dims.pop()
-        total = sum(op.induced_effect for op in ops.values())
-        residual = frob(total - np.eye(self.dim))
-        if residual > sum_tol:
+        labels, ops = self._checked_items(operations)
+        if not all(isinstance(op, Operation) for op in ops):
+            raise DimensionError("instrument outcomes must be Operation instances")
+        self.dim = self._common_size((op.dim for op in ops), "operations")
+        effects = np.stack([op.induced_effect for op in ops])
+        residual = frob(effects.sum(0) - np.eye(self.dim))
+        if not residual <= sum_tol:
             raise InvariantViolation("trace-preserving-sum", residual)
-        self._ops = ops
+        effects.setflags(write=False)
+        self.effects = effects
+        self._members = dict(zip(labels, ops))
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(self._ops)
-
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __contains__(self, label: Label) -> bool:
-        return label in self._ops
-
-    def __getitem__(self, label: Label) -> Operation:
-        try:
-            return self._ops[label]
-        except KeyError:
-            raise LabelError(f"unknown label {label!r}") from None
-
-    def items(self):
-        return self._ops.items()
-
-    def __repr__(self) -> str:
-        return f"Instrument(dim={self.dim}, labels={list(self.labels)!r})"
+    def member_matrices(self) -> Array:
+        """The outcomes' Choi matrices as one ``(m, d^2, d^2)`` stack."""
+        return np.stack([op.choi for op in self._members.values()])
 
 
 def instruments_close(a: Instrument, b: Instrument, tol: float) -> bool:
     """Outcome-wise Choi closeness; label sets must match exactly."""
-    if a.labels != b.labels or a.dim != b.dim:
-        return False
-    return all(operations_close(a[x], b[x], tol) for x in a.labels)
+    return family_distance(a, b) <= tol
 
 
 def induced_observable(instr: Instrument) -> Observable:
     """The unique observable reproducing the instrument's outcome
     probabilities: ``tr[I_x(rho)] = tr(rho A_x)``."""
-    return Observable({x: op.induced_effect for x, op in instr.items()})
+    return Observable(zip(instr.labels, instr.effects))
 
 
 def luders_instrument(a: Observable) -> Instrument:
@@ -361,16 +335,11 @@ def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
 
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
     """Instrument with one Kraus operator per outcome."""
-    mats = {check_label(x): as_matrix(s) for x, s in ops.items()}
-    dims = {m.shape for m in mats.values()}
-    if len(dims) != 1:
-        raise DimensionError("Kraus operators of mixed shapes")
-    dim = next(iter(dims))[0]
-    total = sum(m.conj().T @ m for m in mats.values())
-    residual = frob(total - np.eye(dim))
-    if residual > CHOI_TOL:
+    stack = _kraus_stack(list(ops.values()))
+    residual = frob(np.einsum("kab,kac->bc", stack.conj(), stack) - np.eye(stack.shape[1]))
+    if not residual <= CHOI_TOL:
         raise NotComplete(f"sum of S*S misses the identity by {residual:.3g}")
-    return Instrument({x: Operation.from_kraus([m]) for x, m in mats.items()})
+    return Instrument(zip(ops, (Operation.from_kraus([s]) for s in stack)))
 
 
 def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
@@ -446,24 +415,16 @@ def _weighted_sum(weights: Sequence[float], ops: Sequence[Operation]) -> Operati
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
-    """Outcome-wise mixture of instruments sharing one value-space."""
-    if not instruments:
-        raise LabelError("no instruments given")
+    """Outcome-wise mixture of instruments sharing one value-space.  An
+    empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(instruments))
-    labels = instruments[0].labels
-    for i in instruments[1:]:
-        if i.labels != labels:
-            raise LabelError("instruments do not share a value-space")
-        if i.dim != instruments[0].dim:
-            raise DimensionError("instruments of mixed dimensions")
+    labels = shared_value_space(instruments)
     return Instrument({x: _weighted_sum(w, [i[x] for i in instruments]) for x in labels})
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     """Classical relabeling of outcomes: ``(nu . I)_y = sum_x nu[x, y] I_x``."""
-    if set(nu.row_labels) != set(i.labels):
-        raise ShapeError("stochastic matrix rows do not match the instrument's labels")
-    ops = [i[x] for x in nu.row_labels]
+    ops = row_members(nu, i)
     return Instrument({y: _weighted_sum(nu.matrix[:, c], ops) for c, y in enumerate(nu.col_labels)})
 
 
@@ -506,20 +467,9 @@ def instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL) -> 
 
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:
-    """Check that ``joint`` has marginals ``i`` and ``j`` (outcome-wise in
-    Choi form)."""
-    product = {combine_labels(x, y) for x in i.labels for y in j.labels}
-    if set(joint.labels) != product:
-        raise LabelError("joint instrument labels do not form the product value-space")
-    for x in i.labels:
-        row = sum(joint[combine_labels(x, y)].choi for y in j.labels)
-        if frob(row - i[x].choi) > tol:
-            return False
-    for y in j.labels:
-        col = sum(joint[combine_labels(x, y)].choi for x in i.labels)
-        if frob(col - j[y].choi) > tol:
-            return False
-    return True
+    """Check that ``joint`` has marginals ``i`` and ``j``, outcome-wise in
+    Choi form within ``tol`` (``marginal_defect``)."""
+    return marginal_defect(i, j, joint) <= tol
 
 
 def joint_probability_instr(
@@ -551,9 +501,7 @@ def kraus_instrument_from_channel(a: Operation, tol: float = KRAUS_EIG_TOL) -> I
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
     """True when every outcome is a scalar multiple of the identity channel."""
-    id_choi = Operation.identity(i.dim).choi
-    for _, op in i.items():
-        weight = float(np.trace(op.choi).real) / i.dim
-        if weight < -tol or frob(op.choi - weight * id_choi) > tol:
-            return False
-    return True
+    chois = i.member_matrices()
+    weights = np.trace(chois, axis1=1, axis2=2).real / i.dim
+    defects = np.linalg.norm(chois - weights[:, None, None] * Operation.identity(i.dim).choi, axis=(1, 2))
+    return bool(np.all(weights >= -tol) and np.all(defects <= tol))

@@ -7,7 +7,9 @@ Conventions used throughout the package:
   ``(i, k)`` on ``H (x) K`` flattens to ``i * dimK + k`` and matches
   ``numpy.kron(base, probe)``;
 - Hermitian inputs are symmetrized to ``(M + M^*) / 2`` after checking that
-  the anti-Hermitian residual is within tolerance.
+  the anti-Hermitian residual is within tolerance;
+- invariant tests are written as ``not residual <= tol``, so that a NaN
+  residual (from an overflow) fails them.
 """
 
 from __future__ import annotations
@@ -65,8 +67,10 @@ def spectral_norm(a: Array) -> float:
 
 
 def hermitian_part(m: Array) -> Array:
-    """``(M + M^*) / 2``, matrix by matrix over any leading axes."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+    """``(M + M^*) / 2``, matrix by matrix over any leading axes; halved
+    first, so that entries near the float limit do not overflow."""
+    h = m / 2.0
+    return h + h.conj().swapaxes(-1, -2)
 
 
 def ensure_hermitian(m: object, tol: float | None = None, stack: bool = False) -> Array:
@@ -82,7 +86,7 @@ def ensure_hermitian(m: object, tol: float | None = None, stack: bool = False) -
     limit = HERM_TOL * a.shape[-1] if tol is None else tol
     skew = a - a.conj().swapaxes(-1, -2)
     residual = float(np.linalg.norm(skew, axis=(-2, -1)).max()) if stack else frob(skew)
-    if residual > limit:
+    if not residual <= limit:
         raise NotHermitian(f"anti-Hermitian residual {residual:.3g} exceeds {limit:.3g}")
     return hermitian_part(a)
 

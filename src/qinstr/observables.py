@@ -1,4 +1,11 @@
-"""Finite observables and their combinators.
+"""Labelled families, finite observables and their combinators.
+
+``LabelledFamily`` is the core that observables and instruments share: a
+nonempty ordered map from distinct outcome labels to members of one
+dimension, with one set of label checks, mapping protocol and ``repr``.
+Closeness (``family_distance``), coexistence (``marginal_defect``), the
+value-space check of mixtures and the row check of post-processing are
+written once on it and compare effects or Choi matrices.
 
 An observable is a finite, label-indexed family of effects summing to the
 identity (a finite-outcome POVM).  Product value-spaces use tuple labels;
@@ -13,6 +20,7 @@ post-processing are contractions with the weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -66,61 +74,126 @@ def parse_label(text: str) -> Label:
     return tuple(parts) if len(parts) > 1 else parts[0]
 
 
-class Observable:
-    """Ordered map from outcome labels to effects that sums to the identity.
+class LabelledFamily:
+    """Ordered map from distinct outcome labels to members of one dimension.
+
+    The common base of ``Observable`` (members are effects) and
+    ``Instrument`` (members are operations).  Each subclass validates its
+    members in its own constructor with ``_checked_items`` and
+    ``_common_size``, then sets ``dim`` and ``_members``.  ``member_matrices``
+    is the stack, in label order, that ``family_distance`` and
+    ``marginal_defect`` compare: the effects, or the Choi matrices.
+    """
+
+    dim: int
+    _members: dict
+
+    def _checked_items(self, members: Mapping | Iterable[tuple]) -> tuple[list[Label], list]:
+        """The labels, checked valid, distinct and nonempty, and the members
+        of a mapping or of an iterable of ``(label, member)`` pairs."""
+        items = list(members.items()) if isinstance(members, Mapping) else list(members)
+        if not items:
+            raise LabelError(f"an {type(self).__name__.lower()} needs at least one outcome")
+        labels = [check_label(label) for label, _ in items]
+        if len(set(labels)) != len(labels):
+            duplicate = next(x for k, x in enumerate(labels) if x in labels[:k])
+            raise LabelError(f"duplicate label {duplicate!r}")
+        return labels, [member for _, member in items]
+
+    @staticmethod
+    def _common_size(sizes: Iterable, what: str):
+        """The one shape or dimension that all members share."""
+        distinct = set(sizes)
+        if len(distinct) != 1:
+            raise DimensionError(f"{what} of mixed dimensions {sorted(distinct)}")
+        return distinct.pop()
+
+    def member_matrices(self) -> Array:
+        raise NotImplementedError
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        return tuple(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __contains__(self, label: Label) -> bool:
+        return label in self._members
+
+    def __getitem__(self, label: Label):
+        try:
+            return self._members[label]
+        except KeyError:
+            raise LabelError(f"unknown label {label!r}") from None
+
+    def items(self):
+        return self._members.items()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim}, labels={list(self.labels)!r})"
+
+
+def family_distance(a: LabelledFamily, b: LabelledFamily) -> float:
+    """Largest Frobenius distance between members of ``a`` and ``b`` under
+    the same label: effects for observables, Choi matrices for instruments.
+
+    Infinite when the two do not share one value-space (the same labels in
+    the same order) and one dimension.
+    """
+    if a.labels != b.labels or a.dim != b.dim:
+        return math.inf
+    return float(np.linalg.norm(a.member_matrices() - b.member_matrices(), axis=(-2, -1)).max())
+
+
+def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily) -> float:
+    """Largest Frobenius distance between a marginal of ``joint`` and the
+    family it should equal: summing ``joint`` over the labels of ``b`` must
+    give ``a``, and over the labels of ``a`` must give ``b``.
+
+    ``joint`` must live on the product value-space of ``a`` and ``b``, in
+    any label order.
+    """
+    if not a.dim == b.dim == joint.dim:
+        raise DimensionError("dimension mismatch")
+    product = [combine_labels(x, y) for x in a.labels for y in b.labels]
+    if set(joint.labels) != set(product):
+        kind = type(joint).__name__.lower()
+        raise LabelError(f"joint {kind} labels do not form the product value-space")
+    position = {x: k for k, x in enumerate(joint.labels)}
+    c = joint.member_matrices()[[position[x] for x in product]]
+    c = c.reshape(len(a), len(b), *c.shape[1:])
+    rows = np.linalg.norm(c.sum(1) - a.member_matrices(), axis=(-2, -1))
+    cols = np.linalg.norm(c.sum(0) - b.member_matrices(), axis=(-2, -1))
+    return float(max(rows.max(), cols.max()))
+
+
+class Observable(LabelledFamily):
+    """Family of effects, one per outcome label, that sums to the identity.
 
     ``stack`` holds the effects as a read-only ``(m, d, d)`` array in label
     order; the mapping's values are views of it.
     """
 
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]], sum_tol: float = SUM_TOL):
-        items = list(effects.items()) if isinstance(effects, Mapping) else list(effects)
-        if not items:
-            raise LabelError("an observable needs at least one outcome")
-        labels = [check_label(label) for label, _ in items]
-        if len(set(labels)) != len(labels):
-            duplicate = next(x for k, x in enumerate(labels) if x in labels[:k])
-            raise LabelError(f"duplicate label {duplicate!r}")
-        mats = [as_matrix(matrix) for _, matrix in items]
-        shapes = {e.shape for e in mats}
-        if len(shapes) != 1:
-            raise DimensionError(f"effects of mixed shapes {sorted(shapes)}")
+        labels, matrices = self._checked_items(effects)
+        mats = [as_matrix(matrix) for matrix in matrices]
+        self._common_size((e.shape for e in mats), "effects")
         stack = ensure_effects(np.stack(mats))
         self.dim = stack.shape[-1]
         residual = frob(stack.sum(0) - np.eye(self.dim))
-        if residual > sum_tol:
+        if not residual <= sum_tol:
             raise InvariantViolation("sum-to-identity", residual)
         stack.setflags(write=False)
         self.stack = stack
-        self._effects = dict(zip(labels, stack))
+        self._members = dict(zip(labels, stack))
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(self._effects)
-
-    def __len__(self) -> int:
-        return len(self._effects)
-
-    def __contains__(self, label: Label) -> bool:
-        return label in self._effects
-
-    def __getitem__(self, label: Label) -> Array:
-        try:
-            return self._effects[label]
-        except KeyError:
-            raise LabelError(f"unknown label {label!r}") from None
-
-    def items(self):
-        return self._effects.items()
-
-    def __repr__(self) -> str:
-        return f"Observable(dim={self.dim}, labels={list(self.labels)!r})"
+    def member_matrices(self) -> Array:
+        return self.stack
 
 
 def observables_close(a: Observable, b: Observable, tol: float) -> bool:
-    if a.labels != b.labels or a.dim != b.dim:
-        return False
-    return all(frob(a[x] - b[x]) <= tol for x in a.labels)
+    return family_distance(a, b) <= tol
 
 
 class StochasticMatrix:
@@ -199,26 +272,39 @@ def check_weights(weights: Sequence[float], count: int, tol: float = 1e-10) -> n
     return np.clip(w, 0.0, None)
 
 
+def shared_value_space(families: Sequence[LabelledFamily]) -> tuple[Label, ...]:
+    """The labels of nonempty ``families`` that share one value-space (the
+    same labels in the same order) and one dimension, as a mixture needs."""
+    first = families[0]
+    kind = type(first).__name__.lower()
+    for f in families[1:]:
+        if f.labels != first.labels:
+            raise LabelError(f"{kind}s do not share a value-space")
+        if f.dim != first.dim:
+            raise DimensionError(f"{kind}s of mixed dimensions")
+    return first.labels
+
+
+def row_members(nu: StochasticMatrix, family: LabelledFamily) -> list:
+    """The members of ``family`` in the row order of ``nu``, whose rows must
+    be exactly the family's labels."""
+    if set(nu.row_labels) != set(family.labels):
+        kind = type(family).__name__.lower()
+        raise ShapeError(f"stochastic matrix rows do not match the {kind}'s labels")
+    return [family[x] for x in nu.row_labels]
+
+
 def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]) -> Observable:
-    """Outcome-wise mixture of observables sharing one value-space."""
-    if not observables:
-        raise WeightError("no observables given")
+    """Outcome-wise mixture of observables sharing one value-space.  An
+    empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(observables))
-    labels = observables[0].labels
-    for o in observables[1:]:
-        if o.labels != labels:
-            raise LabelError("observables do not share a value-space")
-        if o.dim != observables[0].dim:
-            raise DimensionError("observables of mixed dimensions")
+    labels = shared_value_space(observables)
     return Observable(zip(labels, np.tensordot(w, np.stack([o.stack for o in observables]), 1)))
 
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``."""
-    if set(nu.row_labels) != set(b.labels):
-        raise ShapeError("stochastic matrix rows do not match the observable's labels")
-    rows = np.stack([b[y] for y in nu.row_labels])
-    return Observable(zip(nu.col_labels, np.tensordot(nu.matrix.T, rows, 1)))
+    return Observable(zip(nu.col_labels, np.tensordot(nu.matrix.T, np.stack(row_members(nu, b)), 1)))
 
 
 def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
@@ -314,22 +400,9 @@ def obs_coexist_verify(a: Observable, b: Observable, c: Observable, tol: float =
     """Check that ``c`` is a joint observable for ``a`` and ``b``.
 
     ``c`` must live on the product value-space; its row sums must reproduce
-    ``a`` and its column sums ``b``.
+    ``a`` and its column sums ``b``, within ``tol`` (``marginal_defect``).
     """
-    if a.dim != b.dim or a.dim != c.dim:
-        raise DimensionError("dimension mismatch")
-    product = {combine_labels(x, y) for x in a.labels for y in b.labels}
-    if set(c.labels) != product:
-        raise LabelError("joint observable labels do not form the product value-space")
-    for x in a.labels:
-        row = sum(c[combine_labels(x, y)] for y in b.labels)
-        if frob(row - a[x]) > tol:
-            return False
-    for y in b.labels:
-        col = sum(c[combine_labels(x, y)] for x in a.labels)
-        if frob(col - b[y]) > tol:
-            return False
-    return True
+    return marginal_defect(a, b, c) <= tol
 
 
 def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
@@ -377,9 +450,7 @@ def find_joint_observable(
         raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
     from .effects import joint_feasibility_search
 
-    rows = [a[x] for x in a.labels]
-    cols = [b[y] for y in b.labels]
-    blocks = joint_feasibility_search(rows, cols, iters, tol)
+    blocks = joint_feasibility_search(list(a.stack), list(b.stack), iters, tol)
     if blocks is None:
         return None
     joint = Observable(

@@ -18,7 +18,7 @@ from .errors import DocumentError, InvariantViolation, QinstrError
 from .instruments import Instrument, Operation
 from .linalg import Array
 from .models import FIMM
-from .observables import Label, Observable, StochasticMatrix, label_text, parse_label
+from .observables import Observable, StochasticMatrix, label_text, parse_label
 
 KINDS = ("effect", "state", "observable", "instrument", "fimm", "stochastic", "scalar")
 
@@ -66,6 +66,8 @@ def canonical_json(value: object) -> str:
 
 def encode_matrix(m: Array) -> list:
     a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise DocumentError("cannot encode a matrix with non-finite entries")
     return [[[float(e.real), float(e.imag)] for e in row] for row in a]
 
 
@@ -171,8 +173,9 @@ def dumps_document(obj: object, kind: str | None = None) -> str:
 
 
 def save_document(obj: object, path: str, kind: str | None = None) -> None:
+    text = dumps_document(obj, kind)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_document(obj, kind))
+        fh.write(text)
 
 
 # -- decoders -----------------------------------------------------------------
@@ -191,45 +194,41 @@ def _label_texts(data: dict, key: str, what: str) -> list[str]:
     return texts
 
 
-def _decode_labelled_effects(data: dict, what: str) -> dict[Label, Array]:
+def _labelled_entries(data: dict, key: str, what: str) -> list[tuple[str, object]]:
+    """``(label text, entry)`` pairs of a family document in label order; a
+    repeated label stays repeated, for the family's duplicate check."""
+    if not isinstance(data, dict):
+        raise DocumentError(f"{what}: expected an object")
     labels = _label_texts(data, "labels", what)
-    effects = _require(data, "effects")
-    if not isinstance(effects, dict):
-        raise DocumentError(f"{what}: effects must be a mapping")
-    out: dict[Label, Array] = {}
-    for text in labels:
-        if text not in effects:
-            raise DocumentError(f"{what}: no effect for label {text!r}")
-        out[parse_label(text)] = decode_matrix(effects[text], f"{what}[{text}]")
-    return out
+    entries = _require(data, key)
+    if not isinstance(entries, dict):
+        raise DocumentError(f"{what}: {key} must be a mapping")
+    missing = [text for text in labels if text not in entries]
+    if missing:
+        raise DocumentError(f"{what}: no {key} entry for label {missing[0]!r}")
+    return [(text, entries[text]) for text in labels]
 
 
-def _load_observable(data: dict) -> Observable:
-    return Observable(_decode_labelled_effects(data, "observable"))
+def _load_observable(data: dict, what: str) -> Observable:
+    entries = _labelled_entries(data, "effects", what)
+    return Observable((parse_label(text), decode_matrix(e, f"{what}[{text}]")) for text, e in entries)
 
 
 def _load_instrument(data: dict) -> Instrument:
-    labels = _label_texts(data, "labels", "instrument")
-    operations = _require(data, "operations")
-    if not isinstance(operations, dict):
-        raise DocumentError("instrument: operations must be a mapping")
-    ops: dict[Label, Operation] = {}
-    for text in labels:
-        if text not in operations:
-            raise DocumentError(f"instrument: no operation for label {text!r}")
-        entry = operations[text]
+    ops = []
+    for text, entry in _labelled_entries(data, "operations", "instrument"):
         if not isinstance(entry, dict):
             raise DocumentError(f"instrument[{text}]: expected an object")
         if "kraus" in entry:
             kraus = entry["kraus"]
             if not isinstance(kraus, list) or not kraus:
                 raise DocumentError(f"instrument[{text}].kraus: expected a nonempty list of matrices")
-            mats = [decode_matrix(k, f"instrument[{text}].kraus") for k in kraus]
-            ops[parse_label(text)] = Operation.from_kraus(mats)
+            op = Operation.from_kraus([decode_matrix(k, f"instrument[{text}].kraus") for k in kraus])
         elif "choi" in entry:
-            ops[parse_label(text)] = Operation.from_choi(decode_matrix(entry["choi"], f"instrument[{text}].choi"))
+            op = Operation.from_choi(decode_matrix(entry["choi"], f"instrument[{text}].choi"))
         else:
             raise DocumentError(f"instrument[{text}]: needs 'choi' or 'kraus'")
+        ops.append((parse_label(text), op))
     return Instrument(ops)
 
 
@@ -237,7 +236,7 @@ def _load_fimm(data: dict) -> FIMM:
     dim_base = _integer(_require(data, "dim"), "dim")
     dim_probe = _integer(_require(data, "dim_probe"), "dim_probe")
     eta = decode_matrix(_require(data, "probe_state"), "probe_state")
-    pointer = Observable(_decode_labelled_effects(_require(data, "pointer"), "pointer"))
+    pointer = _load_observable(_require(data, "pointer"), "pointer")
     inter = _require(data, "interaction")
     if not isinstance(inter, dict):
         raise DocumentError("interaction: expected an object")
@@ -262,6 +261,8 @@ def loads_document(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"parse error: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("parse error: nesting too deep") from exc
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
@@ -273,7 +274,7 @@ def loads_document(text: str) -> Document:
         elif kind == "state":
             obj = ensure_state(decode_matrix(_require(data, "matrix")))
         elif kind == "observable":
-            obj = _load_observable(data)
+            obj = _load_observable(data, "observable")
         elif kind == "instrument":
             obj = _load_instrument(data)
         elif kind == "fimm":

@@ -36,7 +36,6 @@ from .instruments import (
     instr_convex_combo,
     instr_post_process,
     instr_product,
-    instruments_close,
     is_identity_instrument,
     is_single_kraus,
     joint_probability_instr,
@@ -65,9 +64,11 @@ from .observables import (
     classify_observable,
     combine_labels,
     complementarity_residual,
+    family_distance,
     fourier_mub,
     identity_observable,
     joint_probability_then,
+    marginal_defect,
     obs_coexist_verify,
     obs_commute,
     obs_complementary,
@@ -213,17 +214,14 @@ def _suite_thm_2_1(seed: int, trials: int, scale: float) -> VerificationReport:
         d = 2 + t % 3
         a = random_observable(d, 2 + t % 3, rng)
         back = induced_observable(luders_instrument(a))
-        worst = max(worst, max(frob(back[x] - a[x]) for x in a.labels))
+        worst = max(worst, family_distance(back, a))
     # KJ fixes exactly the measurement-update instruments
     a = random_observable(2, 2, rng)
     luders = luders_instrument(a)
-    worst = max(
-        worst,
-        max(frob(luders_instrument(induced_observable(luders))[x].choi - luders[x].choi) for x in luders.labels),
-    )
+    worst = max(worst, family_distance(luders_instrument(induced_observable(luders)), luders))
     trivial = stored_trivial_instrument()
     rebuilt = luders_instrument(induced_observable(trivial))
-    gap = max(frob(rebuilt[x].choi - trivial[x].choi) for x in trivial.labels)
+    gap = family_distance(rebuilt, trivial)
     status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
     return VerificationReport("thm-2.1", trials, worst, status, seed, tol, f"KJ gap {gap:.3g} >= 1e-3")
 
@@ -239,13 +237,8 @@ def _suite_thm_2_2(seed: int, trials: int, scale: float) -> VerificationReport:
         n = 2 + t % 2
         weights = random_simplex(3, rng)
         parts = [random_instrument(d, n, rng) for _ in range(3)]
-        relabeled = [Instrument(dict(p.items())) for p in parts]
-        mixed = instr_convex_combo(weights, relabeled)
-        a_mix = induced_observable(mixed)
-        a_parts = [induced_observable(p) for p in parts]
-        for x in a_mix.labels:
-            expected = sum(w * a_p[x] for w, a_p in zip(weights, a_parts))
-            worst = max(worst, frob(a_mix[x] - expected))
+        a_mix = induced_observable(instr_convex_combo(weights, parts))
+        worst = max(worst, family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])))
     a, b = sharp_qubit_z(), sharp_qubit_x()
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
@@ -272,14 +265,14 @@ def _suite_thm_2_3(seed: int, trials: int, scale: float) -> VerificationReport:
         nu = random_stochastic(list(instr.labels), [f"t{k}" for k in range(2)], rng)
         lhs = induced_observable(instr_post_process(nu, instr))
         rhs = obs_post_process(nu, induced_observable(instr))
-        worst = max(worst, max(frob(lhs[z] - rhs[z]) for z in lhs.labels))
+        worst = max(worst, family_distance(lhs, rhs))
         weights = random_simplex(2, rng)
         other = random_instrument(d, n, rng)
         mixed = instr_post_process(nu, instr_convex_combo(weights, [instr, other]))
         split = instr_convex_combo(
             weights, [instr_post_process(nu, instr), instr_post_process(nu, other)]
         )
-        worst = max(worst, 0.0 if instruments_close(mixed, split, tol) else frob(mixed[lhs.labels[0]].choi - split[lhs.labels[0]].choi))
+        worst = max(worst, family_distance(mixed, split))
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -374,9 +367,7 @@ def _suite_lem_2_6(seed: int, trials: int, scale: float) -> VerificationReport:
         a, b, c = induced_observable(i), induced_observable(j), induced_observable(joint_instr)
         if not obs_coexist_verify(a, b, c, tol):
             return VerificationReport("lem-2.6", trials, 1.0, "fail", seed, tol, "observables do not coexist")
-        for x in a.labels:
-            row = sum(c[combine_labels(x, y)] for y in b.labels)
-            worst = max(worst, frob(row - a[x]))
+        worst = max(worst, marginal_defect(a, b, c))
     status = "pass" if worst <= tol else "fail"
     return VerificationReport("lem-2.6", trials, worst, status, seed, tol)
 
@@ -385,11 +376,9 @@ def _suite_ex_2(seed: int, trials: int, scale: float) -> VerificationReport:
     """The stored trivial instrument admits no single Kraus operator: every
     outcome Choi matrix has rank four."""
     trivial = stored_trivial_instrument()
-    ok = True
-    for _, op in trivial.items():
-        w = np.linalg.eigvalsh(op.choi)
-        rank = int(np.sum(w > 1e-8 * w[-1]))
-        ok = ok and rank >= 2 and not is_single_kraus(op)
+    w = np.linalg.eigvalsh(trivial.member_matrices())
+    ok = bool(np.all(np.sum(w > 1e-8 * w[:, -1:], axis=1) >= 2))
+    ok = ok and not any(is_single_kraus(op) for _, op in trivial.items())
     luders = luders_instrument(sharp_qubit_z())
     ok = ok and all(is_single_kraus(op) for _, op in luders.items())
     status = "pass" if ok else "fail"
@@ -428,7 +417,7 @@ def _suite_ex_3(seed: int, trials: int, scale: float) -> VerificationReport:
     j = luders_instrument(sharp_qubit_z())
     lhs = induced_observable(instr_product(i, j))
     rhs = obs_seq_product(induced_observable(i), induced_observable(j))
-    gap = max(frob(lhs[lab] - rhs[lab]) for lab in lhs.labels)
+    gap = family_distance(lhs, rhs)
     status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
     return VerificationReport("ex-3", trials, worst, status, seed, tol, f"observable-product gap {gap:.3g} >= 1e-3")
 
@@ -445,10 +434,10 @@ def _suite_ex_4(seed: int, trials: int, scale: float) -> VerificationReport:
         b = random_observable(d, 2, rng)
         lhs = induced_observable(instr_product(luders_instrument(a), luders_instrument(b)))
         rhs = obs_seq_product(a, b)
-        worst = max(worst, max(frob(lhs[lab] - rhs[lab]) for lab in lhs.labels))
+        worst = max(worst, family_distance(lhs, rhs))
         cond = induced_observable(instr_conditioned(luders_instrument(a), luders_instrument(b)))
         expected = obs_conditioned(a, b)
-        worst = max(worst, max(frob(cond[y] - expected[y]) for y in cond.labels))
+        worst = max(worst, family_distance(cond, expected))
     # commuting branch: same eigenbasis by construction
     u = random_unitary(3, rng)
     diag_a = np.stack([random_simplex(2, rng) for _ in range(3)])
@@ -459,12 +448,11 @@ def _suite_ex_4(seed: int, trials: int, scale: float) -> VerificationReport:
         return VerificationReport("ex-4", trials, 1.0, "fail", seed, tol, "construction should commute")
     k_joint = luders_instrument(obs_seq_product(a_com, b_com))
     k_split = instr_product(luders_instrument(a_com), luders_instrument(b_com))
-    commuting_residual = max(frob(k_joint[lab].choi - k_split[lab].choi) for lab in k_joint.labels)
-    worst = max(worst, commuting_residual)
+    worst = max(worst, family_distance(k_joint, k_split))
     a, b = sharp_qubit_z(), sharp_qubit_x()
     k_joint = luders_instrument(obs_seq_product(a, b))
     k_split = instr_product(luders_instrument(a), luders_instrument(b))
-    gap = max(frob(k_joint[lab].choi - k_split[lab].choi) for lab in k_joint.labels)
+    gap = family_distance(k_joint, k_split)
     status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
     return VerificationReport("ex-4", trials, worst, status, seed, tol, f"non-commuting gap {gap:.3g} >= 1e-3")
 
@@ -487,7 +475,7 @@ def _suite_ex_5(seed: int, trials: int, scale: float) -> VerificationReport:
                 worst = max(worst, frob(prod[combine_labels(x, y)].choi - wx * j[y].choi))
                 worst = max(worst, frob(reversed_prod[combine_labels(y, x)].choi - wx * j[y].choi))
         cond = instr_conditioned(ident, j)
-        worst = max(worst, 0.0 if instruments_close(cond, j, tol) else 1.0)
+        worst = max(worst, family_distance(cond, j))
         reverse = instr_conditioned(j, ident)
         jhat = instr_channel(j)
         for x, wx in weights.items():
@@ -522,7 +510,7 @@ def _suite_ex_6(seed: int, trials: int, scale: float) -> VerificationReport:
     j = trivial_instrument(a, alpha)
     lhs = induced_observable(instr_conditioned(i, j))
     rhs = obs_conditioned(a, a)
-    gap = max(frob(lhs[y] - rhs[y]) for y in lhs.labels)
+    gap = family_distance(lhs, rhs)
     status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
     return VerificationReport("ex-6", trials, worst, status, seed, tol, f"conditioned-observable gap {gap:.3g} >= 1e-3")
 
@@ -667,7 +655,15 @@ def _suite_lem_3_4(seed: int, trials: int, scale: float) -> VerificationReport:
 def _product_labelled_instrument(rng: np.random.Generator, d: int, m: int, n: int) -> Instrument:
     base = random_instrument(d, m * n, rng)
     labels = [combine_labels(str(x), str(y)) for x in range(m) for y in range(n)]
-    return Instrument(dict(zip(labels, (op for _, op in base.items()))))
+    return Instrument(zip(labels, (op for _, op in base.items())))
+
+
+def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
+    """``m1`` with the product of the two models' commuting pointers, on the
+    product value-space."""
+    p1, p2 = m1.pointer, m2.pointer
+    pointer = Observable({combine_labels(x, y): p1[x] @ p2[y] for x in p1.labels for y in p2.labels})
+    return FIMM(m1.dim_base, m1.dim_probe, m1.probe_state, m1.interaction, pointer)
 
 
 def _suite_thm_4_1(seed: int, trials: int, scale: float) -> VerificationReport:
@@ -684,27 +680,15 @@ def _suite_thm_4_1(seed: int, trials: int, scale: float) -> VerificationReport:
         m1, m2 = simultaneous_fimms(joint)
         if not (m1.sharp and m2.sharp):
             return VerificationReport("thm-4.1", trials, 1.0, "fail", seed, tol, "pointers not sharp")
-        for x in m1.pointer.labels:
-            for y in m2.pointer.labels:
-                commutator_worst = max(
-                    commutator_worst,
-                    frob(m1.pointer[x] @ m2.pointer[y] - m2.pointer[y] @ m1.pointer[x]),
-                )
+        p, q = m1.pointer.stack[:, None], m2.pointer.stack[None]
+        commutator_worst = max(commutator_worst, float(np.linalg.norm(p @ q - q @ p, axis=(-2, -1)).max()))
         meas1 = model_instrument(m1)
         meas2 = model_instrument(m2)
-        worst = max(worst, max(frob(meas1[x].choi - i[x].choi) for x in i.labels))
-        worst = max(worst, max(frob(meas2[y].choi - j[y].choi) for y in j.labels))
+        worst = max(worst, family_distance(meas1, i))
+        worst = max(worst, family_distance(meas2, j))
         # converse: the product pointer measures a joint instrument with the
         # same marginals as the two models.
-        product_pointer = Observable(
-            {
-                combine_labels(x, y): m1.pointer[x] @ m2.pointer[y]
-                for x in m1.pointer.labels
-                for y in m2.pointer.labels
-            }
-        )
-        m_joint = FIMM(m1.dim_base, m1.dim_probe, m1.probe_state, m1.interaction, product_pointer)
-        measured_joint = model_instrument(m_joint)
+        measured_joint = model_instrument(_product_pointer_model(m1, m2))
         if not instr_coexist_verify(meas1, meas2, measured_joint, tol):
             return VerificationReport("thm-4.1", trials, 1.0, "fail", seed, tol, "converse marginals broken")
     residual = max(worst, commutator_worst)
@@ -731,12 +715,12 @@ def _suite_lem_4_2(seed: int, trials: int, scale: float) -> VerificationReport:
         b = Observable({y: sum(c[combine_labels(x, y)] for x in ("0", "1")) for y in ("0", "1")})
         expect_i = trivial_instrument(a, alpha)
         expect_j = trivial_instrument(b, alpha)
-        worst = max(worst, max(frob(i[x].choi - expect_i[x].choi) for x in i.labels))
-        worst = max(worst, max(frob(j[y].choi - expect_j[y].choi) for y in j.labels))
+        worst = max(worst, family_distance(i, expect_i))
+        worst = max(worst, family_distance(j, expect_j))
         back_a = induced_observable(i)
         back_b = induced_observable(j)
-        worst = max(worst, max(frob(back_a[x] - a[x]) for x in a.labels))
-        worst = max(worst, max(frob(back_b[y] - b[y]) for y in b.labels))
+        worst = max(worst, family_distance(back_a, a))
+        worst = max(worst, family_distance(back_b, b))
     status = "pass" if worst <= tol else "fail"
     return VerificationReport("lem-4.2", trials, worst, status, seed, tol)
 
@@ -758,17 +742,9 @@ def _suite_cor_4_3(seed: int, trials: int, scale: float) -> VerificationReport:
         m1, m2 = simultaneous_fimms(joint)
         obs1 = induced_observable(model_instrument(m1))
         obs2 = induced_observable(model_instrument(m2))
-        worst = max(worst, max(frob(obs1[x] - a[x]) for x in a.labels))
-        worst = max(worst, max(frob(obs2[y] - b[y]) for y in b.labels))
-        product_pointer = Observable(
-            {
-                combine_labels(x, y): m1.pointer[x] @ m2.pointer[y]
-                for x in m1.pointer.labels
-                for y in m2.pointer.labels
-            }
-        )
-        m_joint = FIMM(m1.dim_base, m1.dim_probe, m1.probe_state, m1.interaction, product_pointer)
-        measured_c = induced_observable(model_instrument(m_joint))
+        worst = max(worst, family_distance(obs1, a))
+        worst = max(worst, family_distance(obs2, b))
+        measured_c = induced_observable(model_instrument(_product_pointer_model(m1, m2)))
         if not obs_coexist_verify(a, b, measured_c, tol):
             return VerificationReport("cor-4.3", trials, 1.0, "fail", seed, tol, "measured joint observable broken")
     status = "pass" if worst <= tol else "fail"
@@ -789,10 +765,10 @@ def _suite_thm_4_4(seed: int, trials: int, scale: float) -> VerificationReport:
         model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
         instr, channel, obs = vn_measured(model)
         direct = model_instrument(model.to_fimm())
-        worst = max(worst, max(frob(instr[x].choi - direct[x].choi) for x in instr.labels))
+        worst = max(worst, family_distance(instr, direct))
         worst = max(worst, frob(instr_channel(direct).choi - channel.choi))
         direct_obs = induced_observable(direct)
-        worst = max(worst, max(frob(obs[x] - direct_obs[x]) for x in obs.labels))
+        worst = max(worst, family_distance(obs, direct_obs))
         rho = random_state(d, rng)
         once = channel.apply(rho)
         idem_worst = max(idem_worst, frob(channel.apply(once) - once))
@@ -815,7 +791,7 @@ def _suite_cor_4_5(seed: int, trials: int, scale: float) -> VerificationReport:
             a = random_commutative_observable(d, 2 + t % 2, rng)
         model = vn_model_for_commutative(a, rng)
         _, _, measured = vn_measured(model)
-        worst = max(worst, max(frob(measured[x] - a[x]) for x in a.labels))
+        worst = max(worst, family_distance(measured, a))
         generic = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
         _, _, obs = vn_measured(generic)
         if not classify_observable(obs).commutative:
@@ -838,17 +814,15 @@ def _suite_thm_4_6(seed: int, trials: int, scale: float) -> VerificationReport:
         if not classify_observable(m.pointer).atomic:
             return VerificationReport("thm-4.6", trials, 1.0, "fail", seed, tol, "pointer not atomic")
         measured = model_instrument(m)
-        worst = max(worst, max(frob(measured[x].choi - instr[x].choi) for x in instr.labels))
+        worst = max(worst, family_distance(measured, instr))
         extracted = normal_fimm_kraus_extract(m)
         for x in instr.labels:
             s_orig = instr[x].kraus_ops()[0]
             s_new = extracted[x]
             worst = max(worst, frob(s_new.conj().T @ s_new - s_orig.conj().T @ s_orig))
     trivial = stored_trivial_instrument()
-    ranks_ok = True
-    for _, op in trivial.items():
-        w = np.linalg.eigvalsh(op.choi)
-        ranks_ok = ranks_ok and int(np.sum(w > 1e-8 * w[-1])) >= 2
+    w = np.linalg.eigvalsh(trivial.member_matrices())
+    ranks_ok = bool(np.all(np.sum(w > 1e-8 * w[:, -1:], axis=1) >= 2))
     m_trivial = dilate_instrument(trivial)
     pointer_flags = classify_observable(m_trivial.pointer)
     obstruction = ranks_ok and pointer_flags.sharp and not pointer_flags.atomic
@@ -870,7 +844,7 @@ def _suite_cor_4_7(seed: int, trials: int, scale: float) -> VerificationReport:
         if not luders_positivity_check(m):
             return VerificationReport("cor-4.7", trials, 1.0, "fail", seed, tol, "positivity check failed on update model")
         measured = model_instrument(m)
-        worst = max(worst, max(frob(measured[x].choi - luders[x].choi) for x in luders.labels))
+        worst = max(worst, family_distance(measured, luders))
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     skew = kraus_instrument({"0": pauli_x / np.sqrt(2.0), "1": np.eye(2, dtype=complex) / np.sqrt(2.0)})
     m_skew = dilate_instrument(skew)
@@ -892,7 +866,7 @@ def _suite_thm_4_8(seed: int, trials: int, scale: float) -> VerificationReport:
         m = trivial_fimm(eta, pointer)
         measured = model_instrument(m)
         expected = trivial_instrument(pointer, eta)
-        worst = max(worst, max(frob(measured[x].choi - expected[x].choi) for x in pointer.labels))
+        worst = max(worst, family_distance(measured, expected))
         # converse: starting from a state-preparation instrument, the swap
         # model over its observable and state measures it back.
         a = random_observable(d, 2, rng)
@@ -900,7 +874,7 @@ def _suite_thm_4_8(seed: int, trials: int, scale: float) -> VerificationReport:
         instr = trivial_instrument(a, alpha)
         m2 = trivial_fimm(alpha, a)
         measured2 = model_instrument(m2)
-        worst = max(worst, max(frob(measured2[x].choi - instr[x].choi) for x in a.labels))
+        worst = max(worst, family_distance(measured2, instr))
     status = "pass" if worst <= tol else "fail"
     return VerificationReport("thm-4.8", trials, worst, status, seed, tol)
 

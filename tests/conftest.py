@@ -62,7 +62,21 @@ MALFORMED_DOCUMENTS = {
     "non-string-label": {"kind": "observable", "labels": [["0"]], "effects": {"0": _IDENTITY}},
     "non-string-row-label": {"kind": "stochastic", "row_labels": [1], "col_labels": ["a"], "matrix": [[1.0]]},
     "integer-overflow": {"kind": "scalar", "value": 10**400},
+    # A repeated label must fail the family's duplicate check, not collapse
+    # into one outcome.
+    "observable-duplicate-label": {"kind": "observable", "labels": ["a", "a"], "effects": {"a": [[1]]}},
+    "instrument-duplicate-label": {"kind": "instrument", "labels": ["a", "a"], "operations": {"a": {"choi": [[1]]}}},
+    "fimm-pointer-duplicate-label": {**_FIMM, "pointer": {"labels": ["0", "0"], "effects": {"0": _IDENTITY}}},
+    "fimm-pointer-not-object": {**_FIMM, "pointer": 7},
+    # Entries near the float limit must not overflow into stored inf/nan.
+    "effect-huge-entries": {"kind": "effect", "matrix": [[1e308, 1e308], [1e308, 1e308]]},
+    "observable-huge-effect": {"kind": "observable", "labels": ["a"], "effects": {"a": [[1e308, 0], [0, 1e308]]}},
+    "instrument-huge-choi": {"kind": "instrument", "labels": ["a"], "operations": {"a": {"choi": [[1e308]]}}},
 }
+
+# Text nested deeper than the JSON decoder's recursion limit; written out
+# directly, since json.dumps would recurse too.
+DEEP_DOCUMENT = '{"kind":"effect","matrix":' + "[" * 50000
 
 
 def kraus_document(kraus: object) -> str:

@@ -8,7 +8,7 @@ from qinstr.instruments import instruments_close
 from qinstr.observables import observables_close
 from qinstr.serialize import load_document, save_document
 
-from conftest import MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, P1, P_PLUS, P_MINUS, kraus_document
+from conftest import DEEP_DOCUMENT, MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, P1, P_PLUS, P_MINUS, kraus_document
 from qinstr.observables import Observable
 
 
@@ -202,6 +202,12 @@ class TestValidateCommand:
     def test_malformed_document_exit_code(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(MALFORMED_DOCUMENTS[case]))
+        assert run(["validate", str(bad)]) == 3
+        assert "invalid" in capsys.readouterr().err
+
+    def test_deeply_nested_document_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text(DEEP_DOCUMENT)
         assert run(["validate", str(bad)]) == 3
         assert "invalid" in capsys.readouterr().err
 

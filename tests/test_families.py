@@ -2,8 +2,10 @@
 
 The oracles are the former library implementations: the per-effect
 ``ensure_effect`` loop of ``Observable``, the per-pair ``seq_product``
-behind the observable combinators, and the Choi sums of
-``instr_convex_combo``, ``instr_post_process`` and ``marginal_instruments``.
+behind the observable combinators, the Choi sums of
+``instr_convex_combo``, ``instr_post_process`` and ``marginal_instruments``,
+and the per-label distance and marginal loops of the closeness and
+coexistence checks.
 """
 
 import numpy as np
@@ -15,8 +17,11 @@ from qinstr.errors import DimensionError, InvariantViolation, LabelError, NotHer
 from qinstr.instruments import (
     Instrument,
     Operation,
+    induced_observable,
+    instr_coexist_verify,
     instr_convex_combo,
     instr_post_process,
+    instruments_close,
     is_single_kraus,
     luders_instrument,
     trivial_instrument,
@@ -33,13 +38,17 @@ from qinstr.observables import (
     check_label,
     classify_observable,
     combine_labels,
+    family_distance,
     fourier_mub,
     identity_observable,
     joint_probability_then,
+    marginal_defect,
+    obs_coexist_verify,
     obs_commute,
     obs_conditioned,
     obs_seq_product,
     obs_triple_joint,
+    observables_close,
 )
 from qinstr.rand import (
     random_commutative_observable,
@@ -135,6 +144,20 @@ def choi_marginals(joint) -> tuple[dict, dict]:
         first[x] = first.get(x, 0) + joint[lab].choi
         second[y] = second.get(y, 0) + joint[lab].choi
     return first, second
+
+
+def loop_distance(a, b) -> float:
+    """Per-label distance of effects, or of Choi matrices for instruments."""
+    matrix = (lambda m: m.choi) if isinstance(a, Instrument) else (lambda m: m)
+    return max(frob(matrix(a[x]) - matrix(b[x])) for x in a.labels)
+
+
+def loop_marginal_defect(a, b, joint) -> float:
+    """Per-label row and column sums of the former coexistence verifiers."""
+    matrix = (lambda m: m.choi) if isinstance(a, Instrument) else (lambda m: m)
+    rows = [frob(sum(matrix(joint[combine_labels(x, y)]) for y in b.labels) - matrix(a[x])) for x in a.labels]
+    cols = [frob(sum(matrix(joint[combine_labels(x, y)]) for x in a.labels) - matrix(b[y])) for y in b.labels]
+    return max(rows + cols)
 
 
 def assert_chois_close(instr, expected: dict, tol=1e-14):
@@ -467,3 +490,77 @@ class TestKrausStack:
         with pytest.raises(QinstrError) as exc:
             Operation.from_kraus(ops)
         assert type(exc.value) is error
+
+
+def _perturbed_joint(joint, rng, scale=1e-3):
+    """``joint`` with its outcomes in reverse order and slightly perturbed, so
+    that its marginals miss by a visible amount."""
+    other = trivial_instrument(random_observable(joint.dim, len(joint), rng), random_state(joint.dim, rng))
+    mixed = instr_convex_combo([1 - scale, scale], [joint, Instrument(zip(joint.labels, (op for _, op in other.items())))])
+    return Instrument(reversed(list(mixed.items())))
+
+
+class TestLabelledFamilyCore:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_distance_matches_the_per_label_loop(self, d, rng):
+        a, b = random_observable(d, 3, rng), random_observable(d, 3, rng)
+        i, j = random_instrument(d, 3, rng), random_instrument(d, 3, rng)
+        assert abs(family_distance(a, b) - loop_distance(a, b)) <= 1e-14
+        assert abs(family_distance(i, j) - loop_distance(i, j)) <= 1e-14
+        assert family_distance(i, i) == 0.0
+
+    def test_distance_is_infinite_across_value_spaces_and_dimensions(self, rng):
+        a = random_observable(2, 2, rng)
+        swapped = Observable(reversed(list(a.items())))
+        assert family_distance(a, swapped) == np.inf
+        assert family_distance(a, random_observable(3, 2, rng)) == np.inf
+        assert not observables_close(a, swapped, 1e9)
+        i = luders_instrument(a)
+        assert not instruments_close(i, luders_instrument(swapped), 1e9)
+        assert instruments_close(i, luders_instrument(a), 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_marginal_defect_matches_the_per_label_loops(self, d, rng):
+        labels = [combine_labels(str(x), str(y)) for x in range(2) for y in range(3)]
+        exact = trivial_instrument(random_observable(d, 6, rng, labels=labels), random_state(d, rng))
+        i, j = marginal_instruments(exact)
+        joint = _perturbed_joint(exact, rng)
+        defect = marginal_defect(i, j, joint)
+        assert 1e-6 < defect < 1e-2
+        assert abs(defect - loop_marginal_defect(i, j, joint)) <= 1e-14
+        a, b, c = induced_observable(i), induced_observable(j), induced_observable(joint)
+        assert abs(marginal_defect(a, b, c) - loop_marginal_defect(a, b, c)) <= 1e-14
+        assert instr_coexist_verify(i, j, joint, 2 * defect) and not instr_coexist_verify(i, j, joint, defect / 2)
+        assert marginal_defect(i, j, exact) <= 1e-14
+
+    def test_coexist_verifiers_share_their_errors(self, rng):
+        a, b = random_observable(2, 2, rng), random_observable(3, 2, rng)
+        labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
+        joint = random_observable(2, 4, rng, labels=labels)
+        with pytest.raises(DimensionError):
+            obs_coexist_verify(a, b, joint)
+        with pytest.raises(DimensionError):
+            instr_coexist_verify(luders_instrument(a), luders_instrument(b), luders_instrument(joint))
+        with pytest.raises(LabelError, match="joint observable"):
+            obs_coexist_verify(a, a, a)
+        with pytest.raises(LabelError, match="joint instrument"):
+            instr_coexist_verify(luders_instrument(a), luders_instrument(a), luders_instrument(a))
+
+    def test_instrument_effects_are_one_read_only_stack(self, rng):
+        instr = random_instrument(3, 4, rng)
+        assert not instr.effects.flags.writeable
+        for (_, op), e in zip(instr.items(), instr.effects):
+            assert np.array_equal(e, op.induced_effect)
+        assert np.array_equal(induced_observable(instr).stack, instr.effects)
+
+    @pytest.mark.parametrize("make", [lambda r: random_observable(2, 3, r), lambda r: random_instrument(2, 3, r)])
+    def test_mapping_protocol_and_repr(self, make, rng):
+        family = make(rng)
+        name = type(family).__name__
+        assert repr(family) == f"{name}(dim=2, labels=['0', '1', '2'])"
+        assert len(family) == 3 and "1" in family and "3" not in family
+        assert [x for x, _ in family.items()] == list(family.labels)
+        with pytest.raises(LabelError):
+            family["3"]
+        with pytest.raises(LabelError, match=f"an {name.lower()} needs at least one outcome"):
+            type(family)([])

@@ -465,6 +465,13 @@ class TestCoexistence:
         with pytest.raises(LabelError):
             instr_coexist_verify(i, j, i)
 
+    def test_mixed_dimensions_raise(self, rng):
+        i2, i3 = random_instrument(2, 2, rng), random_instrument(3, 2, rng)
+        labels = [combine_labels(x, y) for x in i2.labels for y in i3.labels]
+        joint = Instrument(zip(labels, (op for _, op in random_instrument(2, 4, rng).items())))
+        with pytest.raises(DimensionError):
+            instr_coexist_verify(i2, i3, joint)
+
 
 class TestJointProbability:
     def test_full_sets(self, rng):

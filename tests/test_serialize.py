@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from qinstr.instruments import instruments_close, luders_instrument, operations_
 from qinstr.linalg import frob
 from qinstr.observables import Observable, observables_close
 from qinstr.rand import (
+    random_effect,
     random_fimm,
     random_instrument,
     random_observable,
@@ -22,7 +25,7 @@ from qinstr.serialize import (
     save_document,
 )
 
-from conftest import MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, kraus_document
+from conftest import DEEP_DOCUMENT, MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, kraus_document
 
 
 class TestCanonicalJson:
@@ -193,6 +196,15 @@ class TestInvariantReporting:
             load_document(str(path))
         assert "parse error" in str(exc.value)
 
+    def test_deep_nesting_is_parse_error(self):
+        with pytest.raises(DocumentError) as exc:
+            loads_document(DEEP_DOCUMENT)
+        assert "parse error" in str(exc.value)
+
+    def test_non_finite_matrix_is_not_encoded(self):
+        with pytest.raises(DocumentError):
+            dumps_document(np.array([[np.inf, 0.0], [0.0, 1.0]]), "effect")
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text('{"kind": "banana"}')
@@ -209,3 +221,95 @@ class TestInvariantReporting:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):
             load_document(str(tmp_path / "nope.json"))
+
+
+# -- seeded mutation fuzzer -------------------------------------------------------
+
+
+def _canonical_documents() -> list[dict]:
+    """One canonical d = 2 document of every kind."""
+    rng = np.random.default_rng(11)
+    objects = [
+        (random_effect(2, rng), "effect"),
+        (random_state(2, rng), "state"),
+        (random_observable(2, 2, rng), None),
+        (random_instrument(2, 2, rng), None),
+        (random_fimm(2, 2, 2, rng), None),
+        (random_stochastic(["0", "1"], ["a", "b"], rng), None),
+        (0.25, "scalar"),
+    ]
+    return [json.loads(dumps_document(obj, kind)) for obj, kind in objects]
+
+
+def _slots(value):
+    """Every ``(container, key)`` slot below ``value``, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+_OTHER_TYPES = [None, True, "x", 7, 0.5, [], {}]
+
+
+def _mutate(doc: dict, pick: random.Random) -> dict:
+    """One random mutation of a copy of ``doc``."""
+    doc = copy.deepcopy(doc)
+    slots = list(_slots(doc))
+    kind = pick.choice(["delete-key", "swap-type", "duplicate-label", "huge-entry", "wrap", "drop-row"])
+    if kind == "delete-key":
+        parent, key = pick.choice([s for s in slots if isinstance(s[0], dict)])
+        del parent[key]
+    elif kind == "swap-type":
+        parent, key = pick.choice(slots)
+        parent[key] = pick.choice([v for v in _OTHER_TYPES if type(v) is not type(parent[key])])
+    elif kind == "duplicate-label":
+        lists = [p[k] for p, k in slots if isinstance(p, dict) and k.endswith("labels") and p[k]]
+        if lists:
+            labels = pick.choice(lists)
+            labels.append(pick.choice(labels))
+    elif kind == "huge-entry":
+        numbers = [s for s in slots if type(s[0][s[1]]) in (int, float)]
+        parent, key = pick.choice(numbers)
+        parent[key] = pick.choice([1e308, -1e308])
+    elif kind == "wrap":
+        parent, key = pick.choice(slots)
+        parent[key] = [parent[key]]
+    else:
+        rows = [p[k] for p, k in slots if isinstance(p[k], list) and p[k] and isinstance(p[k][0], list)]
+        if rows:
+            target = pick.choice(rows)
+            del target[pick.randrange(len(target))]
+    return doc
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _fuzz_cases(count: int):
+    """Every top-level value of each canonical document swapped for every
+    other JSON type, then ``count`` random mutations anywhere."""
+    bases = _canonical_documents()
+    for base in bases:
+        for key in base:
+            for value in _OTHER_TYPES:
+                yield {**base, key: value}
+    pick = random.Random(20240817)
+    for _ in range(count):
+        yield _mutate(pick.choice(bases), pick)
+
+
+class TestMutationFuzzer:
+    def test_every_mutation_loads_or_is_document_error(self):
+        outcomes = []
+        for case in _fuzz_cases(300):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # from the 1e308 entries
+                    doc = loads_document(json.dumps(case))
+            except DocumentError:
+                outcomes.append(False)
+                continue
+            outcomes.append(True)
+            json.loads(dumps_document(doc.obj, doc.kind), parse_constant=_reject_constant)
+        assert any(outcomes) and not all(outcomes)
