@@ -50,18 +50,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
-COMPUTE_EXPRESSIONS = (
-    "seq-product",
-    "conditioned",
-    "convex",
-    "post-process",
-    "product-instr",
-    "j-map",
-    "k-map",
-    "dilate",
-    "model-instr",
-    "joint-prob",
-)
+# Each compute expression with its least and greatest number of inputs.
+_ARITY = {
+    "seq-product": (2, 2),
+    "conditioned": (2, 2),
+    "convex": (2, None),
+    "post-process": (2, 2),
+    "product-instr": (2, 2),
+    "j-map": (1, 1),
+    "k-map": (1, 1),
+    "dilate": (1, 1),
+    "model-instr": (1, 1),
+    "joint-prob": (5, 5),
+}
 
 
 def _tol_scale() -> float:
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=None)
 
     p_compute = sub.add_parser("compute", help="evaluate a composition of documents")
-    p_compute.add_argument("expression", choices=COMPUTE_EXPRESSIONS)
+    p_compute.add_argument("expression", choices=tuple(_ARITY))
     p_compute.add_argument("inputs", nargs="+", help="document paths (plus label sets or weights where needed)")
     p_compute.add_argument("-o", "--output", required=True)
 
@@ -205,20 +206,6 @@ def _compute(expression: str, inputs: list[str]):
             return joint_probability_instr(rho.obj, first.obj, x_set, second.obj, y_set), "scalar"
         raise QinstrError("joint-prob needs two observables or two instruments")
     raise QinstrError(f"unknown expression {expression!r}")
-
-
-_ARITY = {
-    "seq-product": (2, 2),
-    "conditioned": (2, 2),
-    "convex": (2, None),
-    "post-process": (2, 2),
-    "product-instr": (2, 2),
-    "j-map": (1, 1),
-    "k-map": (1, 1),
-    "dilate": (1, 1),
-    "model-instr": (1, 1),
-    "joint-prob": (5, 5),
-}
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:

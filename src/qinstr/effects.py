@@ -215,18 +215,11 @@ def joint_feasibility_search(
     # Affine constraints act identically and independently on every matrix
     # entry: M @ vec(C-blocks) = vec(targets), with M the bipartite incidence
     # matrix over block positions.
-    mat = np.zeros((m + n, m * n))
-    for x in range(m):
-        for y in range(n):
-            mat[x, x * n + y] = 1.0
-            mat[m + y, x * n + y] = 1.0
+    mat = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
     proj = mat.T @ np.linalg.pinv(mat @ mat.T)
 
     target = np.stack([*rows, *cols])  # (m+n, dim, dim)
-    blocks = np.zeros((m * n, dim, dim), dtype=complex)
-    for x in range(m):
-        for y in range(n):
-            blocks[x * n + y] = (rows[x] + cols[y]) / (m + n)
+    blocks = ((target[:m, None] + target[None, m:]) / (m + n)).reshape(m * n, dim, dim)
 
     def project_affine(bl: np.ndarray) -> np.ndarray:
         residual = np.einsum("ck,kij->cij", mat, bl) - target

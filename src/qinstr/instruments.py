@@ -20,6 +20,12 @@ of operations whose sum is trace-preserving.  It keeps its induced effects
 as one ``(m, d, d)`` stack: the unique observable that reproduces its
 outcome probabilities.
 
+Builders here and in ``models`` that produce Kraus outcomes validate an
+instrument once (``Instrument._from_kraus``): one batched ``sum K^* K`` and
+the sum check, which implies each outcome's trace-non-increase.  Its induced
+observable is not eigensolved again.  Choi outcomes and the public
+constructors keep the checks above.
+
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
 vectors ``v[(i, a)] = K[a, i]``.  The induced effect is the transpose of the
@@ -31,6 +37,7 @@ partial trace over the output slot, and an operation applies to a matrix via
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -176,6 +183,15 @@ class Operation:
             raise InvariantViolation("trace-non-increasing", top - 1.0)
 
     @classmethod
+    def _unchecked(cls, kraus: Array, effect: Array) -> "Operation":
+        """Operation on a read-only Kraus stack whose induced ``effect`` is
+        already formed, with no check: an outcome of ``Instrument._from_kraus``,
+        whose sum check implies trace-non-increase."""
+        op = cls.__new__(cls)
+        op._kraus, op.dim, op.induced_effect = kraus, kraus.shape[1], effect
+        return op
+
+    @classmethod
     def from_kraus(cls, ops: Sequence[object], atol: float = CHOI_TOL) -> "Operation":
         return cls(kraus=ops, atol=atol)
 
@@ -276,13 +292,37 @@ class Instrument(LabelledFamily):
         if not all(isinstance(op, Operation) for op in ops):
             raise DimensionError("instrument outcomes must be Operation instances")
         self.dim = self._common_size((op.dim for op in ops), "operations")
-        effects = np.stack([op.induced_effect for op in ops])
+        self._set_members(labels, ops, np.stack([op.induced_effect for op in ops]), sum_tol)
+
+    def _set_members(self, labels: list[Label], ops: list[Operation], effects: Array, sum_tol: float) -> None:
         residual = frob(effects.sum(0) - np.eye(self.dim))
         if not residual <= sum_tol:
             raise InvariantViolation("trace-preserving-sum", residual)
         effects.setflags(write=False)
         self.effects = effects
         self._members = dict(zip(labels, ops))
+
+    @classmethod
+    def _from_kraus(cls, items: Iterable[tuple[Label, Sequence[object]]], sum_tol: float = CHOI_TOL) -> "Instrument":
+        """Instrument from one Kraus list per outcome label, validated once:
+        one coercion of all operators, one batched ``sum_k K_k^* K_k`` for the
+        effects, one label, dimension and ``trace-preserving-sum`` check.  As
+        every ``A_x >= 0``, the sum check gives ``A_x <= (1 + sum_tol) 1``:
+        the outcomes' own trace-non-increase bound when ``sum_tol`` is ``atol``.
+        """
+        instr = cls.__new__(cls)
+        labels, lists = instr._checked_items(items)
+        counts = [len(ks) for ks in lists]
+        if 0 in counts:
+            raise DimensionError("need at least one Kraus operator")
+        stack = _kraus_stack([k for ks in lists for k in ks])
+        instr.dim = stack.shape[1]
+        bounds = [0, *accumulate(counts)]
+        effects = hermitian_part(np.add.reduceat(stack.conj().swapaxes(1, 2) @ stack, bounds[:-1]))
+        effects.setflags(write=False)
+        ops = [Operation._unchecked(stack[s:e], a) for s, e, a in zip(bounds, bounds[1:], effects)]
+        instr._set_members(labels, ops, effects, sum_tol)
+        return instr
 
     def member_matrices(self) -> Array:
         """The outcomes' Choi matrices as one ``(m, d^2, d^2)`` stack."""
@@ -296,14 +336,17 @@ def instruments_close(a: Instrument, b: Instrument, tol: float) -> bool:
 
 def induced_observable(instr: Instrument) -> Observable:
     """The unique observable reproducing the instrument's outcome
-    probabilities: ``tr[I_x(rho)] = tr(rho A_x)``."""
+    probabilities: ``tr[I_x(rho)] = tr(rho A_x)``.  Kraus-induced effects
+    are PSD by construction, so when every outcome has Kraus operators the
+    stack is not eigensolved again (``Observable._valid``)."""
+    if all(op._kraus is not None for _, op in instr.items()):
+        return Observable._valid(instr.labels, instr.effects)
     return Observable(zip(instr.labels, instr.effects))
 
 
 def luders_instrument(a: Observable) -> Instrument:
     """Instrument with outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``."""
-    roots = herm_sqrt(a.stack)
-    return Instrument({x: Operation.from_kraus([r]) for x, r in zip(a.labels, roots)})
+    return Instrument._from_kraus(zip(a.labels, herm_sqrt(a.stack)[:, None]))
 
 
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
@@ -317,29 +360,27 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     if st.shape[0] != a.dim:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
     r = root_factor(st)
-    ops = {}
-    for x, e in a.items():
-        s = root_factor(e)
-        ops[x] = Operation.from_kraus(np.einsum("ak,ij->jkai", r, s.conj()).reshape(-1, a.dim, a.dim))
-    return Instrument(ops)
+    return Instrument._from_kraus(
+        (x, np.einsum("ak,ij->jkai", r, root_factor(e).conj()).reshape(-1, a.dim, a.dim)) for x, e in a.items()
+    )
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
     """Instrument whose outcomes scale the identity channel."""
     w = check_weights(list(weights.values()), len(weights))
     eye = np.eye(dim, dtype=complex)
-    return Instrument(
-        {x: Operation.from_kraus([np.sqrt(wi) * eye]) for x, wi in zip(weights.keys(), w)}
-    )
+    return Instrument._from_kraus((x, [np.sqrt(wi) * eye]) for x, wi in zip(weights.keys(), w))
 
 
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
-    """Instrument with one Kraus operator per outcome."""
-    stack = _kraus_stack(list(ops.values()))
-    residual = frob(np.einsum("kab,kac->bc", stack.conj(), stack) - np.eye(stack.shape[1]))
-    if not residual <= CHOI_TOL:
-        raise NotComplete(f"sum of S*S misses the identity by {residual:.3g}")
-    return Instrument(zip(ops, (Operation.from_kraus([s]) for s in stack)))
+    """Instrument with one Kraus operator per outcome; ``NotComplete`` when
+    the ``S^* S`` do not sum to the identity."""
+    try:
+        return Instrument._from_kraus((x, [s]) for x, s in ops.items())
+    except InvariantViolation as exc:
+        if exc.invariant != "trace-preserving-sum":
+            raise
+        raise NotComplete(f"sum of S*S misses the identity by {exc.residual:.3g}") from None
 
 
 def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
@@ -359,13 +400,18 @@ def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
     return int(np.sum(w > rel_tol * top)) == 1
 
 
+def _composed_kraus(second: Sequence[Array], first: Sequence[Array], dim: int) -> Sequence[Array]:
+    """Kraus operators of performing ``first`` and then ``second``, given by
+    theirs: the pairwise products, reduced as in ``bounded_kraus``."""
+    return bounded_kraus([t @ s for s in first for t in second], dim)
+
+
 def compose_operations(second: Operation, first: Operation, atol: float = CHOI_TOL) -> Operation:
     """Operation performing ``first`` and then ``second``; its Kraus
     operators are the pairwise products, reduced as in ``bounded_kraus``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
-    ops = [t @ s for s in first.kraus_ops() for t in second.kraus_ops()]
-    return Operation.from_kraus(bounded_kraus(ops, first.dim), atol=atol)
+    return Operation.from_kraus(_composed_kraus(second.kraus_ops(), first.kraus_ops(), first.dim), atol=atol)
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
@@ -373,20 +419,20 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
     performs ``I_x`` and then ``J_y``."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    return Instrument(
-        {
-            combine_labels(x, y): compose_operations(jy, ix)
-            for x, ix in i.items()
-            for y, jy in j.items()
-        }
-    )
+    ki, kj = ([(x, op.kraus_ops()) for x, op in f.items()] for f in (i, j))
+    return Instrument._from_kraus((combine_labels(x, y), _composed_kraus(ky, kx, i.dim)) for x, kx in ki for y, ky in kj)
+
+
+def _channel_kraus(i: Instrument) -> Sequence[Array]:
+    """Kraus operators of the total channel: the outcomes' together,
+    reduced as in ``bounded_kraus``."""
+    return bounded_kraus([k for _, op in i.items() for k in op.kraus_ops()], i.dim)
 
 
 def instr_channel(i: Instrument) -> Operation:
     """The instrument's total channel, the sum of its outcome operations,
     with the outcomes' Kraus operators together as its own."""
-    ops = [k for _, op in i.items() for k in op.kraus_ops()]
-    return ensure_channel(Operation.from_kraus(bounded_kraus(ops, i.dim)))
+    return ensure_channel(Operation.from_kraus(_channel_kraus(i)))
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
@@ -394,24 +440,26 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     after the total channel of ``i``."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    ihat = instr_channel(i)
-    return Instrument({y: compose_operations(jy, ihat) for y, jy in j.items()})
+    ihat = _channel_kraus(i)
+    return Instrument._from_kraus((y, _composed_kraus(jy.kraus_ops(), ihat, i.dim)) for y, jy in j.items())
 
 
-def _weighted_sum(weights: Sequence[float], ops: Sequence[Operation]) -> Operation:
-    """The operation ``sum_k weights[k] ops[k]`` for nonnegative weights.
+def _mixture(outcomes: list[tuple[Label, Sequence[float], Sequence[Operation]]]) -> Instrument:
+    """Instrument with outcome ``y`` equal to ``sum_k w[k] ops[k]`` for each
+    ``(y, w, ops)``, with nonnegative weights.
 
-    When every term has Kraus operators, the result's are the
-    ``sqrt(w_k) K`` of the terms with nonzero weight, reduced as in
-    ``bounded_kraus`` (no weight left gives one zero operator): no Choi
+    When every term has Kraus operators, outcome ``y`` has the ``sqrt(w_k) K``
+    of its terms of nonzero weight, reduced as in ``bounded_kraus``: no
     eigensolve.  Otherwise the Choi matrices are summed and validated by
-    ``from_choi``; extracting Kraus operators from Choi-only terms would
-    cost one eigensolve per term instead of one for the sum.
+    ``from_choi``, one eigensolve per outcome rather than one per term.
     """
-    if all(op._kraus is not None for op in ops):
-        terms = [np.sqrt(w) * op._kraus for w, op in zip(weights, ops) if w > 0]
-        return Operation.from_kraus(bounded_kraus(np.concatenate(terms) if terms else [], ops[0].dim))
-    return Operation.from_choi(sum(w * op.choi for w, op in zip(weights, ops)))
+    if all(op._kraus is not None for _, _, ops in outcomes for op in ops):
+        sums = []
+        for y, w, ops in outcomes:
+            terms = [np.sqrt(wk) * op._kraus for wk, op in zip(w, ops) if wk > 0]
+            sums.append((y, bounded_kraus(np.concatenate(terms) if terms else [], ops[0].dim)))
+        return Instrument._from_kraus(sums)
+    return Instrument({y: Operation.from_choi(sum(wk * op.choi for wk, op in zip(w, ops))) for y, w, ops in outcomes})
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
@@ -419,51 +467,29 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
     empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(instruments))
     labels = shared_value_space(instruments)
-    return Instrument({x: _weighted_sum(w, [i[x] for i in instruments]) for x in labels})
+    return _mixture([(x, w, [i[x] for i in instruments]) for x in labels])
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     """Classical relabeling of outcomes: ``(nu . I)_y = sum_x nu[x, y] I_x``."""
     ops = row_members(nu, i)
-    return Instrument({y: _weighted_sum(nu.matrix[:, c], ops) for c, y in enumerate(nu.col_labels)})
-
-
-def _hermitian_basis(dim: int) -> Array:
-    """``(d^2, d, d)`` stack of the symmetrized matrix units."""
-    basis = []
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 0.5
-            basis.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -0.5j
-            m[j, i] = 0.5j
-            basis.append(m)
-    return np.stack(basis)
+    return _mixture([(y, nu.matrix[:, c], ops) for c, y in enumerate(nu.col_labels)])
 
 
 def instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL) -> bool:
     """A definite value of either instrument completely randomizes the other.
 
-    The defining identities quantify over all states; both sides are linear
-    in the state, so they are checked on a Hermitian operator basis ``s_k``
-    (the symmetrized matrix units), which is equivalent, not an
-    approximation.  With ``A`` and ``B`` the induced observables,
-    ``tr I_x(s) = tr(s A_x)`` and ``tr J_y(s) = tr(s B_y)``, so the identity
-    ``tr J_y(sqrt(A_x) s sqrt(A_x)) = tr I_x(s) / n`` reads
+    The defining identities are linear in the state, so they are checked on
+    the Hermitian basis of symmetrized matrix units ``s_k``: equivalent, not
+    an approximation.  With ``A`` and ``B`` the induced observables, the
+    identity ``tr J_y(sqrt(A_x) s sqrt(A_x)) = tr I_x(s) / n`` reads
     ``tr(s_k D_ab[x, y]) = 0`` for the defects of ``complementarity_defects``,
-    and likewise with ``D_ba``.  Every coefficient must be within ``tol``.
+    and likewise with ``D_ba``.  The defects are exactly Hermitian, so the
+    coefficients are their ``D_ii``, ``Re D_ij`` and ``-Im D_ij`` (``i < j``):
+    every real and imaginary part must be within ``tol``.
     """
-    d = i.dim
-    d_ab, d_ba = complementarity_defects(induced_observable(i), induced_observable(j))
-    defects = np.concatenate([d_ab.reshape(-1, d, d), d_ba.reshape(-1, d, d)])
-    coefficients = np.einsum("kab,nba->nk", _hermitian_basis(d), defects)
-    return bool(np.all(np.abs(coefficients) <= tol))
+    defects = complementarity_defects(induced_observable(i), induced_observable(j))
+    return all(bool(np.all(np.abs(d.real) <= tol) and np.all(np.abs(d.imag) <= tol)) for d in defects)
 
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:
@@ -479,24 +505,22 @@ def joint_probability_instr(
     r = ensure_state(rho)
     if r.shape[0] != i.dim or i.dim != j.dim:
         raise DimensionError("dimension mismatch")
-    mid = np.zeros((i.dim, i.dim), dtype=complex)
-    for x in x_set:
-        mid = mid + i[x].apply(r)
-    total = 0.0
-    for y in y_set:
-        total += float(np.trace(j[y].apply(mid)).real)
+    mid = sum((i[x].apply(r) for x in x_set), np.zeros((i.dim, i.dim), dtype=complex))
+    total = sum(float(np.trace(j[y].apply(mid)).real) for y in y_set)
     return min(1.0, max(0.0, total))
 
 
 def kraus_instrument_from_channel(a: Operation, tol: float = KRAUS_EIG_TOL) -> Instrument:
-    """Split a channel into the Kraus instrument of its canonical operators.
+    """Split a channel into a Kraus instrument, one outcome per operator.
 
-    One outcome per Choi eigenvector with eigenvalue above ``tol``; the
-    resulting instrument's total channel is the input channel.
+    A channel with Kraus operators has them cut to its Choi rank by
+    ``minimal_kraus``; a Choi-only channel gets one outcome per Choi
+    eigenvector with eigenvalue above ``tol``.  The resulting instrument's
+    total channel is the input channel.
     """
     ensure_channel(a)
-    ops = _choi_to_kraus(a.choi, a.dim, tol)
-    return Instrument({f"k{n}": Operation.from_kraus([s]) for n, s in enumerate(ops)})
+    ops = minimal_kraus(a._kraus, a.dim) if a._kraus is not None else _choi_to_kraus(a.choi, a.dim, tol)
+    return Instrument._from_kraus((f"k{n}", [s]) for n, s in enumerate(ops))
 
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:

@@ -124,23 +124,18 @@ def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
         couplings = [m.interaction]
     ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
     root_eta = root_factor(m.probe_state)
-    ops: dict[Label, Operation] = {}
+    ops = []
     for x in m.pointer.labels:
         factor = np.kron(root_factor(m.pointer[x].T), root_eta)
-        kraus = kraus_from_vectors(np.hstack([p @ factor for p in ps]), d)
-        ops[x] = Operation.from_kraus(bounded_kraus(kraus, d), atol=atol)
-    return Instrument(ops, sum_tol=atol)
+        ops.append((x, bounded_kraus(kraus_from_vectors(np.hstack([p @ factor for p in ps]), d), d)))
+    return Instrument._from_kraus(ops, sum_tol=atol)
 
 
 def swap_unitary(d: int) -> Array:
     """Unitary exchanging the two factors of a d-by-d composite space."""
     if d < 1:
         raise DimensionError("dimension must be at least 1")
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            u[j * d + i, i * d + j] = 1.0
-    return u
+    return np.eye(d * d, dtype=complex).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 def trivial_fimm(eta: object, pointer: Observable) -> FIMM:
@@ -229,14 +224,12 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     base_projs = [np.outer(w[:, i], w[:, i].conj()) for i in range(d)]
     channel = Operation.from_kraus(base_projs)
 
-    instrument_ops: dict[Label, Operation] = {}
-    observable_effects: dict[Label, Array] = {}
+    kraus, effects = [], []
     for x in model.pointer.labels:
         h = phi.conj().T @ model.pointer[x] @ phi  # h[i, j] = <phi_i, F_x phi_j>
-        roots = root_factor(h.T)
-        instrument_ops[x] = Operation.from_kraus([(w * r) @ w.conj().T for r in roots.T])
-        observable_effects[x] = sum(h[i, i].real * base_projs[i] for i in range(d))
-    return Instrument(instrument_ops), channel, Observable(observable_effects)
+        kraus.append((x, [(w * r) @ w.conj().T for r in root_factor(h.T).T]))
+        effects.append(sum(h[i, i].real * base_projs[i] for i in range(d)))
+    return Instrument._from_kraus(kraus), channel, Observable._valid(model.pointer.labels, np.stack(effects))
 
 
 def vn_model_for_commutative(
@@ -299,10 +292,7 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     if n == 0:
         raise DimensionError("instrument has no Kraus operators")
 
-    iso = np.zeros((d * n, d), dtype=complex)
-    view = iso.reshape(d, n, d)
-    for s, op in enumerate(slots):
-        view[:, s, :] = op
+    iso = np.stack(slots, axis=1).reshape(d * n, d)
     gram = iso.conj().T @ iso
     gw, gv = np.linalg.eigh(hermitian_part(gram))
     if gw[0] < 0.5:
@@ -313,19 +303,12 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     base_unitary = complete_to_unitary([iso[:, i] for i in range(d)], d * n)
     sources = [i * n for i in range(d)]
     sources += [k for k in range(d * n) if k not in set(sources)]
-    perm = np.zeros((d * n, d * n), dtype=complex)
-    for r, src in enumerate(sources):
-        perm[r, src] = 1.0
-    interaction = base_unitary @ perm
+    interaction = base_unitary @ np.eye(d * n, dtype=complex)[sources]
 
     eta = np.zeros((n, n), dtype=complex)
     eta[0, 0] = 1.0
-    pointer_effects: dict[Label, Array] = {}
-    for x, (start, stop) in slot_ranges.items():
-        diag = np.zeros(n)
-        diag[start:stop] = 1.0
-        pointer_effects[x] = np.diag(diag).astype(complex)
-    pointer = Observable(pointer_effects)
+    slot = np.arange(n)
+    pointer = Observable({x: np.diag((start <= slot) & (slot < stop)).astype(complex) for x, (start, stop) in slot_ranges.items()})
     return FIMM(d, n, eta, interaction, pointer)
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import ensure_effect, ensure_effects, ensure_state, seq_products
+from .effects import EFFECT_EIG_TOL, ensure_effect, ensure_effects, ensure_state, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -74,6 +74,15 @@ def parse_label(text: str) -> Label:
     return tuple(parts) if len(parts) > 1 else parts[0]
 
 
+def check_distinct_labels(labels: Iterable[Label]) -> tuple[Label, ...]:
+    """The labels, each checked by ``check_label``, none repeated."""
+    checked = tuple(check_label(label) for label in labels)
+    if len(set(checked)) != len(checked):
+        duplicate = next(x for k, x in enumerate(checked) if x in checked[:k])
+        raise LabelError(f"duplicate label {duplicate!r}")
+    return checked
+
+
 class LabelledFamily:
     """Ordered map from distinct outcome labels to members of one dimension.
 
@@ -94,11 +103,7 @@ class LabelledFamily:
         items = list(members.items()) if isinstance(members, Mapping) else list(members)
         if not items:
             raise LabelError(f"an {type(self).__name__.lower()} needs at least one outcome")
-        labels = [check_label(label) for label, _ in items]
-        if len(set(labels)) != len(labels):
-            duplicate = next(x for k, x in enumerate(labels) if x in labels[:k])
-            raise LabelError(f"duplicate label {duplicate!r}")
-        return labels, [member for _, member in items]
+        return list(check_distinct_labels(label for label, _ in items)), [member for _, member in items]
 
     @staticmethod
     def _common_size(sizes: Iterable, what: str):
@@ -184,9 +189,28 @@ class Observable(LabelledFamily):
         residual = frob(stack.sum(0) - np.eye(self.dim))
         if not residual <= sum_tol:
             raise InvariantViolation("sum-to-identity", residual)
+        self._set_stack(labels, stack)
+
+    def _set_stack(self, labels: list[Label], stack: Array) -> None:
         stack.setflags(write=False)
         self.stack = stack
         self._members = dict(zip(labels, stack))
+
+    @classmethod
+    def _valid(cls, labels: Sequence[Label], stack: Array) -> "Observable":
+        """Observable on a stack that is PSD by construction (Kraus-induced
+        effects, checked products, nonnegative mixtures of effects).  When its
+        sum misses the identity by at most ``EFFECT_EIG_TOL``, each effect is
+        below ``(1 + EFFECT_EIG_TOL) 1``, so only the labels are checked and no
+        eigensolve runs; otherwise it gets the full ``Observable`` validation.
+        """
+        stack = hermitian_part(stack)
+        if not frob(stack.sum(0) - np.eye(stack.shape[-1])) <= EFFECT_EIG_TOL:
+            return cls(zip(labels, stack))
+        obs = cls.__new__(cls)
+        obs.dim = stack.shape[-1]
+        obs._set_stack(obs._checked_items(zip(labels, stack))[0], stack)
+        return obs
 
     def member_matrices(self) -> Array:
         return self.stack
@@ -206,8 +230,8 @@ class StochasticMatrix:
         matrix: object,
         row_tol: float = 1e-10,
     ):
-        self.row_labels = tuple(check_label(l) for l in row_labels)
-        self.col_labels = tuple(check_label(l) for l in col_labels)
+        self.row_labels = check_distinct_labels(row_labels)
+        self.col_labels = check_distinct_labels(col_labels)
         m = np.asarray(matrix, dtype=float)
         if m.shape != (len(self.row_labels), len(self.col_labels)):
             raise ShapeError(f"matrix shape {m.shape} does not match label counts")
@@ -252,13 +276,12 @@ def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
     """Observable of measuring ``a`` first and ``b`` second, on product labels."""
     products = seq_products(a.stack, b.stack).reshape(-1, a.dim, a.dim)
-    labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
-    return Observable(zip(labels, products))
+    return Observable._valid([combine_labels(x, y) for x in a.labels for y in b.labels], products)
 
 
 def obs_conditioned(a: Observable, b: Observable) -> Observable:
     """Observable ``b`` conditioned by ``a``: outcome ``y`` is ``sum_x A_x o B_y``."""
-    return Observable(zip(b.labels, seq_products(a.stack, b.stack).sum(0)))
+    return Observable._valid(b.labels, seq_products(a.stack, b.stack).sum(0))
 
 
 def check_weights(weights: Sequence[float], count: int, tol: float = 1e-10) -> np.ndarray:
@@ -299,12 +322,12 @@ def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]
     empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(observables))
     labels = shared_value_space(observables)
-    return Observable(zip(labels, np.tensordot(w, np.stack([o.stack for o in observables]), 1)))
+    return Observable._valid(labels, np.tensordot(w, np.stack([o.stack for o in observables]), 1))
 
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``."""
-    return Observable(zip(nu.col_labels, np.tensordot(nu.matrix.T, np.stack(row_members(nu, b)), 1)))
+    return Observable._valid(nu.col_labels, np.tensordot(nu.matrix.T, np.stack(row_members(nu, b)), 1))
 
 
 def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
@@ -416,7 +439,7 @@ def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
     inner = seq_products(b.stack, c.stack).reshape(-1, a.dim, a.dim)
     products = seq_products(a.stack, inner).reshape(-1, a.dim, a.dim)
     labels = [combine_labels(x, combine_labels(y, z)) for x in a.labels for y in b.labels for z in c.labels]
-    return Observable(zip(labels, products))
+    return Observable._valid(labels, products)
 
 
 def joint_probability_then(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .effects import ensure_effect, ensure_state
-from .instruments import Instrument, Operation
+from .instruments import Instrument
 from .linalg import Array, hermitian_part
 from .models import FIMM
 from .observables import Label, Observable, StochasticMatrix
@@ -69,7 +69,8 @@ def random_observable(
 
     Draw one Ginibre block per outcome, form the positive parts, and whiten
     by the inverse square root of their sum (with a small ridge) so the
-    family sums to the identity.
+    family sums to the identity; the whitened blocks are PSD by
+    construction, so only their sum is checked (``Observable._valid``).
     """
     if labels is None:
         labels = default_labels(outcomes)
@@ -77,7 +78,7 @@ def random_observable(
     total = sum(blocks) + 1e-12 * np.eye(dim)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Observable({x: inv_root @ b @ inv_root for x, b in zip(labels, blocks)})
+    return Observable._valid(labels, np.stack([inv_root @ b @ inv_root for b in blocks]))
 
 
 def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -129,12 +130,7 @@ def random_instrument(
     total = sum(k.conj().T @ k for ops in raw for k in ops) + 1e-12 * np.eye(dim)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Instrument(
-        {
-            str(x): Operation.from_kraus([k @ inv_root for k in raw[x]])
-            for x in range(outcomes)
-        }
-    )
+    return Instrument._from_kraus((str(x), [k @ inv_root for k in raw[x]]) for x in range(outcomes))
 
 
 def random_fimm(

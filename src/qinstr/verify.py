@@ -47,6 +47,7 @@ from .instruments import (
 from .linalg import frob, hermitian_part, spectral_norm
 from .models import (
     FIMM,
+    VonNeumannModel,
     dilate_instrument,
     luders_positivity_check,
     marginal_instruments,
@@ -605,12 +606,8 @@ def _suite_thm_3_2(seed: int, trials: int, scale: float) -> VerificationReport:
         if d == 2:
             dephasing = instr_channel(luders_instrument(sharp_qubit_z()))
             split_z = kraus_instrument_from_channel(dephasing)
-            projections = [op.kraus_ops()[0] for _, op in split_z.items()]
-            residual = min(
-                frob(projections[0] @ projections[1]),
-                frob(projections[1] @ projections[0]),
-            )
-            worst = max(worst, residual)
+            p, q = (op.kraus_ops()[0] for _, op in split_z.items())
+            worst = max(worst, min(frob(p @ q), frob(q @ p)))
             if is_identity_instrument(split_z, tol):
                 return VerificationReport("thm-3.2", trials, 1.0, "fail", seed, tol, "dephasing is not an identity instrument")
     status = "pass" if worst <= tol else "fail"
@@ -758,8 +755,6 @@ def _suite_thm_4_4(seed: int, trials: int, scale: float) -> VerificationReport:
     rng = _rng("thm-4.4", seed)
     worst = 0.0
     idem_worst = 0.0
-    from .models import VonNeumannModel
-
     for t in range(trials):
         d = 2 + t % 2
         model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
@@ -781,8 +776,6 @@ def _suite_cor_4_5(seed: int, trials: int, scale: float) -> VerificationReport:
     tol = 1e-8 * scale
     rng = _rng("cor-4.5", seed)
     worst = 0.0
-    from .models import VonNeumannModel
-
     for t in range(trials):
         d = 2 + t % 2
         if t % 3 == 2:

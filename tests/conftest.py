@@ -68,6 +68,13 @@ MALFORMED_DOCUMENTS = {
     "instrument-duplicate-label": {"kind": "instrument", "labels": ["a", "a"], "operations": {"a": {"choi": [[1]]}}},
     "fimm-pointer-duplicate-label": {**_FIMM, "pointer": {"labels": ["0", "0"], "effects": {"0": _IDENTITY}}},
     "fimm-pointer-not-object": {**_FIMM, "pointer": 7},
+    "stochastic-duplicate-label": {
+        "kind": "stochastic",
+        "dim": 0,
+        "row_labels": ["a", "a"],
+        "col_labels": ["x", "x"],
+        "matrix": [[1, 0], [0, 1]],
+    },
     # Entries near the float limit must not overflow into stored inf/nan.
     "effect-huge-entries": {"kind": "effect", "matrix": [[1e308, 1e308], [1e308, 1e308]]},
     "observable-huge-effect": {"kind": "observable", "labels": ["a"], "effects": {"a": [[1e308, 0], [0, 1e308]]}},

@@ -1,14 +1,17 @@
 """The batched complementarity kernel against the pairwise loops it replaced.
 
-``loop_instr_complementary`` and ``pairwise_residual`` are the former
-library implementations, kept as oracles: one ``Operation.apply`` per
-basis element, outcome and pair, and one ``seq_product`` per ordered pair.
+``loop_instr_complementary``, ``basis_instr_complementary`` and
+``pairwise_residual`` are former library implementations, kept as oracles:
+one ``Operation.apply`` per basis element, outcome and pair; one einsum of
+the defects against the Hermitian basis; and one ``seq_product`` per
+ordered pair.
 """
 
 import numpy as np
 import pytest
 
 import qinstr.effects as effects
+import qinstr.instruments as instruments
 from qinstr.effects import seq_product
 from qinstr.errors import DimensionError, InvariantViolation
 from qinstr.instruments import (
@@ -77,6 +80,18 @@ def loop_instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL
     return all(abs(c) <= tol for c in loop_coefficients(i, j))
 
 
+def basis_complementary(defects, d: int, tol: float = CHOI_TOL) -> bool:
+    """Every Hermitian-basis coefficient ``tr(s_k D)`` of the defect stacks
+    within ``tol``, the coefficients from one einsum over the basis stack."""
+    stack = np.concatenate([x.reshape(-1, d, d) for x in defects])
+    coefficients = np.einsum("kab,nba->nk", np.stack(_hermitian_basis(d)), stack)
+    return bool(np.all(np.abs(coefficients) <= tol))
+
+
+def basis_instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL) -> bool:
+    return basis_complementary(complementarity_defects(induced_observable(i), induced_observable(j)), i.dim, tol)
+
+
 def pairwise_residual(a, b) -> float:
     n, m = len(b), len(a)
     residual = 0.0
@@ -130,7 +145,9 @@ class TestAgainstOracles:
         i, j = _family(kind, d, rng)
         a, b = induced_observable(i), induced_observable(j)
         lhs = instr_complementary(i, j)
-        assert lhs == loop_instr_complementary(i, j) == EXPECTED.get(kind, False)
+        assert lhs == loop_instr_complementary(i, j) == basis_instr_complementary(i, j) == EXPECTED.get(kind, False)
+        for defects in complementarity_defects(a, b):
+            assert np.array_equal(defects, defects.conj().swapaxes(-1, -2))
         oracle = pairwise_residual(a, b)
         assert abs(complementarity_residual(a, b) - oracle) <= 1e-14
         assert obs_complementary(a, b) == (oracle <= SUM_TOL) == EXPECTED.get(kind, False)
@@ -138,7 +155,7 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("d", DIMS)
     def test_uniform_trivial_pair_is_complementary(self, d, rng):
         i, j = _trivial_uniform(d, rng)
-        assert instr_complementary(i, j) and loop_instr_complementary(i, j)
+        assert instr_complementary(i, j) and loop_instr_complementary(i, j) and basis_instr_complementary(i, j)
         assert obs_complementary(induced_observable(i), induced_observable(j))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -190,8 +207,9 @@ class TestNearTolerance:
         largest = lambda eps: max(abs(c) for c in loop_coefficients(*pair(eps)))
         under, over = self._scaled(largest, CHOI_TOL)
         assert largest(under) < CHOI_TOL < largest(over)
-        assert instr_complementary(*pair(under)) and loop_instr_complementary(*pair(under))
-        assert not instr_complementary(*pair(over)) and not loop_instr_complementary(*pair(over))
+        for eps, expected in ((under, True), (over, False)):
+            i, j = pair(eps)
+            assert instr_complementary(i, j) == loop_instr_complementary(i, j) == basis_instr_complementary(i, j) == expected
 
 
 class TestKernel:
@@ -203,6 +221,19 @@ class TestKernel:
 
         monkeypatch.setattr(Operation, "apply", forbidden)
         assert [instr_complementary(i, j) for i, j in pairs] == [True, False, True]
+
+    @pytest.mark.parametrize("part", [1.0, 1j])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_entry_parts_are_the_basis_coefficients(self, part, scale, rng, monkeypatch):
+        # A Hermitian bump on one off-diagonal pair, real or imaginary, just
+        # inside or outside the tolerance.
+        i, j = _family("fourier-mub", 3, rng)
+        d_ab, d_ba = complementarity_defects(induced_observable(i), induced_observable(j))
+        bump = np.zeros((3, 3), dtype=complex)
+        bump[0, 1] = scale * CHOI_TOL * part
+        shifted = (d_ab + bump + bump.conj().T, d_ba)
+        monkeypatch.setattr(instruments, "complementarity_defects", lambda a, b: shifted)
+        assert instr_complementary(i, j) == basis_complementary(shifted, 3) == (scale < 1)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):

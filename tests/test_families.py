@@ -4,8 +4,10 @@ The oracles are the former library implementations: the per-effect
 ``ensure_effect`` loop of ``Observable``, the per-pair ``seq_product``
 behind the observable combinators, the Choi sums of
 ``instr_convex_combo``, ``instr_post_process`` and ``marginal_instruments``,
-and the per-label distance and marginal loops of the closeness and
-coexistence checks.
+the per-label distance and marginal loops of the closeness and
+coexistence checks, and the public ``Operation.from_kraus`` ->
+``Instrument`` -> ``Observable`` route that the once-validated family
+builders replaced.
 """
 
 import numpy as np
@@ -17,17 +19,24 @@ from qinstr.errors import DimensionError, InvariantViolation, LabelError, NotHer
 from qinstr.instruments import (
     Instrument,
     Operation,
+    identity_instrument,
     induced_observable,
+    instr_channel,
     instr_coexist_verify,
+    instr_conditioned,
     instr_convex_combo,
     instr_post_process,
+    instr_product,
     instruments_close,
     is_single_kraus,
+    kraus_instrument,
+    kraus_instrument_from_channel,
     luders_instrument,
+    operations_close,
     trivial_instrument,
 )
 from qinstr.linalg import ensure_hermitian, frob, herm_sqrt, hermitian_part
-from qinstr.models import marginal_instruments
+from qinstr.models import VonNeumannModel, marginal_instruments, model_instrument, vn_measured
 from qinstr.observables import (
     RANK_REL_TOL,
     SUM_TOL,
@@ -52,6 +61,7 @@ from qinstr.observables import (
 )
 from qinstr.rand import (
     random_commutative_observable,
+    random_fimm,
     random_instrument,
     random_observable,
     random_simplex,
@@ -346,8 +356,9 @@ class TestSeqProducts:
         a, b = random_observable(3, m, rng), random_observable(3, n, rng)
         eig_calls.calls.clear()
         obs_seq_product(a, b)
-        # one root of a, one range check of the products, one for the result
-        assert eig_calls.calls == [(3, m), (3, m * n), (3, m * n)]
+        # one root of a and one range check of the products; the result's
+        # effects are PSD by construction and are not eigensolved again
+        assert eig_calls.calls == [(3, m), (3, m * n)]
 
     def test_products_keep_effect_range_check(self, rng, monkeypatch):
         a, b = random_observable(2, 2, rng), random_observable(2, 2, rng)
@@ -564,3 +575,180 @@ class TestLabelledFamilyCore:
             family["3"]
         with pytest.raises(LabelError, match=f"an {name.lower()} needs at least one outcome"):
             type(family)([])
+
+
+# -- L1/L2: instruments validated once as a family ----------------------------------
+
+
+def _kraus_lists(instr):
+    return [(x, op.kraus_ops()) for x, op in instr.items()]
+
+
+def _public_route(instr):
+    """The same outcomes rebuilt through the public constructors, each
+    with its own checks and eigensolves."""
+    return Instrument({x: Operation.from_kraus(ks) for x, ks in _kraus_lists(instr)})
+
+
+def _joint(d, rng):
+    labels = [combine_labels(x, y) for x in "ab" for y in "uvw"]
+    return Instrument(zip(labels, (op for _, op in random_instrument(d, 6, rng).items())))
+
+
+def _vn_instrument(d, rng):
+    model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 3, rng))
+    return vn_measured(model)[0]
+
+
+def _kraus_pair(d, rng):
+    return {x: np.sqrt(0.5) * random_unitary(d, rng) for x in "pq"}
+
+
+ROUTED_BUILDERS = {
+    "random": lambda d, rng: random_instrument(d, 3, rng),
+    "luders": lambda d, rng: luders_instrument(random_observable(d, 3, rng)),
+    "trivial": lambda d, rng: trivial_instrument(random_observable(d, 3, rng), random_state(d, rng)),
+    "identity": lambda d, rng: identity_instrument({"0": 0.3, "1": 0.7}, d),
+    "kraus": lambda d, rng: kraus_instrument(_kraus_pair(d, rng)),
+    "product": lambda d, rng: instr_product(random_instrument(d, 2, rng), random_instrument(d, 3, rng)),
+    "conditioned": lambda d, rng: instr_conditioned(random_instrument(d, 2, rng), random_instrument(d, 3, rng)),
+    "convex": lambda d, rng: instr_convex_combo([0.25, 0.75], [random_instrument(d, 3, rng) for _ in range(2)]),
+    "post-process": lambda d, rng: instr_post_process(
+        random_stochastic(["0", "1", "2"], ["a", "b"], rng), random_instrument(d, 3, rng)
+    ),
+    "marginal": lambda d, rng: marginal_instruments(_joint(d, rng))[1],
+    "model": lambda d, rng: model_instrument(random_fimm(d, 2, 3, rng)),
+    "channel-split": lambda d, rng: kraus_instrument_from_channel(instr_channel(random_instrument(d, 2, rng))),
+    "von-neumann": _vn_instrument,
+}
+
+
+class TestFamilyValidation:
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("builder", sorted(ROUTED_BUILDERS))
+    def test_matches_the_public_route(self, builder, d, rng):
+        instr = ROUTED_BUILDERS[builder](d, rng)
+        public = _public_route(instr)
+        assert instr.labels == public.labels
+        assert np.abs(instr.effects - public.effects).max() <= 1e-15
+        assert np.abs(instr.member_matrices() - public.member_matrices()).max() <= 1e-15
+        obs = induced_observable(instr)
+        oracle = Observable(zip(public.labels, public.effects))
+        assert obs.labels == oracle.labels
+        assert np.abs(obs.stack - oracle.stack).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_sum_miss_above_the_tolerance_raises(self, d, rng):
+        items = _kraus_lists(random_instrument(d, 3, rng))
+        corner = np.zeros((d, d), dtype=complex)
+        corner[0, 0] = np.sqrt(1.01e-8)
+        items[0] = (items[0][0], [*items[0][1], corner])
+        for build in (Instrument._from_kraus, lambda it: Instrument({x: Operation.from_kraus(ks) for x, ks in it})):
+            with pytest.raises(InvariantViolation) as exc:
+                build(items)
+            assert exc.value.invariant == "trace-preserving-sum"
+            assert exc.value.residual == pytest.approx(1.01e-8, rel=1e-6)
+
+    @pytest.mark.parametrize("miss", [2e-9, 1e-8])
+    def test_sum_miss_between_the_tolerances_builds_but_is_no_observable(self, miss):
+        # A_a = (1 + miss) P0 is above the identity by more than the effect
+        # tolerance, but within the instrument's sum tolerance.
+        p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        items = [("a", [np.sqrt(1 + miss) * p0]), ("b", [p1])]
+        instr = Instrument._from_kraus(items)
+        assert np.linalg.eigvalsh(instr.effects[0])[-1] > 1 + EFFECT_EIG_TOL
+        _public_route(instr)
+        for obs in (lambda: induced_observable(instr), lambda: Observable(zip(instr.labels, instr.effects))):
+            with pytest.raises(InvariantViolation) as exc:
+                obs()
+            assert exc.value.invariant == "effect-range"
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [],
+            [np.eye(2), np.eye(3)],
+            [np.eye(2), np.ones(2)],
+            [np.ones((2, 3))],
+            [np.ones(2)],
+            [np.full((2, 2), np.nan)],
+        ],
+    )
+    def test_malformed_operators_raise_as_from_kraus(self, ops):
+        with pytest.raises(QinstrError) as oracle:
+            Operation.from_kraus(ops)
+        with pytest.raises(QinstrError) as exc:
+            Instrument._from_kraus([("0", ops)])
+        assert type(exc.value) is type(oracle.value)
+
+    def test_mixed_dimensions_across_outcomes(self):
+        with pytest.raises(DimensionError):
+            Instrument._from_kraus([("0", [np.eye(2)]), ("1", [np.zeros((3, 3))])])
+        with pytest.raises(LabelError):
+            Instrument._from_kraus([("0", [np.eye(2)]), ("0", [np.zeros((2, 2))])])
+
+    def test_caller_array_is_not_aliased(self, rng):
+        ops = np.stack([np.sqrt(0.5) * random_unitary(3, rng) for _ in range(2)])
+        before = ops.copy()
+        instr = Instrument._from_kraus([("0", ops[:1]), ("1", ops[1:])])
+        assert ops.flags.writeable
+        ops[:] = 0.0
+        for k, (_, op) in enumerate(instr.items()):
+            assert not np.shares_memory(op._kraus, ops) and not op._kraus.flags.writeable
+            assert np.array_equal(op._kraus[0], before[k])
+            assert not op.induced_effect.flags.writeable
+
+    def test_builders_eigensolve_only_what_they_construct(self, rng, eig_calls):
+        d = 3
+        eig_calls.calls.clear()
+        random_instrument(d, 3, rng)
+        assert eig_calls.calls == [(d, 1)]  # the whitening
+        a = random_observable(d, 3, rng)
+        eig_calls.calls.clear()
+        luders_instrument(a)
+        assert eig_calls.calls == [(d, 3)]  # the batched root
+        i, j, k = random_instrument(d, 3, rng), random_instrument(d, 2, rng), random_instrument(d, 3, rng)
+        nu = random_stochastic(list(i.labels), ["a", "b"], rng)
+        for call in (
+            lambda: instr_product(i, j),
+            lambda: instr_conditioned(i, j),
+            lambda: instr_convex_combo([0.5, 0.5], [i, k]),
+            lambda: instr_post_process(nu, i),
+            lambda: induced_observable(i),
+        ):
+            eig_calls.calls.clear()
+            call()
+            assert eig_calls.calls == []
+
+    def test_public_constructors_keep_their_checks(self, rng, eig_calls):
+        i = random_instrument(3, 2, rng)
+        eig_calls.calls.clear()
+        public = _public_route(i)
+        assert eig_calls.calls == [(3, 1)] * len(i)
+        eig_calls.calls.clear()
+        Observable(zip(public.labels, public.effects))
+        assert eig_calls.calls == [(3, len(i))]
+        with pytest.raises(InvariantViolation) as exc:
+            Operation.from_kraus([np.sqrt(1.01) * np.eye(2)])
+        assert exc.value.invariant == "trace-non-increasing"
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_channel_split_of_kraus_input_has_no_choi_sized_eigensolve(self, d, rng, eig_calls):
+        hat = instr_channel(random_instrument(d, 2, rng))
+        choi_only = Operation.from_choi(hat.choi)
+        eig_calls.calls.clear()
+        split = kraus_instrument_from_channel(hat)
+        assert _no_choi_sized_eigensolve(eig_calls, d)
+        rank = int(np.sum(np.linalg.eigvalsh(hat.choi) > 1e-10))
+        assert len(split) == rank
+        assert operations_close(instr_channel(split), hat, 1e-12)
+        from_choi = kraus_instrument_from_channel(choi_only)
+        assert len(from_choi) == rank
+        assert operations_close(instr_channel(from_choi), hat, 1e-12)
+
+
+class TestStochasticLabels:
+    @pytest.mark.parametrize("rows, cols", [(["a", "a"], ["x", "y"]), (["a", "b"], ["x", "x"])])
+    def test_repeated_labels_are_rejected(self, rows, cols):
+        with pytest.raises(LabelError, match="duplicate label"):
+            StochasticMatrix(rows, cols, np.eye(2))
