@@ -110,6 +110,17 @@ from .observables import (
     observables_close,
 )
 from .serialize import Document, load_document, save_document
-from .verify import VerificationReport, run_suite, run_suites
 
 __version__ = "0.1.0"
+
+# The verification catalog is imported on first use, so that a process that
+# never verifies (every CLI command but ``qinstr verify``) does not load it.
+_VERIFY_NAMES = ("VerificationReport", "run_suite", "run_suites")
+
+
+def __getattr__(name: str) -> object:
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,7 +43,6 @@ from .rand import (
 )
 from .effects import seq_product
 from .serialize import Document, load_document, save_document
-from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -103,6 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SUITES, run_suites
+
     suites = args.suite
     if suites:
         unknown = [s for s in suites if s not in SUITES]

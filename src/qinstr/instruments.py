@@ -44,7 +44,7 @@ import numpy as np
 
 from .effects import ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, NotComplete
-from .linalg import Array, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part, root_factor
+from .linalg import PSD_TOL, Array, _psd_eig, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part
 from .observables import (
     Label,
     LabelledFamily,
@@ -183,12 +183,15 @@ class Operation:
             raise InvariantViolation("trace-non-increasing", top - 1.0)
 
     @classmethod
-    def _unchecked(cls, kraus: Array, effect: Array) -> "Operation":
-        """Operation on a read-only Kraus stack whose induced ``effect`` is
-        already formed, with no check: an outcome of ``Instrument._from_kraus``,
-        whose sum check implies trace-non-increase."""
+    def _unchecked(cls, kraus: Array, effect: Array | None = None) -> "Operation":
+        """Operation on a read-only Kraus stack, with no check: an outcome of
+        ``Instrument._from_kraus`` (whose sum check implies trace-non-increase)
+        with its induced ``effect`` already formed, or an instrument's channel.
+        Without ``effect`` it is formed on first use."""
         op = cls.__new__(cls)
-        op._kraus, op.dim, op.induced_effect = kraus, kraus.shape[1], effect
+        op._kraus, op.dim = kraus, kraus.shape[1]
+        if effect is not None:
+            op.induced_effect = effect
         return op
 
     @classmethod
@@ -352,16 +355,23 @@ def luders_instrument(a: Observable) -> Instrument:
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     """Instrument that discards the input: ``rho -> tr(rho A_x) alpha``.
 
-    With ``alpha = R R^*`` and ``A_x = S S^*`` (``root_factor``), outcome
-    ``x`` has the Kraus operators ``r_k s_j^*`` over the columns of ``R``
-    and ``S``; its Choi matrix is ``A_x^T (x) alpha``.
+    With ``alpha = R R^*`` and ``A_x = S S^*`` (as in ``root_factor``, one
+    column per eigenvalue above the noise floor, so that outcome ``x`` has
+    as many operators as ``A_x`` has rank), outcome ``x`` has the Kraus
+    operators ``r_k s_j^*`` over the columns of ``R`` and ``S``; its Choi
+    matrix is ``A_x^T (x) alpha``.  Every root comes from one batched
+    eigendecomposition of the effects and ``alpha``.
     """
     st = ensure_state(alpha)
     if st.shape[0] != a.dim:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
-    r = root_factor(st)
+    v, s = _psd_eig(np.concatenate([a.stack, st[None]]), PSD_TOL)
+    keep = s > 0.0
+    keep[:, -1] = True
+    roots = [f[:, k] for f, k in zip(v * s[:, None, :], keep)]
+    r = roots.pop()
     return Instrument._from_kraus(
-        (x, np.einsum("ak,ij->jkai", r, root_factor(e).conj()).reshape(-1, a.dim, a.dim)) for x, e in a.items()
+        (x, np.einsum("ak,ij->jkai", r, sx.conj()).reshape(-1, a.dim, a.dim)) for x, sx in zip(a.labels, roots)
     )
 
 
@@ -431,8 +441,10 @@ def _channel_kraus(i: Instrument) -> Sequence[Array]:
 
 def instr_channel(i: Instrument) -> Operation:
     """The instrument's total channel, the sum of its outcome operations,
-    with the outcomes' Kraus operators together as its own."""
-    return ensure_channel(Operation.from_kraus(_channel_kraus(i)))
+    with the outcomes' Kraus operators together as its own.  Its
+    ``ensure_channel`` test (``||A - 1||_F <= CHOI_TOL``) implies the
+    operation's trace-non-increase bound, so no eigensolve runs."""
+    return ensure_channel(Operation._unchecked(_kraus_stack(_channel_kraus(i))))
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:

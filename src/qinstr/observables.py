@@ -31,6 +31,7 @@ from .errors import (
     DimensionError,
     InvariantViolation,
     LabelError,
+    QinstrError,
     ShapeError,
     WeightError,
 )
@@ -235,6 +236,8 @@ class StochasticMatrix:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (len(self.row_labels), len(self.col_labels)):
             raise ShapeError(f"matrix shape {m.shape} does not match label counts")
+        if not np.isfinite(m).all():
+            raise QinstrError("matrix contains non-finite entries")
         if m.min(initial=0.0) < -1e-12:
             raise InvariantViolation("nonnegative-entries", float(-m.min()))
         m = np.clip(m, 0.0, None)

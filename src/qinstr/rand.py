@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .effects import ensure_effect, ensure_state
+from .effects import ensure_effect
 from .instruments import Instrument
 from .linalg import Array, hermitian_part
 from .models import FIMM
@@ -34,8 +34,10 @@ def random_psd(dim: int, rng: np.random.Generator) -> Array:
 
 
 def random_state(dim: int, rng: np.random.Generator) -> Array:
+    """Random density matrix ``g g^* / tr``: PSD with unit trace by
+    construction, so only symmetrized, not eigensolved."""
     rho = random_psd(dim, rng)
-    return ensure_state(rho / np.trace(rho).real)
+    return hermitian_part(rho / np.trace(rho).real)
 
 
 def random_pure_state_vector(dim: int, rng: np.random.Generator) -> Array:

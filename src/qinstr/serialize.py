@@ -8,8 +8,9 @@ saving a loaded canonical file is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -35,16 +36,30 @@ class Document:
 # -- canonical JSON -----------------------------------------------------------
 
 
+class _Raw(str):
+    """JSON text that ``canonical_json`` emits verbatim: a matrix already
+    written by ``_matrix_json``."""
+
+
 def _fmt_number(x: float) -> str:
     v = float(x)
     if v == 0.0:
         return "0"
+    if not math.isfinite(v):
+        raise DocumentError(f"cannot encode the non-finite number {v!r}")
     return format(v, ".17g")
 
 
 def canonical_json(value: object) -> str:
     """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
-    if isinstance(value, Mapping):
+    t = type(value)
+    if t is _Raw:
+        return value
+    if t is float:
+        return _fmt_number(value)
+    if t is list:
+        return "[" + ",".join(canonical_json(v) for v in value) + "]"
+    if t is dict or isinstance(value, Mapping):
         inner = ",".join(
             f"{json.dumps(str(k))}:{canonical_json(value[k])}" for k in sorted(value)
         )
@@ -64,11 +79,28 @@ def canonical_json(value: object) -> str:
     raise DocumentError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def encode_matrix(m: Array) -> list:
+def _finite_matrix(m: Array) -> Array:
     a = np.asarray(m, dtype=complex)
     if not np.isfinite(a).all():
         raise DocumentError("cannot encode a matrix with non-finite entries")
-    return [[[float(e.real), float(e.imag)] for e in row] for row in a]
+    return a
+
+
+def encode_matrix(m: Array) -> list:
+    """Rows of ``[re, im]`` pairs as nested Python lists."""
+    a = _finite_matrix(m)
+    return np.stack([a.real, a.imag], -1).tolist()
+
+
+def _matrix_json(m: Array) -> _Raw:
+    """Canonical text of ``encode_matrix(m)``, written in one pass: one
+    ``%.17g`` template per shape filled from the row-major real view.
+    ``_fmt_number`` writes ``-0.0`` as ``0``, so ``0.0`` is added first:
+    ``%.17g`` writes ``-0.0`` as ``-0`` but ``+0.0`` as ``0``."""
+    a = _finite_matrix(m) + 0.0
+    row = "[" + ",".join(["[%.17g,%.17g]"] * a.shape[1]) + "]"
+    template = "[" + ",".join([row] * a.shape[0]) + "]"
+    return _Raw(template % tuple(a.ravel().view(float).tolist()))
 
 
 # Types of a decoded JSON number.  An exact type test, because ``bool`` is
@@ -79,7 +111,10 @@ _NUMBER_TYPES = (int, float)
 def _number(value: object, what: str) -> float:
     if type(value) not in _NUMBER_TYPES:
         raise DocumentError(f"{what}: expected a number, got {value!r}")
-    return float(value)
+    v = float(value)
+    if not math.isfinite(v):
+        raise DocumentError(f"{what}: expected a finite number, got {value!r}")
+    return v
 
 
 def _integer(value: object, what: str) -> int:
@@ -119,37 +154,36 @@ def decode_real_matrix(data: object, what: str = "matrix") -> np.ndarray:
 # -- encoders -----------------------------------------------------------------
 
 
-def _observable_payload(obs: Observable) -> dict:
+def _observable_payload(obs: Observable, encode: Callable[[Array], object]) -> dict:
     return {
         "labels": [label_text(x) for x in obs.labels],
-        "effects": {label_text(x): encode_matrix(e) for x, e in obs.items()},
+        "effects": {label_text(x): encode(e) for x, e in obs.items()},
     }
 
 
-def document_dict(obj: object, kind: str | None = None) -> dict:
-    """Document dictionary for a domain object; ``kind`` disambiguates bare
-    matrices (effect vs state) and scalars."""
+def _document(obj: object, kind: str | None, encode: Callable[[Array], object]) -> dict:
+    """Document dictionary with every matrix written by ``encode``."""
     if isinstance(obj, Observable):
-        return {"kind": "observable", "dim": obj.dim, **_observable_payload(obj)}
+        return {"kind": "observable", "dim": obj.dim, **_observable_payload(obj, encode)}
     if isinstance(obj, Instrument):
         return {
             "kind": "instrument",
             "dim": obj.dim,
             "labels": [label_text(x) for x in obj.labels],
-            "operations": {label_text(x): {"choi": encode_matrix(op.choi)} for x, op in obj.items()},
+            "operations": {label_text(x): {"choi": encode(op.choi)} for x, op in obj.items()},
         }
     if isinstance(obj, FIMM):
         if isinstance(obj.interaction, Operation):
-            interaction = {"choi": encode_matrix(obj.interaction.choi)}
+            interaction = {"choi": encode(obj.interaction.choi)}
         else:
-            interaction = {"unitary": encode_matrix(obj.interaction)}
+            interaction = {"unitary": encode(obj.interaction)}
         return {
             "kind": "fimm",
             "dim": obj.dim_base,
             "dim_probe": obj.dim_probe,
-            "probe_state": encode_matrix(obj.probe_state),
+            "probe_state": encode(obj.probe_state),
             "interaction": interaction,
-            "pointer": _observable_payload(obj.pointer),
+            "pointer": _observable_payload(obj.pointer, encode),
         }
     if isinstance(obj, StochasticMatrix):
         return {
@@ -164,12 +198,18 @@ def document_dict(obj: object, kind: str | None = None) -> dict:
     if isinstance(obj, np.ndarray):
         if kind not in ("effect", "state"):
             raise DocumentError("bare matrices need an explicit kind ('effect' or 'state')")
-        return {"kind": kind, "dim": int(obj.shape[0]), "matrix": encode_matrix(obj)}
+        return {"kind": kind, "dim": int(obj.shape[0]), "matrix": encode(obj)}
     raise DocumentError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def document_dict(obj: object, kind: str | None = None) -> dict:
+    """Document dictionary for a domain object, matrices as nested lists;
+    ``kind`` disambiguates bare matrices (effect vs state) and scalars."""
+    return _document(obj, kind, encode_matrix)
+
+
 def dumps_document(obj: object, kind: str | None = None) -> str:
-    return canonical_json(document_dict(obj, kind)) + "\n"
+    return canonical_json(_document(obj, kind, _matrix_json)) + "\n"
 
 
 def save_document(obj: object, path: str, kind: str | None = None) -> None:

@@ -75,6 +75,17 @@ MALFORMED_DOCUMENTS = {
         "col_labels": ["x", "x"],
         "matrix": [[1, 0], [0, 1]],
     },
+    # Non-finite numbers (JSON text ``Infinity``/``NaN``, or ``1e999``) are
+    # not values; a NaN row sum must not slip past the row-sum test.
+    "scalar-infinite-value": {"kind": "scalar", "value": float("inf")},
+    "scalar-nan-value": {"kind": "scalar", "value": float("nan")},
+    "stochastic-nan-entry": {
+        "kind": "stochastic",
+        "dim": 0,
+        "row_labels": ["a", "b"],
+        "col_labels": ["x", "y"],
+        "matrix": [[float("nan"), 1], [0, 1]],
+    },
     # Entries near the float limit must not overflow into stored inf/nan.
     "effect-huge-entries": {"kind": "effect", "matrix": [[1e308, 1e308], [1e308, 1e308]]},
     "observable-huge-effect": {"kind": "observable", "labels": ["a"], "effects": {"a": [[1e308, 0], [0, 1e308]]}},

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qinstr
 from qinstr.cli import main
 from qinstr.instruments import instruments_close
 from qinstr.observables import observables_close
@@ -154,6 +158,14 @@ class TestComputeCommand:
         z_path, x_path, _ = z_files
         assert run(["compute", "j-map", str(z_path), str(x_path), "-o", str(tmp_path / "x.json")]) == 2
 
+    def test_non_finite_stochastic_input_exit_code(self, tmp_path, z_files):
+        z_path, _, _ = z_files
+        nu = tmp_path / "nu.json"
+        nu.write_text(json.dumps(MALFORMED_DOCUMENTS["stochastic-nan-entry"]))
+        out = tmp_path / "post.json"
+        assert run(["compute", "post-process", str(nu), str(z_path), "-o", str(out)]) == 3
+        assert not out.exists()
+
     def test_invalid_input_document_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "state", "dim": 2, "matrix": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}')
@@ -226,3 +238,39 @@ class TestValidateCommand:
         assert run(["validate", str(bad)]) == 3
         err = capsys.readouterr().err
         assert "sum-to-identity" in err and "0.1" in err
+
+
+class TestLazyCatalogImport:
+    def _run_python(self, code: str) -> str:
+        src = os.path.dirname(os.path.dirname(qinstr.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    def test_cli_import_leaves_catalog_unloaded(self):
+        code = "import sys, qinstr.cli; print('qinstr.verify' in sys.modules)"
+        assert self._run_python(code) == "False"
+
+    def test_validate_leaves_catalog_unloaded(self, tmp_path, z_files):
+        z_path, _, _ = z_files
+        code = (
+            "import sys, contextlib, io, qinstr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = qinstr.cli.main(['validate', {str(z_path)!r}])\n"
+            "print(rc, 'qinstr.verify' in sys.modules)"
+        )
+        assert self._run_python(code) == "0 False"
+
+    def test_package_names_resolve_to_catalog(self):
+        import qinstr.verify
+
+        from qinstr import VerificationReport, run_suite, run_suites
+
+        assert run_suites is qinstr.verify.run_suites
+        assert run_suite is qinstr.verify.run_suite
+        assert VerificationReport is qinstr.verify.VerificationReport
+
+    def test_unknown_package_attribute(self):
+        with pytest.raises(AttributeError):
+            qinstr.no_such_name
+        assert not hasattr(qinstr, "no_such_name")

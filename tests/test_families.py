@@ -472,6 +472,23 @@ class TestTrivialInstrument:
             assert int(np.sum(w > 1e-8 * w[-1])) == 4
             assert not is_single_kraus(op)
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_roots_from_one_batched_eigensolve(self, m, rng, eig_calls):
+        a = random_observable(3, m, rng)
+        alpha = random_state(3, rng)
+        eig_calls.calls.clear()
+        trivial_instrument(a, alpha)
+        assert eig_calls.calls == [(3, 1), (3, m + 1)]  # alpha's state check, then the roots
+
+    def test_kraus_count_is_effect_rank_times_state_rank(self):
+        # Projections of rank 1 and 2, and a state of rank 2.
+        a = Observable({"0": np.diag([1.0, 0.0, 0.0]), "1": np.diag([0.0, 1.0, 1.0])})
+        alpha = np.diag([0.5, 0.5, 0.0])
+        instr = trivial_instrument(a, alpha)
+        assert [len(instr[x].kraus_ops()) for x in ("0", "1")] == [2, 4]
+        for x, e in a.items():
+            assert frob(instr[x].choi - np.kron(e.T, alpha)) <= 1e-15
+
 
 # -- L1: Kraus input --------------------------------------------------------------
 
@@ -719,6 +736,26 @@ class TestFamilyValidation:
             eig_calls.calls.clear()
             call()
             assert eig_calls.calls == []
+
+    def test_random_state_and_channel_take_no_eigensolve(self, rng, eig_calls):
+        eig_calls.calls.clear()
+        rho = random_state(3, rng)
+        assert eig_calls.calls == []
+        assert np.array_equal(rho, rho.conj().T) and abs(np.trace(rho) - 1.0) <= 1e-15
+        assert np.linalg.eigvalsh(rho)[0] >= 0.0
+        i = random_instrument(3, 3, rng)
+        eig_calls.calls.clear()
+        hat = instr_channel(i)
+        assert eig_calls.calls == []
+        assert hat.is_channel() and not hat._kraus.flags.writeable
+        assert operations_close(hat, Operation(choi=sum(op.choi for _, op in i.items())), 1e-14)
+
+    def test_channel_of_loosely_summed_instrument_is_not_a_channel(self):
+        scale = np.sqrt(0.5 * (1.0 + 1e-4))
+        loose = Instrument([(x, Operation.from_kraus([scale * np.eye(2)])) for x in "ab"], sum_tol=1e-3)
+        with pytest.raises(InvariantViolation) as exc:
+            instr_channel(loose)
+        assert exc.value.invariant == "trace-preserving"
 
     def test_public_constructors_keep_their_checks(self, rng, eig_calls):
         i = random_instrument(3, 2, rng)

@@ -19,7 +19,9 @@ from qinstr.rand import (
 )
 from qinstr.serialize import (
     canonical_json,
+    document_dict,
     dumps_document,
+    encode_matrix,
     load_document,
     loads_document,
     save_document,
@@ -41,6 +43,115 @@ class TestCanonicalJson:
         once = canonical_json(value)
         again = canonical_json(json.loads(once))
         assert once == again
+
+
+# -- the one-string matrix writer against the recursive writer ----------------------
+
+
+def _oracle_number(x: float) -> str:
+    v = float(x)
+    if v == 0.0:
+        return "0"
+    return format(v, ".17g")
+
+
+def oracle_canonical_json(value: object) -> str:
+    """The recursive writer that formatted every float on its own; the
+    one-string matrix writer must give the same text."""
+    from typing import Mapping
+
+    if isinstance(value, Mapping):
+        inner = ",".join(
+            f"{json.dumps(str(k))}:{oracle_canonical_json(value[k])}" for k in sorted(value)
+        )
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(oracle_canonical_json(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _oracle_number(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(type(value).__name__)
+
+
+def oracle_encode_matrix(m) -> list:
+    return [[[float(e.real), float(e.imag)] for e in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _channel_fimm(dim: int, rng):
+    from qinstr.instruments import instr_channel
+    from qinstr.models import FIMM
+
+    channel = instr_channel(random_instrument(dim, 2, rng))
+    return FIMM(dim, 1, np.eye(1), channel, Observable({"only": np.eye(1)}))
+
+
+def _documents_of_dim(dim: int):
+    rng = np.random.default_rng(100 + dim)
+    return [
+        (random_effect(dim, rng), "effect"),
+        (random_state(dim, rng), "state"),
+        (random_observable(dim, 3, rng), None),
+        (random_instrument(dim, 3, rng), None),
+        (random_fimm(dim, 2, 2, rng), None),
+        (_channel_fimm(dim, rng), None),
+        (random_stochastic(["0", "1", "2"], ["a", "b"], rng), None),
+        (float(rng.normal()), "scalar"),
+    ]
+
+
+_SPECIAL_VALUES = [-0.0, 5e-324, 1e-300, 1e308, 0.1, 1.0, -1.0, 2.0**53 + 1]
+
+
+class TestOneStringWriter:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_every_kind_matches_recursive_writer(self, dim):
+        for obj, kind in _documents_of_dim(dim):
+            assert dumps_document(obj, kind) == oracle_canonical_json(document_dict(obj, kind)) + "\n"
+
+    def test_sixteen_outcome_product(self):
+        from qinstr.instruments import instr_product
+
+        rng = np.random.default_rng(5)
+        prod = instr_product(random_instrument(3, 4, rng), random_instrument(3, 4, rng))
+        assert len(prod.labels) == 16
+        assert dumps_document(prod) == oracle_canonical_json(document_dict(prod)) + "\n"
+
+    @pytest.mark.parametrize("value", _SPECIAL_VALUES)
+    def test_special_values(self, value):
+        vals = np.array(_SPECIAL_VALUES)
+        m = np.array([[complex(value, -0.0), complex(-0.0, value)], [complex(value, value), 1.0]])
+        m_all = (vals[:, None] + 1j * vals[None, ::-1]).astype(complex)
+        for matrix in (m, m_all, m_all.T):
+            text = dumps_document(matrix, "effect")
+            assert text == oracle_canonical_json(document_dict(matrix, "effect")) + "\n"
+            assert text == oracle_canonical_json({"dim": matrix.shape[0], "kind": "effect", "matrix": oracle_encode_matrix(matrix)}) + "\n"
+        assert "-0," not in text and "-0]" not in text
+
+    def test_document_dict_keeps_nested_lists(self, rng):
+        i = random_instrument(2, 2, rng)
+        doc = document_dict(i)
+        choi = doc["operations"]["0"]["choi"]
+        assert type(choi) is list and type(choi[0]) is list and type(choi[0][0][0]) is float
+        assert choi == oracle_encode_matrix(i["0"].choi)
+        json.dumps(doc)
+
+    def test_encode_matrix_matches_row_loop(self, rng):
+        m = random_state(4, rng)
+        assert encode_matrix(m) == oracle_encode_matrix(m)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_is_not_written(self, value):
+        with pytest.raises(DocumentError):
+            canonical_json({"value": value})
+        with pytest.raises(DocumentError):
+            dumps_document(value, "scalar")
 
 
 class TestDocumentRoundTrips:
