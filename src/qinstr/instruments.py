@@ -44,7 +44,7 @@ import numpy as np
 
 from .effects import ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, NotComplete
-from .linalg import PSD_TOL, Array, _psd_eig, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part
+from .linalg import Array, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part, root_factors
 from .observables import (
     Label,
     LabelledFamily,
@@ -114,10 +114,11 @@ def minimal_kraus(ops: Sequence[Array], dim: int) -> list[Array]:
     other is replaced by the canonical operators from an SVD of the stacked
     ``vec(K^T)`` columns, whose squared singular values are the Choi
     eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest are kept,
-    and the largest always is.  An empty list stays empty.
+    and the largest always is.  A list of at most one operator comes back
+    unchanged, as the SVD would keep its one column.
     """
-    if len(ops) == 0:
-        return []
+    if len(ops) <= 1:
+        return list(ops)
     u, s, _ = np.linalg.svd(_kraus_vectors(np.stack(ops)), full_matrices=False)
     keep = s * s > KRAUS_EIG_TOL * s[0] ** 2
     keep[0] = True
@@ -365,11 +366,7 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     st = ensure_state(alpha)
     if st.shape[0] != a.dim:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
-    v, s = _psd_eig(np.concatenate([a.stack, st[None]]), PSD_TOL)
-    keep = s > 0.0
-    keep[:, -1] = True
-    roots = [f[:, k] for f, k in zip(v * s[:, None, :], keep)]
-    r = roots.pop()
+    *roots, r = root_factors(np.concatenate([a.stack, st[None]]))
     return Instrument._from_kraus(
         (x, np.einsum("ak,ij->jkai", r, sx.conj()).reshape(-1, a.dim, a.dim)) for x, sx in zip(a.labels, roots)
     )

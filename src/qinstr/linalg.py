@@ -133,6 +133,15 @@ def root_factor(m: object, neg_tol: float = PSD_TOL) -> Array:
     return v * r
 
 
+def root_factors(m: Array, neg_tol: float = PSD_TOL) -> list[Array]:
+    """``root_factor`` of every matrix of a ``(k, d, d)`` stack, each with the
+    same columns, from one eigendecomposition call."""
+    v, r = _psd_eig(m, neg_tol)
+    keep = r > 0.0
+    keep[:, -1] = True
+    return [f[:, k] for f, k in zip(v * r[:, None, :], keep)]
+
+
 def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
     """Unique positive square root of a PSD Hermitian matrix, or of each
     matrix of a ``(k, d, d)`` stack, from one eigendecomposition call.
@@ -178,55 +187,43 @@ def partial_trace_first(m: object, dim_base: int, dim_probe: int) -> Array:
 
 
 def _phase_fix(v: Array, tol: float = 1e-9) -> Array:
-    """Rotate a vector so its first entry of significant magnitude is real positive."""
-    significant = np.flatnonzero(np.abs(v) > tol)
-    if significant.size == 0:
+    """Rotate each column of a matrix so that its first entry of significant
+    magnitude is real positive."""
+    entry = v[(np.abs(v) > tol).argmax(axis=0), np.arange(v.shape[1])]
+    if not np.all(np.abs(entry) > tol):
         raise ZeroVector("cannot phase-fix a zero vector")
-    entry = v[significant[0]]
-    return v * (abs(entry) / entry)
+    return v * (np.abs(entry) / entry)
 
 
 def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     """Extend orthonormal columns to a unitary matrix, deterministically.
 
-    The inputs become the first columns.  Remaining columns come from
-    orthonormalizing the standard basis against everything accepted so far,
-    in index order, dropping dependent candidates; each new column gets its
-    phase fixed so its first nonzero entry is real positive.
+    The inputs become the first columns, verbatim.  The remaining columns
+    are the trailing columns of one complete QR factorization of the inputs
+    (the identity when there are none), each phase-fixed so that its first
+    entry above 1e-9 in magnitude is real positive.  The same input gives
+    the same output, but the completion is otherwise arbitrary: it is an
+    orthonormal basis of the complement, not the index-order Gram-Schmidt of
+    the standard basis.
     """
-    u = np.zeros((dim, dim), dtype=complex)
-    u_adj = np.zeros((dim, dim), dtype=complex)  # rows: conjugates of u's columns
-    count = 0
+    cols = []
     for c in columns:
         v = as_vector(c)
         if v.size != dim:
             raise DimensionError(f"column has length {v.size}, expected {dim}")
-        if count == dim:
+        if len(cols) == dim:
             raise DimensionError(f"{len(columns)} columns exceed dimension {dim}")
-        u[:, count] = v
-        u_adj[count] = v.conj()
-        count += 1
-    if count:
-        g = u_adj[:count] @ u[:, :count]
-        if frob(g - np.eye(count)) > ORTHO_TOL * count:
-            raise NotIsometry("input columns are not orthonormal")
-
-    for k in range(dim):
-        if count == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        for _ in range(2):  # re-orthogonalize for stability
-            v = v - u[:, :count] @ (u_adj[:count] @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            continue  # standard basis vector dependent on accepted columns
-        u[:, count] = _phase_fix(v / norm)
-        u_adj[count] = u[:, count].conj()
-        count += 1
-    if count != dim:
-        raise NotIsometry("could not complete the given columns to a unitary")
-    return u
+        cols.append(v)
+    if not cols:
+        return np.eye(dim, dtype=complex)
+    u = np.stack(cols, axis=1)
+    k = u.shape[1]
+    if frob(u.conj().T @ u - np.eye(k)) > ORTHO_TOL * k:
+        raise NotIsometry("input columns are not orthonormal")
+    q = np.linalg.qr(u, mode="complete")[0]
+    q[:, :k] = u
+    q[:, k:] = _phase_fix(q[:, k:])
+    return q
 
 
 def matrices_close(a: object, b: object, tol: float) -> bool:

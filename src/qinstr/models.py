@@ -39,19 +39,28 @@ from .linalg import (
     herm_eig,
     hermitian_part,
     is_unitary,
-    root_factor,
+    root_factors,
 )
-from .observables import Label, Observable, StochasticMatrix, classify_observable, obs_post_process
+from .observables import (
+    Label,
+    Observable,
+    StochasticMatrix,
+    _projections,
+    classify_observable,
+    obs_post_process,
+)
 
 MODEL_TOL = 1e-7
 
 
-def _phase_fixed_unit_vector(m: Array, tol: float = 1e-8) -> Array:
-    """Principal eigenvector of a rank-one PSD matrix, phase-fixed."""
+def _phase_fixed_unit_vectors(m: Array, tol: float = 1e-8) -> Array:
+    """Principal eigenvectors of a ``(k, d, d)`` stack of rank-one PSD
+    matrices, phase-fixed, as the columns of a ``(d, k)`` matrix."""
     w, v = herm_eig(m)
-    if w[-1] <= tol or (w.size > 1 and w[-2] > tol * max(1.0, w[-1])):
+    top = w[:, -1]
+    if np.any(top <= tol) or (w.shape[1] > 1 and np.any(w[:, -2] > tol * np.maximum(1.0, top))):
         raise NotNormal("matrix is not rank one within tolerance")
-    return _phase_fix(v[:, -1])
+    return _phase_fix(v[:, :, -1].T)
 
 
 class FIMM:
@@ -92,7 +101,7 @@ class FIMM:
                 raise NotIsometry("interaction matrix is not unitary")
             u.setflags(write=False)
             self.interaction = u
-        self.sharp = classify_observable(pointer).sharp
+        self.sharp = bool(_projections(pointer.stack).all())
 
     def apply_interaction(self, mat: Array) -> Array:
         if isinstance(self.interaction, Operation):
@@ -115,19 +124,21 @@ def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
     ``eta = R_eta R_eta^*``.  A Choi-form interaction contributes one such
-    set per Kraus operator of its own.
+    set per Kraus operator of its own.  Every root comes from one batched
+    eigendecomposition of the ``F_x^T`` and ``eta``.
     """
     d, dk = m.dim_base, m.dim_probe
     if isinstance(m.interaction, Operation):
         couplings = m.interaction.kraus_ops()
     else:
         couplings = [m.interaction]
-    ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
-    root_eta = root_factor(m.probe_state)
-    ops = []
-    for x in m.pointer.labels:
-        factor = np.kron(root_factor(m.pointer[x].T), root_eta)
-        ops.append((x, bounded_kraus(kraus_from_vectors(np.hstack([p @ factor for p in ps]), d), d)))
+    *roots, root_eta = root_factors(np.concatenate([m.pointer.stack.swapaxes(1, 2), m.probe_state[None]]))
+    # q[(i, a), c, k, s] = sum_l P_c[(i, a), (k, l)] R_eta[l, s], over the couplings c
+    q = np.stack(couplings).reshape(-1, d, dk, d, dk).transpose(3, 1, 0, 2, 4).reshape(d * d, -1, dk, dk) @ root_eta
+    ops = [
+        (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
+        for x, r in zip(m.pointer.labels, roots)
+    ]
     return Instrument._from_kraus(ops, sum_tol=atol)
 
 
@@ -148,6 +159,17 @@ def trivial_fimm(eta: object, pointer: Observable) -> FIMM:
     return FIMM(d, d, st, swap_unitary(d), pointer)
 
 
+def _checked_bases(base_basis: object, probe_basis: object) -> tuple[Array, Array]:
+    """Both bases as complex matrices: square, unitary and of equal dimension."""
+    base = as_matrix(base_basis)
+    probe = as_matrix(probe_basis)
+    if base.shape != probe.shape or base.shape[0] != base.shape[1]:
+        raise DimensionError("bases must be square and of equal dimension")
+    if not is_unitary(base, 1e-9) or not is_unitary(probe, 1e-9):
+        raise NotIsometry("bases must be unitary")
+    return base, probe
+
+
 def von_neumann_unitary(base_basis: object, probe_basis: object) -> Array:
     """Basis-pairing unitary: it copies the base-basis index into the probe.
 
@@ -155,22 +177,13 @@ def von_neumann_unitary(base_basis: object, probe_basis: object) -> Array:
     ``psi_i (x) phi_i`` to ``psi_i (x) phi_0`` for ``i != 0``, and fixes all
     other basis pairs; an involution on the product basis.
     """
-    base = as_matrix(base_basis)
-    probe = as_matrix(probe_basis)
-    if base.shape != probe.shape or base.shape[0] != base.shape[1]:
-        raise DimensionError("bases must be square and of equal dimension")
-    if not is_unitary(base, 1e-9) or not is_unitary(probe, 1e-9):
-        raise NotIsometry("bases must be unitary")
+    base, probe = _checked_bases(base_basis, probe_basis)
     d = base.shape[0]
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        p_base = np.outer(base[:, i], base[:, i].conj())
-        perm = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            tgt = i if j == 0 else (0 if j == i else j)
-            perm += np.outer(probe[:, tgt], probe[:, j].conj())
-        u += np.kron(p_base, perm)
-    return u
+    target = np.tile(np.arange(d), (d, 1))  # target[i, j]: where probe slot j goes under psi_i
+    target[:, 0] = np.arange(d)
+    target[np.arange(1, d), np.arange(1, d)] = 0
+    perms = np.einsum("aij,bj->iab", probe[:, target], probe.conj())
+    return np.einsum("ai,bi,ikl->akbl", base, base.conj(), perms).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -182,14 +195,13 @@ class VonNeumannModel:
     pointer: Observable
 
     def __post_init__(self):
-        base = as_matrix(self.base_basis)
-        probe = as_matrix(self.probe_basis)
-        if base.shape != probe.shape or base.shape[0] != base.shape[1]:
-            raise DimensionError("bases must be square and of equal dimension")
-        if not is_unitary(base, 1e-9) or not is_unitary(probe, 1e-9):
-            raise NotIsometry("bases must be unitary")
+        base, probe = _checked_bases(self.base_basis, self.probe_basis)
         if self.pointer.dim != probe.shape[0]:
             raise DimensionError("pointer dimension does not match the probe basis")
+        for name, basis in (("base_basis", base), ("probe_basis", probe)):
+            basis = basis.copy()
+            basis.setflags(write=False)
+            object.__setattr__(self, name, basis)
 
     @property
     def dim(self) -> int:
@@ -220,16 +232,14 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     """
     w = model.base_basis
     phi = model.probe_basis
-    d = model.dim
-    base_projs = [np.outer(w[:, i], w[:, i].conj()) for i in range(d)]
+    labels = model.pointer.labels
+    base_projs = np.einsum("ai,bi->iab", w, w.conj())
     channel = Operation.from_kraus(base_projs)
 
-    kraus, effects = [], []
-    for x in model.pointer.labels:
-        h = phi.conj().T @ model.pointer[x] @ phi  # h[i, j] = <phi_i, F_x phi_j>
-        kraus.append((x, [(w * r) @ w.conj().T for r in root_factor(h.T).T]))
-        effects.append(sum(h[i, i].real * base_projs[i] for i in range(d)))
-    return Instrument._from_kraus(kraus), channel, Observable._valid(model.pointer.labels, np.stack(effects))
+    h = np.einsum("ai,xab,bj->xij", phi.conj(), model.pointer.stack, phi)  # h[x, i, j] = <phi_i, F_x phi_j>
+    kraus = [(x, (w * r.T[:, None, :]) @ w.conj().T) for x, r in zip(labels, root_factors(h.swapaxes(1, 2)))]
+    effects = np.einsum("xi,iab->xab", np.diagonal(h, axis1=1, axis2=2).real, base_projs)
+    return Instrument._from_kraus(kraus), channel, Observable._valid(labels, effects)
 
 
 def vn_model_for_commutative(
@@ -282,17 +292,13 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     outcome has a single Kraus operator.
     """
     d = instr.dim
-    slots: list[Array] = []
-    slot_ranges: dict[Label, tuple[int, int]] = {}
-    for x in instr.labels:
-        start = len(slots)
-        slots.extend(minimal_kraus(instr[x].kraus_ops(), d))
-        slot_ranges[x] = (start, len(slots))
-    n = len(slots)
+    slots = [minimal_kraus(instr[x].kraus_ops(), d) for x in instr.labels]
+    counts = [len(ks) for ks in slots]
+    n = sum(counts)
     if n == 0:
         raise DimensionError("instrument has no Kraus operators")
 
-    iso = np.stack(slots, axis=1).reshape(d * n, d)
+    iso = np.stack([k for ks in slots for k in ks], axis=1).reshape(d * n, d)
     gram = iso.conj().T @ iso
     gw, gv = np.linalg.eigh(hermitian_part(gram))
     if gw[0] < 0.5:
@@ -300,16 +306,17 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     inv_root = (gv / np.sqrt(gw)) @ gv.conj().T
     iso = iso @ inv_root  # exact orthonormality before completion
 
-    base_unitary = complete_to_unitary([iso[:, i] for i in range(d)], d * n)
-    sources = [i * n for i in range(d)]
-    sources += [k for k in range(d * n) if k not in set(sources)]
-    interaction = base_unitary @ np.eye(d * n, dtype=complex)[sources]
+    first_slot = np.arange(d * n) % n == 0
+    sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
+    interaction = np.empty((d * n, d * n), dtype=complex)
+    interaction[:, sources] = complete_to_unitary(iso.T, d * n)
 
     eta = np.zeros((n, n), dtype=complex)
     eta[0, 0] = 1.0
     slot = np.arange(n)
-    pointer = Observable({x: np.diag((start <= slot) & (slot < stop)).astype(complex) for x, (start, stop) in slot_ranges.items()})
-    return FIMM(d, n, eta, interaction, pointer)
+    pointer = np.zeros((len(counts), n, n), dtype=complex)
+    pointer[np.repeat(np.arange(len(counts)), counts), slot, slot] = 1.0
+    return FIMM(d, n, eta, interaction, Observable._valid(instr.labels, pointer))
 
 
 def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
@@ -327,23 +334,13 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     else:
         u = m.interaction
     try:
-        phi = _phase_fixed_unit_vector(m.probe_state)
-        pointer_vectors = {x: _phase_fixed_unit_vector(m.pointer[x]) for x in m.pointer.labels}
+        vectors = _phase_fixed_unit_vectors(np.concatenate([m.probe_state[None], m.pointer.stack]))
     except NotNormal as exc:
         raise NotNormal(f"model is not normal: {exc}") from exc
 
     d, dk = m.dim_base, m.dim_probe
-    extracted: dict[Label, Array] = {}
-    evolved = np.zeros((d, d, dk), dtype=complex)
-    for i in range(d):
-        unit = np.zeros(d, dtype=complex)
-        unit[i] = 1.0
-        evolved[i] = (u @ np.kron(unit, phi)).reshape(d, dk)
-    for x, vec in pointer_vectors.items():
-        s = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            s[:, i] = evolved[i] @ vec.conj()
-        extracted[x] = s
+    evolved = u.reshape(d, dk, d, dk) @ vectors[:, 0]  # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>
+    extracted = dict(zip(m.pointer.labels, np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())))
     total = sum(s.conj().T @ s for s in extracted.values())
     residual = frob(total - np.eye(d))
     if residual > 1e-8 * max(1.0, d):

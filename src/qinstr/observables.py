@@ -271,6 +271,11 @@ def _commutator_norms(s: Array, t: Array) -> Array:
     return np.linalg.norm(s @ t - t @ s, axis=(-2, -1))
 
 
+def _projections(s: Array, tol: float = SUM_TOL) -> Array:
+    """Which matrices of a stack are projections: ``||s_k^2 - s_k|| <= tol``."""
+    return np.linalg.norm(s @ s - s, axis=(1, 2)) <= tol
+
+
 def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
     """Effect of a set of outcomes, ``sum_{x in X} A_x``."""
     return sum((a[x] for x in subset), np.zeros((a.dim, a.dim), dtype=complex))
@@ -346,7 +351,7 @@ def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
     w = np.linalg.eigvalsh(s)
     top = w[:, -1:]
     rank_one = (top[:, 0] > RANK_REL_TOL) & (np.sum(w > RANK_REL_TOL * top, axis=1) == 1)
-    projections = np.linalg.norm(s @ s - s, axis=(1, 2)) <= tol
+    projections = _projections(s, tol)
     i, j = np.triu_indices(len(s), 1)
     return ObservableFlags(
         identity=identity,

@@ -105,18 +105,24 @@ def kraus_document(kraus: object) -> str:
 class EigenCalls:
     """Records ``(order, batch)`` of every call to numpy's Hermitian
     eigensolvers while installed: the matrix order ``shape[-1]`` and the
-    number of matrices in the call."""
+    number of matrices in the call.  Calls to ``np.linalg.qr`` go to
+    ``qr_calls`` as the shape of their input."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[int, int]] = []
+        self.qr_calls: list[tuple[int, ...]] = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, self._recording(original))
+            monkeypatch.setattr(np.linalg, name, self._recording(original, self._record_eig))
+        monkeypatch.setattr(np.linalg, "qr", self._recording(np.linalg.qr, self.qr_calls.append))
 
-    def _recording(self, fn):
+    def _record_eig(self, shape: tuple[int, ...]) -> None:
+        self.calls.append((shape[-1], int(np.prod(shape[:-2]))))
+
+    @staticmethod
+    def _recording(fn, record):
         def wrapper(a, *args, **kwargs):
-            shape = np.shape(a)
-            self.calls.append((shape[-1], int(np.prod(shape[:-2]))))
+            record(np.shape(a))
             return fn(a, *args, **kwargs)
 
         return wrapper
@@ -128,8 +134,9 @@ class EigenCalls:
 
 @pytest.fixture
 def eig_calls(monkeypatch) -> EigenCalls:
-    """Eigensolver recorder, installed for the rest of the test; clear
-    ``calls`` after building inputs to count one call alone."""
+    """Eigensolver and QR recorder, installed for the rest of the test;
+    clear ``calls`` and ``qr_calls`` after building inputs to count one call
+    alone."""
     return EigenCalls(monkeypatch)
 
 

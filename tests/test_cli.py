@@ -107,6 +107,24 @@ class TestComputeCommand:
         back = load_document(str(back_path)).obj
         assert instruments_close(back, instr, 1e-7)
 
+    def test_dilate_is_deterministic_across_processes(self, tmp_path, rng):
+        from qinstr.rand import random_instrument
+
+        instr = random_instrument(3, 3, rng, 2)
+        instr_path = tmp_path / "instr.json"
+        save_document(instr, str(instr_path))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qinstr.__file__))}
+        outputs = []
+        for k in range(2):
+            out = tmp_path / f"fimm{k}.json"
+            cmd = [sys.executable, "-m", "qinstr.cli", "compute", "dilate", str(instr_path), "-o", str(out)]
+            subprocess.run(cmd, env=env, check=True, capture_output=True)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        back_path = tmp_path / "back.json"
+        assert run(["compute", "model-instr", str(tmp_path / "fimm0.json"), "-o", str(back_path)]) == 0
+        assert instruments_close(load_document(str(back_path)).obj, instr, 1e-10)
+
     def test_seq_product_effects(self, tmp_path):
         a_path, b_path, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "o.json"
         save_document(0.5 * np.eye(2, dtype=complex), str(a_path), kind="effect")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite
+from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite, ZeroVector
 from qinstr.linalg import (
+    _phase_fix,
     complete_to_unitary,
     frob,
     herm_eig,
@@ -11,6 +12,8 @@ from qinstr.linalg import (
     partial_trace_first,
     partial_trace_second,
     psd_part,
+    root_factor,
+    root_factors,
     tensor_product,
 )
 from qinstr.models import swap_unitary
@@ -189,6 +192,95 @@ class TestCompleteToUnitary:
             assert frob(u.conj().T @ u - np.eye(d)) <= 1e-8
             for i in range(k):
                 np.testing.assert_allclose(u[:, i], q[:, i], atol=1e-12)
+
+    @staticmethod
+    def _columns(d, k, rng):
+        q, _ = np.linalg.qr(ginibre(d, rng))
+        return [q[:, i] for i in range(k)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
+    def test_completion_properties(self, d, rng):
+        for k in range(d + 1):
+            cols = self._columns(d, k, rng)
+            u = complete_to_unitary(cols, d)
+            assert frob(u.conj().T @ u - np.eye(d)) <= 1e-12
+            for i, c in enumerate(cols):
+                assert np.array_equal(u[:, i], c)  # the inputs appear verbatim
+            for c in u[:, k:].T:
+                lead = c[np.flatnonzero(np.abs(c) > 1e-9)[0]]
+                assert lead.real > 0 and abs(lead.imag) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_no_columns_gives_identity(self, d):
+        assert np.array_equal(complete_to_unitary([], d), np.eye(d))
+
+    def test_same_input_same_output(self, rng):
+        cols = self._columns(9, 4, rng)
+        assert np.array_equal(complete_to_unitary(cols, 9), complete_to_unitary(cols, 9))
+
+    def test_one_qr_call(self, rng, eig_calls):
+        cols = self._columns(6, 2, rng)
+        eig_calls.qr_calls.clear()
+        complete_to_unitary(cols, 6)
+        assert eig_calls.qr_calls == [(6, 2)]
+
+    def test_too_many_columns(self):
+        with pytest.raises(DimensionError):
+            complete_to_unitary([E1, E2, E1], 2)
+
+    def test_wrong_length_column(self):
+        with pytest.raises(DimensionError):
+            complete_to_unitary([np.ones(3) / np.sqrt(3.0)], 2)
+
+
+class TestPhaseFix:
+    def test_columns_fixed_independently(self, rng):
+        v = ginibre(4, rng)
+        v[:2, 1] = 0.0  # the second column's first significant entry is row 2
+        fixed = _phase_fix(v)
+        for j, row in enumerate([0, 2, 0, 0]):
+            phase = fixed[row, j] / v[row, j]
+            assert abs(abs(phase) - 1.0) <= 1e-15
+            np.testing.assert_allclose(fixed[:, j], v[:, j] * phase, atol=1e-15)
+            assert fixed[row, j].real > 0 and abs(fixed[row, j].imag) <= 1e-15
+
+    def test_zero_column_rejected(self, rng):
+        v = ginibre(3, rng)
+        v[:, 1] = 1e-12
+        with pytest.raises(ZeroVector):
+            _phase_fix(v)
+
+
+class TestRootFactors:
+    def test_matches_root_factor_per_matrix(self, rng):
+        d = 4
+        stack = np.stack(
+            [
+                random_psd(d, rng),
+                np.zeros((d, d), dtype=complex),  # keeps one zero column
+                proj(ginibre(d, rng)[:, 0]),  # rank one
+                np.diag([1.0, 1.0, 1e-14, 0.0]).astype(complex),  # below the noise floor
+                np.diag([0.5, 0.25, -1e-12, 0.0]).astype(complex),  # clamped negative
+            ]
+        )
+        batched = root_factors(stack)
+        for m, r in zip(stack, batched):
+            loop = root_factor(m)
+            assert r.shape == loop.shape
+            assert frob(r - loop) <= 1e-15
+            assert frob(r @ r.conj().T - hermitian_psd(m)) <= 1e-12
+
+    def test_negative_eigenvalue_rejected(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-3])]).astype(complex)
+        with pytest.raises(NotPositiveSemidefinite):
+            root_factors(stack)
+
+
+def hermitian_psd(m):
+    """The clamped PSD matrix a root factor reproduces."""
+    w, v = np.linalg.eigh(m)
+    w = np.where(w > 1e-12 * max(w[-1], 0.0), w, 0.0)
+    return (v * w) @ v.conj().T
 
 
 class TestMatricesClose:

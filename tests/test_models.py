@@ -5,6 +5,7 @@ from qinstr.errors import DimensionError, NotCommutative, NotNormal
 from qinstr.instruments import (
     Instrument,
     Operation,
+    bounded_kraus,
     induced_observable,
     instr_channel,
     instr_coexist_verify,
@@ -13,11 +14,13 @@ from qinstr.instruments import (
     luders_instrument,
     kraus_instrument,
     operations_close,
+    kraus_from_vectors,
     trivial_instrument,
 )
-from qinstr.linalg import frob, partial_trace_second, tensor_product
+from qinstr.linalg import _phase_fix, frob, herm_eig, partial_trace_second, root_factor, tensor_product
 from qinstr.models import (
     FIMM,
+    MODEL_TOL,
     VonNeumannModel,
     dilate_instrument,
     luders_positivity_check,
@@ -36,6 +39,7 @@ from qinstr.observables import (
     atomic_observable,
     classify_observable,
     combine_labels,
+    family_distance,
     identity_observable,
     observables_close,
 )
@@ -508,3 +512,201 @@ class TestFimmValidation:
         assert m.sharp
         m2 = trivial_fimm(random_state(2, rng), random_observable(2, 2, rng))
         assert not m2.sharp
+
+
+# Loop implementations kept as oracles for the batched model kernels.
+
+
+def _loop_von_neumann_unitary(base, probe):
+    d = base.shape[0]
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        p_base = np.outer(base[:, i], base[:, i].conj())
+        perm = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            tgt = i if j == 0 else (0 if j == i else j)
+            perm += np.outer(probe[:, tgt], probe[:, j].conj())
+        u += np.kron(p_base, perm)
+    return u
+
+
+def _loop_model_instrument(m, atol=MODEL_TOL):
+    """One ``root_factor`` per pointer effect and one Kronecker factor per
+    outcome."""
+    d, dk = m.dim_base, m.dim_probe
+    couplings = m.interaction.kraus_ops() if isinstance(m.interaction, Operation) else [m.interaction]
+    ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
+    root_eta = root_factor(m.probe_state)
+    ops = []
+    for x in m.pointer.labels:
+        factor = np.kron(root_factor(m.pointer[x].T), root_eta)
+        ops.append((x, bounded_kraus(kraus_from_vectors(np.hstack([p @ factor for p in ps]), d), d)))
+    return Instrument._from_kraus(ops, sum_tol=atol)
+
+
+def _loop_unit_vector(m, tol=1e-8):
+    w, v = herm_eig(m)
+    if w[-1] <= tol or (w.size > 1 and w[-2] > tol * max(1.0, w[-1])):
+        raise NotNormal("matrix is not rank one within tolerance")
+    return _phase_fix(v[:, -1:])[:, 0]
+
+
+def _loop_normal_extract(m):
+    """One eigensolve per pointer atom and one ``np.kron`` per base index."""
+    u = m.interaction.kraus_ops()[0] if isinstance(m.interaction, Operation) else m.interaction
+    try:
+        phi = _loop_unit_vector(m.probe_state)
+        pointer_vectors = {x: _loop_unit_vector(m.pointer[x]) for x in m.pointer.labels}
+    except NotNormal as exc:
+        raise NotNormal(f"model is not normal: {exc}") from exc
+    d, dk = m.dim_base, m.dim_probe
+    evolved = np.zeros((d, d, dk), dtype=complex)
+    for i in range(d):
+        unit = np.zeros(d, dtype=complex)
+        unit[i] = 1.0
+        evolved[i] = (u @ np.kron(unit, phi)).reshape(d, dk)
+    extracted = {}
+    for x, vec in pointer_vectors.items():
+        s = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            s[:, i] = evolved[i] @ vec.conj()
+        extracted[x] = s
+    return extracted
+
+
+def _mixed_unitary_channel(n, rng):
+    p = float(rng.uniform(0.2, 0.8))
+    return Operation.from_kraus([np.sqrt(p) * random_unitary(n, rng), np.sqrt(1 - p) * random_unitary(n, rng)])
+
+
+def _oracle_models(rng):
+    """Unitary, Kraus-form, Choi-only, dilated, swap and von Neumann models."""
+    models = [random_fimm(d, dk, m, rng) for d, dk, m in [(1, 2, 2), (2, 2, 2), (2, 3, 3), (3, 2, 4), (2, 4, 5)]]
+    for d, dk in [(2, 2), (2, 3)]:
+        channel = _mixed_unitary_channel(d * dk, rng)
+        pointer = random_observable(dk, 3, rng)
+        models.append(FIMM(d, dk, random_state(dk, rng), channel, pointer))
+        models.append(FIMM(d, dk, random_state(dk, rng), Operation.from_choi(channel.choi), pointer))
+    models += [dilate_instrument(random_instrument(d, m, rng, k)) for d, m, k in [(2, 2, 1), (3, 3, 2), (4, 2, 2)]]
+    models.append(trivial_fimm(random_state(3, rng), random_observable(3, 3, rng)))
+    models.append(VonNeumannModel(random_unitary(3, rng), random_unitary(3, rng), random_observable(3, 3, rng)).to_fimm())
+    return models
+
+
+class TestBatchedKernelsAgainstLoops:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_von_neumann_unitary(self, d, rng):
+        base, probe = random_unitary(d, rng), random_unitary(d, rng)
+        assert frob(von_neumann_unitary(base, probe) - _loop_von_neumann_unitary(base, probe)) <= 1e-14
+
+    def test_model_instrument(self, rng):
+        for m in _oracle_models(rng):
+            batched, loop = model_instrument(m), _loop_model_instrument(m)
+            assert batched.labels == loop.labels
+            assert family_distance(batched, loop) <= 1e-12
+            for x in loop.labels:
+                kb, kl = np.asarray(batched[x].kraus_ops()), np.asarray(loop[x].kraus_ops())
+                assert kb.shape == kl.shape and frob(kb - kl) <= 1e-12
+
+    def test_normal_extract(self, rng):
+        models = [dilate_instrument(random_kraus_instrument(d, m, rng)) for d, m in [(1, 2), (2, 2), (2, 3), (3, 4)]]
+        base, probe = random_unitary(3, rng), random_unitary(3, rng)
+        models.append(VonNeumannModel(base, probe, atomic_observable(probe, labels=["a", "b", "c"])).to_fimm())
+        h = random_pure_state_vector(3, rng)
+        models.append(trivial_fimm(proj(h), atomic_observable(random_unitary(3, rng), labels=["0", "1", "2"])))
+        for m in models:
+            batched, loop = normal_fimm_kraus_extract(m), _loop_normal_extract(m)
+            assert list(batched) == list(loop)
+            for x in loop:
+                assert frob(batched[x] - loop[x]) <= 1e-12
+
+    def test_normal_extract_rejections_match(self, rng, sharp_z):
+        a = identity_observable({"0": 0.5, "1": 0.5}, 2)
+        non_atomic = dilate_instrument(trivial_instrument(a, 0.5 * np.eye(2)))
+        m = dilate_instrument(luders_instrument(sharp_z))
+        mixed_probe = FIMM(2, 2, 0.5 * np.eye(2), m.interaction, m.pointer)
+        for model in (non_atomic, mixed_probe):
+            with pytest.raises(NotNormal) as batched:
+                normal_fimm_kraus_extract(model)
+            with pytest.raises(NotNormal) as loop:
+                _loop_normal_extract(model)
+            assert str(batched.value) == str(loop.value)
+
+
+class TestModelEigensolveCounts:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_model_instrument_one_batched_root_call(self, m, rng, eig_calls):
+        model = random_fimm(2, 3, m, rng)
+        eig_calls.calls.clear()
+        model_instrument(model)
+        assert eig_calls.calls == [(3, m + 1)]  # every pointer effect and the probe state
+
+    @pytest.mark.parametrize("kraus", [1, 2])
+    def test_dilate_one_qr_call(self, kraus, rng, eig_calls):
+        instr = random_instrument(3, 3, rng, kraus)
+        eig_calls.qr_calls.clear()
+        dilate_instrument(instr)
+        assert len(eig_calls.qr_calls) == 1
+
+    def test_fimm_construction_only_checks_the_state(self, rng, eig_calls):
+        eta, u, pointer = random_state(3, rng), random_unitary(6, rng), random_observable(3, 4, rng)
+        eig_calls.calls.clear()
+        FIMM(2, 3, eta, u, pointer)
+        assert eig_calls.calls == [(3, 1)]
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_normal_extract_one_batched_call(self, m, rng, eig_calls):
+        model = dilate_instrument(random_kraus_instrument(2, m, rng))
+        eig_calls.calls.clear()
+        normal_fimm_kraus_extract(model)
+        assert eig_calls.calls == [(m, m + 1)]  # the probe state and every pointer effect
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_vn_measured_roots_in_one_call(self, m, rng, eig_calls):
+        model = VonNeumannModel(random_unitary(3, rng), random_unitary(3, rng), random_observable(3, m, rng))
+        eig_calls.calls.clear()
+        vn_measured(model)
+        assert sum(batch == m for _, batch in eig_calls.calls) == 1
+        assert all(batch in (1, m) for _, batch in eig_calls.calls)
+
+
+class TestFimmSharpFlag:
+    def test_matches_classification(self, rng, sharp_z):
+        pointers = [sharp_z, random_observable(2, 2, rng), random_observable(3, 4, rng)]
+        pointers.append(dilate_instrument(random_instrument(2, 3, rng, 2)).pointer)
+        for eps in (1e-10, 3e-9, 6e-9, 8e-9, 1e-8, 2e-8, 1e-6):
+            # ||F^2 - F|| = eps (1 - eps) sqrt(2) for both effects: around SUM_TOL
+            pointers.append(Observable({"0": np.diag([1.0 - eps, eps]), "1": np.diag([eps, 1.0 - eps])}))
+        flags = []
+        for pointer in pointers:
+            m = FIMM(1, pointer.dim, np.eye(pointer.dim) / pointer.dim, np.eye(pointer.dim), pointer)
+            assert m.sharp == classify_observable(pointer).sharp
+            flags.append(m.sharp)
+        assert any(flags[-7:]) and not all(flags[-7:])
+
+
+class TestVonNeumannModelInput:
+    def test_list_bases(self):
+        pointer = Observable({"0": np.diag([0.75, 0.25]), "1": np.diag([0.25, 0.75])})
+        model = VonNeumannModel([[1, 0], [0, 1]], [[1, 0], [0, 1]], pointer)
+        assert model.dim == 2
+        for basis in (model.base_basis, model.probe_basis):
+            assert basis.dtype == complex and not basis.flags.writeable
+        fimm = model.to_fimm()
+        np.testing.assert_allclose(fimm.interaction, von_neumann_unitary(np.eye(2), np.eye(2)), atol=1e-15)
+        np.testing.assert_allclose(fimm.probe_state, P0, atol=1e-15)
+        instr, _, obs = vn_measured(model)
+        np.testing.assert_allclose(obs["0"], 0.75 * P0 + 0.25 * P1, atol=1e-12)
+        assert instruments_close(instr, model_instrument(fimm), 1e-10)
+
+    def test_caller_arrays_stay_writeable_and_unshared(self, rng):
+        base, probe = random_unitary(2, rng), random_unitary(2, rng)
+        model = VonNeumannModel(base, probe, random_observable(2, 2, rng))
+        assert base.flags.writeable and probe.flags.writeable
+        kept = model.base_basis.copy()
+        base[0, 0] += 1.0
+        assert np.array_equal(model.base_basis, kept)
+
+    def test_pointer_dimension_checked(self, rng):
+        with pytest.raises(DimensionError):
+            VonNeumannModel(np.eye(2), np.eye(2), random_observable(3, 2, rng))
