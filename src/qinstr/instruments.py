@@ -114,11 +114,10 @@ def minimal_kraus(ops: Sequence[Array], dim: int) -> list[Array]:
     other is replaced by the canonical operators from an SVD of the stacked
     ``vec(K^T)`` columns, whose squared singular values are the Choi
     eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest are kept,
-    and the largest always is.  A list of at most one operator comes back
-    unchanged, as the SVD would keep its one column.
+    and the largest always is.  An empty list stays empty.
     """
-    if len(ops) <= 1:
-        return list(ops)
+    if len(ops) == 0:
+        return []
     u, s, _ = np.linalg.svd(_kraus_vectors(np.stack(ops)), full_matrices=False)
     keep = s * s > KRAUS_EIG_TOL * s[0] ** 2
     keep[0] = True

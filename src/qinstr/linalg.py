@@ -133,10 +133,10 @@ def root_factor(m: object, neg_tol: float = PSD_TOL) -> Array:
     return v * r
 
 
-def root_factors(m: Array, neg_tol: float = PSD_TOL) -> list[Array]:
+def root_factors(m: Array) -> list[Array]:
     """``root_factor`` of every matrix of a ``(k, d, d)`` stack, each with the
     same columns, from one eigendecomposition call."""
-    v, r = _psd_eig(m, neg_tol)
+    v, r = _psd_eig(m, PSD_TOL)
     keep = r > 0.0
     keep[:, -1] = True
     return [f[:, k] for f, k in zip(v * r[:, None, :], keep)]
