@@ -57,6 +57,7 @@ from .instruments import (
     is_identity_instrument,
     is_single_kraus,
     joint_probability_instr,
+    joint_probability_table_instr,
     kraus_instrument,
     kraus_instrument_from_channel,
     luders_instrument,
@@ -97,6 +98,7 @@ from .observables import (
     find_joint_observable,
     fourier_mub,
     identity_observable,
+    joint_probability_table,
     joint_probability_then,
     obs_coexist_verify,
     obs_commute,

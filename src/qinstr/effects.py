@@ -203,10 +203,11 @@ def joint_feasibility_search(
     col_effects: list[Array],
     iters: int = 500,
     tol: float = 1e-7,
-) -> list[list[Array]] | None:
-    """Search for PSD blocks C[x][y] with row sums ``row_effects`` and column
-    sums ``col_effects``.  Returns the blocks, or None when no candidate was
-    found within the iteration budget."""
+) -> Array | None:
+    """Search for PSD blocks ``C[x, y]`` with row sums ``row_effects`` and
+    column sums ``col_effects``.  Returns the blocks as one ``(m * n, d, d)``
+    stack, ``x``-major, or None when no candidate was found within the
+    iteration budget."""
     m, n = len(row_effects), len(col_effects)
     dim = row_effects[0].shape[0]
     rows = [ensure_hermitian(r) for r in row_effects]
@@ -230,7 +231,7 @@ def joint_feasibility_search(
         blocks = psd_part(blocks)
         residual = np.einsum("ck,kij->cij", mat, blocks) - target
         if np.linalg.norm(residual, axis=(-2, -1)).max() <= tol:
-            return [[blocks[x * n + y] for y in range(n)] for x in range(m)]
+            return blocks
     return None
 
 
@@ -253,6 +254,6 @@ def find_coexistence_witness(
     )
     if blocks is None:
         return None
-    c = ensure_effect(psd_part(blocks[0][0]))
+    c = ensure_effect(psd_part(blocks[0]))
     w = CoexistenceWitness(a1=ea - c, b1=eb - c, c=c)
     return w if check_coexistence_witness(ea, eb, w) else None

@@ -10,7 +10,7 @@ matrix is formed from them on first use.  The constructor validates by input:
 - both: the Choi checks, plus that the Kraus operators reproduce the matrix.
 
 ``kraus_ops()`` of a Choi-only operation extracts canonical Kraus operators
-from the Choi eigendecomposition once and caches them.  Kraus lists built
+from the Choi eigendecomposition once and caches them.  Kraus stacks built
 here and in ``models`` (compositions, total channels, mixtures,
 post-processings, trivial and model instruments) are not minimal;
 ``minimal_kraus`` cuts one to its Choi rank.  A mixture or post-processing
@@ -50,6 +50,7 @@ from .observables import (
     LabelledFamily,
     Observable,
     StochasticMatrix,
+    _set_probability,
     check_weights,
     combine_labels,
     complementarity_defects,
@@ -107,34 +108,34 @@ def _choi_to_kraus(choi: Array, dim: int, tol: float = KRAUS_EIG_TOL) -> Array:
     return kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim)
 
 
-def minimal_kraus(ops: Sequence[Array], dim: int) -> list[Array]:
+def minimal_kraus(ops: Array, dim: int) -> Array:
     """Kraus operators of the same map, as many as its Choi rank.
 
-    A list of linearly independent operators comes back unchanged.  Any
-    other is replaced by the canonical operators from an SVD of the stacked
-    ``vec(K^T)`` columns, whose squared singular values are the Choi
-    eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest are kept,
-    and the largest always is.  An empty list stays empty.
+    A ``(r, d, d)`` stack of linearly independent operators comes back
+    unchanged.  Any other is replaced by the canonical operators from an SVD
+    of the stacked ``vec(K^T)`` columns, whose squared singular values are
+    the Choi eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest
+    are kept, and the largest always is.  An empty stack stays empty.
     """
     if len(ops) == 0:
-        return []
-    u, s, _ = np.linalg.svd(_kraus_vectors(np.stack(ops)), full_matrices=False)
+        return ops
+    u, s, _ = np.linalg.svd(_kraus_vectors(ops), full_matrices=False)
     keep = s * s > KRAUS_EIG_TOL * s[0] ** 2
     keep[0] = True
     if np.count_nonzero(keep) == len(ops):
-        return list(ops)
-    return list(kraus_from_vectors(u[:, keep] * s[keep], dim))
+        return ops
+    return kraus_from_vectors(u[:, keep] * s[keep], dim)
 
 
-def bounded_kraus(ops: Sequence[Array], dim: int) -> Sequence[Array]:
+def bounded_kraus(ops: Array, dim: int) -> Array:
     """Kraus operators of the same map, at least one and at most ``dim**2``.
 
-    Lists within the bound come back unchanged, longer ones are reduced by
-    ``minimal_kraus``, and an empty list (the zero map, as extracted from a
+    Stacks within the bound come back unchanged, longer ones are reduced by
+    ``minimal_kraus``, and an empty stack (the zero map, as extracted from a
     zero Choi matrix) becomes one zero operator.
     """
     if len(ops) == 0:
-        return [np.zeros((dim, dim), dtype=complex)]
+        return np.zeros((1, dim, dim), dtype=complex)
     if len(ops) <= dim * dim:
         return ops
     return minimal_kraus(ops, dim)
@@ -228,7 +229,11 @@ class Operation:
         return hermitian_part(np.einsum("iaja->ij", c4).T)
 
     @cached_property
-    def _canonical_kraus(self) -> Array:
+    def _ops(self) -> Array:
+        """Read-only Kraus stack: the given operators, else the canonical
+        ones of the Choi eigendecomposition, extracted once."""
+        if self._kraus is not None:
+            return self._kraus
         stack = _choi_to_kraus(self.choi, self.dim)
         stack.setflags(write=False)
         return stack
@@ -247,11 +252,9 @@ class Operation:
         """Kraus operators: the given list when present, else extracted
         from the Choi eigendecomposition (eigenvalues above ``tol``; the
         extraction at the default ``tol`` is cached)."""
-        if self._kraus is not None:
-            return list(self._kraus)
-        if tol == KRAUS_EIG_TOL:
-            return list(self._canonical_kraus)
-        return list(_choi_to_kraus(self.choi, self.dim, tol))
+        if self._kraus is None and tol != KRAUS_EIG_TOL:
+            return list(_choi_to_kraus(self.choi, self.dim, tol))
+        return list(self._ops)
 
     def is_channel(self, tol: float = CHOI_TOL) -> bool:
         return frob(self.induced_effect - np.eye(self.dim)) <= tol
@@ -307,18 +310,21 @@ class Instrument(LabelledFamily):
 
     @classmethod
     def _from_kraus(cls, items: Iterable[tuple[Label, Sequence[object]]], sum_tol: float = CHOI_TOL) -> "Instrument":
-        """Instrument from one Kraus list per outcome label, validated once:
-        one coercion of all operators, one batched ``sum_k K_k^* K_k`` for the
-        effects, one label, dimension and ``trace-preserving-sum`` check.  As
-        every ``A_x >= 0``, the sum check gives ``A_x <= (1 + sum_tol) 1``:
-        the outcomes' own trace-non-increase bound when ``sum_tol`` is ``atol``.
-        """
+        """Instrument from one Kraus stack (or list) per outcome label, validated
+        once: one concatenation and coercion of all operators, one batched
+        ``sum_k K_k^* K_k`` for the effects, one label, dimension and
+        ``trace-preserving-sum`` check.  As every ``A_x >= 0``, the sum check gives
+        ``A_x <= (1 + sum_tol) 1``: the outcomes' trace-non-increase bound."""
         instr = cls.__new__(cls)
-        labels, lists = instr._checked_items(items)
-        counts = [len(ks) for ks in lists]
+        labels, stacks = instr._checked_items(items)
+        counts = [len(ks) for ks in stacks]
         if 0 in counts:
             raise DimensionError("need at least one Kraus operator")
-        stack = _kraus_stack([k for ks in lists for k in ks])
+        try:
+            joined = np.concatenate(stacks)
+        except ValueError:  # operators of mixed shapes, named by _kraus_stack
+            joined = [k for ks in stacks for k in ks]
+        stack = _kraus_stack(joined)
         instr.dim = stack.shape[1]
         bounds = [0, *accumulate(counts)]
         effects = hermitian_part(np.add.reduceat(stack.conj().swapaxes(1, 2) @ stack, bounds[:-1]))
@@ -374,8 +380,7 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
     """Instrument whose outcomes scale the identity channel."""
     w = check_weights(list(weights.values()), len(weights))
-    eye = np.eye(dim, dtype=complex)
-    return Instrument._from_kraus((x, [np.sqrt(wi) * eye]) for x, wi in zip(weights.keys(), w))
+    return Instrument._from_kraus(zip(weights.keys(), np.sqrt(w)[:, None, None, None] * np.eye(dim, dtype=complex)))
 
 
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
@@ -406,10 +411,11 @@ def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
     return int(np.sum(w > rel_tol * top)) == 1
 
 
-def _composed_kraus(second: Sequence[Array], first: Sequence[Array], dim: int) -> Sequence[Array]:
+def _composed_kraus(second: Array, first: Array, dim: int) -> Array:
     """Kraus operators of performing ``first`` and then ``second``, given by
-    theirs: the pairwise products, reduced as in ``bounded_kraus``."""
-    return bounded_kraus([t @ s for s in first for t in second], dim)
+    their stacks: the pairwise products ``t @ s`` from one broadcast matmul,
+    ``s``-major, reduced as in ``bounded_kraus``."""
+    return bounded_kraus((second[None] @ first[:, None]).reshape(-1, dim, dim), dim)
 
 
 def compose_operations(second: Operation, first: Operation, atol: float = CHOI_TOL) -> Operation:
@@ -417,7 +423,7 @@ def compose_operations(second: Operation, first: Operation, atol: float = CHOI_T
     operators are the pairwise products, reduced as in ``bounded_kraus``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
-    return Operation.from_kraus(_composed_kraus(second.kraus_ops(), first.kraus_ops(), first.dim), atol=atol)
+    return Operation.from_kraus(_composed_kraus(second._ops, first._ops, first.dim), atol=atol)
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
@@ -425,14 +431,15 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
     performs ``I_x`` and then ``J_y``."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    ki, kj = ([(x, op.kraus_ops()) for x, op in f.items()] for f in (i, j))
-    return Instrument._from_kraus((combine_labels(x, y), _composed_kraus(ky, kx, i.dim)) for x, kx in ki for y, ky in kj)
+    return Instrument._from_kraus(
+        (combine_labels(x, y), _composed_kraus(jy._ops, ix._ops, i.dim)) for x, ix in i.items() for y, jy in j.items()
+    )
 
 
-def _channel_kraus(i: Instrument) -> Sequence[Array]:
-    """Kraus operators of the total channel: the outcomes' together,
+def _channel_kraus(i: Instrument) -> Array:
+    """Kraus operators of the total channel: the outcomes' stacks together,
     reduced as in ``bounded_kraus``."""
-    return bounded_kraus([k for _, op in i.items() for k in op.kraus_ops()], i.dim)
+    return bounded_kraus(np.concatenate([op._ops for _, op in i.items()]), i.dim)
 
 
 def instr_channel(i: Instrument) -> Operation:
@@ -449,7 +456,7 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
     ihat = _channel_kraus(i)
-    return Instrument._from_kraus((y, _composed_kraus(jy.kraus_ops(), ihat, i.dim)) for y, jy in j.items())
+    return Instrument._from_kraus((y, _composed_kraus(jy._ops, ihat, i.dim)) for y, jy in j.items())
 
 
 def _mixture(outcomes: list[tuple[Label, Sequence[float], Sequence[Operation]]]) -> Instrument:
@@ -506,16 +513,29 @@ def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: f
     return marginal_defect(i, j, joint) <= tol
 
 
-def joint_probability_instr(
-    rho: object, i: Instrument, x_set: Iterable[Label], j: Instrument, y_set: Iterable[Label]
-) -> float:
-    """Probability of outcome set ``X`` for ``i`` and then ``Y`` for ``j``."""
+def _outputs(i: Instrument, mat: Array) -> Array:
+    """Every outcome's output on a matrix, as an ``(m, d, d)`` stack."""
+    return np.stack([op.apply(mat) for _, op in i.items()])
+
+
+def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> Array:
+    """Outcome table ``p[x, y] = tr J_y(I_x(rho)) = tr(B_y I_x(rho))`` of
+    performing ``i`` and then ``j``, with ``B`` the induced effects of ``j``:
+    an ``(m, n)`` array in label order, from one application per outcome of
+    ``i``."""
     r = ensure_state(rho)
     if r.shape[0] != i.dim or i.dim != j.dim:
         raise DimensionError("dimension mismatch")
-    mid = sum((i[x].apply(r) for x in x_set), np.zeros((i.dim, i.dim), dtype=complex))
-    total = sum(float(np.trace(j[y].apply(mid)).real) for y in y_set)
-    return min(1.0, max(0.0, total))
+    return np.einsum("xab,yba->xy", _outputs(i, r), j.effects).real
+
+
+def joint_probability_instr(
+    rho: object, i: Instrument, x_set: Iterable[Label], j: Instrument, y_set: Iterable[Label]
+) -> float:
+    """Probability of outcome set ``X`` for ``i`` and then ``Y`` for ``j``:
+    the sum of ``joint_probability_table_instr`` over ``X x Y``.  Neither set
+    may repeat a label."""
+    return _set_probability(joint_probability_table_instr(rho, i, j), i, x_set, j, y_set)
 
 
 def kraus_instrument_from_channel(a: Operation, tol: float = KRAUS_EIG_TOL) -> Instrument:
@@ -528,7 +548,7 @@ def kraus_instrument_from_channel(a: Operation, tol: float = KRAUS_EIG_TOL) -> I
     """
     ensure_channel(a)
     ops = minimal_kraus(a._kraus, a.dim) if a._kraus is not None else _choi_to_kraus(a.choi, a.dim, tol)
-    return Instrument._from_kraus((f"k{n}", [s]) for n, s in enumerate(ops))
+    return Instrument._from_kraus((f"k{n}", s) for n, s in enumerate(ops[:, None]))
 
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:

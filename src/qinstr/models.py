@@ -75,18 +75,7 @@ class FIMM:
         interaction: object,
         pointer: Observable,
     ):
-        if dim_base < 1 or dim_probe < 1:
-            raise DimensionError("dimensions must be at least 1")
-        self.dim_base = int(dim_base)
-        self.dim_probe = int(dim_probe)
-        eta = ensure_state(probe_state)
-        if eta.shape[0] != self.dim_probe:
-            raise DimensionError(f"probe state dim {eta.shape[0]}, expected {self.dim_probe}")
-        eta.setflags(write=False)
-        self.probe_state = eta
-        if pointer.dim != self.dim_probe:
-            raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
-        self.pointer = pointer
+        self._set_parts(dim_base, dim_probe, probe_state, pointer)
         n = self.dim_base * self.dim_probe
         if isinstance(interaction, Operation):
             if interaction.dim != n:
@@ -101,6 +90,31 @@ class FIMM:
                 raise NotIsometry("interaction matrix is not unitary")
             u.setflags(write=False)
             self.interaction = u
+
+    @classmethod
+    def _unitary(cls, dim_base: int, dim_probe: int, probe_state: object, u: Array, pointer: Observable) -> "FIMM":
+        """Model on an interaction ``u`` that is unitary of the right shape by
+        construction (dilation, swap, basis pairing): only that is not checked."""
+        m = cls.__new__(cls)
+        m._set_parts(dim_base, dim_probe, probe_state, pointer)
+        u.setflags(write=False)
+        m.interaction = u
+        return m
+
+    def _set_parts(self, dim_base: int, dim_probe: int, probe_state: object, pointer: Observable) -> None:
+        """Check and set everything but the interaction."""
+        if dim_base < 1 or dim_probe < 1:
+            raise DimensionError("dimensions must be at least 1")
+        self.dim_base = int(dim_base)
+        self.dim_probe = int(dim_probe)
+        eta = ensure_state(probe_state)
+        if eta.shape[0] != self.dim_probe:
+            raise DimensionError(f"probe state dim {eta.shape[0]}, expected {self.dim_probe}")
+        eta.setflags(write=False)
+        self.probe_state = eta
+        if pointer.dim != self.dim_probe:
+            raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
+        self.pointer = pointer
         self.sharp = bool(_projections(pointer.stack).all())
 
     def apply_interaction(self, mat: Array) -> Array:
@@ -156,7 +170,7 @@ def trivial_fimm(eta: object, pointer: Observable) -> FIMM:
     d = st.shape[0]
     if pointer.dim != d:
         raise DimensionError(f"pointer dim {pointer.dim}, state dim {d}")
-    return FIMM(d, d, st, swap_unitary(d), pointer)
+    return FIMM._unitary(d, d, st, swap_unitary(d), pointer)
 
 
 def _checked_bases(base_basis: object, probe_basis: object) -> tuple[Array, Array]:
@@ -210,13 +224,7 @@ class VonNeumannModel:
     def to_fimm(self) -> FIMM:
         phi0 = self.probe_basis[:, 0]
         eta = np.outer(phi0, phi0.conj())
-        return FIMM(
-            self.dim,
-            self.dim,
-            eta,
-            von_neumann_unitary(self.base_basis, self.probe_basis),
-            self.pointer,
-        )
+        return FIMM._unitary(self.dim, self.dim, eta, von_neumann_unitary(self.base_basis, self.probe_basis), self.pointer)
 
 
 def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observable]:
@@ -234,7 +242,8 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     phi = model.probe_basis
     labels = model.pointer.labels
     base_projs = np.einsum("ai,bi->iab", w, w.conj())
-    channel = Operation.from_kraus(base_projs)
+    base_projs.setflags(write=False)
+    channel = Operation._unchecked(base_projs)  # projections summing to 1: a channel
 
     h = np.einsum("ai,xab,bj->xij", phi.conj(), model.pointer.stack, phi)  # h[x, i, j] = <phi_i, F_x phi_j>
     kraus = [(x, (w * r.T[:, None, :]) @ w.conj().T) for x, r in zip(labels, root_factors(h.swapaxes(1, 2)))]
@@ -256,29 +265,15 @@ def vn_model_for_commutative(
         raise NotCommutative("observable effects do not pairwise commute")
     if rng is None:
         rng = np.random.default_rng(20210)
-    d = a.dim
-    effects = [a[x] for x in a.labels]
-    basis = None
+    d, eye = a.dim, np.eye(a.dim)
     for _ in range(attempts):
-        coeffs = rng.standard_normal(len(effects))
-        mix = hermitian_part(sum(c * e for c, e in zip(coeffs, effects)))
-        _, v = herm_eig(mix)
-        off = 0.0
-        for e in effects:
-            rotated = v.conj().T @ e @ v
-            off = max(off, frob(rotated - np.diag(np.diag(rotated))))
-        if off <= 1e-9 * max(1.0, d):
-            basis = v
-            break
-    if basis is None:
-        raise NotCommutative("failed to find a joint eigenbasis")
-    pointer = Observable(
-        {
-            x: np.diag([float((basis[:, j].conj() @ a[x] @ basis[:, j]).real) for j in range(d)]).astype(complex)
-            for x in a.labels
-        }
-    )
-    return VonNeumannModel(basis, np.eye(d, dtype=complex), pointer)
+        _, v = herm_eig(hermitian_part((rng.standard_normal(len(a))[:, None, None] * a.stack).sum(0)))
+        rotated = v.conj().T @ a.stack @ v
+        diagonals = np.diagonal(rotated, axis1=1, axis2=2)
+        if np.linalg.norm(rotated - diagonals[:, :, None] * eye, axis=(1, 2)).max() <= 1e-9 * max(1.0, d):
+            pointer = Observable(zip(a.labels, (diagonals.real[:, :, None] * eye).astype(complex)))
+            return VonNeumannModel(v, np.eye(d, dtype=complex), pointer)
+    raise NotCommutative("failed to find a joint eigenbasis")
 
 
 def dilate_instrument(instr: Instrument) -> FIMM:
@@ -292,13 +287,13 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     outcome has a single Kraus operator.
     """
     d = instr.dim
-    slots = [minimal_kraus(instr[x].kraus_ops(), d) for x in instr.labels]
+    slots = [minimal_kraus(op._ops, d) for _, op in instr.items()]
     counts = [len(ks) for ks in slots]
     n = sum(counts)
     if n == 0:
         raise DimensionError("instrument has no Kraus operators")
 
-    iso = np.stack([k for ks in slots for k in ks], axis=1).reshape(d * n, d)
+    iso = np.concatenate(slots).transpose(1, 0, 2).reshape(d * n, d)
     gram = iso.conj().T @ iso
     gw, gv = np.linalg.eigh(hermitian_part(gram))
     if gw[0] < 0.5:
@@ -316,7 +311,7 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     slot = np.arange(n)
     pointer = np.zeros((len(counts), n, n), dtype=complex)
     pointer[np.repeat(np.arange(len(counts)), counts), slot, slot] = 1.0
-    return FIMM(d, n, eta, interaction, Observable._valid(instr.labels, pointer))
+    return FIMM._unitary(d, n, eta, interaction, Observable._valid(instr.labels, pointer))
 
 
 def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
@@ -354,14 +349,11 @@ def luders_positivity_check(m: FIMM, tol: float = 1e-8) -> bool:
     A passing model measures the measurement-update instrument of its own
     observable (outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``).
     """
-    ops = normal_fimm_kraus_extract(m)
-    for s in ops.values():
-        scale = max(1.0, frob(s))
-        if frob(s - s.conj().T) > tol * scale:
-            return False
-        if float(np.linalg.eigvalsh(hermitian_part(s))[0]) < -tol:
-            return False
-    return True
+    s = np.stack(list(normal_fimm_kraus_extract(m).values()))
+    scale = np.maximum(1.0, np.linalg.norm(s, axis=(1, 2)))
+    if np.any(np.linalg.norm(s - s.conj().swapaxes(1, 2), axis=(1, 2)) > tol * scale):
+        return False
+    return bool(np.linalg.eigvalsh(hermitian_part(s))[:, 0].min() >= -tol)
 
 
 def _marginal_maps(labels: tuple[Label, ...]) -> tuple[StochasticMatrix, StochasticMatrix]:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import EFFECT_EIG_TOL, ensure_effect, ensure_effects, ensure_state, seq_products
+from .effects import EFFECT_EIG_TOL, ensure_effects, ensure_state, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -135,6 +135,16 @@ class LabelledFamily:
 
     def items(self):
         return self._members.items()
+
+    def _positions(self, subset: Iterable[Label]) -> list[int]:
+        """Label-order positions of an outcome set: ``LabelError`` for an
+        unknown or a repeated label, which would otherwise count twice."""
+        order = {x: k for k, x in enumerate(self._members)}
+        labels = check_distinct_labels(subset)
+        unknown = [x for x in labels if x not in order]
+        if unknown:
+            raise LabelError(f"unknown label {unknown[0]!r}")
+        return [order[x] for x in labels]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, labels={list(self.labels)!r})"
@@ -277,8 +287,8 @@ def _projections(s: Array, tol: float = SUM_TOL) -> Array:
 
 
 def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
-    """Effect of a set of outcomes, ``sum_{x in X} A_x``."""
-    return sum((a[x] for x in subset), np.zeros((a.dim, a.dim), dtype=complex))
+    """Effect of a set of distinct outcomes, ``sum_{x in X} A_x``."""
+    return a.stack[a._positions(subset)].sum(0)
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
@@ -415,16 +425,13 @@ def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Ob
     d = b.shape[1]
     if labels is None:
         labels = [str(j) for j in range(d)]
-    return Observable(
-        {labels[j]: np.outer(b[:, j], b[:, j].conj()) for j in range(d)}
-    )
+    return Observable(zip(labels, b.T[:, :, None] * b.T[:, None, :].conj()))
 
 
 def identity_observable(weights: Mapping[Label, float], dim: int) -> Observable:
     """Observable whose effects are multiples of the identity."""
     w = check_weights(list(weights.values()), len(weights))
-    eye = np.eye(dim, dtype=complex)
-    return Observable({x: wi * eye for x, wi in zip(weights.keys(), w)})
+    return Observable(zip(weights.keys(), w[:, None, None] * np.eye(dim, dtype=complex)))
 
 
 def obs_coexist_verify(a: Observable, b: Observable, c: Observable, tol: float = SUM_TOL) -> bool:
@@ -450,23 +457,33 @@ def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
     return Observable._valid(labels, products)
 
 
-def joint_probability_then(
-    rho: object, a: Observable, x_set: Iterable[Label], b: Observable, y_set: Iterable[Label]
-) -> float:
-    """Probability of seeing ``a`` in ``X`` and then ``b`` in ``Y``.
-
-    Equals ``tr[rho (A o B)_{X x Y}]``.
-    """
+def joint_probability_table(rho: object, a: Observable, b: Observable) -> Array:
+    """Outcome table ``p[x, y] = tr[rho (A_x o B_y)]`` of measuring ``a`` and
+    then ``b``, an ``(m, n)`` array in label order.  The products come from
+    one ``seq_products`` call, each checked as an effect."""
     r = ensure_state(rho)
     if r.shape[0] != a.dim or a.dim != b.dim:
         raise DimensionError("dimension mismatch")
-    by = obs_effect_of_subset(b, y_set)
-    ax = [a[x] for x in x_set]
-    if not ax:
-        return 0.0
-    products = seq_products(np.stack(ax), ensure_effect(by)[None])[:, 0]
-    total = float(np.einsum("ij,kji->", r, products).real)
+    return np.einsum("ij,xyji->xy", r, seq_products(a.stack, b.stack)).real
+
+
+def _set_probability(
+    table: Array, a: LabelledFamily, x_set: Iterable[Label], b: LabelledFamily, y_set: Iterable[Label]
+) -> float:
+    """Sum of an outcome table of ``a`` then ``b`` over the block ``X x Y``
+    of two sets of distinct labels, clipped to ``[0, 1]``."""
+    total = float(table[np.ix_(a._positions(x_set), b._positions(y_set))].sum())
     return min(1.0, max(0.0, total))
+
+
+def joint_probability_then(
+    rho: object, a: Observable, x_set: Iterable[Label], b: Observable, y_set: Iterable[Label]
+) -> float:
+    """Probability of seeing ``a`` in ``X`` and then ``b`` in ``Y``: the sum
+    of ``joint_probability_table`` over ``X x Y``, which equals
+    ``tr[rho (A o B)_{X x Y}]`` as the product is linear in each outcome.
+    Neither set may repeat a label."""
+    return _set_probability(joint_probability_table(rho, a, b), a, x_set, b, y_set)
 
 
 def find_joint_observable(
@@ -484,12 +501,6 @@ def find_joint_observable(
     blocks = joint_feasibility_search(list(a.stack), list(b.stack), iters, tol)
     if blocks is None:
         return None
-    joint = Observable(
-        {
-            combine_labels(x, y): hermitian_part(blocks[i][j])
-            for i, x in enumerate(a.labels)
-            for j, y in enumerate(b.labels)
-        },
-        sum_tol=max(SUM_TOL, 10 * tol),
-    )
+    labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
+    joint = Observable(zip(labels, hermitian_part(blocks)), sum_tol=max(SUM_TOL, 10 * tol))
     return joint if obs_coexist_verify(a, b, joint, tol=max(SUM_TOL, 10 * tol)) else None

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .effects import ensure_effect
+from .effects import ensure_effect, ensure_effects
 from .instruments import Instrument
 from .linalg import Array, hermitian_part
 from .models import FIMM
@@ -20,8 +20,15 @@ def default_labels(count: int) -> list[str]:
 
 
 def ginibre(dim: int, rng: np.random.Generator, cols: int | None = None) -> Array:
-    cols = dim if cols is None else cols
-    return (rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))) / np.sqrt(2.0)
+    return _ginibres(rng, dim, dim if cols is None else cols)
+
+
+def _ginibres(rng: np.random.Generator, *shape: int) -> Array:
+    """Ginibre matrices of ``shape = (..., d, c)`` from one Generator call of
+    shape ``(..., 2, d, c)``: the numbers, in order, of drawing each matrix
+    by ``ginibre`` (its real part, then its imaginary part)."""
+    g = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> Array:
@@ -69,26 +76,26 @@ def random_observable(
 ) -> Observable:
     """Valid observable from normalized Ginibre blocks.
 
-    Draw one Ginibre block per outcome, form the positive parts, and whiten
-    by the inverse square root of their sum (with a small ridge) so the
-    family sums to the identity; the whitened blocks are PSD by
-    construction, so only their sum is checked (``Observable._valid``).
+    Draw one Ginibre block per outcome (all in one call), form the positive
+    parts, and whiten by the inverse square root of their sum (with a small
+    ridge) so the family sums to the identity; the whitened blocks are PSD
+    by construction, so only their sum is checked (``Observable._valid``).
     """
     if labels is None:
         labels = default_labels(outcomes)
-    blocks = [random_psd(dim, rng) for _ in range(outcomes)]
-    total = sum(blocks) + 1e-12 * np.eye(dim)
+    g = _ginibres(rng, outcomes, dim, dim)
+    blocks = g @ g.conj().swapaxes(1, 2)
+    total = blocks.sum(0) + 1e-12 * np.eye(dim)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Observable._valid(labels, np.stack([inv_root @ b @ inv_root for b in blocks]))
+    return Observable._valid(labels, inv_root @ blocks @ inv_root)
 
 
 def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Array, Array]:
     """Effects diagonal in one random basis, so they commute."""
     u = random_unitary(dim, rng)
-    a = u @ np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex) @ u.conj().T
-    b = u @ np.diag(rng.uniform(0.0, 1.0, dim)).astype(complex) @ u.conj().T
-    return ensure_effect(a), ensure_effect(b)
+    diagonals = (rng.uniform(0.0, 1.0, (2, dim))[:, :, None] * np.eye(dim)).astype(complex)
+    return tuple(ensure_effects(u @ diagonals @ u.conj().T))
 
 
 def random_commutative_observable(
@@ -96,20 +103,15 @@ def random_commutative_observable(
 ) -> Observable:
     """Observable whose effects share one random eigenbasis."""
     u = random_unitary(dim, rng)
-    weights = np.stack([rng.dirichlet(np.ones(outcomes)) for _ in range(dim)])  # (dim, outcomes)
-    return Observable(
-        {
-            str(x): u @ np.diag(weights[:, x]).astype(complex) @ u.conj().T
-            for x in range(outcomes)
-        }
-    )
+    weights = rng.dirichlet(np.ones(outcomes), size=dim)  # (dim, outcomes)
+    diagonals = (weights.T[:, :, None] * np.eye(dim)).astype(complex)
+    return Observable(zip(default_labels(outcomes), u @ diagonals @ u.conj().T))
 
 
 def random_stochastic(
     src_labels: list[Label], tgt_labels: list[Label], rng: np.random.Generator
 ) -> StochasticMatrix:
-    rows = np.stack([rng.dirichlet(np.ones(len(tgt_labels))) for _ in src_labels])
-    return StochasticMatrix(src_labels, tgt_labels, rows)
+    return StochasticMatrix(src_labels, tgt_labels, rng.dirichlet(np.ones(len(tgt_labels)), size=len(src_labels)))
 
 
 def random_kraus_instrument(dim: int, outcomes: int, rng: np.random.Generator) -> Instrument:
@@ -122,17 +124,15 @@ def random_instrument(
 ) -> Instrument:
     """Generic instrument; ``kraus_per_outcome`` controls outcome Choi ranks.
 
-    Raw Ginibre blocks are whitened on the right by the inverse square root
-    of the completeness sum, which preserves outcome ranks.
+    Raw Ginibre blocks, all drawn in one call, are whitened on the right by
+    the inverse square root of the completeness sum, which preserves outcome
+    ranks.  The sum adds the per-operator products ``K^* K`` in draw order.
     """
-    raw = [
-        [ginibre(dim, rng) for _ in range(kraus_per_outcome)]
-        for _ in range(outcomes)
-    ]
-    total = sum(k.conj().T @ k for ops in raw for k in ops) + 1e-12 * np.eye(dim)
+    raw = _ginibres(rng, outcomes, kraus_per_outcome, dim, dim)
+    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, dim, dim).sum(0) + 1e-12 * np.eye(dim)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Instrument._from_kraus((str(x), [k @ inv_root for k in raw[x]]) for x in range(outcomes))
+    return Instrument._from_kraus(zip(default_labels(outcomes), raw @ inv_root))
 
 
 def random_fimm(

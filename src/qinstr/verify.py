@@ -26,6 +26,7 @@ from .effects import (
 from .instruments import (
     Instrument,
     Operation,
+    _outputs,
     compose_operations,
     identity_instrument,
     induced_observable,
@@ -39,6 +40,7 @@ from .instruments import (
     is_identity_instrument,
     is_single_kraus,
     joint_probability_instr,
+    joint_probability_table_instr,
     kraus_instrument,
     kraus_instrument_from_channel,
     luders_instrument,
@@ -68,6 +70,7 @@ from .observables import (
     family_distance,
     fourier_mub,
     identity_observable,
+    joint_probability_table,
     joint_probability_then,
     marginal_defect,
     obs_coexist_verify,
@@ -111,6 +114,16 @@ class VerificationReport:
 
 def _rng(result_id: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, sum(map(ord, result_id))])
+
+
+def _worst(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest Frobenius distance between matching matrices of two stacks."""
+    return float(np.linalg.norm(a - b, axis=(-2, -1)).max())
+
+
+def _single_kraus(instr: Instrument) -> np.ndarray:
+    """The one Kraus operator of each outcome, as a stack in label order."""
+    return np.stack([op.kraus_ops()[0] for _, op in instr.items()])
 
 
 def sharp_qubit_z() -> Observable:
@@ -163,18 +176,11 @@ def _suite_lem_1_1(seed: int, trials: int, scale: float) -> VerificationReport:
         w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
         if not check_coexistence_witness(a, b, w):
             return VerificationReport("lem-1.1", trials, 1.0, "fail", seed, tol, "witness rejected")
-        joint = binary_observables_from_coexistence(a, b, w)
-        row = joint[("1", "1")] + joint[("1", "2")]
-        col = joint[("1", "1")] + joint[("2", "1")]
-        arow = joint[("2", "1")] + joint[("2", "2")]
-        bcol = joint[("1", "2")] + joint[("2", "2")]
-        worst = max(
-            worst,
-            frob(row - a),
-            frob(col - b),
-            frob(arow - complement(a)),
-            frob(bcol - complement(b)),
-        )
+        # joint[x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
+        # column sums must give {a, a'} and {b, b'}
+        joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
+        worst = max(worst, _worst(joint.sum(1), np.stack([a, complement(a)])))
+        worst = max(worst, _worst(joint.sum(0), np.stack([b, complement(b)])))
     status = "pass" if worst <= tol else "fail"
     return VerificationReport("lem-1.1", trials, worst, status, seed, tol)
 
@@ -244,11 +250,8 @@ def _suite_thm_2_2(seed: int, trials: int, scale: float) -> VerificationReport:
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
     rho = np.diag([1.0, 0.0]).astype(complex)
-    gap = 0.0
-    for x in a.labels:
-        lhs = luders_instrument(mixed_obs)[x].apply(rho)
-        rhs = 0.5 * luders_instrument(a)[x].apply(rho) + 0.5 * luders_instrument(b_relab)[x].apply(rho)
-        gap = max(gap, frob(lhs - rhs))
+    lhs = _outputs(luders_instrument(mixed_obs), rho)
+    gap = _worst(lhs, 0.5 * _outputs(luders_instrument(a), rho) + 0.5 * _outputs(luders_instrument(b_relab), rho))
     status = "pass" if worst <= tol and gap >= 1e-2 else "fail"
     return VerificationReport("thm-2.2", trials, worst, status, seed, tol, f"K mixture gap {gap:.3g} >= 1e-2")
 
@@ -277,12 +280,8 @@ def _suite_thm_2_3(seed: int, trials: int, scale: float) -> VerificationReport:
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    gap = 0.0
-    mixed_a = obs_post_process(nu, a)
-    for y in mixed_a.labels:
-        lhs = luders_instrument(mixed_a)[y].apply(rho)
-        rhs = sum(nu.value(x, y) * luders_instrument(a)[x].apply(rho) for x in a.labels)
-        gap = max(gap, frob(lhs - rhs))
+    lhs = _outputs(luders_instrument(obs_post_process(nu, a)), rho)
+    gap = _worst(lhs, np.tensordot(nu.matrix.T, _outputs(luders_instrument(a), rho), 1))
     status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
     return VerificationReport("thm-2.3", trials, worst, status, seed, tol, f"K post-processing gap {gap:.3g} >= 1e-3")
 
@@ -397,22 +396,12 @@ def _suite_ex_3(seed: int, trials: int, scale: float) -> VerificationReport:
         d = 2 + t % 2
         i = random_kraus_instrument(d, 2, rng)
         j = random_kraus_instrument(d, 2, rng)
-        prod = instr_product(i, j)
-        a_prod = induced_observable(prod)
-        cond = instr_conditioned(i, j)
-        b_cond = induced_observable(cond)
-        for x in i.labels:
-            s = i[x].kraus_ops()[0]
-            for y in j.labels:
-                tt = j[y].kraus_ops()[0]
-                expected = s.conj().T @ tt.conj().T @ tt @ s
-                worst = max(worst, frob(a_prod[combine_labels(x, y)] - expected))
-        for y in j.labels:
-            tt = j[y].kraus_ops()[0]
-            expected = sum(
-                i[x].kraus_ops()[0].conj().T @ tt.conj().T @ tt @ i[x].kraus_ops()[0] for x in i.labels
-            )
-            worst = max(worst, frob(b_cond[y] - expected))
+        s, tt = _single_kraus(i), _single_kraus(j)
+        # expected[x, y] = S_x^* T_y^* T_y S_x, the effect of outcome (x, y)
+        expected = s.conj().swapaxes(1, 2)[:, None] @ tt.conj().swapaxes(1, 2)[None] @ tt[None] @ s[:, None]
+        a_prod = induced_observable(instr_product(i, j)).stack.reshape(expected.shape)
+        b_cond = induced_observable(instr_conditioned(i, j)).stack
+        worst = max(worst, _worst(a_prod, expected), _worst(b_cond, expected.sum(0)))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     i = kraus_instrument({"0": np.eye(2, dtype=complex) / np.sqrt(2.0), "1": hadamard / np.sqrt(2.0)})
     j = luders_instrument(sharp_qubit_z())
@@ -441,10 +430,8 @@ def _suite_ex_4(seed: int, trials: int, scale: float) -> VerificationReport:
         worst = max(worst, family_distance(cond, expected))
     # commuting branch: same eigenbasis by construction
     u = random_unitary(3, rng)
-    diag_a = np.stack([random_simplex(2, rng) for _ in range(3)])
-    diag_b = np.stack([random_simplex(2, rng) for _ in range(3)])
-    a_com = Observable({str(x): u @ np.diag(diag_a[:, x]).astype(complex) @ u.conj().T for x in range(2)})
-    b_com = Observable({str(y): u @ np.diag(diag_b[:, y]).astype(complex) @ u.conj().T for y in range(2)})
+    diag_a, diag_b = (rng.dirichlet(np.ones(2), size=3).T[:, :, None] * np.eye(3) for _ in range(2))
+    a_com, b_com = (Observable(zip(("0", "1"), u @ diag.astype(complex) @ u.conj().T)) for diag in (diag_a, diag_b))
     if not obs_commute(a_com, b_com):
         return VerificationReport("ex-4", trials, 1.0, "fail", seed, tol, "construction should commute")
     k_joint = luders_instrument(obs_seq_product(a_com, b_com))
@@ -466,21 +453,17 @@ def _suite_ex_5(seed: int, trials: int, scale: float) -> VerificationReport:
     worst = 0.0
     for t in range(trials):
         d = 2 + t % 2
-        weights = dict(zip(["0", "1"], random_simplex(2, rng)))
-        ident = identity_instrument(weights, d)
+        w = random_simplex(2, rng)
+        ident = identity_instrument(dict(zip(["0", "1"], w)), d)
         j = random_instrument(d, 2, rng)
-        prod = instr_product(ident, j)
-        reversed_prod = instr_product(j, ident)
-        for x, wx in weights.items():
-            for y in j.labels:
-                worst = max(worst, frob(prod[combine_labels(x, y)].choi - wx * j[y].choi))
-                worst = max(worst, frob(reversed_prod[combine_labels(y, x)].choi - wx * j[y].choi))
-        cond = instr_conditioned(ident, j)
-        worst = max(worst, family_distance(cond, j))
-        reverse = instr_conditioned(j, ident)
-        jhat = instr_channel(j)
-        for x, wx in weights.items():
-            worst = max(worst, frob(reverse[x].choi - wx * jhat.choi))
+        scaled = w[:, None, None, None] * j.member_matrices()  # scaled[x, y] = w_x J_y
+        prod = instr_product(ident, j).member_matrices()
+        reversed_prod = instr_product(j, ident).member_matrices()
+        worst = max(worst, _worst(prod, scaled.reshape(prod.shape)))
+        worst = max(worst, _worst(reversed_prod, scaled.swapaxes(0, 1).reshape(prod.shape)))
+        worst = max(worst, family_distance(instr_conditioned(ident, j), j))
+        reverse = instr_conditioned(j, ident).member_matrices()
+        worst = max(worst, _worst(reverse, w[:, None, None] * instr_channel(j).choi))
     status = "pass" if worst <= tol else "fail"
     return VerificationReport("ex-5", trials, worst, status, seed, tol)
 
@@ -497,14 +480,11 @@ def _suite_ex_6(seed: int, trials: int, scale: float) -> VerificationReport:
         b = random_observable(d, 2, rng)
         alpha = random_state(d, rng)
         beta = random_state(d, rng)
-        i = trivial_instrument(a, alpha)
-        j = trivial_instrument(b, beta)
-        prod = instr_product(i, j)
-        for x in a.labels:
-            for y in b.labels:
-                coeff = float(np.trace(alpha @ b[y]).real)
-                expected = coeff * np.kron(a[x].T, beta)
-                worst = max(worst, frob(prod[combine_labels(x, y)].choi - expected))
+        prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)).member_matrices()
+        coeff = np.trace(alpha @ b.stack, axis1=1, axis2=2).real  # tr(alpha B_y)
+        kron = np.einsum("xji,ab->xiajb", a.stack, beta).reshape(len(a), d * d, d * d)  # A_x^T (x) beta
+        expected = coeff[None, :, None, None] * kron[:, None]
+        worst = max(worst, _worst(prod, expected.reshape(prod.shape)))
     a = sharp_qubit_z()
     alpha = atom(np.array([1.0, 1.0]) / np.sqrt(2.0))
     i = trivial_instrument(a, alpha)
@@ -558,12 +538,8 @@ def _suite_ex_8(seed: int, trials: int, scale: float) -> VerificationReport:
         a = random_observable(d, 2, rng)
         b = random_observable(d, 2, rng)
         rho = random_state(d, rng)
-        i, j = luders_instrument(a), luders_instrument(b)
-        for x in a.labels:
-            for y in b.labels:
-                p_instr = joint_probability_instr(rho, i, [x], j, [y])
-                p_obs = joint_probability_then(rho, a, [x], b, [y])
-                worst = max(worst, abs(p_instr - p_obs))
+        p_instr = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
+        worst = max(worst, float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()))
     status = "pass" if worst <= tol else "fail"
     return VerificationReport("ex-8", trials, worst, status, seed, tol)
 
@@ -708,8 +684,7 @@ def _suite_lem_4_2(seed: int, trials: int, scale: float) -> VerificationReport:
         i, j = marginal_instruments(joint)
         if not instr_coexist_verify(i, j, joint, tol):
             return VerificationReport("lem-4.2", trials, 1.0, "fail", seed, tol, "joint instrument marginals broken")
-        a = Observable({x: sum(c[combine_labels(x, y)] for y in ("0", "1")) for x in ("0", "1")})
-        b = Observable({y: sum(c[combine_labels(x, y)] for x in ("0", "1")) for y in ("0", "1")})
+        a, b = (Observable(zip(("0", "1"), c.stack.reshape(2, 2, d, d).sum(k))) for k in (1, 0))
         expect_i = trivial_instrument(a, alpha)
         expect_j = trivial_instrument(b, alpha)
         worst = max(worst, family_distance(i, expect_i))
@@ -733,8 +708,7 @@ def _suite_cor_4_3(seed: int, trials: int, scale: float) -> VerificationReport:
         alpha = random_state(d, rng)
         labels = [combine_labels(str(x), str(y)) for x in range(2) for y in range(2)]
         c = random_observable(d, 4, rng, labels=labels)
-        a = Observable({x: sum(c[combine_labels(x, y)] for y in ("0", "1")) for x in ("0", "1")})
-        b = Observable({y: sum(c[combine_labels(x, y)] for x in ("0", "1")) for y in ("0", "1")})
+        a, b = (Observable(zip(("0", "1"), c.stack.reshape(2, 2, d, d).sum(k))) for k in (1, 0))
         joint = trivial_instrument(c, alpha)
         m1, m2 = simultaneous_fimms(joint)
         obs1 = induced_observable(model_instrument(m1))
@@ -809,10 +783,8 @@ def _suite_thm_4_6(seed: int, trials: int, scale: float) -> VerificationReport:
         measured = model_instrument(m)
         worst = max(worst, family_distance(measured, instr))
         extracted = normal_fimm_kraus_extract(m)
-        for x in instr.labels:
-            s_orig = instr[x].kraus_ops()[0]
-            s_new = extracted[x]
-            worst = max(worst, frob(s_new.conj().T @ s_new - s_orig.conj().T @ s_orig))
+        s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), _single_kraus(instr)
+        worst = max(worst, _worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig))
     trivial = stored_trivial_instrument()
     w = np.linalg.eigvalsh(trivial.member_matrices())
     ranks_ok = bool(np.all(np.sum(w > 1e-8 * w[:, -1:], axis=1) >= 2))

@@ -140,6 +140,32 @@ def eig_calls(monkeypatch) -> EigenCalls:
     return EigenCalls(monkeypatch)
 
 
+class RngCalls:
+    """A seeded ``numpy.random.Generator`` stand-in that forwards every
+    method call to the generator and records the method name in ``calls``."""
+
+    def __init__(self, seed: int):
+        self.generator = np.random.default_rng(seed)
+        self.calls: list[str] = []
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def wrapper(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+
+@pytest.fixture
+def rng_calls() -> RngCalls:
+    """Random-number call recorder: pass it where a generator is expected,
+    then read ``calls`` (clear it after building inputs to count one call
+    alone)."""
+    return RngCalls(20240817)
+
+
 @pytest.fixture
 def sharp_z() -> Observable:
     return Observable({"0": P0, "1": P1})

@@ -94,6 +94,17 @@ class TestComputeCommand:
         assert doc.kind == "scalar"
         assert doc.obj == pytest.approx(0.25, abs=1e-10)
 
+    def test_joint_prob_repeated_label_is_usage_error(self, tmp_path, z_files, capsys):
+        z_path, _, mixed_path = z_files
+        out = tmp_path / "p.json"
+        argv = ["compute", "joint-prob", str(mixed_path), str(z_path), "0,0", str(z_path), "0", "-o", str(out)]
+        assert run(argv) == 2
+        assert "duplicate label" in capsys.readouterr().err
+        assert not out.exists()
+        argv[4] = "0"
+        assert run(argv) == 0
+        assert load_document(str(out)).obj == pytest.approx(0.5, abs=1e-15)
+
     def test_dilate_then_model_round_trip(self, tmp_path, rng):
         from qinstr.rand import random_instrument
 

@@ -5,9 +5,11 @@ The oracles are the former library implementations: the per-effect
 behind the observable combinators, the Choi sums of
 ``instr_convex_combo``, ``instr_post_process`` and ``marginal_instruments``,
 the per-label distance and marginal loops of the closeness and
-coexistence checks, and the public ``Operation.from_kraus`` ->
+coexistence checks, the public ``Operation.from_kraus`` ->
 ``Instrument`` -> ``Observable`` route that the once-validated family
-builders replaced.
+builders replaced, the set-level joint probabilities that the outcome
+tables replaced, and the per-member loops of the atomic observable, the
+commutative basis search and the Lüders positivity check.
 """
 
 import numpy as np
@@ -29,6 +31,8 @@ from qinstr.instruments import (
     instr_product,
     instruments_close,
     is_single_kraus,
+    joint_probability_instr,
+    joint_probability_table_instr,
     kraus_instrument,
     kraus_instrument_from_channel,
     luders_instrument,
@@ -36,7 +40,16 @@ from qinstr.instruments import (
     trivial_instrument,
 )
 from qinstr.linalg import ensure_hermitian, frob, herm_sqrt, hermitian_part
-from qinstr.models import VonNeumannModel, marginal_instruments, model_instrument, vn_measured
+from qinstr.models import (
+    VonNeumannModel,
+    dilate_instrument,
+    luders_positivity_check,
+    marginal_instruments,
+    model_instrument,
+    normal_fimm_kraus_extract,
+    vn_measured,
+    vn_model_for_commutative,
+)
 from qinstr.observables import (
     RANK_REL_TOL,
     SUM_TOL,
@@ -50,6 +63,7 @@ from qinstr.observables import (
     family_distance,
     fourier_mub,
     identity_observable,
+    joint_probability_table,
     joint_probability_then,
     marginal_defect,
     obs_coexist_verify,
@@ -789,3 +803,160 @@ class TestStochasticLabels:
     def test_repeated_labels_are_rejected(self, rows, cols):
         with pytest.raises(LabelError, match="duplicate label"):
             StochasticMatrix(rows, cols, np.eye(2))
+
+
+# -- L2: outcome tables -------------------------------------------------------------
+
+
+def loop_joint_probability_then(rho, a, x_set, b, y_set):
+    """The former set-level kernel: one product per ``x`` with ``B_Y``."""
+    by = sum((b[y] for y in y_set), np.zeros((a.dim, a.dim), dtype=complex))
+    ax = [a[x] for x in x_set]
+    if not ax:
+        return 0.0
+    products = seq_products(np.stack(ax), ensure_effect(by)[None])[:, 0]
+    return min(1.0, max(0.0, float(np.einsum("ij,kji->", rho, products).real)))
+
+
+def loop_joint_probability_instr(rho, i, x_set, j, y_set):
+    """The former set-level kernel: ``I_X(rho)``, then ``tr J_y`` of it per ``y``."""
+    mid = sum((i[x].apply(rho) for x in x_set), np.zeros((i.dim, i.dim), dtype=complex))
+    return min(1.0, max(0.0, sum(float(np.trace(j[y].apply(mid)).real) for y in y_set)))
+
+
+def _subsets(labels):
+    return [[x for k, x in enumerate(labels) if mask >> k & 1] for mask in range(2 ** len(labels))]
+
+
+class TestOutcomeTables:
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 4)])
+    def test_observable_table_per_pair(self, d, m, n, rng):
+        a, b, rho = random_observable(d, m, rng), random_observable(d, n, rng), random_state(d, rng)
+        table = joint_probability_table(rho, a, b)
+        assert table.shape == (m, n) and table.dtype == float
+        for k, x in enumerate(a.labels):
+            for l, y in enumerate(b.labels):
+                assert abs(table[k, l] - np.trace(rho @ loop_seq_product(a[x], b[y])).real) <= 1e-15
+        assert abs(table.sum() - 1.0) <= 1e-10  # the generators' whitening ridge
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 4)])
+    def test_instrument_table_per_pair(self, d, m, n, rng):
+        i, rho = random_instrument(d, m, rng), random_state(d, rng)
+        j = trivial_instrument(random_observable(d, n, rng), random_state(d, rng))
+        table = joint_probability_table_instr(rho, i, j)
+        assert table.shape == (m, n) and table.dtype == float
+        for k, (_, ix) in enumerate(i.items()):
+            for l, (_, jy) in enumerate(j.items()):
+                assert abs(table[k, l] - np.trace(jy.apply(ix.apply(rho))).real) <= 1e-15
+        assert abs(table.sum() - 1.0) <= 1e-10  # the generators' whitening ridge
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_set_level_matches_the_loops(self, d, rng):
+        a, b, rho = random_observable(d, 3, rng), random_observable(d, 3, rng), random_state(d, rng)
+        i, j = random_instrument(d, 3, rng), luders_instrument(b)
+        for xs in _subsets(a.labels):
+            for ys in _subsets(b.labels):
+                p_then = joint_probability_then(rho, a, xs, b, ys)
+                assert abs(p_then - loop_joint_probability_then(rho, a, xs, b, ys)) <= 1e-15
+                p_instr = joint_probability_instr(rho, i, xs, j, ys)
+                assert abs(p_instr - loop_joint_probability_instr(rho, i, xs, j, ys)) <= 1e-15
+                if not xs or not ys:
+                    assert p_then == p_instr == 0.0
+
+    def test_choi_only_instruments(self, rng):
+        i, j, rho = random_instrument(3, 2, rng), random_instrument(3, 3, rng), random_state(3, rng)
+        choi_i, choi_j = (Instrument({x: Operation.from_choi(op.choi) for x, op in f.items()}) for f in (i, j))
+        table = joint_probability_table_instr(rho, choi_i, choi_j)
+        assert np.abs(table - joint_probability_table_instr(rho, i, j)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4)])
+    def test_one_batched_check_of_every_product(self, m, n, rng, eig_calls):
+        a, b, rho = random_observable(3, m, rng), random_observable(3, n, rng), random_state(3, rng)
+        i, j = luders_instrument(a), luders_instrument(b)
+        eig_calls.calls.clear()
+        joint_probability_table(rho, a, b)
+        assert eig_calls.calls == [(3, 1), (3, m), (3, m * n)]  # the state, the roots, every product
+        eig_calls.calls.clear()
+        joint_probability_then(rho, a, a.labels[:1], b, b.labels)
+        assert eig_calls.calls == [(3, 1), (3, m), (3, m * n)]
+        eig_calls.calls.clear()
+        joint_probability_instr(rho, i, i.labels[:1], j, j.labels)
+        assert eig_calls.calls == [(3, 1)]  # the state alone
+
+    def test_out_of_range_product_is_rejected(self, monkeypatch, sharp_z):
+        # roots scaled by 1.1 make P0 o P0 = 1.21 P0, out of range
+        monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.1 * herm_sqrt(m))
+        with pytest.raises(InvariantViolation) as exc:
+            joint_probability_table(0.5 * np.eye(2), sharp_z, sharp_z)
+        assert exc.value.invariant == "effect-range"
+
+    def test_dimension_mismatch(self, rng):
+        a2, a3 = random_observable(2, 2, rng), random_observable(3, 2, rng)
+        with pytest.raises(DimensionError):
+            joint_probability_table(random_state(2, rng), a2, a3)
+        with pytest.raises(DimensionError):
+            joint_probability_table_instr(random_state(3, rng), luders_instrument(a2), luders_instrument(a2))
+
+
+# -- L2/L3: family builders against their per-member loops ---------------------------
+
+
+def loop_atomic_observable(basis, labels):
+    return Observable({labels[j]: np.outer(basis[:, j], basis[:, j].conj()) for j in range(basis.shape[1])})
+
+
+def loop_vn_model_for_commutative(a, rng, attempts=32):
+    """The former per-effect search: the basis, and the pointer diagonals."""
+    effects = [a[x] for x in a.labels]
+    for _ in range(attempts):
+        coeffs = rng.standard_normal(len(effects))
+        _, v = np.linalg.eigh(hermitian_part(sum(c * e for c, e in zip(coeffs, effects))))
+        off = max(frob(v.conj().T @ e @ v - np.diag(np.diag(v.conj().T @ e @ v))) for e in effects)
+        if off <= 1e-9 * max(1.0, a.dim):
+            return v, np.array([[(v[:, j].conj() @ e @ v[:, j]).real for j in range(a.dim)] for e in effects])
+    return None
+
+
+def loop_luders_positivity_check(m, tol=1e-8):
+    for s in normal_fimm_kraus_extract(m).values():
+        if frob(s - s.conj().T) > tol * max(1.0, frob(s)):
+            return False
+        if float(np.linalg.eigvalsh(hermitian_part(s))[0]) < -tol:
+            return False
+    return True
+
+
+class TestFamilyBuildersAgainstLoops:
+    @pytest.mark.parametrize("d", DIMS)
+    def test_atomic_and_identity_observables(self, d, rng):
+        u, labels = random_unitary(d, rng), [f"b{j}" for j in range(d)]
+        batched, loop = atomic_observable(u, labels), loop_atomic_observable(u, labels)
+        assert batched.labels == loop.labels and np.array_equal(batched.stack, loop.stack)
+        w = random_simplex(3, rng)
+        ident = identity_observable(dict(zip("xyz", w)), d)
+        assert np.array_equal(ident.stack, np.stack([wi * np.eye(d) for wi in w]))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_vn_model_for_commutative(self, d, rng):
+        for a in (random_commutative_observable(d, 3, rng), identity_observable({"0": 0.25, "1": 0.75}, d)):
+            seed = int(rng.integers(1 << 30))
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            model = vn_model_for_commutative(a, r1)
+            basis, diagonals = loop_vn_model_for_commutative(a, r2)
+            assert np.array_equal(model.base_basis, basis)
+            assert np.abs(np.diagonal(model.pointer.stack, axis1=1, axis2=2) - diagonals).max() <= 1e-15
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_luders_positivity_check(self, rng):
+        pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        models = [dilate_instrument(luders_instrument(random_observable(d, 3, rng))) for d in (2, 3)]
+        models += [dilate_instrument(kraus_instrument({"0": pauli_x / np.sqrt(2), "1": np.eye(2) / np.sqrt(2)}))]
+        models += [dilate_instrument(random_instrument(d, 2, rng, 1)) for d in (2, 3)]
+        for eps in (1e-9, 1e-6):  # an outcome with a slightly negative eigenvalue
+            s = np.diag([1.0, -eps]) / np.sqrt(2)
+            models.append(dilate_instrument(kraus_instrument({"0": s, "1": np.sqrt(np.eye(2) - s @ s)})))
+        results = [luders_positivity_check(m) for m in models]
+        assert results == [loop_luders_positivity_check(m) for m in models]
+        assert results == [True, True, False, False, False, True, False]

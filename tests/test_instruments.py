@@ -33,6 +33,8 @@ from qinstr.instruments import (
     op_apply,
     operations_close,
     trivial_instrument,
+    _composed_kraus,
+    bounded_kraus,
 )
 from qinstr.linalg import frob, herm_sqrt
 from qinstr.observables import (
@@ -496,6 +498,71 @@ class TestJointProbability:
         p_instr = joint_probability_instr(rho, luders_instrument(a), ["0"], luders_instrument(b), ["1"])
         p_obs = joint_probability_then(rho, a, ["0"], b, ["1"])
         assert p_instr == pytest.approx(p_obs, abs=1e-10)
+
+    def test_repeated_label_raises(self, sharp_z):
+        # counted twice, X = {"0", "0"} gave 1.0 for rho = 1/2; the value is 1/2
+        i = luders_instrument(sharp_z)
+        rho = 0.5 * np.eye(2)
+        assert joint_probability_instr(rho, i, ["0"], i, ["0"]) == pytest.approx(0.5, abs=1e-15)
+        for x_set, y_set in ((["0", "0"], ["0"]), (["0"], ["1", "1"]), (["1", "0", "1"], ["0"])):
+            with pytest.raises(LabelError, match="duplicate label"):
+                joint_probability_instr(rho, i, x_set, i, y_set)
+
+    def test_unknown_label_raises(self, sharp_z):
+        i = luders_instrument(sharp_z)
+        for x_set, y_set in ((["2"], ["0"]), (["0"], ["bogus"]), ([], ["bogus"])):
+            with pytest.raises(LabelError):
+                joint_probability_instr(0.5 * np.eye(2), i, x_set, i, y_set)
+
+    def test_sum_missing_identity_within_tolerance(self):
+        # B misses the identity by 5e-9, inside the 1e-8 sum tolerance
+        half = 0.5 * (1 + 5e-9) * np.eye(2)
+        j = Instrument({"u": Operation.from_kraus([np.sqrt(half)]), "v": Operation.from_kraus([np.sqrt(half)])})
+        assert joint_probability_instr(P0, luders_instrument(Observable({"0": P0, "1": P1})), ["0"], j, ["u", "v"]) == 1.0
+
+
+def _loop_composed_kraus(second, first, dim):
+    """The pairwise ``t @ s`` products, one matmul each."""
+    return bounded_kraus(np.array([t @ s for s in first for t in second]), dim)
+
+
+class TestComposedKraus:
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_matches_the_pairwise_loop(self, d, rng):
+        from qinstr.rand import ginibre
+
+        for r1 in range(4):
+            for r2 in range(4):
+                second = np.array([ginibre(d, rng) for _ in range(r1)]).reshape(r1, d, d)
+                first = np.array([ginibre(d, rng) for _ in range(r2)]).reshape(r2, d, d)
+                got, expected = _composed_kraus(second, first, d), _loop_composed_kraus(second, first, d)
+                assert got.shape == expected.shape and len(got) >= 1
+                assert np.array_equal(got, expected)
+
+    def test_empty_stack_gives_one_zero_operator(self):
+        got = _composed_kraus(np.zeros((0, 2, 2)), np.eye(2)[None], 2)
+        assert got.shape == (1, 2, 2) and not got.any()
+
+    def test_instrument_builders_match_pairwise_products(self, rng):
+        i, j = random_instrument(2, 2, rng, 3), random_instrument(2, 3, rng, 1)
+        prod, cond = instr_product(i, j), instr_conditioned(i, j)
+        hat = np.concatenate([op._kraus for _, op in i.items()])
+        for x, ix in i.items():
+            for y, jy in j.items():
+                expected = _loop_composed_kraus(jy._kraus, ix._kraus, 2)
+                assert np.array_equal(prod[combine_labels(x, y)]._kraus, expected)
+        for y, jy in j.items():
+            expected = _loop_composed_kraus(jy._kraus, hat, 2)
+            assert frob(cond[y].choi - Operation.from_kraus(expected).choi) <= 1e-15
+
+    def test_from_kraus_takes_stacks_per_outcome(self, rng):
+        ops = random_instrument(3, 3, rng, 2)
+        stacks = [(x, op._kraus) for x, op in ops.items()]
+        lists = [(x, list(k)) for x, k in stacks]
+        by_stack, by_list = Instrument._from_kraus(stacks), Instrument._from_kraus(lists)
+        assert np.array_equal(by_stack.effects, by_list.effects)
+        for (_, a), (_, b), (_, k) in zip(by_stack.items(), by_list.items(), stacks):
+            assert np.array_equal(a._kraus, k) and not np.shares_memory(a._kraus, k)
 
 
 class TestKrausFromChannel:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qinstr.errors import DimensionError, NotCommutative, NotNormal
+import qinstr.models as models
+from qinstr.errors import DimensionError, NotCommutative, NotIsometry, NotNormal
 from qinstr.instruments import (
     Instrument,
     Operation,
@@ -17,7 +18,7 @@ from qinstr.instruments import (
     kraus_from_vectors,
     trivial_instrument,
 )
-from qinstr.linalg import _phase_fix, frob, herm_eig, partial_trace_second, root_factor, tensor_product
+from qinstr.linalg import _phase_fix, frob, herm_eig, is_unitary, partial_trace_second, root_factor, tensor_product
 from qinstr.models import (
     FIMM,
     MODEL_TOL,
@@ -666,8 +667,65 @@ class TestModelEigensolveCounts:
         model = VonNeumannModel(random_unitary(3, rng), random_unitary(3, rng), random_observable(3, m, rng))
         eig_calls.calls.clear()
         vn_measured(model)
-        assert sum(batch == m for _, batch in eig_calls.calls) == 1
-        assert all(batch in (1, m) for _, batch in eig_calls.calls)
+        assert eig_calls.calls == [(3, m)]  # every pointer root; the dephasing channel is a channel by construction
+
+
+class TestUnitaryByConstruction:
+    @staticmethod
+    def _unitary_checks(monkeypatch) -> list:
+        """Shapes of the matrices ``models.is_unitary`` is asked about from now on."""
+        calls = []
+        original = models.is_unitary
+
+        def counting(u, *args, **kwargs):
+            calls.append(np.shape(u))
+            return original(u, *args, **kwargs)
+
+        monkeypatch.setattr(models, "is_unitary", counting)
+        return calls
+
+    def test_built_interactions_are_not_rechecked(self, rng, monkeypatch):
+        instr, eta, pointer = random_instrument(2, 2, rng), random_state(3, rng), random_observable(3, 2, rng)
+        vn = VonNeumannModel(random_unitary(3, rng), random_unitary(3, rng), pointer)
+        calls = self._unitary_checks(monkeypatch)
+        dilate_instrument(instr)
+        trivial_fimm(eta, pointer)
+        assert calls == []
+        vn.to_fimm()
+        assert calls == [(3, 3), (3, 3)]  # the two bases, in von_neumann_unitary
+
+    def test_public_constructor_still_checks(self, rng, monkeypatch):
+        m = dilate_instrument(random_instrument(2, 2, rng))
+        n = m.dim_base * m.dim_probe
+        calls = self._unitary_checks(monkeypatch)
+        FIMM(m.dim_base, m.dim_probe, m.probe_state, m.interaction, m.pointer)
+        assert calls == [(n, n)]
+        bad = np.array(m.interaction)
+        bad[0, 0] += 1e-6
+        with pytest.raises(NotIsometry):
+            FIMM(m.dim_base, m.dim_probe, m.probe_state, bad, m.pointer)
+
+    def test_bases_still_checked(self, rng):
+        pointer = random_observable(2, 2, rng)
+        for base, probe in ((2 * np.eye(2), np.eye(2)), (np.eye(2), np.ones((2, 2)))):
+            with pytest.raises(NotIsometry):
+                VonNeumannModel(base, probe, pointer)
+            with pytest.raises(NotIsometry):
+                von_neumann_unitary(base, probe)
+
+    def test_same_model_as_the_public_constructor(self, rng):
+        pointer = random_observable(2, 3, rng)
+        built = [
+            dilate_instrument(random_instrument(2, 3, rng)),
+            trivial_fimm(random_state(2, rng), pointer),
+            VonNeumannModel(random_unitary(2, rng), random_unitary(2, rng), pointer).to_fimm(),
+        ]
+        for m in built:
+            public = FIMM(m.dim_base, m.dim_probe, m.probe_state, m.interaction, m.pointer)
+            assert is_unitary(m.interaction) and not m.interaction.flags.writeable
+            assert (m.sharp, m.dim_base, m.dim_probe) == (public.sharp, public.dim_base, public.dim_probe)
+            assert np.array_equal(m.probe_state, public.probe_state) and not m.probe_state.flags.writeable
+            assert family_distance(model_instrument(m), model_instrument(public)) == 0.0
 
 
 class TestFimmSharpFlag:

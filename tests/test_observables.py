@@ -78,6 +78,10 @@ class TestEffectOfSubset:
         with pytest.raises(LabelError):
             obs_effect_of_subset(sharp_z, ["bogus"])
 
+    def test_repeated_label(self, sharp_z):
+        with pytest.raises(LabelError, match="duplicate label"):
+            obs_effect_of_subset(sharp_z, ["0", "0"])
+
 
 class TestSeqProductObservable:
     def test_identity_second_factor(self, rng):
@@ -358,6 +362,28 @@ class TestJointProbability:
     def test_repeated_sharp_measurement(self, sharp_z):
         rho = P0
         assert joint_probability_then(rho, sharp_z, ["0"], sharp_z, ["0"]) == pytest.approx(1.0)
+
+    def test_repeated_label_raises(self, sharp_z):
+        # counted twice, X = {"0", "0"} gave 1.0 for rho = 1/2; the value is 1/2
+        rho = 0.5 * np.eye(2)
+        assert joint_probability_then(rho, sharp_z, ["0"], sharp_z, ["0"]) == pytest.approx(0.5, abs=1e-15)
+        for x_set, y_set in ((["0", "0"], ["0"]), (["0"], ["1", "1"]), (["1", "0", "1"], ["0"])):
+            with pytest.raises(LabelError, match="duplicate label"):
+                joint_probability_then(rho, sharp_z, x_set, sharp_z, y_set)
+
+    def test_unknown_label_raises(self, sharp_z):
+        for x_set, y_set in ((["2"], ["0"]), (["0"], ["bogus"]), ([], ["bogus"])):
+            with pytest.raises(LabelError):
+                joint_probability_then(0.5 * np.eye(2), sharp_z, x_set, sharp_z, y_set)
+
+    def test_sum_missing_identity_within_tolerance(self, sharp_z):
+        # B misses the identity by 5e-9: a valid observable (SUM_TOL = 1e-8)
+        # whose subset sum B_Y is no effect at EFFECT_EIG_TOL = 1e-9; the
+        # products are, and are all that is checked
+        half = 0.5 * (1 + 5e-9) * np.eye(2)
+        b = Observable({"u": half, "v": half})
+        assert joint_probability_then(P0, sharp_z, ["0"], b, ["u", "v"]) == 1.0
+        assert joint_probability_then(P0, sharp_z, ["0"], b, ["u"]) == pytest.approx(0.5, abs=1e-8)
 
     def test_alternative_form(self, rng):
         from qinstr.effects import conditioned_partial_state
