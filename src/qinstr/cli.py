@@ -1,9 +1,9 @@
 """Command-line surface: verification suites, computations, random objects,
 and document validation.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invariant
-violation while loading a document.  The environment variable ``QINSTR_TOL``
-scales all verification tolerances (default 1.0).
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+unwritable output), 3 invariant violation while loading a document.
+``QINSTR_TOL``, finite and positive, scales the catalog's tolerances.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .rand import (
     random_stochastic,
 )
 from .effects import seq_product
-from .serialize import Document, load_document, save_document
+from .serialize import load_document, save_document
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -70,8 +70,8 @@ def _tol_scale() -> float:
         value = float(raw)
     except ValueError:
         raise QinstrError(f"QINSTR_TOL must be a number, got {raw!r}")
-    if value <= 0:
-        raise QinstrError(f"QINSTR_TOL must be positive, got {value}")
+    if not (np.isfinite(value) and value > 0):
+        raise QinstrError(f"QINSTR_TOL must be finite and positive, got {value}")
     return value
 
 
@@ -119,10 +119,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _load(path: str) -> Document:
-    return load_document(path)
-
-
 def _parse_weights(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part != ""]
@@ -137,14 +133,14 @@ def _parse_label_set(text: str) -> list:
 def _compute(expression: str, inputs: list[str]):
     """Returns (object, kind) for the computed result."""
     if expression == "seq-product":
-        a, b = _load(inputs[0]), _load(inputs[1])
+        a, b = load_document(inputs[0]), load_document(inputs[1])
         if a.kind == "effect" and b.kind == "effect":
             return seq_product(a.obj, b.obj), "effect"
         if a.kind == "observable" and b.kind == "observable":
             return obs_seq_product(a.obj, b.obj), None
         raise QinstrError("seq-product needs two effects or two observables")
     if expression == "conditioned":
-        a, b = _load(inputs[0]), _load(inputs[1])
+        a, b = load_document(inputs[0]), load_document(inputs[1])
         if a.kind == "observable" and b.kind == "observable":
             return obs_conditioned(a.obj, b.obj), None
         if a.kind == "instrument" and b.kind == "instrument":
@@ -152,7 +148,7 @@ def _compute(expression: str, inputs: list[str]):
         raise QinstrError("conditioned needs two observables or two instruments")
     if expression == "convex":
         weights = _parse_weights(inputs[0])
-        docs = [_load(p) for p in inputs[1:]]
+        docs = [load_document(p) for p in inputs[1:]]
         kinds = {d.kind for d in docs}
         if kinds == {"observable"}:
             return obs_convex_combo(weights, [d.obj for d in docs]), None
@@ -160,7 +156,7 @@ def _compute(expression: str, inputs: list[str]):
             return instr_convex_combo(weights, [d.obj for d in docs]), None
         raise QinstrError("convex needs weights then observables or instruments")
     if expression == "post-process":
-        nu, target = _load(inputs[0]), _load(inputs[1])
+        nu, target = load_document(inputs[0]), load_document(inputs[1])
         if nu.kind != "stochastic":
             raise QinstrError("post-process needs a stochastic matrix first")
         if target.kind == "observable":
@@ -169,35 +165,35 @@ def _compute(expression: str, inputs: list[str]):
             return instr_post_process(nu.obj, target.obj), None
         raise QinstrError("post-process target must be an observable or instrument")
     if expression == "product-instr":
-        i, j = _load(inputs[0]), _load(inputs[1])
+        i, j = load_document(inputs[0]), load_document(inputs[1])
         if i.kind == "instrument" and j.kind == "instrument":
             return instr_product(i.obj, j.obj), None
         raise QinstrError("product-instr needs two instruments")
     if expression == "j-map":
-        i = _load(inputs[0])
+        i = load_document(inputs[0])
         if i.kind != "instrument":
             raise QinstrError("j-map needs an instrument")
         return induced_observable(i.obj), None
     if expression == "k-map":
-        a = _load(inputs[0])
+        a = load_document(inputs[0])
         if a.kind != "observable":
             raise QinstrError("k-map needs an observable")
         return luders_instrument(a.obj), None
     if expression == "dilate":
-        i = _load(inputs[0])
+        i = load_document(inputs[0])
         if i.kind != "instrument":
             raise QinstrError("dilate needs an instrument")
         return dilate_instrument(i.obj), None
     if expression == "model-instr":
-        m = _load(inputs[0])
+        m = load_document(inputs[0])
         if m.kind != "fimm":
             raise QinstrError("model-instr needs a measurement model")
         return model_instrument(m.obj), None
     if expression == "joint-prob":
-        rho = _load(inputs[0])
-        first = _load(inputs[1])
+        rho = load_document(inputs[0])
+        first = load_document(inputs[1])
         x_set = _parse_label_set(inputs[2])
-        second = _load(inputs[3])
+        second = load_document(inputs[3])
         y_set = _parse_label_set(inputs[4])
         if rho.kind != "state":
             raise QinstrError("joint-prob needs a state first")
@@ -222,8 +218,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     except QinstrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    save_document(result, args.output, kind)
-    print(f"wrote {args.output}")
+    return _save(result, args.output, kind)
+
+
+def _save(obj: object, path: str, kind: str | None) -> int:
+    try:
+        save_document(obj, path, kind)
+    except OSError as exc:
+        raise QinstrError(f"cannot write {path}: {exc.strerror or exc}") from None
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -234,6 +237,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
     if not (1 <= args.outcomes <= 8):
         print("--outcomes must be in [1, 8]", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        raise QinstrError(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     kind: str | None = None
     if args.kind == "effect":
@@ -249,9 +254,7 @@ def _cmd_random(args: argparse.Namespace) -> int:
     else:
         labels = [str(k) for k in range(args.outcomes)]
         obj = random_stochastic(labels, labels, rng)
-    save_document(obj, args.output, kind)
-    print(f"wrote {args.output}")
-    return EXIT_OK
+    return _save(obj, args.output, kind)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

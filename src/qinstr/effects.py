@@ -7,9 +7,9 @@ occurrence of ``a``.
 
 Families of effects are handled as ``(k, d, d)`` stacks: ``ensure_effects``
 validates a stack with one batched eigendecomposition, and ``seq_products``
-forms every pairwise sequential product of two stacks from one batched
-square root.  ``ensure_effect`` and ``seq_product`` are their one-element
-cases.
+forms every pairwise sequential product of two stacks from the square roots
+of the first (an observable's cached ``roots``).  ``ensure_effect`` and
+``seq_product`` are their one-element cases.
 """
 
 from __future__ import annotations
@@ -99,22 +99,21 @@ def atom(phi: object) -> Array:
     return np.outer(v, v.conj())
 
 
-def seq_products(a: Array, b: Array) -> Array:
+def seq_products(roots: Array, b: Array) -> Array:
     """Every sequential product ``sqrt(a[x]) b[y] sqrt(a[x])`` of two validated
-    effect stacks ``(m, d, d)`` and ``(n, d, d)``, as an ``(m, n, d, d)`` array.
-
-    The roots of ``a`` come from one batched ``herm_sqrt``, and the products
-    are validated as effects by one ``ensure_effects`` call.
+    effect stacks ``(m, d, d)`` and ``(n, d, d)``, as an ``(m, n, d, d)`` array,
+    given the roots of the first (``Observable.roots``).  The products are
+    validated as effects by one ``ensure_effects`` call.
     """
-    _same_dim(a[0], b[0])
-    m, n, d = len(a), len(b), a.shape[-1]
-    r = herm_sqrt(a)[:, None]
+    _same_dim(roots[0], b[0])
+    m, n, d = len(roots), len(b), roots.shape[-1]
+    r = roots[:, None]
     return ensure_effects((r @ b[None] @ r).reshape(m * n, d, d)).reshape(m, n, d, d)
 
 
 def seq_product(a: object, b: object) -> Array:
     """Sequential product ``sqrt(a) b sqrt(a)``: measure ``a``, then ``b``."""
-    return seq_products(ensure_effect(a)[None], ensure_effect(b)[None])[0, 0]
+    return seq_products(herm_sqrt(ensure_effect(a))[None], ensure_effect(b)[None])[0, 0]
 
 
 def complement(a: object) -> Array:
@@ -152,43 +151,41 @@ class CoexistenceWitness:
     c: Array
 
 
+def _witness_blocks(a: object, b: object, w: CoexistenceWitness, atol: float = 1e-8) -> tuple[Array, ...] | None:
+    """The witness blocks ``a1``, ``b1``, ``c``, validated as effects, and the
+    leftover ``d = 1 - a1 - b1 - c``; None when a witness equation fails."""
+    try:
+        ea, eb, a1, b1, c = (ensure_effect(m) for m in (a, b, w.a1, w.b1, w.c))
+    except InvariantViolation:
+        return None
+    if not (ea.shape == eb.shape == a1.shape == b1.shape == c.shape):
+        return None
+    if frob(a1 + c - ea) > atol or frob(b1 + c - eb) > atol:
+        return None
+    # a1 + b1 + c <= 1 means the leftover d is PSD.
+    d = np.eye(ea.shape[0], dtype=complex) - a1 - b1 - c
+    return (a1, b1, c, d) if float(np.linalg.eigvalsh(hermitian_part(d))[0]) >= -atol else None
+
+
 def check_coexistence_witness(a: object, b: object, w: CoexistenceWitness, atol: float = 1e-8) -> bool:
     """Check the witness equations; any violation returns False."""
-    try:
-        ea, eb = ensure_effect(a), ensure_effect(b)
-        a1, b1, c = ensure_effect(w.a1), ensure_effect(w.b1), ensure_effect(w.c)
-    except InvariantViolation:
-        return False
-    if not (ea.shape == eb.shape == a1.shape == b1.shape == c.shape):
-        return False
-    if frob(a1 + c - ea) > atol or frob(b1 + c - eb) > atol:
-        return False
-    # a1 + b1 + c <= 1 means the leftover d = 1 - a1 - b1 - c is PSD.
-    d = np.eye(ea.shape[0], dtype=complex) - a1 - b1 - c
-    return float(np.linalg.eigvalsh(hermitian_part(d))[0]) >= -atol
+    return _witness_blocks(a, b, w, atol) is not None
 
 
 def binary_observables_from_coexistence(a: object, b: object, w: CoexistenceWitness):
     """Joint observable on 2x2 labels whose marginals are ``{a, a'}`` and ``{b, b'}``.
 
     Outcome ("1","1") carries the common part ``c``, ("1","2") carries ``a1``,
-    ("2","1") carries ``b1``, and ("2","2") the leftover ``1 - a1 - b1 - c``.
+    ("2","1") carries ``b1``, and ("2","2") the leftover ``1 - a1 - b1 - c``,
+    which ``Observable`` checks within ``EFFECT_EIG_TOL`` of ``[0, 1]``.
     """
     from .observables import Observable
 
-    if not check_coexistence_witness(a, b, w):
+    blocks = _witness_blocks(a, b, w)
+    if blocks is None:
         raise InvalidWitness("witness does not decompose the given effects")
-    ea = ensure_effect(a)
-    a1, b1, c = ensure_effect(w.a1), ensure_effect(w.b1), ensure_effect(w.c)
-    d = ensure_effect(np.eye(ea.shape[0], dtype=complex) - a1 - b1 - c)
-    return Observable(
-        {
-            ("1", "1"): c,
-            ("1", "2"): a1,
-            ("2", "1"): b1,
-            ("2", "2"): d,
-        }
-    )
+    a1, b1, c, d = blocks
+    return Observable({("1", "1"): c, ("1", "2"): a1, ("2", "1"): b1, ("2", "2"): d})
 
 
 # -- feasibility search -------------------------------------------------------

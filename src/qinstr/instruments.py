@@ -22,9 +22,9 @@ outcome probabilities.
 
 Builders here and in ``models`` that produce Kraus outcomes validate an
 instrument once (``Instrument._from_kraus``): one batched ``sum K^* K`` and
-the sum check, which implies each outcome's trace-non-increase.  Its induced
-observable is not eigensolved again.  Choi outcomes and the public
-constructors keep the checks above.
+the sum check, which implies each outcome's trace-non-increase, and label
+distinctness.  The induced observable is cached and not eigensolved again.
+Choi outcomes and the public constructors keep the checks above.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -44,10 +44,11 @@ import numpy as np
 
 from .effects import ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, NotComplete
-from .linalg import Array, as_matrix, ensure_hermitian, frob, herm_sqrt, hermitian_part, root_factors
+from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_factors
 from .observables import (
     Label,
     LabelledFamily,
+    check_distinct_labels,
     Observable,
     StochasticMatrix,
     _set_probability,
@@ -80,8 +81,7 @@ def _kraus_stack(ops: Sequence[object]) -> Array:
         raise DimensionError(f"Kraus operator shape {stack.shape[1:]} is not square")
     if isinstance(ops, np.ndarray) and np.may_share_memory(stack, ops):
         stack = stack.copy()
-    stack.setflags(write=False)
-    return stack
+    return read_only(stack)
 
 
 def _kraus_vectors(stack: Array) -> Array:
@@ -168,8 +168,7 @@ class Operation:
             if not w[0] >= -atol * scale:
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
             self.dim = dim
-            c.setflags(write=False)
-            self.choi = c
+            self.choi = read_only(c)
             if self._kraus is not None:
                 if self._kraus.shape[1] != dim:
                     raise DimensionError(
@@ -215,9 +214,7 @@ class Operation:
     def choi(self) -> Array:
         """Choi matrix; set by the constructor for Choi input, else formed
         from the Kraus operators on first use."""
-        c = _kraus_to_choi(self._kraus)
-        c.setflags(write=False)
-        return c
+        return read_only(_kraus_to_choi(self._kraus))
 
     @cached_property
     def induced_effect(self) -> Array:
@@ -234,9 +231,7 @@ class Operation:
         ones of the Choi eigendecomposition, extracted once."""
         if self._kraus is not None:
             return self._kraus
-        stack = _choi_to_kraus(self.choi, self.dim)
-        stack.setflags(write=False)
-        return stack
+        return read_only(_choi_to_kraus(self.choi, self.dim))
 
     def apply(self, mat: object) -> Array:
         """Linear action on a matrix (no state validation; see ``op_apply``)."""
@@ -304,19 +299,18 @@ class Instrument(LabelledFamily):
         residual = frob(effects.sum(0) - np.eye(self.dim))
         if not residual <= sum_tol:
             raise InvariantViolation("trace-preserving-sum", residual)
-        effects.setflags(write=False)
-        self.effects = effects
+        self.effects = read_only(effects)
         self._members = dict(zip(labels, ops))
 
     @classmethod
     def _from_kraus(cls, items: Iterable[tuple[Label, Sequence[object]]], sum_tol: float = CHOI_TOL) -> "Instrument":
         """Instrument from one Kraus stack (or list) per outcome label, validated
         once: one concatenation and coercion of all operators, one batched
-        ``sum_k K_k^* K_k`` for the effects, one label, dimension and
-        ``trace-preserving-sum`` check.  As every ``A_x >= 0``, the sum check gives
-        ``A_x <= (1 + sum_tol) 1``: the outcomes' trace-non-increase bound."""
+        ``sum_k K_k^* K_k`` for the effects, one label-distinctness, dimension
+        and ``trace-preserving-sum`` check.  As every ``A_x >= 0``, the sum check
+        gives ``A_x <= (1 + sum_tol) 1``: the outcomes' trace-non-increase bound."""
         instr = cls.__new__(cls)
-        labels, stacks = instr._checked_items(items)
+        labels, stacks = instr._checked_items(items, trusted=True)
         counts = [len(ks) for ks in stacks]
         if 0 in counts:
             raise DimensionError("need at least one Kraus operator")
@@ -327,8 +321,7 @@ class Instrument(LabelledFamily):
         stack = _kraus_stack(joined)
         instr.dim = stack.shape[1]
         bounds = [0, *accumulate(counts)]
-        effects = hermitian_part(np.add.reduceat(stack.conj().swapaxes(1, 2) @ stack, bounds[:-1]))
-        effects.setflags(write=False)
+        effects = read_only(hermitian_part(np.add.reduceat(stack.conj().swapaxes(1, 2) @ stack, bounds[:-1])))
         ops = [Operation._unchecked(stack[s:e], a) for s, e, a in zip(bounds, bounds[1:], effects)]
         instr._set_members(labels, ops, effects, sum_tol)
         return instr
@@ -336,6 +329,12 @@ class Instrument(LabelledFamily):
     def member_matrices(self) -> Array:
         """The outcomes' Choi matrices as one ``(m, d^2, d^2)`` stack."""
         return np.stack([op.choi for op in self._members.values()])
+
+    @cached_property
+    def _observable(self) -> Observable:
+        if all(op._kraus is not None for op in self._members.values()):
+            return Observable._valid(self.labels, self.effects)
+        return Observable(zip(self.labels, self.effects))
 
 
 def instruments_close(a: Instrument, b: Instrument, tol: float) -> bool:
@@ -345,17 +344,15 @@ def instruments_close(a: Instrument, b: Instrument, tol: float) -> bool:
 
 def induced_observable(instr: Instrument) -> Observable:
     """The unique observable reproducing the instrument's outcome
-    probabilities: ``tr[I_x(rho)] = tr(rho A_x)``.  Kraus-induced effects
-    are PSD by construction, so when every outcome has Kraus operators the
-    stack is not eigensolved again (``Observable._valid``)."""
-    if all(op._kraus is not None for _, op in instr.items()):
-        return Observable._valid(instr.labels, instr.effects)
-    return Observable(zip(instr.labels, instr.effects))
+    probabilities: ``tr[I_x(rho)] = tr(rho A_x)``, cached: one object per
+    instrument.  When every outcome has Kraus operators, the effects are PSD
+    by construction and are not eigensolved again (``Observable._valid``)."""
+    return instr._observable
 
 
 def luders_instrument(a: Observable) -> Instrument:
     """Instrument with outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``."""
-    return Instrument._from_kraus(zip(a.labels, herm_sqrt(a.stack)[:, None]))
+    return Instrument._from_kraus(zip(a.labels, a.roots[:, None]))
 
 
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
@@ -380,14 +377,15 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
     """Instrument whose outcomes scale the identity channel."""
     w = check_weights(list(weights.values()), len(weights))
-    return Instrument._from_kraus(zip(weights.keys(), np.sqrt(w)[:, None, None, None] * np.eye(dim, dtype=complex)))
+    labels = check_distinct_labels(weights)
+    return Instrument._from_kraus(zip(labels, np.sqrt(w)[:, None, None, None] * np.eye(dim, dtype=complex)))
 
 
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
     """Instrument with one Kraus operator per outcome; ``NotComplete`` when
     the ``S^* S`` do not sum to the identity."""
     try:
-        return Instrument._from_kraus((x, [s]) for x, s in ops.items())
+        return Instrument._from_kraus((x, [s]) for x, s in zip(check_distinct_labels(ops), ops.values()))
     except InvariantViolation as exc:
         if exc.invariant != "trace-preserving-sum":
             raise

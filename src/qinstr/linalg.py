@@ -56,6 +56,12 @@ def as_vector(v: object) -> Array:
     return a
 
 
+def read_only(a: Array) -> Array:
+    """The array ``a`` itself, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def frob(a: Array) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(a))
@@ -99,22 +105,25 @@ def herm_eig(m: object) -> tuple[Array, Array]:
     Hermitian solver.  A ``(k, d, d)`` stack is decomposed in one call,
     giving ``(k, d)`` eigenvalues and ``(k, d, d)`` eigenvectors.
     """
-    a = ensure_hermitian(m, stack=np.ndim(m) == 3)
+    return _eigh(ensure_hermitian(m, stack=np.ndim(m) == 3))
+
+
+def _eigh(a: Array) -> tuple[Array, Array]:
+    """``herm_eig`` of an exactly Hermitian matrix or stack, unchecked."""
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         off = frob(a - a * np.eye(a.shape[-1]))
         raise EigenSolverError(f"eigensolver did not converge; off-diagonal residual {off:.3g}") from exc
-    return w, v
 
 
-def _psd_eig(m: object, neg_tol: float) -> tuple[Array, Array]:
-    """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of a PSD Hermitian
-    matrix, for the eigenvalues above the noise floor of ``herm_sqrt``.  The
-    largest is always kept, so a zero matrix keeps one zero eigenvalue.  For
-    a ``(k, d, d)`` stack every matrix keeps all ``d`` columns, and the roots
-    below its floor are set to zero instead."""
-    w, v = herm_eig(m)
+def _psd_eig(a: Array, neg_tol: float) -> tuple[Array, Array]:
+    """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of an exactly
+    Hermitian PSD matrix, for the eigenvalues above the noise floor of
+    ``herm_sqrt``.  The largest is always kept, so a zero matrix keeps one
+    zero eigenvalue.  For a ``(k, d, d)`` stack every matrix keeps all ``d``
+    columns, and the roots below its floor are set to zero instead."""
+    w, v = _eigh(a)
     stack = w.ndim == 2
     low = w[:, 0].min() if stack else w[0]
     if low < -neg_tol:
@@ -129,13 +138,13 @@ def _psd_eig(m: object, neg_tol: float) -> tuple[Array, Array]:
 def root_factor(m: object, neg_tol: float = PSD_TOL) -> Array:
     """``R`` with ``m = R R^*`` for a PSD Hermitian matrix, one column per
     eigenvalue above the noise floor (see ``herm_sqrt``)."""
-    v, r = _psd_eig(m, neg_tol)
+    v, r = _psd_eig(ensure_hermitian(m), neg_tol)
     return v * r
 
 
 def root_factors(m: Array) -> list[Array]:
-    """``root_factor`` of every matrix of a ``(k, d, d)`` stack, each with the
-    same columns, from one eigendecomposition call."""
+    """``root_factor`` of every matrix of an exactly Hermitian ``(k, d, d)``
+    stack, unchecked, each with the same columns, from one eigensolve."""
     v, r = _psd_eig(m, PSD_TOL)
     keep = r > 0.0
     keep[:, -1] = True
@@ -152,7 +161,12 @@ def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
     well: the square root would otherwise amplify eigensolver noise of size
     ``eps`` into errors of size ``sqrt(eps)``.
     """
-    v, r = _psd_eig(m, neg_tol)
+    return _psd_roots(ensure_hermitian(m, stack=np.ndim(m) == 3), neg_tol)
+
+
+def _psd_roots(a: Array, neg_tol: float = PSD_TOL) -> Array:
+    """``herm_sqrt`` of an exactly Hermitian matrix or stack, unchecked."""
+    v, r = _psd_eig(a, neg_tol)
     return hermitian_part((v * r[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 

@@ -39,6 +39,7 @@ from .linalg import (
     herm_eig,
     hermitian_part,
     is_unitary,
+    read_only,
     root_factors,
 )
 from .observables import (
@@ -88,8 +89,7 @@ class FIMM:
                 raise DimensionError(f"interaction shape {u.shape}, expected {(n, n)}")
             if not is_unitary(u, tol=1e-8):
                 raise NotIsometry("interaction matrix is not unitary")
-            u.setflags(write=False)
-            self.interaction = u
+            self.interaction = read_only(u)
 
     @classmethod
     def _unitary(cls, dim_base: int, dim_probe: int, probe_state: object, u: Array, pointer: Observable) -> "FIMM":
@@ -97,8 +97,7 @@ class FIMM:
         construction (dilation, swap, basis pairing): only that is not checked."""
         m = cls.__new__(cls)
         m._set_parts(dim_base, dim_probe, probe_state, pointer)
-        u.setflags(write=False)
-        m.interaction = u
+        m.interaction = read_only(u)
         return m
 
     def _set_parts(self, dim_base: int, dim_probe: int, probe_state: object, pointer: Observable) -> None:
@@ -110,8 +109,7 @@ class FIMM:
         eta = ensure_state(probe_state)
         if eta.shape[0] != self.dim_probe:
             raise DimensionError(f"probe state dim {eta.shape[0]}, expected {self.dim_probe}")
-        eta.setflags(write=False)
-        self.probe_state = eta
+        self.probe_state = read_only(eta)
         if pointer.dim != self.dim_probe:
             raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
         self.pointer = pointer
@@ -213,9 +211,7 @@ class VonNeumannModel:
         if self.pointer.dim != probe.shape[0]:
             raise DimensionError("pointer dimension does not match the probe basis")
         for name, basis in (("base_basis", base), ("probe_basis", probe)):
-            basis = basis.copy()
-            basis.setflags(write=False)
-            object.__setattr__(self, name, basis)
+            object.__setattr__(self, name, read_only(basis.copy()))
 
     @property
     def dim(self) -> int:
@@ -241,12 +237,11 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     w = model.base_basis
     phi = model.probe_basis
     labels = model.pointer.labels
-    base_projs = np.einsum("ai,bi->iab", w, w.conj())
-    base_projs.setflags(write=False)
+    base_projs = read_only(np.einsum("ai,bi->iab", w, w.conj()))
     channel = Operation._unchecked(base_projs)  # projections summing to 1: a channel
 
     h = np.einsum("ai,xab,bj->xij", phi.conj(), model.pointer.stack, phi)  # h[x, i, j] = <phi_i, F_x phi_j>
-    kraus = [(x, (w * r.T[:, None, :]) @ w.conj().T) for x, r in zip(labels, root_factors(h.swapaxes(1, 2)))]
+    kraus = [(x, (w * r.T[:, None, :]) @ w.conj().T) for x, r in zip(labels, root_factors(hermitian_part(h.swapaxes(1, 2))))]
     effects = np.einsum("xi,iab->xab", np.diagonal(h, axis1=1, axis2=2).real, base_projs)
     return Instrument._from_kraus(kraus), channel, Observable._valid(labels, effects)
 

@@ -12,16 +12,17 @@ identity (a finite-outcome POVM).  Product value-spaces use tuple labels;
 combining labels flattens, so a triple product carries labels ``(x, y, z)``.
 
 An observable stores its effects as one read-only ``(m, d, d)`` stack in
-label order, validated by a single ``ensure_effects`` call.  Combinators
-work on stacks: sequential products, conditioning, triple joints and
-complementarity defects come from ``seq_products``, and mixtures and
-post-processing are contractions with the weights.
+label order, validated by a single ``ensure_effects`` call, and caches their
+roots.  Combinators work on stacks: sequential products, conditioning,
+triple joints and complementarity defects come from ``seq_products`` on the
+roots, and mixtures and post-processing are contractions with the weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (
     ShapeError,
     WeightError,
 )
-from .linalg import Array, as_matrix, frob, hermitian_part
+from .linalg import Array, _psd_roots, as_matrix, frob, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
 
@@ -98,13 +99,18 @@ class LabelledFamily:
     dim: int
     _members: dict
 
-    def _checked_items(self, members: Mapping | Iterable[tuple]) -> tuple[list[Label], list]:
-        """The labels, checked valid, distinct and nonempty, and the members
-        of a mapping or of an iterable of ``(label, member)`` pairs."""
+    def _checked_items(self, members: Mapping | Iterable[tuple], trusted: bool = False) -> tuple[list[Label], list]:
+        """The labels, checked valid (unless ``trusted``), distinct and
+        nonempty, and the members of a mapping or of ``(label, member)`` pairs.
+        Trusted labels come from validated families or stochastic matrices,
+        or are generated; flattening can still merge two of them."""
         items = list(members.items()) if isinstance(members, Mapping) else list(members)
         if not items:
             raise LabelError(f"an {type(self).__name__.lower()} needs at least one outcome")
-        return list(check_distinct_labels(label for label, _ in items)), [member for _, member in items]
+        labels = tuple(label for label, _ in items)
+        if not trusted or len(set(labels)) != len(labels):  # the full check names a repeat
+            labels = check_distinct_labels(labels)
+        return list(labels), [member for _, member in items]
 
     @staticmethod
     def _common_size(sizes: Iterable, what: str):
@@ -203,24 +209,28 @@ class Observable(LabelledFamily):
         self._set_stack(labels, stack)
 
     def _set_stack(self, labels: list[Label], stack: Array) -> None:
-        stack.setflags(write=False)
-        self.stack = stack
+        self.stack = read_only(stack)
         self._members = dict(zip(labels, stack))
+
+    @cached_property
+    def roots(self) -> Array:
+        """Read-only stack of the effects' roots, ``herm_sqrt(stack)``, formed once."""
+        return read_only(_psd_roots(self.stack))
 
     @classmethod
     def _valid(cls, labels: Sequence[Label], stack: Array) -> "Observable":
         """Observable on a stack that is PSD by construction (Kraus-induced
-        effects, checked products, nonnegative mixtures of effects).  When its
-        sum misses the identity by at most ``EFFECT_EIG_TOL``, each effect is
-        below ``(1 + EFFECT_EIG_TOL) 1``, so only the labels are checked and no
-        eigensolve runs; otherwise it gets the full ``Observable`` validation.
+        effects, checked products, nonnegative mixtures of effects) with
+        trusted labels.  When its sum misses the identity by at most
+        ``EFFECT_EIG_TOL``, each effect is below ``(1 + EFFECT_EIG_TOL) 1``, so
+        no eigensolve runs; otherwise it gets the full ``Observable`` checks.
         """
         stack = hermitian_part(stack)
         if not frob(stack.sum(0) - np.eye(stack.shape[-1])) <= EFFECT_EIG_TOL:
             return cls(zip(labels, stack))
         obs = cls.__new__(cls)
         obs.dim = stack.shape[-1]
-        obs._set_stack(obs._checked_items(zip(labels, stack))[0], stack)
+        obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
         return obs
 
     def member_matrices(self) -> Array:
@@ -254,8 +264,7 @@ class StochasticMatrix:
         row_residual = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
         if row_residual > row_tol:
             raise InvariantViolation("row-sums-to-one", row_residual)
-        m.setflags(write=False)
-        self.matrix = m
+        self.matrix = read_only(m)
 
     def value(self, src: Label, tgt: Label) -> float:
         try:
@@ -293,13 +302,13 @@ def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
     """Observable of measuring ``a`` first and ``b`` second, on product labels."""
-    products = seq_products(a.stack, b.stack).reshape(-1, a.dim, a.dim)
+    products = seq_products(a.roots, b.stack).reshape(-1, a.dim, a.dim)
     return Observable._valid([combine_labels(x, y) for x in a.labels for y in b.labels], products)
 
 
 def obs_conditioned(a: Observable, b: Observable) -> Observable:
     """Observable ``b`` conditioned by ``a``: outcome ``y`` is ``sum_x A_x o B_y``."""
-    return Observable._valid(b.labels, seq_products(a.stack, b.stack).sum(0))
+    return Observable._valid(b.labels, seq_products(a.roots, b.stack).sum(0))
 
 
 def check_weights(weights: Sequence[float], count: int, tol: float = 1e-10) -> np.ndarray:
@@ -386,10 +395,10 @@ def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]
     ``D_ab[x, y] = A_x o B_y - A_x / n`` has shape ``(m, n, d, d)`` and
     ``D_ba[y, x] = B_y o A_x - B_y / m`` has shape ``(n, m, d, d)``, with
     ``m`` and ``n`` the outcome counts of ``a`` and ``b``; both product
-    stacks come from ``seq_products``.
+    stacks come from ``seq_products`` on the cached roots.
     """
     ea, eb = a.stack, b.stack
-    return seq_products(ea, eb) - ea[:, None] / len(b), seq_products(eb, ea) - eb[:, None] / len(a)
+    return seq_products(a.roots, eb) - ea[:, None] / len(b), seq_products(b.roots, ea) - eb[:, None] / len(a)
 
 
 def complementarity_residual(a: Observable, b: Observable) -> float:
@@ -451,8 +460,8 @@ def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
     """
     if not (a.dim == b.dim == c.dim):
         raise DimensionError("dimension mismatch")
-    inner = seq_products(b.stack, c.stack).reshape(-1, a.dim, a.dim)
-    products = seq_products(a.stack, inner).reshape(-1, a.dim, a.dim)
+    inner = seq_products(b.roots, c.stack).reshape(-1, a.dim, a.dim)
+    products = seq_products(a.roots, inner).reshape(-1, a.dim, a.dim)
     labels = [combine_labels(x, combine_labels(y, z)) for x in a.labels for y in b.labels for z in c.labels]
     return Observable._valid(labels, products)
 
@@ -464,7 +473,7 @@ def joint_probability_table(rho: object, a: Observable, b: Observable) -> Array:
     r = ensure_state(rho)
     if r.shape[0] != a.dim or a.dim != b.dim:
         raise DimensionError("dimension mismatch")
-    return np.einsum("ij,xyji->xy", r, seq_products(a.stack, b.stack)).real
+    return np.einsum("ij,xyji->xy", r, seq_products(a.roots, b.stack)).real
 
 
 def _set_probability(

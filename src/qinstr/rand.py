@@ -12,7 +12,7 @@ from .effects import ensure_effect, ensure_effects
 from .instruments import Instrument
 from .linalg import Array, hermitian_part
 from .models import FIMM
-from .observables import Label, Observable, StochasticMatrix
+from .observables import Label, Observable, StochasticMatrix, check_distinct_labels
 
 
 def default_labels(count: int) -> list[str]:
@@ -79,10 +79,10 @@ def random_observable(
     Draw one Ginibre block per outcome (all in one call), form the positive
     parts, and whiten by the inverse square root of their sum (with a small
     ridge) so the family sums to the identity; the whitened blocks are PSD
-    by construction, so only their sum is checked (``Observable._valid``).
+    by construction, so only their sum and caller ``labels`` are checked
+    (``Observable._valid``).
     """
-    if labels is None:
-        labels = default_labels(outcomes)
+    labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
     g = _ginibres(rng, outcomes, dim, dim)
     blocks = g @ g.conj().swapaxes(1, 2)
     total = blocks.sum(0) + 1e-12 * np.eye(dim)

@@ -18,11 +18,11 @@ from .effects import (
     CoexistenceWitness,
     atom,
     binary_observables_from_coexistence,
-    check_coexistence_witness,
     complement,
     ensure_effect,
     seq_product,
 )
+from .errors import InvalidWitness, QinstrError
 from .instruments import (
     Instrument,
     Operation,
@@ -174,11 +174,12 @@ def _suite_lem_1_1(seed: int, trials: int, scale: float) -> VerificationReport:
         a, b = random_commuting_effect_pair(d, rng)
         ab = ensure_effect(hermitian_part(a @ b))
         w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
-        if not check_coexistence_witness(a, b, w):
-            return VerificationReport("lem-1.1", trials, 1.0, "fail", seed, tol, "witness rejected")
         # joint[x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
         # column sums must give {a, a'} and {b, b'}
-        joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
+        try:
+            joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
+        except InvalidWitness:
+            return VerificationReport("lem-1.1", trials, 1.0, "fail", seed, tol, "witness rejected")
         worst = max(worst, _worst(joint.sum(1), np.stack([a, complement(a)])))
         worst = max(worst, _worst(joint.sum(0), np.stack([b, complement(b)])))
     status = "pass" if worst <= tol else "fail"
@@ -938,6 +939,8 @@ SUITES: dict[str, tuple[Callable[[int, int, float], VerificationReport], int]] =
 def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scale: float = 1.0) -> VerificationReport:
     if result_id not in SUITES:
         raise KeyError(f"unknown suite id {result_id!r}")
+    if seed < 0 or (trials is not None and trials < 1):
+        raise QinstrError(f"seed must be nonnegative, got {seed}" if seed < 0 else f"trials must be at least 1, got {trials}")
     fn, default_trials = SUITES[result_id]
     return fn(seed, trials if trials is not None else default_trials, tol_scale)
 

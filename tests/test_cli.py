@@ -20,6 +20,12 @@ def run(argv):
     return main(argv)
 
 
+def one_line_error(capsys, prefix: str) -> bool:
+    """Nothing on stdout, and one line on stderr that starts with ``prefix``."""
+    captured = capsys.readouterr()
+    return captured.out == "" and captured.err.startswith(prefix) and captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def z_files(tmp_path):
     sharp_z = Observable({"0": P0, "1": P1})
@@ -58,6 +64,25 @@ class TestVerifyCommand:
         monkeypatch.setenv("QINSTR_TOL", "1000.0")
         assert run(["verify", "--suite", "ex-8", "--seed", "3"]) == 0
         monkeypatch.delenv("QINSTR_TOL")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seed", "-1"], "error: seed must be nonnegative"),
+            (["--trials", "-3"], "error: trials must be at least 1"),
+            (["--trials", "0"], "error: trials must be at least 1"),
+        ],
+        ids=["negative-seed", "negative-trials", "zero-trials"],
+    )
+    def test_bad_seed_or_trials_is_usage_error(self, args, message, capsys):
+        assert run(["verify", "--suite", "lem-1.1", *args]) == 2
+        assert one_line_error(capsys, message)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+    def test_tolerance_scale_must_be_finite_and_positive(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("QINSTR_TOL", value)
+        assert run(["verify", "--suite", "lem-1.1"]) == 2
+        assert one_line_error(capsys, "error: QINSTR_TOL must be finite and positive")
 
 
 class TestComputeCommand:
@@ -200,6 +225,17 @@ class TestComputeCommand:
         bad.write_text('{"kind": "state", "dim": 2, "matrix": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}')
         assert run(["compute", "j-map", str(bad), "-o", str(tmp_path / "x.json")]) == 3
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, z_files, capsys):
+        z_path, _, _ = z_files
+        lz_path = tmp_path / "lz.json"
+        assert run(["compute", "k-map", str(z_path), "-o", str(lz_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "o.json"
+        assert run(["compute", "j-map", str(lz_path), "-o", str(out)]) == 2
+        assert one_line_error(capsys, f"error: cannot write {out}: ")
+        assert run(["compute", "j-map", str(lz_path), "-o", str(tmp_path)]) == 2  # a directory
+        assert one_line_error(capsys, f"error: cannot write {tmp_path}: ")
+
 
 class TestRandomCommand:
     @pytest.mark.parametrize("kind", ["effect", "state", "observable", "instrument", "fimm", "stochastic"])
@@ -220,6 +256,17 @@ class TestRandomCommand:
         run(["random", "state", "--dim", "2", "--seed", "1", "-o", str(out1)])
         run(["random", "state", "--dim", "2", "--seed", "2", "-o", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["random", "effect", "--dim", "2", "--seed", "-1", "-o", str(out)]) == 2
+        assert one_line_error(capsys, "error: --seed must be nonnegative")
+        assert not out.exists()
+
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run(["random", "observable", "--dim", "2", "--seed", "0", "-o", str(out)]) == 2
+        assert one_line_error(capsys, f"error: cannot write {out}: ")
 
     def test_dim_range_enforced(self, tmp_path):
         assert run(["random", "state", "--dim", "9", "--seed", "0", "-o", str(tmp_path / "x.json")]) == 2

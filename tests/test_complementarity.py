@@ -10,7 +10,6 @@ ordered pair.
 import numpy as np
 import pytest
 
-import qinstr.effects as effects
 import qinstr.instruments as instruments
 from qinstr.effects import seq_product
 from qinstr.errors import DimensionError, InvariantViolation
@@ -26,6 +25,7 @@ from qinstr.instruments import (
 from qinstr.linalg import frob, herm_sqrt
 from qinstr.observables import (
     SUM_TOL,
+    Observable,
     atomic_observable,
     complementarity_defects,
     complementarity_residual,
@@ -243,7 +243,7 @@ class TestKernel:
 
     def test_products_keep_effect_range_check(self, rng, monkeypatch):
         # Roots scaled by 1.5 push every product above the identity.
-        monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.5 * herm_sqrt(m))
+        monkeypatch.setattr(Observable, "roots", property(lambda o: 1.5 * herm_sqrt(o.stack)))
         b1, b2 = fourier_mub(2)
         with pytest.raises(InvariantViolation) as exc:
             complementarity_residual(atomic_observable(b1), atomic_observable(b2))

@@ -335,7 +335,7 @@ class TestSeqProducts:
     @pytest.mark.parametrize("d", DIMS)
     def test_matches_per_pair_loop(self, d, rng):
         a, b = random_observable(d, 2, rng), random_observable(d, 3, rng)
-        out = seq_products(a.stack, b.stack)
+        out = seq_products(a.roots, b.stack)
         assert out.shape == (2, 3, d, d)
         for s, (_, ax) in enumerate(a.items()):
             for t, (_, by) in enumerate(b.items()):
@@ -377,6 +377,7 @@ class TestSeqProducts:
     def test_products_keep_effect_range_check(self, rng, monkeypatch):
         a, b = random_observable(2, 2, rng), random_observable(2, 2, rng)
         monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.5 * herm_sqrt(m))
+        monkeypatch.setattr(Observable, "roots", property(lambda o: 1.5 * herm_sqrt(o.stack)))
         for call in (lambda: seq_product(a["0"], np.eye(2)), lambda: obs_seq_product(a, b)):
             with pytest.raises(InvariantViolation) as exc:
                 call()
@@ -814,7 +815,7 @@ def loop_joint_probability_then(rho, a, x_set, b, y_set):
     ax = [a[x] for x in x_set]
     if not ax:
         return 0.0
-    products = seq_products(np.stack(ax), ensure_effect(by)[None])[:, 0]
+    products = seq_products(herm_sqrt(np.stack(ax)), ensure_effect(by)[None])[:, 0]
     return min(1.0, max(0.0, float(np.einsum("ij,kji->", rho, products).real)))
 
 
@@ -877,17 +878,18 @@ class TestOutcomeTables:
         i, j = luders_instrument(a), luders_instrument(b)
         eig_calls.calls.clear()
         joint_probability_table(rho, a, b)
-        assert eig_calls.calls == [(3, 1), (3, m), (3, m * n)]  # the state, the roots, every product
+        # the state and every product; the roots of a were cached by luders_instrument(a)
+        assert eig_calls.calls == [(3, 1), (3, m * n)]
         eig_calls.calls.clear()
         joint_probability_then(rho, a, a.labels[:1], b, b.labels)
-        assert eig_calls.calls == [(3, 1), (3, m), (3, m * n)]
+        assert eig_calls.calls == [(3, 1), (3, m * n)]
         eig_calls.calls.clear()
         joint_probability_instr(rho, i, i.labels[:1], j, j.labels)
         assert eig_calls.calls == [(3, 1)]  # the state alone
 
     def test_out_of_range_product_is_rejected(self, monkeypatch, sharp_z):
         # roots scaled by 1.1 make P0 o P0 = 1.21 P0, out of range
-        monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.1 * herm_sqrt(m))
+        monkeypatch.setattr(Observable, "roots", property(lambda o: 1.1 * herm_sqrt(o.stack)))
         with pytest.raises(InvariantViolation) as exc:
             joint_probability_table(0.5 * np.eye(2), sharp_z, sharp_z)
         assert exc.value.invariant == "effect-range"

@@ -1,5 +1,6 @@
 import pytest
 
+from qinstr.errors import QinstrError
 from qinstr.verify import SUITES, run_suite, run_suites
 
 
@@ -17,6 +18,17 @@ class TestSuiteRegistry:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             run_suite("thm-0.0")
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_is_rejected(self, trials):
+        with pytest.raises(QinstrError, match="trials must be at least 1"):
+            run_suite("lem-1.1", trials=trials)
+        with pytest.raises(QinstrError, match="trials must be at least 1"):
+            run_suites(["lem-1.1"], trials=trials)
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(QinstrError, match="seed must be nonnegative"):
+            run_suite("lem-1.1", seed=-1)
 
 
 @pytest.mark.parametrize("result_id", sorted(SUITES))
@@ -42,6 +54,14 @@ def test_different_seed_changes_draws():
     a = run_suite("lem-3.1", seed=1)
     b = run_suite("lem-3.1", seed=2)
     assert a.max_residual != b.max_residual
+
+
+@pytest.mark.parametrize("result_id, solves", [("lem-1.1", 550), ("lem-2.4", 480), ("lem-3.1", 700), ("thm-2.3", 203)])
+def test_eigensolve_budget(result_id, solves, eig_calls):
+    # Exact counts of eigh/eigvalsh calls for one suite at seed 7: a check
+    # re-run on an object that was already validated raises the count.
+    run_suite(result_id, seed=7)
+    assert len(eig_calls.calls) == solves
 
 
 @pytest.mark.parametrize("seed", [94, 311])
