@@ -1,30 +1,29 @@
 """Operations, channels, and finite instruments.
 
-An operation is a completely positive trace-non-increasing map.  Kraus
-operators are its primary representation wherever they are known; the Choi
-matrix is formed from them on first use.  The constructor validates by input:
+An operation is a completely positive trace-non-increasing map, held as a
+read-only stack of Kraus operators from construction on; its Choi matrix is
+formed from them on first use.  The constructor validates by input:
 
 - Kraus operators alone: CP by construction, so only trace-non-increase is
   checked, on the d x d matrix ``sum_k K_k^* K_k``;
-- a Choi matrix: Hermitian, positive semidefinite and trace-non-increasing;
+- a Choi matrix: Hermitian, positive semidefinite and trace-non-increasing.
+  The one eigendecomposition of the PSD check also gives the canonical Kraus
+  operators, one per eigenvalue above ``KRAUS_EIG_TOL``, and ``choi`` keeps
+  the caller's (symmetrized) matrix;
 - both: the Choi checks, plus that the Kraus operators reproduce the matrix.
 
-``kraus_ops()`` of a Choi-only operation extracts canonical Kraus operators
-from the Choi eigendecomposition once and caches them.  Kraus stacks built
-here and in ``models`` (compositions, total channels, mixtures,
-post-processings, trivial and model instruments) are not minimal;
-``minimal_kraus`` cuts one to its Choi rank.  A mixture or post-processing
-stays in Kraus form when every term has Kraus operators and is a Choi sum
-otherwise.  An instrument is a labelled family (``observables.LabelledFamily``)
-of operations whose sum is trace-preserving.  It keeps its induced effects
-as one ``(m, d, d)`` stack: the unique observable that reproduces its
-outcome probabilities.
+Kraus stacks built here and in ``models`` (compositions, total channels,
+mixtures, post-processings, trivial and model instruments) are not minimal;
+``minimal_kraus`` cuts one to its Choi rank.  An instrument is a labelled
+family (``observables.LabelledFamily``) of operations whose sum is
+trace-preserving.  It keeps its induced effects as one ``(m, d, d)`` stack:
+the unique observable that reproduces its outcome probabilities, PSD by
+construction as every effect is a ``sum K^* K``.
 
-Builders here and in ``models`` that produce Kraus outcomes validate an
-instrument once (``Instrument._from_kraus``): one batched ``sum K^* K`` and
-the sum check, which implies each outcome's trace-non-increase, and label
-distinctness.  The induced observable is cached and not eigensolved again.
-Choi outcomes and the public constructors keep the checks above.
+Builders here and in ``models`` validate an instrument once
+(``Instrument._from_kraus``): one batched ``sum K^* K`` and the sum check,
+which implies each outcome's trace-non-increase, and label distinctness.
+The public constructors keep the checks above.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -101,13 +100,6 @@ def _kraus_to_choi(stack: Array) -> Array:
     return v @ v.conj().T
 
 
-def _choi_to_kraus(choi: Array, dim: int, tol: float = KRAUS_EIG_TOL) -> Array:
-    """Canonical Kraus stack: one operator per Choi eigenvalue above ``tol``."""
-    w, vecs = np.linalg.eigh(hermitian_part(choi))
-    keep = w > tol
-    return kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim)
-
-
 def minimal_kraus(ops: Array, dim: int) -> Array:
     """Kraus operators of the same map, as many as its Choi rank.
 
@@ -143,7 +135,14 @@ def bounded_kraus(ops: Array, dim: int) -> Array:
 
 class Operation:
     """Completely positive trace-non-increasing map, from Kraus operators,
-    a Choi matrix, or both (see the module docstring for what each checks)."""
+    a Choi matrix, or both (see the module docstring for what each checks).
+
+    ``_kraus`` is always set: the given operators, or for a Choi matrix
+    alone the canonical ones of its eigendecomposition.  Choi eigenvalues
+    at or below ``KRAUS_EIG_TOL`` (the small negative ones the PSD check
+    tolerates among them) are dropped from that Kraus form, and a zero Choi
+    matrix gives one zero operator.
+    """
 
     def __init__(
         self,
@@ -151,11 +150,11 @@ class Operation:
         kraus: Sequence[object] | None = None,
         atol: float = CHOI_TOL,
     ):
-        self._kraus = None if kraus is None else _kraus_stack(kraus)
+        given = None if kraus is None else _kraus_stack(kraus)
         if choi is None:
-            if self._kraus is None:
+            if given is None:
                 raise DimensionError("an operation needs a Choi matrix or Kraus operators")
-            self.dim = self._kraus.shape[1]
+            self._kraus = given
         else:
             c = as_matrix(choi)
             n = c.shape[0]
@@ -163,22 +162,23 @@ class Operation:
             if c.shape != (n, n) or dim * dim != n:
                 raise DimensionError(f"Choi matrix shape {c.shape} is not a square of a square")
             c = ensure_hermitian(c, tol=max(atol, 1e-9 * n))
-            w = np.linalg.eigvalsh(c)
+            w, vecs = np.linalg.eigh(c)
             scale = max(1.0, float(w[-1]))
             if not w[0] >= -atol * scale:
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
-            self.dim = dim
             self.choi = read_only(c)
-            if self._kraus is not None:
-                if self._kraus.shape[1] != dim:
-                    raise DimensionError(
-                        f"Kraus operator shape {self._kraus.shape[1:]}, expected {(dim, dim)}"
-                    )
-                residual = frob(_kraus_to_choi(self._kraus) - c)
+            if given is None:
+                keep = w > KRAUS_EIG_TOL
+                self._kraus = read_only(bounded_kraus(kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim), dim))
+            else:
+                if given.shape[1] != dim:
+                    raise DimensionError(f"Kraus operator shape {given.shape[1:]}, expected {(dim, dim)}")
+                residual = frob(_kraus_to_choi(given) - c)
                 if not residual <= max(atol, 1e-8 * scale):
                     raise InvariantViolation("kraus-matches-choi", residual)
-        eff = self.induced_effect
-        top = float(np.linalg.eigvalsh(eff)[-1])
+                self._kraus = given
+        self.dim = self._kraus.shape[1]
+        top = float(np.linalg.eigvalsh(self.induced_effect)[-1])
         if not top <= 1.0 + max(atol, 1e-8):
             raise InvariantViolation("trace-non-increasing", top - 1.0)
 
@@ -212,51 +212,34 @@ class Operation:
 
     @cached_property
     def choi(self) -> Array:
-        """Choi matrix; set by the constructor for Choi input, else formed
-        from the Kraus operators on first use."""
+        """Choi matrix; the caller's (symmetrized) matrix for Choi input, else
+        formed from the Kraus operators on first use."""
         return read_only(_kraus_to_choi(self._kraus))
 
     @cached_property
     def induced_effect(self) -> Array:
         """Effect ``A`` with ``tr[Phi(rho)] = tr(rho A)`` for every state."""
-        if self._kraus is not None:
-            rows = self._kraus.reshape(-1, self.dim)
-            return hermitian_part(rows.conj().T @ rows)
-        c4 = self.choi.reshape(self.dim, self.dim, self.dim, self.dim)
-        return hermitian_part(np.einsum("iaja->ij", c4).T)
-
-    @cached_property
-    def _ops(self) -> Array:
-        """Read-only Kraus stack: the given operators, else the canonical
-        ones of the Choi eigendecomposition, extracted once."""
-        if self._kraus is not None:
-            return self._kraus
-        return read_only(_choi_to_kraus(self.choi, self.dim))
+        rows = self._kraus.reshape(-1, self.dim)
+        return hermitian_part(rows.conj().T @ rows)
 
     def apply(self, mat: object) -> Array:
         """Linear action on a matrix (no state validation; see ``op_apply``)."""
         m = as_matrix(mat)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"input shape {m.shape}, expected {(self.dim, self.dim)}")
-        if self._kraus is not None:
-            return (self._kraus @ m @ self._kraus.conj().transpose(0, 2, 1)).sum(axis=0)
-        c4 = self.choi.reshape(self.dim, self.dim, self.dim, self.dim)
-        return np.einsum("ij,iajb->ab", m, c4)
+        return (self._kraus @ m @ self._kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
-    def kraus_ops(self, tol: float = KRAUS_EIG_TOL) -> list[Array]:
-        """Kraus operators: the given list when present, else extracted
-        from the Choi eigendecomposition (eigenvalues above ``tol``; the
-        extraction at the default ``tol`` is cached)."""
-        if self._kraus is None and tol != KRAUS_EIG_TOL:
-            return list(_choi_to_kraus(self.choi, self.dim, tol))
-        return list(self._ops)
+    def kraus_ops(self) -> list[Array]:
+        """Kraus operators: the given ones, or the canonical ones of the Choi
+        eigendecomposition for Choi input."""
+        return list(self._kraus)
 
     def is_channel(self, tol: float = CHOI_TOL) -> bool:
         return frob(self.induced_effect - np.eye(self.dim)) <= tol
 
     def __repr__(self) -> str:
         kind = "channel" if self.is_channel() else "operation"
-        return f"Operation(dim={self.dim}, {kind}, kraus={'cached' if self._kraus is not None else 'derived'})"
+        return f"Operation(dim={self.dim}, {kind})"
 
 
 def ensure_channel(op: Operation, tol: float = CHOI_TOL) -> Operation:
@@ -303,9 +286,10 @@ class Instrument(LabelledFamily):
         self._members = dict(zip(labels, ops))
 
     @classmethod
-    def _from_kraus(cls, items: Iterable[tuple[Label, Sequence[object]]], sum_tol: float = CHOI_TOL) -> "Instrument":
-        """Instrument from one Kraus stack (or list) per outcome label, validated
-        once: one concatenation and coercion of all operators, one batched
+    def _from_kraus(cls, items: Iterable[tuple[Label, Array]], sum_tol: float = CHOI_TOL) -> "Instrument":
+        """Instrument from one ``(r, d, d)`` Kraus stack per outcome label, all
+        of one shape and already checked finite (``kraus_instrument`` coerces
+        a caller's operators), validated once: one concatenation, one batched
         ``sum_k K_k^* K_k`` for the effects, one label-distinctness, dimension
         and ``trace-preserving-sum`` check.  As every ``A_x >= 0``, the sum check
         gives ``A_x <= (1 + sum_tol) 1``: the outcomes' trace-non-increase bound."""
@@ -314,11 +298,7 @@ class Instrument(LabelledFamily):
         counts = [len(ks) for ks in stacks]
         if 0 in counts:
             raise DimensionError("need at least one Kraus operator")
-        try:
-            joined = np.concatenate(stacks)
-        except ValueError:  # operators of mixed shapes, named by _kraus_stack
-            joined = [k for ks in stacks for k in ks]
-        stack = _kraus_stack(joined)
+        stack = read_only(np.concatenate(stacks).astype(complex, copy=False))
         instr.dim = stack.shape[1]
         bounds = [0, *accumulate(counts)]
         effects = read_only(hermitian_part(np.add.reduceat(stack.conj().swapaxes(1, 2) @ stack, bounds[:-1])))
@@ -332,9 +312,7 @@ class Instrument(LabelledFamily):
 
     @cached_property
     def _observable(self) -> Observable:
-        if all(op._kraus is not None for op in self._members.values()):
-            return Observable._valid(self.labels, self.effects)
-        return Observable(zip(self.labels, self.effects))
+        return Observable._valid(self.labels, self.effects)
 
 
 def instruments_close(a: Instrument, b: Instrument, tol: float) -> bool:
@@ -345,8 +323,8 @@ def instruments_close(a: Instrument, b: Instrument, tol: float) -> bool:
 def induced_observable(instr: Instrument) -> Observable:
     """The unique observable reproducing the instrument's outcome
     probabilities: ``tr[I_x(rho)] = tr(rho A_x)``, cached: one object per
-    instrument.  When every outcome has Kraus operators, the effects are PSD
-    by construction and are not eigensolved again (``Observable._valid``)."""
+    instrument.  The effects are PSD by construction (each a ``sum K^* K``)
+    and are not eigensolved again (``Observable._valid``)."""
     return instr._observable
 
 
@@ -384,8 +362,10 @@ def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
     """Instrument with one Kraus operator per outcome; ``NotComplete`` when
     the ``S^* S`` do not sum to the identity."""
+    labels = check_distinct_labels(ops)
+    stacks = _kraus_stack(list(ops.values()))[:, None] if labels else []
     try:
-        return Instrument._from_kraus((x, [s]) for x, s in zip(check_distinct_labels(ops), ops.values()))
+        return Instrument._from_kraus(zip(labels, stacks))
     except InvariantViolation as exc:
         if exc.invariant != "trace-preserving-sum":
             raise
@@ -395,14 +375,10 @@ def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
 def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
     """True when one Kraus operator suffices (Choi matrix of rank one).
 
-    Known Kraus operators are read through the singular values of their
-    stacked ``vec(K^T)`` columns, whose squares are the Choi eigenvalues;
-    only a Choi-only operation eigensolves its Choi matrix.
+    The Kraus operators are read through the singular values of their
+    stacked ``vec(K^T)`` columns, whose squares are the Choi eigenvalues.
     """
-    if phi._kraus is not None:
-        w = np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2
-    else:
-        w = np.linalg.eigvalsh(phi.choi)
+    w = np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2
     top = float(w.max())
     if top <= 0.0:
         return False
@@ -421,7 +397,7 @@ def compose_operations(second: Operation, first: Operation, atol: float = CHOI_T
     operators are the pairwise products, reduced as in ``bounded_kraus``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
-    return Operation.from_kraus(_composed_kraus(second._ops, first._ops, first.dim), atol=atol)
+    return Operation.from_kraus(_composed_kraus(second._kraus, first._kraus, first.dim), atol=atol)
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
@@ -430,14 +406,14 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
     return Instrument._from_kraus(
-        (combine_labels(x, y), _composed_kraus(jy._ops, ix._ops, i.dim)) for x, ix in i.items() for y, jy in j.items()
+        (combine_labels(x, y), _composed_kraus(jy._kraus, ix._kraus, i.dim)) for x, ix in i.items() for y, jy in j.items()
     )
 
 
 def _channel_kraus(i: Instrument) -> Array:
     """Kraus operators of the total channel: the outcomes' stacks together,
     reduced as in ``bounded_kraus``."""
-    return bounded_kraus(np.concatenate([op._ops for _, op in i.items()]), i.dim)
+    return bounded_kraus(np.concatenate([op._kraus for _, op in i.items()]), i.dim)
 
 
 def instr_channel(i: Instrument) -> Operation:
@@ -445,7 +421,7 @@ def instr_channel(i: Instrument) -> Operation:
     with the outcomes' Kraus operators together as its own.  Its
     ``ensure_channel`` test (``||A - 1||_F <= CHOI_TOL``) implies the
     operation's trace-non-increase bound, so no eigensolve runs."""
-    return ensure_channel(Operation._unchecked(_kraus_stack(_channel_kraus(i))))
+    return ensure_channel(Operation._unchecked(read_only(_channel_kraus(i))))
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
@@ -454,25 +430,20 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
     ihat = _channel_kraus(i)
-    return Instrument._from_kraus((y, _composed_kraus(jy._ops, ihat, i.dim)) for y, jy in j.items())
+    return Instrument._from_kraus((y, _composed_kraus(jy._kraus, ihat, i.dim)) for y, jy in j.items())
 
 
 def _mixture(outcomes: list[tuple[Label, Sequence[float], Sequence[Operation]]]) -> Instrument:
     """Instrument with outcome ``y`` equal to ``sum_k w[k] ops[k]`` for each
-    ``(y, w, ops)``, with nonnegative weights.
-
-    When every term has Kraus operators, outcome ``y`` has the ``sqrt(w_k) K``
-    of its terms of nonzero weight, reduced as in ``bounded_kraus``: no
-    eigensolve.  Otherwise the Choi matrices are summed and validated by
-    ``from_choi``, one eigensolve per outcome rather than one per term.
+    ``(y, w, ops)``, with nonnegative weights: outcome ``y`` has the
+    ``sqrt(w_k) K`` of its terms of nonzero weight, reduced as in
+    ``bounded_kraus``; no eigensolve.
     """
-    if all(op._kraus is not None for _, _, ops in outcomes for op in ops):
-        sums = []
-        for y, w, ops in outcomes:
-            terms = [np.sqrt(wk) * op._kraus for wk, op in zip(w, ops) if wk > 0]
-            sums.append((y, bounded_kraus(np.concatenate(terms) if terms else [], ops[0].dim)))
-        return Instrument._from_kraus(sums)
-    return Instrument({y: Operation.from_choi(sum(wk * op.choi for wk, op in zip(w, ops))) for y, w, ops in outcomes})
+    sums = []
+    for y, w, ops in outcomes:
+        terms = [np.sqrt(wk) * op._kraus for wk, op in zip(w, ops) if wk > 0]
+        sums.append((y, bounded_kraus(np.concatenate(terms) if terms else [], ops[0].dim)))
+    return Instrument._from_kraus(sums)
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
@@ -536,16 +507,13 @@ def joint_probability_instr(
     return _set_probability(joint_probability_table_instr(rho, i, j), i, x_set, j, y_set)
 
 
-def kraus_instrument_from_channel(a: Operation, tol: float = KRAUS_EIG_TOL) -> Instrument:
-    """Split a channel into a Kraus instrument, one outcome per operator.
-
-    A channel with Kraus operators has them cut to its Choi rank by
-    ``minimal_kraus``; a Choi-only channel gets one outcome per Choi
-    eigenvector with eigenvalue above ``tol``.  The resulting instrument's
-    total channel is the input channel.
+def kraus_instrument_from_channel(a: Operation) -> Instrument:
+    """Split a channel into a Kraus instrument, one outcome per operator of
+    its Kraus stack cut to its Choi rank by ``minimal_kraus``.  The resulting
+    instrument's total channel is the input channel.
     """
     ensure_channel(a)
-    ops = minimal_kraus(a._kraus, a.dim) if a._kraus is not None else _choi_to_kraus(a.choi, a.dim, tol)
+    ops = minimal_kraus(a._kraus, a.dim)
     return Instrument._from_kraus((f"k{n}", s) for n, s in enumerate(ops[:, None]))
 
 

@@ -3,8 +3,8 @@
 A model couples the base system to a probe through a channel, then reads a
 pointer observable off the probe; tracing out the probe leaves an instrument
 on the base system.  Interaction channels are stored as plain unitary
-matrices when available (von Neumann, swap, dilation) and as Choi-form
-operations otherwise.
+matrices when available (von Neumann, swap, dilation) and as operations
+otherwise.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class FIMM:
         interaction: object,
         pointer: Observable,
     ):
-        self._set_parts(dim_base, dim_probe, probe_state, pointer)
+        self._set_parts(dim_base, dim_probe, ensure_state(probe_state), pointer)
         n = self.dim_base * self.dim_probe
         if isinstance(interaction, Operation):
             if interaction.dim != n:
@@ -92,21 +92,22 @@ class FIMM:
             self.interaction = read_only(u)
 
     @classmethod
-    def _unitary(cls, dim_base: int, dim_probe: int, probe_state: object, u: Array, pointer: Observable) -> "FIMM":
+    def _unitary(cls, dim_base: int, dim_probe: int, probe_state: Array, u: Array, pointer: Observable) -> "FIMM":
         """Model on an interaction ``u`` that is unitary of the right shape by
-        construction (dilation, swap, basis pairing): only that is not checked."""
+        construction (dilation, swap, basis pairing) and a probe state that is
+        a state by construction or already checked: neither is checked again."""
         m = cls.__new__(cls)
         m._set_parts(dim_base, dim_probe, probe_state, pointer)
         m.interaction = read_only(u)
         return m
 
-    def _set_parts(self, dim_base: int, dim_probe: int, probe_state: object, pointer: Observable) -> None:
-        """Check and set everything but the interaction."""
+    def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
+        """Check and set everything but the interaction, given a probe state
+        that is already checked (``ensure_state``) or a state by construction."""
         if dim_base < 1 or dim_probe < 1:
             raise DimensionError("dimensions must be at least 1")
         self.dim_base = int(dim_base)
         self.dim_probe = int(dim_probe)
-        eta = ensure_state(probe_state)
         if eta.shape[0] != self.dim_probe:
             raise DimensionError(f"probe state dim {eta.shape[0]}, expected {self.dim_probe}")
         self.probe_state = read_only(eta)
@@ -135,9 +136,9 @@ def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
     ``P[(i, a), (k, m)] = <a, k| U |i, m>`` its Choi matrix is
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
-    ``eta = R_eta R_eta^*``.  A Choi-form interaction contributes one such
-    set per Kraus operator of its own.  Every root comes from one batched
-    eigendecomposition of the ``F_x^T`` and ``eta``.
+    ``eta = R_eta R_eta^*``.  An interaction given as an operation
+    contributes one such set per Kraus operator of its own.  Every root
+    comes from one batched eigendecomposition of the ``F_x^T`` and ``eta``.
     """
     d, dk = m.dim_base, m.dim_probe
     if isinstance(m.interaction, Operation):
@@ -219,7 +220,7 @@ class VonNeumannModel:
 
     def to_fimm(self) -> FIMM:
         phi0 = self.probe_basis[:, 0]
-        eta = np.outer(phi0, phi0.conj())
+        eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
         return FIMM._unitary(self.dim, self.dim, eta, von_neumann_unitary(self.base_basis, self.probe_basis), self.pointer)
 
 
@@ -282,11 +283,9 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     outcome has a single Kraus operator.
     """
     d = instr.dim
-    slots = [minimal_kraus(op._ops, d) for _, op in instr.items()]
+    slots = [minimal_kraus(op._kraus, d) for _, op in instr.items()]
     counts = [len(ks) for ks in slots]
     n = sum(counts)
-    if n == 0:
-        raise DimensionError("instrument has no Kraus operators")
 
     iso = np.concatenate(slots).transpose(1, 0, 2).reshape(d * n, d)
     gram = iso.conj().T @ iso

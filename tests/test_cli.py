@@ -299,6 +299,18 @@ class TestValidateCommand:
         assert run(["validate", str(bad)]) == 3
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scale, invariant", [(-1.0, "choi-positive-semidefinite"), (1.01, "trace-non-increasing")]
+    )
+    def test_malformed_choi_names_its_invariant(self, tmp_path, capsys, scale, invariant):
+        choi = scale * np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+        pairs = [[[x, 0.0] for x in row] for row in choi.tolist()]
+        payload = {"kind": "instrument", "dim": 2, "labels": ["a"], "operations": {"a": {"choi": pairs}}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run(["validate", str(bad)]) == 3
+        assert f"invalid: {invariant}, residual" in capsys.readouterr().err
+
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         payload = {
             "kind": "observable",

@@ -438,18 +438,22 @@ class TestWeightedSum:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_choi_only_operand_takes_the_choi_route(self, d, rng, eig_calls):
+        # A Choi-loaded operand holds the Kraus operators its constructor
+        # extracted, so mixing it is the Kraus route too: no Choi-sized
+        # eigensolve, and Kraus outcomes whose Choi matrices are not formed.
         kraus_form = random_instrument(d, 2, rng)
         choi_form = _choi_only(random_instrument(d, 2, rng))
         weights = [0.4, 0.6]
         eig_calls.calls.clear()
         out = instr_convex_combo(weights, [kraus_form, choi_form])
-        # one Choi PSD check per outcome, no Kraus extraction of the operand
-        assert sum(n == d * d for n in eig_calls.orders) == len(out)
-        assert all(op._kraus is None for _, op in out.items())
+        assert _no_choi_sized_eigensolve(eig_calls, d)
+        assert all("choi" not in vars(op) and 0 < len(op.kraus_ops()) <= d * d for _, op in out.items())
         assert_chois_close(out, choi_convex_combo(weights, [kraus_form, choi_form]))
         nu = random_stochastic(list(choi_form.labels), ["a", "b", "c"], rng)
+        eig_calls.calls.clear()
         processed = instr_post_process(nu, choi_form)
-        assert all(op._kraus is None for _, op in processed.items())
+        assert _no_choi_sized_eigensolve(eig_calls, d)
+        assert all("choi" not in vars(op) for _, op in processed.items())
         assert_chois_close(processed, choi_post_process(nu, choi_form))
 
     @pytest.mark.parametrize("d", DIMS)
@@ -460,7 +464,8 @@ class TestWeightedSum:
         joint = _choi_only(joint) if choi_only else joint
         eig_calls.calls.clear()
         first, second = marginal_instruments(joint)
-        assert _no_choi_sized_eigensolve(eig_calls, d) != choi_only
+        # Choi-loaded outcomes hold their Kraus operators from construction on
+        assert _no_choi_sized_eigensolve(eig_calls, d)
         expected_first, expected_second = choi_marginals(joint)
         assert_chois_close(first, expected_first)
         assert_chois_close(second, expected_second)
@@ -707,15 +712,21 @@ class TestFamilyValidation:
         ],
     )
     def test_malformed_operators_raise_as_from_kraus(self, ops):
+        # Caller operators enter instruments through kraus_instrument, which
+        # coerces them as from_kraus does; _from_kraus trusts its stacks but
+        # still refuses an empty outcome.
         with pytest.raises(QinstrError) as oracle:
             Operation.from_kraus(ops)
         with pytest.raises(QinstrError) as exc:
-            Instrument._from_kraus([("0", ops)])
+            if ops:
+                kraus_instrument({str(k): op for k, op in enumerate(ops)})
+            else:
+                Instrument._from_kraus([("0", ops)])
         assert type(exc.value) is type(oracle.value)
 
     def test_mixed_dimensions_across_outcomes(self):
-        with pytest.raises(DimensionError):
-            Instrument._from_kraus([("0", [np.eye(2)]), ("1", [np.zeros((3, 3))])])
+        with pytest.raises(DimensionError, match="mixed shapes"):
+            kraus_instrument({"0": np.eye(2), "1": np.zeros((3, 3))})
         with pytest.raises(LabelError):
             Instrument._from_kraus([("0", [np.eye(2)]), ("0", [np.zeros((2, 2))])])
 

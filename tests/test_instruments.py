@@ -7,6 +7,8 @@ from qinstr.errors import (
     InvariantViolation,
     LabelError,
     NotComplete,
+    NotHermitian,
+    QinstrError,
     WeightError,
 )
 from qinstr.instruments import (
@@ -36,7 +38,7 @@ from qinstr.instruments import (
     _composed_kraus,
     bounded_kraus,
 )
-from qinstr.linalg import frob, herm_sqrt
+from qinstr.linalg import frob, herm_sqrt, hermitian_part
 from qinstr.observables import (
     Observable,
     StochasticMatrix,
@@ -124,7 +126,9 @@ class TestOperation:
 
     def test_compose_with_zero_operation(self, rng):
         zero = Operation.from_choi(np.zeros((4, 4)))
-        assert zero.kraus_ops() == []
+        (k,) = zero.kraus_ops()  # one zero operator, never an empty stack
+        assert k.shape == (2, 2) and not np.any(k)
+        assert is_single_kraus(zero) is False
         for composed in (
             compose_operations(Operation.identity(2), zero),
             compose_operations(zero, random_instrument(2, 1, rng, kraus_per_outcome=3)["0"]),
@@ -137,6 +141,63 @@ class TestOperation:
         op = i["0"]
         rebuilt = Operation.from_kraus(Operation.from_choi(op.choi).kraus_ops())
         assert operations_close(op, rebuilt, 1e-10)
+
+
+# Choi matrix of the identity channel on C^2: vec(1) vec(1)^*
+_IDENTITY_CHOI = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+
+# (choi, kraus, error type, invariant name or None): inputs the constructor
+# rejects, and the error each raises
+_MALFORMED_CHOI = {
+    "not-psd": (np.diag([1.0, -0.5, 0.0, 0.0]), None, InvariantViolation, "choi-positive-semidefinite"),
+    "not-psd-at-scale": (np.diag([4.0, -5e-8, 0.0, 0.0]), None, InvariantViolation, "choi-positive-semidefinite"),
+    "trace-increasing": (1.01 * _IDENTITY_CHOI, None, InvariantViolation, "trace-non-increasing"),
+    "kraus-mismatch": (np.eye(4), [np.eye(2)], InvariantViolation, "kraus-matches-choi"),
+    "kraus-wrong-dim": (_IDENTITY_CHOI, [np.eye(3)], DimensionError, None),
+    "not-square-of-square": (np.eye(3), None, DimensionError, None),
+    "not-square": (np.ones((4, 2)), None, DimensionError, None),
+    "not-hermitian": (np.triu(np.ones((4, 4))), None, NotHermitian, None),
+    "non-finite": (np.full((4, 4), np.nan), None, QinstrError, None),
+}
+
+
+class TestKrausFromConstruction:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_choi_input_keeps_its_matrix_and_holds_kraus_operators(self, d, rng):
+        c = hermitian_part(random_instrument(d, 2, rng)["0"].choi)
+        op = Operation.from_choi(c)
+        assert np.array_equal(op.choi, c)
+        k = op._kraus  # set by the constructor, not on first use
+        assert k.shape[1:] == (d, d) and not k.flags.writeable
+        v = k.transpose(2, 1, 0).reshape(d * d, -1)  # vec(K^T), one column per operator
+        assert frob(v @ v.conj().T - c) <= 1e-12
+
+    def test_observable_of_choi_loaded_operations_takes_no_eigensolve(self, rng, eig_calls):
+        chois = [op.choi for _, op in random_instrument(3, 3, rng).items()]
+        eig_calls.calls.clear()
+        instr = Instrument({str(x): Operation.from_choi(c) for x, c in enumerate(chois)})
+        # the constructors' own: one Choi eigendecomposition and one trace check each
+        assert eig_calls.calls == [(9, 1), (3, 1)] * 3
+        obs = induced_observable(instr)
+        assert eig_calls.calls == [(9, 1), (3, 1)] * 3
+        assert np.array_equal(obs.stack, instr.effects)
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_CHOI))
+    def test_malformed_choi_is_rejected_as_before(self, case):
+        choi, kraus, error, invariant = _MALFORMED_CHOI[case]
+        with pytest.raises(error) as exc:
+            Operation(choi, kraus=kraus)
+        if invariant is not None:
+            assert exc.value.invariant == invariant
+
+    def test_tolerated_negative_eigenvalue_is_dropped_from_the_kraus_form(self):
+        # -5e-9 is within the PSD tolerance atol * scale = 1e-8, so it passes
+        # the check and is dropped from the Kraus form, as the zeros are
+        c = np.diag([1.0, -5e-9, 0.0, 0.0])
+        op = Operation.from_choi(c)
+        assert np.array_equal(op.choi, c)
+        (k,) = op.kraus_ops()
+        assert frob(np.abs(k) - np.diag([1.0, 0.0])) == 0.0
 
 
 class TestOpApply:

@@ -204,16 +204,15 @@ class TestClosedForm:
 
     def test_conditioning_extracts_each_operation_once(self, rng, eig_calls):
         d = 4
-        i, j = (
-            Instrument({x: Operation.from_choi(op.choi) for x, op in random_instrument(d, m, rng).items()})
-            for m in (2, 3)
-        )
+        chois = [[op.choi for _, op in random_instrument(d, m, rng).items()] for m in (2, 3)]
         eig_calls.calls.clear()
-        first = instr_conditioned(i, j)
-        # one canonical extraction per input outcome; none for the channel
-        # of ``i`` or the composed outcomes
+        i, j = (Instrument({str(x): Operation.from_choi(c) for x, c in enumerate(cs)}) for cs in chois)
+        # one canonical extraction per input outcome, in its constructor
         assert sum(n >= d * d for n in eig_calls.orders) == len(i) + len(j)
         eig_calls.calls.clear()
+        first = instr_conditioned(i, j)
+        # none for the channel of ``i`` or the composed outcomes
+        assert not any(n >= d * d for n in eig_calls.orders)
         again = instr_conditioned(i, j)
         assert not any(n >= d * d for n in eig_calls.orders)
         assert instruments_close(first, again, 0.0)
