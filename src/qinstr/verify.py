@@ -1,16 +1,23 @@
 """Numerical verification suites for the toolkit's catalog of results.
 
 Each suite re-derives one identity, counterexample, or construction on
-concrete matrices and reports the worst residual seen.  Suites are
-deterministic given a seed.  The two ``conj-*`` suites are random
-counterexample probes: they only ever report "unknown" together with the
-number of trials searched; they never assert either direction.
+concrete matrices.  ``SUITES`` is the one table: id -> suite function,
+default trials, pinned tolerance.  A suite is a function of one run record
+(``_Run``): it draws from ``run.rng`` in each trial of ``run.cases(*dims)``
+and records residuals, gap floors and its note; ``run.require`` ends it
+early as a fail.  ``run_suite``, the one runner, seeds the generator from
+the id and the seed, scales the tolerance and applies one status rule:
+``pass`` when the worst residual is at most the scaled tolerance and every
+gap floor (and tighter bound) is met, else ``fail``.  ``fixed`` suites run
+a fixed set and report its count whatever ``trials`` is.  The two ``conj-*``
+probes (tolerance ``None``) only ever report "unknown", with the number of
+cases searched; they assert nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -116,6 +123,43 @@ def _rng(result_id: str, seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, sum(map(ord, result_id))])
 
 
+class _Stop(Exception):
+    """A failed ``_Run.require``; its message is the report's note."""
+
+
+@dataclass
+class _Run:
+    """One suite run: what the runner hands the suite, and what it records."""
+
+    rng: np.random.Generator
+    trials: int
+    scale: float
+    tol: float  # the pinned tolerance times ``scale``
+    worst: float = 0.0
+    met: bool = True  # False once a gap floor or tighter bound is missed
+    note: str = ""
+    count: int | None = None  # cases checked, reported in place of ``trials``
+
+    def residual(self, *values: float, bound: float | None = None) -> None:
+        """Keep the running max; the values must also meet ``bound * scale``."""
+        self.worst = max(self.worst, *values)
+        if bound is not None:
+            self.met = self.met and max(values) <= bound * self.scale
+
+    def gap(self, text: str, value: float, floor: float) -> None:
+        """A counterexample must separate by at least ``floor`` (unscaled)."""
+        self.met = self.met and value >= floor
+        self.note = f"{text} {value:.3g} >= {np.format_float_scientific(floor, trim='-', exp_digits=1)}"
+
+    def cases(self, *dims: int) -> Iterator[tuple[int, int]]:
+        """Each trial's index and dimension, cycling through ``dims``."""
+        return ((t, dims[t % len(dims)]) for t in range(self.trials))
+
+    def require(self, cond: bool, note: str) -> None:
+        if not cond:
+            raise _Stop(note)
+
+
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
     """Largest Frobenius distance between matching matrices of two stacks."""
     return float(np.linalg.norm(a - b, axis=(-2, -1)).max())
@@ -146,32 +190,25 @@ def stored_trivial_instrument() -> Instrument:
 # -- individual suites --------------------------------------------------------
 
 
-def _suite_ex_1(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_1(run: _Run) -> None:
     """Sequential product is non-associative: rank-one closed forms differ by
     exactly one quarter in operator norm."""
-    tol = 1e-10 * scale
     e1 = np.array([1.0, 0.0], dtype=complex)
     beta = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     a, b, c = atom(e1), atom(beta), atom(e1)
     left = seq_product(a, seq_product(b, c))
     right = seq_product(seq_product(a, b), c)
     p = atom(e1)
-    res = max(frob(left - 0.25 * p), frob(right - 0.5 * p))
-    gap = spectral_norm(right - left)
-    res = max(res, abs(gap - 0.25))
-    status = "pass" if res <= tol else "fail"
-    return VerificationReport("ex-1", 1, res, status, seed, tol, "gap in operator norm is 1/4")
+    run.residual(frob(left - 0.25 * p), frob(right - 0.5 * p))
+    run.residual(abs(spectral_norm(right - left) - 0.25))
+    run.note = "gap in operator norm is 1/4"
 
 
-def _suite_lem_1_1(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_1_1(run: _Run) -> None:
     """Commuting effects coexist: the algebraic witness validates and the
     binary joint observable has the right marginals."""
-    tol = 1e-8 * scale
-    rng = _rng("lem-1.1", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
-        a, b = random_commuting_effect_pair(d, rng)
+    for _, d in run.cases(2, 3, 4):
+        a, b = random_commuting_effect_pair(d, run.rng)
         ab = ensure_effect(hermitian_part(a @ b))
         w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
         # joint[x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
@@ -179,112 +216,89 @@ def _suite_lem_1_1(seed: int, trials: int, scale: float) -> VerificationReport:
         try:
             joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
         except InvalidWitness:
-            return VerificationReport("lem-1.1", trials, 1.0, "fail", seed, tol, "witness rejected")
-        worst = max(worst, _worst(joint.sum(1), np.stack([a, complement(a)])))
-        worst = max(worst, _worst(joint.sum(0), np.stack([b, complement(b)])))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("lem-1.1", trials, worst, status, seed, tol)
+            raise _Stop("witness rejected")
+        run.residual(_worst(joint.sum(1), np.stack([a, complement(a)])))
+        run.residual(_worst(joint.sum(0), np.stack([b, complement(b)])))
 
 
-def _suite_lem_1_2(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_1_2(run: _Run) -> None:
     """Atomic observables are complementary exactly for mutually unbiased
     bases; a generic basis pair misses by a visible margin."""
-    tol = 1e-9 * scale
-    rng = _rng("lem-1.2", seed)
-    worst = 0.0
     for d in (2, 3, 4, 5):
         basis1, basis2 = fourier_mub(d)
         overlaps = np.abs(basis1.conj().T @ basis2) ** 2
-        worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / d))))
-        worst = max(worst, complementarity_residual(atomic_observable(basis1), atomic_observable(basis2)))
-    gap_ok = True
+        run.residual(float(np.max(np.abs(overlaps - 1.0 / d))))
+        run.residual(complementarity_residual(atomic_observable(basis1), atomic_observable(basis2)))
+    run.note = "non-MUB residual >= 1e-3"
     for d in (2, 3):
         # A random pair can be nearly unbiased, and then its residual is
         # small for a good reason; redraw until the overlaps deviate from
         # 1/d by at least 0.05 (residual/deviation >= 1 for d = 2, 3).
         while True:
-            u, v = random_unitary(d, rng), random_unitary(d, rng)
+            u, v = random_unitary(d, run.rng), random_unitary(d, run.rng)
             if np.max(np.abs(np.abs(u.conj().T @ v) ** 2 - 1.0 / d)) >= 0.05:
                 break
         residual = complementarity_residual(atomic_observable(u), atomic_observable(v))
-        gap_ok = gap_ok and residual >= 1e-3
-    status = "pass" if worst <= tol and gap_ok else "fail"
-    return VerificationReport("lem-1.2", 6, worst, status, seed, tol, "non-MUB residual >= 1e-3")
+        run.require(residual >= 1e-3, run.note)
 
 
-def _suite_thm_2_1(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_2_1(run: _Run) -> None:
     """The observable of a measurement-update instrument is the observable it
     came from; the reverse composition is not the identity on instruments."""
-    tol = 1e-9 * scale
-    rng = _rng("thm-2.1", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
-        a = random_observable(d, 2 + t % 3, rng)
+    for t, d in run.cases(2, 3, 4):
+        a = random_observable(d, 2 + t % 3, run.rng)
         back = induced_observable(luders_instrument(a))
-        worst = max(worst, family_distance(back, a))
+        run.residual(family_distance(back, a))
     # KJ fixes exactly the measurement-update instruments
-    a = random_observable(2, 2, rng)
+    a = random_observable(2, 2, run.rng)
     luders = luders_instrument(a)
-    worst = max(worst, family_distance(luders_instrument(induced_observable(luders)), luders))
+    run.residual(family_distance(luders_instrument(induced_observable(luders)), luders))
     trivial = stored_trivial_instrument()
     rebuilt = luders_instrument(induced_observable(trivial))
-    gap = family_distance(rebuilt, trivial)
-    status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
-    return VerificationReport("thm-2.1", trials, worst, status, seed, tol, f"KJ gap {gap:.3g} >= 1e-3")
+    run.gap("KJ gap", family_distance(rebuilt, trivial), 1e-3)
 
 
-def _suite_thm_2_2(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_2_2(run: _Run) -> None:
     """Instrument mixtures mix their observables; observable mixtures do not
     mix their measurement-update instruments (cross terms survive)."""
-    tol = 1e-9 * scale
-    rng = _rng("thm-2.2", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
+    for t, d in run.cases(2, 3, 4):
         n = 2 + t % 2
-        weights = random_simplex(3, rng)
-        parts = [random_instrument(d, n, rng) for _ in range(3)]
+        weights = random_simplex(3, run.rng)
+        parts = [random_instrument(d, n, run.rng) for _ in range(3)]
         a_mix = induced_observable(instr_convex_combo(weights, parts))
-        worst = max(worst, family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])))
+        run.residual(family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])))
     a, b = sharp_qubit_z(), sharp_qubit_x()
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
     rho = np.diag([1.0, 0.0]).astype(complex)
     lhs = _outputs(luders_instrument(mixed_obs), rho)
     gap = _worst(lhs, 0.5 * _outputs(luders_instrument(a), rho) + 0.5 * _outputs(luders_instrument(b_relab), rho))
-    status = "pass" if worst <= tol and gap >= 1e-2 else "fail"
-    return VerificationReport("thm-2.2", trials, worst, status, seed, tol, f"K mixture gap {gap:.3g} >= 1e-2")
+    run.gap("K mixture gap", gap, 1e-2)
 
 
-def _suite_thm_2_3(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_2_3(run: _Run) -> None:
     """Post-processing commutes with taking the observable of an instrument,
     and distributes over mixtures, but not with the measurement-update map."""
-    tol = 1e-9 * scale
-    rng = _rng("thm-2.3", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
+    for t, d in run.cases(2, 3, 4):
         n = 2 + t % 2
-        instr = random_instrument(d, n, rng)
-        nu = random_stochastic(list(instr.labels), [f"t{k}" for k in range(2)], rng)
+        instr = random_instrument(d, n, run.rng)
+        nu = random_stochastic(list(instr.labels), [f"t{k}" for k in range(2)], run.rng)
         lhs = induced_observable(instr_post_process(nu, instr))
         rhs = obs_post_process(nu, induced_observable(instr))
-        worst = max(worst, family_distance(lhs, rhs))
-        weights = random_simplex(2, rng)
-        other = random_instrument(d, n, rng)
+        run.residual(family_distance(lhs, rhs))
+        weights = random_simplex(2, run.rng)
+        other = random_instrument(d, n, run.rng)
         mixed = instr_post_process(nu, instr_convex_combo(weights, [instr, other]))
         split = instr_convex_combo(
             weights, [instr_post_process(nu, instr), instr_post_process(nu, other)]
         )
-        worst = max(worst, family_distance(mixed, split))
+        run.residual(family_distance(mixed, split))
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     lhs = _outputs(luders_instrument(obs_post_process(nu, a)), rho)
     gap = _worst(lhs, np.tensordot(nu.matrix.T, _outputs(luders_instrument(a), rho), 1))
-    status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
-    return VerificationReport("thm-2.3", trials, worst, status, seed, tol, f"K post-processing gap {gap:.3g} >= 1e-3")
+    run.gap("K post-processing gap", gap, 1e-3)
 
 
 def _complementary_pair_catalog(rng: np.random.Generator, count: int):
@@ -294,23 +308,18 @@ def _complementary_pair_catalog(rng: np.random.Generator, count: int):
     for t in range(count):
         kind = t % 5
         d = 2 + t % 3
-        if kind == 0:
+        if kind in (0, 2):
+            # a mutually unbiased pair, rotated by a random unitary for kind 2
             b1, b2 = fourier_mub(d)
+            if kind == 2:
+                u = random_unitary(d, rng)
+                b1, b2 = u @ b1, u @ b2
             pairs.append((luders_instrument(atomic_observable(b1)), luders_instrument(atomic_observable(b2))))
         elif kind == 1:
             a = identity_observable({"0": 0.5, "1": 0.5}, d)
             b = identity_observable({"0": 1.0 / 3, "1": 1.0 / 3, "2": 1.0 / 3}, d)
             alpha = random_state(d, rng)
             pairs.append((trivial_instrument(a, alpha), trivial_instrument(b, alpha)))
-        elif kind == 2:
-            b1, b2 = fourier_mub(d)
-            u = random_unitary(d, rng)
-            pairs.append(
-                (
-                    luders_instrument(atomic_observable(u @ b1)),
-                    luders_instrument(atomic_observable(u @ b2)),
-                )
-            )
         elif kind == 3:
             a = random_observable(d, 2, rng)
             pairs.append((luders_instrument(a), luders_instrument(a)))
@@ -319,317 +328,257 @@ def _complementary_pair_catalog(rng: np.random.Generator, count: int):
     return pairs
 
 
-def _suite_lem_2_4(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_2_4(run: _Run) -> None:
     """Instrument-level complementarity agrees exactly with observable-level
     complementarity of the induced observables."""
-    rng = _rng("lem-2.4", seed)
     disagreements = 0
-    pairs = _complementary_pair_catalog(rng, trials)
-    for i, j in pairs:
+    for i, j in _complementary_pair_catalog(run.rng, run.trials):
         lhs = instr_complementary(i, j)
         rhs = obs_complementary(induced_observable(i), induced_observable(j))
         if lhs != rhs:
             disagreements += 1
-    status = "pass" if disagreements == 0 else "fail"
-    return VerificationReport("lem-2.4", len(pairs), float(disagreements), status, seed, 0.0, "boolean agreement")
+    run.residual(disagreements)
+    run.note = "boolean agreement"
 
 
-def _suite_cor_2_5(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_cor_2_5(run: _Run) -> None:
     """Complementary measurement-update instruments come from complementary
     observables."""
-    rng = _rng("cor-2.5", seed)
     failures = 0
-    checked = 0
-    pairs = _complementary_pair_catalog(rng, trials)
-    for i, j in pairs:
+    run.count = 0
+    for i, j in _complementary_pair_catalog(run.rng, run.trials):
         if instr_complementary(i, j):
-            checked += 1
+            run.count += 1
             if not obs_complementary(induced_observable(i), induced_observable(j)):
                 failures += 1
-    status = "pass" if failures == 0 and checked > 0 else "fail"
-    return VerificationReport("cor-2.5", checked, float(failures), status, seed, 0.0, f"{checked} complementary pairs checked")
+    run.residual(failures)
+    run.note = f"{run.count} complementary pairs checked"
+    run.require(run.count > 0, run.note)
 
 
-def _suite_lem_2_6(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_2_6(run: _Run) -> None:
     """Coexisting instruments induce coexisting observables."""
-    tol = 1e-8 * scale
-    rng = _rng("lem-2.6", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        alpha = random_state(d, rng)
-        joint_obs = random_observable(
-            d, 4, rng, labels=[combine_labels(str(x), str(y)) for x in range(2) for y in range(2)]
-        )
-        joint_instr = trivial_instrument(joint_obs, alpha)
+    for _, d in run.cases(2, 3):
+        alpha = random_state(d, run.rng)
+        joint_instr = trivial_instrument(_product_labelled_observable(run.rng, d), alpha)
         i, j = marginal_instruments(joint_instr)
-        if not instr_coexist_verify(i, j, joint_instr, tol):
-            return VerificationReport("lem-2.6", trials, 1.0, "fail", seed, tol, "joint marginals broken")
+        run.require(instr_coexist_verify(i, j, joint_instr, run.tol), "joint marginals broken")
         a, b, c = induced_observable(i), induced_observable(j), induced_observable(joint_instr)
-        if not obs_coexist_verify(a, b, c, tol):
-            return VerificationReport("lem-2.6", trials, 1.0, "fail", seed, tol, "observables do not coexist")
-        worst = max(worst, marginal_defect(a, b, c))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("lem-2.6", trials, worst, status, seed, tol)
+        run.require(obs_coexist_verify(a, b, c, run.tol), "observables do not coexist")
+        run.residual(marginal_defect(a, b, c))
 
 
-def _suite_ex_2(seed: int, trials: int, scale: float) -> VerificationReport:
+def _outcome_ranks_exceed_one(instr: Instrument) -> bool:
+    """Every outcome Choi matrix has rank two or more (relative cut 1e-8)."""
+    w = np.linalg.eigvalsh(instr.member_matrices())
+    return bool(np.all(np.sum(w > 1e-8 * w[:, -1:], axis=1) >= 2))
+
+
+def _suite_ex_2(run: _Run) -> None:
     """The stored trivial instrument admits no single Kraus operator: every
     outcome Choi matrix has rank four."""
     trivial = stored_trivial_instrument()
-    w = np.linalg.eigvalsh(trivial.member_matrices())
-    ok = bool(np.all(np.sum(w > 1e-8 * w[:, -1:], axis=1) >= 2))
-    ok = ok and not any(is_single_kraus(op) for _, op in trivial.items())
+    ok = _outcome_ranks_exceed_one(trivial) and not any(is_single_kraus(op) for _, op in trivial.items())
     luders = luders_instrument(sharp_qubit_z())
     ok = ok and all(is_single_kraus(op) for _, op in luders.items())
-    status = "pass" if ok else "fail"
-    return VerificationReport("ex-2", 1, 0.0 if ok else 1.0, status, seed, 0.0, "outcome Choi ranks >= 2")
+    run.note = "outcome Choi ranks >= 2"
+    run.require(ok, run.note)
 
 
-def _suite_ex_3(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_3(run: _Run) -> None:
     """Products of single-Kraus instruments compose their operators, and the
     induced observable of the product is generally not the observable
     product."""
-    tol = 1e-9 * scale
-    rng = _rng("ex-3", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        i = random_kraus_instrument(d, 2, rng)
-        j = random_kraus_instrument(d, 2, rng)
+    for _, d in run.cases(2, 3):
+        i = random_kraus_instrument(d, 2, run.rng)
+        j = random_kraus_instrument(d, 2, run.rng)
         s, tt = _single_kraus(i), _single_kraus(j)
         # expected[x, y] = S_x^* T_y^* T_y S_x, the effect of outcome (x, y)
         expected = s.conj().swapaxes(1, 2)[:, None] @ tt.conj().swapaxes(1, 2)[None] @ tt[None] @ s[:, None]
         a_prod = induced_observable(instr_product(i, j)).stack.reshape(expected.shape)
         b_cond = induced_observable(instr_conditioned(i, j)).stack
-        worst = max(worst, _worst(a_prod, expected), _worst(b_cond, expected.sum(0)))
+        run.residual(_worst(a_prod, expected), _worst(b_cond, expected.sum(0)))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     i = kraus_instrument({"0": np.eye(2, dtype=complex) / np.sqrt(2.0), "1": hadamard / np.sqrt(2.0)})
     j = luders_instrument(sharp_qubit_z())
     lhs = induced_observable(instr_product(i, j))
     rhs = obs_seq_product(induced_observable(i), induced_observable(j))
-    gap = family_distance(lhs, rhs)
-    status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
-    return VerificationReport("ex-3", trials, worst, status, seed, tol, f"observable-product gap {gap:.3g} >= 1e-3")
+    run.gap("observable-product gap", family_distance(lhs, rhs), 1e-3)
 
 
-def _suite_ex_4(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_4(run: _Run) -> None:
     """For measurement-update instruments the product observable law holds,
     and the update map is multiplicative exactly on commuting pairs."""
-    tol = 1e-9 * scale
-    rng = _rng("ex-4", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        a = random_observable(d, 2, rng)
-        b = random_observable(d, 2, rng)
+    for _, d in run.cases(2, 3):
+        a = random_observable(d, 2, run.rng)
+        b = random_observable(d, 2, run.rng)
         lhs = induced_observable(instr_product(luders_instrument(a), luders_instrument(b)))
         rhs = obs_seq_product(a, b)
-        worst = max(worst, family_distance(lhs, rhs))
+        run.residual(family_distance(lhs, rhs))
         cond = induced_observable(instr_conditioned(luders_instrument(a), luders_instrument(b)))
         expected = obs_conditioned(a, b)
-        worst = max(worst, family_distance(cond, expected))
+        run.residual(family_distance(cond, expected))
     # commuting branch: same eigenbasis by construction
-    u = random_unitary(3, rng)
-    diag_a, diag_b = (rng.dirichlet(np.ones(2), size=3).T[:, :, None] * np.eye(3) for _ in range(2))
+    u = random_unitary(3, run.rng)
+    diag_a, diag_b = (run.rng.dirichlet(np.ones(2), size=3).T[:, :, None] * np.eye(3) for _ in range(2))
     a_com, b_com = (Observable(zip(("0", "1"), u @ diag.astype(complex) @ u.conj().T)) for diag in (diag_a, diag_b))
-    if not obs_commute(a_com, b_com):
-        return VerificationReport("ex-4", trials, 1.0, "fail", seed, tol, "construction should commute")
+    run.require(obs_commute(a_com, b_com), "construction should commute")
     k_joint = luders_instrument(obs_seq_product(a_com, b_com))
     k_split = instr_product(luders_instrument(a_com), luders_instrument(b_com))
-    worst = max(worst, family_distance(k_joint, k_split))
+    run.residual(family_distance(k_joint, k_split))
     a, b = sharp_qubit_z(), sharp_qubit_x()
     k_joint = luders_instrument(obs_seq_product(a, b))
     k_split = instr_product(luders_instrument(a), luders_instrument(b))
-    gap = family_distance(k_joint, k_split)
-    status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
-    return VerificationReport("ex-4", trials, worst, status, seed, tol, f"non-commuting gap {gap:.3g} >= 1e-3")
+    run.gap("non-commuting gap", family_distance(k_joint, k_split), 1e-3)
 
 
-def _suite_ex_5(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_5(run: _Run) -> None:
     """Products and conditioning against an identity instrument only scale:
     conditioning a generic instrument on it returns that instrument."""
-    tol = 1e-9 * scale
-    rng = _rng("ex-5", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        w = random_simplex(2, rng)
+    for _, d in run.cases(2, 3):
+        w = random_simplex(2, run.rng)
         ident = identity_instrument(dict(zip(["0", "1"], w)), d)
-        j = random_instrument(d, 2, rng)
+        j = random_instrument(d, 2, run.rng)
         scaled = w[:, None, None, None] * j.member_matrices()  # scaled[x, y] = w_x J_y
         prod = instr_product(ident, j).member_matrices()
         reversed_prod = instr_product(j, ident).member_matrices()
-        worst = max(worst, _worst(prod, scaled.reshape(prod.shape)))
-        worst = max(worst, _worst(reversed_prod, scaled.swapaxes(0, 1).reshape(prod.shape)))
-        worst = max(worst, family_distance(instr_conditioned(ident, j), j))
+        run.residual(_worst(prod, scaled.reshape(prod.shape)))
+        run.residual(_worst(reversed_prod, scaled.swapaxes(0, 1).reshape(prod.shape)))
+        run.residual(family_distance(instr_conditioned(ident, j), j))
         reverse = instr_conditioned(j, ident).member_matrices()
-        worst = max(worst, _worst(reverse, w[:, None, None] * instr_channel(j).choi))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("ex-5", trials, worst, status, seed, tol)
+        run.residual(_worst(reverse, w[:, None, None] * instr_channel(j).choi))
 
 
-def _suite_ex_6(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_6(run: _Run) -> None:
     """Products of state-preparation instruments factorize through the
     prepared state, and conditioning loses the first observable entirely."""
-    tol = 1e-9 * scale
-    rng = _rng("ex-6", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        a = random_observable(d, 2, rng)
-        b = random_observable(d, 2, rng)
-        alpha = random_state(d, rng)
-        beta = random_state(d, rng)
+    for _, d in run.cases(2, 3):
+        a = random_observable(d, 2, run.rng)
+        b = random_observable(d, 2, run.rng)
+        alpha = random_state(d, run.rng)
+        beta = random_state(d, run.rng)
         prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)).member_matrices()
         coeff = np.trace(alpha @ b.stack, axis1=1, axis2=2).real  # tr(alpha B_y)
         kron = np.einsum("xji,ab->xiajb", a.stack, beta).reshape(len(a), d * d, d * d)  # A_x^T (x) beta
         expected = coeff[None, :, None, None] * kron[:, None]
-        worst = max(worst, _worst(prod, expected.reshape(prod.shape)))
+        run.residual(_worst(prod, expected.reshape(prod.shape)))
     a = sharp_qubit_z()
     alpha = atom(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    i = trivial_instrument(a, alpha)
-    j = trivial_instrument(a, alpha)
+    i = j = trivial_instrument(a, alpha)
     lhs = induced_observable(instr_conditioned(i, j))
     rhs = obs_conditioned(a, a)
-    gap = family_distance(lhs, rhs)
-    status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
-    return VerificationReport("ex-6", trials, worst, status, seed, tol, f"conditioned-observable gap {gap:.3g} >= 1e-3")
+    run.gap("conditioned-observable gap", family_distance(lhs, rhs), 1e-3)
 
 
-def _suite_ex_7(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_7(run: _Run) -> None:
     """Sequential probabilities of state-preparation instruments factorize as
     tr(rho A_X) tr(alpha B_Y), unlike the observable-level probabilities."""
-    tol = 1e-10 * scale
-    rng = _rng("ex-7", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        a = random_observable(d, 2, rng)
-        b = random_observable(d, 2, rng)
-        alpha = random_state(d, rng)
-        beta = random_state(d, rng)
-        rho = random_state(d, rng)
+    for _, d in run.cases(2, 3):
+        a = random_observable(d, 2, run.rng)
+        b = random_observable(d, 2, run.rng)
+        alpha = random_state(d, run.rng)
+        beta = random_state(d, run.rng)
+        rho = random_state(d, run.rng)
         i = trivial_instrument(a, alpha)
         j = trivial_instrument(b, beta)
         x_set, y_set = [a.labels[0]], [b.labels[1]]
         p = joint_probability_instr(rho, i, x_set, j, y_set)
         expected = float(np.trace(rho @ a[x_set[0]]).real) * float(np.trace(alpha @ b[y_set[0]]).real)
-        worst = max(worst, abs(p - expected))
+        run.residual(abs(p - expected))
     a = sharp_qubit_z()
     alpha = atom(np.array([1.0, 1.0]) / np.sqrt(2.0))
     rho = np.diag([1.0, 0.0]).astype(complex)
-    i = trivial_instrument(a, alpha)
-    j = trivial_instrument(a, alpha)
+    i = j = trivial_instrument(a, alpha)
     p_instr = joint_probability_instr(rho, i, ["0"], j, ["0"])
     p_obs = joint_probability_then(rho, a, ["0"], a, ["0"])
-    gap = abs(p_instr - p_obs)
-    status = "pass" if worst <= tol and gap >= 1e-3 else "fail"
-    return VerificationReport("ex-7", trials, worst, status, seed, tol, f"probability gap {gap:.3g} >= 1e-3")
+    run.gap("probability gap", abs(p_instr - p_obs), 1e-3)
 
 
-def _suite_ex_8(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_ex_8(run: _Run) -> None:
     """Measurement-update instruments reproduce the observable-level
     sequential probabilities outcome by outcome."""
-    tol = 1e-10 * scale
-    rng = _rng("ex-8", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
-        a = random_observable(d, 2, rng)
-        b = random_observable(d, 2, rng)
-        rho = random_state(d, rng)
+    for _, d in run.cases(2, 3, 4):
+        a = random_observable(d, 2, run.rng)
+        b = random_observable(d, 2, run.rng)
+        rho = random_state(d, run.rng)
         p_instr = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
-        worst = max(worst, float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("ex-8", trials, worst, status, seed, tol)
+        run.residual(float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()))
 
 
-def _suite_lem_3_1(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_3_1(run: _Run) -> None:
     """Set-level sequential probabilities of measurement-update instruments
     match the observable-level joint probabilities."""
-    tol = 1e-10 * scale
-    rng = _rng("lem-3.1", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
+    for t, d in run.cases(2, 3, 4):
         m, n = 2 + t % 2, 2 + (t + 1) % 2
-        a = random_observable(d, m, rng)
-        b = random_observable(d, n, rng)
-        rho = random_state(d, rng)
-        x_set = [lab for k, lab in enumerate(a.labels) if rng.random() < 0.6 or k == 0]
-        y_set = [lab for k, lab in enumerate(b.labels) if rng.random() < 0.6 or k == 0]
+        a = random_observable(d, m, run.rng)
+        b = random_observable(d, n, run.rng)
+        rho = random_state(d, run.rng)
+        x_set = [lab for k, lab in enumerate(a.labels) if run.rng.random() < 0.6 or k == 0]
+        y_set = [lab for k, lab in enumerate(b.labels) if run.rng.random() < 0.6 or k == 0]
         p_instr = joint_probability_instr(rho, luders_instrument(a), x_set, luders_instrument(b), y_set)
         p_obs = joint_probability_then(rho, a, x_set, b, y_set)
-        worst = max(worst, abs(p_instr - p_obs))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("lem-3.1", trials, worst, status, seed, tol)
+        run.residual(abs(p_instr - p_obs))
 
 
-def _suite_thm_3_2(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_3_2(run: _Run) -> None:
     """Splitting a channel into its canonical Kraus instrument yields an
     identity instrument exactly for the identity channel."""
-    tol = 1e-9 * scale
-    rng = _rng("thm-3.2", seed)
-    worst = 0.0
     for d in (2, 3):
         split = kraus_instrument_from_channel(Operation.identity(d))
-        if not is_identity_instrument(split, tol):
-            return VerificationReport("thm-3.2", trials, 1.0, "fail", seed, tol, "identity channel split")
-        u = random_unitary(d, rng)
+        run.require(is_identity_instrument(split, run.tol), "identity channel split")
+        u = random_unitary(d, run.rng)
         split_u = kraus_instrument_from_channel(Operation.from_unitary(u))
-        if len(split_u) != 1:
-            return VerificationReport("thm-3.2", trials, 1.0, "fail", seed, tol, "unitary channel should have one operator")
+        run.require(len(split_u) == 1, "unitary channel should have one operator")
         if d == 2:
             dephasing = instr_channel(luders_instrument(sharp_qubit_z()))
             split_z = kraus_instrument_from_channel(dephasing)
             p, q = (op.kraus_ops()[0] for _, op in split_z.items())
-            worst = max(worst, min(frob(p @ q), frob(q @ p)))
-            if is_identity_instrument(split_z, tol):
-                return VerificationReport("thm-3.2", trials, 1.0, "fail", seed, tol, "dephasing is not an identity instrument")
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("thm-3.2", trials, worst, status, seed, tol)
+            run.residual(min(frob(p @ q), frob(q @ p)))
+            run.require(not is_identity_instrument(split_z, run.tol), "dephasing is not an identity instrument")
 
 
-def _suite_cor_3_3(seed: int, trials: int, scale: float) -> VerificationReport:
+def _identity_channel_distance(instr: Instrument) -> float:
+    """Frobenius distance of the total channel's Choi matrix from the identity's."""
+    return frob(instr_channel(instr).choi - Operation.identity(instr.dim).choi)
+
+
+def _suite_cor_3_3(run: _Run) -> None:
     """Identity instruments always sum to the identity channel."""
-    tol = 1e-9 * scale
-    rng = _rng("cor-3.3", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 3
+    for t, d in run.cases(2, 3, 4):
         n = 2 + t % 3
-        weights = dict(zip([str(k) for k in range(n)], random_simplex(n, rng)))
+        weights = dict(zip([str(k) for k in range(n)], random_simplex(n, run.rng)))
         ident = identity_instrument(weights, d)
-        worst = max(worst, frob(instr_channel(ident).choi - Operation.identity(d).choi))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("cor-3.3", trials, worst, status, seed, tol)
+        run.residual(_identity_channel_distance(ident))
 
 
-def _suite_lem_3_4(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_3_4(run: _Run) -> None:
     """The total channel of a product instrument, of a conditioned
     instrument, and the composition of the total channels all agree."""
-    tol = 1e-9 * scale
-    rng = _rng("lem-3.4", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        i = random_instrument(d, 2, rng)
-        j = random_instrument(d, 2 + t % 2, rng)
+    for t, d in run.cases(2, 3):
+        i = random_instrument(d, 2, run.rng)
+        j = random_instrument(d, 2 + t % 2, run.rng)
         prod_hat = instr_channel(instr_product(i, j))
         cond_hat = instr_channel(instr_conditioned(i, j))
         composed = compose_operations(instr_channel(j), instr_channel(i))
-        worst = max(worst, frob(prod_hat.choi - cond_hat.choi))
-        worst = max(worst, frob(prod_hat.choi - composed.choi))
-        worst = max(worst, frob(cond_hat.choi - composed.choi))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("lem-3.4", trials, worst, status, seed, tol)
+        run.residual(frob(prod_hat.choi - cond_hat.choi))
+        run.residual(frob(prod_hat.choi - composed.choi))
+        run.residual(frob(cond_hat.choi - composed.choi))
 
 
 def _product_labelled_instrument(rng: np.random.Generator, d: int, m: int, n: int) -> Instrument:
     base = random_instrument(d, m * n, rng)
     labels = [combine_labels(str(x), str(y)) for x in range(m) for y in range(n)]
     return Instrument(zip(labels, (op for _, op in base.items())))
+
+
+def _product_labelled_observable(rng: np.random.Generator, d: int) -> Observable:
+    """A random observable on the product labels (x, y), x, y in {0, 1}."""
+    return random_observable(d, 4, rng, labels=[combine_labels(str(x), str(y)) for x in range(2) for y in range(2)])
+
+
+def _marginal_observables(c: Observable) -> tuple[Observable, ...]:
+    """The x- and y-marginals of a ``_product_labelled_observable``."""
+    return tuple(Observable(zip(("0", "1"), c.stack.reshape(2, 2, c.dim, c.dim).sum(k))) for k in (1, 0))
 
 
 def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
@@ -640,222 +589,162 @@ def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
     return FIMM(m1.dim_base, m1.dim_probe, m1.probe_state, m1.interaction, pointer)
 
 
-def _suite_thm_4_1(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_4_1(run: _Run) -> None:
     """Coexisting instruments are exactly those measured by simultaneous,
     commuting, sharp models built over a joint instrument."""
-    tol = 1e-7 * scale
-    rng = _rng("thm-4.1", seed)
-    worst = 0.0
-    commutator_worst = 0.0
-    for t in range(trials):
-        d = 2
-        joint = _product_labelled_instrument(rng, d, 2, 2)
+    for _, d in run.cases(2):
+        joint = _product_labelled_instrument(run.rng, d, 2, 2)
         i, j = marginal_instruments(joint)
         m1, m2 = simultaneous_fimms(joint)
-        if not (m1.sharp and m2.sharp):
-            return VerificationReport("thm-4.1", trials, 1.0, "fail", seed, tol, "pointers not sharp")
+        run.require(m1.sharp and m2.sharp, "pointers not sharp")
         p, q = m1.pointer.stack[:, None], m2.pointer.stack[None]
-        commutator_worst = max(commutator_worst, float(np.linalg.norm(p @ q - q @ p, axis=(-2, -1)).max()))
+        run.residual(_worst(p @ q, q @ p), bound=1e-8)
         meas1 = model_instrument(m1)
         meas2 = model_instrument(m2)
-        worst = max(worst, family_distance(meas1, i))
-        worst = max(worst, family_distance(meas2, j))
+        run.residual(family_distance(meas1, i))
+        run.residual(family_distance(meas2, j))
         # converse: the product pointer measures a joint instrument with the
         # same marginals as the two models.
         measured_joint = model_instrument(_product_pointer_model(m1, m2))
-        if not instr_coexist_verify(meas1, meas2, measured_joint, tol):
-            return VerificationReport("thm-4.1", trials, 1.0, "fail", seed, tol, "converse marginals broken")
-    residual = max(worst, commutator_worst)
-    status = "pass" if worst <= tol and commutator_worst <= 1e-8 * scale else "fail"
-    return VerificationReport("thm-4.1", trials, residual, status, seed, tol)
+        run.require(instr_coexist_verify(meas1, meas2, measured_joint, run.tol), "converse marginals broken")
 
 
-def _suite_lem_4_2(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_lem_4_2(run: _Run) -> None:
     """Coexisting observables lift to coexisting state-preparation
     instruments over any joint observable."""
-    tol = 1e-8 * scale
-    rng = _rng("lem-4.2", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        alpha = random_state(d, rng)
-        labels = [combine_labels(str(x), str(y)) for x in range(2) for y in range(2)]
-        c = random_observable(d, 4, rng, labels=labels)
+    for _, d in run.cases(2, 3):
+        alpha = random_state(d, run.rng)
+        c = _product_labelled_observable(run.rng, d)
         joint = trivial_instrument(c, alpha)
         i, j = marginal_instruments(joint)
-        if not instr_coexist_verify(i, j, joint, tol):
-            return VerificationReport("lem-4.2", trials, 1.0, "fail", seed, tol, "joint instrument marginals broken")
-        a, b = (Observable(zip(("0", "1"), c.stack.reshape(2, 2, d, d).sum(k))) for k in (1, 0))
+        run.require(instr_coexist_verify(i, j, joint, run.tol), "joint instrument marginals broken")
+        a, b = _marginal_observables(c)
         expect_i = trivial_instrument(a, alpha)
         expect_j = trivial_instrument(b, alpha)
-        worst = max(worst, family_distance(i, expect_i))
-        worst = max(worst, family_distance(j, expect_j))
+        run.residual(family_distance(i, expect_i))
+        run.residual(family_distance(j, expect_j))
         back_a = induced_observable(i)
         back_b = induced_observable(j)
-        worst = max(worst, family_distance(back_a, a))
-        worst = max(worst, family_distance(back_b, b))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("lem-4.2", trials, worst, status, seed, tol)
+        run.residual(family_distance(back_a, a))
+        run.residual(family_distance(back_b, b))
 
 
-def _suite_cor_4_3(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_cor_4_3(run: _Run) -> None:
     """Coexisting observables are measured by simultaneous, commuting, sharp
     models, and such model pairs reproduce a joint observable."""
-    tol = 1e-7 * scale
-    rng = _rng("cor-4.3", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2
-        alpha = random_state(d, rng)
-        labels = [combine_labels(str(x), str(y)) for x in range(2) for y in range(2)]
-        c = random_observable(d, 4, rng, labels=labels)
-        a, b = (Observable(zip(("0", "1"), c.stack.reshape(2, 2, d, d).sum(k))) for k in (1, 0))
+    for _, d in run.cases(2):
+        alpha = random_state(d, run.rng)
+        c = _product_labelled_observable(run.rng, d)
+        a, b = _marginal_observables(c)
         joint = trivial_instrument(c, alpha)
         m1, m2 = simultaneous_fimms(joint)
         obs1 = induced_observable(model_instrument(m1))
         obs2 = induced_observable(model_instrument(m2))
-        worst = max(worst, family_distance(obs1, a))
-        worst = max(worst, family_distance(obs2, b))
+        run.residual(family_distance(obs1, a))
+        run.residual(family_distance(obs2, b))
         measured_c = induced_observable(model_instrument(_product_pointer_model(m1, m2)))
-        if not obs_coexist_verify(a, b, measured_c, tol):
-            return VerificationReport("cor-4.3", trials, 1.0, "fail", seed, tol, "measured joint observable broken")
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("cor-4.3", trials, worst, status, seed, tol)
+        run.require(obs_coexist_verify(a, b, measured_c, run.tol), "measured joint observable broken")
 
 
-def _suite_thm_4_4(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_4_4(run: _Run) -> None:
     """Closed forms of the basis-pairing model (instrument, dephasing
     channel, measured observable) match the partial-trace definition."""
-    tol = 1e-8 * scale
-    rng = _rng("thm-4.4", seed)
-    worst = 0.0
-    idem_worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
+    for _, d in run.cases(2, 3):
+        model = VonNeumannModel(random_unitary(d, run.rng), random_unitary(d, run.rng), random_observable(d, 2, run.rng))
         instr, channel, obs = vn_measured(model)
         direct = model_instrument(model.to_fimm())
-        worst = max(worst, family_distance(instr, direct))
-        worst = max(worst, frob(instr_channel(direct).choi - channel.choi))
+        run.residual(family_distance(instr, direct))
+        run.residual(frob(instr_channel(direct).choi - channel.choi))
         direct_obs = induced_observable(direct)
-        worst = max(worst, family_distance(obs, direct_obs))
-        rho = random_state(d, rng)
+        run.residual(family_distance(obs, direct_obs))
+        rho = random_state(d, run.rng)
         once = channel.apply(rho)
-        idem_worst = max(idem_worst, frob(channel.apply(once) - once))
-    status = "pass" if worst <= tol and idem_worst <= 1e-9 * scale else "fail"
-    return VerificationReport("thm-4.4", trials, max(worst, idem_worst), status, seed, tol, "channel idempotent within 1e-9")
+        run.residual(frob(channel.apply(once) - once), bound=1e-9)
+    run.note = "channel idempotent within 1e-9"
 
 
-def _suite_cor_4_5(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_cor_4_5(run: _Run) -> None:
     """Basis-pairing models measure exactly the commutative observables."""
-    tol = 1e-8 * scale
-    rng = _rng("cor-4.5", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
+    for t, d in run.cases(2, 3):
         if t % 3 == 2:
-            a = identity_observable(dict(zip(("0", "1"), random_simplex(2, rng))), d)
+            a = identity_observable(dict(zip(("0", "1"), random_simplex(2, run.rng))), d)
         else:
-            a = random_commutative_observable(d, 2 + t % 2, rng)
-        model = vn_model_for_commutative(a, rng)
+            a = random_commutative_observable(d, 2 + t % 2, run.rng)
+        model = vn_model_for_commutative(a, run.rng)
         _, _, measured = vn_measured(model)
-        worst = max(worst, family_distance(measured, a))
-        generic = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
+        run.residual(family_distance(measured, a))
+        generic = VonNeumannModel(random_unitary(d, run.rng), random_unitary(d, run.rng), random_observable(d, 2, run.rng))
         _, _, obs = vn_measured(generic)
-        if not classify_observable(obs).commutative:
-            return VerificationReport("cor-4.5", trials, 1.0, "fail", seed, tol, "measured observable not commutative")
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("cor-4.5", trials, worst, status, seed, tol)
+        run.require(classify_observable(obs).commutative, "measured observable not commutative")
 
 
-def _suite_thm_4_6(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_4_6(run: _Run) -> None:
     """Single-Kraus instruments are exactly those measured by normal models:
     dilation gives an atomic pointer and the extraction round-trips; the
     stored trivial instrument obstructs (outcome ranks exceed one)."""
-    tol = 1e-8 * scale
-    rng = _rng("thm-4.6", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        instr = random_kraus_instrument(d, 2 + t % 2, rng)
+    for t, d in run.cases(2, 3):
+        instr = random_kraus_instrument(d, 2 + t % 2, run.rng)
         m = dilate_instrument(instr)
-        if not classify_observable(m.pointer).atomic:
-            return VerificationReport("thm-4.6", trials, 1.0, "fail", seed, tol, "pointer not atomic")
+        run.require(classify_observable(m.pointer).atomic, "pointer not atomic")
         measured = model_instrument(m)
-        worst = max(worst, family_distance(measured, instr))
+        run.residual(family_distance(measured, instr))
         extracted = normal_fimm_kraus_extract(m)
         s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), _single_kraus(instr)
-        worst = max(worst, _worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig))
+        run.residual(_worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig))
     trivial = stored_trivial_instrument()
-    w = np.linalg.eigvalsh(trivial.member_matrices())
-    ranks_ok = bool(np.all(np.sum(w > 1e-8 * w[:, -1:], axis=1) >= 2))
+    ranks_ok = _outcome_ranks_exceed_one(trivial)
     m_trivial = dilate_instrument(trivial)
     pointer_flags = classify_observable(m_trivial.pointer)
-    obstruction = ranks_ok and pointer_flags.sharp and not pointer_flags.atomic
-    status = "pass" if worst <= tol and obstruction else "fail"
-    return VerificationReport("thm-4.6", trials, worst, status, seed, tol, "trivial instrument pointer is sharp, not atomic")
+    run.note = "trivial instrument pointer is sharp, not atomic"
+    run.require(ranks_ok and pointer_flags.sharp and not pointer_flags.atomic, run.note)
 
 
-def _suite_cor_4_7(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_cor_4_7(run: _Run) -> None:
     """A normal model measures a measurement-update instrument exactly when
     every extracted operator is positive semidefinite."""
-    tol = 1e-8 * scale
-    rng = _rng("cor-4.7", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        a = random_observable(d, 2, rng)
+    for _, d in run.cases(2, 3):
+        a = random_observable(d, 2, run.rng)
         luders = luders_instrument(a)
         m = dilate_instrument(luders)
-        if not luders_positivity_check(m):
-            return VerificationReport("cor-4.7", trials, 1.0, "fail", seed, tol, "positivity check failed on update model")
+        run.require(luders_positivity_check(m), "positivity check failed on update model")
         measured = model_instrument(m)
-        worst = max(worst, family_distance(measured, luders))
+        run.residual(family_distance(measured, luders))
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     skew = kraus_instrument({"0": pauli_x / np.sqrt(2.0), "1": np.eye(2, dtype=complex) / np.sqrt(2.0)})
     m_skew = dilate_instrument(skew)
-    negative_ok = not luders_positivity_check(m_skew)
-    status = "pass" if worst <= tol and negative_ok else "fail"
-    return VerificationReport("cor-4.7", trials, worst, status, seed, tol, "non-PSD operator detected")
+    run.note = "non-PSD operator detected"
+    run.require(not luders_positivity_check(m_skew), run.note)
 
 
-def _suite_thm_4_8(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_thm_4_8(run: _Run) -> None:
     """Swap-interaction models measure exactly the state-preparation
     instruments, with the model's own pointer and probe state."""
-    tol = 1e-8 * scale
-    rng = _rng("thm-4.8", seed)
-    worst = 0.0
-    for t in range(trials):
-        d = 2 + t % 2
-        eta = random_state(d, rng)
-        pointer = random_observable(d, 2 + t % 2, rng)
+    for t, d in run.cases(2, 3):
+        eta = random_state(d, run.rng)
+        pointer = random_observable(d, 2 + t % 2, run.rng)
         m = trivial_fimm(eta, pointer)
         measured = model_instrument(m)
         expected = trivial_instrument(pointer, eta)
-        worst = max(worst, family_distance(measured, expected))
+        run.residual(family_distance(measured, expected))
         # converse: starting from a state-preparation instrument, the swap
         # model over its observable and state measures it back.
-        a = random_observable(d, 2, rng)
-        alpha = random_state(d, rng)
+        a = random_observable(d, 2, run.rng)
+        alpha = random_state(d, run.rng)
         instr = trivial_instrument(a, alpha)
         m2 = trivial_fimm(alpha, a)
         measured2 = model_instrument(m2)
-        worst = max(worst, family_distance(measured2, instr))
-    status = "pass" if worst <= tol else "fail"
-    return VerificationReport("thm-4.8", trials, worst, status, seed, tol)
+        run.residual(family_distance(measured2, instr))
 
 
-def _suite_conj_2_5(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_conj_2_5(run: _Run) -> None:
     """Probe for a complementary observable pair whose measurement-update
     instruments fail instrument-level complementarity.  Reports only the
     search outcome; asserts nothing."""
-    rng = _rng("conj-2.5-converse", seed)
     found = 0
-    searched = 0
-    for t in range(trials):
-        d = 2 + t % 3
+    run.count = 0
+    for t, d in run.cases(2, 3, 4):
         b1, b2 = fourier_mub(d)
-        u = random_unitary(d, rng)
+        u = random_unitary(d, run.rng)
         if t % 2 == 0:
             a, b = atomic_observable(u @ b1), atomic_observable(u @ b2)
         else:
@@ -863,76 +752,76 @@ def _suite_conj_2_5(seed: int, trials: int, scale: float) -> VerificationReport:
             b = identity_observable({"0": 1.0 / 3, "1": 1.0 / 3, "2": 1.0 / 3}, d)
         if not obs_complementary(a, b):
             continue
-        searched += 1
+        run.count += 1
         if not instr_complementary(luders_instrument(a), luders_instrument(b)):
             found += 1
-    note = (
-        f"no counterexample found in {searched} trials"
+    run.residual(found)
+    run.note = (
+        f"no counterexample found in {run.count} trials"
         if found == 0
-        else f"{found} counterexample candidates in {searched} trials"
+        else f"{found} counterexample candidates in {run.count} trials"
     )
-    return VerificationReport("conj-2.5-converse", searched, float(found), "unknown", seed, 0.0, note)
 
 
-def _suite_conj_3_3(seed: int, trials: int, scale: float) -> VerificationReport:
+def _suite_conj_3_3(run: _Run) -> None:
     """Probe for a non-identity instrument whose total channel is the
     identity.  Reports only the search outcome; asserts nothing."""
-    rng = _rng("conj-3.3-converse", seed)
     found = 0
-    searched = 0
-    for t in range(trials):
-        d = 2 + t % 3
+    run.count = 0
+    for t, d in run.cases(2, 3, 4):
         n = 2 + t % 3
-        weights = dict(zip([str(k) for k in range(n)], random_simplex(n, rng)))
-        candidate = identity_instrument(weights, d)
-        if frob(instr_channel(candidate).choi - Operation.identity(d).choi) <= 1e-8:
-            searched += 1
-            if not is_identity_instrument(candidate):
-                found += 1
-        generic = random_instrument(d, n, rng)
-        if frob(instr_channel(generic).choi - Operation.identity(d).choi) <= 1e-8:
-            searched += 1
-            if not is_identity_instrument(generic):
-                found += 1
-    note = (
-        f"no counterexample found in {searched} identity-channel candidates"
+        weights = dict(zip([str(k) for k in range(n)], random_simplex(n, run.rng)))
+        for candidate in (identity_instrument(weights, d), random_instrument(d, n, run.rng)):
+            if _identity_channel_distance(candidate) <= 1e-8:
+                run.count += 1
+                if not is_identity_instrument(candidate):
+                    found += 1
+    run.residual(found)
+    run.note = (
+        f"no counterexample found in {run.count} identity-channel candidates"
         if found == 0
         else f"{found} counterexample candidates"
     )
-    return VerificationReport("conj-3.3-converse", searched, float(found), "unknown", seed, 0.0, note)
 
 
-SUITES: dict[str, tuple[Callable[[int, int, float], VerificationReport], int]] = {
-    "ex-1": (_suite_ex_1, 1),
-    "lem-1.1": (_suite_lem_1_1, 50),
-    "lem-1.2": (_suite_lem_1_2, 6),
-    "thm-2.1": (_suite_thm_2_1, 100),
-    "thm-2.2": (_suite_thm_2_2, 100),
-    "thm-2.3": (_suite_thm_2_3, 100),
-    "lem-2.4": (_suite_lem_2_4, 50),
-    "cor-2.5": (_suite_cor_2_5, 50),
-    "lem-2.6": (_suite_lem_2_6, 20),
-    "ex-2": (_suite_ex_2, 1),
-    "ex-3": (_suite_ex_3, 20),
-    "ex-4": (_suite_ex_4, 20),
-    "ex-5": (_suite_ex_5, 20),
-    "ex-6": (_suite_ex_6, 20),
-    "ex-7": (_suite_ex_7, 20),
-    "ex-8": (_suite_ex_8, 50),
-    "lem-3.1": (_suite_lem_3_1, 100),
-    "thm-3.2": (_suite_thm_3_2, 1),
-    "cor-3.3": (_suite_cor_3_3, 20),
-    "lem-3.4": (_suite_lem_3_4, 50),
-    "thm-4.1": (_suite_thm_4_1, 5),
-    "lem-4.2": (_suite_lem_4_2, 20),
-    "cor-4.3": (_suite_cor_4_3, 5),
-    "thm-4.4": (_suite_thm_4_4, 20),
-    "cor-4.5": (_suite_cor_4_5, 20),
-    "thm-4.6": (_suite_thm_4_6, 10),
-    "cor-4.7": (_suite_cor_4_7, 10),
-    "thm-4.8": (_suite_thm_4_8, 20),
-    "conj-2.5-converse": (_suite_conj_2_5, 40),
-    "conj-3.3-converse": (_suite_conj_3_3, 40),
+class _Suite(NamedTuple):
+    fn: Callable[[_Run], None]
+    trials: int  # default trials; the reported count of a ``fixed`` suite
+    tol: float | None  # pinned tolerance; None marks a probe
+    fixed: bool = False
+
+
+SUITES: dict[str, _Suite] = {
+    "ex-1": _Suite(_suite_ex_1, 1, 1e-10, fixed=True),
+    "lem-1.1": _Suite(_suite_lem_1_1, 50, 1e-8),
+    "lem-1.2": _Suite(_suite_lem_1_2, 6, 1e-9, fixed=True),
+    "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9),
+    "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9),
+    "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9),
+    "lem-2.4": _Suite(_suite_lem_2_4, 50, 0.0),
+    "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0),
+    "lem-2.6": _Suite(_suite_lem_2_6, 20, 1e-8),
+    "ex-2": _Suite(_suite_ex_2, 1, 0.0, fixed=True),
+    "ex-3": _Suite(_suite_ex_3, 20, 1e-9),
+    "ex-4": _Suite(_suite_ex_4, 20, 1e-9),
+    "ex-5": _Suite(_suite_ex_5, 20, 1e-9),
+    "ex-6": _Suite(_suite_ex_6, 20, 1e-9),
+    "ex-7": _Suite(_suite_ex_7, 20, 1e-10),
+    "ex-8": _Suite(_suite_ex_8, 50, 1e-10),
+    "lem-3.1": _Suite(_suite_lem_3_1, 100, 1e-10),
+    "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
+    "cor-3.3": _Suite(_suite_cor_3_3, 20, 1e-9),
+    "lem-3.4": _Suite(_suite_lem_3_4, 50, 1e-9),
+    "thm-4.1": _Suite(_suite_thm_4_1, 5, 1e-7),
+    "lem-4.2": _Suite(_suite_lem_4_2, 20, 1e-8),
+    "cor-4.3": _Suite(_suite_cor_4_3, 5, 1e-7),
+    "thm-4.4": _Suite(_suite_thm_4_4, 20, 1e-8),
+    "cor-4.5": _Suite(_suite_cor_4_5, 20, 1e-8),
+    "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8),
+    "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8),
+    "thm-4.8": _Suite(_suite_thm_4_8, 20, 1e-8),
+    "conj-2.5-converse": _Suite(_suite_conj_2_5, 40, None),
+    "conj-3.3-converse": _Suite(_suite_conj_3_3, 40, None),
 }
 
 
@@ -941,8 +830,18 @@ def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scal
         raise KeyError(f"unknown suite id {result_id!r}")
     if seed < 0 or (trials is not None and trials < 1):
         raise QinstrError(f"seed must be nonnegative, got {seed}" if seed < 0 else f"trials must be at least 1, got {trials}")
-    fn, default_trials = SUITES[result_id]
-    return fn(seed, trials if trials is not None else default_trials, tol_scale)
+    if not (np.isfinite(tol_scale) and tol_scale > 0):
+        raise QinstrError(f"tol_scale must be finite and positive, got {tol_scale}")
+    suite = SUITES[result_id]
+    n = suite.trials if trials is None or suite.fixed else trials
+    tol = 0.0 if suite.tol is None else suite.tol * tol_scale
+    run = _Run(_rng(result_id, seed), n, tol_scale, tol)
+    try:
+        suite.fn(run)
+    except _Stop as stop:
+        return VerificationReport(result_id, n, 1.0, "fail", seed, tol, str(stop))
+    status = "unknown" if suite.tol is None else "pass" if run.worst <= tol and run.met else "fail"
+    return VerificationReport(result_id, n if run.count is None else run.count, run.worst, status, seed, tol, run.note)
 
 
 def run_suites(
@@ -951,5 +850,6 @@ def run_suites(
     trials: int | None = None,
     tol_scale: float = 1.0,
 ) -> list[VerificationReport]:
+    # ``run_suite`` is looked up at call time, so rebinding it wraps every suite
     selected = list(SUITES) if not ids else ids
     return [run_suite(rid, seed, trials, tol_scale) for rid in selected]

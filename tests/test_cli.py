@@ -48,6 +48,10 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "thm-9.9"]) == 2
 
+    def test_fixed_count_suite_ignores_trials(self, capsys):
+        assert run(["verify", "--suite", "thm-3.2", "--trials", "7"]) == 0
+        assert "thm-3.2: pass  trials=1  " in capsys.readouterr().out
+
     def test_probe_reports_unknown_without_failing(self, capsys):
         assert run(["verify", "--suite", "conj-2.5-converse", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,49 @@
 import pytest
 
+import qinstr.verify
+from qinstr import cli
 from qinstr.errors import QinstrError
 from qinstr.verify import SUITES, run_suite, run_suites
+
+# (status, trials, tolerance, note) of every suite at seed 7; residuals are
+# left out, since their last bits depend on the BLAS build.
+REPORTS_AT_SEED_7 = {
+    "ex-1": ("pass", 1, 1e-10, "gap in operator norm is 1/4"),
+    "lem-1.1": ("pass", 50, 1e-8, ""),
+    "lem-1.2": ("pass", 6, 1e-9, "non-MUB residual >= 1e-3"),
+    "thm-2.1": ("pass", 100, 1e-9, "KJ gap 0.866 >= 1e-3"),
+    "thm-2.2": ("pass", 100, 1e-9, "K mixture gap 0.135 >= 1e-2"),
+    "thm-2.3": ("pass", 100, 1e-9, "K post-processing gap 0.354 >= 1e-3"),
+    "lem-2.4": ("pass", 50, 0.0, "boolean agreement"),
+    "cor-2.5": ("pass", 30, 0.0, "30 complementary pairs checked"),
+    "lem-2.6": ("pass", 20, 1e-8, ""),
+    "ex-2": ("pass", 1, 0.0, "outcome Choi ranks >= 2"),
+    "ex-3": ("pass", 20, 1e-9, "observable-product gap 0.5 >= 1e-3"),
+    "ex-4": ("pass", 20, 1e-9, "non-commuting gap 0.5 >= 1e-3"),
+    "ex-5": ("pass", 20, 1e-9, ""),
+    "ex-6": ("pass", 20, 1e-9, "conditioned-observable gap 0.707 >= 1e-3"),
+    "ex-7": ("pass", 20, 1e-10, "probability gap 0.5 >= 1e-3"),
+    "ex-8": ("pass", 50, 1e-10, ""),
+    "lem-3.1": ("pass", 100, 1e-10, ""),
+    "thm-3.2": ("pass", 1, 1e-9, ""),
+    "cor-3.3": ("pass", 20, 1e-9, ""),
+    "lem-3.4": ("pass", 50, 1e-9, ""),
+    "thm-4.1": ("pass", 5, 1e-7, ""),
+    "lem-4.2": ("pass", 20, 1e-8, ""),
+    "cor-4.3": ("pass", 5, 1e-7, ""),
+    "thm-4.4": ("pass", 20, 1e-8, "channel idempotent within 1e-9"),
+    "cor-4.5": ("pass", 20, 1e-8, ""),
+    "thm-4.6": ("pass", 10, 1e-8, "trivial instrument pointer is sharp, not atomic"),
+    "cor-4.7": ("pass", 10, 1e-8, "non-PSD operator detected"),
+    "thm-4.8": ("pass", 20, 1e-8, ""),
+    "conj-2.5-converse": ("unknown", 40, 0.0, "no counterexample found in 40 trials"),
+    "conj-3.3-converse": ("unknown", 40, 0.0, "no counterexample found in 40 identity-channel candidates"),
+}
+
+# Suites that run a fixed set of cases, with the count they report, and the
+# suites that report how many cases they checked.
+FIXED_COUNT = {"ex-1": 1, "lem-1.2": 6, "ex-2": 1, "thm-3.2": 1}
+CHECKED_COUNT = {"cor-2.5", "conj-2.5-converse", "conj-3.3-converse"}
 
 
 class TestSuiteRegistry:
@@ -29,6 +71,71 @@ class TestSuiteRegistry:
     def test_negative_seed_is_rejected(self):
         with pytest.raises(QinstrError, match="seed must be nonnegative"):
             run_suite("lem-1.1", seed=-1)
+
+    @pytest.mark.parametrize("tol_scale", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_tol_scale_must_be_finite_and_positive(self, tol_scale):
+        # inf would pass every suite vacuously; nan, 0 and -1 fail every one
+        with pytest.raises(QinstrError, match="tol_scale must be finite and positive"):
+            run_suite("thm-4.4", seed=7, tol_scale=tol_scale)
+        with pytest.raises(QinstrError, match="tol_scale must be finite and positive"):
+            run_suites(["thm-4.4"], seed=7, tol_scale=tol_scale)
+
+
+def test_report_fields_at_seed_7():
+    reports = run_suites(seed=7)
+    assert {r.result_id: (r.status, r.trials, r.tolerance, r.note) for r in reports} == REPORTS_AT_SEED_7
+    assert [r.result_id for r in reports] == list(REPORTS_AT_SEED_7)
+
+
+def test_trials_argument_reaches_every_suite_that_takes_it():
+    for result_id in SUITES:
+        reported = run_suite(result_id, seed=0, trials=3).trials
+        if result_id in FIXED_COUNT:
+            assert reported == FIXED_COUNT[result_id], result_id
+        elif result_id in CHECKED_COUNT:
+            assert reported <= 3, result_id
+        else:
+            assert reported == 3, result_id
+
+
+@pytest.mark.parametrize(
+    "body, tol, tol_scale, expected",
+    [
+        (lambda run: run.residual(2e-10), 1e-10, 1.0, ("fail", 2e-10, "")),
+        (lambda run: run.residual(2e-10), 1e-10, 10.0, ("pass", 2e-10, "")),
+        (lambda run: run.residual(1e-10, bound=1e-11), 1e-9, 1.0, ("fail", 1e-10, "")),
+        (lambda run: run.residual(1e-10, bound=1e-11), 1e-9, 100.0, ("pass", 1e-10, "")),
+        (lambda run: run.gap("KJ gap", 4e-4, 1e-3), 1e-9, 1.0, ("fail", 0.0, "KJ gap 0.0004 >= 1e-3")),
+        (lambda run: run.gap("KJ gap", 0.5, 1e-2), 1e-9, 1.0, ("pass", 0.0, "KJ gap 0.5 >= 1e-2")),
+        (lambda run: run.require(False, "broken"), 1e-9, 1.0, ("fail", 1.0, "broken")),
+        (lambda run: run.residual(3.0), None, 1.0, ("unknown", 3.0, "")),
+    ],
+    ids=["above-tol", "scaled-tol", "above-bound", "scaled-bound", "gap-missed", "gap-met", "require", "probe"],
+)
+def test_one_status_rule(monkeypatch, body, tol, tol_scale, expected):
+    monkeypatch.setitem(SUITES, "lem-1.1", SUITES["lem-1.1"]._replace(fn=body, tol=tol))
+    report = run_suite("lem-1.1", seed=0, tol_scale=tol_scale)
+    assert (report.status, report.max_residual, report.note) == expected
+    assert report.tolerance == (0.0 if tol is None else tol * tol_scale)
+
+
+def test_every_pass_goes_through_the_module_run_suite(monkeypatch, capsys):
+    # A benchmark times each suite by rebinding qinstr.verify.run_suite; both
+    # run_suites() and the CLI must call it once per suite, in table order.
+    inner = qinstr.verify.run_suite
+    calls = []
+
+    def counting(result_id, *args, **kwargs):
+        calls.append(result_id)
+        return inner(result_id, *args, **kwargs)
+
+    monkeypatch.setattr(qinstr.verify, "run_suite", counting)
+    assert len(run_suites()) == len(SUITES) == 30
+    assert calls == list(SUITES)
+    calls.clear()
+    assert cli.main(["verify", "--seed", "0"]) == 0
+    assert calls == list(SUITES)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("result_id", sorted(SUITES))
