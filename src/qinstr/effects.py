@@ -19,27 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
-from .linalg import (
-    Array,
-    as_matrix,
-    as_vector,
-    ensure_hermitian,
-    frob,
-    herm_sqrt,
-    hermitian_part,
-    psd_part,
-)
-
-EFFECT_EIG_TOL = 1e-9
-STATE_TRACE_TOL = 1e-9
+from .linalg import EFFECT_EIG_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
+from .linalg import Array, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
 
 
-def ensure_effects(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
+def ensure_effects(m: object) -> Array:
     """Validate and normalize a ``(k, d, d)`` stack of effect matrices.
 
     Each matrix must be Hermitian within ``ensure_hermitian``'s limit, and
     its eigenvalues, from one batched eigendecomposition, must lie within
-    ``eig_tol`` of ``[0, 1]``; otherwise ``InvariantViolation("effect-range")``
+    ``EFFECT_EIG_TOL`` of ``[0, 1]``; otherwise ``InvariantViolation("effect-range")``
     reports the residual of the first failing matrix.  Matrices with
     eigenvalues just outside ``[0, 1]`` are clamped onto it; the others are
     returned as symmetrized.
@@ -47,7 +36,7 @@ def ensure_effects(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
     a = ensure_hermitian(m, stack=True)
     w, v = np.linalg.eigh(a)
     low, high = w[:, 0], w[:, -1]
-    bad = ~((low >= -eig_tol) & (high <= 1.0 + eig_tol))
+    bad = ~((low >= -EFFECT_EIG_TOL) & (high <= 1.0 + EFFECT_EIG_TOL))
     if bad.any():
         k = int(np.argmax(bad))
         raise InvariantViolation("effect-range", max(0.0, -float(low[k]), float(high[k]) - 1.0))
@@ -58,28 +47,28 @@ def ensure_effects(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
     return a
 
 
-def ensure_effect(m: object, eig_tol: float = EFFECT_EIG_TOL) -> Array:
+def ensure_effect(m: object) -> Array:
     """Validate and normalize one effect matrix, as ``ensure_effects`` does."""
-    return ensure_effects(as_matrix(m)[None], eig_tol)[0]
+    return ensure_effects(as_matrix(m)[None])[0]
 
 
-def ensure_partial_state(m: object, tol: float = STATE_TRACE_TOL) -> Array:
+def ensure_partial_state(m: object) -> Array:
     """Validate a PSD matrix with trace at most one."""
     a = ensure_hermitian(m)
     w = np.linalg.eigvalsh(a)
-    if not w[0] >= -tol * max(1.0, abs(w[-1])):
+    if not w[0] >= -STATE_TRACE_TOL * max(1.0, abs(w[-1])):
         raise InvariantViolation("positive-semidefinite", float(-w[0]))
     tr = float(np.trace(a).real)
-    if not tr <= 1.0 + tol:
+    if not tr <= 1.0 + STATE_TRACE_TOL:
         raise InvariantViolation("trace-at-most-one", tr - 1.0)
     return a
 
 
-def ensure_state(m: object, tol: float = STATE_TRACE_TOL) -> Array:
+def ensure_state(m: object) -> Array:
     """Validate a density matrix (PSD, unit trace)."""
-    a = ensure_partial_state(m, tol)
+    a = ensure_partial_state(m)
     tr = float(np.trace(a).real)
-    if not abs(tr - 1.0) <= tol:
+    if not abs(tr - 1.0) <= STATE_TRACE_TOL:
         raise InvariantViolation("trace-one", abs(tr - 1.0))
     return a
 
@@ -93,7 +82,7 @@ def atom(phi: object) -> Array:
     """Rank-one projection onto a unit vector."""
     v = as_vector(phi)
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    if norm < ZERO_NORM_TOL:
         raise ZeroVector("cannot build an atom from the zero vector")
     v = v / norm
     return np.outer(v, v.conj())
@@ -151,7 +140,7 @@ class CoexistenceWitness:
     c: Array
 
 
-def _witness_blocks(a: object, b: object, w: CoexistenceWitness, atol: float = 1e-8) -> tuple[Array, ...] | None:
+def _witness_blocks(a: object, b: object, w: CoexistenceWitness) -> tuple[Array, ...] | None:
     """The witness blocks ``a1``, ``b1``, ``c``, validated as effects, and the
     leftover ``d = 1 - a1 - b1 - c``; None when a witness equation fails."""
     try:
@@ -160,16 +149,17 @@ def _witness_blocks(a: object, b: object, w: CoexistenceWitness, atol: float = 1
         return None
     if not (ea.shape == eb.shape == a1.shape == b1.shape == c.shape):
         return None
-    if frob(a1 + c - ea) > atol or frob(b1 + c - eb) > atol:
+    if frob(a1 + c - ea) > WITNESS_TOL or frob(b1 + c - eb) > WITNESS_TOL:
         return None
     # a1 + b1 + c <= 1 means the leftover d is PSD.
     d = np.eye(ea.shape[0], dtype=complex) - a1 - b1 - c
-    return (a1, b1, c, d) if float(np.linalg.eigvalsh(hermitian_part(d))[0]) >= -atol else None
+    return (a1, b1, c, d) if float(np.linalg.eigvalsh(hermitian_part(d))[0]) >= -WITNESS_TOL else None
 
 
-def check_coexistence_witness(a: object, b: object, w: CoexistenceWitness, atol: float = 1e-8) -> bool:
-    """Check the witness equations; any violation returns False."""
-    return _witness_blocks(a, b, w, atol) is not None
+def check_coexistence_witness(a: object, b: object, w: CoexistenceWitness) -> bool:
+    """Check the witness equations within ``WITNESS_TOL``; any violation
+    returns False."""
+    return _witness_blocks(a, b, w) is not None
 
 
 def binary_observables_from_coexistence(a: object, b: object, w: CoexistenceWitness):
@@ -245,7 +235,7 @@ def find_coexistence_witness(
     _same_dim(ea, eb)
     eye = np.eye(ea.shape[0], dtype=complex)
     # Run tighter than the documented success threshold so the witness
-    # survives validation at 1e-8 after polishing.
+    # survives validation at WITNESS_TOL after polishing.
     blocks = joint_feasibility_search(
         [ea, eye - ea], [eb, eye - eb], max(iters, 2000), min(tol, 5e-10)
     )

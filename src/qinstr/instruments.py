@@ -2,15 +2,15 @@
 
 An operation is a completely positive trace-non-increasing map, held as a
 read-only stack of Kraus operators from construction on; its Choi matrix is
-formed from them on first use.  The constructor validates by input:
+formed from them on first use.  The constructor takes exactly one of two
+input forms and validates by form:
 
-- Kraus operators alone: CP by construction, so only trace-non-increase is
+- Kraus operators: CP by construction, so only trace-non-increase is
   checked, on the d x d matrix ``sum_k K_k^* K_k``;
 - a Choi matrix: Hermitian, positive semidefinite and trace-non-increasing.
   The one eigendecomposition of the PSD check also gives the canonical Kraus
   operators, one per eigenvalue above ``KRAUS_EIG_TOL``, and ``choi`` keeps
-  the caller's (symmetrized) matrix;
-- both: the Choi checks, plus that the Kraus operators reproduce the matrix.
+  the caller's (symmetrized) matrix.
 
 Kraus stacks built here and in ``models`` (compositions, total channels,
 mixtures, post-processings, trivial and model instruments) are not minimal;
@@ -43,6 +43,7 @@ import numpy as np
 
 from .effects import ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, NotComplete
+from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, RANK_REL_TOL
 from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_factors
 from .observables import (
     Label,
@@ -59,9 +60,6 @@ from .observables import (
     row_members,
     shared_value_space,
 )
-
-CHOI_TOL = 1e-8
-KRAUS_EIG_TOL = 1e-10
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
@@ -93,11 +91,6 @@ def kraus_from_vectors(vecs: Array, dim: int) -> Array:
     """``(r, d, d)`` stack of the Kraus operators whose ``vec(K^T)`` are the
     ``r`` columns of ``vecs``; the inverse of ``_kraus_vectors``."""
     return vecs.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-
-
-def _kraus_to_choi(stack: Array) -> Array:
-    v = _kraus_vectors(stack)
-    return v @ v.conj().T
 
 
 def minimal_kraus(ops: Array, dim: int) -> Array:
@@ -134,52 +127,38 @@ def bounded_kraus(ops: Array, dim: int) -> Array:
 
 
 class Operation:
-    """Completely positive trace-non-increasing map, from Kraus operators,
-    a Choi matrix, or both (see the module docstring for what each checks).
+    """Completely positive trace-non-increasing map, from Kraus operators or
+    a Choi matrix, never both (see the module docstring for what each
+    checks); the Choi checks and the trace bound hold within ``CHOI_TOL``.
 
-    ``_kraus`` is always set: the given operators, or for a Choi matrix
-    alone the canonical ones of its eigendecomposition.  Choi eigenvalues
-    at or below ``KRAUS_EIG_TOL`` (the small negative ones the PSD check
-    tolerates among them) are dropped from that Kraus form, and a zero Choi
-    matrix gives one zero operator.
+    ``_kraus`` is always set: the given operators, or for a Choi matrix the
+    canonical ones of its eigendecomposition.  Choi eigenvalues at or below
+    ``KRAUS_EIG_TOL`` (the small negative ones the PSD check tolerates among
+    them) are dropped from that Kraus form, and a zero Choi matrix gives one
+    zero operator.
     """
 
-    def __init__(
-        self,
-        choi: object | None = None,
-        kraus: Sequence[object] | None = None,
-        atol: float = CHOI_TOL,
-    ):
-        given = None if kraus is None else _kraus_stack(kraus)
+    def __init__(self, choi: object | None = None, kraus: Sequence[object] | None = None):
+        if (choi is None) == (kraus is None):
+            raise DimensionError("an operation needs either a Choi matrix or Kraus operators")
         if choi is None:
-            if given is None:
-                raise DimensionError("an operation needs a Choi matrix or Kraus operators")
-            self._kraus = given
+            self._kraus = _kraus_stack(kraus)
         else:
             c = as_matrix(choi)
             n = c.shape[0]
             dim = int(round(np.sqrt(n)))
             if c.shape != (n, n) or dim * dim != n:
                 raise DimensionError(f"Choi matrix shape {c.shape} is not a square of a square")
-            c = ensure_hermitian(c, tol=max(atol, 1e-9 * n))
+            c = ensure_hermitian(c, tol=max(CHOI_TOL, HERM_TOL * n))
             w, vecs = np.linalg.eigh(c)
-            scale = max(1.0, float(w[-1]))
-            if not w[0] >= -atol * scale:
+            if not w[0] >= -CHOI_TOL * max(1.0, float(w[-1])):
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
             self.choi = read_only(c)
-            if given is None:
-                keep = w > KRAUS_EIG_TOL
-                self._kraus = read_only(bounded_kraus(kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim), dim))
-            else:
-                if given.shape[1] != dim:
-                    raise DimensionError(f"Kraus operator shape {given.shape[1:]}, expected {(dim, dim)}")
-                residual = frob(_kraus_to_choi(given) - c)
-                if not residual <= max(atol, 1e-8 * scale):
-                    raise InvariantViolation("kraus-matches-choi", residual)
-                self._kraus = given
+            keep = w > KRAUS_EIG_TOL
+            self._kraus = read_only(bounded_kraus(kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim), dim))
         self.dim = self._kraus.shape[1]
         top = float(np.linalg.eigvalsh(self.induced_effect)[-1])
-        if not top <= 1.0 + max(atol, 1e-8):
+        if not top <= 1.0 + CHOI_TOL:
             raise InvariantViolation("trace-non-increasing", top - 1.0)
 
     @classmethod
@@ -195,12 +174,12 @@ class Operation:
         return op
 
     @classmethod
-    def from_kraus(cls, ops: Sequence[object], atol: float = CHOI_TOL) -> "Operation":
-        return cls(kraus=ops, atol=atol)
+    def from_kraus(cls, ops: Sequence[object]) -> "Operation":
+        return cls(kraus=ops)
 
     @classmethod
-    def from_choi(cls, choi: object, atol: float = CHOI_TOL) -> "Operation":
-        return cls(choi, atol=atol)
+    def from_choi(cls, choi: object) -> "Operation":
+        return cls(choi)
 
     @classmethod
     def identity(cls, dim: int) -> "Operation":
@@ -214,7 +193,8 @@ class Operation:
     def choi(self) -> Array:
         """Choi matrix; the caller's (symmetrized) matrix for Choi input, else
         formed from the Kraus operators on first use."""
-        return read_only(_kraus_to_choi(self._kraus))
+        v = _kraus_vectors(self._kraus)
+        return read_only(v @ v.conj().T)
 
     @cached_property
     def induced_effect(self) -> Array:
@@ -234,17 +214,18 @@ class Operation:
         eigendecomposition for Choi input."""
         return list(self._kraus)
 
-    def is_channel(self, tol: float = CHOI_TOL) -> bool:
-        return frob(self.induced_effect - np.eye(self.dim)) <= tol
+    def is_channel(self) -> bool:
+        """Trace-preserving: ``||A - 1||_F <= CHOI_TOL`` for the induced effect."""
+        return frob(self.induced_effect - np.eye(self.dim)) <= CHOI_TOL
 
     def __repr__(self) -> str:
         kind = "channel" if self.is_channel() else "operation"
         return f"Operation(dim={self.dim}, {kind})"
 
 
-def ensure_channel(op: Operation, tol: float = CHOI_TOL) -> Operation:
-    if not op.is_channel(tol):
-        residual = frob(op.induced_effect - np.eye(op.dim))
+def ensure_channel(op: Operation) -> Operation:
+    residual = frob(op.induced_effect - np.eye(op.dim))
+    if not residual <= CHOI_TOL:
         raise InvariantViolation("trace-preserving", residual)
     return op
 
@@ -271,12 +252,12 @@ class Instrument(LabelledFamily):
     ``(m, d, d)`` stack in label order.
     """
 
-    def __init__(self, operations: Mapping[Label, Operation] | Iterable[tuple[Label, Operation]], sum_tol: float = CHOI_TOL):
+    def __init__(self, operations: Mapping[Label, Operation] | Iterable[tuple[Label, Operation]]):
         labels, ops = self._checked_items(operations)
         if not all(isinstance(op, Operation) for op in ops):
             raise DimensionError("instrument outcomes must be Operation instances")
         self.dim = self._common_size((op.dim for op in ops), "operations")
-        self._set_members(labels, ops, np.stack([op.induced_effect for op in ops]), sum_tol)
+        self._set_members(labels, ops, np.stack([op.induced_effect for op in ops]), CHOI_TOL)
 
     def _set_members(self, labels: list[Label], ops: list[Operation], effects: Array, sum_tol: float) -> None:
         residual = frob(effects.sum(0) - np.eye(self.dim))
@@ -372,17 +353,17 @@ def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
         raise NotComplete(f"sum of S*S misses the identity by {exc.residual:.3g}") from None
 
 
-def is_single_kraus(phi: Operation, rel_tol: float = 1e-8) -> bool:
-    """True when one Kraus operator suffices (Choi matrix of rank one).
-
-    The Kraus operators are read through the singular values of their
-    stacked ``vec(K^T)`` columns, whose squares are the Choi eigenvalues.
-    """
+def _choi_rank(phi: Operation) -> int:
+    """Rank of the Choi matrix, from the singular values of the stacked
+    ``vec(K^T)`` columns, whose squares are the Choi eigenvalues: those above
+    ``RANK_REL_TOL`` times the largest count (none for the zero map)."""
     w = np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2
-    top = float(w.max())
-    if top <= 0.0:
-        return False
-    return int(np.sum(w > rel_tol * top)) == 1
+    return int(np.sum(w > RANK_REL_TOL * w.max()))
+
+
+def is_single_kraus(phi: Operation) -> bool:
+    """True when one Kraus operator suffices (Choi matrix of rank one)."""
+    return _choi_rank(phi) == 1
 
 
 def _composed_kraus(second: Array, first: Array, dim: int) -> Array:
@@ -392,12 +373,12 @@ def _composed_kraus(second: Array, first: Array, dim: int) -> Array:
     return bounded_kraus((second[None] @ first[:, None]).reshape(-1, dim, dim), dim)
 
 
-def compose_operations(second: Operation, first: Operation, atol: float = CHOI_TOL) -> Operation:
+def compose_operations(second: Operation, first: Operation) -> Operation:
     """Operation performing ``first`` and then ``second``; its Kraus
     operators are the pairwise products, reduced as in ``bounded_kraus``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
-    return Operation.from_kraus(_composed_kraus(second._kraus, first._kraus, first.dim), atol=atol)
+    return Operation.from_kraus(_composed_kraus(second._kraus, first._kraus, first.dim))
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
@@ -460,7 +441,7 @@ def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     return _mixture([(y, nu.matrix[:, c], ops) for c, y in enumerate(nu.col_labels)])
 
 
-def instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL) -> bool:
+def instr_complementary(i: Instrument, j: Instrument) -> bool:
     """A definite value of either instrument completely randomizes the other.
 
     The defining identities are linear in the state, so they are checked on
@@ -470,10 +451,10 @@ def instr_complementary(i: Instrument, j: Instrument, tol: float = CHOI_TOL) -> 
     ``tr(s_k D_ab[x, y]) = 0`` for the defects of ``complementarity_defects``,
     and likewise with ``D_ba``.  The defects are exactly Hermitian, so the
     coefficients are their ``D_ii``, ``Re D_ij`` and ``-Im D_ij`` (``i < j``):
-    every real and imaginary part must be within ``tol``.
+    every real and imaginary part must be within ``CHOI_TOL``.
     """
     defects = complementarity_defects(induced_observable(i), induced_observable(j))
-    return all(bool(np.all(np.abs(d.real) <= tol) and np.all(np.abs(d.imag) <= tol)) for d in defects)
+    return all(bool(np.all(np.abs(d.real) <= CHOI_TOL) and np.all(np.abs(d.imag) <= CHOI_TOL)) for d in defects)
 
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:

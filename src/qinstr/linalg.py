@@ -30,9 +30,36 @@ from .errors import (
 
 Array = np.ndarray
 
-HERM_TOL = 1e-9
-PSD_TOL = 1e-9
-ORTHO_TOL = 1e-9
+# -- tolerance table ------------------------------------------------------------
+# Every construction and decision threshold of ``linalg``, ``effects``,
+# ``observables``, ``instruments`` and ``models``, one line each, saying what it
+# bounds; the modules import their entries from here.  The catalog's pinned
+# tolerances are in ``verify.SUITES``, and ``QINSTR_TOL`` scales only those.
+HERM_TOL = 1e-9  # anti-Hermitian residual ||M - M^*||_F, per unit of dimension
+PSD_TOL = 1e-9  # negative eigenvalue that herm_sqrt and root_factor clamp to zero
+ROOT_REL_TOL = 1e-12  # eigenvalue, relative to the largest, below which a root is zeroed
+ORTHO_TOL = 1e-9  # ||U^* U - 1||_F of complete_to_unitary's input, per column
+PHASE_TOL = 1e-9  # entry magnitude from which _phase_fix reads a column's phase
+UNITARY_TOL = 1e-8  # ||U^* U - 1||_F of an interaction (is_unitary's default)
+BASIS_TOL = 1e-9  # ||U^* U - 1||_F of each basis of a von Neumann model
+EFFECT_EIG_TOL = 1e-9  # effect eigenvalues outside [0, 1]; sum defect of an unchecked observable
+STATE_TRACE_TOL = 1e-9  # state: negative eigenvalue (relative to the largest) and trace defect
+ZERO_NORM_TOL = 1e-12  # norm below which a vector is the zero vector
+WITNESS_TOL = 1e-8  # coexistence-witness equations and the leftover's negative eigenvalue
+SUM_TOL = 1e-8  # observable sum, and the projection, commutator and complementarity defects
+RANK_REL_TOL = 1e-8  # eigenvalue, relative to the largest, counted in a rank
+STOCHASTIC_NEG_TOL = 1e-12  # negative entry of a stochastic matrix
+STOCHASTIC_ROW_TOL = 1e-10  # row-sum defect of a stochastic matrix
+WEIGHT_TOL = 1e-10  # negative entry and sum defect of convex weights
+CHOI_TOL = 1e-8  # Choi PSD (relative), trace increase, channel and instrument sums, instrument complementarity
+KRAUS_EIG_TOL = 1e-10  # Choi eigenvalue below which no Kraus operator is kept (relative in minimal_kraus)
+MODEL_TOL = 1e-7  # sum defect of the instrument a model measures
+RANK_ONE_TOL = 1e-8  # normal model: largest and (relative) second eigenvalue of probe and pointer atoms
+NORMAL_SUM_TOL = 1e-8  # completeness of a normal model's extracted Kraus operators, per unit of dimension
+LUDERS_TOL = 1e-8  # anti-Hermitian part (relative) and negative eigenvalue of extracted Kraus operators
+DIAG_TOL = 1e-9  # off-diagonal residual in a shared eigenbasis, per unit of dimension
+GRAM_FLOOR = 0.5  # smallest eigenvalue of a dilation's Kraus Gram matrix (1 for an instrument)
+EIGENBASIS_ATTEMPTS = 32  # random combinations tried for a commutative observable's eigenbasis
 
 
 def as_matrix(m: object, stack: bool = False) -> Array:
@@ -117,7 +144,7 @@ def _eigh(a: Array) -> tuple[Array, Array]:
         raise EigenSolverError(f"eigensolver did not converge; off-diagonal residual {off:.3g}") from exc
 
 
-def _psd_eig(a: Array, neg_tol: float) -> tuple[Array, Array]:
+def _psd_eig(a: Array) -> tuple[Array, Array]:
     """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of an exactly
     Hermitian PSD matrix, for the eigenvalues above the noise floor of
     ``herm_sqrt``.  The largest is always kept, so a zero matrix keeps one
@@ -126,48 +153,56 @@ def _psd_eig(a: Array, neg_tol: float) -> tuple[Array, Array]:
     w, v = _eigh(a)
     stack = w.ndim == 2
     low = w[:, 0].min() if stack else w[0]
-    if low < -neg_tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {low:.3g} below -{neg_tol:.3g}")
-    keep = w > 1e-12 * (np.maximum(w[:, -1:], 0.0) if stack else max(float(w[-1]), 0.0))
+    if low < -PSD_TOL:
+        raise NotPositiveSemidefinite(f"eigenvalue {low:.3g} below -{PSD_TOL:.3g}")
+    keep = w > ROOT_REL_TOL * (np.maximum(w[:, -1:], 0.0) if stack else max(float(w[-1]), 0.0))
     keep[..., -1] = True
     if stack:
         return v, np.sqrt(np.clip(w, 0.0, None)) * keep
     return v[:, keep], np.sqrt(np.clip(w[keep], 0.0, None))
 
 
-def root_factor(m: object, neg_tol: float = PSD_TOL) -> Array:
+def root_factor(m: object) -> Array:
     """``R`` with ``m = R R^*`` for a PSD Hermitian matrix, one column per
     eigenvalue above the noise floor (see ``herm_sqrt``)."""
-    v, r = _psd_eig(ensure_hermitian(m), neg_tol)
+    v, r = _psd_eig(ensure_hermitian(m))
     return v * r
 
 
 def root_factors(m: Array) -> list[Array]:
     """``root_factor`` of every matrix of an exactly Hermitian ``(k, d, d)``
     stack, unchecked, each with the same columns, from one eigensolve."""
-    v, r = _psd_eig(m, PSD_TOL)
+    v, r = _psd_eig(m)
     keep = r > 0.0
     keep[:, -1] = True
     return [f[:, k] for f, k in zip(v * r[:, None, :], keep)]
 
 
-def herm_sqrt(m: object, neg_tol: float = PSD_TOL) -> Array:
+def herm_sqrt(m: object) -> Array:
     """Unique positive square root of a PSD Hermitian matrix, or of each
     matrix of a ``(k, d, d)`` stack, from one eigendecomposition call.
 
-    Eigenvalues in ``[-neg_tol, 0)`` are clamped to zero; anything below
-    ``-neg_tol`` raises ``NotPositiveSemidefinite``.  Eigenvalues below a
-    relative noise floor of ``1e-12 * max(w)``, per matrix, are zeroed as
-    well: the square root would otherwise amplify eigensolver noise of size
-    ``eps`` into errors of size ``sqrt(eps)``.
+    Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero; anything below
+    ``-PSD_TOL`` raises ``NotPositiveSemidefinite``.  Eigenvalues below a
+    relative noise floor of ``ROOT_REL_TOL * max(w)``, per matrix, are
+    zeroed as well: the square root would otherwise amplify eigensolver
+    noise of size ``eps`` into errors of size ``sqrt(eps)``.
     """
-    return _psd_roots(ensure_hermitian(m, stack=np.ndim(m) == 3), neg_tol)
+    return _psd_roots(ensure_hermitian(m, stack=np.ndim(m) == 3))
 
 
-def _psd_roots(a: Array, neg_tol: float = PSD_TOL) -> Array:
+def _psd_roots(a: Array) -> Array:
     """``herm_sqrt`` of an exactly Hermitian matrix or stack, unchecked."""
-    v, r = _psd_eig(a, neg_tol)
+    v, r = _psd_eig(a)
     return hermitian_part((v * r[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def inverse_root(m: Array) -> tuple[Array, Array]:
+    """Eigenvalues ``w`` of the Hermitian part of a positive definite ``m``,
+    ascending, and ``m^(-1/2) = V diag(w)^(-1/2) V^*`` from the same
+    eigendecomposition."""
+    w, v = np.linalg.eigh(hermitian_part(m))
+    return w, (v / np.sqrt(w)) @ v.conj().T
 
 
 def psd_part(m: Array) -> Array:
@@ -200,11 +235,11 @@ def partial_trace_first(m: object, dim_base: int, dim_probe: int) -> Array:
     return np.einsum("kikj->ij", a.reshape(dim_base, dim_probe, dim_base, dim_probe))
 
 
-def _phase_fix(v: Array, tol: float = 1e-9) -> Array:
-    """Rotate each column of a matrix so that its first entry of significant
-    magnitude is real positive."""
-    entry = v[(np.abs(v) > tol).argmax(axis=0), np.arange(v.shape[1])]
-    if not np.all(np.abs(entry) > tol):
+def _phase_fix(v: Array) -> Array:
+    """Rotate each column of a matrix so that its first entry of magnitude
+    above ``PHASE_TOL`` is real positive."""
+    entry = v[(np.abs(v) > PHASE_TOL).argmax(axis=0), np.arange(v.shape[1])]
+    if not np.all(np.abs(entry) > PHASE_TOL):
         raise ZeroVector("cannot phase-fix a zero vector")
     return v * (np.abs(entry) / entry)
 
@@ -214,11 +249,10 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
 
     The inputs become the first columns, verbatim.  The remaining columns
     are the trailing columns of one complete QR factorization of the inputs
-    (the identity when there are none), each phase-fixed so that its first
-    entry above 1e-9 in magnitude is real positive.  The same input gives
-    the same output, but the completion is otherwise arbitrary: it is an
-    orthonormal basis of the complement, not the index-order Gram-Schmidt of
-    the standard basis.
+    (the identity when there are none), each phase-fixed by ``_phase_fix``.
+    The same input gives the same output, but the completion is otherwise
+    arbitrary: it is an orthonormal basis of the complement, not the
+    index-order Gram-Schmidt of the standard basis.
     """
     cols = []
     for c in columns:
@@ -248,7 +282,7 @@ def matrices_close(a: object, b: object, tol: float) -> bool:
     return frob(x - y) <= tol
 
 
-def is_unitary(u: Array, tol: float = 1e-8) -> bool:
+def is_unitary(u: Array, tol: float = UNITARY_TOL) -> bool:
     a = as_matrix(u)
     if a.shape[0] != a.shape[1]:
         return False

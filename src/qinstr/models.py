@@ -30,18 +30,9 @@ from .instruments import (
     kraus_from_vectors,
     minimal_kraus,
 )
-from .linalg import (
-    Array,
-    _phase_fix,
-    as_matrix,
-    complete_to_unitary,
-    frob,
-    herm_eig,
-    hermitian_part,
-    is_unitary,
-    read_only,
-    root_factors,
-)
+from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, RANK_ONE_TOL
+from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part, inverse_root
+from .linalg import is_unitary, read_only, root_factors
 from .observables import (
     Label,
     Observable,
@@ -51,15 +42,14 @@ from .observables import (
     obs_post_process,
 )
 
-MODEL_TOL = 1e-7
 
-
-def _phase_fixed_unit_vectors(m: Array, tol: float = 1e-8) -> Array:
+def _phase_fixed_unit_vectors(m: Array) -> Array:
     """Principal eigenvectors of a ``(k, d, d)`` stack of rank-one PSD
-    matrices, phase-fixed, as the columns of a ``(d, k)`` matrix."""
+    matrices (within ``RANK_ONE_TOL``), phase-fixed, as the columns of a
+    ``(d, k)`` matrix."""
     w, v = herm_eig(m)
     top = w[:, -1]
-    if np.any(top <= tol) or (w.shape[1] > 1 and np.any(w[:, -2] > tol * np.maximum(1.0, top))):
+    if np.any(top <= RANK_ONE_TOL) or (w.shape[1] > 1 and np.any(w[:, -2] > RANK_ONE_TOL * np.maximum(1.0, top))):
         raise NotNormal("matrix is not rank one within tolerance")
     return _phase_fix(v[:, :, -1].T)
 
@@ -87,7 +77,7 @@ class FIMM:
             u = as_matrix(interaction)
             if u.shape != (n, n):
                 raise DimensionError(f"interaction shape {u.shape}, expected {(n, n)}")
-            if not is_unitary(u, tol=1e-8):
+            if not is_unitary(u):
                 raise NotIsometry("interaction matrix is not unitary")
             self.interaction = read_only(u)
 
@@ -128,7 +118,7 @@ class FIMM:
         )
 
 
-def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
+def model_instrument(m: FIMM) -> Instrument:
     """Instrument measured by a model, in closed Kraus form.
 
     Outcome ``x`` maps ``rho`` to the probe-trace of
@@ -139,6 +129,7 @@ def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
     ``eta = R_eta R_eta^*``.  An interaction given as an operation
     contributes one such set per Kraus operator of its own.  Every root
     comes from one batched eigendecomposition of the ``F_x^T`` and ``eta``.
+    The outcomes must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
     if isinstance(m.interaction, Operation):
@@ -152,7 +143,7 @@ def model_instrument(m: FIMM, atol: float = MODEL_TOL) -> Instrument:
         (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
         for x, r in zip(m.pointer.labels, roots)
     ]
-    return Instrument._from_kraus(ops, sum_tol=atol)
+    return Instrument._from_kraus(ops, sum_tol=MODEL_TOL)
 
 
 def swap_unitary(d: int) -> Array:
@@ -178,7 +169,7 @@ def _checked_bases(base_basis: object, probe_basis: object) -> tuple[Array, Arra
     probe = as_matrix(probe_basis)
     if base.shape != probe.shape or base.shape[0] != base.shape[1]:
         raise DimensionError("bases must be square and of equal dimension")
-    if not is_unitary(base, 1e-9) or not is_unitary(probe, 1e-9):
+    if not is_unitary(base, BASIS_TOL) or not is_unitary(probe, BASIS_TOL):
         raise NotIsometry("bases must be unitary")
     return base, probe
 
@@ -247,26 +238,25 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     return Instrument._from_kraus(kraus), channel, Observable._valid(labels, effects)
 
 
-def vn_model_for_commutative(
-    a: Observable, rng: np.random.Generator | None = None, attempts: int = 32
-) -> VonNeumannModel:
+def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = None) -> VonNeumannModel:
     """Basis-pairing model measuring a commutative observable.
 
     The shared eigenbasis comes from a random real combination of the
     effects; a draw is accepted only if it actually diagonalizes every
-    effect (collisions among eigenvalues force a redraw unless the effects
-    are scalar on the colliding block).
+    effect, within ``DIAG_TOL`` (collisions among eigenvalues force a redraw
+    unless the effects are scalar on the colliding block), and at most
+    ``EIGENBASIS_ATTEMPTS`` draws are made.
     """
     if not classify_observable(a).commutative:
         raise NotCommutative("observable effects do not pairwise commute")
     if rng is None:
         rng = np.random.default_rng(20210)
     d, eye = a.dim, np.eye(a.dim)
-    for _ in range(attempts):
+    for _ in range(EIGENBASIS_ATTEMPTS):
         _, v = herm_eig(hermitian_part((rng.standard_normal(len(a))[:, None, None] * a.stack).sum(0)))
         rotated = v.conj().T @ a.stack @ v
         diagonals = np.diagonal(rotated, axis1=1, axis2=2)
-        if np.linalg.norm(rotated - diagonals[:, :, None] * eye, axis=(1, 2)).max() <= 1e-9 * max(1.0, d):
+        if np.linalg.norm(rotated - diagonals[:, :, None] * eye, axis=(1, 2)).max() <= DIAG_TOL * max(1.0, d):
             pointer = Observable(zip(a.labels, (diagonals.real[:, :, None] * eye).astype(complex)))
             return VonNeumannModel(v, np.eye(d, dtype=complex), pointer)
     raise NotCommutative("failed to find a joint eigenbasis")
@@ -288,11 +278,9 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     n = sum(counts)
 
     iso = np.concatenate(slots).transpose(1, 0, 2).reshape(d * n, d)
-    gram = iso.conj().T @ iso
-    gw, gv = np.linalg.eigh(hermitian_part(gram))
-    if gw[0] < 0.5:
+    gw, inv_root = inverse_root(iso.conj().T @ iso)
+    if gw[0] < GRAM_FLOOR:
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")
-    inv_root = (gv / np.sqrt(gw)) @ gv.conj().T
     iso = iso @ inv_root  # exact orthonormality before completion
 
     first_slot = np.arange(d * n) % n == 0
@@ -317,7 +305,7 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     """
     if isinstance(m.interaction, Operation):
         kraus = m.interaction.kraus_ops()
-        if len(kraus) != 1 or not is_unitary(kraus[0], 1e-8):
+        if len(kraus) != 1 or not is_unitary(kraus[0]):
             raise NotNormal("interaction channel is not unitary")
         u = kraus[0]
     else:
@@ -332,22 +320,23 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     extracted = dict(zip(m.pointer.labels, np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())))
     total = sum(s.conj().T @ s for s in extracted.values())
     residual = frob(total - np.eye(d))
-    if residual > 1e-8 * max(1.0, d):
+    if residual > NORMAL_SUM_TOL * max(1.0, d):
         raise NotNormal(f"extracted operators miss completeness by {residual:.3g}")
     return extracted
 
 
-def luders_positivity_check(m: FIMM, tol: float = 1e-8) -> bool:
-    """True when every extracted Kraus operator is positive semidefinite.
+def luders_positivity_check(m: FIMM) -> bool:
+    """True when every extracted Kraus operator is positive semidefinite,
+    within ``LUDERS_TOL``.
 
     A passing model measures the measurement-update instrument of its own
     observable (outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``).
     """
     s = np.stack(list(normal_fimm_kraus_extract(m).values()))
     scale = np.maximum(1.0, np.linalg.norm(s, axis=(1, 2)))
-    if np.any(np.linalg.norm(s - s.conj().swapaxes(1, 2), axis=(1, 2)) > tol * scale):
+    if np.any(np.linalg.norm(s - s.conj().swapaxes(1, 2), axis=(1, 2)) > LUDERS_TOL * scale):
         return False
-    return bool(np.linalg.eigvalsh(hermitian_part(s))[:, 0].min() >= -tol)
+    return bool(np.linalg.eigvalsh(hermitian_part(s))[:, 0].min() >= -LUDERS_TOL)
 
 
 def _marginal_maps(labels: tuple[Label, ...]) -> tuple[StochasticMatrix, StochasticMatrix]:

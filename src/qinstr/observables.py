@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import EFFECT_EIG_TOL, ensure_effects, ensure_state, seq_products
+from .effects import ensure_effects, ensure_state, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -36,12 +36,10 @@ from .errors import (
     ShapeError,
     WeightError,
 )
+from .linalg import EFFECT_EIG_TOL, RANK_REL_TOL, STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
 from .linalg import Array, _psd_roots, as_matrix, frob, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
-
-SUM_TOL = 1e-8
-RANK_REL_TOL = 1e-8
 
 
 def check_token(token: str) -> str:
@@ -244,13 +242,7 @@ def observables_close(a: Observable, b: Observable, tol: float) -> bool:
 class StochasticMatrix:
     """Row-stochastic matrix indexed by source and target labels."""
 
-    def __init__(
-        self,
-        row_labels: Sequence[Label],
-        col_labels: Sequence[Label],
-        matrix: object,
-        row_tol: float = 1e-10,
-    ):
+    def __init__(self, row_labels: Sequence[Label], col_labels: Sequence[Label], matrix: object):
         self.row_labels = check_distinct_labels(row_labels)
         self.col_labels = check_distinct_labels(col_labels)
         m = np.asarray(matrix, dtype=float)
@@ -258,11 +250,11 @@ class StochasticMatrix:
             raise ShapeError(f"matrix shape {m.shape} does not match label counts")
         if not np.isfinite(m).all():
             raise QinstrError("matrix contains non-finite entries")
-        if m.min(initial=0.0) < -1e-12:
+        if m.min(initial=0.0) < -STOCHASTIC_NEG_TOL:
             raise InvariantViolation("nonnegative-entries", float(-m.min()))
         m = np.clip(m, 0.0, None)
         row_residual = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-        if row_residual > row_tol:
+        if row_residual > STOCHASTIC_ROW_TOL:
             raise InvariantViolation("row-sums-to-one", row_residual)
         self.matrix = read_only(m)
 
@@ -290,9 +282,9 @@ def _commutator_norms(s: Array, t: Array) -> Array:
     return np.linalg.norm(s @ t - t @ s, axis=(-2, -1))
 
 
-def _projections(s: Array, tol: float = SUM_TOL) -> Array:
-    """Which matrices of a stack are projections: ``||s_k^2 - s_k|| <= tol``."""
-    return np.linalg.norm(s @ s - s, axis=(1, 2)) <= tol
+def _projections(s: Array) -> Array:
+    """Which matrices of a stack are projections: ``||s_k^2 - s_k|| <= SUM_TOL``."""
+    return np.linalg.norm(s @ s - s, axis=(1, 2)) <= SUM_TOL
 
 
 def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
@@ -311,13 +303,13 @@ def obs_conditioned(a: Observable, b: Observable) -> Observable:
     return Observable._valid(b.labels, seq_products(a.roots, b.stack).sum(0))
 
 
-def check_weights(weights: Sequence[float], count: int, tol: float = 1e-10) -> np.ndarray:
+def check_weights(weights: Sequence[float], count: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size != count:
         raise WeightError(f"expected {count} weights, got shape {w.shape}")
-    if w.min(initial=0.0) < -tol:
+    if w.min(initial=0.0) < -WEIGHT_TOL:
         raise WeightError(f"negative weight {w.min():.3g}")
-    if abs(w.sum() - 1.0) > tol:
+    if abs(w.sum() - 1.0) > WEIGHT_TOL:
         raise WeightError(f"weights sum to {w.sum():.12g}, not 1")
     return np.clip(w, 0.0, None)
 
@@ -357,8 +349,9 @@ def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     return Observable._valid(nu.col_labels, np.tensordot(nu.matrix.T, np.stack(row_members(nu, b)), 1))
 
 
-def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
-    """Structural flags of an observable.
+def classify_observable(a: Observable) -> ObservableFlags:
+    """Structural flags of an observable, each residual within ``SUM_TOL``
+    and ranks cut at ``RANK_REL_TOL``.
 
     identity: every effect a multiple of the identity; atomic: every effect a
     rank-one projection; indecomposable: every effect rank one; commutative:
@@ -366,27 +359,28 @@ def classify_observable(a: Observable, tol: float = SUM_TOL) -> ObservableFlags:
     """
     s = a.stack
     scalars = np.trace(s, axis1=1, axis2=2).real[:, None, None] / a.dim * np.eye(a.dim)
-    identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= tol))
+    identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= SUM_TOL))
     w = np.linalg.eigvalsh(s)
     top = w[:, -1:]
     rank_one = (top[:, 0] > RANK_REL_TOL) & (np.sum(w > RANK_REL_TOL * top, axis=1) == 1)
-    projections = _projections(s, tol)
+    projections = _projections(s)
     i, j = np.triu_indices(len(s), 1)
     return ObservableFlags(
         identity=identity,
         atomic=bool(np.all(rank_one & projections)),
         indecomposable=bool(np.all(rank_one)),
-        commutative=bool(np.all(_commutator_norms(s[i], s[j]) <= tol)),
+        commutative=bool(np.all(_commutator_norms(s[i], s[j]) <= SUM_TOL)),
         sharp=bool(np.all(projections)),
     )
 
 
-def obs_commute(a: Observable, b: Observable, tol: float = SUM_TOL) -> bool:
-    """True when every effect of ``a`` commutes with every effect of ``b``."""
+def obs_commute(a: Observable, b: Observable) -> bool:
+    """True when every effect of ``a`` commutes with every effect of ``b``,
+    each commutator within ``SUM_TOL`` in Frobenius norm."""
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
     i, j = np.indices((len(a), len(b))).reshape(2, -1)
-    return bool(np.all(_commutator_norms(a.stack[i], b.stack[j]) <= tol))
+    return bool(np.all(_commutator_norms(a.stack[i], b.stack[j]) <= SUM_TOL))
 
 
 def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]:
@@ -406,14 +400,15 @@ def complementarity_residual(a: Observable, b: Observable) -> float:
     return max(float(np.linalg.norm(d, axis=(-2, -1)).max()) for d in complementarity_defects(a, b))
 
 
-def obs_complementary(a: Observable, b: Observable, tol: float = SUM_TOL) -> bool:
+def obs_complementary(a: Observable, b: Observable) -> bool:
     """A definite value of either observable completely randomizes the other.
 
     Checks ``A_x o B_y = A_x / n`` and ``B_y o A_x = B_y / m`` for all pairs,
     with ``n`` and ``m`` the outcome counts of ``b`` and ``a``: every defect
-    of ``complementarity_defects`` must be within ``tol`` in Frobenius norm.
+    of ``complementarity_defects`` must be within ``SUM_TOL`` in Frobenius
+    norm.
     """
-    return complementarity_residual(a, b) <= tol
+    return complementarity_residual(a, b) <= SUM_TOL
 
 
 def fourier_mub(d: int) -> tuple[Array, Array]:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .effects import ensure_effect, ensure_effects
 from .instruments import Instrument
-from .linalg import Array, hermitian_part
+from .linalg import Array, hermitian_part, inverse_root
 from .models import FIMM
 from .observables import Label, Observable, StochasticMatrix, check_distinct_labels
 
@@ -85,9 +85,7 @@ def random_observable(
     labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
     g = _ginibres(rng, outcomes, dim, dim)
     blocks = g @ g.conj().swapaxes(1, 2)
-    total = blocks.sum(0) + 1e-12 * np.eye(dim)
-    w, v = np.linalg.eigh(hermitian_part(total))
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    inv_root = inverse_root(blocks.sum(0) + 1e-12 * np.eye(dim))[1]
     return Observable._valid(labels, inv_root @ blocks @ inv_root)
 
 
@@ -129,9 +127,8 @@ def random_instrument(
     ranks.  The sum adds the per-operator products ``K^* K`` in draw order.
     """
     raw = _ginibres(rng, outcomes, kraus_per_outcome, dim, dim)
-    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, dim, dim).sum(0) + 1e-12 * np.eye(dim)
-    w, v = np.linalg.eigh(hermitian_part(total))
-    inv_root = (v / np.sqrt(w)) @ v.conj().T
+    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, dim, dim).sum(0)
+    inv_root = inverse_root(total + 1e-12 * np.eye(dim))[1]
     return Instrument._from_kraus(zip(default_labels(outcomes), raw @ inv_root))
 
 

@@ -259,6 +259,8 @@ def _load_instrument(data: dict) -> Instrument:
     for text, entry in _labelled_entries(data, "operations", "instrument"):
         if not isinstance(entry, dict):
             raise DocumentError(f"instrument[{text}]: expected an object")
+        if "kraus" in entry and "choi" in entry:
+            raise DocumentError(f"instrument[{text}]: give one of 'choi' or 'kraus', not both")
         if "kraus" in entry:
             kraus = entry["kraus"]
             if not isinstance(kraus, list) or not kraus:
@@ -280,6 +282,8 @@ def _load_fimm(data: dict) -> FIMM:
     inter = _require(data, "interaction")
     if not isinstance(inter, dict):
         raise DocumentError("interaction: expected an object")
+    if "unitary" in inter and "choi" in inter:
+        raise DocumentError("interaction: give one of 'unitary' or 'choi', not both")
     if "unitary" in inter:
         interaction: object = decode_matrix(inter["unitary"], "interaction.unitary")
     elif "choi" in inter:

@@ -90,6 +90,14 @@ MALFORMED_DOCUMENTS = {
     "effect-huge-entries": {"kind": "effect", "matrix": [[1e308, 1e308], [1e308, 1e308]]},
     "observable-huge-effect": {"kind": "observable", "labels": ["a"], "effects": {"a": [[1e308, 0], [0, 1e308]]}},
     "instrument-huge-choi": {"kind": "instrument", "labels": ["a"], "operations": {"a": {"choi": [[1e308]]}}},
+    # A document carries one form of each map: a second form is an error,
+    # not ignored, even when the first form is valid.
+    "instrument-kraus-and-choi": {
+        "kind": "instrument",
+        "labels": ["a"],
+        "operations": {"a": {"kraus": [_IDENTITY], "choi": [[[9, 0]]]}},
+    },
+    "fimm-unitary-and-choi": {**_FIMM, "interaction": {**_FIMM["interaction"], "choi": [[[9, 0]]]}},
 }
 
 # Text nested deeper than the JSON decoder's recursion limit; written out

@@ -194,8 +194,8 @@ def test_criterion_06_complementarity_levels_agree():
     pairs = _complementary_pair_catalog(_rng("acceptance-6", 6), 50)
     disagreements = 0
     for i, j in pairs:
-        lhs = instr_complementary(i, j, tol=1e-8)
-        rhs = obs_complementary(induced_observable(i), induced_observable(j), tol=1e-8)
+        lhs = instr_complementary(i, j)
+        rhs = obs_complementary(induced_observable(i), induced_observable(j))
         disagreements += lhs != rhs
     report(6, f"instrument vs observable complementarity agree on 50 pairs ({disagreements} disagreements)", disagreements == 0)
 

@@ -778,7 +778,7 @@ class TestFamilyValidation:
 
     def test_channel_of_loosely_summed_instrument_is_not_a_channel(self):
         scale = np.sqrt(0.5 * (1.0 + 1e-4))
-        loose = Instrument([(x, Operation.from_kraus([scale * np.eye(2)])) for x in "ab"], sum_tol=1e-3)
+        loose = Instrument._from_kraus([(x, scale * np.eye(2)[None]) for x in "ab"], sum_tol=1e-3)
         with pytest.raises(InvariantViolation) as exc:
             instr_channel(loose)
         assert exc.value.invariant == "trace-preserving"
