@@ -78,11 +78,19 @@ class TestOperation:
                 via_choi = Operation.from_choi(op.choi).apply(rho)
                 assert frob(via_kraus - via_choi) < 1e-10
 
+    def test_kraus_choi_consistency_enforced(self, rng):
+        # a Choi matrix and Kraus operators that disagree are rejected: an
+        # operation takes one input form, so there is no mismatch to accept
+        i = random_instrument(3, 2, rng)
+        for choi, kraus in ((np.eye(4), [np.eye(2)]), (i["0"].choi, i["1"].kraus_ops())):
+            with pytest.raises(DimensionError, match="either a Choi matrix or Kraus operators"):
+                Operation(choi, kraus=kraus)
+
     def test_exactly_one_input_form(self, rng):
-        # a Choi matrix and Kraus operators together are rejected, even when
+        # a Choi matrix and Kraus operators together are rejected even when
         # they describe the same map, and so is neither
         op = random_instrument(3, 2, rng)["0"]
-        for choi, kraus in ((np.eye(4), [np.eye(2)]), (op.choi, op.kraus_ops()), (None, None)):
+        for choi, kraus in ((op.choi, op.kraus_ops()), (None, None)):
             with pytest.raises(DimensionError, match="either a Choi matrix or Kraus operators"):
                 Operation(choi, kraus=kraus)
 
@@ -151,6 +159,7 @@ _MALFORMED_CHOI = {
     "not-psd": (np.diag([1.0, -0.5, 0.0, 0.0]), None, InvariantViolation, "choi-positive-semidefinite"),
     "not-psd-at-scale": (np.diag([4.0, -5e-8, 0.0, 0.0]), None, InvariantViolation, "choi-positive-semidefinite"),
     "trace-increasing": (1.01 * _IDENTITY_CHOI, None, InvariantViolation, "trace-non-increasing"),
+    "kraus-mismatch": (np.eye(4), [np.eye(2)], DimensionError, None),
     "kraus-wrong-dim": (_IDENTITY_CHOI, [np.eye(3)], DimensionError, None),
     "not-square-of-square": (np.eye(3), None, DimensionError, None),
     "not-square": (np.ones((4, 2)), None, DimensionError, None),
