@@ -56,7 +56,12 @@ def _phase_fixed_unit_vectors(m: Array) -> Array:
 
 class FIMM:
     """Finite measurement model: base and probe spaces, initial probe state,
-    interaction channel on the composite space, and pointer observable."""
+    interaction channel on the composite space, and pointer observable.
+
+    ``interaction`` is kept as given, a unitary matrix or an operation;
+    ``couplings`` is its read-only ``(k, n, n)`` Kraus stack, ``u[None]`` for
+    a unitary ``u``.
+    """
 
     def __init__(
         self,
@@ -73,6 +78,7 @@ class FIMM:
                 raise DimensionError(f"interaction dim {interaction.dim}, expected {n}")
             ensure_channel(interaction)
             self.interaction = interaction
+            self.couplings = interaction._kraus
         else:
             u = as_matrix(interaction)
             if u.shape != (n, n):
@@ -80,6 +86,7 @@ class FIMM:
             if not is_unitary(u):
                 raise NotIsometry("interaction matrix is not unitary")
             self.interaction = read_only(u)
+            self.couplings = self.interaction[None]
 
     @classmethod
     def _unitary(cls, dim_base: int, dim_probe: int, probe_state: Array, u: Array, pointer: Observable) -> "FIMM":
@@ -89,6 +96,7 @@ class FIMM:
         m = cls.__new__(cls)
         m._set_parts(dim_base, dim_probe, probe_state, pointer)
         m.interaction = read_only(u)
+        m.couplings = m.interaction[None]
         return m
 
     def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
@@ -107,9 +115,7 @@ class FIMM:
         self.sharp = bool(_projections(pointer.stack).all())
 
     def apply_interaction(self, mat: Array) -> Array:
-        if isinstance(self.interaction, Operation):
-            return self.interaction.apply(mat)
-        return self.interaction @ mat @ self.interaction.conj().T
+        return (self.couplings @ mat @ self.couplings.conj().transpose(0, 2, 1)).sum(axis=0)
 
     def __repr__(self) -> str:
         return (
@@ -132,13 +138,9 @@ def model_instrument(m: FIMM) -> Instrument:
     The outcomes must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
-    if isinstance(m.interaction, Operation):
-        couplings = m.interaction.kraus_ops()
-    else:
-        couplings = [m.interaction]
     *roots, root_eta = root_factors(np.concatenate([m.pointer.stack.swapaxes(1, 2), m.probe_state[None]]))
     # q[(i, a), c, k, s] = sum_l P_c[(i, a), (k, l)] R_eta[l, s], over the couplings c
-    q = np.stack(couplings).reshape(-1, d, dk, d, dk).transpose(3, 1, 0, 2, 4).reshape(d * d, -1, dk, dk) @ root_eta
+    q = m.couplings.reshape(-1, d, dk, d, dk).transpose(3, 1, 0, 2, 4).reshape(d * d, -1, dk, dk) @ root_eta
     ops = [
         (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
         for x, r in zip(m.pointer.labels, roots)
@@ -303,13 +305,9 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     ``S_x[j, i] = <e_j (x) phi_x, U (e_i (x) phi)>`` with ``phi`` the initial
     probe vector and ``phi_x`` the pointer atoms, both phase-fixed.
     """
-    if isinstance(m.interaction, Operation):
-        kraus = m.interaction.kraus_ops()
-        if len(kraus) != 1 or not is_unitary(kraus[0]):
-            raise NotNormal("interaction channel is not unitary")
-        u = kraus[0]
-    else:
-        u = m.interaction
+    if len(m.couplings) != 1 or not is_unitary(m.couplings[0]):
+        raise NotNormal("interaction channel is not unitary")
+    u = m.couplings[0]
     try:
         vectors = _phase_fixed_unit_vectors(np.concatenate([m.probe_state[None], m.pointer.stack]))
     except NotNormal as exc:

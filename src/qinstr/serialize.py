@@ -21,9 +21,6 @@ from .linalg import Array
 from .models import FIMM
 from .observables import Observable, StochasticMatrix, label_text, parse_label
 
-KINDS = ("effect", "state", "observable", "instrument", "fimm", "stochastic", "scalar")
-
-
 @dataclass(frozen=True)
 class Document:
     """A loaded document: its kind tag, dimension, and domain object."""
@@ -221,14 +218,31 @@ def save_document(obj: object, path: str, kind: str | None = None) -> None:
 # -- decoders -----------------------------------------------------------------
 
 
-def _require(data: dict, key: str) -> object:
-    if key not in data:
-        raise DocumentError(f"missing field {key!r}")
-    return data[key]
+def _fields(data: object, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``data`` itself, checked to be an object that has every ``required``
+    field and no field outside ``required`` and ``optional``."""
+    if not isinstance(data, dict):
+        raise DocumentError(f"{what}: expected an object")
+    unknown = [key for key in data if key not in required and key not in optional]
+    if unknown:
+        raise DocumentError(f"{what}: unknown field {unknown[0]!r}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise DocumentError(f"{what}: missing field {missing[0]!r}")
+    return data
+
+
+def _one_form(data: object, what: str, forms: Mapping[str, Callable[[object, str], object]]) -> object:
+    """The value of an object that gives exactly one of ``forms`` (field
+    name to decoder), decoded."""
+    given = list(_fields(data, what, (), tuple(forms)))
+    if len(given) != 1:
+        raise DocumentError(f"{what}: give exactly one of {' or '.join(map(repr, forms))}")
+    return forms[given[0]](data[given[0]], f"{what}.{given[0]}")
 
 
 def _label_texts(data: dict, key: str, what: str) -> list[str]:
-    texts = _require(data, key)
+    texts = data[key]
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise DocumentError(f"{what}: {key} must be a list of strings")
     return texts
@@ -237,15 +251,13 @@ def _label_texts(data: dict, key: str, what: str) -> list[str]:
 def _labelled_entries(data: dict, key: str, what: str) -> list[tuple[str, object]]:
     """``(label text, entry)`` pairs of a family document in label order; a
     repeated label stays repeated, for the family's duplicate check."""
-    if not isinstance(data, dict):
-        raise DocumentError(f"{what}: expected an object")
     labels = _label_texts(data, "labels", what)
-    entries = _require(data, key)
+    entries = data[key]
     if not isinstance(entries, dict):
         raise DocumentError(f"{what}: {key} must be a mapping")
-    missing = [text for text in labels if text not in entries]
-    if missing:
-        raise DocumentError(f"{what}: no {key} entry for label {missing[0]!r}")
+    unmatched = set(labels).symmetric_difference(entries)
+    if unmatched:
+        raise DocumentError(f"{what}: {key} and labels differ on {sorted(unmatched)}")
     return [(text, entries[text]) for text in labels]
 
 
@@ -254,50 +266,62 @@ def _load_observable(data: dict, what: str) -> Observable:
     return Observable((parse_label(text), decode_matrix(e, f"{what}[{text}]")) for text, e in entries)
 
 
+def _kraus_operation(kraus: object, what: str) -> Operation:
+    if not isinstance(kraus, list) or not kraus:
+        raise DocumentError(f"{what}: expected a nonempty list of matrices")
+    return Operation.from_kraus([decode_matrix(k, what) for k in kraus])
+
+
+def _choi_operation(choi: object, what: str) -> Operation:
+    return Operation.from_choi(decode_matrix(choi, what))
+
+
+_OUTCOME_FORMS = {"kraus": _kraus_operation, "choi": _choi_operation}
+_INTERACTION_FORMS = {"unitary": decode_matrix, "choi": _choi_operation}
+
+
 def _load_instrument(data: dict) -> Instrument:
-    ops = []
-    for text, entry in _labelled_entries(data, "operations", "instrument"):
-        if not isinstance(entry, dict):
-            raise DocumentError(f"instrument[{text}]: expected an object")
-        if "kraus" in entry and "choi" in entry:
-            raise DocumentError(f"instrument[{text}]: give one of 'choi' or 'kraus', not both")
-        if "kraus" in entry:
-            kraus = entry["kraus"]
-            if not isinstance(kraus, list) or not kraus:
-                raise DocumentError(f"instrument[{text}].kraus: expected a nonempty list of matrices")
-            op = Operation.from_kraus([decode_matrix(k, f"instrument[{text}].kraus") for k in kraus])
-        elif "choi" in entry:
-            op = Operation.from_choi(decode_matrix(entry["choi"], f"instrument[{text}].choi"))
-        else:
-            raise DocumentError(f"instrument[{text}]: needs 'choi' or 'kraus'")
-        ops.append((parse_label(text), op))
-    return Instrument(ops)
+    entries = _labelled_entries(data, "operations", "instrument")
+    return Instrument([(parse_label(text), _one_form(e, f"instrument[{text}]", _OUTCOME_FORMS)) for text, e in entries])
 
 
 def _load_fimm(data: dict) -> FIMM:
-    dim_base = _integer(_require(data, "dim"), "dim")
-    dim_probe = _integer(_require(data, "dim_probe"), "dim_probe")
-    eta = decode_matrix(_require(data, "probe_state"), "probe_state")
-    pointer = _load_observable(_require(data, "pointer"), "pointer")
-    inter = _require(data, "interaction")
-    if not isinstance(inter, dict):
-        raise DocumentError("interaction: expected an object")
-    if "unitary" in inter and "choi" in inter:
-        raise DocumentError("interaction: give one of 'unitary' or 'choi', not both")
-    if "unitary" in inter:
-        interaction: object = decode_matrix(inter["unitary"], "interaction.unitary")
-    elif "choi" in inter:
-        interaction = Operation.from_choi(decode_matrix(inter["choi"], "interaction.choi"))
-    else:
-        raise DocumentError("interaction: needs 'unitary' or 'choi'")
-    return FIMM(dim_base, dim_probe, eta, interaction, pointer)
+    return FIMM(
+        _integer(data["dim"], "dim"),
+        _integer(data["dim_probe"], "dim_probe"),
+        decode_matrix(data["probe_state"], "probe_state"),
+        _one_form(data["interaction"], "interaction", _INTERACTION_FORMS),
+        _load_observable(_fields(data["pointer"], "pointer", ("labels", "effects")), "pointer"),
+    )
 
 
 def _load_stochastic(data: dict) -> StochasticMatrix:
     rows = _label_texts(data, "row_labels", "stochastic")
     cols = _label_texts(data, "col_labels", "stochastic")
-    matrix = decode_real_matrix(_require(data, "matrix"), "stochastic matrix")
+    matrix = decode_real_matrix(data["matrix"], "stochastic matrix")
     return StochasticMatrix([parse_label(r) for r in rows], [parse_label(c) for c in cols], matrix)
+
+
+# Each kind's decoder, with the fields its documents carry besides ``kind``
+# and an optional declared ``dim``.
+_DECODERS: dict[str, tuple[tuple[str, ...], Callable[[dict], object]]] = {
+    "effect": (("matrix",), lambda data: ensure_effect(decode_matrix(data["matrix"]))),
+    "state": (("matrix",), lambda data: ensure_state(decode_matrix(data["matrix"]))),
+    "observable": (("labels", "effects"), lambda data: _load_observable(data, "observable")),
+    "instrument": (("labels", "operations"), _load_instrument),
+    "fimm": (("dim", "dim_probe", "probe_state", "interaction", "pointer"), _load_fimm),
+    "stochastic": (("row_labels", "col_labels", "matrix"), _load_stochastic),
+    "scalar": (("value",), lambda data: _number(data["value"], "value")),
+}
+KINDS = tuple(_DECODERS)
+
+
+def _content_dim(obj: object) -> int | None:
+    """Dimension of a loaded object (a model's base dimension); None for a
+    stochastic matrix or a scalar."""
+    if isinstance(obj, np.ndarray):
+        return obj.shape[0]
+    return getattr(obj, "dim_base", getattr(obj, "dim", None))
 
 
 def loads_document(text: str) -> Document:
@@ -310,23 +334,12 @@ def loads_document(text: str) -> Document:
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     kind = data.get("kind")
-    if kind not in KINDS:
+    if kind not in KINDS:  # a tuple test: an unhashable kind fails it cleanly
         raise DocumentError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    fields, decode = _DECODERS[kind]
+    _fields(data, kind, ("kind", *fields), ("dim",))
     try:
-        if kind == "effect":
-            obj: object = ensure_effect(decode_matrix(_require(data, "matrix")))
-        elif kind == "state":
-            obj = ensure_state(decode_matrix(_require(data, "matrix")))
-        elif kind == "observable":
-            obj = _load_observable(data, "observable")
-        elif kind == "instrument":
-            obj = _load_instrument(data)
-        elif kind == "fimm":
-            obj = _load_fimm(data)
-        elif kind == "stochastic":
-            obj = _load_stochastic(data)
-        else:
-            obj = _number(_require(data, "value"), "value")
+        obj = decode(data)
     except InvariantViolation as exc:
         raise DocumentError(
             f"{exc.invariant}, residual {exc.residual:.6g}", exc.invariant, exc.residual
@@ -337,18 +350,11 @@ def loads_document(text: str) -> Document:
         raise DocumentError(str(exc)) from exc
     except OverflowError as exc:
         raise DocumentError(f"number out of range: {exc}") from exc
-    if kind in ("effect", "state"):
-        dim = obj.shape[0]
-    elif kind in ("observable", "instrument"):
-        dim = obj.dim
-    elif kind == "fimm":
-        dim = obj.dim_base
-    else:
-        dim = 0
+    dim = _content_dim(obj)
     declared = data.get("dim")
-    if declared is not None and _integer(declared, "dim") != dim and kind not in ("stochastic", "scalar"):
+    if declared is not None and _integer(declared, "dim") != dim and dim is not None:
         raise DocumentError(f"declared dim {declared} does not match content dim {dim}")
-    return Document(kind, dim, obj)
+    return Document(kind, dim or 0, obj)
 
 
 def load_document(path: str) -> Document:

@@ -100,6 +100,40 @@ MALFORMED_DOCUMENTS = {
     "fimm-unitary-and-choi": {**_FIMM, "interaction": {**_FIMM["interaction"], "choi": [[[9, 0]]]}},
 }
 
+# Documents that load, and each of them with one field or entry added that
+# the loader would not read: the addition alone must make it fail.
+_OUTCOME = {"kraus": [_IDENTITY]}
+_TWO_EFFECTS = {"0": _IDENTITY, "1": _IDENTITY}
+WELL_FORMED_DOCUMENTS = {
+    "effect": {"kind": "effect", "dim": 2, "matrix": _IDENTITY},
+    "observable": {"kind": "observable", "dim": 2, "labels": ["0"], "effects": {"0": _IDENTITY}},
+    "instrument": {"kind": "instrument", "dim": 2, "labels": ["a"], "operations": {"a": _OUTCOME}},
+    "fimm": _FIMM,
+    "stochastic": {"kind": "stochastic", "dim": 0, "row_labels": ["a"], "col_labels": ["x"], "matrix": [[1.0]]},
+    "scalar": {"kind": "scalar", "dim": 0, "value": 0.5},
+}
+_WELL = WELL_FORMED_DOCUMENTS
+MALFORMED_DOCUMENTS.update(
+    {
+        "effect-unknown-field": {**_WELL["effect"], "matrx": [[9]]},
+        "observable-unknown-field": {**_WELL["observable"], "dim_probe": 2},
+        "observable-unlisted-label": {**_WELL["observable"], "effects": _TWO_EFFECTS},
+        "instrument-outcome-unknown-field": {
+            **_WELL["instrument"],
+            "operations": {"a": {**_OUTCOME, "chio": [[[9, 0]]]}},
+        },
+        "instrument-unlisted-label": {**_WELL["instrument"], "operations": {"a": _OUTCOME, "b": _OUTCOME}},
+        "fimm-unknown-field": {**_FIMM, "dim_base": 2},
+        "fimm-interaction-unknown-field": {**_FIMM, "interaction": {**_FIMM["interaction"], "kraus": []}},
+        "fimm-pointer-unknown-field": {**_FIMM, "pointer": {**_FIMM["pointer"], "dim": 2}},
+        "fimm-pointer-unlisted-label": {**_FIMM, "pointer": {**_FIMM["pointer"], "effects": _TWO_EFFECTS}},
+        "stochastic-unknown-field": {**_WELL["stochastic"], "labels": ["a"]},
+        "scalar-unknown-field": {**_WELL["scalar"], "values": [1.0]},
+        # An unhashable kind must fail the kind test, not a dict lookup.
+        "kind-not-a-string": {**_WELL["scalar"], "kind": ["scalar"]},
+    }
+)
+
 # Text nested deeper than the JSON decoder's recursion limit; written out
 # directly, since json.dumps would recurse too.
 DEEP_DOCUMENT = '{"kind":"effect","matrix":' + "[" * 50000

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qinstr
-from qinstr.cli import main
+from qinstr.cli import _EXPRESSIONS, main
 from qinstr.instruments import instruments_close
 from qinstr.observables import observables_close
 from qinstr.serialize import load_document, save_document
@@ -47,6 +47,7 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "thm-9.9"]) == 2
+        assert one_line_error(capsys, "error: unknown suite id(s): thm-9.9; known ids: ex-1, ")
 
     def test_fixed_count_suite_ignores_trials(self, capsys):
         assert run(["verify", "--suite", "thm-3.2", "--trials", "7"]) == 0
@@ -211,10 +212,12 @@ class TestComputeCommand:
     def test_kind_mismatch_usage_error(self, tmp_path, z_files, capsys):
         z_path, _, mixed_path = z_files
         assert run(["compute", "j-map", str(z_path), "-o", str(tmp_path / "x.json")]) == 2
+        assert one_line_error(capsys, "error: j-map needs (instrument)")
 
-    def test_wrong_arity(self, tmp_path, z_files):
+    def test_wrong_arity(self, tmp_path, z_files, capsys):
         z_path, x_path, _ = z_files
         assert run(["compute", "j-map", str(z_path), str(x_path), "-o", str(tmp_path / "x.json")]) == 2
+        assert one_line_error(capsys, "error: j-map needs (instrument), got 2 inputs")
 
     def test_non_finite_stochastic_input_exit_code(self, tmp_path, z_files):
         z_path, _, _ = z_files
@@ -224,10 +227,11 @@ class TestComputeCommand:
         assert run(["compute", "post-process", str(nu), str(z_path), "-o", str(out)]) == 3
         assert not out.exists()
 
-    def test_invalid_input_document_exit_code(self, tmp_path):
+    def test_invalid_input_document_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "state", "dim": 2, "matrix": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}')
         assert run(["compute", "j-map", str(bad), "-o", str(tmp_path / "x.json")]) == 3
+        assert one_line_error(capsys, "invalid: trace-at-most-one, residual ")
 
     def test_unwritable_output_is_usage_error(self, tmp_path, z_files, capsys):
         z_path, _, _ = z_files
@@ -239,6 +243,90 @@ class TestComputeCommand:
         assert one_line_error(capsys, f"error: cannot write {out}: ")
         assert run(["compute", "j-map", str(lz_path), "-o", str(tmp_path)]) == 2  # a directory
         assert one_line_error(capsys, f"error: cannot write {tmp_path}: ")
+
+
+# Every (expression, form) of the compute table; a form's trailing ``...``
+# repeats the kind before it.
+_FORMS = [(expr, form) for expr, forms in _EXPRESSIONS.items() for form in forms]
+_FORM_IDS = [f"{expr}:{','.join('...' if k is ... else k for k in form)}" for expr, form in _FORMS]
+_PARSED = {"weights": "0.5,0.5", "labels": "0"}
+
+
+def _spelled(form: tuple) -> tuple:
+    """The form's kinds with a repeated kind given twice."""
+    return form[:-1] + form[-2:-1] if form[-1] is ... else form
+
+
+@pytest.fixture
+def kind_files(tmp_path) -> dict:
+    """One d = 2 document of every kind, outcome labels "0" and "1"."""
+    from qinstr.rand import (
+        random_effect,
+        random_fimm,
+        random_instrument,
+        random_observable,
+        random_state,
+        random_stochastic,
+    )
+
+    rng = np.random.default_rng(5)
+    objects = {
+        "effect": random_effect(2, rng),
+        "state": random_state(2, rng),
+        "observable": random_observable(2, 2, rng),
+        "instrument": random_instrument(2, 2, rng),
+        "fimm": random_fimm(2, 2, 2, rng),
+        "stochastic": random_stochastic(["0", "1"], ["0", "1"], rng),
+        "scalar": 0.5,
+    }
+    paths = {}
+    for kind, obj in objects.items():
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        save_document(obj, paths[kind], kind)
+    return paths
+
+
+class TestExpressionTable:
+    @pytest.mark.parametrize("expression, form", _FORMS, ids=_FORM_IDS)
+    def test_every_form_computes(self, expression, form, kind_files, tmp_path):
+        out = tmp_path / "out.json"
+        inputs = [_PARSED.get(k) or kind_files[k] for k in _spelled(form)]
+        assert run(["compute", expression, *inputs, "-o", str(out)]) == 0
+        assert load_document(str(out)).kind in kind_files
+
+    @pytest.mark.parametrize("expression, form", _FORMS, ids=_FORM_IDS)
+    def test_wrong_kind_is_one_usage_line(self, expression, form, kind_files, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        kinds = _spelled(form)
+        accepted = {_spelled(f) for f in _EXPRESSIONS[expression]}
+        cases = 0
+        for i, kind in enumerate(kinds):
+            if kind in _PARSED:
+                continue
+            for wrong in kind_files:
+                swapped = kinds[:i] + (wrong,) + kinds[i + 1 :]
+                if swapped in accepted:
+                    continue
+                inputs = [_PARSED.get(k) or kind_files[k] for k in swapped]
+                assert run(["compute", expression, *inputs, "-o", str(out)]) == 2
+                assert one_line_error(capsys, f"error: {expression} needs (")
+                cases += 1
+        assert cases > 0 and not out.exists()
+
+    @pytest.mark.parametrize("expression", sorted(_EXPRESSIONS))
+    def test_wrong_input_count_reads_no_document(self, expression, tmp_path, capsys):
+        (form, *_) = _EXPRESSIONS[expression]
+        counts = [len(form) - 2] if form[-1] is ... else [len(form) - 1, len(form) + 1]
+        for count in filter(None, counts):
+            missing = [str(tmp_path / f"missing{i}.json") for i in range(count)]
+            assert run(["compute", expression, *missing, "-o", str(tmp_path / "out.json")]) == 2
+            assert one_line_error(capsys, f"error: {expression} needs (")
+
+    def test_document_error_is_one_invalid_line(self, kind_files, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED_DOCUMENTS["effect-unknown-field"]))
+        assert run(["compute", "seq-product", kind_files["effect"], str(bad), "-o", str(tmp_path / "o.json")]) == 3
+        assert one_line_error(capsys, "invalid: effect: unknown field 'matrx'")
 
 
 class TestRandomCommand:
@@ -272,9 +360,12 @@ class TestRandomCommand:
         assert run(["random", "observable", "--dim", "2", "--seed", "0", "-o", str(out)]) == 2
         assert one_line_error(capsys, f"error: cannot write {out}: ")
 
-    def test_dim_range_enforced(self, tmp_path):
+    def test_dim_range_enforced(self, tmp_path, capsys):
         assert run(["random", "state", "--dim", "9", "--seed", "0", "-o", str(tmp_path / "x.json")]) == 2
+        assert one_line_error(capsys, "error: --dim must be in [2, 8], got 9")
         assert run(["random", "observable", "--dim", "2", "--outcomes", "9", "--seed", "0", "-o", str(tmp_path / "y.json")]) == 2
+        assert one_line_error(capsys, "error: --outcomes must be in [1, 8], got 9")
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "y.json").exists()
 
 
 class TestValidateCommand:

@@ -439,6 +439,16 @@ class TestNormalExtract:
         with pytest.raises(NotNormal):
             normal_fimm_kraus_extract(mixed)
 
+    def test_unitary_given_as_an_operation(self, rng, sharp_z):
+        # one unitary Kraus operator is a normal interaction; two are not
+        m = dilate_instrument(luders_instrument(sharp_z))
+        as_op = FIMM(2, 2, m.probe_state, Operation.from_unitary(m.interaction), m.pointer)
+        direct, via_op = normal_fimm_kraus_extract(m), normal_fimm_kraus_extract(as_op)
+        assert all(frob(direct[x] - via_op[x]) <= 1e-15 for x in direct)
+        mixed = _mixed_unitary_channel(4, rng)
+        with pytest.raises(NotNormal, match="interaction channel is not unitary"):
+            normal_fimm_kraus_extract(FIMM(2, 2, m.probe_state, mixed, m.pointer))
+
 
 class TestLudersPositivity:
     def test_dilated_luders_passes(self, rng):
@@ -619,6 +629,14 @@ class TestBatchedKernelsAgainstLoops:
             assert list(batched) == list(loop)
             for x in loop:
                 assert frob(batched[x] - loop[x]) <= 1e-12
+
+    def test_couplings_are_the_interaction_as_one_kraus_stack(self, rng):
+        for m in _oracle_models(rng):
+            given = m.interaction.kraus_ops() if isinstance(m.interaction, Operation) else [m.interaction]
+            np.testing.assert_array_equal(m.couplings, np.stack(given))
+            assert not m.couplings.flags.writeable
+            rho = random_state(m.dim_base * m.dim_probe, rng)
+            assert frob(m.apply_interaction(rho) - sum(k @ rho @ k.conj().T for k in given)) <= 1e-13
 
     def test_normal_extract_rejections_match(self, rng, sharp_z):
         a = identity_observable({"0": 0.5, "1": 0.5}, 2)

@@ -27,7 +27,7 @@ from qinstr.serialize import (
     save_document,
 )
 
-from conftest import DEEP_DOCUMENT, MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, kraus_document
+from conftest import DEEP_DOCUMENT, MALFORMED_DOCUMENTS, MALFORMED_KRAUS, P0, WELL_FORMED_DOCUMENTS, kraus_document
 
 
 class TestCanonicalJson:
@@ -275,6 +275,10 @@ class TestMalformedDocuments:
         from conftest import _FIMM
 
         assert loads_document(json.dumps(_FIMM)).kind == "fimm"
+
+    @pytest.mark.parametrize("kind", sorted(WELL_FORMED_DOCUMENTS))
+    def test_bases_of_the_unread_field_cases_load(self, kind):
+        assert loads_document(json.dumps(WELL_FORMED_DOCUMENTS[kind])).kind == kind
 
     def test_integral_float_dim_accepted(self):
         doc = loads_document(json.dumps({"kind": "effect", "dim": 2.0, "matrix": [[1, 0], [0, 1]]}))
