@@ -1,9 +1,8 @@
 """Operations, channels, and finite instruments.
 
 An operation is a completely positive trace-non-increasing map, held as a
-read-only stack of Kraus operators from construction on; its Choi matrix is
-formed from them on first use.  The constructor takes exactly one of two
-input forms and validates by form:
+read-only stack of Kraus operators from construction on.  The constructor
+takes exactly one of two input forms and validates by form:
 
 - Kraus operators: CP by construction, so only trace-non-increase is
   checked, on the d x d matrix ``sum_k K_k^* K_k``;
@@ -11,6 +10,12 @@ input forms and validates by form:
   The one eigendecomposition of the PSD check also gives the canonical Kraus
   operators, one per eigenvalue above ``KRAUS_EIG_TOL``, and ``choi`` keeps
   the caller's (symmetrized) matrix.
+
+Choi matrices are formed on read (``O(r d^4)`` for ``r`` operators) and not
+kept, so no operation carries a ``d^4`` array it did not come with; writing
+a document is their one reader here.  Comparisons stay in Kraus form:
+``family_distance``, ``marginal_defect``, ``operations_close`` and
+``is_identity_instrument`` all go through ``choi_distances``.
 
 Kraus stacks built here and in ``models`` (compositions, total channels,
 mixtures, post-processings, trivial and model instruments) are not minimal;
@@ -87,6 +92,41 @@ def _kraus_vectors(stack: Array) -> Array:
     return stack.transpose(2, 1, 0).reshape(dim * dim, r)
 
 
+def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
+    """Frobenius distances ``||C_K - C_L||_F`` between the Choi matrices of
+    paired Kraus stacks ``(K, L)`` of one dimension ``d``, never forming one.
+
+    The two stacks' operators, flattened (the Choi matrix's row order up to
+    one fixed permutation, which keeps the norm), are the columns of
+    ``W = [V_K, V_L]``, so ``C_K - C_L = W S W^*`` with ``S = diag(1, -1)``.
+    Past ``d = 4`` one QR, ``W = Q R``, turns this into ``R S R^*``: an
+    ``r_K + r_L`` square difference (no difference of squared norms), for
+    ``O(d^2 (r_K + r_L)^2)`` work instead of the ``O(d^4 r)`` of the Choi
+    form.  Up to ``d = 4``, or when ``W`` has no more rows than columns,
+    ``W S W^*`` is formed directly: there the QR call's fixed cost is the
+    larger one, or it would not shrink the square.
+    Every stack is padded with zero operators to the longest, and all pairs
+    go through one batched QR.  A pair of bitwise-equal stacks gives exactly
+    0.0.
+    """
+    stacks = [*ks, *ls]
+    counts = np.array([len(s) for s in stacks])
+    m, r, n = len(ks), counts.max(), stacks[0].shape[1] ** 2
+    v = np.concatenate(stacks).reshape(-1, n)  # row k of stack s: its operator k, flattened
+    if counts.min() < r:  # pad: stack s takes rows s * r to s * r + counts[s]
+        padded = np.zeros((2 * m * r, n), dtype=complex)
+        padded[np.arange(len(v)) + np.repeat(r * np.arange(2 * m) - np.cumsum(counts) + counts, counts)] = v
+        v = padded
+    v = v.reshape(2, m, r, n)
+    w = v.transpose(1, 3, 0, 2).reshape(m, n, 2 * r)
+    if n > max(16, 2 * r):
+        w = np.linalg.qr(w, mode="r")
+    ws = w.conj()
+    ws[..., r:] *= -1.0
+    gap = w @ ws.swapaxes(1, 2)
+    return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, np.linalg.norm(gap, axis=(1, 2)))
+
+
 def kraus_from_vectors(vecs: Array, dim: int) -> Array:
     """``(r, d, d)`` stack of the Kraus operators whose ``vec(K^T)`` are the
     ``r`` columns of ``vecs``; the inverse of ``_kraus_vectors``."""
@@ -135,8 +175,12 @@ class Operation:
     canonical ones of its eigendecomposition.  Choi eigenvalues at or below
     ``KRAUS_EIG_TOL`` (the small negative ones the PSD check tolerates among
     them) are dropped from that Kraus form, and a zero Choi matrix gives one
-    zero operator.
+    zero operator.  ``_choi`` is the caller's Choi matrix, kept for
+    byte-identical documents; a Kraus-built operation has none, and its
+    ``choi`` is formed on each read.
     """
+
+    _choi: Array | None = None
 
     def __init__(self, choi: object | None = None, kraus: Sequence[object] | None = None):
         if (choi is None) == (kraus is None):
@@ -153,7 +197,7 @@ class Operation:
             w, vecs = np.linalg.eigh(c)
             if not w[0] >= -CHOI_TOL * max(1.0, float(w[-1])):
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
-            self.choi = read_only(c)
+            self._choi = read_only(c)
             keep = w > KRAUS_EIG_TOL
             self._kraus = read_only(bounded_kraus(kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim), dim))
         self.dim = self._kraus.shape[1]
@@ -189,10 +233,13 @@ class Operation:
     def from_unitary(cls, u: object) -> "Operation":
         return cls.from_kraus([as_matrix(u)])
 
-    @cached_property
+    @property
     def choi(self) -> Array:
-        """Choi matrix; the caller's (symmetrized) matrix for Choi input, else
-        formed from the Kraus operators on first use."""
+        """Choi matrix: the caller's (symmetrized) matrix for Choi input, else
+        ``V V^*`` of the Kraus vectors, formed on each read and not kept
+        (``d^2 x d^2``; compare operations with ``choi_distances`` instead)."""
+        if self._choi is not None:
+            return self._choi
         v = _kraus_vectors(self._kraus)
         return read_only(v @ v.conj().T)
 
@@ -231,9 +278,10 @@ def ensure_channel(op: Operation) -> Operation:
 
 
 def operations_close(a: Operation, b: Operation, tol: float) -> bool:
+    """Choi matrices within ``tol`` in Frobenius norm (``choi_distances``)."""
     if a.dim != b.dim:
         return False
-    return frob(a.choi - b.choi) <= tol
+    return choi_distances([a._kraus], [b._kraus])[0] <= tol
 
 
 def op_apply(phi: Operation, rho: object) -> Array:
@@ -288,8 +336,17 @@ class Instrument(LabelledFamily):
         return instr
 
     def member_matrices(self) -> Array:
-        """The outcomes' Choi matrices as one ``(m, d^2, d^2)`` stack."""
+        """The outcomes' Choi matrices as one ``(m, d^2, d^2)`` stack, formed
+        on each call."""
         return np.stack([op.choi for op in self._members.values()])
+
+    def _distances(self, groups: Array, other: "Instrument") -> Array:
+        """Choi-form distances; the sum of a group of outcomes has their
+        Kraus operators together as its own."""
+        ops = list(self._members.values())
+        return choi_distances(
+            [np.concatenate([ops[k]._kraus for k in g]) for g in groups], [op._kraus for op in other._members.values()]
+        )
 
     @cached_property
     def _observable(self) -> Observable:
@@ -459,7 +516,8 @@ def instr_complementary(i: Instrument, j: Instrument) -> bool:
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:
     """Check that ``joint`` has marginals ``i`` and ``j``, outcome-wise in
-    Choi form within ``tol`` (``marginal_defect``)."""
+    Choi form within ``tol`` (``marginal_defect``, in Kraus form: a sum of
+    joint outcomes has their Kraus operators together)."""
     return marginal_defect(i, j, joint) <= tol
 
 
@@ -499,8 +557,10 @@ def kraus_instrument_from_channel(a: Operation) -> Instrument:
 
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
-    """True when every outcome is a scalar multiple of the identity channel."""
-    chois = i.member_matrices()
-    weights = np.trace(chois, axis1=1, axis2=2).real / i.dim
-    defects = np.linalg.norm(chois - weights[:, None, None] * Operation.identity(i.dim).choi, axis=(1, 2))
-    return bool(np.all(weights >= -tol) and np.all(defects <= tol))
+    """True when every outcome is a scalar multiple of the identity channel:
+    outcome ``x`` is within ``tol`` (Choi form, ``choi_distances``) of
+    ``w_x id``, whose one Kraus operator is ``sqrt(w_x) 1``, for
+    ``w_x = tr(C_x) / d = tr(A_x) / d`` with ``A_x`` its induced effect."""
+    w = np.trace(i.effects, axis1=1, axis2=2).real / i.dim
+    ones = np.sqrt(w)[:, None, None, None] * np.eye(i.dim)
+    return bool(np.all(choi_distances([op._kraus for _, op in i.items()], ones) <= tol))

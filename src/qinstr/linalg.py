@@ -254,18 +254,17 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     arbitrary: it is an orthonormal basis of the complement, not the
     index-order Gram-Schmidt of the standard basis.
     """
-    cols = []
-    for c in columns:
-        v = as_vector(c)
-        if v.size != dim:
-            raise DimensionError(f"column has length {v.size}, expected {dim}")
-        if len(cols) == dim:
-            raise DimensionError(f"{len(columns)} columns exceed dimension {dim}")
-        cols.append(v)
-    if not cols:
+    if len(columns) == 0:
         return np.eye(dim, dtype=complex)
-    u = np.stack(cols, axis=1)
+    try:
+        u = as_matrix(np.reshape(columns, (len(columns), -1))).T  # each column flattened, coerced in one call
+    except ValueError:
+        raise DimensionError(f"columns of unequal lengths, expected {dim} each") from None
+    if u.shape[0] != dim:
+        raise DimensionError(f"column has length {u.shape[0]}, expected {dim}")
     k = u.shape[1]
+    if k > dim:
+        raise DimensionError(f"{k} columns exceed dimension {dim}")
     if frob(u.conj().T @ u - np.eye(k)) > ORTHO_TOL * k:
         raise NotIsometry("input columns are not orthonormal")
     q = np.linalg.qr(u, mode="complete")[0]

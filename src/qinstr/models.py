@@ -183,7 +183,11 @@ def von_neumann_unitary(base_basis: object, probe_basis: object) -> Array:
     ``psi_i (x) phi_i`` to ``psi_i (x) phi_0`` for ``i != 0``, and fixes all
     other basis pairs; an involution on the product basis.
     """
-    base, probe = _checked_bases(base_basis, probe_basis)
+    return _pairing_unitary(*_checked_bases(base_basis, probe_basis))
+
+
+def _pairing_unitary(base: Array, probe: Array) -> Array:
+    """``von_neumann_unitary`` of bases already checked by ``_checked_bases``."""
     d = base.shape[0]
     target = np.tile(np.arange(d), (d, 1))  # target[i, j]: where probe slot j goes under psi_i
     target[:, 0] = np.arange(d)
@@ -214,7 +218,7 @@ class VonNeumannModel:
     def to_fimm(self) -> FIMM:
         phi0 = self.probe_basis[:, 0]
         eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
-        return FIMM._unitary(self.dim, self.dim, eta, von_neumann_unitary(self.base_basis, self.probe_basis), self.pointer)
+        return FIMM._unitary(self.dim, self.dim, eta, _pairing_unitary(self.base_basis, self.probe_basis), self.pointer)
 
 
 def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observable]:
@@ -364,7 +368,7 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     maps = _marginal_maps(joint.labels)
     m = dilate_instrument(joint)
     first, second = (
-        FIMM(m.dim_base, m.dim_probe, m.probe_state, m.interaction, obs_post_process(nu, m.pointer)) for nu in maps
+        FIMM._unitary(m.dim_base, m.dim_probe, m.probe_state, m.interaction, obs_post_process(nu, m.pointer)) for nu in maps
     )
     return first, second
 

@@ -5,7 +5,8 @@ nonempty ordered map from distinct outcome labels to members of one
 dimension, with one set of label checks, mapping protocol and ``repr``.
 Closeness (``family_distance``), coexistence (``marginal_defect``), the
 value-space check of mixtures and the row check of post-processing are
-written once on it and compare effects or Choi matrices.
+written once on it; the two comparisons ask each family for the distances
+of its members (``_distances``): effects, or operations in Choi form.
 
 An observable is a finite, label-indexed family of effects summing to the
 identity (a finite-outcome POVM).  Product value-spaces use tuple labels;
@@ -89,9 +90,9 @@ class LabelledFamily:
     The common base of ``Observable`` (members are effects) and
     ``Instrument`` (members are operations).  Each subclass validates its
     members in its own constructor with ``_checked_items`` and
-    ``_common_size``, then sets ``dim`` and ``_members``.  ``member_matrices``
-    is the stack, in label order, that ``family_distance`` and
-    ``marginal_defect`` compare: the effects, or the Choi matrices.
+    ``_common_size``, then sets ``dim`` and ``_members``.  ``_distances``
+    is the comparison that ``family_distance`` and ``marginal_defect`` share:
+    of effects, or of operations in Choi form.
     """
 
     dim: int
@@ -118,7 +119,10 @@ class LabelledFamily:
             raise DimensionError(f"{what} of mixed dimensions {sorted(distinct)}")
         return distinct.pop()
 
-    def member_matrices(self) -> Array:
+    def _distances(self, groups: Array, other: "LabelledFamily") -> Array:
+        """Frobenius distance between the sum of this family's members at
+        the positions (label order) of each row of the ``(k, g)`` index array
+        ``groups`` and the member of ``other`` at the row's position."""
         raise NotImplementedError
 
     @property
@@ -156,14 +160,15 @@ class LabelledFamily:
 
 def family_distance(a: LabelledFamily, b: LabelledFamily) -> float:
     """Largest Frobenius distance between members of ``a`` and ``b`` under
-    the same label: effects for observables, Choi matrices for instruments.
+    the same label: effects for observables, Choi matrices for instruments
+    (computed in Kraus form, ``instruments.choi_distances``).
 
     Infinite when the two do not share one value-space (the same labels in
     the same order) and one dimension.
     """
     if a.labels != b.labels or a.dim != b.dim:
         return math.inf
-    return float(np.linalg.norm(a.member_matrices() - b.member_matrices(), axis=(-2, -1)).max())
+    return float(a._distances(np.arange(len(a))[:, None], b).max())
 
 
 def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily) -> float:
@@ -181,11 +186,8 @@ def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily)
         kind = type(joint).__name__.lower()
         raise LabelError(f"joint {kind} labels do not form the product value-space")
     position = {x: k for k, x in enumerate(joint.labels)}
-    c = joint.member_matrices()[[position[x] for x in product]]
-    c = c.reshape(len(a), len(b), *c.shape[1:])
-    rows = np.linalg.norm(c.sum(1) - a.member_matrices(), axis=(-2, -1))
-    cols = np.linalg.norm(c.sum(0) - b.member_matrices(), axis=(-2, -1))
-    return float(max(rows.max(), cols.max()))
+    groups = np.array([position[x] for x in product]).reshape(len(a), len(b))
+    return float(max(joint._distances(groups, a).max(), joint._distances(groups.T, b).max()))
 
 
 class Observable(LabelledFamily):
@@ -231,8 +233,8 @@ class Observable(LabelledFamily):
         obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
         return obs
 
-    def member_matrices(self) -> Array:
-        return self.stack
+    def _distances(self, groups: Array, other: "Observable") -> Array:
+        return np.linalg.norm(self.stack[groups].sum(1) - other.stack, axis=(-2, -1))
 
 
 def observables_close(a: Observable, b: Observable, tol: float) -> bool:

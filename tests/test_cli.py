@@ -49,6 +49,18 @@ class TestVerifyCommand:
         assert run(["verify", "--suite", "thm-9.9"]) == 2
         assert one_line_error(capsys, "error: unknown suite id(s): thm-9.9; known ids: ex-1, ")
 
+    def test_repeated_suite_runs_once(self, capsys):
+        assert run(["verify", "--suite", "ex-1", "--suite", "ex-1", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["ex-1"]
+        assert lines[-1] == "1/1 suites without failure"
+
+    def test_repeated_suites_run_in_first_appearance_order(self, capsys):
+        assert run(["verify", "--suite", "ex-7", "--suite", "ex-1", "--suite", "ex-7", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["ex-7", "ex-1"]
+        assert lines[-1] == "2/2 suites without failure"
+
     def test_fixed_count_suite_ignores_trials(self, capsys):
         assert run(["verify", "--suite", "thm-3.2", "--trials", "7"]) == 0
         assert "thm-3.2: pass  trials=1  " in capsys.readouterr().out

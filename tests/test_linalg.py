@@ -232,6 +232,27 @@ class TestCompleteToUnitary:
         with pytest.raises(DimensionError):
             complete_to_unitary([np.ones(3) / np.sqrt(3.0)], 2)
 
+    def test_columns_of_unequal_lengths(self):
+        with pytest.raises(DimensionError):
+            complete_to_unitary([E1, np.ones(3) / np.sqrt(3.0)], 2)
+
+    def test_each_column_is_flattened(self, rng):
+        cols = self._columns(5, 2, rng)
+        flat = complete_to_unitary(cols, 5)
+        assert np.array_equal(complete_to_unitary([c[:, None] for c in cols], 5), flat)
+        assert np.array_equal(complete_to_unitary(np.stack(cols), 5), flat)
+
+    @pytest.mark.parametrize("d, n", [(12, 2), (16, 3), (24, 2)])
+    def test_same_output_as_the_column_loop(self, d, n, rng):
+        """The dilation's call: the columns are the rows of ``iso.T``; the
+        completion equals the one built from per-column coercion."""
+        iso = np.linalg.qr(ginibre(d * n, rng))[0][:, :d]
+        u = np.stack([np.asarray(c, dtype=complex).reshape(-1) for c in iso.T], axis=1)
+        q = np.linalg.qr(u, mode="complete")[0]
+        q[:, d:] = _phase_fix(q[:, d:])
+        q[:, :d] = u
+        assert np.array_equal(complete_to_unitary(iso.T, d * n), q)
+
 
 class TestPhaseFix:
     def test_columns_fixed_independently(self, rng):

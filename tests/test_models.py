@@ -707,9 +707,18 @@ class TestUnitaryByConstruction:
         calls = self._unitary_checks(monkeypatch)
         dilate_instrument(instr)
         trivial_fimm(eta, pointer)
+        vn.to_fimm()  # its bases were checked when the model was built
         assert calls == []
-        vn.to_fimm()
-        assert calls == [(3, 3), (3, 3)]  # the two bases, in von_neumann_unitary
+
+    def test_marginal_models_are_not_rechecked(self, rng, monkeypatch):
+        from qinstr.verify import _product_pointer_model
+
+        base = random_instrument(2, 4, rng)
+        joint = Instrument(zip([combine_labels(x, y) for x in "01" for y in "01"], (op for _, op in base.items())))
+        calls = self._unitary_checks(monkeypatch)
+        m1, m2 = simultaneous_fimms(joint)
+        _product_pointer_model(m1, m2)
+        assert calls == []  # the interaction is the dilation's, unitary by construction
 
     def test_public_constructor_still_checks(self, rng, monkeypatch):
         m = dilate_instrument(random_instrument(2, 2, rng))
