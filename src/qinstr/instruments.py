@@ -13,9 +13,11 @@ takes exactly one of two input forms and validates by form:
 
 Choi matrices are formed on read (``O(r d^4)`` for ``r`` operators) and not
 kept, so no operation carries a ``d^4`` array it did not come with; writing
-a document is their one reader here.  Comparisons stay in Kraus form:
-``family_distance``, ``marginal_defect``, ``operations_close`` and
-``is_identity_instrument`` all go through ``choi_distances``.
+a document is their one reader here.  Comparisons (``family_distance``,
+``marginal_defect``, ``operations_close``, ``is_identity_instrument``) stay
+in Kraus form, through ``choi_distances``: ``O(d^2 r^2)`` per pair of
+Kraus-built operations.  A comparison with a Choi-input operation in it is
+made in Choi form, ``O(d^4 r)`` per matrix formed and one subtraction.
 
 Kraus stacks built here and in ``models`` (compositions, total channels,
 mixtures, post-processings, trivial and model instruments) are not minimal;
@@ -96,35 +98,41 @@ def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     """Frobenius distances ``||C_K - C_L||_F`` between the Choi matrices of
     paired Kraus stacks ``(K, L)`` of one dimension ``d``, never forming one.
 
+    Every stack is padded with zero operators to the longest, ``r`` long.
     The two stacks' operators, flattened (the Choi matrix's row order up to
-    one fixed permutation, which keeps the norm), are the columns of
-    ``W = [V_K, V_L]``, so ``C_K - C_L = W S W^*`` with ``S = diag(1, -1)``.
-    Past ``d = 4`` one QR, ``W = Q R``, turns this into ``R S R^*``: an
-    ``r_K + r_L`` square difference (no difference of squared norms), for
-    ``O(d^2 (r_K + r_L)^2)`` work instead of the ``O(d^4 r)`` of the Choi
-    form.  Up to ``d = 4``, or when ``W`` has no more rows than columns,
-    ``W S W^*`` is formed directly: there the QR call's fixed cost is the
-    larger one, or it would not shrink the square.
-    Every stack is padded with zero operators to the longest, and all pairs
-    go through one batched QR.  A pair of bitwise-equal stacks gives exactly
-    0.0.
+    one fixed permutation, which keeps the norm), are the columns of the
+    ``d^2 x 2r`` matrix ``W = [V_K, V_L]``, so ``C_K - C_L = W S W^*`` with
+    ``S = diag(1, -1)``.  Past ``d = 4``, when ``W`` is tall (``d^2 > 2r``),
+    one QR, ``W = Q R``, turns this into ``R S R^*``: a ``2r`` square
+    difference (no difference of squared norms), for ``O(d^2 r^2)`` work
+    instead of the ``O(d^4 r)`` of the Choi form.  Otherwise ``W S W^*`` is
+    formed directly: for a wide ``W`` the QR would not shrink the square,
+    and up to ``d = 4`` the QR call's fixed cost is larger than the product
+    it saves.  All pairs go through one batched call.  A pair of
+    bitwise-equal stacks gives exactly 0.0.
     """
     stacks = [*ks, *ls]
     counts = np.array([len(s) for s in stacks])
     m, r, n = len(ks), counts.max(), stacks[0].shape[1] ** 2
-    v = np.concatenate(stacks).reshape(-1, n)  # row k of stack s: its operator k, flattened
-    if counts.min() < r:  # pad: stack s takes rows s * r to s * r + counts[s]
-        padded = np.zeros((2 * m * r, n), dtype=complex)
-        padded[np.arange(len(v)) + np.repeat(r * np.arange(2 * m) - np.cumsum(counts) + counts, counts)] = v
-        v = padded
+    v = np.zeros((2 * m, r, n), dtype=complex)
+    v[np.arange(r) < counts[:, None]] = np.concatenate(stacks).reshape(-1, n)  # stack s in v[s, :counts[s]]
     v = v.reshape(2, m, r, n)
     w = v.transpose(1, 3, 0, 2).reshape(m, n, 2 * r)
     if n > max(16, 2 * r):
         w = np.linalg.qr(w, mode="r")
-    ws = w.conj()
-    ws[..., r:] *= -1.0
-    gap = w @ ws.swapaxes(1, 2)
+    gap = (w * np.repeat([1.0, -1.0], r)) @ w.conj().swapaxes(1, 2)
     return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, np.linalg.norm(gap, axis=(1, 2)))
+
+
+def _operation_distances(groups: Sequence[Sequence["Operation"]], others: Sequence["Operation"]) -> Array:
+    """``||sum_g C_g - C_o||_F`` for each group ``g`` of operations and the
+    operation ``o`` paired with it, through one ``choi_distances`` call.  A
+    comparison with a Choi-input operation in it is made in Choi form: the
+    kept matrix costs nothing to read, while its canonical Kraus stack can be
+    ``d^2`` long, where the kernel's work grows as ``d^6``."""
+    if any(op._choi is not None for g, o in zip(groups, others) for op in (*g, o)):
+        return np.array([frob(sum(op.choi for op in g) - o.choi) for g, o in zip(groups, others)])
+    return choi_distances([np.concatenate([op._kraus for op in g]) for g in groups], [o._kraus for o in others])
 
 
 def kraus_from_vectors(vecs: Array, dim: int) -> Array:
@@ -237,7 +245,7 @@ class Operation:
     def choi(self) -> Array:
         """Choi matrix: the caller's (symmetrized) matrix for Choi input, else
         ``V V^*`` of the Kraus vectors, formed on each read and not kept
-        (``d^2 x d^2``; compare operations with ``choi_distances`` instead)."""
+        (``d^2 x d^2``; ``operations_close`` compares without forming it)."""
         if self._choi is not None:
             return self._choi
         v = _kraus_vectors(self._kraus)
@@ -278,10 +286,11 @@ def ensure_channel(op: Operation) -> Operation:
 
 
 def operations_close(a: Operation, b: Operation, tol: float) -> bool:
-    """Choi matrices within ``tol`` in Frobenius norm (``choi_distances``)."""
+    """Choi matrices within ``tol`` in Frobenius norm, compared in Kraus form
+    unless one of them was given as a Choi matrix."""
     if a.dim != b.dim:
         return False
-    return choi_distances([a._kraus], [b._kraus])[0] <= tol
+    return _operation_distances([[a]], [b])[0] <= tol
 
 
 def op_apply(phi: Operation, rho: object) -> Array:
@@ -341,12 +350,9 @@ class Instrument(LabelledFamily):
         return np.stack([op.choi for op in self._members.values()])
 
     def _distances(self, groups: Array, other: "Instrument") -> Array:
-        """Choi-form distances; the sum of a group of outcomes has their
-        Kraus operators together as its own."""
+        """Choi-form distances (``_operation_distances``)."""
         ops = list(self._members.values())
-        return choi_distances(
-            [np.concatenate([ops[k]._kraus for k in g]) for g in groups], [op._kraus for op in other._members.values()]
-        )
+        return _operation_distances([[ops[k] for k in g] for g in groups], list(other._members.values()))
 
     @cached_property
     def _observable(self) -> Observable:
@@ -558,9 +564,9 @@ def kraus_instrument_from_channel(a: Operation) -> Instrument:
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
     """True when every outcome is a scalar multiple of the identity channel:
-    outcome ``x`` is within ``tol`` (Choi form, ``choi_distances``) of
+    outcome ``x`` is within ``tol`` (Choi form, ``_operation_distances``) of
     ``w_x id``, whose one Kraus operator is ``sqrt(w_x) 1``, for
     ``w_x = tr(C_x) / d = tr(A_x) / d`` with ``A_x`` its induced effect."""
     w = np.trace(i.effects, axis1=1, axis2=2).real / i.dim
-    ones = np.sqrt(w)[:, None, None, None] * np.eye(i.dim)
-    return bool(np.all(choi_distances([op._kraus for _, op in i.items()], ones) <= tol))
+    ones = [Operation._unchecked(k) for k in np.sqrt(w)[:, None, None, None] * np.eye(i.dim)]
+    return bool(np.all(_operation_distances([[op] for _, op in i.items()], ones) <= tol))

@@ -257,9 +257,10 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     if len(columns) == 0:
         return np.eye(dim, dtype=complex)
     try:
-        u = as_matrix(np.reshape(columns, (len(columns), -1))).T  # each column flattened, coerced in one call
+        flat = np.reshape(columns, (len(columns), -1))  # each column flattened
     except ValueError:
         raise DimensionError(f"columns of unequal lengths, expected {dim} each") from None
+    u = as_matrix(flat).T  # coerced in one call, after the try: its QinstrError is a ValueError
     if u.shape[0] != dim:
         raise DimensionError(f"column has length {u.shape[0]}, expected {dim}")
     k = u.shape[1]

@@ -80,13 +80,27 @@ class TestKernelAgainstTheChoiForm:
             fast = choi_distances([ks[0], ks[1], back[2]], [ks[0].copy(), ks[1].copy(), ks[2]])
             assert fast[0] == 0.0 and fast[1] == 0.0 and fast[2] > 0.0
 
+    def test_real_stacks(self):
+        """Real input takes the same path as complex input: the sign of the
+        ``L`` columns must not reach the conjugate factor."""
+        one = np.eye(2)[None]
+        fast = assert_matches_choi_form([one, one, 2.0 * one], [0.5 * one, one, np.zeros((1, 2, 2))])
+        assert abs(fast[0] - 0.75 * frob(explicit_choi(one))) <= 1e-15 and fast[1] == 0.0  # C - C / 4
+        tall = np.eye(5)[None]  # d = 5, a tall W: through the QR
+        assert abs(choi_distances([tall], [0.5 * tall])[0] - 0.75 * frob(explicit_choi(tall))) <= 1e-14
+
     def test_one_batched_qr_past_d_4_and_none_below(self, rng, eig_calls):
+        """The QR runs past ``d = 4`` when ``W`` has more rows (``d^2``) than
+        columns (two stacks padded to ``r`` operators): for a wide ``W`` it
+        would not shrink the ``d^2`` square, and up to ``d = 4`` the direct
+        product costs less than the call."""
         big, small = random_instrument(8, 3, rng, 2), random_instrument(3, 3, rng, 2)
         eig_calls.qr_calls.clear()
         choi_distances(stacks(big), stacks(random_instrument(8, 3, rng, 1)))
         assert eig_calls.qr_calls == [(3, 64, 4)]  # three pairs, padded to two operators a side
         eig_calls.qr_calls.clear()
         choi_distances(stacks(small), stacks(small)[::-1])
+        choi_distances([np.concatenate(stacks(random_instrument(8, 2, rng, 32)))], stacks(big)[:1])  # 64 x 128
         assert eig_calls.qr_calls == []
 
     def test_comparisons_go_through_the_kernel(self, rng):
@@ -99,6 +113,21 @@ class TestKernelAgainstTheChoiForm:
         assert instruments_close(i, back, dist * 1.5) and not instruments_close(i, back, dist / 1.5)
         assert operations_close(i["0"], back["0"], 1e-12)
         assert not operations_close(i["0"], i["1"], 1e-3)
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_choi_input_pairs_compare_in_choi_form(self, d, rng, eig_calls):
+        """A pair with a Choi-input operation subtracts Choi matrices, with no
+        QR of its canonical Kraus stack (up to ``d^2`` operators)."""
+        full = [Operation.from_choi(random_instrument(d, 1, rng, d * d)["0"].choi) for _ in range(2)]
+        kraus = random_instrument(d, 1, rng, 2)["0"]
+        ia, ib = Instrument({"0": full[0]}), Instrument({"0": full[1]})
+        eig_calls.qr_calls.clear()
+        assert family_distance(ia, ib) == frob(full[0].choi - full[1].choi)
+        assert family_distance(ia, ia) == 0.0
+        assert operations_close(full[0], kraus, frob(full[0].choi - kraus.choi))
+        assert not operations_close(kraus, full[0], 0.99 * frob(full[0].choi - kraus.choi))
+        assert is_identity_instrument(ia, 10.0) == choi_identity_verdict(ia, 10.0)
+        assert eig_calls.qr_calls == []
 
     def test_d32_round_trip_within_the_north_star_bound(self, rng):
         i = random_instrument(32, 3, rng, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite, ZeroVector
+from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite, QinstrError, ZeroVector
 from qinstr.linalg import (
     _phase_fix,
     complete_to_unitary,
@@ -235,6 +235,16 @@ class TestCompleteToUnitary:
     def test_columns_of_unequal_lengths(self):
         with pytest.raises(DimensionError):
             complete_to_unitary([E1, np.ones(3) / np.sqrt(3.0)], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_column(self, bad):
+        with pytest.raises(QinstrError, match="non-finite") as err:
+            complete_to_unitary([E1, np.array([bad, 0.0])], 2)
+        assert not isinstance(err.value, DimensionError)
+
+    def test_empty_column(self):
+        with pytest.raises(DimensionError):
+            complete_to_unitary([np.zeros(0)], 2)
 
     def test_each_column_is_flattened(self, rng):
         cols = self._columns(5, 2, rng)
