@@ -27,6 +27,7 @@ from .errors import (
     EigenSolverError,
     InvalidWitness,
     InvariantViolation,
+    KindError,
     LabelError,
     NotComplete,
     NotCommutative,

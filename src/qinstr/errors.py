@@ -31,6 +31,10 @@ class ZeroVector(QinstrError):
     """A unit vector was required but a (near-)zero vector was given."""
 
 
+class KindError(QinstrError):
+    """Operands are of kinds that the operation does not combine."""
+
+
 class LabelError(QinstrError):
     """Unknown outcome label, or label sets do not line up."""
 

@@ -148,9 +148,10 @@ def minimal_kraus(ops: Array, dim: int) -> Array:
     unchanged.  Any other is replaced by the canonical operators from an SVD
     of the stacked ``vec(K^T)`` columns, whose squared singular values are
     the Choi eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest
-    are kept, and the largest always is.  An empty stack stays empty.
+    are kept, and the largest always is.  So an empty or one-operator stack
+    comes back unchanged, with no SVD.
     """
-    if len(ops) == 0:
+    if len(ops) <= 1:
         return ops
     u, s, _ = np.linalg.svd(_kraus_vectors(ops), full_matrices=False)
     keep = s * s > KRAUS_EIG_TOL * s[0] ** 2
@@ -244,12 +245,16 @@ class Operation:
     @property
     def choi(self) -> Array:
         """Choi matrix: the caller's (symmetrized) matrix for Choi input, else
-        ``V V^*`` of the Kraus vectors, formed on each read and not kept
-        (``d^2 x d^2``; ``operations_close`` compares without forming it)."""
+        the Hermitian part of ``V V^*`` of the Kraus vectors (exactly
+        Hermitian, as a loaded document's is), formed on each read and not
+        kept (``d^2 x d^2``; ``operations_close`` compares without forming it)."""
         if self._choi is not None:
             return self._choi
         v = _kraus_vectors(self._kraus)
-        return read_only(v @ v.conj().T)
+        c = v @ v.conj().T
+        c /= 2.0
+        c += c.conj().T  # hermitian_part in place: one temporary, not three
+        return read_only(c)
 
     @cached_property
     def induced_effect(self) -> Array:

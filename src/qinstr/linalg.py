@@ -38,7 +38,7 @@ Array = np.ndarray
 HERM_TOL = 1e-9  # anti-Hermitian residual ||M - M^*||_F, per unit of dimension
 PSD_TOL = 1e-9  # negative eigenvalue that herm_sqrt and root_factor clamp to zero
 ROOT_REL_TOL = 1e-12  # eigenvalue, relative to the largest, below which a root is zeroed
-ORTHO_TOL = 1e-9  # ||U^* U - 1||_F of complete_to_unitary's input, per column
+ORTHO_TOL = 1e-9  # ||U^* U - 1||_F of complete_to_unitary's input and of a dilation's isometry, per column
 PHASE_TOL = 1e-9  # entry magnitude from which _phase_fix reads a column's phase
 UNITARY_TOL = 1e-8  # ||U^* U - 1||_F of an interaction (is_unitary's default)
 BASIS_TOL = 1e-9  # ||U^* U - 1||_F of each basis of a von Neumann model

@@ -5,11 +5,16 @@ pointer observable off the probe; tracing out the probe leaves an instrument
 on the base system.  Interaction channels are stored as plain unitary
 matrices when available (von Neumann, swap, dilation) and as operations
 otherwise.
+
+``model_instrument`` reads one quantity of a model: its interaction on the
+probe state's support (``FIMM``).  For a dilation that is the isometry it is
+built from, and its unitary is completed only when something reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +35,9 @@ from .instruments import (
     kraus_from_vectors,
     minimal_kraus,
 )
-from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, RANK_ONE_TOL
+from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part, inverse_root
-from .linalg import is_unitary, read_only, root_factors
+from .linalg import RANK_ONE_TOL, is_unitary, read_only, root_factors
 from .observables import (
     Label,
     Observable,
@@ -59,9 +64,16 @@ class FIMM:
     interaction channel on the composite space, and pointer observable.
 
     ``interaction`` is kept as given, a unitary matrix or an operation;
-    ``couplings`` is its read-only ``(k, n, n)`` Kraus stack, ``u[None]`` for
-    a unitary ``u``.
+    ``couplings`` is its read-only ``(c, n, n)`` Kraus stack, ``u[None]`` for
+    a unitary ``u``.  ``model_instrument`` reads only ``_restricted``, the
+    couplings on the probe state's support: ``W_c = U_c (1 (x) R_eta)`` for
+    ``eta = R_eta R_eta^*``, a ``(c, n, d, s)`` stack for ``n = d dk`` and
+    ``s = rank(eta)``, formed by its first call.  A dilation starts from
+    ``W``, its isometry, and completes ``interaction`` and ``couplings`` on
+    first read.
     """
+
+    _restricted: Array | None = None
 
     def __init__(
         self,
@@ -86,7 +98,6 @@ class FIMM:
             if not is_unitary(u):
                 raise NotIsometry("interaction matrix is not unitary")
             self.interaction = read_only(u)
-            self.couplings = self.interaction[None]
 
     @classmethod
     def _unitary(cls, dim_base: int, dim_probe: int, probe_state: Array, u: Array, pointer: Observable) -> "FIMM":
@@ -96,8 +107,35 @@ class FIMM:
         m = cls.__new__(cls)
         m._set_parts(dim_base, dim_probe, probe_state, pointer)
         m.interaction = read_only(u)
-        m.couplings = m.interaction[None]
         return m
+
+    @classmethod
+    def _dilation(cls, dim_probe: int, iso: Array, pointer: Observable) -> "FIMM":
+        """Model with probe state ``|0><0|``, whose root is ``e_0``, on an
+        isometry ``iso`` (orthonormal columns, ``(d n) x d``): its ``W``."""
+        m = cls.__new__(cls)
+        eta = np.zeros((dim_probe, dim_probe), dtype=complex)
+        eta[0, 0] = 1.0
+        m._set_parts(iso.shape[1], dim_probe, eta, pointer)
+        m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
+        return m
+
+    @cached_property
+    def interaction(self) -> Array:
+        """A dilation's unitary: its isometry in the columns ``(k, 0)`` and
+        the completion in the others.  Other models set it at construction."""
+        d, n = self.dim_base, self.dim_probe
+        first_slot = np.arange(d * n) % n == 0
+        sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
+        u = np.empty((d * n, d * n), dtype=complex)
+        u[:, sources] = complete_to_unitary(self._restricted[0, :, :, 0].T, d * n)
+        return read_only(u)
+
+    @cached_property
+    def couplings(self) -> Array:
+        """``u[None]`` for a unitary ``u``; an operation's stack is set at
+        construction."""
+        return self.interaction[None]
 
     def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
         """Check and set everything but the interaction, given a probe state
@@ -133,14 +171,21 @@ def model_instrument(m: FIMM) -> Instrument:
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
     ``eta = R_eta R_eta^*``.  An interaction given as an operation
-    contributes one such set per Kraus operator of its own.  Every root
-    comes from one batched eigendecomposition of the ``F_x^T`` and ``eta``.
-    The outcomes must sum to a channel within ``MODEL_TOL``.
+    contributes one such set per Kraus operator of its own.  Only the
+    model's ``W = P (1 (x) R_eta)`` is read; the call that forms it takes
+    ``R_eta`` from the one batched eigendecomposition of the ``F_x^T``.  The
+    outcomes must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
-    *roots, root_eta = root_factors(np.concatenate([m.pointer.stack.swapaxes(1, 2), m.probe_state[None]]))
-    # q[(i, a), c, k, s] = sum_l P_c[(i, a), (k, l)] R_eta[l, s], over the couplings c
-    q = m.couplings.reshape(-1, d, dk, d, dk).transpose(3, 1, 0, 2, 4).reshape(d * d, -1, dk, dk) @ root_eta
+    transposed = m.pointer.stack.swapaxes(1, 2)
+    if m._restricted is None:
+        *roots, root_eta = root_factors(np.concatenate([transposed, m.probe_state[None]]))
+        m._restricted = read_only(m.couplings.reshape(-1, d * dk, d, dk) @ root_eta)
+    else:
+        roots = root_factors(transposed)
+    w = m._restricted
+    # q[(k, i), c, a, s] = W_c[(i, a), k, s], over the couplings c
+    q = w.reshape(len(w), d, dk, d, -1).transpose(3, 1, 0, 2, 4).reshape(d * d, len(w), dk, -1)
     ops = [
         (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
         for x, r in zip(m.pointer.labels, roots)
@@ -274,7 +319,8 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     The probe carries one basis slot per Kraus operator (outcome-major,
     Kraus-index-minor), after ``minimal_kraus`` cuts each outcome's list to
     its Choi rank; the isometry stacking the operators is polished to
-    exact orthonormality and completed to a unitary; the pointer
+    exact orthonormality and kept, completed to a unitary on first read
+    (``FIMM.interaction``); the pointer
     coarse-grains slots by outcome, so it is atomic exactly when every
     outcome has a single Kraus operator.
     """
@@ -288,18 +334,13 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     if gw[0] < GRAM_FLOOR:
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")
     iso = iso @ inv_root  # exact orthonormality before completion
+    if frob(iso.conj().T @ iso - np.eye(d)) > ORTHO_TOL * d:
+        raise NotIsometry("polished Kraus columns are not orthonormal")
 
-    first_slot = np.arange(d * n) % n == 0
-    sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
-    interaction = np.empty((d * n, d * n), dtype=complex)
-    interaction[:, sources] = complete_to_unitary(iso.T, d * n)
-
-    eta = np.zeros((n, n), dtype=complex)
-    eta[0, 0] = 1.0
     slot = np.arange(n)
     pointer = np.zeros((len(counts), n, n), dtype=complex)
     pointer[np.repeat(np.arange(len(counts)), counts), slot, slot] = 1.0
-    return FIMM._unitary(d, n, eta, interaction, Observable._valid(instr.labels, pointer))
+    return FIMM._dilation(n, iso, Observable._valid(instr.labels, pointer))
 
 
 def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:

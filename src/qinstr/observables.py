@@ -32,6 +32,7 @@ from .effects import ensure_effects, ensure_state, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
+    KindError,
     LabelError,
     QinstrError,
     ShapeError,
@@ -164,9 +165,9 @@ def family_distance(a: LabelledFamily, b: LabelledFamily) -> float:
     (computed in Kraus form, ``instruments.choi_distances``).
 
     Infinite when the two do not share one value-space (the same labels in
-    the same order) and one dimension.
+    the same order) and one dimension, or are families of different kinds.
     """
-    if a.labels != b.labels or a.dim != b.dim:
+    if type(a) is not type(b) or a.labels != b.labels or a.dim != b.dim:
         return math.inf
     return float(a._distances(np.arange(len(a))[:, None], b).max())
 
@@ -177,8 +178,11 @@ def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily)
     give ``a``, and over the labels of ``a`` must give ``b``.
 
     ``joint`` must live on the product value-space of ``a`` and ``b``, in
-    any label order.
+    any label order, and all three must be families of one kind
+    (``KindError`` otherwise).
     """
+    if not type(a) is type(b) is type(joint):
+        raise KindError("families of mixed kinds: " + ", ".join(type(f).__name__.lower() for f in (a, b, joint)))
     if not a.dim == b.dim == joint.dim:
         raise DimensionError("dimension mismatch")
     product = [combine_labels(x, y) for x in a.labels for y in b.labels]

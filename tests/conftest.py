@@ -147,16 +147,19 @@ def kraus_document(kraus: object) -> str:
 class EigenCalls:
     """Records ``(order, batch)`` of every call to numpy's Hermitian
     eigensolvers while installed: the matrix order ``shape[-1]`` and the
-    number of matrices in the call.  Calls to ``np.linalg.qr`` go to
-    ``qr_calls`` as the shape of their input."""
+    number of matrices in the call.  Calls to ``np.linalg.qr`` and
+    ``np.linalg.svd`` go to ``qr_calls`` and ``svd_calls`` as the shape of
+    their input."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[int, int]] = []
         self.qr_calls: list[tuple[int, ...]] = []
+        self.svd_calls: list[tuple[int, ...]] = []
         for name in ("eigh", "eigvalsh"):
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, self._recording(original, self._record_eig))
         monkeypatch.setattr(np.linalg, "qr", self._recording(np.linalg.qr, self.qr_calls.append))
+        monkeypatch.setattr(np.linalg, "svd", self._recording(np.linalg.svd, self.svd_calls.append))
 
     def _record_eig(self, shape: tuple[int, ...]) -> None:
         self.calls.append((shape[-1], int(np.prod(shape[:-2]))))
@@ -176,9 +179,9 @@ class EigenCalls:
 
 @pytest.fixture
 def eig_calls(monkeypatch) -> EigenCalls:
-    """Eigensolver and QR recorder, installed for the rest of the test;
-    clear ``calls`` and ``qr_calls`` after building inputs to count one call
-    alone."""
+    """Eigensolver, QR and SVD recorder, installed for the rest of the test;
+    clear ``calls``, ``qr_calls`` and ``svd_calls`` after building inputs to
+    count one call alone."""
     return EigenCalls(monkeypatch)
 
 

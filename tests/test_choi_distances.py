@@ -202,6 +202,13 @@ class TestChoiFormedOnRead:
         dumps_document(instr)
         assert all(choi_sized(op) == [] for _, op in instr.items())
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_kraus_built_choi_is_exactly_hermitian(self, d, rng):
+        for _, op in random_instrument(d, 2, rng, 2).items():
+            c = op.choi
+            assert np.array_equal(c, c.conj().T) and np.array_equal(c, hermitian_part(c))
+            assert frob(c - explicit_choi(op._kraus)) <= 1e-15
+
     def test_choi_input_keeps_the_callers_matrix(self, rng):
         c = hermitian_part(random_instrument(3, 2, rng)["0"].choi)
         op = Operation.from_choi(c)

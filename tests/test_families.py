@@ -17,7 +17,7 @@ import pytest
 
 import qinstr.effects as effects
 from qinstr.effects import EFFECT_EIG_TOL, ensure_effect, ensure_effects, seq_product, seq_products
-from qinstr.errors import DimensionError, InvariantViolation, LabelError, NotHermitian, QinstrError
+from qinstr.errors import DimensionError, InvariantViolation, KindError, LabelError, NotHermitian, QinstrError
 from qinstr.instruments import (
     Instrument,
     Operation,
@@ -566,6 +566,16 @@ class TestLabelledFamilyCore:
         i = luders_instrument(a)
         assert not instruments_close(i, luders_instrument(swapped), 1e9)
         assert instruments_close(i, luders_instrument(a), 0.0)
+
+    def test_families_of_different_kinds(self, rng):
+        i = random_instrument(2, 2, rng)
+        a = induced_observable(i)
+        assert family_distance(i, a) == np.inf and family_distance(a, i) == np.inf
+        joint = instr_product(i, i)
+        for mixed in ((a, i, joint), (i, a, joint), (i, i, induced_observable(joint)), (a, a, joint)):
+            with pytest.raises(KindError, match="mixed kinds"):
+                marginal_defect(*mixed)
+        assert np.isfinite(marginal_defect(i, i, joint))  # one kind: compared as documented
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_marginal_defect_matches_the_per_label_loops(self, d, rng):

@@ -37,6 +37,7 @@ from qinstr.instruments import (
     trivial_instrument,
     _composed_kraus,
     bounded_kraus,
+    minimal_kraus,
 )
 from qinstr.linalg import frob, herm_sqrt, hermitian_part
 from qinstr.observables import (
@@ -631,6 +632,23 @@ class TestComposedKraus:
         assert np.array_equal(by_stack.effects, by_list.effects)
         for (_, a), (_, b), (_, k) in zip(by_stack.items(), by_list.items(), stacks):
             assert np.array_equal(a._kraus, k) and not np.shares_memory(a._kraus, k)
+
+
+class TestMinimalKraus:
+    def test_one_operator_stack_comes_back_without_an_svd(self, rng, eig_calls):
+        for ops in (random_instrument(3, 1, rng, 1)["0"]._kraus, np.zeros((1, 3, 3), dtype=complex), np.zeros((0, 3, 3))):
+            eig_calls.svd_calls.clear()
+            assert minimal_kraus(ops, 3) is ops
+            assert eig_calls.svd_calls == []
+
+    def test_longer_stacks_take_one_svd(self, rng, eig_calls):
+        ops = random_instrument(3, 1, rng, 2)["0"]._kraus
+        eig_calls.svd_calls.clear()
+        assert minimal_kraus(ops, 3) is ops  # independent operators
+        doubled = np.concatenate([ops, ops]) / np.sqrt(2.0)
+        cut = minimal_kraus(doubled, 3)
+        assert len(cut) == 2 and frob(Operation.from_kraus(cut).choi - Operation.from_kraus(ops).choi) <= 1e-14
+        assert eig_calls.svd_calls == [(9, 2), (9, 4)]
 
 
 class TestKrausFromChannel:

@@ -16,9 +16,11 @@ from qinstr.instruments import (
     kraus_instrument,
     operations_close,
     kraus_from_vectors,
+    minimal_kraus,
     trivial_instrument,
 )
-from qinstr.linalg import _phase_fix, frob, herm_eig, is_unitary, partial_trace_second, root_factor, tensor_product
+from qinstr.linalg import _phase_fix, complete_to_unitary, frob, herm_eig, inverse_root, is_unitary
+from qinstr.linalg import partial_trace_second, root_factor, tensor_product
 from qinstr.models import (
     FIMM,
     MODEL_TOL,
@@ -53,6 +55,7 @@ from qinstr.rand import (
     random_state,
     random_unitary,
 )
+from qinstr.serialize import dumps_document
 
 from conftest import P0, P1, PAULI_X, proj
 
@@ -584,6 +587,27 @@ def _loop_normal_extract(m):
     return extracted
 
 
+def _eager_dilate_instrument(instr):
+    """``dilate_instrument`` with its unitary completed at construction and
+    built through the public constructors."""
+    d = instr.dim
+    slots = [minimal_kraus(op._kraus, d) for _, op in instr.items()]
+    counts = [len(ks) for ks in slots]
+    n = sum(counts)
+    iso = np.concatenate(slots).transpose(1, 0, 2).reshape(d * n, d)
+    iso = iso @ inverse_root(iso.conj().T @ iso)[1]
+    first_slot = np.arange(d * n) % n == 0
+    sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
+    interaction = np.empty((d * n, d * n), dtype=complex)
+    interaction[:, sources] = complete_to_unitary(iso.T, d * n)
+    eta = np.zeros((n, n), dtype=complex)
+    eta[0, 0] = 1.0
+    slot = np.arange(n)
+    pointer = np.zeros((len(counts), n, n), dtype=complex)
+    pointer[np.repeat(np.arange(len(counts)), counts), slot, slot] = 1.0
+    return FIMM(d, n, eta, interaction, Observable(zip(instr.labels, pointer)))
+
+
 def _mixed_unitary_channel(n, rng):
     p = float(rng.uniform(0.2, 0.8))
     return Operation.from_kraus([np.sqrt(p) * random_unitary(n, rng), np.sqrt(1 - p) * random_unitary(n, rng)])
@@ -651,6 +675,56 @@ class TestBatchedKernelsAgainstLoops:
             assert str(batched.value) == str(loop.value)
 
 
+class TestDilationCompletedOnRead:
+    @pytest.mark.parametrize("kraus", [1, 2])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_same_model_as_eager_completion(self, d, kraus, rng):
+        instr = random_instrument(d, 3, rng, kraus)
+        lazy, eager = dilate_instrument(instr), _eager_dilate_instrument(instr)
+        assert dumps_document(lazy) == dumps_document(eager)
+        np.testing.assert_array_equal(lazy.couplings, eager.couplings)
+        for (x, a), (y, b) in zip(model_instrument(lazy).items(), model_instrument(eager).items()):
+            assert x == y
+            np.testing.assert_array_equal(a._kraus, b._kraus)
+
+    @pytest.mark.parametrize("kraus", [1, 2])
+    def test_round_trip_reads_the_isometry(self, kraus, rng, eig_calls):
+        instr = random_instrument(4, 3, rng, kraus)
+        m = dilate_instrument(instr)
+        eig_calls.calls.clear()
+        eig_calls.qr_calls.clear()
+        model_instrument(m)
+        assert eig_calls.calls == [(m.dim_probe, 3)]  # the pointer's roots; the probe state's is the isometry's e_0
+        assert eig_calls.qr_calls == []
+        assert "interaction" not in vars(m) and "couplings" not in vars(m)
+
+    def test_isometry_checks_run_at_dilation(self, rng, monkeypatch):
+        instr = random_instrument(3, 2, rng)
+        monkeypatch.setattr(models, "GRAM_FLOOR", 2.0)
+        with pytest.raises(NotIsometry, match="rank deficient"):
+            dilate_instrument(instr)
+        monkeypatch.undo()
+        monkeypatch.setattr(models, "ORTHO_TOL", -1.0)
+        with pytest.raises(NotIsometry, match="not orthonormal"):
+            dilate_instrument(instr)
+
+    def test_restriction_is_formed_once_and_kept(self, rng, eig_calls):
+        m = random_fimm(2, 3, 4, rng)
+        eig_calls.calls.clear()
+        first = model_instrument(m)
+        assert eig_calls.calls == [(3, 5)]  # every pointer effect and the probe state
+        eig_calls.calls.clear()
+        again = model_instrument(m)
+        assert eig_calls.calls == [(3, 4)]  # the pointer only
+        assert m._restricted.shape == (1, 6, 2, 3) and not m._restricted.flags.writeable
+        assert family_distance(first, again) == 0.0
+
+    @pytest.mark.parametrize("d", [8, 16, 32])
+    def test_round_trip_gap(self, d, rng):
+        instr = random_instrument(d, 3, rng, 2)
+        assert family_distance(model_instrument(dilate_instrument(instr)), instr) <= 7e-14  # the north-star bound
+
+
 class TestModelEigensolveCounts:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_model_instrument_one_batched_root_call(self, m, rng, eig_calls):
@@ -663,7 +737,11 @@ class TestModelEigensolveCounts:
     def test_dilate_one_qr_call(self, kraus, rng, eig_calls):
         instr = random_instrument(3, 3, rng, kraus)
         eig_calls.qr_calls.clear()
-        dilate_instrument(instr)
+        m = dilate_instrument(instr)
+        assert eig_calls.qr_calls == []  # the unitary is completed on first read
+        u = m.interaction
+        assert len(eig_calls.qr_calls) == 1
+        assert m.interaction is u and np.shares_memory(m.couplings, u)
         assert len(eig_calls.qr_calls) == 1
 
     def test_fimm_construction_only_checks_the_state(self, rng, eig_calls):

@@ -221,12 +221,17 @@ class TestDocumentRoundTrips:
         assert doc.kind == "scalar" and doc.obj == 0.25
 
     def test_save_load_save_byte_identical(self, tmp_path, rng):
-        for obj, kind in [
+        from qinstr.instruments import instr_product
+
+        objects = [
             (random_observable(2, 2, rng), None),
-            (random_instrument(2, 2, rng), None),
             (random_state(2, rng), "state"),
             (random_fimm(2, 2, 2, rng), None),
-        ]:
+        ]
+        # the Choi matrices of Kraus-built operations, odd d included
+        objects += [(random_instrument(d, 2, rng, k), None) for d in range(1, 9) for k in (1, 2)]
+        objects.append((instr_product(random_instrument(3, 2, rng), random_instrument(3, 2, rng, 1)), None))
+        for obj, kind in objects:
             text = dumps_document(obj, kind)
             doc = loads_document(text)
             assert dumps_document(doc.obj, kind) == text
