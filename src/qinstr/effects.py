@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
+from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL
 from .linalg import Array, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
 
 
@@ -185,47 +186,39 @@ def binary_observables_from_coexistence(a: object, b: object, w: CoexistenceWitn
 # subspace and the PSD cone).  Failure means "unknown", never "no".
 
 
-def joint_feasibility_search(
-    row_effects: list[Array],
-    col_effects: list[Array],
-    iters: int = 500,
-    tol: float = 1e-7,
-) -> Array | None:
-    """Search for PSD blocks ``C[x, y]`` with row sums ``row_effects`` and
-    column sums ``col_effects``.  Returns the blocks as one ``(m * n, d, d)``
-    stack, ``x``-major, or None when no candidate was found within the
-    iteration budget."""
-    m, n = len(row_effects), len(col_effects)
-    dim = row_effects[0].shape[0]
-    rows = [ensure_hermitian(r) for r in row_effects]
-    cols = [ensure_hermitian(c) for c in col_effects]
+def _marginal_projection(blocks: Array, defects: Array) -> Array:
+    """The nearest ``(m, n, d, d)`` blocks to ``blocks`` whose row and column
+    sums miss their targets by ``defects``, the ``m`` row defects ``R_x``
+    then the ``n`` column defects ``S_y``, when the targets have equal
+    totals: ``C_xy - R_x / n - S_y / m + (sum R + sum S) / (2 m n)``, a
+    correction of the form ``X_x + Y_y``."""
+    m, n = blocks.shape[:2]
+    return blocks - defects[:m, None] / n - defects[None, m:] / m + defects.sum(0) / (2 * m * n)
 
-    # Affine constraints act identically and independently on every matrix
-    # entry: M @ vec(C-blocks) = vec(targets), with M the bipartite incidence
-    # matrix over block positions.
-    mat = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
-    proj = mat.T @ np.linalg.pinv(mat @ mat.T)
 
-    target = np.stack([*rows, *cols])  # (m+n, dim, dim)
-    blocks = ((target[:m, None] + target[None, m:]) / (m + n)).reshape(m * n, dim, dim)
-
-    def project_affine(bl: np.ndarray) -> np.ndarray:
-        residual = np.einsum("ck,kij->cij", mat, bl) - target
-        return bl - np.einsum("kc,cij->kij", proj, residual)
-
+def joint_feasibility_search(rows: Array, cols: Array, iters: int, tol: float) -> Array | None:
+    """Search for PSD blocks ``C[x, y]`` with row sums ``rows`` and column sums
+    ``cols``, two validated effect stacks ``(m, d, d)`` and ``(n, d, d)`` of
+    equal totals.  Returns the blocks as one ``(m * n, d, d)`` stack,
+    ``x``-major, once every row and column defect is within ``tol`` in
+    Frobenius norm, or None after ``iters`` rounds.  Each round projects
+    onto the right sums (``_marginal_projection``), then onto the PSD cone.
+    """
+    m, n, d = len(rows), len(cols), rows.shape[-1]
+    targets = np.concatenate([rows, cols])
+    blocks = (rows[:, None] + cols[None]) / (m + n)
+    defects = np.concatenate([blocks.sum(1), blocks.sum(0)]) - targets
     for _ in range(iters):
-        blocks = project_affine(blocks)
-        blocks = psd_part(blocks)
-        residual = np.einsum("ck,kij->cij", mat, blocks) - target
-        if np.linalg.norm(residual, axis=(-2, -1)).max() <= tol:
-            return blocks
+        blocks = psd_part(_marginal_projection(blocks, defects))
+        defects = np.concatenate([blocks.sum(1), blocks.sum(0)]) - targets
+        if np.linalg.norm(defects, axis=(-2, -1)).max() <= tol:
+            return blocks.reshape(m * n, d, d)
     return None
 
 
-def find_coexistence_witness(
-    a: object, b: object, iters: int = 500, tol: float = 1e-7
-) -> CoexistenceWitness | None:
-    """Heuristic search for a coexistence witness of two effects.
+def find_coexistence_witness(a: object, b: object) -> CoexistenceWitness | None:
+    """Heuristic search for a coexistence witness of two effects, with the
+    budgets ``WITNESS_SEARCH_ITERS`` and ``WITNESS_SEARCH_TOL``.
 
     Returns None when the search fails; that outcome means "unknown", since
     the projection heuristic cannot certify infeasibility.  A found common
@@ -234,10 +227,8 @@ def find_coexistence_witness(
     ea, eb = ensure_effect(a), ensure_effect(b)
     _same_dim(ea, eb)
     eye = np.eye(ea.shape[0], dtype=complex)
-    # Run tighter than the documented success threshold so the witness
-    # survives validation at WITNESS_TOL after polishing.
     blocks = joint_feasibility_search(
-        [ea, eye - ea], [eb, eye - eb], max(iters, 2000), min(tol, 5e-10)
+        np.stack([ea, eye - ea]), np.stack([eb, eye - eb]), WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL
     )
     if blocks is None:
         return None

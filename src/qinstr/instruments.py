@@ -349,11 +349,6 @@ class Instrument(LabelledFamily):
         instr._set_members(labels, ops, effects, sum_tol)
         return instr
 
-    def member_matrices(self) -> Array:
-        """The outcomes' Choi matrices as one ``(m, d^2, d^2)`` stack, formed
-        on each call."""
-        return np.stack([op.choi for op in self._members.values()])
-
     def _distances(self, groups: Array, other: "Instrument") -> Array:
         """Choi-form distances (``_operation_distances``)."""
         ops = list(self._members.values())

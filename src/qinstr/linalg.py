@@ -60,6 +60,11 @@ LUDERS_TOL = 1e-8  # anti-Hermitian part (relative) and negative eigenvalue of e
 DIAG_TOL = 1e-9  # off-diagonal residual in a shared eigenbasis, per unit of dimension
 GRAM_FLOOR = 0.5  # smallest eigenvalue of a dilation's Kraus Gram matrix (1 for an instrument)
 EIGENBASIS_ATTEMPTS = 32  # random combinations tried for a commutative observable's eigenbasis
+SEARCH_ITERS = 500  # alternating-projection rounds of find_joint_observable
+SEARCH_TOL = 1e-7  # largest marginal defect ||sum C - target||_F at which find_joint_observable stops
+JOINT_TOL = 1e-6  # sum and marginal defects of the joint observable find_joint_observable returns
+WITNESS_SEARCH_ITERS = 2000  # alternating-projection rounds of find_coexistence_witness
+WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the polished witness still checks
 
 
 def as_matrix(m: object, stack: bool = False) -> Array:

@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import ensure_effects, ensure_state, seq_products
+from .effects import ensure_effects, ensure_state, joint_feasibility_search, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -38,7 +38,8 @@ from .errors import (
     ShapeError,
     WeightError,
 )
-from .linalg import EFFECT_EIG_TOL, RANK_REL_TOL, STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
+from .linalg import EFFECT_EIG_TOL, JOINT_TOL, RANK_REL_TOL, SEARCH_ITERS, SEARCH_TOL
+from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
 from .linalg import Array, _psd_roots, as_matrix, frob, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
@@ -496,21 +497,19 @@ def joint_probability_then(
     return _set_probability(joint_probability_table(rho, a, b), a, x_set, b, y_set)
 
 
-def find_joint_observable(
-    a: Observable, b: Observable, iters: int = 500, tol: float = 1e-7
-) -> Observable | None:
-    """Heuristic joint-observable search via alternating projections.
+def find_joint_observable(a: Observable, b: Observable) -> Observable | None:
+    """Heuristic joint-observable search via alternating projections, with
+    the budgets ``SEARCH_ITERS`` and ``SEARCH_TOL``; a found joint must pass
+    ``obs_coexist_verify`` within ``JOINT_TOL``.
 
     None means "unknown": the heuristic can exhibit a joint observable but can
     never certify that none exists.
     """
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
-    from .effects import joint_feasibility_search
-
-    blocks = joint_feasibility_search(list(a.stack), list(b.stack), iters, tol)
+    blocks = joint_feasibility_search(a.stack, b.stack, SEARCH_ITERS, SEARCH_TOL)
     if blocks is None:
         return None
     labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
-    joint = Observable(zip(labels, hermitian_part(blocks)), sum_tol=max(SUM_TOL, 10 * tol))
-    return joint if obs_coexist_verify(a, b, joint, tol=max(SUM_TOL, 10 * tol)) else None
+    joint = Observable(zip(labels, blocks), sum_tol=JOINT_TOL)
+    return joint if obs_coexist_verify(a, b, joint, tol=JOINT_TOL) else None

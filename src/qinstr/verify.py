@@ -461,11 +461,10 @@ def _suite_ex_6(run: _Run) -> None:
         b = random_observable(d, 2, run.rng)
         alpha = random_state(d, run.rng)
         beta = random_state(d, run.rng)
-        prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta)).member_matrices()
-        coeff = np.trace(alpha @ b.stack, axis1=1, axis2=2).real  # tr(alpha B_y)
-        kron = np.einsum("xji,ab->xiajb", a.stack, beta).reshape(len(a), d * d, d * d)  # A_x^T (x) beta
-        expected = coeff[None, :, None, None] * kron[:, None]
-        run.residual(_worst(prod, expected.reshape(prod.shape)))
+        prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta))
+        roots = np.sqrt(np.trace(alpha @ b.stack, axis1=1, axis2=2).real)  # sqrt(tr(alpha B_y))
+        ka = [op._kraus for _, op in trivial_instrument(a, beta).items()]  # rho -> tr(rho A_x) beta
+        run.residual(_kraus_gap(prod, [r * k for k in ka for r in roots]))
     a = sharp_qubit_z()
     alpha = atom(np.array([1.0, 1.0]) / np.sqrt(2.0))
     i = j = trivial_instrument(a, alpha)

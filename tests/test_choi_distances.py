@@ -198,7 +198,6 @@ class TestChoiFormedOnRead:
             assert op.choi is not c  # formed again on each read
             assert choi_sized(op) == []
         family_distance(instr, instr)
-        instr.member_matrices()
         dumps_document(instr)
         assert all(choi_sized(op) == [] for _, op in instr.items())
 

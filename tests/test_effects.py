@@ -3,6 +3,7 @@ import pytest
 
 from qinstr.effects import (
     CoexistenceWitness,
+    _marginal_projection,
     atom,
     binary_observables_from_coexistence,
     check_coexistence_witness,
@@ -19,10 +20,32 @@ from qinstr.errors import (
     InvariantViolation,
     ZeroVector,
 )
-from qinstr.linalg import frob, hermitian_part, spectral_norm
+from qinstr.linalg import JOINT_TOL, frob, hermitian_part, spectral_norm
+from qinstr.observables import Observable, find_joint_observable, obs_coexist_verify
 from qinstr.rand import random_commuting_effect_pair, random_effect, random_state
 
 from conftest import E1, P0, P_PLUS, PLUS
+
+
+def pinv_marginal_projection(blocks, rows, cols):
+    """Reference projection onto the blocks with row sums ``rows`` and column
+    sums ``cols``: the least-squares correction through the pseudo-inverse
+    of the bipartite incidence matrix, entry by entry."""
+    m, n, d = len(rows), len(cols), rows.shape[-1]
+    mat = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+    proj = mat.T @ np.linalg.pinv(mat @ mat.T)
+    flat = blocks.reshape(m * n, d, d)
+    residual = np.einsum("ck,kij->cij", mat, flat) - np.concatenate([rows, cols])
+    return (flat - np.einsum("kc,cij->kij", proj, residual)).reshape(m, n, d, d)
+
+
+def busch_pair(lam):
+    """Unbiased qubit effects along z and x with sharpness ``lam``, and their
+    binary observables; they coexist exactly when ``lam <= 1/sqrt(2)``
+    (Busch 1986)."""
+    half = np.eye(2) / 2
+    a, b = lam * P0 + (1 - lam) * half, lam * P_PLUS + (1 - lam) * half
+    return a, b, Observable({"0": a, "1": complement(a)}), Observable({"0": b, "1": complement(b)})
 
 
 class TestValidation:
@@ -207,4 +230,37 @@ class TestCoexistenceSearch:
     def test_unknown_for_incompatible_projections(self):
         # Distinct rank-one projections cannot coexist; search must not claim
         # a witness, and "None" only ever means unknown.
-        assert find_coexistence_witness(P0, P_PLUS, iters=200) is None
+        assert find_coexistence_witness(P0, P_PLUS) is None
+
+    def test_marginal_projection_matches_the_pinv_oracle(self, rng):
+        def herm(*shape):
+            g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return g + g.conj().swapaxes(-1, -2)
+
+        for m in range(1, 5):
+            for n in range(1, 5):
+                for d in range(1, 5):
+                    blocks, rows, cols = herm(m, n, d, d), herm(m, d, d), herm(n, d, d)
+                    cols[-1] += rows.sum(0) - cols.sum(0)  # equal totals
+                    defects = np.concatenate([blocks.sum(1) - rows, blocks.sum(0) - cols])
+                    got = _marginal_projection(blocks, defects)
+                    oracle = pinv_marginal_projection(blocks, rows, cols)
+                    scale = np.abs(oracle).max()
+                    assert np.abs(got - oracle).max() <= 1e-13 * scale
+                    assert np.abs(got.sum(1) - rows).max() <= 1e-13 * scale
+                    assert np.abs(got.sum(0) - cols).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("lam", [0.5, 0.6, 0.7])
+    def test_busch_pair_below_the_bound_found(self, lam):
+        a, b, oa, ob = busch_pair(lam)
+        w = find_coexistence_witness(a, b)
+        assert w is not None and check_coexistence_witness(a, b, w)
+        joint = find_joint_observable(oa, ob)
+        assert joint is not None and obs_coexist_verify(oa, ob, joint, tol=JOINT_TOL)
+
+    @pytest.mark.parametrize("lam", [0.72, 0.8, 0.9])
+    def test_busch_pair_above_the_bound_unknown(self, lam):
+        # No joint exists above 1/sqrt(2), so any answer but None is a bug.
+        a, b, oa, ob = busch_pair(lam)
+        assert find_coexistence_witness(a, b) is None
+        assert find_joint_observable(oa, ob) is None

@@ -678,7 +678,8 @@ class TestFamilyValidation:
         public = _public_route(instr)
         assert instr.labels == public.labels
         assert np.abs(instr.effects - public.effects).max() <= 1e-15
-        assert np.abs(instr.member_matrices() - public.member_matrices()).max() <= 1e-15
+        chois = [np.stack([op.choi for _, op in i.items()]) for i in (instr, public)]
+        assert np.abs(chois[0] - chois[1]).max() <= 1e-15
         obs = induced_observable(instr)
         oracle = Observable(zip(public.labels, public.effects))
         assert obs.labels == oracle.labels

@@ -473,5 +473,14 @@ class TestJointSearch:
         assert joint is not None
         assert obs_coexist_verify(a, b, joint, tol=1e-6)
 
+    def test_commuting_pair_with_three_and_four_outcomes_found(self, rng):
+        u = random_unitary(3, rng)
+        diag_a, diag_b = rng.dirichlet(np.ones(3), size=3), rng.dirichlet(np.ones(4), size=3)
+        a = Observable({str(x): u @ np.diag(diag_a[:, x]).astype(complex) @ u.conj().T for x in range(3)})
+        b = Observable({str(y): u @ np.diag(diag_b[:, y]).astype(complex) @ u.conj().T for y in range(4)})
+        joint = find_joint_observable(a, b)
+        assert joint is not None and len(joint) == 12
+        assert obs_coexist_verify(a, b, joint, tol=1e-6)
+
     def test_sharp_incompatible_unknown(self, sharp_z, sharp_x):
-        assert find_joint_observable(sharp_z, sharp_x, iters=300) is None
+        assert find_joint_observable(sharp_z, sharp_x) is None

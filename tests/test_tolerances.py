@@ -25,16 +25,9 @@ KEPT_KNOBS = {
     "instruments.Instrument._from_kraus.sum_tol",
     "verify.run_suite.tol_scale",
     "verify.run_suites.tol_scale",
-    "effects.joint_feasibility_search.iters",
-    "effects.joint_feasibility_search.tol",
-    "effects.find_coexistence_witness.iters",
-    "effects.find_coexistence_witness.tol",
-    "observables.find_joint_observable.iters",
-    "observables.find_joint_observable.tol",
 }
 
 LIBRARY = ("linalg", "effects", "observables", "instruments", "models")
-SEARCHES = {"joint_feasibility_search", "find_coexistence_witness", "find_joint_observable"}
 
 
 def _modules():
@@ -76,12 +69,12 @@ def test_only_the_table_assigns_tol_constants():
 
 def test_no_bare_threshold_outside_the_table():
     # Thresholds are floats in (0, 1); the table is linalg's module-level
-    # assignments, and the coexistence searches keep their own budgets.
+    # assignments.
     stray = []
     for name in LIBRARY:
         tree = ast.parse(inspect.getsource(importlib.import_module(f"qinstr.{name}")))
         for node in tree.body:
-            if (name == "linalg" and isinstance(node, ast.Assign)) or getattr(node, "name", None) in SEARCHES:
+            if name == "linalg" and isinstance(node, ast.Assign):
                 continue
             stray += [
                 f"{name}:{c.lineno}"
