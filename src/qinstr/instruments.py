@@ -410,9 +410,7 @@ def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
     stacks = _kraus_stack(list(ops.values()))[:, None] if labels else []
     try:
         return Instrument._from_kraus(zip(labels, stacks))
-    except InvariantViolation as exc:
-        if exc.invariant != "trace-preserving-sum":
-            raise
+    except InvariantViolation as exc:  # only the trace-preserving-sum check can fail
         raise NotComplete(f"sum of S*S misses the identity by {exc.residual:.3g}") from None
 
 

@@ -151,32 +151,27 @@ def _eigh(a: Array) -> tuple[Array, Array]:
 
 def _psd_eig(a: Array) -> tuple[Array, Array]:
     """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of an exactly
-    Hermitian PSD matrix, for the eigenvalues above the noise floor of
-    ``herm_sqrt``.  The largest is always kept, so a zero matrix keeps one
-    zero eigenvalue.  For a ``(k, d, d)`` stack every matrix keeps all ``d``
-    columns, and the roots below its floor are set to zero instead."""
+    Hermitian PSD matrix, or of each matrix of a ``(k, d, d)`` stack.  Every
+    matrix keeps all ``d`` columns; the roots below its noise floor (see
+    ``herm_sqrt``) are set to zero."""
     w, v = _eigh(a)
-    stack = w.ndim == 2
-    low = w[:, 0].min() if stack else w[0]
+    low = w[..., 0].min()
     if low < -PSD_TOL:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3g} below -{PSD_TOL:.3g}")
-    keep = w > ROOT_REL_TOL * (np.maximum(w[:, -1:], 0.0) if stack else max(float(w[-1]), 0.0))
-    keep[..., -1] = True
-    if stack:
-        return v, np.sqrt(np.clip(w, 0.0, None)) * keep
-    return v[:, keep], np.sqrt(np.clip(w[keep], 0.0, None))
+    keep = w > ROOT_REL_TOL * np.maximum(w[..., -1:], 0.0)
+    return v, np.sqrt(np.clip(w, 0.0, None)) * keep
 
 
 def root_factor(m: object) -> Array:
     """``R`` with ``m = R R^*`` for a PSD Hermitian matrix, one column per
     eigenvalue above the noise floor (see ``herm_sqrt``)."""
-    v, r = _psd_eig(ensure_hermitian(m))
-    return v * r
+    return root_factors(ensure_hermitian(m)[None])[0]
 
 
 def root_factors(m: Array) -> list[Array]:
     """``root_factor`` of every matrix of an exactly Hermitian ``(k, d, d)``
-    stack, unchecked, each with the same columns, from one eigensolve."""
+    stack, unchecked, from one eigensolve: the columns of nonzero roots, and
+    the largest always, so a zero matrix keeps one zero column."""
     v, r = _psd_eig(m)
     keep = r > 0.0
     keep[:, -1] = True

@@ -90,7 +90,6 @@ class FIMM:
                 raise DimensionError(f"interaction dim {interaction.dim}, expected {n}")
             ensure_channel(interaction)
             self.interaction = interaction
-            self.couplings = interaction._kraus
         else:
             u = as_matrix(interaction)
             if u.shape != (n, n):
@@ -133,9 +132,9 @@ class FIMM:
 
     @cached_property
     def couplings(self) -> Array:
-        """``u[None]`` for a unitary ``u``; an operation's stack is set at
-        construction."""
-        return self.interaction[None]
+        """An operation's Kraus stack, or ``u[None]`` for a unitary ``u``."""
+        u = self.interaction
+        return u._kraus if isinstance(u, Operation) else u[None]
 
     def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
         """Check and set everything but the interaction, given a probe state
@@ -408,9 +407,8 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     """
     maps = _marginal_maps(joint.labels)
     m = dilate_instrument(joint)
-    first, second = (
-        FIMM._unitary(m.dim_base, m.dim_probe, m.probe_state, m.interaction, obs_post_process(nu, m.pointer)) for nu in maps
-    )
+    iso = m._restricted[0, :, :, 0]
+    first, second = (FIMM._dilation(m.dim_probe, iso, obs_post_process(nu, m.pointer)) for nu in maps)
     return first, second
 
 

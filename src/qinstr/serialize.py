@@ -48,32 +48,26 @@ def _fmt_number(x: float) -> str:
 
 
 def canonical_json(value: object) -> str:
-    """Deterministic JSON text: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON text: sorted keys, 17-significant-digit floats.
+    It takes only the types a document holds: ``_Raw`` matrix text, float,
+    int, str, list and dict."""
     t = type(value)
     if t is _Raw:
         return value
     if t is float:
         return _fmt_number(value)
+    if t is int:
+        return str(value)
+    if t is str:
+        return json.dumps(value)
     if t is list:
         return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    if t is dict or isinstance(value, Mapping):
+    if t is dict:
         inner = ",".join(
             f"{json.dumps(str(k))}:{canonical_json(value[k])}" for k in sorted(value)
         )
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_number(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise DocumentError(f"cannot serialize value of type {type(value).__name__}")
+    raise DocumentError(f"cannot serialize value of type {t.__name__}")
 
 
 def _finite_matrix(m: Array) -> Array:

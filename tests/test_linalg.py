@@ -3,6 +3,7 @@ import pytest
 
 from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite, QinstrError, ZeroVector
 from qinstr.linalg import (
+    ROOT_REL_TOL,
     _phase_fix,
     complete_to_unitary,
     frob,
@@ -282,8 +283,20 @@ class TestPhaseFix:
             _phase_fix(v)
 
 
+def _single_matrix_roots(m):
+    """The single-matrix branch that the stack path replaced, kept as the
+    oracle: eigenvectors and roots of only the eigenvalues above the noise
+    floor, the largest always kept."""
+    w, v = np.linalg.eigh(m)
+    keep = w > ROOT_REL_TOL * max(float(w[-1]), 0.0)
+    keep[-1] = True
+    return v[:, keep], np.sqrt(np.clip(w[keep], 0.0, None))
+
+
 class TestRootFactors:
     def test_matches_root_factor_per_matrix(self, rng):
+        # The batched factors and root_factor (now one stack path) against
+        # the single-matrix branch: same columns, same values.
         d = 4
         stack = np.stack(
             [
@@ -294,12 +307,22 @@ class TestRootFactors:
                 np.diag([0.5, 0.25, -1e-12, 0.0]).astype(complex),  # clamped negative
             ]
         )
+        stack = (stack + stack.conj().swapaxes(1, 2)) / 2
         batched = root_factors(stack)
         for m, r in zip(stack, batched):
-            loop = root_factor(m)
-            assert r.shape == loop.shape
-            assert frob(r - loop) <= 1e-15
+            v, roots = _single_matrix_roots(m)
+            np.testing.assert_array_equal(r, v * roots)
+            np.testing.assert_array_equal(root_factor(m), v * roots)
             assert frob(r @ r.conj().T - hermitian_psd(m)) <= 1e-12
+
+    def test_herm_sqrt_of_atoms_matches_single_matrix_branch(self, rng):
+        for d in (2, 3, 5, 8):
+            for _ in range(5):
+                m = proj(ginibre(d, rng)[:, 0])
+                v, roots = _single_matrix_roots((m + m.conj().T) / 2)
+                expected = (v * roots) @ v.conj().T
+                assert frob(herm_sqrt(m) - (expected + expected.conj().T) / 2) <= 1e-15
+                assert frob(herm_sqrt(m) - m) <= 1e-14  # an atom is its own root
 
     def test_negative_eigenvalue_rejected(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1e-3])]).astype(complex)

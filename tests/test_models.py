@@ -515,6 +515,45 @@ class TestSimultaneousFimms:
         assert is_identity_instrument(meas2, 1e-7)
 
 
+class TestSimultaneousModelsShareTheIsometry:
+    """The two marginal models, and the catalog's product-pointer model, are
+    dilations of the joint dilation's isometry.  The oracle is the route
+    they replaced: a model on the joint dilation's completed unitary."""
+
+    @staticmethod
+    def _joints(rng):
+        labels = [combine_labels(x, y) for x in "01" for y in "01"]
+        for d in (2, 3):
+            base = random_instrument(d, 4, rng)
+            yield Instrument(zip(labels, (op for _, op in base.items())))
+        yield trivial_instrument(random_observable(6, 4, rng, labels=labels), random_state(6, rng))  # full rank
+
+    def test_no_unitary_is_completed(self, rng, eig_calls):
+        for joint in self._joints(rng):
+            eig_calls.qr_calls.clear()
+            models_ = simultaneous_fimms(joint)
+            assert eig_calls.qr_calls == []
+            assert all("interaction" not in vars(m) for m in models_)
+
+    def test_measured_instruments_match_the_unitary_route(self, rng):
+        from qinstr.observables import obs_post_process
+        from qinstr.verify import _product_pointer_model
+
+        for joint in self._joints(rng):
+            m = dilate_instrument(joint)
+            old = [
+                FIMM._unitary(m.dim_base, m.dim_probe, m.probe_state, m.interaction, obs_post_process(nu, m.pointer))
+                for nu in models._marginal_maps(joint.labels)
+            ]
+            new = list(simultaneous_fimms(joint))
+            new.append(_product_pointer_model(*new))
+            old.append(FIMM._unitary(m.dim_base, m.dim_probe, m.probe_state, m.interaction, new[-1].pointer))
+            for a, b in zip(new, old):
+                for (x, p), (y, q) in zip(model_instrument(a).items(), model_instrument(b).items()):
+                    assert x == y
+                    np.testing.assert_array_equal(p._kraus, q._kraus)
+
+
 class TestFimmValidation:
     def test_dims_checked(self, rng):
         with pytest.raises(DimensionError):

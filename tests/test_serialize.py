@@ -44,6 +44,13 @@ class TestCanonicalJson:
         again = canonical_json(json.loads(once))
         assert once == again
 
+    @pytest.mark.parametrize("value", [True, None, (1, 2), np.float64(1.0), np.int64(1)])
+    def test_types_a_document_does_not_hold_rejected(self, value):
+        with pytest.raises(DocumentError, match="cannot serialize"):
+            canonical_json(value)
+        with pytest.raises(DocumentError, match="cannot serialize"):
+            canonical_json({"value": [value]})
+
 
 # -- the one-string matrix writer against the recursive writer ----------------------
 
