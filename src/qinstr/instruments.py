@@ -380,7 +380,7 @@ def luders_instrument(a: Observable) -> Instrument:
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     """Instrument that discards the input: ``rho -> tr(rho A_x) alpha``.
 
-    With ``alpha = R R^*`` and ``A_x = S S^*`` (as in ``root_factor``, one
+    With ``alpha = R R^*`` and ``A_x = S S^*`` (as in ``root_factors``, one
     column per eigenvalue above the noise floor, so that outcome ``x`` has
     as many operators as ``A_x`` has rank), outcome ``x`` has the Kraus
     operators ``r_k s_j^*`` over the columns of ``R`` and ``S``; its Choi

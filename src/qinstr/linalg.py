@@ -36,7 +36,7 @@ Array = np.ndarray
 # bounds; the modules import their entries from here.  The catalog's pinned
 # tolerances are in ``verify.SUITES``, and ``QINSTR_TOL`` scales only those.
 HERM_TOL = 1e-9  # anti-Hermitian residual ||M - M^*||_F, per unit of dimension
-PSD_TOL = 1e-9  # negative eigenvalue that herm_sqrt and root_factor clamp to zero
+PSD_TOL = 1e-9  # negative eigenvalue that herm_sqrt and root_factors clamp to zero
 ROOT_REL_TOL = 1e-12  # eigenvalue, relative to the largest, below which a root is zeroed
 ORTHO_TOL = 1e-9  # ||U^* U - 1||_F of complete_to_unitary's input and of a dilation's isometry, per column
 PHASE_TOL = 1e-9  # entry magnitude from which _phase_fix reads a column's phase
@@ -162,16 +162,11 @@ def _psd_eig(a: Array) -> tuple[Array, Array]:
     return v, np.sqrt(np.clip(w, 0.0, None)) * keep
 
 
-def root_factor(m: object) -> Array:
-    """``R`` with ``m = R R^*`` for a PSD Hermitian matrix, one column per
-    eigenvalue above the noise floor (see ``herm_sqrt``)."""
-    return root_factors(ensure_hermitian(m)[None])[0]
-
-
 def root_factors(m: Array) -> list[Array]:
-    """``root_factor`` of every matrix of an exactly Hermitian ``(k, d, d)``
-    stack, unchecked, from one eigensolve: the columns of nonzero roots, and
-    the largest always, so a zero matrix keeps one zero column."""
+    """``R`` with ``m_i = R R^*`` for every matrix of an exactly Hermitian PSD
+    ``(k, d, d)`` stack, unchecked, from one eigensolve: one column per
+    eigenvalue above the noise floor (see ``herm_sqrt``), and the largest
+    always, so a zero matrix keeps one zero column."""
     v, r = _psd_eig(m)
     keep = r > 0.0
     keep[:, -1] = True

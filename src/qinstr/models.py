@@ -6,9 +6,9 @@ on the base system.  Interaction channels are stored as plain unitary
 matrices when available (von Neumann, swap, dilation) and as operations
 otherwise.
 
-``model_instrument`` reads one quantity of a model: its interaction on the
-probe state's support (``FIMM``).  For a dilation that is the isometry it is
-built from, and its unitary is completed only when something reads it.
+A model forms what it derives from its parts on first read (``FIMM``);
+``model_instrument`` only reads its interaction on the probe state's
+support, which for a dilation is the isometry it is built from.
 """
 
 from __future__ import annotations
@@ -63,17 +63,15 @@ class FIMM:
     """Finite measurement model: base and probe spaces, initial probe state,
     interaction channel on the composite space, and pointer observable.
 
-    ``interaction`` is kept as given, a unitary matrix or an operation;
-    ``couplings`` is its read-only ``(c, n, n)`` Kraus stack, ``u[None]`` for
-    a unitary ``u``.  ``model_instrument`` reads only ``_restricted``, the
-    couplings on the probe state's support: ``W_c = U_c (1 (x) R_eta)`` for
-    ``eta = R_eta R_eta^*``, a ``(c, n, d, s)`` stack for ``n = d dk`` and
-    ``s = rank(eta)``, formed by its first call.  A dilation starts from
-    ``W``, its isometry, and completes ``interaction`` and ``couplings`` on
-    first read.
+    ``interaction`` is kept as given, a unitary matrix or an operation.  What
+    the model derives is formed on first read and kept: ``couplings``, the
+    interaction's read-only ``(c, n, n)`` Kraus stack (``u[None]`` for a
+    unitary ``u``); ``sharp``; and ``_restricted``, the couplings on the
+    probe state's support, ``W_c = U_c (1 (x) R_eta)`` for ``eta = R_eta
+    R_eta^*``, a ``(c, n, d, s)`` stack for ``n = d dk`` and ``s = rank(eta)``.
+    A dilation starts from ``W``, its isometry, completes ``interaction`` and
+    ``couplings`` on first read, and ``_repointed`` gives it another pointer.
     """
-
-    _restricted: Array | None = None
 
     def __init__(
         self,
@@ -119,6 +117,10 @@ class FIMM:
         m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
         return m
 
+    def _repointed(self, pointer: Observable) -> "FIMM":
+        """A dilation of this dilation's isometry, shared, with another pointer."""
+        return self._dilation(self.dim_probe, self._restricted[0, :, :, 0], pointer)
+
     @cached_property
     def interaction(self) -> Array:
         """A dilation's unitary: its isometry in the columns ``(k, 0)`` and
@@ -136,6 +138,16 @@ class FIMM:
         u = self.interaction
         return u._kraus if isinstance(u, Operation) else u[None]
 
+    @cached_property
+    def _restricted(self) -> Array:
+        """``W``: the couplings times the probe state's root factor."""
+        return read_only(self.couplings.reshape(*self.couplings.shape[:2], self.dim_base, -1) @ root_factors(self.probe_state[None])[0])
+
+    @cached_property
+    def sharp(self) -> bool:
+        """Whether every pointer effect is a projection."""
+        return bool(_projections(self.pointer.stack).all())
+
     def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
         """Check and set everything but the interaction, given a probe state
         that is already checked (``ensure_state``) or a state by construction."""
@@ -149,7 +161,6 @@ class FIMM:
         if pointer.dim != self.dim_probe:
             raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
         self.pointer = pointer
-        self.sharp = bool(_projections(pointer.stack).all())
 
     def apply_interaction(self, mat: Array) -> Array:
         return (self.couplings @ mat @ self.couplings.conj().transpose(0, 2, 1)).sum(axis=0)
@@ -170,18 +181,13 @@ def model_instrument(m: FIMM) -> Instrument:
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
     ``eta = R_eta R_eta^*``.  An interaction given as an operation
-    contributes one such set per Kraus operator of its own.  Only the
-    model's ``W = P (1 (x) R_eta)`` is read; the call that forms it takes
-    ``R_eta`` from the one batched eigendecomposition of the ``F_x^T``.  The
-    outcomes must sum to a channel within ``MODEL_TOL``.
+    contributes one such set per Kraus operator of its own.  The ``R_F``
+    come from one batched eigendecomposition of the ``F_x^T``; of the model,
+    only ``W = P (1 (x) R_eta)`` is read, which the model forms on first
+    read.  The outcomes must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
-    transposed = m.pointer.stack.swapaxes(1, 2)
-    if m._restricted is None:
-        *roots, root_eta = root_factors(np.concatenate([transposed, m.probe_state[None]]))
-        m._restricted = read_only(m.couplings.reshape(-1, d * dk, d, dk) @ root_eta)
-    else:
-        roots = root_factors(transposed)
+    roots = root_factors(m.pointer.stack.swapaxes(1, 2))
     w = m._restricted
     # q[(k, i), c, a, s] = W_c[(i, a), k, s], over the couplings c
     q = w.reshape(len(w), d, dk, d, -1).transpose(3, 1, 0, 2, 4).reshape(d * d, len(w), dk, -1)
@@ -349,7 +355,7 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     ``S_x[j, i] = <e_j (x) phi_x, U (e_i (x) phi)>`` with ``phi`` the initial
     probe vector and ``phi_x`` the pointer atoms, both phase-fixed.
     """
-    if len(m.couplings) != 1 or not is_unitary(m.couplings[0]):
+    if len(m.couplings) != 1:  # one coupling is unitary: by construction or checked at build
         raise NotNormal("interaction channel is not unitary")
     u = m.couplings[0]
     try:
@@ -407,9 +413,7 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     """
     maps = _marginal_maps(joint.labels)
     m = dilate_instrument(joint)
-    iso = m._restricted[0, :, :, 0]
-    first, second = (FIMM._dilation(m.dim_probe, iso, obs_post_process(nu, m.pointer)) for nu in maps)
-    return first, second
+    return tuple(m._repointed(obs_post_process(nu, m.pointer)) for nu in maps)
 
 
 def marginal_instruments(joint: Instrument) -> tuple[Instrument, Instrument]:

@@ -77,15 +77,15 @@ def random_observable(
     """Valid observable from normalized Ginibre blocks.
 
     Draw one Ginibre block per outcome (all in one call), form the positive
-    parts, and whiten by the inverse square root of their sum (with a small
-    ridge) so the family sums to the identity; the whitened blocks are PSD
-    by construction, so only their sum and caller ``labels`` are checked
-    (``Observable._valid``).
+    parts, and whiten by the inverse square root of their sum, which is
+    positive definite with probability one, so the family sums to the
+    identity; the whitened blocks are PSD by construction, so only their sum
+    and caller ``labels`` are checked (``Observable._valid``).
     """
     labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
     g = _ginibres(rng, outcomes, dim, dim)
     blocks = g @ g.conj().swapaxes(1, 2)
-    inv_root = inverse_root(blocks.sum(0) + 1e-12 * np.eye(dim))[1]
+    inv_root = inverse_root(blocks.sum(0))[1]
     return Observable._valid(labels, inv_root @ blocks @ inv_root)
 
 
@@ -123,12 +123,13 @@ def random_instrument(
     """Generic instrument; ``kraus_per_outcome`` controls outcome Choi ranks.
 
     Raw Ginibre blocks, all drawn in one call, are whitened on the right by
-    the inverse square root of the completeness sum, which preserves outcome
-    ranks.  The sum adds the per-operator products ``K^* K`` in draw order.
+    the inverse square root of the completeness sum (positive definite with
+    probability one), which preserves outcome ranks.  The sum adds the
+    per-operator products ``K^* K`` in draw order.
     """
     raw = _ginibres(rng, outcomes, kraus_per_outcome, dim, dim)
     total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, dim, dim).sum(0)
-    inv_root = inverse_root(total + 1e-12 * np.eye(dim))[1]
+    inv_root = inverse_root(total)[1]
     return Instrument._from_kraus(zip(default_labels(outcomes), raw @ inv_root))
 
 

@@ -588,7 +588,7 @@ def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
     the two models' commuting pointers, on the product value-space."""
     p1, p2 = m1.pointer, m2.pointer
     pointer = Observable({combine_labels(x, y): p1[x] @ p2[y] for x in p1.labels for y in p2.labels})
-    return FIMM._dilation(m1.dim_probe, m1._restricted[0, :, :, 0], pointer)
+    return m1._repointed(pointer)
 
 
 def _suite_thm_4_1(run: _Run) -> None:

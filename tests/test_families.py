@@ -861,7 +861,7 @@ class TestOutcomeTables:
         for k, x in enumerate(a.labels):
             for l, y in enumerate(b.labels):
                 assert abs(table[k, l] - np.trace(rho @ loop_seq_product(a[x], b[y])).real) <= 1e-15
-        assert abs(table.sum() - 1.0) <= 1e-10  # the generators' whitening ridge
+        assert abs(table.sum() - 1.0) <= 1e-10  # the families sum to the identity to rounding
 
     @pytest.mark.parametrize("d", DIMS)
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (1, 4)])
@@ -873,7 +873,7 @@ class TestOutcomeTables:
         for k, (_, ix) in enumerate(i.items()):
             for l, (_, jy) in enumerate(j.items()):
                 assert abs(table[k, l] - np.trace(jy.apply(ix.apply(rho))).real) <= 1e-15
-        assert abs(table.sum() - 1.0) <= 1e-10  # the generators' whitening ridge
+        assert abs(table.sum() - 1.0) <= 1e-10  # the families sum to the identity to rounding
 
     @pytest.mark.parametrize("d", DIMS)
     def test_set_level_matches_the_loops(self, d, rng):

@@ -13,7 +13,6 @@ from qinstr.linalg import (
     partial_trace_first,
     partial_trace_second,
     psd_part,
-    root_factor,
     root_factors,
     tensor_product,
 )
@@ -295,8 +294,8 @@ def _single_matrix_roots(m):
 
 class TestRootFactors:
     def test_matches_root_factor_per_matrix(self, rng):
-        # The batched factors and root_factor (now one stack path) against
-        # the single-matrix branch: same columns, same values.
+        # The factors of the whole stack, and of each matrix as a stack of
+        # one, against the single-matrix branch: same columns, same values.
         d = 4
         stack = np.stack(
             [
@@ -312,7 +311,7 @@ class TestRootFactors:
         for m, r in zip(stack, batched):
             v, roots = _single_matrix_roots(m)
             np.testing.assert_array_equal(r, v * roots)
-            np.testing.assert_array_equal(root_factor(m), v * roots)
+            np.testing.assert_array_equal(root_factors(m[None])[0], v * roots)
             assert frob(r @ r.conj().T - hermitian_psd(m)) <= 1e-12
 
     def test_herm_sqrt_of_atoms_matches_single_matrix_branch(self, rng):

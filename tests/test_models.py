@@ -20,7 +20,7 @@ from qinstr.instruments import (
     trivial_instrument,
 )
 from qinstr.linalg import _phase_fix, complete_to_unitary, frob, herm_eig, inverse_root, is_unitary
-from qinstr.linalg import partial_trace_second, root_factor, tensor_product
+from qinstr.linalg import partial_trace_second, root_factors, tensor_product
 from qinstr.models import (
     FIMM,
     MODEL_TOL,
@@ -44,6 +44,7 @@ from qinstr.observables import (
     combine_labels,
     family_distance,
     identity_observable,
+    obs_post_process,
     observables_close,
 )
 from qinstr.rand import (
@@ -535,8 +536,22 @@ class TestSimultaneousModelsShareTheIsometry:
             assert eig_calls.qr_calls == []
             assert all("interaction" not in vars(m) for m in models_)
 
+    def test_repointed_models_share_the_isometry(self, rng, eig_calls):
+        from qinstr.verify import _product_pointer_model
+
+        for joint in self._joints(rng):
+            m = dilate_instrument(joint)
+            eig_calls.qr_calls.clear()
+            first, second = (m._repointed(obs_post_process(nu, m.pointer)) for nu in models._marginal_maps(joint.labels))
+            repointed = [first, second, _product_pointer_model(first, second)]
+            assert eig_calls.qr_calls == []
+            for r in repointed:
+                assert np.shares_memory(r._restricted, m._restricted)
+                assert "interaction" not in vars(r) and "couplings" not in vars(r)
+                assert r.dim_base == m.dim_base and np.array_equal(r.probe_state, m.probe_state)
+            assert "interaction" not in vars(m)
+
     def test_measured_instruments_match_the_unitary_route(self, rng):
-        from qinstr.observables import obs_post_process
         from qinstr.verify import _product_pointer_model
 
         for joint in self._joints(rng):
@@ -583,17 +598,37 @@ def _loop_von_neumann_unitary(base, probe):
 
 
 def _loop_model_instrument(m, atol=MODEL_TOL):
-    """One ``root_factor`` per pointer effect and one Kronecker factor per
+    """One root factor per pointer effect and one Kronecker factor per
     outcome."""
     d, dk = m.dim_base, m.dim_probe
     couplings = m.interaction.kraus_ops() if isinstance(m.interaction, Operation) else [m.interaction]
     ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
-    root_eta = root_factor(m.probe_state)
+    root_eta = root_factors(m.probe_state[None])[0]
     ops = []
     for x in m.pointer.labels:
-        factor = np.kron(root_factor(m.pointer[x].T), root_eta)
+        factor = np.kron(root_factors(m.pointer[x].T[None])[0], root_eta)
         ops.append((x, bounded_kraus(kraus_from_vectors(np.hstack([p @ factor for p in ps]), d), d)))
     return Instrument._from_kraus(ops, sum_tol=atol)
+
+
+def _batched_eta_model_instrument(m):
+    """``model_instrument`` forming ``W`` itself on a model's first call, with
+    the probe state's root from the pointer effects' batched
+    eigendecomposition; a dilation's ``W`` is its isometry.  Call it on a
+    model before anything reads ``W``."""
+    d, dk = m.dim_base, m.dim_probe
+    transposed = m.pointer.stack.swapaxes(1, 2)
+    if "_restricted" in vars(m):
+        roots, w = root_factors(transposed), m._restricted
+    else:
+        *roots, root_eta = root_factors(np.concatenate([transposed, m.probe_state[None]]))
+        w = m.couplings.reshape(-1, d * dk, d, dk) @ root_eta
+    q = w.reshape(len(w), d, dk, d, -1).transpose(3, 1, 0, 2, 4).reshape(d * d, len(w), dk, -1)
+    ops = [
+        (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
+        for x, r in zip(m.pointer.labels, roots)
+    ]
+    return Instrument._from_kraus(ops, sum_tol=MODEL_TOL)
 
 
 def _loop_unit_vector(m, tol=1e-8):
@@ -681,6 +716,16 @@ class TestBatchedKernelsAgainstLoops:
                 kb, kl = np.asarray(batched[x].kraus_ops()), np.asarray(loop[x].kraus_ops())
                 assert kb.shape == kl.shape and frob(kb - kl) <= 1e-12
 
+    def test_model_instrument_matches_the_batched_eta_route(self, rng):
+        # unitary, operation, Choi-only, dilated, swap and von Neumann models
+        for m in _oracle_models(rng):
+            expected = _batched_eta_model_instrument(m)
+            for _ in range(2):  # the call that forms W and one that reads it
+                got = model_instrument(m)
+                assert got.labels == expected.labels
+                for x in expected.labels:
+                    np.testing.assert_array_equal(got[x]._kraus, expected[x]._kraus)
+
     def test_normal_extract(self, rng):
         models = [dilate_instrument(random_kraus_instrument(d, m, rng)) for d, m in [(1, 2), (2, 2), (2, 3), (3, 4)]]
         base, probe = random_unitary(3, rng), random_unitary(3, rng)
@@ -749,9 +794,10 @@ class TestDilationCompletedOnRead:
 
     def test_restriction_is_formed_once_and_kept(self, rng, eig_calls):
         m = random_fimm(2, 3, 4, rng)
+        assert "_restricted" not in vars(m)
         eig_calls.calls.clear()
         first = model_instrument(m)
-        assert eig_calls.calls == [(3, 5)]  # every pointer effect and the probe state
+        assert eig_calls.calls == [(3, 4), (3, 1)]  # every pointer effect, then the probe state as the model forms W
         eig_calls.calls.clear()
         again = model_instrument(m)
         assert eig_calls.calls == [(3, 4)]  # the pointer only
@@ -760,8 +806,9 @@ class TestDilationCompletedOnRead:
 
     @pytest.mark.parametrize("d", [8, 16, 32])
     def test_round_trip_gap(self, d, rng):
-        instr = random_instrument(d, 3, rng, 2)
-        assert family_distance(model_instrument(dilate_instrument(instr)), instr) <= 7e-14  # the north-star bound
+        for kraus in (2, 1):
+            instr = random_instrument(d, 3, rng, kraus)
+            assert family_distance(model_instrument(dilate_instrument(instr)), instr) <= 7e-14  # the north-star bound
 
 
 class TestModelEigensolveCounts:
@@ -770,7 +817,15 @@ class TestModelEigensolveCounts:
         model = random_fimm(2, 3, m, rng)
         eig_calls.calls.clear()
         model_instrument(model)
-        assert eig_calls.calls == [(3, m + 1)]  # every pointer effect and the probe state
+        assert eig_calls.calls == [(3, m), (3, 1)]  # every pointer effect, then the probe state as the model forms W
+        eig_calls.calls.clear()
+        model_instrument(model)
+        assert eig_calls.calls == [(3, m)]  # W is kept
+        dilation = dilate_instrument(random_kraus_instrument(2, m, rng))
+        for _ in range(2):
+            eig_calls.calls.clear()
+            model_instrument(dilation)
+            assert eig_calls.calls == [(m, m)]  # W is the isometry
 
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_dilate_one_qr_call(self, kraus, rng, eig_calls):
@@ -884,6 +939,22 @@ class TestFimmSharpFlag:
             assert m.sharp == classify_observable(pointer).sharp
             flags.append(m.sharp)
         assert any(flags[-7:]) and not all(flags[-7:])
+
+    def test_formed_on_first_read(self, rng):
+        pointer = random_observable(2, 3, rng)
+        base = random_instrument(2, 4, rng)
+        joint = Instrument(zip([combine_labels(x, y) for x in "01" for y in "01"], (op for _, op in base.items())))
+        built = [
+            FIMM(2, 2, random_state(2, rng), random_unitary(4, rng), pointer),
+            trivial_fimm(random_state(2, rng), pointer),
+            VonNeumannModel(random_unitary(2, rng), random_unitary(2, rng), pointer).to_fimm(),
+            dilate_instrument(random_instrument(2, 3, rng)),
+            *simultaneous_fimms(joint),
+        ]
+        for m in built:
+            assert "sharp" not in vars(m)
+            assert m.sharp == classify_observable(m.pointer).sharp
+            assert "sharp" in vars(m)
 
 
 class TestVonNeumannModelInput:

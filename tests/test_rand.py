@@ -39,7 +39,7 @@ def _loop_random_observable(dim, outcomes, rng):
     for _ in range(outcomes):
         g = _loop_ginibre(dim, rng)
         blocks.append(g @ g.conj().T)
-    total = sum(blocks) + 1e-12 * np.eye(dim)
+    total = sum(blocks)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
     return Observable._valid(default_labels(outcomes), np.stack([inv_root @ b @ inv_root for b in blocks]))
@@ -47,7 +47,7 @@ def _loop_random_observable(dim, outcomes, rng):
 
 def _loop_random_instrument(dim, outcomes, rng, kraus_per_outcome):
     raw = [[_loop_ginibre(dim, rng) for _ in range(kraus_per_outcome)] for _ in range(outcomes)]
-    total = sum(k.conj().T @ k for ops in raw for k in ops) + 1e-12 * np.eye(dim)
+    total = sum(k.conj().T @ k for ops in raw for k in ops)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
     return Instrument._from_kraus((str(x), [k @ inv_root for k in raw[x]]) for x in range(outcomes))
