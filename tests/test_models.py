@@ -717,7 +717,6 @@ class TestBatchedKernelsAgainstLoops:
                 assert kb.shape == kl.shape and frob(kb - kl) <= 1e-12
 
     def test_model_instrument_matches_the_batched_eta_route(self, rng):
-        # unitary, operation, Choi-only, dilated, swap and von Neumann models
         for m in _oracle_models(rng):
             expected = _batched_eta_model_instrument(m)
             for _ in range(2):  # the call that forms W and one that reads it
