@@ -28,7 +28,8 @@ the unique observable that reproduces its outcome probabilities, PSD by
 construction as every effect is a ``sum K^* K``.
 
 Builders here and in ``models`` validate an instrument once
-(``Instrument._from_kraus``): one batched ``sum K^* K`` and the sum check,
+(``Instrument._from_kraus``): the effects ``sum K^* K`` as one batched Gram
+product of each outcome's operators stacked as rows, and the sum check,
 which implies each outcome's trace-non-increase, and label distinctness.
 The public constructors keep the checks above.
 
@@ -43,7 +44,6 @@ partial trace over the output slot, and an operation applies to a matrix via
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -94,6 +94,16 @@ def _kraus_vectors(stack: Array) -> Array:
     return stack.transpose(2, 1, 0).reshape(dim * dim, r)
 
 
+def _padded(stacks: Sequence[Array]) -> Array:
+    """``(m, r, d, d)`` array of ``m`` Kraus stacks of one dimension: stack
+    ``s`` in ``[s, :len(s)]``, then zero operators up to ``r``, the longest
+    length.  A new array: never a view of the stacks."""
+    out = np.zeros((len(stacks), max(len(s) for s in stacks), *np.shape(stacks[0])[1:]), dtype=complex)
+    for o, s in zip(out, stacks):
+        o[: len(s)] = s
+    return out
+
+
 def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     """Frobenius distances ``||C_K - C_L||_F`` between the Choi matrices of
     paired Kraus stacks ``(K, L)`` of one dimension ``d``, never forming one.
@@ -111,12 +121,9 @@ def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     it saves.  All pairs go through one batched call.  A pair of
     bitwise-equal stacks gives exactly 0.0.
     """
-    stacks = [*ks, *ls]
-    counts = np.array([len(s) for s in stacks])
-    m, r, n = len(ks), counts.max(), stacks[0].shape[1] ** 2
-    v = np.zeros((2 * m, r, n), dtype=complex)
-    v[np.arange(r) < counts[:, None]] = np.concatenate(stacks).reshape(-1, n)  # stack s in v[s, :counts[s]]
-    v = v.reshape(2, m, r, n)
+    padded = _padded([*ks, *ls])
+    m, r, n = len(ks), padded.shape[1], padded.shape[2] ** 2
+    v = padded.reshape(2, m, r, n)
     w = v.transpose(1, 3, 0, 2).reshape(m, n, 2 * r)
     if n > max(16, 2 * r):
         w = np.linalg.qr(w, mode="r")
@@ -332,20 +339,21 @@ class Instrument(LabelledFamily):
     def _from_kraus(cls, items: Iterable[tuple[Label, Array]], sum_tol: float = CHOI_TOL) -> "Instrument":
         """Instrument from one ``(r, d, d)`` Kraus stack per outcome label, all
         of one shape and already checked finite (``kraus_instrument`` coerces
-        a caller's operators), validated once: one concatenation, one batched
-        ``sum_k K_k^* K_k`` for the effects, one label-distinctness, dimension
-        and ``trace-preserving-sum`` check.  As every ``A_x >= 0``, the sum check
+        a caller's operators), validated once: the effects from one batched
+        Gram product of the stacks zero-padded as rows (``_padded``), one
+        label-distinctness, dimension and ``trace-preserving-sum`` check.
+        As every ``A_x >= 0``, the sum check
         gives ``A_x <= (1 + sum_tol) 1``: the outcomes' trace-non-increase bound."""
         instr = cls.__new__(cls)
         labels, stacks = instr._checked_items(items, trusted=True)
         counts = [len(ks) for ks in stacks]
         if 0 in counts:
             raise DimensionError("need at least one Kraus operator")
-        stack = read_only(np.concatenate(stacks).astype(complex, copy=False))
-        instr.dim = stack.shape[1]
-        bounds = [0, *accumulate(counts)]
-        effects = read_only(hermitian_part(np.add.reduceat(stack.conj().swapaxes(1, 2) @ stack, bounds[:-1])))
-        ops = [Operation._unchecked(stack[s:e], a) for s, e, a in zip(bounds, bounds[1:], effects)]
+        padded = read_only(_padded(stacks))
+        instr.dim = padded.shape[-1]
+        rows = padded.reshape(len(stacks), -1, instr.dim)
+        effects = read_only(hermitian_part(rows.conj().swapaxes(1, 2) @ rows))
+        ops = [Operation._unchecked(ks[:r], a) for ks, r, a in zip(padded, counts, effects)]
         instr._set_members(labels, ops, effects, sum_tol)
         return instr
 

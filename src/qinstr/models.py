@@ -7,14 +7,16 @@ matrices when available (von Neumann, swap, dilation) and as operations
 otherwise.
 
 A model forms what it derives from its parts on first read (``FIMM``);
-``model_instrument`` only reads its interaction on the probe state's
-support, which for a dilation is the isometry it is built from.
+``model_instrument`` only reads its pointer's roots and its interaction on
+the probe state's support, which for a dilation are identity columns and
+the isometry it is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +44,9 @@ from .observables import (
     Label,
     Observable,
     StochasticMatrix,
+    _basis_projections,
     _projections,
     classify_observable,
-    obs_post_process,
 )
 
 
@@ -66,11 +68,14 @@ class FIMM:
     ``interaction`` is kept as given, a unitary matrix or an operation.  What
     the model derives is formed on first read and kept: ``couplings``, the
     interaction's read-only ``(c, n, n)`` Kraus stack (``u[None]`` for a
-    unitary ``u``); ``sharp``; and ``_restricted``, the couplings on the
-    probe state's support, ``W_c = U_c (1 (x) R_eta)`` for ``eta = R_eta
-    R_eta^*``, a ``(c, n, d, s)`` stack for ``n = d dk`` and ``s = rank(eta)``.
-    A dilation starts from ``W``, its isometry, completes ``interaction`` and
-    ``couplings`` on first read, and ``_repointed`` gives it another pointer.
+    unitary ``u``); ``sharp``; the root factors ``_pointer_roots`` of the
+    ``F_x^T`` and ``_probe_root`` of ``eta = R_eta R_eta^*``; and
+    ``_restricted``, the couplings on the probe state's support,
+    ``W_c = U_c (1 (x) R_eta)``, a ``(c, n, d, s)`` stack for ``n = d dk``
+    and ``s = rank(eta)``.  A dilation starts from ``W``, its isometry, its
+    roots, identity columns, and ``_owner``, each probe slot's outcome; it
+    completes ``interaction`` and ``couplings`` on first read, and
+    ``_repointed`` gives it another pointer.
     """
 
     def __init__(
@@ -107,19 +112,28 @@ class FIMM:
         return m
 
     @classmethod
-    def _dilation(cls, dim_probe: int, iso: Array, pointer: Observable) -> "FIMM":
+    def _dilation(cls, iso: Array, labels: Sequence[Label], owner: Array) -> "FIMM":
         """Model with probe state ``|0><0|``, whose root is ``e_0``, on an
-        isometry ``iso`` (orthonormal columns, ``(d n) x d``): its ``W``."""
+        isometry ``iso`` (orthonormal columns, ``(d n) x d``): its ``W``.
+        Probe slot ``s`` belongs to outcome ``owner[s]`` of ``labels``: the
+        pointer effects are 0/1 slot projections, their roots identity columns."""
+        n = len(owner)
         m = cls.__new__(cls)
-        eta = np.zeros((dim_probe, dim_probe), dtype=complex)
+        eta = np.zeros((n, n), dtype=complex)
         eta[0, 0] = 1.0
-        m._set_parts(iso.shape[1], dim_probe, eta, pointer)
+        slots = np.eye(n, dtype=complex)
+        members = owner == np.arange(len(labels))[:, None]  # members[x, s]: slot s belongs to outcome x
+        m._set_parts(iso.shape[1], n, eta, Observable._valid(labels, members[:, None, :] * slots))
+        m._probe_root = slots[:, :1]
         m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
+        m._pointer_roots = [slots[:, row] for row in members]
+        m._owner = owner
         return m
 
-    def _repointed(self, pointer: Observable) -> "FIMM":
-        """A dilation of this dilation's isometry, shared, with another pointer."""
-        return self._dilation(self.dim_probe, self._restricted[0, :, :, 0], pointer)
+    def _repointed(self, labels: Sequence[Label], owner: Array) -> "FIMM":
+        """A dilation of this dilation's isometry, shared, with another
+        slot-to-outcome map (``_dilation``)."""
+        return self._dilation(self._restricted[0, :, :, 0], labels, owner)
 
     @cached_property
     def interaction(self) -> Array:
@@ -139,9 +153,19 @@ class FIMM:
         return u._kraus if isinstance(u, Operation) else u[None]
 
     @cached_property
+    def _probe_root(self) -> Array:
+        """``R_eta`` with ``eta = R_eta R_eta^*``."""
+        return root_factors(self.probe_state[None])[0]
+
+    @cached_property
     def _restricted(self) -> Array:
         """``W``: the couplings times the probe state's root factor."""
-        return read_only(self.couplings.reshape(*self.couplings.shape[:2], self.dim_base, -1) @ root_factors(self.probe_state[None])[0])
+        return read_only(self.couplings.reshape(*self.couplings.shape[:2], self.dim_base, -1) @ self._probe_root)
+
+    @cached_property
+    def _pointer_roots(self) -> list[Array]:
+        """``R_x`` with ``F_x^T = R_x R_x^*`` for each pointer effect."""
+        return root_factors(self.pointer.stack.swapaxes(1, 2))
 
     @cached_property
     def sharp(self) -> bool:
@@ -181,13 +205,13 @@ def model_instrument(m: FIMM) -> Instrument:
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
     ``eta = R_eta R_eta^*``.  An interaction given as an operation
-    contributes one such set per Kraus operator of its own.  The ``R_F``
-    come from one batched eigendecomposition of the ``F_x^T``; of the model,
-    only ``W = P (1 (x) R_eta)`` is read, which the model forms on first
-    read.  The outcomes must sum to a channel within ``MODEL_TOL``.
+    contributes one such set per Kraus operator of its own.  Of the model,
+    only the ``R_F`` and ``W = P (1 (x) R_eta)`` are read, which the model
+    forms on first read and a dilation holds from the start.  The outcomes
+    must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
-    roots = root_factors(m.pointer.stack.swapaxes(1, 2))
+    roots = m._pointer_roots
     w = m._restricted
     # q[(k, i), c, a, s] = W_c[(i, a), k, s], over the couplings c
     q = w.reshape(len(w), d, dk, d, -1).transpose(3, 1, 0, 2, 4).reshape(d * d, len(w), dk, -1)
@@ -237,13 +261,16 @@ def von_neumann_unitary(base_basis: object, probe_basis: object) -> Array:
 
 
 def _pairing_unitary(base: Array, probe: Array) -> Array:
-    """``von_neumann_unitary`` of bases already checked by ``_checked_bases``."""
+    """``von_neumann_unitary`` of bases already checked by ``_checked_bases``:
+    ``sum_i |psi_i><psi_i| (x) V_i`` for the probe permutations ``V_i``, as
+    one ``(d^2, d) (d, d^2)`` product."""
     d = base.shape[0]
     target = np.tile(np.arange(d), (d, 1))  # target[i, j]: where probe slot j goes under psi_i
     target[:, 0] = np.arange(d)
     target[np.arange(1, d), np.arange(1, d)] = 0
-    perms = np.einsum("aij,bj->iab", probe[:, target], probe.conj())
-    return np.einsum("ai,bi,ikl->akbl", base, base.conj(), perms).reshape(d * d, d * d)
+    perms = probe[:, target].transpose(1, 0, 2) @ probe.conj().T  # perms[i] = V_i
+    u = _basis_projections(base).reshape(d, d * d).T @ perms.reshape(d, d * d)  # u[(a, b), (k, l)]
+    return u.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -285,10 +312,10 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     w = model.base_basis
     phi = model.probe_basis
     labels = model.pointer.labels
-    base_projs = read_only(np.einsum("ai,bi->iab", w, w.conj()))
+    base_projs = read_only(_basis_projections(w))
     channel = Operation._unchecked(base_projs)  # projections summing to 1: a channel
 
-    h = np.einsum("ai,xab,bj->xij", phi.conj(), model.pointer.stack, phi)  # h[x, i, j] = <phi_i, F_x phi_j>
+    h = phi.conj().T @ model.pointer.stack @ phi  # h[x, i, j] = <phi_i, F_x phi_j>
     kraus = [(x, (w * r.T[:, None, :]) @ w.conj().T) for x, r in zip(labels, root_factors(hermitian_part(h.swapaxes(1, 2))))]
     effects = np.einsum("xi,iab->xab", np.diagonal(h, axis1=1, axis2=2).real, base_projs)
     return Instrument._from_kraus(kraus), channel, Observable._valid(labels, effects)
@@ -342,10 +369,7 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     if frob(iso.conj().T @ iso - np.eye(d)) > ORTHO_TOL * d:
         raise NotIsometry("polished Kraus columns are not orthonormal")
 
-    slot = np.arange(n)
-    pointer = np.zeros((len(counts), n, n), dtype=complex)
-    pointer[np.repeat(np.arange(len(counts)), counts), slot, slot] = 1.0
-    return FIMM._dilation(n, iso, Observable._valid(instr.labels, pointer))
+    return FIMM._dilation(iso, instr.labels, np.repeat(np.arange(len(counts)), counts))
 
 
 def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
@@ -353,18 +377,21 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     atomic pointer), one per pointer outcome.
 
     ``S_x[j, i] = <e_j (x) phi_x, U (e_i (x) phi)>`` with ``phi`` the initial
-    probe vector and ``phi_x`` the pointer atoms, both phase-fixed.
+    probe vector and ``phi_x`` the pointer atoms, both phase-fixed.  Of the
+    interaction only ``W`` is read (``FIMM``), whose probe root is ``phi``
+    times a phase, divided out here: a dilation completes no unitary.
     """
-    if len(m.couplings) != 1:  # one coupling is unitary: by construction or checked at build
+    w = m._restricted
+    if len(w) != 1:  # one coupling is unitary: by construction or checked at build
         raise NotNormal("interaction channel is not unitary")
-    u = m.couplings[0]
     try:
         vectors = _phase_fixed_unit_vectors(np.concatenate([m.probe_state[None], m.pointer.stack]))
     except NotNormal as exc:
         raise NotNormal(f"model is not normal: {exc}") from exc
 
     d, dk = m.dim_base, m.dim_probe
-    evolved = u.reshape(d, dk, d, dk) @ vectors[:, 0]  # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>
+    # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>, from W's column of the top root r = <phi, r> phi
+    evolved = w[0, :, :, -1].reshape(d, dk, d) / np.vdot(vectors[:, 0], m._probe_root[:, -1])
     extracted = dict(zip(m.pointer.labels, np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())))
     total = sum(s.conj().T @ s for s in extracted.values())
     residual = frob(total - np.eye(d))
@@ -413,7 +440,7 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     """
     maps = _marginal_maps(joint.labels)
     m = dilate_instrument(joint)
-    return tuple(m._repointed(obs_post_process(nu, m.pointer)) for nu in maps)
+    return tuple(m._repointed(nu.col_labels, nu.matrix.argmax(axis=1)[m._owner]) for nu in maps)
 
 
 def marginal_instruments(joint: Instrument) -> tuple[Instrument, Instrument]:

@@ -430,13 +430,18 @@ def fourier_mub(d: int) -> tuple[Array, Array]:
     return np.eye(d, dtype=complex), f
 
 
+def _basis_projections(w: Array) -> Array:
+    """``(d, d, d)`` stack of the projections ``w_i w_i^*`` onto the columns of ``w``."""
+    return w.T[:, :, None] * w.T.conj()[:, None, :]
+
+
 def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Observable:
     """Sharp atomic observable built from the columns of a unitary matrix."""
     b = np.asarray(basis, dtype=complex)
     d = b.shape[1]
     if labels is None:
         labels = [str(j) for j in range(d)]
-    return Observable(zip(labels, b.T[:, :, None] * b.T[:, None, :].conj()))
+    return Observable(zip(labels, _basis_projections(b)))
 
 
 def identity_observable(weights: Mapping[Label, float], dim: int) -> Observable:

@@ -73,6 +73,7 @@ from .observables import (
     Observable,
     StochasticMatrix,
     atomic_observable,
+    check_distinct_labels,
     classify_observable,
     combine_labels,
     complementarity_residual,
@@ -584,11 +585,12 @@ def _marginal_observables(c: Observable) -> tuple[Observable, ...]:
 
 
 def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
-    """A dilation of ``m1``'s isometry, as ``m1`` is one, with the product of
-    the two models' commuting pointers, on the product value-space."""
-    p1, p2 = m1.pointer, m2.pointer
-    pointer = Observable({combine_labels(x, y): p1[x] @ p2[y] for x in p1.labels for y in p2.labels})
-    return m1._repointed(pointer)
+    """A dilation of ``m1``'s isometry with the product of the two models'
+    commuting pointers, on the product value-space: both are re-pointings of
+    one dilation, so probe slot ``s`` goes to the pair of its two outcomes."""
+    p1, p2 = m1.pointer.labels, m2.pointer.labels
+    labels = check_distinct_labels([combine_labels(x, y) for x in p1 for y in p2])
+    return m1._repointed(labels, m1._owner * len(p2) + m2._owner)
 
 
 def _suite_thm_4_1(run: _Run) -> None:

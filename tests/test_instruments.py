@@ -634,6 +634,32 @@ class TestComposedKraus:
             assert np.array_equal(a._kraus, k) and not np.shares_memory(a._kraus, k)
 
 
+class TestBatchedEffects:
+    """``Instrument._from_kraus`` forms every outcome's effect from one batched
+    Gram product of zero-padded rows; ``Operation.induced_effect`` is the
+    reference, one outcome at a time."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_unequal_counts_and_a_full_rank_outcome(self, d, rng):
+        from qinstr.linalg import inverse_root
+        from qinstr.rand import ginibre
+
+        counts = [1, 3, 2, d * d]
+        ks = np.array([ginibre(d, rng) for _ in range(sum(counts))])
+        ks = ks @ inverse_root(sum(k.conj().T @ k for k in ks))[1]  # the operators of one instrument
+        stacks = np.split(ks, np.cumsum(counts)[:-1])
+        instr = Instrument._from_kraus(zip("abcd", stacks))
+        for (_, op), k, effect in zip(instr.items(), stacks, instr.effects):
+            assert np.array_equal(op._kraus, k)
+            assert frob(effect - Operation(kraus=k).induced_effect) <= 1e-14 * d
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 7])
+    def test_one_operator_per_outcome_is_bitwise(self, d, rng):
+        instr = random_kraus_instrument(d, 4, rng)
+        for (_, op), effect in zip(instr.items(), instr.effects):
+            np.testing.assert_array_equal(effect, Operation(kraus=op._kraus).induced_effect)
+
+
 class TestMinimalKraus:
     def test_one_operator_stack_comes_back_without_an_svd(self, rng, eig_calls):
         for ops in (random_instrument(3, 1, rng, 1)["0"]._kraus, np.zeros((1, 3, 3), dtype=complex), np.zeros((0, 3, 3))):

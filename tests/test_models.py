@@ -542,7 +542,8 @@ class TestSimultaneousModelsShareTheIsometry:
         for joint in self._joints(rng):
             m = dilate_instrument(joint)
             eig_calls.qr_calls.clear()
-            first, second = (m._repointed(obs_post_process(nu, m.pointer)) for nu in models._marginal_maps(joint.labels))
+            maps = models._marginal_maps(joint.labels)
+            first, second = (m._repointed(nu.col_labels, nu.matrix.argmax(axis=1)[m._owner]) for nu in maps)
             repointed = [first, second, _product_pointer_model(first, second)]
             assert eig_calls.qr_calls == []
             for r in repointed:
@@ -552,6 +553,9 @@ class TestSimultaneousModelsShareTheIsometry:
             assert "interaction" not in vars(m)
 
     def test_measured_instruments_match_the_unitary_route(self, rng):
+        # Not bitwise: the oracle's eigh orders the roots of a non-contiguous
+        # 0/1 diagonal its own way, not by slot, and the full-rank joint's
+        # outcomes are then reduced by an SVD of permuted columns.
         from qinstr.verify import _product_pointer_model
 
         for joint in self._joints(rng):
@@ -561,12 +565,14 @@ class TestSimultaneousModelsShareTheIsometry:
                 for nu in models._marginal_maps(joint.labels)
             ]
             new = list(simultaneous_fimms(joint))
+            p1, p2 = old[0].pointer, old[1].pointer
+            product = Observable({combine_labels(x, y): p1[x] @ p2[y] for x in p1.labels for y in p2.labels})
             new.append(_product_pointer_model(*new))
-            old.append(FIMM._unitary(m.dim_base, m.dim_probe, m.probe_state, m.interaction, new[-1].pointer))
+            old.append(FIMM._unitary(m.dim_base, m.dim_probe, m.probe_state, m.interaction, product))
             for a, b in zip(new, old):
-                for (x, p), (y, q) in zip(model_instrument(a).items(), model_instrument(b).items()):
-                    assert x == y
-                    np.testing.assert_array_equal(p._kraus, q._kraus)
+                assert a.pointer.labels == b.pointer.labels
+                np.testing.assert_array_equal(a.pointer.stack, b.pointer.stack)
+                assert family_distance(model_instrument(a), model_instrument(b)) <= 1e-14
 
 
 class TestFimmValidation:
@@ -595,6 +601,17 @@ def _loop_von_neumann_unitary(base, probe):
             perm += np.outer(probe[:, tgt], probe[:, j].conj())
         u += np.kron(p_base, perm)
     return u
+
+
+def _einsum_pairing_unitary(base, probe):
+    """The basis-pairing unitary from two einsum contractions: the probe
+    permutations, then ``sum_i |psi_i><psi_i| (x) V_i``."""
+    d = base.shape[0]
+    target = np.tile(np.arange(d), (d, 1))
+    target[:, 0] = np.arange(d)
+    target[np.arange(1, d), np.arange(1, d)] = 0
+    perms = np.einsum("aij,bj->iab", probe[:, target], probe.conj())
+    return np.einsum("ai,bi,ikl->akbl", base, base.conj(), perms).reshape(d * d, d * d)
 
 
 def _loop_model_instrument(m, atol=MODEL_TOL):
@@ -707,6 +724,11 @@ class TestBatchedKernelsAgainstLoops:
         base, probe = random_unitary(d, rng), random_unitary(d, rng)
         assert frob(von_neumann_unitary(base, probe) - _loop_von_neumann_unitary(base, probe)) <= 1e-14
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_pairing_unitary_matches_the_einsum_formula(self, d, rng):
+        base, probe = random_unitary(d, rng), random_unitary(d, rng)
+        assert frob(models._pairing_unitary(base, probe) - _einsum_pairing_unitary(base, probe)) <= 1e-14
+
     def test_model_instrument(self, rng):
         for m in _oracle_models(rng):
             batched, loop = model_instrument(m), _loop_model_instrument(m)
@@ -777,7 +799,7 @@ class TestDilationCompletedOnRead:
         eig_calls.calls.clear()
         eig_calls.qr_calls.clear()
         model_instrument(m)
-        assert eig_calls.calls == [(m.dim_probe, 3)]  # the pointer's roots; the probe state's is the isometry's e_0
+        assert eig_calls.calls == []  # the pointer's roots are identity columns; the probe state's is the isometry's e_0
         assert eig_calls.qr_calls == []
         assert "interaction" not in vars(m) and "couplings" not in vars(m)
 
@@ -799,7 +821,7 @@ class TestDilationCompletedOnRead:
         assert eig_calls.calls == [(3, 4), (3, 1)]  # every pointer effect, then the probe state as the model forms W
         eig_calls.calls.clear()
         again = model_instrument(m)
-        assert eig_calls.calls == [(3, 4)]  # the pointer only
+        assert eig_calls.calls == []  # the pointer's roots and W are kept
         assert m._restricted.shape == (1, 6, 2, 3) and not m._restricted.flags.writeable
         assert family_distance(first, again) == 0.0
 
@@ -808,6 +830,49 @@ class TestDilationCompletedOnRead:
         for kraus in (2, 1):
             instr = random_instrument(d, 3, rng, kraus)
             assert family_distance(model_instrument(dilate_instrument(instr)), instr) <= 7e-14  # the north-star bound
+
+    def test_normal_extract_reads_the_isometry(self, rng, eig_calls):
+        for d, n in [(2, 2), (3, 4), (4, 3)]:
+            m = dilate_instrument(random_kraus_instrument(d, n, rng))
+            eig_calls.qr_calls.clear()
+            extracted = normal_fimm_kraus_extract(m)
+            assert eig_calls.qr_calls == []
+            assert "interaction" not in vars(m) and "couplings" not in vars(m)
+            for x, s in _loop_normal_extract(m).items():  # the oracle completes the unitary
+                assert frob(extracted[x] - s) <= 1e-12
+
+
+class TestKnownPointerRoots:
+    """A dilation, and every model re-pointed from it, holds its pointer's
+    roots: identity columns, one per probe slot of the outcome."""
+
+    @staticmethod
+    def _dilations(rng):
+        from qinstr.verify import _product_pointer_model
+
+        yield dilate_instrument(random_instrument(3, 3, rng, 2))
+        yield dilate_instrument(trivial_instrument(random_observable(2, 3, rng), random_state(2, rng)))  # d^2 slots per outcome
+        labels = [combine_labels(x, y) for x in "01" for y in "012"]
+        for joint in (
+            Instrument(zip(labels, (op for _, op in random_instrument(2, 6, rng, 2).items()))),
+            trivial_instrument(random_observable(3, 6, rng, labels=labels), random_state(3, rng)),
+        ):
+            first, second = simultaneous_fimms(joint)
+            yield from (first, second, _product_pointer_model(first, second))
+
+    def test_roots_square_to_the_pointer(self, rng):
+        for m in self._dilations(rng):
+            assert len(m._pointer_roots) == len(m.pointer)
+            for r, f in zip(m._pointer_roots, m.pointer.stack):
+                np.testing.assert_array_equal(r @ r.T, f)
+
+    def test_model_instrument_makes_no_eigensolve(self, rng, eig_calls):
+        for m in self._dilations(rng):
+            eig_calls.calls.clear()
+            measured = model_instrument(m)
+            assert eig_calls.calls == []
+            expected = _loop_model_instrument(m)  # roots from one eigensolve per pointer effect
+            assert family_distance(measured, expected) <= 1e-13
 
 
 class TestModelEigensolveCounts:
@@ -819,12 +884,12 @@ class TestModelEigensolveCounts:
         assert eig_calls.calls == [(3, m), (3, 1)]  # every pointer effect, then the probe state as the model forms W
         eig_calls.calls.clear()
         model_instrument(model)
-        assert eig_calls.calls == [(3, m)]  # W is kept
+        assert eig_calls.calls == []  # the pointer's roots and W are kept
         dilation = dilate_instrument(random_kraus_instrument(2, m, rng))
         for _ in range(2):
             eig_calls.calls.clear()
             model_instrument(dilation)
-            assert eig_calls.calls == [(m, m)]  # W is the isometry
+            assert eig_calls.calls == []  # W is the isometry, and the roots identity columns
 
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_dilate_one_qr_call(self, kraus, rng, eig_calls):
