@@ -15,23 +15,19 @@ Choi matrices are formed on read (``O(r d^4)`` for ``r`` operators) and not
 kept, so no operation carries a ``d^4`` array it did not come with; writing
 a document is their one reader here.  Comparisons (``family_distance``,
 ``marginal_defect``, ``operations_close``, ``is_identity_instrument``) stay
-in Kraus form, through ``choi_distances``: ``O(d^2 r^2)`` per pair of
-Kraus-built operations.  A comparison with a Choi-input operation in it is
-made in Choi form, ``O(d^4 r)`` per matrix formed and one subtraction.
+in Kraus form, through ``choi_distances`` on the padded arrays:
+``O(d^2 r^2)`` per pair of Kraus-built operations.  A comparison with a
+Choi-input operation in it is made in Choi form, ``O(d^4 r)`` per matrix
+formed and one subtraction.
 
-Kraus stacks built here and in ``models`` (compositions, total channels,
-mixtures, post-processings, trivial and model instruments) are not minimal;
-``minimal_kraus`` cuts one to its Choi rank.  An instrument is a labelled
-family (``observables.LabelledFamily``) of operations whose sum is
-trace-preserving.  It keeps its induced effects as one ``(m, d, d)`` stack:
-the unique observable that reproduces its outcome probabilities, PSD by
-construction as every effect is a ``sum K^* K``.
-
-Builders here and in ``models`` validate an instrument once
-(``Instrument._from_kraus``): the effects ``sum K^* K`` as one batched Gram
-product of each outcome's operators stacked as rows, and the sum check,
-which implies each outcome's trace-non-increase, and label distinctness.
-The public constructors keep the checks above.
+An instrument (an ``observables.LabelledFamily``) is one read-only
+zero-padded ``(m, r, d, d)`` Kraus array, outcome ``x``'s operators
+``kraus[x, :counts[x]]``, and its induced effects, PSD by construction;
+its ``Operation`` objects are formed on first read.  Builders hand their
+array to ``Instrument._from_kraus``, which validates once.  Combinators are
+one broadcast product or weighted concatenation of the arrays, a gather
+where padding would interleave, and one batched cut of each outcome above
+``d^2`` operators (``_assembled``).
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -51,22 +47,10 @@ import numpy as np
 from .effects import ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, NotComplete
 from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, RANK_REL_TOL
-from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_factors
-from .observables import (
-    Label,
-    LabelledFamily,
-    check_distinct_labels,
-    Observable,
-    StochasticMatrix,
-    _set_probability,
-    check_weights,
-    combine_labels,
-    complementarity_defects,
-    family_distance,
-    marginal_defect,
-    row_members,
-    shared_value_space,
-)
+from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_columns
+from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
+from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
+from .observables import row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
@@ -89,41 +73,94 @@ def _kraus_stack(ops: Sequence[object]) -> Array:
 
 
 def _kraus_vectors(stack: Array) -> Array:
-    """Columns ``v[(i, a)] = K[a, i]``, one per Kraus operator: ``choi = V V^*``."""
-    r, dim, _ = stack.shape
-    return stack.transpose(2, 1, 0).reshape(dim * dim, r)
+    """Columns ``v[(i, a)] = K[a, i]``, one per Kraus operator of a stack or
+    of each stack of a batch: ``choi = V V^*``."""
+    return stack.swapaxes(-1, -3).reshape(*stack.shape[:-3], stack.shape[-1] ** 2, stack.shape[-3])
+
+
+def kraus_from_vectors(vecs: Array, dim: int) -> Array:
+    """The Kraus operators whose ``vec(K^T)`` are the columns of ``vecs``,
+    or of each of a batch: the inverse of ``_kraus_vectors``."""
+    return vecs.swapaxes(-1, -2).reshape(*vecs.shape[:-2], vecs.shape[-1], dim, dim).swapaxes(-1, -2)
 
 
 def _padded(stacks: Sequence[Array]) -> Array:
-    """``(m, r, d, d)`` array of ``m`` Kraus stacks of one dimension: stack
-    ``s`` in ``[s, :len(s)]``, then zero operators up to ``r``, the longest
-    length.  A new array: never a view of the stacks."""
+    """New ``(m, r, d, d)`` array of ``m`` Kraus stacks: stack ``s`` in
+    ``[s, :len(s)]``, then zero operators up to ``r``, the longest length."""
     out = np.zeros((len(stacks), max(len(s) for s in stacks), *np.shape(stacks[0])[1:]), dtype=complex)
     for o, s in zip(out, stacks):
         o[: len(s)] = s
     return out
 
 
+def _filled(kraus: Array, counts: Array) -> Array:
+    """``(m, r)`` mask of the operators of a padded array that are not padding."""
+    return np.arange(kraus.shape[1]) < counts[:, None]
+
+
+def _kept(s: Array) -> Array:
+    """Which descending singular values ``minimal_kraus`` keeps: squares
+    above ``KRAUS_EIG_TOL`` times the largest's, and the largest always."""
+    keep = s * s > KRAUS_EIG_TOL * s[..., :1] ** 2
+    keep[..., 0] = True
+    return keep
+
+
+def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
+    """A padded array and its counts with each outcome above ``limit``
+    operators cut as ``minimal_kraus`` cuts one stack: one batched call for
+    their singular values (zero padding columns add zero ones, which none
+    keeps), then one batched SVD of the outcomes not at full column rank."""
+    cut = np.flatnonzero(counts > limit)
+    if cut.size:
+        v = _kraus_vectors(kraus[cut, : counts[cut].max()])
+        low = _kept(np.linalg.svd(v, compute_uv=False)).sum(1) < counts[cut]
+        cut, v = cut[low], v[low][..., : counts[cut[low]].max(initial=0)]
+    if not cut.size:
+        return kraus, counts
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    keep, counts = _kept(s), counts.copy()
+    counts[cut] = keep.sum(1)
+    out = kraus[:, : counts.max()].copy()
+    out[cut] = 0.0
+    new = kraus_from_vectors(u * (s * keep)[:, None], kraus.shape[-1])[:, : out.shape[1]]
+    out[cut, : new.shape[1]] = new
+    return out, counts
+
+
+def _assembled(labels: Sequence[Label], ops: Array, valid: Array, sum_tol: float) -> "Instrument":
+    """Instrument whose outcome ``x`` (over the leading axes) has its ``ops``
+    that ``valid`` marks, in order, or one zero operator, cut as in
+    ``bounded_kraus``."""
+    counts = valid.reshape(len(labels), -1).sum(1)
+    if valid.all():
+        kraus = ops.reshape(len(labels), -1, *ops.shape[-2:])
+    else:
+        kraus = np.zeros((len(labels), max(counts.max(), 1), *ops.shape[-2:]), dtype=complex)
+        kraus[_filled(kraus, counts)] = ops[valid]
+        counts = np.maximum(counts, 1)
+    return Instrument._from_kraus(labels, *_reduced(kraus, counts, ops.shape[-1] ** 2), sum_tol=sum_tol)
+
+
 def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     """Frobenius distances ``||C_K - C_L||_F`` between the Choi matrices of
-    paired Kraus stacks ``(K, L)`` of one dimension ``d``, never forming one.
+    paired Kraus stacks ``(K, L)`` of one dimension ``d``, never forming one;
+    either side a sequence of stacks or one padded ``(m, r, d, d)`` array.
 
-    Every stack is padded with zero operators to the longest, ``r`` long.
-    The two stacks' operators, flattened (the Choi matrix's row order up to
-    one fixed permutation, which keeps the norm), are the columns of the
-    ``d^2 x 2r`` matrix ``W = [V_K, V_L]``, so ``C_K - C_L = W S W^*`` with
-    ``S = diag(1, -1)``.  Past ``d = 4``, when ``W`` is tall (``d^2 > 2r``),
-    one QR, ``W = Q R``, turns this into ``R S R^*``: a ``2r`` square
-    difference (no difference of squared norms), for ``O(d^2 r^2)`` work
-    instead of the ``O(d^4 r)`` of the Choi form.  Otherwise ``W S W^*`` is
-    formed directly: for a wide ``W`` the QR would not shrink the square,
-    and up to ``d = 4`` the QR call's fixed cost is larger than the product
-    it saves.  All pairs go through one batched call.  A pair of
-    bitwise-equal stacks gives exactly 0.0.
+    Padded to ``r`` operators a side, the flattened operators (the Choi row
+    order up to a fixed permutation, which keeps the norm) are the columns
+    of ``W = [V_K, V_L]``, ``d^2 x 2r``, so ``C_K - C_L = W S W^*`` with
+    ``S = diag(1, -1)``.  Past ``d = 4``, when ``W`` is tall, one QR
+    ``W = Q R`` turns this into the ``2r`` square ``R S R^*`` (no difference
+    of squared norms): ``O(d^2 r^2)`` work instead of ``O(d^4 r)``.  For a
+    wide ``W`` the QR would not shrink the square, and up to ``d = 4`` it
+    costs more than it saves.  All pairs go through one batched call, and a
+    pair of bitwise-equal stacks gives exactly 0.0.
     """
-    padded = _padded([*ks, *ls])
-    m, r, n = len(ks), padded.shape[1], padded.shape[2] ** 2
-    v = padded.reshape(2, m, r, n)
+    k, l = (s if isinstance(s, np.ndarray) else _padded(s) for s in (ks, ls))
+    m, r, n = len(k), max(k.shape[1], l.shape[1]), k.shape[-1] ** 2
+    v = np.zeros((2, m, r, n), dtype=complex)
+    v[0, :, : k.shape[1]], v[1, :, : l.shape[1]] = k.reshape(m, -1, n), l.reshape(m, -1, n)
     w = v.transpose(1, 3, 0, 2).reshape(m, n, 2 * r)
     if n > max(16, 2 * r):
         w = np.linalg.qr(w, mode="r")
@@ -131,50 +168,27 @@ def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, np.linalg.norm(gap, axis=(1, 2)))
 
 
-def _operation_distances(groups: Sequence[Sequence["Operation"]], others: Sequence["Operation"]) -> Array:
-    """``||sum_g C_g - C_o||_F`` for each group ``g`` of operations and the
-    operation ``o`` paired with it, through one ``choi_distances`` call.  A
-    comparison with a Choi-input operation in it is made in Choi form: the
-    kept matrix costs nothing to read, while its canonical Kraus stack can be
-    ``d^2`` long, where the kernel's work grows as ``d^6``."""
-    if any(op._choi is not None for g, o in zip(groups, others) for op in (*g, o)):
-        return np.array([frob(sum(op.choi for op in g) - o.choi) for g, o in zip(groups, others)])
-    return choi_distances([np.concatenate([op._kraus for op in g]) for g in groups], [o._kraus for o in others])
-
-
-def kraus_from_vectors(vecs: Array, dim: int) -> Array:
-    """``(r, d, d)`` stack of the Kraus operators whose ``vec(K^T)`` are the
-    ``r`` columns of ``vecs``; the inverse of ``_kraus_vectors``."""
-    return vecs.T.reshape(-1, dim, dim).transpose(0, 2, 1)
-
-
 def minimal_kraus(ops: Array, dim: int) -> Array:
     """Kraus operators of the same map, as many as its Choi rank.
 
-    A ``(r, d, d)`` stack of linearly independent operators comes back
-    unchanged.  Any other is replaced by the canonical operators from an SVD
-    of the stacked ``vec(K^T)`` columns, whose squared singular values are
-    the Choi eigenvalues: those above ``KRAUS_EIG_TOL`` times the largest
-    are kept, and the largest always is.  So an empty or one-operator stack
-    comes back unchanged, with no SVD.
+    A ``(r, d, d)`` stack of linearly independent operators, or of at most
+    one, comes back unchanged.  Any other is replaced by the canonical
+    operators from an SVD of the stacked ``vec(K^T)`` columns, whose squared
+    singular values are the Choi eigenvalues (``_kept``).
     """
     if len(ops) <= 1:
         return ops
     u, s, _ = np.linalg.svd(_kraus_vectors(ops), full_matrices=False)
-    keep = s * s > KRAUS_EIG_TOL * s[0] ** 2
-    keep[0] = True
+    keep = _kept(s)
     if np.count_nonzero(keep) == len(ops):
         return ops
     return kraus_from_vectors(u[:, keep] * s[keep], dim)
 
 
 def bounded_kraus(ops: Array, dim: int) -> Array:
-    """Kraus operators of the same map, at least one and at most ``dim**2``.
-
-    Stacks within the bound come back unchanged, longer ones are reduced by
-    ``minimal_kraus``, and an empty stack (the zero map, as extracted from a
-    zero Choi matrix) becomes one zero operator.
-    """
+    """Kraus operators of the same map, at least one and at most ``dim**2``:
+    longer stacks are cut by ``minimal_kraus``, and an empty one (the zero
+    map of a zero Choi matrix) becomes one zero operator."""
     if len(ops) == 0:
         return np.zeros((1, dim, dim), dtype=complex)
     if len(ops) <= dim * dim:
@@ -224,9 +238,8 @@ class Operation:
     @classmethod
     def _unchecked(cls, kraus: Array, effect: Array | None = None) -> "Operation":
         """Operation on a read-only Kraus stack, with no check: an outcome of
-        ``Instrument._from_kraus`` (whose sum check implies trace-non-increase)
-        with its induced ``effect`` already formed, or an instrument's channel.
-        Without ``effect`` it is formed on first use."""
+        an instrument (whose sum check implies trace-non-increase) with its
+        ``effect``, or a channel, whose effect is formed on first use."""
         op = cls.__new__(cls)
         op._kraus, op.dim = kraus, kraus.shape[1]
         if effect is not None:
@@ -299,10 +312,12 @@ def ensure_channel(op: Operation) -> Operation:
 
 def operations_close(a: Operation, b: Operation, tol: float) -> bool:
     """Choi matrices within ``tol`` in Frobenius norm, compared in Kraus form
-    unless one of them was given as a Choi matrix."""
+    unless one of them was given as a Choi matrix (as in ``_distances``)."""
     if a.dim != b.dim:
         return False
-    return _operation_distances([[a]], [b])[0] <= tol
+    if a._choi is None and b._choi is None:
+        return choi_distances([a._kraus], [b._kraus])[0] <= tol
+    return frob(a.choi - b.choi) <= tol
 
 
 def op_apply(phi: Operation, rho: object) -> Array:
@@ -315,52 +330,59 @@ def op_apply(phi: Operation, rho: object) -> Array:
 
 
 class Instrument(LabelledFamily):
-    """Family of operations, one per outcome label, summing to a channel.
+    """Family of operations, one per outcome label, summing to a channel:
+    the read-only padded ``kraus`` array, the ``counts`` and the ``(m, d,
+    d)`` stack of ``effects``, in label order.  The operations, on views of
+    ``kraus``, are formed on first read unless given."""
 
-    ``effects`` holds the outcomes' induced effects as a read-only
-    ``(m, d, d)`` stack in label order.
-    """
+    _choi_input = False  # whether an outcome was given as a Choi matrix
 
     def __init__(self, operations: Mapping[Label, Operation] | Iterable[tuple[Label, Operation]]):
         labels, ops = self._checked_items(operations)
         if not all(isinstance(op, Operation) for op in ops):
             raise DimensionError("instrument outcomes must be Operation instances")
-        self.dim = self._common_size((op.dim for op in ops), "operations")
-        self._set_members(labels, ops, np.stack([op.induced_effect for op in ops]), CHOI_TOL)
+        self._common_size((op.dim for op in ops), "operations")
+        stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops])
+        self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects, CHOI_TOL)
+        self._members, self._choi_input = dict(zip(labels, ops)), any(op._choi is not None for op in ops)
 
-    def _set_members(self, labels: list[Label], ops: list[Operation], effects: Array, sum_tol: float) -> None:
+    def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array, sum_tol: float) -> None:
+        self.dim = effects.shape[-1]
         residual = frob(effects.sum(0) - np.eye(self.dim))
         if not residual <= sum_tol:
             raise InvariantViolation("trace-preserving-sum", residual)
-        self.effects = read_only(effects)
-        self._members = dict(zip(labels, ops))
+        self.labels = tuple(labels)
+        self.kraus, self.counts, self.effects = read_only(kraus), read_only(counts), read_only(effects)
 
     @classmethod
-    def _from_kraus(cls, items: Iterable[tuple[Label, Array]], sum_tol: float = CHOI_TOL) -> "Instrument":
-        """Instrument from one ``(r, d, d)`` Kraus stack per outcome label, all
-        of one shape and already checked finite (``kraus_instrument`` coerces
-        a caller's operators), validated once: the effects from one batched
-        Gram product of the stacks zero-padded as rows (``_padded``), one
-        label-distinctness, dimension and ``trace-preserving-sum`` check.
-        As every ``A_x >= 0``, the sum check
-        gives ``A_x <= (1 + sum_tol) 1``: the outcomes' trace-non-increase bound."""
+    def _from_kraus(cls, labels: Sequence[Label], kraus: Array, counts: Array | None = None, sum_tol: float = CHOI_TOL):
+        """Instrument on a new padded Kraus array, ``counts`` (or all)
+        operators per outcome, checked finite, validated once: the effects
+        from one batched Gram product, label distinctness and the sum check,
+        which gives ``A_x <= (1 + sum_tol) 1``: trace-non-increase."""
         instr = cls.__new__(cls)
-        labels, stacks = instr._checked_items(items, trusted=True)
-        counts = [len(ks) for ks in stacks]
-        if 0 in counts:
+        labels = instr._checked_items(zip(labels, kraus), trusted=True)[0]
+        counts = np.full(len(kraus), kraus.shape[1]) if counts is None else np.asarray(counts)
+        if not counts.min() >= 1:
             raise DimensionError("need at least one Kraus operator")
-        padded = read_only(_padded(stacks))
-        instr.dim = padded.shape[-1]
-        rows = padded.reshape(len(stacks), -1, instr.dim)
-        effects = read_only(hermitian_part(rows.conj().swapaxes(1, 2) @ rows))
-        ops = [Operation._unchecked(ks[:r], a) for ks, r, a in zip(padded, counts, effects)]
-        instr._set_members(labels, ops, effects, sum_tol)
+        rows = kraus.reshape(len(kraus), -1, kraus.shape[-1])
+        instr._set(labels, kraus, counts, hermitian_part(rows.conj().swapaxes(1, 2) @ rows), sum_tol)
         return instr
 
+    @cached_property
+    def _members(self) -> dict[Label, Operation]:
+        ops = (Operation._unchecked(k[:c], a) for k, c, a in zip(self.kraus, self.counts, self.effects))
+        return dict(zip(self.labels, ops))
+
     def _distances(self, groups: Array, other: "Instrument") -> Array:
-        """Choi-form distances (``_operation_distances``)."""
-        ops = list(self._members.values())
-        return _operation_distances([[ops[k] for k in g] for g in groups], list(other._members.values()))
+        """Choi-form distances: ``choi_distances`` on the padded arrays, or
+        with a Choi input, whose Kraus stack can be ``d^2`` long (the kernel
+        then costs ``d^6``), a difference of the kept Choi matrices."""
+        if self._choi_input or other._choi_input:
+            ops, others = list(self._members.values()), list(other._members.values())
+            return np.array([frob(sum(ops[k].choi for k in g) - o.choi) for g, o in zip(groups, others)])
+        k = self.kraus[groups]
+        return choi_distances(k.reshape(len(groups), -1, self.dim, self.dim), other.kraus)
 
     @cached_property
     def _observable(self) -> Observable:
@@ -382,42 +404,37 @@ def induced_observable(instr: Instrument) -> Observable:
 
 def luders_instrument(a: Observable) -> Instrument:
     """Instrument with outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``."""
-    return Instrument._from_kraus(zip(a.labels, a.roots[:, None]))
+    return Instrument._from_kraus(a.labels, a.roots[:, None])
 
 
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     """Instrument that discards the input: ``rho -> tr(rho A_x) alpha``.
 
-    With ``alpha = R R^*`` and ``A_x = S S^*`` (as in ``root_factors``, one
-    column per eigenvalue above the noise floor, so that outcome ``x`` has
-    as many operators as ``A_x`` has rank), outcome ``x`` has the Kraus
-    operators ``r_k s_j^*`` over the columns of ``R`` and ``S``; its Choi
-    matrix is ``A_x^T (x) alpha``.  Every root comes from one batched
-    eigendecomposition of the effects and ``alpha``.
+    With ``alpha = R R^*`` and ``A_x = S S^*`` (the kept ``root_columns``,
+    as many as ``A_x`` has rank), outcome ``x`` has the Kraus operators
+    ``r_k s_j^*`` over the columns of ``R`` and ``S``; its Choi matrix is
+    ``A_x^T (x) alpha``.  Every root comes from one batched eigensolve.
     """
     st = ensure_state(alpha)
     if st.shape[0] != a.dim:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
-    *roots, r = root_factors(np.concatenate([a.stack, st[None]]))
-    return Instrument._from_kraus(
-        (x, np.einsum("ak,ij->jkai", r, sx.conj()).reshape(-1, a.dim, a.dim)) for x, sx in zip(a.labels, roots)
-    )
+    f, keep = root_columns(np.concatenate([a.stack, st[None]]))
+    ops = np.einsum("ak,xij->xjkai", f[-1][:, keep[-1]], f[:-1].conj())
+    return _assembled(a.labels, ops, np.broadcast_to(keep[:-1, :, None], ops.shape[:3]), CHOI_TOL)
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
     """Instrument whose outcomes scale the identity channel."""
-    w = check_weights(list(weights.values()), len(weights))
-    labels = check_distinct_labels(weights)
-    return Instrument._from_kraus(zip(labels, np.sqrt(w)[:, None, None, None] * np.eye(dim, dtype=complex)))
+    w = np.sqrt(check_weights(list(weights.values()), len(weights)))
+    return Instrument._from_kraus(check_distinct_labels(weights), w[:, None, None, None] * np.eye(dim, dtype=complex))
 
 
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
     """Instrument with one Kraus operator per outcome; ``NotComplete`` when
     the ``S^* S`` do not sum to the identity."""
     labels = check_distinct_labels(ops)
-    stacks = _kraus_stack(list(ops.values()))[:, None] if labels else []
-    try:
-        return Instrument._from_kraus(zip(labels, stacks))
+    try:  # no operators: the label check names the missing outcome
+        return Instrument._from_kraus(labels, _kraus_stack(list(ops.values()))[:, None] if labels else np.zeros(0))
     except InvariantViolation as exc:  # only the trace-preserving-sum check can fail
         raise NotComplete(f"sum of S*S misses the identity by {exc.residual:.3g}") from None
 
@@ -452,18 +469,18 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
     """Product instrument on the product value-space: outcome ``(x, y)``
-    performs ``I_x`` and then ``J_y``."""
+    performs ``I_x`` and then ``J_y``: one broadcast matmul of all pairs."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    return Instrument._from_kraus(
-        (combine_labels(x, y), _composed_kraus(jy._kraus, ix._kraus, i.dim)) for x, ix in i.items() for y, jy in j.items()
-    )
+    ops = j.kraus[None, :, None, :] @ i.kraus[:, None, :, None]  # ops[x, y, s, t] = T_yt S_xs
+    valid = _filled(i.kraus, i.counts)[:, None, :, None] & _filled(j.kraus, j.counts)[None, :, None, :]
+    return _assembled([combine_labels(x, y) for x in i.labels for y in j.labels], ops, valid, CHOI_TOL)
 
 
 def _channel_kraus(i: Instrument) -> Array:
-    """Kraus operators of the total channel: the outcomes' stacks together,
-    reduced as in ``bounded_kraus``."""
-    return bounded_kraus(np.concatenate([op._kraus for _, op in i.items()]), i.dim)
+    """Kraus operators of the total channel: the outcomes' operators
+    together, reduced as in ``bounded_kraus``."""
+    return bounded_kraus(i.kraus[_filled(i.kraus, i.counts)], i.dim)
 
 
 def instr_channel(i: Instrument) -> Operation:
@@ -476,38 +493,30 @@ def instr_channel(i: Instrument) -> Operation:
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     """Instrument ``j`` conditioned by ``i``: outcome ``y`` applies ``J_y``
-    after the total channel of ``i``."""
+    after the total channel of ``i`` (one broadcast matmul)."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    ihat = _channel_kraus(i)
-    return Instrument._from_kraus((y, _composed_kraus(jy._kraus, ihat, i.dim)) for y, jy in j.items())
-
-
-def _mixture(outcomes: list[tuple[Label, Sequence[float], Sequence[Operation]]]) -> Instrument:
-    """Instrument with outcome ``y`` equal to ``sum_k w[k] ops[k]`` for each
-    ``(y, w, ops)``, with nonnegative weights: outcome ``y`` has the
-    ``sqrt(w_k) K`` of its terms of nonzero weight, reduced as in
-    ``bounded_kraus``; no eigensolve.
-    """
-    sums = []
-    for y, w, ops in outcomes:
-        terms = [np.sqrt(wk) * op._kraus for wk, op in zip(w, ops) if wk > 0]
-        sums.append((y, bounded_kraus(np.concatenate(terms) if terms else [], ops[0].dim)))
-    return Instrument._from_kraus(sums)
+    ops = j.kraus[:, None] @ _channel_kraus(i)[None, :, None]  # ops[y, s, t] = T_yt S_s
+    return _assembled(j.labels, ops, np.broadcast_to(_filled(j.kraus, j.counts)[:, None], ops.shape[:3]), CHOI_TOL)
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
-    """Outcome-wise mixture of instruments sharing one value-space.  An
+    """Outcome-wise mixture of instruments sharing one value-space, one
+    weighted concatenation of the ``sqrt(w_k) K`` of nonzero weight.  An
     empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(instruments))
     labels = shared_value_space(instruments)
-    return _mixture([(x, w, [i[x] for i in instruments]) for x in labels])
+    ops = np.concatenate([np.sqrt(wk) * i.kraus for wk, i in zip(w, instruments)], axis=1)
+    valid = np.concatenate([_filled(i.kraus, i.counts) & (wk > 0) for wk, i in zip(w, instruments)], axis=1)
+    return _assembled(labels, ops, valid, CHOI_TOL)
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
-    """Classical relabeling of outcomes: ``(nu . I)_y = sum_x nu[x, y] I_x``."""
-    ops = row_members(nu, i)
-    return _mixture([(y, nu.matrix[:, c], ops) for c, y in enumerate(nu.col_labels)])
+    """Classical relabeling of outcomes, ``(nu . I)_y = sum_x nu[x, y] I_x``,
+    as in ``instr_convex_combo``."""
+    rows, w = row_positions(nu, i), nu.matrix.T[:, :, None]
+    ops = np.sqrt(w[..., None, None]) * i.kraus[rows]
+    return _assembled(nu.col_labels, ops, (w > 0) & _filled(i.kraus, i.counts)[rows], CHOI_TOL)
 
 
 def instr_complementary(i: Instrument, j: Instrument) -> bool:
@@ -535,14 +544,13 @@ def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: f
 
 def _outputs(i: Instrument, mat: Array) -> Array:
     """Every outcome's output on a matrix, as an ``(m, d, d)`` stack."""
-    return np.stack([op.apply(mat) for _, op in i.items()])
+    return (i.kraus @ mat @ i.kraus.conj().swapaxes(-1, -2)).sum(1)
 
 
 def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> Array:
     """Outcome table ``p[x, y] = tr J_y(I_x(rho)) = tr(B_y I_x(rho))`` of
     performing ``i`` and then ``j``, with ``B`` the induced effects of ``j``:
-    an ``(m, n)`` array in label order, from one application per outcome of
-    ``i``."""
+    an ``(m, n)`` array in label order, from one batched product."""
     r = ensure_state(rho)
     if r.shape[0] != i.dim or i.dim != j.dim:
         raise DimensionError("dimension mismatch")
@@ -565,14 +573,14 @@ def kraus_instrument_from_channel(a: Operation) -> Instrument:
     """
     ensure_channel(a)
     ops = minimal_kraus(a._kraus, a.dim)
-    return Instrument._from_kraus((f"k{n}", s) for n, s in enumerate(ops[:, None]))
+    return Instrument._from_kraus([f"k{n}" for n in range(len(ops))], ops[:, None])
 
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
     """True when every outcome is a scalar multiple of the identity channel:
-    outcome ``x`` is within ``tol`` (Choi form, ``_operation_distances``) of
-    ``w_x id``, whose one Kraus operator is ``sqrt(w_x) 1``, for
-    ``w_x = tr(C_x) / d = tr(A_x) / d`` with ``A_x`` its induced effect."""
+    outcome ``x`` is within ``tol`` (``_distances``) of ``w_x id``, whose one
+    Kraus operator is ``sqrt(w_x) 1``, for ``w_x = tr(C_x) / d = tr(A_x) / d``
+    with ``A_x`` its induced effect (the ``w_x`` sum as the effects do)."""
     w = np.trace(i.effects, axis1=1, axis2=2).real / i.dim
-    ones = [Operation._unchecked(k) for k in np.sqrt(w)[:, None, None, None] * np.eye(i.dim)]
-    return bool(np.all(_operation_distances([[op] for _, op in i.items()], ones) <= tol))
+    ones = Instrument._from_kraus(i.labels, np.sqrt(w)[:, None, None, None] * np.eye(i.dim), sum_tol=np.inf)
+    return bool(np.all(i._distances(np.arange(len(i))[:, None], ones) <= tol))

@@ -162,15 +162,20 @@ def _psd_eig(a: Array) -> tuple[Array, Array]:
     return v, np.sqrt(np.clip(w, 0.0, None)) * keep
 
 
-def root_factors(m: Array) -> list[Array]:
-    """``R`` with ``m_i = R R^*`` for every matrix of an exactly Hermitian PSD
-    ``(k, d, d)`` stack, unchecked, from one eigensolve: one column per
-    eigenvalue above the noise floor (see ``herm_sqrt``), and the largest
-    always, so a zero matrix keeps one zero column."""
+def root_columns(m: Array) -> tuple[Array, Array]:
+    """``F_i = V sqrt(w)``, ``m_i = F_i F_i^*``, for an exactly Hermitian PSD
+    ``(k, d, d)`` stack, unchecked, from one eigensolve, and ``keep``: the
+    columns above the noise floor (``herm_sqrt``; the others are zero) and
+    the last, the largest, always, so a zero matrix keeps one zero column."""
     v, r = _psd_eig(m)
     keep = r > 0.0
     keep[:, -1] = True
-    return [f[:, k] for f, k in zip(v * r[:, None, :], keep)]
+    return v * r[:, None, :], keep
+
+
+def root_factors(m: Array) -> list[Array]:
+    """The kept columns of ``root_columns``, one matrix ``R_i`` per matrix."""
+    return [f[:, k] for f, k in zip(*root_columns(m))]
 
 
 def herm_sqrt(m: object) -> Array:

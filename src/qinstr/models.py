@@ -8,8 +8,7 @@ otherwise.
 
 A model forms what it derives from its parts on first read (``FIMM``);
 ``model_instrument`` only reads its pointer's roots and its interaction on
-the probe state's support, which for a dilation are identity columns and
-the isometry it is built from.
+the probe state's support, and of a dilation its isometry and slot map.
 """
 
 from __future__ import annotations
@@ -28,18 +27,10 @@ from .errors import (
     NotIsometry,
     NotNormal,
 )
-from .instruments import (
-    Instrument,
-    Operation,
-    bounded_kraus,
-    ensure_channel,
-    instr_post_process,
-    kraus_from_vectors,
-    minimal_kraus,
-)
+from .instruments import Instrument, Operation, _assembled, _filled, _reduced, ensure_channel, instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part, inverse_root
-from .linalg import RANK_ONE_TOL, is_unitary, read_only, root_factors
+from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_columns, root_factors
 from .observables import (
     Label,
     Observable,
@@ -65,18 +56,16 @@ class FIMM:
     """Finite measurement model: base and probe spaces, initial probe state,
     interaction channel on the composite space, and pointer observable.
 
-    ``interaction`` is kept as given, a unitary matrix or an operation.  What
-    the model derives is formed on first read and kept: ``couplings``, the
-    interaction's read-only ``(c, n, n)`` Kraus stack (``u[None]`` for a
-    unitary ``u``); ``sharp``; the root factors ``_pointer_roots`` of the
-    ``F_x^T`` and ``_probe_root`` of ``eta = R_eta R_eta^*``; and
-    ``_restricted``, the couplings on the probe state's support,
-    ``W_c = U_c (1 (x) R_eta)``, a ``(c, n, d, s)`` stack for ``n = d dk``
-    and ``s = rank(eta)``.  A dilation starts from ``W``, its isometry, its
-    roots, identity columns, and ``_owner``, each probe slot's outcome; it
-    completes ``interaction`` and ``couplings`` on first read, and
-    ``_repointed`` gives it another pointer.
+    ``interaction`` is kept as given, a unitary matrix or an operation; the
+    model forms what it derives on first read: ``couplings``, its ``(c, n,
+    n)`` Kraus stack (``u[None]`` for a unitary ``u``); ``sharp``; the roots
+    ``_pointer_roots`` of the ``F_x^T`` and ``_probe_root`` of ``eta``; and
+    ``_restricted``, ``W_c = U_c (1 (x) R_eta)``, ``(c, d dk, d, rank
+    eta)``.  A dilation holds its isometry as ``W``, its labels and
+    ``_owner``, each probe slot's outcome, and forms the rest on read.
     """
+
+    _owner: Array | None = None
 
     def __init__(
         self,
@@ -113,27 +102,29 @@ class FIMM:
 
     @classmethod
     def _dilation(cls, iso: Array, labels: Sequence[Label], owner: Array) -> "FIMM":
-        """Model with probe state ``|0><0|``, whose root is ``e_0``, on an
-        isometry ``iso`` (orthonormal columns, ``(d n) x d``): its ``W``.
-        Probe slot ``s`` belongs to outcome ``owner[s]`` of ``labels``: the
-        pointer effects are 0/1 slot projections, their roots identity columns."""
-        n = len(owner)
+        """Model with probe state ``|0><0|`` on an isometry ``iso``
+        (orthonormal columns, ``(d n) x d``): its ``W``.  Probe slot ``s``
+        belongs to outcome ``owner[s]`` of ``labels``."""
         m = cls.__new__(cls)
-        eta = np.zeros((n, n), dtype=complex)
-        eta[0, 0] = 1.0
-        slots = np.eye(n, dtype=complex)
-        members = owner == np.arange(len(labels))[:, None]  # members[x, s]: slot s belongs to outcome x
-        m._set_parts(iso.shape[1], n, eta, Observable._valid(labels, members[:, None, :] * slots))
-        m._probe_root = slots[:, :1]
+        m.dim_base, m.dim_probe, m._probe_root = iso.shape[1], len(owner), np.eye(len(owner), 1, dtype=complex)
         m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
-        m._pointer_roots = [slots[:, row] for row in members]
-        m._owner = owner
+        m._labels, m._owner = tuple(labels), owner
         return m
 
     def _repointed(self, labels: Sequence[Label], owner: Array) -> "FIMM":
         """A dilation of this dilation's isometry, shared, with another
         slot-to-outcome map (``_dilation``)."""
         return self._dilation(self._restricted[0, :, :, 0], labels, owner)
+
+    @cached_property
+    def pointer(self) -> Observable:
+        """A dilation's 0/1 projections onto each outcome's slots: its roots."""
+        return Observable._valid(self._labels, self._pointer_roots)
+
+    @cached_property
+    def probe_state(self) -> Array:
+        """A dilation's ``|0><0|``."""
+        return read_only(self._probe_root @ self._probe_root.T)
 
     @cached_property
     def interaction(self) -> Array:
@@ -163,14 +154,17 @@ class FIMM:
         return read_only(self.couplings.reshape(*self.couplings.shape[:2], self.dim_base, -1) @ self._probe_root)
 
     @cached_property
-    def _pointer_roots(self) -> list[Array]:
-        """``R_x`` with ``F_x^T = R_x R_x^*`` for each pointer effect."""
-        return root_factors(self.pointer.stack.swapaxes(1, 2))
+    def _pointer_roots(self) -> Array:
+        """``R_x`` with ``F_x^T = R_x R_x^*``, one ``(m, dk, dk)`` array: the
+        ``root_columns``, or a dilation's identity columns of each outcome's slots."""
+        if self._owner is None:
+            return root_columns(self.pointer.stack.swapaxes(1, 2))[0]
+        return (self._owner == np.arange(len(self._labels))[:, None])[:, None, :] * np.eye(self.dim_probe, dtype=complex)
 
     @cached_property
     def sharp(self) -> bool:
-        """Whether every pointer effect is a projection."""
-        return bool(_projections(self.pointer.stack).all())
+        """Whether every pointer effect is a projection, as a dilation's are."""
+        return self._owner is not None or bool(_projections(self.pointer.stack).all())
 
     def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
         """Check and set everything but the interaction, given a probe state
@@ -184,7 +178,7 @@ class FIMM:
         self.probe_state = read_only(eta)
         if pointer.dim != self.dim_probe:
             raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
-        self.pointer = pointer
+        self.pointer, self._labels = pointer, pointer.labels
 
     def apply_interaction(self, mat: Array) -> Array:
         return (self.couplings @ mat @ self.couplings.conj().transpose(0, 2, 1)).sum(axis=0)
@@ -192,7 +186,7 @@ class FIMM:
     def __repr__(self) -> str:
         return (
             f"FIMM(dim_base={self.dim_base}, dim_probe={self.dim_probe}, "
-            f"pointer_labels={list(self.pointer.labels)!r}, sharp={self.sharp})"
+            f"pointer_labels={list(self._labels)!r}, sharp={self.sharp})"
         )
 
 
@@ -204,22 +198,25 @@ def model_instrument(m: FIMM) -> Instrument:
     ``P[(i, a), (k, m)] = <a, k| U |i, m>`` its Choi matrix is
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
-    ``eta = R_eta R_eta^*``.  An interaction given as an operation
-    contributes one such set per Kraus operator of its own.  Of the model,
-    only the ``R_F`` and ``W = P (1 (x) R_eta)`` are read, which the model
-    forms on first read and a dilation holds from the start.  The outcomes
-    must sum to a channel within ``MODEL_TOL``.
+    ``eta = R_eta R_eta^*``, one set per Kraus operator of an interaction
+    given as an operation.  Only ``W = P (1 (x) R_eta)`` and the roots (the
+    nonzero columns and each last one) are read, in one batched product; a
+    dilation's outcome ``x`` has its slots' operators of the isometry.  The
+    outcomes, cut to ``d^2`` operators, must sum to a channel within
+    ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
+    if m._owner is not None:
+        slots = m._restricted[0, :, :, 0].reshape(d, dk, d).swapaxes(0, 1)  # slots[s] = W[(a, s), i]
+        valid = m._owner == np.arange(len(m._labels))[:, None]
+        return _assembled(m._labels, np.broadcast_to(slots, (*valid.shape, d, d)), valid, MODEL_TOL)
     roots = m._pointer_roots
     w = m._restricted
-    # q[(k, i), c, a, s] = W_c[(i, a), k, s], over the couplings c
-    q = w.reshape(len(w), d, dk, d, -1).transpose(3, 1, 0, 2, 4).reshape(d * d, len(w), dk, -1)
-    ops = [
-        (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
-        for x, r in zip(m.pointer.labels, roots)
-    ]
-    return Instrument._from_kraus(ops, sum_tol=MODEL_TOL)
+    keep = np.any(roots != 0, axis=1)
+    keep[:, -1] = True
+    q = w.reshape(len(w), d, dk, d, -1).transpose(0, 4, 3, 1, 2).reshape(len(w), -1, d * d, dk)  # [c, s, (i, a), k]
+    kraus = (q @ roots[:, None, None]).reshape(len(roots), len(w), -1, d, d, roots.shape[-1]).transpose(0, 1, 5, 2, 4, 3)
+    return _assembled(m._labels, kraus, np.broadcast_to(keep[:, None, :, None], kraus.shape[:4]), MODEL_TOL)
 
 
 def swap_unitary(d: int) -> Array:
@@ -316,9 +313,10 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     channel = Operation._unchecked(base_projs)  # projections summing to 1: a channel
 
     h = phi.conj().T @ model.pointer.stack @ phi  # h[x, i, j] = <phi_i, F_x phi_j>
-    kraus = [(x, (w * r.T[:, None, :]) @ w.conj().T) for x, r in zip(labels, root_factors(hermitian_part(h.swapaxes(1, 2))))]
+    f, keep = root_columns(hermitian_part(h.swapaxes(1, 2)))
+    kraus = (w * f.swapaxes(1, 2)[:, :, None, :]) @ w.conj().T  # kraus[x, l] = W diag(F_x[:, l]) W^*
     effects = np.einsum("xi,iab->xab", np.diagonal(h, axis1=1, axis2=2).real, base_projs)
-    return Instrument._from_kraus(kraus), channel, Observable._valid(labels, effects)
+    return _assembled(labels, kraus, keep, CHOI_TOL), channel, Observable._valid(labels, effects)
 
 
 def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = None) -> VonNeumannModel:
@@ -348,20 +346,16 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
 def dilate_instrument(instr: Instrument) -> FIMM:
     """Realize an instrument as a sharp measurement model.
 
-    The probe carries one basis slot per Kraus operator (outcome-major,
-    Kraus-index-minor), after ``minimal_kraus`` cuts each outcome's list to
-    its Choi rank; the isometry stacking the operators is polished to
-    exact orthonormality and kept, completed to a unitary on first read
-    (``FIMM.interaction``); the pointer
-    coarse-grains slots by outcome, so it is atomic exactly when every
-    outcome has a single Kraus operator.
+    The probe carries one basis slot per Kraus operator (outcome-major),
+    each outcome's cut to its Choi rank (``instruments._reduced``); the
+    isometry stacking the operators is polished to exact orthonormality and
+    kept, completed to a unitary on first read (``FIMM.interaction``); the
+    pointer coarse-grains slots by outcome, so it is atomic exactly when
+    every outcome has a single Kraus operator.
     """
     d = instr.dim
-    slots = [minimal_kraus(op._kraus, d) for _, op in instr.items()]
-    counts = [len(ks) for ks in slots]
-    n = sum(counts)
-
-    iso = np.concatenate(slots).transpose(1, 0, 2).reshape(d * n, d)
+    kraus, counts = _reduced(instr.kraus, instr.counts, 1)
+    iso = kraus[_filled(kraus, counts)].transpose(1, 0, 2).reshape(-1, d)
     gw, inv_root = inverse_root(iso.conj().T @ iso)
     if gw[0] < GRAM_FLOOR:
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")

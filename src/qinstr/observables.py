@@ -92,12 +92,14 @@ class LabelledFamily:
     The common base of ``Observable`` (members are effects) and
     ``Instrument`` (members are operations).  Each subclass validates its
     members in its own constructor with ``_checked_items`` and
-    ``_common_size``, then sets ``dim`` and ``_members``.  ``_distances``
-    is the comparison that ``family_distance`` and ``marginal_defect`` share:
-    of effects, or of operations in Choi form.
+    ``_common_size``, then sets ``dim``, ``labels`` and ``_members`` (formed
+    on read by an instrument).  ``_distances`` is the comparison that
+    ``family_distance`` and ``marginal_defect`` share: of effects, or of
+    operations in Choi form.
     """
 
     dim: int
+    labels: tuple[Label, ...]
     _members: dict
 
     def _checked_items(self, members: Mapping | Iterable[tuple], trusted: bool = False) -> tuple[list[Label], list]:
@@ -127,15 +129,11 @@ class LabelledFamily:
         ``groups`` and the member of ``other`` at the row's position."""
         raise NotImplementedError
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(self._members)
-
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.labels)
 
     def __contains__(self, label: Label) -> bool:
-        return label in self._members
+        return label in self.labels
 
     def __getitem__(self, label: Label):
         try:
@@ -149,7 +147,7 @@ class LabelledFamily:
     def _positions(self, subset: Iterable[Label]) -> list[int]:
         """Label-order positions of an outcome set: ``LabelError`` for an
         unknown or a repeated label, which would otherwise count twice."""
-        order = {x: k for k, x in enumerate(self._members)}
+        order = {x: k for k, x in enumerate(self.labels)}
         labels = check_distinct_labels(subset)
         unknown = [x for x in labels if x not in order]
         if unknown:
@@ -214,6 +212,7 @@ class Observable(LabelledFamily):
         self._set_stack(labels, stack)
 
     def _set_stack(self, labels: list[Label], stack: Array) -> None:
+        self.labels = tuple(labels)
         self.stack = read_only(stack)
         self._members = dict(zip(labels, stack))
 
@@ -334,13 +333,13 @@ def shared_value_space(families: Sequence[LabelledFamily]) -> tuple[Label, ...]:
     return first.labels
 
 
-def row_members(nu: StochasticMatrix, family: LabelledFamily) -> list:
-    """The members of ``family`` in the row order of ``nu``, whose rows must
-    be exactly the family's labels."""
+def row_positions(nu: StochasticMatrix, family: LabelledFamily) -> list[int]:
+    """The label-order positions of ``family``'s members in the row order of
+    ``nu``, whose rows must be exactly the family's labels."""
     if set(nu.row_labels) != set(family.labels):
         kind = type(family).__name__.lower()
         raise ShapeError(f"stochastic matrix rows do not match the {kind}'s labels")
-    return [family[x] for x in nu.row_labels]
+    return family._positions(nu.row_labels)
 
 
 def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]) -> Observable:
@@ -353,7 +352,7 @@ def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``."""
-    return Observable._valid(nu.col_labels, np.tensordot(nu.matrix.T, np.stack(row_members(nu, b)), 1))
+    return Observable._valid(nu.col_labels, np.tensordot(nu.matrix.T, b.stack[row_positions(nu, b)], 1))
 
 
 def classify_observable(a: Observable) -> ObservableFlags:

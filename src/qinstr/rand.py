@@ -130,7 +130,7 @@ def random_instrument(
     raw = _ginibres(rng, outcomes, kraus_per_outcome, dim, dim)
     total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, dim, dim).sum(0)
     inv_root = inverse_root(total)[1]
-    return Instrument._from_kraus(zip(default_labels(outcomes), raw @ inv_root))
+    return Instrument._from_kraus(default_labels(outcomes), raw @ inv_root)
 
 
 def random_fimm(

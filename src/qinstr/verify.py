@@ -171,12 +171,7 @@ def _worst(a: np.ndarray, b: np.ndarray) -> float:
 def _kraus_gap(instr: Instrument, stacks: list[np.ndarray]) -> float:
     """Largest Choi-form distance between the outcomes of ``instr``, in label
     order, and the maps of the Kraus stacks ``stacks``."""
-    return float(choi_distances([op._kraus for _, op in instr.items()], stacks).max())
-
-
-def _single_kraus(instr: Instrument) -> np.ndarray:
-    """The one Kraus operator of each outcome, as a stack in label order."""
-    return np.stack([op.kraus_ops()[0] for _, op in instr.items()])
+    return float(choi_distances(instr.kraus, stacks).max())
 
 
 def sharp_qubit_z() -> Observable:
@@ -400,7 +395,7 @@ def _suite_ex_3(run: _Run) -> None:
     for _, d in run.cases(2, 3):
         i = random_kraus_instrument(d, 2, run.rng)
         j = random_kraus_instrument(d, 2, run.rng)
-        s, tt = _single_kraus(i), _single_kraus(j)
+        s, tt = i.kraus[:, 0], j.kraus[:, 0]
         # expected[x, y] = S_x^* T_y^* T_y S_x, the effect of outcome (x, y)
         expected = s.conj().swapaxes(1, 2)[:, None] @ tt.conj().swapaxes(1, 2)[None] @ tt[None] @ s[:, None]
         a_prod = induced_observable(instr_product(i, j)).stack.reshape(expected.shape)
@@ -693,7 +688,7 @@ def _suite_thm_4_6(run: _Run) -> None:
         measured = model_instrument(m)
         run.residual(family_distance(measured, instr))
         extracted = normal_fimm_kraus_extract(m)
-        s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), _single_kraus(instr)
+        s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), instr.kraus[:, 0]
         run.residual(_worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig))
     trivial = stored_trivial_instrument()
     ranks_ok = _outcome_ranks_exceed_one(trivial)

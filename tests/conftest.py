@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from qinstr.instruments import Instrument, _padded
+from qinstr.linalg import CHOI_TOL
 from qinstr.observables import Observable
 
 
@@ -142,6 +144,14 @@ DEEP_DOCUMENT = '{"kind":"effect","matrix":' + "[" * 50000
 def kraus_document(kraus: object) -> str:
     payload = {"kind": "instrument", "dim": 2, "labels": ["0"], "operations": {"0": {"kraus": kraus}}}
     return json.dumps(payload)
+
+
+def kraus_family(items, sum_tol: float = CHOI_TOL) -> Instrument:
+    """``Instrument._from_kraus`` on ``(label, Kraus operators)`` pairs: the
+    outcomes' stacks zero-padded into one array, with their counts."""
+    labels, stacks = zip(*items)
+    stacks = [np.asarray(s, dtype=complex) for s in stacks]
+    return Instrument._from_kraus(labels, _padded(stacks), [len(s) for s in stacks], sum_tol)
 
 
 class EigenCalls:

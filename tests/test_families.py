@@ -85,6 +85,8 @@ from qinstr.rand import (
 )
 from qinstr.verify import stored_trivial_instrument
 
+from conftest import kraus_family
+
 DIMS = [2, 3, 4, 5]
 
 
@@ -691,7 +693,7 @@ class TestFamilyValidation:
         corner = np.zeros((d, d), dtype=complex)
         corner[0, 0] = np.sqrt(1.01e-8)
         items[0] = (items[0][0], [*items[0][1], corner])
-        for build in (Instrument._from_kraus, lambda it: Instrument({x: Operation.from_kraus(ks) for x, ks in it})):
+        for build in (kraus_family, lambda it: Instrument({x: Operation.from_kraus(ks) for x, ks in it})):
             with pytest.raises(InvariantViolation) as exc:
                 build(items)
             assert exc.value.invariant == "trace-preserving-sum"
@@ -703,7 +705,7 @@ class TestFamilyValidation:
         # tolerance, but within the instrument's sum tolerance.
         p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         items = [("a", [np.sqrt(1 + miss) * p0]), ("b", [p1])]
-        instr = Instrument._from_kraus(items)
+        instr = kraus_family(items)
         assert np.linalg.eigvalsh(instr.effects[0])[-1] > 1 + EFFECT_EIG_TOL
         _public_route(instr)
         for obs in (lambda: induced_observable(instr), lambda: Observable(zip(instr.labels, instr.effects))):
@@ -724,27 +726,27 @@ class TestFamilyValidation:
     )
     def test_malformed_operators_raise_as_from_kraus(self, ops):
         # Caller operators enter instruments through kraus_instrument, which
-        # coerces them as from_kraus does; _from_kraus trusts its stacks but
-        # still refuses an empty outcome.
+        # coerces them as from_kraus does; _from_kraus trusts its array but
+        # still refuses an outcome with no operator.
         with pytest.raises(QinstrError) as oracle:
             Operation.from_kraus(ops)
         with pytest.raises(QinstrError) as exc:
             if ops:
                 kraus_instrument({str(k): op for k, op in enumerate(ops)})
             else:
-                Instrument._from_kraus([("0", ops)])
+                Instrument._from_kraus(["0"], np.zeros((1, 1, 2, 2)), [0])
         assert type(exc.value) is type(oracle.value)
 
     def test_mixed_dimensions_across_outcomes(self):
         with pytest.raises(DimensionError, match="mixed shapes"):
             kraus_instrument({"0": np.eye(2), "1": np.zeros((3, 3))})
         with pytest.raises(LabelError):
-            Instrument._from_kraus([("0", [np.eye(2)]), ("0", [np.zeros((2, 2))])])
+            kraus_family([("0", [np.eye(2)]), ("0", [np.zeros((2, 2))])])
 
     def test_caller_array_is_not_aliased(self, rng):
         ops = np.stack([np.sqrt(0.5) * random_unitary(3, rng) for _ in range(2)])
         before = ops.copy()
-        instr = Instrument._from_kraus([("0", ops[:1]), ("1", ops[1:])])
+        instr = kraus_instrument({"0": ops[0], "1": ops[1]})
         assert ops.flags.writeable
         ops[:] = 0.0
         for k, (_, op) in enumerate(instr.items()):
@@ -789,7 +791,7 @@ class TestFamilyValidation:
 
     def test_channel_of_loosely_summed_instrument_is_not_a_channel(self):
         scale = np.sqrt(0.5 * (1.0 + 1e-4))
-        loose = Instrument._from_kraus([(x, scale * np.eye(2)[None]) for x in "ab"], sum_tol=1e-3)
+        loose = kraus_family([(x, scale * np.eye(2)[None]) for x in "ab"], sum_tol=1e-3)
         with pytest.raises(InvariantViolation) as exc:
             instr_channel(loose)
         assert exc.value.invariant == "trace-preserving"

@@ -36,7 +36,9 @@ from qinstr.instruments import (
     operations_close,
     trivial_instrument,
     _composed_kraus,
+    _reduced,
     bounded_kraus,
+    choi_distances,
     minimal_kraus,
 )
 from qinstr.linalg import frob, herm_sqrt, hermitian_part
@@ -65,7 +67,7 @@ from qinstr.rand import (
     random_unitary,
 )
 
-from conftest import P0, P1, P_PLUS, proj
+from conftest import P0, P1, P_PLUS, kraus_family, proj
 
 
 class TestOperation:
@@ -625,13 +627,17 @@ class TestComposedKraus:
             assert np.array_equal(cond[y]._kraus, expected)
 
     def test_from_kraus_takes_stacks_per_outcome(self, rng):
+        # One zero-padded array and the counts; each outcome's operation is
+        # formed on read, on a view of its operators in the array.
         ops = random_instrument(3, 3, rng, 2)
-        stacks = [(x, op._kraus) for x, op in ops.items()]
-        lists = [(x, list(k)) for x, k in stacks]
-        by_stack, by_list = Instrument._from_kraus(stacks), Instrument._from_kraus(lists)
-        assert np.array_equal(by_stack.effects, by_list.effects)
-        for (_, a), (_, b), (_, k) in zip(by_stack.items(), by_list.items(), stacks):
-            assert np.array_equal(a._kraus, k) and not np.shares_memory(a._kraus, k)
+        stacks = [op._kraus for _, op in ops.items()]
+        padded = np.zeros((3, 3, 3, 3), dtype=complex)
+        padded[:, :2] = stacks
+        by_array = Instrument._from_kraus(ops.labels, padded, [2, 2, 2])
+        assert np.abs(by_array.effects - ops.effects).max() <= 1e-15
+        for (_, a), k in zip(by_array.items(), stacks):
+            assert np.array_equal(a._kraus, k) and np.shares_memory(a._kraus, by_array.kraus)
+            assert not np.shares_memory(a._kraus, k) and not a._kraus.flags.writeable
 
 
 class TestBatchedEffects:
@@ -648,7 +654,7 @@ class TestBatchedEffects:
         ks = np.array([ginibre(d, rng) for _ in range(sum(counts))])
         ks = ks @ inverse_root(sum(k.conj().T @ k for k in ks))[1]  # the operators of one instrument
         stacks = np.split(ks, np.cumsum(counts)[:-1])
-        instr = Instrument._from_kraus(zip("abcd", stacks))
+        instr = kraus_family(zip("abcd", stacks))
         for (_, op), k, effect in zip(instr.items(), stacks, instr.effects):
             assert np.array_equal(op._kraus, k)
             assert frob(effect - Operation(kraus=k).induced_effect) <= 1e-14 * d
@@ -658,6 +664,109 @@ class TestBatchedEffects:
         instr = random_kraus_instrument(d, 4, rng)
         for (_, op), effect in zip(instr.items(), instr.effects):
             np.testing.assert_array_equal(effect, Operation(kraus=op._kraus).induced_effect)
+
+
+def _uneven_stacks(d, rng, counts):
+    """Kraus stacks of one instrument with the given counts; a stack of
+    three has a dependent third operator, so its Choi rank is two and a cut
+    replaces it."""
+    from qinstr.linalg import inverse_root
+    from qinstr.rand import ginibre
+
+    ks = np.array([ginibre(d, rng) for _ in range(sum(counts))])
+    stacks = np.split(ks, np.cumsum(counts)[:-1])
+    stacks = [np.concatenate([k[:2], (k[0] - 2j * k[1])[None]]) if len(k) == 3 else k for k in stacks]
+    root = inverse_root(sum(k.conj().T @ k for s in stacks for k in s))[1]
+    return [s @ root for s in stacks]
+
+
+def _loop_mixture(terms, dim):
+    """One outcome of a mixture, one concatenation per outcome: the
+    ``sqrt(w) K`` of the ``(w, stack)`` terms of nonzero weight, cut as in
+    ``bounded_kraus``."""
+    kept = [np.sqrt(w) * k for w, k in terms if w > 0]
+    return bounded_kraus(np.concatenate(kept) if kept else np.zeros((0, dim, dim), dtype=complex), dim)
+
+
+def _assert_same_stack(got, expected, dim):
+    """Bitwise equal where the oracle keeps its stack, the same map (Choi
+    distance <= 1e-15) where it cuts one."""
+    assert got.shape == expected.shape
+    if not np.array_equal(got, expected):
+        assert choi_distances([got], [expected])[0] <= 1e-15
+
+
+class TestPaddedArrays:
+    """An instrument is one zero-padded Kraus array and its counts; the
+    combinators and the batched cut against per-outcome loops."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("limit", ["minimal", "bounded"])
+    def test_batched_cut_matches_minimal_kraus(self, d, limit, rng):
+        stacks = _uneven_stacks(d, rng, (2, 2, 2, 2) if d == 1 else (1, 3, 2, d * d, d * d + 2))  # above d^2 too
+        instr = kraus_family(zip("abcde", stacks))
+        bound = 1 if limit == "minimal" else d * d
+        kraus, counts = _reduced(instr.kraus, instr.counts, bound)
+        assert np.all(counts <= max(bound, d * d)) and np.all(counts >= 1)
+        cuts = 0
+        for x, stack in enumerate(stacks):
+            expected = minimal_kraus(stack, d) if len(stack) > bound else stack
+            cuts += expected is not stack
+            got = kraus[x, : counts[x]]
+            assert not kraus[x, counts[x] :].any()
+            if expected is stack:
+                np.testing.assert_array_equal(got, stack)
+            else:
+                assert len(expected) < len(stack) and got.shape == expected.shape
+                assert choi_distances([got], [expected])[0] <= 1e-15
+        assert cuts == (2 if limit == "minimal" and d > 1 else 1 if d > 1 else 4)
+
+    def test_cut_at_d_1_keeps_one_operator(self, rng):
+        ks = np.sqrt(np.array([0.2, 0.3, 0.1, 0.4]) + 0j).reshape(2, 2, 1, 1)
+        kraus, counts = _reduced(ks, np.array([2, 2]), 1)
+        assert counts.tolist() == [1, 1] and kraus.shape == (2, 1, 1, 1)
+        assert np.allclose(np.abs(kraus[:, 0, 0, 0]) ** 2, [0.5, 0.5], atol=1e-15)
+
+    def test_combinators_match_the_loops(self, rng):
+        d = 2
+        i = kraus_family(zip("abc", _uneven_stacks(d, rng, (1, 3, 2))))
+        j = kraus_family(zip("uv", _uneven_stacks(d, rng, (2, 1))))
+        prod, cond = instr_product(i, j), instr_conditioned(i, j)
+        hat = bounded_kraus(np.concatenate([op._kraus for _, op in i.items()]), d)
+        for x, ix in i.items():
+            for y, jy in j.items():
+                _assert_same_stack(prod[combine_labels(x, y)]._kraus, _loop_composed_kraus(jy._kraus, ix._kraus, d), d)
+        for y, jy in j.items():
+            _assert_same_stack(cond[y]._kraus, _loop_composed_kraus(jy._kraus, hat, d), d)
+        k = kraus_family(zip("abc", _uneven_stacks(d, rng, (2, 2, 1))))
+        for w in ([0.3, 0.7], [1.0, 0.0]):
+            mixed = instr_convex_combo(w, [i, k])
+            for x in i.labels:
+                _assert_same_stack(mixed[x]._kraus, _loop_mixture(zip(w, [i[x]._kraus, k[x]._kraus]), d), d)
+        nu = StochasticMatrix(["c", "a", "b"], ["p", "q"], [[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]])
+        processed = instr_post_process(nu, i)
+        for col, y in enumerate(nu.col_labels):
+            terms = [(nu.matrix[row, col], i[x]._kraus) for row, x in enumerate(nu.row_labels)]
+            _assert_same_stack(processed[y]._kraus, _loop_mixture(terms, d), d)
+
+    def test_luders_outcomes_are_the_roots(self, rng):
+        a = random_observable(3, 4, rng)
+        instr = luders_instrument(a)
+        for (_, op), root in zip(instr.items(), a.roots):
+            np.testing.assert_array_equal(op._kraus, root[None])
+
+    def test_labels_length_and_effects_form_no_operation(self, rng):
+        instr = random_instrument(3, 3, rng)
+        assert instr.labels == ("0", "1", "2") and len(instr) == 3 and "1" in instr and "9" not in instr
+        assert instr.effects.shape == (3, 3, 3) and instr.kraus.shape == (3, 2, 3, 3)
+        assert instr.counts.tolist() == [2, 2, 2]
+        assert "_members" not in vars(instr)
+        op = instr["1"]
+        assert "_members" in vars(instr) and np.shares_memory(op._kraus, instr.kraus)
+
+    def test_array_is_read_only(self, rng):
+        instr = instr_product(random_instrument(2, 2, rng), random_instrument(2, 2, rng, 1))
+        assert not instr.kraus.flags.writeable and not instr.counts.flags.writeable
 
 
 class TestMinimalKraus:

@@ -58,7 +58,7 @@ from qinstr.rand import (
 )
 from qinstr.serialize import dumps_document
 
-from conftest import P0, P1, PAULI_X, proj
+from conftest import P0, P1, PAULI_X, kraus_family, proj
 
 
 class TestSwapUnitary:
@@ -625,7 +625,7 @@ def _loop_model_instrument(m, atol=MODEL_TOL):
     for x in m.pointer.labels:
         factor = np.kron(root_factors(m.pointer[x].T[None])[0], root_eta)
         ops.append((x, bounded_kraus(kraus_from_vectors(np.hstack([p @ factor for p in ps]), d), d)))
-    return Instrument._from_kraus(ops, sum_tol=atol)
+    return kraus_family(ops, sum_tol=atol)
 
 
 def _batched_eta_model_instrument(m):
@@ -640,12 +640,12 @@ def _batched_eta_model_instrument(m):
     else:
         *roots, root_eta = root_factors(np.concatenate([transposed, m.probe_state[None]]))
         w = m.couplings.reshape(-1, d * dk, d, dk) @ root_eta
-    q = w.reshape(len(w), d, dk, d, -1).transpose(3, 1, 0, 2, 4).reshape(d * d, len(w), dk, -1)
+    q = w.reshape(len(w), d, dk, d, -1).transpose(0, 4, 3, 1, 2).reshape(len(w), -1, d * d, dk)  # [c, s, (i, a), k]
     ops = [
-        (x, bounded_kraus(kraus_from_vectors(np.einsum("pcks,kr->pcrs", q, r).reshape(d * d, -1), d), d))
+        (x, bounded_kraus((q @ r).reshape(len(w), -1, d, d, r.shape[1]).transpose(0, 4, 1, 3, 2).reshape(-1, d, d), d))
         for x, r in zip(m.pointer.labels, roots)
     ]
-    return Instrument._from_kraus(ops, sum_tol=MODEL_TOL)
+    return kraus_family(ops, sum_tol=MODEL_TOL)
 
 
 def _loop_unit_vector(m, tol=1e-8):
@@ -791,6 +791,31 @@ class TestDilationCompletedOnRead:
         for (x, a), (y, b) in zip(model_instrument(lazy).items(), model_instrument(eager).items()):
             assert x == y
             np.testing.assert_array_equal(a._kraus, b._kraus)
+
+    @pytest.mark.parametrize("kraus", [1, 2])
+    def test_round_trip_forms_no_pointer(self, kraus, rng):
+        # A dilation is its isometry and its slot map: the round trip, the
+        # repr and sharp form no (m, n, n) pointer, probe state or roots.
+        instr = random_instrument(4, 3, rng, kraus)
+        m = dilate_instrument(instr)
+        back = model_instrument(m)
+        assert family_distance(back, instr) <= 1e-13
+        assert m.sharp and "FIMM(dim_base=4" in repr(m)
+        for name in ("pointer", "probe_state", "_pointer_roots", "interaction", "couplings"):
+            assert name not in vars(m)
+        labels = [combine_labels(x, y) for x in "01" for y in "01"]
+        joint = random_instrument(3, 4, rng, kraus)
+        for r in simultaneous_fimms(Instrument._from_kraus(labels, joint.kraus, joint.counts)):
+            model_instrument(r)
+            repr(r)
+            assert r.sharp and not {"pointer", "probe_state", "_pointer_roots"} & set(vars(r))
+
+    def test_formed_parts_match_the_eager_model(self, rng):
+        instr = random_instrument(3, 3, rng, 2)
+        lazy, eager = dilate_instrument(instr), _eager_dilate_instrument(instr)
+        np.testing.assert_array_equal(lazy.pointer.stack, eager.pointer.stack)
+        np.testing.assert_array_equal(lazy.probe_state, eager.probe_state)
+        assert lazy.pointer.labels == eager.pointer.labels and lazy.sharp == eager.sharp
 
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_round_trip_reads_the_isometry(self, kraus, rng, eig_calls):

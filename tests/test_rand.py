@@ -9,7 +9,6 @@ give bit-identical families and leave the generator in the same state.
 import numpy as np
 import pytest
 
-from qinstr.instruments import Instrument
 from qinstr.linalg import hermitian_part
 from qinstr.observables import Observable, StochasticMatrix
 from qinstr.rand import (
@@ -22,6 +21,8 @@ from qinstr.rand import (
     random_stochastic,
 )
 from qinstr.effects import ensure_effect
+
+from conftest import kraus_family
 
 
 def _loop_ginibre(dim, rng, cols=None):
@@ -50,7 +51,7 @@ def _loop_random_instrument(dim, outcomes, rng, kraus_per_outcome):
     total = sum(k.conj().T @ k for ops in raw for k in ops)
     w, v = np.linalg.eigh(hermitian_part(total))
     inv_root = (v / np.sqrt(w)) @ v.conj().T
-    return Instrument._from_kraus((str(x), [k @ inv_root for k in raw[x]]) for x in range(outcomes))
+    return kraus_family((str(x), [k @ inv_root for k in raw[x]]) for x in range(outcomes))
 
 
 def _loop_random_stochastic(src, tgt, rng):
