@@ -94,7 +94,7 @@ def _padded(stacks: Sequence[Array]) -> Array:
 
 
 def _filled(kraus: Array, counts: Array) -> Array:
-    """``(m, r)`` mask of the operators of a padded array that are not padding."""
+    """``(m, r)`` mask of a padded array's operators that are not padding."""
     return np.arange(kraus.shape[1]) < counts[:, None]
 
 
@@ -107,18 +107,18 @@ def _kept(s: Array) -> Array:
 
 
 def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
-    """A padded array and its counts with each outcome above ``limit``
-    operators cut as ``minimal_kraus`` cuts one stack: one batched call for
-    their singular values (zero padding columns add zero ones, which none
-    keeps), then one batched SVD of the outcomes not at full column rank."""
+    """The padded array and counts, each outcome above ``limit`` operators
+    cut as by ``minimal_kraus``: one batched call finds which of at most
+    ``d^2`` are at full column rank (zero padding columns add zero singular
+    values, which none keeps), one batched SVD cuts the others."""
     cut = np.flatnonzero(counts > limit)
-    if cut.size:
-        v = _kraus_vectors(kraus[cut, : counts[cut].max()])
-        low = _kept(np.linalg.svd(v, compute_uv=False)).sum(1) < counts[cut]
-        cut, v = cut[low], v[low][..., : counts[cut[low]].max(initial=0)]
+    test = cut[counts[cut] <= kraus.shape[-1] ** 2]  # the others are never at full column rank
+    if test.size:
+        s = np.linalg.svd(_kraus_vectors(kraus[test, : counts[test].max()]), compute_uv=False)
+        cut = np.setdiff1d(cut, test[_kept(s).sum(1) == counts[test]])
     if not cut.size:
         return kraus, counts
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    u, s, _ = np.linalg.svd(_kraus_vectors(kraus[cut, : counts[cut].max()]), full_matrices=False)
     keep, counts = _kept(s), counts.copy()
     counts[cut] = keep.sum(1)
     out = kraus[:, : counts.max()].copy()
@@ -578,9 +578,8 @@ def kraus_instrument_from_channel(a: Operation) -> Instrument:
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
     """True when every outcome is a scalar multiple of the identity channel:
-    outcome ``x`` is within ``tol`` (``_distances``) of ``w_x id``, whose one
-    Kraus operator is ``sqrt(w_x) 1``, for ``w_x = tr(C_x) / d = tr(A_x) / d``
-    with ``A_x`` its induced effect (the ``w_x`` sum as the effects do)."""
+    outcome ``x`` is within ``tol`` (``_distances``) of ``w_x id``, one Kraus
+    operator ``sqrt(w_x) 1``, ``w_x = tr(A_x) / d`` (summing as the effects do)."""
     w = np.trace(i.effects, axis1=1, axis2=2).real / i.dim
     ones = Instrument._from_kraus(i.labels, np.sqrt(w)[:, None, None, None] * np.eye(i.dim), sum_tol=np.inf)
     return bool(np.all(i._distances(np.arange(len(i))[:, None], ones) <= tol))

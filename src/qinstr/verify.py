@@ -583,7 +583,7 @@ def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
     """A dilation of ``m1``'s isometry with the product of the two models'
     commuting pointers, on the product value-space: both are re-pointings of
     one dilation, so probe slot ``s`` goes to the pair of its two outcomes."""
-    p1, p2 = m1.pointer.labels, m2.pointer.labels
+    p1, p2 = m1._labels, m2._labels
     labels = check_distinct_labels([combine_labels(x, y) for x in p1 for y in p2])
     return m1._repointed(labels, m1._owner * len(p2) + m2._owner)
 
