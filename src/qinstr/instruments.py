@@ -111,11 +111,14 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     cut as by ``minimal_kraus``: one batched call finds which of at most
     ``d^2`` are at full column rank (zero padding columns add zero singular
     values, which none keeps), one batched SVD cuts the others."""
+    if counts.max() <= limit:
+        return kraus, counts
     cut = np.flatnonzero(counts > limit)
-    test = cut[counts[cut] <= kraus.shape[-1] ** 2]  # the others are never at full column rank
-    if test.size:
-        s = np.linalg.svd(_kraus_vectors(kraus[test, : counts[test].max()]), compute_uv=False)
-        cut = np.setdiff1d(cut, test[_kept(s).sum(1) == counts[test]])
+    test = counts[cut] <= kraus.shape[-1] ** 2  # the others are never at full column rank
+    if test.any():
+        s = np.linalg.svd(_kraus_vectors(kraus[cut[test], : counts[cut[test]].max()]), compute_uv=False)
+        test[test] = _kept(s).sum(1) == counts[cut[test]]
+        cut = cut[~test]
     if not cut.size:
         return kraus, counts
     u, s, _ = np.linalg.svd(_kraus_vectors(kraus[cut, : counts[cut].max()]), full_matrices=False)
@@ -128,16 +131,15 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     return out, counts
 
 
-def _assembled(labels: Sequence[Label], ops: Array, valid: Array, sum_tol: float) -> "Instrument":
-    """Instrument whose outcome ``x`` (over the leading axes) has its ``ops``
-    that ``valid`` marks, in order, or one zero operator, cut as in
-    ``bounded_kraus``."""
-    counts = valid.reshape(len(labels), -1).sum(1)
-    if valid.all():
-        kraus = ops.reshape(len(labels), -1, *ops.shape[-2:])
+def _assembled(labels: Sequence[Label], ops: Array, counts: Array, sum_tol: float) -> "Instrument":
+    """Instrument of the outcome-major ``(n, d, d)`` stack ``ops``, with
+    ``counts[x]`` operators for outcome ``x`` (one zero operator if none),
+    padded (a reshape when the counts are equal), cut as in ``bounded_kraus``."""
+    if counts.min() == counts.max() > 0:
+        kraus = ops.reshape(len(counts), -1, *ops.shape[1:])
     else:
-        kraus = np.zeros((len(labels), max(counts.max(), 1), *ops.shape[-2:]), dtype=complex)
-        kraus[_filled(kraus, counts)] = ops[valid]
+        kraus = np.zeros((len(counts), max(counts.max(), 1), *ops.shape[1:]), dtype=complex)
+        kraus[_filled(kraus, counts)] = ops
         counts = np.maximum(counts, 1)
     return Instrument._from_kraus(labels, *_reduced(kraus, counts, ops.shape[-1] ** 2), sum_tol=sum_tol)
 
@@ -420,7 +422,7 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
     f, keep = root_columns(np.concatenate([a.stack, st[None]]))
     ops = np.einsum("ak,xij->xjkai", f[-1][:, keep[-1]], f[:-1].conj())
-    return _assembled(a.labels, ops, np.broadcast_to(keep[:-1, :, None], ops.shape[:3]), CHOI_TOL)
+    return _assembled(a.labels, ops[keep[:-1]].reshape(-1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum(), CHOI_TOL)
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
@@ -474,7 +476,8 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
     ops = j.kraus[None, :, None, :] @ i.kraus[:, None, :, None]  # ops[x, y, s, t] = T_yt S_xs
     valid = _filled(i.kraus, i.counts)[:, None, :, None] & _filled(j.kraus, j.counts)[None, :, None, :]
-    return _assembled([combine_labels(x, y) for x in i.labels for y in j.labels], ops, valid, CHOI_TOL)
+    labels = [combine_labels(x, y) for x in i.labels for y in j.labels]
+    return _assembled(labels, ops[valid], (i.counts[:, None] * j.counts).ravel(), CHOI_TOL)
 
 
 def _channel_kraus(i: Instrument) -> Array:
@@ -496,8 +499,9 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     after the total channel of ``i`` (one broadcast matmul)."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    ops = j.kraus[:, None] @ _channel_kraus(i)[None, :, None]  # ops[y, s, t] = T_yt S_s
-    return _assembled(j.labels, ops, np.broadcast_to(_filled(j.kraus, j.counts)[:, None], ops.shape[:3]), CHOI_TOL)
+    ops = (j.kraus[:, None] @ _channel_kraus(i)[None, :, None]).reshape(len(j), -1, i.dim, i.dim)  # [y, (s, t)]
+    valid = np.arange(ops.shape[1]) % j.kraus.shape[1] < j.counts[:, None]  # t < counts[y]
+    return _assembled(j.labels, ops[valid], valid.sum(1), CHOI_TOL)
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
@@ -508,7 +512,7 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
     labels = shared_value_space(instruments)
     ops = np.concatenate([np.sqrt(wk) * i.kraus for wk, i in zip(w, instruments)], axis=1)
     valid = np.concatenate([_filled(i.kraus, i.counts) & (wk > 0) for wk, i in zip(w, instruments)], axis=1)
-    return _assembled(labels, ops, valid, CHOI_TOL)
+    return _assembled(labels, ops[valid], valid.sum(1), CHOI_TOL)
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
@@ -516,7 +520,8 @@ def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     as in ``instr_convex_combo``."""
     rows, w = row_positions(nu, i), nu.matrix.T[:, :, None]
     ops = np.sqrt(w[..., None, None]) * i.kraus[rows]
-    return _assembled(nu.col_labels, ops, (w > 0) & _filled(i.kraus, i.counts)[rows], CHOI_TOL)
+    valid = (w > 0) & _filled(i.kraus, i.counts)[rows]
+    return _assembled(nu.col_labels, ops[valid], valid.sum((1, 2)), CHOI_TOL)
 
 
 def instr_complementary(i: Instrument, j: Instrument) -> bool:

@@ -208,15 +208,16 @@ def model_instrument(m: FIMM) -> Instrument:
     d, dk = m.dim_base, m.dim_probe
     if m._owner is not None:
         slots = m._restricted[0, :, :, 0].reshape(d, dk, d).swapaxes(0, 1)  # slots[s] = W[(a, s), i]
-        valid = m._owner == np.arange(len(m._labels))[:, None]
-        return _assembled(m._labels, np.broadcast_to(slots, (*valid.shape, d, d)), valid, MODEL_TOL)
+        counts = np.bincount(m._owner, minlength=len(m._labels))
+        return _assembled(m._labels, slots[np.argsort(m._owner, kind="stable")], counts, MODEL_TOL)
     roots = m._pointer_roots
     w = m._restricted
     keep = np.any(roots != 0, axis=1)
     keep[:, -1] = True
     q = w.reshape(len(w), d, dk, d, -1).transpose(0, 4, 3, 1, 2).reshape(len(w), -1, d * d, dk)  # [c, s, (i, a), k]
     kraus = (q @ roots[:, None, None]).reshape(len(roots), len(w), -1, d, d, roots.shape[-1]).transpose(0, 1, 5, 2, 4, 3)
-    return _assembled(m._labels, kraus, np.broadcast_to(keep[:, None, :, None], kraus.shape[:4]), MODEL_TOL)
+    valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)
+    return _assembled(m._labels, kraus[valid], keep.sum(1) * len(w) * kraus.shape[3], MODEL_TOL)
 
 
 def swap_unitary(d: int) -> Array:
@@ -316,7 +317,7 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     f, keep = root_columns(hermitian_part(h.swapaxes(1, 2)))
     kraus = (w * f.swapaxes(1, 2)[:, :, None, :]) @ w.conj().T  # kraus[x, l] = W diag(F_x[:, l]) W^*
     effects = np.einsum("xi,iab->xab", np.diagonal(h, axis1=1, axis2=2).real, base_projs)
-    return _assembled(labels, kraus, keep, CHOI_TOL), channel, Observable._valid(labels, effects)
+    return _assembled(labels, kraus[keep], keep.sum(1), CHOI_TOL), channel, Observable._valid(labels, effects)
 
 
 def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = None) -> VonNeumannModel:
