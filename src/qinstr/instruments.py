@@ -126,8 +126,7 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     counts[cut] = keep.sum(1)
     out = kraus[:, : counts.max()].copy()
     out[cut] = 0.0
-    new = kraus_from_vectors(u * (s * keep)[:, None], kraus.shape[-1])[:, : out.shape[1]]
-    out[cut, : new.shape[1]] = new
+    out[cut, : u.shape[-1]] = kraus_from_vectors(u * (s * keep)[:, None], kraus.shape[-1])[:, : out.shape[1]]
     return out, counts
 
 
@@ -333,9 +332,8 @@ def op_apply(phi: Operation, rho: object) -> Array:
 
 class Instrument(LabelledFamily):
     """Family of operations, one per outcome label, summing to a channel:
-    the read-only padded ``kraus`` array, the ``counts`` and the ``(m, d,
-    d)`` stack of ``effects``, in label order.  The operations, on views of
-    ``kraus``, are formed on first read unless given."""
+    the read-only padded ``kraus`` array, its ``counts`` and ``effects`` in
+    label order; the operations (views of ``kraus``) are formed on read."""
 
     _choi_input = False  # whether an outcome was given as a Choi matrix
 

@@ -164,9 +164,8 @@ def _psd_eig(a: Array) -> tuple[Array, Array]:
 
 def root_columns(m: Array) -> tuple[Array, Array]:
     """``F_i = V sqrt(w)``, ``m_i = F_i F_i^*``, for an exactly Hermitian PSD
-    ``(k, d, d)`` stack, unchecked, from one eigensolve, and ``keep``: the
-    columns above the noise floor (``herm_sqrt``; the others are zero) and
-    the last, the largest, always, so a zero matrix keeps one zero column."""
+    ``(k, d, d)`` stack, unchecked, and ``keep``: the columns above the noise
+    floor (``herm_sqrt``; the others are zero) and the last, the largest."""
     v, r = _psd_eig(m)
     keep = r > 0.0
     keep[:, -1] = True

@@ -102,9 +102,8 @@ class FIMM:
 
     @classmethod
     def _dilation(cls, iso: Array, labels: Sequence[Label], owner: Array) -> "FIMM":
-        """Model with probe state ``|0><0|`` on an isometry ``iso``
-        (orthonormal columns, ``(d n) x d``): its ``W``.  Probe slot ``s``
-        belongs to outcome ``owner[s]`` of ``labels``."""
+        """Model with probe state ``|0><0|`` on an isometry ``iso``, its ``W``
+        (``(d n) x d``), where probe slot ``s`` is outcome ``owner[s]``'s."""
         m = cls.__new__(cls)
         m.dim_base, m.dim_probe, m._probe_root = iso.shape[1], len(owner), np.eye(len(owner), 1, dtype=complex)
         m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
@@ -201,9 +200,8 @@ def model_instrument(m: FIMM) -> Instrument:
     ``eta = R_eta R_eta^*``, one set per Kraus operator of an interaction
     given as an operation.  Only ``W = P (1 (x) R_eta)`` and the roots (the
     nonzero columns and each last one) are read, in one batched product; a
-    dilation's outcome ``x`` has its slots' operators of the isometry.  The
-    outcomes, cut to ``d^2`` operators, must sum to a channel within
-    ``MODEL_TOL``.
+    dilation's outcome ``x`` has its slots' operators of the isometry.  Cut
+    to ``d^2`` operators, they must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
     if m._owner is not None:

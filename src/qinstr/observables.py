@@ -92,10 +92,9 @@ class LabelledFamily:
     The common base of ``Observable`` (members are effects) and
     ``Instrument`` (members are operations).  Each subclass validates its
     members in its own constructor with ``_checked_items`` and
-    ``_common_size``, then sets ``dim``, ``labels`` and ``_members`` (formed
-    on read by an instrument).  ``_distances`` is the comparison that
-    ``family_distance`` and ``marginal_defect`` share: of effects, or of
-    operations in Choi form.
+    ``_common_size``, then sets ``dim``, ``labels`` and ``_members`` (an
+    instrument's on first read).  ``_distances`` is the comparison that
+    ``family_distance`` and ``marginal_defect`` share: effects, or Choi form.
     """
 
     dim: int
