@@ -356,8 +356,8 @@ class Instrument(LabelledFamily):
 
     @classmethod
     def _from_kraus(cls, labels: Sequence[Label], kraus: Array, counts: Array | None = None, sum_tol: float = CHOI_TOL):
-        """Instrument on a new padded Kraus array, ``counts`` (or all)
-        operators per outcome, checked finite, validated once: the effects
+        """Instrument on a padded Kraus array no caller writes, ``counts`` (or
+        all) operators per outcome, checked finite, validated once: the effects
         from one batched Gram product, label distinctness and the sum check,
         which gives ``A_x <= (1 + sum_tol) 1``: trace-non-increase."""
         instr = cls.__new__(cls)
