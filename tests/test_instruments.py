@@ -721,12 +721,6 @@ class TestPaddedArrays:
                 assert choi_distances([got], [expected])[0] <= 1e-15
         assert cuts == (2 if limit == "minimal" and d > 1 else 1 if d > 1 else 4)
 
-    def test_cut_at_d_1_keeps_one_operator(self, rng):
-        ks = np.sqrt(np.array([0.2, 0.3, 0.1, 0.4]) + 0j).reshape(2, 2, 1, 1)
-        kraus, counts = _reduced(ks, np.array([2, 2]), 1)
-        assert counts.tolist() == [1, 1] and kraus.shape == (2, 1, 1, 1)
-        assert np.allclose(np.abs(kraus[:, 0, 0, 0]) ** 2, [0.5, 0.5], atol=1e-15)
-
     def test_combinators_match_the_loops(self, rng):
         d = 2
         i = kraus_family(zip("abc", _uneven_stacks(d, rng, (1, 3, 2))))
