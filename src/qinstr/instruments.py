@@ -73,20 +73,17 @@ def _kraus_stack(ops: Sequence[object]) -> Array:
 
 
 def _kraus_vectors(stack: Array) -> Array:
-    """Columns ``v[(i, a)] = K[a, i]``, one per Kraus operator of a stack or
-    of each stack of a batch: ``choi = V V^*``."""
+    """Columns ``v[(i, a)] = K[a, i]``, one per Kraus operator of a stack (or batch): ``choi = V V^*``."""
     return stack.swapaxes(-1, -3).reshape(*stack.shape[:-3], stack.shape[-1] ** 2, stack.shape[-3])
 
 
 def kraus_from_vectors(vecs: Array, dim: int) -> Array:
-    """The Kraus operators whose ``vec(K^T)`` are the columns of ``vecs``,
-    or of each of a batch: the inverse of ``_kraus_vectors``."""
+    """The Kraus operators whose ``vec(K^T)`` are the columns of ``vecs`` (or a batch): ``_kraus_vectors``'s inverse."""
     return vecs.swapaxes(-1, -2).reshape(*vecs.shape[:-2], vecs.shape[-1], dim, dim).swapaxes(-1, -2)
 
 
 def _padded(stacks: Sequence[Array]) -> Array:
-    """New ``(m, r, d, d)`` array of ``m`` Kraus stacks: stack ``s`` in
-    ``[s, :len(s)]``, then zero operators up to ``r``, the longest length."""
+    """New ``(m, r, d, d)`` array of ``m`` Kraus stacks, stack ``s`` in ``[s, :len(s)]``, zeros after."""
     out = np.zeros((len(stacks), max(len(s) for s in stacks), *np.shape(stacks[0])[1:]), dtype=complex)
     for o, s in zip(out, stacks):
         o[: len(s)] = s
@@ -98,6 +95,11 @@ def _filled(kraus: Array, counts: Array) -> Array:
     return np.arange(kraus.shape[1]) < counts[:, None]
 
 
+def _operators(kraus: Array, counts: Array) -> Array:
+    """A padded array's operators, outcome-major, as one ``(n, d, d)`` stack (a view if unpadded)."""
+    return kraus.reshape(-1, *kraus.shape[2:]) if counts.min() == kraus.shape[1] else kraus[_filled(kraus, counts)]
+
+
 def _kept(s: Array) -> Array:
     """Which descending singular values ``minimal_kraus`` keeps: squares
     above ``KRAUS_EIG_TOL`` times the largest's, and the largest always."""
@@ -107,10 +109,9 @@ def _kept(s: Array) -> Array:
 
 
 def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
-    """The padded array and counts, each outcome above ``limit`` operators
-    cut as by ``minimal_kraus``: one batched call finds which of at most
-    ``d^2`` are at full column rank (zero padding columns add zero singular
-    values, which none keeps), one batched SVD cuts the others."""
+    """The padded array and counts, each outcome above ``limit`` operators cut
+    as by ``minimal_kraus``: one batched singular-value call finds those of at
+    most ``d^2`` at full column rank (padding adds zeros), one SVD cuts the rest."""
     if counts.max() <= limit:
         return kraus, counts
     cut = np.flatnonzero(counts > limit)
@@ -131,9 +132,8 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
 
 
 def _assembled(labels: Sequence[Label], ops: Array, counts: Array, sum_tol: float) -> "Instrument":
-    """Instrument of the outcome-major ``(n, d, d)`` stack ``ops``, with
-    ``counts[x]`` operators for outcome ``x`` (one zero operator if none),
-    padded (a reshape when the counts are equal), cut as in ``bounded_kraus``."""
+    """Instrument of the outcome-major stack ``ops``, ``counts[x]`` for outcome
+    ``x`` (one zero operator if none), padded and cut as in ``bounded_kraus``."""
     if counts.min() == counts.max() > 0:
         kraus = ops.reshape(len(counts), -1, *ops.shape[1:])
     else:
@@ -149,14 +149,13 @@ def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     either side a sequence of stacks or one padded ``(m, r, d, d)`` array.
 
     Padded to ``r`` operators a side, the flattened operators (the Choi row
-    order up to a fixed permutation, which keeps the norm) are the columns
-    of ``W = [V_K, V_L]``, ``d^2 x 2r``, so ``C_K - C_L = W S W^*`` with
-    ``S = diag(1, -1)``.  Past ``d = 4``, when ``W`` is tall, one QR
-    ``W = Q R`` turns this into the ``2r`` square ``R S R^*`` (no difference
-    of squared norms): ``O(d^2 r^2)`` work instead of ``O(d^4 r)``.  For a
-    wide ``W`` the QR would not shrink the square, and up to ``d = 4`` it
-    costs more than it saves.  All pairs go through one batched call, and a
-    pair of bitwise-equal stacks gives exactly 0.0.
+    order up to a fixed permutation, which keeps the norm) are the columns of
+    ``W = [V_K, V_L]``, ``d^2 x 2r``, so ``C_K - C_L = W S W^*`` with ``S =
+    diag(1, -1)``.  Past ``d = 4``, when ``W`` is tall, one QR ``W = Q R``
+    turns this into the ``2r`` square ``R S R^*`` (no difference of squared
+    norms), ``O(d^2 r^2)`` work instead of ``O(d^4 r)``; for a wide ``W``, or
+    up to ``d = 4``, the QR would save nothing.  All pairs go through one
+    batched call, and bitwise-equal stacks give exactly 0.0.
     """
     k, l = (s if isinstance(s, np.ndarray) else _padded(s) for s in (ks, ls))
     m, r, n = len(k), max(k.shape[1], l.shape[1]), k.shape[-1] ** 2
@@ -375,9 +374,8 @@ class Instrument(LabelledFamily):
         return dict(zip(self.labels, ops))
 
     def _distances(self, groups: Array, other: "Instrument") -> Array:
-        """Choi-form distances: ``choi_distances`` on the padded arrays, or
-        with a Choi input, whose Kraus stack can be ``d^2`` long (the kernel
-        then costs ``d^6``), a difference of the kept Choi matrices."""
+        """Choi-form distances: ``choi_distances`` on the padded arrays, or with a
+        Choi input (whose Kraus stack can be ``d^2`` long) of the kept matrices."""
         if self._choi_input or other._choi_input:
             ops, others = list(self._members.values()), list(other._members.values())
             return np.array([frob(sum(ops[k].choi for k in g) - o.choi) for g, o in zip(groups, others)])
@@ -481,7 +479,7 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
 def _channel_kraus(i: Instrument) -> Array:
     """Kraus operators of the total channel: the outcomes' operators
     together, reduced as in ``bounded_kraus``."""
-    return bounded_kraus(i.kraus[_filled(i.kraus, i.counts)], i.dim)
+    return bounded_kraus(_operators(i.kraus, i.counts), i.dim)
 
 
 def instr_channel(i: Instrument) -> Operation:
@@ -498,6 +496,8 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
     ops = (j.kraus[:, None] @ _channel_kraus(i)[None, :, None]).reshape(len(j), -1, i.dim, i.dim)  # [y, (s, t)]
+    if j.counts.min() == j.kraus.shape[1]:  # no padding to drop
+        return _assembled(j.labels, ops.reshape(-1, i.dim, i.dim), np.full(len(j), ops.shape[1]), CHOI_TOL)
     valid = np.arange(ops.shape[1]) % j.kraus.shape[1] < j.counts[:, None]  # t < counts[y]
     return _assembled(j.labels, ops[valid], valid.sum(1), CHOI_TOL)
 

@@ -27,7 +27,7 @@ from .errors import (
     NotIsometry,
     NotNormal,
 )
-from .instruments import Instrument, Operation, _assembled, _filled, _reduced, ensure_channel, instr_post_process
+from .instruments import Instrument, Operation, _assembled, _operators, _reduced, ensure_channel, instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part, inverse_root
 from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_columns, root_factors
@@ -354,7 +354,7 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     """
     d = instr.dim
     kraus, counts = _reduced(instr.kraus, instr.counts, 1)
-    iso = kraus[_filled(kraus, counts)].transpose(1, 0, 2).reshape(-1, d)
+    iso = _operators(kraus, counts).transpose(1, 0, 2).reshape(-1, d)
     gw, inv_root = inverse_root(iso.conj().T @ iso)
     if gw[0] < GRAM_FLOOR:
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")
