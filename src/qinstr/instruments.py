@@ -100,30 +100,33 @@ def _operators(kraus: Array, counts: Array) -> Array:
     return kraus.reshape(-1, *kraus.shape[2:]) if counts.min() == kraus.shape[1] else kraus[_filled(kraus, counts)]
 
 
-def _kept(s: Array) -> Array:
-    """Which descending singular values ``minimal_kraus`` keeps: squares
-    above ``KRAUS_EIG_TOL`` times the largest's, and the largest always."""
-    keep = s * s > KRAUS_EIG_TOL * s[..., :1] ** 2
+def _kept(w: Array) -> Array:
+    """Which descending Choi eigenvalues (squared singular values of the
+    stacked ``vec(K^T)`` columns) ``minimal_kraus`` keeps: those above
+    ``KRAUS_EIG_TOL`` times the largest, and the largest always."""
+    keep = w > KRAUS_EIG_TOL * w[..., :1]
     keep[..., 0] = True
     return keep
 
 
 def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     """The padded array and counts, each outcome above ``limit`` operators cut
-    as by ``minimal_kraus``: one batched singular-value call finds those of at
-    most ``d^2`` at full column rank (padding adds zeros), one SVD cuts the rest."""
+    as by ``minimal_kraus``: one batched ``eigvalsh`` of the ``r x r`` Gram
+    matrices ``tr(K_k^* K_l)`` finds those of at most ``d^2`` at full column
+    rank (padding adds zeros), one SVD cuts the rest."""
     if counts.max() <= limit:
         return kraus, counts
     cut = np.flatnonzero(counts > limit)
     test = counts[cut] <= kraus.shape[-1] ** 2  # the others are never at full column rank
     if test.any():
-        s = np.linalg.svd(_kraus_vectors(kraus[cut[test], : counts[cut[test]].max()]), compute_uv=False)
-        test[test] = _kept(s).sum(1) == counts[cut[test]]
+        flat = kraus[cut[test], : counts[cut[test]].max()].reshape(np.count_nonzero(test), -1, kraus.shape[-1] ** 2)
+        w = np.linalg.eigvalsh(flat.conj() @ flat.swapaxes(1, 2))[:, ::-1]
+        test[test] = _kept(w).sum(1) == counts[cut[test]]
         cut = cut[~test]
     if not cut.size:
         return kraus, counts
     u, s, _ = np.linalg.svd(_kraus_vectors(kraus[cut, : counts[cut].max()]), full_matrices=False)
-    keep, counts = _kept(s), counts.copy()
+    keep, counts = _kept(s * s), counts.copy()
     counts[cut] = keep.sum(1)
     out = kraus[:, : counts.max()].copy()
     out[cut] = 0.0
@@ -179,7 +182,7 @@ def minimal_kraus(ops: Array, dim: int) -> Array:
     if len(ops) <= 1:
         return ops
     u, s, _ = np.linalg.svd(_kraus_vectors(ops), full_matrices=False)
-    keep = _kept(s)
+    keep = _kept(s * s)
     if np.count_nonzero(keep) == len(ops):
         return ops
     return kraus_from_vectors(u[:, keep] * s[keep], dim)

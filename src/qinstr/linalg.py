@@ -58,7 +58,7 @@ RANK_ONE_TOL = 1e-8  # normal model: largest and (relative) second eigenvalue of
 NORMAL_SUM_TOL = 1e-8  # completeness of a normal model's extracted Kraus operators, per unit of dimension
 LUDERS_TOL = 1e-8  # anti-Hermitian part (relative) and negative eigenvalue of extracted Kraus operators
 DIAG_TOL = 1e-9  # off-diagonal residual in a shared eigenbasis, per unit of dimension
-GRAM_FLOOR = 0.5  # smallest eigenvalue of a dilation's Kraus Gram matrix (1 for an instrument)
+GRAM_FLOOR = 0.5  # dilation's Kraus Gram G: ||G - 1||_F <= 1 - GRAM_FLOOR, so G >= GRAM_FLOOR (G = 1 for an instrument)
 EIGENBASIS_ATTEMPTS = 32  # random combinations tried for a commutative observable's eigenbasis
 SEARCH_ITERS = 500  # alternating-projection rounds of find_joint_observable
 SEARCH_TOL = 1e-7  # largest marginal defect ||sum C - target||_F at which find_joint_observable stops
@@ -199,7 +199,8 @@ def _psd_roots(a: Array) -> Array:
 def inverse_root(m: Array) -> tuple[Array, Array]:
     """Eigenvalues ``w`` of the Hermitian part of a positive definite ``m``,
     ascending, and ``m^(-1/2) = V diag(w)^(-1/2) V^*`` from the same
-    eigendecomposition."""
+    eigendecomposition: the whitening of ``rand``'s random families, whose
+    completeness sums are far from ``1``."""
     w, v = np.linalg.eigh(hermitian_part(m))
     return w, (v / np.sqrt(w)) @ v.conj().T
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .instruments import Instrument, Operation, _assembled, _operators, _reduced, ensure_channel, instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
-from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part, inverse_root
+from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
 from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_columns, root_factors
 from .observables import (
     Label,
@@ -61,8 +61,9 @@ class FIMM:
     n)`` Kraus stack (``u[None]`` for a unitary ``u``); ``sharp``; the roots
     ``_pointer_roots`` of the ``F_x^T`` and ``_probe_root`` of ``eta``; and
     ``_restricted``, ``W_c = U_c (1 (x) R_eta)``, ``(c, d dk, d, rank
-    eta)``.  A dilation holds its isometry as ``W``, its labels and
-    ``_owner``, each probe slot's outcome, and forms the rest on read.
+    eta)``.  A dilation holds its polished isometry (``dilate_instrument``)
+    as ``W``, its labels and ``_owner``, each probe slot's outcome, and forms
+    the rest on read.
     """
 
     _owner: Array | None = None
@@ -346,19 +347,21 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     """Realize an instrument as a sharp measurement model.
 
     The probe carries one basis slot per Kraus operator (outcome-major),
-    each outcome's cut to its Choi rank (``instruments._reduced``); the
-    isometry stacking the operators is polished to exact orthonormality and
-    kept, completed to a unitary on first read (``FIMM.interaction``); the
+    each outcome's cut to its Choi rank (``instruments._reduced``).  The
+    isometry ``W`` stacking the operators, whose Gram matrix ``G`` is the
+    effect sum, is polished by one Newton-Schulz step ``W (3 - G) / 2``,
+    which leaves ``||W^* W - 1|| <= 3/4 ||G - 1||^2`` plus rounding, and
+    completed to a unitary on first read (``FIMM.interaction``); the
     pointer coarse-grains slots by outcome, so it is atomic exactly when
     every outcome has a single Kraus operator.
     """
     d = instr.dim
     kraus, counts = _reduced(instr.kraus, instr.counts, 1)
     iso = _operators(kraus, counts).transpose(1, 0, 2).reshape(-1, d)
-    gw, inv_root = inverse_root(iso.conj().T @ iso)
-    if gw[0] < GRAM_FLOOR:
+    defect = iso.conj().T @ iso - np.eye(d)
+    if not frob(defect) <= 1.0 - GRAM_FLOOR:  # then every eigenvalue of G is at least GRAM_FLOOR
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")
-    iso = iso @ inv_root  # exact orthonormality before completion
+    iso = iso - iso @ (defect / 2.0)  # orthonormal to rounding before completion
     if frob(iso.conj().T @ iso - np.eye(d)) > ORTHO_TOL * d:
         raise NotIsometry("polished Kraus columns are not orthonormal")
 

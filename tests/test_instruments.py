@@ -36,6 +36,9 @@ from qinstr.instruments import (
     operations_close,
     trivial_instrument,
     _composed_kraus,
+    _kept,
+    _kraus_vectors,
+    _padded,
     _reduced,
     bounded_kraus,
     choi_distances,
@@ -720,6 +723,39 @@ class TestPaddedArrays:
                 assert len(expected) < len(stack) and got.shape == expected.shape
                 assert choi_distances([got], [expected])[0] <= 1e-15
         assert cuts == (2 if limit == "minimal" and d > 1 else 1 if d > 1 else 4)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gram_rank_test_matches_the_svd(self, d, rng):
+        # An outcome of 2...d^2 operators is kept as it is exactly when the
+        # SVD of its d^2 x r vector block keeps every operator (_kept).
+        def draw(n):
+            return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+        k, l, e = draw(3)
+        stacks = [
+            draw(2),
+            draw(3),
+            draw(d * d),
+            np.stack([k, l, k]),  # a duplicate
+            np.stack([k, 2.5j * k]),  # a scaled copy
+            np.stack([k, l, k + 1e-4 * e]),  # a third direction of relative weight ~1e-8: kept
+            np.stack([k, l, k + 1e-6 * e]),  # ~1e-12, below KRAUS_EIG_TOL: cut
+            np.zeros((3, d, d), dtype=complex),  # an all-zero outcome
+            np.concatenate([draw(d * d - 3), np.stack([k, l, k - 3j * l])]),  # d^2 operators, the last dependent
+            draw(1),  # one operator, padded
+        ]
+        counts = np.array([len(s) for s in stacks])
+        kraus, reduced = _reduced(_padded(stacks), counts, 1)
+        decisions = []
+        for x, stack in enumerate(stacks[:-1]):
+            s = np.linalg.svd(_kraus_vectors(stack), compute_uv=False)
+            full = bool(_kept(s * s).sum() == len(stack))
+            kept = reduced[x] == len(stack) and np.array_equal(kraus[x, : len(stack)], stack)
+            assert kept == full, x
+            assert reduced[x] == _kept(s * s).sum(), x
+            decisions.append(full)
+        assert decisions == [True, True, True, False, False, True, False, False, False]
+        np.testing.assert_array_equal(kraus[-1, :1], stacks[-1])
 
     def test_combinators_match_the_loops(self, rng):
         d = 2

@@ -19,7 +19,8 @@ from qinstr.instruments import (
     minimal_kraus,
     trivial_instrument,
 )
-from qinstr.linalg import _phase_fix, complete_to_unitary, frob, herm_eig, inverse_root, is_unitary
+from qinstr.linalg import CHOI_TOL, _phase_fix, complete_to_unitary, frob, herm_eig, herm_sqrt, hermitian_part
+from qinstr.linalg import inverse_root, is_unitary
 from qinstr.linalg import partial_trace_second, root_factors, tensor_product
 from qinstr.models import (
     FIMM,
@@ -202,9 +203,22 @@ class TestClosedForm:
         d = 12
         instr = random_instrument(d, 3, rng, kraus_per_outcome=2)
         eig_calls.calls.clear()
+        eig_calls.svd_calls.clear()
         out = model_instrument(dilate_instrument(instr))
-        assert eig_calls.orders and max(eig_calls.orders) < d * d
+        assert max(eig_calls.orders) < d * d
+        assert eig_calls.calls == [(2, 3)]  # the rank test's 2 x 2 Gram matrices, one per outcome
+        assert eig_calls.svd_calls == []
         assert instruments_close(out, instr, 1e-10)
+
+    def test_one_kraus_dilation_makes_no_factorization(self, rng, eig_calls):
+        instr = random_instrument(12, 3, rng, kraus_per_outcome=1)
+        eig_calls.calls.clear()
+        eig_calls.svd_calls.clear()
+        eig_calls.qr_calls.clear()
+        m = dilate_instrument(instr)
+        assert eig_calls.calls == [] and eig_calls.svd_calls == [] and eig_calls.qr_calls == []
+        model_instrument(m)
+        assert eig_calls.calls == [] and eig_calls.svd_calls == [] and eig_calls.qr_calls == []
 
     def test_conditioning_extracts_each_operation_once(self, rng, eig_calls):
         d = 4
@@ -686,7 +700,7 @@ def _eager_dilate_instrument(instr):
     counts = [len(ks) for ks in slots]
     n = sum(counts)
     iso = np.concatenate(slots).transpose(1, 0, 2).reshape(d * n, d)
-    iso = iso @ inverse_root(iso.conj().T @ iso)[1]
+    iso = iso - iso @ ((iso.conj().T @ iso - np.eye(d)) / 2.0)  # one Newton-Schulz step, as dilate_instrument
     first_slot = np.arange(d * n) % n == 0
     sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
     interaction = np.empty((d * n, d * n), dtype=complex)
@@ -854,7 +868,10 @@ class TestDilationCompletedOnRead:
     def test_round_trip_gap(self, d, rng):
         for kraus in (2, 1):
             instr = random_instrument(d, 3, rng, kraus)
-            assert family_distance(model_instrument(dilate_instrument(instr)), instr) <= 7e-14  # the north-star bound
+            m = dilate_instrument(instr)
+            assert family_distance(model_instrument(m), instr) <= 7e-14  # the north-star bound
+            w = m._restricted[0, :, :, 0]
+            assert frob(w.conj().T @ w - np.eye(d)) <= 4e-15  # 1.8e-15 at d = 32; the eigh polish left 1.3e-14
 
     def test_normal_extract_reads_the_isometry(self, rng, eig_calls):
         for d, n in [(2, 2), (3, 4), (4, 3)]:
@@ -865,6 +882,53 @@ class TestDilationCompletedOnRead:
             assert "interaction" not in vars(m) and "couplings" not in vars(m)
             for x, s in _loop_normal_extract(m).items():  # the oracle completes the unitary
                 assert frob(extracted[x] - s) <= 1e-12
+
+
+def _polar_factor(instr):
+    """The exact polar factor ``W (W^* W)^(-1/2)`` of a dilation's stacked
+    Kraus columns, from one eigensolve: the polish before the Newton-Schulz
+    step."""
+    d = instr.dim
+    iso = np.concatenate([minimal_kraus(op._kraus, d) for _, op in instr.items()]).transpose(1, 0, 2).reshape(-1, d)
+    return iso @ inverse_root(iso.conj().T @ iso)[1]
+
+
+class TestIsometryPolish:
+    """One Newton-Schulz step ``W (3 - G) / 2`` against the exact polar
+    factor, for Gram matrices ``G`` at rounding distance from ``1`` and near
+    the sum tolerances an instrument can reach a dilation with."""
+
+    @staticmethod
+    def _assert_polished(instr):
+        d = instr.dim
+        w = dilate_instrument(instr)._restricted[0, :, :, 0]
+        assert frob(w.conj().T @ w - np.eye(d)) <= 4e-15, d
+        assert frob(w - _polar_factor(instr)) <= 1e-15 * d, d
+
+    @pytest.mark.parametrize("kraus", [1, 2])
+    def test_matches_the_polar_factor(self, kraus, rng):
+        for d in range(2, 33):
+            self._assert_polished(random_instrument(d, 3, rng, kraus))
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_effects_missing_the_identity_by_nine_tenths_of_the_tolerance(self, d, rng):
+        instr = random_instrument(d, 3, rng)
+        e = hermitian_part(random_unitary(d, rng))
+        e *= 0.9 * CHOI_TOL / frob(e)
+        bent = Instrument._from_kraus(instr.labels, instr.kraus @ herm_sqrt(np.eye(d) + e))
+        assert 0.85 * CHOI_TOL <= frob(bent.effects.sum(0) - np.eye(d)) <= CHOI_TOL
+        self._assert_polished(bent)
+
+    def test_measured_instrument_near_the_model_tolerance(self, rng):
+        # A unitary off by half MODEL_TOL, given to the unchecked constructor,
+        # measures an instrument whose effects miss the identity by about that much.
+        d, dk = 3, 2
+        u = random_unitary(d * dk, rng)
+        e = hermitian_part(random_unitary(d * dk, rng))
+        u = u @ herm_sqrt(np.eye(d * dk) + 0.5 * MODEL_TOL * e / frob(e))
+        measured = model_instrument(FIMM._unitary(d, dk, random_state(dk, rng), u, random_observable(dk, 3, rng)))
+        assert 1e-8 <= frob(measured.effects.sum(0) - np.eye(d)) <= MODEL_TOL
+        self._assert_polished(measured)
 
 
 class TestKnownPointerRoots:
