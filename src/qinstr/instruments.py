@@ -13,12 +13,12 @@ takes exactly one of two input forms and validates by form:
 
 Choi matrices are formed on read (``O(r d^4)`` for ``r`` operators) and not
 kept, so no operation carries a ``d^4`` array it did not come with; writing
-a document is their one reader here.  Comparisons (``family_distance``,
+a document is their one reader.  Comparisons (``family_distance``,
 ``marginal_defect``, ``operations_close``, ``is_identity_instrument``) stay
-in Kraus form, through ``choi_distances`` on the padded arrays:
-``O(d^2 r^2)`` per pair of Kraus-built operations.  A comparison with a
-Choi-input operation in it is made in Choi form, ``O(d^4 r)`` per matrix
-formed and one subtraction.
+in Kraus form, through ``choi_distances`` on the padded arrays,
+``O(d^2 r^2)`` per pair; a Choi-input operation takes part with its
+canonical stack (at most ``d^2`` operators), so a comparison measures the
+map that ``apply`` performs.
 
 An instrument (an ``observables.LabelledFamily``) is one read-only
 zero-padded ``(m, r, d, d)`` Kraus array, outcome ``x``'s operators
@@ -136,7 +136,7 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
 
 def _assembled(labels: Sequence[Label], ops: Array, counts: Array, sum_tol: float) -> "Instrument":
     """Instrument of the outcome-major stack ``ops``, ``counts[x]`` for outcome
-    ``x`` (one zero operator if none), padded and cut as in ``bounded_kraus``."""
+    ``x`` (one zero operator if none), padded and cut by ``_reduced``."""
     if counts.min() == counts.max() > 0:
         kraus = ops.reshape(len(counts), -1, *ops.shape[1:])
     else:
@@ -188,17 +188,6 @@ def minimal_kraus(ops: Array, dim: int) -> Array:
     return kraus_from_vectors(u[:, keep] * s[keep], dim)
 
 
-def bounded_kraus(ops: Array, dim: int) -> Array:
-    """Kraus operators of the same map, at least one and at most ``dim**2``:
-    longer stacks are cut by ``minimal_kraus``, and an empty one (the zero
-    map of a zero Choi matrix) becomes one zero operator."""
-    if len(ops) == 0:
-        return np.zeros((1, dim, dim), dtype=complex)
-    if len(ops) <= dim * dim:
-        return ops
-    return minimal_kraus(ops, dim)
-
-
 class Operation:
     """Completely positive trace-non-increasing map, from Kraus operators or
     a Choi matrix, never both (see the module docstring for what each
@@ -208,9 +197,9 @@ class Operation:
     canonical ones of its eigendecomposition.  Choi eigenvalues at or below
     ``KRAUS_EIG_TOL`` (the small negative ones the PSD check tolerates among
     them) are dropped from that Kraus form, and a zero Choi matrix gives one
-    zero operator.  ``_choi`` is the caller's Choi matrix, kept for
-    byte-identical documents; a Kraus-built operation has none, and its
-    ``choi`` is formed on each read.
+    zero operator.  ``_choi`` is the caller's Choi matrix, kept so that a
+    document re-saves byte-identical: ``choi`` is its one reader.  A
+    Kraus-built operation has none, and its ``choi`` is formed on each read.
     """
 
     _choi: Array | None = None
@@ -232,7 +221,8 @@ class Operation:
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
             self._choi = read_only(c)
             keep = w > KRAUS_EIG_TOL
-            self._kraus = read_only(bounded_kraus(kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim), dim))
+            kraus = kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim)
+            self._kraus = read_only(kraus if len(kraus) else np.zeros((1, dim, dim), dtype=complex))
         self.dim = self._kraus.shape[1]
         top = float(np.linalg.eigvalsh(self.induced_effect)[-1])
         if not top <= 1.0 + CHOI_TOL:
@@ -259,6 +249,8 @@ class Operation:
 
     @classmethod
     def identity(cls, dim: int) -> "Operation":
+        if dim < 1:
+            raise DimensionError("dimension must be at least 1")
         return cls.from_kraus([np.eye(dim, dtype=complex)])
 
     @classmethod
@@ -270,7 +262,7 @@ class Operation:
         """Choi matrix: the caller's (symmetrized) matrix for Choi input, else
         the Hermitian part of ``V V^*`` of the Kraus vectors (exactly
         Hermitian, as a loaded document's is), formed on each read and not
-        kept (``d^2 x d^2``; ``operations_close`` compares without forming it)."""
+        kept (``d^2 x d^2``; comparisons never form it)."""
         if self._choi is not None:
             return self._choi
         v = _kraus_vectors(self._kraus)
@@ -314,13 +306,10 @@ def ensure_channel(op: Operation) -> Operation:
 
 
 def operations_close(a: Operation, b: Operation, tol: float) -> bool:
-    """Choi matrices within ``tol`` in Frobenius norm, compared in Kraus form
-    unless one of them was given as a Choi matrix (as in ``_distances``)."""
+    """Choi matrices within ``tol`` in Frobenius norm, compared in Kraus form."""
     if a.dim != b.dim:
         return False
-    if a._choi is None and b._choi is None:
-        return choi_distances([a._kraus], [b._kraus])[0] <= tol
-    return frob(a.choi - b.choi) <= tol
+    return choi_distances([a._kraus], [b._kraus])[0] <= tol
 
 
 def op_apply(phi: Operation, rho: object) -> Array:
@@ -337,8 +326,6 @@ class Instrument(LabelledFamily):
     the read-only padded ``kraus`` array, its ``counts`` and ``effects`` in
     label order; the operations (views of ``kraus``) are formed on read."""
 
-    _choi_input = False  # whether an outcome was given as a Choi matrix
-
     def __init__(self, operations: Mapping[Label, Operation] | Iterable[tuple[Label, Operation]]):
         labels, ops = self._checked_items(operations)
         if not all(isinstance(op, Operation) for op in ops):
@@ -346,7 +333,7 @@ class Instrument(LabelledFamily):
         self._common_size((op.dim for op in ops), "operations")
         stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops])
         self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects, CHOI_TOL)
-        self._members, self._choi_input = dict(zip(labels, ops)), any(op._choi is not None for op in ops)
+        self._members = dict(zip(labels, ops))
 
     def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array, sum_tol: float) -> None:
         self.dim = effects.shape[-1]
@@ -377,11 +364,8 @@ class Instrument(LabelledFamily):
         return dict(zip(self.labels, ops))
 
     def _distances(self, groups: Array, other: "Instrument") -> Array:
-        """Choi-form distances: ``choi_distances`` on the padded arrays, or with a
-        Choi input (whose Kraus stack can be ``d^2`` long) of the kept matrices."""
-        if self._choi_input or other._choi_input:
-            ops, others = list(self._members.values()), list(other._members.values())
-            return np.array([frob(sum(ops[k].choi for k in g) - o.choi) for g, o in zip(groups, others)])
+        """Choi-form distances: ``choi_distances`` on the padded arrays, a
+        group's operators together."""
         k = self.kraus[groups]
         return choi_distances(k.reshape(len(groups), -1, self.dim, self.dim), other.kraus)
 
@@ -426,6 +410,8 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
     """Instrument whose outcomes scale the identity channel."""
+    if dim < 1:
+        raise DimensionError("dimension must be at least 1")
     w = np.sqrt(check_weights(list(weights.values()), len(weights)))
     return Instrument._from_kraus(check_distinct_labels(weights), w[:, None, None, None] * np.eye(dim, dtype=complex))
 
@@ -456,13 +442,14 @@ def is_single_kraus(phi: Operation) -> bool:
 def _composed_kraus(second: Array, first: Array, dim: int) -> Array:
     """Kraus operators of performing ``first`` and then ``second``, given by
     their stacks: the pairwise products ``t @ s`` from one broadcast matmul,
-    ``s``-major, reduced as in ``bounded_kraus``."""
-    return bounded_kraus((second[None] @ first[:, None]).reshape(-1, dim, dim), dim)
+    ``s``-major, cut by ``_reduced`` above ``d^2`` operators."""
+    ops = (second[None] @ first[:, None]).reshape(1, -1, dim, dim)
+    return _reduced(ops, np.array([ops.shape[1]]), dim * dim)[0][0]
 
 
 def compose_operations(second: Operation, first: Operation) -> Operation:
     """Operation performing ``first`` and then ``second``; its Kraus
-    operators are the pairwise products, reduced as in ``bounded_kraus``."""
+    operators are the pairwise products, cut as in ``_composed_kraus``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
     return Operation.from_kraus(_composed_kraus(second._kraus, first._kraus, first.dim))
@@ -481,8 +468,9 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
 
 def _channel_kraus(i: Instrument) -> Array:
     """Kraus operators of the total channel: the outcomes' operators
-    together, reduced as in ``bounded_kraus``."""
-    return bounded_kraus(_operators(i.kraus, i.counts), i.dim)
+    together, cut by ``_reduced`` above ``d^2``."""
+    ops = _operators(i.kraus, i.counts)
+    return _reduced(ops[None], np.array([len(ops)]), i.dim ** 2)[0][0]
 
 
 def instr_channel(i: Instrument) -> Operation:
@@ -584,8 +572,8 @@ def kraus_instrument_from_channel(a: Operation) -> Instrument:
 
 def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
     """True when every outcome is a scalar multiple of the identity channel:
-    outcome ``x`` is within ``tol`` (``_distances``) of ``w_x id``, one Kraus
-    operator ``sqrt(w_x) 1``, ``w_x = tr(A_x) / d`` (summing as the effects do)."""
+    outcome ``x`` is within ``tol`` (``choi_distances``) of ``w_x id``, one
+    Kraus operator ``sqrt(w_x) 1``, ``w_x = tr(A_x) / d`` (summing as the
+    effects do)."""
     w = np.trace(i.effects, axis1=1, axis2=2).real / i.dim
-    ones = Instrument._from_kraus(i.labels, np.sqrt(w)[:, None, None, None] * np.eye(i.dim), sum_tol=np.inf)
-    return bool(np.all(i._distances(np.arange(len(i))[:, None], ones) <= tol))
+    return bool(np.all(choi_distances(i.kraus, np.sqrt(w)[:, None, None, None] * np.eye(i.dim)) <= tol))

@@ -52,7 +52,7 @@ STOCHASTIC_NEG_TOL = 1e-12  # negative entry of a stochastic matrix
 STOCHASTIC_ROW_TOL = 1e-10  # row-sum defect of a stochastic matrix
 WEIGHT_TOL = 1e-10  # negative entry and sum defect of convex weights
 CHOI_TOL = 1e-8  # Choi PSD (relative), trace increase, channel and instrument sums, instrument complementarity
-KRAUS_EIG_TOL = 1e-10  # Choi eigenvalue below which no Kraus operator is kept (relative in minimal_kraus)
+KRAUS_EIG_TOL = 1e-10  # Choi eigenvalue below which no Kraus operator is kept: relative to the largest in _kept, absolute for Choi input
 MODEL_TOL = 1e-7  # sum defect of the instrument a model measures
 RANK_ONE_TOL = 1e-8  # normal model: largest and (relative) second eigenvalue of probe and pointer atoms
 NORMAL_SUM_TOL = 1e-8  # completeness of a normal model's extracted Kraus operators, per unit of dimension

@@ -6,7 +6,7 @@ dimension, with one set of label checks, mapping protocol and ``repr``.
 Closeness (``family_distance``), coexistence (``marginal_defect``), the
 value-space check of mixtures and the row check of post-processing are
 written once on it; the two comparisons ask each family for the distances
-of its members (``_distances``): effects, or operations in Choi form.
+of its members (``_distances``): effects, or Kraus stacks.
 
 An observable is a finite, label-indexed family of effects summing to the
 identity (a finite-outcome POVM).  Product value-spaces use tuple labels;
@@ -94,7 +94,7 @@ class LabelledFamily:
     members in its own constructor with ``_checked_items`` and
     ``_common_size``, then sets ``dim``, ``labels`` and ``_members`` (an
     instrument's on first read).  ``_distances`` is the comparison that
-    ``family_distance`` and ``marginal_defect`` share: effects, or Choi form.
+    ``family_distance`` and ``marginal_defect`` share: effects, or Kraus stacks.
     """
 
     dim: int
@@ -444,6 +444,8 @@ def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Ob
 
 def identity_observable(weights: Mapping[Label, float], dim: int) -> Observable:
     """Observable whose effects are multiples of the identity."""
+    if dim < 1:
+        raise DimensionError("dimension must be at least 1")
     w = check_weights(list(weights.values()), len(weights))
     return Observable(zip(weights.keys(), w[:, None, None] * np.eye(dim, dtype=complex)))
 

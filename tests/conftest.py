@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qinstr.instruments import Instrument, _padded
+from qinstr.instruments import Instrument, _padded, minimal_kraus
 from qinstr.linalg import CHOI_TOL
 from qinstr.observables import Observable
 
@@ -152,6 +152,15 @@ def kraus_family(items, sum_tol: float = CHOI_TOL) -> Instrument:
     labels, stacks = zip(*items)
     stacks = [np.asarray(s, dtype=complex) for s in stacks]
     return Instrument._from_kraus(labels, _padded(stacks), [len(s) for s in stacks], sum_tol)
+
+
+def bounded_kraus(ops: np.ndarray, dim: int) -> np.ndarray:
+    """Oracle of the library's cut: at least one and at most ``dim**2`` Kraus
+    operators of the same map, ``minimal_kraus`` above ``dim**2`` and one zero
+    operator for none."""
+    if len(ops) == 0:
+        return np.zeros((1, dim, dim), dtype=complex)
+    return ops if len(ops) <= dim * dim else minimal_kraus(ops, dim)
 
 
 class EigenCalls:

@@ -11,15 +11,18 @@ from qinstr.instruments import (
     Instrument,
     Operation,
     choi_distances,
+    identity_instrument,
     instr_channel,
+    instr_coexist_verify,
+    instr_product,
     instruments_close,
     is_identity_instrument,
     kraus_instrument,
     operations_close,
 )
 from qinstr.linalg import CHOI_TOL, frob, hermitian_part
-from qinstr.models import dilate_instrument, model_instrument
-from qinstr.observables import family_distance
+from qinstr.models import dilate_instrument, marginal_instruments, model_instrument
+from qinstr.observables import family_distance, marginal_defect
 from qinstr.rand import random_hermitian, random_instrument, random_simplex, random_unitary
 from qinstr.serialize import dumps_document
 
@@ -116,16 +119,18 @@ class TestKernelAgainstTheChoiForm:
 
     @pytest.mark.parametrize("d", [2, 8])
     def test_choi_input_pairs_compare_in_choi_form(self, d, rng, eig_calls):
-        """A pair with a Choi-input operation subtracts Choi matrices, with no
-        QR of its canonical Kraus stack (up to ``d^2`` operators)."""
+        """A pair with a Choi-input operation compares the Choi matrices of
+        the canonical Kraus stacks, with no QR: a stack of up to ``d^2``
+        operators makes ``W`` wide."""
         full = [Operation.from_choi(random_instrument(d, 1, rng, d * d)["0"].choi) for _ in range(2)]
         kraus = random_instrument(d, 1, rng, 2)["0"]
         ia, ib = Instrument({"0": full[0]}), Instrument({"0": full[1]})
+        c0, c1, ck = (explicit_choi(op._kraus) for op in (*full, kraus))
         eig_calls.qr_calls.clear()
-        assert family_distance(ia, ib) == frob(full[0].choi - full[1].choi)
+        assert abs(family_distance(ia, ib) - frob(c0 - c1)) <= 1e-14 * (frob(c0) + frob(c1))
         assert family_distance(ia, ia) == 0.0
-        assert operations_close(full[0], kraus, frob(full[0].choi - kraus.choi))
-        assert not operations_close(kraus, full[0], 0.99 * frob(full[0].choi - kraus.choi))
+        assert operations_close(full[0], kraus, 1.01 * frob(c0 - ck))
+        assert not operations_close(kraus, full[0], 0.99 * frob(c0 - ck))
         assert is_identity_instrument(ia, 10.0) == choi_identity_verdict(ia, 10.0)
         assert eig_calls.qr_calls == []
 
@@ -175,10 +180,47 @@ class TestIdentityInstrumentVerdicts:
             kraus_instrument({"a": np.sqrt(0.3) * np.eye(d), "b": np.sqrt(0.7) * np.eye(d)}),
             kraus_instrument({"a": np.sqrt(0.3) * np.eye(d), "b": np.sqrt(0.7) * random_unitary(d, rng)}),
             random_instrument(d, 2, rng),
+            choi_loaded(identity_instrument({"a": 0.3, "b": 0.7}, d)),
         ]
         for instr in cases:
             for tol in (0.0, 1e-12, CHOI_TOL, 1e-2, 10.0):
                 assert is_identity_instrument(instr, tol) == choi_identity_verdict(instr, tol)
+
+
+def choi_loaded(instr: Instrument) -> Instrument:
+    """The same instrument, each outcome loaded from its Choi matrix."""
+    return Instrument({x: Operation.from_choi(op.choi) for x, op in instr.items()})
+
+
+class TestOneComparisonPath:
+    """Choi-loaded operations compare through their canonical Kraus stacks,
+    as Kraus-built ones do: no Choi matrix is formed, and
+    ``is_identity_instrument`` builds no instrument."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("r", [1, 2, "d^2"])
+    def test_choi_loaded_and_kraus_built_copies_agree(self, d, r, rng, monkeypatch):
+        i = random_instrument(d, 3, rng, d * d if r == "d^2" else r)
+        joint = instr_product(i, random_instrument(d, 2, rng, 1))
+        a, b = marginal_instruments(joint)
+        ident = identity_instrument({"u": 0.4, "v": 0.6}, d)
+        loaded = [choi_loaded(f) for f in (i, a, b, joint, ident)]
+
+        def formed(self):
+            raise AssertionError("a Choi matrix was formed")
+
+        def built(*args, **kwargs):
+            raise AssertionError("an instrument was built")
+
+        monkeypatch.setattr(Operation, "choi", property(formed))
+        monkeypatch.setattr(Instrument, "_from_kraus", classmethod(built))
+        li, la, lb, ljoint, lident = loaded
+        assert family_distance(li, i) <= 1e-14 and family_distance(i, li) <= 1e-14
+        assert all(operations_close(li[x], op, 1e-14) for x, op in i.items())
+        assert abs(marginal_defect(la, lb, ljoint) - marginal_defect(a, b, joint)) <= 1e-14
+        assert instr_coexist_verify(la, lb, ljoint) and instr_coexist_verify(a, b, joint)
+        assert is_identity_instrument(lident, 1e-14) and is_identity_instrument(ident, 1e-14)
+        assert not is_identity_instrument(li) and not is_identity_instrument(i)
 
 
 def choi_sized(op: Operation) -> list[str]:

@@ -52,6 +52,7 @@ from qinstr.observables import (
     StochasticMatrix,
     check_weights,
     find_joint_observable,
+    identity_observable,
     obs_commute,
     obs_convex_combo,
     obs_triple_joint,
@@ -137,6 +138,9 @@ ROWS = [
     ("trivial-instrument-dim", lambda mp, tp: trivial_instrument(Z, STATE_3), (DimensionError, "state dim 3")),
     ("compose-dim", lambda mp, tp: compose_operations(ID_2, ID_3), (DimensionError, "mismatch 2 vs 3")),
     ("conditioned-dim", lambda mp, tp: instr_conditioned(SPLIT_2, SPLIT_3), (DimensionError, "mismatch 2 vs 3")),
+    ("identity-instrument-zero", lambda mp, tp: identity_instrument({"a": 1.0}, 0), (DimensionError, "at least 1")),
+    ("identity-instrument-negative", lambda mp, tp: identity_instrument({"a": 1.0}, -1), (DimensionError, "at least 1")),
+    ("operation-identity-negative", lambda mp, tp: Operation.identity(-1), (DimensionError, "at least 1")),
     # linalg
     ("atom-empty", lambda mp, tp: atom([]), (DimensionError, "nonempty vector")),
     ("atom-nan", lambda mp, tp: atom([np.nan]), (QinstrError, "non-finite")),
@@ -179,6 +183,7 @@ ROWS = [
     ("commute-dim", lambda mp, tp: obs_commute(Z, TRIVIAL_3), (DimensionError, "mismatch 2 vs 3")),
     ("triple-joint-dim", lambda mp, tp: obs_triple_joint(Z, Z, TRIVIAL_3), (DimensionError, "mismatch")),
     ("find-joint-dim", lambda mp, tp: find_joint_observable(Z, TRIVIAL_3), (DimensionError, "mismatch 2 vs 3")),
+    ("identity-observable-negative", lambda mp, tp: identity_observable({"a": 1.0}, -2), (DimensionError, "at least 1")),
     # serialize
     ("bare-matrix-without-kind", lambda mp, tp: dumps_document(np.eye(2)), (DocumentError, "explicit kind")),
     ("unsupported-object", lambda mp, tp: dumps_document(object()), (DocumentError, "type object")),

@@ -6,7 +6,6 @@ from qinstr.errors import DimensionError, NotCommutative, NotIsometry, NotNormal
 from qinstr.instruments import (
     Instrument,
     Operation,
-    bounded_kraus,
     induced_observable,
     instr_channel,
     instr_coexist_verify,
@@ -59,7 +58,7 @@ from qinstr.rand import (
 )
 from qinstr.serialize import dumps_document
 
-from conftest import P0, P1, PAULI_X, kraus_family, proj
+from conftest import P0, P1, PAULI_X, bounded_kraus, kraus_family, proj
 
 
 class TestSwapUnitary:
