@@ -166,7 +166,11 @@ def root_columns(m: Array) -> tuple[Array, Array]:
     """``F_i = V sqrt(w)``, ``m_i = F_i F_i^*``, for an exactly Hermitian PSD
     ``(k, d, d)`` stack, unchecked, and ``keep``: the columns above the noise
     floor (``herm_sqrt``; the others are zero) and the last, the largest."""
-    v, r = _psd_eig(m)
+    return _eig_columns(*_psd_eig(m))
+
+
+def _eig_columns(v: Array, r: Array) -> tuple[Array, Array]:
+    """``root_columns`` of a stack from its ``_psd_eig``."""
     keep = r > 0.0
     keep[:, -1] = True
     return v * r[:, None, :], keep
@@ -187,12 +191,11 @@ def herm_sqrt(m: object) -> Array:
     zeroed as well: the square root would otherwise amplify eigensolver
     noise of size ``eps`` into errors of size ``sqrt(eps)``.
     """
-    return _psd_roots(ensure_hermitian(m, stack=np.ndim(m) == 3))
+    return _eig_sqrt(*_psd_eig(ensure_hermitian(m, stack=np.ndim(m) == 3)))
 
 
-def _psd_roots(a: Array) -> Array:
-    """``herm_sqrt`` of an exactly Hermitian matrix or stack, unchecked."""
-    v, r = _psd_eig(a)
+def _eig_sqrt(v: Array, r: Array) -> Array:
+    """``herm_sqrt`` of a matrix or stack from its ``_psd_eig``."""
     return hermitian_part((v * r[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 

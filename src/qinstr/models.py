@@ -2,13 +2,15 @@
 
 A model couples the base system to a probe through a channel, then reads a
 pointer observable off the probe; tracing out the probe leaves an instrument
-on the base system.  Interaction channels are stored as plain unitary
-matrices when available (von Neumann, swap, dilation) and as operations
-otherwise.
+on the base system.  Interaction channels are plain unitary matrices or
+operations.  A swap model keeps its unitary; a dilation keeps its isometry
+and a von Neumann model its two bases, and each forms its unitary only when
+something reads it.
 
 A model forms what it derives from its parts on first read (``FIMM``);
 ``model_instrument`` only reads its pointer's roots and its interaction on
-the probe state's support, and of a dilation its isometry and slot map.
+the probe state's support (``W``), which a dilation and a von Neumann model
+hold from construction, and of a dilation its slot map.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .effects import ensure_state
 from .errors import (
     DimensionError,
+    KindError,
     LabelError,
     NotCommutative,
     NotIsometry,
@@ -30,7 +33,7 @@ from .errors import (
 from .instruments import Instrument, Operation, _assembled, _operators, _reduced, ensure_channel, instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
-from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_columns, root_factors
+from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_factors
 from .observables import (
     Label,
     Observable,
@@ -63,10 +66,13 @@ class FIMM:
     ``_restricted``, ``W_c = U_c (1 (x) R_eta)``, ``(c, d dk, d, rank
     eta)``.  A dilation holds its polished isometry (``dilate_instrument``)
     as ``W``, its labels and ``_owner``, each probe slot's outcome, and forms
-    the rest on read.
+    the rest on read.  A von Neumann model (``VonNeumannModel.to_fimm``)
+    holds its probe root ``phi_0``, its ``W`` in closed form and its
+    ``_bases``, from which it forms its unitary on read.
     """
 
     _owner: Array | None = None
+    _bases: tuple[Array, Array] | None = None
 
     def __init__(
         self,
@@ -94,8 +100,8 @@ class FIMM:
     @classmethod
     def _unitary(cls, dim_base: int, dim_probe: int, probe_state: Array, u: Array, pointer: Observable) -> "FIMM":
         """Model on an interaction ``u`` that is unitary of the right shape by
-        construction (dilation, swap, basis pairing) and a probe state that is
-        a state by construction or already checked: neither is checked again."""
+        construction (the swap) and a probe state that is a state by
+        construction or already checked: neither is checked again."""
         m = cls.__new__(cls)
         m._set_parts(dim_base, dim_probe, probe_state, pointer)
         m.interaction = read_only(u)
@@ -109,6 +115,22 @@ class FIMM:
         m.dim_base, m.dim_probe, m._probe_root = iso.shape[1], len(owner), np.eye(len(owner), 1, dtype=complex)
         m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
         m._labels, m._owner = tuple(labels), owner
+        return m
+
+    @classmethod
+    def _pairing(cls, base: Array, probe: Array, pointer: Observable) -> "FIMM":
+        """Basis-pairing model of bases checked by ``_checked_bases``: probe
+        root ``phi_0`` and ``W[(a, k), i] = sum_j psi_j[a] phi_j[k]
+        conj(psi_j[i])``, the unitary's columns ``(i, 0)``, as one ``(d^2, d)
+        (d, d)`` product."""
+        d = base.shape[0]
+        phi0 = probe[:, 0]
+        m = cls.__new__(cls)
+        eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
+        m._set_parts(d, d, eta, pointer)
+        m._bases, m._probe_root = (base, probe), phi0[:, None]
+        w = (base[:, None, :] * probe[None]).reshape(d * d, d) @ base.conj().T
+        m._restricted = read_only(w.reshape(1, d * d, d, 1))
         return m
 
     def _repointed(self, labels: Sequence[Label], owner: Array) -> "FIMM":
@@ -128,8 +150,11 @@ class FIMM:
 
     @cached_property
     def interaction(self) -> Array:
-        """A dilation's unitary: its isometry in the columns ``(k, 0)`` and
-        the completion in the others.  Other models set it at construction."""
+        """A von Neumann model's pairing unitary of its bases, or a
+        dilation's unitary: its isometry in the columns ``(k, 0)`` and the
+        completion in the others.  Other models set it at construction."""
+        if self._bases is not None:
+            return read_only(_pairing_unitary(*self._bases))
         d, n = self.dim_base, self.dim_probe
         first_slot = np.arange(d * n) % n == 0
         sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
@@ -156,9 +181,10 @@ class FIMM:
     @cached_property
     def _pointer_roots(self) -> Array:
         """``R_x`` with ``F_x^T = R_x R_x^*``, one ``(m, dk, dk)`` array: the
-        ``root_columns``, or a dilation's identity columns of each outcome's slots."""
+        conjugate of the pointer's root columns (``F_x^T = conj(F_x)``), or a
+        dilation's identity columns of each outcome's slots."""
         if self._owner is None:
-            return root_columns(self.pointer.stack.swapaxes(1, 2))[0]
+            return self.pointer._root_columns[0].conj()
         return (self._owner == np.arange(len(self._labels))[:, None])[:, None, :] * np.eye(self.dim_probe, dtype=complex)
 
     @cached_property
@@ -176,7 +202,7 @@ class FIMM:
         if eta.shape[0] != self.dim_probe:
             raise DimensionError(f"probe state dim {eta.shape[0]}, expected {self.dim_probe}")
         self.probe_state = read_only(eta)
-        if pointer.dim != self.dim_probe:
+        if _checked_pointer(pointer).dim != self.dim_probe:
             raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
         self.pointer, self._labels = pointer, pointer.labels
 
@@ -188,6 +214,13 @@ class FIMM:
             f"FIMM(dim_base={self.dim_base}, dim_probe={self.dim_probe}, "
             f"pointer_labels={list(self._labels)!r}, sharp={self.sharp})"
         )
+
+
+def _checked_pointer(pointer: object) -> Observable:
+    """The pointer, which must be an ``Observable`` (``KindError`` otherwise)."""
+    if not isinstance(pointer, Observable):
+        raise KindError(f"pointer must be an Observable, got {type(pointer).__name__}")
+    return pointer
 
 
 def model_instrument(m: FIMM) -> Instrument:
@@ -231,7 +264,7 @@ def trivial_fimm(eta: object, pointer: Observable) -> FIMM:
     input and prepares ``eta`` with probabilities read from ``pointer``."""
     st = ensure_state(eta)
     d = st.shape[0]
-    if pointer.dim != d:
+    if _checked_pointer(pointer).dim != d:
         raise DimensionError(f"pointer dim {pointer.dim}, state dim {d}")
     return FIMM._unitary(d, d, st, swap_unitary(d), pointer)
 
@@ -280,7 +313,7 @@ class VonNeumannModel:
 
     def __post_init__(self):
         base, probe = _checked_bases(self.base_basis, self.probe_basis)
-        if self.pointer.dim != probe.shape[0]:
+        if _checked_pointer(self.pointer).dim != probe.shape[0]:
             raise DimensionError("pointer dimension does not match the probe basis")
         for name, basis in (("base_basis", base), ("probe_basis", probe)):
             object.__setattr__(self, name, read_only(basis.copy()))
@@ -290,9 +323,9 @@ class VonNeumannModel:
         return self.base_basis.shape[0]
 
     def to_fimm(self) -> FIMM:
-        phi0 = self.probe_basis[:, 0]
-        eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
-        return FIMM._unitary(self.dim, self.dim, eta, _pairing_unitary(self.base_basis, self.probe_basis), self.pointer)
+        """The model as a ``FIMM`` (``FIMM._pairing``): no eigensolve, and
+        the pairing unitary formed only when something reads it."""
+        return FIMM._pairing(self.base_basis, self.probe_basis, self.pointer)
 
 
 def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observable]:
@@ -301,21 +334,23 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
 
     Outcome ``x`` maps ``rho`` to
     ``sum_ij <psi_i, rho psi_j> <phi_j, F_x phi_i> |psi_i><psi_j|``, a Schur
-    multiplier in the base basis: with ``h^T = R R^*`` its Kraus operators
-    are ``W diag(R[:, l]) W^*``.  The channel dephases in the base basis;
-    the observable mixes base-basis projections with pointer diagonal
-    weights.
+    multiplier in the base basis.  With ``h[x, i, j] = <phi_i, F_x phi_j>``
+    and the pointer's root columns ``F_x = R_x R_x^*``, ``f_x = phi^T
+    conj(R_x)`` has ``h_x^T = f_x f_x^*``, so the Kraus operators are ``W
+    diag(f_x[:, l]) W^*``, and ``h[x, i, i] = sum_l |f_x[i, l]|^2``: the
+    pointer's one kept eigendecomposition is the only one.  The channel
+    dephases in the base basis; the observable mixes base-basis projections
+    with pointer diagonal weights.
     """
     w = model.base_basis
-    phi = model.probe_basis
     labels = model.pointer.labels
     base_projs = read_only(_basis_projections(w))
     channel = Operation._unchecked(base_projs)  # projections summing to 1: a channel
 
-    h = phi.conj().T @ model.pointer.stack @ phi  # h[x, i, j] = <phi_i, F_x phi_j>
-    f, keep = root_columns(hermitian_part(h.swapaxes(1, 2)))
-    kraus = (w * f.swapaxes(1, 2)[:, :, None, :]) @ w.conj().T  # kraus[x, l] = W diag(F_x[:, l]) W^*
-    effects = np.einsum("xi,iab->xab", np.diagonal(h, axis1=1, axis2=2).real, base_projs)
+    r, keep = model.pointer._root_columns
+    f = model.probe_basis.T @ r.conj()
+    kraus = (w * f.swapaxes(1, 2)[:, :, None, :]) @ w.conj().T  # kraus[x, l] = W diag(f_x[:, l]) W^*
+    effects = np.einsum("xi,iab->xab", (f.real**2 + f.imag**2).sum(2), base_projs)
     return _assembled(labels, kraus[keep], keep.sum(1), CHOI_TOL), channel, Observable._valid(labels, effects)
 
 

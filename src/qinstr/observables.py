@@ -13,10 +13,11 @@ identity (a finite-outcome POVM).  Product value-spaces use tuple labels;
 combining labels flattens, so a triple product carries labels ``(x, y, z)``.
 
 An observable stores its effects as one read-only ``(m, d, d)`` stack in
-label order, validated by a single ``ensure_effects`` call, and caches their
-roots.  Combinators work on stacks: sequential products, conditioning,
-triple joints and complementarity defects come from ``seq_products`` on the
-roots, and mixtures and post-processing are contractions with the weights.
+label order, validated by a single ``ensure_effects`` call, and keeps one
+eigendecomposition of it, from which every root of its effects is read.
+Combinators work on stacks: sequential products, conditioning, triple
+joints and complementarity defects come from ``seq_products`` on the roots,
+and mixtures and post-processing are contractions with the weights.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .linalg import EFFECT_EIG_TOL, JOINT_TOL, RANK_REL_TOL, SEARCH_ITERS, SEARCH_TOL
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
-from .linalg import Array, _psd_roots, as_matrix, frob, hermitian_part, read_only
+from .linalg import Array, _eig_columns, _eig_sqrt, _psd_eig, as_matrix, frob, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
 
@@ -196,7 +197,9 @@ class Observable(LabelledFamily):
     """Family of effects, one per outcome label, that sums to the identity.
 
     ``stack`` holds the effects as a read-only ``(m, d, d)`` array in label
-    order; the mapping's values are views of it.
+    order; the mapping's values are views of it.  One eigendecomposition of
+    the stack (``linalg._psd_eig``) is formed on first read and kept; both
+    ``roots`` and ``_root_columns`` read it.
     """
 
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]], sum_tol: float = SUM_TOL):
@@ -216,9 +219,21 @@ class Observable(LabelledFamily):
         self._members = dict(zip(labels, stack))
 
     @cached_property
+    def _eig(self) -> tuple[Array, Array]:
+        """``_psd_eig(stack)``: the eigenvectors and root eigenvalues."""
+        return _psd_eig(self.stack)
+
+    @cached_property
     def roots(self) -> Array:
-        """Read-only stack of the effects' roots, ``herm_sqrt(stack)``, formed once."""
-        return read_only(_psd_roots(self.stack))
+        """Read-only stack of the effects' roots, ``herm_sqrt(stack)``."""
+        return read_only(_eig_sqrt(*self._eig))
+
+    @cached_property
+    def _root_columns(self) -> tuple[Array, Array]:
+        """``root_columns(stack)``, read-only: ``R_x`` with ``F_x = R_x R_x^*``,
+        ``(m, d, d)``, and the kept columns (``keep``)."""
+        f, keep = _eig_columns(*self._eig)
+        return read_only(f), read_only(keep)
 
     @classmethod
     def _valid(cls, labels: Sequence[Label], stack: Array) -> "Observable":

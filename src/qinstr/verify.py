@@ -68,6 +68,7 @@ from .models import (
     trivial_fimm,
     vn_measured,
     vn_model_for_commutative,
+    von_neumann_unitary,
 )
 from .observables import (
     Observable,
@@ -647,12 +648,18 @@ def _suite_cor_4_3(run: _Run) -> None:
 
 def _suite_thm_4_4(run: _Run) -> None:
     """Closed forms of the basis-pairing model (instrument, dephasing
-    channel, measured observable) match the partial-trace definition."""
+    channel, measured observable) match the partial-trace definition, both
+    on the model's closed-form ``W`` and on a public ``FIMM`` built from the
+    pairing unitary."""
     for _, d in run.cases(2, 3):
         model = VonNeumannModel(random_unitary(d, run.rng), random_unitary(d, run.rng), random_observable(d, 2, run.rng))
         instr, channel, obs = vn_measured(model)
-        direct = model_instrument(model.to_fimm())
+        fimm = model.to_fimm()
+        direct = model_instrument(fimm)
+        unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
+        public = model_instrument(FIMM(d, d, fimm.probe_state, unitary, model.pointer))
         run.residual(family_distance(instr, direct))
+        run.residual(family_distance(instr, public))
         run.residual(*choi_distances([instr_channel(direct)._kraus], [channel._kraus]))
         direct_obs = induced_observable(direct)
         run.residual(family_distance(obs, direct_obs))

@@ -3,9 +3,10 @@ stopped re-checking what their parents proved.
 
 Labels of derived families are trusted but must still be distinct, since
 flattening can merge two product labels; caller labels are checked in full;
-an observable's square roots are computed once; an instrument's induced
-observable is one object; a coexistence witness is checked once, and its
-leftover still gets the effect-range check.
+an observable's square roots and root columns come from one kept
+eigendecomposition; an instrument's induced observable is one object; a
+coexistence witness is checked once, and its leftover still gets the
+effect-range check.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from qinstr.instruments import (
     kraus_instrument,
     luders_instrument,
 )
-from qinstr.linalg import herm_sqrt
+from qinstr.linalg import herm_sqrt, root_columns
 from qinstr.observables import Observable, joint_probability_table, obs_conditioned, obs_seq_product, obs_triple_joint
 from qinstr.rand import random_instrument, random_observable, random_state
 
@@ -78,6 +79,18 @@ class TestRoots:
             assert np.array_equal(obs.roots, herm_sqrt(obs.stack))
             with pytest.raises(ValueError):
                 obs.roots[0, 0, 0] = 0.0
+
+    def test_roots_and_root_columns_read_one_eigendecomposition(self, rng, eig_calls):
+        a = random_observable(3, 4, rng)
+        eig_calls.calls.clear()
+        f, keep = a._root_columns
+        roots = a.roots
+        assert eig_calls.calls == [(3, 4)]
+        expected_f, expected_keep = root_columns(a.stack)
+        np.testing.assert_array_equal(f, expected_f)
+        np.testing.assert_array_equal(keep, expected_keep)
+        np.testing.assert_array_equal(roots, herm_sqrt(a.stack))
+        assert not f.flags.writeable and not keep.flags.writeable
 
     def test_induced_observable_is_one_object_per_instrument(self, rng):
         kraus = random_instrument(3, 2, rng)

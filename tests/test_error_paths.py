@@ -20,6 +20,7 @@ from qinstr.errors import (
     DocumentError,
     EigenSolverError,
     InvariantViolation,
+    KindError,
     LabelError,
     NotCommutative,
     NotNormal,
@@ -39,6 +40,7 @@ from qinstr.instruments import (
 from qinstr.linalg import herm_eig, is_unitary, partial_trace_first
 from qinstr.models import (
     FIMM,
+    VonNeumannModel,
     dilate_instrument,
     marginal_instruments,
     normal_fimm_kraus_extract,
@@ -155,6 +157,19 @@ ROWS = [
     ),
     ("fimm-dims-below-one", lambda mp, tp: FIMM(0, 2, P0, np.eye(2), Z), (DimensionError, "at least 1")),
     ("fimm-pointer-dim", lambda mp, tp: FIMM(2, 2, P0, np.eye(4), TRIVIAL_3), (DimensionError, "pointer dim 3")),
+    (
+        "fimm-instrument-pointer",
+        lambda mp, tp: FIMM(2, 2, P0, np.eye(4), SPLIT_2),
+        (KindError, "pointer must be an Observable, got Instrument"),
+    ),
+    ("fimm-array-pointer", lambda mp, tp: FIMM(2, 2, P0, np.eye(4), P0), (KindError, "got ndarray")),
+    (
+        "von-neumann-instrument-pointer",
+        lambda mp, tp: VonNeumannModel(np.eye(2), np.eye(2), SPLIT_2),
+        (KindError, "pointer must be an Observable, got Instrument"),
+    ),
+    ("von-neumann-array-pointer", lambda mp, tp: VonNeumannModel(np.eye(2), np.eye(2), P0), (KindError, "got ndarray")),
+    ("trivial-fimm-array-pointer", lambda mp, tp: trivial_fimm(P0, P0), (KindError, "got ndarray")),
     (
         "repr-fimm",
         lambda mp, tp: repr(trivial_fimm(P0, Z)),

@@ -629,11 +629,12 @@ def _einsum_pairing_unitary(base, probe):
 
 def _loop_model_instrument(m, atol=MODEL_TOL):
     """One root factor per pointer effect and one Kronecker factor per
-    outcome."""
+    outcome, with the model's own probe root: a von Neumann model's is
+    ``phi_0``, whose phase an eigensolve of the probe state would not keep."""
     d, dk = m.dim_base, m.dim_probe
     couplings = m.interaction.kraus_ops() if isinstance(m.interaction, Operation) else [m.interaction]
     ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
-    root_eta = root_factors(m.probe_state[None])[0]
+    root_eta = m._probe_root
     ops = []
     for x in m.pointer.labels:
         factor = np.kron(root_factors(m.pointer[x].T[None])[0], root_eta)
@@ -1070,12 +1071,14 @@ class TestUnitaryByConstruction:
             trivial_fimm(random_state(2, rng), pointer),
             VonNeumannModel(random_unitary(2, rng), random_unitary(2, rng), pointer).to_fimm(),
         ]
-        for m in built:
+        # A von Neumann model's W is its closed form, not the unitary times an
+        # eigensolved probe root: 3.6e-16 apart here.
+        for m, gap in zip(built, [0.0, 0.0, 1e-15]):
             public = FIMM(m.dim_base, m.dim_probe, m.probe_state, m.interaction, m.pointer)
             assert is_unitary(m.interaction) and not m.interaction.flags.writeable
             assert (m.sharp, m.dim_base, m.dim_probe) == (public.sharp, public.dim_base, public.dim_probe)
             assert np.array_equal(m.probe_state, public.probe_state) and not m.probe_state.flags.writeable
-            assert family_distance(model_instrument(m), model_instrument(public)) == 0.0
+            assert family_distance(model_instrument(m), model_instrument(public)) <= gap
 
 
 class TestFimmSharpFlag:
@@ -1107,6 +1110,57 @@ class TestFimmSharpFlag:
             assert "sharp" not in vars(m)
             assert m.sharp == classify_observable(m.pointer).sharp
             assert "sharp" in vars(m)
+
+
+class TestVonNeumannClosedForm:
+    """A von Neumann model holds ``W`` and its probe root ``phi_0`` in closed
+    form and forms its unitary on read; it shares the pointer's one
+    eigendecomposition with ``vn_measured``."""
+
+    @staticmethod
+    def _model(d, rng, outcomes=3):
+        return VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, outcomes, rng))
+
+    @pytest.mark.parametrize("d, outcomes", [(2, 2), (3, 4), (5, 3)])
+    def test_closed_forms_share_one_pointer_eigensolve(self, d, outcomes, rng, eig_calls):
+        vn = self._model(d, rng, outcomes)
+        eig_calls.calls.clear()
+        vn_measured(vn)
+        model_instrument(vn.to_fimm())
+        assert eig_calls.calls == [(d, outcomes)]
+        eig_calls.calls.clear()
+        vn_measured(vn)
+        model_instrument(vn.to_fimm())
+        assert eig_calls.calls == []
+
+    def test_to_fimm_makes_no_factorization_and_forms_the_unitary_on_read(self, rng, eig_calls):
+        vn = self._model(4, rng)
+        eig_calls.calls.clear()
+        eig_calls.qr_calls.clear()
+        m = vn.to_fimm()
+        assert eig_calls.calls == [] and eig_calls.qr_calls == [] and eig_calls.svd_calls == []
+        model_instrument(m)
+        assert "interaction" not in vars(m) and "couplings" not in vars(m)
+        assert np.array_equal(m.interaction, von_neumann_unitary(vn.base_basis, vn.probe_basis))
+        assert m.interaction is m.interaction and not m.interaction.flags.writeable
+
+    @pytest.mark.parametrize("d", range(1, 33))
+    def test_restriction_matches_the_unitary(self, d, rng):
+        vn = self._model(d, rng, 2)
+        m = vn.to_fimm()
+        phi0 = vn.probe_basis[:, 0]
+        u = von_neumann_unitary(vn.base_basis, vn.probe_basis)
+        expected = u.reshape(d * d, d, d) @ phi0  # U (1 (x) phi_0)
+        np.testing.assert_array_equal(m._probe_root, phi0[:, None])
+        assert frob(m._restricted[0, :, :, 0] - expected) <= 1e-15 * d  # measured at most 3.6e-15 at d = 32
+
+    def test_documents_match_the_unitary_route(self, rng):
+        for d in (1, 2, 3):
+            vn = self._model(d, rng)
+            phi0 = vn.probe_basis[:, 0]
+            eta = hermitian_part(np.outer(phi0, phi0.conj()))
+            u = von_neumann_unitary(vn.base_basis, vn.probe_basis)
+            assert dumps_document(vn.to_fimm()) == dumps_document(FIMM._unitary(d, d, eta, u, vn.pointer))
 
 
 class TestVonNeumannModelInput:
