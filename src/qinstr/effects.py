@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
 from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL
-from .linalg import Array, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
+from .linalg import Array, _from_eig, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
 
 
 def ensure_effects(m: object) -> Array:
@@ -43,8 +43,7 @@ def ensure_effects(m: object) -> Array:
         raise InvariantViolation("effect-range", max(0.0, -float(low[k]), float(high[k]) - 1.0))
     out = (low < 0.0) | (high > 1.0)
     if out.any():
-        vo = v[out]
-        a[out] = hermitian_part((vo * np.clip(w[out], 0.0, 1.0)[:, None, :]) @ vo.conj().swapaxes(-1, -2))
+        a[out] = _from_eig(v[out], np.clip(w[out], 0.0, 1.0))
     return a
 
 

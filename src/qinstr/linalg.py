@@ -191,12 +191,13 @@ def herm_sqrt(m: object) -> Array:
     zeroed as well: the square root would otherwise amplify eigensolver
     noise of size ``eps`` into errors of size ``sqrt(eps)``.
     """
-    return _eig_sqrt(*_psd_eig(ensure_hermitian(m, stack=np.ndim(m) == 3)))
+    return _from_eig(*_psd_eig(ensure_hermitian(m, stack=np.ndim(m) == 3)))
 
 
-def _eig_sqrt(v: Array, r: Array) -> Array:
-    """``herm_sqrt`` of a matrix or stack from its ``_psd_eig``."""
-    return hermitian_part((v * r[..., None, :]) @ v.conj().swapaxes(-1, -2))
+def _from_eig(v: Array, x: Array) -> Array:
+    """``V diag(x) V^*``, symmetrized, matrix by matrix over any leading axes:
+    ``herm_sqrt`` from ``_psd_eig``, and every other spectral rebuild."""
+    return hermitian_part((v * x[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def inverse_root(m: Array) -> tuple[Array, Array]:
@@ -212,7 +213,7 @@ def psd_part(m: Array) -> Array:
     """Projection onto the PSD cone (eigenvalue clamp at zero), matrix by
     matrix over any leading axes."""
     w, v = np.linalg.eigh(hermitian_part(m))
-    return hermitian_part((v * np.clip(w, 0.0, None)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return _from_eig(v, np.clip(w, 0.0, None))
 
 
 def tensor_product(a: object, b: object) -> Array:

@@ -61,14 +61,15 @@ class FIMM:
 
     ``interaction`` is kept as given, a unitary matrix or an operation; the
     model forms what it derives on first read: ``couplings``, its ``(c, n,
-    n)`` Kraus stack (``u[None]`` for a unitary ``u``); ``sharp``; the roots
-    ``_pointer_roots`` of the ``F_x^T`` and ``_probe_root`` of ``eta``; and
-    ``_restricted``, ``W_c = U_c (1 (x) R_eta)``, ``(c, d dk, d, rank
-    eta)``.  A dilation holds its polished isometry (``dilate_instrument``)
-    as ``W``, its labels and ``_owner``, each probe slot's outcome, and forms
-    the rest on read.  A von Neumann model (``VonNeumannModel.to_fimm``)
-    holds its probe root ``phi_0``, its ``W`` in closed form and its
-    ``_bases``, from which it forms its unitary on read.
+    n)`` Kraus stack (``u[None]`` for a unitary ``u``); ``sharp``; the root
+    ``_probe_root`` of ``eta``; and ``_restricted``, ``W_c = U_c (1 (x)
+    R_eta)``, ``(c, d dk, d, rank eta)``.  The pointer holds its own roots
+    (``Observable._root_columns``).  A dilation holds its polished isometry
+    (``dilate_instrument``) as ``W``, its labels and ``_owner``, each probe
+    slot's outcome, and forms the rest on read.  A von Neumann model
+    (``VonNeumannModel.to_fimm``) holds its probe root ``phi_0``, its ``W``
+    in closed form and its ``_bases``, from which it forms its unitary on
+    read.
     """
 
     _owner: Array | None = None
@@ -140,8 +141,9 @@ class FIMM:
 
     @cached_property
     def pointer(self) -> Observable:
-        """A dilation's 0/1 projections onto each outcome's slots: its roots."""
-        return Observable._valid(self._labels, self._pointer_roots)
+        """A dilation's 0/1 projections onto each outcome's slots."""
+        slots = self._owner == np.arange(len(self._labels))[:, None]
+        return Observable._valid(self._labels, slots[:, None, :] * np.eye(self.dim_probe, dtype=complex))
 
     @cached_property
     def probe_state(self) -> Array:
@@ -177,15 +179,6 @@ class FIMM:
     def _restricted(self) -> Array:
         """``W``: the couplings times the probe state's root factor."""
         return read_only(self.couplings.reshape(*self.couplings.shape[:2], self.dim_base, -1) @ self._probe_root)
-
-    @cached_property
-    def _pointer_roots(self) -> Array:
-        """``R_x`` with ``F_x^T = R_x R_x^*``, one ``(m, dk, dk)`` array: the
-        conjugate of the pointer's root columns (``F_x^T = conj(F_x)``), or a
-        dilation's identity columns of each outcome's slots."""
-        if self._owner is None:
-            return self.pointer._root_columns[0].conj()
-        return (self._owner == np.arange(len(self._labels))[:, None])[:, None, :] * np.eye(self.dim_probe, dtype=complex)
 
     @cached_property
     def sharp(self) -> bool:
@@ -232,20 +225,20 @@ def model_instrument(m: FIMM) -> Instrument:
     ``P (F_x^T (x) eta) P^*``, so the columns of ``P (R_F (x) R_eta)`` are
     the ``vec(K^T)`` of Kraus operators, where ``F_x^T = R_F R_F^*`` and
     ``eta = R_eta R_eta^*``, one set per Kraus operator of an interaction
-    given as an operation.  Only ``W = P (1 (x) R_eta)`` and the roots (the
-    nonzero columns and each last one) are read, in one batched product; a
-    dilation's outcome ``x`` has its slots' operators of the isometry.  Cut
-    to ``d^2`` operators, they must sum to a channel within ``MODEL_TOL``.
+    given as an operation.  Only ``W = P (1 (x) R_eta)`` and the pointer's
+    kept root columns (``Observable._root_columns``, conjugated: ``R_F =
+    conj(R_x)``) are read, in one batched product; a dilation's outcome
+    ``x`` has its slots' operators of the isometry.  Cut to ``d^2``
+    operators, they must sum to a channel within ``MODEL_TOL``.
     """
     d, dk = m.dim_base, m.dim_probe
     if m._owner is not None:
         slots = m._restricted[0, :, :, 0].reshape(d, dk, d).swapaxes(0, 1)  # slots[s] = W[(a, s), i]
         counts = np.bincount(m._owner, minlength=len(m._labels))
         return _assembled(m._labels, slots[np.argsort(m._owner, kind="stable")], counts, MODEL_TOL)
-    roots = m._pointer_roots
+    f, keep = m.pointer._root_columns
+    roots = f.conj()  # F_x^T = conj(F_x) = conj(R_x) conj(R_x)^*
     w = m._restricted
-    keep = np.any(roots != 0, axis=1)
-    keep[:, -1] = True
     q = w.reshape(len(w), d, dk, d, -1).transpose(0, 4, 3, 1, 2).reshape(len(w), -1, d * d, dk)  # [c, s, (i, a), k]
     kraus = (q @ roots[:, None, None]).reshape(len(roots), len(w), -1, d, d, roots.shape[-1]).transpose(0, 1, 5, 2, 4, 3)
     valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .linalg import EFFECT_EIG_TOL, JOINT_TOL, RANK_REL_TOL, SEARCH_ITERS, SEARCH_TOL
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
-from .linalg import Array, _eig_columns, _eig_sqrt, _psd_eig, as_matrix, frob, hermitian_part, read_only
+from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, frob, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
 
@@ -226,7 +226,7 @@ class Observable(LabelledFamily):
     @cached_property
     def roots(self) -> Array:
         """Read-only stack of the effects' roots, ``herm_sqrt(stack)``."""
-        return read_only(_eig_sqrt(*self._eig))
+        return read_only(_from_eig(*self._eig))
 
     @cached_property
     def _root_columns(self) -> tuple[Array, Array]:

@@ -333,7 +333,8 @@ def loads_document(text: str) -> Document:
     fields, decode = _DECODERS[kind]
     _fields(data, kind, ("kind", *fields), ("dim",))
     try:
-        obj = decode(data)
+        with np.errstate(over="raise", invalid="raise"):  # an entry near the float limit
+            obj = decode(data)
     except InvariantViolation as exc:
         raise DocumentError(
             f"{exc.invariant}, residual {exc.residual:.6g}", exc.invariant, exc.residual
@@ -342,7 +343,7 @@ def loads_document(text: str) -> Document:
         raise
     except QinstrError as exc:
         raise DocumentError(str(exc)) from exc
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise DocumentError(f"number out of range: {exc}") from exc
     dim = _content_dim(obj)
     declared = data.get("dim")

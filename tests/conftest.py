@@ -92,6 +92,19 @@ MALFORMED_DOCUMENTS = {
     "effect-huge-entries": {"kind": "effect", "matrix": [[1e308, 1e308], [1e308, 1e308]]},
     "observable-huge-effect": {"kind": "observable", "labels": ["a"], "effects": {"a": [[1e308, 0], [0, 1e308]]}},
     "instrument-huge-choi": {"kind": "instrument", "labels": ["a"], "operations": {"a": {"choi": [[1e308]]}}},
+    # ... nor warn on the way to their rejection: one error line, no numpy warning.
+    "effect-overflowing-norm": {"kind": "effect", "matrix": [[0, 1e308], [0, 0]]},
+    "instrument-overflowing-kraus": {
+        "kind": "instrument",
+        "labels": ["a"],
+        "operations": {"a": {"kraus": [[[1e200, 0], [0, 0]]]}},
+    },
+    "fimm-overflowing-unitary": {
+        **_FIMM,
+        "interaction": {
+            "unitary": [[[1e200 if i == j == 0 else float(i == j), 0.0] for j in range(4)] for i in range(4)],
+        },
+    },
     # A document carries one form of each map: a second form is an error,
     # not ignored, even when the first form is valid.
     "instrument-kraus-and-choi": {

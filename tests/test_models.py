@@ -129,6 +129,23 @@ class TestModelInstrument:
                 rhs = np.trace(evolved @ tensor_product(np.eye(2), m.pointer[x])).real
                 assert abs(lhs - rhs) < 1e-9
 
+    def test_rank_deficient_pointer(self, rng):
+        # A zero effect keeps one (zero) root column, a rank-2 effect two:
+        # each outcome has kept columns times probe rank operators.
+        d, dk = 2, 3
+        v = random_unitary(dk, rng)
+        b = (v * [1.0, 0.5, 0.0]) @ v.conj().T
+        pointer = Observable({"zero": np.zeros((dk, dk)), "b": b, "c": np.eye(dk) - b})
+        psi = random_unitary(dk, rng)[:, :2]
+        m = FIMM(d, dk, (psi * [0.7, 0.3]) @ psi.conj().T, random_unitary(d * dk, rng), pointer)
+        measured = model_instrument(m)
+        _, keep = pointer._root_columns
+        np.testing.assert_array_equal(keep.sum(1), [1, 2, 2])
+        assert m._probe_root.shape == (dk, 2)
+        np.testing.assert_array_equal(measured.counts, keep.sum(1) * 2)
+        assert not measured.kraus[0].any()
+        assert family_distance(measured, _loop_model_instrument(m)) <= 1e-12
+
 
 def _matrix_unit_choi(m: FIMM) -> dict:
     """Reference Choi matrices: the model formula evaluated on every matrix
@@ -815,14 +832,14 @@ class TestDilationCompletedOnRead:
         back = model_instrument(m)
         assert family_distance(back, instr) <= 1e-13
         assert m.sharp and "FIMM(dim_base=4" in repr(m)
-        for name in ("pointer", "probe_state", "_pointer_roots", "interaction", "couplings"):
+        for name in ("pointer", "probe_state", "interaction", "couplings"):
             assert name not in vars(m)
         labels = [combine_labels(x, y) for x in "01" for y in "01"]
         joint = random_instrument(3, 4, rng, kraus)
         for r in simultaneous_fimms(Instrument._from_kraus(labels, joint.kraus, joint.counts)):
             model_instrument(r)
             repr(r)
-            assert r.sharp and not {"pointer", "probe_state", "_pointer_roots"} & set(vars(r))
+            assert r.sharp and not {"pointer", "probe_state"} & set(vars(r))
 
     def test_formed_parts_match_the_eager_model(self, rng):
         instr = random_instrument(3, 3, rng, 2)
@@ -838,7 +855,7 @@ class TestDilationCompletedOnRead:
         eig_calls.calls.clear()
         eig_calls.qr_calls.clear()
         model_instrument(m)
-        assert eig_calls.calls == []  # the pointer's roots are identity columns; the probe state's is the isometry's e_0
+        assert eig_calls.calls == []  # outcomes gather their slots of the isometry; the probe state's root is e_0
         assert eig_calls.qr_calls == []
         assert "interaction" not in vars(m) and "couplings" not in vars(m)
 
@@ -932,8 +949,9 @@ class TestIsometryPolish:
 
 
 class TestKnownPointerRoots:
-    """A dilation, and every model re-pointed from it, holds its pointer's
-    roots: identity columns, one per probe slot of the outcome."""
+    """A dilation, and every model re-pointed from it, knows its pointer by
+    construction: the 0/1 projections onto each outcome's probe slots, whose
+    roots are the identity columns of those slots."""
 
     @staticmethod
     def _dilations(rng):
@@ -951,9 +969,11 @@ class TestKnownPointerRoots:
 
     def test_roots_square_to_the_pointer(self, rng):
         for m in self._dilations(rng):
-            assert len(m._pointer_roots) == len(m.pointer)
-            for r, f in zip(m._pointer_roots, m.pointer.stack):
-                np.testing.assert_array_equal(r @ r.T, f)
+            slots = m._owner == np.arange(len(m._labels))[:, None]
+            np.testing.assert_array_equal(m.pointer.stack, [np.diag(s).astype(complex) for s in slots])
+            f, keep = m.pointer._root_columns
+            np.testing.assert_array_equal(keep.sum(1), np.maximum(slots.sum(1), 1))
+            np.testing.assert_allclose(f @ f.conj().swapaxes(1, 2), m.pointer.stack, rtol=0, atol=1e-15)
 
     def test_model_instrument_makes_no_eigensolve(self, rng, eig_calls):
         for m in self._dilations(rng):
@@ -978,7 +998,7 @@ class TestModelEigensolveCounts:
         for _ in range(2):
             eig_calls.calls.clear()
             model_instrument(dilation)
-            assert eig_calls.calls == []  # W is the isometry, and the roots identity columns
+            assert eig_calls.calls == []  # W is the isometry, gathered by the slot map
 
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_dilate_one_qr_call(self, kraus, rng, eig_calls):
