@@ -24,10 +24,10 @@ An instrument (an ``observables.LabelledFamily``) is one read-only
 zero-padded ``(m, r, d, d)`` Kraus array, outcome ``x``'s operators
 ``kraus[x, :counts[x]]``, and its induced effects, PSD by construction;
 its ``Operation`` objects are formed on first read.  Builders hand their
-array to ``Instrument._from_kraus``, which validates once.  Combinators are
-one broadcast product or weighted concatenation of the arrays, a gather
-where padding would interleave, and one batched cut of each outcome above
-``d^2`` operators (``_assembled``).
+array to ``Instrument._from_kraus``, which validates once.  An operation is
+the one-outcome array ``stack[None]``: ``_then`` composes such arrays,
+``_outputs`` applies and ``_effects`` sums them, mixtures concatenate them,
+and ``_assembled`` cuts each outcome above ``d^2`` operators in one batch.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -45,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .effects import ensure_partial_state, ensure_state
-from .errors import DimensionError, InvariantViolation, NotComplete
+from .errors import DimensionError, InvariantViolation, KindError, NotComplete
 from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, RANK_REL_TOL
 from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_columns
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
@@ -99,6 +99,28 @@ def _operators(kraus: Array, counts: Array) -> Array:
     """A padded array's operators, outcome-major, as one ``(n, d, d)`` stack (a view if unpadded)."""
     # A view, not a gather: large-d's round trips take it; the masked gather cost ~10 % of large-d's ops_per_s.
     return kraus.reshape(-1, *kraus.shape[2:]) if counts.min() == kraus.shape[1] else kraus[_filled(kraus, counts)]
+
+
+def _then(first: Array, first_counts: Array, second: Array, second_counts: Array) -> tuple[Array, Array]:
+    """Padded ``first`` and then ``second``: outcome ``(x, y)``, ``x``-major, gets the products
+    ``T_yt S_xs`` of one broadcast matmul, ``s``-major; one outcome-major stack and its counts."""
+    ops = second[None, :, None, :] @ first[:, None, :, None]  # ops[x, y, s, t] = T_yt S_xs
+    counts = (first_counts[:, None] * second_counts).ravel()
+    # A reshape, not a gather: large-d's conditioned ops take it; the masked gather cost ~10 % of its ops_per_s.
+    if counts.min() == ops.shape[2] * ops.shape[3]:
+        return ops.reshape(-1, *ops.shape[-2:]), counts
+    return ops[_filled(first, first_counts)[:, None, :, None] & _filled(second, second_counts)[None, :, None, :]], counts
+
+
+def _outputs(kraus: Array, mat: Array) -> Array:
+    """Each outcome's output ``sum_k K_k mat K_k^*`` of a padded array, as an ``(m, d, d)`` stack."""
+    return (kraus @ mat @ kraus.conj().swapaxes(-1, -2)).sum(1)
+
+
+def _effects(kraus: Array) -> Array:
+    """Each outcome's effect ``sum_k K_k^* K_k`` of a padded array, from one batched Gram product."""
+    rows = kraus.reshape(len(kraus), -1, kraus.shape[-1])
+    return hermitian_part(rows.conj().swapaxes(1, 2) @ rows)
 
 
 def _kept(w: Array) -> Array:
@@ -276,15 +298,14 @@ class Operation:
     @cached_property
     def induced_effect(self) -> Array:
         """Effect ``A`` with ``tr[Phi(rho)] = tr(rho A)`` for every state."""
-        rows = self._kraus.reshape(-1, self.dim)
-        return hermitian_part(rows.conj().T @ rows)
+        return _effects(self._kraus[None])[0]
 
     def apply(self, mat: object) -> Array:
         """Linear action on a matrix (no state validation; see ``op_apply``)."""
         m = as_matrix(mat)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"input shape {m.shape}, expected {(self.dim, self.dim)}")
-        return (self._kraus @ m @ self._kraus.conj().transpose(0, 2, 1)).sum(axis=0)
+        return _outputs(self._kraus[None], m)[0]
 
     def kraus_ops(self) -> list[Array]:
         """Kraus operators: the given ones, or the canonical ones of the Choi
@@ -331,7 +352,7 @@ class Instrument(LabelledFamily):
     def __init__(self, operations: Mapping[Label, Operation] | Iterable[tuple[Label, Operation]]):
         labels, ops = self._checked_items(operations)
         if not all(isinstance(op, Operation) for op in ops):
-            raise DimensionError("instrument outcomes must be Operation instances")
+            raise KindError("instrument outcomes must be Operation instances")
         self._common_size((op.dim for op in ops), "operations")
         stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops])
         self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects, CHOI_TOL)
@@ -356,8 +377,7 @@ class Instrument(LabelledFamily):
         counts = np.full(len(kraus), kraus.shape[1]) if counts is None else np.asarray(counts)
         if not counts.min() >= 1:
             raise DimensionError("need at least one Kraus operator")
-        rows = kraus.reshape(len(kraus), -1, kraus.shape[-1])
-        instr._set(labels, kraus, counts, hermitian_part(rows.conj().swapaxes(1, 2) @ rows), sum_tol)
+        instr._set(labels, kraus, counts, _effects(kraus), sum_tol)
         return instr
 
     @cached_property
@@ -441,38 +461,29 @@ def is_single_kraus(phi: Operation) -> bool:
     return _choi_rank(phi) == 1
 
 
-def _composed_kraus(second: Array, first: Array, dim: int) -> Array:
-    """Kraus operators of performing ``first`` and then ``second``, given by
-    their stacks: the pairwise products ``t @ s`` from one broadcast matmul,
-    ``s``-major, cut by ``_reduced`` above ``d^2`` operators."""
-    ops = (second[None] @ first[:, None]).reshape(1, -1, dim, dim)
-    return _reduced(ops, np.array([ops.shape[1]]), dim * dim)[0][0]
-
-
 def compose_operations(second: Operation, first: Operation) -> Operation:
-    """Operation performing ``first`` and then ``second``; its Kraus
-    operators are the pairwise products, cut as in ``_composed_kraus``."""
+    """Operation performing ``first`` and then ``second``: the one-outcome ``instr_product``."""
     if second.dim != first.dim:
         raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
-    return Operation.from_kraus(_composed_kraus(second._kraus, first._kraus, first.dim))
+    f, s = first._kraus, second._kraus
+    ops, counts = _then(f[None], np.array([len(f)]), s[None], np.array([len(s)]))
+    return Operation.from_kraus(_reduced(ops[None], counts, first.dim ** 2)[0][0])
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
     """Product instrument on the product value-space: outcome ``(x, y)``
-    performs ``I_x`` and then ``J_y``: one broadcast matmul of all pairs."""
+    performs ``I_x`` and then ``J_y``: ``_then`` over all pairs."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    ops = j.kraus[None, :, None, :] @ i.kraus[:, None, :, None]  # ops[x, y, s, t] = T_yt S_xs
-    valid = _filled(i.kraus, i.counts)[:, None, :, None] & _filled(j.kraus, j.counts)[None, :, None, :]
     labels = [combine_labels(x, y) for x in i.labels for y in j.labels]
-    return _assembled(labels, ops[valid], (i.counts[:, None] * j.counts).ravel(), CHOI_TOL)
+    return _assembled(labels, *_then(i.kraus, i.counts, j.kraus, j.counts), CHOI_TOL)
 
 
-def _channel_kraus(i: Instrument) -> Array:
-    """Kraus operators of the total channel: the outcomes' operators
-    together, cut by ``_reduced`` above ``d^2``."""
+def _channel_kraus(i: Instrument) -> tuple[Array, Array]:
+    """The total channel as a one-outcome padded array and its count: the
+    outcomes' operators together, cut by ``_reduced`` above ``d^2``."""
     ops = _operators(i.kraus, i.counts)
-    return _reduced(ops[None], np.array([len(ops)]), i.dim ** 2)[0][0]
+    return _reduced(ops[None], np.array([len(ops)]), i.dim ** 2)
 
 
 def instr_channel(i: Instrument) -> Operation:
@@ -480,20 +491,15 @@ def instr_channel(i: Instrument) -> Operation:
     with the outcomes' Kraus operators together as its own.  Its
     ``ensure_channel`` test (``||A - 1||_F <= CHOI_TOL``) implies the
     operation's trace-non-increase bound, so no eigensolve runs."""
-    return ensure_channel(Operation._unchecked(read_only(_channel_kraus(i))))
+    return ensure_channel(Operation._unchecked(read_only(_channel_kraus(i)[0][0])))
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     """Instrument ``j`` conditioned by ``i``: outcome ``y`` applies ``J_y``
-    after the total channel of ``i`` (one broadcast matmul)."""
+    after the total channel of ``i``: ``_then`` on the channel as one outcome."""
     if i.dim != j.dim:
         raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    ops = (j.kraus[:, None] @ _channel_kraus(i)[None, :, None]).reshape(len(j), -1, i.dim, i.dim)  # [y, (s, t)]
-    # No padding to drop: large-d's conditioned ops take this path; the masked gather cost ~10 % of large-d's ops_per_s.
-    if j.counts.min() == j.kraus.shape[1]:
-        return _assembled(j.labels, ops.reshape(-1, i.dim, i.dim), np.full(len(j), ops.shape[1]), CHOI_TOL)
-    valid = np.arange(ops.shape[1]) % j.kraus.shape[1] < j.counts[:, None]  # t < counts[y]
-    return _assembled(j.labels, ops[valid], valid.sum(1), CHOI_TOL)
+    return _assembled(j.labels, *_then(*_channel_kraus(i), j.kraus, j.counts), CHOI_TOL)
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
@@ -539,11 +545,6 @@ def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: f
     return marginal_defect(i, j, joint) <= tol
 
 
-def _outputs(i: Instrument, mat: Array) -> Array:
-    """Every outcome's output on a matrix, as an ``(m, d, d)`` stack."""
-    return (i.kraus @ mat @ i.kraus.conj().swapaxes(-1, -2)).sum(1)
-
-
 def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> Array:
     """Outcome table ``p[x, y] = tr J_y(I_x(rho)) = tr(B_y I_x(rho))`` of
     performing ``i`` and then ``j``, with ``B`` the induced effects of ``j``:
@@ -551,7 +552,7 @@ def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> 
     r = ensure_state(rho)
     if r.shape[0] != i.dim or i.dim != j.dim:
         raise DimensionError("dimension mismatch")
-    return np.einsum("xab,yba->xy", _outputs(i, r), j.effects).real
+    return np.einsum("xab,yba->xy", _outputs(i.kraus, r), j.effects).real
 
 
 def joint_probability_instr(

@@ -30,7 +30,8 @@ from .errors import (
     NotIsometry,
     NotNormal,
 )
-from .instruments import Instrument, Operation, _assembled, _operators, _reduced, ensure_channel, instr_post_process
+from .instruments import Instrument, Operation, _assembled, _effects, _operators, _outputs, _reduced, ensure_channel
+from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
 from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_factors
@@ -200,7 +201,8 @@ class FIMM:
         self.pointer, self._labels = pointer, pointer.labels
 
     def apply_interaction(self, mat: Array) -> Array:
-        return (self.couplings @ mat @ self.couplings.conj().transpose(0, 2, 1)).sum(axis=0)
+        """The interaction applied to a base (x) probe matrix: ``sum_k U_k mat U_k^*`` over the couplings."""
+        return _outputs(self.couplings[None], mat)[0]
 
     def __repr__(self) -> str:
         return (
@@ -416,12 +418,11 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     d, dk = m.dim_base, m.dim_probe
     # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>, from W's column of the top root r = <phi, r> phi
     evolved = w[0, :, :, -1].reshape(d, dk, d) / np.vdot(vectors[:, 0], m._probe_root[:, -1])
-    extracted = dict(zip(m.pointer.labels, np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())))
-    total = sum(s.conj().T @ s for s in extracted.values())
-    residual = frob(total - np.eye(d))
+    ops = np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())
+    residual = frob(_effects(ops[None])[0] - np.eye(d))
     if residual > NORMAL_SUM_TOL * max(1.0, d):
         raise NotNormal(f"extracted operators miss completeness by {residual:.3g}")
-    return extracted
+    return dict(zip(m.pointer.labels, ops))
 
 
 def luders_positivity_check(m: FIMM) -> bool:

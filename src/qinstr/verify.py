@@ -276,9 +276,8 @@ def _suite_thm_2_2(run: _Run) -> None:
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
     rho = np.diag([1.0, 0.0]).astype(complex)
-    lhs = _outputs(luders_instrument(mixed_obs), rho)
-    gap = _worst(lhs, 0.5 * _outputs(luders_instrument(a), rho) + 0.5 * _outputs(luders_instrument(b_relab), rho))
-    run.gap("K mixture gap", gap, 1e-2)
+    lhs, out_a, out_b = (_outputs(luders_instrument(o).kraus, rho) for o in (mixed_obs, a, b_relab))
+    run.gap("K mixture gap", _worst(lhs, 0.5 * out_a + 0.5 * out_b), 1e-2)
 
 
 def _suite_thm_2_3(run: _Run) -> None:
@@ -301,9 +300,8 @@ def _suite_thm_2_3(run: _Run) -> None:
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    lhs = _outputs(luders_instrument(obs_post_process(nu, a)), rho)
-    gap = _worst(lhs, np.tensordot(nu.matrix.T, _outputs(luders_instrument(a), rho), 1))
-    run.gap("K post-processing gap", gap, 1e-3)
+    lhs, out = (_outputs(luders_instrument(o).kraus, rho) for o in (obs_post_process(nu, a), a))
+    run.gap("K post-processing gap", _worst(lhs, np.tensordot(nu.matrix.T, out, 1)), 1e-3)
 
 
 def _complementary_pair_catalog(rng: np.random.Generator, count: int):

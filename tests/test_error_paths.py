@@ -136,7 +136,7 @@ ROWS = [
     ("repr-channel", lambda mp, tp: repr(ID_2), "Operation(dim=2, channel)"),
     ("repr-operation", lambda mp, tp: repr(HALF_2), "Operation(dim=2, operation)"),
     ("operations-close-across-dims", lambda mp, tp: operations_close(ID_2, ID_3, 1.0), False),
-    ("instrument-non-operation", lambda mp, tp: Instrument({"a": np.eye(2)}), (DimensionError, "Operation instances")),
+    ("instrument-non-operation", lambda mp, tp: Instrument({"a": np.eye(2)}), (KindError, "Operation instances")),
     ("trivial-instrument-dim", lambda mp, tp: trivial_instrument(Z, STATE_3), (DimensionError, "state dim 3")),
     ("compose-dim", lambda mp, tp: compose_operations(ID_2, ID_3), (DimensionError, "mismatch 2 vs 3")),
     ("conditioned-dim", lambda mp, tp: instr_conditioned(SPLIT_2, SPLIT_3), (DimensionError, "mismatch 2 vs 3")),

@@ -35,11 +35,11 @@ from qinstr.instruments import (
     op_apply,
     operations_close,
     trivial_instrument,
-    _composed_kraus,
     _kept,
     _kraus_vectors,
     _padded,
     _reduced,
+    _then,
     choi_distances,
     minimal_kraus,
 )
@@ -602,15 +602,27 @@ def _loop_composed_kraus(second, first, dim):
 class TestComposedKraus:
     @pytest.mark.parametrize("d", range(1, 5))
     def test_matches_the_pairwise_loop(self, d, rng):
+        # Ginibre stacks are not trace-non-increasing, so they go through the
+        # kernel on one-outcome arrays and the cut, not compose_operations.
         from qinstr.rand import ginibre
 
         for r1 in range(1, 4):
             for r2 in range(1, 4):
                 second = np.array([ginibre(d, rng) for _ in range(r1)]).reshape(r1, d, d)
                 first = np.array([ginibre(d, rng) for _ in range(r2)]).reshape(r2, d, d)
-                got, expected = _composed_kraus(second, first, d), _loop_composed_kraus(second, first, d)
+                ops, counts = _then(first[None], np.array([r2]), second[None], np.array([r1]))
+                got, expected = _reduced(ops[None], counts, d * d)[0][0], _loop_composed_kraus(second, first, d)
                 assert got.shape == expected.shape and len(got) >= 1
                 assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("r1, r2", [(1, 1), (2, 3), (3, 4), (5, 5)])
+    def test_composition_is_the_one_outcome_product(self, d, r1, r2, rng):
+        # Channels of r1 and r2 operators; a product above d^2 operators is cut.
+        f, s = (Operation.from_kraus(random_instrument(d, 1, rng, r)["0"]._kraus) for r in (r1, r2))
+        assert (len(f._kraus), len(s._kraus)) == (r1, r2) and f.is_channel() and s.is_channel()
+        product = instr_product(Instrument({"a": f}), Instrument({"b": s}))
+        assert np.array_equal(compose_operations(s, f)._kraus, product[combine_labels("a", "b")]._kraus)
 
     def test_instrument_builders_match_pairwise_products(self, rng):
         i, j = random_instrument(2, 2, rng, 3), random_instrument(2, 3, rng, 1)
