@@ -73,9 +73,10 @@ def ensure_state(m: object) -> Array:
     return a
 
 
-def _same_dim(a: Array, b: Array) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch {a.shape} vs {b.shape}")
+def _same_dim(*dims: int) -> None:
+    """``DimensionError`` unless the dimensions are all equal."""
+    if len(set(dims)) > 1:
+        raise DimensionError("dimension mismatch " + " vs ".join(map(str, dims)))
 
 
 def atom(phi: object) -> Array:
@@ -94,7 +95,7 @@ def seq_products(roots: Array, b: Array) -> Array:
     given the roots of the first (``Observable.roots``).  The products are
     validated as effects by one ``ensure_effects`` call.
     """
-    _same_dim(roots[0], b[0])
+    _same_dim(roots.shape[-1], b.shape[-1])
     m, n, d = len(roots), len(b), roots.shape[-1]
     r = roots[:, None]
     return ensure_effects((r @ b[None] @ r).reshape(m * n, d, d)).reshape(m, n, d, d)
@@ -114,7 +115,7 @@ def complement(a: object) -> Array:
 def occurrence_probability(rho: object, a: object) -> float:
     """Probability ``tr(rho a)`` that the effect occurs in the given state."""
     r, ea = ensure_state(rho), ensure_effect(a)
-    _same_dim(r, ea)
+    _same_dim(r.shape[0], ea.shape[0])
     p = float(np.trace(r @ ea).real)
     return min(1.0, max(0.0, p))
 
@@ -126,7 +127,7 @@ def conditioned_partial_state(a: object, rho: object) -> Array:
     """
     ea = ensure_effect(a)
     r = ensure_partial_state(rho)
-    _same_dim(ea, r)
+    _same_dim(ea.shape[0], r.shape[0])
     s = herm_sqrt(ea)
     return hermitian_part(s @ r @ s)
 
@@ -224,7 +225,7 @@ def find_coexistence_witness(a: object, b: object) -> CoexistenceWitness | None:
     part ``c`` is polished so the witness equations hold exactly.
     """
     ea, eb = ensure_effect(a), ensure_effect(b)
-    _same_dim(ea, eb)
+    _same_dim(ea.shape[0], eb.shape[0])
     eye = np.eye(ea.shape[0], dtype=complex)
     blocks = joint_feasibility_search(
         np.stack([ea, eye - ea]), np.stack([eb, eye - eb]), WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL

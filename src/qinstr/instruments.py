@@ -44,9 +44,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import ensure_partial_state, ensure_state
+from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
-from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, RANK_REL_TOL
+from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, MODEL_TOL, RANK_REL_TOL
 from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_columns
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
@@ -157,9 +157,11 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     return out, counts
 
 
-def _assembled(labels: Sequence[Label], ops: Array, counts: Array, sum_tol: float) -> "Instrument":
+def _assembled(labels: Sequence[Label], ops: Array, counts: Array) -> "Instrument":
     """Instrument of the outcome-major stack ``ops``, ``counts[x]`` for outcome
-    ``x`` (one zero operator if none), padded and cut by ``_reduced``."""
+    ``x`` (one zero operator if none), padded and cut by ``_reduced``.  Inputs'
+    sum defects add up: a sum ``G`` missing 1 by at most ``MODEL_TOL`` is completed
+    by one Newton-Schulz step ``K - K (G - 1) / 2``; beyond, it raises."""
     # A reshape, not a gather: large-d's round trips take it; the masked gather cost ~10 % of large-d's ops_per_s.
     if counts.min() == counts.max() > 0:
         kraus = ops.reshape(len(counts), -1, *ops.shape[1:])
@@ -167,7 +169,14 @@ def _assembled(labels: Sequence[Label], ops: Array, counts: Array, sum_tol: floa
         kraus = np.zeros((len(counts), max(counts.max(), 1), *ops.shape[1:]), dtype=complex)
         kraus[_filled(kraus, counts)] = ops
         counts = np.maximum(counts, 1)
-    return Instrument._from_kraus(labels, *_reduced(kraus, counts, ops.shape[-1] ** 2), sum_tol=sum_tol)
+    kraus, counts = _reduced(kraus, counts, ops.shape[-1] ** 2)
+    try:
+        return Instrument._from_kraus(labels, kraus, counts)
+    except InvariantViolation as exc:  # only the sum check raises it
+        if not exc.residual <= MODEL_TOL:
+            raise
+    g = _effects(kraus).sum(0)
+    return Instrument._from_kraus(labels, kraus - kraus @ ((g - np.eye(len(g))) / 2.0), counts)
 
 
 def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
@@ -355,29 +364,29 @@ class Instrument(LabelledFamily):
             raise KindError("instrument outcomes must be Operation instances")
         self._common_size((op.dim for op in ops), "operations")
         stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops])
-        self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects, CHOI_TOL)
+        self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects)
         self._members = dict(zip(labels, ops))
 
-    def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array, sum_tol: float) -> None:
+    def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array) -> None:
         self.dim = effects.shape[-1]
         residual = frob(effects.sum(0) - np.eye(self.dim))
-        if not residual <= sum_tol:
+        if not residual <= CHOI_TOL:
             raise InvariantViolation("trace-preserving-sum", residual)
         self.labels = tuple(labels)
         self.kraus, self.counts, self.effects = read_only(kraus), read_only(counts), read_only(effects)
 
     @classmethod
-    def _from_kraus(cls, labels: Sequence[Label], kraus: Array, counts: Array | None = None, sum_tol: float = CHOI_TOL):
+    def _from_kraus(cls, labels: Sequence[Label], kraus: Array, counts: Array | None = None):
         """Instrument on a padded Kraus array no caller writes, ``counts`` (or
         all) operators per outcome, checked finite, validated once: the effects
-        from one batched Gram product, label distinctness and the sum check,
-        which gives ``A_x <= (1 + sum_tol) 1``: trace-non-increase."""
+        from one batched Gram product, label distinctness and the sum check
+        within ``CHOI_TOL``, which gives ``A_x <= (1 + CHOI_TOL) 1``."""
         instr = cls.__new__(cls)
         labels = instr._checked_items(zip(labels, kraus), trusted=True)[0]
         counts = np.full(len(kraus), kraus.shape[1]) if counts is None else np.asarray(counts)
         if not counts.min() >= 1:
             raise DimensionError("need at least one Kraus operator")
-        instr._set(labels, kraus, counts, _effects(kraus), sum_tol)
+        instr._set(labels, kraus, counts, _effects(kraus))
         return instr
 
     @cached_property
@@ -427,7 +436,7 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
     f, keep = root_columns(np.concatenate([a.stack, st[None]]))
     ops = np.einsum("ak,xij->xjkai", f[-1][:, keep[-1]], f[:-1].conj())
-    return _assembled(a.labels, ops[keep[:-1]].reshape(-1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum(), CHOI_TOL)
+    return _assembled(a.labels, ops[keep[:-1]].reshape(-1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum())
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
@@ -463,8 +472,7 @@ def is_single_kraus(phi: Operation) -> bool:
 
 def compose_operations(second: Operation, first: Operation) -> Operation:
     """Operation performing ``first`` and then ``second``: the one-outcome ``instr_product``."""
-    if second.dim != first.dim:
-        raise DimensionError(f"dimension mismatch {second.dim} vs {first.dim}")
+    _same_dim(second.dim, first.dim)
     f, s = first._kraus, second._kraus
     ops, counts = _then(f[None], np.array([len(f)]), s[None], np.array([len(s)]))
     return Operation.from_kraus(_reduced(ops[None], counts, first.dim ** 2)[0][0])
@@ -473,10 +481,9 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
 def instr_product(i: Instrument, j: Instrument) -> Instrument:
     """Product instrument on the product value-space: outcome ``(x, y)``
     performs ``I_x`` and then ``J_y``: ``_then`` over all pairs."""
-    if i.dim != j.dim:
-        raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
+    _same_dim(i.dim, j.dim)
     labels = [combine_labels(x, y) for x in i.labels for y in j.labels]
-    return _assembled(labels, *_then(i.kraus, i.counts, j.kraus, j.counts), CHOI_TOL)
+    return _assembled(labels, *_then(i.kraus, i.counts, j.kraus, j.counts))
 
 
 def _channel_kraus(i: Instrument) -> tuple[Array, Array]:
@@ -497,9 +504,8 @@ def instr_channel(i: Instrument) -> Operation:
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     """Instrument ``j`` conditioned by ``i``: outcome ``y`` applies ``J_y``
     after the total channel of ``i``: ``_then`` on the channel as one outcome."""
-    if i.dim != j.dim:
-        raise DimensionError(f"dimension mismatch {i.dim} vs {j.dim}")
-    return _assembled(j.labels, *_then(*_channel_kraus(i), j.kraus, j.counts), CHOI_TOL)
+    _same_dim(i.dim, j.dim)
+    return _assembled(j.labels, *_then(*_channel_kraus(i), j.kraus, j.counts))
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
@@ -510,7 +516,7 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
     labels = shared_value_space(instruments)
     ops = np.concatenate([np.sqrt(wk) * i.kraus for wk, i in zip(w, instruments)], axis=1)
     valid = np.concatenate([_filled(i.kraus, i.counts) & (wk > 0) for wk, i in zip(w, instruments)], axis=1)
-    return _assembled(labels, ops[valid], valid.sum(1), CHOI_TOL)
+    return _assembled(labels, ops[valid], valid.sum(1))
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
@@ -519,7 +525,7 @@ def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     rows, w = row_positions(nu, i), nu.matrix.T[:, :, None]
     ops = np.sqrt(w[..., None, None]) * i.kraus[rows]
     valid = (w > 0) & _filled(i.kraus, i.counts)[rows]
-    return _assembled(nu.col_labels, ops[valid], valid.sum((1, 2)), CHOI_TOL)
+    return _assembled(nu.col_labels, ops[valid], valid.sum((1, 2)))
 
 
 def instr_complementary(i: Instrument, j: Instrument) -> bool:
@@ -550,8 +556,7 @@ def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> 
     performing ``i`` and then ``j``, with ``B`` the induced effects of ``j``:
     an ``(m, n)`` array in label order, from one batched product."""
     r = ensure_state(rho)
-    if r.shape[0] != i.dim or i.dim != j.dim:
-        raise DimensionError("dimension mismatch")
+    _same_dim(r.shape[0], i.dim, j.dim)
     return np.einsum("xab,yba->xy", _outputs(i.kraus, r), j.effects).real
 
 

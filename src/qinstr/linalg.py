@@ -42,7 +42,7 @@ ORTHO_TOL = 1e-9  # ||U^* U - 1||_F of complete_to_unitary's input and of a dila
 PHASE_TOL = 1e-9  # entry magnitude from which _phase_fix reads a column's phase
 UNITARY_TOL = 1e-8  # ||U^* U - 1||_F of an interaction (is_unitary's default)
 BASIS_TOL = 1e-9  # ||U^* U - 1||_F of each basis of a von Neumann model
-EFFECT_EIG_TOL = 1e-9  # effect eigenvalues outside [0, 1]; sum defect of an unchecked observable
+EFFECT_EIG_TOL = 1e-9  # effect eigenvalues outside [0, 1]; sum defect of a derived observable built as it is, not completed
 STATE_TRACE_TOL = 1e-9  # state: negative eigenvalue (relative to the largest) and trace defect
 ZERO_NORM_TOL = 1e-12  # norm below which a vector is the zero vector
 WITNESS_TOL = 1e-8  # coexistence-witness equations and the leftover's negative eigenvalue
@@ -53,7 +53,7 @@ STOCHASTIC_ROW_TOL = 1e-10  # row-sum defect of a stochastic matrix
 WEIGHT_TOL = 1e-10  # negative entry and sum defect of convex weights
 CHOI_TOL = 1e-8  # Choi PSD (relative), trace increase, channel and instrument sums, instrument complementarity
 KRAUS_EIG_TOL = 1e-10  # Choi eigenvalue below which no Kraus operator is kept: relative to the largest in _kept, absolute for Choi input
-MODEL_TOL = 1e-7  # sum defect of the instrument a model measures
+MODEL_TOL = 1e-7  # sum defect up to which _assembled completes a derived instrument (model, product, mixture, ...)
 RANK_ONE_TOL = 1e-8  # normal model: largest and (relative) second eigenvalue of probe and pointer atoms
 NORMAL_SUM_TOL = 1e-8  # completeness of a normal model's extracted Kraus operators, per unit of dimension
 LUDERS_TOL = 1e-8  # anti-Hermitian part (relative) and negative eigenvalue of extracted Kraus operators
@@ -62,7 +62,7 @@ GRAM_FLOOR = 0.5  # dilation's Kraus Gram G: ||G - 1||_F <= 1 - GRAM_FLOOR, so G
 EIGENBASIS_ATTEMPTS = 32  # random combinations tried for a commutative observable's eigenbasis
 SEARCH_ITERS = 500  # alternating-projection rounds of find_joint_observable
 SEARCH_TOL = 1e-7  # largest marginal defect ||sum C - target||_F at which find_joint_observable stops
-JOINT_TOL = 1e-6  # sum and marginal defects of the joint observable find_joint_observable returns
+JOINT_TOL = 1e-6  # sum defect up to which Observable._valid completes a derived observable; a found joint's marginal defect
 WITNESS_SEARCH_ITERS = 2000  # alternating-projection rounds of find_coexistence_witness
 WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the polished witness still checks
 

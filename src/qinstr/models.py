@@ -34,7 +34,7 @@ from .instruments import Instrument, Operation, _assembled, _effects, _operators
 from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
-from .linalg import CHOI_TOL, RANK_ONE_TOL, is_unitary, read_only, root_factors
+from .linalg import RANK_ONE_TOL, is_unitary, read_only, root_factors
 from .observables import (
     Label,
     Observable,
@@ -231,20 +231,20 @@ def model_instrument(m: FIMM) -> Instrument:
     kept root columns (``Observable._root_columns``, conjugated: ``R_F =
     conj(R_x)``) are read, in one batched product; a dilation's outcome
     ``x`` has its slots' operators of the isometry.  Cut to ``d^2``
-    operators, they must sum to a channel within ``MODEL_TOL``.
+    operators, they are completed up to ``MODEL_TOL`` (``_assembled``).
     """
     d, dk = m.dim_base, m.dim_probe
     if m._owner is not None:
         slots = m._restricted[0, :, :, 0].reshape(d, dk, d).swapaxes(0, 1)  # slots[s] = W[(a, s), i]
         counts = np.bincount(m._owner, minlength=len(m._labels))
-        return _assembled(m._labels, slots[np.argsort(m._owner, kind="stable")], counts, MODEL_TOL)
+        return _assembled(m._labels, slots[np.argsort(m._owner, kind="stable")], counts)
     f, keep = m.pointer._root_columns
     roots = f.conj()  # F_x^T = conj(F_x) = conj(R_x) conj(R_x)^*
     w = m._restricted
     q = w.reshape(len(w), d, dk, d, -1).transpose(0, 4, 3, 1, 2).reshape(len(w), -1, d * d, dk)  # [c, s, (i, a), k]
     kraus = (q @ roots[:, None, None]).reshape(len(roots), len(w), -1, d, d, roots.shape[-1]).transpose(0, 1, 5, 2, 4, 3)
     valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)
-    return _assembled(m._labels, kraus[valid], keep.sum(1) * len(w) * kraus.shape[3], MODEL_TOL)
+    return _assembled(m._labels, kraus[valid], keep.sum(1) * len(w) * kraus.shape[3])
 
 
 def swap_unitary(d: int) -> Array:
@@ -346,7 +346,7 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     f = model.probe_basis.T @ r.conj()
     kraus = (w * f.swapaxes(1, 2)[:, :, None, :]) @ w.conj().T  # kraus[x, l] = W diag(f_x[:, l]) W^*
     effects = np.einsum("xi,iab->xab", (f.real**2 + f.imag**2).sum(2), base_projs)
-    return _assembled(labels, kraus[keep], keep.sum(1), CHOI_TOL), channel, Observable._valid(labels, effects)
+    return _assembled(labels, kraus[keep], keep.sum(1)), channel, Observable._valid(labels, effects)
 
 
 def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = None) -> VonNeumannModel:

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import ensure_effects, ensure_state, joint_feasibility_search, seq_products
+from .effects import _same_dim, ensure_effects, ensure_state, joint_feasibility_search, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -182,8 +182,7 @@ def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily)
     """
     if not type(a) is type(b) is type(joint):
         raise KindError("families of mixed kinds: " + ", ".join(type(f).__name__.lower() for f in (a, b, joint)))
-    if not a.dim == b.dim == joint.dim:
-        raise DimensionError("dimension mismatch")
+    _same_dim(a.dim, b.dim, joint.dim)
     product = [combine_labels(x, y) for x in a.labels for y in b.labels]
     if set(joint.labels) != set(product):
         kind = type(joint).__name__.lower()
@@ -202,14 +201,14 @@ class Observable(LabelledFamily):
     ``roots`` and ``_root_columns`` read it.
     """
 
-    def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]], sum_tol: float = SUM_TOL):
+    def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]]):
         labels, matrices = self._checked_items(effects)
         mats = [as_matrix(matrix) for matrix in matrices]
         self._common_size((e.shape for e in mats), "effects")
         stack = ensure_effects(np.stack(mats))
         self.dim = stack.shape[-1]
         residual = frob(stack.sum(0) - np.eye(self.dim))
-        if not residual <= sum_tol:
+        if not residual <= SUM_TOL:
             raise InvariantViolation("sum-to-identity", residual)
         self._set_stack(labels, stack)
 
@@ -238,14 +237,20 @@ class Observable(LabelledFamily):
     @classmethod
     def _valid(cls, labels: Sequence[Label], stack: Array) -> "Observable":
         """Observable on a stack that is PSD by construction (Kraus-induced
-        effects, checked products, nonnegative mixtures of effects) with
-        trusted labels.  When its sum misses the identity by at most
-        ``EFFECT_EIG_TOL``, each effect is below ``(1 + EFFECT_EIG_TOL) 1``, so
-        no eigensolve runs; otherwise it gets the full ``Observable`` checks.
+        effects, checked products, mixtures, found joints) with trusted
+        labels, never eigensolved.  A sum ``G`` missing 1 by more than
+        ``EFFECT_EIG_TOL``, at most ``JOINT_TOL``, is completed: ``A_x <- P A_x
+        P``, ``P = 1 - (G - 1) / 2``.  Each ``A_x`` is below the completed sum,
+        so at most 1 up to ``O(||G - 1||^2)``; beyond ``JOINT_TOL`` it raises.
         """
         stack = hermitian_part(stack)
-        if not frob(stack.sum(0) - np.eye(stack.shape[-1])) <= EFFECT_EIG_TOL:
-            return cls(zip(labels, stack))
+        defect = stack.sum(0) - np.eye(stack.shape[-1])
+        residual = frob(defect)
+        if not residual <= JOINT_TOL:
+            raise InvariantViolation("sum-to-identity", residual)
+        if residual > EFFECT_EIG_TOL:
+            p = np.eye(stack.shape[-1]) - defect / 2.0
+            stack = hermitian_part(p @ stack @ p)
         obs = cls.__new__(cls)
         obs.dim = stack.shape[-1]
         obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
@@ -397,8 +402,7 @@ def classify_observable(a: Observable) -> ObservableFlags:
 def obs_commute(a: Observable, b: Observable) -> bool:
     """True when every effect of ``a`` commutes with every effect of ``b``,
     each commutator within ``SUM_TOL`` in Frobenius norm."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
+    _same_dim(a.dim, b.dim)
     i, j = np.indices((len(a), len(b))).reshape(2, -1)
     return bool(np.all(_commutator_norms(a.stack[i], b.stack[j]) <= SUM_TOL))
 
@@ -480,8 +484,7 @@ def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
     Its marginals are ``a``, ``b`` conditioned by ``a``, and ``c`` conditioned
     by ``b`` then by ``a``.
     """
-    if not (a.dim == b.dim == c.dim):
-        raise DimensionError("dimension mismatch")
+    _same_dim(a.dim, b.dim, c.dim)
     inner = seq_products(b.roots, c.stack).reshape(-1, a.dim, a.dim)
     products = seq_products(a.roots, inner).reshape(-1, a.dim, a.dim)
     labels = [combine_labels(x, combine_labels(y, z)) for x in a.labels for y in b.labels for z in c.labels]
@@ -493,8 +496,7 @@ def joint_probability_table(rho: object, a: Observable, b: Observable) -> Array:
     then ``b``, an ``(m, n)`` array in label order.  The products come from
     one ``seq_products`` call, each checked as an effect."""
     r = ensure_state(rho)
-    if r.shape[0] != a.dim or a.dim != b.dim:
-        raise DimensionError("dimension mismatch")
+    _same_dim(r.shape[0], a.dim, b.dim)
     return np.einsum("ij,xyji->xy", r, seq_products(a.roots, b.stack)).real
 
 
@@ -519,17 +521,16 @@ def joint_probability_then(
 
 def find_joint_observable(a: Observable, b: Observable) -> Observable | None:
     """Heuristic joint-observable search via alternating projections, with
-    the budgets ``SEARCH_ITERS`` and ``SEARCH_TOL``; a found joint must pass
-    ``obs_coexist_verify`` within ``JOINT_TOL``.
+    the budgets ``SEARCH_ITERS`` and ``SEARCH_TOL``; a found joint, completed
+    (``Observable._valid``), must pass ``obs_coexist_verify`` within ``JOINT_TOL``.
 
     None means "unknown": the heuristic can exhibit a joint observable but can
     never certify that none exists.
     """
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch {a.dim} vs {b.dim}")
+    _same_dim(a.dim, b.dim)
     blocks = joint_feasibility_search(a.stack, b.stack, SEARCH_ITERS, SEARCH_TOL)
     if blocks is None:
         return None
     labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
-    joint = Observable(zip(labels, blocks), sum_tol=JOINT_TOL)
+    joint = Observable._valid(labels, blocks)
     return joint if obs_coexist_verify(a, b, joint, tol=JOINT_TOL) else None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qinstr.instruments import Instrument, _padded, minimal_kraus
-from qinstr.linalg import CHOI_TOL
 from qinstr.observables import Observable
 
 
@@ -159,12 +158,12 @@ def kraus_document(kraus: object) -> str:
     return json.dumps(payload)
 
 
-def kraus_family(items, sum_tol: float = CHOI_TOL) -> Instrument:
+def kraus_family(items) -> Instrument:
     """``Instrument._from_kraus`` on ``(label, Kraus operators)`` pairs: the
     outcomes' stacks zero-padded into one array, with their counts."""
     labels, stacks = zip(*items)
     stacks = [np.asarray(s, dtype=complex) for s in stacks]
-    return Instrument._from_kraus(labels, _padded(stacks), [len(s) for s in stacks], sum_tol)
+    return Instrument._from_kraus(labels, _padded(stacks), [len(s) for s in stacks])
 
 
 def bounded_kraus(ops: np.ndarray, dim: int) -> np.ndarray:

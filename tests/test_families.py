@@ -700,18 +700,22 @@ class TestFamilyValidation:
             assert exc.value.residual == pytest.approx(1.01e-8, rel=1e-6)
 
     @pytest.mark.parametrize("miss", [2e-9, 1e-8])
-    def test_sum_miss_between_the_tolerances_builds_but_is_no_observable(self, miss):
+    def test_sum_miss_between_the_tolerances_induces_a_completed_observable(self, miss):
         # A_a = (1 + miss) P0 is above the identity by more than the effect
-        # tolerance, but within the instrument's sum tolerance.
+        # tolerance, but within the instrument's sum tolerance: the public
+        # constructor refuses the effects, and the induced observable is
+        # their completion.
         p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
         items = [("a", [np.sqrt(1 + miss) * p0]), ("b", [p1])]
         instr = kraus_family(items)
         assert np.linalg.eigvalsh(instr.effects[0])[-1] > 1 + EFFECT_EIG_TOL
         _public_route(instr)
-        for obs in (lambda: induced_observable(instr), lambda: Observable(zip(instr.labels, instr.effects))):
-            with pytest.raises(InvariantViolation) as exc:
-                obs()
-            assert exc.value.invariant == "effect-range"
+        obs = induced_observable(instr)
+        assert frob(obs.stack.sum(0) - np.eye(2)) <= 1e-15 * 2
+        assert np.linalg.norm(obs.stack - instr.effects, axis=(1, 2)).max() <= miss
+        with pytest.raises(InvariantViolation) as exc:
+            Observable(zip(instr.labels, instr.effects))
+        assert exc.value.invariant == "effect-range"
 
     @pytest.mark.parametrize(
         "ops",
@@ -790,8 +794,10 @@ class TestFamilyValidation:
         assert operations_close(hat, Operation(choi=sum(op.choi for _, op in i.items())), 1e-14)
 
     def test_channel_of_loosely_summed_instrument_is_not_a_channel(self):
-        scale = np.sqrt(0.5 * (1.0 + 1e-4))
-        loose = kraus_family([(x, scale * np.eye(2)[None]) for x in "ab"], sum_tol=1e-3)
+        # No builder makes an instrument this loose, so its fields are set directly.
+        loose = Instrument.__new__(Instrument)
+        loose.labels, loose.dim, loose.counts = ("a", "b"), 2, np.ones(2, dtype=int)
+        loose.kraus = np.sqrt(0.5 * (1.0 + 1e-4)) * np.broadcast_to(np.eye(2, dtype=complex), (2, 1, 2, 2))
         with pytest.raises(InvariantViolation) as exc:
             instr_channel(loose)
         assert exc.value.invariant == "trace-preserving"

@@ -6,6 +6,7 @@ from qinstr.errors import DimensionError, NotCommutative, NotIsometry, NotNormal
 from qinstr.instruments import (
     Instrument,
     Operation,
+    choi_distances,
     induced_observable,
     instr_channel,
     instr_coexist_verify,
@@ -644,10 +645,15 @@ def _einsum_pairing_unitary(base, probe):
     return np.einsum("ai,bi,ikl->akbl", base, base.conj(), perms).reshape(d * d, d * d)
 
 
-def _loop_model_instrument(m, atol=MODEL_TOL):
-    """One root factor per pointer effect and one Kronecker factor per
-    outcome, with the model's own probe root: a von Neumann model's is
-    ``phi_0``, whose phase an eigensolve of the probe state would not keep."""
+def _loop_model_instrument(m):
+    return kraus_family(_loop_model_kraus(m))
+
+
+def _loop_model_kraus(m):
+    """``(label, Kraus operators)`` pairs, unchecked: one root factor per
+    pointer effect and one Kronecker factor per outcome, with the model's own
+    probe root: a von Neumann model's is ``phi_0``, whose phase an eigensolve
+    of the probe state would not keep."""
     d, dk = m.dim_base, m.dim_probe
     couplings = m.interaction.kraus_ops() if isinstance(m.interaction, Operation) else [m.interaction]
     ps = [u.reshape(d, dk, d, dk).transpose(2, 0, 1, 3).reshape(d * d, dk * dk) for u in couplings]
@@ -656,7 +662,7 @@ def _loop_model_instrument(m, atol=MODEL_TOL):
     for x in m.pointer.labels:
         factor = np.kron(root_factors(m.pointer[x].T[None])[0], root_eta)
         ops.append((x, bounded_kraus(kraus_from_vectors(np.hstack([p @ factor for p in ps]), d), d)))
-    return kraus_family(ops, sum_tol=atol)
+    return ops
 
 
 def _batched_eta_model_instrument(m):
@@ -676,7 +682,7 @@ def _batched_eta_model_instrument(m):
         (x, bounded_kraus((q @ r).reshape(len(w), -1, d, d, r.shape[1]).transpose(0, 4, 1, 3, 2).reshape(-1, d, d), d))
         for x, r in zip(m.pointer.labels, roots)
     ]
-    return kraus_family(ops, sum_tol=MODEL_TOL)
+    return kraus_family(ops)
 
 
 def _loop_unit_vector(m, tol=1e-8):
@@ -938,13 +944,19 @@ class TestIsometryPolish:
 
     def test_measured_instrument_near_the_model_tolerance(self, rng):
         # A unitary off by half MODEL_TOL, given to the unchecked constructor,
-        # measures an instrument whose effects miss the identity by about that much.
+        # measures a map whose effects miss the identity by about that much;
+        # model_instrument completes it.
         d, dk = 3, 2
         u = random_unitary(d * dk, rng)
         e = hermitian_part(random_unitary(d * dk, rng))
         u = u @ herm_sqrt(np.eye(d * dk) + 0.5 * MODEL_TOL * e / frob(e))
-        measured = model_instrument(FIMM._unitary(d, dk, random_state(dk, rng), u, random_observable(dk, 3, rng)))
-        assert 1e-8 <= frob(measured.effects.sum(0) - np.eye(d)) <= MODEL_TOL
+        m = FIMM._unitary(d, dk, random_state(dk, rng), u, random_observable(dk, 3, rng))
+        uncompleted = _loop_model_kraus(m)
+        total = sum(k.conj().T @ k for _, ks in uncompleted for k in ks)
+        assert 1e-8 <= frob(total - np.eye(d)) <= MODEL_TOL
+        measured = model_instrument(m)
+        assert frob(measured.effects.sum(0) - np.eye(d)) <= 1e-15 * d
+        assert choi_distances(measured.kraus, [ks for _, ks in uncompleted]).max() <= MODEL_TOL
         self._assert_polished(measured)
 
 

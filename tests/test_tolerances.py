@@ -18,11 +18,9 @@ from qinstr import linalg
 KEPT_KNOBS = {
     "linalg.ensure_hermitian.tol",
     "linalg.is_unitary.tol",
-    "observables.Observable.__init__.sum_tol",
     "observables.obs_coexist_verify.tol",
     "instruments.instr_coexist_verify.tol",
     "instruments.is_identity_instrument.tol",
-    "instruments.Instrument._from_kraus.sum_tol",
     "verify.run_suite.tol_scale",
     "verify.run_suites.tol_scale",
 }
