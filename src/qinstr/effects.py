@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
-from .linalg import EFFECT_EIG_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
+from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
 from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL
 from .linalg import Array, _from_eig, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
 
@@ -31,8 +31,9 @@ def ensure_effects(m: object) -> Array:
     its eigenvalues, from one batched eigendecomposition, must lie within
     ``EFFECT_EIG_TOL`` of ``[0, 1]``; otherwise ``InvariantViolation("effect-range")``
     reports the residual of the first failing matrix.  Matrices with
-    eigenvalues just outside ``[0, 1]`` are clamped onto it; the others are
-    returned as symmetrized.
+    eigenvalues more than ``EFFECT_ROUND_TOL`` outside ``[0, 1]`` are
+    clamped onto it, and the others returned as symmetrized: a clamped
+    matrix misses the range by rounding only, so it is not rebuilt again.
     """
     a = ensure_hermitian(m, stack=True)
     w, v = np.linalg.eigh(a)
@@ -41,7 +42,7 @@ def ensure_effects(m: object) -> Array:
     if bad.any():
         k = int(np.argmax(bad))
         raise InvariantViolation("effect-range", max(0.0, -float(low[k]), float(high[k]) - 1.0))
-    out = (low < 0.0) | (high > 1.0)
+    out = (low < -EFFECT_ROUND_TOL) | (high > 1.0 + EFFECT_ROUND_TOL)
     if out.any():
         a[out] = _from_eig(v[out], np.clip(w[out], 0.0, 1.0))
     return a

@@ -471,10 +471,13 @@ def is_single_kraus(phi: Operation) -> bool:
 
 
 def compose_operations(second: Operation, first: Operation) -> Operation:
-    """Operation performing ``first`` and then ``second``: the one-outcome ``instr_product``."""
+    """Operation performing ``first`` and then ``second``: the one-outcome
+    ``instr_product``, completed (``_assembled``) if both are channels."""
     _same_dim(second.dim, first.dim)
     f, s = first._kraus, second._kraus
     ops, counts = _then(f[None], np.array([len(f)]), s[None], np.array([len(s)]))
+    if first.is_channel() and second.is_channel():
+        return _assembled(["0"], ops, counts)["0"]
     return Operation.from_kraus(_reduced(ops[None], counts, first.dim ** 2)[0][0])
 
 

@@ -43,6 +43,7 @@ PHASE_TOL = 1e-9  # entry magnitude from which _phase_fix reads a column's phase
 UNITARY_TOL = 1e-8  # ||U^* U - 1||_F of an interaction (is_unitary's default)
 BASIS_TOL = 1e-9  # ||U^* U - 1||_F of each basis of a von Neumann model
 EFFECT_EIG_TOL = 1e-9  # effect eigenvalues outside [0, 1]; sum defect of a derived observable built as it is, not completed
+EFFECT_ROUND_TOL = 1e-12  # effect eigenvalues outside [0, 1] that ensure_effects keeps as rounding, not clamped
 STATE_TRACE_TOL = 1e-9  # state: negative eigenvalue (relative to the largest) and trace defect
 ZERO_NORM_TOL = 1e-12  # norm below which a vector is the zero vector
 WITNESS_TOL = 1e-8  # coexistence-witness equations and the leftover's negative eigenvalue

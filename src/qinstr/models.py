@@ -4,8 +4,8 @@ A model couples the base system to a probe through a channel, then reads a
 pointer observable off the probe; tracing out the probe leaves an instrument
 on the base system.  Interaction channels are plain unitary matrices or
 operations.  A swap model keeps its unitary; a dilation keeps its isometry
-and a von Neumann model its two bases, and each forms its unitary only when
-something reads it.
+and a von Neumann model (``VonNeumannModel``, a ``FIMM``) its two bases, and
+each forms its unitary only when something reads it.
 
 A model forms what it derives from its parts on first read (``FIMM``);
 ``model_instrument`` only reads its pointer's roots and its interaction on
@@ -15,7 +15,6 @@ hold from construction, and of a dilation its slot map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -67,14 +66,11 @@ class FIMM:
     R_eta)``, ``(c, d dk, d, rank eta)``.  The pointer holds its own roots
     (``Observable._root_columns``).  A dilation holds its polished isometry
     (``dilate_instrument``) as ``W``, its labels and ``_owner``, each probe
-    slot's outcome, and forms the rest on read.  A von Neumann model
-    (``VonNeumannModel.to_fimm``) holds its probe root ``phi_0``, its ``W``
-    in closed form and its ``_bases``, from which it forms its unitary on
-    read.
+    slot's outcome, and forms the rest on read.  A von Neumann model is the
+    subclass ``VonNeumannModel``.
     """
 
     _owner: Array | None = None
-    _bases: tuple[Array, Array] | None = None
 
     def __init__(
         self,
@@ -119,22 +115,6 @@ class FIMM:
         m._labels, m._owner = tuple(labels), owner
         return m
 
-    @classmethod
-    def _pairing(cls, base: Array, probe: Array, pointer: Observable) -> "FIMM":
-        """Basis-pairing model of bases checked by ``_checked_bases``: probe
-        root ``phi_0`` and ``W[(a, k), i] = sum_j psi_j[a] phi_j[k]
-        conj(psi_j[i])``, the unitary's columns ``(i, 0)``, as one ``(d^2, d)
-        (d, d)`` product."""
-        d = base.shape[0]
-        phi0 = probe[:, 0]
-        m = cls.__new__(cls)
-        eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
-        m._set_parts(d, d, eta, pointer)
-        m._bases, m._probe_root = (base, probe), phi0[:, None]
-        w = (base[:, None, :] * probe[None]).reshape(d * d, d) @ base.conj().T
-        m._restricted = read_only(w.reshape(1, d * d, d, 1))
-        return m
-
     def _repointed(self, labels: Sequence[Label], owner: Array) -> "FIMM":
         """A dilation of this dilation's isometry, shared, with another
         slot-to-outcome map (``_dilation``)."""
@@ -153,11 +133,9 @@ class FIMM:
 
     @cached_property
     def interaction(self) -> Array:
-        """A von Neumann model's pairing unitary of its bases, or a
-        dilation's unitary: its isometry in the columns ``(k, 0)`` and the
-        completion in the others.  Other models set it at construction."""
-        if self._bases is not None:
-            return read_only(_pairing_unitary(*self._bases))
+        """A dilation's unitary: its isometry in the columns ``(k, 0)`` and
+        the completion in the others.  Other models set it at construction,
+        or form it on read (``VonNeumannModel``)."""
         d, n = self.dim_base, self.dim_probe
         first_slot = np.arange(d * n) % n == 0
         sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
@@ -206,7 +184,7 @@ class FIMM:
 
     def __repr__(self) -> str:
         return (
-            f"FIMM(dim_base={self.dim_base}, dim_probe={self.dim_probe}, "
+            f"{type(self).__name__}(dim_base={self.dim_base}, dim_probe={self.dim_probe}, "
             f"pointer_labels={list(self._labels)!r}, sharp={self.sharp})"
         )
 
@@ -298,29 +276,34 @@ def _pairing_unitary(base: Array, probe: Array) -> Array:
     return u.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
-class VonNeumannModel:
-    """Model with a pure probe state and a basis-pairing unitary."""
+class VonNeumannModel(FIMM):
+    """Model with a pure probe state ``phi_0`` and the pairing unitary of its
+    bases (``von_neumann_unitary``), held as read-only copies with its probe
+    root ``phi_0`` and ``W[(a, k), i] = sum_j psi_j[a] phi_j[k]
+    conj(psi_j[i])``, the unitary's columns ``(i, 0)``: no eigensolve."""
 
-    base_basis: Array
-    probe_basis: Array
-    pointer: Observable
+    def __init__(self, base_basis: object, probe_basis: object, pointer: Observable):
+        base, probe = (read_only(b.copy()) for b in _checked_bases(base_basis, probe_basis))
+        self.base_basis, self.probe_basis = base, probe
+        d, phi0 = base.shape[0], probe[:, 0]
+        eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
+        self._set_parts(d, d, eta, pointer)
+        self._probe_root = phi0[:, None]
+        w = (base[:, None, :] * probe[None]).reshape(d * d, d) @ base.conj().T  # one (d^2, d) (d, d) product
+        self._restricted = read_only(w.reshape(1, d * d, d, 1))
 
-    def __post_init__(self):
-        base, probe = _checked_bases(self.base_basis, self.probe_basis)
-        if _checked_pointer(self.pointer).dim != probe.shape[0]:
-            raise DimensionError("pointer dimension does not match the probe basis")
-        for name, basis in (("base_basis", base), ("probe_basis", probe)):
-            object.__setattr__(self, name, read_only(basis.copy()))
+    @cached_property
+    def interaction(self) -> Array:
+        """The pairing unitary of the bases."""
+        return read_only(_pairing_unitary(self.base_basis, self.probe_basis))
 
     @property
     def dim(self) -> int:
-        return self.base_basis.shape[0]
+        return self.dim_base
 
-    def to_fimm(self) -> FIMM:
-        """The model as a ``FIMM`` (``FIMM._pairing``): no eigensolve, and
-        the pairing unitary formed only when something reads it."""
-        return FIMM._pairing(self.base_basis, self.probe_basis, self.pointer)
+    def to_fimm(self) -> VonNeumannModel:
+        """The model itself, a ``FIMM``."""
+        return self
 
 
 def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observable]:

@@ -652,10 +652,9 @@ def _suite_thm_4_4(run: _Run) -> None:
     for _, d in run.cases(2, 3):
         model = VonNeumannModel(random_unitary(d, run.rng), random_unitary(d, run.rng), random_observable(d, 2, run.rng))
         instr, channel, obs = vn_measured(model)
-        fimm = model.to_fimm()
-        direct = model_instrument(fimm)
+        direct = model_instrument(model)
         unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
-        public = model_instrument(FIMM(d, d, fimm.probe_state, unitary, model.pointer))
+        public = model_instrument(FIMM(d, d, model.probe_state, unitary, model.pointer))
         run.residual(family_distance(instr, direct))
         run.residual(family_distance(instr, public))
         run.residual(*choi_distances([instr_channel(direct)._kraus], [channel._kraus]))

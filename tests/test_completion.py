@@ -21,10 +21,12 @@ from qinstr.instruments import (
     Instrument,
     Operation,
     _assembled,
+    compose_operations,
     induced_observable,
     instr_channel,
     instr_conditioned,
     instr_product,
+    kraus_instrument_from_channel,
     luders_instrument,
 )
 from qinstr.linalg import JOINT_TOL, MODEL_TOL, SEARCH_ITERS, SEARCH_TOL, SUM_TOL, frob, herm_sqrt, hermitian_part
@@ -115,6 +117,16 @@ class TestDerivedFamiliesAreComplete:
         assert _sum_defect(i) > 8e-9 and _sum_defect(j) > 8e-9
         _assert_complete(instr_product(i, j))
         _assert_complete(instr_conditioned(i, j))
+
+    def test_composition_of_channels(self):
+        rng = np.random.default_rng(0)
+        first, second = (Operation.from_kraus([np.sqrt(SCALE) * random_unitary(2, rng)]) for _ in range(2))
+        assert first.is_channel() and second.is_channel() and frob(first.induced_effect - np.eye(2)) > 8e-9
+        composed = compose_operations(second, first)
+        assert frob(composed.induced_effect - np.eye(2)) <= 1e-15 * 2
+        kraus_instrument_from_channel(composed)
+        half = Operation.from_kraus([0.5 * random_unitary(2, rng)])  # not a channel: composed as it is
+        np.testing.assert_allclose(compose_operations(half, half).induced_effect, np.eye(2) / 16, atol=1e-15)
 
     def test_instrument_of_a_model_near_the_model_tolerance(self, rng):
         measured = model_instrument(_near_model_tolerance(rng))

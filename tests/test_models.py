@@ -1192,7 +1192,23 @@ class TestVonNeumannClosedForm:
             phi0 = vn.probe_basis[:, 0]
             eta = hermitian_part(np.outer(phi0, phi0.conj()))
             u = von_neumann_unitary(vn.base_basis, vn.probe_basis)
-            assert dumps_document(vn.to_fimm()) == dumps_document(FIMM._unitary(d, d, eta, u, vn.pointer))
+            expected = dumps_document(FIMM._unitary(d, d, eta, u, vn.pointer))
+            assert dumps_document(vn) == expected and dumps_document(vn.to_fimm()) == expected
+
+    def test_the_model_is_its_own_fimm(self, rng):
+        vn = self._model(3, rng)
+        assert isinstance(vn, FIMM) and vn.to_fimm() is vn
+        assert repr(vn).startswith("VonNeumannModel(dim_base=3, dim_probe=3, ")
+        direct = model_instrument(vn)
+        converted = model_instrument(vn.to_fimm())
+        assert direct.labels == converted.labels
+        assert np.array_equal(direct.kraus, converted.kraus) and np.array_equal(direct.counts, converted.counts)
+
+    def test_normal_extraction_reads_the_model(self, rng):
+        probe = random_unitary(3, rng)
+        vn = VonNeumannModel(random_unitary(3, rng), probe, atomic_observable(probe))
+        extracted = normal_fimm_kraus_extract(vn)
+        assert instruments_close(kraus_instrument(extracted), model_instrument(vn), 1e-10)
 
 
 class TestVonNeumannModelInput:
@@ -1218,5 +1234,5 @@ class TestVonNeumannModelInput:
         assert np.array_equal(model.base_basis, kept)
 
     def test_pointer_dimension_checked(self, rng):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^pointer dim 3, expected 2$"):  # as for every model
             VonNeumannModel(np.eye(2), np.eye(2), random_observable(3, 2, rng))

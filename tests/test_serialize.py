@@ -7,8 +7,8 @@ import pytest
 
 from qinstr.errors import DocumentError
 from qinstr.instruments import instruments_close, luders_instrument, operations_close
-from qinstr.linalg import frob
-from qinstr.observables import Observable, observables_close
+from qinstr.linalg import EFFECT_ROUND_TOL, frob
+from qinstr.observables import Observable, atomic_observable, fourier_mub, observables_close
 from qinstr.rand import (
     random_effect,
     random_fimm,
@@ -16,6 +16,7 @@ from qinstr.rand import (
     random_observable,
     random_state,
     random_stochastic,
+    random_unitary,
 )
 from qinstr.serialize import (
     canonical_json,
@@ -238,10 +239,24 @@ class TestDocumentRoundTrips:
         # the Choi matrices of Kraus-built operations, odd d included
         objects += [(random_instrument(d, 2, rng, k), None) for d in range(1, 9) for k in (1, 2)]
         objects.append((instr_product(random_instrument(3, 2, rng), random_instrument(3, 2, rng, 1)), None))
+        # effects whose eigenvalues leave [0, 1] by rounding, which the loader keeps as they are
+        objects += [(atomic_observable(fourier_mub(d)[1]), None) for d in range(2, 6)]
+        objects += [(random_effect(d, rng), "effect") for d in range(2, 6) for _ in range(10)]
         for obj, kind in objects:
             text = dumps_document(obj, kind)
             doc = loads_document(text)
             assert dumps_document(doc.obj, kind) == text
+
+    def test_an_effect_outside_the_range_is_clamped_once(self, rng):
+        for d in range(2, 6):
+            u = random_unitary(d, rng)
+            spectrum = np.linspace(-5e-10, 1.0 + 5e-10, d)
+            first = dumps_document(u @ np.diag(spectrum) @ u.conj().T, "effect")
+            second = dumps_document(loads_document(first).obj, "effect")
+            assert second != first
+            w = np.linalg.eigvalsh(loads_document(second).obj)
+            assert w[0] >= -EFFECT_ROUND_TOL and w[-1] <= 1.0 + EFFECT_ROUND_TOL
+            assert dumps_document(loads_document(second).obj, "effect") == second
 
     def test_product_labels_round_trip(self, rng):
         from qinstr.instruments import instr_product
