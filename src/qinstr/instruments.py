@@ -54,17 +54,11 @@ from .observables import row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
-    """Read-only ``(r, d, d)`` stack of square Kraus operators of one shape,
-    coerced in one call; never a view of the caller's array."""
+    """Read-only ``(r, d, d)`` stack of square Kraus operators, from one
+    ``as_matrix`` call (which rejects mixed shapes); never a view of the caller's array."""
     if len(ops) == 0:
         raise DimensionError("need at least one Kraus operator")
-    try:
-        stack = as_matrix(ops, stack=True)
-    except (ValueError, DimensionError):
-        shapes = {np.shape(k) for k in ops}
-        if len(shapes) > 1:
-            raise DimensionError(f"Kraus operators of mixed shapes {sorted(shapes)}") from None
-        raise
+    stack = as_matrix(ops, stack=True)
     if stack.shape[1] != stack.shape[2]:
         raise DimensionError(f"Kraus operator shape {stack.shape[1:]} is not square")
     if isinstance(ops, np.ndarray) and np.may_share_memory(stack, ops):
@@ -362,7 +356,7 @@ class Instrument(LabelledFamily):
         labels, ops = self._checked_items(operations)
         if not all(isinstance(op, Operation) for op in ops):
             raise KindError("instrument outcomes must be Operation instances")
-        self._common_size((op.dim for op in ops), "operations")
+        _same_dim(*(op.dim for op in ops))
         stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops])
         self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects)
         self._members = dict(zip(labels, ops))
@@ -472,13 +466,20 @@ def is_single_kraus(phi: Operation) -> bool:
 
 def compose_operations(second: Operation, first: Operation) -> Operation:
     """Operation performing ``first`` and then ``second``: the one-outcome
-    ``instr_product``, completed (``_assembled``) if both are channels."""
+    ``instr_product``, completed (``_assembled``) if both are channels, else
+    scaled by ``1 / sqrt(t)`` if its effect's top eigenvalue ``t`` exceeds 1 by at most ``MODEL_TOL``."""
     _same_dim(second.dim, first.dim)
     f, s = first._kraus, second._kraus
     ops, counts = _then(f[None], np.array([len(f)]), s[None], np.array([len(s)]))
     if first.is_channel() and second.is_channel():
         return _assembled(["0"], ops, counts)["0"]
-    return Operation.from_kraus(_reduced(ops[None], counts, first.dim ** 2)[0][0])
+    kraus = _reduced(ops[None], counts, first.dim ** 2)[0][0]
+    try:
+        return Operation.from_kraus(kraus)
+    except InvariantViolation as exc:  # only the trace bound raises it
+        if not exc.residual <= MODEL_TOL:
+            raise
+        return Operation.from_kraus(kraus / np.sqrt(1.0 + exc.residual))
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:

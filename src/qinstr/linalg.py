@@ -3,6 +3,8 @@
 Conventions used throughout the package:
 
 - matrices are ``numpy`` arrays of dtype complex128, row-major;
+- a caller's numbers become an array only in ``as_numbers`` (``DimensionError``
+  for ragged, mixed-shape or non-numeric input, ``QinstrError`` if non-finite);
 - composite spaces are ordered base-slow / probe-fast, i.e. the pair index
   ``(i, k)`` on ``H (x) K`` flattens to ``i * dimK + k`` and matches
   ``numpy.kron(base, probe)``;
@@ -54,7 +56,7 @@ STOCHASTIC_ROW_TOL = 1e-10  # row-sum defect of a stochastic matrix
 WEIGHT_TOL = 1e-10  # negative entry and sum defect of convex weights
 CHOI_TOL = 1e-8  # Choi PSD (relative), trace increase, channel and instrument sums, instrument complementarity
 KRAUS_EIG_TOL = 1e-10  # Choi eigenvalue below which no Kraus operator is kept: relative to the largest in _kept, absolute for Choi input
-MODEL_TOL = 1e-7  # sum defect up to which _assembled completes a derived instrument (model, product, mixture, ...)
+MODEL_TOL = 1e-7  # sum defect up to which _assembled completes a derived instrument; trace increase compose_operations scales away
 RANK_ONE_TOL = 1e-8  # normal model: largest and (relative) second eigenvalue of probe and pointer atoms
 NORMAL_SUM_TOL = 1e-8  # completeness of a normal model's extracted Kraus operators, per unit of dimension
 LUDERS_TOL = 1e-8  # anti-Hermitian part (relative) and negative eigenvalue of extracted Kraus operators
@@ -68,24 +70,32 @@ WITNESS_SEARCH_ITERS = 2000  # alternating-projection rounds of find_coexistence
 WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the polished witness still checks
 
 
+def as_numbers(x: object, dtype: type = complex) -> Array:
+    """The caller's numbers ``x`` as a finite array of ``dtype``: ``complex``
+    for matrices and vectors, ``float`` for stochastic matrices and weights."""
+    try:
+        a = np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DimensionError("expected numbers in a regular array: ragged rows, mixed shapes or a non-number") from None
+    if not np.isfinite(a).all():
+        raise QinstrError("array contains non-finite entries")
+    return a
+
+
 def as_matrix(m: object, stack: bool = False) -> Array:
-    """Coerce to a finite 2-D complex matrix, or with ``stack`` to a
-    ``(k, r, c)`` stack of them."""
-    a = np.asarray(m, dtype=complex)
+    """``as_numbers(m)`` as a nonempty 2-D complex matrix, or with ``stack``
+    as a ``(k, r, c)`` stack of them."""
+    a = as_numbers(m)
     if a.ndim != 2 + stack or 0 in a.shape:
         what = "stack of 2-D matrices" if stack else "2-D matrix"
         raise DimensionError(f"expected a {what}, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise QinstrError("matrix contains non-finite entries")
     return a
 
 
 def as_vector(v: object) -> Array:
-    a = np.asarray(v, dtype=complex).reshape(-1)
+    a = as_numbers(v).reshape(-1)
     if a.size < 1:
         raise DimensionError("expected a nonempty vector")
-    if not np.isfinite(a).all():
-        raise QinstrError("vector contains non-finite entries")
     return a
 
 
@@ -261,11 +271,7 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     """
     if len(columns) == 0:
         return np.eye(dim, dtype=complex)
-    try:
-        flat = np.reshape(columns, (len(columns), -1))  # each column flattened
-    except ValueError:
-        raise DimensionError(f"columns of unequal lengths, expected {dim} each") from None
-    u = as_matrix(flat).T  # coerced in one call, after the try: its QinstrError is a ValueError
+    u = as_numbers(columns).reshape(len(columns), -1).T  # each column flattened
     if u.shape[0] != dim:
         raise DimensionError(f"column has length {u.shape[0]}, expected {dim}")
     k = u.shape[1]

@@ -35,13 +35,12 @@ from .errors import (
     InvariantViolation,
     KindError,
     LabelError,
-    QinstrError,
     ShapeError,
     WeightError,
 )
 from .linalg import EFFECT_EIG_TOL, JOINT_TOL, RANK_REL_TOL, SEARCH_ITERS, SEARCH_TOL
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
-from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, frob, hermitian_part, read_only
+from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, frob, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
 
@@ -90,10 +89,10 @@ def check_distinct_labels(labels: Iterable[Label]) -> tuple[Label, ...]:
 class LabelledFamily:
     """Ordered map from distinct outcome labels to members of one dimension.
 
-    The common base of ``Observable`` (members are effects) and
-    ``Instrument`` (members are operations).  Each subclass validates its
-    members in its own constructor with ``_checked_items`` and
-    ``_common_size``, then sets ``dim``, ``labels`` and ``_members`` (an
+    The common base of ``Observable`` (members are effects) and ``Instrument``
+    (members are operations).  Each subclass checks its members' labels with
+    ``_checked_items`` and their dimension once (``ensure_effects``, or
+    ``_same_dim``), then sets ``dim``, ``labels`` and ``_members`` (an
     instrument's on first read).  ``_distances`` is the comparison that
     ``family_distance`` and ``marginal_defect`` share: effects, or Kraus stacks.
     """
@@ -114,14 +113,6 @@ class LabelledFamily:
         if not trusted or len(set(labels)) != len(labels):  # the full check names a repeat
             labels = check_distinct_labels(labels)
         return list(labels), [member for _, member in items]
-
-    @staticmethod
-    def _common_size(sizes: Iterable, what: str):
-        """The one shape or dimension that all members share."""
-        distinct = set(sizes)
-        if len(distinct) != 1:
-            raise DimensionError(f"{what} of mixed dimensions {sorted(distinct)}")
-        return distinct.pop()
 
     def _distances(self, groups: Array, other: "LabelledFamily") -> Array:
         """Frobenius distance between the sum of this family's members at
@@ -203,9 +194,7 @@ class Observable(LabelledFamily):
 
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]]):
         labels, matrices = self._checked_items(effects)
-        mats = [as_matrix(matrix) for matrix in matrices]
-        self._common_size((e.shape for e in mats), "effects")
-        stack = ensure_effects(np.stack(mats))
+        stack = ensure_effects(matrices)
         self.dim = stack.shape[-1]
         residual = frob(stack.sum(0) - np.eye(self.dim))
         if not residual <= SUM_TOL:
@@ -270,11 +259,9 @@ class StochasticMatrix:
     def __init__(self, row_labels: Sequence[Label], col_labels: Sequence[Label], matrix: object):
         self.row_labels = check_distinct_labels(row_labels)
         self.col_labels = check_distinct_labels(col_labels)
-        m = np.asarray(matrix, dtype=float)
+        m = as_numbers(matrix, float)
         if m.shape != (len(self.row_labels), len(self.col_labels)):
             raise ShapeError(f"matrix shape {m.shape} does not match label counts")
-        if not np.isfinite(m).all():
-            raise QinstrError("matrix contains non-finite entries")
         if m.min(initial=0.0) < -STOCHASTIC_NEG_TOL:
             raise InvariantViolation("nonnegative-entries", float(-m.min()))
         m = np.clip(m, 0.0, None)
@@ -329,7 +316,7 @@ def obs_conditioned(a: Observable, b: Observable) -> Observable:
 
 
 def check_weights(weights: Sequence[float], count: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = as_numbers(weights, float)
     if w.ndim != 1 or w.size != count:
         raise WeightError(f"expected {count} weights, got shape {w.shape}")
     if w.min(initial=0.0) < -WEIGHT_TOL:
@@ -454,7 +441,7 @@ def _basis_projections(w: Array) -> Array:
 
 def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Observable:
     """Sharp atomic observable built from the columns of a unitary matrix."""
-    b = np.asarray(basis, dtype=complex)
+    b = as_matrix(basis)
     d = b.shape[1]
     if labels is None:
         labels = [str(j) for j in range(d)]

@@ -21,6 +21,7 @@ from qinstr.instruments import (
     Instrument,
     Operation,
     _assembled,
+    choi_distances,
     compose_operations,
     induced_observable,
     instr_channel,
@@ -127,6 +128,19 @@ class TestDerivedFamiliesAreComplete:
         kraus_instrument_from_channel(composed)
         half = Operation.from_kraus([0.5 * random_unitary(2, rng)])  # not a channel: composed as it is
         np.testing.assert_allclose(compose_operations(half, half).induced_effect, np.eye(2) / 16, atol=1e-15)
+
+    def test_composition_with_a_projection_does_not_depend_on_grouping(self):
+        # Two 8.5e-9 channels and a projection: a grouping whose inner step is
+        # not of two channels adds up their trace defects (1.2e-8 above 1) and
+        # is scaled down, so it agrees with the one that completes them first.
+        rng = np.random.default_rng(0)
+        a, b = (Operation.from_kraus([np.sqrt(SCALE) * random_unitary(2, rng)]) for _ in range(2))
+        p = Operation.from_kraus([np.diag([1.0, 0.0])])
+        after = [compose_operations(p, compose_operations(b, a)), compose_operations(compose_operations(p, b), a)]
+        before = [compose_operations(compose_operations(b, a), p), compose_operations(b, compose_operations(a, p))]
+        for pair in (after, before):
+            assert choi_distances(*([op._kraus] for op in pair))[0] <= 1e-15
+            assert all(np.linalg.eigvalsh(op.induced_effect)[-1] <= 1.0 + 1e-15 for op in pair)
 
     def test_instrument_of_a_model_near_the_model_tolerance(self, rng):
         measured = model_instrument(_near_model_tolerance(rng))

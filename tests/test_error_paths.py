@@ -32,7 +32,9 @@ from qinstr.instruments import (
     Operation,
     compose_operations,
     instr_conditioned,
+    instr_convex_combo,
     identity_instrument,
+    kraus_instrument,
     op_apply,
     operations_close,
     trivial_instrument,
@@ -52,6 +54,7 @@ from qinstr.models import (
 from qinstr.observables import (
     Observable,
     StochasticMatrix,
+    atomic_observable,
     check_weights,
     find_joint_observable,
     identity_observable,
@@ -93,6 +96,13 @@ def _convex_with_words(monkeypatch, tmp_path):
     return _cli(["compute", "convex", "half,half", str(path), str(path), "-o", str(tmp_path / "out.json")])
 
 
+def _convex_with_nan(monkeypatch, tmp_path):
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for path in paths:
+        save_document(SPLIT_2, path)
+    return _cli(["compute", "convex", "nan,1", *paths, "-o", str(tmp_path / "out.json")])
+
+
 def _eigh_fails(monkeypatch, tmp_path):
     def broken(a):
         raise np.linalg.LinAlgError("no convergence")
@@ -118,6 +128,40 @@ ROWS = [
     # cli: usage errors exit 2
     ("cli-tol-not-a-number", _verify_with_tol, "2: error: QINSTR_TOL must be a number, got 'tight'"),
     ("cli-weights-not-numbers", _convex_with_words, "2: error: expected comma-separated weights, got 'half,half'"),
+    ("cli-weights-nan", _convex_with_nan, "2: error: array contains non-finite entries"),
+    # caller arrays: ragged, mixed-shape or non-numeric ones raise DimensionError
+    ("observable-ragged", lambda mp, tp: Observable({"a": [[1, 0], [0]]}), (DimensionError, "mixed shapes")),
+    (
+        "observable-mixed-dims",
+        lambda mp, tp: Observable({"a": np.eye(2), "b": np.eye(3)}),
+        (DimensionError, "mixed shapes"),
+    ),
+    (
+        "kraus-instrument-ragged",
+        lambda mp, tp: kraus_instrument({"a": [[1, 0], [0]]}),
+        (DimensionError, "mixed shapes"),
+    ),
+    (
+        "stochastic-ragged",
+        lambda mp, tp: StochasticMatrix(["a", "b"], ["c"], [[1.0], [1.0, 0]]),
+        (DimensionError, "mixed shapes"),
+    ),
+    ("atomic-observable-ragged", lambda mp, tp: atomic_observable([[1, 0], [0]]), (DimensionError, "mixed shapes")),
+    ("atomic-observable-vector", lambda mp, tp: atomic_observable([1, 0]), (DimensionError, "expected a 2-D matrix")),
+    ("state-of-words", lambda mp, tp: ensure_state([["a", "b"], ["c", "d"]]), (DimensionError, "non-number")),
+    ("atom-of-a-word", lambda mp, tp: atom("xy"), (DimensionError, "non-number")),
+    (
+        "identity-instrument-word-weight",
+        lambda mp, tp: identity_instrument({"a": "x"}, 2),
+        (DimensionError, "non-number"),
+    ),
+    ("observable-mixture-word-weight", lambda mp, tp: obs_convex_combo(["x"], [Z]), (DimensionError, "non-number")),
+    (
+        "instrument-mixture-nan-weight",
+        lambda mp, tp: instr_convex_combo([np.nan, 1.0], [SPLIT_2, SPLIT_2]),
+        (QinstrError, "non-finite"),
+    ),
+    ("instrument-mixed-dims", lambda mp, tp: Instrument({"a": ID_2, "b": ID_3}), (DimensionError, "mismatch 2 vs 3")),
     # effects
     ("ensure-state-trace-one", lambda mp, tp: ensure_state(0.5 * P0), (InvariantViolation, "trace-one")),
     (
