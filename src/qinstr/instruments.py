@@ -46,19 +46,21 @@ import numpy as np
 
 from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
-from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, MODEL_TOL, RANK_REL_TOL
-from .linalg import Array, as_matrix, ensure_hermitian, frob, hermitian_part, read_only, root_columns
+from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, MODEL_TOL, RANK_REL_TOL, root_columns
+from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
 from .observables import row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
-    """Read-only ``(r, d, d)`` stack of square Kraus operators, from one
-    ``as_matrix`` call (which rejects mixed shapes); never a view of the caller's array."""
-    if len(ops) == 0:
+    """Read-only ``(r, d, d)`` stack of square Kraus operators, coerced by
+    ``as_numbers`` (which rejects mixed shapes) before they are counted; never
+    a view of the caller's array."""
+    stack = as_numbers(ops)
+    if stack.shape[:1] == (0,):
         raise DimensionError("need at least one Kraus operator")
-    stack = as_matrix(ops, stack=True)
+    stack = as_matrix(stack, stack=True)
     if stack.shape[1] != stack.shape[2]:
         raise DimensionError(f"Kraus operator shape {stack.shape[1:]} is not square")
     if isinstance(ops, np.ndarray) and np.may_share_memory(stack, ops):
@@ -154,8 +156,7 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
 def _assembled(labels: Sequence[Label], ops: Array, counts: Array) -> "Instrument":
     """Instrument of the outcome-major stack ``ops``, ``counts[x]`` for outcome
     ``x`` (one zero operator if none), padded and cut by ``_reduced``.  Inputs'
-    sum defects add up: a sum ``G`` missing 1 by at most ``MODEL_TOL`` is completed
-    by one Newton-Schulz step ``K - K (G - 1) / 2``; beyond, it raises."""
+    sum defects add up, so its one sum check (``Instrument._set``) completes up to ``MODEL_TOL``."""
     # A reshape, not a gather: large-d's round trips take it; the masked gather cost ~10 % of large-d's ops_per_s.
     if counts.min() == counts.max() > 0:
         kraus = ops.reshape(len(counts), -1, *ops.shape[1:])
@@ -163,14 +164,7 @@ def _assembled(labels: Sequence[Label], ops: Array, counts: Array) -> "Instrumen
         kraus = np.zeros((len(counts), max(counts.max(), 1), *ops.shape[1:]), dtype=complex)
         kraus[_filled(kraus, counts)] = ops
         counts = np.maximum(counts, 1)
-    kraus, counts = _reduced(kraus, counts, ops.shape[-1] ** 2)
-    try:
-        return Instrument._from_kraus(labels, kraus, counts)
-    except InvariantViolation as exc:  # only the sum check raises it
-        if not exc.residual <= MODEL_TOL:
-            raise
-    g = _effects(kraus).sum(0)
-    return Instrument._from_kraus(labels, kraus - kraus @ ((g - np.eye(len(g))) / 2.0), counts)
+    return Instrument._from_kraus(labels, *_reduced(kraus, counts, ops.shape[-1] ** 2), MODEL_TOL)
 
 
 def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
@@ -257,9 +251,9 @@ class Operation:
 
     @classmethod
     def _unchecked(cls, kraus: Array, effect: Array | None = None) -> "Operation":
-        """Operation on a read-only Kraus stack, with no check: an outcome of
-        an instrument (whose sum check implies trace-non-increase) with its
-        ``effect``, or a channel, whose effect is formed on first use."""
+        """Operation on a read-only Kraus stack, with no check: an instrument's outcome
+        (whose sum check implies trace-non-increase) or a composition with its ``effect``,
+        or a channel or a scaled composition, whose effect is formed on first use."""
         op = cls.__new__(cls)
         op._kraus, op.dim = kraus, kraus.shape[1]
         if effect is not None:
@@ -325,9 +319,7 @@ class Operation:
 
 
 def ensure_channel(op: Operation) -> Operation:
-    residual = frob(op.induced_effect - np.eye(op.dim))
-    if not residual <= CHOI_TOL:
-        raise InvariantViolation("trace-preserving", residual)
+    completion(op.induced_effect, CHOI_TOL, CHOI_TOL, "trace-preserving")
     return op
 
 
@@ -361,26 +353,27 @@ class Instrument(LabelledFamily):
         self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects)
         self._members = dict(zip(labels, ops))
 
-    def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array) -> None:
-        self.dim = effects.shape[-1]
-        residual = frob(effects.sum(0) - np.eye(self.dim))
-        if not residual <= CHOI_TOL:
-            raise InvariantViolation("trace-preserving-sum", residual)
-        self.labels = tuple(labels)
+    def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array, bound: float = CHOI_TOL) -> None:
+        half = completion(effects.sum(0), CHOI_TOL, bound, "trace-preserving-sum")
+        if half is not None:
+            kraus = kraus - kraus @ half
+            return self._set(labels, kraus, counts, _effects(kraus))
+        self.dim, self.labels = effects.shape[-1], tuple(labels)
         self.kraus, self.counts, self.effects = read_only(kraus), read_only(counts), read_only(effects)
 
     @classmethod
-    def _from_kraus(cls, labels: Sequence[Label], kraus: Array, counts: Array | None = None):
+    def _from_kraus(cls, labels: Sequence[Label], kraus: Array, counts: Array | None = None, bound: float = CHOI_TOL):
         """Instrument on a padded Kraus array no caller writes, ``counts`` (or
         all) operators per outcome, checked finite, validated once: the effects
         from one batched Gram product, label distinctness and the sum check
-        within ``CHOI_TOL``, which gives ``A_x <= (1 + CHOI_TOL) 1``."""
+        within ``CHOI_TOL``, which gives ``A_x <= (1 + CHOI_TOL) 1``; a sum up to
+        ``bound`` (``_assembled``'s ``MODEL_TOL``) is completed and checked again."""
         instr = cls.__new__(cls)
         labels = instr._checked_items(zip(labels, kraus), trusted=True)[0]
         counts = np.full(len(kraus), kraus.shape[1]) if counts is None else np.asarray(counts)
         if not counts.min() >= 1:
             raise DimensionError("need at least one Kraus operator")
-        instr._set(labels, kraus, counts, _effects(kraus))
+        instr._set(labels, kraus, counts, _effects(kraus), bound)
         return instr
 
     @cached_property
@@ -474,12 +467,13 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
     if first.is_channel() and second.is_channel():
         return _assembled(["0"], ops, counts)["0"]
     kraus = _reduced(ops[None], counts, first.dim ** 2)[0][0]
-    try:
-        return Operation.from_kraus(kraus)
-    except InvariantViolation as exc:  # only the trace bound raises it
-        if not exc.residual <= MODEL_TOL:
-            raise
-        return Operation.from_kraus(kraus / np.sqrt(1.0 + exc.residual))
+    effect = _effects(kraus[None])[0]
+    top = float(np.linalg.eigvalsh(effect)[-1])
+    if not top <= 1.0 + MODEL_TOL:
+        raise InvariantViolation("trace-non-increasing", top - 1.0)
+    if top > 1.0 + CHOI_TOL:  # the scaled operators' effect is formed on first use
+        return Operation._unchecked(read_only(kraus / np.sqrt(top)))
+    return Operation._unchecked(read_only(kraus), effect)
 
 
 def instr_product(i: Instrument, j: Instrument) -> Instrument:

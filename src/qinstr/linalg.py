@@ -5,6 +5,7 @@ Conventions used throughout the package:
 - matrices are ``numpy`` arrays of dtype complex128, row-major;
 - a caller's numbers become an array only in ``as_numbers`` (``DimensionError``
   for ragged, mixed-shape or non-numeric input, ``QinstrError`` if non-finite);
+- a family's completeness (its effects' sum against ``1``) is decided only in ``completion``;
 - composite spaces are ordered base-slow / probe-fast, i.e. the pair index
   ``(i, k)`` on ``H (x) K`` flattens to ``i * dimK + k`` and matches
   ``numpy.kron(base, probe)``;
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     EigenSolverError,
+    InvariantViolation,
     NotHermitian,
     NotIsometry,
     NotPositiveSemidefinite,
@@ -70,13 +72,28 @@ WITNESS_SEARCH_ITERS = 2000  # alternating-projection rounds of find_coexistence
 WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the polished witness still checks
 
 
+def completion(total: Array, keep: float, bound: float, invariant: str) -> Array | None:
+    """``None`` if a sum ``G = total`` has ``||G - 1||_F <= keep``; else, up to ``bound``, the half
+    defect ``(G - 1) / 2`` that one Newton-Schulz step subtracts (``K - K (G - 1) / 2``, or ``P A P``
+    with ``P = 1 - (G - 1) / 2``); beyond it, ``InvariantViolation(invariant, residual)``."""
+    defect = total - np.eye(len(total))
+    residual = frob(defect)
+    if not residual <= bound:
+        raise InvariantViolation(invariant, residual)
+    return None if residual <= keep else defect / 2.0
+
+
 def as_numbers(x: object, dtype: type = complex) -> Array:
     """The caller's numbers ``x`` as a finite array of ``dtype``: ``complex``
-    for matrices and vectors, ``float`` for stochastic matrices and weights."""
+    for matrices and vectors, ``float`` for stochastic matrices and weights;
+    strings, booleans, objects and (for ``float``) complex entries are refused."""
     try:
-        a = np.asarray(x, dtype=dtype)
+        a = np.asarray(x)
     except (TypeError, ValueError):
-        raise DimensionError("expected numbers in a regular array: ragged rows, mixed shapes or a non-number") from None
+        a = None
+    if a is None or a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise DimensionError("expected numbers in a regular array: ragged rows, mixed shapes or a non-number")
+    a = a.astype(dtype, copy=False)
     if not np.isfinite(a).all():
         raise QinstrError("array contains non-finite entries")
     return a

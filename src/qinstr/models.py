@@ -34,14 +34,7 @@ from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
 from .linalg import RANK_ONE_TOL, is_unitary, read_only, root_factors
-from .observables import (
-    Label,
-    Observable,
-    StochasticMatrix,
-    _basis_projections,
-    _projections,
-    classify_observable,
-)
+from .observables import Label, Observable, StochasticMatrix, _basis_projections, _projections, obs_commute
 
 
 def _phase_fixed_unit_vectors(m: Array) -> Array:
@@ -341,7 +334,7 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
     unless the effects are scalar on the colliding block), and at most
     ``EIGENBASIS_ATTEMPTS`` draws are made.
     """
-    if not classify_observable(a).commutative:
+    if not obs_commute(a, a):
         raise NotCommutative("observable effects do not pairwise commute")
     if rng is None:
         rng = np.random.default_rng(20210)
@@ -351,7 +344,7 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
         rotated = v.conj().T @ a.stack @ v
         diagonals = np.diagonal(rotated, axis1=1, axis2=2)
         if np.linalg.norm(rotated - diagonals[:, :, None] * eye, axis=(1, 2)).max() <= DIAG_TOL * max(1.0, d):
-            pointer = Observable(zip(a.labels, (diagonals.real[:, :, None] * eye).astype(complex)))
+            pointer = Observable._valid(a.labels, (diagonals.real[:, :, None] * eye).astype(complex))
             return VonNeumannModel(v, np.eye(d, dtype=complex), pointer)
     raise NotCommutative("failed to find a joint eigenbasis")
 

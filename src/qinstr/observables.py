@@ -40,7 +40,7 @@ from .errors import (
 )
 from .linalg import EFFECT_EIG_TOL, JOINT_TOL, RANK_REL_TOL, SEARCH_ITERS, SEARCH_TOL
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
-from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, frob, hermitian_part, read_only
+from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, completion, hermitian_part, read_only
 
 Label = str | tuple[str, ...]
 
@@ -195,14 +195,11 @@ class Observable(LabelledFamily):
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]]):
         labels, matrices = self._checked_items(effects)
         stack = ensure_effects(matrices)
-        self.dim = stack.shape[-1]
-        residual = frob(stack.sum(0) - np.eye(self.dim))
-        if not residual <= SUM_TOL:
-            raise InvariantViolation("sum-to-identity", residual)
+        completion(stack.sum(0), SUM_TOL, SUM_TOL, "sum-to-identity")
         self._set_stack(labels, stack)
 
     def _set_stack(self, labels: list[Label], stack: Array) -> None:
-        self.labels = tuple(labels)
+        self.dim, self.labels = stack.shape[-1], tuple(labels)
         self.stack = read_only(stack)
         self._members = dict(zip(labels, stack))
 
@@ -228,20 +225,16 @@ class Observable(LabelledFamily):
         """Observable on a stack that is PSD by construction (Kraus-induced
         effects, checked products, mixtures, found joints) with trusted
         labels, never eigensolved.  A sum ``G`` missing 1 by more than
-        ``EFFECT_EIG_TOL``, at most ``JOINT_TOL``, is completed: ``A_x <- P A_x
-        P``, ``P = 1 - (G - 1) / 2``.  Each ``A_x`` is below the completed sum,
-        so at most 1 up to ``O(||G - 1||^2)``; beyond ``JOINT_TOL`` it raises.
+        ``EFFECT_EIG_TOL``, at most ``JOINT_TOL``, is completed (``completion``):
+        ``A_x <- P A_x P``, ``P = 1 - (G - 1) / 2``.  Each ``A_x`` is below the
+        completed sum, so at most 1 up to ``O(||G - 1||^2)``.
         """
         stack = hermitian_part(stack)
-        defect = stack.sum(0) - np.eye(stack.shape[-1])
-        residual = frob(defect)
-        if not residual <= JOINT_TOL:
-            raise InvariantViolation("sum-to-identity", residual)
-        if residual > EFFECT_EIG_TOL:
-            p = np.eye(stack.shape[-1]) - defect / 2.0
+        half = completion(stack.sum(0), EFFECT_EIG_TOL, JOINT_TOL, "sum-to-identity")
+        if half is not None:
+            p = np.eye(stack.shape[-1]) - half
             stack = hermitian_part(p @ stack @ p)
         obs = cls.__new__(cls)
-        obs.dim = stack.shape[-1]
         obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
         return obs
 

@@ -14,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+import qinstr.instruments as instruments
 from qinstr.cli import main
 from qinstr.effects import joint_feasibility_search
 from qinstr.errors import DocumentError, InvariantViolation
@@ -26,11 +27,14 @@ from qinstr.instruments import (
     induced_observable,
     instr_channel,
     instr_conditioned,
+    instr_convex_combo,
+    instr_post_process,
     instr_product,
     kraus_instrument_from_channel,
     luders_instrument,
+    trivial_instrument,
 )
-from qinstr.linalg import JOINT_TOL, MODEL_TOL, SEARCH_ITERS, SEARCH_TOL, SUM_TOL, frob, herm_sqrt, hermitian_part
+from qinstr.linalg import CHOI_TOL, JOINT_TOL, MODEL_TOL, SEARCH_ITERS, SEARCH_TOL, SUM_TOL, frob, herm_sqrt, hermitian_part
 from qinstr.models import FIMM, model_instrument
 from qinstr.observables import (
     Observable,
@@ -41,7 +45,7 @@ from qinstr.observables import (
     obs_seq_product,
     obs_triple_joint,
 )
-from qinstr.rand import random_instrument, random_observable, random_state, random_unitary
+from qinstr.rand import random_instrument, random_observable, random_state, random_stochastic, random_unitary
 from qinstr.serialize import dumps_document, encode_matrix, loads_document, save_document
 
 from conftest import kraus_document
@@ -229,6 +233,73 @@ class TestCompletionBounds:
             with pytest.raises((InvariantViolation, DocumentError)) as exc:
                 build()
             assert exc.value.invariant == invariant
+
+
+def _recorded_completions(monkeypatch) -> list:
+    """What each call of ``completion`` from ``instruments`` returns, recorded
+    for the rest of the test."""
+    results, completion = [], instruments.completion
+
+    def recorded(*args):
+        results.append(completion(*args))
+        return results[-1]
+
+    monkeypatch.setattr(instruments, "completion", recorded)
+    return results
+
+
+class TestOneSumCheck:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            instr_product,
+            instr_conditioned,
+            lambda i, j: instr_convex_combo([0.25, 0.75], [i, j]),
+            lambda i, j: instr_post_process(random_stochastic(list(i.labels), ["a", "b"], np.random.default_rng(1)), i),
+            lambda i, j: trivial_instrument(induced_observable(i), np.eye(2) / 2),
+        ],
+        ids=["product", "conditioned", "mixture", "post-processed", "trivial"],
+    )
+    def test_each_derived_instrument_checks_its_sum_once(self, build, monkeypatch, rng):
+        i, j = random_instrument(2, 3, rng), random_instrument(2, 3, rng)
+        results = _recorded_completions(monkeypatch)
+        build(i, j)
+        assert len(results) == 1 and results[0] is None
+
+    def test_a_completing_product_raises_and_catches_nothing(self, monkeypatch, rng):
+        i, j = _scaled_instrument(rng), _scaled_instrument(rng)
+        raised = []
+        created = InvariantViolation.__init__
+
+        def recorded(self, *args):
+            raised.append(args)
+            created(self, *args)
+
+        monkeypatch.setattr(InvariantViolation, "__init__", recorded)
+        results = _recorded_completions(monkeypatch)
+        product = instr_product(i, j)
+        assert raised == []
+        # One check that completes, then one of the completed sum.
+        assert len(results) == 2 and results[0] is not None and results[1] is None
+        assert _sum_defect(product) <= 1e-15 * 2
+
+    def test_near_limit_composition_uses_no_public_constructor(self, monkeypatch):
+        # As in the grouping test: the composition's effect has top eigenvalue
+        # SCALE**2, 1.2e-8 above 1, so it is scaled by 1 / SCALE.
+        rng = np.random.default_rng(0)
+        a, b = (Operation.from_kraus([np.sqrt(SCALE) * random_unitary(2, rng)]) for _ in range(2))
+        inner = compose_operations(Operation.from_kraus([np.diag([1.0, 0.0])]), b)
+
+        def refused(cls, ops):
+            raise AssertionError("Operation.from_kraus called")
+
+        monkeypatch.setattr(Operation, "from_kraus", classmethod(refused))
+        composed = compose_operations(inner, a)
+        kraus = inner._kraus[0] @ a._kraus[0]
+        top = np.linalg.eigvalsh(kraus.conj().T @ kraus)[-1]
+        assert top > 1.0 + CHOI_TOL
+        np.testing.assert_allclose(composed._kraus, [kraus / np.sqrt(top)], atol=1e-15)
+        assert np.linalg.eigvalsh(composed.induced_effect)[-1] <= 1.0 + 1e-15
 
 
 class TestCommandLine:

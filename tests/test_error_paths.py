@@ -162,6 +162,18 @@ ROWS = [
         (QinstrError, "non-finite"),
     ),
     ("instrument-mixed-dims", lambda mp, tp: Instrument({"a": ID_2, "b": ID_3}), (DimensionError, "mismatch 2 vs 3")),
+    # caller arrays: only integer, real and complex entries are numbers
+    ("weights-numeric-strings", lambda mp, tp: check_weights(["0.5", "0.5"], 2), (DimensionError, "non-number")),
+    ("weights-boolean", lambda mp, tp: check_weights([True], 1), (DimensionError, "non-number")),
+    (
+        "identity-instrument-numeric-string-weight",
+        lambda mp, tp: identity_instrument({"a": "1"}, 2),
+        (DimensionError, "non-number"),
+    ),
+    ("numbers-integer-overflow", lambda mp, tp: linalg.as_numbers([10**400]), (DimensionError, "non-number")),
+    ("numbers-complex-as-real", lambda mp, tp: linalg.as_numbers([1j], float), (DimensionError, "non-number")),
+    ("kraus-not-a-sequence", lambda mp, tp: Operation.from_kraus(5), (DimensionError, r"got shape \(\)")),
+    ("kraus-none", lambda mp, tp: Operation.from_kraus([]), (DimensionError, "need at least one Kraus operator")),
     # effects
     ("ensure-state-trace-one", lambda mp, tp: ensure_state(0.5 * P0), (InvariantViolation, "trace-one")),
     (

@@ -49,6 +49,7 @@ from qinstr.observables import (
     observables_close,
 )
 from qinstr.rand import (
+    random_commutative_observable,
     random_fimm,
     random_instrument,
     random_kraus_instrument,
@@ -378,6 +379,14 @@ class TestVnModelForCommutative:
             model = vn_model_for_commutative(a, rng)
             _, _, measured = vn_measured(model)
             assert observables_close(measured, a, 1e-8)
+
+    def test_pointer_is_eigensolved_once(self, rng, eig_calls):
+        a = random_commutative_observable(3, 4, rng)
+        eig_calls.calls.clear()
+        vn_measured(vn_model_for_commutative(a, rng))
+        # Of 3 x 3 stacks of 4 effects, only the pointer's roots: the commutation
+        # test and the pointer's construction eigensolve nothing.
+        assert eig_calls.calls.count((3, 4)) == 1
 
     def test_noncommutative_rejected(self, rng):
         # two outcomes always commute (complements); three generally do not
