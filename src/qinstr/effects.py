@@ -35,6 +35,11 @@ def ensure_effects(m: object) -> Array:
     clamped onto it, and the others returned as symmetrized: a clamped
     matrix misses the range by rounding only, so it is not rebuilt again.
     """
+    return _effects_spectrum(m)[0]
+
+
+def _effects_spectrum(m: object) -> tuple[Array, tuple[Array, Array] | None]:
+    """``ensure_effects(m)`` and its range check's ``(w, V)``, or ``None`` if it clamped a matrix."""
     a = ensure_hermitian(m, stack=True)
     w, v = np.linalg.eigh(a)
     low, high = w[:, 0], w[:, -1]
@@ -45,7 +50,7 @@ def ensure_effects(m: object) -> Array:
     out = (low < -EFFECT_ROUND_TOL) | (high > 1.0 + EFFECT_ROUND_TOL)
     if out.any():
         a[out] = _from_eig(v[out], np.clip(w[out], 0.0, 1.0))
-    return a
+    return a, (None if out.any() else (w, v))
 
 
 def ensure_effect(m: object) -> Array:

@@ -8,8 +8,9 @@ takes exactly one of two input forms and validates by form:
   checked, on the d x d matrix ``sum_k K_k^* K_k``;
 - a Choi matrix: Hermitian, positive semidefinite and trace-non-increasing.
   The one eigendecomposition of the PSD check also gives the canonical Kraus
-  operators, one per eigenvalue above ``KRAUS_EIG_TOL``, and ``choi`` keeps
-  the caller's (symmetrized) matrix.
+  operators, one per eigenvalue that ``linalg.kept`` counts, and ``choi``
+  keeps the caller's (symmetrized) matrix.  Every Kraus cut and Choi rank is
+  ``linalg.kept``'s, so ``is_single_kraus`` agrees with ``minimal_kraus``.
 
 Choi matrices are formed on read (``O(r d^4)`` for ``r`` operators) and not
 kept, so no operation carries a ``d^4`` array it did not come with; writing
@@ -46,7 +47,7 @@ import numpy as np
 
 from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
-from .linalg import CHOI_TOL, HERM_TOL, KRAUS_EIG_TOL, MODEL_TOL, RANK_REL_TOL, root_columns
+from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, kept, rank, root_columns
 from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
@@ -119,15 +120,6 @@ def _effects(kraus: Array) -> Array:
     return hermitian_part(rows.conj().swapaxes(1, 2) @ rows)
 
 
-def _kept(w: Array) -> Array:
-    """Which descending Choi eigenvalues (squared singular values of the
-    stacked ``vec(K^T)`` columns) ``minimal_kraus`` keeps: those above
-    ``KRAUS_EIG_TOL`` times the largest, and the largest always."""
-    keep = w > KRAUS_EIG_TOL * w[..., :1]
-    keep[..., 0] = True
-    return keep
-
-
 def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     """The padded array and counts, each outcome above ``limit`` operators cut
     as by ``minimal_kraus``: one batched ``eigvalsh`` of the ``r x r`` Gram
@@ -139,13 +131,14 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     test = counts[cut] <= kraus.shape[-1] ** 2  # the others are never at full column rank
     if test.any():
         flat = kraus[cut[test], : counts[cut[test]].max()].reshape(np.count_nonzero(test), -1, kraus.shape[-1] ** 2)
-        w = np.linalg.eigvalsh(flat.conj() @ flat.swapaxes(1, 2))[:, ::-1]
-        test[test] = _kept(w).sum(1) == counts[cut[test]]
+        w = np.linalg.eigvalsh(flat.conj() @ flat.swapaxes(1, 2))
+        test[test] = kept(w).sum(1) == counts[cut[test]]
         cut = cut[~test]
     if not cut.size:
         return kraus, counts
     u, s, _ = np.linalg.svd(_kraus_vectors(kraus[cut, : counts[cut].max()]), full_matrices=False)
-    keep, counts = _kept(s * s), counts.copy()
+    keep, counts = kept(s * s), counts.copy()
+    keep[:, 0] = True  # an outcome keeps one operator, zero if it is the zero map
     counts[cut] = keep.sum(1)
     out = kraus[:, : counts.max()].copy()
     out[cut] = 0.0
@@ -198,15 +191,14 @@ def minimal_kraus(ops: Array, dim: int) -> Array:
     A ``(r, d, d)`` stack of linearly independent operators, or of at most
     one, comes back unchanged.  Any other is replaced by the canonical
     operators from an SVD of the stacked ``vec(K^T)`` columns, whose squared
-    singular values are the Choi eigenvalues (``_kept``).
+    singular values are the Choi eigenvalues: those ``linalg.kept`` counts,
+    and one zero operator for the zero map.
     """
     if len(ops) <= 1:
         return ops
     u, s, _ = np.linalg.svd(_kraus_vectors(ops), full_matrices=False)
-    keep = _kept(s * s)
-    if np.count_nonzero(keep) == len(ops):
-        return ops
-    return kraus_from_vectors(u[:, keep] * s[keep], dim)
+    n = max(int(kept(s * s).sum()), 1)
+    return ops if n == len(ops) else kraus_from_vectors(u[:, :n] * s[:n], dim)
 
 
 class Operation:
@@ -215,12 +207,12 @@ class Operation:
     checks); the Choi checks and the trace bound hold within ``CHOI_TOL``.
 
     ``_kraus`` is always set: the given operators, or for a Choi matrix the
-    canonical ones of its eigendecomposition.  Choi eigenvalues at or below
-    ``KRAUS_EIG_TOL`` (the small negative ones the PSD check tolerates among
-    them) are dropped from that Kraus form, and a zero Choi matrix gives one
-    zero operator.  ``_choi`` is the caller's Choi matrix, kept so that a
-    document re-saves byte-identical: ``choi`` is its one reader.  A
-    Kraus-built operation has none, and its ``choi`` is formed on each read.
+    canonical ones of its eigendecomposition.  Choi eigenvalues that
+    ``linalg.kept`` does not count (among them the small negative ones the
+    PSD check tolerates) are dropped from that Kraus form, and a zero Choi
+    matrix gives one zero operator.  ``_choi`` is the caller's Choi matrix,
+    kept so that a document re-saves byte-identical: ``choi`` is its one
+    reader.  A Kraus-built operation has none; its ``choi`` is formed on each read.
     """
 
     _choi: Array | None = None
@@ -241,9 +233,8 @@ class Operation:
             if not w[0] >= -CHOI_TOL * max(1.0, float(w[-1])):
                 raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
             self._choi = read_only(c)
-            keep = w > KRAUS_EIG_TOL
-            kraus = kraus_from_vectors(vecs[:, keep] * np.sqrt(w[keep]), dim)
-            self._kraus = read_only(kraus if len(kraus) else np.zeros((1, dim, dim), dtype=complex))
+            n = max(int(kept(w).sum()), 1)  # kept ones are last; a zero Choi matrix gives one zero operator
+            self._kraus = read_only(kraus_from_vectors(vecs[:, -n:] * np.sqrt(np.clip(w[-n:], 0.0, None)), dim))
         self.dim = self._kraus.shape[1]
         top = float(np.linalg.eigvalsh(self.induced_effect)[-1])
         if not top <= 1.0 + CHOI_TOL:
@@ -445,11 +436,8 @@ def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
 
 
 def _choi_rank(phi: Operation) -> int:
-    """Rank of the Choi matrix, from the singular values of the stacked
-    ``vec(K^T)`` columns, whose squares are the Choi eigenvalues: those above
-    ``RANK_REL_TOL`` times the largest count (none for the zero map)."""
-    w = np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2
-    return int(np.sum(w > RANK_REL_TOL * w.max()))
+    """``linalg.rank`` of the Choi matrix: the squared singular values of the ``vec(K^T)`` columns."""
+    return int(rank(np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2))
 
 
 def is_single_kraus(phi: Operation) -> bool:

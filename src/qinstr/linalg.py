@@ -6,6 +6,7 @@ Conventions used throughout the package:
 - a caller's numbers become an array only in ``as_numbers`` (``DimensionError``
   for ragged, mixed-shape or non-numeric input, ``QinstrError`` if non-finite);
 - a family's completeness (its effects' sum against ``1``) is decided only in ``completion``;
+- which eigenvalues count (every numerical rank, root cut and Kraus cut) is decided only in ``kept``;
 - composite spaces are ordered base-slow / probe-fast, i.e. the pair index
   ``(i, k)`` on ``H (x) K`` flattens to ``i * dimK + k`` and matches
   ``numpy.kron(base, probe)``;
@@ -41,7 +42,7 @@ Array = np.ndarray
 # tolerances are in ``verify.SUITES``, and ``QINSTR_TOL`` scales only those.
 HERM_TOL = 1e-9  # anti-Hermitian residual ||M - M^*||_F, per unit of dimension
 PSD_TOL = 1e-9  # negative eigenvalue that herm_sqrt and root_factors clamp to zero
-ROOT_REL_TOL = 1e-12  # eigenvalue, relative to the largest, below which a root is zeroed
+RANK_TOL = 1e-10  # eigenvalue, relative to the largest, that kept counts; a largest at or below it has rank 0
 ORTHO_TOL = 1e-9  # ||U^* U - 1||_F of complete_to_unitary's input and of a dilation's isometry, per column
 PHASE_TOL = 1e-9  # entry magnitude from which _phase_fix reads a column's phase
 UNITARY_TOL = 1e-8  # ||U^* U - 1||_F of an interaction (is_unitary's default)
@@ -52,14 +53,11 @@ STATE_TRACE_TOL = 1e-9  # state: negative eigenvalue (relative to the largest) a
 ZERO_NORM_TOL = 1e-12  # norm below which a vector is the zero vector
 WITNESS_TOL = 1e-8  # coexistence-witness equations and the leftover's negative eigenvalue
 SUM_TOL = 1e-8  # observable sum, and the projection, commutator and complementarity defects
-RANK_REL_TOL = 1e-8  # eigenvalue, relative to the largest, counted in a rank
 STOCHASTIC_NEG_TOL = 1e-12  # negative entry of a stochastic matrix
 STOCHASTIC_ROW_TOL = 1e-10  # row-sum defect of a stochastic matrix
 WEIGHT_TOL = 1e-10  # negative entry and sum defect of convex weights
 CHOI_TOL = 1e-8  # Choi PSD (relative), trace increase, channel and instrument sums, instrument complementarity
-KRAUS_EIG_TOL = 1e-10  # Choi eigenvalue below which no Kraus operator is kept: relative to the largest in _kept, absolute for Choi input
 MODEL_TOL = 1e-7  # sum defect up to which _assembled completes a derived instrument; trace increase compose_operations scales away
-RANK_ONE_TOL = 1e-8  # normal model: largest and (relative) second eigenvalue of probe and pointer atoms
 NORMAL_SUM_TOL = 1e-8  # completeness of a normal model's extracted Kraus operators, per unit of dimension
 LUDERS_TOL = 1e-8  # anti-Hermitian part (relative) and negative eigenvalue of extracted Kraus operators
 DIAG_TOL = 1e-9  # off-diagonal residual in a shared eigenbasis, per unit of dimension
@@ -81,6 +79,17 @@ def completion(total: Array, keep: float, bound: float, invariant: str) -> Array
     if not residual <= bound:
         raise InvariantViolation(invariant, residual)
     return None if residual <= keep else defect / 2.0
+
+
+def kept(w: Array) -> Array:
+    """Which eigenvalues of a spectrum ``w`` count, in any order and along the last axis
+    of a stack: those above ``RANK_TOL`` times the largest (none if it is not positive)."""
+    return w > RANK_TOL * np.maximum(w.max(-1, keepdims=True), 0.0)
+
+
+def rank(w: Array) -> Array:
+    """How many eigenvalues ``kept`` counts, per spectrum; 0 when the largest is at most ``RANK_TOL``."""
+    return np.where(w.max(-1) > RANK_TOL, kept(w).sum(-1), 0)
 
 
 def as_numbers(x: object, dtype: type = complex) -> Array:
@@ -177,23 +186,22 @@ def _eigh(a: Array) -> tuple[Array, Array]:
         raise EigenSolverError(f"eigensolver did not converge; off-diagonal residual {off:.3g}") from exc
 
 
-def _psd_eig(a: Array) -> tuple[Array, Array]:
+def _psd_eig(a: Array, spectrum: tuple[Array, Array] | None = None) -> tuple[Array, Array]:
     """Eigenvectors ``V`` and root eigenvalues ``sqrt(w)`` of an exactly
-    Hermitian PSD matrix, or of each matrix of a ``(k, d, d)`` stack.  Every
-    matrix keeps all ``d`` columns; the roots below its noise floor (see
-    ``herm_sqrt``) are set to zero."""
-    w, v = _eigh(a)
+    Hermitian PSD matrix or ``(k, d, d)`` stack, from its ``spectrum`` ``(w, V)``
+    if given.  Every matrix keeps all ``d`` columns; the roots of eigenvalues
+    that ``kept`` does not count (see ``herm_sqrt``) are set to zero."""
+    w, v = _eigh(a) if spectrum is None else spectrum
     low = w[..., 0].min()
     if low < -PSD_TOL:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3g} below -{PSD_TOL:.3g}")
-    keep = w > ROOT_REL_TOL * np.maximum(w[..., -1:], 0.0)
-    return v, np.sqrt(np.clip(w, 0.0, None)) * keep
+    return v, np.sqrt(np.clip(w, 0.0, None)) * kept(w)
 
 
 def root_columns(m: Array) -> tuple[Array, Array]:
     """``F_i = V sqrt(w)``, ``m_i = F_i F_i^*``, for an exactly Hermitian PSD
-    ``(k, d, d)`` stack, unchecked, and ``keep``: the columns above the noise
-    floor (``herm_sqrt``; the others are zero) and the last, the largest."""
+    ``(k, d, d)`` stack, unchecked, and ``keep``: the columns of the
+    eigenvalues ``kept`` counts (the others are zero) and the last, the largest."""
     return _eig_columns(*_psd_eig(m))
 
 
@@ -214,9 +222,9 @@ def herm_sqrt(m: object) -> Array:
     matrix of a ``(k, d, d)`` stack, from one eigendecomposition call.
 
     Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero; anything below
-    ``-PSD_TOL`` raises ``NotPositiveSemidefinite``.  Eigenvalues below a
-    relative noise floor of ``ROOT_REL_TOL * max(w)``, per matrix, are
-    zeroed as well: the square root would otherwise amplify eigensolver
+    ``-PSD_TOL`` raises ``NotPositiveSemidefinite``.  Eigenvalues at or
+    below ``RANK_TOL * max(w)``, per matrix (those ``kept`` does not count),
+    are zeroed as well: the square root would otherwise amplify eigensolver
     noise of size ``eps`` into errors of size ``sqrt(eps)``.
     """
     return _from_eig(*_psd_eig(ensure_hermitian(m, stack=np.ndim(m) == 3)))

@@ -33,17 +33,15 @@ from .instruments import Instrument, Operation, _assembled, _effects, _operators
 from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
 from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
-from .linalg import RANK_ONE_TOL, is_unitary, read_only, root_factors
+from .linalg import is_unitary, rank, read_only, root_factors
 from .observables import Label, Observable, StochasticMatrix, _basis_projections, _projections, obs_commute
 
 
 def _phase_fixed_unit_vectors(m: Array) -> Array:
-    """Principal eigenvectors of a ``(k, d, d)`` stack of rank-one PSD
-    matrices (within ``RANK_ONE_TOL``), phase-fixed, as the columns of a
-    ``(d, k)`` matrix."""
+    """Principal eigenvectors of a ``(k, d, d)`` stack of PSD matrices of
+    ``linalg.rank`` one, phase-fixed, as the columns of a ``(d, k)`` matrix."""
     w, v = herm_eig(m)
-    top = w[:, -1]
-    if np.any(top <= RANK_ONE_TOL) or (w.shape[1] > 1 and np.any(w[:, -2] > RANK_ONE_TOL * np.maximum(1.0, top))):
+    if np.any(rank(w) != 1):
         raise NotNormal("matrix is not rank one within tolerance")
     return _phase_fix(v[:, :, -1].T)
 

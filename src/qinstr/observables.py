@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import _same_dim, ensure_effects, ensure_state, joint_feasibility_search, seq_products
+from .effects import _effects_spectrum, _same_dim, ensure_state, joint_feasibility_search, seq_products
 from .errors import (
     DimensionError,
     InvariantViolation,
@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     WeightError,
 )
-from .linalg import EFFECT_EIG_TOL, JOINT_TOL, RANK_REL_TOL, SEARCH_ITERS, SEARCH_TOL
+from .linalg import EFFECT_EIG_TOL, JOINT_TOL, SEARCH_ITERS, SEARCH_TOL, rank
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
 from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, completion, hermitian_part, read_only
 
@@ -188,13 +188,15 @@ class Observable(LabelledFamily):
 
     ``stack`` holds the effects as a read-only ``(m, d, d)`` array in label
     order; the mapping's values are views of it.  One eigendecomposition of
-    the stack (``linalg._psd_eig``) is formed on first read and kept; both
-    ``roots`` and ``_root_columns`` read it.
+    the stack is kept, formed on first read (``linalg._psd_eig``) from the range
+    check's ``_spectrum`` if that clamped no effect; ``roots`` and ``_root_columns`` read it.
     """
+
+    _spectrum: tuple[Array, Array] | None = None
 
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]]):
         labels, matrices = self._checked_items(effects)
-        stack = ensure_effects(matrices)
+        stack, self._spectrum = _effects_spectrum(matrices)
         completion(stack.sum(0), SUM_TOL, SUM_TOL, "sum-to-identity")
         self._set_stack(labels, stack)
 
@@ -206,7 +208,7 @@ class Observable(LabelledFamily):
     @cached_property
     def _eig(self) -> tuple[Array, Array]:
         """``_psd_eig(stack)``: the eigenvectors and root eigenvalues."""
-        return _psd_eig(self.stack)
+        return _psd_eig(self.stack, self._spectrum)
 
     @cached_property
     def roots(self) -> Array:
@@ -356,7 +358,7 @@ def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
 
 def classify_observable(a: Observable) -> ObservableFlags:
     """Structural flags of an observable, each residual within ``SUM_TOL``
-    and ranks cut at ``RANK_REL_TOL``.
+    and each rank ``linalg.rank``.
 
     identity: every effect a multiple of the identity; atomic: every effect a
     rank-one projection; indecomposable: every effect rank one; commutative:
@@ -365,9 +367,7 @@ def classify_observable(a: Observable) -> ObservableFlags:
     s = a.stack
     scalars = np.trace(s, axis1=1, axis2=2).real[:, None, None] / a.dim * np.eye(a.dim)
     identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= SUM_TOL))
-    w = np.linalg.eigvalsh(s)
-    top = w[:, -1:]
-    rank_one = (top[:, 0] > RANK_REL_TOL) & (np.sum(w > RANK_REL_TOL * top, axis=1) == 1)
+    rank_one = rank(np.linalg.eigvalsh(s)) == 1
     projections = _projections(s)
     i, j = np.triu_indices(len(s), 1)
     return ObservableFlags(

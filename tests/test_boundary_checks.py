@@ -92,6 +92,19 @@ class TestRoots:
         np.testing.assert_array_equal(roots, herm_sqrt(a.stack))
         assert not f.flags.writeable and not keep.flags.writeable
 
+    def test_public_observable_reuses_its_range_check_eigensolve(self, rng, eig_calls):
+        # The range check's (w, V) seeds the roots, so construction and the
+        # first read of the roots make one eigh call, and the roots are the
+        # ones herm_sqrt gives bitwise; a clamped stack is eigensolved again.
+        items = list(random_observable(4, 3, rng).items())
+        clamped = [("0", np.diag([1.0 + 1e-11, 0.0])), ("1", np.diag([-1e-11, 1.0]))]
+        for effects, calls in ((items, [(4, 3)]), (clamped, [(2, 2), (2, 2)])):
+            eig_calls.calls.clear()
+            a = Observable(effects)
+            roots = a.roots
+            assert eig_calls.calls == calls
+            assert np.array_equal(roots, herm_sqrt(a.stack))
+
     def test_induced_observable_is_one_object_per_instrument(self, rng):
         kraus = random_instrument(3, 2, rng)
         choi_only = Instrument({x: Operation.from_choi(op.choi) for x, op in random_instrument(2, 3, rng).items()})

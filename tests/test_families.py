@@ -39,7 +39,7 @@ from qinstr.instruments import (
     operations_close,
     trivial_instrument,
 )
-from qinstr.linalg import ensure_hermitian, frob, herm_sqrt, hermitian_part
+from qinstr.linalg import RANK_TOL, ensure_hermitian, frob, herm_sqrt, hermitian_part
 from qinstr.models import (
     VonNeumannModel,
     dilate_instrument,
@@ -51,7 +51,6 @@ from qinstr.models import (
     vn_model_for_commutative,
 )
 from qinstr.observables import (
-    RANK_REL_TOL,
     SUM_TOL,
     Observable,
     ObservableFlags,
@@ -133,7 +132,7 @@ def loop_classify(a, tol=SUM_TOL) -> ObservableFlags:
     ranks = []
     for e in effects:
         w = np.linalg.eigvalsh(e)
-        ranks.append(0 if w[-1] <= RANK_REL_TOL else int(np.sum(w > RANK_REL_TOL * w[-1])))
+        ranks.append(0 if w[-1] <= RANK_TOL else int(np.sum(w > RANK_TOL * w[-1])))
     projections = [frob(e @ e - e) <= tol for e in effects]
     commutative = all(
         frob(effects[i] @ effects[j] - effects[j] @ effects[i]) <= tol

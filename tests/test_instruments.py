@@ -35,7 +35,6 @@ from qinstr.instruments import (
     op_apply,
     operations_close,
     trivial_instrument,
-    _kept,
     _kraus_vectors,
     _padded,
     _reduced,
@@ -43,10 +42,12 @@ from qinstr.instruments import (
     choi_distances,
     minimal_kraus,
 )
-from qinstr.linalg import frob, herm_sqrt, hermitian_part
+from qinstr.linalg import frob, herm_sqrt, hermitian_part, kept
+from qinstr.models import dilate_instrument
 from qinstr.observables import (
     Observable,
     StochasticMatrix,
+    classify_observable,
     combine_labels,
     fourier_mub,
     atomic_observable,
@@ -366,26 +367,41 @@ class TestSingleKraus:
         assert is_single_kraus(Operation.identity(3))
 
     def test_kraus_input_agrees_with_choi_input(self, rng, monkeypatch):
-        k = random_kraus_instrument(3, 2, rng)["0"].kraus_ops()[0]
+        k, k2 = (op.kraus_ops()[0] for _, op in random_kraus_instrument(3, 2, rng).items())
         ops = [
             [k],
             [k / 2, k / 2],  # parallel operators: still rank one
             [k, np.zeros((3, 3))],
-            [k, 1e-6 * np.eye(3)],  # second Choi eigenvalue below 1e-8 of the first
+            [k, 1e-6 * np.eye(3)],  # second Choi eigenvalue below RANK_TOL of the first
             [k, 1e-3 * np.eye(3)],  # and above it
             [k / 2, np.eye(3) / 2],
             [np.zeros((3, 3))],
+            [k, 1e-4 * k2],  # second Choi eigenvalue near 1e-8 of the first, above RANK_TOL
+            [1e-6 * np.eye(3)],  # largest Choi eigenvalue 3e-12, at most RANK_TOL: rank 0
         ]
         kraus_form = [Operation.from_kraus(o) for o in ops]
         choi_form = [Operation.from_choi(op.choi) for op in kraus_form]
         expected = [is_single_kraus(op) for op in choi_form]
-        assert expected == [True, True, True, True, False, False, False]
+        assert expected == [True, True, True, True, False, False, False, False, False]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("Choi eigensolve on Kraus input")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         assert [is_single_kraus(op) for op in kraus_form] == expected
+
+
+@pytest.mark.parametrize("c", np.logspace(-13, -6, 29))
+def test_rank_rule_agrees_across_kraus_cut_and_dilation(c):
+    # One operation {sqrt(1 - c)|0><0|, sqrt(c)|1><0|} of Choi rank two,
+    # whose second Choi eigenvalue c sweeps across RANK_TOL: the Choi rank,
+    # the minimal Kraus count and the dilation's pointer agree on "one
+    # Kraus operator" at every c.
+    op = Operation.from_kraus([np.sqrt(1 - c) * np.diag([1.0, 0.0]), np.sqrt(c) * np.array([[0.0, 0.0], [1.0, 0.0]])])
+    instr = Instrument({"0": op, "1": Operation.from_kraus([np.diag([0.0, 1.0])])})
+    single = is_single_kraus(op)
+    assert (len(minimal_kraus(op._kraus, 2)) == 1) == single
+    assert classify_observable(dilate_instrument(instr).pointer).atomic == single
 
 
 class TestProductAndConditioned:
@@ -734,7 +750,7 @@ class TestPaddedArrays:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_gram_rank_test_matches_the_svd(self, d, rng):
         # An outcome of 2...d^2 operators is kept as it is exactly when the
-        # SVD of its d^2 x r vector block keeps every operator (_kept).
+        # SVD of its d^2 x r vector block keeps every operator (linalg.kept).
         def draw(n):
             return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
 
@@ -746,7 +762,7 @@ class TestPaddedArrays:
             np.stack([k, l, k]),  # a duplicate
             np.stack([k, 2.5j * k]),  # a scaled copy
             np.stack([k, l, k + 1e-4 * e]),  # a third direction of relative weight ~1e-8: kept
-            np.stack([k, l, k + 1e-6 * e]),  # ~1e-12, below KRAUS_EIG_TOL: cut
+            np.stack([k, l, k + 1e-6 * e]),  # ~1e-12, below RANK_TOL: cut
             np.zeros((3, d, d), dtype=complex),  # an all-zero outcome
             np.concatenate([draw(d * d - 3), np.stack([k, l, k - 3j * l])]),  # d^2 operators, the last dependent
             draw(1),  # one operator, padded
@@ -756,10 +772,10 @@ class TestPaddedArrays:
         decisions = []
         for x, stack in enumerate(stacks[:-1]):
             s = np.linalg.svd(_kraus_vectors(stack), compute_uv=False)
-            full = bool(_kept(s * s).sum() == len(stack))
-            kept = reduced[x] == len(stack) and np.array_equal(kraus[x, : len(stack)], stack)
-            assert kept == full, x
-            assert reduced[x] == _kept(s * s).sum(), x
+            full = bool(kept(s * s).sum() == len(stack))
+            as_is = reduced[x] == len(stack) and np.array_equal(kraus[x, : len(stack)], stack)
+            assert as_is == full, x
+            assert reduced[x] == max(kept(s * s).sum(), 1), x  # the zero outcome keeps one zero operator
             decisions.append(full)
         assert decisions == [True, True, True, False, False, True, False, False, False]
         np.testing.assert_array_equal(kraus[-1, :1], stacks[-1])

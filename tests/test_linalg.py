@@ -3,7 +3,7 @@ import pytest
 
 from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite, QinstrError, ZeroVector
 from qinstr.linalg import (
-    ROOT_REL_TOL,
+    RANK_TOL,
     _phase_fix,
     complete_to_unitary,
     frob,
@@ -287,7 +287,7 @@ def _single_matrix_roots(m):
     oracle: eigenvectors and roots of only the eigenvalues above the noise
     floor, the largest always kept."""
     w, v = np.linalg.eigh(m)
-    keep = w > ROOT_REL_TOL * max(float(w[-1]), 0.0)
+    keep = w > RANK_TOL * max(float(w[-1]), 0.0)
     keep[-1] = True
     return v[:, keep], np.sqrt(np.clip(w[keep], 0.0, None))
 

@@ -90,9 +90,7 @@ def test_old_names_resolve_to_the_table_with_their_values():
         ("effects", "EFFECT_EIG_TOL"): 1e-9,
         ("effects", "STATE_TRACE_TOL"): 1e-9,
         ("observables", "SUM_TOL"): 1e-8,
-        ("observables", "RANK_REL_TOL"): 1e-8,
         ("instruments", "CHOI_TOL"): 1e-8,
-        ("instruments", "KRAUS_EIG_TOL"): 1e-10,
         ("models", "MODEL_TOL"): 1e-7,
     }
     for (name, constant), value in old.items():
