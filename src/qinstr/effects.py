@@ -98,13 +98,14 @@ def atom(phi: object) -> Array:
 def seq_products(roots: Array, b: Array) -> Array:
     """Every sequential product ``sqrt(a[x]) b[y] sqrt(a[x])`` of two validated
     effect stacks ``(m, d, d)`` and ``(n, d, d)``, as an ``(m, n, d, d)`` array,
-    given the roots of the first (``Observable.roots``).  The products are
+    given the roots of the first (``Observable.roots``); or of each trial of
+    two batches ``(t, m, d, d)`` and ``(t, n, d, d)``.  The products are
     validated as effects by one ``ensure_effects`` call.
     """
     _same_dim(roots.shape[-1], b.shape[-1])
-    m, n, d = len(roots), len(b), roots.shape[-1]
-    r = roots[:, None]
-    return ensure_effects((r @ b[None] @ r).reshape(m * n, d, d)).reshape(m, n, d, d)
+    r = roots[..., :, None, :, :]
+    products = r @ b[..., None, :, :, :] @ r
+    return ensure_effects(products.reshape(-1, *products.shape[-2:])).reshape(products.shape)
 
 
 def seq_product(a: object, b: object) -> Array:

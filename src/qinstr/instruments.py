@@ -51,7 +51,7 @@ from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, kept, rank, root_columns
 from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
-from .observables import row_positions, shared_value_space
+from .observables import _pair_traces, row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
@@ -115,9 +115,36 @@ def _outputs(kraus: Array, mat: Array) -> Array:
 
 
 def _effects(kraus: Array) -> Array:
-    """Each outcome's effect ``sum_k K_k^* K_k`` of a padded array, from one batched Gram product."""
-    rows = kraus.reshape(len(kraus), -1, kraus.shape[-1])
-    return hermitian_part(rows.conj().swapaxes(1, 2) @ rows)
+    """Each outcome's effect ``sum_k K_k^* K_k`` of a padded array (or a batch with
+    leading trial axes), from one batched Gram product."""
+    rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
+    return hermitian_part(rows.conj().swapaxes(-1, -2) @ rows)
+
+
+def _checked_sum(kraus: Array, effects: Array, bound: float = CHOI_TOL) -> tuple[Array, Array]:
+    """A padded array and its effects, or a ``(t, m, r, d, d)`` batch of ``t``
+    trials' arrays and their effects, each family's sum checked within
+    ``CHOI_TOL`` (``completion``): up to ``bound``, the operators are completed,
+    ``K - K (G - 1) / 2``, and checked again."""
+    half = completion(effects.sum(-3), CHOI_TOL, bound, "trace-preserving-sum")
+    if half is None:
+        return kraus, effects
+    kraus = kraus - kraus @ half[..., None, None, :, :]
+    return _checked_sum(kraus, _effects(kraus))
+
+
+def _mixed(w: Array, kraus: Sequence[Array]) -> Array:
+    """The operators ``sqrt(w_k) K`` of padded arrays ``kraus[k]`` (or batches,
+    with ``w[..., k]`` per trial), each outcome's together: the one
+    concatenation of an instrument mixture."""
+    return np.concatenate([np.sqrt(w[..., k, None, None, None, None]) * a for k, a in enumerate(kraus)], axis=-3)
+
+
+def _relabelled(c: Array, kraus: Array) -> Array:
+    """Outcome ``y``'s operators ``sqrt(c[y, x]) K`` over the outcomes ``x`` of
+    a padded array, ``(n, m, r, d, d)``, or per trial of a batch: the one
+    weighting of a post-processing ``c = nu^T``."""
+    return np.sqrt(c)[..., None, None, None] * kraus[..., None, :, :, :, :]
 
 
 def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
@@ -345,10 +372,7 @@ class Instrument(LabelledFamily):
         self._members = dict(zip(labels, ops))
 
     def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array, bound: float = CHOI_TOL) -> None:
-        half = completion(effects.sum(0), CHOI_TOL, bound, "trace-preserving-sum")
-        if half is not None:
-            kraus = kraus - kraus @ half
-            return self._set(labels, kraus, counts, _effects(kraus))
+        kraus, effects = _checked_sum(kraus, effects, bound)
         self.dim, self.labels = effects.shape[-1], tuple(labels)
         self.kraus, self.counts, self.effects = read_only(kraus), read_only(counts), read_only(effects)
 
@@ -500,7 +524,7 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
     empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(instruments))
     labels = shared_value_space(instruments)
-    ops = np.concatenate([np.sqrt(wk) * i.kraus for wk, i in zip(w, instruments)], axis=1)
+    ops = _mixed(w, [i.kraus for i in instruments])
     valid = np.concatenate([_filled(i.kraus, i.counts) & (wk > 0) for wk, i in zip(w, instruments)], axis=1)
     return _assembled(labels, ops[valid], valid.sum(1))
 
@@ -508,9 +532,9 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     """Classical relabeling of outcomes, ``(nu . I)_y = sum_x nu[x, y] I_x``,
     as in ``instr_convex_combo``."""
-    rows, w = row_positions(nu, i), nu.matrix.T[:, :, None]
-    ops = np.sqrt(w[..., None, None]) * i.kraus[rows]
-    valid = (w > 0) & _filled(i.kraus, i.counts)[rows]
+    rows, w = row_positions(nu, i), nu.matrix.T
+    ops = _relabelled(w, i.kraus[rows])
+    valid = (w[:, :, None] > 0) & _filled(i.kraus, i.counts)[rows]
     return _assembled(nu.col_labels, ops[valid], valid.sum((1, 2)))
 
 
@@ -543,7 +567,7 @@ def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> 
     an ``(m, n)`` array in label order, from one batched product."""
     r = ensure_state(rho)
     _same_dim(r.shape[0], i.dim, j.dim)
-    return np.einsum("xab,yba->xy", _outputs(i.kraus, r), j.effects).real
+    return _pair_traces(_outputs(i.kraus, r), j.effects)
 
 
 def joint_probability_instr(

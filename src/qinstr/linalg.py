@@ -73,12 +73,16 @@ WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the poli
 def completion(total: Array, keep: float, bound: float, invariant: str) -> Array | None:
     """``None`` if a sum ``G = total`` has ``||G - 1||_F <= keep``; else, up to ``bound``, the half
     defect ``(G - 1) / 2`` that one Newton-Schulz step subtracts (``K - K (G - 1) / 2``, or ``P A P``
-    with ``P = 1 - (G - 1) / 2``); beyond it, ``InvariantViolation(invariant, residual)``."""
-    defect = total - np.eye(len(total))
-    residual = frob(defect)
-    if not residual <= bound:
-        raise InvariantViolation(invariant, residual)
-    return None if residual <= keep else defect / 2.0
+    with ``P = 1 - (G - 1) / 2``); beyond it, ``InvariantViolation(invariant, residual)``.
+
+    A ``(t, d, d)`` stack holds the sums of ``t`` trials' families: the first trial beyond
+    ``bound`` raises, and a trial within ``keep`` gets a zero half defect (its step changes nothing)."""
+    defect = total - np.eye(total.shape[-1])
+    residual = np.sqrt((np.abs(defect) ** 2).sum((-2, -1)))
+    worst = residual.max() if residual.ndim else residual  # a reduction costs more than the norm of one sum
+    if not worst <= bound:
+        raise InvariantViolation(invariant, float(residual[~(residual <= bound)].flat[0]))
+    return None if worst <= keep else np.where((residual > keep)[..., None, None], defect / 2.0, 0.0)
 
 
 def kept(w: Array) -> Array:
@@ -239,10 +243,10 @@ def _from_eig(v: Array, x: Array) -> Array:
 def inverse_root(m: Array) -> tuple[Array, Array]:
     """Eigenvalues ``w`` of the Hermitian part of a positive definite ``m``,
     ascending, and ``m^(-1/2) = V diag(w)^(-1/2) V^*`` from the same
-    eigendecomposition: the whitening of ``rand``'s random families, whose
-    completeness sums are far from ``1``."""
+    eigendecomposition, matrix by matrix over any leading axes: the whitening
+    of ``rand``'s random families, whose completeness sums are far from ``1``."""
     w, v = np.linalg.eigh(hermitian_part(m))
-    return w, (v / np.sqrt(w)) @ v.conj().T
+    return w, (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def psd_part(m: Array) -> Array:

@@ -226,22 +226,44 @@ class Observable(LabelledFamily):
     def _valid(cls, labels: Sequence[Label], stack: Array) -> "Observable":
         """Observable on a stack that is PSD by construction (Kraus-induced
         effects, checked products, mixtures, found joints) with trusted
-        labels, never eigensolved.  A sum ``G`` missing 1 by more than
-        ``EFFECT_EIG_TOL``, at most ``JOINT_TOL``, is completed (``completion``):
-        ``A_x <- P A_x P``, ``P = 1 - (G - 1) / 2``.  Each ``A_x`` is below the
-        completed sum, so at most 1 up to ``O(||G - 1||^2)``.
-        """
-        stack = hermitian_part(stack)
-        half = completion(stack.sum(0), EFFECT_EIG_TOL, JOINT_TOL, "sum-to-identity")
-        if half is not None:
-            p = np.eye(stack.shape[-1]) - half
-            stack = hermitian_part(p @ stack @ p)
+        labels, never eigensolved; its sum is checked by ``_valid_stack``."""
+        stack = _valid_stack(stack)
         obs = cls.__new__(cls)
         obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
         return obs
 
     def _distances(self, groups: Array, other: "Observable") -> Array:
         return np.linalg.norm(self.stack[groups].sum(1) - other.stack, axis=(-2, -1))
+
+
+def _valid_stack(stack: Array) -> Array:
+    """``Observable._valid``'s check of a stack that is PSD by construction,
+    ``(m, d, d)`` or a ``(t, m, d, d)`` batch of ``t`` trials' families: the
+    Hermitian part, and a sum ``G`` missing 1 by more than ``EFFECT_EIG_TOL``,
+    at most ``JOINT_TOL``, completed (``completion``): ``A_x <- P A_x P``,
+    ``P = 1 - (G - 1) / 2``.  Each ``A_x`` is below the completed sum, so at
+    most 1 up to ``O(||G - 1||^2)``."""
+    stack = hermitian_part(stack)
+    half = completion(stack.sum(-3), EFFECT_EIG_TOL, JOINT_TOL, "sum-to-identity")
+    if half is not None:
+        p = np.eye(stack.shape[-1]) - half[..., None, :, :]
+        stack = hermitian_part(p @ stack @ p)
+    return stack
+
+
+def _combined(c: Array, s: Array) -> Array:
+    """``sum_j c[..., i, j] s[..., j, ...]``: rows of weights ``c`` over the
+    items of a stack ``s`` whose leading axes are ``c``'s, in one matmul (the
+    numbers of ``tensordot``): post-processing, and a mixture as one row."""
+    lead = c.ndim - 1
+    out = c @ s.reshape(*s.shape[:lead], -1)
+    return out.reshape(*out.shape[:-1], *s.shape[lead:])
+
+
+def _pair_traces(a: Array, b: Array) -> Array:
+    """``tr(a_x b_y)`` for every pair of two stacks, ``(m, n)``, or per trial of
+    two batches: the outcome tables of sequential measurements."""
+    return np.einsum("...xab,...yba->...xy", a, b).real
 
 
 def observables_close(a: Observable, b: Observable, tol: float) -> bool:
@@ -348,12 +370,12 @@ def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]
     empty list fails ``check_weights``: no weights sum to one."""
     w = check_weights(weights, len(observables))
     labels = shared_value_space(observables)
-    return Observable._valid(labels, np.tensordot(w, np.stack([o.stack for o in observables]), 1))
+    return Observable._valid(labels, _combined(w[None], np.stack([o.stack for o in observables]))[0])
 
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``."""
-    return Observable._valid(nu.col_labels, np.tensordot(nu.matrix.T, b.stack[row_positions(nu, b)], 1))
+    return Observable._valid(nu.col_labels, _combined(nu.matrix.T, b.stack[row_positions(nu, b)]))
 
 
 def classify_observable(a: Observable) -> ObservableFlags:
@@ -367,7 +389,7 @@ def classify_observable(a: Observable) -> ObservableFlags:
     s = a.stack
     scalars = np.trace(s, axis1=1, axis2=2).real[:, None, None] / a.dim * np.eye(a.dim)
     identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= SUM_TOL))
-    rank_one = rank(np.linalg.eigvalsh(s)) == 1
+    rank_one = rank(a._eig[1] ** 2) == 1  # the squared roots: the eigenvalues kept counts
     projections = _projections(s)
     i, j = np.triu_indices(len(s), 1)
     return ObservableFlags(
@@ -477,16 +499,29 @@ def joint_probability_table(rho: object, a: Observable, b: Observable) -> Array:
     one ``seq_products`` call, each checked as an effect."""
     r = ensure_state(rho)
     _same_dim(r.shape[0], a.dim, b.dim)
-    return np.einsum("ij,xyji->xy", r, seq_products(a.roots, b.stack)).real
+    return _probability_table(r, seq_products(a.roots, b.stack))
+
+
+def _probability_table(rho: Array, products: Array) -> Array:
+    """``tr(rho P_xy)`` of a state and an ``(m, n, d, d)`` stack of products, as an
+    ``(m, n)`` table, or per trial of a ``(t, d, d)`` and a ``(t, m, n, d, d)`` batch."""
+    flat = products.reshape(*products.shape[:-4], -1, *products.shape[-2:])
+    return _pair_traces(rho[..., None, :, :], flat).reshape(products.shape[:-2])
 
 
 def _set_probability(
     table: Array, a: LabelledFamily, x_set: Iterable[Label], b: LabelledFamily, y_set: Iterable[Label]
 ) -> float:
-    """Sum of an outcome table of ``a`` then ``b`` over the block ``X x Y``
-    of two sets of distinct labels, clipped to ``[0, 1]``."""
-    total = float(table[np.ix_(a._positions(x_set), b._positions(y_set))].sum())
-    return min(1.0, max(0.0, total))
+    """``_set_probabilities`` of one table, over two sets of distinct labels."""
+    x, y = np.zeros(len(a), dtype=bool), np.zeros(len(b), dtype=bool)
+    x[a._positions(x_set)], y[b._positions(y_set)] = True, True
+    return float(_set_probabilities(table, x, y))
+
+
+def _set_probabilities(table: Array, x: Array, y: Array) -> Array:
+    """Sums of outcome tables of ``a`` then ``b`` (any leading axes) over the
+    blocks ``X x Y`` of the boolean outcome masks ``x`` and ``y``, clipped to ``[0, 1]``."""
+    return np.clip(np.where(x[..., :, None] & y[..., None, :], table, 0.0).sum((-2, -1)), 0.0, 1.0)
 
 
 def joint_probability_then(

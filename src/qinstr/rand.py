@@ -2,6 +2,12 @@
 
 All generators take an explicit ``numpy.random.Generator`` so that every
 verification suite and document is reproducible from a seed.
+
+``random_observable``, ``random_instrument`` and ``random_state`` each make one
+Generator call (``_normals``) and build from its numbers with ``_ginibres_of``
+and then ``_whitened_effects``, ``_whitened_kraus`` or ``_states``.  These take
+leading trial axes: the catalog draws each trial with the same call, stacks the
+trials of one shape, and builds them together.
 """
 
 from __future__ import annotations
@@ -24,10 +30,19 @@ def ginibre(dim: int, rng: np.random.Generator, cols: int | None = None) -> Arra
 
 
 def _ginibres(rng: np.random.Generator, *shape: int) -> Array:
-    """Ginibre matrices of ``shape = (..., d, c)`` from one Generator call of
-    shape ``(..., 2, d, c)``: the numbers, in order, of drawing each matrix
-    by ``ginibre`` (its real part, then its imaginary part)."""
-    g = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    """Ginibre matrices of ``shape = (..., d, c)``: ``_ginibres_of(_normals(rng, *shape))``."""
+    return _ginibres_of(_normals(rng, *shape))
+
+
+def _normals(rng: np.random.Generator, *shape: int) -> Array:
+    """The one Generator call behind Ginibre matrices of ``shape = (..., d, c)``:
+    normals of shape ``(..., 2, d, c)``, the numbers, in order, of drawing each
+    matrix by ``ginibre`` (its real part, then its imaginary part)."""
+    return rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+
+
+def _ginibres_of(g: Array) -> Array:
+    """The Ginibre matrices of ``_normals`` draws ``g``, of one call or stacked over trials."""
     return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
@@ -42,9 +57,14 @@ def random_psd(dim: int, rng: np.random.Generator) -> Array:
 
 def random_state(dim: int, rng: np.random.Generator) -> Array:
     """Random density matrix ``g g^* / tr``: PSD with unit trace by
-    construction, so only symmetrized, not eigensolved."""
-    rho = random_psd(dim, rng)
-    return hermitian_part(rho / np.trace(rho).real)
+    construction, so only symmetrized, not eigensolved (``_states``)."""
+    return _states(ginibre(dim, rng))
+
+
+def _states(g: Array) -> Array:
+    """``random_state``'s density matrix of a Ginibre matrix ``g``, or of each of a stack."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def random_pure_state_vector(dim: int, rng: np.random.Generator) -> Array:
@@ -83,10 +103,16 @@ def random_observable(
     and caller ``labels`` are checked (``Observable._valid``).
     """
     labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
-    g = _ginibres(rng, outcomes, dim, dim)
-    blocks = g @ g.conj().swapaxes(1, 2)
-    inv_root = inverse_root(blocks.sum(0))[1]
-    return Observable._valid(labels, inv_root @ blocks @ inv_root)
+    return Observable._valid(labels, _whitened_effects(_ginibres(rng, outcomes, dim, dim)))
+
+
+def _whitened_effects(g: Array) -> Array:
+    """``random_observable``'s effects from its Ginibre blocks ``g``, ``(m, d, d)``
+    or a ``(t, m, d, d)`` batch of ``t`` trials' blocks: the positive parts
+    ``g g^*``, whitened by the inverse square root of each family's sum."""
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    inv_root = inverse_root(blocks.sum(-3))[1][..., None, :, :]
+    return inv_root @ blocks @ inv_root
 
 
 def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Array, Array]:
@@ -128,9 +154,16 @@ def random_instrument(
     per-operator products ``K^* K`` in draw order.
     """
     raw = _ginibres(rng, outcomes, kraus_per_outcome, dim, dim)
-    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, dim, dim).sum(0)
-    inv_root = inverse_root(total)[1]
-    return Instrument._from_kraus(default_labels(outcomes), raw @ inv_root)
+    return Instrument._from_kraus(default_labels(outcomes), _whitened_kraus(raw))
+
+
+def _whitened_kraus(raw: Array) -> Array:
+    """``random_instrument``'s Kraus array from its Ginibre blocks ``raw``,
+    ``(m, r, d, d)`` or a batch with leading trial axes: each family
+    right-multiplied by the inverse square root of its sum of ``K^* K``."""
+    d = raw.shape[-1]
+    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(*raw.shape[:-4], -1, d, d).sum(-3)
+    return raw @ inverse_root(total)[1][..., None, None, :, :]
 
 
 def random_fimm(

@@ -12,10 +12,18 @@ gap floor (and tighter bound) is met, else ``fail``.  ``fixed`` suites run
 a fixed set and report its count whatever ``trials`` is.  The two ``conj-*``
 probes (tolerance ``None``) only ever report "unknown", with the number of
 cases searched; they assert nothing.
+
+The four suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1, in
+``_BATCHED``) draw every trial with the public generators' Generator calls,
+in order (``_Run.groups``), and run each group of trials that share a shape
+(dimension and outcome counts) as one array program of the library's kernels,
+with every sum check, root PSD check and ``d^2`` cut; each group's first
+trial also runs through the public functions, on the same draws.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -28,13 +36,19 @@ from .effects import (
     complement,
     ensure_effect,
     seq_product,
+    seq_products,
 )
 from .errors import InvalidWitness, QinstrError
 from .instruments import (
     Instrument,
     Operation,
+    _checked_sum,
     _choi_rank,
+    _effects,
+    _mixed,
     _outputs,
+    _reduced,
+    _relabelled,
     choi_distances,
     compose_operations,
     identity_instrument,
@@ -55,7 +69,7 @@ from .instruments import (
     luders_instrument,
     trivial_instrument,
 )
-from .linalg import frob, hermitian_part, spectral_norm
+from .linalg import CHOI_TOL, MODEL_TOL, frob, herm_sqrt, hermitian_part, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -73,6 +87,11 @@ from .models import (
 from .observables import (
     Observable,
     StochasticMatrix,
+    _combined,
+    _pair_traces,
+    _probability_table,
+    _set_probabilities,
+    _valid_stack,
     atomic_observable,
     check_distinct_labels,
     classify_observable,
@@ -93,6 +112,12 @@ from .observables import (
     obs_seq_product,
 )
 from .rand import (
+    _ginibres_of,
+    _normals,
+    _states,
+    _whitened_effects,
+    _whitened_kraus,
+    default_labels,
     random_commutative_observable,
     random_commuting_effect_pair,
     random_instrument,
@@ -162,6 +187,18 @@ class _Run:
     def require(self, cond: bool, note: str) -> None:
         if not cond:
             raise _Stop(note)
+
+    def groups(self, period: int, dims: tuple[int, ...], draw: Callable) -> list[tuple]:
+        """The trials of ``cases(*dims)``, each drawn in order by ``draw(rng, t, d)``,
+        grouped by their shape ``t % period``: per group, its first trial ``t`` and
+        dimension ``d``, a copy of the generator from before that trial's draws
+        (it replays them) and each draw stacked over the group's trials."""
+        groups: dict[int, tuple] = {}
+        for t, d in self.cases(*dims):
+            if t % period not in groups:
+                groups[t % period] = (t, d, copy.deepcopy(self.rng), [])
+            groups[t % period][3].append(draw(self.rng, t, d))
+        return [(t, d, replay, [np.stack(x) for x in zip(*draws)]) for t, d, replay, draws in groups.values()]
 
 
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
@@ -247,13 +284,157 @@ def _suite_lem_1_2(run: _Run) -> None:
         run.require(residual >= 1e-3, run.note)
 
 
+def _checked(kraus: np.ndarray, bound: float = CHOI_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of padded Kraus arrays, ``(t, m, r, d, d)``, and its effects, each
+    trial's sum checked (``_checked_sum``) as ``Instrument._from_kraus`` checks it."""
+    return _checked_sum(kraus, _effects(kraus), bound)
+
+
+def _assembled_batch(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``instruments._assembled`` on a ``(t, m, r, d, d)`` batch: every outcome
+    of every trial one row of ``_reduced`` (cut at ``d^2``), then the sum check up to ``MODEL_TOL``."""
+    t, m, r, d = *ops.shape[:3], ops.shape[-1]
+    kraus = _reduced(ops.reshape(-1, r, d, d), np.full(t * m, r), d * d)[0]
+    return _checked(kraus.reshape(t, m, -1, d, d), MODEL_TOL)
+
+
+def _post_processed(c: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``instr_post_process`` on a batch, with ``c = nu^T`` per trial."""
+    ops = _relabelled(c, kraus)
+    return _assembled_batch(ops.reshape(*ops.shape[:2], -1, *ops.shape[-2:]))
+
+
+def _roots(stack: np.ndarray) -> np.ndarray:
+    """The effects' roots of a ``(t, m, d, d)`` batch, from one ``herm_sqrt`` call."""
+    return herm_sqrt(stack.reshape(-1, *stack.shape[-2:])).reshape(stack.shape)
+
+
+def _draw_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple:
+    return (_normals(rng, 2 + t % 3, d, d),)
+
+
+def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    a = random_observable(d, 2 + t % 3, rng)
+    return (family_distance(induced_observable(luders_instrument(a)), a),)
+
+
+def _batch_thm_2_1(g: np.ndarray) -> tuple[float, ...]:
+    a = _valid_stack(_whitened_effects(_ginibres_of(g)))
+    return (_worst(_valid_stack(_checked(_roots(a)[..., None, :, :])[1]), a),)
+
+
+def _draw_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple:
+    return random_simplex(3, rng), *(_normals(rng, 2 + t % 2, 2, d, d) for _ in range(3))
+
+
+def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    n = 2 + t % 2
+    weights = random_simplex(3, rng)
+    parts = [random_instrument(d, n, rng) for _ in range(3)]
+    a_mix = induced_observable(instr_convex_combo(weights, parts))
+    return (family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])),)
+
+
+def _batch_thm_2_2(weights: np.ndarray, *raw: np.ndarray) -> tuple[float, ...]:
+    parts, effects = _checked(_whitened_kraus(_ginibres_of(np.stack(raw, axis=1))))
+    a_mix = _valid_stack(_assembled_batch(_mixed(weights, parts.swapaxes(0, 1)))[1])
+    return (_worst(a_mix, _valid_stack(_combined(weights[:, None], _valid_stack(effects))[:, 0])),)
+
+
+_TARGETS = ["t0", "t1"]
+
+
+def _draw_thm_2_3(rng: np.random.Generator, t: int, d: int) -> tuple:
+    n = 2 + t % 2
+    raw = _normals(rng, n, 2, d, d)
+    nu = random_stochastic(default_labels(n), _TARGETS, rng).matrix
+    return raw, nu, random_simplex(2, rng), _normals(rng, n, 2, d, d)
+
+
+def _public_thm_2_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    n = 2 + t % 2
+    instr = random_instrument(d, n, rng)
+    nu = random_stochastic(list(instr.labels), _TARGETS, rng)
+    lhs = induced_observable(instr_post_process(nu, instr))
+    rhs = obs_post_process(nu, induced_observable(instr))
+    weights = random_simplex(2, rng)
+    other = random_instrument(d, n, rng)
+    mixed = instr_post_process(nu, instr_convex_combo(weights, [instr, other]))
+    split = instr_convex_combo(weights, [instr_post_process(nu, instr), instr_post_process(nu, other)])
+    return family_distance(lhs, rhs), family_distance(mixed, split)
+
+
+def _batch_thm_2_3(raw: np.ndarray, nu: np.ndarray, weights: np.ndarray, raw_other: np.ndarray) -> tuple[float, ...]:
+    c = nu.swapaxes(1, 2)
+    (instr, effects), (other, _) = (_checked(_whitened_kraus(_ginibres_of(x))) for x in (raw, raw_other))
+    processed, processed_effects = _post_processed(c, instr)
+    rhs = _valid_stack(_combined(c, _valid_stack(effects)))
+    mixed = _post_processed(c, _assembled_batch(_mixed(weights, [instr, other]))[0])[0]
+    split = _assembled_batch(_mixed(weights, [processed, _post_processed(c, other)[0]]))[0]
+    gaps = choi_distances(mixed.reshape(-1, *mixed.shape[2:]), split.reshape(-1, *split.shape[2:]))
+    return _worst(_valid_stack(processed_effects), rhs), float(gaps.max())
+
+
+def _draw_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple:
+    m, n = 2 + t % 2, 2 + (t + 1) % 2
+    a, b, g = _normals(rng, m, d, d), _normals(rng, n, d, d), _normals(rng, d, d)
+    x = [rng.random() < 0.6 or k == 0 for k in range(m)]
+    return a, b, g, x, [rng.random() < 0.6 or k == 0 for k in range(n)]
+
+
+def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    m, n = 2 + t % 2, 2 + (t + 1) % 2
+    a = random_observable(d, m, rng)
+    b = random_observable(d, n, rng)
+    rho = random_state(d, rng)
+    x_set = [lab for k, lab in enumerate(a.labels) if rng.random() < 0.6 or k == 0]
+    y_set = [lab for k, lab in enumerate(b.labels) if rng.random() < 0.6 or k == 0]
+    p_instr = joint_probability_instr(rho, luders_instrument(a), x_set, luders_instrument(b), y_set)
+    return (abs(p_instr - joint_probability_then(rho, a, x_set, b, y_set)),)
+
+
+def _batch_lem_3_1(ga: np.ndarray, gb: np.ndarray, g: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
+    a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
+    rho = _states(_ginibres_of(g))
+    roots = _roots(a)
+    luders_a = _checked(roots[..., None, :, :])[0].reshape(-1, 1, *a.shape[-2:])
+    states = np.repeat(rho, a.shape[1], axis=0)[:, None]
+    outputs = _outputs(luders_a, states).reshape(a.shape)
+    p_instr = _set_probabilities(_pair_traces(outputs, _checked(_roots(b)[..., None, :, :])[1]), x, y)
+    p_obs = _set_probabilities(_probability_table(rho, seq_products(roots, b)), x, y)
+    return (float(np.abs(p_instr - p_obs).max()),)
+
+
+class _Batched(NamedTuple):
+    """A suite's trials run as one array program per shape (``_Run.groups``)."""
+
+    period: int  # trials t and t + period share a shape
+    dims: tuple[int, ...]
+    draw: Callable  # one trial's draws: the public route's Generator calls, in order
+    public: Callable  # one trial through the public functions, from a generator: its residuals
+    batch: Callable  # a group's residuals from its stacked draws
+
+
+_BATCHED = {
+    "thm-2.1": _Batched(3, (2, 3, 4), _draw_thm_2_1, _public_thm_2_1, _batch_thm_2_1),
+    "thm-2.2": _Batched(6, (2, 3, 4), _draw_thm_2_2, _public_thm_2_2, _batch_thm_2_2),
+    "thm-2.3": _Batched(6, (2, 3, 4), _draw_thm_2_3, _public_thm_2_3, _batch_thm_2_3),
+    "lem-3.1": _Batched(6, (2, 3, 4), _draw_lem_3_1, _public_lem_3_1, _batch_lem_3_1),
+}
+
+
+def _batched_trials(run: _Run, result_id: str) -> None:
+    """Every trial's residuals from its group's array program, and the first
+    trial of each group's also through the public functions, on the same draws."""
+    spec = _BATCHED[result_id]
+    for t, d, replay, draws in run.groups(spec.period, spec.dims, spec.draw):
+        run.residual(*spec.public(replay, t, d), *spec.batch(*draws))
+
+
 def _suite_thm_2_1(run: _Run) -> None:
     """The observable of a measurement-update instrument is the observable it
     came from; the reverse composition is not the identity on instruments."""
-    for t, d in run.cases(2, 3, 4):
-        a = random_observable(d, 2 + t % 3, run.rng)
-        back = induced_observable(luders_instrument(a))
-        run.residual(family_distance(back, a))
+    _batched_trials(run, "thm-2.1")
     # KJ fixes exactly the measurement-update instruments
     a = random_observable(2, 2, run.rng)
     luders = luders_instrument(a)
@@ -266,12 +447,7 @@ def _suite_thm_2_1(run: _Run) -> None:
 def _suite_thm_2_2(run: _Run) -> None:
     """Instrument mixtures mix their observables; observable mixtures do not
     mix their measurement-update instruments (cross terms survive)."""
-    for t, d in run.cases(2, 3, 4):
-        n = 2 + t % 2
-        weights = random_simplex(3, run.rng)
-        parts = [random_instrument(d, n, run.rng) for _ in range(3)]
-        a_mix = induced_observable(instr_convex_combo(weights, parts))
-        run.residual(family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])))
+    _batched_trials(run, "thm-2.2")
     a, b = sharp_qubit_z(), sharp_qubit_x()
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
@@ -283,20 +459,7 @@ def _suite_thm_2_2(run: _Run) -> None:
 def _suite_thm_2_3(run: _Run) -> None:
     """Post-processing commutes with taking the observable of an instrument,
     and distributes over mixtures, but not with the measurement-update map."""
-    for t, d in run.cases(2, 3, 4):
-        n = 2 + t % 2
-        instr = random_instrument(d, n, run.rng)
-        nu = random_stochastic(list(instr.labels), [f"t{k}" for k in range(2)], run.rng)
-        lhs = induced_observable(instr_post_process(nu, instr))
-        rhs = obs_post_process(nu, induced_observable(instr))
-        run.residual(family_distance(lhs, rhs))
-        weights = random_simplex(2, run.rng)
-        other = random_instrument(d, n, run.rng)
-        mixed = instr_post_process(nu, instr_convex_combo(weights, [instr, other]))
-        split = instr_convex_combo(
-            weights, [instr_post_process(nu, instr), instr_post_process(nu, other)]
-        )
-        run.residual(family_distance(mixed, split))
+    _batched_trials(run, "thm-2.3")
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -506,16 +669,7 @@ def _suite_ex_8(run: _Run) -> None:
 def _suite_lem_3_1(run: _Run) -> None:
     """Set-level sequential probabilities of measurement-update instruments
     match the observable-level joint probabilities."""
-    for t, d in run.cases(2, 3, 4):
-        m, n = 2 + t % 2, 2 + (t + 1) % 2
-        a = random_observable(d, m, run.rng)
-        b = random_observable(d, n, run.rng)
-        rho = random_state(d, run.rng)
-        x_set = [lab for k, lab in enumerate(a.labels) if run.rng.random() < 0.6 or k == 0]
-        y_set = [lab for k, lab in enumerate(b.labels) if run.rng.random() < 0.6 or k == 0]
-        p_instr = joint_probability_instr(rho, luders_instrument(a), x_set, luders_instrument(b), y_set)
-        p_obs = joint_probability_then(rho, a, x_set, b, y_set)
-        run.residual(abs(p_instr - p_obs))
+    _batched_trials(run, "lem-3.1")
 
 
 def _suite_thm_3_2(run: _Run) -> None:

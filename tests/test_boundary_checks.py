@@ -24,7 +24,8 @@ from qinstr.instruments import (
     luders_instrument,
 )
 from qinstr.linalg import herm_sqrt, root_columns
-from qinstr.observables import Observable, joint_probability_table, obs_conditioned, obs_seq_product, obs_triple_joint
+from qinstr.observables import Observable, classify_observable, joint_probability_table
+from qinstr.observables import obs_conditioned, obs_seq_product, obs_triple_joint
 from qinstr.rand import random_instrument, random_observable, random_state
 
 HALF = 0.5 * np.eye(2, dtype=complex)
@@ -117,6 +118,16 @@ class TestRoots:
         luders_instrument(a)
         joint_probability_table(rho, a, b)
         assert eig_calls.calls == [(3, 4), (3, 1), (3, 8)]  # the roots of a, the state, every product
+
+    def test_classify_reads_the_kept_eigendecomposition(self, rng, eig_calls):
+        # The ranks come from the roots' eigenvalues, so construction, the
+        # first roots read and the flags make one eigensolve in all.
+        items = list(random_observable(4, 3, rng).items())
+        eig_calls.calls.clear()
+        a = Observable(items)
+        a.roots
+        classify_observable(a)
+        assert eig_calls.calls == [(4, 3)]
 
 
 class TestWitness:

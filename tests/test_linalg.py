@@ -9,6 +9,7 @@ from qinstr.linalg import (
     frob,
     herm_eig,
     herm_sqrt,
+    inverse_root,
     matrices_close,
     partial_trace_first,
     partial_trace_second,
@@ -115,6 +116,21 @@ class TestStackedHermSqrt:
     def test_stack_must_be_hermitian(self):
         with pytest.raises(NotHermitian):
             herm_sqrt(np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])]))
+
+
+class TestInverseRoot:
+    def test_stack_agrees_with_single_calls(self, rng):
+        stack = np.stack([g @ g.conj().T + np.eye(3) for g in (ginibre(3, rng) for _ in range(5))])
+        w, roots = inverse_root(stack)
+        for m, wk, r in zip(stack, w, roots):
+            w1, r1 = inverse_root(m)
+            np.testing.assert_array_equal(wk, w1)
+            assert frob(r - r1) <= 1e-15
+
+    def test_matrix_is_the_two_axis_formula_bitwise(self, rng):
+        m = random_psd(4, rng) + np.eye(4)
+        w, v = np.linalg.eigh((m / 2.0) + (m / 2.0).conj().T)
+        assert np.array_equal(inverse_root(m)[1], (v / np.sqrt(w)) @ v.conj().T)
 
 
 class TestTensorProduct:
