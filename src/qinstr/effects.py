@@ -8,8 +8,9 @@ occurrence of ``a``.
 Families of effects are handled as ``(k, d, d)`` stacks: ``ensure_effects``
 validates a stack with one batched eigendecomposition, and ``seq_products``
 forms every pairwise sequential product of two stacks from the square roots
-of the first (an observable's cached ``roots``).  ``ensure_effect`` and
-``seq_product`` are their one-element cases.
+of the first (an observable's cached ``roots``): the dual of the Lüders
+instrument, through the package's one sandwich ``linalg._sandwich``.
+``ensure_effect`` and ``seq_product`` are their one-element cases.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
-from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL
+from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich
 from .linalg import Array, _from_eig, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
 
 
@@ -99,12 +100,12 @@ def seq_products(roots: Array, b: Array) -> Array:
     """Every sequential product ``sqrt(a[x]) b[y] sqrt(a[x])`` of two validated
     effect stacks ``(m, d, d)`` and ``(n, d, d)``, as an ``(m, n, d, d)`` array,
     given the roots of the first (``Observable.roots``); or of each trial of
-    two batches ``(t, m, d, d)`` and ``(t, n, d, d)``.  The products are
-    validated as effects by one ``ensure_effects`` call.
+    two batches ``(t, m, d, d)`` and ``(t, n, d, d)``: ``_sandwich`` with one
+    operator per outcome.  The products are validated as effects by one
+    ``ensure_effects`` call.
     """
     _same_dim(roots.shape[-1], b.shape[-1])
-    r = roots[..., :, None, :, :]
-    products = r @ b[..., None, :, :, :] @ r
+    products = _sandwich(roots[..., :, None, None, :, :], b[..., None, :, None, :, :])
     return ensure_effects(products.reshape(-1, *products.shape[-2:])).reshape(products.shape)
 
 

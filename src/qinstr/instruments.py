@@ -25,10 +25,11 @@ An instrument (an ``observables.LabelledFamily``) is one read-only
 zero-padded ``(m, r, d, d)`` Kraus array, outcome ``x``'s operators
 ``kraus[x, :counts[x]]``, and its induced effects, PSD by construction;
 its ``Operation`` objects are formed on first read.  Builders hand their
-array to ``Instrument._from_kraus``, which validates once.  An operation is
-the one-outcome array ``stack[None]``: ``_then`` composes such arrays,
-``_outputs`` applies and ``_effects`` sums them, mixtures concatenate them,
-and ``_assembled`` cuts each outcome above ``d^2`` operators in one batch.
+array to ``Instrument._from_kraus``, which validates once.  ``_then``
+composes such arrays (an operation's is ``stack[None]``), mixtures
+concatenate them, and ``_assembled`` cuts each outcome above ``d^2``
+operators in one batch.  ``linalg._sandwich`` applies them, ``sum K X K^*``,
+and ``_effects`` sums them, ``sum K^* K``, an operation's own stack as it is.
 
 Choi convention (fixed package-wide): the slot order is input (x) output, so
 for Kraus operators ``K`` the Choi matrix is the sum of rank-one terms over
@@ -47,7 +48,7 @@ import numpy as np
 
 from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
-from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, kept, rank, root_columns
+from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _sandwich, kept, rank, root_columns
 from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
@@ -109,14 +110,10 @@ def _then(first: Array, first_counts: Array, second: Array, second_counts: Array
     return ops[_filled(first, first_counts)[:, None, :, None] & _filled(second, second_counts)[None, :, None, :]], counts
 
 
-def _outputs(kraus: Array, mat: Array) -> Array:
-    """Each outcome's output ``sum_k K_k mat K_k^*`` of a padded array, as an ``(m, d, d)`` stack."""
-    return (kraus @ mat @ kraus.conj().swapaxes(-1, -2)).sum(1)
-
-
 def _effects(kraus: Array) -> Array:
     """Each outcome's effect ``sum_k K_k^* K_k`` of a padded array (or a batch with
-    leading trial axes), from one batched Gram product."""
+    leading trial axes, or one operation's stack), from one batched Gram product:
+    ``_sandwich`` of the adjoint operators at ``1``, in the faster Gram form."""
     rows = kraus.reshape(*kraus.shape[:-3], -1, kraus.shape[-1])
     return hermitian_part(rows.conj().swapaxes(-1, -2) @ rows)
 
@@ -313,14 +310,14 @@ class Operation:
     @cached_property
     def induced_effect(self) -> Array:
         """Effect ``A`` with ``tr[Phi(rho)] = tr(rho A)`` for every state."""
-        return _effects(self._kraus[None])[0]
+        return _effects(self._kraus)
 
     def apply(self, mat: object) -> Array:
         """Linear action on a matrix (no state validation; see ``op_apply``)."""
         m = as_matrix(mat)
         if m.shape != (self.dim, self.dim):
             raise DimensionError(f"input shape {m.shape}, expected {(self.dim, self.dim)}")
-        return _outputs(self._kraus[None], m)[0]
+        return _sandwich(self._kraus, m)
 
     def kraus_ops(self) -> list[Array]:
         """Kraus operators: the given ones, or the canonical ones of the Choi
@@ -479,7 +476,7 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
     if first.is_channel() and second.is_channel():
         return _assembled(["0"], ops, counts)["0"]
     kraus = _reduced(ops[None], counts, first.dim ** 2)[0][0]
-    effect = _effects(kraus[None])[0]
+    effect = _effects(kraus)
     top = float(np.linalg.eigvalsh(effect)[-1])
     if not top <= 1.0 + MODEL_TOL:
         raise InvariantViolation("trace-non-increasing", top - 1.0)
@@ -567,7 +564,7 @@ def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> 
     an ``(m, n)`` array in label order, from one batched product."""
     r = ensure_state(rho)
     _same_dim(r.shape[0], i.dim, j.dim)
-    return _pair_traces(_outputs(i.kraus, r), j.effects)
+    return _pair_traces(_sandwich(i.kraus, r), j.effects)
 
 
 def joint_probability_instr(

@@ -240,6 +240,13 @@ def _from_eig(v: Array, x: Array) -> Array:
     return hermitian_part((v * x[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
+def _sandwich(k: Array, x: Array) -> Array:
+    """``sum_j K_j X K_j^*`` over the operator axis -3 of ``k``, broadcast over any leading
+    axes of ``k`` and ``x``: instrument outputs, and on adjoint operators the dual map
+    ``sum_j K_j^* B K_j``; with one root per outcome, the sequential products."""
+    return (k @ x @ k.conj().swapaxes(-1, -2)).sum(-3)
+
+
 def inverse_root(m: Array) -> tuple[Array, Array]:
     """Eigenvalues ``w`` of the Hermitian part of a positive definite ``m``,
     ascending, and ``m^(-1/2) = V diag(w)^(-1/2) V^*`` from the same

@@ -29,10 +29,10 @@ from .errors import (
     NotIsometry,
     NotNormal,
 )
-from .instruments import Instrument, Operation, _assembled, _effects, _operators, _outputs, _reduced, ensure_channel
+from .instruments import Instrument, Operation, _assembled, _effects, _operators, _reduced, ensure_channel
 from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
-from .linalg import Array, _phase_fix, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
+from .linalg import Array, _phase_fix, _sandwich, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
 from .linalg import is_unitary, rank, read_only, root_factors
 from .observables import Label, Observable, StochasticMatrix, _basis_projections, _projections, obs_commute
 
@@ -171,7 +171,7 @@ class FIMM:
 
     def apply_interaction(self, mat: Array) -> Array:
         """The interaction applied to a base (x) probe matrix: ``sum_k U_k mat U_k^*`` over the couplings."""
-        return _outputs(self.couplings[None], mat)[0]
+        return _sandwich(self.couplings, mat)
 
     def __repr__(self) -> str:
         return (
@@ -393,7 +393,7 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>, from W's column of the top root r = <phi, r> phi
     evolved = w[0, :, :, -1].reshape(d, dk, d) / np.vdot(vectors[:, 0], m._probe_root[:, -1])
     ops = np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())
-    residual = frob(_effects(ops[None])[0] - np.eye(d))
+    residual = frob(_effects(ops) - np.eye(d))
     if residual > NORMAL_SUM_TOL * max(1.0, d):
         raise NotNormal(f"extracted operators miss completeness by {residual:.3g}")
     return dict(zip(m.pointer.labels, ops))

@@ -26,12 +26,7 @@ def default_labels(count: int) -> list[str]:
 
 
 def ginibre(dim: int, rng: np.random.Generator, cols: int | None = None) -> Array:
-    return _ginibres(rng, dim, dim if cols is None else cols)
-
-
-def _ginibres(rng: np.random.Generator, *shape: int) -> Array:
-    """Ginibre matrices of ``shape = (..., d, c)``: ``_ginibres_of(_normals(rng, *shape))``."""
-    return _ginibres_of(_normals(rng, *shape))
+    return _ginibres_of(_normals(rng, dim, dim if cols is None else cols))
 
 
 def _normals(rng: np.random.Generator, *shape: int) -> Array:
@@ -103,7 +98,7 @@ def random_observable(
     and caller ``labels`` are checked (``Observable._valid``).
     """
     labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
-    return Observable._valid(labels, _whitened_effects(_ginibres(rng, outcomes, dim, dim)))
+    return Observable._valid(labels, _whitened_effects(_ginibres_of(_normals(rng, outcomes, dim, dim))))
 
 
 def _whitened_effects(g: Array) -> Array:
@@ -153,7 +148,7 @@ def random_instrument(
     probability one), which preserves outcome ranks.  The sum adds the
     per-operator products ``K^* K`` in draw order.
     """
-    raw = _ginibres(rng, outcomes, kraus_per_outcome, dim, dim)
+    raw = _ginibres_of(_normals(rng, outcomes, kraus_per_outcome, dim, dim))
     return Instrument._from_kraus(default_labels(outcomes), _whitened_kraus(raw))
 
 

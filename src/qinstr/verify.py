@@ -46,7 +46,6 @@ from .instruments import (
     _choi_rank,
     _effects,
     _mixed,
-    _outputs,
     _reduced,
     _relabelled,
     choi_distances,
@@ -69,7 +68,7 @@ from .instruments import (
     luders_instrument,
     trivial_instrument,
 )
-from .linalg import CHOI_TOL, MODEL_TOL, frob, herm_sqrt, hermitian_part, spectral_norm
+from .linalg import CHOI_TOL, MODEL_TOL, _sandwich, frob, herm_sqrt, hermitian_part, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -397,9 +396,7 @@ def _batch_lem_3_1(ga: np.ndarray, gb: np.ndarray, g: np.ndarray, x: np.ndarray,
     a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
     rho = _states(_ginibres_of(g))
     roots = _roots(a)
-    luders_a = _checked(roots[..., None, :, :])[0].reshape(-1, 1, *a.shape[-2:])
-    states = np.repeat(rho, a.shape[1], axis=0)[:, None]
-    outputs = _outputs(luders_a, states).reshape(a.shape)
+    outputs = _sandwich(_checked(roots[..., None, :, :])[0], rho[:, None, None])
     p_instr = _set_probabilities(_pair_traces(outputs, _checked(_roots(b)[..., None, :, :])[1]), x, y)
     p_obs = _set_probabilities(_probability_table(rho, seq_products(roots, b)), x, y)
     return (float(np.abs(p_instr - p_obs).max()),)
@@ -452,7 +449,7 @@ def _suite_thm_2_2(run: _Run) -> None:
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
     rho = np.diag([1.0, 0.0]).astype(complex)
-    lhs, out_a, out_b = (_outputs(luders_instrument(o).kraus, rho) for o in (mixed_obs, a, b_relab))
+    lhs, out_a, out_b = (_sandwich(luders_instrument(o).kraus, rho) for o in (mixed_obs, a, b_relab))
     run.gap("K mixture gap", _worst(lhs, 0.5 * out_a + 0.5 * out_b), 1e-2)
 
 
@@ -463,7 +460,7 @@ def _suite_thm_2_3(run: _Run) -> None:
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    lhs, out = (_outputs(luders_instrument(o).kraus, rho) for o in (obs_post_process(nu, a), a))
+    lhs, out = (_sandwich(luders_instrument(o).kraus, rho) for o in (obs_post_process(nu, a), a))
     run.gap("K post-processing gap", _worst(lhs, np.tensordot(nu.matrix.T, out, 1)), 1e-3)
 
 

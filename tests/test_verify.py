@@ -178,7 +178,10 @@ def test_different_seed_changes_draws():
     assert a.max_residual != b.max_residual
 
 
-@pytest.mark.parametrize("result_id, solves", [("lem-1.1", 550), ("lem-2.4", 440), ("lem-3.1", 72), ("thm-2.3", 26)])
+_BUDGETS = [("lem-1.1", 550), ("lem-2.4", 440), ("lem-3.1", 72), ("thm-2.3", 26)]
+
+
+@pytest.mark.parametrize("result_id, solves", [pytest.param(*budget, id=budget[0]) for budget in _BUDGETS])
 def test_eigensolve_budget(result_id, solves, eig_calls):
     # Exact counts of eigh/eigvalsh calls for one suite at seed 7: a check
     # re-run on an object that was already validated raises the count.
