@@ -136,8 +136,7 @@ def conditioned_partial_state(a: object, rho: object) -> Array:
     ea = ensure_effect(a)
     r = ensure_partial_state(rho)
     _same_dim(ea.shape[0], r.shape[0])
-    s = herm_sqrt(ea)
-    return hermitian_part(s @ r @ s)
+    return hermitian_part(_sandwich(herm_sqrt(ea)[None], r))
 
 
 @dataclass(frozen=True)

@@ -2,28 +2,29 @@
 
 Each suite re-derives one identity, counterexample, or construction on
 concrete matrices.  ``SUITES`` is the one table: id -> suite function,
-default trials, pinned tolerance.  A suite is a function of one run record
-(``_Run``): it draws from ``run.rng`` in each trial of ``run.cases(*dims)``
-and records residuals, gap floors and its note; ``run.require`` ends it
-early as a fail.  ``run_suite``, the one runner, seeds the generator from
-the id and the seed, scales the tolerance and applies one status rule:
-``pass`` when the worst residual is at most the scaled tolerance and every
-gap floor (and tighter bound) is met, else ``fail``.  ``fixed`` suites run
-a fixed set and report its count whatever ``trials`` is.  The two ``conj-*``
-probes (tolerance ``None``) only ever report "unknown", with the number of
-cases searched; they assert nothing.
+default trials, pinned tolerance and, for a batched suite, its batch.  A
+suite is a function of one run record (``_Run``): it draws from ``run.rng``
+in each trial of ``run.cases(*dims)`` and records residuals, gap floors and
+its note; ``run.require`` ends it early as a fail.  ``run_suite``, the one
+runner, seeds the generator from the id and the seed, runs any batched
+trials and then the suite function, scales the tolerance and applies one
+status rule: ``pass`` when the worst residual is at most the scaled
+tolerance and every gap floor (and tighter bound) is met, else ``fail``.
+``fixed`` suites run a fixed set and report its count whatever ``trials``
+is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
+"unknown", with the number of cases searched; they assert nothing.
 
-The four suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1, in
-``_BATCHED``) draw every trial with the public generators' Generator calls,
-in order (``_Run.groups``), and run each group of trials that share a shape
-(dimension and outcome counts) as one array program of the library's kernels,
-with every sum check, root PSD check and ``d^2`` cut; each group's first
-trial also runs through the public functions, on the same draws.
+The four suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1) run
+each group of trials that share a shape (dimension and outcome counts) as
+one array program of the library's kernels, with every sum check, root PSD
+check and ``d^2`` cut.  A trial's public route is the one description of its
+draws: each group's first trial runs through the public functions, which
+record their Generator calls (``_Recorded``), and each later trial makes the
+same calls, in trial order (``_Run.groups``).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -112,11 +113,9 @@ from .observables import (
 )
 from .rand import (
     _ginibres_of,
-    _normals,
     _states,
     _whitened_effects,
     _whitened_kraus,
-    default_labels,
     random_commutative_observable,
     random_commuting_effect_pair,
     random_instrument,
@@ -187,17 +186,35 @@ class _Run:
         if not cond:
             raise _Stop(note)
 
-    def groups(self, period: int, dims: tuple[int, ...], draw: Callable) -> list[tuple]:
-        """The trials of ``cases(*dims)``, each drawn in order by ``draw(rng, t, d)``,
-        grouped by their shape ``t % period``: per group, its first trial ``t`` and
-        dimension ``d``, a copy of the generator from before that trial's draws
-        (it replays them) and each draw stacked over the group's trials."""
+    def groups(self, period: int, dims: tuple[int, ...], public: Callable) -> list[tuple]:
+        """The trials of ``cases(*dims)``, grouped by their shape ``t % period``: the
+        first trial of each group runs ``public(rng, t, d)`` on the recorded generator,
+        and each later one makes the same Generator calls, in trial order.  Per group:
+        the public route's residuals and each call's output stacked over the group's trials."""
         groups: dict[int, tuple] = {}
         for t, d in self.cases(*dims):
             if t % period not in groups:
-                groups[t % period] = (t, d, copy.deepcopy(self.rng), [])
-            groups[t % period][3].append(draw(self.rng, t, d))
-        return [(t, d, replay, [np.stack(x) for x in zip(*draws)]) for t, d, replay, draws in groups.values()]
+                recorded = _Recorded(self.rng)
+                groups[t % period] = (public(recorded, t, d), recorded.calls, [recorded.outputs])
+            else:
+                _, calls, outputs = groups[t % period]
+                outputs.append([getattr(self.rng, name)(*args, **kwargs) for name, args, kwargs in calls])
+        return [(residuals, [np.stack(x) for x in zip(*outputs)]) for residuals, _, outputs in groups.values()]
+
+
+class _Recorded:
+    """A generator that passes every call on, keeping its name and arguments and its output."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls, self.outputs = rng, [], []
+
+    def __getattr__(self, name: str) -> Callable:
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            self.outputs.append(getattr(self.rng, name)(*args, **kwargs))
+            return self.outputs[-1]
+
+        return call
 
 
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
@@ -308,10 +325,6 @@ def _roots(stack: np.ndarray) -> np.ndarray:
     return herm_sqrt(stack.reshape(-1, *stack.shape[-2:])).reshape(stack.shape)
 
 
-def _draw_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple:
-    return (_normals(rng, 2 + t % 3, d, d),)
-
-
 def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     a = random_observable(d, 2 + t % 3, rng)
     return (family_distance(induced_observable(luders_instrument(a)), a),)
@@ -320,10 +333,6 @@ def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 def _batch_thm_2_1(g: np.ndarray) -> tuple[float, ...]:
     a = _valid_stack(_whitened_effects(_ginibres_of(g)))
     return (_worst(_valid_stack(_checked(_roots(a)[..., None, :, :])[1]), a),)
-
-
-def _draw_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple:
-    return random_simplex(3, rng), *(_normals(rng, 2 + t % 2, 2, d, d) for _ in range(3))
 
 
 def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -340,20 +349,10 @@ def _batch_thm_2_2(weights: np.ndarray, *raw: np.ndarray) -> tuple[float, ...]:
     return (_worst(a_mix, _valid_stack(_combined(weights[:, None], _valid_stack(effects))[:, 0])),)
 
 
-_TARGETS = ["t0", "t1"]
-
-
-def _draw_thm_2_3(rng: np.random.Generator, t: int, d: int) -> tuple:
-    n = 2 + t % 2
-    raw = _normals(rng, n, 2, d, d)
-    nu = random_stochastic(default_labels(n), _TARGETS, rng).matrix
-    return raw, nu, random_simplex(2, rng), _normals(rng, n, 2, d, d)
-
-
 def _public_thm_2_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     n = 2 + t % 2
     instr = random_instrument(d, n, rng)
-    nu = random_stochastic(list(instr.labels), _TARGETS, rng)
+    nu = random_stochastic(list(instr.labels), ["t0", "t1"], rng)
     lhs = induced_observable(instr_post_process(nu, instr))
     rhs = obs_post_process(nu, induced_observable(instr))
     weights = random_simplex(2, rng)
@@ -374,14 +373,9 @@ def _batch_thm_2_3(raw: np.ndarray, nu: np.ndarray, weights: np.ndarray, raw_oth
     return _worst(_valid_stack(processed_effects), rhs), float(gaps.max())
 
 
-def _draw_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple:
-    m, n = 2 + t % 2, 2 + (t + 1) % 2
-    a, b, g = _normals(rng, m, d, d), _normals(rng, n, d, d), _normals(rng, d, d)
-    x = [rng.random() < 0.6 or k == 0 for k in range(m)]
-    return a, b, g, x, [rng.random() < 0.6 or k == 0 for k in range(n)]
-
-
 def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    """Set-level sequential probabilities of measurement-update instruments
+    match the observable-level joint probabilities."""
     m, n = 2 + t % 2, 2 + (t + 1) % 2
     a = random_observable(d, m, rng)
     b = random_observable(d, n, rng)
@@ -392,7 +386,11 @@ def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return (abs(p_instr - joint_probability_then(rho, a, x_set, b, y_set)),)
 
 
-def _batch_lem_3_1(ga: np.ndarray, gb: np.ndarray, g: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
+def _batch_lem_3_1(ga: np.ndarray, gb: np.ndarray, g: np.ndarray, *u: np.ndarray) -> tuple[float, ...]:
+    # u: one uniform per outcome of a, then of b; an outcome is in its set when
+    # its uniform is below 0.6, and the first outcome always is
+    m = ga.shape[1]
+    x, y = ((np.stack(v, axis=1) < 0.6) | (np.arange(len(v)) == 0) for v in (u[:m], u[m:]))
     a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
     rho = _states(_ginibres_of(g))
     roots = _roots(a)
@@ -407,31 +405,13 @@ class _Batched(NamedTuple):
 
     period: int  # trials t and t + period share a shape
     dims: tuple[int, ...]
-    draw: Callable  # one trial's draws: the public route's Generator calls, in order
     public: Callable  # one trial through the public functions, from a generator: its residuals
-    batch: Callable  # a group's residuals from its stacked draws
-
-
-_BATCHED = {
-    "thm-2.1": _Batched(3, (2, 3, 4), _draw_thm_2_1, _public_thm_2_1, _batch_thm_2_1),
-    "thm-2.2": _Batched(6, (2, 3, 4), _draw_thm_2_2, _public_thm_2_2, _batch_thm_2_2),
-    "thm-2.3": _Batched(6, (2, 3, 4), _draw_thm_2_3, _public_thm_2_3, _batch_thm_2_3),
-    "lem-3.1": _Batched(6, (2, 3, 4), _draw_lem_3_1, _public_lem_3_1, _batch_lem_3_1),
-}
-
-
-def _batched_trials(run: _Run, result_id: str) -> None:
-    """Every trial's residuals from its group's array program, and the first
-    trial of each group's also through the public functions, on the same draws."""
-    spec = _BATCHED[result_id]
-    for t, d, replay, draws in run.groups(spec.period, spec.dims, spec.draw):
-        run.residual(*spec.public(replay, t, d), *spec.batch(*draws))
+    batch: Callable  # a group's residuals from its recorded draws, stacked over its trials
 
 
 def _suite_thm_2_1(run: _Run) -> None:
     """The observable of a measurement-update instrument is the observable it
     came from; the reverse composition is not the identity on instruments."""
-    _batched_trials(run, "thm-2.1")
     # KJ fixes exactly the measurement-update instruments
     a = random_observable(2, 2, run.rng)
     luders = luders_instrument(a)
@@ -444,7 +424,6 @@ def _suite_thm_2_1(run: _Run) -> None:
 def _suite_thm_2_2(run: _Run) -> None:
     """Instrument mixtures mix their observables; observable mixtures do not
     mix their measurement-update instruments (cross terms survive)."""
-    _batched_trials(run, "thm-2.2")
     a, b = sharp_qubit_z(), sharp_qubit_x()
     b_relab = Observable({"0": b["+"], "1": b["-"]})
     mixed_obs = obs_convex_combo([0.5, 0.5], [a, b_relab])
@@ -456,7 +435,6 @@ def _suite_thm_2_2(run: _Run) -> None:
 def _suite_thm_2_3(run: _Run) -> None:
     """Post-processing commutes with taking the observable of an instrument,
     and distributes over mixtures, but not with the measurement-update map."""
-    _batched_trials(run, "thm-2.3")
     a = sharp_qubit_z()
     nu = StochasticMatrix(["0", "1"], ["0", "1"], [[0.5, 0.5], [0.5, 0.5]])
     rho = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
@@ -661,12 +639,6 @@ def _suite_ex_8(run: _Run) -> None:
         rho = random_state(d, run.rng)
         p_instr = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
         run.residual(float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()))
-
-
-def _suite_lem_3_1(run: _Run) -> None:
-    """Set-level sequential probabilities of measurement-update instruments
-    match the observable-level joint probabilities."""
-    _batched_trials(run, "lem-3.1")
 
 
 def _suite_thm_3_2(run: _Run) -> None:
@@ -940,19 +912,20 @@ def _suite_conj_3_3(run: _Run) -> None:
 
 
 class _Suite(NamedTuple):
-    fn: Callable[[_Run], None]
+    fn: Callable[[_Run], None] | None  # the suite body, run after any batched trials
     trials: int  # default trials; the reported count of a ``fixed`` suite
     tol: float | None  # pinned tolerance; None marks a probe
     fixed: bool = False
+    batched: _Batched | None = None
 
 
 SUITES: dict[str, _Suite] = {
     "ex-1": _Suite(_suite_ex_1, 1, 1e-10, fixed=True),
     "lem-1.1": _Suite(_suite_lem_1_1, 50, 1e-8),
     "lem-1.2": _Suite(_suite_lem_1_2, 6, 1e-9, fixed=True),
-    "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9),
-    "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9),
-    "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9),
+    "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9, batched=_Batched(3, (2, 3, 4), _public_thm_2_1, _batch_thm_2_1)),
+    "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_2, _batch_thm_2_2)),
+    "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_3, _batch_thm_2_3)),
     "lem-2.4": _Suite(_suite_lem_2_4, 50, 0.0),
     "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0),
     "lem-2.6": _Suite(_suite_lem_2_6, 20, 1e-8),
@@ -963,7 +936,7 @@ SUITES: dict[str, _Suite] = {
     "ex-6": _Suite(_suite_ex_6, 20, 1e-9),
     "ex-7": _Suite(_suite_ex_7, 20, 1e-10),
     "ex-8": _Suite(_suite_ex_8, 50, 1e-10),
-    "lem-3.1": _Suite(_suite_lem_3_1, 100, 1e-10),
+    "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1, _batch_lem_3_1)),
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
     "cor-3.3": _Suite(_suite_cor_3_3, 20, 1e-9),
     "lem-3.4": _Suite(_suite_lem_3_4, 50, 1e-9),
@@ -992,7 +965,12 @@ def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scal
     tol = 0.0 if suite.tol is None else suite.tol * tol_scale
     run = _Run(_rng(result_id, seed), n, tol_scale, tol)
     try:
-        suite.fn(run)
+        if suite.batched is not None:
+            period, dims, public, batch = suite.batched
+            for residuals, draws in run.groups(period, dims, public):
+                run.residual(*residuals, *batch(*draws))
+        if suite.fn is not None:
+            suite.fn(run)
     except _Stop as stop:
         return VerificationReport(result_id, n, 1.0, "fail", seed, tol, str(stop))
     status = "unknown" if suite.tol is None else "pass" if run.worst <= tol and run.met else "fail"

@@ -3,21 +3,23 @@
 The oracles are the expressions it replaced, kept here verbatim: the padded
 outputs ``(K @ X @ K^*).sum(1)`` of ``instruments._outputs``, with the
 ``[None] ... [0]`` wrap of ``Operation.apply`` and ``FIMM.apply_interaction``,
-and the root product ``r @ b @ r`` of ``effects.seq_products``.  Each must
-agree bitwise.  The dual map ``sum_j K_j^* B K_j`` is the kernel on adjoint
-operators; its two identities (``B = 1`` gives the effects, and
+the root product ``r @ b @ r`` of ``effects.seq_products``, and the
+symmetrized ``s @ r @ s`` of ``effects.conditioned_partial_state``.  Each
+must agree bitwise.  The dual map ``sum_j K_j^* B K_j`` is the kernel on
+adjoint operators; its two identities (``B = 1`` gives the effects, and
 ``tr(rho I^*(B)) = tr(I(rho) B)``) are checked against the library's forms.
 """
 
 import numpy as np
 import pytest
 
-from qinstr.effects import ensure_effects, seq_products
+from qinstr.effects import conditioned_partial_state, ensure_effect, ensure_effects, ensure_partial_state
+from qinstr.effects import seq_products
 from qinstr.instruments import Operation, _effects, instr_channel, joint_probability_table_instr
-from qinstr.linalg import _sandwich, herm_sqrt
+from qinstr.linalg import _sandwich, herm_sqrt, hermitian_part
 from qinstr.models import FIMM
 from qinstr.observables import _pair_traces
-from qinstr.rand import random_fimm, random_instrument, random_observable, random_state
+from qinstr.rand import random_effect, random_fimm, random_instrument, random_observable, random_state
 
 from conftest import kraus_family
 
@@ -75,6 +77,13 @@ class TestBitwiseOracles:
         b = np.stack([random_observable(d, 2, rng).stack for _ in range(5)])
         roots = herm_sqrt(a.reshape(-1, d, d)).reshape(a.shape)
         assert np.array_equal(seq_products(roots, b), checked_root_products(roots, b))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_conditioned_partial_state_is_the_root_product(self, d, rng):
+        for _ in range(20):
+            a, rho = random_effect(d, rng), random_state(d, rng)
+            s, r = herm_sqrt(ensure_effect(a)), ensure_partial_state(rho)
+            assert np.array_equal(conditioned_partial_state(a, rho), hermitian_part(s @ r @ s))
 
     @pytest.mark.parametrize("d", DIMS)
     def test_operation_apply_is_the_wrapped_sum(self, d, rng):

@@ -18,7 +18,7 @@ from qinstr.instruments import (
 from qinstr.observables import _probability_table, _valid_stack, joint_probability_table
 from qinstr.rand import _ginibres_of, _states, _whitened_effects, _whitened_kraus
 from qinstr.rand import random_instrument, random_observable, random_simplex, random_state, random_stochastic
-from qinstr.verify import _BATCHED, SUITES, _rng, _Run, run_suite, run_suites
+from qinstr.verify import SUITES, _Recorded, _rng, _Run, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
 # left out, since their last bits depend on the BLAS build.
@@ -195,63 +195,63 @@ def test_lem_1_2_redraws_near_unbiased_pairs(seed):
     assert run_suite("lem-1.2", seed=seed).status == "pass"
 
 
+BATCHED = sorted(result_id for result_id, suite in SUITES.items() if suite.batched)
+
+
 @pytest.mark.parametrize("trials", [1, 2, 7])
-@pytest.mark.parametrize("result_id", sorted(_BATCHED))
+@pytest.mark.parametrize("result_id", BATCHED)
 def test_batched_suites_pass_with_groups_empty_or_of_one(result_id, trials):
     # At 1 and 2 trials some shape groups are empty, at 7 some hold one trial.
     report = run_suite(result_id, seed=7, trials=trials)
     assert (report.status, report.trials) == ("pass", trials)
 
 
-class _Recorded:
-    """A generator that keeps the name and the output of every call, in order."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.calls = copy.deepcopy(rng), []
-
-    def __getattr__(self, name):
-        def call(*args, **kwargs):
-            out = getattr(self.rng, name)(*args, **kwargs)
-            self.calls.append((name, out))
-            return out
-
-        return call
-
-
 def _groups(result_id: str, trials: int) -> list:
-    spec = _BATCHED[result_id]
-    return _Run(_rng(result_id, 7), trials, 1.0, 1.0).groups(spec.period, spec.dims, spec.draw)
+    spec = SUITES[result_id].batched
+    return _Run(_rng(result_id, 7), trials, 1.0, 1.0).groups(spec.period, spec.dims, spec.public)
 
 
-@pytest.mark.parametrize("result_id", sorted(_BATCHED))
+@pytest.mark.parametrize("result_id", BATCHED)
 def test_batched_draws_are_the_public_generators_draws(result_id):
-    # Each trial's stacked draws are the numbers of the Generator calls that the
-    # public functions make for that trial, bitwise, and in the same order.
-    spec, trials = _BATCHED[result_id], 13
+    # Each trial's row of its group's stacked draws holds the outputs of the
+    # Generator calls that the trial's own public route makes from its
+    # generator state, bitwise, and in the same order; every trial of a group
+    # makes the same calls.
+    spec, trials, names = SUITES[result_id].batched, 13, {}
     groups = _groups(result_id, trials)
-    assert [t for t, *_ in groups] == list(range(min(spec.period, trials)))
+    assert len(groups) == min(spec.period, trials)
     rng = _rng(result_id, 7)
     for t in range(trials):
-        d = spec.dims[t % len(spec.dims)]
-        public, batched = _Recorded(rng), _Recorded(rng)
-        spec.public(public, t, d)
-        drawn = spec.draw(batched, t, d)
-        assert [name for name, _ in public.calls] == [name for name, _ in batched.calls]
-        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(public.calls, batched.calls))
-        first, group_d, replay, draws = groups[t % spec.period]
-        assert group_d == d and len(draws) == len(drawn)
-        assert all(np.array_equal(stacked[t // spec.period], x) for stacked, x in zip(draws, drawn))
-        if t == first:
-            assert replay.bit_generator.state == rng.bit_generator.state
-        rng = batched.rng
+        public = _Recorded(rng)
+        residuals = spec.public(public, t, spec.dims[t % len(spec.dims)])
+        called = [name for name, *_ in public.calls]
+        assert names.setdefault(t % spec.period, called) == called
+        first_residuals, draws = groups[t % spec.period]
+        assert len(draws) == len(public.outputs)
+        assert all(np.array_equal(stacked[t // spec.period], x) for stacked, x in zip(draws, public.outputs))
+        if t < spec.period:
+            assert first_residuals == residuals
+
+
+@pytest.mark.parametrize("result_id", BATCHED)
+def test_batched_trials_leave_the_generator_as_the_public_routes_do(result_id):
+    # A suite body that draws after its batched trials (thm-2.1's) starts from
+    # the state that running every trial's public route in turn leaves.
+    spec, trials = SUITES[result_id].batched, 13
+    run = _Run(_rng(result_id, 7), trials, 1.0, 1.0)
+    run.groups(spec.period, spec.dims, spec.public)
+    rng = _rng(result_id, 7)
+    for t, d in run.cases(*spec.dims):
+        spec.public(rng, t, d)
+    assert run.rng.bit_generator.state == rng.bit_generator.state
 
 
 def _trial_generators(result_id: str, trials: int) -> list:
-    """A copy of the suite's generator from before each trial's draws."""
-    spec, rng, out = _BATCHED[result_id], _rng(result_id, 7), []
+    """A copy of the suite's generator from before each trial's public route."""
+    spec, rng, out = SUITES[result_id].batched, _rng(result_id, 7), []
     for t in range(trials):
         out.append(copy.deepcopy(rng))
-        spec.draw(rng, t, spec.dims[t % len(spec.dims)])
+        spec.public(rng, t, spec.dims[t % len(spec.dims)])
     return out
 
 
@@ -260,7 +260,8 @@ def test_batched_instruments_are_the_public_ones():
     # post-processings that the public functions build from the same draws,
     # each outcome cut to at most d^2 operators as the public ones are.
     trials, gens = 13, _trial_generators("thm-2.3", 13)
-    for first, d, _, (raw, nu, weights, raw_other) in _groups("thm-2.3", trials):
+    for first, (_, (raw, nu, weights, raw_other)) in enumerate(_groups("thm-2.3", trials)):
+        d = 2 + first % 3
         c = nu.swapaxes(1, 2)
         checked = qinstr.verify._checked
         (instr, _), (other, _) = (checked(_whitened_kraus(_ginibres_of(x))) for x in (raw, raw_other))
@@ -285,7 +286,8 @@ def test_batched_probabilities_are_the_public_ones():
     # lem-3.1's array program builds, trial by trial, the observables, the state
     # and the two probability tables that the public functions build.
     trials, gens = 13, _trial_generators("lem-3.1", 13)
-    for first, d, _, (ga, gb, g, x, y) in _groups("lem-3.1", trials):
+    for first, (_, (ga, gb, g, *_)) in enumerate(_groups("lem-3.1", trials)):
+        d = 2 + first % 3
         a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
         rho = _states(_ginibres_of(g))
         table = _probability_table(rho, seq_products(qinstr.verify._roots(a), b))
