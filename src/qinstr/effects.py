@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
-from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich
+from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, require
 from .linalg import Array, _from_eig, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
 
 
@@ -44,10 +44,7 @@ def _effects_spectrum(m: object) -> tuple[Array, tuple[Array, Array] | None]:
     a = ensure_hermitian(m, stack=True)
     w, v = np.linalg.eigh(a)
     low, high = w[:, 0], w[:, -1]
-    bad = ~((low >= -EFFECT_EIG_TOL) & (high <= 1.0 + EFFECT_EIG_TOL))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise InvariantViolation("effect-range", max(0.0, -float(low[k]), float(high[k]) - 1.0))
+    require("effect-range", np.maximum(-low, high - 1.0), EFFECT_EIG_TOL)
     out = (low < -EFFECT_ROUND_TOL) | (high > 1.0 + EFFECT_ROUND_TOL)
     if out.any():
         a[out] = _from_eig(v[out], np.clip(w[out], 0.0, 1.0))
@@ -63,20 +60,15 @@ def ensure_partial_state(m: object) -> Array:
     """Validate a PSD matrix with trace at most one."""
     a = ensure_hermitian(m)
     w = np.linalg.eigvalsh(a)
-    if not w[0] >= -STATE_TRACE_TOL * max(1.0, abs(w[-1])):
-        raise InvariantViolation("positive-semidefinite", float(-w[0]))
-    tr = float(np.trace(a).real)
-    if not tr <= 1.0 + STATE_TRACE_TOL:
-        raise InvariantViolation("trace-at-most-one", tr - 1.0)
+    require("positive-semidefinite", -w[0], STATE_TRACE_TOL * max(1.0, abs(w[-1])))
+    require("trace-at-most-one", float(np.trace(a).real) - 1.0, STATE_TRACE_TOL)
     return a
 
 
 def ensure_state(m: object) -> Array:
     """Validate a density matrix (PSD, unit trace)."""
     a = ensure_partial_state(m)
-    tr = float(np.trace(a).real)
-    if not abs(tr - 1.0) <= STATE_TRACE_TOL:
-        raise InvariantViolation("trace-one", abs(tr - 1.0))
+    require("trace-one", abs(float(np.trace(a).real) - 1.0), STATE_TRACE_TOL)
     return a
 
 
@@ -90,7 +82,7 @@ def atom(phi: object) -> Array:
     """Rank-one projection onto a unit vector."""
     v = as_vector(phi)
     norm = np.linalg.norm(v)
-    if norm < ZERO_NORM_TOL:
+    if not norm >= ZERO_NORM_TOL:
         raise ZeroVector("cannot build an atom from the zero vector")
     v = v / norm
     return np.outer(v, v.conj())

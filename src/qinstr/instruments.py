@@ -48,7 +48,7 @@ import numpy as np
 
 from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
-from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _sandwich, kept, rank, root_columns
+from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _sandwich, kept, rank, require, root_columns
 from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
@@ -254,15 +254,12 @@ class Operation:
                 raise DimensionError(f"Choi matrix shape {c.shape} is not a square of a square")
             c = ensure_hermitian(c, tol=max(CHOI_TOL, HERM_TOL * n))
             w, vecs = np.linalg.eigh(c)
-            if not w[0] >= -CHOI_TOL * max(1.0, float(w[-1])):
-                raise InvariantViolation("choi-positive-semidefinite", float(-w[0]))
+            require("choi-positive-semidefinite", -w[0], CHOI_TOL * max(1.0, float(w[-1])))
             self._choi = read_only(c)
             n = max(int(kept(w).sum()), 1)  # kept ones are last; a zero Choi matrix gives one zero operator
             self._kraus = read_only(kraus_from_vectors(vecs[:, -n:] * np.sqrt(np.clip(w[-n:], 0.0, None)), dim))
         self.dim = self._kraus.shape[1]
-        top = float(np.linalg.eigvalsh(self.induced_effect)[-1])
-        if not top <= 1.0 + CHOI_TOL:
-            raise InvariantViolation("trace-non-increasing", top - 1.0)
+        require("trace-non-increasing", float(np.linalg.eigvalsh(self.induced_effect)[-1]) - 1.0, CHOI_TOL)
 
     @classmethod
     def _unchecked(cls, kraus: Array, effect: Array | None = None) -> "Operation":
@@ -478,8 +475,7 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
     kraus = _reduced(ops[None], counts, first.dim ** 2)[0][0]
     effect = _effects(kraus)
     top = float(np.linalg.eigvalsh(effect)[-1])
-    if not top <= 1.0 + MODEL_TOL:
-        raise InvariantViolation("trace-non-increasing", top - 1.0)
+    require("trace-non-increasing", top - 1.0, MODEL_TOL)
     if top > 1.0 + CHOI_TOL:  # the scaled operators' effect is formed on first use
         return Operation._unchecked(read_only(kraus / np.sqrt(top)))
     return Operation._unchecked(read_only(kraus), effect)

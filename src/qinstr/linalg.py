@@ -4,7 +4,10 @@ Conventions used throughout the package:
 
 - matrices are ``numpy`` arrays of dtype complex128, row-major;
 - a caller's numbers become an array only in ``as_numbers`` (``DimensionError``
-  for ragged, mixed-shape or non-numeric input, ``QinstrError`` if non-finite);
+  for ragged, mixed-shape or non-numeric input, ``QinstrError`` if non-finite
+  or beyond ``NUMBER_MAX``);
+- whether residuals meet their tolerance, a NaN never, is decided only in ``require``:
+  every ``InvariantViolation`` is raised there;
 - a family's completeness (its effects' sum against ``1``) is decided only in ``completion``;
 - which eigenvalues count (every numerical rank, root cut and Kraus cut) is decided only in ``kept``;
 - composite spaces are ordered base-slow / probe-fast, i.e. the pair index
@@ -68,20 +71,29 @@ SEARCH_TOL = 1e-7  # largest marginal defect ||sum C - target||_F at which find_
 JOINT_TOL = 1e-6  # sum defect up to which Observable._valid completes a derived observable; a found joint's marginal defect
 WITNESS_SEARCH_ITERS = 2000  # alternating-projection rounds of find_coexistence_witness
 WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the polished witness still checks
+NUMBER_MAX = 1e50  # entry magnitude as_numbers accepts: fourth powers stay finite, so no validation overflows
+
+
+def require(invariant: str, residual: float | Array, tol: float) -> float | Array:
+    """The largest of ``residual``, one number or an array of them, when every one is at most
+    ``tol``; else ``InvariantViolation(invariant, r)`` for the first ``r`` that is not, a NaN included."""
+    worst = residual.max() if getattr(residual, "ndim", 0) else residual  # a number is compared as it is
+    if not worst <= tol:
+        r = np.ravel(residual)
+        raise InvariantViolation(invariant, float(r[~(r <= tol)][0]))
+    return worst
 
 
 def completion(total: Array, keep: float, bound: float, invariant: str) -> Array | None:
     """``None`` if a sum ``G = total`` has ``||G - 1||_F <= keep``; else, up to ``bound``, the half
     defect ``(G - 1) / 2`` that one Newton-Schulz step subtracts (``K - K (G - 1) / 2``, or ``P A P``
-    with ``P = 1 - (G - 1) / 2``); beyond it, ``InvariantViolation(invariant, residual)``.
+    with ``P = 1 - (G - 1) / 2``); beyond it, ``require``'s ``InvariantViolation(invariant, residual)``.
 
     A ``(t, d, d)`` stack holds the sums of ``t`` trials' families: the first trial beyond
     ``bound`` raises, and a trial within ``keep`` gets a zero half defect (its step changes nothing)."""
     defect = total - np.eye(total.shape[-1])
     residual = np.sqrt((np.abs(defect) ** 2).sum((-2, -1)))
-    worst = residual.max() if residual.ndim else residual  # a reduction costs more than the norm of one sum
-    if not worst <= bound:
-        raise InvariantViolation(invariant, float(residual[~(residual <= bound)].flat[0]))
+    worst = require(invariant, residual, bound)
     return None if worst <= keep else np.where((residual > keep)[..., None, None], defect / 2.0, 0.0)
 
 
@@ -99,7 +111,8 @@ def rank(w: Array) -> Array:
 def as_numbers(x: object, dtype: type = complex) -> Array:
     """The caller's numbers ``x`` as a finite array of ``dtype``: ``complex``
     for matrices and vectors, ``float`` for stochastic matrices and weights;
-    strings, booleans, objects and (for ``float``) complex entries are refused."""
+    strings, booleans, objects, (for ``float``) complex entries and entries
+    of magnitude beyond ``NUMBER_MAX`` are refused."""
     try:
         a = np.asarray(x)
     except (TypeError, ValueError):
@@ -107,8 +120,10 @@ def as_numbers(x: object, dtype: type = complex) -> Array:
     if a is None or a.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         raise DimensionError("expected numbers in a regular array: ragged rows, mixed shapes or a non-number")
     a = a.astype(dtype, copy=False)
-    if not np.isfinite(a).all():
-        raise QinstrError("array contains non-finite entries")
+    if not np.abs(a).max(initial=0.0) <= NUMBER_MAX:  # one reduction: a NaN or an infinity fails it too
+        if not np.isfinite(a).all():
+            raise QinstrError("array contains non-finite entries")
+        raise QinstrError(f"number out of range: an entry beyond {NUMBER_MAX:g}")
     return a
 
 
@@ -197,7 +212,7 @@ def _psd_eig(a: Array, spectrum: tuple[Array, Array] | None = None) -> tuple[Arr
     that ``kept`` does not count (see ``herm_sqrt``) are set to zero."""
     w, v = _eigh(a) if spectrum is None else spectrum
     low = w[..., 0].min()
-    if low < -PSD_TOL:
+    if not low >= -PSD_TOL:
         raise NotPositiveSemidefinite(f"eigenvalue {low:.3g} below -{PSD_TOL:.3g}")
     return v, np.sqrt(np.clip(w, 0.0, None)) * kept(w)
 
@@ -313,7 +328,7 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     k = u.shape[1]
     if k > dim:
         raise DimensionError(f"{k} columns exceed dimension {dim}")
-    if frob(u.conj().T @ u - np.eye(k)) > ORTHO_TOL * k:
+    if not frob(u.conj().T @ u - np.eye(k)) <= ORTHO_TOL * k:
         raise NotIsometry("input columns are not orthonormal")
     q = np.linalg.qr(u, mode="complete")[0]
     q[:, :k] = u

@@ -366,7 +366,7 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     if not frob(defect) <= 1.0 - GRAM_FLOOR:  # then every eigenvalue of G is at least GRAM_FLOOR
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")
     iso = iso - iso @ (defect / 2.0)  # orthonormal to rounding before completion
-    if frob(iso.conj().T @ iso - np.eye(d)) > ORTHO_TOL * d:
+    if not frob(iso.conj().T @ iso - np.eye(d)) <= ORTHO_TOL * d:
         raise NotIsometry("polished Kraus columns are not orthonormal")
 
     return FIMM._dilation(iso, instr.labels, np.repeat(np.arange(len(counts)), counts))
@@ -394,7 +394,7 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     evolved = w[0, :, :, -1].reshape(d, dk, d) / np.vdot(vectors[:, 0], m._probe_root[:, -1])
     ops = np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())
     residual = frob(_effects(ops) - np.eye(d))
-    if residual > NORMAL_SUM_TOL * max(1.0, d):
+    if not residual <= NORMAL_SUM_TOL * max(1.0, d):
         raise NotNormal(f"extracted operators miss completeness by {residual:.3g}")
     return dict(zip(m.pointer.labels, ops))
 

@@ -30,15 +30,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .effects import _effects_spectrum, _same_dim, ensure_state, joint_feasibility_search, seq_products
-from .errors import (
-    DimensionError,
-    InvariantViolation,
-    KindError,
-    LabelError,
-    ShapeError,
-    WeightError,
-)
-from .linalg import EFFECT_EIG_TOL, JOINT_TOL, SEARCH_ITERS, SEARCH_TOL, rank
+from .errors import DimensionError, KindError, LabelError, ShapeError, WeightError
+from .linalg import EFFECT_EIG_TOL, JOINT_TOL, SEARCH_ITERS, SEARCH_TOL, rank, require
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
 from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, completion, hermitian_part, read_only
 
@@ -279,12 +272,9 @@ class StochasticMatrix:
         m = as_numbers(matrix, float)
         if m.shape != (len(self.row_labels), len(self.col_labels)):
             raise ShapeError(f"matrix shape {m.shape} does not match label counts")
-        if m.min(initial=0.0) < -STOCHASTIC_NEG_TOL:
-            raise InvariantViolation("nonnegative-entries", float(-m.min()))
+        require("nonnegative-entries", -m.min(initial=0.0), STOCHASTIC_NEG_TOL)
         m = np.clip(m, 0.0, None)
-        row_residual = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-        if row_residual > STOCHASTIC_ROW_TOL:
-            raise InvariantViolation("row-sums-to-one", row_residual)
+        require("row-sums-to-one", np.max(np.abs(m.sum(axis=1) - 1.0)), STOCHASTIC_ROW_TOL)
         self.matrix = read_only(m)
 
     def value(self, src: Label, tgt: Label) -> float:
@@ -336,9 +326,9 @@ def check_weights(weights: Sequence[float], count: int) -> np.ndarray:
     w = as_numbers(weights, float)
     if w.ndim != 1 or w.size != count:
         raise WeightError(f"expected {count} weights, got shape {w.shape}")
-    if w.min(initial=0.0) < -WEIGHT_TOL:
+    if not w.min(initial=0.0) >= -WEIGHT_TOL:
         raise WeightError(f"negative weight {w.min():.3g}")
-    if abs(w.sum() - 1.0) > WEIGHT_TOL:
+    if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
         raise WeightError(f"weights sum to {w.sum():.12g}, not 1")
     return np.clip(w, 0.0, None)
 

@@ -25,6 +25,7 @@ same calls, in trial order (``_Run.groups``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -168,10 +169,11 @@ class _Run:
     count: int | None = None  # cases checked, reported in place of ``trials``
 
     def residual(self, *values: float, bound: float | None = None) -> None:
-        """Keep the running max; the values must also meet ``bound * scale``."""
-        self.worst = max(self.worst, *values)
+        """Keep the running max, NaN once any value is NaN; the values must also meet ``bound * scale``."""
+        top = math.nan if any(map(math.isnan, values)) else max(values)
+        self.worst = top if math.isnan(top) else max(self.worst, top)
         if bound is not None:
-            self.met = self.met and max(values) <= bound * self.scale
+            self.met = self.met and top <= bound * self.scale
 
     def gap(self, text: str, value: float, floor: float) -> None:
         """A counterexample must separate by at least ``floor`` (unscaled)."""

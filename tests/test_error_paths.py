@@ -14,7 +14,7 @@ import pytest
 import qinstr.linalg as linalg
 import qinstr.models as models
 from qinstr.cli import main
-from qinstr.effects import CoexistenceWitness, atom, check_coexistence_witness, ensure_state
+from qinstr.effects import CoexistenceWitness, atom, check_coexistence_witness, ensure_effect, ensure_state
 from qinstr.errors import (
     DimensionError,
     DocumentError,
@@ -39,7 +39,7 @@ from qinstr.instruments import (
     operations_close,
     trivial_instrument,
 )
-from qinstr.linalg import herm_eig, is_unitary, partial_trace_first
+from qinstr.linalg import complete_to_unitary, herm_eig, is_unitary, partial_trace_first
 from qinstr.models import (
     FIMM,
     VonNeumannModel,
@@ -172,6 +172,18 @@ ROWS = [
     ),
     ("numbers-integer-overflow", lambda mp, tp: linalg.as_numbers([10**400]), (DimensionError, "non-number")),
     ("numbers-complex-as-real", lambda mp, tp: linalg.as_numbers([1j], float), (DimensionError, "non-number")),
+    # caller arrays: an entry beyond NUMBER_MAX is refused before a check can overflow on it
+    ("effect-near-limit", lambda mp, tp: ensure_effect([[0, 1e308], [0, 0]]), (QinstrError, "number out of range")),
+    (
+        "kraus-instrument-near-limit",
+        lambda mp, tp: kraus_instrument({"a": [[1e200, 0], [0, 0]]}),
+        (QinstrError, "number out of range"),
+    ),
+    (
+        "complete-to-unitary-near-limit",
+        lambda mp, tp: complete_to_unitary([[1e200, 1e200, 0], [1e200, -1e200, 0]], 3),
+        (QinstrError, "number out of range"),
+    ),
     ("kraus-not-a-sequence", lambda mp, tp: Operation.from_kraus(5), (DimensionError, r"got shape \(\)")),
     ("kraus-none", lambda mp, tp: Operation.from_kraus([]), (DimensionError, "need at least one Kraus operator")),
     # effects

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qinstr.errors import DimensionError, NotHermitian, NotIsometry, NotPositiveSemidefinite, QinstrError, ZeroVector
+from qinstr.errors import (
+    DimensionError,
+    InvariantViolation,
+    NotHermitian,
+    NotIsometry,
+    NotPositiveSemidefinite,
+    QinstrError,
+    ZeroVector,
+)
 from qinstr.linalg import (
     RANK_TOL,
     _phase_fix,
@@ -14,6 +22,7 @@ from qinstr.linalg import (
     partial_trace_first,
     partial_trace_second,
     psd_part,
+    require,
     root_factors,
     tensor_product,
 )
@@ -21,6 +30,23 @@ from qinstr.models import swap_unitary
 from qinstr.rand import ginibre, random_psd
 
 from conftest import E1, E2, P_MINUS, P_PLUS, PAULI_X, proj
+
+
+class TestRequire:
+    def test_returns_the_largest_residual(self):
+        assert require("x", np.array([1e-10, 3e-10, 2e-10]), 1e-9) == 3e-10
+        assert require("x", 0.5, 1.0) == 0.5
+
+    @pytest.mark.parametrize(
+        "residual, reported",
+        [(2.0, 2.0), (np.nan, np.nan), (np.array([0.5, 3.0, np.nan, 4.0]), 3.0), (np.array([[0.5], [np.nan]]), np.nan)],
+        ids=["number", "nan", "first-of-stack", "nan-in-stack"],
+    )
+    def test_raises_for_the_first_residual_above_tol_or_nan(self, residual, reported):
+        with pytest.raises(InvariantViolation, match="^x, residual") as err:
+            require("x", residual, 1.0)
+        assert err.value.invariant == "x"
+        np.testing.assert_equal(err.value.residual, reported)
 
 
 class TestHermEig:

@@ -2,8 +2,9 @@
 
 These guards fail when a tolerance or budget parameter is added to (or
 dropped from) the public surface, when a module outside the table defines
-its own ``*_TOL`` constant, or when a bare threshold literal appears in the
-library modules outside the table.
+its own ``*_TOL`` constant, when a bare threshold literal appears in the
+library modules outside the table, or when a check that raises compares a
+value with a table entry in a form that a NaN value passes.
 """
 
 import ast
@@ -95,3 +96,64 @@ def test_old_names_resolve_to_the_table_with_their_values():
     }
     for (name, constant), value in old.items():
         assert getattr(importlib.import_module(f"qinstr.{name}"), constant) == getattr(linalg, constant) == value
+
+
+def _table_names() -> set[str]:
+    """The names of the tolerance table: linalg's module-level upper-case assignments."""
+    tree = ast.parse(inspect.getsource(linalg))
+    return {
+        t.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id.isupper()
+    }
+
+
+def open_guards(source: str, table: set[str]) -> list[int]:
+    """The lines of the ``if`` statements of ``source`` that raise and compare a value with a
+    ``table`` name outside any ``not``: every comparison with a NaN is false, so only a negated
+    one (``not residual <= tol``) raises on a NaN."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+            continue
+        negated = {
+            id(inner)
+            for n in ast.walk(node.test)
+            if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Not)
+            for inner in ast.walk(n.operand)
+        }
+        if any(
+            isinstance(n, ast.Compare)
+            and id(n) not in negated
+            and any(isinstance(m, ast.Name) and m.id in table for m in ast.walk(n))
+            for n in ast.walk(node.test)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_raising_check_on_a_table_entry_fails_on_nan():
+    table, found = _table_names(), {}
+    for module in _modules():
+        if lines := open_guards(inspect.getsource(module), table):
+            found[module.__name__] = lines
+    assert found == {}
+
+
+def test_the_guard_sees_a_comparison_that_a_nan_passes():
+    source = (
+        "def f(x, y):\n"
+        "    if x > SUM_TOL:\n"
+        "        raise ValueError\n"
+        "    if not x <= SUM_TOL:\n"
+        "        raise ValueError\n"
+        "    if not np.all(y > SUM_TOL) or x > 2 * SUM_TOL:\n"
+        "        raise ValueError\n"
+        "    if x > SUM_TOL:\n"
+        "        return x\n"
+        "    if x > y:\n"
+        "        raise ValueError\n"
+    )
+    assert open_guards(source, {"SUM_TOL"}) == [2, 6]

@@ -134,6 +134,17 @@ def test_one_status_rule(monkeypatch, body, tol, tol_scale, expected):
     assert report.tolerance == (0.0 if tol is None else tol * tol_scale)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [lambda run: (run.residual(1e-12), run.residual(np.nan)), lambda run: run.residual(1e-12, np.nan, bound=1.0)],
+    ids=["running-max", "bound"],
+)
+def test_a_nan_residual_fails_its_suite(monkeypatch, body):
+    monkeypatch.setitem(SUITES, "lem-1.1", SUITES["lem-1.1"]._replace(fn=body, tol=1e-9))
+    report = run_suite("lem-1.1", seed=0)
+    assert report.status == "fail" and np.isnan(report.max_residual)
+
+
 def test_every_pass_goes_through_the_module_run_suite(monkeypatch, capsys):
     # A benchmark times each suite by rebinding qinstr.verify.run_suite; both
     # run_suites() and the CLI must call it once per suite, in table order.
