@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
 from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, require
-from .linalg import Array, _from_eig, as_matrix, as_vector, ensure_hermitian, frob, herm_sqrt, hermitian_part, psd_part
+from .linalg import Array, _from_eig, as_matrix, as_numbers, as_vector, ensure_hermitian, herm_sqrt, hermitian_part, psd_part
 
 
 def ensure_effects(m: object) -> Array:
@@ -107,9 +107,11 @@ def seq_product(a: object, b: object) -> Array:
 
 
 def complement(a: object) -> Array:
-    """Complement ``1 - a``; together with ``a`` it sums exactly to the identity."""
-    ea = ensure_effect(a)
-    return np.eye(ea.shape[0], dtype=complex) - ea
+    """Complement ``1 - a``; together with ``a`` it sums exactly to the identity.
+    Of a ``(k, d, d)`` stack, each effect's, validated by one ``ensure_effects`` call."""
+    m = as_numbers(a)
+    ea = ensure_effects(m) if m.ndim == 3 else ensure_effect(m)
+    return np.eye(ea.shape[-1], dtype=complex) - ea
 
 
 def occurrence_probability(rho: object, a: object) -> float:
@@ -140,20 +142,26 @@ class CoexistenceWitness:
     c: Array
 
 
-def _witness_blocks(a: object, b: object, w: CoexistenceWitness) -> tuple[Array, ...] | None:
-    """The witness blocks ``a1``, ``b1``, ``c``, validated as effects, and the
-    leftover ``d = 1 - a1 - b1 - c``; None when a witness equation fails."""
+def _witness_blocks(a: object, b: object, w: CoexistenceWitness) -> Array | None:
+    """The joint observable's effects in label order: the witness blocks ``c``, ``a1``
+    and ``b1`` and the leftover ``d = 1 - a1 - b1 - c``, as a ``(4, d, d)`` stack, or
+    ``(t, 4, d, d)`` for ``(t, d, d)`` stacks of ``t`` effect pairs and witnesses.  The
+    five given matrices are validated as effects by one ``ensure_effects`` call.  None
+    when a witness equation fails (in any trial)."""
+    given = [as_matrix(m, stack=m.ndim == 3) for m in map(as_numbers, (a, b, w.a1, w.b1, w.c))]
+    if len({m.shape for m in given}) > 1:
+        return None
     try:
-        ea, eb, a1, b1, c = (ensure_effect(m) for m in (a, b, w.a1, w.b1, w.c))
+        ea, eb, a1, b1, c = ensure_effects(np.reshape(given, (-1, *given[0].shape[-2:]))).reshape(5, *given[0].shape)
     except InvariantViolation:
         return None
-    if not (ea.shape == eb.shape == a1.shape == b1.shape == c.shape):
-        return None
-    if frob(a1 + c - ea) > WITNESS_TOL or frob(b1 + c - eb) > WITNESS_TOL:
+    if np.linalg.norm([a1 + c - ea, b1 + c - eb], axis=(-2, -1)).max() > WITNESS_TOL:
         return None
     # a1 + b1 + c <= 1 means the leftover d is PSD.
-    d = np.eye(ea.shape[0], dtype=complex) - a1 - b1 - c
-    return (a1, b1, c, d) if float(np.linalg.eigvalsh(hermitian_part(d))[0]) >= -WITNESS_TOL else None
+    d = np.eye(ea.shape[-1], dtype=complex) - a1 - b1 - c
+    if not np.linalg.eigvalsh(hermitian_part(d))[..., 0].min() >= -WITNESS_TOL:
+        return None
+    return np.stack([c, a1, b1, d], axis=-3)
 
 
 def check_coexistence_witness(a: object, b: object, w: CoexistenceWitness) -> bool:
@@ -174,8 +182,7 @@ def binary_observables_from_coexistence(a: object, b: object, w: CoexistenceWitn
     blocks = _witness_blocks(a, b, w)
     if blocks is None:
         raise InvalidWitness("witness does not decompose the given effects")
-    a1, b1, c, d = blocks
-    return Observable({("1", "1"): c, ("1", "2"): a1, ("2", "1"): b1, ("2", "2"): d})
+    return Observable(zip([("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")], blocks))
 
 
 # -- feasibility search -------------------------------------------------------

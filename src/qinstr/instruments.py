@@ -89,8 +89,8 @@ def _padded(stacks: Sequence[Array]) -> Array:
 
 
 def _filled(kraus: Array, counts: Array) -> Array:
-    """``(m, r)`` mask of a padded array's operators that are not padding."""
-    return np.arange(kraus.shape[1]) < counts[:, None]
+    """``(m, r)`` mask of a padded array's operators that are not padding (of each trial's, in a batch)."""
+    return np.arange(kraus.shape[-3]) < counts[:, None]
 
 
 def _operators(kraus: Array, counts: Array) -> Array:
@@ -100,14 +100,16 @@ def _operators(kraus: Array, counts: Array) -> Array:
 
 
 def _then(first: Array, first_counts: Array, second: Array, second_counts: Array) -> tuple[Array, Array]:
-    """Padded ``first`` and then ``second``: outcome ``(x, y)``, ``x``-major, gets the products
-    ``T_yt S_xs`` of one broadcast matmul, ``s``-major; one outcome-major stack and its counts."""
-    ops = second[None, :, None, :] @ first[:, None, :, None]  # ops[x, y, s, t] = T_yt S_xs
+    """Padded ``first`` and then ``second``, or each trial of two batches with leading trial axes
+    (one ``counts`` for all): outcome ``(x, y)``, ``x``-major, gets the products ``T_yt S_xs`` of
+    one broadcast matmul, ``s``-major; one outcome-major stack (a row per trial) and its counts."""
+    ops = second[..., None, :, None, :, :, :] @ first[..., :, None, :, None, :, :]  # ops[..., x, y, s, t] = T_yt S_xs
     counts = (first_counts[:, None] * second_counts).ravel()
     # A reshape, not a gather: large-d's conditioned ops take it; the masked gather cost ~10 % of its ops_per_s.
-    if counts.min() == ops.shape[2] * ops.shape[3]:
-        return ops.reshape(-1, *ops.shape[-2:]), counts
-    return ops[_filled(first, first_counts)[:, None, :, None] & _filled(second, second_counts)[None, :, None, :]], counts
+    if counts.min() == ops.shape[-4] * ops.shape[-3]:
+        return ops.reshape(*ops.shape[:-6], -1, *ops.shape[-2:]), counts
+    kept = _filled(first, first_counts)[:, None, :, None] & _filled(second, second_counts)[None, :, None, :]
+    return ops[..., kept, :, :], counts
 
 
 def _effects(kraus: Array) -> Array:
@@ -331,8 +333,14 @@ class Operation:
 
 
 def ensure_channel(op: Operation) -> Operation:
-    completion(op.induced_effect, CHOI_TOL, CHOI_TOL, "trace-preserving")
+    _trace_preserving(op.induced_effect)
     return op
+
+
+def _trace_preserving(effect: Array) -> None:
+    """``ensure_channel``'s test of a channel's effect, or of each of a ``(t, d, d)``
+    stack: within ``CHOI_TOL`` of ``1`` (``completion``)."""
+    completion(effect, CHOI_TOL, CHOI_TOL, "trace-preserving")
 
 
 def operations_close(a: Operation, b: Operation, tol: float) -> bool:
@@ -431,8 +439,14 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     if st.shape[0] != a.dim:
         raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
     f, keep = root_columns(np.concatenate([a.stack, st[None]]))
-    ops = np.einsum("ak,xij->xjkai", f[-1][:, keep[-1]], f[:-1].conj())
+    ops = _prepared(f[:-1], f[-1][:, keep[-1]])
     return _assembled(a.labels, ops[keep[:-1]].reshape(-1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum())
+
+
+def _prepared(effect_columns: Array, state_columns: Array) -> Array:
+    """``trivial_instrument``'s operators ``r_k s_j^*``, ``(m, d, s, d, d)`` over the columns ``s_j``
+    of ``effect_columns`` ``(m, d, d)`` and ``r_k`` of ``state_columns`` ``(d, s)``, or per trial of a batch."""
+    return np.einsum("...ak,...xij->...xjkai", state_columns, effect_columns.conj())
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
@@ -489,26 +503,37 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
     return _assembled(labels, *_then(i.kraus, i.counts, j.kraus, j.counts))
 
 
-def _channel_kraus(i: Instrument) -> tuple[Array, Array]:
-    """The total channel as a one-outcome padded array and its count: the
-    outcomes' operators together, cut by ``_reduced`` above ``d^2``."""
-    ops = _operators(i.kraus, i.counts)
-    return _reduced(ops[None], np.array([len(ops)]), i.dim ** 2)
+def _channel_kraus(kraus: Array) -> tuple[Array, Array]:
+    """The total channel of a padded ``(m, r, d, d)`` array, or of each trial of a
+    ``(t, m, r, d, d)`` batch, its padding included: the operators together as one
+    outcome (a row per trial), cut by ``_reduced`` above ``d^2``, and their counts."""
+    ops = kraus.reshape(-1, kraus.shape[-4] * kraus.shape[-3], *kraus.shape[-2:])
+    return _reduced(ops, np.full(len(ops), ops.shape[1]), ops.shape[-1] ** 2)
+
+
+def _channels(kraus: Array) -> tuple[Array, Array]:
+    """``_channel_kraus``'s operators and their effects, checked as ``ensure_channel``
+    checks (``||A - 1||_F <= CHOI_TOL``): ``instr_channel``, a row per trial."""
+    kraus = _channel_kraus(kraus)[0]
+    effects = _effects(kraus)
+    _trace_preserving(effects)
+    return kraus, effects
 
 
 def instr_channel(i: Instrument) -> Operation:
     """The instrument's total channel, the sum of its outcome operations,
-    with the outcomes' Kraus operators together as its own.  Its
-    ``ensure_channel`` test (``||A - 1||_F <= CHOI_TOL``) implies the
+    with the outcomes' Kraus operators together as its own (``_channels``
+    of them as one outcome).  Its ``ensure_channel`` test implies the
     operation's trace-non-increase bound, so no eigensolve runs."""
-    return ensure_channel(Operation._unchecked(read_only(_channel_kraus(i)[0][0])))
+    kraus, effect = _channels(_operators(i.kraus, i.counts)[None])
+    return Operation._unchecked(read_only(kraus[0]), effect[0])
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     """Instrument ``j`` conditioned by ``i``: outcome ``y`` applies ``J_y``
     after the total channel of ``i``: ``_then`` on the channel as one outcome."""
     _same_dim(i.dim, j.dim)
-    return _assembled(j.labels, *_then(*_channel_kraus(i), j.kraus, j.counts))
+    return _assembled(j.labels, *_then(*_channel_kraus(_operators(i.kraus, i.counts)[None]), j.kraus, j.counts))
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
@@ -543,8 +568,13 @@ def instr_complementary(i: Instrument, j: Instrument) -> bool:
     coefficients are their ``D_ii``, ``Re D_ij`` and ``-Im D_ij`` (``i < j``):
     every real and imaginary part must be within ``CHOI_TOL``.
     """
-    defects = complementarity_defects(induced_observable(i), induced_observable(j))
-    return all(bool(np.all(np.abs(d.real) <= CHOI_TOL) and np.all(np.abs(d.imag) <= CHOI_TOL)) for d in defects)
+    return bool(_entrywise_complementary(complementarity_defects(induced_observable(i), induced_observable(j))))
+
+
+def _entrywise_complementary(defects: tuple[Array, Array]) -> Array:
+    """``instr_complementary``'s rule on the two defect stacks, or per trial of two batches."""
+    small = [(np.abs(d.real) <= CHOI_TOL) & (np.abs(d.imag) <= CHOI_TOL) for d in defects]
+    return np.logical_and(*(s.all((-4, -3, -2, -1)) for s in small))
 
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:

@@ -189,9 +189,8 @@ class Observable(LabelledFamily):
 
     def __init__(self, effects: Mapping[Label, object] | Iterable[tuple[Label, object]]):
         labels, matrices = self._checked_items(effects)
-        stack, self._spectrum = _effects_spectrum(matrices)
-        completion(stack.sum(0), SUM_TOL, SUM_TOL, "sum-to-identity")
-        self._set_stack(labels, stack)
+        stack, self._spectrum = _checked_effects(matrices, len(labels))
+        self._set_stack(labels, stack[0])
 
     def _set_stack(self, labels: list[Label], stack: Array) -> None:
         self.dim, self.labels = stack.shape[-1], tuple(labels)
@@ -227,6 +226,17 @@ class Observable(LabelledFamily):
 
     def _distances(self, groups: Array, other: "Observable") -> Array:
         return np.linalg.norm(self.stack[groups].sum(1) - other.stack, axis=(-2, -1))
+
+
+def _checked_effects(matrices: object, m: int) -> tuple[Array, tuple[Array, Array] | None]:
+    """``Observable``'s checks of its effects, a ``(k, d, d)`` stack of ``k / m``
+    families of ``m`` (one, or a batch's): the range of each effect, from one
+    ``_effects_spectrum`` call, and each family's sum within ``SUM_TOL``.  The stack
+    as ``(k / m, m, d, d)``, and the range check's spectrum (``_effects_spectrum``)."""
+    stack, spectrum = _effects_spectrum(matrices)
+    stack = stack.reshape(-1, m, *stack.shape[1:])
+    completion(stack.sum(1), SUM_TOL, SUM_TOL, "sum-to-identity")
+    return stack, spectrum
 
 
 def _valid_stack(stack: Array) -> Array:
@@ -268,6 +278,8 @@ class StochasticMatrix:
 
     def __init__(self, row_labels: Sequence[Label], col_labels: Sequence[Label], matrix: object):
         self.row_labels = check_distinct_labels(row_labels)
+        if not self.row_labels:
+            raise LabelError("a stochastic matrix needs at least one row")
         self.col_labels = check_distinct_labels(col_labels)
         m = as_numbers(matrix, float)
         if m.shape != (len(self.row_labels), len(self.col_labels)):
@@ -407,13 +419,28 @@ def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]
     ``m`` and ``n`` the outcome counts of ``a`` and ``b``; both product
     stacks come from ``seq_products`` on the cached roots.
     """
-    ea, eb = a.stack, b.stack
-    return seq_products(a.roots, eb) - ea[:, None] / len(b), seq_products(b.roots, ea) - eb[:, None] / len(a)
+    return _defects(a.stack, a.roots, b.stack, b.roots)
+
+
+def _defects(ea: Array, ra: Array, eb: Array, rb: Array) -> tuple[Array, Array]:
+    """``complementarity_defects`` of two observables' effects and roots, or per trial of two batches."""
+    m, n = ea.shape[-3], eb.shape[-3]
+    return seq_products(ra, eb) - ea[..., None, :, :] / n, seq_products(rb, ea) - eb[..., None, :, :] / m
 
 
 def complementarity_residual(a: Observable, b: Observable) -> float:
     """Largest Frobenius norm among the defects of ``complementarity_defects``."""
-    return max(float(np.linalg.norm(d, axis=(-2, -1)).max()) for d in complementarity_defects(a, b))
+    return float(_defect_norms(complementarity_defects(a, b)))
+
+
+def _defect_norms(defects: tuple[Array, Array]) -> Array:
+    """``complementarity_residual`` of the two defect stacks, or per trial of two batches."""
+    return np.maximum(*(np.linalg.norm(d, axis=(-2, -1)).max((-2, -1)) for d in defects))
+
+
+def _frobenius_complementary(defects: tuple[Array, Array]) -> Array:
+    """``obs_complementary``'s rule on the two defect stacks, or per trial of two batches."""
+    return _defect_norms(defects) <= SUM_TOL
 
 
 def obs_complementary(a: Observable, b: Observable) -> bool:
@@ -424,7 +451,7 @@ def obs_complementary(a: Observable, b: Observable) -> bool:
     of ``complementarity_defects`` must be within ``SUM_TOL`` in Frobenius
     norm.
     """
-    return complementarity_residual(a, b) <= SUM_TOL
+    return bool(_frobenius_complementary(complementarity_defects(a, b)))
 
 
 def fourier_mub(d: int) -> tuple[Array, Array]:
@@ -440,8 +467,9 @@ def fourier_mub(d: int) -> tuple[Array, Array]:
 
 
 def _basis_projections(w: Array) -> Array:
-    """``(d, d, d)`` stack of the projections ``w_i w_i^*`` onto the columns of ``w``."""
-    return w.T[:, :, None] * w.T.conj()[:, None, :]
+    """``(d, d, d)`` stack of the projections ``w_i w_i^*`` onto the columns of ``w``, or per trial of a batch."""
+    columns = w.swapaxes(-1, -2)
+    return columns[..., :, :, None] * columns.conj()[..., :, None, :]
 
 
 def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Observable:

@@ -78,8 +78,15 @@ def random_effect(dim: int, rng: np.random.Generator) -> Array:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> Array:
-    q, r = np.linalg.qr(ginibre(dim, rng))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return _unitaries(ginibre(dim, rng))
+
+
+def _unitaries(g: Array) -> Array:
+    """``random_unitary``'s Haar unitary of a Ginibre matrix ``g``, or of each of a stack:
+    the QR factor ``Q``, each column's phase fixed by the diagonal of ``R``."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def random_simplex(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,8 +120,15 @@ def _whitened_effects(g: Array) -> Array:
 def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Array, Array]:
     """Effects diagonal in one random basis, so they commute."""
     u = random_unitary(dim, rng)
-    diagonals = (rng.uniform(0.0, 1.0, (2, dim))[:, :, None] * np.eye(dim)).astype(complex)
-    return tuple(ensure_effects(u @ diagonals @ u.conj().T))
+    return tuple(_commuting_effects(u, rng.uniform(0.0, 1.0, (2, dim))))
+
+
+def _commuting_effects(u: Array, x: Array) -> Array:
+    """``random_commuting_effect_pair``'s effects ``u diag(x_k) u^*`` of a unitary and two
+    spectra ``x`` ``(2, d)``, or per trial of a batch, validated by one ``ensure_effects`` call."""
+    diagonals = (x[..., :, :, None] * np.eye(x.shape[-1])).astype(complex)
+    pair = u[..., None, :, :] @ diagonals @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+    return ensure_effects(pair.reshape(-1, *pair.shape[-2:])).reshape(pair.shape)
 
 
 def random_commutative_observable(

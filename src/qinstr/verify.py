@@ -14,13 +14,20 @@ tolerance and every gap floor (and tighter bound) is met, else ``fail``.
 is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
 "unknown", with the number of cases searched; they assert nothing.
 
-The four suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1) run
-each group of trials that share a shape (dimension and outcome counts) as
-one array program of the library's kernels, with every sum check, root PSD
-check and ``d^2`` cut.  A trial's public route is the one description of its
-draws: each group's first trial runs through the public functions, which
-record their Generator calls (``_Recorded``), and each later trial makes the
-same calls, in trial order (``_Run.groups``).
+The suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1) and of 50
+trials (lem-1.1, lem-2.4, cor-2.5, ex-8 and lem-3.4) run each group of trials
+that share a shape (dimension and outcome counts, and for lem-2.4 and cor-2.5,
+which share one program, the kind of pair) as one array program of the
+library's kernels, with every sum check, root PSD check and ``d^2`` cut,
+lem-1.1's witness checks and both complementarity rules.  A trial's public
+route is the one description of its draws: each group's first trial runs
+through the public functions, which record their Generator calls
+(``_Recorded``), and each later trial makes the same calls, in trial order
+(``_Run.groups``).  The public functions' checks of the generators' own
+weights and states (``check_weights``, ``ensure_state``) run in that first
+trial only; ``rand`` builds both valid by construction.  A group's values
+enter the run as residuals, or through the suite's ``fold`` (cor-2.5 also
+counts its complementary pairs).
 """
 
 from __future__ import annotations
@@ -33,10 +40,12 @@ import numpy as np
 
 from .effects import (
     CoexistenceWitness,
+    _witness_blocks,
     atom,
     binary_observables_from_coexistence,
     complement,
     ensure_effect,
+    ensure_effects,
     seq_product,
     seq_products,
 )
@@ -44,12 +53,16 @@ from .errors import InvalidWitness, QinstrError
 from .instruments import (
     Instrument,
     Operation,
+    _channels,
     _checked_sum,
     _choi_rank,
     _effects,
+    _entrywise_complementary,
     _mixed,
+    _prepared,
     _reduced,
     _relabelled,
+    _then,
     choi_distances,
     compose_operations,
     identity_instrument,
@@ -70,7 +83,7 @@ from .instruments import (
     luders_instrument,
     trivial_instrument,
 )
-from .linalg import CHOI_TOL, MODEL_TOL, _sandwich, frob, herm_sqrt, hermitian_part, spectral_norm
+from .linalg import CHOI_TOL, MODEL_TOL, _sandwich, frob, herm_sqrt, hermitian_part, root_columns, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -88,7 +101,11 @@ from .models import (
 from .observables import (
     Observable,
     StochasticMatrix,
+    _basis_projections,
+    _checked_effects,
     _combined,
+    _defects,
+    _frobenius_complementary,
     _pair_traces,
     _probability_table,
     _set_probabilities,
@@ -113,8 +130,10 @@ from .observables import (
     obs_seq_product,
 )
 from .rand import (
+    _commuting_effects,
     _ginibres_of,
     _states,
+    _unitaries,
     _whitened_effects,
     _whitened_kraus,
     random_commutative_observable,
@@ -192,7 +211,7 @@ class _Run:
         """The trials of ``cases(*dims)``, grouped by their shape ``t % period``: the
         first trial of each group runs ``public(rng, t, d)`` on the recorded generator,
         and each later one makes the same Generator calls, in trial order.  Per group:
-        the public route's residuals and each call's output stacked over the group's trials."""
+        the public route's values and each call's output stacked over the group's trials."""
         groups: dict[int, tuple] = {}
         for t, d in self.cases(*dims):
             if t % period not in groups:
@@ -264,23 +283,6 @@ def _suite_ex_1(run: _Run) -> None:
     run.note = "gap in operator norm is 1/4"
 
 
-def _suite_lem_1_1(run: _Run) -> None:
-    """Commuting effects coexist: the algebraic witness validates and the
-    binary joint observable has the right marginals."""
-    for _, d in run.cases(2, 3, 4):
-        a, b = random_commuting_effect_pair(d, run.rng)
-        ab = ensure_effect(hermitian_part(a @ b))
-        w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
-        # joint[x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
-        # column sums must give {a, a'} and {b, b'}
-        try:
-            joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
-        except InvalidWitness:
-            raise _Stop("witness rejected")
-        run.residual(_worst(joint.sum(1), np.stack([a, complement(a)])))
-        run.residual(_worst(joint.sum(0), np.stack([b, complement(b)])))
-
-
 def _suite_lem_1_2(run: _Run) -> None:
     """Atomic observables are complementary exactly for mutually unbiased
     bases; a generic basis pair misses by a visible margin."""
@@ -327,14 +329,44 @@ def _roots(stack: np.ndarray) -> np.ndarray:
     return herm_sqrt(stack.reshape(-1, *stack.shape[-2:])).reshape(stack.shape)
 
 
+def _luders(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``luders_instrument`` of each trial's effects: its Kraus array and effects (``_checked``)."""
+    return _checked(_roots(a)[..., None, :, :])
+
+
+def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    """Commuting effects coexist: the algebraic witness validates and the
+    binary joint observable has the right marginals."""
+    a, b = random_commuting_effect_pair(d, rng)
+    ab = ensure_effect(hermitian_part(a @ b))
+    w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
+    # joint[x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
+    # column sums must give {a, a'} and {b, b'}
+    try:
+        joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
+    except InvalidWitness:
+        raise _Stop("witness rejected")
+    return _worst(joint.sum(1), np.stack([a, complement(a)])), _worst(joint.sum(0), np.stack([b, complement(b)]))
+
+
+def _batch_lem_1_1(t: np.ndarray, g: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
+    a, b = _commuting_effects(_unitaries(_ginibres_of(g)), x).swapaxes(0, 1)
+    ab = ensure_effects(hermitian_part(a @ b))
+    blocks = _witness_blocks(a, b, CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab))
+    if blocks is None:
+        raise _Stop("witness rejected")
+    joint = _checked_effects(blocks.reshape(-1, *a.shape[1:]), 4)[0].reshape(-1, 2, 2, *a.shape[1:])
+    return _worst(joint.sum(2), np.stack([a, complement(a)], 1)), _worst(joint.sum(1), np.stack([b, complement(b)], 1))
+
+
 def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     a = random_observable(d, 2 + t % 3, rng)
     return (family_distance(induced_observable(luders_instrument(a)), a),)
 
 
-def _batch_thm_2_1(g: np.ndarray) -> tuple[float, ...]:
+def _batch_thm_2_1(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
     a = _valid_stack(_whitened_effects(_ginibres_of(g)))
-    return (_worst(_valid_stack(_checked(_roots(a)[..., None, :, :])[1]), a),)
+    return (_worst(_valid_stack(_luders(a)[1]), a),)
 
 
 def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -345,7 +377,7 @@ def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return (family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])),)
 
 
-def _batch_thm_2_2(weights: np.ndarray, *raw: np.ndarray) -> tuple[float, ...]:
+def _batch_thm_2_2(t: np.ndarray, weights: np.ndarray, *raw: np.ndarray) -> tuple[float, ...]:
     parts, effects = _checked(_whitened_kraus(_ginibres_of(np.stack(raw, axis=1))))
     a_mix = _valid_stack(_assembled_batch(_mixed(weights, parts.swapaxes(0, 1)))[1])
     return (_worst(a_mix, _valid_stack(_combined(weights[:, None], _valid_stack(effects))[:, 0])),)
@@ -364,7 +396,9 @@ def _public_thm_2_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return family_distance(lhs, rhs), family_distance(mixed, split)
 
 
-def _batch_thm_2_3(raw: np.ndarray, nu: np.ndarray, weights: np.ndarray, raw_other: np.ndarray) -> tuple[float, ...]:
+def _batch_thm_2_3(
+    t: np.ndarray, raw: np.ndarray, nu: np.ndarray, weights: np.ndarray, raw_other: np.ndarray
+) -> tuple[float, ...]:
     c = nu.swapaxes(1, 2)
     (instr, effects), (other, _) = (_checked(_whitened_kraus(_ginibres_of(x))) for x in (raw, raw_other))
     processed, processed_effects = _post_processed(c, instr)
@@ -388,18 +422,64 @@ def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return (abs(p_instr - joint_probability_then(rho, a, x_set, b, y_set)),)
 
 
-def _batch_lem_3_1(ga: np.ndarray, gb: np.ndarray, g: np.ndarray, *u: np.ndarray) -> tuple[float, ...]:
-    # u: one uniform per outcome of a, then of b; an outcome is in its set when
-    # its uniform is below 0.6, and the first outcome always is
-    m = ga.shape[1]
-    x, y = ((np.stack(v, axis=1) < 0.6) | (np.arange(len(v)) == 0) for v in (u[:m], u[m:]))
+def _luders_tables(ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome tables of measuring ``a`` and then ``b``, through their measurement-update
+    instruments and through the observables, from the draws of ``a``, ``b`` and the state."""
     a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
     rho = _states(_ginibres_of(g))
     roots = _roots(a)
     outputs = _sandwich(_checked(roots[..., None, :, :])[0], rho[:, None, None])
-    p_instr = _set_probabilities(_pair_traces(outputs, _checked(_roots(b)[..., None, :, :])[1]), x, y)
-    p_obs = _set_probabilities(_probability_table(rho, seq_products(roots, b)), x, y)
+    return _pair_traces(outputs, _luders(b)[1]), _probability_table(rho, seq_products(roots, b))
+
+
+def _batch_lem_3_1(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, g: np.ndarray, *u: np.ndarray) -> tuple[float, ...]:
+    # u: one uniform per outcome of a, then of b; an outcome is in its set when
+    # its uniform is below 0.6, and the first outcome always is
+    m = ga.shape[1]
+    x, y = ((np.stack(v, axis=1) < 0.6) | (np.arange(len(v)) == 0) for v in (u[:m], u[m:]))
+    p_instr, p_obs = (_set_probabilities(p, x, y) for p in _luders_tables(ga, gb, g))
     return (float(np.abs(p_instr - p_obs).max()),)
+
+
+def _public_ex_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    """Measurement-update instruments reproduce the observable-level
+    sequential probabilities outcome by outcome."""
+    a = random_observable(d, 2, rng)
+    b = random_observable(d, 2, rng)
+    rho = random_state(d, rng)
+    p_instr = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
+    return (float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()),)
+
+
+def _batch_ex_8(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
+    return (float(np.abs(np.subtract(*_luders_tables(ga, gb, g))).max()),)
+
+
+def _public_lem_3_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    """The total channel of a product instrument, of a conditioned
+    instrument, and the composition of the total channels all agree."""
+    i = random_instrument(d, 2, rng)
+    j = random_instrument(d, 2 + t % 2, rng)
+    prod_hat = instr_channel(instr_product(i, j))
+    cond_hat = instr_channel(instr_conditioned(i, j))
+    composed = compose_operations(instr_channel(j), instr_channel(i))
+    p, c, k = prod_hat._kraus, cond_hat._kraus, composed._kraus
+    return tuple(choi_distances([p, p, c], [c, k, k]))
+
+
+def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``instr_product`` of each trial's two full ``(t, m, r, d, d)`` arrays: ``instruments._then``,
+    then ``_assembled_batch``; its Kraus array."""
+    (m, r), (n, s) = first.shape[1:3], second.shape[1:3]
+    ops = _then(first, np.full(m, r), second, np.full(n, s))[0]
+    return _assembled_batch(ops.reshape(len(ops), m * n, r * s, *ops.shape[-2:]))[0]
+
+
+def _batch_lem_3_4(t: np.ndarray, gi: np.ndarray, gj: np.ndarray) -> tuple[float, ...]:
+    i, j = (_checked(_whitened_kraus(_ginibres_of(g)))[0] for g in (gi, gj))
+    ci, cj = _channels(i)[0][:, None], _channels(j)[0][:, None]
+    prod, cond, composed = _channels(_products(i, j))[0], _channels(_products(ci, j))[0], _products(ci, cj)[:, 0]
+    return (float(choi_distances([*prod, *prod, *cond], [*cond, *composed, *composed]).max()),)
 
 
 class _Batched(NamedTuple):
@@ -407,8 +487,9 @@ class _Batched(NamedTuple):
 
     period: int  # trials t and t + period share a shape
     dims: tuple[int, ...]
-    public: Callable  # one trial through the public functions, from a generator: its residuals
-    batch: Callable  # a group's residuals from its recorded draws, stacked over its trials
+    public: Callable  # one trial through the public functions, from a generator: its values
+    batch: Callable  # a group's values from its trials ``t`` and its recorded draws, stacked over its trials
+    fold: Callable = _Run.residual  # how the run takes a group's values, the public trial's then the batch's
 
 
 def _suite_thm_2_1(run: _Run) -> None:
@@ -444,57 +525,71 @@ def _suite_thm_2_3(run: _Run) -> None:
     run.gap("K post-processing gap", _worst(lhs, np.tensordot(nu.matrix.T, out, 1)), 1e-3)
 
 
-def _complementary_pair_catalog(rng: np.random.Generator, count: int):
-    """Instrument pairs labelled with whether their observables are
-    complementary; used for the complementarity agreement suites."""
-    pairs = []
-    for t in range(count):
-        kind = t % 5
-        d = 2 + t % 3
-        if kind in (0, 2):
-            # a mutually unbiased pair, rotated by a random unitary for kind 2
-            b1, b2 = fourier_mub(d)
-            if kind == 2:
-                u = random_unitary(d, rng)
-                b1, b2 = u @ b1, u @ b2
-            pairs.append((luders_instrument(atomic_observable(b1)), luders_instrument(atomic_observable(b2))))
-        elif kind == 1:
-            a = identity_observable({"0": 0.5, "1": 0.5}, d)
-            b = identity_observable({"0": 1.0 / 3, "1": 1.0 / 3, "2": 1.0 / 3}, d)
-            alpha = random_state(d, rng)
-            pairs.append((trivial_instrument(a, alpha), trivial_instrument(b, alpha)))
-        elif kind == 3:
-            a = random_observable(d, 2, rng)
-            pairs.append((luders_instrument(a), luders_instrument(a)))
-        else:
-            pairs.append((random_instrument(d, 2, rng), random_instrument(d, 2, rng)))
-    return pairs
+def _identity_pair(d: int) -> tuple[Observable, Observable]:
+    """The identity observables of two and of three equally likely outcomes."""
+    return identity_observable({"0": 0.5, "1": 0.5}, d), identity_observable({"0": 1.0 / 3, "1": 1.0 / 3, "2": 1.0 / 3}, d)
 
 
-def _suite_lem_2_4(run: _Run) -> None:
+def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bool]:
+    """Trial ``t``'s instrument pair, by its kind ``t % 5``: the measurement-update
+    instruments of a mutually unbiased pair (0; rotated by a random unitary, 2), state
+    preparations over two identity observables (1), one measurement-update instrument
+    twice (3), or two random instruments (4); decided complementary on the instrument
+    side (entrywise within ``CHOI_TOL``) and on the observable side (in Frobenius norm
+    within ``SUM_TOL``)."""
+    kind = t % 5
+    if kind in (0, 2):
+        b1, b2 = fourier_mub(d)
+        if kind == 2:
+            u = random_unitary(d, rng)
+            b1, b2 = u @ b1, u @ b2
+        i, j = luders_instrument(atomic_observable(b1)), luders_instrument(atomic_observable(b2))
+    elif kind == 1:
+        alpha = random_state(d, rng)
+        i, j = (trivial_instrument(a, alpha) for a in _identity_pair(d))
+    elif kind == 3:
+        a = random_observable(d, 2, rng)
+        i, j = luders_instrument(a), luders_instrument(a)
+    else:
+        i, j = random_instrument(d, 2, rng), random_instrument(d, 2, rng)
+    return instr_complementary(i, j), obs_complementary(induced_observable(i), induced_observable(j))
+
+
+def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    kind, d = t[0] % 5, 2 + t[0] % 3  # every trial of a group has its first's
+    if kind in (0, 2):
+        u = _unitaries(_ginibres_of(draws[0])) if draws else np.broadcast_to(np.eye(d), (len(t), d, d))
+        effects = [_luders(_checked_effects(_basis_projections(u @ b).reshape(-1, d, d), d)[0])[1] for b in fourier_mub(d)]
+    elif kind == 1:  # trivial_instrument over every root column of the state (one not counted is zero)
+        state_columns = root_columns(_states(_ginibres_of(draws[0])))[0]
+        ops = [_prepared(root_columns(a.stack)[0], state_columns) for a in _identity_pair(d)]
+        effects = [_assembled_batch(x.reshape(*x.shape[:2], -1, d, d))[1] for x in ops]
+    elif kind == 3:
+        effects = [_luders(_valid_stack(_whitened_effects(_ginibres_of(draws[0]))))[1]]  # one instrument twice
+    else:
+        effects = [_checked(_whitened_kraus(_ginibres_of(g)))[1] for g in draws]
+    pair = [(a, _roots(a)) for a in map(_valid_stack, effects)]  # each instrument's induced observable
+    defects = _defects(*pair[0], *pair[-1])
+    return _entrywise_complementary(defects), _frobenius_complementary(defects)
+
+
+_COMPLEMENTARY = (15, (2, 3, 4), _public_complementary, _batch_complementary)  # kind t % 5, d = 2 + t % 3
+
+
+def _fold_lem_2_4(run: _Run, instr: bool, obs: bool, instrs: np.ndarray, obss: np.ndarray) -> None:
     """Instrument-level complementarity agrees exactly with observable-level
     complementarity of the induced observables."""
-    disagreements = 0
-    for i, j in _complementary_pair_catalog(run.rng, run.trials):
-        lhs = instr_complementary(i, j)
-        rhs = obs_complementary(induced_observable(i), induced_observable(j))
-        if lhs != rhs:
-            disagreements += 1
-    run.residual(disagreements)
+    run.residual(float(instr != obs), float(np.count_nonzero(instrs != obss)))
     run.note = "boolean agreement"
 
 
+def _fold_cor_2_5(run: _Run, instr: bool, obs: bool, instrs: np.ndarray, obss: np.ndarray) -> None:
+    """Complementary instruments have complementary observables; the batch counts every trial."""
+    run.count = (run.count or 0) + int(instrs.sum())
+    run.residual(float(instr and not obs), float(np.count_nonzero(instrs & ~obss)))
+
+
 def _suite_cor_2_5(run: _Run) -> None:
-    """Complementary measurement-update instruments come from complementary
-    observables."""
-    failures = 0
-    run.count = 0
-    for i, j in _complementary_pair_catalog(run.rng, run.trials):
-        if instr_complementary(i, j):
-            run.count += 1
-            if not obs_complementary(induced_observable(i), induced_observable(j)):
-                failures += 1
-    run.residual(failures)
     run.note = f"{run.count} complementary pairs checked"
     run.require(run.count > 0, run.note)
 
@@ -632,17 +727,6 @@ def _suite_ex_7(run: _Run) -> None:
     run.gap("probability gap", abs(p_instr - p_obs), 1e-3)
 
 
-def _suite_ex_8(run: _Run) -> None:
-    """Measurement-update instruments reproduce the observable-level
-    sequential probabilities outcome by outcome."""
-    for _, d in run.cases(2, 3, 4):
-        a = random_observable(d, 2, run.rng)
-        b = random_observable(d, 2, run.rng)
-        rho = random_state(d, run.rng)
-        p_instr = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
-        run.residual(float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()))
-
-
 def _suite_thm_3_2(run: _Run) -> None:
     """Splitting a channel into its canonical Kraus instrument yields an
     identity instrument exactly for the identity channel."""
@@ -672,19 +756,6 @@ def _suite_cor_3_3(run: _Run) -> None:
         weights = dict(zip([str(k) for k in range(n)], random_simplex(n, run.rng)))
         ident = identity_instrument(weights, d)
         run.residual(_identity_channel_distance(ident))
-
-
-def _suite_lem_3_4(run: _Run) -> None:
-    """The total channel of a product instrument, of a conditioned
-    instrument, and the composition of the total channels all agree."""
-    for t, d in run.cases(2, 3):
-        i = random_instrument(d, 2, run.rng)
-        j = random_instrument(d, 2 + t % 2, run.rng)
-        prod_hat = instr_channel(instr_product(i, j))
-        cond_hat = instr_channel(instr_conditioned(i, j))
-        composed = compose_operations(instr_channel(j), instr_channel(i))
-        p, c, k = prod_hat._kraus, cond_hat._kraus, composed._kraus
-        run.residual(*choi_distances([p, p, c], [c, k, k]))
 
 
 def _product_labelled_instrument(rng: np.random.Generator, d: int, m: int, n: int) -> Instrument:
@@ -876,8 +947,7 @@ def _suite_conj_2_5(run: _Run) -> None:
         if t % 2 == 0:
             a, b = atomic_observable(u @ b1), atomic_observable(u @ b2)
         else:
-            a = identity_observable({"0": 0.5, "1": 0.5}, d)
-            b = identity_observable({"0": 1.0 / 3, "1": 1.0 / 3, "2": 1.0 / 3}, d)
+            a, b = _identity_pair(d)
         if not obs_complementary(a, b):
             continue
         run.count += 1
@@ -923,13 +993,13 @@ class _Suite(NamedTuple):
 
 SUITES: dict[str, _Suite] = {
     "ex-1": _Suite(_suite_ex_1, 1, 1e-10, fixed=True),
-    "lem-1.1": _Suite(_suite_lem_1_1, 50, 1e-8),
+    "lem-1.1": _Suite(None, 50, 1e-8, batched=_Batched(3, (2, 3, 4), _public_lem_1_1, _batch_lem_1_1)),
     "lem-1.2": _Suite(_suite_lem_1_2, 6, 1e-9, fixed=True),
     "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9, batched=_Batched(3, (2, 3, 4), _public_thm_2_1, _batch_thm_2_1)),
     "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_2, _batch_thm_2_2)),
     "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_3, _batch_thm_2_3)),
-    "lem-2.4": _Suite(_suite_lem_2_4, 50, 0.0),
-    "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0),
+    "lem-2.4": _Suite(None, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_lem_2_4)),
+    "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_cor_2_5)),
     "lem-2.6": _Suite(_suite_lem_2_6, 20, 1e-8),
     "ex-2": _Suite(_suite_ex_2, 1, 0.0, fixed=True),
     "ex-3": _Suite(_suite_ex_3, 20, 1e-9),
@@ -937,11 +1007,11 @@ SUITES: dict[str, _Suite] = {
     "ex-5": _Suite(_suite_ex_5, 20, 1e-9),
     "ex-6": _Suite(_suite_ex_6, 20, 1e-9),
     "ex-7": _Suite(_suite_ex_7, 20, 1e-10),
-    "ex-8": _Suite(_suite_ex_8, 50, 1e-10),
+    "ex-8": _Suite(None, 50, 1e-10, batched=_Batched(3, (2, 3, 4), _public_ex_8, _batch_ex_8)),
     "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1, _batch_lem_3_1)),
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
     "cor-3.3": _Suite(_suite_cor_3_3, 20, 1e-9),
-    "lem-3.4": _Suite(_suite_lem_3_4, 50, 1e-9),
+    "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4, _batch_lem_3_4)),
     "thm-4.1": _Suite(_suite_thm_4_1, 5, 1e-7),
     "lem-4.2": _Suite(_suite_lem_4_2, 20, 1e-8),
     "cor-4.3": _Suite(_suite_cor_4_3, 5, 1e-7),
@@ -968,9 +1038,9 @@ def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scal
     run = _Run(_rng(result_id, seed), n, tol_scale, tol)
     try:
         if suite.batched is not None:
-            period, dims, public, batch = suite.batched
-            for residuals, draws in run.groups(period, dims, public):
-                run.residual(*residuals, *batch(*draws))
+            period, dims, public, batch, fold = suite.batched
+            for first, (values, draws) in enumerate(run.groups(period, dims, public)):
+                fold(run, *values, *batch(np.arange(first, n, period), *draws))
         if suite.fn is not None:
             suite.fn(run)
     except _Stop as stop:

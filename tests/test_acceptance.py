@@ -18,7 +18,6 @@ from qinstr.effects import (
 from qinstr.instruments import (
     induced_observable,
     instr_channel,
-    instr_complementary,
     instr_conditioned,
     instr_convex_combo,
     instr_post_process,
@@ -48,7 +47,6 @@ from qinstr.observables import (
     fourier_mub,
     joint_probability_then,
     obs_commute,
-    obs_complementary,
     obs_post_process,
     obs_seq_product,
 )
@@ -189,13 +187,12 @@ def test_criterion_05_observable_map_affine_and_covariant():
 
 
 def test_criterion_06_complementarity_levels_agree():
-    from qinstr.verify import _complementary_pair_catalog, _rng
+    from qinstr.verify import _public_complementary, _rng
 
-    pairs = _complementary_pair_catalog(_rng("acceptance-6", 6), 50)
+    rng = _rng("acceptance-6", 6)
     disagreements = 0
-    for i, j in pairs:
-        lhs = instr_complementary(i, j)
-        rhs = obs_complementary(induced_observable(i), induced_observable(j))
+    for t in range(50):
+        lhs, rhs = _public_complementary(rng, t, 2 + t % 3)
         disagreements += lhs != rhs
     report(6, f"instrument vs observable complementarity agree on 50 pairs ({disagreements} disagreements)", disagreements == 0)
 

@@ -12,7 +12,7 @@ effect-range check.
 import numpy as np
 import pytest
 
-from qinstr.effects import CoexistenceWitness, binary_observables_from_coexistence, check_coexistence_witness
+from qinstr.effects import CoexistenceWitness, _witness_blocks, binary_observables_from_coexistence, check_coexistence_witness
 from qinstr.errors import InvalidWitness, InvariantViolation, LabelError
 from qinstr.instruments import (
     Instrument,
@@ -23,10 +23,10 @@ from qinstr.instruments import (
     kraus_instrument,
     luders_instrument,
 )
-from qinstr.linalg import herm_sqrt, root_columns
+from qinstr.linalg import herm_sqrt, hermitian_part, root_columns
 from qinstr.observables import Observable, classify_observable, joint_probability_table
 from qinstr.observables import obs_conditioned, obs_seq_product, obs_triple_joint
-from qinstr.rand import random_instrument, random_observable, random_state
+from qinstr.rand import random_commuting_effect_pair, random_instrument, random_observable, random_state
 
 HALF = 0.5 * np.eye(2, dtype=complex)
 
@@ -138,6 +138,24 @@ class TestWitness:
         assert not check_coexistence_witness(self.A, self.A, w)
         with pytest.raises(InvalidWitness):
             binary_observables_from_coexistence(self.A, self.A, w)
+
+    def test_stacked_witnesses_are_checked_trial_by_trial(self, rng):
+        # Stacks of effect pairs and witnesses give each trial's joint effects,
+        # bitwise those of the one-trial check, from one range check; one
+        # failing trial rejects the stack.
+        a, b = np.stack([random_commuting_effect_pair(3, rng) for _ in range(4)], axis=1)
+        ab = hermitian_part(a @ b)
+        blocks = _witness_blocks(a, b, CoexistenceWitness(a - ab, b - ab, ab))
+        for k in range(4):
+            one = _witness_blocks(a[k], b[k], CoexistenceWitness(a[k] - ab[k], b[k] - ab[k], ab[k]))
+            assert np.array_equal(blocks[k], one)
+        common = ab.copy()
+        common[2] = 0.0  # trial 2's blocks no longer add up to its effects
+        assert _witness_blocks(a, b, CoexistenceWitness(a - ab, b - ab, common)) is None
+        a1, b1 = a - ab, b - ab
+        a1[2], b1[2] = a[2], b[2]  # trial 2's equations hold, but its leftover 1 - a - b is not PSD
+        assert np.linalg.eigvalsh(np.eye(3) - a[2] - b[2])[0] < -1e-3
+        assert _witness_blocks(a, b, CoexistenceWitness(a1, b1, common)) is None
 
     def test_leftover_below_the_effect_tolerance_raises(self):
         # The witness check allows a leftover eigenvalue down to -1e-8; the

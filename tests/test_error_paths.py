@@ -255,6 +255,16 @@ ROWS = [
         lambda mp, tp: StochasticMatrix(["a"], ["b"], [[1.0]]).value("a", "c"),
         (LabelError, "unknown label pair"),
     ),
+    (
+        "stochastic-no-rows",
+        lambda mp, tp: StochasticMatrix([], [], np.zeros((0, 0))),
+        (LabelError, "a stochastic matrix needs at least one row"),
+    ),
+    (
+        "stochastic-no-rows-one-column",
+        lambda mp, tp: StochasticMatrix([], ["a"], np.zeros((0, 1))),
+        (LabelError, "a stochastic matrix needs at least one row"),
+    ),
     ("weights-count", lambda mp, tp: check_weights([0.5, 0.5], 3), (WeightError, "expected 3 weights")),
     ("weights-negative", lambda mp, tp: check_weights([1.5, -0.5], 2), (WeightError, "negative weight")),
     ("mixture-value-spaces", lambda mp, tp: obs_convex_combo([0.5, 0.5], [Z, ONE_2]), (LabelError, "value-space")),

@@ -615,6 +615,16 @@ def _loop_composed_kraus(second, first, dim):
     return bounded_kraus(np.array([t @ s for s in first for t in second]), dim)
 
 
+def _then_of_one_pair(first, first_counts, second, second_counts):
+    """``_then`` as written for one pair of padded arrays, with no trial axes."""
+    ops = second[None, :, None, :] @ first[:, None, :, None]
+    counts = (first_counts[:, None] * second_counts).ravel()
+    if counts.min() == ops.shape[2] * ops.shape[3]:
+        return ops.reshape(-1, *ops.shape[-2:]), counts
+    filled = [np.arange(k.shape[1]) < c[:, None] for k, c in ((first, first_counts), (second, second_counts))]
+    return ops[filled[0][:, None, :, None] & filled[1][None, :, None, :]], counts
+
+
 class TestComposedKraus:
     @pytest.mark.parametrize("d", range(1, 5))
     def test_matches_the_pairwise_loop(self, d, rng):
@@ -630,6 +640,21 @@ class TestComposedKraus:
                 got, expected = _reduced(ops[None], counts, d * d)[0][0], _loop_composed_kraus(second, first, d)
                 assert got.shape == expected.shape and len(got) >= 1
                 assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["full", "padded"])
+    def test_trial_axes_give_each_trial_the_one_pair_products_bitwise(self, padded, rng):
+        # A batch of trials goes through one broadcast matmul and then the
+        # reshape (every outcome full) or the masked gather (padding); each
+        # trial's row is bitwise the one-pair call, at batch size 1 too.
+        firsts, seconds = (np.stack([random_instrument(3, m, rng, r).kraus for _ in range(4)]) for m, r in ((2, 3), (3, 2)))
+        fc, sc = (np.array([3, 1]), np.array([2, 2, 1])) if padded else (np.full(2, 3), np.full(3, 2))
+        ops, counts = _then(firsts, fc, seconds, sc)
+        for k in range(4):
+            expected, expected_counts = _then_of_one_pair(firsts[k], fc, seconds[k], sc)
+            for got, got_counts in ((ops[k], counts), _then(firsts[k], fc, seconds[k], sc)):
+                assert np.array_equal(got, expected) and np.array_equal(got_counts, expected_counts)
+            one, _ = _then(firsts[k][None], fc, seconds[k][None], sc)
+            assert one.shape == (1, *expected.shape) and np.array_equal(one[0], expected)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("r1, r2", [(1, 1), (2, 3), (3, 4), (5, 5)])

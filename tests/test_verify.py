@@ -5,19 +5,27 @@ import pytest
 
 import qinstr.verify
 from qinstr import cli
-from qinstr.effects import seq_products
+from qinstr.effects import CoexistenceWitness, _witness_blocks, binary_observables_from_coexistence, ensure_effect
+from qinstr.effects import ensure_effects, seq_products
 from qinstr.errors import QinstrError
 from qinstr.instruments import (
+    _channels,
     _mixed,
     choi_distances,
+    compose_operations,
+    instr_channel,
+    instr_conditioned,
     instr_convex_combo,
     instr_post_process,
+    instr_product,
     joint_probability_table_instr,
     luders_instrument,
 )
+from qinstr.linalg import hermitian_part
 from qinstr.observables import _probability_table, _valid_stack, joint_probability_table
-from qinstr.rand import _ginibres_of, _states, _whitened_effects, _whitened_kraus
-from qinstr.rand import random_instrument, random_observable, random_simplex, random_state, random_stochastic
+from qinstr.rand import _commuting_effects, _ginibres_of, _states, _unitaries, _whitened_effects, _whitened_kraus
+from qinstr.rand import random_commuting_effect_pair, random_instrument, random_observable, random_simplex, random_state
+from qinstr.rand import random_stochastic
 from qinstr.verify import SUITES, _Recorded, _rng, _Run, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
@@ -128,7 +136,7 @@ def test_trials_argument_reaches_every_suite_that_takes_it():
     ids=["above-tol", "scaled-tol", "above-bound", "scaled-bound", "gap-missed", "gap-met", "require", "probe"],
 )
 def test_one_status_rule(monkeypatch, body, tol, tol_scale, expected):
-    monkeypatch.setitem(SUITES, "lem-1.1", SUITES["lem-1.1"]._replace(fn=body, tol=tol))
+    monkeypatch.setitem(SUITES, "lem-1.1", SUITES["lem-1.1"]._replace(fn=body, tol=tol, batched=None))
     report = run_suite("lem-1.1", seed=0, tol_scale=tol_scale)
     assert (report.status, report.max_residual, report.note) == expected
     assert report.tolerance == (0.0 if tol is None else tol * tol_scale)
@@ -189,7 +197,7 @@ def test_different_seed_changes_draws():
     assert a.max_residual != b.max_residual
 
 
-_BUDGETS = [("lem-1.1", 550), ("lem-2.4", 440), ("lem-3.1", 72), ("thm-2.3", 26)]
+_BUDGETS = [("lem-1.1", 42), ("lem-2.4", 240), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36)]
 
 
 @pytest.mark.parametrize("result_id, solves", [pytest.param(*budget, id=budget[0]) for budget in _BUDGETS])
@@ -213,8 +221,10 @@ BATCHED = sorted(result_id for result_id, suite in SUITES.items() if suite.batch
 @pytest.mark.parametrize("result_id", BATCHED)
 def test_batched_suites_pass_with_groups_empty_or_of_one(result_id, trials):
     # At 1 and 2 trials some shape groups are empty, at 7 some hold one trial.
+    # A suite that reports the cases it checked (cor-2.5) checks at least one.
     report = run_suite(result_id, seed=7, trials=trials)
-    assert (report.status, report.trials) == ("pass", trials)
+    assert report.status == "pass"
+    assert 0 < report.trials <= trials if result_id in CHECKED_COUNT else report.trials == trials
 
 
 def _groups(result_id: str, trials: int) -> list:
@@ -311,3 +321,86 @@ def test_batched_probabilities_are_the_public_ones():
             assert np.abs(table[i] - joint_probability_table(public_rho, public_a, public_b)).max() <= 1e-15
             luders = joint_probability_table_instr(public_rho, luders_instrument(public_a), luders_instrument(public_b))
             assert np.abs(table[i] - luders).max() <= 1e-14
+
+
+def test_batched_joint_observables_are_the_public_ones():
+    # lem-1.1's array program draws, trial by trial, the commuting effect pair
+    # that the public generator draws, and its stacked witness check builds the
+    # joint observable that binary_observables_from_coexistence builds.
+    trials, gens = 13, _trial_generators("lem-1.1", 13)
+    for first, (_, (g, x)) in enumerate(_groups("lem-1.1", trials)):
+        d = 2 + first % 3
+        a, b = _commuting_effects(_unitaries(_ginibres_of(g)), x).swapaxes(0, 1)
+        ab = ensure_effects(hermitian_part(a @ b))
+        joint = _witness_blocks(a, b, CoexistenceWitness(a - ab, b - ab, ab))
+        for i, t in enumerate(range(first, trials, 3)):
+            public_a, public_b = random_commuting_effect_pair(d, gens[t])
+            assert np.array_equal(a[i], public_a) and np.array_equal(b[i], public_b)
+            public_ab = ensure_effect(hermitian_part(public_a @ public_b))
+            witness = CoexistenceWitness(public_a - public_ab, public_b - public_ab, public_ab)
+            assert np.array_equal(joint[i], binary_observables_from_coexistence(public_a, public_b, witness).stack)
+
+
+def test_batched_tables_are_the_public_ones():
+    # ex-8's array program builds, trial by trial, the two outcome tables that
+    # the public functions build from the same draws.
+    trials, gens = 13, _trial_generators("ex-8", 13)
+    for first, (_, (ga, gb, g)) in enumerate(_groups("ex-8", trials)):
+        d = 2 + first % 3
+        p_instr, p_obs = qinstr.verify._luders_tables(ga, gb, g)
+        for i, t in enumerate(range(first, trials, 3)):
+            rng = gens[t]
+            a, b, rho = random_observable(d, 2, rng), random_observable(d, 2, rng), random_state(d, rng)
+            luders = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
+            assert np.abs(p_instr[i] - luders).max() <= 1e-15
+            assert np.abs(p_obs[i] - joint_probability_table(rho, a, b)).max() <= 1e-15
+
+
+def test_batched_channels_are_the_public_ones():
+    # lem-3.4's array program builds, trial by trial, the total channels of the
+    # product and of the conditioned instrument and the composed channel that
+    # the public functions build, each cut to at most d^2 operators as they are.
+    trials, gens = 13, _trial_generators("lem-3.4", 13)
+    products = qinstr.verify._products
+    for first, (_, (gi, gj)) in enumerate(_groups("lem-3.4", trials)):
+        d = 2 + first % 2
+        i, j = (qinstr.verify._checked(_whitened_kraus(_ginibres_of(x)))[0] for x in (gi, gj))
+        ci, cj = _channels(i)[0][:, None], _channels(j)[0][:, None]
+        batched = _channels(products(i, j))[0], _channels(products(ci, j))[0], products(ci, cj)[:, 0]
+        for k, t in enumerate(range(first, trials, 2)):
+            rng = gens[t]
+            pi, pj = random_instrument(d, 2, rng), random_instrument(d, 2 + t % 2, rng)
+            public = (
+                instr_channel(instr_product(pi, pj)),
+                instr_channel(instr_conditioned(pi, pj)),
+                compose_operations(instr_channel(pj), instr_channel(pi)),
+            )
+            for batch, one in zip(batched, public):
+                assert choi_distances([batch[k]], [one._kraus])[0] <= 1e-14
+                assert len(batch[k]) <= d * d
+
+
+def test_complementarity_folds_take_every_trial_of_a_group():
+    # The batch's decisions cover every trial of the group, the public one
+    # included: lem-2.4 counts the disagreeing ones, cor-2.5 the instrument-
+    # complementary ones and, of those, the observable failures.
+    instrs, obss = np.array([True, True, False, True]), np.array([False, True, True, True])
+    lem, cor = (_Run(_rng(result_id, 7), 4, 1.0, 0.0) for result_id in ("lem-2.4", "cor-2.5"))
+    qinstr.verify._fold_lem_2_4(lem, True, True, instrs, obss)
+    qinstr.verify._fold_cor_2_5(cor, True, True, instrs, obss)
+    assert (lem.worst, lem.note) == (2.0, "boolean agreement")
+    assert (cor.worst, cor.count) == (1.0, 3)
+
+
+def test_batched_complementarity_decisions_are_the_public_ones():
+    # lem-2.4's and cor-2.5's array program decides, trial by trial, both
+    # complementarity rules as the public functions decide them, for every
+    # kind and dimension (two trials of each of the 15 shapes).
+    trials, gens = 30, _trial_generators("lem-2.4", 30)
+    spec = SUITES["lem-2.4"].batched
+    assert SUITES["cor-2.5"].batched[:4] == spec[:4]
+    for first, (_, draws) in enumerate(_groups("lem-2.4", trials)):
+        t = np.arange(first, trials, 15)
+        decisions = np.stack(spec.batch(t, *draws), axis=1)
+        for i, decided in enumerate(decisions):
+            assert tuple(decided) == spec.public(gens[t[i]], t[i], 2 + t[i] % 3)
