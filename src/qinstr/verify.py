@@ -14,20 +14,25 @@ tolerance and every gap floor (and tighter bound) is met, else ``fail``.
 is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
 "unknown", with the number of cases searched; they assert nothing.
 
-The suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1) and of 50
-trials (lem-1.1, lem-2.4, cor-2.5, ex-8 and lem-3.4) run each group of trials
-that share a shape (dimension and outcome counts, and for lem-2.4 and cor-2.5,
-which share one program, the kind of pair) as one array program of the
-library's kernels, with every sum check, root PSD check and ``d^2`` cut,
-lem-1.1's witness checks and both complementarity rules.  A trial's public
-route is the one description of its draws: each group's first trial runs
-through the public functions, which record their Generator calls
-(``_Recorded``), and each later trial makes the same calls, in trial order
-(``_Run.groups``).  The public functions' checks of the generators' own
-weights and states (``check_weights``, ``ensure_state``) run in that first
-trial only; ``rand`` builds both valid by construction.  A group's values
-enter the run as residuals, or through the suite's ``fold`` (cor-2.5 also
-counts its complementary pairs).
+The suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1), of 50
+trials (lem-1.1, lem-2.4, cor-2.5, ex-8 and lem-3.4) and of 20 trials (lem-2.6,
+ex-3, ex-4, ex-5, ex-6, ex-7 and lem-4.2) run each group of trials that share a
+shape (dimension and outcome counts, and for lem-2.4 and cor-2.5, which share
+one program, the kind of pair) as one array program of the library's kernels,
+with every sum check, root PSD check and ``d^2`` cut, lem-1.1's witness checks,
+both complementarity rules and the range check of lem-4.2's marginal
+observables.  A trial's public route is the one description of its draws:
+each group's first trial runs through the public functions, which record
+their Generator calls (``_Recorded``), and each later trial makes the same
+calls, in trial order (``_Run.groups``).  The public functions' checks of the
+generators' own weights and states (``check_weights``, ``ensure_state``) run
+in that first trial only; ``rand`` builds both valid by construction.  A
+group's values enter the run as residuals, or through the suite's ``fold``
+(cor-2.5 also counts its complementary pairs; lem-2.6 and lem-4.2 fail the run
+with their note when any trial's marginal defect exceeds the tolerance).  The
+suite function then runs one by one what is left: the fixed counterexamples of
+thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6 and ex-7, ex-4's commuting pair,
+drawn where the trials leave the generator, and cor-2.5's count check.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .errors import InvalidWitness, QinstrError
 from .instruments import (
     Instrument,
     Operation,
+    _channel_kraus,
     _channels,
     _checked_sum,
     _choi_rank,
@@ -243,6 +249,12 @@ def _worst(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b, axis=(-2, -1)).max())
 
 
+def _worst_choi(k: np.ndarray, l: np.ndarray) -> float:
+    """Largest Choi-form distance between matching outcomes of two batches of padded Kraus arrays, ``(t, m, r, d, d)``
+    (or with the outcomes on more axes, ``(t, m, n, r, d, d)``)."""
+    return float(choi_distances(k.reshape(-1, *k.shape[-3:]), l.reshape(-1, *l.shape[-3:])).max())
+
+
 def _kraus_gap(instr: Instrument, stacks: list[np.ndarray]) -> float:
     """Largest Choi-form distance between the outcomes of ``instr``, in label
     order, and the maps of the Kraus stacks ``stacks``."""
@@ -332,6 +344,15 @@ def _roots(stack: np.ndarray) -> np.ndarray:
 def _luders(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``luders_instrument`` of each trial's effects: its Kraus array and effects (``_checked``)."""
     return _checked(_roots(a)[..., None, :, :])
+
+
+def _trivial(effects: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``trivial_instrument`` of each trial's effects ``(t, m, d, d)`` and state ``(t, d, d)``: one
+    ``root_columns`` call over each trial's effects and its state, ``_prepared`` over every
+    column (one not counted is zero), then ``_assembled_batch``; its Kraus array and effects."""
+    (t, m), d = effects.shape[:2], effects.shape[-1]
+    f = root_columns(np.concatenate([effects, states[:, None]], 1).reshape(-1, d, d))[0].reshape(t, m + 1, d, d)
+    return _assembled_batch(_prepared(f[:, :-1], f[:, -1]).reshape(t, m, -1, d, d))
 
 
 def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -560,10 +581,9 @@ def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray,
     if kind in (0, 2):
         u = _unitaries(_ginibres_of(draws[0])) if draws else np.broadcast_to(np.eye(d), (len(t), d, d))
         effects = [_luders(_checked_effects(_basis_projections(u @ b).reshape(-1, d, d), d)[0])[1] for b in fourier_mub(d)]
-    elif kind == 1:  # trivial_instrument over every root column of the state (one not counted is zero)
-        state_columns = root_columns(_states(_ginibres_of(draws[0])))[0]
-        ops = [_prepared(root_columns(a.stack)[0], state_columns) for a in _identity_pair(d)]
-        effects = [_assembled_batch(x.reshape(*x.shape[:2], -1, d, d))[1] for x in ops]
+    elif kind == 1:
+        alpha = _states(_ginibres_of(draws[0]))
+        effects = [_trivial(np.broadcast_to(a.stack, (len(t), *a.stack.shape)), alpha)[1] for a in _identity_pair(d)]
     elif kind == 3:
         effects = [_luders(_valid_stack(_whitened_effects(_ginibres_of(draws[0]))))[1]]  # one instrument twice
     else:
@@ -594,16 +614,27 @@ def _suite_cor_2_5(run: _Run) -> None:
     run.require(run.count > 0, run.note)
 
 
-def _suite_lem_2_6(run: _Run) -> None:
-    """Coexisting instruments induce coexisting observables."""
-    for _, d in run.cases(2, 3):
-        alpha = random_state(d, run.rng)
-        joint_instr = trivial_instrument(_product_labelled_observable(run.rng, d), alpha)
-        i, j = marginal_instruments(joint_instr)
-        run.require(instr_coexist_verify(i, j, joint_instr, run.tol), "joint marginals broken")
-        a, b, c = induced_observable(i), induced_observable(j), induced_observable(joint_instr)
-        run.require(obs_coexist_verify(a, b, c, run.tol), "observables do not coexist")
-        run.residual(marginal_defect(a, b, c))
+def _public_lem_2_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    """Coexisting instruments induce coexisting observables: the marginal
+    defects of a joint instrument and of the observables it induces."""
+    alpha = random_state(d, rng)
+    joint_instr = trivial_instrument(_product_labelled_observable(rng, d), alpha)
+    i, j = marginal_instruments(joint_instr)
+    a, b, c = induced_observable(i), induced_observable(j), induced_observable(joint_instr)
+    return marginal_defect(i, j, joint_instr), marginal_defect(a, b, c)
+
+
+def _batch_lem_2_6(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
+    joint, c = _trivial(_valid_stack(_whitened_effects(_ginibres_of(gc))), _states(_ginibres_of(g)))
+    (i, a), (j, b) = _marginals(joint)
+    return _marginal_defect(joint, [i, j]), _marginal_defect(_valid_stack(c), [_valid_stack(a), _valid_stack(b)])
+
+
+def _fold_lem_2_6(run: _Run, instr: float, obs: float, instrs: float, obss: float) -> None:
+    """Each trial's marginal defects within ``run.tol``, as ``instr_coexist_verify`` and ``obs_coexist_verify`` decide."""
+    run.require(instr <= run.tol and instrs <= run.tol, "joint marginals broken")
+    run.require(obs <= run.tol and obss <= run.tol, "observables do not coexist")
+    run.residual(obs, obss)
 
 
 def _outcome_ranks_exceed_one(instr: Instrument) -> bool:
@@ -622,19 +653,33 @@ def _suite_ex_2(run: _Run) -> None:
     run.require(ok, run.note)
 
 
+def _composed_effects(s: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """``S_x^* T_y^* T_y S_x``, the effect of outcome ``(x, y)`` of two single-Kraus instruments'
+    operators ``(m, d, d)`` and ``(n, d, d)``, as ``(m, n, d, d)``, or per trial of two batches."""
+    sh, th = s.conj().swapaxes(-1, -2), tt.conj().swapaxes(-1, -2)
+    return sh[..., :, None, :, :] @ th[..., None, :, :, :] @ tt[..., None, :, :, :] @ s[..., :, None, :, :]
+
+
+def _public_ex_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    i = random_kraus_instrument(d, 2, rng)
+    j = random_kraus_instrument(d, 2, rng)
+    expected = _composed_effects(i.kraus[:, 0], j.kraus[:, 0])
+    a_prod = induced_observable(instr_product(i, j)).stack.reshape(expected.shape)
+    b_cond = induced_observable(instr_conditioned(i, j)).stack
+    return _worst(a_prod, expected), _worst(b_cond, expected.sum(-4))
+
+
+def _batch_ex_3(t: np.ndarray, gi: np.ndarray, gj: np.ndarray) -> tuple[float, ...]:
+    i, j = (_checked(_whitened_kraus(_ginibres_of(g)))[0] for g in (gi, gj))
+    expected = _composed_effects(i[:, :, 0], j[:, :, 0])
+    a_prod, b_cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channel_kraus(i)[0][:, None]))
+    return _worst(a_prod, expected.reshape(a_prod.shape)), _worst(b_cond, expected.sum(-4))
+
+
 def _suite_ex_3(run: _Run) -> None:
     """Products of single-Kraus instruments compose their operators, and the
     induced observable of the product is generally not the observable
     product."""
-    for _, d in run.cases(2, 3):
-        i = random_kraus_instrument(d, 2, run.rng)
-        j = random_kraus_instrument(d, 2, run.rng)
-        s, tt = i.kraus[:, 0], j.kraus[:, 0]
-        # expected[x, y] = S_x^* T_y^* T_y S_x, the effect of outcome (x, y)
-        expected = s.conj().swapaxes(1, 2)[:, None] @ tt.conj().swapaxes(1, 2)[None] @ tt[None] @ s[:, None]
-        a_prod = induced_observable(instr_product(i, j)).stack.reshape(expected.shape)
-        b_cond = induced_observable(instr_conditioned(i, j)).stack
-        run.residual(_worst(a_prod, expected), _worst(b_cond, expected.sum(0)))
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     i = kraus_instrument({"0": np.eye(2, dtype=complex) / np.sqrt(2.0), "1": hadamard / np.sqrt(2.0)})
     j = luders_instrument(sharp_qubit_z())
@@ -643,18 +688,25 @@ def _suite_ex_3(run: _Run) -> None:
     run.gap("observable-product gap", family_distance(lhs, rhs), 1e-3)
 
 
+def _public_ex_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    a = random_observable(d, 2, rng)
+    b = random_observable(d, 2, rng)
+    lhs = induced_observable(instr_product(luders_instrument(a), luders_instrument(b)))
+    cond = induced_observable(instr_conditioned(luders_instrument(a), luders_instrument(b)))
+    return family_distance(lhs, obs_seq_product(a, b)), family_distance(cond, obs_conditioned(a, b))
+
+
+def _batch_ex_4(t: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> tuple[float, ...]:
+    a, b = (_valid_stack(_whitened_effects(_ginibres_of(g))) for g in (ga, gb))
+    roots, j = _roots(a), _luders(b)[0]
+    i, products = _checked(roots[..., None, :, :])[0], seq_products(roots, b)
+    lhs, cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channel_kraus(i)[0][:, None]))
+    return _worst(lhs, _valid_stack(products.reshape(lhs.shape))), _worst(cond, _valid_stack(products.sum(1)))
+
+
 def _suite_ex_4(run: _Run) -> None:
     """For measurement-update instruments the product observable law holds,
     and the update map is multiplicative exactly on commuting pairs."""
-    for _, d in run.cases(2, 3):
-        a = random_observable(d, 2, run.rng)
-        b = random_observable(d, 2, run.rng)
-        lhs = induced_observable(instr_product(luders_instrument(a), luders_instrument(b)))
-        rhs = obs_seq_product(a, b)
-        run.residual(family_distance(lhs, rhs))
-        cond = induced_observable(instr_conditioned(luders_instrument(a), luders_instrument(b)))
-        expected = obs_conditioned(a, b)
-        run.residual(family_distance(cond, expected))
     # commuting branch: same eigenbasis by construction
     u = random_unitary(3, run.rng)
     diag_a, diag_b = (run.rng.dirichlet(np.ones(2), size=3).T[:, :, None] * np.eye(3) for _ in range(2))
@@ -669,32 +721,57 @@ def _suite_ex_4(run: _Run) -> None:
     run.gap("non-commuting gap", family_distance(k_joint, k_split), 1e-3)
 
 
-def _suite_ex_5(run: _Run) -> None:
+def _public_ex_5(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Products and conditioning against an identity instrument only scale:
     conditioning a generic instrument on it returns that instrument."""
-    for _, d in run.cases(2, 3):
-        w = random_simplex(2, run.rng)
-        ident = identity_instrument(dict(zip(["0", "1"], w)), d)
-        j = random_instrument(d, 2, run.rng)
-        roots, kj = np.sqrt(w), [op._kraus for _, op in j.items()]  # sqrt(w_x) K is a Kraus stack of w_x J_y
-        run.residual(_kraus_gap(instr_product(ident, j), [r * k for r in roots for k in kj]))
-        run.residual(_kraus_gap(instr_product(j, ident), [r * k for k in kj for r in roots]))
-        run.residual(family_distance(instr_conditioned(ident, j), j))
-        run.residual(_kraus_gap(instr_conditioned(j, ident), [r * instr_channel(j)._kraus for r in roots]))
+    w = random_simplex(2, rng)
+    ident = identity_instrument(dict(zip(["0", "1"], w)), d)
+    j = random_instrument(d, 2, rng)
+    roots, kj = np.sqrt(w), [op._kraus for _, op in j.items()]  # sqrt(w_x) K is a Kraus stack of w_x J_y
+    return (
+        _kraus_gap(instr_product(ident, j), [r * k for r in roots for k in kj]),
+        _kraus_gap(instr_product(j, ident), [r * k for k in kj for r in roots]),
+        family_distance(instr_conditioned(ident, j), j),
+        _kraus_gap(instr_conditioned(j, ident), [r * instr_channel(j)._kraus for r in roots]),
+    )
+
+
+def _batch_ex_5(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
+    j = _checked(_whitened_kraus(_ginibres_of(g)))[0]
+    roots = np.sqrt(w)[:, :, None, None, None]
+    ident, channel = _checked(roots * np.eye(j.shape[-1], dtype=complex))[0], _channels(j)[0][:, None]
+    scaled = roots[:, :, None] * j[:, None]  # [:, x, y] = sqrt(w_x) K_y, outcome (x, y) of ident then j
+    return (
+        _worst_choi(_products(ident, j), scaled),
+        _worst_choi(_products(j, ident), scaled.swapaxes(1, 2)),
+        _worst_choi(_products(_channel_kraus(ident)[0][:, None], j), j),
+        _worst_choi(_products(channel, ident), roots * channel),
+    )
+
+
+def _public_ex_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    a = random_observable(d, 2, rng)
+    b = random_observable(d, 2, rng)
+    alpha = random_state(d, rng)
+    beta = random_state(d, rng)
+    prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta))
+    roots = np.sqrt(np.trace(alpha @ b.stack, axis1=1, axis2=2).real)  # sqrt(tr(alpha B_y))
+    ka = [op._kraus for _, op in trivial_instrument(a, beta).items()]  # rho -> tr(rho A_x) beta
+    return (_kraus_gap(prod, [r * k for k in ka for r in roots]),)
+
+
+def _batch_ex_6(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
+    a, b = (_valid_stack(_whitened_effects(_ginibres_of(x))) for x in (ga, gb))
+    alpha, beta = _states(_ginibres_of(np.stack(g)))
+    prod = _products(_trivial(a, alpha)[0], _trivial(b, beta)[0])
+    roots = np.sqrt(np.trace(alpha[:, None] @ b, axis1=-2, axis2=-1).real)
+    ka = _trivial(a, beta)[0][:, :, None] * roots[:, None, :, None, None, None]  # [:, x, y] = sqrt(tr(alpha B_y)) K_x
+    return (_worst_choi(prod, ka),)
 
 
 def _suite_ex_6(run: _Run) -> None:
     """Products of state-preparation instruments factorize through the
     prepared state, and conditioning loses the first observable entirely."""
-    for _, d in run.cases(2, 3):
-        a = random_observable(d, 2, run.rng)
-        b = random_observable(d, 2, run.rng)
-        alpha = random_state(d, run.rng)
-        beta = random_state(d, run.rng)
-        prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta))
-        roots = np.sqrt(np.trace(alpha @ b.stack, axis1=1, axis2=2).real)  # sqrt(tr(alpha B_y))
-        ka = [op._kraus for _, op in trivial_instrument(a, beta).items()]  # rho -> tr(rho A_x) beta
-        run.residual(_kraus_gap(prod, [r * k for k in ka for r in roots]))
     a = sharp_qubit_z()
     alpha = atom(np.array([1.0, 1.0]) / np.sqrt(2.0))
     i = j = trivial_instrument(a, alpha)
@@ -703,21 +780,32 @@ def _suite_ex_6(run: _Run) -> None:
     run.gap("conditioned-observable gap", family_distance(lhs, rhs), 1e-3)
 
 
+def _public_ex_7(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    a = random_observable(d, 2, rng)
+    b = random_observable(d, 2, rng)
+    alpha = random_state(d, rng)
+    beta = random_state(d, rng)
+    rho = random_state(d, rng)
+    i = trivial_instrument(a, alpha)
+    j = trivial_instrument(b, beta)
+    x_set, y_set = [a.labels[0]], [b.labels[1]]
+    p = joint_probability_instr(rho, i, x_set, j, y_set)
+    expected = float(np.trace(rho @ a[x_set[0]]).real) * float(np.trace(alpha @ b[y_set[0]]).real)
+    return (abs(p - expected),)
+
+
+def _batch_ex_7(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
+    a, b = (_valid_stack(_whitened_effects(_ginibres_of(x))) for x in (ga, gb))
+    alpha, beta, rho = _states(_ginibres_of(np.stack(g)))
+    table = _pair_traces(_sandwich(_trivial(a, alpha)[0], rho[:, None, None]), _trivial(b, beta)[1])
+    p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))  # X = {a's first}, Y = {b's second}
+    expected = np.trace(rho @ a[:, 0], axis1=-2, axis2=-1).real * np.trace(alpha @ b[:, 1], axis1=-2, axis2=-1).real
+    return (float(np.abs(p - expected).max()),)
+
+
 def _suite_ex_7(run: _Run) -> None:
     """Sequential probabilities of state-preparation instruments factorize as
     tr(rho A_X) tr(alpha B_Y), unlike the observable-level probabilities."""
-    for _, d in run.cases(2, 3):
-        a = random_observable(d, 2, run.rng)
-        b = random_observable(d, 2, run.rng)
-        alpha = random_state(d, run.rng)
-        beta = random_state(d, run.rng)
-        rho = random_state(d, run.rng)
-        i = trivial_instrument(a, alpha)
-        j = trivial_instrument(b, beta)
-        x_set, y_set = [a.labels[0]], [b.labels[1]]
-        p = joint_probability_instr(rho, i, x_set, j, y_set)
-        expected = float(np.trace(rho @ a[x_set[0]]).real) * float(np.trace(alpha @ b[y_set[0]]).real)
-        run.residual(abs(p - expected))
     a = sharp_qubit_z()
     alpha = atom(np.array([1.0, 1.0]) / np.sqrt(2.0))
     rho = np.diag([1.0, 0.0]).astype(complex)
@@ -771,7 +859,29 @@ def _product_labelled_observable(rng: np.random.Generator, d: int) -> Observable
 
 def _marginal_observables(c: Observable) -> tuple[Observable, ...]:
     """The x- and y-marginals of a ``_product_labelled_observable``."""
-    return tuple(Observable(zip(("0", "1"), c.stack.reshape(2, 2, c.dim, c.dim).sum(k))) for k in (1, 0))
+    return tuple(Observable(zip(("0", "1"), x.sum(2)[0])) for x in _by_marginal(c.stack[None]))
+
+
+def _by_marginal(joint: np.ndarray) -> list[np.ndarray]:
+    """A ``(t, 4, ..., d, d)`` batch on the labels of ``_product_labelled_observable`` grouped onto the x- and
+    onto the y-marginal, ``(t, 2, k, d, d)`` each, a group's members (effects, or Kraus operators) together."""
+    g = joint.reshape(len(joint), 2, 2, -1, *joint.shape[-2:])
+    return [x.reshape(len(joint), 2, -1, *joint.shape[-2:]) for x in (g, g.swapaxes(1, 2))]
+
+
+def _marginals(joint: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``marginal_instruments`` of each trial's joint Kraus array: a post-processing by 0/1 matrices gives a
+    marginal outcome its group's operators together (``_by_marginal``), cut and checked by ``_assembled_batch``;
+    each marginal's Kraus array and effects."""
+    return [_assembled_batch(x) for x in _by_marginal(joint)]
+
+
+def _marginal_defect(joint: np.ndarray, marginals: list[np.ndarray]) -> float:
+    """``marginal_defect`` of each trial's joint and its two marginals: of effect stacks ``(t, m, d, d)``, or,
+    in Choi form, of Kraus arrays ``(t, m, r, d, d)``, a group's operators together."""
+    if joint.ndim == 4:
+        return max(_worst(x.sum(2), y) for x, y in zip(_by_marginal(joint), marginals))
+    return max(_worst_choi(x, y) for x, y in zip(_by_marginal(joint), marginals))
 
 
 def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
@@ -803,24 +913,39 @@ def _suite_thm_4_1(run: _Run) -> None:
         run.require(instr_coexist_verify(meas1, meas2, measured_joint, run.tol), "converse marginals broken")
 
 
-def _suite_lem_4_2(run: _Run) -> None:
+def _public_lem_4_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Coexisting observables lift to coexisting state-preparation
-    instruments over any joint observable."""
-    for _, d in run.cases(2, 3):
-        alpha = random_state(d, run.rng)
-        c = _product_labelled_observable(run.rng, d)
-        joint = trivial_instrument(c, alpha)
-        i, j = marginal_instruments(joint)
-        run.require(instr_coexist_verify(i, j, joint, run.tol), "joint instrument marginals broken")
-        a, b = _marginal_observables(c)
-        expect_i = trivial_instrument(a, alpha)
-        expect_j = trivial_instrument(b, alpha)
-        run.residual(family_distance(i, expect_i))
-        run.residual(family_distance(j, expect_j))
-        back_a = induced_observable(i)
-        back_b = induced_observable(j)
-        run.residual(family_distance(back_a, a))
-        run.residual(family_distance(back_b, b))
+    instruments over any joint observable: the joint's marginal defect, then
+    the marginals' distances from the lifted marginal observables and back."""
+    alpha = random_state(d, rng)
+    c = _product_labelled_observable(rng, d)
+    joint = trivial_instrument(c, alpha)
+    i, j = marginal_instruments(joint)
+    a, b = _marginal_observables(c)
+    return (
+        marginal_defect(i, j, joint),
+        family_distance(i, trivial_instrument(a, alpha)),
+        family_distance(j, trivial_instrument(b, alpha)),
+        family_distance(induced_observable(i), a),
+        family_distance(induced_observable(j), b),
+    )
+
+
+def _batch_lem_4_2(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
+    alpha, c = _states(_ginibres_of(g)), _valid_stack(_whitened_effects(_ginibres_of(gc)))
+    joint = _trivial(c, alpha)[0]
+    (i, back_i), (j, back_j) = _marginals(joint)
+    a, b = (_checked_effects(x.sum(2).reshape(-1, *c.shape[-2:]), 2)[0] for x in _by_marginal(c))  # Observable's checks
+    gaps = _worst_choi(i, _trivial(a, alpha)[0]), _worst_choi(j, _trivial(b, alpha)[0])
+    return _marginal_defect(joint, [i, j]), *gaps, _worst(_valid_stack(back_i), a), _worst(_valid_stack(back_j), b)
+
+
+def _fold_lem_4_2(run: _Run, instr: float, *values: float) -> None:
+    """The public trial's values, then the batch's, each the marginal defect and four distances: every
+    trial's defect within ``run.tol``, as ``instr_coexist_verify`` decides; the distances are residuals."""
+    gaps, (instrs, *batch_gaps) = values[:4], values[4:]
+    run.require(instr <= run.tol and instrs <= run.tol, "joint instrument marginals broken")
+    run.residual(*gaps, *batch_gaps)
 
 
 def _suite_cor_4_3(run: _Run) -> None:
@@ -1000,20 +1125,20 @@ SUITES: dict[str, _Suite] = {
     "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_3, _batch_thm_2_3)),
     "lem-2.4": _Suite(None, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_lem_2_4)),
     "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_cor_2_5)),
-    "lem-2.6": _Suite(_suite_lem_2_6, 20, 1e-8),
+    "lem-2.6": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_2_6, _batch_lem_2_6, _fold_lem_2_6)),
     "ex-2": _Suite(_suite_ex_2, 1, 0.0, fixed=True),
-    "ex-3": _Suite(_suite_ex_3, 20, 1e-9),
-    "ex-4": _Suite(_suite_ex_4, 20, 1e-9),
-    "ex-5": _Suite(_suite_ex_5, 20, 1e-9),
-    "ex-6": _Suite(_suite_ex_6, 20, 1e-9),
-    "ex-7": _Suite(_suite_ex_7, 20, 1e-10),
+    "ex-3": _Suite(_suite_ex_3, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_3, _batch_ex_3)),
+    "ex-4": _Suite(_suite_ex_4, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_4, _batch_ex_4)),
+    "ex-5": _Suite(None, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_5, _batch_ex_5)),
+    "ex-6": _Suite(_suite_ex_6, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_6, _batch_ex_6)),
+    "ex-7": _Suite(_suite_ex_7, 20, 1e-10, batched=_Batched(2, (2, 3), _public_ex_7, _batch_ex_7)),
     "ex-8": _Suite(None, 50, 1e-10, batched=_Batched(3, (2, 3, 4), _public_ex_8, _batch_ex_8)),
     "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1, _batch_lem_3_1)),
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
     "cor-3.3": _Suite(_suite_cor_3_3, 20, 1e-9),
     "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4, _batch_lem_3_4)),
     "thm-4.1": _Suite(_suite_thm_4_1, 5, 1e-7),
-    "lem-4.2": _Suite(_suite_lem_4_2, 20, 1e-8),
+    "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, _batch_lem_4_2, _fold_lem_4_2)),
     "cor-4.3": _Suite(_suite_cor_4_3, 5, 1e-7),
     "thm-4.4": _Suite(_suite_thm_4_4, 20, 1e-8),
     "cor-4.5": _Suite(_suite_cor_4_5, 20, 1e-8),

@@ -9,20 +9,27 @@ from qinstr.effects import CoexistenceWitness, _witness_blocks, binary_observabl
 from qinstr.effects import ensure_effects, seq_products
 from qinstr.errors import QinstrError
 from qinstr.instruments import (
+    _channel_kraus,
     _channels,
+    _effects,
     _mixed,
     choi_distances,
     compose_operations,
+    identity_instrument,
     instr_channel,
     instr_conditioned,
     instr_convex_combo,
     instr_post_process,
     instr_product,
+    joint_probability_instr,
     joint_probability_table_instr,
     luders_instrument,
+    trivial_instrument,
 )
-from qinstr.linalg import hermitian_part
-from qinstr.observables import _probability_table, _valid_stack, joint_probability_table
+from qinstr.linalg import _sandwich, hermitian_part
+from qinstr.models import marginal_instruments
+from qinstr.observables import _pair_traces, _probability_table, _set_probabilities, _valid_stack
+from qinstr.observables import joint_probability_table, obs_conditioned, obs_seq_product
 from qinstr.rand import _commuting_effects, _ginibres_of, _states, _unitaries, _whitened_effects, _whitened_kraus
 from qinstr.rand import random_commuting_effect_pair, random_instrument, random_observable, random_simplex, random_state
 from qinstr.rand import random_stochastic
@@ -197,7 +204,10 @@ def test_different_seed_changes_draws():
     assert a.max_residual != b.max_residual
 
 
-_BUDGETS = [("lem-1.1", 42), ("lem-2.4", 240), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36)]
+_BUDGETS = [
+    ("lem-1.1", 42), ("lem-2.4", 237), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36), ("lem-4.2", 30),
+    ("ex-6", 30),
+]
 
 
 @pytest.mark.parametrize("result_id, solves", [pytest.param(*budget, id=budget[0]) for budget in _BUDGETS])
@@ -404,3 +414,109 @@ def test_batched_complementarity_decisions_are_the_public_ones():
         decisions = np.stack(spec.batch(t, *draws), axis=1)
         for i, decided in enumerate(decisions):
             assert tuple(decided) == spec.public(gens[t[i]], t[i], 2 + t[i] % 3)
+
+
+def test_batched_state_preparations_and_marginals_are_the_public_ones():
+    # lem-4.2's array program builds, trial by trial, the state-preparation
+    # instrument of the joint observable and its two marginals that
+    # trivial_instrument and marginal_instruments build, each outcome cut to at
+    # most d^2 operators as theirs are.
+    trials, gens = 13, _trial_generators("lem-4.2", 13)
+    for first, (_, (g, gc)) in enumerate(_groups("lem-4.2", trials)):
+        d = 2 + first % 2
+        joint, effects = qinstr.verify._trivial(_valid_stack(_whitened_effects(_ginibres_of(gc))), _states(_ginibres_of(g)))
+        (i, _), (j, _) = qinstr.verify._marginals(joint)
+        for k, t in enumerate(range(first, trials, 2)):
+            rng = gens[t]
+            alpha = random_state(d, rng)
+            public = trivial_instrument(qinstr.verify._product_labelled_observable(rng, d), alpha)
+            assert np.abs(effects[k] - public.effects).max() <= 1e-14
+            for batch, one in zip((joint, i, j), (public, *marginal_instruments(public))):
+                assert choi_distances(batch[k], one.kraus).max() <= 1e-14
+                assert len(batch[k][0]) <= d * d
+
+
+def test_batched_luders_products_are_the_public_ones():
+    # ex-4's array program builds, trial by trial, the effects of the product
+    # and of the conditioned measurement-update instruments, which equal
+    # obs_seq_product and obs_conditioned of the public observables.
+    trials, gens = 13, _trial_generators("ex-4", 13)
+    for first, (_, (ga, gb)) in enumerate(_groups("ex-4", trials)):
+        d = 2 + first % 2
+        i, j = (qinstr.verify._luders(_valid_stack(_whitened_effects(_ginibres_of(x))))[0] for x in (ga, gb))
+        products = qinstr.verify._products
+        product, conditioned = (_effects(products(x, j)) for x in (i, _channel_kraus(i)[0][:, None]))
+        for k, t in enumerate(range(first, trials, 2)):
+            a, b = random_observable(d, 2, gens[t]), random_observable(d, 2, gens[t])
+            assert np.abs(product[k] - obs_seq_product(a, b).stack).max() <= 1e-14
+            assert np.abs(conditioned[k] - obs_conditioned(a, b).stack).max() <= 1e-14
+
+
+def test_batched_prepared_probabilities_are_the_public_ones():
+    # ex-7's array program builds, trial by trial, the probability of the first
+    # outcome of a state preparation and then the second of another that
+    # joint_probability_instr computes.
+    trials, gens = 13, _trial_generators("ex-7", 13)
+    trivial = qinstr.verify._trivial
+    for first, (_, (ga, gb, *g)) in enumerate(_groups("ex-7", trials)):
+        d = 2 + first % 2
+        a, b = (_valid_stack(_whitened_effects(_ginibres_of(x))) for x in (ga, gb))
+        alpha, beta, rho = _states(_ginibres_of(np.stack(g)))
+        table = _pair_traces(_sandwich(trivial(a, alpha)[0], rho[:, None, None]), trivial(b, beta)[1])
+        p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))
+        for k, t in enumerate(range(first, trials, 2)):
+            rng = gens[t]
+            public_a, public_b = random_observable(d, 2, rng), random_observable(d, 2, rng)
+            public_alpha, public_beta, public_rho = (random_state(d, rng) for _ in range(3))
+            i, j = trivial_instrument(public_a, public_alpha), trivial_instrument(public_b, public_beta)
+            assert abs(p[k] - joint_probability_instr(public_rho, i, ["0"], j, ["1"])) <= 1e-15
+
+
+def test_batched_identity_products_are_the_public_ones():
+    # ex-5's array program builds, trial by trial, the products of an identity
+    # instrument and a random instrument, in both orders, that instr_product
+    # builds from identity_instrument and random_instrument.
+    trials, gens = 13, _trial_generators("ex-5", 13)
+    checked, products = qinstr.verify._checked, qinstr.verify._products
+    for first, (_, (w, g)) in enumerate(_groups("ex-5", trials)):
+        d = 2 + first % 2
+        j = checked(_whitened_kraus(_ginibres_of(g)))[0]
+        ident = checked(np.sqrt(w)[:, :, None, None, None] * np.eye(d, dtype=complex))[0]
+        batched = products(ident, j), products(j, ident)
+        for k, t in enumerate(range(first, trials, 2)):
+            rng = gens[t]
+            public_ident = identity_instrument(dict(zip(["0", "1"], random_simplex(2, rng))), d)
+            public_j = random_instrument(d, 2, rng)
+            public = instr_product(public_ident, public_j), instr_product(public_j, public_ident)
+            for batch, one in zip(batched, public):
+                assert choi_distances(batch[k], one.kraus).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "result_id, swap_effects, note",
+    [
+        ("lem-4.2", False, "joint instrument marginals broken"),
+        ("lem-2.6", False, "joint marginals broken"),
+        ("lem-2.6", True, "observables do not coexist"),
+    ],
+)
+def test_a_marginal_defect_in_a_batched_trial_fails_its_suite(monkeypatch, result_id, swap_effects, note):
+    # The last trial of each shape group, a batched one and not the group's
+    # public trial, gets a first marginal that its joint does not have: the
+    # operators of its first outcome permuted on the left (a valid instrument
+    # with the same effects), or its two effects swapped (the same sum). Each
+    # trial's marginal checks end the suite with their note.
+    marginals = qinstr.verify._marginals
+
+    def broken(joint):
+        (kraus, effects), second = marginals(joint)
+        kraus, effects = kraus.copy(), effects.copy()
+        if swap_effects:
+            effects[-1] = effects[-1, ::-1].copy()
+        else:
+            kraus[-1, 0] = np.roll(np.eye(kraus.shape[-1]), 1, axis=0) @ kraus[-1, 0]
+        return [(kraus, effects), second]
+
+    monkeypatch.setattr(qinstr.verify, "_marginals", broken)
+    report = run_suite(result_id, seed=7)
+    assert (report.status, report.note) == ("fail", note)
