@@ -348,4 +348,9 @@ def is_unitary(u: Array, tol: float = UNITARY_TOL) -> bool:
     a = as_matrix(u)
     if a.shape[0] != a.shape[1]:
         return False
-    return frob(a.conj().T @ a - np.eye(a.shape[0])) <= tol
+    return bool(_unitary_defects(a) <= tol)
+
+
+def _unitary_defects(u: Array) -> Array:
+    """``||U^* U - 1||_F`` of a square matrix, or of each matrix of a stack."""
+    return np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))

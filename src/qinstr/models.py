@@ -11,6 +11,14 @@ A model forms what it derives from its parts on first read (``FIMM``);
 ``model_instrument`` only reads its pointer's roots and its interaction on
 the probe state's support (``W``), which a dilation and a von Neumann model
 hold from construction, and of a dilation its slot map.
+
+The kernels of these forms take leading trial axes, so the catalog builds a
+batch of models' instruments with the formulas the public functions use:
+``_coupled`` (``W`` of couplings and a probe root), ``_vn_w`` (a von Neumann
+model's closed-form ``W``), ``_pairing_unitary``, ``_eigenbasis`` (a
+commutative observable's eigenbasis draw), ``_vn_forms`` (``vn_measured``'s
+Kraus, channel and effect closed forms) and ``_measured_kraus``
+(``model_instrument``'s general branch).
 """
 
 from __future__ import annotations
@@ -148,7 +156,7 @@ class FIMM:
     @cached_property
     def _restricted(self) -> Array:
         """``W``: the couplings times the probe state's root factor."""
-        return read_only(self.couplings.reshape(*self.couplings.shape[:2], self.dim_base, -1) @ self._probe_root)
+        return read_only(_coupled(self.couplings, self.dim_base, self._probe_root))
 
     @cached_property
     def sharp(self) -> bool:
@@ -180,6 +188,12 @@ class FIMM:
         )
 
 
+def _coupled(couplings: Array, dim_base: int, root: Array) -> Array:
+    """``W_c = U_c (1 (x) R)``, ``(c, d dk, d, s)``, of couplings ``(c, d dk, d dk)`` and a probe
+    root ``R``, ``(dk, s)``, or per trial of a batch (couplings shared or one set per trial)."""
+    return couplings.reshape(*couplings.shape[:-1], dim_base, -1) @ root[..., None, None, :, :]
+
+
 def _checked_pointer(pointer: object) -> Observable:
     """The pointer, which must be an ``Observable`` (``KindError`` otherwise)."""
     if not isinstance(pointer, Observable):
@@ -208,12 +222,20 @@ def model_instrument(m: FIMM) -> Instrument:
         counts = np.bincount(m._owner, minlength=len(m._labels))
         return _assembled(m._labels, slots[np.argsort(m._owner, kind="stable")], counts)
     f, keep = m.pointer._root_columns
-    roots = f.conj()  # F_x^T = conj(F_x) = conj(R_x) conj(R_x)^*
-    w = m._restricted
-    q = w.reshape(len(w), d, dk, d, -1).transpose(0, 4, 3, 1, 2).reshape(len(w), -1, d * d, dk)  # [c, s, (i, a), k]
-    kraus = (q @ roots[:, None, None]).reshape(len(roots), len(w), -1, d, d, roots.shape[-1]).transpose(0, 1, 5, 2, 4, 3)
+    kraus = _measured_kraus(m._restricted, f)
     valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)
-    return _assembled(m._labels, kraus[valid], keep.sum(1) * len(w) * kraus.shape[3])
+    return _assembled(m._labels, kraus[valid], keep.sum(1) * kraus.shape[1] * kraus.shape[3])
+
+
+def _measured_kraus(w: Array, f: Array) -> Array:
+    """``model_instrument``'s operators of ``W``, ``(c, d dk, d, s)``, and the pointer's root
+    columns ``f``, ``(m, dk, dk)``: ``[x, c, l, s]`` is ``K[a, i] = sum_k W_c[(a, k), i, s]
+    conj(f_x[k, l])``, ``(m, c, dk, s, d, d)``, or per trial of a batch with leading axes."""
+    lead, (c, n, d, s) = w.shape[:-4], w.shape[-4:]
+    t = len(lead)
+    q = w.reshape(*lead, c, d, n // d, d, s).transpose(*range(t), t, t + 4, t + 3, t + 1, t + 2)  # [c, s, i, a, k]
+    kraus = q.reshape(*lead, 1, c, s, d * d, -1) @ f.conj()[..., :, None, None, :, :]  # F_x^T = conj(R_x) conj(R_x)^*
+    return kraus.reshape(*kraus.shape[:-2], d, d, -1).transpose(*range(t), t, t + 1, t + 5, t + 2, t + 4, t + 3)
 
 
 def swap_unitary(d: int) -> Array:
@@ -257,14 +279,21 @@ def von_neumann_unitary(base_basis: object, probe_basis: object) -> Array:
 def _pairing_unitary(base: Array, probe: Array) -> Array:
     """``von_neumann_unitary`` of bases already checked by ``_checked_bases``:
     ``sum_i |psi_i><psi_i| (x) V_i`` for the probe permutations ``V_i``, as
-    one ``(d^2, d) (d, d^2)`` product."""
-    d = base.shape[0]
+    one ``(d^2, d) (d, d^2)`` product, or per trial of a batch."""
+    lead, d = base.shape[:-2], base.shape[-1]
     target = np.tile(np.arange(d), (d, 1))  # target[i, j]: where probe slot j goes under psi_i
     target[:, 0] = np.arange(d)
     target[np.arange(1, d), np.arange(1, d)] = 0
-    perms = probe[:, target].transpose(1, 0, 2) @ probe.conj().T  # perms[i] = V_i
-    u = _basis_projections(base).reshape(d, d * d).T @ perms.reshape(d, d * d)  # u[(a, b), (k, l)]
-    return u.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    perms = probe[..., :, target].swapaxes(-3, -2) @ probe.conj().swapaxes(-1, -2)[..., None, :, :]  # perms[i] = V_i
+    u = _basis_projections(base).reshape(*lead, d, d * d).swapaxes(-1, -2) @ perms.reshape(*lead, d, d * d)
+    return u.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)  # u[(a, b), (k, l)] regrouped
+
+
+def _vn_w(base: Array, probe: Array) -> Array:
+    """A von Neumann model's ``W[(a, k), i] = sum_j psi_j[a] phi_j[k] conj(psi_j[i])``,
+    ``(d^2, d)``, of its two bases, one ``(d^2, d) (d, d)`` product, or per trial of a batch."""
+    d, adjoint = base.shape[-1], base.conj().swapaxes(-1, -2)
+    return (base[..., :, None, :] * probe[..., None, :, :]).reshape(*base.shape[:-2], d * d, d) @ adjoint
 
 
 class VonNeumannModel(FIMM):
@@ -280,8 +309,7 @@ class VonNeumannModel(FIMM):
         eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
         self._set_parts(d, d, eta, pointer)
         self._probe_root = phi0[:, None]
-        w = (base[:, None, :] * probe[None]).reshape(d * d, d) @ base.conj().T  # one (d^2, d) (d, d) product
-        self._restricted = read_only(w.reshape(1, d * d, d, 1))
+        self._restricted = read_only(_vn_w(base, probe).reshape(1, d * d, d, 1))
 
     @cached_property
     def interaction(self) -> Array:
@@ -311,16 +339,22 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     dephases in the base basis; the observable mixes base-basis projections
     with pointer diagonal weights.
     """
-    w = model.base_basis
     labels = model.pointer.labels
-    base_projs = read_only(_basis_projections(w))
-    channel = Operation._unchecked(base_projs)  # projections summing to 1: a channel
-
     r, keep = model.pointer._root_columns
-    f = model.probe_basis.T @ r.conj()
-    kraus = (w * f.swapaxes(1, 2)[:, :, None, :]) @ w.conj().T  # kraus[x, l] = W diag(f_x[:, l]) W^*
-    effects = np.einsum("xi,iab->xab", (f.real**2 + f.imag**2).sum(2), base_projs)
+    kraus, projs, effects = _vn_forms(model.base_basis, model.probe_basis, r)
+    channel = Operation._unchecked(read_only(projs))  # projections summing to 1: a channel
     return _assembled(labels, kraus[keep], keep.sum(1)), channel, Observable._valid(labels, effects)
+
+
+def _vn_forms(base: Array, probe: Array, r: Array) -> tuple[Array, Array, Array]:
+    """``vn_measured``'s closed forms of the bases ``W`` and ``phi`` and the pointer's root columns
+    ``r``, ``(m, d, d)``, or per trial of a batch: the Kraus operators ``[x, l] = W diag(f_x[:, l])
+    W^*``, ``(m, d, d, d)``, the base-basis projections (the channel's) and the effects."""
+    projs = _basis_projections(base)
+    f = probe.swapaxes(-1, -2)[..., None, :, :] @ r.conj()
+    adjoint = base.conj().swapaxes(-1, -2)[..., None, None, :, :]
+    kraus = (base[..., None, None, :, :] * f.swapaxes(-1, -2)[..., :, :, None, :]) @ adjoint
+    return kraus, projs, np.einsum("...xi,...iab->...xab", (f.real**2 + f.imag**2).sum(-1), projs)
 
 
 def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = None) -> VonNeumannModel:
@@ -336,15 +370,23 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
         raise NotCommutative("observable effects do not pairwise commute")
     if rng is None:
         rng = np.random.default_rng(20210)
-    d, eye = a.dim, np.eye(a.dim)
     for _ in range(EIGENBASIS_ATTEMPTS):
-        _, v = herm_eig(hermitian_part((rng.standard_normal(len(a))[:, None, None] * a.stack).sum(0)))
-        rotated = v.conj().T @ a.stack @ v
-        diagonals = np.diagonal(rotated, axis1=1, axis2=2)
-        if np.linalg.norm(rotated - diagonals[:, :, None] * eye, axis=(1, 2)).max() <= DIAG_TOL * max(1.0, d):
-            pointer = Observable._valid(a.labels, (diagonals.real[:, :, None] * eye).astype(complex))
-            return VonNeumannModel(v, np.eye(d, dtype=complex), pointer)
+        v, diagonals, diagonalizes = _eigenbasis(a.stack, rng.standard_normal(len(a)))
+        if diagonalizes:
+            return VonNeumannModel(v, np.eye(a.dim, dtype=complex), Observable._valid(a.labels, diagonals))
     raise NotCommutative("failed to find a joint eigenbasis")
+
+
+def _eigenbasis(stack: Array, x: Array) -> tuple[Array, Array, Array]:
+    """The eigenbasis ``V`` of a commuting family's real combination ``sum_k x_k A_k``, the
+    effects' diagonals in it as diagonal matrices, and whether ``V`` diagonalizes every
+    effect within ``DIAG_TOL``; or per trial of a batch, one eigensolve for all."""
+    d, eye = stack.shape[-1], np.eye(stack.shape[-1])
+    _, v = herm_eig(hermitian_part((x[..., None, None] * stack).sum(-3)))
+    rotated = v.conj().swapaxes(-1, -2)[..., None, :, :] @ stack @ v[..., None, :, :]
+    diagonals = np.diagonal(rotated, axis1=-2, axis2=-1)
+    off = np.linalg.norm(rotated - diagonals[..., None] * eye, axis=(-2, -1)).max(-1)
+    return v, (diagonals.real[..., None] * eye).astype(complex), off <= DIAG_TOL * max(1.0, d)
 
 
 def dilate_instrument(instr: Instrument) -> FIMM:

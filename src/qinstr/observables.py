@@ -307,10 +307,12 @@ class ObservableFlags:
     sharp: bool
 
 
-def _commutator_norms(s: Array, t: Array) -> Array:
-    """Frobenius norms of the commutators ``[s_k, t_k]`` of two stacks of
-    equal length."""
-    return np.linalg.norm(s @ t - t @ s, axis=(-2, -1))
+def _commuting(s: Array, t: Array) -> Array:
+    """Whether every matrix of a stack ``s`` commutes with every one of ``t``, each commutator
+    within ``SUM_TOL`` in Frobenius norm, or per trial of two batches."""
+    i, j = np.indices((s.shape[-3], t.shape[-3])).reshape(2, -1)
+    s, t = s[..., i, :, :], t[..., j, :, :]
+    return np.all(np.linalg.norm(s @ t - t @ s, axis=(-2, -1)) <= SUM_TOL, axis=-1)
 
 
 def _projections(s: Array) -> Array:
@@ -393,12 +395,11 @@ def classify_observable(a: Observable) -> ObservableFlags:
     identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= SUM_TOL))
     rank_one = rank(a._eig[1] ** 2) == 1  # the squared roots: the eigenvalues kept counts
     projections = _projections(s)
-    i, j = np.triu_indices(len(s), 1)
     return ObservableFlags(
         identity=identity,
         atomic=bool(np.all(rank_one & projections)),
         indecomposable=bool(np.all(rank_one)),
-        commutative=bool(np.all(_commutator_norms(s[i], s[j]) <= SUM_TOL)),
+        commutative=bool(_commuting(s, s)),
         sharp=bool(np.all(projections)),
     )
 
@@ -407,8 +408,7 @@ def obs_commute(a: Observable, b: Observable) -> bool:
     """True when every effect of ``a`` commutes with every effect of ``b``,
     each commutator within ``SUM_TOL`` in Frobenius norm."""
     _same_dim(a.dim, b.dim)
-    i, j = np.indices((len(a), len(b))).reshape(2, -1)
-    return bool(np.all(_commutator_norms(a.stack[i], b.stack[j]) <= SUM_TOL))
+    return bool(_commuting(a.stack, b.stack))
 
 
 def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]:

@@ -3,11 +3,13 @@
 All generators take an explicit ``numpy.random.Generator`` so that every
 verification suite and document is reproducible from a seed.
 
-``random_observable``, ``random_instrument`` and ``random_state`` each make one
-Generator call (``_normals``) and build from its numbers with ``_ginibres_of``
-and then ``_whitened_effects``, ``_whitened_kraus`` or ``_states``.  These take
-leading trial axes: the catalog draws each trial with the same call, stacks the
-trials of one shape, and builds them together.
+``random_observable``, ``random_instrument``, ``random_state`` and
+``random_unitary`` each make one Generator call (``_normals``) and build from
+its numbers with ``_whitened_effects``, ``_whitened_kraus``, ``_states`` or
+``_unitaries``, which form the Ginibre matrices (``_ginibres_of``) themselves.
+These take leading trial axes: the catalog draws each trial with the same call,
+stacks the trials of one shape, and builds them together from the stacked
+numbers.
 """
 
 from __future__ import annotations
@@ -53,11 +55,13 @@ def random_psd(dim: int, rng: np.random.Generator) -> Array:
 def random_state(dim: int, rng: np.random.Generator) -> Array:
     """Random density matrix ``g g^* / tr``: PSD with unit trace by
     construction, so only symmetrized, not eigensolved (``_states``)."""
-    return _states(ginibre(dim, rng))
+    return _states(_normals(rng, dim, dim))
 
 
-def _states(g: Array) -> Array:
-    """``random_state``'s density matrix of a Ginibre matrix ``g``, or of each of a stack."""
+def _states(normals: Array) -> Array:
+    """``random_state``'s density matrix ``g g^* / tr`` of the Ginibre matrix of its ``_normals``
+    draw, or of each of a stack."""
+    g = _ginibres_of(normals)
     rho = g @ g.conj().swapaxes(-1, -2)
     return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
@@ -78,13 +82,13 @@ def random_effect(dim: int, rng: np.random.Generator) -> Array:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> Array:
-    return _unitaries(ginibre(dim, rng))
+    return _unitaries(_normals(rng, dim, dim))
 
 
-def _unitaries(g: Array) -> Array:
-    """``random_unitary``'s Haar unitary of a Ginibre matrix ``g``, or of each of a stack:
-    the QR factor ``Q``, each column's phase fixed by the diagonal of ``R``."""
-    q, r = np.linalg.qr(g)
+def _unitaries(normals: Array) -> Array:
+    """``random_unitary``'s Haar unitary of the Ginibre matrix of its ``_normals`` draw, or of
+    each of a stack: the QR factor ``Q``, each column's phase fixed by the diagonal of ``R``."""
+    q, r = np.linalg.qr(_ginibres_of(normals))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[..., None, :]
 
@@ -105,13 +109,14 @@ def random_observable(
     and caller ``labels`` are checked (``Observable._valid``).
     """
     labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
-    return Observable._valid(labels, _whitened_effects(_ginibres_of(_normals(rng, outcomes, dim, dim))))
+    return Observable._valid(labels, _whitened_effects(_normals(rng, outcomes, dim, dim)))
 
 
-def _whitened_effects(g: Array) -> Array:
-    """``random_observable``'s effects from its Ginibre blocks ``g``, ``(m, d, d)``
-    or a ``(t, m, d, d)`` batch of ``t`` trials' blocks: the positive parts
-    ``g g^*``, whitened by the inverse square root of each family's sum."""
+def _whitened_effects(normals: Array) -> Array:
+    """``random_observable``'s effects from its ``_normals`` draw, ``(m, 2, d, d)``, or a
+    ``(t, m, 2, d, d)`` batch of ``t`` trials' draws: the positive parts ``g g^*`` of the
+    Ginibre blocks, whitened by the inverse square root of each family's sum."""
+    g = _ginibres_of(normals)
     blocks = g @ g.conj().swapaxes(-1, -2)
     inv_root = inverse_root(blocks.sum(-3))[1][..., None, :, :]
     return inv_root @ blocks @ inv_root
@@ -126,9 +131,14 @@ def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Ar
 def _commuting_effects(u: Array, x: Array) -> Array:
     """``random_commuting_effect_pair``'s effects ``u diag(x_k) u^*`` of a unitary and two
     spectra ``x`` ``(2, d)``, or per trial of a batch, validated by one ``ensure_effects`` call."""
-    diagonals = (x[..., :, :, None] * np.eye(x.shape[-1])).astype(complex)
-    pair = u[..., None, :, :] @ diagonals @ u.conj().swapaxes(-1, -2)[..., None, :, :]
+    pair = _diagonal_in(u, x)
     return ensure_effects(pair.reshape(-1, *pair.shape[-2:])).reshape(pair.shape)
+
+
+def _diagonal_in(u: Array, x: Array) -> Array:
+    """The matrices ``u diag(x_k) u^*`` of a unitary ``u`` and spectra ``x``, ``(k, d)``, or per trial of a batch."""
+    diagonals = (x[..., :, :, None] * np.eye(x.shape[-1])).astype(complex)
+    return u[..., None, :, :] @ diagonals @ u.conj().swapaxes(-1, -2)[..., None, :, :]
 
 
 def random_commutative_observable(
@@ -137,8 +147,7 @@ def random_commutative_observable(
     """Observable whose effects share one random eigenbasis."""
     u = random_unitary(dim, rng)
     weights = rng.dirichlet(np.ones(outcomes), size=dim)  # (dim, outcomes)
-    diagonals = (weights.T[:, :, None] * np.eye(dim)).astype(complex)
-    return Observable(zip(default_labels(outcomes), u @ diagonals @ u.conj().T))
+    return Observable(zip(default_labels(outcomes), _diagonal_in(u, weights.T)))
 
 
 def random_stochastic(
@@ -162,14 +171,15 @@ def random_instrument(
     probability one), which preserves outcome ranks.  The sum adds the
     per-operator products ``K^* K`` in draw order.
     """
-    raw = _ginibres_of(_normals(rng, outcomes, kraus_per_outcome, dim, dim))
+    raw = _normals(rng, outcomes, kraus_per_outcome, dim, dim)
     return Instrument._from_kraus(default_labels(outcomes), _whitened_kraus(raw))
 
 
-def _whitened_kraus(raw: Array) -> Array:
-    """``random_instrument``'s Kraus array from its Ginibre blocks ``raw``,
-    ``(m, r, d, d)`` or a batch with leading trial axes: each family
-    right-multiplied by the inverse square root of its sum of ``K^* K``."""
+def _whitened_kraus(normals: Array) -> Array:
+    """``random_instrument``'s Kraus array from its ``_normals`` draw, ``(m, r, 2, d, d)``
+    or a batch with leading trial axes: the Ginibre blocks of each family right-multiplied
+    by the inverse square root of their sum of ``K^* K``."""
+    raw = _ginibres_of(normals)
     d = raw.shape[-1]
     total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(*raw.shape[:-4], -1, d, d).sum(-3)
     return raw @ inverse_root(total)[1][..., None, None, :, :]

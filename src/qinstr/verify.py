@@ -14,25 +14,33 @@ tolerance and every gap floor (and tighter bound) is met, else ``fail``.
 is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
 "unknown", with the number of cases searched; they assert nothing.
 
-The suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1), of 50
-trials (lem-1.1, lem-2.4, cor-2.5, ex-8 and lem-3.4) and of 20 trials (lem-2.6,
-ex-3, ex-4, ex-5, ex-6, ex-7 and lem-4.2) run each group of trials that share a
-shape (dimension and outcome counts, and for lem-2.4 and cor-2.5, which share
-one program, the kind of pair) as one array program of the library's kernels,
-with every sum check, root PSD check and ``d^2`` cut, lem-1.1's witness checks,
-both complementarity rules and the range check of lem-4.2's marginal
-observables.  A trial's public route is the one description of its draws:
-each group's first trial runs through the public functions, which record
+The suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1), of 50 trials
+(lem-1.1, lem-2.4, cor-2.5, ex-8 and lem-3.4) and of 20 trials (lem-2.6, ex-3,
+ex-4, ex-5, ex-6, ex-7, lem-4.2 and the model suites thm-4.4, cor-4.5 and
+thm-4.8), and the probe conj-2.5-converse, run each group of trials that share
+a shape (dimension and outcome counts, and the kind of pair or observable where
+it varies) as one array program of the library's kernels (for the model suites,
+those of ``models`` with trial axes), with every sum check, root PSD check and
+``d^2`` cut, lem-1.1's witness checks, the complementarity rules, the range
+checks of lem-4.2's marginal observables and cor-4.5's observables, the
+unitarity tests of the pairing unitary and cor-4.5's eigenbasis, and cor-4.5's
+commutativity checks.  A trial's public route is the one description of its
+draws: each group's first trial runs through the public functions, which record
 their Generator calls (``_Recorded``), and each later trial makes the same
-calls, in trial order (``_Run.groups``).  The public functions' checks of the
-generators' own weights and states (``check_weights``, ``ensure_state``) run
-in that first trial only; ``rand`` builds both valid by construction.  A
-group's values enter the run as residuals, or through the suite's ``fold``
-(cor-2.5 also counts its complementary pairs; lem-2.6 and lem-4.2 fail the run
-with their note when any trial's marginal defect exceeds the tolerance).  The
-suite function then runs one by one what is left: the fixed counterexamples of
-thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6 and ex-7, ex-4's commuting pair,
-drawn where the trials leave the generator, and cor-2.5's count check.
+calls, in trial order (``_Run.groups``).  cor-4.5's eigenbasis draw is a redraw
+loop, which a batch cannot replay: a group whose public trial drew more than
+once, or a batched trial whose combination does not diagonalize its observable,
+fails the suite ("eigenbasis redrawn").  The public functions' checks of the
+generators' own weights, states and bases (``check_weights``, ``ensure_state``,
+the unitarity of a von Neumann model's drawn bases) run in that first trial
+only; ``rand`` builds them valid by construction.  A group's values enter the
+run as residuals, or through the suite's ``fold`` (cor-2.5 and the probe also
+count their complementary pairs; lem-2.6 and lem-4.2 fail the run with their
+note when any trial's marginal defect exceeds the tolerance; thm-4.4 bounds its
+channel's idempotence defect).  The suite function then runs one by one what is
+left: the fixed counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6
+and ex-7, ex-4's commuting pair, drawn where the trials leave the generator,
+and cor-2.5's count check.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .effects import (
     seq_product,
     seq_products,
 )
-from .errors import InvalidWitness, QinstrError
+from .errors import InvalidWitness, NotCommutative, NotIsometry, QinstrError
 from .instruments import (
     Instrument,
     Operation,
@@ -89,7 +97,8 @@ from .instruments import (
     luders_instrument,
     trivial_instrument,
 )
-from .linalg import CHOI_TOL, MODEL_TOL, _sandwich, frob, herm_sqrt, hermitian_part, root_columns, spectral_norm
+from .linalg import BASIS_TOL, CHOI_TOL, MODEL_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
+from .linalg import hermitian_part, root_columns, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -99,17 +108,20 @@ from .models import (
     model_instrument,
     normal_fimm_kraus_extract,
     simultaneous_fimms,
+    swap_unitary,
     trivial_fimm,
     vn_measured,
     vn_model_for_commutative,
     von_neumann_unitary,
 )
+from .models import _coupled, _eigenbasis, _measured_kraus, _pairing_unitary, _vn_forms, _vn_w
 from .observables import (
     Observable,
     StochasticMatrix,
     _basis_projections,
     _checked_effects,
     _combined,
+    _commuting,
     _defects,
     _frobenius_complementary,
     _pair_traces,
@@ -137,7 +149,7 @@ from .observables import (
 )
 from .rand import (
     _commuting_effects,
-    _ginibres_of,
+    _diagonal_in,
     _states,
     _unitaries,
     _whitened_effects,
@@ -341,6 +353,11 @@ def _roots(stack: np.ndarray) -> np.ndarray:
     return herm_sqrt(stack.reshape(-1, *stack.shape[-2:])).reshape(stack.shape)
 
 
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """The root columns ``R`` (``root_columns``, ``A = R R^*``) of a ``(t, m, d, d)`` batch, from one call."""
+    return root_columns(stack.reshape(-1, *stack.shape[-2:]))[0].reshape(stack.shape)
+
+
 def _luders(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``luders_instrument`` of each trial's effects: its Kraus array and effects (``_checked``)."""
     return _checked(_roots(a)[..., None, :, :])
@@ -350,9 +367,8 @@ def _trivial(effects: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.nd
     """``trivial_instrument`` of each trial's effects ``(t, m, d, d)`` and state ``(t, d, d)``: one
     ``root_columns`` call over each trial's effects and its state, ``_prepared`` over every
     column (one not counted is zero), then ``_assembled_batch``; its Kraus array and effects."""
-    (t, m), d = effects.shape[:2], effects.shape[-1]
-    f = root_columns(np.concatenate([effects, states[:, None]], 1).reshape(-1, d, d))[0].reshape(t, m + 1, d, d)
-    return _assembled_batch(_prepared(f[:, :-1], f[:, -1]).reshape(t, m, -1, d, d))
+    f = _columns(np.concatenate([effects, states[:, None]], 1))
+    return _assembled_batch(_prepared(f[:, :-1], f[:, -1]).reshape(*effects.shape[:2], -1, *effects.shape[-2:]))
 
 
 def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -371,7 +387,7 @@ def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 def _batch_lem_1_1(t: np.ndarray, g: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
-    a, b = _commuting_effects(_unitaries(_ginibres_of(g)), x).swapaxes(0, 1)
+    a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
     ab = ensure_effects(hermitian_part(a @ b))
     blocks = _witness_blocks(a, b, CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab))
     if blocks is None:
@@ -386,7 +402,7 @@ def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 def _batch_thm_2_1(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    a = _valid_stack(_whitened_effects(_ginibres_of(g)))
+    a = _valid_stack(_whitened_effects(g))
     return (_worst(_valid_stack(_luders(a)[1]), a),)
 
 
@@ -399,7 +415,7 @@ def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 def _batch_thm_2_2(t: np.ndarray, weights: np.ndarray, *raw: np.ndarray) -> tuple[float, ...]:
-    parts, effects = _checked(_whitened_kraus(_ginibres_of(np.stack(raw, axis=1))))
+    parts, effects = _checked(_whitened_kraus(np.stack(raw, axis=1)))
     a_mix = _valid_stack(_assembled_batch(_mixed(weights, parts.swapaxes(0, 1)))[1])
     return (_worst(a_mix, _valid_stack(_combined(weights[:, None], _valid_stack(effects))[:, 0])),)
 
@@ -421,7 +437,7 @@ def _batch_thm_2_3(
     t: np.ndarray, raw: np.ndarray, nu: np.ndarray, weights: np.ndarray, raw_other: np.ndarray
 ) -> tuple[float, ...]:
     c = nu.swapaxes(1, 2)
-    (instr, effects), (other, _) = (_checked(_whitened_kraus(_ginibres_of(x))) for x in (raw, raw_other))
+    (instr, effects), (other, _) = (_checked(_whitened_kraus(x)) for x in (raw, raw_other))
     processed, processed_effects = _post_processed(c, instr)
     rhs = _valid_stack(_combined(c, _valid_stack(effects)))
     mixed = _post_processed(c, _assembled_batch(_mixed(weights, [instr, other]))[0])[0]
@@ -446,8 +462,8 @@ def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 def _luders_tables(ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The outcome tables of measuring ``a`` and then ``b``, through their measurement-update
     instruments and through the observables, from the draws of ``a``, ``b`` and the state."""
-    a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
-    rho = _states(_ginibres_of(g))
+    a, b = (_valid_stack(_whitened_effects(s)) for s in (ga, gb))
+    rho = _states(g)
     roots = _roots(a)
     outputs = _sandwich(_checked(roots[..., None, :, :])[0], rho[:, None, None])
     return _pair_traces(outputs, _luders(b)[1]), _probability_table(rho, seq_products(roots, b))
@@ -497,7 +513,7 @@ def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 def _batch_lem_3_4(t: np.ndarray, gi: np.ndarray, gj: np.ndarray) -> tuple[float, ...]:
-    i, j = (_checked(_whitened_kraus(_ginibres_of(g)))[0] for g in (gi, gj))
+    i, j = (_checked(_whitened_kraus(g))[0] for g in (gi, gj))
     ci, cj = _channels(i)[0][:, None], _channels(j)[0][:, None]
     prod, cond, composed = _channels(_products(i, j))[0], _channels(_products(ci, j))[0], _products(ci, cj)[:, 0]
     return (float(choi_distances([*prod, *prod, *cond], [*cond, *composed, *composed]).max()),)
@@ -579,15 +595,15 @@ def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[boo
 def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kind, d = t[0] % 5, 2 + t[0] % 3  # every trial of a group has its first's
     if kind in (0, 2):
-        u = _unitaries(_ginibres_of(draws[0])) if draws else np.broadcast_to(np.eye(d), (len(t), d, d))
+        u = _unitaries(draws[0]) if draws else np.broadcast_to(np.eye(d), (len(t), d, d))
         effects = [_luders(_checked_effects(_basis_projections(u @ b).reshape(-1, d, d), d)[0])[1] for b in fourier_mub(d)]
     elif kind == 1:
-        alpha = _states(_ginibres_of(draws[0]))
+        alpha = _states(draws[0])
         effects = [_trivial(np.broadcast_to(a.stack, (len(t), *a.stack.shape)), alpha)[1] for a in _identity_pair(d)]
     elif kind == 3:
-        effects = [_luders(_valid_stack(_whitened_effects(_ginibres_of(draws[0]))))[1]]  # one instrument twice
+        effects = [_luders(_valid_stack(_whitened_effects(draws[0])))[1]]  # one instrument twice
     else:
-        effects = [_checked(_whitened_kraus(_ginibres_of(g)))[1] for g in draws]
+        effects = [_checked(_whitened_kraus(g))[1] for g in draws]
     pair = [(a, _roots(a)) for a in map(_valid_stack, effects)]  # each instrument's induced observable
     defects = _defects(*pair[0], *pair[-1])
     return _entrywise_complementary(defects), _frobenius_complementary(defects)
@@ -625,7 +641,7 @@ def _public_lem_2_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 def _batch_lem_2_6(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
-    joint, c = _trivial(_valid_stack(_whitened_effects(_ginibres_of(gc))), _states(_ginibres_of(g)))
+    joint, c = _trivial(_valid_stack(_whitened_effects(gc)), _states(g))
     (i, a), (j, b) = _marginals(joint)
     return _marginal_defect(joint, [i, j]), _marginal_defect(_valid_stack(c), [_valid_stack(a), _valid_stack(b)])
 
@@ -670,7 +686,7 @@ def _public_ex_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
 
 
 def _batch_ex_3(t: np.ndarray, gi: np.ndarray, gj: np.ndarray) -> tuple[float, ...]:
-    i, j = (_checked(_whitened_kraus(_ginibres_of(g)))[0] for g in (gi, gj))
+    i, j = (_checked(_whitened_kraus(g))[0] for g in (gi, gj))
     expected = _composed_effects(i[:, :, 0], j[:, :, 0])
     a_prod, b_cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channel_kraus(i)[0][:, None]))
     return _worst(a_prod, expected.reshape(a_prod.shape)), _worst(b_cond, expected.sum(-4))
@@ -697,7 +713,7 @@ def _public_ex_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
 
 
 def _batch_ex_4(t: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> tuple[float, ...]:
-    a, b = (_valid_stack(_whitened_effects(_ginibres_of(g))) for g in (ga, gb))
+    a, b = (_valid_stack(_whitened_effects(g)) for g in (ga, gb))
     roots, j = _roots(a), _luders(b)[0]
     i, products = _checked(roots[..., None, :, :])[0], seq_products(roots, b)
     lhs, cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channel_kraus(i)[0][:, None]))
@@ -737,7 +753,7 @@ def _public_ex_5(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
 
 
 def _batch_ex_5(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    j = _checked(_whitened_kraus(_ginibres_of(g)))[0]
+    j = _checked(_whitened_kraus(g))[0]
     roots = np.sqrt(w)[:, :, None, None, None]
     ident, channel = _checked(roots * np.eye(j.shape[-1], dtype=complex))[0], _channels(j)[0][:, None]
     scaled = roots[:, :, None] * j[:, None]  # [:, x, y] = sqrt(w_x) K_y, outcome (x, y) of ident then j
@@ -761,8 +777,8 @@ def _public_ex_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
 
 
 def _batch_ex_6(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
-    a, b = (_valid_stack(_whitened_effects(_ginibres_of(x))) for x in (ga, gb))
-    alpha, beta = _states(_ginibres_of(np.stack(g)))
+    a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
+    alpha, beta = _states(np.stack(g))
     prod = _products(_trivial(a, alpha)[0], _trivial(b, beta)[0])
     roots = np.sqrt(np.trace(alpha[:, None] @ b, axis1=-2, axis2=-1).real)
     ka = _trivial(a, beta)[0][:, :, None] * roots[:, None, :, None, None, None]  # [:, x, y] = sqrt(tr(alpha B_y)) K_x
@@ -795,8 +811,8 @@ def _public_ex_7(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
 
 
 def _batch_ex_7(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
-    a, b = (_valid_stack(_whitened_effects(_ginibres_of(x))) for x in (ga, gb))
-    alpha, beta, rho = _states(_ginibres_of(np.stack(g)))
+    a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
+    alpha, beta, rho = _states(np.stack(g))
     table = _pair_traces(_sandwich(_trivial(a, alpha)[0], rho[:, None, None]), _trivial(b, beta)[1])
     p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))  # X = {a's first}, Y = {b's second}
     expected = np.trace(rho @ a[:, 0], axis1=-2, axis2=-1).real * np.trace(alpha @ b[:, 1], axis1=-2, axis2=-1).real
@@ -932,7 +948,7 @@ def _public_lem_4_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 def _batch_lem_4_2(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
-    alpha, c = _states(_ginibres_of(g)), _valid_stack(_whitened_effects(_ginibres_of(gc)))
+    alpha, c = _states(g), _valid_stack(_whitened_effects(gc))
     joint = _trivial(c, alpha)[0]
     (i, back_i), (j, back_j) = _marginals(joint)
     a, b = (_checked_effects(x.sum(2).reshape(-1, *c.shape[-2:]), 2)[0] for x in _by_marginal(c))  # Observable's checks
@@ -965,41 +981,98 @@ def _suite_cor_4_3(run: _Run) -> None:
         run.require(obs_coexist_verify(a, b, measured_c, run.tol), "measured joint observable broken")
 
 
-def _suite_thm_4_4(run: _Run) -> None:
+def _measured(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``model_instrument``'s general branch per trial of a batch of ``W`` ``(t, c, d dk, d, s)`` and pointer root
+    columns ``f``: the operators of every column (those of a column not kept are zero), then ``_assembled_batch``."""
+    kraus = _measured_kraus(w, f)
+    return _assembled_batch(kraus.reshape(*kraus.shape[:2], -1, *kraus.shape[-2:]))
+
+
+def _vn(base: np.ndarray, probe: np.ndarray, f: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """``vn_measured`` per trial of a batch of bases and pointer root columns ``f``: its Kraus array and effects
+    (``_assembled_batch``), its channel's operators and the measured effects (``_valid_stack``)."""
+    kraus, projs, effects = _vn_forms(base, probe, f)
+    return _assembled_batch(kraus), projs, _valid_stack(effects)
+
+
+def _public_thm_4_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Closed forms of the basis-pairing model (instrument, dephasing
     channel, measured observable) match the partial-trace definition, both
     on the model's closed-form ``W`` and on a public ``FIMM`` built from the
-    pairing unitary."""
-    for _, d in run.cases(2, 3):
-        model = VonNeumannModel(random_unitary(d, run.rng), random_unitary(d, run.rng), random_observable(d, 2, run.rng))
-        instr, channel, obs = vn_measured(model)
-        direct = model_instrument(model)
-        unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
-        public = model_instrument(FIMM(d, d, model.probe_state, unitary, model.pointer))
-        run.residual(family_distance(instr, direct))
-        run.residual(family_distance(instr, public))
-        run.residual(*choi_distances([instr_channel(direct)._kraus], [channel._kraus]))
-        direct_obs = induced_observable(direct)
-        run.residual(family_distance(obs, direct_obs))
-        rho = random_state(d, run.rng)
-        once = channel.apply(rho)
-        run.residual(frob(channel.apply(once) - once), bound=1e-9)
+    pairing unitary; the channel is idempotent."""
+    model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
+    instr, channel, obs = vn_measured(model)
+    direct = model_instrument(model)
+    unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
+    public = model_instrument(FIMM(d, d, model.probe_state, unitary, model.pointer))
+    once = channel.apply(random_state(d, rng))
+    gaps = family_distance(instr, direct), family_distance(instr, public), family_distance(obs, induced_observable(direct))
+    channel_gap = choi_distances([instr_channel(direct)._kraus], [channel._kraus])[0]
+    return *gaps, channel_gap, frob(channel.apply(once) - once)
+
+
+def _batch_thm_4_4(t: np.ndarray, gb: np.ndarray, gp: np.ndarray, g: np.ndarray, gr: np.ndarray) -> tuple[float, ...]:
+    base, probe, d = _unitaries(gb), _unitaries(gp), gb.shape[-1]
+    eta = hermitian_part(probe[:, :, :1] @ probe[:, :, :1].conj().swapaxes(1, 2))  # the FIMM's probe state
+    f = _columns(np.concatenate([_valid_stack(_whitened_effects(g)), eta[:, None]], 1))  # the pointer's roots, eta's
+    (instr, _), channel, obs = _vn(base, probe, f[:, :-1])
+    direct, effects = _measured(_vn_w(base, probe)[:, None, :, :, None], f[:, :-1])
+    u = _pairing_unitary(base, probe)
+    if not _unitary_defects(u).max() <= UNITARY_TOL:
+        raise NotIsometry("interaction matrix is not unitary")  # as FIMM checks it
+    public = _measured(_coupled(u[:, None], d, f[:, -1]), f[:, :-1])[0]
+    once = _sandwich(channel, _states(gr)[:, None])
+    gaps = _worst_choi(instr, direct), _worst_choi(instr, public), _worst(obs, _valid_stack(effects))
+    channel_gap = float(choi_distances(_channels(direct)[0], channel).max())
+    return *gaps, channel_gap, _worst(_sandwich(channel, once[:, None]), once)
+
+
+def _fold_thm_4_4(run: _Run, *values: float) -> None:
+    """The public trial's five values, then the batch's: each a residual, and the last of each five, the
+    channel's idempotence defect, also within 1e-9."""
+    run.residual(*values)
+    run.residual(*values[4::5], bound=1e-9)
     run.note = "channel idempotent within 1e-9"
 
 
-def _suite_cor_4_5(run: _Run) -> None:
-    """Basis-pairing models measure exactly the commutative observables."""
-    for t, d in run.cases(2, 3):
-        if t % 3 == 2:
-            a = identity_observable(dict(zip(("0", "1"), random_simplex(2, run.rng))), d)
-        else:
-            a = random_commutative_observable(d, 2 + t % 2, run.rng)
-        model = vn_model_for_commutative(a, run.rng)
-        _, _, measured = vn_measured(model)
-        run.residual(family_distance(measured, a))
-        generic = VonNeumannModel(random_unitary(d, run.rng), random_unitary(d, run.rng), random_observable(d, 2, run.rng))
-        _, _, obs = vn_measured(generic)
-        run.require(classify_observable(obs).commutative, "measured observable not commutative")
+def _public_cor_4_5(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
+    """Basis-pairing models measure exactly the commutative observables:
+    the distance of a commutative observable (for ``t % 3 == 2`` an
+    identity observable) from what its model measures; a generic model's
+    measured observable must be commutative."""
+    if t % 3 == 2:
+        a = identity_observable(dict(zip(("0", "1"), random_simplex(2, rng))), d)
+    else:
+        a = random_commutative_observable(d, 2 + t % 2, rng)
+    measured = vn_measured(vn_model_for_commutative(a, rng))[2]
+    generic = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
+    if not classify_observable(vn_measured(generic)[2]).commutative:
+        raise _Stop("measured observable not commutative")
+    return (family_distance(measured, a),)
+
+
+def _batch_cor_4_5(t: np.ndarray, *draws: np.ndarray) -> tuple[float, ...]:
+    # draws: the observable's (the weights of an identity observable, or a unitary and weights), every
+    # eigenbasis combination drawn, then the generic model's; a batch takes one combination, so a redraw fails
+    d, scalar = 2 + t[0] % 2, t[0] % 3 == 2
+    eye = np.eye(d, dtype=complex)
+    if len(draws) != 6 - scalar:
+        raise _Stop("eigenbasis redrawn")
+    *drawn, x, gb, gp, g = draws
+    a = drawn[0][..., None, None] * eye if scalar else _diagonal_in(_unitaries(drawn[0]), drawn[1].swapaxes(1, 2))
+    a = _checked_effects(a.reshape(-1, d, d), a.shape[1])[0]  # Observable's checks
+    if not _commuting(a, a).all():
+        raise NotCommutative("observable effects do not pairwise commute")
+    v, diagonals, diagonalizes = _eigenbasis(a, x)
+    if not diagonalizes.all():
+        raise _Stop("eigenbasis redrawn")
+    if not _unitary_defects(v).max() <= BASIS_TOL:
+        raise NotIsometry("bases must be unitary")  # as VonNeumannModel checks its bases
+    measured = _vn(v, eye, _columns(_valid_stack(diagonals)))[2]
+    obs = _vn(_unitaries(gb), _unitaries(gp), _columns(_valid_stack(_whitened_effects(g))))[2]
+    if not _commuting(obs, obs).all():
+        raise _Stop("measured observable not commutative")
+    return (_worst(measured, a),)
 
 
 def _suite_thm_4_6(run: _Run) -> None:
@@ -1040,50 +1113,62 @@ def _suite_cor_4_7(run: _Run) -> None:
     run.require(not luders_positivity_check(m_skew), run.note)
 
 
-def _suite_thm_4_8(run: _Run) -> None:
+def _public_thm_4_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Swap-interaction models measure exactly the state-preparation
-    instruments, with the model's own pointer and probe state."""
-    for t, d in run.cases(2, 3):
-        eta = random_state(d, run.rng)
-        pointer = random_observable(d, 2 + t % 2, run.rng)
-        m = trivial_fimm(eta, pointer)
-        measured = model_instrument(m)
-        expected = trivial_instrument(pointer, eta)
-        run.residual(family_distance(measured, expected))
-        # converse: starting from a state-preparation instrument, the swap
-        # model over its observable and state measures it back.
-        a = random_observable(d, 2, run.rng)
-        alpha = random_state(d, run.rng)
-        instr = trivial_instrument(a, alpha)
-        m2 = trivial_fimm(alpha, a)
-        measured2 = model_instrument(m2)
-        run.residual(family_distance(measured2, instr))
+    instruments, with the model's own pointer and probe state; conversely,
+    the swap model over a state-preparation instrument's observable and
+    state measures it back."""
+    eta, pointer = random_state(d, rng), random_observable(d, 2 + t % 2, rng)
+    measured = family_distance(model_instrument(trivial_fimm(eta, pointer)), trivial_instrument(pointer, eta))
+    a, alpha = random_observable(d, 2, rng), random_state(d, rng)
+    return measured, family_distance(model_instrument(trivial_fimm(alpha, a)), trivial_instrument(a, alpha))
 
 
-def _suite_conj_2_5(run: _Run) -> None:
-    """Probe for a complementary observable pair whose measurement-update
-    instruments fail instrument-level complementarity.  Reports only the
-    search outcome; asserts nothing."""
-    found = 0
-    run.count = 0
-    for t, d in run.cases(2, 3, 4):
-        b1, b2 = fourier_mub(d)
-        u = random_unitary(d, run.rng)
-        if t % 2 == 0:
-            a, b = atomic_observable(u @ b1), atomic_observable(u @ b2)
-        else:
-            a, b = _identity_pair(d)
-        if not obs_complementary(a, b):
-            continue
-        run.count += 1
-        if not instr_complementary(luders_instrument(a), luders_instrument(b)):
-            found += 1
-    run.residual(found)
-    run.note = (
-        f"no counterexample found in {run.count} trials"
-        if found == 0
-        else f"{found} counterexample candidates in {run.count} trials"
-    )
+def _swapped(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``model_instrument(trivial_fimm(state, pointer))`` per trial of a batch of pointer effects and probe
+    states: one ``root_columns`` call over each trial's effects and state, the swap's ``W``; its Kraus array."""
+    f, d = _columns(np.concatenate([effects, states[:, None]], 1)), states.shape[-1]
+    return _measured(_coupled(swap_unitary(d)[None], d, f[:, -1]), f[:, :-1])[0]
+
+
+def _batch_thm_4_8(t: np.ndarray, g: np.ndarray, gp: np.ndarray, ga: np.ndarray, gs: np.ndarray) -> tuple[float, ...]:
+    pairs = (_valid_stack(_whitened_effects(gp)), _states(g)), (_valid_stack(_whitened_effects(ga)), _states(gs))
+    return tuple(_worst_choi(_swapped(a, alpha), _trivial(a, alpha)[0]) for a, alpha in pairs)
+
+
+def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bool]:
+    """A pair by its kind ``t % 2``: the atomic observables of a randomly
+    rotated mutually unbiased pair (0), or the identity pair (1; the rotation
+    is drawn, unused); whether it is complementary, and whether it then is a
+    counterexample: its measurement-update instruments are not."""
+    b1, b2 = fourier_mub(d)
+    u = random_unitary(d, rng)
+    a, b = (atomic_observable(u @ b1), atomic_observable(u @ b2)) if t % 2 == 0 else _identity_pair(d)
+    complementary = obs_complementary(a, b)
+    return complementary, complementary and not instr_complementary(luders_instrument(a), luders_instrument(b))
+
+
+def _batch_conj_2_5(t: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d = 2 + t[0] % 3
+    if t[0] % 2 == 0:
+        u = _unitaries(g)
+        pair = [_checked_effects(_basis_projections(u @ b).reshape(-1, d, d), d)[0] for b in fourier_mub(d)]
+    else:
+        pair = [np.broadcast_to(a.stack, (len(t), *a.stack.shape)) for a in _identity_pair(d)]
+    obs = [(a, _roots(a)) for a in pair]
+    induced = [(a, _roots(a)) for a in (_valid_stack(_luders(b)[1]) for b in pair)]  # of the update instruments
+    complementary = _frobenius_complementary(_defects(*obs[0], *obs[1]))
+    return complementary, complementary & ~_entrywise_complementary(_defects(*induced[0], *induced[1]))
+
+
+def _fold_conj_2_5(run: _Run, public: bool, candidate: bool, complementary: np.ndarray, found: np.ndarray) -> None:
+    """Probe for a complementary observable pair whose measurement-update instruments fail instrument-level
+    complementarity; reports only the search outcome, asserting nothing.  The batch's decisions cover every trial
+    of its group: the complementary pairs are counted, and the counterexample candidates add up in ``run.worst``."""
+    run.count = (run.count or 0) + int(complementary.sum())
+    run.worst += int(found.sum())
+    candidates = f"{run.worst:.0f} counterexample candidates" if run.worst else "no counterexample found"
+    run.note = f"{candidates} in {run.count} trials"
 
 
 def _suite_conj_3_3(run: _Run) -> None:
@@ -1140,12 +1225,14 @@ SUITES: dict[str, _Suite] = {
     "thm-4.1": _Suite(_suite_thm_4_1, 5, 1e-7),
     "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, _batch_lem_4_2, _fold_lem_4_2)),
     "cor-4.3": _Suite(_suite_cor_4_3, 5, 1e-7),
-    "thm-4.4": _Suite(_suite_thm_4_4, 20, 1e-8),
-    "cor-4.5": _Suite(_suite_cor_4_5, 20, 1e-8),
+    "thm-4.4": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_4, _batch_thm_4_4, _fold_thm_4_4)),
+    "cor-4.5": _Suite(None, 20, 1e-8, batched=_Batched(6, (2, 3), _public_cor_4_5, _batch_cor_4_5)),
     "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8),
     "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8),
-    "thm-4.8": _Suite(_suite_thm_4_8, 20, 1e-8),
-    "conj-2.5-converse": _Suite(_suite_conj_2_5, 40, None),
+    "thm-4.8": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_8, _batch_thm_4_8)),
+    "conj-2.5-converse": _Suite(
+        None, 40, None, batched=_Batched(6, (2, 3, 4), _public_conj_2_5, _batch_conj_2_5, _fold_conj_2_5)
+    ),
     "conj-3.3-converse": _Suite(_suite_conj_3_3, 40, None),
 }
 

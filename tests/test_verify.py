@@ -7,7 +7,7 @@ import qinstr.verify
 from qinstr import cli
 from qinstr.effects import CoexistenceWitness, _witness_blocks, binary_observables_from_coexistence, ensure_effect
 from qinstr.effects import ensure_effects, seq_products
-from qinstr.errors import QinstrError
+from qinstr.errors import NotIsometry, QinstrError
 from qinstr.instruments import (
     _channel_kraus,
     _channels,
@@ -27,12 +27,13 @@ from qinstr.instruments import (
     trivial_instrument,
 )
 from qinstr.linalg import _sandwich, hermitian_part
-from qinstr.models import marginal_instruments
+from qinstr.models import FIMM, VonNeumannModel, _coupled, _eigenbasis, _pairing_unitary, _vn_w, marginal_instruments
+from qinstr.models import model_instrument, trivial_fimm, vn_measured, vn_model_for_commutative, von_neumann_unitary
 from qinstr.observables import _pair_traces, _probability_table, _set_probabilities, _valid_stack
-from qinstr.observables import joint_probability_table, obs_conditioned, obs_seq_product
-from qinstr.rand import _commuting_effects, _ginibres_of, _states, _unitaries, _whitened_effects, _whitened_kraus
-from qinstr.rand import random_commuting_effect_pair, random_instrument, random_observable, random_simplex, random_state
-from qinstr.rand import random_stochastic
+from qinstr.observables import identity_observable, joint_probability_table, obs_conditioned, obs_seq_product
+from qinstr.rand import _commuting_effects, _diagonal_in, _states, _unitaries, _whitened_effects, _whitened_kraus
+from qinstr.rand import random_commutative_observable, random_commuting_effect_pair, random_instrument
+from qinstr.rand import random_observable, random_simplex, random_state, random_stochastic, random_unitary
 from qinstr.verify import SUITES, _Recorded, _rng, _Run, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
@@ -206,7 +207,7 @@ def test_different_seed_changes_draws():
 
 _BUDGETS = [
     ("lem-1.1", 42), ("lem-2.4", 237), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36), ("lem-4.2", 30),
-    ("ex-6", 30),
+    ("ex-6", 30), ("thm-4.4", 12), ("cor-4.5", 66), ("thm-4.8", 36), ("conj-2.5-converse", 120),
 ]
 
 
@@ -231,9 +232,10 @@ BATCHED = sorted(result_id for result_id, suite in SUITES.items() if suite.batch
 @pytest.mark.parametrize("result_id", BATCHED)
 def test_batched_suites_pass_with_groups_empty_or_of_one(result_id, trials):
     # At 1 and 2 trials some shape groups are empty, at 7 some hold one trial.
-    # A suite that reports the cases it checked (cor-2.5) checks at least one.
+    # A suite that reports the cases it checked (cor-2.5) checks at least one;
+    # the probe (conj-2.5-converse) reports "unknown".
     report = run_suite(result_id, seed=7, trials=trials)
-    assert report.status == "pass"
+    assert report.status == ("unknown" if SUITES[result_id].tol is None else "pass")
     assert 0 < report.trials <= trials if result_id in CHECKED_COUNT else report.trials == trials
 
 
@@ -295,7 +297,7 @@ def test_batched_instruments_are_the_public_ones():
         d = 2 + first % 3
         c = nu.swapaxes(1, 2)
         checked = qinstr.verify._checked
-        (instr, _), (other, _) = (checked(_whitened_kraus(_ginibres_of(x))) for x in (raw, raw_other))
+        (instr, _), (other, _) = (checked(_whitened_kraus(x)) for x in (raw, raw_other))
         processed = qinstr.verify._post_processed(c, instr)[0]
         mixed = qinstr.verify._assembled_batch(_mixed(weights, [instr, other]))[0]
         for i, t in enumerate(range(first, trials, 6)):
@@ -319,8 +321,8 @@ def test_batched_probabilities_are_the_public_ones():
     trials, gens = 13, _trial_generators("lem-3.1", 13)
     for first, (_, (ga, gb, g, *_)) in enumerate(_groups("lem-3.1", trials)):
         d = 2 + first % 3
-        a, b = (_valid_stack(_whitened_effects(_ginibres_of(s))) for s in (ga, gb))
-        rho = _states(_ginibres_of(g))
+        a, b = (_valid_stack(_whitened_effects(s)) for s in (ga, gb))
+        rho = _states(g)
         table = _probability_table(rho, seq_products(qinstr.verify._roots(a), b))
         for i, t in enumerate(range(first, trials, 6)):
             rng = gens[t]
@@ -340,7 +342,7 @@ def test_batched_joint_observables_are_the_public_ones():
     trials, gens = 13, _trial_generators("lem-1.1", 13)
     for first, (_, (g, x)) in enumerate(_groups("lem-1.1", trials)):
         d = 2 + first % 3
-        a, b = _commuting_effects(_unitaries(_ginibres_of(g)), x).swapaxes(0, 1)
+        a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
         ab = ensure_effects(hermitian_part(a @ b))
         joint = _witness_blocks(a, b, CoexistenceWitness(a - ab, b - ab, ab))
         for i, t in enumerate(range(first, trials, 3)):
@@ -374,7 +376,7 @@ def test_batched_channels_are_the_public_ones():
     products = qinstr.verify._products
     for first, (_, (gi, gj)) in enumerate(_groups("lem-3.4", trials)):
         d = 2 + first % 2
-        i, j = (qinstr.verify._checked(_whitened_kraus(_ginibres_of(x)))[0] for x in (gi, gj))
+        i, j = (qinstr.verify._checked(_whitened_kraus(x))[0] for x in (gi, gj))
         ci, cj = _channels(i)[0][:, None], _channels(j)[0][:, None]
         batched = _channels(products(i, j))[0], _channels(products(ci, j))[0], products(ci, cj)[:, 0]
         for k, t in enumerate(range(first, trials, 2)):
@@ -402,6 +404,18 @@ def test_complementarity_folds_take_every_trial_of_a_group():
     assert (cor.worst, cor.count) == (1.0, 3)
 
 
+def test_the_probe_fold_counts_every_trial_of_every_group():
+    # conj-2.5-converse's fold takes the batch's decisions, which cover every
+    # trial of a group, the public one included: it counts the complementary
+    # pairs and adds up the counterexample candidates over the groups.
+    run = _Run(_rng("conj-2.5-converse", 7), 8, 1.0, 0.0)
+    complementary, found = np.array([True, True, False, True]), np.array([False, True, False, True])
+    qinstr.verify._fold_conj_2_5(run, True, False, complementary, np.zeros(4, dtype=bool))
+    assert (run.count, run.worst, run.note) == (3, 0.0, "no counterexample found in 3 trials")
+    qinstr.verify._fold_conj_2_5(run, True, False, complementary, found)
+    assert (run.count, run.worst, run.note) == (6, 2.0, "2 counterexample candidates in 6 trials")
+
+
 def test_batched_complementarity_decisions_are_the_public_ones():
     # lem-2.4's and cor-2.5's array program decides, trial by trial, both
     # complementarity rules as the public functions decide them, for every
@@ -424,7 +438,7 @@ def test_batched_state_preparations_and_marginals_are_the_public_ones():
     trials, gens = 13, _trial_generators("lem-4.2", 13)
     for first, (_, (g, gc)) in enumerate(_groups("lem-4.2", trials)):
         d = 2 + first % 2
-        joint, effects = qinstr.verify._trivial(_valid_stack(_whitened_effects(_ginibres_of(gc))), _states(_ginibres_of(g)))
+        joint, effects = qinstr.verify._trivial(_valid_stack(_whitened_effects(gc)), _states(g))
         (i, _), (j, _) = qinstr.verify._marginals(joint)
         for k, t in enumerate(range(first, trials, 2)):
             rng = gens[t]
@@ -443,7 +457,7 @@ def test_batched_luders_products_are_the_public_ones():
     trials, gens = 13, _trial_generators("ex-4", 13)
     for first, (_, (ga, gb)) in enumerate(_groups("ex-4", trials)):
         d = 2 + first % 2
-        i, j = (qinstr.verify._luders(_valid_stack(_whitened_effects(_ginibres_of(x))))[0] for x in (ga, gb))
+        i, j = (qinstr.verify._luders(_valid_stack(_whitened_effects(x)))[0] for x in (ga, gb))
         products = qinstr.verify._products
         product, conditioned = (_effects(products(x, j)) for x in (i, _channel_kraus(i)[0][:, None]))
         for k, t in enumerate(range(first, trials, 2)):
@@ -460,8 +474,8 @@ def test_batched_prepared_probabilities_are_the_public_ones():
     trivial = qinstr.verify._trivial
     for first, (_, (ga, gb, *g)) in enumerate(_groups("ex-7", trials)):
         d = 2 + first % 2
-        a, b = (_valid_stack(_whitened_effects(_ginibres_of(x))) for x in (ga, gb))
-        alpha, beta, rho = _states(_ginibres_of(np.stack(g)))
+        a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
+        alpha, beta, rho = _states(np.stack(g))
         table = _pair_traces(_sandwich(trivial(a, alpha)[0], rho[:, None, None]), trivial(b, beta)[1])
         p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))
         for k, t in enumerate(range(first, trials, 2)):
@@ -480,7 +494,7 @@ def test_batched_identity_products_are_the_public_ones():
     checked, products = qinstr.verify._checked, qinstr.verify._products
     for first, (_, (w, g)) in enumerate(_groups("ex-5", trials)):
         d = 2 + first % 2
-        j = checked(_whitened_kraus(_ginibres_of(g)))[0]
+        j = checked(_whitened_kraus(g))[0]
         ident = checked(np.sqrt(w)[:, :, None, None, None] * np.eye(d, dtype=complex))[0]
         batched = products(ident, j), products(j, ident)
         for k, t in enumerate(range(first, trials, 2)):
@@ -520,3 +534,151 @@ def test_a_marginal_defect_in_a_batched_trial_fails_its_suite(monkeypatch, resul
     monkeypatch.setattr(qinstr.verify, "_marginals", broken)
     report = run_suite(result_id, seed=7)
     assert (report.status, report.note) == ("fail", note)
+
+
+def test_batched_von_neumann_instruments_are_the_public_ones():
+    # thm-4.4's array program builds, trial by trial, the instrument, channel
+    # and observable that vn_measured builds, the instrument model_instrument
+    # measures on the model, and the one it measures on a public FIMM of the
+    # pairing unitary, each outcome cut to at most d^2 operators.
+    trials, gens, v = 13, _trial_generators("thm-4.4", 13), qinstr.verify
+    for first, (_, (gb, gp, g, _)) in enumerate(_groups("thm-4.4", trials)):
+        d = 2 + first % 2
+        base, probe = _unitaries(gb), _unitaries(gp)
+        eta = hermitian_part(probe[:, :, :1] @ probe[:, :, :1].conj().swapaxes(1, 2))
+        f = v._columns(np.concatenate([_valid_stack(_whitened_effects(g)), eta[:, None]], 1))
+        (instr, _), channel, obs = v._vn(base, probe, f[:, :-1])
+        direct = v._measured(_vn_w(base, probe)[:, None, :, :, None], f[:, :-1])[0]
+        public = v._measured(_coupled(_pairing_unitary(base, probe)[:, None], d, f[:, -1]), f[:, :-1])[0]
+        for k, t in enumerate(range(first, trials, 2)):
+            rng = gens[t]
+            model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
+            one_instr, one_channel, one_obs = vn_measured(model)
+            unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
+            one_public = model_instrument(FIMM(d, d, model.probe_state, unitary, model.pointer))
+            for batch, one in ((instr, one_instr), (direct, model_instrument(model)), (public, one_public)):
+                assert choi_distances(batch[k], one.kraus).max() <= 1e-14
+                assert len(batch[k][0]) <= d * d
+            assert choi_distances([channel[k]], [one_channel._kraus])[0] <= 1e-14
+            assert np.abs(obs[k] - one_obs.stack).max() <= 1e-14
+
+
+def test_batched_swap_model_instruments_are_the_public_ones():
+    # thm-4.8's array program builds, trial by trial, the instruments that
+    # model_instrument measures on the two swap models of trivial_fimm.
+    trials, gens = 13, _trial_generators("thm-4.8", 13)
+    for first, (_, (g, gp, ga, galpha)) in enumerate(_groups("thm-4.8", trials)):
+        d = 2 + first % 2
+        swapped = [
+            qinstr.verify._swapped(_valid_stack(_whitened_effects(x)), _states(y)) for x, y in ((gp, g), (ga, galpha))
+        ]
+        for k, t in enumerate(range(first, trials, 2)):
+            rng = gens[t]
+            eta, pointer = random_state(d, rng), random_observable(d, 2 + t % 2, rng)
+            a, alpha = random_observable(d, 2, rng), random_state(d, rng)
+            for batch, one in zip(swapped, (trivial_fimm(eta, pointer), trivial_fimm(alpha, a))):
+                assert choi_distances(batch[k], model_instrument(one).kraus).max() <= 1e-14
+                assert len(batch[k][0]) <= d * d
+
+
+def test_batched_commutative_measured_observables_are_the_public_ones():
+    # cor-4.5's array program builds, trial by trial, the observable that the
+    # von Neumann model of vn_model_for_commutative measures, from the
+    # eigenbasis combination that the public route draws first.
+    trials, gens, v = 13, _trial_generators("cor-4.5", 13), qinstr.verify
+    for first, (_, draws) in enumerate(_groups("cor-4.5", trials)):
+        d = 2 + first % 2
+        if first % 3 == 2:
+            w, x, *_ = draws
+            a = w[:, :, None, None] * np.eye(d, dtype=complex)
+        else:
+            u, w, x, *_ = draws
+            a = _diagonal_in(_unitaries(u), w.swapaxes(1, 2))
+        basis, diagonals, diagonalizes = _eigenbasis(a, x)
+        assert diagonalizes.all()
+        measured = v._vn(basis, np.eye(d, dtype=complex), v._columns(_valid_stack(diagonals)))[2]
+        for k, t in enumerate(range(first, trials, 6)):
+            rng = gens[t]
+            if t % 3 == 2:
+                public = identity_observable(dict(zip(("0", "1"), random_simplex(2, rng))), d)
+            else:
+                public = random_commutative_observable(d, 2 + t % 2, rng)
+            assert np.abs(a[k] - public.stack).max() <= 1e-15
+            one = vn_measured(vn_model_for_commutative(public, rng))[2]
+            assert np.abs(measured[k] - one.stack).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "result_id, fault, note",
+    [("cor-4.5", "not commutative", "measured observable not commutative"), ("thm-4.4", "not idempotent", None)],
+)
+def test_a_model_fault_in_a_batched_trial_fails_its_suite(monkeypatch, result_id, fault, note):
+    # The last trial of each shape group, a batched one and not the group's
+    # public trial, gets a faulty von Neumann closed form: for cor-4.5 the
+    # generic model's (its probe basis drawn per trial) measures two effects
+    # that do not commute (two of a random three-outcome observable's, as two
+    # effects that sum to the identity always commute); for thm-4.4
+    # the dephasing channel is scaled by 1 + 4e-9, which misses idempotence by
+    # more than 1e-9 while every distance stays within the 1e-8 tolerance.
+    vn = qinstr.verify._vn
+
+    def broken(base, probe, f):
+        instr, channel, obs = vn(base, probe, f)
+        channel, obs = channel.copy(), obs.copy()
+        if fault == "not idempotent":
+            channel[-1] *= np.sqrt(1.0 + 4e-9)
+        elif probe.ndim == 3:
+            obs[-1] = random_observable(obs.shape[-1], 3, np.random.default_rng(0)).stack[:2]
+        return instr, channel, obs
+
+    monkeypatch.setattr(qinstr.verify, "_vn", broken)
+    report = run_suite(result_id, seed=7)
+    assert report.status == "fail"
+    if note is None:  # the idempotence bound, not the tolerance, fails the suite
+        assert report.max_residual <= report.tolerance and report.note == "channel idempotent within 1e-9"
+    else:
+        assert report.note == note
+
+
+@pytest.mark.parametrize("route", ["public", "batched"])
+def test_an_eigenbasis_redraw_fails_cor_4_5(monkeypatch, route):
+    # The public route draws a rejected eigenbasis combination again; a
+    # batched trial replays the one combination its group's public trial drew.
+    # So a public trial that drew twice (its first draw rejected here), or a
+    # batched trial whose combination does not diagonalize (the last of each
+    # group rejected here), fails the suite: no basis is taken unchecked.
+    module = qinstr.models if route == "public" else qinstr.verify
+    eigenbasis, calls = module._eigenbasis, []
+
+    def rejecting(stack, x):
+        v, diagonals, diagonalizes = eigenbasis(stack, x)
+        calls.append(x)
+        if route == "public":
+            return v, diagonals, diagonalizes and len(calls) > 1
+        return v, diagonals, np.arange(len(diagonalizes)) < len(diagonalizes) - 1
+
+    monkeypatch.setattr(module, "_eigenbasis", rejecting)
+    report = run_suite("cor-4.5", seed=7)
+    assert (report.status, report.note) == ("fail", "eigenbasis redrawn")
+
+
+@pytest.mark.parametrize(
+    "result_id, name, message",
+    [("thm-4.4", "_pairing_unitary", "interaction matrix is not unitary"), ("cor-4.5", "_eigenbasis", "bases must be unitary")],
+)
+def test_a_non_unitary_matrix_in_a_batched_trial_is_refused(monkeypatch, result_id, name, message):
+    # Every trial's pairing unitary (thm-4.4) is tested as FIMM tests an
+    # interaction, and every trial's eigenbasis (cor-4.5) as VonNeumannModel
+    # tests its bases: the last trial of each group, a batched one, gets one
+    # scaled by 1 + 1e-7.
+    original = getattr(qinstr.verify, name)
+
+    def broken(*args):
+        out = original(*args)
+        u = (out[0] if isinstance(out, tuple) else out).copy()
+        u[-1] *= 1.0 + 1e-7
+        return (u, *out[1:]) if isinstance(out, tuple) else u
+
+    monkeypatch.setattr(qinstr.verify, name, broken)
+    with pytest.raises(NotIsometry, match=message):
+        run_suite(result_id, seed=7)
