@@ -11,6 +11,9 @@ forms every pairwise sequential product of two stacks from the square roots
 of the first (an observable's cached ``roots``): the dual of the Lüders
 instrument, through the package's one sandwich ``linalg._sandwich``.
 ``ensure_effect`` and ``seq_product`` are their one-element cases.
+
+A coexistence witness of two effects is a view of the 2x2 joint observable of
+their binary observables: that joint is its one acceptance rule and its search.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
-from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, WITNESS_TOL, ZERO_NORM_TOL
+from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, SUM_TOL, ZERO_NORM_TOL
 from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, require
 from .linalg import Array, _from_eig, as_matrix, as_numbers, as_vector, ensure_hermitian, herm_sqrt, hermitian_part, psd_part
 
@@ -135,54 +138,65 @@ def conditioned_partial_state(a: object, rho: object) -> Array:
 
 @dataclass(frozen=True)
 class CoexistenceWitness:
-    """Decomposition ``a = a1 + c``, ``b = b1 + c`` with ``a1 + b1 + c <= 1``."""
+    """Decomposition ``a = a1 + c``, ``b = b1 + c`` with ``a1 + b1 + c <= 1``: a view of the joint
+    observable of ``{a, 1 - a}`` and ``{b, 1 - b}`` with blocks ``C11 = c``, ``C12 = a1``, ``C21 = b1``
+    and ``C22 = 1 - a1 - b1 - c`` (``binary_observables_from_coexistence``)."""
 
     a1: Array
     b1: Array
     c: Array
 
 
-def _witness_blocks(a: object, b: object, w: CoexistenceWitness) -> Array | None:
-    """The joint observable's effects in label order: the witness blocks ``c``, ``a1``
-    and ``b1`` and the leftover ``d = 1 - a1 - b1 - c``, as a ``(4, d, d)`` stack, or
-    ``(t, 4, d, d)`` for ``(t, d, d)`` stacks of ``t`` effect pairs and witnesses.  The
-    five given matrices are validated as effects by one ``ensure_effects`` call.  None
-    when a witness equation fails (in any trial)."""
-    given = [as_matrix(m, stack=m.ndim == 3) for m in map(as_numbers, (a, b, w.a1, w.b1, w.c))]
-    if len({m.shape for m in given}) > 1:
-        return None
+def _witness_joints(a: Array, b: Array, w: CoexistenceWitness) -> tuple[Array, tuple[Array, Array] | None, Array]:
+    """The one coexistence rule, for ``t`` effect pairs and their witnesses, ``(t, d, d)`` stacks: the
+    blocks ``[c, a1, b1, 1 - a1 - b1 - c]`` checked as ``t`` observables by one ``_checked_effects``
+    call (range within ``EFFECT_EIG_TOL``), ``(t, 4, d, d)``, with that check's spectrum, and each
+    trial's marginal defects to ``{a, 1 - a}`` and ``{b, 1 - b}``, ``(t, 2)``, within ``SUM_TOL``.
+    A block out of range or a marginal off raises ``InvalidWitness``."""
+    from .observables import _checked_effects
+
+    eye = np.eye(a.shape[-1])
     try:
-        ea, eb, a1, b1, c = ensure_effects(np.reshape(given, (-1, *given[0].shape[-2:]))).reshape(5, *given[0].shape)
-    except InvariantViolation:
-        return None
-    if np.linalg.norm([a1 + c - ea, b1 + c - eb], axis=(-2, -1)).max() > WITNESS_TOL:
-        return None
-    # a1 + b1 + c <= 1 means the leftover d is PSD.
-    d = np.eye(ea.shape[-1], dtype=complex) - a1 - b1 - c
-    if not np.linalg.eigvalsh(hermitian_part(d))[..., 0].min() >= -WITNESS_TOL:
-        return None
-    return np.stack([c, a1, b1, d], axis=-3)
+        joint, spectrum = _checked_effects(np.stack([w.c, w.a1, w.b1, eye - w.a1 - w.b1 - w.c], 1).reshape(-1, *a.shape[1:]), 4)
+        # joint[:, x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
+        # column sums must give {a, 1 - a} and {b, 1 - b}
+        grid = joint.reshape(-1, 2, 2, *a.shape[1:])
+        rows, cols = np.stack([a, eye - a], 1), np.stack([b, eye - b], 1)
+        defects = np.linalg.norm([grid.sum(2) - rows, grid.sum(1) - cols], axis=(-2, -1)).max(-1).T
+        require("witness-marginals", defects, SUM_TOL)
+    except InvariantViolation as exc:
+        raise InvalidWitness(f"witness blocks are not a joint observable of the effects: {exc}") from exc
+    return joint, spectrum, defects
 
 
 def check_coexistence_witness(a: object, b: object, w: CoexistenceWitness) -> bool:
-    """Check the witness equations within ``WITNESS_TOL``; any violation
-    returns False."""
-    return _witness_blocks(a, b, w) is not None
+    """True exactly when ``binary_observables_from_coexistence(a, b, w)`` builds
+    the joint observable; False when it raises ``InvalidWitness``."""
+    try:
+        binary_observables_from_coexistence(a, b, w)
+    except InvalidWitness:
+        return False
+    return True
 
 
 def binary_observables_from_coexistence(a: object, b: object, w: CoexistenceWitness):
-    """Joint observable on 2x2 labels whose marginals are ``{a, a'}`` and ``{b, b'}``.
+    """Joint observable on 2x2 labels whose marginals are ``{a, 1 - a}`` and ``{b, 1 - b}``.
 
     Outcome ("1","1") carries the common part ``c``, ("1","2") carries ``a1``,
-    ("2","1") carries ``b1``, and ("2","2") the leftover ``1 - a1 - b1 - c``,
-    which ``Observable`` checks within ``EFFECT_EIG_TOL`` of ``[0, 1]``.
+    ("2","1") carries ``b1``, and ("2","2") the leftover ``1 - a1 - b1 - c``.
+    ``a`` and ``b`` are validated as effects, then the blocks and marginals by
+    ``_witness_joints``.  Matrices of different shapes, ``a`` or ``b`` not an
+    effect, blocks out of range or a marginal off raise ``InvalidWitness``.
     """
     from .observables import Observable
 
-    blocks = _witness_blocks(a, b, w)
-    if blocks is None:
-        raise InvalidWitness("witness does not decompose the given effects")
-    return Observable(zip([("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")], blocks))
+    try:
+        given = as_matrix([a, b, w.a1, w.b1, w.c], stack=True)
+        ea, eb = ensure_effects(given[:2])
+    except (DimensionError, InvariantViolation) as exc:
+        raise InvalidWitness(f"not two effects and a witness of one shape: {exc}") from exc
+    joint, spectrum, _ = _witness_joints(ea[None], eb[None], CoexistenceWitness(*given[2:, None]))
+    return Observable._checked([("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")], joint[0], spectrum)
 
 
 # -- feasibility search -------------------------------------------------------
@@ -223,8 +237,8 @@ def joint_feasibility_search(rows: Array, cols: Array, iters: int, tol: float) -
 
 
 def find_coexistence_witness(a: object, b: object) -> CoexistenceWitness | None:
-    """Heuristic search for a coexistence witness of two effects, with the
-    budgets ``WITNESS_SEARCH_ITERS`` and ``WITNESS_SEARCH_TOL``.
+    """Heuristic search for a coexistence witness of two effects: the joint of
+    their binary observables, with the budgets ``WITNESS_SEARCH_ITERS`` and ``WITNESS_SEARCH_TOL``.
 
     Returns None when the search fails; that outcome means "unknown", since
     the projection heuristic cannot certify infeasibility.  A found common

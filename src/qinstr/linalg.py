@@ -54,7 +54,6 @@ EFFECT_EIG_TOL = 1e-9  # effect eigenvalues outside [0, 1]; sum defect of a deri
 EFFECT_ROUND_TOL = 1e-12  # effect eigenvalues outside [0, 1] that ensure_effects keeps as rounding, not clamped
 STATE_TRACE_TOL = 1e-9  # state: negative eigenvalue (relative to the largest) and trace defect
 ZERO_NORM_TOL = 1e-12  # norm below which a vector is the zero vector
-WITNESS_TOL = 1e-8  # coexistence-witness equations and the leftover's negative eigenvalue
 SUM_TOL = 1e-8  # observable sum, and the projection, commutator and complementarity defects
 STOCHASTIC_NEG_TOL = 1e-12  # negative entry of a stochastic matrix
 STOCHASTIC_ROW_TOL = 1e-10  # row-sum defect of a stochastic matrix
@@ -70,7 +69,7 @@ SEARCH_ITERS = 500  # alternating-projection rounds of find_joint_observable
 SEARCH_TOL = 1e-7  # largest marginal defect ||sum C - target||_F at which find_joint_observable stops
 JOINT_TOL = 1e-6  # sum defect up to which Observable._valid completes a derived observable; a found joint's marginal defect
 WITNESS_SEARCH_ITERS = 2000  # alternating-projection rounds of find_coexistence_witness
-WITNESS_SEARCH_TOL = 5e-10  # its stopping defect, below WITNESS_TOL so the polished witness still checks
+WITNESS_SEARCH_TOL = 5e-10  # find_coexistence_witness's stop, below EFFECT_EIG_TOL: its polished witness passes the joint-observable rule
 NUMBER_MAX = 1e50  # entry magnitude as_numbers accepts: fourth powers stay finite, so no validation overflows
 
 

@@ -219,9 +219,16 @@ class Observable(LabelledFamily):
         """Observable on a stack that is PSD by construction (Kraus-induced
         effects, checked products, mixtures, found joints) with trusted
         labels, never eigensolved; its sum is checked by ``_valid_stack``."""
-        stack = _valid_stack(stack)
+        return cls._checked(labels, _valid_stack(stack), None)
+
+    @classmethod
+    def _checked(cls, labels: Sequence[Label], stack: Array, spectrum: tuple[Array, Array] | None) -> "Observable":
+        """Observable on one checked family ``(m, d, d)`` with trusted labels: one that
+        ``_checked_effects`` passed, with that check's ``spectrum``, as ``__init__`` builds
+        it, or one that ``_valid_stack`` passed, with none."""
         obs = cls.__new__(cls)
         obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
+        obs._spectrum = spectrum
         return obs
 
     def _distances(self, groups: Array, other: "Observable") -> Array:

@@ -53,10 +53,9 @@ import numpy as np
 
 from .effects import (
     CoexistenceWitness,
-    _witness_blocks,
+    _witness_joints,
     atom,
     binary_observables_from_coexistence,
-    complement,
     ensure_effect,
     ensure_effects,
     seq_product,
@@ -377,23 +376,21 @@ def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     a, b = random_commuting_effect_pair(d, rng)
     ab = ensure_effect(hermitian_part(a @ b))
     w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
-    # joint[x, y] in label order ("1", "1"), ("1", "2"), ...: its row and
-    # column sums must give {a, a'} and {b, b'}
     try:
         joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
     except InvalidWitness:
         raise _Stop("witness rejected")
-    return _worst(joint.sum(1), np.stack([a, complement(a)])), _worst(joint.sum(0), np.stack([b, complement(b)]))
+    return _worst(joint.sum(1), np.stack([a, np.eye(d) - a])), _worst(joint.sum(0), np.stack([b, np.eye(d) - b]))
 
 
 def _batch_lem_1_1(t: np.ndarray, g: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
     a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
     ab = ensure_effects(hermitian_part(a @ b))
-    blocks = _witness_blocks(a, b, CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab))
-    if blocks is None:
+    try:
+        defects = _witness_joints(a, b, CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab))[2]
+    except InvalidWitness:
         raise _Stop("witness rejected")
-    joint = _checked_effects(blocks.reshape(-1, *a.shape[1:]), 4)[0].reshape(-1, 2, 2, *a.shape[1:])
-    return _worst(joint.sum(2), np.stack([a, complement(a)], 1)), _worst(joint.sum(1), np.stack([b, complement(b)], 1))
+    return tuple(map(float, defects.max(0)))
 
 
 def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -1045,8 +1042,8 @@ def _public_cor_4_5(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     else:
         a = random_commutative_observable(d, 2 + t % 2, rng)
     measured = vn_measured(vn_model_for_commutative(a, rng))[2]
-    generic = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
-    if not classify_observable(vn_measured(generic)[2]).commutative:
+    generic = vn_measured(VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng)))[2]
+    if not obs_commute(generic, generic):
         raise _Stop("measured observable not commutative")
     return (family_distance(measured, a),)
 

@@ -5,15 +5,15 @@ Labels of derived families are trusted but must still be distinct, since
 flattening can merge two product labels; caller labels are checked in full;
 an observable's square roots and root columns come from one kept
 eigendecomposition; an instrument's induced observable is one object; a
-coexistence witness is checked once, and its leftover still gets the
-effect-range check.
+coexistence witness is accepted by one rule, the joint observable it is a
+view of, so its leftover gets the effect-range check of every effect.
 """
 
 import numpy as np
 import pytest
 
-from qinstr.effects import CoexistenceWitness, _witness_blocks, binary_observables_from_coexistence, check_coexistence_witness
-from qinstr.errors import InvalidWitness, InvariantViolation, LabelError
+from qinstr.effects import CoexistenceWitness, _witness_joints, binary_observables_from_coexistence, check_coexistence_witness
+from qinstr.errors import InvalidWitness, LabelError
 from qinstr.instruments import (
     Instrument,
     Operation,
@@ -26,7 +26,7 @@ from qinstr.instruments import (
 from qinstr.linalg import herm_sqrt, hermitian_part, root_columns
 from qinstr.observables import Observable, classify_observable, joint_probability_table
 from qinstr.observables import obs_conditioned, obs_seq_product, obs_triple_joint
-from qinstr.rand import random_commuting_effect_pair, random_instrument, random_observable, random_state
+from qinstr.rand import random_commuting_effect_pair, random_instrument, random_observable, random_state, random_unitary
 
 HALF = 0.5 * np.eye(2, dtype=complex)
 
@@ -140,30 +140,76 @@ class TestWitness:
             binary_observables_from_coexistence(self.A, self.A, w)
 
     def test_stacked_witnesses_are_checked_trial_by_trial(self, rng):
-        # Stacks of effect pairs and witnesses give each trial's joint effects,
-        # bitwise those of the one-trial check, from one range check; one
-        # failing trial rejects the stack.
+        # Stacks of effect pairs and witnesses give each trial's joint effects
+        # and marginal defects, bitwise those of the one-trial check, from one
+        # range check; one failing trial rejects the stack.
         a, b = np.stack([random_commuting_effect_pair(3, rng) for _ in range(4)], axis=1)
         ab = hermitian_part(a @ b)
-        blocks = _witness_blocks(a, b, CoexistenceWitness(a - ab, b - ab, ab))
+        joint, _, defects = _witness_joints(a, b, CoexistenceWitness(a - ab, b - ab, ab))
         for k in range(4):
-            one = _witness_blocks(a[k], b[k], CoexistenceWitness(a[k] - ab[k], b[k] - ab[k], ab[k]))
-            assert np.array_equal(blocks[k], one)
+            t = slice(k, k + 1)
+            one = _witness_joints(a[t], b[t], CoexistenceWitness(a[t] - ab[t], b[t] - ab[t], ab[t]))
+            assert np.array_equal(joint[k], one[0][0]) and np.array_equal(defects[k], one[2][0])
+            public = binary_observables_from_coexistence(a[k], b[k], CoexistenceWitness(a[k] - ab[k], b[k] - ab[k], ab[k]))
+            assert np.array_equal(joint[k], public.stack)
         common = ab.copy()
         common[2] = 0.0  # trial 2's blocks no longer add up to its effects
-        assert _witness_blocks(a, b, CoexistenceWitness(a - ab, b - ab, common)) is None
+        with pytest.raises(InvalidWitness):
+            _witness_joints(a, b, CoexistenceWitness(a - ab, b - ab, common))
         a1, b1 = a - ab, b - ab
         a1[2], b1[2] = a[2], b[2]  # trial 2's equations hold, but its leftover 1 - a - b is not PSD
         assert np.linalg.eigvalsh(np.eye(3) - a[2] - b[2])[0] < -1e-3
-        assert _witness_blocks(a, b, CoexistenceWitness(a1, b1, common)) is None
+        with pytest.raises(InvalidWitness):
+            _witness_joints(a, b, CoexistenceWitness(a1, b1, common))
 
     def test_leftover_below_the_effect_tolerance_raises(self):
-        # The witness check allows a leftover eigenvalue down to -1e-8; the
-        # joint observable allows -1e-9, so -5e-9 passes one and fails the other.
+        # One rule: the leftover 1 - a1 - b1 - c is the joint observable's
+        # effect ("2", "2"), held to 1e-9 by both functions.  At -5e-9 both
+        # reject it; at -5e-10 both accept it, clamped onto [0, 1].
+        zero = np.zeros((2, 2), dtype=complex)
         b = np.diag([0.5 + 5e-9, 0.0]).astype(complex)
-        w = CoexistenceWitness(a1=self.A, b1=b, c=np.zeros((2, 2), dtype=complex))
-        assert check_coexistence_witness(self.A, b, w)
-        with pytest.raises(InvariantViolation) as exc:
+        w = CoexistenceWitness(a1=self.A, b1=b, c=zero)
+        assert not check_coexistence_witness(self.A, b, w)
+        with pytest.raises(InvalidWitness) as exc:
             binary_observables_from_coexistence(self.A, b, w)
-        assert exc.value.invariant == "effect-range"
-        assert exc.value.residual == pytest.approx(5e-9, rel=1e-6)
+        assert exc.value.__cause__.invariant == "effect-range"
+        assert exc.value.__cause__.residual == pytest.approx(5e-9, rel=1e-6)
+        b = np.diag([0.5 + 5e-10, 0.0]).astype(complex)
+        w = CoexistenceWitness(a1=self.A, b1=b, c=zero)
+        assert check_coexistence_witness(self.A, b, w)
+        assert np.linalg.eigvalsh(binary_observables_from_coexistence(self.A, b, w)[("2", "2")])[0] >= 0.0
+
+    # (block perturbed, size, accepted): the leftover shifted at an eigenvector
+    # where it is 0 (the equations still exact), or one equation a1 + c = a off
+    # by a Frobenius norm of `size` where every block has room.
+    PERTURBED = [
+        ("leftover", 5e-10, True),
+        ("leftover", -5e-10, True),
+        ("leftover", 5e-9, True),
+        ("leftover", -5e-9, False),
+        ("equation", 5e-9, True),
+        ("equation", 5e-8, False),
+    ]
+
+    @pytest.mark.parametrize("block, size, accepted", PERTURBED)
+    def test_check_accepts_exactly_the_witnesses_that_build_a_joint(self, block, size, accepted, rng):
+        # Commuting pairs a = u diag(x) u*, b = u diag(y) u* with x0 + y0 > 1 and
+        # x1 + y1 < 1, and the witness with the least common part,
+        # c = u diag(max(0, x + y - 1)) u*: its leftover is 0 at u[:, 0], where
+        # c, a1 and b1 are inside (0, 1), and at least 0.1 at u[:, 1].
+        for _ in range(5):
+            u = random_unitary(3, rng)
+            x = np.array([rng.uniform(0.6, 0.8), rng.uniform(0.05, 0.45), rng.uniform(0.0, 1.0)])
+            y = np.array([rng.uniform(0.6, 0.8), rng.uniform(0.05, 0.45), rng.uniform(0.0, 1.0)])
+            a, b, c = (u @ np.diag(z) @ u.conj().T for z in (x, y, np.maximum(0.0, x + y - 1.0)))
+            p0, p1 = (np.outer(u[:, k], u[:, k].conj()) for k in (0, 1))
+            if block == "leftover":
+                w = CoexistenceWitness(a1=a - c - size * p0, b1=b - c - size * p0, c=c + size * p0)
+            else:
+                w = CoexistenceWitness(a1=a - c + size * p1, b1=b - c, c=c)
+            try:
+                binary_observables_from_coexistence(a, b, w)
+                built = True
+            except InvalidWitness:
+                built = False
+            assert check_coexistence_witness(a, b, w) is built is accepted

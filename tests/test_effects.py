@@ -48,6 +48,12 @@ def busch_pair(lam):
     return a, b, Observable({"0": a, "1": complement(a)}), Observable({"0": b, "1": complement(b)})
 
 
+def qubit_effect(t, r):
+    """The qubit effect ``(t 1 + r.sigma) / 2`` of a trace ``t`` and a Bloch vector ``r``."""
+    x, y, z = r
+    return np.array([[t + z, x - 1j * y], [x + 1j * y, t - z]]) / 2
+
+
 class TestValidation:
     def test_clamps_tiny_overshoot(self):
         e = ensure_effect(np.diag([1.0 + 5e-10, -5e-10]))
@@ -250,7 +256,7 @@ class TestCoexistenceSearch:
                     assert np.abs(got.sum(1) - rows).max() <= 1e-13 * scale
                     assert np.abs(got.sum(0) - cols).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("lam", [0.5, 0.6, 0.7])
+    @pytest.mark.parametrize("lam", [0.5, 0.55, 0.6, 0.65, 0.7, 0.7071])
     def test_busch_pair_below_the_bound_found(self, lam):
         a, b, oa, ob = busch_pair(lam)
         w = find_coexistence_witness(a, b)
@@ -258,9 +264,51 @@ class TestCoexistenceSearch:
         joint = find_joint_observable(oa, ob)
         assert joint is not None and obs_coexist_verify(oa, ob, joint, tol=JOINT_TOL)
 
-    @pytest.mark.parametrize("lam", [0.72, 0.8, 0.9])
+    @pytest.mark.parametrize("lam", [0.708, 0.72, 0.75, 0.8, 0.85, 0.9])
     def test_busch_pair_above_the_bound_unknown(self, lam):
         # No joint exists above 1/sqrt(2), so any answer but None is a bug.
         a, b, oa, ob = busch_pair(lam)
         assert find_coexistence_witness(a, b) is None
         assert find_joint_observable(oa, ob) is None
+
+    # Biased qubit pairs (t, r, s, q): a = (t 1 + r.sigma) / 2, b = (s 1 + q.sigma) / 2,
+    # and whether they coexist.  The first six lie well away from the boundary of
+    # the qubit criterion (Yu, Liu, Li and Oh, PRA 81, 062116, 2010): with both
+    # Bloch vectors scaled by 1.15 the first four still coexist, and with both
+    # scaled by 1 / 1.15 the fifth and sixth still do not.  The last coexists
+    # within 7 % of the boundary (NEAR_BOUNDARY).
+    BIASED = [
+        (0.8, (0.0, 0.0, 0.5), 1.2, (0.5, 0.0, 0.0), True),
+        (0.6, (0.3, 0.0, 0.2), 0.9, (0.0, 0.4, 0.1), True),
+        (1.2, (0.0, 0.0, 0.6), 0.7, (0.3, 0.4, 0.0), True),
+        (0.5, (0.2, 0.1, 0.3), 1.4, (0.1, 0.5, 0.0), True),
+        (1.2, (0.0, 0.0, 0.78), 0.9, (0.85, 0.0, 0.0), False),
+        (0.9, (0.0, 0.1, 0.85), 1.0, (0.9, 0.0, 0.0), False),
+        (1.1793, (0.0969, 0.1907, -0.0317), 0.5216, (-0.2808, 0.2282, -0.3346), True),
+    ]
+
+    # Coexistent biased qubit pairs near the boundary, where the alternating
+    # projections converge slowly: 500 rounds do not reach the witness stop,
+    # 1,000 do, so they pin the witness search's 2,000-round budget.  With both
+    # Bloch vectors scaled by 1.07 (the first) or 1.05 (the second) the search
+    # finds no witness in 8,000 rounds.
+    NEAR_BOUNDARY = [
+        (1.1793, (0.0969, 0.1907, -0.0317), 0.5216, (-0.2808, 0.2282, -0.3346)),
+        (0.3788, (0.3349, 0.0926, 0.1155), 0.8737, (0.3177, 0.3276, 0.2733)),
+    ]
+
+    @pytest.mark.parametrize("t, r, s, q", NEAR_BOUNDARY)
+    def test_biased_pair_near_the_boundary_found(self, t, r, s, q):
+        a, b = qubit_effect(t, r), qubit_effect(s, q)
+        w = find_coexistence_witness(a, b)
+        assert w is not None and check_coexistence_witness(a, b, w)
+
+    @pytest.mark.parametrize("t, r, s, q, coexist", BIASED)
+    def test_biased_qubit_pairs_get_one_answer_from_both_searches(self, t, r, s, q, coexist):
+        a, b = qubit_effect(t, r), qubit_effect(s, q)
+        w = find_coexistence_witness(a, b)
+        oa, ob = (Observable({"1": e, "2": complement(e)}) for e in (a, b))
+        joint = find_joint_observable(oa, ob)
+        assert (w is not None) is (joint is not None) is coexist
+        if coexist:
+            assert check_coexistence_witness(a, b, w) and obs_coexist_verify(oa, ob, joint, tol=JOINT_TOL)

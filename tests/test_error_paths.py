@@ -14,15 +14,18 @@ import pytest
 import qinstr.linalg as linalg
 import qinstr.models as models
 from qinstr.cli import main
-from qinstr.effects import CoexistenceWitness, atom, check_coexistence_witness, ensure_effect, ensure_state
+from qinstr.effects import CoexistenceWitness, atom, binary_observables_from_coexistence, check_coexistence_witness
+from qinstr.effects import ensure_effect, ensure_state
 from qinstr.errors import (
     DimensionError,
     DocumentError,
     EigenSolverError,
+    InvalidWitness,
     InvariantViolation,
     KindError,
     LabelError,
     NotCommutative,
+    NotHermitian,
     NotNormal,
     QinstrError,
     WeightError,
@@ -197,6 +200,26 @@ ROWS = [
         "witness-mismatched-shapes",
         lambda mp, tp: check_coexistence_witness(P0, np.eye(3), CoexistenceWitness(P0, P1, 0 * P0)),
         False,
+    ),
+    (
+        "witness-build-non-effect",
+        lambda mp, tp: binary_observables_from_coexistence(2 * P0, P1, CoexistenceWitness(2 * P0, P1, 0 * P0)),
+        (InvalidWitness, "not two effects and a witness of one shape: effect-range, residual 1"),
+    ),
+    (
+        "witness-build-mismatched-shapes",
+        lambda mp, tp: binary_observables_from_coexistence(P0, np.eye(3), CoexistenceWitness(P0, P1, 0 * P0)),
+        (InvalidWitness, "not two effects and a witness of one shape: expected numbers in a regular array"),
+    ),
+    (
+        "witness-build-leftover-out-of-range",
+        lambda mp, tp: binary_observables_from_coexistence(P0, P1, CoexistenceWitness(P0, P1, 0.1 * P0)),
+        (InvalidWitness, "witness blocks are not a joint observable of the effects: effect-range, residual 0.1"),
+    ),
+    (
+        "witness-non-hermitian",
+        lambda mp, tp: check_coexistence_witness(np.array([[0.5, 0.3], [0.0, 0.5]]), P1, CoexistenceWitness(P0, P1, 0 * P0)),
+        (NotHermitian, "anti-Hermitian residual"),
     ),
     # instruments
     ("operation-apply-dim", lambda mp, tp: ID_2.apply(np.eye(3)), (DimensionError, r"input shape \(3, 3\)")),

@@ -11,6 +11,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import qinstr
 from qinstr import linalg
@@ -157,3 +158,14 @@ def test_the_guard_sees_a_comparison_that_a_nan_passes():
         "        raise ValueError\n"
     )
     assert open_guards(source, {"SUM_TOL"}) == [2, 6]
+
+
+def test_readme_lists_the_table_with_its_values():
+    # README's tolerance table: one row `| `NAME` | value | what it bounds |`
+    # per entry of linalg's table, with the same value.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("The tolerance table (`qinstr.linalg`):", 1)[1].split("\n\n")[1]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    listed = {name.strip().strip("`"): float(value) for name, value in rows}
+    assert len(listed) == len(rows)
+    assert listed == {name: float(getattr(linalg, name)) for name in _table_names()}
