@@ -7,6 +7,8 @@ dilations, and a verification suite that re-derives the package's catalog of
 identities and counterexamples on concrete matrices.
 """
 
+import importlib
+
 from .effects import (
     CoexistenceWitness,
     atom,
@@ -112,18 +114,19 @@ from .observables import (
     obs_triple_joint,
     observables_close,
 )
-from .serialize import Document, load_document, save_document
 
 __version__ = "0.1.0"
 
-# The verification catalog is imported on first use, so that a process that
-# never verifies (every CLI command but ``qinstr verify``) does not load it.
-_VERIFY_NAMES = ("VerificationReport", "run_suite", "run_suites")
+# The verification catalog and the JSON document layer are imported on first
+# use: a process that never verifies (every CLI command but ``qinstr verify``)
+# does not load the catalog, and ``qinstr verify`` does not load the documents.
+_LAZY = {
+    **dict.fromkeys(("VerificationReport", "run_suite", "run_suites"), "verify"),
+    **dict.fromkeys(("Document", "load_document", "save_document"), "serialize"),
+}
 
 
 def __getattr__(name: str) -> object:
-    if name in _VERIFY_NAMES:
-        from . import verify
-
-        return getattr(verify, name)
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -43,7 +43,6 @@ from .rand import (
     random_stochastic,
 )
 from .effects import seq_product
-from .serialize import Document, load_document, save_document
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -144,6 +143,8 @@ def _spelled_out(form: tuple, count: int) -> tuple:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
+    from .serialize import Document, load_document
+
     forms = _EXPRESSIONS[args.expression]
     count = len(args.inputs)
     needs = f"{args.expression} needs " + " or ".join(
@@ -165,6 +166,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _save(obj: object, path: str, kind: str | None) -> int:
+    from .serialize import save_document
+
     try:
         save_document(obj, path, kind)
     except OSError as exc:
@@ -185,6 +188,8 @@ def _cmd_random(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .serialize import load_document
+
     doc = load_document(args.file)
     print(f"valid {doc.kind} (dim={doc.dim})")
     return EXIT_OK

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, SUM_TOL, ZERO_NORM_TOL
-from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, require
+from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, norms, require
 from .linalg import Array, _from_eig, as_matrix, as_numbers, as_vector, ensure_hermitian, herm_sqrt, hermitian_part, psd_part
 
 
@@ -162,7 +162,7 @@ def _witness_joints(a: Array, b: Array, w: CoexistenceWitness) -> tuple[Array, t
         # column sums must give {a, 1 - a} and {b, 1 - b}
         grid = joint.reshape(-1, 2, 2, *a.shape[1:])
         rows, cols = np.stack([a, eye - a], 1), np.stack([b, eye - b], 1)
-        defects = np.linalg.norm([grid.sum(2) - rows, grid.sum(1) - cols], axis=(-2, -1)).max(-1).T
+        defects = norms(np.stack([grid.sum(2) - rows, grid.sum(1) - cols])).max(-1).T
         require("witness-marginals", defects, SUM_TOL)
     except InvariantViolation as exc:
         raise InvalidWitness(f"witness blocks are not a joint observable of the effects: {exc}") from exc
@@ -231,7 +231,7 @@ def joint_feasibility_search(rows: Array, cols: Array, iters: int, tol: float) -
     for _ in range(iters):
         blocks = psd_part(_marginal_projection(blocks, defects))
         defects = np.concatenate([blocks.sum(1), blocks.sum(0)]) - targets
-        if np.linalg.norm(defects, axis=(-2, -1)).max() <= tol:
+        if norms(defects).max() <= tol:
             return blocks.reshape(m * n, d, d)
     return None
 

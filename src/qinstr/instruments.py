@@ -49,7 +49,8 @@ import numpy as np
 from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
 from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _sandwich, kept, rank, require, root_columns
-from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, read_only
+from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, identity, norms
+from .linalg import read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
 from .observables import _pair_traces, row_positions, shared_value_space
@@ -208,7 +209,7 @@ def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     if n > max(16, 2 * r):
         w = np.linalg.qr(w, mode="r")
     gap = (w * np.repeat([1.0, -1.0], r)) @ w.conj().swapaxes(1, 2)
-    return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, np.linalg.norm(gap, axis=(1, 2)))
+    return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, norms(gap))
 
 
 def minimal_kraus(ops: Array, dim: int) -> Array:
@@ -325,7 +326,7 @@ class Operation:
 
     def is_channel(self) -> bool:
         """Trace-preserving: ``||A - 1||_F <= CHOI_TOL`` for the induced effect."""
-        return frob(self.induced_effect - np.eye(self.dim)) <= CHOI_TOL
+        return frob(self.induced_effect - identity(self.dim)) <= CHOI_TOL
 
     def __repr__(self) -> str:
         kind = "channel" if self.is_channel() else "operation"

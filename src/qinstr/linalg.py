@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +77,16 @@ NUMBER_MAX = 1e50  # entry magnitude as_numbers accepts: fourth powers stay fini
 def require(invariant: str, residual: float | Array, tol: float) -> float | Array:
     """The largest of ``residual``, one number or an array of them, when every one is at most
     ``tol``; else ``InvariantViolation(invariant, r)`` for the first ``r`` that is not, a NaN included."""
-    worst = residual.max() if getattr(residual, "ndim", 0) else residual  # a number is compared as it is
+    worst = largest(residual)
     if not worst <= tol:
         r = np.ravel(residual)
         raise InvariantViolation(invariant, float(r[~(r <= tol)][0]))
     return worst
+
+
+def largest(x: float | Array) -> float | Array:
+    """The largest of an array of numbers, a NaN if any is (``max``), or a number as it is."""
+    return x.max() if getattr(x, "ndim", 0) else x  # a number's ``max`` costs a reduction
 
 
 def completion(total: Array, keep: float, bound: float, invariant: str) -> Array | None:
@@ -90,8 +96,8 @@ def completion(total: Array, keep: float, bound: float, invariant: str) -> Array
 
     A ``(t, d, d)`` stack holds the sums of ``t`` trials' families: the first trial beyond
     ``bound`` raises, and a trial within ``keep`` gets a zero half defect (its step changes nothing)."""
-    defect = total - np.eye(total.shape[-1])
-    residual = np.sqrt((np.abs(defect) ** 2).sum((-2, -1)))
+    defect = total - identity(total.shape[-1])
+    residual = norms(defect)
     worst = require(invariant, residual, bound)
     return None if worst <= keep else np.where((residual > keep)[..., None, None], defect / 2.0, 0.0)
 
@@ -149,9 +155,24 @@ def read_only(a: Array) -> Array:
     return a
 
 
+@lru_cache(maxsize=None)
+def identity(n: int) -> Array:
+    """The real ``n x n`` identity, formed once per ``n`` and read-only."""
+    return read_only(np.eye(n))
+
+
+def norms(x: Array) -> Array:
+    """The Frobenius norm of each matrix of ``x`` over any leading axes (of a
+    matrix, a 0-d array), for any strides; a NaN entry gives NaN."""
+    v = np.ascontiguousarray(x)
+    if v.dtype.kind == "c":
+        v = v.view(float)  # real and imaginary parts side by side in the last axis
+    return np.sqrt(np.add.reduce(v * v, axis=(-2, -1)))
+
+
 def frob(a: Array) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm of all of ``a``'s entries (``norms`` of them as one row)."""
+    return float(norms(a.reshape(1, -1)))
 
 
 def spectral_norm(a: Array) -> float:
@@ -177,8 +198,7 @@ def ensure_hermitian(m: object, tol: float | None = None, stack: bool = False) -
     if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected square matrices, got shape {a.shape}")
     limit = HERM_TOL * a.shape[-1] if tol is None else tol
-    skew = a - a.conj().swapaxes(-1, -2)
-    residual = float(np.linalg.norm(skew, axis=(-2, -1)).max()) if stack else frob(skew)
+    residual = float(largest(norms(a - a.conj().swapaxes(-1, -2))))
     if not residual <= limit:
         raise NotHermitian(f"anti-Hermitian residual {residual:.3g} exceeds {limit:.3g}")
     return hermitian_part(a)
@@ -327,7 +347,7 @@ def complete_to_unitary(columns: Sequence[object], dim: int) -> Array:
     k = u.shape[1]
     if k > dim:
         raise DimensionError(f"{k} columns exceed dimension {dim}")
-    if not frob(u.conj().T @ u - np.eye(k)) <= ORTHO_TOL * k:
+    if not frob(u.conj().T @ u - identity(k)) <= ORTHO_TOL * k:
         raise NotIsometry("input columns are not orthonormal")
     q = np.linalg.qr(u, mode="complete")[0]
     q[:, :k] = u
@@ -352,4 +372,4 @@ def is_unitary(u: Array, tol: float = UNITARY_TOL) -> bool:
 
 def _unitary_defects(u: Array) -> Array:
     """``||U^* U - 1||_F`` of a square matrix, or of each matrix of a stack."""
-    return np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]), axis=(-2, -1))
+    return norms(u.conj().swapaxes(-1, -2) @ u - identity(u.shape[-1]))

@@ -18,7 +18,14 @@ batch of models' instruments with the formulas the public functions use:
 model's closed-form ``W``), ``_pairing_unitary``, ``_eigenbasis`` (a
 commutative observable's eigenbasis draw), ``_vn_forms`` (``vn_measured``'s
 Kraus, channel and effect closed forms) and ``_measured_kraus``
-(``model_instrument``'s general branch).
+(``model_instrument``'s general branch); and on the dilation path,
+``_isometry`` (``dilate_instrument``'s polished isometry and its two checks),
+``_slot_projections`` (a dilation's pointer) and ``_slot_operators``
+(``model_instrument`` on a dilation, for any slot-to-outcome map, so also on a
+re-pointed one: ``_repointing``), ``_normal_kraus``
+(``normal_fimm_kraus_extract``'s operators and completeness check) and
+``_positive`` (``luders_positivity_check``'s decision).  The public functions
+call them on one model.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from .errors import (
 from .instruments import Instrument, Operation, _assembled, _effects, _operators, _reduced, ensure_channel
 from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
-from .linalg import Array, _phase_fix, _sandwich, as_matrix, complete_to_unitary, frob, herm_eig, hermitian_part
-from .linalg import is_unitary, rank, read_only, root_factors
+from .linalg import Array, _phase_fix, _sandwich, as_matrix, complete_to_unitary, herm_eig, hermitian_part, identity
+from .linalg import is_unitary, largest, norms, rank, read_only, root_factors
 from .observables import Label, Observable, StochasticMatrix, _basis_projections, _projections, obs_commute
 
 
@@ -122,8 +129,7 @@ class FIMM:
     @cached_property
     def pointer(self) -> Observable:
         """A dilation's 0/1 projections onto each outcome's slots."""
-        slots = self._owner == np.arange(len(self._labels))[:, None]
-        return Observable._valid(self._labels, slots[:, None, :] * np.eye(self.dim_probe, dtype=complex))
+        return Observable._valid(self._labels, _slot_projections(self._owner, len(self._labels)))
 
     @cached_property
     def probe_state(self) -> Array:
@@ -216,11 +222,9 @@ def model_instrument(m: FIMM) -> Instrument:
     ``x`` has its slots' operators of the isometry.  Cut to ``d^2``
     operators, they are completed up to ``MODEL_TOL`` (``_assembled``).
     """
-    d, dk = m.dim_base, m.dim_probe
     if m._owner is not None:
-        slots = m._restricted[0, :, :, 0].reshape(d, dk, d).swapaxes(0, 1)  # slots[s] = W[(a, s), i]
         counts = np.bincount(m._owner, minlength=len(m._labels))
-        return _assembled(m._labels, slots[np.argsort(m._owner, kind="stable")], counts)
+        return _assembled(m._labels, _slot_operators(m._restricted[0, :, :, 0], m._owner), counts)
     f, keep = m.pointer._root_columns
     kraus = _measured_kraus(m._restricted, f)
     valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)
@@ -236,6 +240,22 @@ def _measured_kraus(w: Array, f: Array) -> Array:
     q = w.reshape(*lead, c, d, n // d, d, s).transpose(*range(t), t, t + 4, t + 3, t + 1, t + 2)  # [c, s, i, a, k]
     kraus = q.reshape(*lead, 1, c, s, d * d, -1) @ f.conj()[..., :, None, None, :, :]  # F_x^T = conj(R_x) conj(R_x)^*
     return kraus.reshape(*kraus.shape[:-2], d, d, -1).transpose(*range(t), t, t + 1, t + 5, t + 2, t + 4, t + 3)
+
+
+def _slot_projections(owner: Array, m: int) -> Array:
+    """A dilation's pointer effects, ``(m, n, n)``: the 0/1 projections onto the probe slots
+    ``s`` of each outcome ``x = owner[s]``, or per trial of a batch of maps ``(t, n)``."""
+    slots = owner[..., None, :] == np.arange(m)[:, None]
+    return slots[..., :, None, :] * np.eye(owner.shape[-1], dtype=complex)
+
+
+def _slot_operators(iso: Array, owner: Array) -> Array:
+    """``model_instrument``'s operators of a dilation's isometry ``W``, ``(d n, d)``, one per
+    probe slot ``s``, ``K_s[a, i] = W[(a, s), i]``, ordered by the slots' outcomes ``owner``
+    (stable), ``(n, d, d)``; or per trial of a batch of isometries with one map."""
+    d = iso.shape[-1]
+    slots = iso.reshape(*iso.shape[:-2], d, -1, d).swapaxes(-3, -2)
+    return slots[..., np.argsort(owner, kind="stable"), :, :]
 
 
 def swap_unitary(d: int) -> Array:
@@ -381,11 +401,11 @@ def _eigenbasis(stack: Array, x: Array) -> tuple[Array, Array, Array]:
     """The eigenbasis ``V`` of a commuting family's real combination ``sum_k x_k A_k``, the
     effects' diagonals in it as diagonal matrices, and whether ``V`` diagonalizes every
     effect within ``DIAG_TOL``; or per trial of a batch, one eigensolve for all."""
-    d, eye = stack.shape[-1], np.eye(stack.shape[-1])
+    d, eye = stack.shape[-1], identity(stack.shape[-1])
     _, v = herm_eig(hermitian_part((x[..., None, None] * stack).sum(-3)))
     rotated = v.conj().swapaxes(-1, -2)[..., None, :, :] @ stack @ v[..., None, :, :]
     diagonals = np.diagonal(rotated, axis1=-2, axis2=-1)
-    off = np.linalg.norm(rotated - diagonals[..., None] * eye, axis=(-2, -1)).max(-1)
+    off = norms(rotated - diagonals[..., None] * eye).max(-1)
     return v, (diagonals.real[..., None] * eye).astype(complex), off <= DIAG_TOL * max(1.0, d)
 
 
@@ -401,17 +421,24 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     pointer coarse-grains slots by outcome, so it is atomic exactly when
     every outcome has a single Kraus operator.
     """
-    d = instr.dim
     kraus, counts = _reduced(instr.kraus, instr.counts, 1)
-    iso = _operators(kraus, counts).transpose(1, 0, 2).reshape(-1, d)
-    defect = iso.conj().T @ iso - np.eye(d)
-    if not frob(defect) <= 1.0 - GRAM_FLOOR:  # then every eigenvalue of G is at least GRAM_FLOOR
+    iso = _isometry(_operators(kraus, counts))
+    return FIMM._dilation(iso, instr.labels, np.repeat(np.arange(len(counts)), counts))
+
+
+def _isometry(ops: Array) -> Array:
+    """``dilate_instrument``'s polished isometry ``W[(a, s), i] = K_s[a, i]`` of its
+    outcome-major operators ``(n, d, d)``, ``(d n, d)``, or per trial of a batch: each
+    Gram defect within ``1 - GRAM_FLOOR`` before the step and ``ORTHO_TOL d`` after it."""
+    d = ops.shape[-1]
+    iso = ops.swapaxes(-3, -2).reshape(*ops.shape[:-3], -1, d)
+    defect = iso.conj().swapaxes(-1, -2) @ iso - identity(d)
+    if not largest(norms(defect)) <= 1.0 - GRAM_FLOOR:  # then every eigenvalue of G is at least GRAM_FLOOR
         raise NotIsometry("stacked Kraus columns are numerically rank deficient")
     iso = iso - iso @ (defect / 2.0)  # orthonormal to rounding before completion
-    if not frob(iso.conj().T @ iso - np.eye(d)) <= ORTHO_TOL * d:
+    if not largest(norms(iso.conj().swapaxes(-1, -2) @ iso - identity(d))) <= ORTHO_TOL * d:
         raise NotIsometry("polished Kraus columns are not orthonormal")
-
-    return FIMM._dilation(iso, instr.labels, np.repeat(np.arange(len(counts)), counts))
+    return iso
 
 
 def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
@@ -430,15 +457,22 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
         vectors = _phase_fixed_unit_vectors(np.concatenate([m.probe_state[None], m.pointer.stack]))
     except NotNormal as exc:
         raise NotNormal(f"model is not normal: {exc}") from exc
+    ops = _normal_kraus(w[0, :, :, -1], vectors, np.vdot(vectors[:, 0], m._probe_root[:, -1]))
+    return dict(zip(m.pointer.labels, ops))
 
-    d, dk = m.dim_base, m.dim_probe
-    # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>, from W's column of the top root r = <phi, r> phi
-    evolved = w[0, :, :, -1].reshape(d, dk, d) / np.vdot(vectors[:, 0], m._probe_root[:, -1])
-    ops = np.einsum("jki,kx->xji", evolved, vectors[:, 1:].conj())
-    residual = frob(_effects(ops) - np.eye(d))
+
+def _normal_kraus(w: Array, vectors: Array, overlap: complex | Array) -> Array:
+    """``normal_fimm_kraus_extract``'s operators ``S_x[j, i] = sum_k conj(phi_x[k]) U[(j, k), (i, phi)]``,
+    ``(m, d, d)``, of ``W``'s column of the probe root's top vector ``r``, ``(d dk, d)``, the phase-fixed
+    probe and pointer vectors ``(dk, 1 + m)`` and ``overlap = <phi, r>``; or per trial of a batch (an
+    overlap per trial, ``(t, 1, 1, 1)``).  Each family's ``||sum S^* S - 1||_F`` within ``NORMAL_SUM_TOL d``."""
+    d, dk = w.shape[-1], vectors.shape[-2]
+    evolved = w.reshape(*w.shape[:-2], d, dk, d) / overlap  # evolved[j, k, i] = <e_j (x) e_k, U (e_i (x) phi)>
+    ops = np.einsum("...jki,...kx->...xji", evolved, vectors[..., 1:].conj())
+    residual = largest(norms(_effects(ops) - identity(d)))
     if not residual <= NORMAL_SUM_TOL * max(1.0, d):
         raise NotNormal(f"extracted operators miss completeness by {residual:.3g}")
-    return dict(zip(m.pointer.labels, ops))
+    return ops
 
 
 def luders_positivity_check(m: FIMM) -> bool:
@@ -448,11 +482,17 @@ def luders_positivity_check(m: FIMM) -> bool:
     A passing model measures the measurement-update instrument of its own
     observable (outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``).
     """
-    s = np.stack(list(normal_fimm_kraus_extract(m).values()))
-    scale = np.maximum(1.0, np.linalg.norm(s, axis=(1, 2)))
-    if np.any(np.linalg.norm(s - s.conj().swapaxes(1, 2), axis=(1, 2)) > LUDERS_TOL * scale):
-        return False
-    return bool(np.linalg.eigvalsh(hermitian_part(s))[:, 0].min() >= -LUDERS_TOL)
+    return bool(_positive(np.stack(list(normal_fimm_kraus_extract(m).values()))))
+
+
+def _positive(s: Array) -> Array:
+    """``luders_positivity_check``'s decision on extracted operators ``(m, d, d)``, or per trial of a
+    batch: each Hermitian within ``LUDERS_TOL`` relative to its norm (at least 1), then no eigenvalue
+    below ``-LUDERS_TOL``; no eigensolve when no family is Hermitian."""
+    hermitian = np.all(norms(s - s.conj().swapaxes(-1, -2)) <= LUDERS_TOL * np.maximum(1.0, norms(s)), axis=-1)
+    if not hermitian.any():
+        return hermitian
+    return hermitian & (np.linalg.eigvalsh(hermitian_part(s))[..., 0].min(-1) >= -LUDERS_TOL)
 
 
 def _marginal_maps(labels: tuple[Label, ...]) -> tuple[StochasticMatrix, StochasticMatrix]:
@@ -481,7 +521,13 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     """
     maps = _marginal_maps(joint.labels)
     m = dilate_instrument(joint)
-    return tuple(m._repointed(nu.col_labels, nu.matrix.argmax(axis=1)[m._owner]) for nu in maps)
+    return tuple(m._repointed(nu.col_labels, _repointing(nu, m._owner)) for nu in maps)
+
+
+def _repointing(nu: StochasticMatrix, owner: Array) -> Array:
+    """The slot-to-outcome map of a dilation with map ``owner`` re-pointed by a 0/1 ``nu``:
+    slot ``s`` goes to the one outcome that ``nu`` sends ``owner[s]`` to (``simultaneous_fimms``)."""
+    return nu.matrix.argmax(axis=1)[owner]
 
 
 def marginal_instruments(joint: Instrument) -> tuple[Instrument, Instrument]:

@@ -33,7 +33,8 @@ from .effects import _effects_spectrum, _same_dim, ensure_state, joint_feasibili
 from .errors import DimensionError, KindError, LabelError, ShapeError, WeightError
 from .linalg import EFFECT_EIG_TOL, JOINT_TOL, SEARCH_ITERS, SEARCH_TOL, rank, require
 from .linalg import STOCHASTIC_NEG_TOL, STOCHASTIC_ROW_TOL, SUM_TOL, WEIGHT_TOL
-from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, completion, hermitian_part, read_only
+from .linalg import Array, _eig_columns, _from_eig, _psd_eig, as_matrix, as_numbers, completion, hermitian_part, identity
+from .linalg import norms, read_only
 
 Label = str | tuple[str, ...]
 
@@ -232,7 +233,7 @@ class Observable(LabelledFamily):
         return obs
 
     def _distances(self, groups: Array, other: "Observable") -> Array:
-        return np.linalg.norm(self.stack[groups].sum(1) - other.stack, axis=(-2, -1))
+        return norms(self.stack[groups].sum(1) - other.stack)
 
 
 def _checked_effects(matrices: object, m: int) -> tuple[Array, tuple[Array, Array] | None]:
@@ -256,7 +257,7 @@ def _valid_stack(stack: Array) -> Array:
     stack = hermitian_part(stack)
     half = completion(stack.sum(-3), EFFECT_EIG_TOL, JOINT_TOL, "sum-to-identity")
     if half is not None:
-        p = np.eye(stack.shape[-1]) - half[..., None, :, :]
+        p = identity(stack.shape[-1]) - half[..., None, :, :]
         stack = hermitian_part(p @ stack @ p)
     return stack
 
@@ -319,12 +320,12 @@ def _commuting(s: Array, t: Array) -> Array:
     within ``SUM_TOL`` in Frobenius norm, or per trial of two batches."""
     i, j = np.indices((s.shape[-3], t.shape[-3])).reshape(2, -1)
     s, t = s[..., i, :, :], t[..., j, :, :]
-    return np.all(np.linalg.norm(s @ t - t @ s, axis=(-2, -1)) <= SUM_TOL, axis=-1)
+    return np.all(norms(s @ t - t @ s) <= SUM_TOL, axis=-1)
 
 
 def _projections(s: Array) -> Array:
-    """Which matrices of a stack are projections: ``||s_k^2 - s_k|| <= SUM_TOL``."""
-    return np.linalg.norm(s @ s - s, axis=(1, 2)) <= SUM_TOL
+    """Which matrices of a stack are projections, ``||s_k^2 - s_k|| <= SUM_TOL``, or per trial of a batch."""
+    return norms(s @ s - s) <= SUM_TOL
 
 
 def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
@@ -399,7 +400,7 @@ def classify_observable(a: Observable) -> ObservableFlags:
     """
     s = a.stack
     scalars = np.trace(s, axis1=1, axis2=2).real[:, None, None] / a.dim * np.eye(a.dim)
-    identity = bool(np.all(np.linalg.norm(s - scalars, axis=(1, 2)) <= SUM_TOL))
+    identity = bool(np.all(norms(s - scalars) <= SUM_TOL))
     rank_one = rank(a._eig[1] ** 2) == 1  # the squared roots: the eigenvalues kept counts
     projections = _projections(s)
     return ObservableFlags(
@@ -430,9 +431,13 @@ def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]
 
 
 def _defects(ea: Array, ra: Array, eb: Array, rb: Array) -> tuple[Array, Array]:
-    """``complementarity_defects`` of two observables' effects and roots, or per trial of two batches."""
+    """``complementarity_defects`` of two observables' effects and roots, or per trial of two batches;
+    of one shape, both directions from one ``seq_products`` call on the pair stacked."""
     m, n = ea.shape[-3], eb.shape[-3]
-    return seq_products(ra, eb) - ea[..., None, :, :] / n, seq_products(rb, ea) - eb[..., None, :, :] / m
+    if ea.shape != eb.shape:
+        return seq_products(ra, eb) - ea[..., None, :, :] / n, seq_products(rb, ea) - eb[..., None, :, :] / m
+    both = seq_products(np.stack([ra, rb]), np.stack([eb, ea])) - np.stack([ea, eb])[..., None, :, :] / n
+    return both[0], both[1]
 
 
 def complementarity_residual(a: Observable, b: Observable) -> float:
@@ -442,7 +447,7 @@ def complementarity_residual(a: Observable, b: Observable) -> float:
 
 def _defect_norms(defects: tuple[Array, Array]) -> Array:
     """``complementarity_residual`` of the two defect stacks, or per trial of two batches."""
-    return np.maximum(*(np.linalg.norm(d, axis=(-2, -1)).max((-2, -1)) for d in defects))
+    return np.maximum(*(norms(d).max((-2, -1)) for d in defects))
 
 
 def _frobenius_complementary(defects: tuple[Array, Array]) -> Array:

@@ -14,39 +14,41 @@ tolerance and every gap floor (and tighter bound) is met, else ``fail``.
 is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
 "unknown", with the number of cases searched; they assert nothing.
 
-The suites of 100 trials (thm-2.1, thm-2.2, thm-2.3 and lem-3.1), of 50 trials
-(lem-1.1, lem-2.4, cor-2.5, ex-8 and lem-3.4) and of 20 trials (lem-2.6, ex-3,
-ex-4, ex-5, ex-6, ex-7, lem-4.2 and the model suites thm-4.4, cor-4.5 and
-thm-4.8), and the probe conj-2.5-converse, run each group of trials that share
-a shape (dimension and outcome counts, and the kind of pair or observable where
-it varies) as one array program of the library's kernels (for the model suites,
-those of ``models`` with trial axes), with every sum check, root PSD check and
-``d^2`` cut, lem-1.1's witness checks, the complementarity rules, the range
-checks of lem-4.2's marginal observables and cor-4.5's observables, the
-unitarity tests of the pairing unitary and cor-4.5's eigenbasis, and cor-4.5's
-commutativity checks.  A trial's public route is the one description of its
-draws: each group's first trial runs through the public functions, which record
-their Generator calls (``_Recorded``), and each later trial makes the same
-calls, in trial order (``_Run.groups``).  cor-4.5's eigenbasis draw is a redraw
-loop, which a batch cannot replay: a group whose public trial drew more than
-once, or a batched trial whose combination does not diagonalize its observable,
-fails the suite ("eigenbasis redrawn").  The public functions' checks of the
-generators' own weights, states and bases (``check_weights``, ``ensure_state``,
-the unitarity of a von Neumann model's drawn bases) run in that first trial
-only; ``rand`` builds them valid by construction.  A group's values enter the
-run as residuals, or through the suite's ``fold`` (cor-2.5 and the probe also
-count their complementary pairs; lem-2.6 and lem-4.2 fail the run with their
-note when any trial's marginal defect exceeds the tolerance; thm-4.4 bounds its
-channel's idempotence defect).  The suite function then runs one by one what is
-left: the fixed counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6
-and ex-7, ex-4's commuting pair, drawn where the trials leave the generator,
-and cor-2.5's count check.
+Every suite with a ``batched`` row (all that draw random trials but
+conj-3.3-converse) runs each group of trials that share a shape (dimension and
+outcome counts, and the kind of pair or observable where it varies) as one
+array program of the library's kernels (for the model suites, those of
+``models`` with trial axes).  Every batched trial keeps the checks on computed
+objects: each sum check, root PSD check, ``d^2`` cut, range check of a derived
+observable, witness, complementarity, commutativity and unitarity rule, a
+dilation's isometry checks, its pointer's sharp (thm-4.1) and atomic (thm-4.6)
+flags and commutators, the completeness of extracted operators and cor-4.7's
+positivity check.  A trial's public route is the one description of its draws:
+each group's first trial runs through the public functions, which record their
+Generator calls (``_Recorded``), and each later trial makes the same calls, in
+trial order (``_Run.groups``).  A batch replays one shape, so it fails closed
+where a trial's is not its group's: cor-4.5's eigenbasis draw is a redraw loop,
+so a public trial that drew more than once, or a batched combination that does
+not diagonalize, fails ("eigenbasis redrawn"), and so does a group of
+dilations whose outcomes do not all share one Choi rank ("dilation ranks differ").  The public
+functions' checks of the generators' own weights, states and bases
+(``check_weights``, ``ensure_state``, a von Neumann model's drawn bases) run in
+that first trial only; ``rand`` builds them valid by construction.  A group's
+values enter the run as residuals, or through the suite's ``fold`` (cor-2.5 and
+the probe count their complementary pairs; lem-2.6, lem-4.2, thm-4.1 and
+cor-4.3 fail with their note when a trial's marginal defect exceeds the
+tolerance; thm-4.1 bounds its pointers' commutators, thm-4.4 its channel's
+idempotence defect).  The suite function then runs what is left one by one: the
+fixed counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7,
+thm-4.6 and cor-4.7, ex-4's commuting pair, drawn where the trials leave the
+generator, and cor-2.5's count check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -81,7 +83,6 @@ from .instruments import (
     identity_instrument,
     induced_observable,
     instr_channel,
-    instr_coexist_verify,
     instr_complementary,
     instr_conditioned,
     instr_convex_combo,
@@ -97,7 +98,7 @@ from .instruments import (
     trivial_instrument,
 )
 from .linalg import BASIS_TOL, CHOI_TOL, MODEL_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
-from .linalg import hermitian_part, root_columns, spectral_norm
+from .linalg import hermitian_part, identity, norms, rank, root_columns, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -113,7 +114,8 @@ from .models import (
     vn_model_for_commutative,
     von_neumann_unitary,
 )
-from .models import _coupled, _eigenbasis, _measured_kraus, _pairing_unitary, _vn_forms, _vn_w
+from .models import _coupled, _eigenbasis, _isometry, _marginal_maps, _measured_kraus, _normal_kraus, _pairing_unitary
+from .models import _phase_fixed_unit_vectors, _positive, _repointing, _slot_operators, _slot_projections, _vn_forms, _vn_w
 from .observables import (
     Observable,
     StochasticMatrix,
@@ -125,6 +127,7 @@ from .observables import (
     _frobenius_complementary,
     _pair_traces,
     _probability_table,
+    _projections,
     _set_probabilities,
     _valid_stack,
     atomic_observable,
@@ -138,7 +141,6 @@ from .observables import (
     joint_probability_table,
     joint_probability_then,
     marginal_defect,
-    obs_coexist_verify,
     obs_commute,
     obs_complementary,
     obs_conditioned,
@@ -257,7 +259,7 @@ class _Recorded:
 
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
     """Largest Frobenius distance between matching matrices of two stacks."""
-    return float(np.linalg.norm(a - b, axis=(-2, -1)).max())
+    return float(norms(a - b).max())
 
 
 def _worst_choi(k: np.ndarray, l: np.ndarray) -> float:
@@ -591,19 +593,33 @@ def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[boo
 
 def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kind, d = t[0] % 5, 2 + t[0] % 3  # every trial of a group has its first's
-    if kind in (0, 2):
-        u = _unitaries(draws[0]) if draws else np.broadcast_to(np.eye(d), (len(t), d, d))
-        effects = [_luders(_checked_effects(_basis_projections(u @ b).reshape(-1, d, d), d)[0])[1] for b in fourier_mub(d)]
+    if kind in (0, 2):  # both bases' instruments stacked
+        u = _unitaries(draws[0]) if draws else np.broadcast_to(identity(d), (len(t), d, d))
+        effects = [_luders(_mub_projections(u))[1]]
     elif kind == 1:
         alpha = _states(draws[0])
-        effects = [_trivial(np.broadcast_to(a.stack, (len(t), *a.stack.shape)), alpha)[1] for a in _identity_pair(d)]
+        effects = [_trivial(np.broadcast_to(a.stack, (len(t), *a.stack.shape)), alpha)[1][None] for a in _identity_pair(d)]
     elif kind == 3:
-        effects = [_luders(_valid_stack(_whitened_effects(draws[0])))[1]]  # one instrument twice
+        effects = [_luders(_valid_stack(_whitened_effects(draws[0])))[1][None]]  # one instrument twice
     else:
-        effects = [_checked(_whitened_kraus(g))[1] for g in draws]
-    pair = [(a, _roots(a)) for a in map(_valid_stack, effects)]  # each instrument's induced observable
+        effects = [_checked(_whitened_kraus(np.stack(draws)))[1]]  # both instruments' draws stacked
+    pair = _with_roots([_valid_stack(e) for e in effects])  # each instrument's induced observable
     defects = _defects(*pair[0], *pair[-1])
     return _entrywise_complementary(defects), _frobenius_complementary(defects)
+
+
+def _mub_projections(u: np.ndarray) -> np.ndarray:
+    """The projections onto the Fourier pair's bases rotated by each trial's unitary, ``(2, t, d, d, d)``,
+    basis-major, checked as ``atomic_observable`` checks them (``_checked_effects``)."""
+    d = u.shape[-1]
+    projections = _basis_projections(u @ np.stack(fourier_mub(d))[:, None])
+    return _checked_effects(projections.reshape(-1, d, d), d)[0].reshape(projections.shape)
+
+
+def _with_roots(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each batch of observables of a list of stacks ``(k, t, m, d, d)`` (of one or both of a pair) with
+    its roots, one ``_roots`` call per stack."""
+    return [p for e in stacks for p in zip(e, _roots(e))]
 
 
 _COMPLEMENTARY = (15, (2, 3, 4), _public_complementary, _batch_complementary)  # kind t % 5, d = 2 + t % 3
@@ -850,24 +866,30 @@ def _identity_channel_distance(instr: Instrument) -> float:
     return float(choi_distances([instr_channel(instr)._kraus], [np.eye(instr.dim)[None]])[0])
 
 
-def _suite_cor_3_3(run: _Run) -> None:
+def _public_cor_3_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Identity instruments always sum to the identity channel."""
-    for t, d in run.cases(2, 3, 4):
-        n = 2 + t % 3
-        weights = dict(zip([str(k) for k in range(n)], random_simplex(n, run.rng)))
-        ident = identity_instrument(weights, d)
-        run.residual(_identity_channel_distance(ident))
+    n = 2 + t % 3
+    weights = dict(zip([str(k) for k in range(n)], random_simplex(n, rng)))
+    return (_identity_channel_distance(identity_instrument(weights, d)),)
 
 
-def _product_labelled_instrument(rng: np.random.Generator, d: int, m: int, n: int) -> Instrument:
-    base = random_instrument(d, m * n, rng)
-    labels = [combine_labels(str(x), str(y)) for x in range(m) for y in range(n)]
-    return Instrument(zip(labels, (op for _, op in base.items())))
+def _batch_cor_3_3(t: np.ndarray, w: np.ndarray) -> tuple[float, ...]:
+    d = 2 + t[0] % 3
+    channel = _channels(_checked(np.sqrt(w)[:, :, None, None, None] * np.eye(d, dtype=complex))[0])[0]
+    return (float(choi_distances(channel, np.broadcast_to(identity(d), (len(t), 1, d, d))).max()),)
+
+
+_PRODUCT_LABELS = [combine_labels(str(x), str(y)) for x in range(2) for y in range(2)]  # (x, y), x, y in {0, 1}
+
+
+def _product_labelled_instrument(rng: np.random.Generator, d: int) -> Instrument:
+    """A random instrument on the product labels ``_PRODUCT_LABELS``."""
+    return Instrument(zip(_PRODUCT_LABELS, (op for _, op in random_instrument(d, 4, rng).items())))
 
 
 def _product_labelled_observable(rng: np.random.Generator, d: int) -> Observable:
-    """A random observable on the product labels (x, y), x, y in {0, 1}."""
-    return random_observable(d, 4, rng, labels=[combine_labels(str(x), str(y)) for x in range(2) for y in range(2)])
+    """A random observable on the product labels ``_PRODUCT_LABELS``."""
+    return random_observable(d, 4, rng, labels=_PRODUCT_LABELS)
 
 
 def _marginal_observables(c: Observable) -> tuple[Observable, ...]:
@@ -889,6 +911,12 @@ def _marginals(joint: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [_assembled_batch(x) for x in _by_marginal(joint)]
 
 
+def _marginal_effects(c: np.ndarray) -> list[np.ndarray]:
+    """The x- and y-marginal observables of a batch of ``_product_labelled_observable`` effects, each checked as
+    ``Observable`` checks its effects (``_checked_effects``)."""
+    return [_checked_effects(x.sum(2).reshape(-1, *c.shape[-2:]), 2)[0] for x in _by_marginal(c)]
+
+
 def _marginal_defect(joint: np.ndarray, marginals: list[np.ndarray]) -> float:
     """``marginal_defect`` of each trial's joint and its two marginals: of effect stacks ``(t, m, d, d)``, or,
     in Choi form, of Kraus arrays ``(t, m, r, d, d)``, a group's operators together."""
@@ -906,24 +934,85 @@ def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
     return m1._repointed(labels, m1._owner * len(p2) + m2._owner)
 
 
-def _suite_thm_4_1(run: _Run) -> None:
+def _dilated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``dilate_instrument`` per trial of a batch of padded Kraus arrays ``(t, m, r, d, d)``: each outcome cut
+    to its Choi rank (``_reduced``), the polished isometries ``(t, d n, d)`` (``models._isometry``), and the
+    slot-to-outcome map, one for the group: a batch whose outcomes do not all share one Choi rank fails."""
+    t, m, r, d = *kraus.shape[:3], kraus.shape[-1]
+    cut, counts = _reduced(kraus.reshape(-1, r, d, d), np.full(t * m, r), 1)
+    if (counts != counts[0]).any():
+        raise _Stop("dilation ranks differ")
+    return _isometry(cut.reshape(t, -1, d, d)), np.repeat(np.arange(m), counts[0])
+
+
+def _pointers(owner: np.ndarray, m: int, t: int) -> np.ndarray:
+    """The pointer of each of ``t`` dilations with one slot-to-outcome map onto ``m`` outcomes (``FIMM.pointer``)."""
+    return _valid_stack(_slot_projections(np.broadcast_to(owner, (t, len(owner))), m))
+
+
+def _measured_dilation(iso: np.ndarray, owner: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``model_instrument`` per trial of a batch of dilations, isometries ``(t, d n, d)`` with one slot-to-outcome
+    map onto ``m`` outcomes of as many slots each: each outcome's slots' operators, then ``_assembled_batch``."""
+    d = iso.shape[-1]
+    return _assembled_batch(_slot_operators(iso, owner).reshape(len(iso), m, -1, d, d))
+
+
+def _simultaneous(joint: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """``simultaneous_fimms`` per trial of a batch of joint Kraus arrays on ``_PRODUCT_LABELS``, and the product
+    pointer's re-pointing (``_product_pointer_model``): what the two models and the product model measure
+    (``_measured_dilation``), and the two models' slot-to-outcome maps."""
+    iso, owner = _dilated(joint)
+    owners = [_repointing(nu, owner) for nu in _marginal_maps(_PRODUCT_LABELS)]
+    product = owners[0] * 2 + owners[1]  # each slot to the pair of its two outcomes
+    return [_measured_dilation(iso, o, m) for o, m in ((owners[0], 2), (owners[1], 2), (product, 4))], owners
+
+
+def _public_thm_4_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Coexisting instruments are exactly those measured by simultaneous,
-    commuting, sharp models built over a joint instrument."""
-    for _, d in run.cases(2):
-        joint = _product_labelled_instrument(run.rng, d, 2, 2)
-        i, j = marginal_instruments(joint)
-        m1, m2 = simultaneous_fimms(joint)
-        run.require(m1.sharp and m2.sharp, "pointers not sharp")
-        p, q = m1.pointer.stack[:, None], m2.pointer.stack[None]
-        run.residual(_worst(p @ q, q @ p), bound=1e-8)
-        meas1 = model_instrument(m1)
-        meas2 = model_instrument(m2)
-        run.residual(family_distance(meas1, i))
-        run.residual(family_distance(meas2, j))
-        # converse: the product pointer measures a joint instrument with the
-        # same marginals as the two models.
-        measured_joint = model_instrument(_product_pointer_model(m1, m2))
-        run.require(instr_coexist_verify(meas1, meas2, measured_joint, run.tol), "converse marginals broken")
+    commuting, sharp models built over a joint instrument: the marginal
+    defect of the instrument that the product pointer measures (conversely,
+    its marginals are the two models'), the pointers' commutator, and the
+    models' distances from the joint's marginals."""
+    joint = _product_labelled_instrument(rng, d)
+    i, j = marginal_instruments(joint)
+    m1, m2 = simultaneous_fimms(joint)
+    if not (m1.sharp and m2.sharp):
+        raise _Stop("pointers not sharp")
+    p, q = m1.pointer.stack[:, None], m2.pointer.stack[None]
+    meas1, meas2 = model_instrument(m1), model_instrument(m2)
+    measured_joint = model_instrument(_product_pointer_model(m1, m2))
+    gaps = family_distance(meas1, i), family_distance(meas2, j)
+    return marginal_defect(meas1, meas2, measured_joint), _worst(p @ q, q @ p), *gaps
+
+
+def _batch_thm_4_1(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
+    joint = _checked(_whitened_kraus(g))[0]
+    ((meas1, _), (meas2, _), (measured_joint, _)), owners = _simultaneous(joint)
+    p, q = (_pointers(o, 2, len(t)) for o in owners)
+    if not (_projections(p).all() and _projections(q).all()):
+        raise _Stop("pointers not sharp")
+    commutator = _worst(p[:, :, None] @ q[:, None], q[:, None] @ p[:, :, None])
+    (i, _), (j, _) = _marginals(joint)
+    return _marginal_defect(measured_joint, [meas1, meas2]), commutator, _worst_choi(meas1, i), _worst_choi(meas2, j)
+
+
+def _fold_coexisting(note: str, run: _Run, *values: float) -> None:
+    """A fold (with its ``note`` bound) of the public trial's values, then the batch's, the marginal defect first
+    in each: every trial's defect within ``run.tol``, as ``instr_coexist_verify`` and ``obs_coexist_verify``
+    decide (else the run fails with ``note``); the other values are residuals."""
+    public, batch = values[: len(values) // 2], values[len(values) // 2 :]
+    run.require(public[0] <= run.tol and batch[0] <= run.tol, note)
+    run.residual(*public[1:], *batch[1:])
+
+
+_fold_lem_4_2 = partial(_fold_coexisting, "joint instrument marginals broken")
+_fold_cor_4_3 = partial(_fold_coexisting, "measured joint observable broken")
+
+
+def _fold_thm_4_1(run: _Run, *values: float) -> None:
+    """``_fold_coexisting``, and each trial's pointer commutator, the second value, also within 1e-8."""
+    _fold_coexisting("converse marginals broken", run, *values)
+    run.residual(values[1], values[len(values) // 2 + 1], bound=1e-8)
 
 
 def _public_lem_4_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -948,34 +1037,30 @@ def _batch_lem_4_2(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float,
     alpha, c = _states(g), _valid_stack(_whitened_effects(gc))
     joint = _trivial(c, alpha)[0]
     (i, back_i), (j, back_j) = _marginals(joint)
-    a, b = (_checked_effects(x.sum(2).reshape(-1, *c.shape[-2:]), 2)[0] for x in _by_marginal(c))  # Observable's checks
+    a, b = _marginal_effects(c)
     gaps = _worst_choi(i, _trivial(a, alpha)[0]), _worst_choi(j, _trivial(b, alpha)[0])
     return _marginal_defect(joint, [i, j]), *gaps, _worst(_valid_stack(back_i), a), _worst(_valid_stack(back_j), b)
 
 
-def _fold_lem_4_2(run: _Run, instr: float, *values: float) -> None:
-    """The public trial's values, then the batch's, each the marginal defect and four distances: every
-    trial's defect within ``run.tol``, as ``instr_coexist_verify`` decides; the distances are residuals."""
-    gaps, (instrs, *batch_gaps) = values[:4], values[4:]
-    run.require(instr <= run.tol and instrs <= run.tol, "joint instrument marginals broken")
-    run.residual(*gaps, *batch_gaps)
-
-
-def _suite_cor_4_3(run: _Run) -> None:
+def _public_cor_4_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Coexisting observables are measured by simultaneous, commuting, sharp
-    models, and such model pairs reproduce a joint observable."""
-    for _, d in run.cases(2):
-        alpha = random_state(d, run.rng)
-        c = _product_labelled_observable(run.rng, d)
-        a, b = _marginal_observables(c)
-        joint = trivial_instrument(c, alpha)
-        m1, m2 = simultaneous_fimms(joint)
-        obs1 = induced_observable(model_instrument(m1))
-        obs2 = induced_observable(model_instrument(m2))
-        run.residual(family_distance(obs1, a))
-        run.residual(family_distance(obs2, b))
-        measured_c = induced_observable(model_instrument(_product_pointer_model(m1, m2)))
-        run.require(obs_coexist_verify(a, b, measured_c, run.tol), "measured joint observable broken")
+    models, and such model pairs reproduce a joint observable: the marginal
+    defect of the measured joint observable, and the measured observables'
+    distances from the joint's marginals."""
+    alpha = random_state(d, rng)
+    c = _product_labelled_observable(rng, d)
+    a, b = _marginal_observables(c)
+    m1, m2 = simultaneous_fimms(trivial_instrument(c, alpha))
+    obs1, obs2 = (induced_observable(model_instrument(m)) for m in (m1, m2))
+    measured_c = induced_observable(model_instrument(_product_pointer_model(m1, m2)))
+    return marginal_defect(a, b, measured_c), family_distance(obs1, a), family_distance(obs2, b)
+
+
+def _batch_cor_4_3(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
+    c = _valid_stack(_whitened_effects(gc))
+    a, b = _marginal_effects(c)
+    obs1, obs2, measured_c = (_valid_stack(x[1]) for x in _simultaneous(_trivial(c, _states(g))[0])[0])
+    return _marginal_defect(measured_c, [a, b]), _worst(obs1, a), _worst(obs2, b)
 
 
 def _measured(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1072,37 +1157,72 @@ def _batch_cor_4_5(t: np.ndarray, *draws: np.ndarray) -> tuple[float, ...]:
     return (_worst(measured, a),)
 
 
-def _suite_thm_4_6(run: _Run) -> None:
+def _extracted(iso: np.ndarray, pointer: np.ndarray) -> np.ndarray:
+    """``normal_fimm_kraus_extract`` per trial of a batch of dilations, isometries ``(t, d n, d)`` and pointers
+    ``(t, m, n, n)``: the phase-fixed unit vectors of the probe state ``|0><0|`` and the pointer atoms from one
+    eigensolve, then the operators ``(t, m, d, d)``, each family's completeness checked (``_normal_kraus``)."""
+    t, m, n = pointer.shape[:3]
+    root = np.eye(n, 1, dtype=complex)
+    states = np.concatenate([np.broadcast_to(root @ root.T, (t, 1, n, n)), pointer], 1)
+    vectors = _phase_fixed_unit_vectors(states.reshape(-1, n, n)).reshape(n, t, 1 + m).swapaxes(0, 1)
+    return _normal_kraus(iso, vectors, (vectors[:, :, 0].conj() @ root)[:, :, None, None])
+
+
+def _public_thm_4_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Single-Kraus instruments are exactly those measured by normal models:
-    dilation gives an atomic pointer and the extraction round-trips; the
-    stored trivial instrument obstructs (outcome ranks exceed one)."""
-    for t, d in run.cases(2, 3):
-        instr = random_kraus_instrument(d, 2 + t % 2, run.rng)
-        m = dilate_instrument(instr)
-        run.require(classify_observable(m.pointer).atomic, "pointer not atomic")
-        measured = model_instrument(m)
-        run.residual(family_distance(measured, instr))
-        extracted = normal_fimm_kraus_extract(m)
-        s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), instr.kraus[:, 0]
-        run.residual(_worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig))
+    dilation gives an atomic pointer, the model measures the instrument
+    back, and the extracted operators have its effects."""
+    instr = random_kraus_instrument(d, 2 + t % 2, rng)
+    m = dilate_instrument(instr)
+    if not classify_observable(m.pointer).atomic:
+        raise _Stop("pointer not atomic")
+    extracted = normal_fimm_kraus_extract(m)
+    s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), instr.kraus[:, 0]
+    gram = _worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig)
+    return family_distance(model_instrument(m), instr), gram
+
+
+def _batch_thm_4_6(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
+    kraus = _checked(_whitened_kraus(g))[0]
+    iso, owner = _dilated(kraus)
+    pointer = _pointers(owner, kraus.shape[1], len(t))
+    if not ((rank(np.linalg.eigvalsh(pointer)) == 1) & _projections(pointer)).all():  # classify_observable's atomic
+        raise _Stop("pointer not atomic")
+    s_new, s_orig = _extracted(iso, pointer), kraus[:, :, 0]
+    gram = _worst(s_new.conj().swapaxes(-1, -2) @ s_new, s_orig.conj().swapaxes(-1, -2) @ s_orig)
+    return _worst_choi(_measured_dilation(iso, owner, kraus.shape[1])[0], kraus), gram
+
+
+def _suite_thm_4_6(run: _Run) -> None:
+    """The stored trivial instrument obstructs (outcome ranks exceed one)."""
     trivial = stored_trivial_instrument()
     ranks_ok = _outcome_ranks_exceed_one(trivial)
-    m_trivial = dilate_instrument(trivial)
-    pointer_flags = classify_observable(m_trivial.pointer)
+    pointer_flags = classify_observable(dilate_instrument(trivial).pointer)
     run.note = "trivial instrument pointer is sharp, not atomic"
     run.require(ranks_ok and pointer_flags.sharp and not pointer_flags.atomic, run.note)
 
 
-def _suite_cor_4_7(run: _Run) -> None:
+def _public_cor_4_7(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """A normal model measures a measurement-update instrument exactly when
-    every extracted operator is positive semidefinite."""
-    for _, d in run.cases(2, 3):
-        a = random_observable(d, 2, run.rng)
-        luders = luders_instrument(a)
-        m = dilate_instrument(luders)
-        run.require(luders_positivity_check(m), "positivity check failed on update model")
-        measured = model_instrument(m)
-        run.residual(family_distance(measured, luders))
+    every extracted operator is positive semidefinite: the update
+    instrument's dilation passes the check and measures it back."""
+    luders = luders_instrument(random_observable(d, 2, rng))
+    m = dilate_instrument(luders)
+    if not luders_positivity_check(m):
+        raise _Stop("positivity check failed on update model")
+    return (family_distance(model_instrument(m), luders),)
+
+
+def _batch_cor_4_7(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
+    luders = _luders(_valid_stack(_whitened_effects(g)))[0]
+    iso, owner = _dilated(luders)
+    if not _positive(_extracted(iso, _pointers(owner, 2, len(t)))).all():
+        raise _Stop("positivity check failed on update model")
+    return (_worst_choi(_measured_dilation(iso, owner, 2)[0], luders),)
+
+
+def _suite_cor_4_7(run: _Run) -> None:
+    """A skew single-Kraus instrument fails the positivity check."""
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     skew = kraus_instrument({"0": pauli_x / np.sqrt(2.0), "1": np.eye(2, dtype=complex) / np.sqrt(2.0)})
     m_skew = dilate_instrument(skew)
@@ -1148,12 +1268,11 @@ def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bo
 def _batch_conj_2_5(t: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = 2 + t[0] % 3
     if t[0] % 2 == 0:
-        u = _unitaries(g)
-        pair = [_checked_effects(_basis_projections(u @ b).reshape(-1, d, d), d)[0] for b in fourier_mub(d)]
+        pairs = [_mub_projections(_unitaries(g))]  # the pair stacked
     else:
-        pair = [np.broadcast_to(a.stack, (len(t), *a.stack.shape)) for a in _identity_pair(d)]
-    obs = [(a, _roots(a)) for a in pair]
-    induced = [(a, _roots(a)) for a in (_valid_stack(_luders(b)[1]) for b in pair)]  # of the update instruments
+        pairs = [np.broadcast_to(a.stack, (1, len(t), *a.stack.shape)) for a in _identity_pair(d)]
+    obs = _with_roots(pairs)
+    induced = _with_roots([_valid_stack(_luders(e)[1]) for e in pairs])  # of the update instruments
     complementary = _frobenius_complementary(_defects(*obs[0], *obs[1]))
     return complementary, complementary & ~_entrywise_complementary(_defects(*induced[0], *induced[1]))
 
@@ -1217,15 +1336,15 @@ SUITES: dict[str, _Suite] = {
     "ex-8": _Suite(None, 50, 1e-10, batched=_Batched(3, (2, 3, 4), _public_ex_8, _batch_ex_8)),
     "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1, _batch_lem_3_1)),
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
-    "cor-3.3": _Suite(_suite_cor_3_3, 20, 1e-9),
+    "cor-3.3": _Suite(None, 20, 1e-9, batched=_Batched(3, (2, 3, 4), _public_cor_3_3, _batch_cor_3_3)),
     "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4, _batch_lem_3_4)),
-    "thm-4.1": _Suite(_suite_thm_4_1, 5, 1e-7),
+    "thm-4.1": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_thm_4_1, _batch_thm_4_1, _fold_thm_4_1)),
     "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, _batch_lem_4_2, _fold_lem_4_2)),
-    "cor-4.3": _Suite(_suite_cor_4_3, 5, 1e-7),
+    "cor-4.3": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_cor_4_3, _batch_cor_4_3, _fold_cor_4_3)),
     "thm-4.4": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_4, _batch_thm_4_4, _fold_thm_4_4)),
     "cor-4.5": _Suite(None, 20, 1e-8, batched=_Batched(6, (2, 3), _public_cor_4_5, _batch_cor_4_5)),
-    "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8),
-    "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8),
+    "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_6, _batch_thm_4_6)),
+    "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8, batched=_Batched(2, (2, 3), _public_cor_4_7, _batch_cor_4_7)),
     "thm-4.8": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_8, _batch_thm_4_8)),
     "conj-2.5-converse": _Suite(
         None, 40, None, batched=_Batched(6, (2, 3, 4), _public_conj_2_5, _batch_conj_2_5, _fold_conj_2_5)

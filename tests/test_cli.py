@@ -456,6 +456,33 @@ class TestLazyCatalogImport:
         )
         assert self._run_python(code) == "0 False"
 
+    def test_cli_import_leaves_documents_unloaded(self):
+        # ``qinstr verify`` reads and writes no document; the package still
+        # serves the document names, loading that layer on first use.
+        code = (
+            "import sys, qinstr, qinstr.cli\n"
+            "before = 'qinstr.serialize' in sys.modules\n"
+            "print(before, qinstr.load_document.__module__, 'qinstr.serialize' in sys.modules)"
+        )
+        assert self._run_python(code) == "False qinstr.serialize True"
+
+    def test_verify_leaves_documents_unloaded(self):
+        code = (
+            "import sys, contextlib, io, qinstr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = qinstr.cli.main(['verify', '--suite', 'ex-1'])\n"
+            "print(rc, 'qinstr.serialize' in sys.modules)"
+        )
+        assert self._run_python(code) == "0 False"
+
+    def test_package_names_resolve_to_documents(self):
+        import qinstr.serialize
+
+        from qinstr import Document, load_document, save_document
+
+        module = qinstr.serialize
+        assert (Document, load_document, save_document) == (module.Document, module.load_document, module.save_document)
+
     def test_package_names_resolve_to_catalog(self):
         import qinstr.verify
 

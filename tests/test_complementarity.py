@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qinstr.instruments as instruments
-from qinstr.effects import seq_product
+from qinstr.effects import seq_product, seq_products
 from qinstr.errors import DimensionError, InvariantViolation
 from qinstr.instruments import (
     CHOI_TOL,
@@ -213,6 +213,16 @@ class TestNearTolerance:
 
 
 class TestKernel:
+    def test_paired_defects_are_each_directions_own(self, rng):
+        # A pair of one shape gets both directions from one seq_products call
+        # on the pair stacked, with the numbers of two calls, bit for bit; a
+        # pair of two outcome counts (the random one) makes two calls.
+        for i, j in [_family("fourier-mub", 3, rng), _family("random", 2, rng)]:
+            a, b = induced_observable(i), induced_observable(j)
+            d_ab, d_ba = complementarity_defects(a, b)
+            assert np.array_equal(d_ab, seq_products(a.roots, b.stack) - a.stack[:, None] / len(b))
+            assert np.array_equal(d_ba, seq_products(b.roots, a.stack) - b.stack[:, None] / len(a))
+
     def test_no_apply_calls(self, rng, monkeypatch):
         pairs = [_family("fourier-mub", 3, rng), _family("random", 3, rng), _trivial_uniform(2, rng)]
 

@@ -17,8 +17,10 @@ from qinstr.linalg import (
     frob,
     herm_eig,
     herm_sqrt,
+    identity,
     inverse_root,
     matrices_close,
+    norms,
     partial_trace_first,
     partial_trace_second,
     psd_part,
@@ -392,3 +394,40 @@ class TestMatricesClose:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             matrices_close(np.eye(2), np.eye(3), 1.0)
+
+
+class TestNorms:
+    """``norms`` is the one Frobenius-norm kernel: each matrix over any
+    leading axes, any strides, a NaN kept."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4, 4), (2, 3, 5, 5), (7, 1, 3)])
+    def test_matches_numpy_on_complex_stacks(self, shape, rng):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        np.testing.assert_allclose(norms(x), np.linalg.norm(x, axis=(-2, -1)), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(norms(x.real), np.linalg.norm(x.real, axis=(-2, -1)), rtol=1e-15, atol=0.0)
+        assert norms(x).shape == shape[:-2]
+
+    def test_any_strides(self, rng):
+        x = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+        for view in (x.swapaxes(-1, -2), x[:, ::2, ::3], x.swapaxes(0, 2), x.T):
+            assert not view.flags.c_contiguous
+            np.testing.assert_allclose(norms(view), np.linalg.norm(view, axis=(-2, -1)), rtol=1e-15, atol=0.0)
+
+    def test_a_nan_entry_stays_nan(self, rng):
+        x = rng.standard_normal((3, 2, 2)) + 0j
+        x[1, 0, 1] = complex(np.nan, 0.0)
+        out = norms(x)
+        assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+        assert np.isnan(frob(x))
+        with pytest.raises(InvariantViolation):
+            require("nan", out, 1.0)
+
+    def test_frob_is_the_norm_of_every_entry(self, rng):
+        x = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        assert frob(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-15)
+        assert frob(x[0].T) == pytest.approx(float(np.linalg.norm(x[0])), rel=1e-15)
+
+
+def test_identity_is_cached_and_read_only():
+    assert identity(3) is identity(3) and not identity(3).flags.writeable
+    assert np.array_equal(identity(3), np.eye(3)) and identity(3).dtype == float

@@ -6,6 +6,9 @@ from qinstr.errors import DimensionError, NotCommutative, NotIsometry, NotNormal
 from qinstr.instruments import (
     Instrument,
     Operation,
+    _assembled,
+    _operators,
+    _reduced,
     choi_distances,
     induced_observable,
     instr_channel,
@@ -1245,3 +1248,62 @@ class TestVonNeumannModelInput:
     def test_pointer_dimension_checked(self, rng):
         with pytest.raises(DimensionError, match=r"^pointer dim 3, expected 2$"):  # as for every model
             VonNeumannModel(np.eye(2), np.eye(2), random_observable(3, 2, rng))
+
+
+class TestDilationKernelsWithTrialAxes:
+    """The dilation path's kernels take leading trial axes; the public
+    functions call them on one model with the numbers of the formulas they
+    replaced (written out here), bit for bit."""
+
+    @staticmethod
+    def _instruments(d, rng):
+        return [random_instrument(d, 3, rng), random_kraus_instrument(d, 3, rng), luders_instrument(random_observable(d, 2, rng))]
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_public_functions_keep_their_formulas_bitwise(self, d, rng):
+        for instr in self._instruments(d, rng):
+            m = dilate_instrument(instr)
+            kraus, counts = _reduced(instr.kraus, instr.counts, 1)
+            iso = _operators(kraus, counts).transpose(1, 0, 2).reshape(-1, d)
+            iso = iso - iso @ ((iso.conj().T @ iso - np.eye(d)) / 2.0)
+            owner = np.repeat(np.arange(len(counts)), counts)
+            assert np.array_equal(m._restricted[0, :, :, 0], iso) and np.array_equal(m._owner, owner)
+            slots = iso.reshape(d, len(owner), d).swapaxes(0, 1)[np.argsort(owner, kind="stable")]
+            expected = _assembled(instr.labels, slots, np.bincount(owner, minlength=len(instr)))
+            measured = model_instrument(m)
+            assert np.array_equal(measured.kraus, expected.kraus) and np.array_equal(measured.effects, expected.effects)
+            if counts.max() == 1:
+                vectors = np.concatenate([np.eye(len(owner), 1), np.eye(len(owner))], 1)  # |0>, then the atoms
+                ops = np.einsum("jki,kx->xji", iso.reshape(d, len(owner), d), vectors[:, 1:].conj())
+                extracted = normal_fimm_kraus_extract(m)
+                assert all(np.array_equal(extracted[x], s) for x, s in zip(instr.labels, ops))
+
+    def test_stacked_trials_are_each_trials_own(self, rng):
+        instrs = [random_kraus_instrument(3, 2, rng) for _ in range(4)]
+        ops = np.stack([x.kraus[:, 0] for x in instrs])
+        iso = models._isometry(ops)
+        owner = np.arange(2)
+        pointer = models._slot_projections(np.broadcast_to(owner, (4, 2)), 2)
+        vectors = np.broadcast_to(np.concatenate([np.eye(2, 1), np.eye(2)], 1), (4, 2, 3))  # |0>, then the atoms
+        extracted = models._normal_kraus(iso, vectors, np.ones((4, 1, 1, 1)))
+        positive = models._positive(extracted)
+        for k, instr in enumerate(instrs):
+            m = dilate_instrument(instr)
+            assert np.array_equal(iso[k], m._restricted[0, :, :, 0])
+            assert np.array_equal(models._slot_operators(iso, owner)[k], models._slot_operators(iso[k], owner))
+            assert np.array_equal(pointer[k], m.pointer.stack)
+            assert np.array_equal(extracted[k], np.stack(list(normal_fimm_kraus_extract(m).values())))
+            assert positive[k] == luders_positivity_check(m)
+        luders = luders_instrument(random_observable(3, 2, rng)).kraus[:, 0]
+        assert list(models._positive(np.stack([extracted[0], luders, -luders]))) == [positive[0], True, False]
+
+    def test_one_bad_trial_fails_the_stack(self, rng):
+        ops = np.stack([random_kraus_instrument(2, 2, rng).kraus[:, 0] for _ in range(3)])
+        deficient = ops.copy()
+        deficient[-1] = 0.0
+        with pytest.raises(NotIsometry, match="rank deficient"):
+            models._isometry(deficient)
+        iso = models._isometry(ops)
+        vectors = np.broadcast_to(np.concatenate([np.eye(2, 1), np.eye(2)], 1), (3, 2, 3))
+        with pytest.raises(NotNormal, match="completeness"):
+            models._normal_kraus(iso * np.array([1.0, 1.0, 1.1])[:, None, None], vectors, np.ones((3, 1, 1, 1)))
