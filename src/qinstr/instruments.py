@@ -49,7 +49,7 @@ import numpy as np
 from .effects import _same_dim, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
 from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _sandwich, kept, rank, require, root_columns
-from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, frob, hermitian_part, identity, norms
+from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, hermitian_part, identity, norms
 from .linalg import read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
@@ -82,10 +82,11 @@ def kraus_from_vectors(vecs: Array, dim: int) -> Array:
 
 
 def _padded(stacks: Sequence[Array]) -> Array:
-    """New ``(m, r, d, d)`` array of ``m`` Kraus stacks, stack ``s`` in ``[s, :len(s)]``, zeros after."""
-    out = np.zeros((len(stacks), max(len(s) for s in stacks), *np.shape(stacks[0])[1:]), dtype=complex)
-    for o, s in zip(out, stacks):
-        o[: len(s)] = s
+    """New ``(m, r, d, d)`` array of ``m`` Kraus stacks (over any leading axes), stack ``s`` first, zeros after."""
+    shape = np.shape(stacks[0])
+    out = np.zeros((*shape[:-3], len(stacks), max(np.shape(s)[-3] for s in stacks), *shape[-2:]), dtype=complex)
+    for k, s in enumerate(stacks):
+        out[..., k, : np.shape(s)[-3], :, :] = s
     return out
 
 
@@ -95,9 +96,11 @@ def _filled(kraus: Array, counts: Array) -> Array:
 
 
 def _operators(kraus: Array, counts: Array) -> Array:
-    """A padded array's operators, outcome-major, as one ``(n, d, d)`` stack (a view if unpadded)."""
+    """A padded array's operators (over any leading trial axes), outcome-major, as one ``(n, d, d)`` stack."""
     # A view, not a gather: large-d's round trips take it; the masked gather cost ~10 % of large-d's ops_per_s.
-    return kraus.reshape(-1, *kraus.shape[2:]) if counts.min() == kraus.shape[1] else kraus[_filled(kraus, counts)]
+    if counts.min() == kraus.shape[-3]:
+        return kraus.reshape(*kraus.shape[:-4], -1, *kraus.shape[-2:])
+    return kraus[..., _filled(kraus, counts), :, :]
 
 
 def _then(first: Array, first_counts: Array, second: Array, second_counts: Array) -> tuple[Array, Array]:
@@ -151,9 +154,13 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
     """The padded array and counts, each outcome above ``limit`` operators cut
     as by ``minimal_kraus``: one batched ``eigvalsh`` of the ``r x r`` Gram
     matrices ``tr(K_k^* K_l)`` finds those of at most ``d^2`` at full column
-    rank (padding adds zeros), one SVD cuts the rest."""
+    rank (padding adds zeros), one SVD cuts the rest; over leading trial axes, each trial's
+    outcome on its own, its count the largest over the trials (zeros pad the others)."""
     if counts.max() <= limit:
         return kraus, counts
+    lead, m = kraus.shape[:-3], len(counts)
+    kraus = kraus.reshape(-1, *kraus.shape[-3:])
+    counts = counts[np.arange(len(kraus)) % m]  # each row's outcome's
     cut = np.flatnonzero(counts > limit)
     test = counts[cut] <= kraus.shape[-1] ** 2  # the others are never at full column rank
     if test.any():
@@ -161,16 +168,16 @@ def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
         w = np.linalg.eigvalsh(flat.conj() @ flat.swapaxes(1, 2))
         test[test] = kept(w).sum(1) == counts[cut[test]]
         cut = cut[~test]
-    if not cut.size:
-        return kraus, counts
-    u, s, _ = np.linalg.svd(_kraus_vectors(kraus[cut, : counts[cut].max()]), full_matrices=False)
-    keep, counts = kept(s * s), counts.copy()
-    keep[:, 0] = True  # an outcome keeps one operator, zero if it is the zero map
-    counts[cut] = keep.sum(1)
-    out = kraus[:, : counts.max()].copy()
-    out[cut] = 0.0
-    out[cut, : u.shape[-1]] = kraus_from_vectors(u * (s * keep)[:, None], kraus.shape[-1])[:, : out.shape[1]]
-    return out, counts
+    if cut.size:
+        u, s, _ = np.linalg.svd(_kraus_vectors(kraus[cut, : counts[cut].max()]), full_matrices=False)
+        keep, counts = kept(s * s), counts.copy()
+        keep[:, 0] = True  # an outcome keeps one operator, zero if it is the zero map
+        counts[cut] = keep.sum(1)
+        out = kraus[:, : counts.max()].copy()
+        out[cut] = 0.0
+        out[cut, : u.shape[-1]] = kraus_from_vectors(u * (s * keep)[:, None], kraus.shape[-1])[:, : out.shape[1]]
+        kraus = out
+    return kraus.reshape(*lead, *kraus.shape[1:]), counts.reshape(-1, m).max(0)
 
 
 def _assembled(labels: Sequence[Label], ops: Array, counts: Array) -> "Instrument":
@@ -179,10 +186,10 @@ def _assembled(labels: Sequence[Label], ops: Array, counts: Array) -> "Instrumen
     sum defects add up, so its one sum check (``Instrument._set``) completes up to ``MODEL_TOL``."""
     # A reshape, not a gather: large-d's round trips take it; the masked gather cost ~10 % of large-d's ops_per_s.
     if counts.min() == counts.max() > 0:
-        kraus = ops.reshape(len(counts), -1, *ops.shape[1:])
+        kraus = ops.reshape(*ops.shape[:-3], len(counts), -1, *ops.shape[-2:])
     else:
-        kraus = np.zeros((len(counts), max(counts.max(), 1), *ops.shape[1:]), dtype=complex)
-        kraus[_filled(kraus, counts)] = ops
+        kraus = np.zeros((*ops.shape[:-3], len(counts), max(counts.max(), 1), *ops.shape[-2:]), dtype=complex)
+        kraus[..., _filled(kraus, counts), :, :] = ops
         counts = np.maximum(counts, 1)
     return Instrument._from_kraus(labels, *_reduced(kraus, counts, ops.shape[-1] ** 2), MODEL_TOL)
 
@@ -199,17 +206,19 @@ def choi_distances(ks: Sequence[Array], ls: Sequence[Array]) -> Array:
     turns this into the ``2r`` square ``R S R^*`` (no difference of squared
     norms), ``O(d^2 r^2)`` work instead of ``O(d^4 r)``; for a wide ``W``, or
     up to ``d = 4``, the QR would save nothing.  All pairs go through one
-    batched call, and bitwise-equal stacks give exactly 0.0.
+    batched call, and bitwise-equal stacks give exactly 0.0.  Over leading
+    trial axes, the side with more of them sets the distances' shape.
     """
     k, l = (s if isinstance(s, np.ndarray) else _padded(s) for s in (ks, ls))
-    m, r, n = len(k), max(k.shape[1], l.shape[1]), k.shape[-1] ** 2
-    v = np.zeros((2, m, r, n), dtype=complex)
-    v[0, :, : k.shape[1]], v[1, :, : l.shape[1]] = k.reshape(m, -1, n), l.reshape(m, -1, n)
-    w = v.transpose(1, 3, 0, 2).reshape(m, n, 2 * r)
+    lead, r, n = max(k.shape[:-3], l.shape[:-3], key=len), max(k.shape[-3], l.shape[-3]), k.shape[-1] ** 2
+    v = np.zeros((2, *lead, r, n), dtype=complex)
+    v[0, ..., : k.shape[-3], :], v[1, ..., : l.shape[-3], :] = k.reshape(*k.shape[:-2], n), l.reshape(*l.shape[:-2], n)
+    v = v.reshape(2, -1, r, n)
+    w = v.transpose(1, 3, 0, 2).reshape(-1, n, 2 * r)
     if n > max(16, 2 * r):
         w = np.linalg.qr(w, mode="r")
     gap = (w * np.repeat([1.0, -1.0], r)) @ w.conj().swapaxes(1, 2)
-    return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, norms(gap))
+    return np.where(np.all(v[0] == v[1], axis=(1, 2)), 0.0, norms(gap)).reshape(lead)
 
 
 def minimal_kraus(ops: Array, dim: int) -> Array:
@@ -270,7 +279,7 @@ class Operation:
         (whose sum check implies trace-non-increase) or a composition with its ``effect``,
         or a channel or a scaled composition, whose effect is formed on first use."""
         op = cls.__new__(cls)
-        op._kraus, op.dim = kraus, kraus.shape[1]
+        op._kraus, op.dim = kraus, kraus.shape[-1]
         if effect is not None:
             op.induced_effect = effect
         return op
@@ -325,8 +334,8 @@ class Operation:
         return list(self._kraus)
 
     def is_channel(self) -> bool:
-        """Trace-preserving: ``||A - 1||_F <= CHOI_TOL`` for the induced effect."""
-        return frob(self.induced_effect - identity(self.dim)) <= CHOI_TOL
+        """Trace-preserving: ``||A - 1||_F <= CHOI_TOL`` for the induced effect (of every trial's)."""
+        return bool(np.all(norms(self.induced_effect - identity(self.dim)) <= CHOI_TOL))
 
     def __repr__(self) -> str:
         kind = "channel" if self.is_channel() else "operation"
@@ -387,8 +396,8 @@ class Instrument(LabelledFamily):
         within ``CHOI_TOL``, which gives ``A_x <= (1 + CHOI_TOL) 1``; a sum up to
         ``bound`` (``_assembled``'s ``MODEL_TOL``) is completed and checked again."""
         instr = cls.__new__(cls)
-        labels = instr._checked_items(zip(labels, kraus), trusted=True)[0]
-        counts = np.full(len(kraus), kraus.shape[1]) if counts is None else np.asarray(counts)
+        labels = instr._checked_labels(labels, trusted=True)
+        counts = np.full(kraus.shape[-4], kraus.shape[-3]) if counts is None else np.asarray(counts)
         if not counts.min() >= 1:
             raise DimensionError("need at least one Kraus operator")
         instr._set(labels, kraus, counts, _effects(kraus), bound)
@@ -396,14 +405,15 @@ class Instrument(LabelledFamily):
 
     @cached_property
     def _members(self) -> dict[Label, Operation]:
-        ops = (Operation._unchecked(k[:c], a) for k, c, a in zip(self.kraus, self.counts, self.effects))
+        kraus, effects = self.kraus, self.effects
+        ops = (Operation._unchecked(kraus[..., x, :c, :, :], effects[..., x, :, :]) for x, c in enumerate(self.counts))
         return dict(zip(self.labels, ops))
 
     def _distances(self, groups: Array, other: "Instrument") -> Array:
         """Choi-form distances: ``choi_distances`` on the padded arrays, a
         group's operators together."""
-        k = self.kraus[groups]
-        return choi_distances(k.reshape(len(groups), -1, self.dim, self.dim), other.kraus)
+        k = self.kraus[..., groups, :, :, :]
+        return choi_distances(k.reshape(*k.shape[:-5], len(groups), -1, self.dim, self.dim), other.kraus)
 
     @cached_property
     def _observable(self) -> Observable:
@@ -425,7 +435,7 @@ def induced_observable(instr: Instrument) -> Observable:
 
 def luders_instrument(a: Observable) -> Instrument:
     """Instrument with outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``."""
-    return Instrument._from_kraus(a.labels, a.roots[:, None])
+    return Instrument._from_kraus(a.labels, a.roots[..., None, :, :])
 
 
 def trivial_instrument(a: Observable, alpha: object) -> Instrument:
@@ -451,11 +461,12 @@ def _prepared(effect_columns: Array, state_columns: Array) -> Array:
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
-    """Instrument whose outcomes scale the identity channel."""
+    """Instrument whose outcomes scale the identity channel; a weight may be a
+    ``(t,)`` array over a trial axis, for a stack of ``t`` such instruments."""
     if dim < 1:
         raise DimensionError("dimension must be at least 1")
-    w = np.sqrt(check_weights(list(weights.values()), len(weights)))
-    return Instrument._from_kraus(check_distinct_labels(weights), w[:, None, None, None] * np.eye(dim, dtype=complex))
+    w = np.sqrt(check_weights(as_numbers(list(weights.values()), float).T, len(weights), trials=True))
+    return Instrument._from_kraus(check_distinct_labels(weights), w[..., None, None, None] * np.eye(dim, dtype=complex))
 
 
 def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
@@ -468,14 +479,10 @@ def kraus_instrument(ops: Mapping[Label, object]) -> Instrument:
         raise NotComplete(f"sum of S*S misses the identity by {exc.residual:.3g}") from None
 
 
-def _choi_rank(phi: Operation) -> int:
-    """``linalg.rank`` of the Choi matrix: the squared singular values of the ``vec(K^T)`` columns."""
-    return int(rank(np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2))
-
-
 def is_single_kraus(phi: Operation) -> bool:
-    """True when one Kraus operator suffices (Choi matrix of rank one)."""
-    return _choi_rank(phi) == 1
+    """True when one Kraus operator suffices: the Choi matrix has ``linalg.rank`` one,
+    of the squared singular values of the ``vec(K^T)`` columns."""
+    return bool(rank(np.linalg.svd(_kraus_vectors(phi._kraus), compute_uv=False) ** 2) == 1)
 
 
 def compose_operations(second: Operation, first: Operation) -> Operation:
@@ -484,15 +491,16 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
     scaled by ``1 / sqrt(t)`` if its effect's top eigenvalue ``t`` exceeds 1 by at most ``MODEL_TOL``."""
     _same_dim(second.dim, first.dim)
     f, s = first._kraus, second._kraus
-    ops, counts = _then(f[None], np.array([len(f)]), s[None], np.array([len(s)]))
+    ops, counts = _then(f[..., None, :, :, :], np.array([f.shape[-3]]), s[..., None, :, :, :], np.array([s.shape[-3]]))
     if first.is_channel() and second.is_channel():
         return _assembled(["0"], ops, counts)["0"]
-    kraus = _reduced(ops[None], counts, first.dim ** 2)[0][0]
+    kraus = _reduced(ops[..., None, :, :, :], counts, first.dim ** 2)[0][..., 0, :, :, :]
     effect = _effects(kraus)
-    top = float(np.linalg.eigvalsh(effect)[-1])
+    top = np.linalg.eigvalsh(effect)[..., -1]
     require("trace-non-increasing", top - 1.0, MODEL_TOL)
-    if top > 1.0 + CHOI_TOL:  # the scaled operators' effect is formed on first use
-        return Operation._unchecked(read_only(kraus / np.sqrt(top)))
+    if top.max() > 1.0 + CHOI_TOL:  # the scaled operators' effect is formed on first use
+        scale = np.sqrt(np.where(top > 1.0 + CHOI_TOL, top, 1.0))[..., None, None, None]
+        return Operation._unchecked(read_only(kraus / scale))
     return Operation._unchecked(read_only(kraus), effect)
 
 
@@ -505,16 +513,16 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
 
 
 def _channel_kraus(kraus: Array) -> tuple[Array, Array]:
-    """The total channel of a padded ``(m, r, d, d)`` array, or of each trial of a
-    ``(t, m, r, d, d)`` batch, its padding included: the operators together as one
-    outcome (a row per trial), cut by ``_reduced`` above ``d^2``, and their counts."""
-    ops = kraus.reshape(-1, kraus.shape[-4] * kraus.shape[-3], *kraus.shape[-2:])
-    return _reduced(ops, np.full(len(ops), ops.shape[1]), ops.shape[-1] ** 2)
+    """The total channel of a padded ``(m, r, d, d)`` array, or of each trial's over
+    leading trial axes, its padding included: the operators together as one outcome,
+    ``(..., 1, m r, d, d)``, cut by ``_reduced`` above ``d^2``, and their count."""
+    ops = kraus.reshape(*kraus.shape[:-4], 1, -1, *kraus.shape[-2:])
+    return _reduced(ops, np.full(1, ops.shape[-3]), ops.shape[-1] ** 2)
 
 
 def _channels(kraus: Array) -> tuple[Array, Array]:
     """``_channel_kraus``'s operators and their effects, checked as ``ensure_channel``
-    checks (``||A - 1||_F <= CHOI_TOL``): ``instr_channel``, a row per trial."""
+    checks (``||A - 1||_F <= CHOI_TOL``): ``instr_channel``, as one outcome."""
     kraus = _channel_kraus(kraus)[0]
     effects = _effects(kraus)
     _trace_preserving(effects)
@@ -526,15 +534,16 @@ def instr_channel(i: Instrument) -> Operation:
     with the outcomes' Kraus operators together as its own (``_channels``
     of them as one outcome).  Its ``ensure_channel`` test implies the
     operation's trace-non-increase bound, so no eigensolve runs."""
-    kraus, effect = _channels(_operators(i.kraus, i.counts)[None])
-    return Operation._unchecked(read_only(kraus[0]), effect[0])
+    kraus, effect = _channels(_operators(i.kraus, i.counts)[..., None, :, :, :])
+    return Operation._unchecked(read_only(kraus[..., 0, :, :, :]), effect[..., 0, :, :])
 
 
 def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     """Instrument ``j`` conditioned by ``i``: outcome ``y`` applies ``J_y``
     after the total channel of ``i``: ``_then`` on the channel as one outcome."""
     _same_dim(i.dim, j.dim)
-    return _assembled(j.labels, *_then(*_channel_kraus(_operators(i.kraus, i.counts)[None]), j.kraus, j.counts))
+    channel = _channel_kraus(_operators(i.kraus, i.counts)[..., None, :, :, :])
+    return _assembled(j.labels, *_then(*channel, j.kraus, j.counts))
 
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:

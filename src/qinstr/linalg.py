@@ -244,10 +244,10 @@ def root_columns(m: Array) -> tuple[Array, Array]:
 
 
 def _eig_columns(v: Array, r: Array) -> tuple[Array, Array]:
-    """``root_columns`` of a stack from its ``_psd_eig``."""
+    """``root_columns`` of a stack (over any leading axes) from its ``_psd_eig``."""
     keep = r > 0.0
-    keep[:, -1] = True
-    return v * r[:, None, :], keep
+    keep[..., -1] = True
+    return v * r[..., None, :], keep
 
 
 def root_factors(m: Array) -> list[Array]:

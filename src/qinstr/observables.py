@@ -72,8 +72,11 @@ def parse_label(text: str) -> Label:
 
 
 def check_distinct_labels(labels: Iterable[Label]) -> tuple[Label, ...]:
-    """The labels, each checked by ``check_label``, none repeated."""
-    checked = tuple(check_label(label) for label in labels)
+    """The labels, each checked by ``check_label``, none repeated (``LabelError`` for a non-collection)."""
+    try:
+        checked = tuple(check_label(label) for label in labels)
+    except TypeError:  # ``labels`` is not iterable; ``check_label`` raises only ``LabelError``
+        raise LabelError(f"expected a collection of labels, got {type(labels).__name__}") from None
     if len(set(checked)) != len(checked):
         duplicate = next(x for k, x in enumerate(checked) if x in checked[:k])
         raise LabelError(f"duplicate label {duplicate!r}")
@@ -87,7 +90,8 @@ class LabelledFamily:
     (members are operations).  Each subclass checks its members' labels with
     ``_checked_items`` and their dimension once (``ensure_effects``, or
     ``_same_dim``), then sets ``dim``, ``labels`` and ``_members`` (an
-    instrument's on first read).  ``_distances`` is the comparison that
+    instrument's on first read); the private constructors also take a stack of
+    families over a leading trial axis.  ``_distances`` is the comparison that
     ``family_distance`` and ``marginal_defect`` share: effects, or Kraus stacks.
     """
 
@@ -95,18 +99,24 @@ class LabelledFamily:
     labels: tuple[Label, ...]
     _members: dict
 
-    def _checked_items(self, members: Mapping | Iterable[tuple], trusted: bool = False) -> tuple[list[Label], list]:
+    def _checked_items(self, members: Mapping | Iterable[tuple]) -> tuple[list[Label], list]:
+        """The checked labels and the members of a mapping or of ``(label, member)`` pairs, else ``KindError``."""
+        try:
+            items = list(members.items()) if isinstance(members, Mapping) else [(x, m) for x, m in members]
+        except (TypeError, ValueError):
+            raise KindError(f"expected a mapping or (label, member) pairs, got {type(members).__name__}") from None
+        return self._checked_labels([x for x, _ in items]), [m for _, m in items]
+
+    def _checked_labels(self, labels: Iterable[Label], trusted: bool = False) -> list[Label]:
         """The labels, checked valid (unless ``trusted``), distinct and
-        nonempty, and the members of a mapping or of ``(label, member)`` pairs.
-        Trusted labels come from validated families or stochastic matrices,
-        or are generated; flattening can still merge two of them."""
-        items = list(members.items()) if isinstance(members, Mapping) else list(members)
-        if not items:
+        nonempty.  Trusted labels come from validated families or stochastic
+        matrices, or are generated; flattening can still merge two of them."""
+        labels = tuple(labels)
+        if not labels:
             raise LabelError(f"an {type(self).__name__.lower()} needs at least one outcome")
-        labels = tuple(label for label, _ in items)
         if not trusted or len(set(labels)) != len(labels):  # the full check names a repeat
             labels = check_distinct_labels(labels)
-        return list(labels), [member for _, member in items]
+        return list(labels)
 
     def _distances(self, groups: Array, other: "LabelledFamily") -> Array:
         """Frobenius distance between the sum of this family's members at
@@ -196,7 +206,7 @@ class Observable(LabelledFamily):
     def _set_stack(self, labels: list[Label], stack: Array) -> None:
         self.dim, self.labels = stack.shape[-1], tuple(labels)
         self.stack = read_only(stack)
-        self._members = dict(zip(labels, stack))
+        self._members = dict(zip(labels, stack.swapaxes(0, -3)))  # views (each over the trial axis of a stack)
 
     @cached_property
     def _eig(self) -> tuple[Array, Array]:
@@ -224,16 +234,16 @@ class Observable(LabelledFamily):
 
     @classmethod
     def _checked(cls, labels: Sequence[Label], stack: Array, spectrum: tuple[Array, Array] | None) -> "Observable":
-        """Observable on one checked family ``(m, d, d)`` with trusted labels: one that
-        ``_checked_effects`` passed, with that check's ``spectrum``, as ``__init__`` builds
-        it, or one that ``_valid_stack`` passed, with none."""
+        """Observable on one checked family ``(m, d, d)``, or a ``(t, m, d, d)`` stack of
+        them, with trusted labels: one that ``_checked_effects`` passed, with that check's
+        ``spectrum``, as ``__init__`` builds it, or one that ``_valid_stack`` passed, with none."""
         obs = cls.__new__(cls)
-        obs._set_stack(obs._checked_items(zip(labels, stack), trusted=True)[0], stack)
+        obs._set_stack(obs._checked_labels(labels, trusted=True), stack)
         obs._spectrum = spectrum
         return obs
 
     def _distances(self, groups: Array, other: "Observable") -> Array:
-        return norms(self.stack[groups].sum(1) - other.stack)
+        return norms(self.stack[..., groups, :, :].sum(-3) - other.stack)
 
 
 def _checked_effects(matrices: object, m: int) -> tuple[Array, tuple[Array, Array] | None]:
@@ -344,15 +354,17 @@ def obs_conditioned(a: Observable, b: Observable) -> Observable:
     return Observable._valid(b.labels, seq_products(a.roots, b.stack).sum(0))
 
 
-def check_weights(weights: Sequence[float], count: int) -> np.ndarray:
+def check_weights(weights: Sequence[float], count: int, trials: bool = False) -> np.ndarray:
+    """``count`` convex weights (with ``trials``, or a ``(t, count)`` stack over a trial axis), clipped at 0."""
     w = as_numbers(weights, float)
-    if w.ndim != 1 or w.size != count:
+    if w.shape[-1:] != (count,) or w.ndim > 1 + trials:
         raise WeightError(f"expected {count} weights, got shape {w.shape}")
     if not w.min(initial=0.0) >= -WEIGHT_TOL:
         raise WeightError(f"negative weight {w.min():.3g}")
-    if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
-        raise WeightError(f"weights sum to {w.sum():.12g}, not 1")
-    return np.clip(w, 0.0, None)
+    sums = w.sum(-1)
+    if not (np.abs(sums - 1.0) <= WEIGHT_TOL).all():
+        raise WeightError(f"weights sum to {np.ravel(sums)[np.abs(sums - 1.0).argmax()]:.12g}, not 1")
+    return np.maximum(w, 0.0)
 
 
 def shared_value_space(families: Sequence[LabelledFamily]) -> tuple[Label, ...]:
@@ -494,11 +506,16 @@ def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Ob
 
 
 def identity_observable(weights: Mapping[Label, float], dim: int) -> Observable:
-    """Observable whose effects are multiples of the identity."""
+    """Observable whose effects are multiples of the identity, ``w_x 1``, checked as ``Observable``
+    checks them but with no eigensolve: their spectrum is closed form (``w_x``, eigenvectors ``1``)."""
     if dim < 1:
         raise DimensionError("dimension must be at least 1")
     w = check_weights(list(weights.values()), len(weights))
-    return Observable(zip(weights.keys(), w[:, None, None] * np.eye(dim, dtype=complex)))
+    labels = check_distinct_labels(weights)
+    stack = w[:, None, None] * np.eye(dim, dtype=complex)
+    completion(stack.sum(0), SUM_TOL, SUM_TOL, "sum-to-identity")
+    spectrum = np.broadcast_to(w[:, None], (len(w), dim)), np.broadcast_to(np.eye(dim, dtype=complex), stack.shape)
+    return Observable._checked(labels, stack, spectrum)
 
 
 def obs_coexist_verify(a: Observable, b: Observable, c: Observable, tol: float = SUM_TOL) -> bool:

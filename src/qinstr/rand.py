@@ -7,9 +7,9 @@ verification suite and document is reproducible from a seed.
 ``random_unitary`` each make one Generator call (``_normals``) and build from
 its numbers with ``_whitened_effects``, ``_whitened_kraus``, ``_states`` or
 ``_unitaries``, which form the Ginibre matrices (``_ginibres_of``) themselves.
-These take leading trial axes: the catalog draws each trial with the same call,
-stacks the trials of one shape, and builds them together from the stacked
-numbers.
+These take leading trial axes, so a generator whose calls return draws stacked
+over trials (the catalog's) gives a stack of families.  Counts and labels are
+checked before anything is drawn.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .effects import ensure_effect, ensure_effects
+from .errors import DimensionError, LabelError
 from .instruments import Instrument
 from .linalg import Array, hermitian_part, inverse_root
 from .models import FIMM
@@ -108,7 +109,9 @@ def random_observable(
     identity; the whitened blocks are PSD by construction, so only their sum
     and caller ``labels`` are checked (``Observable._valid``).
     """
-    labels = default_labels(outcomes) if labels is None else check_distinct_labels(labels)
+    labels = check_distinct_labels(default_labels(outcomes) if labels is None else labels)
+    if not 0 < outcomes == len(labels):  # before the draw
+        raise LabelError(f"need at least one outcome and one label for each, got {len(labels)} for {outcomes} outcomes")
     return Observable._valid(labels, _whitened_effects(_normals(rng, outcomes, dim, dim)))
 
 
@@ -153,7 +156,8 @@ def random_commutative_observable(
 def random_stochastic(
     src_labels: list[Label], tgt_labels: list[Label], rng: np.random.Generator
 ) -> StochasticMatrix:
-    return StochasticMatrix(src_labels, tgt_labels, rng.dirichlet(np.ones(len(tgt_labels)), size=len(src_labels)))
+    src, tgt = check_distinct_labels(src_labels), check_distinct_labels(tgt_labels)  # before the draw
+    return StochasticMatrix(src, tgt, rng.dirichlet(np.ones(len(tgt)), size=len(src)))
 
 
 def random_kraus_instrument(dim: int, outcomes: int, rng: np.random.Generator) -> Instrument:
@@ -171,6 +175,10 @@ def random_instrument(
     probability one), which preserves outcome ranks.  The sum adds the
     per-operator products ``K^* K`` in draw order.
     """
+    if outcomes < 1:  # before the draw
+        raise LabelError(f"an instrument needs at least one outcome, got {outcomes}")
+    if kraus_per_outcome < 1:
+        raise DimensionError("need at least one Kraus operator")
     raw = _normals(rng, outcomes, kraus_per_outcome, dim, dim)
     return Instrument._from_kraus(default_labels(outcomes), _whitened_kraus(raw))
 

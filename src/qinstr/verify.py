@@ -2,7 +2,7 @@
 
 Each suite re-derives one identity, counterexample, or construction on
 concrete matrices.  ``SUITES`` is the one table: id -> suite function,
-default trials, pinned tolerance and, for a batched suite, its batch.  A
+default trials, pinned tolerance and, for a batched suite, its ``_Batched`` row.  A
 suite is a function of one run record (``_Run``): it draws from ``run.rng``
 in each trial of ``run.cases(*dims)`` and records residuals, gap floors and
 its note; ``run.require`` ends it early as a fail.  ``run_suite``, the one
@@ -15,31 +15,31 @@ is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
 "unknown", with the number of cases searched; they assert nothing.
 
 Every suite with a ``batched`` row (all that draw random trials but
-conj-3.3-converse) runs each group of trials that share a shape (dimension and
-outcome counts, and the kind of pair or observable where it varies) as one
-array program of the library's kernels (for the model suites, those of
-``models`` with trial axes).  Every batched trial keeps the checks on computed
-objects: each sum check, root PSD check, ``d^2`` cut, range check of a derived
-observable, witness, complementarity, commutativity and unitarity rule, a
-dilation's isometry checks, its pointer's sharp (thm-4.1) and atomic (thm-4.6)
-flags and commutators, the completeness of extracted operators and cor-4.7's
-positivity check.  A trial's public route is the one description of its draws:
-each group's first trial runs through the public functions, which record their
-Generator calls (``_Recorded``), and each later trial makes the same calls, in
-trial order (``_Run.groups``).  A batch replays one shape, so it fails closed
-where a trial's is not its group's: cor-4.5's eigenbasis draw is a redraw loop,
-so a public trial that drew more than once, or a batched combination that does
-not diagonalize, fails ("eigenbasis redrawn"), and so does a group of
-dilations whose outcomes do not all share one Choi rank ("dilation ranks differ").  The public
-functions' checks of the generators' own weights, states and bases
-(``check_weights``, ``ensure_state``, a von Neumann model's drawn bases) run in
-that first trial only; ``rand`` builds them valid by construction.  A group's
-values enter the run as residuals, or through the suite's ``fold`` (cor-2.5 and
-the probe count their complementary pairs; lem-2.6, lem-4.2, thm-4.1 and
-cor-4.3 fail with their note when a trial's marginal defect exceeds the
-tolerance; thm-4.1 bounds its pointers' commutators, thm-4.4 its channel's
-idempotence defect).  The suite function then runs what is left one by one: the
-fixed counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7,
+conj-3.3-converse) groups its trials by shape (dimension and outcome counts,
+and the kind of pair or observable where it varies).  A trial's public route
+is the one description of its draws: each group's first trial runs through the
+public functions, which record their Generator calls (``_Recorded``), and each
+later trial makes the same calls, in trial order (``_Run.groups``).  thm-2.1,
+ex-3, lem-3.4, ex-5 and cor-3.3 then run that route on the group's draws
+stacked over its trials (``_Stacked``): the families and combinators they call
+take a leading trial axis, and ``family_distance`` takes the worst trial.  The
+others run one array program of the library's kernels per group (``_batch_*``;
+for the model suites, those of ``models`` with trial axes), which keeps the
+checks on computed objects (sums, roots, ``d^2`` cuts, ranges, witnesses,
+complementarity, commutativity, unitarity, a dilation's isometry and pointer
+flags, extracted operators' completeness and positivity) and checks the
+generators' own weights, states and bases in the first trial only (``rand``
+builds them valid).  A batch replays one shape, so it fails closed where a
+trial's is not its group's: cor-4.5's eigenbasis draw is a redraw loop, so a
+public trial that drew more than once, or a batched combination that does not
+diagonalize, fails ("eigenbasis redrawn"), and so does a group of dilations
+whose outcomes do not all share one Choi rank ("dilation ranks differ").  A
+group's values enter the run as residuals, or through the suite's ``fold``
+(cor-2.5 and the probe count their complementary pairs; lem-2.6, lem-4.2,
+thm-4.1 and cor-4.3 fail with their note when a trial's marginal defect exceeds
+the tolerance; thm-4.1 bounds its pointers' commutators, thm-4.4 its channel's
+idempotence defect).  The suite function then runs what is left one by one:
+the fixed counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7,
 thm-4.6 and cor-4.7, ex-4's commuting pair, drawn where the trials leave the
 generator, and cor-2.5's count check.
 """
@@ -67,10 +67,8 @@ from .errors import InvalidWitness, NotCommutative, NotIsometry, QinstrError
 from .instruments import (
     Instrument,
     Operation,
-    _channel_kraus,
     _channels,
     _checked_sum,
-    _choi_rank,
     _effects,
     _entrywise_complementary,
     _mixed,
@@ -95,6 +93,7 @@ from .instruments import (
     kraus_instrument,
     kraus_instrument_from_channel,
     luders_instrument,
+    minimal_kraus,
     trivial_instrument,
 )
 from .linalg import BASIS_TOL, CHOI_TOL, MODEL_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
@@ -257,6 +256,16 @@ class _Recorded:
         return call
 
 
+class _Stacked:
+    """A generator whose calls return a group's recorded outputs, stacked over its trials, in call order."""
+
+    def __init__(self, draws: list[np.ndarray]):
+        self.draws = iter(draws)
+
+    def __getattr__(self, name: str) -> Callable:
+        return lambda *args, **kwargs: next(self.draws)
+
+
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
     """Largest Frobenius distance between matching matrices of two stacks."""
     return float(norms(a - b).max())
@@ -266,12 +275,6 @@ def _worst_choi(k: np.ndarray, l: np.ndarray) -> float:
     """Largest Choi-form distance between matching outcomes of two batches of padded Kraus arrays, ``(t, m, r, d, d)``
     (or with the outcomes on more axes, ``(t, m, n, r, d, d)``)."""
     return float(choi_distances(k.reshape(-1, *k.shape[-3:]), l.reshape(-1, *l.shape[-3:])).max())
-
-
-def _kraus_gap(instr: Instrument, stacks: list[np.ndarray]) -> float:
-    """Largest Choi-form distance between the outcomes of ``instr``, in label
-    order, and the maps of the Kraus stacks ``stacks``."""
-    return float(choi_distances(instr.kraus, stacks).max())
 
 
 def sharp_qubit_z() -> Observable:
@@ -336,11 +339,9 @@ def _checked(kraus: np.ndarray, bound: float = CHOI_TOL) -> tuple[np.ndarray, np
 
 
 def _assembled_batch(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``instruments._assembled`` on a ``(t, m, r, d, d)`` batch: every outcome
-    of every trial one row of ``_reduced`` (cut at ``d^2``), then the sum check up to ``MODEL_TOL``."""
-    t, m, r, d = *ops.shape[:3], ops.shape[-1]
-    kraus = _reduced(ops.reshape(-1, r, d, d), np.full(t * m, r), d * d)[0]
-    return _checked(kraus.reshape(t, m, -1, d, d), MODEL_TOL)
+    """``instruments._assembled`` on a ``(t, m, r, d, d)`` batch: ``_reduced`` (each trial's outcomes cut at
+    ``d^2``), then the sum check up to ``MODEL_TOL``."""
+    return _checked(_reduced(ops, np.full(ops.shape[1], ops.shape[2]), ops.shape[-1] ** 2)[0], MODEL_TOL)
 
 
 def _post_processed(c: np.ndarray, kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -398,11 +399,6 @@ def _batch_lem_1_1(t: np.ndarray, g: np.ndarray, x: np.ndarray) -> tuple[float, 
 def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     a = random_observable(d, 2 + t % 3, rng)
     return (family_distance(induced_observable(luders_instrument(a)), a),)
-
-
-def _batch_thm_2_1(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    a = _valid_stack(_whitened_effects(g))
-    return (_worst(_valid_stack(_luders(a)[1]), a),)
 
 
 def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -500,7 +496,7 @@ def _public_lem_3_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     cond_hat = instr_channel(instr_conditioned(i, j))
     composed = compose_operations(instr_channel(j), instr_channel(i))
     p, c, k = prod_hat._kraus, cond_hat._kraus, composed._kraus
-    return tuple(choi_distances([p, p, c], [c, k, k]))
+    return (float(choi_distances([p, p, c], [c, k, k]).max()),)
 
 
 def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -511,21 +507,14 @@ def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return _assembled_batch(ops.reshape(len(ops), m * n, r * s, *ops.shape[-2:]))[0]
 
 
-def _batch_lem_3_4(t: np.ndarray, gi: np.ndarray, gj: np.ndarray) -> tuple[float, ...]:
-    i, j = (_checked(_whitened_kraus(g))[0] for g in (gi, gj))
-    ci, cj = _channels(i)[0][:, None], _channels(j)[0][:, None]
-    prod, cond, composed = _channels(_products(i, j))[0], _channels(_products(ci, j))[0], _products(ci, cj)[:, 0]
-    return (float(choi_distances([*prod, *prod, *cond], [*cond, *composed, *composed]).max()),)
-
-
 class _Batched(NamedTuple):
-    """A suite's trials run as one array program per shape (``_Run.groups``)."""
+    """A suite's trials by shape (``_Run.groups``): each group's stacked draws through ``batch`` or ``public``."""
 
     period: int  # trials t and t + period share a shape
     dims: tuple[int, ...]
     public: Callable  # one trial through the public functions, from a generator: its values
-    batch: Callable  # a group's values from its trials ``t`` and its recorded draws, stacked over its trials
-    fold: Callable = _Run.residual  # how the run takes a group's values, the public trial's then the batch's
+    batch: Callable | None = None  # a group's values from its trials ``t`` and its stacked draws
+    fold: Callable = _Run.residual  # how the run takes a group's values, the public trial's then the stacked ones
 
 
 def _suite_thm_2_1(run: _Run) -> None:
@@ -667,8 +656,8 @@ def _fold_lem_2_6(run: _Run, instr: float, obs: float, instrs: float, obss: floa
 
 
 def _outcome_ranks_exceed_one(instr: Instrument) -> bool:
-    """Every outcome Choi matrix has rank two or more (``_choi_rank``)."""
-    return all(_choi_rank(op) >= 2 for _, op in instr.items())
+    """Every outcome Choi matrix has rank two or more: no fewer Kraus operators (``minimal_kraus``)."""
+    return all(len(minimal_kraus(op._kraus, instr.dim)) >= 2 for _, op in instr.items())
 
 
 def _suite_ex_2(run: _Run) -> None:
@@ -692,17 +681,10 @@ def _composed_effects(s: np.ndarray, tt: np.ndarray) -> np.ndarray:
 def _public_ex_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     i = random_kraus_instrument(d, 2, rng)
     j = random_kraus_instrument(d, 2, rng)
-    expected = _composed_effects(i.kraus[:, 0], j.kraus[:, 0])
+    expected = _composed_effects(i.kraus[..., 0, :, :], j.kraus[..., 0, :, :])
     a_prod = induced_observable(instr_product(i, j)).stack.reshape(expected.shape)
     b_cond = induced_observable(instr_conditioned(i, j)).stack
     return _worst(a_prod, expected), _worst(b_cond, expected.sum(-4))
-
-
-def _batch_ex_3(t: np.ndarray, gi: np.ndarray, gj: np.ndarray) -> tuple[float, ...]:
-    i, j = (_checked(_whitened_kraus(g))[0] for g in (gi, gj))
-    expected = _composed_effects(i[:, :, 0], j[:, :, 0])
-    a_prod, b_cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channel_kraus(i)[0][:, None]))
-    return _worst(a_prod, expected.reshape(a_prod.shape)), _worst(b_cond, expected.sum(-4))
 
 
 def _suite_ex_3(run: _Run) -> None:
@@ -729,7 +711,7 @@ def _batch_ex_4(t: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> tuple[float, .
     a, b = (_valid_stack(_whitened_effects(g)) for g in (ga, gb))
     roots, j = _roots(a), _luders(b)[0]
     i, products = _checked(roots[..., None, :, :])[0], seq_products(roots, b)
-    lhs, cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channel_kraus(i)[0][:, None]))
+    lhs, cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channels(i)[0]))
     return _worst(lhs, _valid_stack(products.reshape(lhs.shape))), _worst(cond, _valid_stack(products.sum(1)))
 
 
@@ -754,27 +736,15 @@ def _public_ex_5(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Products and conditioning against an identity instrument only scale:
     conditioning a generic instrument on it returns that instrument."""
     w = random_simplex(2, rng)
-    ident = identity_instrument(dict(zip(["0", "1"], w)), d)
+    ident = identity_instrument(dict(zip(["0", "1"], w.T)), d)
     j = random_instrument(d, 2, rng)
-    roots, kj = np.sqrt(w), [op._kraus for _, op in j.items()]  # sqrt(w_x) K is a Kraus stack of w_x J_y
+    roots = np.sqrt(w)[..., :, None, None, None]  # sqrt(w_x) K is a Kraus stack of w_x J_y
+    scaled = roots[..., None, :, :, :] * j.kraus[..., None, :, :, :, :]  # [x, y] = sqrt(w_x) K_y
     return (
-        _kraus_gap(instr_product(ident, j), [r * k for r in roots for k in kj]),
-        _kraus_gap(instr_product(j, ident), [r * k for k in kj for r in roots]),
+        _worst_choi(instr_product(ident, j).kraus, scaled),
+        _worst_choi(instr_product(j, ident).kraus, scaled.swapaxes(-5, -4)),
         family_distance(instr_conditioned(ident, j), j),
-        _kraus_gap(instr_conditioned(j, ident), [r * instr_channel(j)._kraus for r in roots]),
-    )
-
-
-def _batch_ex_5(t: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    j = _checked(_whitened_kraus(g))[0]
-    roots = np.sqrt(w)[:, :, None, None, None]
-    ident, channel = _checked(roots * np.eye(j.shape[-1], dtype=complex))[0], _channels(j)[0][:, None]
-    scaled = roots[:, :, None] * j[:, None]  # [:, x, y] = sqrt(w_x) K_y, outcome (x, y) of ident then j
-    return (
-        _worst_choi(_products(ident, j), scaled),
-        _worst_choi(_products(j, ident), scaled.swapaxes(1, 2)),
-        _worst_choi(_products(_channel_kraus(ident)[0][:, None], j), j),
-        _worst_choi(_products(channel, ident), roots * channel),
+        _worst_choi(instr_conditioned(j, ident).kraus, roots * instr_channel(j)._kraus[..., None, :, :, :]),
     )
 
 
@@ -785,8 +755,8 @@ def _public_ex_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     beta = random_state(d, rng)
     prod = instr_product(trivial_instrument(a, alpha), trivial_instrument(b, beta))
     roots = np.sqrt(np.trace(alpha @ b.stack, axis1=1, axis2=2).real)  # sqrt(tr(alpha B_y))
-    ka = [op._kraus for _, op in trivial_instrument(a, beta).items()]  # rho -> tr(rho A_x) beta
-    return (_kraus_gap(prod, [r * k for k in ka for r in roots]),)
+    ka = trivial_instrument(a, beta).kraus  # rho -> tr(rho A_x) beta
+    return (_worst_choi(prod.kraus, ka[:, None] * roots[:, None, None, None]),)
 
 
 def _batch_ex_6(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
@@ -863,20 +833,14 @@ def _suite_thm_3_2(run: _Run) -> None:
 
 def _identity_channel_distance(instr: Instrument) -> float:
     """Frobenius distance of the total channel's Choi matrix from the identity's."""
-    return float(choi_distances([instr_channel(instr)._kraus], [np.eye(instr.dim)[None]])[0])
+    return float(choi_distances(instr_channel(instr)._kraus[..., None, :, :, :], identity(instr.dim)[None, None]).max())
 
 
 def _public_cor_3_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Identity instruments always sum to the identity channel."""
     n = 2 + t % 3
-    weights = dict(zip([str(k) for k in range(n)], random_simplex(n, rng)))
+    weights = dict(zip([str(k) for k in range(n)], random_simplex(n, rng).T))
     return (_identity_channel_distance(identity_instrument(weights, d)),)
-
-
-def _batch_cor_3_3(t: np.ndarray, w: np.ndarray) -> tuple[float, ...]:
-    d = 2 + t[0] % 3
-    channel = _channels(_checked(np.sqrt(w)[:, :, None, None, None] * np.eye(d, dtype=complex))[0])[0]
-    return (float(choi_distances(channel, np.broadcast_to(identity(d), (len(t), 1, d, d))).max()),)
 
 
 _PRODUCT_LABELS = [combine_labels(str(x), str(y)) for x in range(2) for y in range(2)]  # (x, y), x, y in {0, 1}
@@ -1105,7 +1069,7 @@ def _batch_thm_4_4(t: np.ndarray, gb: np.ndarray, gp: np.ndarray, g: np.ndarray,
     public = _measured(_coupled(u[:, None], d, f[:, -1]), f[:, :-1])[0]
     once = _sandwich(channel, _states(gr)[:, None])
     gaps = _worst_choi(instr, direct), _worst_choi(instr, public), _worst(obs, _valid_stack(effects))
-    channel_gap = float(choi_distances(_channels(direct)[0], channel).max())
+    channel_gap = float(choi_distances(_channels(direct)[0][:, 0], channel).max())
     return *gaps, channel_gap, _worst(_sandwich(channel, once[:, None]), once)
 
 
@@ -1321,23 +1285,23 @@ SUITES: dict[str, _Suite] = {
     "ex-1": _Suite(_suite_ex_1, 1, 1e-10, fixed=True),
     "lem-1.1": _Suite(None, 50, 1e-8, batched=_Batched(3, (2, 3, 4), _public_lem_1_1, _batch_lem_1_1)),
     "lem-1.2": _Suite(_suite_lem_1_2, 6, 1e-9, fixed=True),
-    "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9, batched=_Batched(3, (2, 3, 4), _public_thm_2_1, _batch_thm_2_1)),
+    "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9, batched=_Batched(3, (2, 3, 4), _public_thm_2_1)),
     "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_2, _batch_thm_2_2)),
     "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_3, _batch_thm_2_3)),
     "lem-2.4": _Suite(None, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_lem_2_4)),
     "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_cor_2_5)),
     "lem-2.6": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_2_6, _batch_lem_2_6, _fold_lem_2_6)),
     "ex-2": _Suite(_suite_ex_2, 1, 0.0, fixed=True),
-    "ex-3": _Suite(_suite_ex_3, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_3, _batch_ex_3)),
+    "ex-3": _Suite(_suite_ex_3, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_3)),
     "ex-4": _Suite(_suite_ex_4, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_4, _batch_ex_4)),
-    "ex-5": _Suite(None, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_5, _batch_ex_5)),
+    "ex-5": _Suite(None, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_5)),
     "ex-6": _Suite(_suite_ex_6, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_6, _batch_ex_6)),
     "ex-7": _Suite(_suite_ex_7, 20, 1e-10, batched=_Batched(2, (2, 3), _public_ex_7, _batch_ex_7)),
     "ex-8": _Suite(None, 50, 1e-10, batched=_Batched(3, (2, 3, 4), _public_ex_8, _batch_ex_8)),
     "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1, _batch_lem_3_1)),
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
-    "cor-3.3": _Suite(None, 20, 1e-9, batched=_Batched(3, (2, 3, 4), _public_cor_3_3, _batch_cor_3_3)),
-    "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4, _batch_lem_3_4)),
+    "cor-3.3": _Suite(None, 20, 1e-9, batched=_Batched(3, (2, 3, 4), _public_cor_3_3)),
+    "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4)),
     "thm-4.1": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_thm_4_1, _batch_thm_4_1, _fold_thm_4_1)),
     "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, _batch_lem_4_2, _fold_lem_4_2)),
     "cor-4.3": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_cor_4_3, _batch_cor_4_3, _fold_cor_4_3)),
@@ -1368,7 +1332,9 @@ def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scal
         if suite.batched is not None:
             period, dims, public, batch, fold = suite.batched
             for first, (values, draws) in enumerate(run.groups(period, dims, public)):
-                fold(run, *values, *batch(np.arange(first, n, period), *draws))
+                d = dims[first % len(dims)]  # a stacked route takes the group's draws as its generator
+                args = (np.arange(first, n, period), *draws) if batch else (_Stacked(draws), first, d)
+                fold(run, *values, *(batch or public)(*args))
         if suite.fn is not None:
             suite.fn(run)
     except _Stop as stop:

@@ -7,6 +7,7 @@ whose action raises anything else, or returns anything else, fails.
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,7 @@ from qinstr.observables import (
     obs_convex_combo,
     obs_triple_joint,
 )
+from qinstr.rand import random_fimm, random_instrument, random_kraus_instrument, random_observable, random_stochastic
 from qinstr.serialize import dumps_document, loads_document, save_document
 
 from conftest import P0, P1
@@ -78,6 +80,7 @@ ID_3 = Operation.identity(3)
 HALF_2 = Operation.from_kraus([np.sqrt(0.5) * np.eye(2)])
 SPLIT_2 = identity_instrument({"a": 0.5, "b": 0.5}, 2)
 SPLIT_3 = identity_instrument({"a": 0.5, "b": 0.5}, 3)
+RNG = np.random.default_rng(0)
 
 
 def _cli(argv: list[str]) -> str:
@@ -228,6 +231,13 @@ ROWS = [
     ("repr-operation", lambda mp, tp: repr(HALF_2), "Operation(dim=2, operation)"),
     ("operations-close-across-dims", lambda mp, tp: operations_close(ID_2, ID_3, 1.0), False),
     ("instrument-non-operation", lambda mp, tp: Instrument({"a": np.eye(2)}), (KindError, "Operation instances")),
+    ("instrument-of-an-operation", lambda mp, tp: Instrument(ID_2), (KindError, "pairs, got Operation")),
+    ("observable-of-a-number", lambda mp, tp: Observable(5), (KindError, "pairs, got int")),
+    ("observable-of-a-string", lambda mp, tp: Observable("ab"), (KindError, "pairs, got str")),
+    ("random-stochastic-count-labels", lambda mp, tp: random_stochastic(3, 2, RNG), (LabelError, "labels, got int")),
+    ("random-observable-count-labels", lambda mp, tp: random_observable(2, 2, RNG, labels=5), (LabelError, "got int")),
+    ("random-observable-too-few-labels", lambda mp, tp: random_observable(2, 2, RNG, labels=["a"]), (LabelError, "1 for 2 outcomes")),
+    ("random-instrument-negative-outcomes", lambda mp, tp: random_instrument(2, -1, RNG), (LabelError, "one outcome, got -1")),
     ("trivial-instrument-dim", lambda mp, tp: trivial_instrument(Z, STATE_3), (DimensionError, "state dim 3")),
     ("compose-dim", lambda mp, tp: compose_operations(ID_2, ID_3), (DimensionError, "mismatch 2 vs 3")),
     ("conditioned-dim", lambda mp, tp: instr_conditioned(SPLIT_2, SPLIT_3), (DimensionError, "mismatch 2 vs 3")),
@@ -290,6 +300,7 @@ ROWS = [
     ),
     ("weights-count", lambda mp, tp: check_weights([0.5, 0.5], 3), (WeightError, "expected 3 weights")),
     ("weights-negative", lambda mp, tp: check_weights([1.5, -0.5], 2), (WeightError, "negative weight")),
+    ("weights-stacked", lambda mp, tp: obs_convex_combo([[0.5, 0.5]], [Z, Z]), (WeightError, r"got shape \(1, 2\)")),
     ("mixture-value-spaces", lambda mp, tp: obs_convex_combo([0.5, 0.5], [Z, ONE_2]), (LabelError, "value-space")),
     (
         "mixture-dims",
@@ -316,3 +327,26 @@ def test_error_path(action, expected, monkeypatch, tmp_path):
         assert type(raised.value) is error
     else:
         assert action(monkeypatch, tmp_path) == expected
+
+
+@pytest.mark.parametrize(
+    "draw, error, untouched",
+    [
+        (lambda rng: random_observable(2, 0, rng), LabelError, True),
+        (lambda rng: random_instrument(2, 0, rng), LabelError, True),
+        (lambda rng: random_instrument(2, 2, rng, 0), DimensionError, True),
+        (lambda rng: random_kraus_instrument(2, 0, rng), LabelError, True),
+        (lambda rng: random_fimm(2, 2, 0, rng), LabelError, False),  # its probe state and interaction come first
+    ],
+)
+def test_random_families_check_their_counts_before_drawing(draw, error, untouched):
+    # A count of zero outcomes or operators is a typed error, with no numpy
+    # warning first (a zero completeness sum would be whitened otherwise), so
+    # it stays typed under -W error::RuntimeWarning; the family is never drawn.
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as raised:
+            draw(rng)
+    assert type(raised.value) is error
+    assert (rng.bit_generator.state == np.random.default_rng(0).bit_generator.state) == untouched

@@ -203,6 +203,18 @@ class TestClassify:
         flags = classify_observable(identity_observable({"0": 0.5, "1": 0.5}, 2))
         assert flags.identity and not flags.atomic
 
+    @pytest.mark.parametrize("weights", [{"0": 0.5, "1": 0.5}, {"a": 0.25, "b": 0.0, "c": 0.75}, {"only": 1.0}])
+    def test_identity_observable_decides_its_range_from_its_weights(self, weights, eig_calls):
+        # The effects w_x 1 have a closed-form spectrum, so building one solves
+        # nothing; it is the observable the constructor builds from the same
+        # effects, with the same roots and flags.
+        ident = identity_observable(weights, 3)
+        assert eig_calls.calls == []
+        built = Observable({x: w * np.eye(3) for x, w in weights.items()})
+        assert ident.labels == built.labels and np.array_equal(ident.stack, built.stack)
+        assert np.abs(ident.roots - built.roots).max() <= 1e-15
+        assert classify_observable(ident) == classify_observable(built)
+
     def test_sharp_z(self, sharp_z):
         flags = classify_observable(sharp_z)
         assert flags.atomic and flags.indecomposable and flags.commutative and flags.sharp
