@@ -6,11 +6,15 @@ sequential product ``sqrt(a) b sqrt(a)``, which conditions ``b`` on the
 occurrence of ``a``.
 
 Families of effects are handled as ``(k, d, d)`` stacks: ``ensure_effects``
-validates a stack with one batched eigendecomposition, and ``seq_products``
-forms every pairwise sequential product of two stacks from the square roots
-of the first (an observable's cached ``roots``): the dual of the Lüders
-instrument, through the package's one sandwich ``linalg._sandwich``.
-``ensure_effect`` and ``seq_product`` are their one-element cases.
+validates a stack from its eigenvalues alone (``eigvalsh``; ``eigh`` only for
+the matrices it clamps), and ``_effects_spectrum`` keeps the same check's
+``eigh`` spectrum where that is read again (an ``Observable``'s roots, a
+witness's joint, the first root of ``seq_product`` and
+``conditioned_partial_state``).  ``seq_products`` forms every pairwise
+sequential product of two stacks from the square roots of the first (an
+observable's cached ``roots``): the dual of the Lüders instrument, through the
+package's one sandwich ``linalg._sandwich``.  ``ensure_effect`` and
+``seq_product`` are their one-element cases.
 
 A coexistence witness of two effects is a view of the 2x2 joint observable of
 their binary observables: that joint is its one acceptance rule and its search.
@@ -25,33 +29,35 @@ import numpy as np
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, SUM_TOL, ZERO_NORM_TOL
 from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, norms, require
-from .linalg import Array, _from_eig, as_matrix, as_numbers, as_vector, ensure_hermitian, herm_sqrt, hermitian_part, psd_part
+from .linalg import Array, _from_eig, _psd_eig, as_matrix, as_numbers, as_vector, ensure_hermitian, hermitian_part, psd_part
 
 
 def ensure_effects(m: object) -> Array:
     """Validate and normalize a ``(k, d, d)`` stack of effect matrices.
 
     Each matrix must be Hermitian within ``ensure_hermitian``'s limit, and
-    its eigenvalues, from one batched eigendecomposition, must lie within
-    ``EFFECT_EIG_TOL`` of ``[0, 1]``; otherwise ``InvariantViolation("effect-range")``
-    reports the residual of the first failing matrix.  Matrices with
-    eigenvalues more than ``EFFECT_ROUND_TOL`` outside ``[0, 1]`` are
-    clamped onto it, and the others returned as symmetrized: a clamped
-    matrix misses the range by rounding only, so it is not rebuilt again.
+    its eigenvalues, from one batched ``eigvalsh`` call (it keeps no spectrum),
+    must lie within ``EFFECT_EIG_TOL`` of ``[0, 1]``; otherwise
+    ``InvariantViolation("effect-range")`` reports the residual of the first
+    failing matrix.  Matrices with eigenvalues more than ``EFFECT_ROUND_TOL``
+    outside ``[0, 1]`` are checked and clamped onto it by their ``eigh``
+    spectra, and the others returned as symmetrized: a clamped matrix misses
+    the range by rounding only, so it is not rebuilt again.
     """
-    return _effects_spectrum(m)[0]
+    return _effects_spectrum(m, keep=False)[0]
 
 
-def _effects_spectrum(m: object) -> tuple[Array, tuple[Array, Array] | None]:
-    """``ensure_effects(m)`` and its range check's ``(w, V)``, or ``None`` if it clamped a matrix."""
+def _effects_spectrum(m: object, keep: bool = True) -> tuple[Array, tuple[Array, Array] | None]:
+    """``ensure_effects(m)`` and, with ``keep``, its range check's ``eigh`` ``(w, V)``, or ``None`` if it clamped a matrix."""
     a = ensure_hermitian(m, stack=True)
-    w, v = np.linalg.eigh(a)
-    low, high = w[:, 0], w[:, -1]
-    require("effect-range", np.maximum(-low, high - 1.0), EFFECT_EIG_TOL)
-    out = (low < -EFFECT_ROUND_TOL) | (high > 1.0 + EFFECT_ROUND_TOL)
+    w, v = np.linalg.eigh(a) if keep else (np.linalg.eigvalsh(a), None)
+    out = (w[:, 0] < -EFFECT_ROUND_TOL) | (w[:, -1] > 1.0 + EFFECT_ROUND_TOL)
+    if out.any():  # the eigenvectors to clamp by, and the spectra as a kept check reads them
+        w[out], vectors = (w[out], v[out]) if keep else np.linalg.eigh(a[out])
+    require("effect-range", np.maximum(-w[:, 0], w[:, -1] - 1.0), EFFECT_EIG_TOL)
     if out.any():
-        a[out] = _from_eig(v[out], np.clip(w[out], 0.0, 1.0))
-    return a, (None if out.any() else (w, v))
+        a[out] = _from_eig(vectors, np.clip(w[out], 0.0, 1.0))
+    return a, (None if out.any() or not keep else (w, v))
 
 
 def ensure_effect(m: object) -> Array:
@@ -104,9 +110,15 @@ def seq_products(roots: Array, b: Array) -> Array:
     return ensure_effects(products.reshape(-1, *products.shape[-2:])).reshape(products.shape)
 
 
+def _effect_root(a: object) -> tuple[Array, Array]:
+    """``ensure_effect(a)`` and its root, stacks of one, the root off the range check's spectrum (``Observable.roots``)."""
+    ea, spectrum = _effects_spectrum(as_matrix(a)[None])
+    return ea, _from_eig(*_psd_eig(ea, spectrum))
+
+
 def seq_product(a: object, b: object) -> Array:
     """Sequential product ``sqrt(a) b sqrt(a)``: measure ``a``, then ``b``."""
-    return seq_products(herm_sqrt(ensure_effect(a))[None], ensure_effect(b)[None])[0, 0]
+    return seq_products(_effect_root(a)[1], ensure_effect(b)[None])[0, 0]
 
 
 def complement(a: object) -> Array:
@@ -130,10 +142,10 @@ def conditioned_partial_state(a: object, rho: object) -> Array:
 
     Its trace equals the occurrence probability of ``a`` in ``rho``.
     """
-    ea = ensure_effect(a)
+    ea, root = _effect_root(a)
     r = ensure_partial_state(rho)
-    _same_dim(ea.shape[0], r.shape[0])
-    return hermitian_part(_sandwich(herm_sqrt(ea)[None], r))
+    _same_dim(ea.shape[-1], r.shape[0])
+    return hermitian_part(_sandwich(root, r))
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,8 @@ from .instruments import (
     minimal_kraus,
     trivial_instrument,
 )
-from .linalg import BASIS_TOL, CHOI_TOL, MODEL_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
-from .linalg import hermitian_part, identity, norms, rank, root_columns, spectral_norm
+from .linalg import BASIS_TOL, CHOI_TOL, MODEL_TOL, SUM_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
+from .linalg import _from_eig, _psd_eig, completion, hermitian_part, identity, norms, rank, root_columns, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -131,6 +131,7 @@ from .observables import (
     _valid_stack,
     atomic_observable,
     check_distinct_labels,
+    check_weights,
     classify_observable,
     combine_labels,
     complementarity_residual,
@@ -584,7 +585,7 @@ def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray,
     kind, d = t[0] % 5, 2 + t[0] % 3  # every trial of a group has its first's
     if kind in (0, 2):  # both bases' instruments stacked
         u = _unitaries(draws[0]) if draws else np.broadcast_to(identity(d), (len(t), d, d))
-        effects = [_luders(_mub_projections(u))[1]]
+        effects = [_checked(_mub_projections(u)[1][..., None, :, :])[1]]
     elif kind == 1:
         alpha = _states(draws[0])
         effects = [_trivial(np.broadcast_to(a.stack, (len(t), *a.stack.shape)), alpha)[1][None] for a in _identity_pair(d)]
@@ -597,12 +598,13 @@ def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray,
     return _entrywise_complementary(defects), _frobenius_complementary(defects)
 
 
-def _mub_projections(u: np.ndarray) -> np.ndarray:
-    """The projections onto the Fourier pair's bases rotated by each trial's unitary, ``(2, t, d, d, d)``,
-    basis-major, checked as ``atomic_observable`` checks them (``_checked_effects``)."""
+def _mub_projections(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projections onto the Fourier pair's bases rotated by each trial's unitary, ``(2, t, d, d, d)``, basis-major,
+    checked as ``atomic_observable`` checks them (``_checked_effects``), and their roots off that check's spectrum."""
     d = u.shape[-1]
     projections = _basis_projections(u @ np.stack(fourier_mub(d))[:, None])
-    return _checked_effects(projections.reshape(-1, d, d), d)[0].reshape(projections.shape)
+    checked, spectrum = _checked_effects(projections.reshape(-1, d, d), d)
+    return checked.reshape(projections.shape), _from_eig(*_psd_eig(checked, spectrum)).reshape(projections.shape)
 
 
 def _with_roots(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -1105,8 +1107,12 @@ def _batch_cor_4_5(t: np.ndarray, *draws: np.ndarray) -> tuple[float, ...]:
     if len(draws) != 6 - scalar:
         raise _Stop("eigenbasis redrawn")
     *drawn, x, gb, gp, g = draws
-    a = drawn[0][..., None, None] * eye if scalar else _diagonal_in(_unitaries(drawn[0]), drawn[1].swapaxes(1, 2))
-    a = _checked_effects(a.reshape(-1, d, d), a.shape[1])[0]  # Observable's checks
+    if scalar:  # identity_observable's checks: the weights, then the sum
+        a = check_weights(drawn[0], 2, trials=True)[..., None, None] * eye
+        completion(a.sum(1), SUM_TOL, SUM_TOL, "sum-to-identity")
+    else:
+        a = _diagonal_in(_unitaries(drawn[0]), drawn[1].swapaxes(1, 2))
+        a = _checked_effects(a.reshape(-1, d, d), a.shape[1])[0]  # Observable's checks
     if not _commuting(a, a).all():
         raise NotCommutative("observable effects do not pairwise commute")
     v, diagonals, diagonalizes = _eigenbasis(a, x)
@@ -1232,11 +1238,11 @@ def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bo
 def _batch_conj_2_5(t: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = 2 + t[0] % 3
     if t[0] % 2 == 0:
-        pairs = [_mub_projections(_unitaries(g))]  # the pair stacked
-    else:
-        pairs = [np.broadcast_to(a.stack, (1, len(t), *a.stack.shape)) for a in _identity_pair(d)]
-    obs = _with_roots(pairs)
-    induced = _with_roots([_valid_stack(_luders(e)[1]) for e in pairs])  # of the update instruments
+        pairs = [_mub_projections(_unitaries(g))]  # the pair stacked, with its roots
+    else:  # the identity pair's closed-form roots
+        pairs = [tuple(np.broadcast_to(x, (1, len(t), *x.shape)) for x in (a.stack, a.roots)) for a in _identity_pair(d)]
+    obs = [p for e, r in pairs for p in zip(e, r)]
+    induced = _with_roots([_valid_stack(_checked(r[..., None, :, :])[1]) for _, r in pairs])  # of the update instruments
     complementary = _frobenius_complementary(_defects(*obs[0], *obs[1]))
     return complementary, complementary & ~_entrywise_complementary(_defects(*induced[0], *induced[1]))
 

@@ -3,6 +3,7 @@ import pytest
 
 from qinstr.effects import (
     CoexistenceWitness,
+    _effects_spectrum,
     _marginal_projection,
     atom,
     binary_observables_from_coexistence,
@@ -10,9 +11,12 @@ from qinstr.effects import (
     complement,
     conditioned_partial_state,
     ensure_effect,
+    ensure_effects,
+    ensure_partial_state,
     find_coexistence_witness,
     occurrence_probability,
     seq_product,
+    seq_products,
 )
 from qinstr.errors import (
     DimensionError,
@@ -20,9 +24,10 @@ from qinstr.errors import (
     InvariantViolation,
     ZeroVector,
 )
-from qinstr.linalg import JOINT_TOL, frob, hermitian_part, spectral_norm
+from qinstr.linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, JOINT_TOL, _sandwich, ensure_hermitian, frob, herm_sqrt
+from qinstr.linalg import hermitian_part, require, spectral_norm
 from qinstr.observables import Observable, find_joint_observable, obs_coexist_verify
-from qinstr.rand import random_commuting_effect_pair, random_effect, random_state
+from qinstr.rand import random_commuting_effect_pair, random_effect, random_observable, random_state, random_unitary
 
 from conftest import E1, P0, P_PLUS, PLUS
 
@@ -64,6 +69,100 @@ class TestValidation:
         with pytest.raises(InvariantViolation) as exc:
             ensure_effect(np.diag([1.5, 0.0]))
         assert exc.value.invariant == "effect-range"
+
+
+def full_eigh_ensure_effects(m):
+    """Oracle of ``ensure_effects`` from one full eigendecomposition of the stack: the
+    range within ``EFFECT_EIG_TOL``, then each matrix with an eigenvalue more than
+    ``EFFECT_ROUND_TOL`` outside ``[0, 1]`` rebuilt from its clipped spectrum."""
+    a = ensure_hermitian(m, stack=True)
+    w, v = np.linalg.eigh(a)
+    low, high = w[:, 0], w[:, -1]
+    require("effect-range", np.maximum(-low, high - 1.0), EFFECT_EIG_TOL)
+    out = (low < -EFFECT_ROUND_TOL) | (high > 1.0 + EFFECT_ROUND_TOL)
+    if out.any():
+        x = np.clip(w[out], 0.0, 1.0)
+        a[out] = hermitian_part((v[out] * x[..., None, :]) @ v[out].conj().swapaxes(-1, -2))
+    return a
+
+
+def effect_with_spectrum(w, rng):
+    """A random effect with the eigenvalues ``w``."""
+    u = random_unitary(len(w), rng)
+    return (u * np.asarray(w)) @ u.conj().T
+
+
+class TestEigenvalueOnlyRangeCheck:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_random_stacks_match_the_full_decomposition(self, d, rng, eig_calls, monkeypatch):
+        stack = np.stack([random_effect(d, rng) for _ in range(6)] + list(random_observable(d, 3, rng).stack))
+        expected = full_eigh_ensure_effects(stack)
+        eig_calls.calls.clear()
+        # no matrix is clamped, so no eigenvector is needed
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigh without a clamp"))
+        assert np.array_equal(ensure_effects(stack), expected)
+        assert eig_calls.calls == [(d, 9)]  # eigenvalues only, none clamped
+        assert all(np.array_equal(ensure_effect(m), e) for m, e in zip(stack, expected))
+        assert np.array_equal(complement(stack), np.eye(d) - expected)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_only_the_matrices_in_the_clamp_band_are_rebuilt(self, d, rng, eig_calls):
+        inside = [effect_with_spectrum(np.linspace(0.1, 0.9, d), rng) for _ in range(3)]
+        above = effect_with_spectrum(np.linspace(0.3, 1.0 + 1e-11, d), rng)
+        below = effect_with_spectrum(np.linspace(-1e-11, 0.7, d), rng)
+        stack = np.stack([inside[0], above, inside[1], below, inside[2]])
+        expected = full_eigh_ensure_effects(stack)
+        eig_calls.calls.clear()
+        out = ensure_effects(stack)
+        assert np.array_equal(out, expected)
+        assert eig_calls.calls == [(d, 5), (d, 2)]  # eigenvalues of all, then the two to clamp
+        assert [np.array_equal(out[k], hermitian_part(stack[k])) for k in range(5)] == [True, False, True, False, True]
+        w = np.linalg.eigvalsh(out)
+        assert w.min() >= -1e-15 and w.max() <= 1.0 + 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_a_miss_of_2e_9_raises_the_full_decompositions_residual(self, d, rng):
+        stack = np.stack(
+            [
+                effect_with_spectrum(np.linspace(0.1, 0.9, d), rng),
+                effect_with_spectrum(np.linspace(0.2, 1.0 + 2e-9, d), rng),
+                effect_with_spectrum(np.linspace(-1e-11, 0.5, d), rng),
+                effect_with_spectrum(np.linspace(0.0, 1.0 + 1e-3, d), rng),
+            ]
+        )
+        with pytest.raises(InvariantViolation) as oracle:
+            full_eigh_ensure_effects(stack)
+        with pytest.raises(InvariantViolation) as exc:
+            ensure_effects(stack)
+        assert exc.value.invariant == oracle.value.invariant == "effect-range"
+        assert exc.value.residual == oracle.value.residual
+        assert abs(exc.value.residual - 2e-9) < 1e-14
+
+    @pytest.mark.parametrize("top", [0.9, 1.0 + 1e-11])
+    def test_a_kept_spectrum_is_the_full_decomposition(self, top, rng):
+        stack = np.stack([effect_with_spectrum(np.linspace(0.1, top, 3), rng), random_effect(3, rng)])
+        a, spectrum = _effects_spectrum(stack)
+        assert np.array_equal(a, full_eigh_ensure_effects(stack))
+        if top < 1.0:
+            w, v = np.linalg.eigh(hermitian_part(stack))
+            assert np.array_equal(spectrum[0], w) and np.array_equal(spectrum[1], v)
+        else:
+            assert spectrum is None  # a clamped matrix keeps no spectrum
+
+    @pytest.mark.parametrize("top", [0.9, 1.0 + 1e-11])
+    def test_the_first_effects_root_is_read_off_its_range_check(self, top, rng, eig_calls):
+        a = effect_with_spectrum(np.linspace(0.1, top, 3), rng)
+        b, rho = random_effect(3, rng), random_state(3, rng)
+        product = seq_products(herm_sqrt(ensure_effect(a))[None], ensure_effect(b)[None])[0, 0]
+        conditioned = hermitian_part(_sandwich(herm_sqrt(ensure_effect(a))[None], ensure_partial_state(rho)))
+        eig_calls.calls.clear()
+        assert np.array_equal(seq_product(a, b), product)
+        # a's range check (kept), b's and the product's (eigenvalues only), and a
+        # clamped a's root solved again
+        assert len(eig_calls.calls) == (3 if top < 1.0 else 4)
+        eig_calls.calls.clear()
+        assert np.array_equal(conditioned_partial_state(a, rho), conditioned)
+        assert len(eig_calls.calls) == (2 if top < 1.0 else 3)
 
 
 class TestAtom:

@@ -377,7 +377,8 @@ class TestSeqProducts:
 
     def test_products_keep_effect_range_check(self, rng, monkeypatch):
         a, b = random_observable(2, 2, rng), random_observable(2, 2, rng)
-        monkeypatch.setattr(effects, "herm_sqrt", lambda m: 1.5 * herm_sqrt(m))
+        root = effects._effect_root  # seq_product's root of its first effect
+        monkeypatch.setattr(effects, "_effect_root", lambda m: (root(m)[0], 1.5 * root(m)[1]))
         monkeypatch.setattr(Observable, "roots", property(lambda o: 1.5 * herm_sqrt(o.stack)))
         for call in (lambda: seq_product(a["0"], np.eye(2)), lambda: obs_seq_product(a, b)):
             with pytest.raises(InvariantViolation) as exc:

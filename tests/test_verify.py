@@ -7,7 +7,7 @@ import qinstr.verify
 from qinstr import cli
 from qinstr.effects import CoexistenceWitness, _witness_joints, binary_observables_from_coexistence, ensure_effect
 from qinstr.effects import ensure_effects, seq_products
-from qinstr.errors import NotIsometry, NotNormal, QinstrError
+from qinstr.errors import NotIsometry, NotNormal, QinstrError, WeightError
 from qinstr.instruments import (
     _channel_kraus,
     _effects,
@@ -202,9 +202,9 @@ def test_different_seed_changes_draws():
 
 
 _BUDGETS = [
-    ("lem-1.1", 21), ("lem-2.4", 165), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36), ("lem-4.2", 30),
-    ("ex-6", 30), ("thm-4.4", 12), ("cor-4.5", 58), ("thm-4.8", 36), ("conj-2.5-converse", 84), ("cor-3.3", 0),
-    ("thm-4.1", 4), ("cor-4.3", 11), ("thm-4.6", 17), ("cor-4.7", 18),
+    ("lem-1.1", 21), ("lem-2.4", 159), ("cor-2.5", 159), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36),
+    ("lem-4.2", 30), ("ex-6", 30), ("thm-4.4", 12), ("cor-4.5", 56), ("thm-4.8", 36), ("conj-2.5-converse", 66),
+    ("cor-3.3", 0), ("thm-4.1", 4), ("cor-4.3", 11), ("thm-4.6", 17), ("cor-4.7", 18),
 ]
 
 
@@ -214,6 +214,30 @@ def test_eigensolve_budget(result_id, solves, eig_calls):
     # re-run on an object that was already validated raises the count.
     run_suite(result_id, seed=7)
     assert len(eig_calls.calls) == solves
+
+
+@pytest.mark.parametrize("result_id", sorted(k for k, suite in SUITES.items() if suite.batched and suite.batched.batch))
+def test_no_batch_program_solves_more_than_its_public_routes(result_id, eig_calls, monkeypatch):
+    # At seed 7, the eigh/eigvalsh calls of a suite's batch programs are at most
+    # those of its groups' public routes: a batch solves no spectrum that its
+    # public route reads again instead.
+    solves = {"public": 0, "batch": 0}
+
+    def counted(side, fn):
+        def call(*args):
+            before = len(eig_calls.calls)
+            try:
+                return fn(*args)
+            finally:
+                solves[side] += len(eig_calls.calls) - before
+
+        return call
+
+    spec = SUITES[result_id].batched
+    batched = spec._replace(public=counted("public", spec.public), batch=counted("batch", spec.batch))
+    monkeypatch.setitem(SUITES, result_id, SUITES[result_id]._replace(batched=batched))
+    run_suite(result_id, seed=7)
+    assert 0 < solves["public"] and solves["batch"] <= solves["public"]
 
 
 @pytest.mark.parametrize("seed", [94, 311])
@@ -596,6 +620,20 @@ def test_batched_commutative_measured_observables_are_the_public_ones():
             assert np.abs(a[k] - public.stack).max() <= 1e-15
             one = vn_measured(vn_model_for_commutative(public, rng))[2]
             assert np.abs(measured[k] - one.stack).max() <= 1e-14
+
+
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [0.7, 0.4]])
+def test_batched_identity_observables_check_every_trials_weights(weights, eig_calls):
+    # cor-4.5's scalar groups check each trial's weights as identity_observable
+    # checks its own (check_weights, then the sum), with no eigensolve: a
+    # negative weight, or weights that do not sum to one, in a later trial raise.
+    trials = 13
+    draws = _groups("cor-4.5", trials)[2][1]
+    draws[0][1] = weights
+    eig_calls.calls.clear()
+    with pytest.raises(WeightError):
+        qinstr.verify._batch_cor_4_5(np.arange(2, trials, 6), *draws)
+    assert eig_calls.calls == []
 
 
 @pytest.mark.parametrize(
