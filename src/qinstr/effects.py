@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidWitness, InvariantViolation, ZeroVector
 from .linalg import EFFECT_EIG_TOL, EFFECT_ROUND_TOL, STATE_TRACE_TOL, SUM_TOL, ZERO_NORM_TOL
-from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, norms, require
+from .linalg import WITNESS_SEARCH_ITERS, WITNESS_SEARCH_TOL, _sandwich, largest, norms, require
 from .linalg import Array, _from_eig, _psd_eig, as_matrix, as_numbers, as_vector, ensure_hermitian, hermitian_part, psd_part
 
 
@@ -68,16 +68,28 @@ def ensure_effect(m: object) -> Array:
 def ensure_partial_state(m: object) -> Array:
     """Validate a PSD matrix with trace at most one."""
     a = ensure_hermitian(m)
-    w = np.linalg.eigvalsh(a)
-    require("positive-semidefinite", -w[0], STATE_TRACE_TOL * max(1.0, abs(w[-1])))
-    require("trace-at-most-one", float(np.trace(a).real) - 1.0, STATE_TRACE_TOL)
-    return a
+    return _state_checks(a, np.linalg.eigvalsh(a), partial=True)
 
 
 def ensure_state(m: object) -> Array:
     """Validate a density matrix (PSD, unit trace)."""
-    a = ensure_partial_state(m)
-    require("trace-one", abs(float(np.trace(a).real) - 1.0), STATE_TRACE_TOL)
+    a = ensure_hermitian(m)
+    return _state_checks(a, np.linalg.eigvalsh(a))
+
+
+def _state_checks(a: Array, w: Array, partial: bool = False) -> Array:
+    """``ensure_state``'s checks (with ``partial``, ``ensure_partial_state``'s) of a Hermitian ``a`` of
+    ascending eigenvalues ``w``, or of each of a stack: no eigenvalue below ``-STATE_TRACE_TOL`` times
+    the largest magnitude (at least 1), then a trace at most one and, unless ``partial``, of one."""
+    low = -w[..., 0]
+    if not largest(low) <= STATE_TRACE_TOL:  # else every matrix is within its bound, which is at least that
+        bound = STATE_TRACE_TOL * np.maximum(1.0, abs(w[..., -1]))
+        # a matrix within its bound reads 0, one beyond it its -w[0] (> STATE_TRACE_TOL): require names the first
+        require("positive-semidefinite", np.where(low <= bound, 0.0, low), STATE_TRACE_TOL)
+    defect = np.trace(a, axis1=-2, axis2=-1).real - 1.0
+    require("trace-at-most-one", defect, STATE_TRACE_TOL)
+    if not partial:
+        require("trace-one", abs(defect), STATE_TRACE_TOL)
     return a
 
 

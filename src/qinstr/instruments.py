@@ -46,9 +46,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .effects import _same_dim, ensure_partial_state, ensure_state
+from .effects import _same_dim, _state_checks, ensure_partial_state, ensure_state
 from .errors import DimensionError, InvariantViolation, KindError, NotComplete
-from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _sandwich, kept, rank, require, root_columns
+from .linalg import CHOI_TOL, HERM_TOL, MODEL_TOL, _eig_columns, _eigh, _psd_eig, _sandwich, kept, rank, require
 from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, hermitian_part, identity, norms
 from .linalg import read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
@@ -379,8 +379,8 @@ class Instrument(LabelledFamily):
         if not all(isinstance(op, Operation) for op in ops):
             raise KindError("instrument outcomes must be Operation instances")
         _same_dim(*(op.dim for op in ops))
-        stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops])
-        self._set(labels, _padded(stacks), np.array([len(k) for k in stacks]), effects)
+        stacks, effects = [op._kraus for op in ops], np.stack([op.induced_effect for op in ops], axis=-3)
+        self._set(labels, _padded(stacks), np.array([k.shape[-3] for k in stacks]), effects)
         self._members = dict(zip(labels, ops))
 
     def _set(self, labels: list[Label], kraus: Array, counts: Array, effects: Array, bound: float = CHOI_TOL) -> None:
@@ -444,14 +444,24 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     With ``alpha = R R^*`` and ``A_x = S S^*`` (the kept ``root_columns``,
     as many as ``A_x`` has rank), outcome ``x`` has the Kraus operators
     ``r_k s_j^*`` over the columns of ``R`` and ``S``; its Choi matrix is
-    ``A_x^T (x) alpha``.  Every root comes from one batched eigensolve.
+    ``A_x^T (x) alpha``.  Every root comes from one batched eigensolve, whose
+    spectrum of ``alpha`` is also its state check (``effects._state_checks``).
+
+    On a stack of observables and states over a leading trial axis, an
+    outcome keeps the columns any trial keeps (zero in the others).
     """
-    st = ensure_state(alpha)
-    if st.shape[0] != a.dim:
-        raise DimensionError(f"state dim {st.shape[0]}, observable dim {a.dim}")
-    f, keep = root_columns(np.concatenate([a.stack, st[None]]))
-    ops = _prepared(f[:-1], f[-1][:, keep[-1]])
-    return _assembled(a.labels, ops[keep[:-1]].reshape(-1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum())
+    st = ensure_hermitian(alpha, stack=a.stack.ndim == 4)
+    if st.shape != (*a.stack.shape[:-3], a.dim, a.dim):
+        raise DimensionError(f"state dim {st.shape[-1]}, observable dim {a.dim}")
+    stack = np.concatenate([a.stack, st[..., None, :, :]], axis=-3)
+    w, v = _eigh(stack)
+    _state_checks(st, w[..., -1, :])
+    f, keep = _eig_columns(*_psd_eig(stack, (w, v)))
+    keep = keep.reshape(-1, *keep.shape[-2:]).any(0)
+    ops = _prepared(f[..., :-1, :, :], f[..., -1, :, :][..., keep[-1]])
+    if not keep[:-1].all():  # a gather only where an effect's column drops
+        ops = ops[..., keep[:-1], :, :, :]
+    return _assembled(a.labels, ops.reshape(*a.stack.shape[:-3], -1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum())
 
 
 def _prepared(effect_columns: Array, state_columns: Array) -> Array:
@@ -559,11 +569,11 @@ def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrumen
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     """Classical relabeling of outcomes, ``(nu . I)_y = sum_x nu[x, y] I_x``,
-    as in ``instr_convex_combo``."""
+    as in ``instr_convex_combo``, of each trial of a stack with one ``nu``."""
     rows, w = row_positions(nu, i), nu.matrix.T
-    ops = _relabelled(w, i.kraus[rows])
+    ops = _relabelled(w, i.kraus[..., rows, :, :, :])
     valid = (w[:, :, None] > 0) & _filled(i.kraus, i.counts)[rows]
-    return _assembled(nu.col_labels, ops[valid], valid.sum((1, 2)))
+    return _assembled(nu.col_labels, ops[..., valid, :, :], valid.sum((1, 2)))
 
 
 def instr_complementary(i: Instrument, j: Instrument) -> bool:
@@ -626,6 +636,6 @@ def is_identity_instrument(i: Instrument, tol: float = CHOI_TOL) -> bool:
     """True when every outcome is a scalar multiple of the identity channel:
     outcome ``x`` is within ``tol`` (``choi_distances``) of ``w_x id``, one
     Kraus operator ``sqrt(w_x) 1``, ``w_x = tr(A_x) / d`` (summing as the
-    effects do)."""
-    w = np.trace(i.effects, axis1=1, axis2=2).real / i.dim
-    return bool(np.all(choi_distances(i.kraus, np.sqrt(w)[:, None, None, None] * np.eye(i.dim)) <= tol))
+    effects do); of a stack, when every trial's is."""
+    w = np.trace(i.effects, axis1=-2, axis2=-1).real / i.dim
+    return bool(np.all(choi_distances(i.kraus, np.sqrt(w)[..., None, None, None] * np.eye(i.dim)) <= tol))

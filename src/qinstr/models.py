@@ -12,25 +12,31 @@ A model forms what it derives from its parts on first read (``FIMM``);
 the probe state's support (``W``), which a dilation and a von Neumann model
 hold from construction, and of a dilation its slot map.
 
-The kernels of these forms take leading trial axes, so the catalog builds a
-batch of models' instruments with the formulas the public functions use:
-``_coupled`` (``W`` of couplings and a probe root), ``_vn_w`` (a von Neumann
-model's closed-form ``W``), ``_pairing_unitary``, ``_eigenbasis`` (a
-commutative observable's eigenbasis draw), ``_vn_forms`` (``vn_measured``'s
-Kraus, channel and effect closed forms) and ``_measured_kraus``
-(``model_instrument``'s general branch); and on the dilation path,
-``_isometry`` (``dilate_instrument``'s polished isometry and its two checks),
-``_slot_projections`` (a dilation's pointer) and ``_slot_operators``
-(``model_instrument`` on a dilation, for any slot-to-outcome map, so also on a
-re-pointed one: ``_repointing``), ``_normal_kraus``
-(``normal_fimm_kraus_extract``'s operators and completeness check) and
-``_positive`` (``luders_positivity_check``'s decision).  The public functions
-call them on one model.
+The kernels of the von Neumann and swap forms take leading trial axes, so the
+catalog builds a batch of such models' instruments with the formulas the
+public functions use: ``_coupled`` (``W`` of couplings and a probe root),
+``_vn_w`` (a von Neumann model's closed-form ``W``), ``_pairing_unitary``,
+``_eigenbasis`` (a commutative observable's eigenbasis draw), ``_vn_forms``
+(``vn_measured``'s Kraus, channel and effect closed forms) and
+``_measured_kraus`` (``model_instrument``'s general branch).
+
+The dilation path takes a stack of instruments over a leading trial axis
+itself: ``dilate_instrument`` of a stack is a stack of dilations with one
+isometry per trial and one slot-to-outcome map, sized by each outcome's
+largest Choi rank over the trials (a trial of lower rank dilates with zero
+slot operators), so one pointer; ``simultaneous_fimms``, ``model_instrument``
+on a dilation or a re-pointed one, ``normal_fimm_kraus_extract``,
+``luders_positivity_check`` (true when every trial passes) and
+``marginal_instruments`` follow.  Its kernels are ``_isometry`` (the polished
+isometry and its two checks), ``_slot_projections`` (the pointer),
+``_slot_operators`` (the measured operators, for any slot map),
+``_normal_kraus`` (the extracted operators and their completeness check) and
+``_positive`` (the positivity decision).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -114,17 +120,19 @@ class FIMM:
     @classmethod
     def _dilation(cls, iso: Array, labels: Sequence[Label], owner: Array) -> "FIMM":
         """Model with probe state ``|0><0|`` on an isometry ``iso``, its ``W``
-        (``(d n) x d``), where probe slot ``s`` is outcome ``owner[s]``'s."""
+        (``(d n) x d``), where probe slot ``s`` is outcome ``owner[s]``'s; or a
+        stack of such models over a leading trial axis, one isometry per trial
+        and one slot map (and so one pointer) for all."""
         m = cls.__new__(cls)
-        m.dim_base, m.dim_probe, m._probe_root = iso.shape[1], len(owner), np.eye(len(owner), 1, dtype=complex)
-        m._restricted = read_only(iso.reshape(1, *iso.shape, 1))
+        m.dim_base, m.dim_probe, m._probe_root = iso.shape[-1], len(owner), np.eye(len(owner), 1, dtype=complex)
+        m._restricted = read_only(iso[..., None, :, :, None])
         m._labels, m._owner = tuple(labels), owner
         return m
 
     def _repointed(self, labels: Sequence[Label], owner: Array) -> "FIMM":
         """A dilation of this dilation's isometry, shared, with another
         slot-to-outcome map (``_dilation``)."""
-        return self._dilation(self._restricted[0, :, :, 0], labels, owner)
+        return self._dilation(self._restricted[..., 0, :, :, 0], labels, owner)
 
     @cached_property
     def pointer(self) -> Observable:
@@ -167,7 +175,7 @@ class FIMM:
     @cached_property
     def sharp(self) -> bool:
         """Whether every pointer effect is a projection, as a dilation's are."""
-        return self._owner is not None or bool(_projections(self.pointer.stack).all())
+        return bool(_projections(self.pointer.stack).all())
 
     def _set_parts(self, dim_base: int, dim_probe: int, eta: Array, pointer: Observable) -> None:
         """Check and set everything but the interaction, given a probe state
@@ -224,7 +232,7 @@ def model_instrument(m: FIMM) -> Instrument:
     """
     if m._owner is not None:
         counts = np.bincount(m._owner, minlength=len(m._labels))
-        return _assembled(m._labels, _slot_operators(m._restricted[0, :, :, 0], m._owner), counts)
+        return _assembled(m._labels, _slot_operators(m._restricted[..., 0, :, :, 0], m._owner), counts)
     f, keep = m.pointer._root_columns
     kraus = _measured_kraus(m._restricted, f)
     valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)
@@ -419,7 +427,8 @@ def dilate_instrument(instr: Instrument) -> FIMM:
     which leaves ``||W^* W - 1|| <= 3/4 ||G - 1||^2`` plus rounding, and
     completed to a unitary on first read (``FIMM.interaction``); the
     pointer coarse-grains slots by outcome, so it is atomic exactly when
-    every outcome has a single Kraus operator.
+    every outcome has a single Kraus operator.  A stack of instruments gives
+    a stack of dilations (see the module docstring).
     """
     kraus, counts = _reduced(instr.kraus, instr.counts, 1)
     iso = _isometry(_operators(kraus, counts))
@@ -451,14 +460,14 @@ def normal_fimm_kraus_extract(m: FIMM) -> dict[Label, Array]:
     times a phase, divided out here: a dilation completes no unitary.
     """
     w = m._restricted
-    if len(w) != 1:  # one coupling is unitary: by construction or checked at build
+    if w.shape[-4] != 1:  # one coupling is unitary: by construction or checked at build
         raise NotNormal("interaction channel is not unitary")
     try:
         vectors = _phase_fixed_unit_vectors(np.concatenate([m.probe_state[None], m.pointer.stack]))
     except NotNormal as exc:
         raise NotNormal(f"model is not normal: {exc}") from exc
-    ops = _normal_kraus(w[0, :, :, -1], vectors, np.vdot(vectors[:, 0], m._probe_root[:, -1]))
-    return dict(zip(m.pointer.labels, ops))
+    ops = _normal_kraus(w[..., 0, :, :, -1], vectors, np.vdot(vectors[:, 0], m._probe_root[:, -1]))
+    return dict(zip(m.pointer.labels, ops.swapaxes(0, -3)))  # each over the trial axis of a stacked dilation
 
 
 def _normal_kraus(w: Array, vectors: Array, overlap: complex | Array) -> Array:
@@ -482,7 +491,7 @@ def luders_positivity_check(m: FIMM) -> bool:
     A passing model measures the measurement-update instrument of its own
     observable (outcome maps ``rho -> sqrt(A_x) rho sqrt(A_x)``).
     """
-    return bool(_positive(np.stack(list(normal_fimm_kraus_extract(m).values()))))
+    return bool(_positive(np.stack(list(normal_fimm_kraus_extract(m).values()), axis=-3)).all())
 
 
 def _positive(s: Array) -> Array:
@@ -495,9 +504,11 @@ def _positive(s: Array) -> Array:
     return hermitian & (np.linalg.eigvalsh(hermitian_part(s))[..., 0].min(-1) >= -LUDERS_TOL)
 
 
+@lru_cache(maxsize=64)
 def _marginal_maps(labels: tuple[Label, ...]) -> tuple[StochasticMatrix, StochasticMatrix]:
     """The 0/1 matrices that coarse-grain product labels onto their first
-    factor and onto the rest, each factor's labels in order of appearance."""
+    factor and onto the rest, each factor's labels in order of appearance;
+    kept per label tuple, as building them costs more than applying them."""
     pairs = []
     for label in labels:
         if not isinstance(label, tuple) or len(label) < 2:
@@ -521,13 +532,8 @@ def simultaneous_fimms(joint: Instrument) -> tuple[FIMM, FIMM]:
     """
     maps = _marginal_maps(joint.labels)
     m = dilate_instrument(joint)
-    return tuple(m._repointed(nu.col_labels, _repointing(nu, m._owner)) for nu in maps)
-
-
-def _repointing(nu: StochasticMatrix, owner: Array) -> Array:
-    """The slot-to-outcome map of a dilation with map ``owner`` re-pointed by a 0/1 ``nu``:
-    slot ``s`` goes to the one outcome that ``nu`` sends ``owner[s]`` to (``simultaneous_fimms``)."""
-    return nu.matrix.argmax(axis=1)[owner]
+    # slot s goes to the one outcome that the 0/1 map sends its joint outcome to
+    return tuple(m._repointed(nu.col_labels, nu.matrix.argmax(axis=1)[m._owner]) for nu in maps)
 
 
 def marginal_instruments(joint: Instrument) -> tuple[Instrument, Instrument]:

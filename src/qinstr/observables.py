@@ -328,9 +328,8 @@ class ObservableFlags:
 def _commuting(s: Array, t: Array) -> Array:
     """Whether every matrix of a stack ``s`` commutes with every one of ``t``, each commutator
     within ``SUM_TOL`` in Frobenius norm, or per trial of two batches."""
-    i, j = np.indices((s.shape[-3], t.shape[-3])).reshape(2, -1)
-    s, t = s[..., i, :, :], t[..., j, :, :]
-    return np.all(norms(s @ t - t @ s) <= SUM_TOL, axis=-1)
+    s, t = s[..., :, None, :, :], t[..., None, :, :, :]
+    return (norms(s @ t - t @ s) <= SUM_TOL).all((-2, -1))
 
 
 def _projections(s: Array) -> Array:
@@ -382,11 +381,13 @@ def shared_value_space(families: Sequence[LabelledFamily]) -> tuple[Label, ...]:
 
 def row_positions(nu: StochasticMatrix, family: LabelledFamily) -> list[int]:
     """The label-order positions of ``family``'s members in the row order of
-    ``nu``, whose rows must be exactly the family's labels."""
+    ``nu``, whose rows must be exactly the family's labels.  Both label sets
+    were checked distinct when built, so they are not checked again."""
     if set(nu.row_labels) != set(family.labels):
         kind = type(family).__name__.lower()
         raise ShapeError(f"stochastic matrix rows do not match the {kind}'s labels")
-    return family._positions(nu.row_labels)
+    order = {x: k for k, x in enumerate(family.labels)}
+    return [order[x] for x in nu.row_labels]
 
 
 def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]) -> Observable:
@@ -398,8 +399,10 @@ def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]
 
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
-    """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``."""
-    return Observable._valid(nu.col_labels, _combined(nu.matrix.T, b.stack[row_positions(nu, b)]))
+    """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``, of
+    each trial of a stack with one ``nu``."""
+    rows = b.stack[..., row_positions(nu, b), :, :].swapaxes(0, -3)  # outcomes first, over any trial axis
+    return Observable._valid(nu.col_labels, _combined(nu.matrix.T, rows).swapaxes(0, -3))
 
 
 def classify_observable(a: Observable) -> ObservableFlags:
@@ -408,19 +411,19 @@ def classify_observable(a: Observable) -> ObservableFlags:
 
     identity: every effect a multiple of the identity; atomic: every effect a
     rank-one projection; indecomposable: every effect rank one; commutative:
-    all pairs of effects commute; sharp: every effect a projection.
+    all pairs of effects commute; sharp: every effect a projection.  Of a
+    stack, a flag holds when it holds for every trial.
     """
     s = a.stack
-    scalars = np.trace(s, axis1=1, axis2=2).real[:, None, None] / a.dim * np.eye(a.dim)
-    identity = bool(np.all(norms(s - scalars) <= SUM_TOL))
+    scalars = np.trace(s, axis1=-2, axis2=-1).real[..., None, None] / a.dim * np.eye(a.dim)
     rank_one = rank(a._eig[1] ** 2) == 1  # the squared roots: the eigenvalues kept counts
     projections = _projections(s)
     return ObservableFlags(
-        identity=identity,
-        atomic=bool(np.all(rank_one & projections)),
-        indecomposable=bool(np.all(rank_one)),
-        commutative=bool(_commuting(s, s)),
-        sharp=bool(np.all(projections)),
+        identity=bool((norms(s - scalars) <= SUM_TOL).all()),
+        atomic=bool((rank_one & projections).all()),
+        indecomposable=bool(rank_one.all()),
+        commutative=bool(_commuting(s, s).all()),
+        sharp=bool(projections.all()),
     )
 
 

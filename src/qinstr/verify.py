@@ -20,28 +20,29 @@ and the kind of pair or observable where it varies).  A trial's public route
 is the one description of its draws: each group's first trial runs through the
 public functions, which record their Generator calls (``_Recorded``), and each
 later trial makes the same calls, in trial order (``_Run.groups``).  thm-2.1,
-ex-3, lem-3.4, ex-5 and cor-3.3 then run that route on the group's draws
-stacked over its trials (``_Stacked``): the families and combinators they call
-take a leading trial axis, and ``family_distance`` takes the worst trial.  The
-others run one array program of the library's kernels per group (``_batch_*``;
-for the model suites, those of ``models`` with trial axes), which keeps the
-checks on computed objects (sums, roots, ``d^2`` cuts, ranges, witnesses,
-complementarity, commutativity, unitarity, a dilation's isometry and pointer
-flags, extracted operators' completeness and positivity) and checks the
-generators' own weights, states and bases in the first trial only (``rand``
-builds them valid).  A batch replays one shape, so it fails closed where a
-trial's is not its group's: cor-4.5's eigenbasis draw is a redraw loop, so a
-public trial that drew more than once, or a batched combination that does not
-diagonalize, fails ("eigenbasis redrawn"), and so does a group of dilations
-whose outcomes do not all share one Choi rank ("dilation ranks differ").  A
-group's values enter the run as residuals, or through the suite's ``fold``
-(cor-2.5 and the probe count their complementary pairs; lem-2.6, lem-4.2,
-thm-4.1 and cor-4.3 fail with their note when a trial's marginal defect exceeds
-the tolerance; thm-4.1 bounds its pointers' commutators, thm-4.4 its channel's
-idempotence defect).  The suite function then runs what is left one by one:
-the fixed counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7,
-thm-4.6 and cor-4.7, ex-4's commuting pair, drawn where the trials leave the
-generator, and cor-2.5's count check.
+lem-2.6, ex-3, ex-5, cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, thm-4.6 and
+cor-4.7 then run that route on the group's draws stacked over its trials
+(``_Stacked``): the families, combinators and dilation models they call take a
+leading trial axis (a group's dilations share one slot map, so one pointer),
+``family_distance`` and ``marginal_defect`` take the worst trial, and a flag
+holds when every trial's does.  The others run one array program of the
+library's kernels per group (``_batch_*``; for thm-4.4, cor-4.5 and thm-4.8,
+those of ``models`` with trial axes), which keeps the checks on computed
+objects (sums, roots, ``d^2`` cuts, ranges, witnesses, complementarity,
+commutativity, unitarity) and checks the generators' own weights, states and
+bases in the first trial only (``rand`` builds them valid).  A batch replays
+one shape, so it fails closed where a trial's is not its group's: cor-4.5's
+eigenbasis draw is a redraw loop, so a public trial that drew more than once,
+or a batched combination that does not diagonalize, fails ("eigenbasis
+redrawn").  A group's values enter the run as residuals, or through the
+suite's ``fold`` (cor-2.5 and the probe count their complementary pairs;
+lem-2.6, lem-4.2, thm-4.1 and cor-4.3 fail with their note when a trial's
+marginal defect exceeds the tolerance; thm-4.1 bounds its pointers'
+commutators, thm-4.4 its channel's idempotence defect).  The suite function
+then runs what is left one by one: the fixed counterexamples of thm-2.1,
+thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7, thm-4.6 and cor-4.7, ex-4's
+commuting pair, drawn where the trials leave the generator, and cor-2.5's
+count check.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from .instruments import (
     trivial_instrument,
 )
 from .linalg import BASIS_TOL, CHOI_TOL, MODEL_TOL, SUM_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
-from .linalg import _from_eig, _psd_eig, completion, hermitian_part, identity, norms, rank, root_columns, spectral_norm
+from .linalg import _from_eig, _psd_eig, completion, hermitian_part, identity, norms, root_columns, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -113,8 +114,7 @@ from .models import (
     vn_model_for_commutative,
     von_neumann_unitary,
 )
-from .models import _coupled, _eigenbasis, _isometry, _marginal_maps, _measured_kraus, _normal_kraus, _pairing_unitary
-from .models import _phase_fixed_unit_vectors, _positive, _repointing, _slot_operators, _slot_projections, _vn_forms, _vn_w
+from .models import _coupled, _eigenbasis, _measured_kraus, _pairing_unitary, _vn_forms, _vn_w
 from .observables import (
     Observable,
     StochasticMatrix,
@@ -126,7 +126,6 @@ from .observables import (
     _frobenius_complementary,
     _pair_traces,
     _probability_table,
-    _projections,
     _set_probabilities,
     _valid_stack,
     atomic_observable,
@@ -644,12 +643,6 @@ def _public_lem_2_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return marginal_defect(i, j, joint_instr), marginal_defect(a, b, c)
 
 
-def _batch_lem_2_6(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
-    joint, c = _trivial(_valid_stack(_whitened_effects(gc)), _states(g))
-    (i, a), (j, b) = _marginals(joint)
-    return _marginal_defect(joint, [i, j]), _marginal_defect(_valid_stack(c), [_valid_stack(a), _valid_stack(b)])
-
-
 def _fold_lem_2_6(run: _Run, instr: float, obs: float, instrs: float, obss: float) -> None:
     """Each trial's marginal defects within ``run.tol``, as ``instr_coexist_verify`` and ``obs_coexist_verify`` decide."""
     run.require(instr <= run.tol and instrs <= run.tol, "joint marginals broken")
@@ -858,37 +851,15 @@ def _product_labelled_observable(rng: np.random.Generator, d: int) -> Observable
     return random_observable(d, 4, rng, labels=_PRODUCT_LABELS)
 
 
+_ONTO_FACTORS = [  # the 0/1 matrices from _PRODUCT_LABELS onto the x- and onto the y-labels
+    StochasticMatrix(_PRODUCT_LABELS, ("0", "1"), [[float(label[k] == x) for x in "01"] for label in _PRODUCT_LABELS])
+    for k in (0, 1)
+]
+
+
 def _marginal_observables(c: Observable) -> tuple[Observable, ...]:
-    """The x- and y-marginals of a ``_product_labelled_observable``."""
-    return tuple(Observable(zip(("0", "1"), x.sum(2)[0])) for x in _by_marginal(c.stack[None]))
-
-
-def _by_marginal(joint: np.ndarray) -> list[np.ndarray]:
-    """A ``(t, 4, ..., d, d)`` batch on the labels of ``_product_labelled_observable`` grouped onto the x- and
-    onto the y-marginal, ``(t, 2, k, d, d)`` each, a group's members (effects, or Kraus operators) together."""
-    g = joint.reshape(len(joint), 2, 2, -1, *joint.shape[-2:])
-    return [x.reshape(len(joint), 2, -1, *joint.shape[-2:]) for x in (g, g.swapaxes(1, 2))]
-
-
-def _marginals(joint: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``marginal_instruments`` of each trial's joint Kraus array: a post-processing by 0/1 matrices gives a
-    marginal outcome its group's operators together (``_by_marginal``), cut and checked by ``_assembled_batch``;
-    each marginal's Kraus array and effects."""
-    return [_assembled_batch(x) for x in _by_marginal(joint)]
-
-
-def _marginal_effects(c: np.ndarray) -> list[np.ndarray]:
-    """The x- and y-marginal observables of a batch of ``_product_labelled_observable`` effects, each checked as
-    ``Observable`` checks its effects (``_checked_effects``)."""
-    return [_checked_effects(x.sum(2).reshape(-1, *c.shape[-2:]), 2)[0] for x in _by_marginal(c)]
-
-
-def _marginal_defect(joint: np.ndarray, marginals: list[np.ndarray]) -> float:
-    """``marginal_defect`` of each trial's joint and its two marginals: of effect stacks ``(t, m, d, d)``, or,
-    in Choi form, of Kraus arrays ``(t, m, r, d, d)``, a group's operators together."""
-    if joint.ndim == 4:
-        return max(_worst(x.sum(2), y) for x, y in zip(_by_marginal(joint), marginals))
-    return max(_worst_choi(x, y) for x, y in zip(_by_marginal(joint), marginals))
+    """The x- and y-marginals of a ``_product_labelled_observable``: its post-processings onto each factor."""
+    return tuple(obs_post_process(nu, c) for nu in _ONTO_FACTORS)
 
 
 def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
@@ -898,39 +869,6 @@ def _product_pointer_model(m1: FIMM, m2: FIMM) -> FIMM:
     p1, p2 = m1._labels, m2._labels
     labels = check_distinct_labels([combine_labels(x, y) for x in p1 for y in p2])
     return m1._repointed(labels, m1._owner * len(p2) + m2._owner)
-
-
-def _dilated(kraus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``dilate_instrument`` per trial of a batch of padded Kraus arrays ``(t, m, r, d, d)``: each outcome cut
-    to its Choi rank (``_reduced``), the polished isometries ``(t, d n, d)`` (``models._isometry``), and the
-    slot-to-outcome map, one for the group: a batch whose outcomes do not all share one Choi rank fails."""
-    t, m, r, d = *kraus.shape[:3], kraus.shape[-1]
-    cut, counts = _reduced(kraus.reshape(-1, r, d, d), np.full(t * m, r), 1)
-    if (counts != counts[0]).any():
-        raise _Stop("dilation ranks differ")
-    return _isometry(cut.reshape(t, -1, d, d)), np.repeat(np.arange(m), counts[0])
-
-
-def _pointers(owner: np.ndarray, m: int, t: int) -> np.ndarray:
-    """The pointer of each of ``t`` dilations with one slot-to-outcome map onto ``m`` outcomes (``FIMM.pointer``)."""
-    return _valid_stack(_slot_projections(np.broadcast_to(owner, (t, len(owner))), m))
-
-
-def _measured_dilation(iso: np.ndarray, owner: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``model_instrument`` per trial of a batch of dilations, isometries ``(t, d n, d)`` with one slot-to-outcome
-    map onto ``m`` outcomes of as many slots each: each outcome's slots' operators, then ``_assembled_batch``."""
-    d = iso.shape[-1]
-    return _assembled_batch(_slot_operators(iso, owner).reshape(len(iso), m, -1, d, d))
-
-
-def _simultaneous(joint: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """``simultaneous_fimms`` per trial of a batch of joint Kraus arrays on ``_PRODUCT_LABELS``, and the product
-    pointer's re-pointing (``_product_pointer_model``): what the two models and the product model measure
-    (``_measured_dilation``), and the two models' slot-to-outcome maps."""
-    iso, owner = _dilated(joint)
-    owners = [_repointing(nu, owner) for nu in _marginal_maps(_PRODUCT_LABELS)]
-    product = owners[0] * 2 + owners[1]  # each slot to the pair of its two outcomes
-    return [_measured_dilation(iso, o, m) for o, m in ((owners[0], 2), (owners[1], 2), (product, 4))], owners
 
 
 def _public_thm_4_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -951,24 +889,13 @@ def _public_thm_4_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return marginal_defect(meas1, meas2, measured_joint), _worst(p @ q, q @ p), *gaps
 
 
-def _batch_thm_4_1(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    joint = _checked(_whitened_kraus(g))[0]
-    ((meas1, _), (meas2, _), (measured_joint, _)), owners = _simultaneous(joint)
-    p, q = (_pointers(o, 2, len(t)) for o in owners)
-    if not (_projections(p).all() and _projections(q).all()):
-        raise _Stop("pointers not sharp")
-    commutator = _worst(p[:, :, None] @ q[:, None], q[:, None] @ p[:, :, None])
-    (i, _), (j, _) = _marginals(joint)
-    return _marginal_defect(measured_joint, [meas1, meas2]), commutator, _worst_choi(meas1, i), _worst_choi(meas2, j)
-
-
 def _fold_coexisting(note: str, run: _Run, *values: float) -> None:
-    """A fold (with its ``note`` bound) of the public trial's values, then the batch's, the marginal defect first
-    in each: every trial's defect within ``run.tol``, as ``instr_coexist_verify`` and ``obs_coexist_verify``
-    decide (else the run fails with ``note``); the other values are residuals."""
-    public, batch = values[: len(values) // 2], values[len(values) // 2 :]
-    run.require(public[0] <= run.tol and batch[0] <= run.tol, note)
-    run.residual(*public[1:], *batch[1:])
+    """A fold (with its ``note`` bound) of the public trial's values, then the stacked route's (the group's worst),
+    the marginal defect first in each: every trial's defect within ``run.tol``, as ``instr_coexist_verify`` and
+    ``obs_coexist_verify`` decide (else the run fails with ``note``); the other values are residuals."""
+    public, stacked = values[: len(values) // 2], values[len(values) // 2 :]
+    run.require(public[0] <= run.tol and stacked[0] <= run.tol, note)
+    run.residual(*public[1:], *stacked[1:])
 
 
 _fold_lem_4_2 = partial(_fold_coexisting, "joint instrument marginals broken")
@@ -999,15 +926,6 @@ def _public_lem_4_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     )
 
 
-def _batch_lem_4_2(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
-    alpha, c = _states(g), _valid_stack(_whitened_effects(gc))
-    joint = _trivial(c, alpha)[0]
-    (i, back_i), (j, back_j) = _marginals(joint)
-    a, b = _marginal_effects(c)
-    gaps = _worst_choi(i, _trivial(a, alpha)[0]), _worst_choi(j, _trivial(b, alpha)[0])
-    return _marginal_defect(joint, [i, j]), *gaps, _worst(_valid_stack(back_i), a), _worst(_valid_stack(back_j), b)
-
-
 def _public_cor_4_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Coexisting observables are measured by simultaneous, commuting, sharp
     models, and such model pairs reproduce a joint observable: the marginal
@@ -1020,13 +938,6 @@ def _public_cor_4_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     obs1, obs2 = (induced_observable(model_instrument(m)) for m in (m1, m2))
     measured_c = induced_observable(model_instrument(_product_pointer_model(m1, m2)))
     return marginal_defect(a, b, measured_c), family_distance(obs1, a), family_distance(obs2, b)
-
-
-def _batch_cor_4_3(t: np.ndarray, g: np.ndarray, gc: np.ndarray) -> tuple[float, ...]:
-    c = _valid_stack(_whitened_effects(gc))
-    a, b = _marginal_effects(c)
-    obs1, obs2, measured_c = (_valid_stack(x[1]) for x in _simultaneous(_trivial(c, _states(g))[0])[0])
-    return _marginal_defect(measured_c, [a, b]), _worst(obs1, a), _worst(obs2, b)
 
 
 def _measured(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1127,17 +1038,6 @@ def _batch_cor_4_5(t: np.ndarray, *draws: np.ndarray) -> tuple[float, ...]:
     return (_worst(measured, a),)
 
 
-def _extracted(iso: np.ndarray, pointer: np.ndarray) -> np.ndarray:
-    """``normal_fimm_kraus_extract`` per trial of a batch of dilations, isometries ``(t, d n, d)`` and pointers
-    ``(t, m, n, n)``: the phase-fixed unit vectors of the probe state ``|0><0|`` and the pointer atoms from one
-    eigensolve, then the operators ``(t, m, d, d)``, each family's completeness checked (``_normal_kraus``)."""
-    t, m, n = pointer.shape[:3]
-    root = np.eye(n, 1, dtype=complex)
-    states = np.concatenate([np.broadcast_to(root @ root.T, (t, 1, n, n)), pointer], 1)
-    vectors = _phase_fixed_unit_vectors(states.reshape(-1, n, n)).reshape(n, t, 1 + m).swapaxes(0, 1)
-    return _normal_kraus(iso, vectors, (vectors[:, :, 0].conj() @ root)[:, :, None, None])
-
-
 def _public_thm_4_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Single-Kraus instruments are exactly those measured by normal models:
     dilation gives an atomic pointer, the model measures the instrument
@@ -1147,20 +1047,9 @@ def _public_thm_4_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     if not classify_observable(m.pointer).atomic:
         raise _Stop("pointer not atomic")
     extracted = normal_fimm_kraus_extract(m)
-    s_new, s_orig = np.stack([extracted[x] for x in instr.labels]), instr.kraus[:, 0]
-    gram = _worst(s_new.conj().swapaxes(1, 2) @ s_new, s_orig.conj().swapaxes(1, 2) @ s_orig)
-    return family_distance(model_instrument(m), instr), gram
-
-
-def _batch_thm_4_6(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    kraus = _checked(_whitened_kraus(g))[0]
-    iso, owner = _dilated(kraus)
-    pointer = _pointers(owner, kraus.shape[1], len(t))
-    if not ((rank(np.linalg.eigvalsh(pointer)) == 1) & _projections(pointer)).all():  # classify_observable's atomic
-        raise _Stop("pointer not atomic")
-    s_new, s_orig = _extracted(iso, pointer), kraus[:, :, 0]
+    s_new, s_orig = np.stack([extracted[x] for x in instr.labels], axis=-3), instr.kraus[..., 0, :, :]
     gram = _worst(s_new.conj().swapaxes(-1, -2) @ s_new, s_orig.conj().swapaxes(-1, -2) @ s_orig)
-    return _worst_choi(_measured_dilation(iso, owner, kraus.shape[1])[0], kraus), gram
+    return family_distance(model_instrument(m), instr), gram
 
 
 def _suite_thm_4_6(run: _Run) -> None:
@@ -1181,14 +1070,6 @@ def _public_cor_4_7(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     if not luders_positivity_check(m):
         raise _Stop("positivity check failed on update model")
     return (family_distance(model_instrument(m), luders),)
-
-
-def _batch_cor_4_7(t: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    luders = _luders(_valid_stack(_whitened_effects(g)))[0]
-    iso, owner = _dilated(luders)
-    if not _positive(_extracted(iso, _pointers(owner, 2, len(t)))).all():
-        raise _Stop("positivity check failed on update model")
-    return (_worst_choi(_measured_dilation(iso, owner, 2)[0], luders),)
 
 
 def _suite_cor_4_7(run: _Run) -> None:
@@ -1296,7 +1177,7 @@ SUITES: dict[str, _Suite] = {
     "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_3, _batch_thm_2_3)),
     "lem-2.4": _Suite(None, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_lem_2_4)),
     "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_cor_2_5)),
-    "lem-2.6": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_2_6, _batch_lem_2_6, _fold_lem_2_6)),
+    "lem-2.6": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_2_6, fold=_fold_lem_2_6)),
     "ex-2": _Suite(_suite_ex_2, 1, 0.0, fixed=True),
     "ex-3": _Suite(_suite_ex_3, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_3)),
     "ex-4": _Suite(_suite_ex_4, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_4, _batch_ex_4)),
@@ -1308,13 +1189,13 @@ SUITES: dict[str, _Suite] = {
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
     "cor-3.3": _Suite(None, 20, 1e-9, batched=_Batched(3, (2, 3, 4), _public_cor_3_3)),
     "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4)),
-    "thm-4.1": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_thm_4_1, _batch_thm_4_1, _fold_thm_4_1)),
-    "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, _batch_lem_4_2, _fold_lem_4_2)),
-    "cor-4.3": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_cor_4_3, _batch_cor_4_3, _fold_cor_4_3)),
+    "thm-4.1": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_thm_4_1, fold=_fold_thm_4_1)),
+    "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, fold=_fold_lem_4_2)),
+    "cor-4.3": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_cor_4_3, fold=_fold_cor_4_3)),
     "thm-4.4": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_4, _batch_thm_4_4, _fold_thm_4_4)),
     "cor-4.5": _Suite(None, 20, 1e-8, batched=_Batched(6, (2, 3), _public_cor_4_5, _batch_cor_4_5)),
-    "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_6, _batch_thm_4_6)),
-    "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8, batched=_Batched(2, (2, 3), _public_cor_4_7, _batch_cor_4_7)),
+    "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_6)),
+    "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8, batched=_Batched(2, (2, 3), _public_cor_4_7)),
     "thm-4.8": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_8, _batch_thm_4_8)),
     "conj-2.5-converse": _Suite(
         None, 40, None, batched=_Batched(6, (2, 3, 4), _public_conj_2_5, _batch_conj_2_5, _fold_conj_2_5)

@@ -500,7 +500,7 @@ class TestTrivialInstrument:
         alpha = random_state(3, rng)
         eig_calls.calls.clear()
         trivial_instrument(a, alpha)
-        assert eig_calls.calls == [(3, 1), (3, m + 1)]  # alpha's state check, then the roots
+        assert eig_calls.calls == [(3, m + 1)]  # the roots, whose spectrum of alpha is also its state check
 
     def test_kraus_count_is_effect_rank_times_state_rank(self):
         # Projections of rank 1 and 2, and a state of rank 2.

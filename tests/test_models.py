@@ -843,21 +843,37 @@ class TestDilationCompletedOnRead:
 
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_round_trip_forms_no_pointer(self, kraus, rng):
-        # A dilation is its isometry and its slot map: the round trip, the
-        # repr and sharp form no (m, n, n) pointer, probe state or roots.
+        # A dilation is its isometry and its slot map: the round trip forms
+        # no (m, n, n) pointer, probe state or roots; sharp reads the pointer.
         instr = random_instrument(4, 3, rng, kraus)
         m = dilate_instrument(instr)
         back = model_instrument(m)
         assert family_distance(back, instr) <= 1e-13
-        assert m.sharp and "FIMM(dim_base=4" in repr(m)
         for name in ("pointer", "probe_state", "interaction", "couplings"):
             assert name not in vars(m)
+        assert m.sharp and "FIMM(dim_base=4" in repr(m) and "pointer" in vars(m)
         labels = [combine_labels(x, y) for x in "01" for y in "01"]
         joint = random_instrument(3, 4, rng, kraus)
         for r in simultaneous_fimms(Instrument._from_kraus(labels, joint.kraus, joint.counts)):
             model_instrument(r)
-            repr(r)
-            assert r.sharp and not {"pointer", "probe_state"} & set(vars(r))
+            assert not {"pointer", "probe_state"} & set(vars(r))
+            assert r.sharp
+
+    def test_sharp_reads_the_pointer(self, rng, monkeypatch):
+        # A dilation's pointer is sharp by construction, but the flag is read
+        # off its effects: a slot map whose effects are not projections reads
+        # False, and thm-4.1's check of its models' pointers then fails.
+        from qinstr.verify import run_suite
+
+        projections = models._slot_projections
+
+        def halved(owner, m):  # P_x / 2 + 1 / (2 m): effects that sum to 1, not projections
+            return projections(owner, m) / 2.0 + np.eye(len(owner)) / (2.0 * m)
+
+        monkeypatch.setattr(models, "_slot_projections", halved)
+        assert not dilate_instrument(random_instrument(2, 3, rng)).sharp
+        report = run_suite("thm-4.1", seed=7)
+        assert (report.status, report.note) == ("fail", "pointers not sharp")
 
     def test_formed_parts_match_the_eager_model(self, rng):
         instr = random_instrument(3, 3, rng, 2)

@@ -9,6 +9,7 @@ from qinstr.effects import CoexistenceWitness, _witness_joints, binary_observabl
 from qinstr.effects import ensure_effects, seq_products
 from qinstr.errors import NotIsometry, NotNormal, QinstrError, WeightError
 from qinstr.instruments import (
+    Instrument,
     _channel_kraus,
     _effects,
     _mixed,
@@ -21,15 +22,13 @@ from qinstr.instruments import (
     trivial_instrument,
 )
 from qinstr.linalg import _sandwich, hermitian_part
-from qinstr.models import FIMM, VonNeumannModel, _coupled, _eigenbasis, _pairing_unitary, _positive, _vn_w
-from qinstr.models import dilate_instrument, luders_positivity_check, marginal_instruments, model_instrument
-from qinstr.models import normal_fimm_kraus_extract, simultaneous_fimms, trivial_fimm, vn_measured
-from qinstr.models import vn_model_for_commutative, von_neumann_unitary
-from qinstr.observables import _pair_traces, _probability_table, _set_probabilities, _valid_stack
+from qinstr.models import FIMM, VonNeumannModel, _coupled, _eigenbasis, _pairing_unitary, _vn_w, model_instrument
+from qinstr.models import trivial_fimm, vn_measured, vn_model_for_commutative, von_neumann_unitary
+from qinstr.observables import Observable, _pair_traces, _probability_table, _set_probabilities, _valid_stack
 from qinstr.observables import identity_observable, joint_probability_table, obs_conditioned, obs_seq_product
 from qinstr.rand import _commuting_effects, _diagonal_in, _states, _unitaries, _whitened_effects, _whitened_kraus
 from qinstr.rand import random_commutative_observable, random_commuting_effect_pair, random_instrument
-from qinstr.rand import random_kraus_instrument, random_observable, random_simplex, random_state, random_stochastic, random_unitary
+from qinstr.rand import random_observable, random_simplex, random_state, random_stochastic, random_unitary
 from qinstr.verify import SUITES, _Recorded, _rng, _Run, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
@@ -202,9 +201,9 @@ def test_different_seed_changes_draws():
 
 
 _BUDGETS = [
-    ("lem-1.1", 21), ("lem-2.4", 159), ("cor-2.5", 159), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36),
-    ("lem-4.2", 30), ("ex-6", 30), ("thm-4.4", 12), ("cor-4.5", 56), ("thm-4.8", 36), ("conj-2.5-converse", 66),
-    ("cor-3.3", 0), ("thm-4.1", 4), ("cor-4.3", 11), ("thm-4.6", 17), ("cor-4.7", 18),
+    ("lem-1.1", 21), ("lem-2.4", 153), ("cor-2.5", 153), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36),
+    ("lem-4.2", 16), ("ex-6", 23), ("thm-4.4", 12), ("cor-4.5", 56), ("thm-4.8", 32), ("conj-2.5-converse", 66),
+    ("cor-3.3", 0), ("thm-4.1", 4), ("cor-4.3", 6), ("thm-4.6", 16), ("cor-4.7", 18), ("lem-2.6", 8), ("ex-7", 23),
 ]
 
 
@@ -313,7 +312,9 @@ STACKED = sorted(result_id for result_id in BATCHED if SUITES[result_id].batched
 
 
 def test_the_stacked_suites_are_those_whose_public_route_takes_a_stack():
-    assert STACKED == ["cor-3.3", "ex-3", "ex-5", "lem-3.4", "thm-2.1"]
+    assert STACKED == [
+        "cor-3.3", "cor-4.3", "cor-4.7", "ex-3", "ex-5", "lem-2.6", "lem-3.4", "lem-4.2", "thm-2.1", "thm-4.1", "thm-4.6",
+    ]
 
 
 @pytest.mark.parametrize("result_id", STACKED)
@@ -435,17 +436,17 @@ def test_the_probe_fold_counts_every_trial_of_every_group():
 
 
 def test_the_coexistence_folds_take_every_trial_of_a_group():
-    # thm-4.1's fold takes the public trial's values, then the batch's: a
-    # batch's pointer commutator above 1e-8 fails the run although it is within
-    # the tolerance, and a batch's marginal defect above run.tol ends the run
-    # with the suite's note, as the public trial's would.
+    # thm-4.1's fold takes the public trial's values, then the stacked
+    # route's: a stacked pointer commutator above 1e-8 fails the run although
+    # it is within the tolerance, and a stacked marginal defect above run.tol
+    # ends the run with the suite's note, as the public trial's would.
     values = (0.0, 0.0, 1e-9, 1e-9)
     run = _Run(_rng("thm-4.1", 7), 5, 1.0, 1e-7)
     qinstr.verify._fold_thm_4_1(run, *values, 0.0, 2e-8, 1e-9, 1e-9)
     assert (run.met, run.worst) == (False, 2e-8)
-    for public, batch in ((values, (2e-7, 0.0, 0.0, 0.0)), ((2e-7, 0.0, 0.0, 0.0), values)):
+    for public, stacked in ((values, (2e-7, 0.0, 0.0, 0.0)), ((2e-7, 0.0, 0.0, 0.0), values)):
         with pytest.raises(qinstr.verify._Stop, match="converse marginals broken"):
-            qinstr.verify._fold_thm_4_1(_Run(_rng("thm-4.1", 7), 5, 1.0, 1e-7), *public, *batch)
+            qinstr.verify._fold_thm_4_1(_Run(_rng("thm-4.1", 7), 5, 1.0, 1e-7), *public, *stacked)
     with pytest.raises(qinstr.verify._Stop, match="measured joint observable broken"):
         qinstr.verify._fold_cor_4_3(_Run(_rng("cor-4.3", 7), 5, 1.0, 1e-7), 0.0, 0.0, 0.0, 2e-7, 0.0, 0.0)
 
@@ -462,26 +463,6 @@ def test_batched_complementarity_decisions_are_the_public_ones():
         decisions = np.stack(spec.batch(t, *draws), axis=1)
         for i, decided in enumerate(decisions):
             assert tuple(decided) == spec.public(gens[t[i]], t[i], 2 + t[i] % 3)
-
-
-def test_batched_state_preparations_and_marginals_are_the_public_ones():
-    # lem-4.2's array program builds, trial by trial, the state-preparation
-    # instrument of the joint observable and its two marginals that
-    # trivial_instrument and marginal_instruments build, each outcome cut to at
-    # most d^2 operators as theirs are.
-    trials, gens = 13, _trial_generators("lem-4.2", 13)
-    for first, (_, (g, gc)) in enumerate(_groups("lem-4.2", trials)):
-        d = 2 + first % 2
-        joint, effects = qinstr.verify._trivial(_valid_stack(_whitened_effects(gc)), _states(g))
-        (i, _), (j, _) = qinstr.verify._marginals(joint)
-        for k, t in enumerate(range(first, trials, 2)):
-            rng = gens[t]
-            alpha = random_state(d, rng)
-            public = trivial_instrument(qinstr.verify._product_labelled_observable(rng, d), alpha)
-            assert np.abs(effects[k] - public.effects).max() <= 1e-14
-            for batch, one in zip((joint, i, j), (public, *marginal_instruments(public))):
-                assert choi_distances(batch[k], one.kraus).max() <= 1e-14
-                assert len(batch[k][0]) <= d * d
 
 
 def test_batched_luders_products_are_the_public_ones():
@@ -528,24 +509,28 @@ def test_batched_prepared_probabilities_are_the_public_ones():
         ("lem-2.6", True, "observables do not coexist"),
     ],
 )
-def test_a_marginal_defect_in_a_batched_trial_fails_its_suite(monkeypatch, result_id, swap_effects, note):
-    # The last trial of each shape group, a batched one and not the group's
-    # public trial, gets a first marginal that its joint does not have: the
-    # operators of its first outcome permuted on the left (a valid instrument
-    # with the same effects), or its two effects swapped (the same sum). Each
-    # trial's marginal checks end the suite with their note.
-    marginals = qinstr.verify._marginals
+def test_a_marginal_defect_in_a_stacked_trial_fails_its_suite(monkeypatch, result_id, swap_effects, note):
+    # The last trial of each shape group's stack, not the group's public
+    # trial, gets a first marginal that its joint does not have: the operators
+    # of its first outcome permuted on the left (a valid instrument with the
+    # same effects), or the two effects of its induced observable swapped (the
+    # same sum). Each trial's marginal checks end the suite with their note.
+    marginals = qinstr.verify.marginal_instruments
 
     def broken(joint):
-        (kraus, effects), second = marginals(joint)
-        kraus, effects = kraus.copy(), effects.copy()
-        if swap_effects:
-            effects[-1] = effects[-1, ::-1].copy()
-        else:
-            kraus[-1, 0] = np.roll(np.eye(kraus.shape[-1]), 1, axis=0) @ kraus[-1, 0]
-        return [(kraus, effects), second]
+        first, second = marginals(joint)
+        if first.kraus.ndim == 5:  # a stack of trials
+            if swap_effects:
+                effects = first.effects.copy()
+                effects[-1] = effects[-1, ::-1].copy()
+                first.__dict__["_observable"] = Observable._valid(first.labels, effects)
+            else:
+                kraus = first.kraus.copy()
+                kraus[-1, 0] = np.roll(np.eye(kraus.shape[-1]), 1, axis=0) @ kraus[-1, 0]
+                first = Instrument._from_kraus(first.labels, kraus, first.counts)
+        return first, second
 
-    monkeypatch.setattr(qinstr.verify, "_marginals", broken)
+    monkeypatch.setattr(qinstr.verify, "marginal_instruments", broken)
     report = run_suite(result_id, seed=7)
     assert (report.status, report.note) == ("fail", note)
 
@@ -712,107 +697,37 @@ def test_a_non_unitary_matrix_in_a_batched_trial_is_refused(monkeypatch, result_
         run_suite(result_id, seed=7)
 
 
-def test_batched_simultaneous_models_are_the_public_ones():
-    # thm-4.1's and cor-4.3's array programs dilate, trial by trial, the joint
-    # instrument that dilate_instrument dilates, re-point it as
-    # simultaneous_fimms and _product_pointer_model do, and measure what
-    # model_instrument measures on the three models, each outcome cut to at most
-    # d^2 operators; thm-4.1's marginals and pointers are the public ones.
-    trials, v = 7, qinstr.verify
-    for result_id in ("thm-4.1", "cor-4.3"):
-        gens, ((_, draws),) = _trial_generators(result_id, trials), _groups(result_id, trials)
-        if result_id == "thm-4.1":
-            joint = v._checked(_whitened_kraus(draws[0]))[0]
-            marginals = v._marginals(joint)
-        else:
-            joint = v._trivial(_valid_stack(_whitened_effects(draws[1])), _states(draws[0]))[0]
-        iso, owner = v._dilated(joint)
-        measured, owners = v._simultaneous(joint)
-        for k in range(trials):
-            if result_id == "thm-4.1":
-                public = v._product_labelled_instrument(gens[k], 2)
-            else:
-                alpha = random_state(2, gens[k])
-                public = trivial_instrument(v._product_labelled_observable(gens[k], 2), alpha)
-            m = dilate_instrument(public)
-            assert np.abs(iso[k] - m._restricted[0, :, :, 0]).max() <= 1e-14 and np.array_equal(owner, m._owner)
-            m1, m2 = simultaneous_fimms(public)
-            for batch, model in zip(measured, (m1, m2, v._product_pointer_model(m1, m2))):
-                one = model_instrument(model)
-                assert choi_distances(batch[0][k], one.kraus).max() <= 1e-14
-                assert np.abs(batch[1][k] - one.effects).max() <= 1e-14 and len(batch[0][k][0]) <= 4
-            for o, model in zip(owners, (m1, m2)):
-                assert np.array_equal(o, model._owner)
-                assert np.array_equal(v._pointers(o, 2, trials)[k], model.pointer.stack)
-            if result_id == "thm-4.1":
-                for batch, one in zip(marginals, marginal_instruments(public)):
-                    assert choi_distances(batch[0][k], one.kraus).max() <= 1e-14
-
-
-@pytest.mark.parametrize("result_id", ["thm-4.6", "cor-4.7"])
-def test_batched_normal_models_are_the_public_ones(result_id):
-    # thm-4.6's and cor-4.7's array programs dilate, trial by trial, the
-    # single-Kraus instrument that dilate_instrument dilates, with its pointer,
-    # and extract the operators, decide their positivity and measure the
-    # instrument as normal_fimm_kraus_extract, luders_positivity_check and
-    # model_instrument do.
-    trials, gens, v = 13, _trial_generators(result_id, 13), qinstr.verify
-    for first, (_, (g,)) in enumerate(_groups(result_id, trials)):
-        d = 2 + first % 2
-        if result_id == "thm-4.6":
-            kraus = v._checked(_whitened_kraus(g))[0]
-        else:
-            kraus = v._luders(_valid_stack(_whitened_effects(g)))[0]
-        iso, owner = v._dilated(kraus)
-        pointer = v._pointers(owner, kraus.shape[1], len(iso))
-        extracted = v._extracted(iso, pointer)
-        positive = _positive(extracted)
-        measured = v._measured_dilation(iso, owner, kraus.shape[1])[0]
-        for k, t in enumerate(range(first, trials, 2)):
-            if result_id == "thm-4.6":
-                instr = random_kraus_instrument(d, 2 + t % 2, gens[t])
-            else:
-                instr = luders_instrument(random_observable(d, 2, gens[t]))
-            m = dilate_instrument(instr)
-            assert np.abs(iso[k] - m._restricted[0, :, :, 0]).max() <= 1e-14
-            assert np.array_equal(owner, m._owner) and np.array_equal(pointer[k], m.pointer.stack)
-            one = np.stack(list(normal_fimm_kraus_extract(m).values()))
-            assert np.abs(extracted[k] - one).max() <= 1e-14 and positive[k] == luders_positivity_check(m)
-            assert choi_distances(measured[k], model_instrument(m).kraus).max() <= 1e-14
-        assert positive.all() == (result_id == "cor-4.7")
-
-
 def _zero_last(isometry):
     def broken(ops):
-        ops = ops.copy()
-        ops[-1] = 0.0
+        if ops.ndim == 4:  # a stack: its last trial's operators zero
+            ops = ops.copy()
+            ops[-1] = 0.0
         return isometry(ops)
 
     return broken
 
 
-def _merged_last(projections):
+def _merged(projections):
     def broken(owner, m):
-        out = projections(owner, m)
-        out[-1] = projections(np.zeros_like(owner[-1]), m)  # every slot to the first outcome
-        return out
+        return projections(np.zeros_like(owner), m)  # every slot to the first outcome
 
     return broken
 
 
-def _mixed_last(projections):
+def _averaged(projections):
     def broken(owner, m):
         out = projections(owner, m)
-        out[-1] = (out[-1] + out[-1, ::-1]) / 2.0  # effects 1/2 on the slots of two outcomes: not projections
-        return out
+        return (out + out[::-1]) / 2.0  # effects 1/2 on the slots of two outcomes: not projections
 
     return broken
 
 
 def _negated_last(extract):
     def broken(*args):
-        ops = extract(*args).copy()
-        ops[-1, 0] *= -1.0  # -sqrt(A_0): the same effect, not positive
+        ops = extract(*args)
+        if ops.ndim == 4:  # a stack: -sqrt(A_0) in its last trial, the same effect, not positive
+            ops = ops.copy()
+            ops[-1, 0] *= -1.0
         return ops
 
     return broken
@@ -820,21 +735,22 @@ def _negated_last(extract):
 
 def _scaled_last(extract):
     def broken(w, vectors, overlap):
-        w = w.copy()
-        w[-1] *= 1.1  # the extracted operators' effects sum to 1.21
+        if w.ndim == 3:  # a stack: its last trial's extracted operators' effects sum to 1.21
+            w = w.copy()
+            w[-1] *= 1.1
         return extract(w, vectors, overlap)
 
     return broken
 
 
-def _left_rotated_last(measure):
-    def broken(iso, owner, m):
-        kraus, effects = measure(iso, owner, m)
-        if m == 4:  # the product pointer's instrument: its first outcome's operators rotated on the left
-            kraus, effects = kraus.copy(), effects.copy()
-            kraus[-1, 0] = np.roll(np.eye(kraus.shape[-1]), 1, axis=0) @ kraus[-1, 0]
-            effects[-1] = effects[-1, ::-1].copy()
-        return kraus, effects
+def _left_rotated_last(slot_operators):
+    def broken(iso, owner):
+        ops = slot_operators(iso, owner)
+        if ops.ndim == 4 and owner.max() == 3:  # the product pointer's, stacked: in its last trial,
+            ops = ops.copy()
+            ops[-1] = ops[-1, ::-1]  # the outcomes' effects reversed,
+            ops[-1, 0] = np.roll(np.eye(ops.shape[-1]), 1, axis=0) @ ops[-1, 0]  # the first operator rotated
+        return ops
 
     return broken
 
@@ -844,36 +760,27 @@ def _left_rotated_last(measure):
     [
         ("thm-4.6", "_isometry", _zero_last, NotIsometry, "stacked Kraus columns are numerically rank deficient"),
         ("cor-4.7", "_isometry", _zero_last, NotIsometry, "stacked Kraus columns are numerically rank deficient"),
-        ("thm-4.6", "_slot_projections", _merged_last, None, "pointer not atomic"),
-        ("thm-4.1", "_slot_projections", _mixed_last, None, "pointers not sharp"),
+        ("thm-4.6", "_slot_projections", _merged, None, "pointer not atomic"),
+        ("thm-4.1", "_slot_projections", _averaged, None, "pointers not sharp"),
         ("cor-4.7", "_normal_kraus", _negated_last, None, "positivity check failed on update model"),
         ("thm-4.6", "_normal_kraus", _scaled_last, NotNormal, "miss completeness"),
-        ("thm-4.1", "_measured_dilation", _left_rotated_last, None, "converse marginals broken"),
-        ("cor-4.3", "_measured_dilation", _left_rotated_last, None, "measured joint observable broken"),
+        ("thm-4.1", "_slot_operators", _left_rotated_last, None, "converse marginals broken"),
+        ("cor-4.3", "_slot_operators", _left_rotated_last, None, "measured joint observable broken"),
     ],
 )
-def test_a_dilation_fault_in_a_batched_trial_fails_its_suite(monkeypatch, result_id, name, fault, error, note):
-    # The last trial of each shape group, a batched one and not the group's
-    # public trial, gets a faulty dilation: a zero (rank-deficient) isometry,
-    # a pointer with every slot on one outcome (not atomic) or with effects
-    # that are not projections (not sharp), a negated
-    # extracted operator (the same effects, not positive), an isometry scaled
-    # so that its extracted operators miss completeness, or a product pointer's instrument
-    # whose marginals are not the two models'. Each trial's checks refuse it.
-    monkeypatch.setattr(qinstr.verify, name, fault(getattr(qinstr.verify, name)))
+def test_a_dilation_fault_in_a_stacked_trial_fails_its_suite(monkeypatch, result_id, name, fault, error, note):
+    # A dilation kernel of qinstr.models gets a fault in the last trial of
+    # each shape group's stack, not the group's public trial: a zero (rank-
+    # deficient) isometry, a negated extracted operator (the same effects, not
+    # positive), an isometry scaled so that its extracted operators miss
+    # completeness, or a product pointer's instrument whose marginals are not
+    # the two models'. A group shares one pointer, so a pointer with every slot
+    # on one outcome (not atomic) or with effects that are not projections
+    # (not sharp) is every trial's, the public one's too. Each is refused.
+    monkeypatch.setattr(qinstr.models, name, fault(getattr(qinstr.models, name)))
     if error is not None:
         with pytest.raises(error, match=note):
             run_suite(result_id, seed=7)
     else:
         report = run_suite(result_id, seed=7)
         assert (report.status, report.note) == ("fail", note)
-
-
-def test_a_dilation_whose_ranks_differ_in_a_group_fails():
-    # A batch dilates each trial with one slot-to-outcome map; an outcome
-    # whose Choi rank is not the others' refuses the batch.
-    kraus = random_instrument(2, 2, np.random.default_rng(0)).kraus
-    batch = np.stack([kraus, kraus])
-    batch[1, 0, 1] = 2.0 * batch[1, 0, 0]  # outcome 0 of trial 1 now has Choi rank one
-    with pytest.raises(qinstr.verify._Stop, match="dilation ranks differ"):
-        qinstr.verify._dilated(batch)
