@@ -53,7 +53,7 @@ from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, 
 from .linalg import read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
-from .observables import _pair_traces, row_positions, shared_value_space
+from .observables import _mixture_weights, _pair_traces, row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
@@ -141,13 +141,6 @@ def _mixed(w: Array, kraus: Sequence[Array]) -> Array:
     with ``w[..., k]`` per trial), each outcome's together: the one
     concatenation of an instrument mixture."""
     return np.concatenate([np.sqrt(w[..., k, None, None, None, None]) * a for k, a in enumerate(kraus)], axis=-3)
-
-
-def _relabelled(c: Array, kraus: Array) -> Array:
-    """Outcome ``y``'s operators ``sqrt(c[y, x]) K`` over the outcomes ``x`` of
-    a padded array, ``(n, m, r, d, d)``, or per trial of a batch: the one
-    weighting of a post-processing ``c = nu^T``."""
-    return np.sqrt(c)[..., None, None, None] * kraus[..., None, :, :, :, :]
 
 
 def _reduced(kraus: Array, counts: Array, limit: int) -> tuple[Array, Array]:
@@ -558,21 +551,25 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
 
 def instr_convex_combo(weights: Sequence[float], instruments: Sequence[Instrument]) -> Instrument:
     """Outcome-wise mixture of instruments sharing one value-space, one
-    weighted concatenation of the ``sqrt(w_k) K`` of nonzero weight.  An
-    empty list fails ``check_weights``: no weights sum to one."""
-    w = check_weights(weights, len(instruments))
+    weighted concatenation of the ``sqrt(w_k) K`` of nonzero weight (in any trial:
+    ``(t, k)`` weights mix stacks of ``t`` instruments trial by trial).  An empty
+    list fails ``check_weights``: no weights sum to one."""
+    w = _mixture_weights(weights, [i.effects.shape[:-3] for i in instruments])
     labels = shared_value_space(instruments)
     ops = _mixed(w, [i.kraus for i in instruments])
-    valid = np.concatenate([_filled(i.kraus, i.counts) & (wk > 0) for wk, i in zip(w, instruments)], axis=1)
-    return _assembled(labels, ops[valid], valid.sum(1))
+    positive = (w > 0).any(0) if w.ndim == 2 else w > 0
+    valid = np.concatenate([_filled(i.kraus, i.counts) & p for p, i in zip(positive, instruments)], axis=1)
+    return _assembled(labels, ops[..., valid, :, :], valid.sum(1))
 
 
 def instr_post_process(nu: StochasticMatrix, i: Instrument) -> Instrument:
     """Classical relabeling of outcomes, ``(nu . I)_y = sum_x nu[x, y] I_x``,
-    as in ``instr_convex_combo``, of each trial of a stack with one ``nu``."""
-    rows, w = row_positions(nu, i), nu.matrix.T
-    ops = _relabelled(w, i.kraus[..., rows, :, :, :])
-    valid = (w[:, :, None] > 0) & _filled(i.kraus, i.counts)[rows]
+    as in ``instr_convex_combo``, of each trial of a stack with one ``nu``, or
+    with a stack of ``nu`` trial by trial."""
+    rows, w = row_positions(nu, i), nu.matrix.swapaxes(-1, -2)
+    ops = np.sqrt(w)[..., None, None, None] * i.kraus[..., None, rows, :, :, :]  # [y, x] = sqrt(nu[x, y]) K_x
+    positive = (w > 0).any(0) if w.ndim == 3 else w > 0
+    valid = positive[:, :, None] & _filled(i.kraus, i.counts)[rows]
     return _assembled(nu.col_labels, ops[..., valid, :, :], valid.sum((1, 2)))
 
 

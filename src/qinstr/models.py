@@ -16,9 +16,9 @@ The kernels of the von Neumann and swap forms take leading trial axes, so the
 catalog builds a batch of such models' instruments with the formulas the
 public functions use: ``_coupled`` (``W`` of couplings and a probe root),
 ``_vn_w`` (a von Neumann model's closed-form ``W``), ``_pairing_unitary``,
-``_eigenbasis`` (a commutative observable's eigenbasis draw), ``_vn_forms``
-(``vn_measured``'s Kraus, channel and effect closed forms) and
-``_measured_kraus`` (``model_instrument``'s general branch).
+``_vn_forms`` (``vn_measured``'s Kraus, channel and effect closed forms) and
+``_measured_kraus`` (``model_instrument``'s general branch).  A von Neumann
+model of stacked bases and ``vn_model_for_commutative`` take a trial axis too.
 
 The dilation path takes a stack of instruments over a leading trial axis
 itself: ``dilate_instrument`` of a stack is a stack of dilations with one
@@ -53,8 +53,8 @@ from .errors import (
 from .instruments import Instrument, Operation, _assembled, _effects, _operators, _reduced, ensure_channel
 from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
-from .linalg import Array, _phase_fix, _sandwich, as_matrix, complete_to_unitary, herm_eig, hermitian_part, identity
-from .linalg import is_unitary, largest, norms, rank, read_only, root_factors
+from .linalg import Array, _phase_fix, _sandwich, _unitary_defects, as_matrix, complete_to_unitary, herm_eig
+from .linalg import hermitian_part, identity, is_unitary, largest, norms, rank, read_only, root_factors
 from .observables import Label, Observable, StochasticMatrix, _basis_projections, _projections, obs_commute
 
 
@@ -146,9 +146,11 @@ class FIMM:
 
     @cached_property
     def interaction(self) -> Array:
-        """A dilation's unitary: its isometry in the columns ``(k, 0)`` and
-        the completion in the others.  Other models set it at construction,
+        """A dilation's unitary: its isometry in the columns ``(k, 0)`` and the completion
+        in the others (a stack's is refused).  Other models set it at construction,
         or form it on read (``VonNeumannModel``)."""
+        if self._restricted.ndim > 4:
+            raise DimensionError("a stack of dilations has one isometry per trial, and no one interaction unitary")
         d, n = self.dim_base, self.dim_probe
         first_slot = np.arange(d * n) % n == 0
         sources = np.concatenate([np.flatnonzero(first_slot), np.flatnonzero(~first_slot)])
@@ -158,9 +160,9 @@ class FIMM:
 
     @cached_property
     def couplings(self) -> Array:
-        """An operation's Kraus stack, or ``u[None]`` for a unitary ``u``."""
+        """An operation's Kraus stack, or ``u[None]`` for a unitary ``u`` (of each trial's, for a stack)."""
         u = self.interaction
-        return u._kraus if isinstance(u, Operation) else u[None]
+        return u._kraus if isinstance(u, Operation) else u[..., None, :, :]
 
     @cached_property
     def _probe_root(self) -> Array:
@@ -184,8 +186,8 @@ class FIMM:
             raise DimensionError("dimensions must be at least 1")
         self.dim_base = int(dim_base)
         self.dim_probe = int(dim_probe)
-        if eta.shape[0] != self.dim_probe:
-            raise DimensionError(f"probe state dim {eta.shape[0]}, expected {self.dim_probe}")
+        if eta.shape[-1] != self.dim_probe:
+            raise DimensionError(f"probe state dim {eta.shape[-1]}, expected {self.dim_probe}")
         self.probe_state = read_only(eta)
         if _checked_pointer(pointer).dim != self.dim_probe:
             raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
@@ -228,15 +230,16 @@ def model_instrument(m: FIMM) -> Instrument:
     kept root columns (``Observable._root_columns``, conjugated: ``R_F =
     conj(R_x)``) are read, in one batched product; a dilation's outcome
     ``x`` has its slots' operators of the isometry.  Cut to ``d^2``
-    operators, they are completed up to ``MODEL_TOL`` (``_assembled``).
+    operators, they are completed up to ``MODEL_TOL`` (``_assembled``).  A
+    stack of dilations or of von Neumann models measures a stack of instruments.
     """
     if m._owner is not None:
         counts = np.bincount(m._owner, minlength=len(m._labels))
         return _assembled(m._labels, _slot_operators(m._restricted[..., 0, :, :, 0], m._owner), counts)
     f, keep = m.pointer._root_columns
     kraus = _measured_kraus(m._restricted, f)
-    valid = keep[:, None, :, None] & np.ones(kraus.shape[:4], dtype=bool)
-    return _assembled(m._labels, kraus[valid], keep.sum(1) * kraus.shape[1] * kraus.shape[3])
+    valid = keep[:, None, :, None] & np.ones(kraus.shape[-6:-2], dtype=bool)
+    return _assembled(m._labels, kraus[..., valid, :, :], keep.sum(1) * kraus.shape[-5] * kraus.shape[-3])
 
 
 def _measured_kraus(w: Array, f: Array) -> Array:
@@ -284,12 +287,13 @@ def trivial_fimm(eta: object, pointer: Observable) -> FIMM:
 
 
 def _checked_bases(base_basis: object, probe_basis: object) -> tuple[Array, Array]:
-    """Both bases as complex matrices: square, unitary and of equal dimension."""
-    base = as_matrix(base_basis)
-    probe = as_matrix(probe_basis)
-    if base.shape != probe.shape or base.shape[0] != base.shape[1]:
+    """Both bases as complex matrices, either or both a ``(t, d, d)`` stack over
+    one trial axis: square, unitary (every trial's) and of equal dimension."""
+    base, probe = (as_matrix(b, stack=np.ndim(b) == 3) for b in (base_basis, probe_basis))
+    trials = {base.shape[:-2], probe.shape[:-2]} - {()}  # one trial axis, or none
+    if base.shape[-2:] != probe.shape[-2:] or base.shape[-1] != base.shape[-2] or len(trials) > 1:
         raise DimensionError("bases must be square and of equal dimension")
-    if not is_unitary(base, BASIS_TOL) or not is_unitary(probe, BASIS_TOL):
+    if not (largest(_unitary_defects(base)) <= BASIS_TOL and largest(_unitary_defects(probe)) <= BASIS_TOL):
         raise NotIsometry("bases must be unitary")
     return base, probe
 
@@ -321,23 +325,26 @@ def _vn_w(base: Array, probe: Array) -> Array:
     """A von Neumann model's ``W[(a, k), i] = sum_j psi_j[a] phi_j[k] conj(psi_j[i])``,
     ``(d^2, d)``, of its two bases, one ``(d^2, d) (d, d)`` product, or per trial of a batch."""
     d, adjoint = base.shape[-1], base.conj().swapaxes(-1, -2)
-    return (base[..., :, None, :] * probe[..., None, :, :]).reshape(*base.shape[:-2], d * d, d) @ adjoint
+    pairs = base[..., :, None, :] * probe[..., None, :, :]
+    return pairs.reshape(*pairs.shape[:-3], d * d, d) @ adjoint
 
 
 class VonNeumannModel(FIMM):
     """Model with a pure probe state ``phi_0`` and the pairing unitary of its
     bases (``von_neumann_unitary``), held as read-only copies with its probe
     root ``phi_0`` and ``W[(a, k), i] = sum_j psi_j[a] phi_j[k]
-    conj(psi_j[i])``, the unitary's columns ``(i, 0)``: no eigensolve."""
+    conj(psi_j[i])``, the unitary's columns ``(i, 0)``: no eigensolve.  Of
+    bases stacked over a trial axis (``_checked_bases``), a stack of models."""
 
     def __init__(self, base_basis: object, probe_basis: object, pointer: Observable):
         base, probe = (read_only(b.copy()) for b in _checked_bases(base_basis, probe_basis))
         self.base_basis, self.probe_basis = base, probe
-        d, phi0 = base.shape[0], probe[:, 0]
-        eta = hermitian_part(np.outer(phi0, phi0.conj()))  # exact: the product leaves ~1e-17 imaginary diagonals
+        d, phi0 = base.shape[-1], probe[..., :, 0]
+        # exact: the product (np.outer's, per trial) leaves ~1e-17 imaginary diagonals
+        eta = hermitian_part(phi0[..., :, None] * phi0.conj()[..., None, :])
         self._set_parts(d, d, eta, pointer)
-        self._probe_root = phi0[:, None]
-        self._restricted = read_only(_vn_w(base, probe).reshape(1, d * d, d, 1))
+        self._probe_root = phi0[..., :, None]
+        self._restricted = read_only(_vn_w(base, probe)[..., None, :, :, None])
 
     @cached_property
     def interaction(self) -> Array:
@@ -371,7 +378,7 @@ def vn_measured(model: VonNeumannModel) -> tuple[Instrument, Operation, Observab
     r, keep = model.pointer._root_columns
     kraus, projs, effects = _vn_forms(model.base_basis, model.probe_basis, r)
     channel = Operation._unchecked(read_only(projs))  # projections summing to 1: a channel
-    return _assembled(labels, kraus[keep], keep.sum(1)), channel, Observable._valid(labels, effects)
+    return _assembled(labels, kraus[..., keep, :, :], keep.sum(1)), channel, Observable._valid(labels, effects)
 
 
 def _vn_forms(base: Array, probe: Array, r: Array) -> tuple[Array, Array, Array]:
@@ -392,7 +399,8 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
     effects; a draw is accepted only if it actually diagonalizes every
     effect, within ``DIAG_TOL`` (collisions among eigenvalues force a redraw
     unless the effects are scalar on the colliding block), and at most
-    ``EIGENBASIS_ATTEMPTS`` draws are made.
+    ``EIGENBASIS_ATTEMPTS`` draws are made.  Of a stack of observables, one
+    draw of stacked combinations must diagonalize every trial's effects.
     """
     if not obs_commute(a, a):
         raise NotCommutative("observable effects do not pairwise commute")
@@ -400,7 +408,7 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
         rng = np.random.default_rng(20210)
     for _ in range(EIGENBASIS_ATTEMPTS):
         v, diagonals, diagonalizes = _eigenbasis(a.stack, rng.standard_normal(len(a)))
-        if diagonalizes:
+        if np.all(diagonalizes):
             return VonNeumannModel(v, np.eye(a.dim, dtype=complex), Observable._valid(a.labels, diagonals))
     raise NotCommutative("failed to find a joint eigenbasis")
 

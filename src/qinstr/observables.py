@@ -210,8 +210,10 @@ class Observable(LabelledFamily):
 
     @cached_property
     def _eig(self) -> tuple[Array, Array]:
-        """``_psd_eig(stack)``: the eigenvectors and root eigenvalues."""
-        return _psd_eig(self.stack, self._spectrum)
+        """``_psd_eig(stack)``: the eigenvectors and root eigenvalues, shaped as the stack (a stack's
+        range check keeps its spectrum flat, ``(t m, d)``)."""
+        v, r = _psd_eig(self.stack, self._spectrum)
+        return v.reshape(self.stack.shape), r.reshape(self.stack.shape[:-1])
 
     @cached_property
     def roots(self) -> Array:
@@ -221,9 +223,10 @@ class Observable(LabelledFamily):
     @cached_property
     def _root_columns(self) -> tuple[Array, Array]:
         """``root_columns(stack)``, read-only: ``R_x`` with ``F_x = R_x R_x^*``,
-        ``(m, d, d)``, and the kept columns (``keep``)."""
+        ``(m, d, d)``, and the kept columns (``keep``); of a stack, those any
+        trial keeps (a column another trial does not keep is zero there)."""
         f, keep = _eig_columns(*self._eig)
-        return read_only(f), read_only(keep)
+        return read_only(f), read_only(keep.any(0) if keep.ndim > 2 else keep)
 
     @classmethod
     def _valid(cls, labels: Sequence[Label], stack: Array) -> "Observable":
@@ -292,7 +295,8 @@ def observables_close(a: Observable, b: Observable, tol: float) -> bool:
 
 
 class StochasticMatrix:
-    """Row-stochastic matrix indexed by source and target labels."""
+    """Row-stochastic matrix indexed by source and target labels, or a ``(t, m, n)``
+    stack of them over a leading trial axis with one set of each, every trial's rows checked."""
 
     def __init__(self, row_labels: Sequence[Label], col_labels: Sequence[Label], matrix: object):
         self.row_labels = check_distinct_labels(row_labels)
@@ -300,20 +304,21 @@ class StochasticMatrix:
             raise LabelError("a stochastic matrix needs at least one row")
         self.col_labels = check_distinct_labels(col_labels)
         m = as_numbers(matrix, float)
-        if m.shape != (len(self.row_labels), len(self.col_labels)):
+        if m.shape[-2:] != (len(self.row_labels), len(self.col_labels)) or m.ndim > 3:
             raise ShapeError(f"matrix shape {m.shape} does not match label counts")
         require("nonnegative-entries", -m.min(initial=0.0), STOCHASTIC_NEG_TOL)
         m = np.clip(m, 0.0, None)
-        require("row-sums-to-one", np.max(np.abs(m.sum(axis=1) - 1.0)), STOCHASTIC_ROW_TOL)
+        require("row-sums-to-one", np.max(np.abs(m.sum(axis=-1) - 1.0)), STOCHASTIC_ROW_TOL)
         self.matrix = read_only(m)
 
-    def value(self, src: Label, tgt: Label) -> float:
+    def value(self, src: Label, tgt: Label) -> float | Array:
+        """The entry at a pair of labels (of a stack, each trial's)."""
         try:
             i = self.row_labels.index(src)
             j = self.col_labels.index(tgt)
         except ValueError:
             raise LabelError(f"unknown label pair ({src!r}, {tgt!r})") from None
-        return float(self.matrix[i, j])
+        return float(self.matrix[i, j]) if self.matrix.ndim == 2 else self.matrix[:, i, j]
 
 
 @dataclass(frozen=True)
@@ -366,6 +371,15 @@ def check_weights(weights: Sequence[float], count: int, trials: bool = False) ->
     return np.maximum(w, 0.0)
 
 
+def _mixture_weights(weights: Sequence[float], leads: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """A mixture's ``check_weights``: one weight per family, or ``(t, k)`` weights of families
+    each stacked over the same ``t`` trials (``leads``, each family's leading shape)."""
+    w = check_weights(weights, len(leads), trials=True)
+    if w.ndim == 2 and any(lead != w.shape[:1] for lead in leads):
+        raise WeightError(f"expected {len(leads)} weights, got shape {w.shape}")
+    return w
+
+
 def shared_value_space(families: Sequence[LabelledFamily]) -> tuple[Label, ...]:
     """The labels of nonempty ``families`` that share one value-space (the
     same labels in the same order) and one dimension, as a mixture needs."""
@@ -391,18 +405,22 @@ def row_positions(nu: StochasticMatrix, family: LabelledFamily) -> list[int]:
 
 
 def obs_convex_combo(weights: Sequence[float], observables: Sequence[Observable]) -> Observable:
-    """Outcome-wise mixture of observables sharing one value-space.  An
+    """Outcome-wise mixture of observables sharing one value-space; ``(t, k)``
+    weights mix stacks of ``t`` trials' observables trial by trial.  An
     empty list fails ``check_weights``: no weights sum to one."""
-    w = check_weights(weights, len(observables))
+    w = _mixture_weights(weights, [o.stack.shape[:-3] for o in observables])
     labels = shared_value_space(observables)
-    return Observable._valid(labels, _combined(w[None], np.stack([o.stack for o in observables]))[0])
+    stack = np.stack([o.stack for o in observables], axis=w.ndim - 1)  # the mixed axis, after any trial axis
+    return Observable._valid(labels, _combined(w[..., None, :], stack).squeeze(w.ndim - 1))
 
 
 def obs_post_process(nu: StochasticMatrix, b: Observable) -> Observable:
     """Classical relabeling: outcome ``z`` collects ``sum_y nu[y, z] B_y``, of
-    each trial of a stack with one ``nu``."""
-    rows = b.stack[..., row_positions(nu, b), :, :].swapaxes(0, -3)  # outcomes first, over any trial axis
-    return Observable._valid(nu.col_labels, _combined(nu.matrix.T, rows).swapaxes(0, -3))
+    each trial of a stack with one ``nu``, or with a stack of ``nu`` trial by trial."""
+    rows, c = b.stack[..., row_positions(nu, b), :, :], nu.matrix.swapaxes(-1, -2)
+    if c.ndim == 3:  # each trial's rows of one family or of a stack of them
+        return Observable._valid(nu.col_labels, _combined(c, np.broadcast_to(rows, (len(c), *rows.shape[-3:]))))
+    return Observable._valid(nu.col_labels, _combined(c, rows.swapaxes(0, -3)).swapaxes(0, -3))  # outcomes first
 
 
 def classify_observable(a: Observable) -> ObservableFlags:
@@ -431,7 +449,7 @@ def obs_commute(a: Observable, b: Observable) -> bool:
     """True when every effect of ``a`` commutes with every effect of ``b``,
     each commutator within ``SUM_TOL`` in Frobenius norm."""
     _same_dim(a.dim, b.dim)
-    return bool(_commuting(a.stack, b.stack))
+    return bool(_commuting(a.stack, b.stack).all())  # of stacks, every trial's
 
 
 def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]:
@@ -510,14 +528,15 @@ def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Ob
 
 def identity_observable(weights: Mapping[Label, float], dim: int) -> Observable:
     """Observable whose effects are multiples of the identity, ``w_x 1``, checked as ``Observable``
-    checks them but with no eigensolve: their spectrum is closed form (``w_x``, eigenvectors ``1``)."""
+    checks them but with no eigensolve: their spectrum is closed form (``w_x``, eigenvectors ``1``).
+    A weight may be a ``(t,)`` array over a trial axis, for a stack of ``t`` such observables."""
     if dim < 1:
         raise DimensionError("dimension must be at least 1")
-    w = check_weights(list(weights.values()), len(weights))
+    w = check_weights(as_numbers(list(weights.values()), float).T, len(weights), trials=True)
     labels = check_distinct_labels(weights)
-    stack = w[:, None, None] * np.eye(dim, dtype=complex)
-    completion(stack.sum(0), SUM_TOL, SUM_TOL, "sum-to-identity")
-    spectrum = np.broadcast_to(w[:, None], (len(w), dim)), np.broadcast_to(np.eye(dim, dtype=complex), stack.shape)
+    stack = w[..., None, None] * np.eye(dim, dtype=complex)
+    completion(stack.sum(-3), SUM_TOL, SUM_TOL, "sum-to-identity")
+    spectrum = np.broadcast_to(w[..., None], (*w.shape, dim)), np.broadcast_to(np.eye(dim, dtype=complex), stack.shape)
     return Observable._checked(labels, stack, spectrum)
 
 

@@ -21,7 +21,7 @@ from .errors import DimensionError, LabelError
 from .instruments import Instrument
 from .linalg import Array, hermitian_part, inverse_root
 from .models import FIMM
-from .observables import Label, Observable, StochasticMatrix, check_distinct_labels
+from .observables import Label, Observable, StochasticMatrix, _checked_effects, check_distinct_labels
 
 
 def default_labels(count: int) -> list[str]:
@@ -147,10 +147,12 @@ def _diagonal_in(u: Array, x: Array) -> Array:
 def random_commutative_observable(
     dim: int, outcomes: int, rng: np.random.Generator
 ) -> Observable:
-    """Observable whose effects share one random eigenbasis."""
+    """Observable whose effects share one random eigenbasis; of stacked draws, a stack of them."""
     u = random_unitary(dim, rng)
     weights = rng.dirichlet(np.ones(outcomes), size=dim)  # (dim, outcomes)
-    return Observable(zip(default_labels(outcomes), _diagonal_in(u, weights.T)))
+    effects = _diagonal_in(u, weights.swapaxes(-1, -2))
+    stack, spectrum = _checked_effects(effects.reshape(-1, dim, dim), outcomes)
+    return Observable._checked(default_labels(outcomes), stack.reshape(effects.shape), spectrum)
 
 
 def random_stochastic(

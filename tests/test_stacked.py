@@ -3,15 +3,16 @@
 A generator whose calls return each trial's draw of the same call, stacked,
 gives a stack of families; every public call on such a stack must equal its
 calls on the trials one by one, and a check on a stack holds when it holds for
-every trial.  The catalog runs thm-2.1, lem-2.6, ex-3, ex-5, cor-3.3, lem-3.4,
-thm-4.1, lem-4.2, cor-4.3, thm-4.6 and cor-4.7 this way (``verify._Stacked``);
-these tests replace the checks that their array programs built what the public
-functions build.
+every trial.  The catalog runs thm-2.1, thm-2.3, lem-2.6, ex-3, ex-5, ex-6,
+cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, cor-4.5, thm-4.6 and cor-4.7 this
+way (``verify._Stacked``); these tests replace the checks that their array
+programs built what the public functions build.
 """
 
 import numpy as np
 import pytest
 
+from qinstr.errors import DimensionError, InvariantViolation, NotIsometry, ShapeError, WeightError
 from qinstr.instruments import (
     Instrument,
     _reduced,
@@ -21,6 +22,7 @@ from qinstr.instruments import (
     induced_observable,
     instr_channel,
     instr_conditioned,
+    instr_convex_combo,
     instr_post_process,
     instr_product,
     is_identity_instrument,
@@ -28,12 +30,13 @@ from qinstr.instruments import (
     luders_instrument,
     trivial_instrument,
 )
-from qinstr.models import dilate_instrument, luders_positivity_check, marginal_instruments, model_instrument
-from qinstr.models import normal_fimm_kraus_extract, simultaneous_fimms
-from qinstr.observables import Observable, atomic_observable, classify_observable, combine_labels, family_distance
-from qinstr.observables import identity_observable, obs_post_process
-from qinstr.rand import random_instrument, random_kraus_instrument, random_observable, random_simplex, random_state
-from qinstr.rand import random_stochastic, random_unitary
+from qinstr.models import VonNeumannModel, dilate_instrument, luders_positivity_check, marginal_instruments
+from qinstr.models import model_instrument, normal_fimm_kraus_extract, simultaneous_fimms, vn_measured
+from qinstr.models import vn_model_for_commutative, von_neumann_unitary
+from qinstr.observables import Observable, StochasticMatrix, atomic_observable, classify_observable, combine_labels
+from qinstr.observables import family_distance, identity_observable, obs_commute, obs_convex_combo, obs_post_process
+from qinstr.rand import random_commutative_observable, random_instrument, random_kraus_instrument, random_observable
+from qinstr.rand import random_simplex, random_state, random_stochastic, random_unitary
 from qinstr.verify import _product_pointer_model
 
 SEEDS = (3, 5, 8, 13)
@@ -278,3 +281,142 @@ def test_stacked_post_processings_flags_and_identity_checks_are_the_per_trial_on
     assert all(map(is_identity_instrument, ones))
     update = luders_instrument(random_observable(d, 2, rng))
     assert not is_identity_instrument(stacked_instrument([ones[0], update])) and not is_identity_instrument(update)
+
+
+def test_stacked_stochastic_matrices_check_every_trials_rows():
+    # thm-2.3: random_stochastic of stacked draws is one matrix per trial over
+    # one row and one column label set; each trial's rows are checked.
+    nu = random_stochastic(["0", "1", "2"], ["a", "b"], StackedDraws())
+    ones = per_trial(lambda rng: random_stochastic(["0", "1", "2"], ["a", "b"], rng))
+    assert nu.matrix.shape == (len(SEEDS), 3, 2) and (nu.row_labels, nu.col_labels) == (("0", "1", "2"), ("a", "b"))
+    assert all(np.array_equal(nu.matrix[k], one.matrix) for k, one in enumerate(ones))
+    assert np.array_equal(nu.value("1", "b"), [one.value("1", "b") for one in ones])
+    good = [[1.0, 0.0], [0.5, 0.5]]
+    bad_rows = (([[0.7, 0.4], [1.0, 0.0]], "row-sums-to-one"), ([[1.5, -0.5], [1.0, 0.0]], "nonnegative-entries"))
+    for bad, error in bad_rows:
+        with pytest.raises(InvariantViolation, match=error):
+            StochasticMatrix(["0", "1"], ["a", "b"], [good, bad])
+    with pytest.raises(ShapeError, match="does not match"):
+        StochasticMatrix(["0", "1"], ["a", "b"], [[good]])
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (3, 3), (4, 2)])
+def test_post_processings_by_stacked_matrices_are_the_per_trial_ones(d, m):
+    # thm-2.3: instr_post_process and obs_post_process by a stack of matrices,
+    # trial by trial, of a stack of families or of one family.
+    def build(rng):
+        instr = random_instrument(d, m, rng)
+        return instr, random_stochastic(list(instr.labels), ["t0", "t1"], rng)
+
+    (instr, nu), ones = build(StackedDraws()), per_trial(build)
+    assert_same_maps(instr_post_process(nu, instr), [instr_post_process(n, i) for i, n in ones], d)
+    stacked = obs_post_process(nu, induced_observable(instr))
+    fixed = obs_post_process(nu, induced_observable(ones[0][0]))
+    for k, (i, n) in enumerate(ones):
+        assert np.abs(stacked.stack[k] - obs_post_process(n, induced_observable(i)).stack).max() <= 1e-15
+        assert np.abs(fixed.stack[k] - obs_post_process(n, induced_observable(ones[0][0])).stack).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (3, 3)])
+def test_mixtures_by_stacked_weights_are_the_per_trial_ones(d, m):
+    # thm-2.3: instr_convex_combo and obs_convex_combo of (t, k) weights mix
+    # stacks trial by trial; a weight that is zero in one trial only keeps
+    # the other trials' operators.
+    def build(rng):
+        return random_simplex(2, rng), random_instrument(d, m, rng), random_instrument(d, m, rng)
+
+    (w, i, j), ones = build(StackedDraws()), per_trial(build)
+    assert_same_maps(instr_convex_combo(w, [i, j]), [instr_convex_combo(x, [y, z]) for x, y, z in ones], d)
+    mixed = obs_convex_combo(w, [induced_observable(i), induced_observable(j)])
+    for k, (x, y, z) in enumerate(ones):
+        one = obs_convex_combo(x, [induced_observable(y), induced_observable(z)])
+        assert np.abs(mixed.stack[k] - one.stack).max() <= 1e-15
+    w = np.array([[1.0, 0.0], *w[1:]])
+    singles = [instr_convex_combo(w[k], [y, z]) for k, (_, y, z) in enumerate(ones)]
+    assert_same_maps(instr_convex_combo(w, [i, j]), singles, d)
+    with pytest.raises(WeightError, match=r"got shape \(4, 2\)"):
+        obs_convex_combo(w, [induced_observable(ones[0][1])] * 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_products_of_state_preparations_are_the_per_trial_ones(d):
+    # ex-6: the product of two stacks of state-preparation instruments.
+    def build(rng):
+        a, b = random_observable(d, 2, rng), random_observable(d, 2, rng)
+        return trivial_instrument(a, random_state(d, rng)), trivial_instrument(b, random_state(d, rng))
+
+    (i, j), ones = build(StackedDraws()), per_trial(build)
+    assert_same_maps(instr_product(i, j), [instr_product(*pair) for pair in ones], d)
+
+
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [0.7, 0.4]])
+def test_stacked_identity_observables_check_every_trials_weights(weights, eig_calls):
+    # cor-4.5: identity_observable of (t,) weights per label is a stack of
+    # identity observables; a later trial's negative weight, or weights that
+    # do not sum to one, raise, with no eigensolve.
+    w = random_simplex(2, StackedDraws())
+    stacked = identity_observable(dict(zip("01", w.T)), 3)
+    for k, x in enumerate(w):
+        assert np.array_equal(stacked.stack[k], identity_observable(dict(zip("01", x)), 3).stack)
+        assert np.abs(stacked.roots[k] - np.sqrt(x[:, None, None]) * np.eye(3)).max() <= 1e-15
+    assert classify_observable(stacked).identity
+    eig_calls.calls.clear()
+    with pytest.raises(WeightError):
+        identity_observable(dict(zip("01", np.array([w[0], weights]).T)), 3)
+    assert eig_calls.calls == []
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_stacked_commutative_observables_and_their_models_are_the_per_trial_ones(d, m):
+    # cor-4.5: random_commutative_observable of stacked draws, the model of
+    # vn_model_for_commutative (one eigenbasis draw for every trial), what it
+    # and a model of stacked random bases measure, and obs_commute of stacks.
+    def build(rng):
+        a = random_commutative_observable(d, m, rng)
+        model = vn_model_for_commutative(a, rng)
+        return a, model, VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
+
+    (a, model, generic), ones = build(StackedDraws()), per_trial(build)
+    assert all(np.abs(a.stack[k] - one.stack).max() <= 1e-15 for k, (one, _, _) in enumerate(ones))
+    assert obs_commute(a, a)
+    for k, stacked in ((1, model), (2, generic)):
+        instr, channel, obs = vn_measured(stacked)
+        singles = [vn_measured(one[k]) for one in ones]
+        assert_same_maps(instr, [one[0] for one in singles], d)
+        assert_same_maps(model_instrument(stacked), [model_instrument(one[k]) for one in ones], d)
+        assert_same_maps(channel, [one[1] for one in singles], d)
+        assert all(np.abs(obs.stack[t] - one[2].stack).max() <= 1e-14 for t, one in enumerate(singles))
+    assert family_distance(vn_measured(model)[2], a) <= 1e-14
+    unitaries = [von_neumann_unitary(one[2].base_basis, one[2].probe_basis) for one in ones]
+    assert np.abs(generic.interaction - np.stack(unitaries)).max() <= 1e-15
+    assert generic.couplings.shape == (len(SEEDS), 1, d * d, d * d)
+    sharp, other = (atomic_observable(random_unitary(d, np.random.default_rng(seed))) for seed in (1, 2))
+    mixed, same = (Observable._valid(sharp.labels, np.stack([sharp.stack, x.stack])) for x in (other, sharp))
+    assert obs_commute(same, same) and not obs_commute(mixed, same)  # trial 1's bases differ
+
+
+def test_a_stacked_von_neumann_model_checks_every_trials_bases():
+    # Each trial's bases must be unitary, and two stacks must have one trial axis.
+    bases = np.stack([random_unitary(2, np.random.default_rng(seed)) for seed in SEEDS])
+    pointer = random_observable(2, 2, np.random.default_rng(0))
+    skewed = bases.copy()
+    skewed[-1] *= 1.0 + 1e-7
+    with pytest.raises(NotIsometry, match="bases must be unitary"):
+        VonNeumannModel(skewed, np.eye(2), pointer)
+    with pytest.raises(DimensionError, match="equal dimension"):
+        VonNeumannModel(bases, bases[:2], pointer)
+
+
+def test_a_stacked_dilation_has_no_one_interaction_unitary():
+    # A stack of dilations holds one isometry per trial: its interaction (and
+    # the couplings and interaction map read off it) is refused, not
+    # completed from the first trial's first column; a trial's own dilation
+    # completes its own isometry.
+    stacked = dilate_instrument(random_instrument(2, 4, StackedDraws()))
+    for read in (lambda m: m.interaction, lambda m: m.couplings, lambda m: m.apply_interaction(np.eye(16))):
+        with pytest.raises(DimensionError, match="one isometry per trial"):
+            read(stacked)
+    one = dilate_instrument(random_instrument(2, 4, np.random.default_rng(SEEDS[0])))
+    u = one.interaction
+    assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-12
+    assert np.abs(u[:, ::8] - one._restricted[0, :, :, 0]).max() == 0.0

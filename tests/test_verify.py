@@ -1,3 +1,4 @@
+import ast
 import copy
 
 import numpy as np
@@ -7,29 +8,25 @@ import qinstr.verify
 from qinstr import cli
 from qinstr.effects import CoexistenceWitness, _witness_joints, binary_observables_from_coexistence, ensure_effect
 from qinstr.effects import ensure_effects, seq_products
-from qinstr.errors import NotIsometry, NotNormal, QinstrError, WeightError
+from qinstr.errors import NotIsometry, NotNormal, QinstrError
 from qinstr.instruments import (
     Instrument,
     _channel_kraus,
     _effects,
-    _mixed,
     choi_distances,
-    instr_convex_combo,
-    instr_post_process,
     joint_probability_instr,
     joint_probability_table_instr,
     luders_instrument,
     trivial_instrument,
 )
 from qinstr.linalg import _sandwich, hermitian_part
-from qinstr.models import FIMM, VonNeumannModel, _coupled, _eigenbasis, _pairing_unitary, _vn_w, model_instrument
-from qinstr.models import trivial_fimm, vn_measured, vn_model_for_commutative, von_neumann_unitary
+from qinstr.models import FIMM, VonNeumannModel, _coupled, _pairing_unitary, _vn_forms, _vn_w, model_instrument
+from qinstr.models import trivial_fimm, vn_measured, von_neumann_unitary
 from qinstr.observables import Observable, _pair_traces, _probability_table, _set_probabilities, _valid_stack
-from qinstr.observables import identity_observable, joint_probability_table, obs_conditioned, obs_seq_product
-from qinstr.rand import _commuting_effects, _diagonal_in, _states, _unitaries, _whitened_effects, _whitened_kraus
-from qinstr.rand import random_commutative_observable, random_commuting_effect_pair, random_instrument
-from qinstr.rand import random_observable, random_simplex, random_state, random_stochastic, random_unitary
-from qinstr.verify import SUITES, _Recorded, _rng, _Run, run_suite, run_suites
+from qinstr.observables import joint_probability_table, obs_conditioned, obs_seq_product
+from qinstr.rand import _commuting_effects, _states, _unitaries, _whitened_effects
+from qinstr.rand import random_commuting_effect_pair, random_observable, random_state, random_unitary
+from qinstr.verify import SUITES, _Batched, _Recorded, _rng, _Run, _Stacked, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
 # left out, since their last bits depend on the BLAS build.
@@ -279,8 +276,8 @@ def test_batched_draws_are_the_public_generators_draws(result_id):
         residuals = spec.public(public, t, spec.dims[t % len(spec.dims)])
         called = [name for name, *_ in public.calls]
         assert names.setdefault(t % spec.period, called) == called
-        first_residuals, draws = groups[t % spec.period]
-        assert len(draws) == len(public.outputs)
+        first_residuals, calls, draws = groups[t % spec.period]
+        assert [name for name, *_ in calls] == called and len(draws) == len(public.outputs)
         assert all(np.array_equal(stacked[t // spec.period], x) for stacked, x in zip(draws, public.outputs))
         if t < spec.period:
             assert first_residuals == residuals
@@ -313,7 +310,8 @@ STACKED = sorted(result_id for result_id in BATCHED if SUITES[result_id].batched
 
 def test_the_stacked_suites_are_those_whose_public_route_takes_a_stack():
     assert STACKED == [
-        "cor-3.3", "cor-4.3", "cor-4.7", "ex-3", "ex-5", "lem-2.6", "lem-3.4", "lem-4.2", "thm-2.1", "thm-4.1", "thm-4.6",
+        "cor-3.3", "cor-4.3", "cor-4.5", "cor-4.7", "ex-3", "ex-5", "ex-6", "lem-2.6", "lem-3.4", "lem-4.2", "thm-2.1",
+        "thm-2.3", "thm-4.1", "thm-4.6",
     ]
 
 
@@ -324,45 +322,76 @@ def test_a_stacked_route_gives_the_worst_of_its_trials(result_id):
     # each of its values is the worst of the trials' own public values.
     spec, trials = SUITES[result_id].batched, 13
     gens = _trial_generators(result_id, trials)
-    for first, (_, draws) in enumerate(_groups(result_id, trials)):
+    for first, (_, calls, draws) in enumerate(_groups(result_id, trials)):
         d = spec.dims[first % len(spec.dims)]
-        stacked = spec.public(qinstr.verify._Stacked(draws), first, d)
+        stacked = spec.public(_Stacked(calls, draws), first, d)
         ones = [spec.public(gens[t], t, d) for t in range(first, trials, spec.period)]
         assert np.abs(np.subtract(stacked, np.max(ones, axis=0))).max() <= 1e-15
 
 
-def test_batched_instruments_are_the_public_ones():
-    # thm-2.3's array program builds, trial by trial, the instruments and the
-    # post-processings that the public functions build from the same draws,
-    # each outcome cut to at most d^2 operators as the public ones are.
-    trials, gens = 13, _trial_generators("thm-2.3", 13)
-    for first, (_, (raw, nu, weights, raw_other)) in enumerate(_groups("thm-2.3", trials)):
-        d = 2 + first % 3
-        c = nu.swapaxes(1, 2)
-        checked = qinstr.verify._checked
-        (instr, _), (other, _) = (checked(_whitened_kraus(x)) for x in (raw, raw_other))
-        processed = qinstr.verify._post_processed(c, instr)[0]
-        mixed = qinstr.verify._assembled_batch(_mixed(weights, [instr, other]))[0]
-        for i, t in enumerate(range(first, trials, 6)):
-            rng = gens[t]
-            public = random_instrument(d, 2 + t % 2, rng)
-            stochastic = random_stochastic(list(public.labels), ["t0", "t1"], rng)
-            w = random_simplex(2, rng)
-            public_other = random_instrument(d, 2 + t % 2, rng)
-            for batch, one in (
-                (instr[i], public),
-                (processed[i], instr_post_process(stochastic, public)),
-                (mixed[i], instr_convex_combo(w, [public, public_other])),
-            ):
-                assert choi_distances(batch, one.kraus).max() <= 1e-14
-                assert len(batch[0]) <= d * d
+@pytest.mark.parametrize("seed", [0, 7, 94, 311])
+@pytest.mark.parametrize("result_id", STACKED)
+def test_a_stacked_route_makes_its_public_trials_eigensolves(result_id, seed, eig_calls, monkeypatch):
+    # Group by group, a stacked route makes exactly the eigh/eigvalsh calls of
+    # its group's public trial, each on matrices of the same order (batched
+    # over the group's trials): stacking solves no spectrum more, and skips
+    # no check that solves one.
+    spec, orders = SUITES[result_id].batched, {"public": [], "stacked": []}
+
+    def counted(rng, t, d):
+        before = len(eig_calls.calls)
+        try:
+            return spec.public(rng, t, d)
+        finally:
+            orders["stacked" if isinstance(rng, _Stacked) else "public"].append(eig_calls.orders[before:])
+
+    monkeypatch.setitem(SUITES, result_id, SUITES[result_id]._replace(batched=spec._replace(public=counted)))
+    run_suite(result_id, seed=seed)
+    assert orders["public"] and orders["stacked"] == orders["public"]
+
+
+@pytest.mark.parametrize("diverge", ["method", "arguments", "keyword", "past the end", "fewer", None])
+def test_a_stacked_route_that_draws_otherwise_than_its_public_trial_fails(monkeypatch, diverge):
+    # A stack replays its group's recorded Generator calls: a stacked route
+    # that calls another method, passes other arguments, draws past the last
+    # recorded call or leaves one unmade fails the suite, and one that makes
+    # exactly the recorded calls runs.
+    def route(rng, t, d):
+        other = isinstance(rng, _Stacked) and diverge
+        if other == "method":
+            rng.random(2)
+        else:
+            rng.standard_normal(3 if other == "arguments" else 2)
+        rng.dirichlet(np.ones(2), size=4 if other == "keyword" else d)
+        if other != "fewer":
+            rng.standard_normal((2, d))
+        if other == "past the end":
+            rng.standard_normal(1)
+        return (0.0,)
+
+    monkeypatch.setitem(SUITES, "ex-5", SUITES["ex-5"]._replace(batched=_Batched(2, (2, 3), route)))
+    report = run_suite("ex-5", seed=7)
+    expected = ("pass", "") if diverge is None else ("fail", "stacked draws diverge from the public trial's")
+    assert (report.status, report.note) == expected
+
+
+def test_verify_describes_no_more_suites_twice():
+    # At most 10 array programs (`_batch_*`) and 32 private library imports
+    # are left in verify.py, counted as CI's base-branch comparison counts
+    # them: a change may lower either count, never raise it.
+    with open(qinstr.verify.__file__) as f:
+        tree = ast.parse(f.read())
+    imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level]
+    private = [a for n in imports for a in n.names if a.name.startswith("_")]
+    batch = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_batch_")]
+    assert len(batch) <= 10 and len(private) <= 32
 
 
 def test_batched_probabilities_are_the_public_ones():
     # lem-3.1's array program builds, trial by trial, the observables, the state
     # and the two probability tables that the public functions build.
     trials, gens = 13, _trial_generators("lem-3.1", 13)
-    for first, (_, (ga, gb, g, *_)) in enumerate(_groups("lem-3.1", trials)):
+    for first, (_, _, (ga, gb, g, *_)) in enumerate(_groups("lem-3.1", trials)):
         d = 2 + first % 3
         a, b = (_valid_stack(_whitened_effects(s)) for s in (ga, gb))
         rho = _states(g)
@@ -383,7 +412,7 @@ def test_batched_joint_observables_are_the_public_ones():
     # that the public generator draws, and its stacked witness check builds the
     # joint observable that binary_observables_from_coexistence builds.
     trials, gens = 13, _trial_generators("lem-1.1", 13)
-    for first, (_, (g, x)) in enumerate(_groups("lem-1.1", trials)):
+    for first, (_, _, (g, x)) in enumerate(_groups("lem-1.1", trials)):
         d = 2 + first % 3
         a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
         ab = ensure_effects(hermitian_part(a @ b))
@@ -400,7 +429,7 @@ def test_batched_tables_are_the_public_ones():
     # ex-8's array program builds, trial by trial, the two outcome tables that
     # the public functions build from the same draws.
     trials, gens = 13, _trial_generators("ex-8", 13)
-    for first, (_, (ga, gb, g)) in enumerate(_groups("ex-8", trials)):
+    for first, (_, _, (ga, gb, g)) in enumerate(_groups("ex-8", trials)):
         d = 2 + first % 3
         p_instr, p_obs = qinstr.verify._luders_tables(ga, gb, g)
         for i, t in enumerate(range(first, trials, 3)):
@@ -458,7 +487,7 @@ def test_batched_complementarity_decisions_are_the_public_ones():
     trials, gens = 30, _trial_generators("lem-2.4", 30)
     spec = SUITES["lem-2.4"].batched
     assert SUITES["cor-2.5"].batched[:4] == spec[:4]
-    for first, (_, draws) in enumerate(_groups("lem-2.4", trials)):
+    for first, (_, _, draws) in enumerate(_groups("lem-2.4", trials)):
         t = np.arange(first, trials, 15)
         decisions = np.stack(spec.batch(t, *draws), axis=1)
         for i, decided in enumerate(decisions):
@@ -470,7 +499,7 @@ def test_batched_luders_products_are_the_public_ones():
     # and of the conditioned measurement-update instruments, which equal
     # obs_seq_product and obs_conditioned of the public observables.
     trials, gens = 13, _trial_generators("ex-4", 13)
-    for first, (_, (ga, gb)) in enumerate(_groups("ex-4", trials)):
+    for first, (_, _, (ga, gb)) in enumerate(_groups("ex-4", trials)):
         d = 2 + first % 2
         i, j = (qinstr.verify._luders(_valid_stack(_whitened_effects(x)))[0] for x in (ga, gb))
         products = qinstr.verify._products
@@ -487,7 +516,7 @@ def test_batched_prepared_probabilities_are_the_public_ones():
     # joint_probability_instr computes.
     trials, gens = 13, _trial_generators("ex-7", 13)
     trivial = qinstr.verify._trivial
-    for first, (_, (ga, gb, *g)) in enumerate(_groups("ex-7", trials)):
+    for first, (_, _, (ga, gb, *g)) in enumerate(_groups("ex-7", trials)):
         d = 2 + first % 2
         a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
         alpha, beta, rho = _states(np.stack(g))
@@ -541,12 +570,13 @@ def test_batched_von_neumann_instruments_are_the_public_ones():
     # measures on the model, and the one it measures on a public FIMM of the
     # pairing unitary, each outcome cut to at most d^2 operators.
     trials, gens, v = 13, _trial_generators("thm-4.4", 13), qinstr.verify
-    for first, (_, (gb, gp, g, _)) in enumerate(_groups("thm-4.4", trials)):
+    for first, (_, _, (gb, gp, g, _)) in enumerate(_groups("thm-4.4", trials)):
         d = 2 + first % 2
         base, probe = _unitaries(gb), _unitaries(gp)
         eta = hermitian_part(probe[:, :, :1] @ probe[:, :, :1].conj().swapaxes(1, 2))
         f = v._columns(np.concatenate([_valid_stack(_whitened_effects(g)), eta[:, None]], 1))
-        (instr, _), channel, obs = v._vn(base, probe, f[:, :-1])
+        kraus, channel, effects = _vn_forms(base, probe, f[:, :-1])
+        instr, obs = v._assembled_batch(kraus)[0], _valid_stack(effects)
         direct = v._measured(_vn_w(base, probe)[:, None, :, :, None], f[:, :-1])[0]
         public = v._measured(_coupled(_pairing_unitary(base, probe)[:, None], d, f[:, -1]), f[:, :-1])[0]
         for k, t in enumerate(range(first, trials, 2)):
@@ -566,7 +596,7 @@ def test_batched_swap_model_instruments_are_the_public_ones():
     # thm-4.8's array program builds, trial by trial, the instruments that
     # model_instrument measures on the two swap models of trivial_fimm.
     trials, gens = 13, _trial_generators("thm-4.8", 13)
-    for first, (_, (g, gp, ga, galpha)) in enumerate(_groups("thm-4.8", trials)):
+    for first, (_, _, (g, gp, ga, galpha)) in enumerate(_groups("thm-4.8", trials)):
         d = 2 + first % 2
         swapped = [
             qinstr.verify._swapped(_valid_stack(_whitened_effects(x)), _states(y)) for x, y in ((gp, g), (ga, galpha))
@@ -580,119 +610,91 @@ def test_batched_swap_model_instruments_are_the_public_ones():
                 assert len(batch[k][0]) <= d * d
 
 
-def test_batched_commutative_measured_observables_are_the_public_ones():
-    # cor-4.5's array program builds, trial by trial, the observable that the
-    # von Neumann model of vn_model_for_commutative measures, from the
-    # eigenbasis combination that the public route draws first.
-    trials, gens, v = 13, _trial_generators("cor-4.5", 13), qinstr.verify
-    for first, (_, draws) in enumerate(_groups("cor-4.5", trials)):
-        d = 2 + first % 2
-        if first % 3 == 2:
-            w, x, *_ = draws
-            a = w[:, :, None, None] * np.eye(d, dtype=complex)
-        else:
-            u, w, x, *_ = draws
-            a = _diagonal_in(_unitaries(u), w.swapaxes(1, 2))
-        basis, diagonals, diagonalizes = _eigenbasis(a, x)
-        assert diagonalizes.all()
-        measured = v._vn(basis, np.eye(d, dtype=complex), v._columns(_valid_stack(diagonals)))[2]
-        for k, t in enumerate(range(first, trials, 6)):
-            rng = gens[t]
-            if t % 3 == 2:
-                public = identity_observable(dict(zip(("0", "1"), random_simplex(2, rng))), d)
-            else:
-                public = random_commutative_observable(d, 2 + t % 2, rng)
-            assert np.abs(a[k] - public.stack).max() <= 1e-15
-            one = vn_measured(vn_model_for_commutative(public, rng))[2]
-            assert np.abs(measured[k] - one.stack).max() <= 1e-14
-
-
-@pytest.mark.parametrize("weights", [[1.5, -0.5], [0.7, 0.4]])
-def test_batched_identity_observables_check_every_trials_weights(weights, eig_calls):
-    # cor-4.5's scalar groups check each trial's weights as identity_observable
-    # checks its own (check_weights, then the sum), with no eigensolve: a
-    # negative weight, or weights that do not sum to one, in a later trial raise.
-    trials = 13
-    draws = _groups("cor-4.5", trials)[2][1]
-    draws[0][1] = weights
-    eig_calls.calls.clear()
-    with pytest.raises(WeightError):
-        qinstr.verify._batch_cor_4_5(np.arange(2, trials, 6), *draws)
-    assert eig_calls.calls == []
-
-
-@pytest.mark.parametrize(
-    "result_id, fault, note",
-    [("cor-4.5", "not commutative", "measured observable not commutative"), ("thm-4.4", "not idempotent", None)],
-)
-def test_a_model_fault_in_a_batched_trial_fails_its_suite(monkeypatch, result_id, fault, note):
+def test_a_model_fault_in_a_batched_trial_fails_its_suite(monkeypatch):
     # The last trial of each shape group, a batched one and not the group's
-    # public trial, gets a faulty von Neumann closed form: for cor-4.5 the
-    # generic model's (its probe basis drawn per trial) measures two effects
-    # that do not commute (two of a random three-outcome observable's, as two
-    # effects that sum to the identity always commute); for thm-4.4
-    # the dephasing channel is scaled by 1 + 4e-9, which misses idempotence by
-    # more than 1e-9 while every distance stays within the 1e-8 tolerance.
-    vn = qinstr.verify._vn
+    # public trial, gets a faulty von Neumann closed form: the dephasing
+    # channel is scaled by 1 + 4e-9, which misses idempotence by more than
+    # 1e-9 while every distance stays within the 1e-8 tolerance.
+    vn_forms = qinstr.verify._vn_forms
 
     def broken(base, probe, f):
-        instr, channel, obs = vn(base, probe, f)
-        channel, obs = channel.copy(), obs.copy()
-        if fault == "not idempotent":
-            channel[-1] *= np.sqrt(1.0 + 4e-9)
-        elif probe.ndim == 3:
-            obs[-1] = random_observable(obs.shape[-1], 3, np.random.default_rng(0)).stack[:2]
+        kraus, channel, effects = vn_forms(base, probe, f)
+        channel = channel.copy()
+        channel[-1] *= np.sqrt(1.0 + 4e-9)
+        return kraus, channel, effects
+
+    monkeypatch.setattr(qinstr.verify, "_vn_forms", broken)
+    report = run_suite("thm-4.4", seed=7)
+    assert report.status == "fail"  # the idempotence bound, not the tolerance, fails the suite
+    assert report.max_residual <= report.tolerance and report.note == "channel idempotent within 1e-9"
+
+
+def test_a_model_fault_in_a_stacked_trial_fails_cor_4_5(monkeypatch):
+    # The last trial of each shape group's stack, not the group's public
+    # trial, gets a generic model (its probe basis drawn per trial) that
+    # measures two effects that do not commute: two of a random three-outcome
+    # observable's, past the sum check, as two effects that sum to the
+    # identity always commute.
+    measured = qinstr.verify.vn_measured
+
+    def broken(model):
+        instr, channel, obs = measured(model)
+        if model.probe_basis.ndim == 3:
+            stack = obs.stack.copy()
+            stack[-1] = random_observable(obs.dim, 3, np.random.default_rng(0)).stack[:2]
+            obs = Observable._checked(obs.labels, stack, None)
         return instr, channel, obs
 
-    monkeypatch.setattr(qinstr.verify, "_vn", broken)
-    report = run_suite(result_id, seed=7)
-    assert report.status == "fail"
-    if note is None:  # the idempotence bound, not the tolerance, fails the suite
-        assert report.max_residual <= report.tolerance and report.note == "channel idempotent within 1e-9"
-    else:
-        assert report.note == note
+    monkeypatch.setattr(qinstr.verify, "vn_measured", broken)
+    report = run_suite("cor-4.5", seed=7)
+    assert (report.status, report.note) == ("fail", "measured observable not commutative")
 
 
-@pytest.mark.parametrize("route", ["public", "batched"])
+@pytest.mark.parametrize("route", ["public", "stacked"])
 def test_an_eigenbasis_redraw_fails_cor_4_5(monkeypatch, route):
-    # The public route draws a rejected eigenbasis combination again; a
-    # batched trial replays the one combination its group's public trial drew.
-    # So a public trial that drew twice (its first draw rejected here), or a
-    # batched trial whose combination does not diagonalize (the last of each
-    # group rejected here), fails the suite: no basis is taken unchecked.
-    module = qinstr.models if route == "public" else qinstr.verify
-    eigenbasis, calls = module._eigenbasis, []
+    # The public route would draw a rejected eigenbasis combination again, but
+    # a stacked trial replays the one combination its group's public trial
+    # drew. So a public trial that drew twice (its first draw rejected here),
+    # or a stacked trial whose combination does not diagonalize (the last of
+    # each group rejected here), fails the suite: no basis is taken unchecked.
+    eigenbasis, calls = qinstr.models._eigenbasis, []
 
     def rejecting(stack, x):
         v, diagonals, diagonalizes = eigenbasis(stack, x)
         calls.append(x)
         if route == "public":
             return v, diagonals, diagonalizes and len(calls) > 1
-        return v, diagonals, np.arange(len(diagonalizes)) < len(diagonalizes) - 1
+        if diagonalizes.ndim:  # a stack: its last trial's combination rejected
+            diagonalizes = diagonalizes & (np.arange(diagonalizes.size) < diagonalizes.size - 1)
+        return v, diagonals, diagonalizes
 
-    monkeypatch.setattr(module, "_eigenbasis", rejecting)
+    monkeypatch.setattr(qinstr.models, "_eigenbasis", rejecting)
     report = run_suite("cor-4.5", seed=7)
     assert (report.status, report.note) == ("fail", "eigenbasis redrawn")
 
 
 @pytest.mark.parametrize(
-    "result_id, name, message",
-    [("thm-4.4", "_pairing_unitary", "interaction matrix is not unitary"), ("cor-4.5", "_eigenbasis", "bases must be unitary")],
+    "result_id, module, name, message",
+    [
+        ("thm-4.4", qinstr.verify, "_pairing_unitary", "interaction matrix is not unitary"),
+        ("cor-4.5", qinstr.models, "_eigenbasis", "bases must be unitary"),
+    ],
 )
-def test_a_non_unitary_matrix_in_a_batched_trial_is_refused(monkeypatch, result_id, name, message):
+def test_a_non_unitary_matrix_in_a_batched_trial_is_refused(monkeypatch, result_id, module, name, message):
     # Every trial's pairing unitary (thm-4.4) is tested as FIMM tests an
-    # interaction, and every trial's eigenbasis (cor-4.5) as VonNeumannModel
-    # tests its bases: the last trial of each group, a batched one, gets one
-    # scaled by 1 + 1e-7.
-    original = getattr(qinstr.verify, name)
+    # interaction, and every trial's eigenbasis (cor-4.5, a stacked
+    # VonNeumannModel) as VonNeumannModel tests its bases: the last trial of
+    # each group, a batched or stacked one, gets one scaled by 1 + 1e-7.
+    original = getattr(module, name)
 
     def broken(*args):
         out = original(*args)
         u = (out[0] if isinstance(out, tuple) else out).copy()
-        u[-1] *= 1.0 + 1e-7
+        if u.ndim == 3:
+            u[-1] *= 1.0 + 1e-7
         return (u, *out[1:]) if isinstance(out, tuple) else u
 
-    monkeypatch.setattr(qinstr.verify, name, broken)
+    monkeypatch.setattr(module, name, broken)
     with pytest.raises(NotIsometry, match=message):
         run_suite(result_id, seed=7)
 
