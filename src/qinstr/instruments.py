@@ -315,11 +315,13 @@ class Operation:
         return _effects(self._kraus)
 
     def apply(self, mat: object) -> Array:
-        """Linear action on a matrix (no state validation; see ``op_apply``)."""
-        m = as_matrix(mat)
-        if m.shape != (self.dim, self.dim):
+        """Linear action on a matrix (no state validation; see ``op_apply``), or on each of a ``(t, d, d)``
+        stack; a stack of operations acts trial by trial, on one matrix or a stack over the same trials."""
+        m = as_matrix(mat, stack=np.ndim(mat) == 3)
+        trials = {m.shape[:-2], self._kraus.shape[:-3]} - {()}
+        if m.shape[-2:] != (self.dim, self.dim) or len(trials) > 1:
             raise DimensionError(f"input shape {m.shape}, expected {(self.dim, self.dim)}")
-        return _sandwich(self._kraus, m)
+        return _sandwich(self._kraus, m[..., None, :, :])
 
     def kraus_ops(self) -> list[Array]:
         """Kraus operators: the given ones, or the canonical ones of the Choi

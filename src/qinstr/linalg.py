@@ -364,10 +364,11 @@ def matrices_close(a: object, b: object, tol: float) -> bool:
 
 
 def is_unitary(u: Array, tol: float = UNITARY_TOL) -> bool:
-    a = as_matrix(u)
-    if a.shape[0] != a.shape[1]:
+    """Whether ``||U^* U - 1||_F <= tol``, or whether it holds for every matrix of a ``(t, n, n)`` stack."""
+    a = as_matrix(u, stack=np.ndim(u) == 3)
+    if a.shape[-2] != a.shape[-1]:
         return False
-    return bool(_unitary_defects(a) <= tol)
+    return bool(largest(_unitary_defects(a)) <= tol)
 
 
 def _unitary_defects(u: Array) -> Array:

@@ -10,15 +10,14 @@ each forms its unitary only when something reads it.
 A model forms what it derives from its parts on first read (``FIMM``);
 ``model_instrument`` only reads its pointer's roots and its interaction on
 the probe state's support (``W``), which a dilation and a von Neumann model
-hold from construction, and of a dilation its slot map.
+hold from construction, and of a dilation its slot map.  A model built from a
+caller's probe state reads the state's root off its state check's one
+eigensolve (``_checked_probe``).
 
-The kernels of the von Neumann and swap forms take leading trial axes, so the
-catalog builds a batch of such models' instruments with the formulas the
-public functions use: ``_coupled`` (``W`` of couplings and a probe root),
-``_vn_w`` (a von Neumann model's closed-form ``W``), ``_pairing_unitary``,
-``_vn_forms`` (``vn_measured``'s Kraus, channel and effect closed forms) and
-``_measured_kraus`` (``model_instrument``'s general branch).  A von Neumann
-model of stacked bases and ``vn_model_for_commutative`` take a trial axis too.
+A ``FIMM`` of probe states or interaction unitaries stacked over a leading
+trial axis, ``trivial_fimm`` of stacked states, a von Neumann model of
+stacked bases and ``vn_model_for_commutative`` take a trial axis too, and so
+does ``model_instrument`` of such a model (its pointer stacked or not).
 
 The dilation path takes a stack of instruments over a leading trial axis
 itself: ``dilate_instrument`` of a stack is a stack of dilations with one
@@ -41,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .effects import ensure_state
+from .effects import _state_checks
 from .errors import (
     DimensionError,
     KindError,
@@ -53,8 +52,9 @@ from .errors import (
 from .instruments import Instrument, Operation, _assembled, _effects, _operators, _reduced, ensure_channel
 from .instruments import instr_post_process
 from .linalg import BASIS_TOL, DIAG_TOL, EIGENBASIS_ATTEMPTS, GRAM_FLOOR, LUDERS_TOL, MODEL_TOL, NORMAL_SUM_TOL, ORTHO_TOL
-from .linalg import Array, _phase_fix, _sandwich, _unitary_defects, as_matrix, complete_to_unitary, herm_eig
-from .linalg import hermitian_part, identity, is_unitary, largest, norms, rank, read_only, root_factors
+from .linalg import Array, _eig_columns, _eigh, _phase_fix, _psd_eig, _sandwich, _unitary_defects, as_matrix
+from .linalg import complete_to_unitary, ensure_hermitian, herm_eig, hermitian_part, identity, is_unitary, largest
+from .linalg import norms, rank, read_only, root_factors
 from .observables import Label, Observable, StochasticMatrix, _basis_projections, _projections, obs_commute
 
 
@@ -72,10 +72,13 @@ class FIMM:
     interaction channel on the composite space, and pointer observable.
 
     ``interaction`` is kept as given, a unitary matrix or an operation; the
-    model forms what it derives on first read: ``couplings``, its ``(c, n,
-    n)`` Kraus stack (``u[None]`` for a unitary ``u``); ``sharp``; the root
-    ``_probe_root`` of ``eta``; and ``_restricted``, ``W_c = U_c (1 (x)
-    R_eta)``, ``(c, d dk, d, rank eta)``.  The pointer holds its own roots
+    model keeps the root ``_probe_root`` of ``eta`` that its state check read
+    (one on a state by construction forms it on first read) and forms what it
+    derives on first read: ``couplings``, its ``(c, n, n)`` Kraus stack
+    (``u[None]`` for a unitary ``u``); ``sharp``; and ``_restricted``,
+    ``W_c = U_c (1 (x) R_eta)``, ``(c, d dk, d, rank eta)``.
+    Probe states or unitaries stacked over a trial axis give a stack of
+    models, each trial's checked.  The pointer holds its own roots
     (``Observable._root_columns``).  A dilation holds its polished isometry
     (``dilate_instrument``) as ``W``, its labels and ``_owner``, each probe
     slot's outcome, and forms the rest on read.  A von Neumann model is the
@@ -92,7 +95,8 @@ class FIMM:
         interaction: object,
         pointer: Observable,
     ):
-        self._set_parts(dim_base, dim_probe, ensure_state(probe_state), pointer)
+        eta, self._probe_root = _checked_probe(probe_state)
+        self._set_parts(dim_base, dim_probe, eta, pointer)
         n = self.dim_base * self.dim_probe
         if isinstance(interaction, Operation):
             if interaction.dim != n:
@@ -100,8 +104,8 @@ class FIMM:
             ensure_channel(interaction)
             self.interaction = interaction
         else:
-            u = as_matrix(interaction)
-            if u.shape != (n, n):
+            u = as_matrix(interaction, stack=np.ndim(interaction) == 3)
+            if u.shape[-2:] != (n, n) or len({u.shape[:-2], eta.shape[:-2]} - {()}) > 1:
                 raise DimensionError(f"interaction shape {u.shape}, expected {(n, n)}")
             if not is_unitary(u):
                 raise NotIsometry("interaction matrix is not unitary")
@@ -166,7 +170,7 @@ class FIMM:
 
     @cached_property
     def _probe_root(self) -> Array:
-        """``R_eta`` with ``eta = R_eta R_eta^*``."""
+        """``R_eta`` with ``eta = R_eta R_eta^*``, of a model on a state by construction (``_unitary``)."""
         return root_factors(self.probe_state[None])[0]
 
     @cached_property
@@ -191,6 +195,8 @@ class FIMM:
         self.probe_state = read_only(eta)
         if _checked_pointer(pointer).dim != self.dim_probe:
             raise DimensionError(f"pointer dim {pointer.dim}, expected {self.dim_probe}")
+        if len({eta.shape[:-2], pointer.stack.shape[:-3]} - {()}) > 1:
+            raise DimensionError(f"pointer trials {pointer.stack.shape[:-3]}, probe state trials {eta.shape[:-2]}")
         self.pointer, self._labels = pointer, pointer.labels
 
     def apply_interaction(self, mat: Array) -> Array:
@@ -202,6 +208,16 @@ class FIMM:
             f"{type(self).__name__}(dim_base={self.dim_base}, dim_probe={self.dim_probe}, "
             f"pointer_labels={list(self._labels)!r}, sharp={self.sharp})"
         )
+
+
+def _checked_probe(eta: object) -> tuple[Array, Array]:
+    """A probe state checked as ``ensure_state`` checks it, or each of a ``(t, d, d)`` stack, and its
+    root ``R_eta``, ``eta = R_eta R_eta^*``, from the check's one ``eigh``: the root columns any trial keeps."""
+    st = ensure_hermitian(eta, stack=np.ndim(eta) == 3)
+    w, v = _eigh(st)
+    _state_checks(st, w)
+    f, keep = _eig_columns(*_psd_eig(st, (w, v)))
+    return st, f[..., keep.reshape(-1, keep.shape[-1]).any(0)]
 
 
 def _coupled(couplings: Array, dim_base: int, root: Array) -> Array:
@@ -245,11 +261,12 @@ def model_instrument(m: FIMM) -> Instrument:
 def _measured_kraus(w: Array, f: Array) -> Array:
     """``model_instrument``'s operators of ``W``, ``(c, d dk, d, s)``, and the pointer's root
     columns ``f``, ``(m, dk, dk)``: ``[x, c, l, s]`` is ``K[a, i] = sum_k W_c[(a, k), i, s]
-    conj(f_x[k, l])``, ``(m, c, dk, s, d, d)``, or per trial of a batch with leading axes."""
+    conj(f_x[k, l])``, ``(m, c, dk, s, d, d)``, or per trial with leading axes on either or both."""
     lead, (c, n, d, s) = w.shape[:-4], w.shape[-4:]
     t = len(lead)
     q = w.reshape(*lead, c, d, n // d, d, s).transpose(*range(t), t, t + 4, t + 3, t + 1, t + 2)  # [c, s, i, a, k]
     kraus = q.reshape(*lead, 1, c, s, d * d, -1) @ f.conj()[..., :, None, None, :, :]  # F_x^T = conj(R_x) conj(R_x)^*
+    t = kraus.ndim - 5  # W's trial axes broadcast against the pointer's
     return kraus.reshape(*kraus.shape[:-2], d, d, -1).transpose(*range(t), t, t + 1, t + 5, t + 2, t + 4, t + 3)
 
 
@@ -278,12 +295,15 @@ def swap_unitary(d: int) -> Array:
 
 def trivial_fimm(eta: object, pointer: Observable) -> FIMM:
     """Swap-interaction model; it measures the instrument that discards the
-    input and prepares ``eta`` with probabilities read from ``pointer``."""
-    st = ensure_state(eta)
-    d = st.shape[0]
+    input and prepares ``eta`` with probabilities read from ``pointer``.  Of
+    a ``(t, d, d)`` stack of states, a stack of models."""
+    st, root = _checked_probe(eta)
+    d = st.shape[-1]
     if _checked_pointer(pointer).dim != d:
         raise DimensionError(f"pointer dim {pointer.dim}, state dim {d}")
-    return FIMM._unitary(d, d, st, swap_unitary(d), pointer)
+    m = FIMM._unitary(d, d, st, swap_unitary(d), pointer)
+    m._probe_root = root
+    return m
 
 
 def _checked_bases(base_basis: object, probe_basis: object) -> tuple[Array, Array]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -178,13 +178,23 @@ def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily)
     if not type(a) is type(b) is type(joint):
         raise KindError("families of mixed kinds: " + ", ".join(type(f).__name__.lower() for f in (a, b, joint)))
     _same_dim(a.dim, b.dim, joint.dim)
-    product = [combine_labels(x, y) for x in a.labels for y in b.labels]
-    if set(joint.labels) != set(product):
+    groups = _product_groups(a.labels, b.labels, joint.labels)
+    if groups is None:
         kind = type(joint).__name__.lower()
         raise LabelError(f"joint {kind} labels do not form the product value-space")
-    position = {x: k for k, x in enumerate(joint.labels)}
-    groups = np.array([position[x] for x in product]).reshape(len(a), len(b))
     return float(max(joint._distances(groups, a).max(), joint._distances(groups.T, b).max()))
+
+
+@lru_cache(maxsize=64)
+def _product_groups(a: tuple[Label, ...], b: tuple[Label, ...], joint: tuple[Label, ...]) -> Array | None:
+    """``marginal_defect``'s ``(len(a), len(b))`` index array, the position in ``joint`` of each product
+    label ``(x, y)``, or ``None`` when ``joint`` is not the product value-space; kept per label-tuple
+    triple, as building it costs more than the distances it indexes at catalog sizes."""
+    product = [combine_labels(x, y) for x in a for y in b]
+    if set(joint) != set(product):
+        return None
+    position = {x: k for k, x in enumerate(joint)}
+    return read_only(np.array([position[x] for x in product]).reshape(len(a), len(b)))
 
 
 class Observable(LabelledFamily):
@@ -348,14 +358,15 @@ def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
 
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
-    """Observable of measuring ``a`` first and ``b`` second, on product labels."""
-    products = seq_products(a.roots, b.stack).reshape(-1, a.dim, a.dim)
-    return Observable._valid([combine_labels(x, y) for x in a.labels for y in b.labels], products)
+    """Observable of measuring ``a`` first and ``b`` second, on product labels (of stacks, trial by trial)."""
+    products = seq_products(a.roots, b.stack)
+    labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
+    return Observable._valid(labels, products.reshape(*products.shape[:-4], -1, a.dim, a.dim))
 
 
 def obs_conditioned(a: Observable, b: Observable) -> Observable:
-    """Observable ``b`` conditioned by ``a``: outcome ``y`` is ``sum_x A_x o B_y``."""
-    return Observable._valid(b.labels, seq_products(a.roots, b.stack).sum(0))
+    """Observable ``b`` conditioned by ``a``: outcome ``y`` is ``sum_x A_x o B_y`` (of stacks, trial by trial)."""
+    return Observable._valid(b.labels, seq_products(a.roots, b.stack).sum(-4))
 
 
 def check_weights(weights: Sequence[float], count: int, trials: bool = False) -> np.ndarray:

@@ -20,20 +20,21 @@ and the kind of pair or observable where it varies).  A trial's public route
 is the one description of its draws: each group's first trial runs through the
 public functions, which record their Generator calls (``_Recorded``), and each
 later trial makes the same calls, in trial order (``_Run.groups``).  thm-2.1,
-thm-2.3, lem-2.6, ex-3, ex-5, ex-6, cor-3.3, lem-3.4, thm-4.1, lem-4.2,
-cor-4.3, cor-4.5, thm-4.6 and cor-4.7 then run that route on the group's draws
-stacked over its trials (``_Stacked``, which fails the suite if the route calls
-otherwise than the group recorded): the families, combinators, stochastic
-matrices, mixture weights and models they call take a leading trial axis (a
-group's dilations share one slot map, so one pointer), ``family_distance`` and
-``marginal_defect`` take the worst trial, and a flag holds when every trial's
-does.  cor-4.5's eigenbasis draw is a redraw loop, which a stack cannot
-replay, so its route allows one draw (``_FirstDraw``): a trial whose first
-combination does not diagonalize fails ("eigenbasis redrawn").  The others
-run one array program of the library's kernels per group (``_batch_*``; for
-thm-4.4 and thm-4.8, those of ``models`` with trial axes), which keeps the
-checks on computed objects (sums, roots, ``d^2`` cuts, ranges, witnesses,
-complementarity, unitarity) and checks the generators' own weights, states and
+thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4, ex-5, ex-6, cor-3.3, lem-3.4, thm-4.1,
+lem-4.2, cor-4.3, thm-4.4, cor-4.5, thm-4.6, cor-4.7 and thm-4.8 then run that
+route on the group's draws stacked over its trials (``_Stacked``, which fails
+the suite if the route calls otherwise than the group recorded): the families,
+combinators, stochastic matrices, mixture weights, models and operations they
+call take a leading trial axis (a group's dilations share one slot map, so one
+pointer), ``family_distance`` and ``marginal_defect`` take the worst trial, and
+a flag holds when every trial's does.  cor-4.5's eigenbasis draw is a redraw
+loop, which a stack cannot replay, so its route allows one draw
+(``_FirstDraw``): a trial whose first combination does not diagonalize fails
+("eigenbasis redrawn").  The others (lem-1.1, the complementarity pair of
+lem-2.4 and cor-2.5, ex-7, ex-8, lem-3.1 and the conj-2.5-converse probe) run
+one array program of the library's kernels per group (``_batch_*``), which
+keeps the checks on computed objects (sums, roots, ``d^2`` cuts, ranges,
+witnesses, complementarity) and checks the generators' own weights, states and
 bases in the first trial only (``rand`` builds them valid).  A group's values
 enter the run as residuals, or through the suite's ``fold`` (cor-2.5 and the
 probe count their complementary pairs; lem-2.6, lem-4.2, thm-4.1 and cor-4.3
@@ -64,18 +65,15 @@ from .effects import (
     seq_product,
     seq_products,
 )
-from .errors import InvalidWitness, NotIsometry, QinstrError
+from .errors import InvalidWitness, QinstrError
 from .instruments import (
     Instrument,
     Operation,
-    _channels,
     _checked_sum,
     _effects,
     _entrywise_complementary,
-    _mixed,
     _prepared,
     _reduced,
-    _then,
     choi_distances,
     compose_operations,
     identity_instrument,
@@ -96,7 +94,7 @@ from .instruments import (
     minimal_kraus,
     trivial_instrument,
 )
-from .linalg import CHOI_TOL, MODEL_TOL, UNITARY_TOL, _sandwich, _unitary_defects, frob, herm_sqrt
+from .linalg import CHOI_TOL, MODEL_TOL, _sandwich, frob, herm_sqrt
 from .linalg import _from_eig, _psd_eig, hermitian_part, identity, norms, root_columns, spectral_norm
 from .models import (
     FIMM,
@@ -107,19 +105,16 @@ from .models import (
     model_instrument,
     normal_fimm_kraus_extract,
     simultaneous_fimms,
-    swap_unitary,
     trivial_fimm,
     vn_measured,
     vn_model_for_commutative,
     von_neumann_unitary,
 )
-from .models import _coupled, _measured_kraus, _pairing_unitary, _vn_forms, _vn_w
 from .observables import (
     Observable,
     StochasticMatrix,
     _basis_projections,
     _checked_effects,
-    _combined,
     _defects,
     _frobenius_complementary,
     _pair_traces,
@@ -288,7 +283,7 @@ def _worst(a: np.ndarray, b: np.ndarray) -> float:
 
 def _worst_choi(k: np.ndarray, l: np.ndarray) -> float:
     """Largest Choi-form distance between matching outcomes of two batches of padded Kraus arrays, ``(t, m, r, d, d)``
-    (or with the outcomes on more axes, ``(t, m, n, r, d, d)``)."""
+    (or with the outcomes on more axes, ``(t, m, n, r, d, d)``, or on none: operations, ``(t, r, d, d)``)."""
     return float(choi_distances(k.reshape(-1, *k.shape[-3:]), l.reshape(-1, *l.shape[-3:])).max())
 
 
@@ -418,12 +413,6 @@ def _public_thm_2_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return (family_distance(a_mix, obs_convex_combo(weights, [induced_observable(p) for p in parts])),)
 
 
-def _batch_thm_2_2(t: np.ndarray, weights: np.ndarray, *raw: np.ndarray) -> tuple[float, ...]:
-    parts, effects = _checked(_whitened_kraus(np.stack(raw, axis=1)))
-    a_mix = _valid_stack(_assembled_batch(_mixed(weights, parts.swapaxes(0, 1)))[1])
-    return (_worst(a_mix, _valid_stack(_combined(weights[:, None], _valid_stack(effects))[:, 0])),)
-
-
 def _public_thm_2_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     n = 2 + t % 2
     instr = random_instrument(d, n, rng)
@@ -491,14 +480,6 @@ def _public_lem_3_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     composed = compose_operations(instr_channel(j), instr_channel(i))
     p, c, k = prod_hat._kraus, cond_hat._kraus, composed._kraus
     return (float(choi_distances([p, p, c], [c, k, k]).max()),)
-
-
-def _products(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """``instr_product`` of each trial's two full ``(t, m, r, d, d)`` arrays: ``instruments._then``,
-    then ``_assembled_batch``; its Kraus array."""
-    (m, r), (n, s) = first.shape[1:3], second.shape[1:3]
-    ops = _then(first, np.full(m, r), second, np.full(n, s))[0]
-    return _assembled_batch(ops.reshape(len(ops), m * n, r * s, *ops.shape[-2:]))[0]
 
 
 class _Batched(NamedTuple):
@@ -695,14 +676,6 @@ def _public_ex_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     lhs = induced_observable(instr_product(luders_instrument(a), luders_instrument(b)))
     cond = induced_observable(instr_conditioned(luders_instrument(a), luders_instrument(b)))
     return family_distance(lhs, obs_seq_product(a, b)), family_distance(cond, obs_conditioned(a, b))
-
-
-def _batch_ex_4(t: np.ndarray, ga: np.ndarray, gb: np.ndarray) -> tuple[float, ...]:
-    a, b = (_valid_stack(_whitened_effects(g)) for g in (ga, gb))
-    roots, j = _roots(a), _luders(b)[0]
-    i, products = _checked(roots[..., None, :, :])[0], seq_products(roots, b)
-    lhs, cond = (_valid_stack(_effects(_products(x, j))) for x in (i, _channels(i)[0]))
-    return _worst(lhs, _valid_stack(products.reshape(lhs.shape))), _worst(cond, _valid_stack(products.sum(1)))
 
 
 def _suite_ex_4(run: _Run) -> None:
@@ -926,13 +899,6 @@ def _public_cor_4_3(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return marginal_defect(a, b, measured_c), family_distance(obs1, a), family_distance(obs2, b)
 
 
-def _measured(w: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``model_instrument``'s general branch per trial of a batch of ``W`` ``(t, c, d dk, d, s)`` and pointer root
-    columns ``f``: the operators of every column (those of a column not kept are zero), then ``_assembled_batch``."""
-    kraus = _measured_kraus(w, f)
-    return _assembled_batch(kraus.reshape(*kraus.shape[:2], -1, *kraus.shape[-2:]))
-
-
 def _public_thm_4_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Closed forms of the basis-pairing model (instrument, dephasing
     channel, measured observable) match the partial-trace definition, both
@@ -945,30 +911,12 @@ def _public_thm_4_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     public = model_instrument(FIMM(d, d, model.probe_state, unitary, model.pointer))
     once = channel.apply(random_state(d, rng))
     gaps = family_distance(instr, direct), family_distance(instr, public), family_distance(obs, induced_observable(direct))
-    channel_gap = choi_distances([instr_channel(direct)._kraus], [channel._kraus])[0]
-    return *gaps, channel_gap, frob(channel.apply(once) - once)
-
-
-def _batch_thm_4_4(t: np.ndarray, gb: np.ndarray, gp: np.ndarray, g: np.ndarray, gr: np.ndarray) -> tuple[float, ...]:
-    base, probe, d = _unitaries(gb), _unitaries(gp), gb.shape[-1]
-    eta = hermitian_part(probe[:, :, :1] @ probe[:, :, :1].conj().swapaxes(1, 2))  # the FIMM's probe state
-    f = _columns(np.concatenate([_valid_stack(_whitened_effects(g)), eta[:, None]], 1))  # the pointer's roots, eta's
-    kraus, channel, effects = _vn_forms(base, probe, f[:, :-1])  # vn_measured's closed forms
-    instr, obs = _assembled_batch(kraus)[0], _valid_stack(effects)
-    direct, effects = _measured(_vn_w(base, probe)[:, None, :, :, None], f[:, :-1])
-    u = _pairing_unitary(base, probe)
-    if not _unitary_defects(u).max() <= UNITARY_TOL:
-        raise NotIsometry("interaction matrix is not unitary")  # as FIMM checks it
-    public = _measured(_coupled(u[:, None], d, f[:, -1]), f[:, :-1])[0]
-    once = _sandwich(channel, _states(gr)[:, None])
-    gaps = _worst_choi(instr, direct), _worst_choi(instr, public), _worst(obs, _valid_stack(effects))
-    channel_gap = float(choi_distances(_channels(direct)[0][:, 0], channel).max())
-    return *gaps, channel_gap, _worst(_sandwich(channel, once[:, None]), once)
+    return *gaps, _worst_choi(instr_channel(direct)._kraus, channel._kraus), _worst(channel.apply(once), once)
 
 
 def _fold_thm_4_4(run: _Run, *values: float) -> None:
-    """The public trial's five values, then the batch's: each a residual, and the last of each five, the
-    channel's idempotence defect, also within 1e-9."""
+    """The public trial's five values, then the stacked route's (the group's worst): each a residual, and the
+    last of each five, the channel's idempotence defect, also within 1e-9."""
     run.residual(*values)
     run.residual(*values[4::5], bound=1e-9)
     run.note = "channel idempotent within 1e-9"
@@ -1058,18 +1006,6 @@ def _public_thm_4_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return measured, family_distance(model_instrument(trivial_fimm(alpha, a)), trivial_instrument(a, alpha))
 
 
-def _swapped(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``model_instrument(trivial_fimm(state, pointer))`` per trial of a batch of pointer effects and probe
-    states: one ``root_columns`` call over each trial's effects and state, the swap's ``W``; its Kraus array."""
-    f, d = _columns(np.concatenate([effects, states[:, None]], 1)), states.shape[-1]
-    return _measured(_coupled(swap_unitary(d)[None], d, f[:, -1]), f[:, :-1])[0]
-
-
-def _batch_thm_4_8(t: np.ndarray, g: np.ndarray, gp: np.ndarray, ga: np.ndarray, gs: np.ndarray) -> tuple[float, ...]:
-    pairs = (_valid_stack(_whitened_effects(gp)), _states(g)), (_valid_stack(_whitened_effects(ga)), _states(gs))
-    return tuple(_worst_choi(_swapped(a, alpha), _trivial(a, alpha)[0]) for a, alpha in pairs)
-
-
 def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bool]:
     """A pair by its kind ``t % 2``: the atomic observables of a randomly
     rotated mutually unbiased pair (0), or the identity pair (1; the rotation
@@ -1139,14 +1075,14 @@ SUITES: dict[str, _Suite] = {
     "lem-1.1": _Suite(None, 50, 1e-8, batched=_Batched(3, (2, 3, 4), _public_lem_1_1, _batch_lem_1_1)),
     "lem-1.2": _Suite(_suite_lem_1_2, 6, 1e-9, fixed=True),
     "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9, batched=_Batched(3, (2, 3, 4), _public_thm_2_1)),
-    "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_2, _batch_thm_2_2)),
+    "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_2)),
     "thm-2.3": _Suite(_suite_thm_2_3, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_3)),
     "lem-2.4": _Suite(None, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_lem_2_4)),
     "cor-2.5": _Suite(_suite_cor_2_5, 50, 0.0, batched=_Batched(*_COMPLEMENTARY, _fold_cor_2_5)),
     "lem-2.6": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_2_6, fold=_fold_lem_2_6)),
     "ex-2": _Suite(_suite_ex_2, 1, 0.0, fixed=True),
     "ex-3": _Suite(_suite_ex_3, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_3)),
-    "ex-4": _Suite(_suite_ex_4, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_4, _batch_ex_4)),
+    "ex-4": _Suite(_suite_ex_4, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_4)),
     "ex-5": _Suite(None, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_5)),
     "ex-6": _Suite(_suite_ex_6, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_6)),
     "ex-7": _Suite(_suite_ex_7, 20, 1e-10, batched=_Batched(2, (2, 3), _public_ex_7, _batch_ex_7)),
@@ -1158,11 +1094,11 @@ SUITES: dict[str, _Suite] = {
     "thm-4.1": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_thm_4_1, fold=_fold_thm_4_1)),
     "lem-4.2": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_lem_4_2, fold=_fold_lem_4_2)),
     "cor-4.3": _Suite(None, 5, 1e-7, batched=_Batched(1, (2,), _public_cor_4_3, fold=_fold_cor_4_3)),
-    "thm-4.4": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_4, _batch_thm_4_4, _fold_thm_4_4)),
+    "thm-4.4": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_4, fold=_fold_thm_4_4)),
     "cor-4.5": _Suite(None, 20, 1e-8, batched=_Batched(6, (2, 3), _public_cor_4_5)),
     "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_6)),
     "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8, batched=_Batched(2, (2, 3), _public_cor_4_7)),
-    "thm-4.8": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_8, _batch_thm_4_8)),
+    "thm-4.8": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_8)),
     "conj-2.5-converse": _Suite(
         None, 40, None, batched=_Batched(6, (2, 3, 4), _public_conj_2_5, _batch_conj_2_5, _fold_conj_2_5)
     ),

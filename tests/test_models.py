@@ -904,11 +904,14 @@ class TestDilationCompletedOnRead:
             dilate_instrument(instr)
 
     def test_restriction_is_formed_once_and_kept(self, rng, eig_calls):
-        m = random_fimm(2, 3, 4, rng)
+        eta, u, pointer = random_state(3, rng), random_unitary(6, rng), random_observable(3, 4, rng)  # random_fimm's
+        eig_calls.calls.clear()
+        m = FIMM(2, 3, eta, u, pointer)
+        assert eig_calls.calls == [(3, 1)]  # the probe state's check, whose spectrum gives its root
         assert "_restricted" not in vars(m)
         eig_calls.calls.clear()
         first = model_instrument(m)
-        assert eig_calls.calls == [(3, 4), (3, 1)]  # every pointer effect, then the probe state as the model forms W
+        assert eig_calls.calls == [(3, 4)]  # every pointer effect; W is formed from the kept probe root
         eig_calls.calls.clear()
         again = model_instrument(m)
         assert eig_calls.calls == []  # the pointer's roots and W are kept
@@ -1027,10 +1030,13 @@ class TestKnownPointerRoots:
 class TestModelEigensolveCounts:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_model_instrument_one_batched_root_call(self, m, rng, eig_calls):
-        model = random_fimm(2, 3, m, rng)
+        eta, u, pointer = random_state(3, rng), random_unitary(6, rng), random_observable(3, m, rng)  # random_fimm's
+        eig_calls.calls.clear()
+        model = FIMM(2, 3, eta, u, pointer)
+        assert eig_calls.calls == [(3, 1)]  # the probe state's check, whose spectrum gives its root
         eig_calls.calls.clear()
         model_instrument(model)
-        assert eig_calls.calls == [(3, m), (3, 1)]  # every pointer effect, then the probe state as the model forms W
+        assert eig_calls.calls == [(3, m)]  # every pointer effect; W is formed from the kept probe root
         eig_calls.calls.clear()
         model_instrument(model)
         assert eig_calls.calls == []  # the pointer's roots and W are kept

@@ -3,10 +3,11 @@
 A generator whose calls return each trial's draw of the same call, stacked,
 gives a stack of families; every public call on such a stack must equal its
 calls on the trials one by one, and a check on a stack holds when it holds for
-every trial.  The catalog runs thm-2.1, thm-2.3, lem-2.6, ex-3, ex-5, ex-6,
-cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, cor-4.5, thm-4.6 and cor-4.7 this
-way (``verify._Stacked``); these tests replace the checks that their array
-programs built what the public functions build.
+every trial.  The catalog runs thm-2.1, thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4,
+ex-5, ex-6, cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, thm-4.4, cor-4.5,
+thm-4.6, cor-4.7 and thm-4.8 this way (``verify._Stacked``); these tests
+replace the checks that their array programs built what the public functions
+build.
 """
 
 import numpy as np
@@ -30,11 +31,12 @@ from qinstr.instruments import (
     luders_instrument,
     trivial_instrument,
 )
-from qinstr.models import VonNeumannModel, dilate_instrument, luders_positivity_check, marginal_instruments
-from qinstr.models import model_instrument, normal_fimm_kraus_extract, simultaneous_fimms, vn_measured
+from qinstr.models import FIMM, VonNeumannModel, dilate_instrument, luders_positivity_check, marginal_instruments
+from qinstr.models import model_instrument, normal_fimm_kraus_extract, simultaneous_fimms, trivial_fimm, vn_measured
 from qinstr.models import vn_model_for_commutative, von_neumann_unitary
 from qinstr.observables import Observable, StochasticMatrix, atomic_observable, classify_observable, combine_labels
-from qinstr.observables import family_distance, identity_observable, obs_commute, obs_convex_combo, obs_post_process
+from qinstr.observables import family_distance, identity_observable, obs_commute, obs_conditioned, obs_convex_combo
+from qinstr.observables import obs_post_process, obs_seq_product
 from qinstr.rand import random_commutative_observable, random_instrument, random_kraus_instrument, random_observable
 from qinstr.rand import random_simplex, random_state, random_stochastic, random_unitary
 from qinstr.verify import _product_pointer_model
@@ -89,6 +91,28 @@ def test_stacked_products_and_conditionings_are_the_per_trial_ones(d):
     ones = per_trial(lambda rng: (random_kraus_instrument(d, 2, rng), random_kraus_instrument(d, 2, rng)))
     assert_same_maps(instr_product(i, j), [instr_product(*pair) for pair in ones], d)
     assert_same_maps(instr_conditioned(i, j), [instr_conditioned(*pair) for pair in ones], d)
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (3, 2), (3, 3)])
+def test_stacked_sequential_products_of_observables_are_the_per_trial_ones(d, m):
+    # ex-4: obs_seq_product and obs_conditioned of stacked observables, and
+    # the product and the conditioned instrument of their measurement-update
+    # instruments, which induce them.
+    def build(rng):
+        return random_observable(d, m, rng), random_observable(d, 2, rng)
+
+    (a, b), ones = build(StackedDraws()), per_trial(build)
+    product, conditioned = obs_seq_product(a, b), obs_conditioned(a, b)
+    assert product.labels == obs_seq_product(*ones[0]).labels and product.stack.shape == (len(SEEDS), 2 * m, d, d)
+    for k, pair in enumerate(ones):
+        assert np.abs(product.stack[k] - obs_seq_product(*pair).stack).max() <= 1e-15
+        assert np.abs(conditioned.stack[k] - obs_conditioned(*pair).stack).max() <= 1e-15
+    i, j = luders_instrument(a), luders_instrument(b)
+    updates = [(luders_instrument(x), luders_instrument(y)) for x, y in ones]
+    assert_same_maps(instr_product(i, j), [instr_product(*pair) for pair in updates], d)
+    assert_same_maps(instr_conditioned(i, j), [instr_conditioned(*pair) for pair in updates], d)
+    assert family_distance(induced_observable(instr_product(i, j)), product) <= 1e-14
+    assert family_distance(induced_observable(instr_conditioned(i, j)), conditioned) <= 1e-14
 
 
 @pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -420,3 +444,95 @@ def test_a_stacked_dilation_has_no_one_interaction_unitary():
     u = one.interaction
     assert np.abs(u.conj().T @ u - np.eye(16)).max() <= 1e-12
     assert np.abs(u[:, ::8] - one._restricted[0, :, :, 0]).max() == 0.0
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (3, 2), (3, 3)])
+def test_stacked_von_neumann_models_and_their_public_fimms_are_the_per_trial_ones(d, m):
+    # thm-4.4: vn_measured and model_instrument of stacked von Neumann models,
+    # model_instrument of the public FIMM of each trial's probe state, pairing
+    # unitary and pointer, and the dephasing channels applied to stacked states.
+    def build(rng):
+        model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, m, rng))
+        unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
+        return model, FIMM(d, d, model.probe_state, unitary, model.pointer), random_state(d, rng)
+
+    (model, public, rho), ones = build(StackedDraws()), per_trial(build)
+    instr, channel, obs = vn_measured(model)
+    singles = [vn_measured(one) for one, _, _ in ones]
+    assert_same_maps(instr, [one[0] for one in singles], d)
+    assert_same_maps(channel, [one[1] for one in singles], d)
+    assert all(np.abs(obs.stack[k] - one[2].stack).max() <= 1e-14 for k, one in enumerate(singles))
+    assert_same_maps(model_instrument(model), [model_instrument(one) for one, _, _ in ones], d)
+    assert_same_maps(model_instrument(public), [model_instrument(one) for _, one, _ in ones], d)
+    once, fixed = channel.apply(rho), channel.apply(rho[0])
+    for k, (_, _, r) in enumerate(ones):
+        assert np.abs(once[k] - singles[k][1].apply(r)).max() <= 1e-15
+        assert np.abs(fixed[k] - singles[k][1].apply(rho[0])).max() <= 1e-15
+    with pytest.raises(DimensionError, match="input shape"):
+        channel.apply(rho[:2])
+
+
+def test_a_stacked_fimm_checks_every_trials_state_and_unitary():
+    # Each trial's probe state and interaction unitary are checked as FIMM
+    # checks one (the unitary within UNITARY_TOL), and stacked states,
+    # unitaries and pointers must share one trial axis.
+    pointer = random_observable(2, 2, np.random.default_rng(0))
+    states, unitaries = random_state(2, StackedDraws()), random_unitary(4, StackedDraws())
+    assert FIMM(2, 2, states, unitaries, pointer).couplings.shape == (len(SEEDS), 1, 4, 4)
+    skewed, halved = unitaries.copy(), states.copy()
+    skewed[-1] *= 1.0 + 1e-7
+    halved[-1] *= 0.5
+    with pytest.raises(NotIsometry, match="not unitary"):
+        FIMM(2, 2, states, skewed, pointer)
+    with pytest.raises(InvariantViolation, match="trace-one"):
+        FIMM(2, 2, halved, unitaries, pointer)
+    with pytest.raises(InvariantViolation, match="trace-one"):
+        trivial_fimm(halved, pointer)
+    with pytest.raises(DimensionError, match="interaction shape"):
+        FIMM(2, 2, states, unitaries[:2], pointer)
+    pointers = random_observable(2, 2, StackedDraws(SEEDS[:2]))
+    for build in (lambda: FIMM(2, 2, states, unitaries, pointers), lambda: trivial_fimm(states, pointers)):
+        with pytest.raises(DimensionError, match="pointer trials"):
+            build()
+
+
+def test_a_stacked_probe_state_keeps_the_root_columns_any_trial_keeps():
+    # A pure probe state in one trial and a full-rank one in another: the
+    # stack's probe root keeps each column that some trial keeps (zero in
+    # the others), and each trial measures its own instrument.
+    rng = np.random.default_rng(3)
+    v = random_unitary(3, rng)[:, 0]
+    states = np.stack([np.outer(v, v.conj()), random_state(3, rng)])
+    u, pointer = random_unitary(6, rng), random_observable(3, 2, rng)
+    stacked, ones = FIMM(2, 3, states, u, pointer), [FIMM(2, 3, s, u, pointer) for s in states]
+    assert [one._probe_root.shape for one in ones] == [(3, 1), (3, 3)] and stacked._probe_root.shape == (2, 3, 3)
+    assert_same_maps(model_instrument(stacked), [model_instrument(one) for one in ones], 2)
+
+
+@pytest.mark.parametrize("d, m", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_stacked_swap_models_are_the_per_trial_ones(d, m):
+    # thm-4.8: trivial_fimm of stacked states and pointers measures each
+    # trial's state preparation, as each trial's own swap model does.
+    def build(rng):
+        eta, pointer = random_state(d, rng), random_observable(d, m, rng)
+        return trivial_fimm(eta, pointer), trivial_instrument(pointer, eta)
+
+    (model, prepared), ones = build(StackedDraws()), per_trial(build)
+    measured = model_instrument(model)
+    assert_same_maps(measured, [model_instrument(one) for one, _ in ones], d)
+    assert_same_maps(measured, [one for _, one in ones], d)
+    assert family_distance(measured, prepared) <= 1e-14
+
+
+def test_a_von_neumann_model_of_one_basis_pair_measures_a_stacked_pointer():
+    # One pair of bases and a pointer stacked over trials: model_instrument's
+    # general branch measures each trial's instrument, the one vn_measured
+    # gives in closed form.
+    rng = np.random.default_rng(0)
+    base, probe = random_unitary(2, rng), random_unitary(2, rng)
+    pointer = random_observable(2, 2, StackedDraws())
+    model = VonNeumannModel(base, probe, pointer)
+    ones = [VonNeumannModel(base, probe, one) for one in per_trial(lambda r: random_observable(2, 2, r))]
+    measured, closed = model_instrument(model), vn_measured(model)[0]
+    assert_same_maps(measured, [vn_measured(one)[0] for one in ones], 2)
+    assert all(choi_distances(measured.kraus[k], closed.kraus[k]).max() <= 1e-14 for k in range(len(SEEDS)))

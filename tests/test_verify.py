@@ -11,21 +11,16 @@ from qinstr.effects import ensure_effects, seq_products
 from qinstr.errors import NotIsometry, NotNormal, QinstrError
 from qinstr.instruments import (
     Instrument,
-    _channel_kraus,
-    _effects,
-    choi_distances,
     joint_probability_instr,
     joint_probability_table_instr,
     luders_instrument,
     trivial_instrument,
 )
 from qinstr.linalg import _sandwich, hermitian_part
-from qinstr.models import FIMM, VonNeumannModel, _coupled, _pairing_unitary, _vn_forms, _vn_w, model_instrument
-from qinstr.models import trivial_fimm, vn_measured, von_neumann_unitary
 from qinstr.observables import Observable, _pair_traces, _probability_table, _set_probabilities, _valid_stack
-from qinstr.observables import joint_probability_table, obs_conditioned, obs_seq_product
+from qinstr.observables import joint_probability_table
 from qinstr.rand import _commuting_effects, _states, _unitaries, _whitened_effects
-from qinstr.rand import random_commuting_effect_pair, random_observable, random_state, random_unitary
+from qinstr.rand import random_commuting_effect_pair, random_observable, random_state
 from qinstr.verify import SUITES, _Batched, _Recorded, _rng, _Run, _Stacked, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
@@ -201,6 +196,7 @@ _BUDGETS = [
     ("lem-1.1", 21), ("lem-2.4", 153), ("cor-2.5", 153), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36),
     ("lem-4.2", 16), ("ex-6", 23), ("thm-4.4", 12), ("cor-4.5", 56), ("thm-4.8", 32), ("conj-2.5-converse", 66),
     ("cor-3.3", 0), ("thm-4.1", 4), ("cor-4.3", 6), ("thm-4.6", 16), ("cor-4.7", 18), ("lem-2.6", 8), ("ex-7", 23),
+    ("thm-2.1", 18), ("ex-3", 11), ("ex-5", 4), ("thm-2.2", 40), ("ex-4", 32),
 ]
 
 
@@ -210,6 +206,12 @@ def test_eigensolve_budget(result_id, solves, eig_calls):
     # re-run on an object that was already validated raises the count.
     run_suite(result_id, seed=7)
     assert len(eig_calls.calls) == solves
+
+
+def test_every_batched_suite_has_an_eigensolve_budget():
+    # A suite that runs its trials by shape group (a stacked route or an array
+    # program) has an exact budget row, so a later conversion cannot drop out.
+    assert sorted(k for k, suite in SUITES.items() if suite.batched) == sorted(k for k, _ in _BUDGETS)
 
 
 @pytest.mark.parametrize("result_id", sorted(k for k, suite in SUITES.items() if suite.batched and suite.batched.batch))
@@ -310,8 +312,8 @@ STACKED = sorted(result_id for result_id in BATCHED if SUITES[result_id].batched
 
 def test_the_stacked_suites_are_those_whose_public_route_takes_a_stack():
     assert STACKED == [
-        "cor-3.3", "cor-4.3", "cor-4.5", "cor-4.7", "ex-3", "ex-5", "ex-6", "lem-2.6", "lem-3.4", "lem-4.2", "thm-2.1",
-        "thm-2.3", "thm-4.1", "thm-4.6",
+        "cor-3.3", "cor-4.3", "cor-4.5", "cor-4.7", "ex-3", "ex-4", "ex-5", "ex-6", "lem-2.6", "lem-3.4", "lem-4.2",
+        "thm-2.1", "thm-2.2", "thm-2.3", "thm-4.1", "thm-4.4", "thm-4.6", "thm-4.8",
     ]
 
 
@@ -376,7 +378,7 @@ def test_a_stacked_route_that_draws_otherwise_than_its_public_trial_fails(monkey
 
 
 def test_verify_describes_no_more_suites_twice():
-    # At most 10 array programs (`_batch_*`) and 32 private library imports
+    # At most 6 array programs (`_batch_*`) and 22 private library imports
     # are left in verify.py, counted as CI's base-branch comparison counts
     # them: a change may lower either count, never raise it.
     with open(qinstr.verify.__file__) as f:
@@ -384,7 +386,7 @@ def test_verify_describes_no_more_suites_twice():
     imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level]
     private = [a for n in imports for a in n.names if a.name.startswith("_")]
     batch = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_batch_")]
-    assert len(batch) <= 10 and len(private) <= 32
+    assert len(batch) <= 6 and len(private) <= 22
 
 
 def test_batched_probabilities_are_the_public_ones():
@@ -494,22 +496,6 @@ def test_batched_complementarity_decisions_are_the_public_ones():
             assert tuple(decided) == spec.public(gens[t[i]], t[i], 2 + t[i] % 3)
 
 
-def test_batched_luders_products_are_the_public_ones():
-    # ex-4's array program builds, trial by trial, the effects of the product
-    # and of the conditioned measurement-update instruments, which equal
-    # obs_seq_product and obs_conditioned of the public observables.
-    trials, gens = 13, _trial_generators("ex-4", 13)
-    for first, (_, _, (ga, gb)) in enumerate(_groups("ex-4", trials)):
-        d = 2 + first % 2
-        i, j = (qinstr.verify._luders(_valid_stack(_whitened_effects(x)))[0] for x in (ga, gb))
-        products = qinstr.verify._products
-        product, conditioned = (_effects(products(x, j)) for x in (i, _channel_kraus(i)[0]))
-        for k, t in enumerate(range(first, trials, 2)):
-            a, b = random_observable(d, 2, gens[t]), random_observable(d, 2, gens[t])
-            assert np.abs(product[k] - obs_seq_product(a, b).stack).max() <= 1e-14
-            assert np.abs(conditioned[k] - obs_conditioned(a, b).stack).max() <= 1e-14
-
-
 def test_batched_prepared_probabilities_are_the_public_ones():
     # ex-7's array program builds, trial by trial, the probability of the first
     # outcome of a state preparation and then the second of another that
@@ -564,66 +550,21 @@ def test_a_marginal_defect_in_a_stacked_trial_fails_its_suite(monkeypatch, resul
     assert (report.status, report.note) == ("fail", note)
 
 
-def test_batched_von_neumann_instruments_are_the_public_ones():
-    # thm-4.4's array program builds, trial by trial, the instrument, channel
-    # and observable that vn_measured builds, the instrument model_instrument
-    # measures on the model, and the one it measures on a public FIMM of the
-    # pairing unitary, each outcome cut to at most d^2 operators.
-    trials, gens, v = 13, _trial_generators("thm-4.4", 13), qinstr.verify
-    for first, (_, _, (gb, gp, g, _)) in enumerate(_groups("thm-4.4", trials)):
-        d = 2 + first % 2
-        base, probe = _unitaries(gb), _unitaries(gp)
-        eta = hermitian_part(probe[:, :, :1] @ probe[:, :, :1].conj().swapaxes(1, 2))
-        f = v._columns(np.concatenate([_valid_stack(_whitened_effects(g)), eta[:, None]], 1))
-        kraus, channel, effects = _vn_forms(base, probe, f[:, :-1])
-        instr, obs = v._assembled_batch(kraus)[0], _valid_stack(effects)
-        direct = v._measured(_vn_w(base, probe)[:, None, :, :, None], f[:, :-1])[0]
-        public = v._measured(_coupled(_pairing_unitary(base, probe)[:, None], d, f[:, -1]), f[:, :-1])[0]
-        for k, t in enumerate(range(first, trials, 2)):
-            rng = gens[t]
-            model = VonNeumannModel(random_unitary(d, rng), random_unitary(d, rng), random_observable(d, 2, rng))
-            one_instr, one_channel, one_obs = vn_measured(model)
-            unitary = von_neumann_unitary(model.base_basis, model.probe_basis)
-            one_public = model_instrument(FIMM(d, d, model.probe_state, unitary, model.pointer))
-            for batch, one in ((instr, one_instr), (direct, model_instrument(model)), (public, one_public)):
-                assert choi_distances(batch[k], one.kraus).max() <= 1e-14
-                assert len(batch[k][0]) <= d * d
-            assert choi_distances([channel[k]], [one_channel._kraus])[0] <= 1e-14
-            assert np.abs(obs[k] - one_obs.stack).max() <= 1e-14
-
-
-def test_batched_swap_model_instruments_are_the_public_ones():
-    # thm-4.8's array program builds, trial by trial, the instruments that
-    # model_instrument measures on the two swap models of trivial_fimm.
-    trials, gens = 13, _trial_generators("thm-4.8", 13)
-    for first, (_, _, (g, gp, ga, galpha)) in enumerate(_groups("thm-4.8", trials)):
-        d = 2 + first % 2
-        swapped = [
-            qinstr.verify._swapped(_valid_stack(_whitened_effects(x)), _states(y)) for x, y in ((gp, g), (ga, galpha))
-        ]
-        for k, t in enumerate(range(first, trials, 2)):
-            rng = gens[t]
-            eta, pointer = random_state(d, rng), random_observable(d, 2 + t % 2, rng)
-            a, alpha = random_observable(d, 2, rng), random_state(d, rng)
-            for batch, one in zip(swapped, (trivial_fimm(eta, pointer), trivial_fimm(alpha, a))):
-                assert choi_distances(batch[k], model_instrument(one).kraus).max() <= 1e-14
-                assert len(batch[k][0]) <= d * d
-
-
 def test_a_model_fault_in_a_batched_trial_fails_its_suite(monkeypatch):
-    # The last trial of each shape group, a batched one and not the group's
-    # public trial, gets a faulty von Neumann closed form: the dephasing
-    # channel is scaled by 1 + 4e-9, which misses idempotence by more than
-    # 1e-9 while every distance stays within the 1e-8 tolerance.
-    vn_forms = qinstr.verify._vn_forms
+    # The last trial of each shape group's stack, not the group's public
+    # trial, gets a faulty von Neumann closed form: the dephasing channel is
+    # scaled by 1 + 4e-9, which misses idempotence by more than 1e-9 while
+    # every distance stays within the 1e-8 tolerance.
+    vn_forms = qinstr.models._vn_forms
 
     def broken(base, probe, f):
         kraus, channel, effects = vn_forms(base, probe, f)
-        channel = channel.copy()
-        channel[-1] *= np.sqrt(1.0 + 4e-9)
+        if base.ndim == 3:  # a stack of trials
+            channel = channel.copy()
+            channel[-1] *= np.sqrt(1.0 + 4e-9)
         return kraus, channel, effects
 
-    monkeypatch.setattr(qinstr.verify, "_vn_forms", broken)
+    monkeypatch.setattr(qinstr.models, "_vn_forms", broken)
     report = run_suite("thm-4.4", seed=7)
     assert report.status == "fail"  # the idempotence bound, not the tolerance, fails the suite
     assert report.max_residual <= report.tolerance and report.note == "channel idempotent within 1e-9"
@@ -676,15 +617,15 @@ def test_an_eigenbasis_redraw_fails_cor_4_5(monkeypatch, route):
 @pytest.mark.parametrize(
     "result_id, module, name, message",
     [
-        ("thm-4.4", qinstr.verify, "_pairing_unitary", "interaction matrix is not unitary"),
+        ("thm-4.4", qinstr.models, "_pairing_unitary", "interaction matrix is not unitary"),
         ("cor-4.5", qinstr.models, "_eigenbasis", "bases must be unitary"),
     ],
 )
 def test_a_non_unitary_matrix_in_a_batched_trial_is_refused(monkeypatch, result_id, module, name, message):
-    # Every trial's pairing unitary (thm-4.4) is tested as FIMM tests an
-    # interaction, and every trial's eigenbasis (cor-4.5, a stacked
-    # VonNeumannModel) as VonNeumannModel tests its bases: the last trial of
-    # each group, a batched or stacked one, gets one scaled by 1 + 1e-7.
+    # Every trial's pairing unitary (thm-4.4, a stacked FIMM) is tested as
+    # FIMM tests an interaction, and every trial's eigenbasis (cor-4.5, a
+    # stacked VonNeumannModel) as VonNeumannModel tests its bases: the last
+    # trial of each group, a stacked one, gets one scaled by 1 + 1e-7.
     original = getattr(module, name)
 
     def broken(*args):
