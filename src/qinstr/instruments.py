@@ -53,7 +53,7 @@ from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, 
 from .linalg import read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
-from .observables import _mixture_weights, _pair_traces, row_positions, shared_value_space
+from .observables import _common_trials, _mixture_weights, _pair_traces, row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
@@ -513,6 +513,7 @@ def instr_product(i: Instrument, j: Instrument) -> Instrument:
     """Product instrument on the product value-space: outcome ``(x, y)``
     performs ``I_x`` and then ``J_y``: ``_then`` over all pairs."""
     _same_dim(i.dim, j.dim)
+    _common_trials(i, j)
     labels = [combine_labels(x, y) for x in i.labels for y in j.labels]
     return _assembled(labels, *_then(i.kraus, i.counts, j.kraus, j.counts))
 
@@ -547,6 +548,7 @@ def instr_conditioned(i: Instrument, j: Instrument) -> Instrument:
     """Instrument ``j`` conditioned by ``i``: outcome ``y`` applies ``J_y``
     after the total channel of ``i``: ``_then`` on the channel as one outcome."""
     _same_dim(i.dim, j.dim)
+    _common_trials(i, j)
     channel = _channel_kraus(_operators(i.kraus, i.counts)[..., None, :, :, :])
     return _assembled(j.labels, *_then(*channel, j.kraus, j.counts))
 

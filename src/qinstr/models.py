@@ -427,7 +427,7 @@ def vn_model_for_commutative(a: Observable, rng: np.random.Generator | None = No
     if rng is None:
         rng = np.random.default_rng(20210)
     for _ in range(EIGENBASIS_ATTEMPTS):
-        v, diagonals, diagonalizes = _eigenbasis(a.stack, rng.standard_normal(len(a)))
+        v, diagonals, diagonalizes = _eigenbasis(a.stack, rng.standard_normal(size=len(a)))
         if np.all(diagonalizes):
             return VonNeumannModel(v, np.eye(a.dim, dtype=complex), Observable._valid(a.labels, diagonals))
     raise NotCommutative("failed to find a joint eigenbasis")

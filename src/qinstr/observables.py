@@ -163,7 +163,16 @@ def family_distance(a: LabelledFamily, b: LabelledFamily) -> float:
     """
     if type(a) is not type(b) or a.labels != b.labels or a.dim != b.dim:
         return math.inf
+    _common_trials(a, b)
     return float(a._distances(np.arange(len(a))[:, None], b).max())
+
+
+def _common_trials(*families: LabelledFamily) -> None:
+    """Families stacked over trials must share their trial axes (one family, not a stack, goes with any):
+    ``DimensionError`` otherwise, before any array arithmetic meets them."""
+    trials = {(f.stack if isinstance(f, Observable) else f.effects).shape[:-3] for f in families} - {()}
+    if len(trials) > 1:
+        raise DimensionError("families stacked over different trials: " + ", ".join(map(str, sorted(trials))))
 
 
 def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily) -> float:
@@ -178,6 +187,7 @@ def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily)
     if not type(a) is type(b) is type(joint):
         raise KindError("families of mixed kinds: " + ", ".join(type(f).__name__.lower() for f in (a, b, joint)))
     _same_dim(a.dim, b.dim, joint.dim)
+    _common_trials(a, b, joint)
     groups = _product_groups(a.labels, b.labels, joint.labels)
     if groups is None:
         kind = type(joint).__name__.lower()
@@ -359,6 +369,7 @@ def obs_effect_of_subset(a: Observable, subset: Iterable[Label]) -> Array:
 
 def obs_seq_product(a: Observable, b: Observable) -> Observable:
     """Observable of measuring ``a`` first and ``b`` second, on product labels (of stacks, trial by trial)."""
+    _common_trials(a, b)
     products = seq_products(a.roots, b.stack)
     labels = [combine_labels(x, y) for x in a.labels for y in b.labels]
     return Observable._valid(labels, products.reshape(*products.shape[:-4], -1, a.dim, a.dim))
@@ -366,6 +377,7 @@ def obs_seq_product(a: Observable, b: Observable) -> Observable:
 
 def obs_conditioned(a: Observable, b: Observable) -> Observable:
     """Observable ``b`` conditioned by ``a``: outcome ``y`` is ``sum_x A_x o B_y`` (of stacks, trial by trial)."""
+    _common_trials(a, b)
     return Observable._valid(b.labels, seq_products(a.roots, b.stack).sum(-4))
 
 

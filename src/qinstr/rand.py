@@ -36,7 +36,7 @@ def _normals(rng: np.random.Generator, *shape: int) -> Array:
     """The one Generator call behind Ginibre matrices of ``shape = (..., d, c)``:
     normals of shape ``(..., 2, d, c)``, the numbers, in order, of drawing each
     matrix by ``ginibre`` (its real part, then its imaginary part)."""
-    return rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return rng.standard_normal(size=(*shape[:-2], 2, *shape[-2:]))
 
 
 def _ginibres_of(g: Array) -> Array:
@@ -128,7 +128,7 @@ def _whitened_effects(normals: Array) -> Array:
 def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Array, Array]:
     """Effects diagonal in one random basis, so they commute."""
     u = random_unitary(dim, rng)
-    return tuple(_commuting_effects(u, rng.uniform(0.0, 1.0, (2, dim))))
+    return tuple(_commuting_effects(u, rng.uniform(0.0, 1.0, size=(2, dim))))
 
 
 def _commuting_effects(u: Array, x: Array) -> Array:

@@ -16,34 +16,36 @@ is.  The two ``conj-*`` probes (tolerance ``None``) only ever report
 
 Every suite with a ``batched`` row (all that draw random trials but
 conj-3.3-converse) groups its trials by shape (dimension and outcome counts,
-and the kind of pair or observable where it varies).  A trial's public route
-is the one description of its draws: each group's first trial runs through the
-public functions, which record their Generator calls (``_Recorded``), and each
-later trial makes the same calls, in trial order (``_Run.groups``).  thm-2.1,
-thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4, ex-5, ex-6, cor-3.3, lem-3.4, thm-4.1,
-lem-4.2, cor-4.3, thm-4.4, cor-4.5, thm-4.6, cor-4.7 and thm-4.8 then run that
-route on the group's draws stacked over its trials (``_Stacked``, which fails
-the suite if the route calls otherwise than the group recorded): the families,
+and the kind of pair or observable where it varies): trials ``t`` and
+``t + period`` share one.  A trial's public route is the one description of
+its draws.  Each group draws from one generator (``_Group``) that answers
+each Generator call of the route with one draw for all the group's trials, of
+size ``(trials, *size)``: trial i's numbers are slice i of every draw.  They
+depend on the group's size, so a run of ``k`` trials is not a prefix of a
+longer one.  thm-2.1, thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4, ex-5, ex-6,
+cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, thm-4.4, cor-4.5, thm-4.6, cor-4.7
+and thm-4.8 run that route once per group, on the stacked draws: the families,
 combinators, stochastic matrices, mixture weights, models and operations they
 call take a leading trial axis (a group's dilations share one slot map, so one
 pointer), ``family_distance`` and ``marginal_defect`` take the worst trial, and
 a flag holds when every trial's does.  cor-4.5's eigenbasis draw is a redraw
-loop, which a stack cannot replay, so its route allows one draw
-(``_FirstDraw``): a trial whose first combination does not diagonalize fails
-("eigenbasis redrawn").  The others (lem-1.1, the complementarity pair of
-lem-2.4 and cor-2.5, ex-7, ex-8, lem-3.1 and the conj-2.5-converse probe) run
-one array program of the library's kernels per group (``_batch_*``), which
-keeps the checks on computed objects (sums, roots, ``d^2`` cuts, ranges,
-witnesses, complementarity) and checks the generators' own weights, states and
-bases in the first trial only (``rand`` builds them valid).  A group's values
-enter the run as residuals, or through the suite's ``fold`` (cor-2.5 and the
-probe count their complementary pairs; lem-2.6, lem-4.2, thm-4.1 and cor-4.3
-fail with their note when a trial's marginal defect exceeds the tolerance;
-thm-4.1 bounds its pointers' commutators, thm-4.4 its channel's idempotence
-defect).  The suite function then runs what is left one by one: the fixed
-counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7, thm-4.6
-and cor-4.7, ex-4's commuting pair, drawn where the trials leave the
-generator, and cor-2.5's count check.
+loop, which one stacked draw cannot follow trial by trial, so its route allows
+one draw (``_FirstDraw``): a trial whose first combination does not
+diagonalize fails ("eigenbasis redrawn").  The others (lem-1.1, the
+complementarity pair of lem-2.4 and cor-2.5, ex-7, ex-8, lem-3.1 and the
+conj-2.5-converse probe) run their public route on the first trial's slice of
+the group's draws, then one array program of the library's kernels on the
+full stacks (``_batch_*``), which keeps the checks on computed objects (sums,
+roots, ``d^2`` cuts, ranges, witnesses, complementarity) and checks the
+generators' own weights, states and bases in the first trial only (``rand``
+builds them valid).  A group's values enter the run as residuals, or through
+the suite's ``fold`` (cor-2.5 and the probe count their complementary pairs;
+lem-2.6, lem-4.2, thm-4.1 and cor-4.3 fail with their note when a trial's
+marginal defect exceeds the tolerance; thm-4.1 bounds its pointers'
+commutators, thm-4.4 its channel's idempotence defect).  The suite function
+then runs what is left one by one: the fixed counterexamples of thm-2.1,
+thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7, thm-4.6 and cor-4.7, ex-4's commuting
+pair, drawn where the groups leave the generator, and cor-2.5's count check.
 """
 
 from __future__ import annotations
@@ -216,64 +218,22 @@ class _Run:
         if not cond:
             raise _Stop(note)
 
-    def groups(self, period: int, dims: tuple[int, ...], public: Callable) -> list[tuple]:
-        """The trials of ``cases(*dims)``, grouped by their shape ``t % period``: the
-        first trial of each group runs ``public(rng, t, d)`` on the recorded generator,
-        and each later one makes the same Generator calls, in trial order.  Per group:
-        the public route's values, its calls, and each call's output stacked over the group's trials."""
-        groups: dict[int, tuple] = {}
-        for t, d in self.cases(*dims):
-            if t % period not in groups:
-                recorded = _Recorded(self.rng)
-                groups[t % period] = (public(recorded, t, d), recorded.calls, [recorded.outputs])
-            else:
-                _, calls, outputs = groups[t % period]
-                outputs.append([getattr(self.rng, name)(*args, **kwargs) for name, args, kwargs in calls])
-        return [(values, calls, [np.stack(x) for x in zip(*outputs)]) for values, calls, outputs in groups.values()]
 
+class _Group:
+    """A shape group's generator: each Generator call of a route (``standard_normal(size=...)``,
+    ``dirichlet(alpha, size=...)``, ``random(size=...)``, ``uniform(lo, hi, size=...)``) makes one draw
+    from ``rng`` for all the group's ``trials`` at once, of size ``(trials, *size)``, and keeps it in
+    ``draws``.  A call returns that stack, or with ``trial`` its slice for that one trial."""
 
-class _Recorded:
-    """A generator that passes every call on, keeping its name and arguments and its output."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.calls, self.outputs = rng, [], []
+    def __init__(self, rng: np.random.Generator, trials: int, trial: int | None = None):
+        self.rng, self.trials, self.trial, self.draws = rng, trials, trial, []
 
     def __getattr__(self, name: str) -> Callable:
-        def call(*args, **kwargs):
-            self.calls.append(_call(name, args, kwargs))
-            self.outputs.append(getattr(self.rng, name)(*args, **kwargs))
-            return self.outputs[-1]
+        def call(*args, size=()):
+            self.draws.append(getattr(self.rng, name)(*args, size=(self.trials, *np.atleast_1d(size))))
+            return self.draws[-1] if self.trial is None else self.draws[-1][self.trial]
 
         return call
-
-
-class _Stacked:
-    """A generator whose calls return a group's recorded outputs, stacked over its trials, in call order.  A stack
-    cannot follow trials whose routes draw differently, so the suite fails unless each call is the recorded one,
-    the same method with the same arguments, and the route makes them all (``end``)."""
-
-    def __init__(self, calls: list[tuple], draws: list[np.ndarray]):
-        self.recorded = iter(zip(calls, draws))
-
-    def __getattr__(self, name: str) -> Callable:
-        return lambda *args, **kwargs: self._take(_call(name, args, kwargs))
-
-    def _take(self, call: tuple | None) -> np.ndarray | None:
-        """The next recorded output, whose call must be ``call`` (``None``: that no recorded call is left)."""
-        expected, draw = next(self.recorded, (None, None))
-        if expected != call:
-            raise _Stop("stacked draws diverge from the public trial's")
-        return draw
-
-    def end(self) -> None:
-        self._take(None)
-
-
-def _call(name: str, args: tuple, kwargs: dict) -> tuple:
-    """A Generator call as ``_Recorded`` keeps it: array arguments as lists, which draw the same numbers and
-    compare with ``==``."""
-    plain = [x.tolist() if isinstance(x, np.ndarray) else x for x in (*args, *kwargs.values())]
-    return name, tuple(plain[: len(args)]), dict(zip(kwargs, plain[len(args) :]))
 
 
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
@@ -390,7 +350,7 @@ def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return _worst(joint.sum(1), np.stack([a, np.eye(d) - a])), _worst(joint.sum(0), np.stack([b, np.eye(d) - b]))
 
 
-def _batch_lem_1_1(t: np.ndarray, g: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
+def _batch_lem_1_1(t: np.ndarray, d: int, g: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
     a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
     ab = ensure_effects(hermitian_part(a @ b))
     try:
@@ -433,7 +393,7 @@ def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     a = random_observable(d, m, rng)
     b = random_observable(d, n, rng)
     rho = random_state(d, rng)
-    x, y = rng.random(len(a)), rng.random(len(b))  # an outcome is in its set when its uniform is below 0.6
+    x, y = rng.random(size=len(a)), rng.random(size=len(b))  # an outcome is in its set when its uniform is below 0.6
     x_set = [lab for k, lab in enumerate(a.labels) if x[k] < 0.6 or k == 0]  # and the first outcome always is
     y_set = [lab for k, lab in enumerate(b.labels) if y[k] < 0.6 or k == 0]
     p_instr = joint_probability_instr(rho, luders_instrument(a), x_set, luders_instrument(b), y_set)
@@ -450,7 +410,7 @@ def _luders_tables(ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[np.nd
     return _pair_traces(outputs, _luders(b)[1]), _probability_table(rho, seq_products(roots, b))
 
 
-def _batch_lem_3_1(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, g: np.ndarray, *u: np.ndarray) -> tuple[float, ...]:
+def _batch_lem_3_1(t: np.ndarray, d: int, ga: np.ndarray, gb: np.ndarray, g: np.ndarray, *u: np.ndarray) -> tuple[float, ...]:
     x, y = ((v < 0.6) | (np.arange(v.shape[-1]) == 0) for v in u)  # each outcome's uniform, a's then b's
     p_instr, p_obs = (_set_probabilities(p, x, y) for p in _luders_tables(ga, gb, g))
     return (float(np.abs(p_instr - p_obs).max()),)
@@ -466,7 +426,7 @@ def _public_ex_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     return (float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()),)
 
 
-def _batch_ex_8(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
+def _batch_ex_8(t: np.ndarray, d: int, ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
     return (float(np.abs(np.subtract(*_luders_tables(ga, gb, g))).max()),)
 
 
@@ -483,13 +443,13 @@ def _public_lem_3_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 class _Batched(NamedTuple):
-    """A suite's trials by shape (``_Run.groups``): each group's stacked draws through ``batch`` or ``public``."""
+    """A suite's trials by shape: each group's draws (``_Group``) through ``public`` and any ``batch``."""
 
     period: int  # trials t and t + period share a shape
     dims: tuple[int, ...]
-    public: Callable  # one trial through the public functions, from a generator: its values
-    batch: Callable | None = None  # a group's values from its trials ``t`` and its stacked draws
-    fold: Callable = _Run.residual  # how the run takes a group's values, the public trial's then the stacked ones
+    public: Callable  # the route through the public functions, from a generator, its trial and d: its values
+    batch: Callable | None = None  # a group's values from its trials ``t``, ``d`` and its stacked draws
+    fold: Callable = _Run.residual  # how the run takes a group's values: the route's, then any batch's
 
 
 def _suite_thm_2_1(run: _Run) -> None:
@@ -556,8 +516,8 @@ def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[boo
     return instr_complementary(i, j), obs_complementary(induced_observable(i), induced_observable(j))
 
 
-def _batch_complementary(t: np.ndarray, *draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    kind, d = t[0] % 5, 2 + t[0] % 3  # every trial of a group has its first's
+def _batch_complementary(t: np.ndarray, d: int, *draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    kind = t[0] % 5  # every trial of a group has its first's
     if kind in (0, 2):  # both bases' instruments stacked
         u = _unitaries(draws[0]) if draws else np.broadcast_to(identity(d), (len(t), d, d))
         effects = [_checked(_mub_projections(u)[1][..., None, :, :])[1]]
@@ -588,7 +548,7 @@ def _with_roots(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]
     return [p for e in stacks for p in zip(e, _roots(e))]
 
 
-_COMPLEMENTARY = (15, (2, 3, 4), _public_complementary, _batch_complementary)  # kind t % 5, d = 2 + t % 3
+_COMPLEMENTARY = (15, (2, 3, 4), _public_complementary, _batch_complementary)  # kind t % 5
 
 
 def _fold_lem_2_4(run: _Run, instr: bool, obs: bool, instrs: np.ndarray, obss: np.ndarray) -> None:
@@ -619,11 +579,11 @@ def _public_lem_2_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return marginal_defect(i, j, joint_instr), marginal_defect(a, b, c)
 
 
-def _fold_lem_2_6(run: _Run, instr: float, obs: float, instrs: float, obss: float) -> None:
+def _fold_lem_2_6(run: _Run, instr: float, obs: float) -> None:
     """Each trial's marginal defects within ``run.tol``, as ``instr_coexist_verify`` and ``obs_coexist_verify`` decide."""
-    run.require(instr <= run.tol and instrs <= run.tol, "joint marginals broken")
-    run.require(obs <= run.tol and obss <= run.tol, "observables do not coexist")
-    run.residual(obs, obss)
+    run.require(instr <= run.tol, "joint marginals broken")
+    run.require(obs <= run.tol, "observables do not coexist")
+    run.residual(obs)
 
 
 def _outcome_ranks_exceed_one(instr: Instrument) -> bool:
@@ -747,7 +707,7 @@ def _public_ex_7(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     return (abs(p - expected),)
 
 
-def _batch_ex_7(t: np.ndarray, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
+def _batch_ex_7(t: np.ndarray, d: int, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
     a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
     alpha, beta, rho = _states(np.stack(g))
     table = _pair_traces(_sandwich(_trivial(a, alpha)[0], rho[:, None, None]), _trivial(b, beta)[1])
@@ -848,13 +808,12 @@ def _public_thm_4_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return marginal_defect(meas1, meas2, measured_joint), _worst(p @ q, q @ p), *gaps
 
 
-def _fold_coexisting(note: str, run: _Run, *values: float) -> None:
-    """A fold (with its ``note`` bound) of the public trial's values, then the stacked route's (the group's worst),
-    the marginal defect first in each: every trial's defect within ``run.tol``, as ``instr_coexist_verify`` and
-    ``obs_coexist_verify`` decide (else the run fails with ``note``); the other values are residuals."""
-    public, stacked = values[: len(values) // 2], values[len(values) // 2 :]
-    run.require(public[0] <= run.tol and stacked[0] <= run.tol, note)
-    run.residual(*public[1:], *stacked[1:])
+def _fold_coexisting(note: str, run: _Run, defect: float, *values: float) -> None:
+    """A fold (with its ``note`` bound) of a stacked route's values, each the group's worst, the marginal defect
+    first: every trial's defect within ``run.tol``, as ``instr_coexist_verify`` and ``obs_coexist_verify`` decide
+    (else the run fails with ``note``); the other values are residuals."""
+    run.require(defect <= run.tol, note)
+    run.residual(*values)
 
 
 _fold_lem_4_2 = partial(_fold_coexisting, "joint instrument marginals broken")
@@ -864,7 +823,7 @@ _fold_cor_4_3 = partial(_fold_coexisting, "measured joint observable broken")
 def _fold_thm_4_1(run: _Run, *values: float) -> None:
     """``_fold_coexisting``, and each trial's pointer commutator, the second value, also within 1e-8."""
     _fold_coexisting("converse marginals broken", run, *values)
-    run.residual(values[1], values[len(values) // 2 + 1], bound=1e-8)
+    run.residual(values[1], bound=1e-8)
 
 
 def _public_lem_4_2(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -915,10 +874,10 @@ def _public_thm_4_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 def _fold_thm_4_4(run: _Run, *values: float) -> None:
-    """The public trial's five values, then the stacked route's (the group's worst): each a residual, and the
-    last of each five, the channel's idempotence defect, also within 1e-9."""
+    """The stacked route's five values (the group's worst): each a residual, and the last, the channel's
+    idempotence defect, also within 1e-9."""
     run.residual(*values)
-    run.residual(*values[4::5], bound=1e-9)
+    run.residual(values[4], bound=1e-9)
     run.note = "channel idempotent within 1e-9"
 
 
@@ -940,16 +899,16 @@ def _public_cor_4_5(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 class _FirstDraw:
     """``vn_model_for_commutative``'s generator: its one call draws an eigenbasis combination, and a second (one
-    redrawn) fails the suite, as a stack cannot replay trials that would stop at different draws."""
+    redrawn) fails the suite, as one stacked draw cannot follow trials that would stop at different draws."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng, self.drawn = rng, False
 
-    def standard_normal(self, *args) -> np.ndarray:
+    def standard_normal(self, size: int) -> np.ndarray:
         if self.drawn:
             raise _Stop("eigenbasis redrawn")
         self.drawn = True
-        return self.rng.standard_normal(*args)
+        return self.rng.standard_normal(size=size)
 
 
 def _public_thm_4_6(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -1018,8 +977,7 @@ def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bo
     return complementary, complementary and not instr_complementary(luders_instrument(a), luders_instrument(b))
 
 
-def _batch_conj_2_5(t: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = 2 + t[0] % 3
+def _batch_conj_2_5(t: np.ndarray, d: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if t[0] % 2 == 0:
         pairs = [_mub_projections(_unitaries(g))]  # the pair stacked, with its roots
     else:  # the identity pair's closed-form roots
@@ -1120,13 +1078,13 @@ def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scal
     try:
         if suite.batched is not None:
             period, dims, public, batch, fold = suite.batched
-            for first, (values, calls, draws) in enumerate(run.groups(period, dims, public)):
-                if batch:
-                    values += batch(np.arange(first, n, period), *draws)
-                else:  # a stacked route takes the group's draws as its generator
-                    stacked = _Stacked(calls, draws)
-                    values += public(stacked, first, dims[first % len(dims)])
-                    stacked.end()
+            for first in range(min(period, n)):
+                ts, d = np.arange(first, n, period), dims[first % len(dims)]
+                if batch:  # the public route on the first trial's slice, then the program on the full stacks
+                    group = _Group(run.rng, len(ts), trial=0)
+                    values = public(group, first, d) + batch(ts, d, *group.draws)
+                else:  # the route once, on the group's stacked draws
+                    values = public(_Group(run.rng, len(ts)), first, d)
                 fold(run, *values)
         if suite.fn is not None:
             suite.fn(run)

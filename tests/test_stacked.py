@@ -5,7 +5,8 @@ gives a stack of families; every public call on such a stack must equal its
 calls on the trials one by one, and a check on a stack holds when it holds for
 every trial.  The catalog runs thm-2.1, thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4,
 ex-5, ex-6, cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, thm-4.4, cor-4.5,
-thm-4.6, cor-4.7 and thm-4.8 this way (``verify._Stacked``); these tests
+thm-4.6, cor-4.7 and thm-4.8 this way, on one draw per call for all of a shape
+group's trials (``verify._Group``); these tests
 replace the checks that their array programs built what the public functions
 build.
 """
@@ -36,7 +37,7 @@ from qinstr.models import model_instrument, normal_fimm_kraus_extract, simultane
 from qinstr.models import vn_model_for_commutative, von_neumann_unitary
 from qinstr.observables import Observable, StochasticMatrix, atomic_observable, classify_observable, combine_labels
 from qinstr.observables import family_distance, identity_observable, obs_commute, obs_conditioned, obs_convex_combo
-from qinstr.observables import obs_post_process, obs_seq_product
+from qinstr.observables import marginal_defect, obs_post_process, obs_seq_product
 from qinstr.rand import random_commutative_observable, random_instrument, random_kraus_instrument, random_observable
 from qinstr.rand import random_simplex, random_state, random_stochastic, random_unitary
 from qinstr.verify import _product_pointer_model
@@ -91,6 +92,30 @@ def test_stacked_products_and_conditionings_are_the_per_trial_ones(d):
     ones = per_trial(lambda rng: (random_kraus_instrument(d, 2, rng), random_kraus_instrument(d, 2, rng)))
     assert_same_maps(instr_product(i, j), [instr_product(*pair) for pair in ones], d)
     assert_same_maps(instr_conditioned(i, j), [instr_conditioned(*pair) for pair in ones], d)
+
+
+@pytest.mark.parametrize(
+    "combine, build",
+    [
+        (family_distance, random_observable),
+        (family_distance, random_instrument),
+        (obs_seq_product, random_observable),
+        (instr_product, random_instrument),
+        (obs_conditioned, random_observable),
+        (instr_conditioned, random_instrument),
+        (lambda a, b: marginal_defect(a, a, obs_seq_product(b, b)), random_observable),
+    ],
+    ids=[
+        "distance-observables", "distance-instruments", "obs-seq-product", "instr-product", "obs-conditioned",
+        "instr-conditioned", "marginal-defect",
+    ],
+)
+def test_families_stacked_over_different_trials_are_refused(combine, build):
+    # Two stacks over 4 and over 3 trials have no trial-by-trial pairing: a
+    # typed DimensionError, not a numpy broadcast error.
+    a, b = build(2, 2, StackedDraws(SEEDS)), build(2, 2, StackedDraws(SEEDS[:3]))
+    with pytest.raises(DimensionError, match="families stacked over different trials"):
+        combine(a, b)
 
 
 @pytest.mark.parametrize("d, m", [(2, 2), (3, 2), (3, 3)])

@@ -21,7 +21,7 @@ from qinstr.observables import Observable, _pair_traces, _probability_table, _se
 from qinstr.observables import joint_probability_table
 from qinstr.rand import _commuting_effects, _states, _unitaries, _whitened_effects
 from qinstr.rand import random_commuting_effect_pair, random_observable, random_state
-from qinstr.verify import SUITES, _Batched, _Recorded, _rng, _Run, _Stacked, run_suite, run_suites
+from qinstr.verify import SUITES, _Group, _rng, _Run, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
 # left out, since their last bits depend on the BLAS build.
@@ -193,10 +193,10 @@ def test_different_seed_changes_draws():
 
 
 _BUDGETS = [
-    ("lem-1.1", 21), ("lem-2.4", 153), ("cor-2.5", 153), ("lem-3.1", 72), ("lem-3.4", 8), ("thm-2.3", 26), ("ex-8", 36),
-    ("lem-4.2", 16), ("ex-6", 23), ("thm-4.4", 12), ("cor-4.5", 56), ("thm-4.8", 32), ("conj-2.5-converse", 66),
-    ("cor-3.3", 0), ("thm-4.1", 4), ("cor-4.3", 6), ("thm-4.6", 16), ("cor-4.7", 18), ("lem-2.6", 8), ("ex-7", 23),
-    ("thm-2.1", 18), ("ex-3", 11), ("ex-5", 4), ("thm-2.2", 40), ("ex-4", 32),
+    ("lem-1.1", 21), ("lem-2.4", 153), ("cor-2.5", 153), ("lem-3.1", 72), ("lem-3.4", 4), ("thm-2.3", 14), ("ex-8", 36),
+    ("lem-4.2", 8), ("ex-6", 13), ("thm-4.4", 6), ("cor-4.5", 28), ("thm-4.8", 16), ("conj-2.5-converse", 66),
+    ("cor-3.3", 0), ("thm-4.1", 2), ("cor-4.3", 3), ("thm-4.6", 10), ("cor-4.7", 10), ("lem-2.6", 4), ("ex-7", 23),
+    ("thm-2.1", 12), ("ex-3", 7), ("ex-5", 2), ("thm-2.2", 22), ("ex-4", 20),
 ]
 
 
@@ -258,53 +258,81 @@ def test_batched_suites_pass_with_groups_empty_or_of_one(result_id, trials):
     assert 0 < report.trials <= trials if result_id in CHECKED_COUNT else report.trials == trials
 
 
-def _groups(result_id: str, trials: int) -> list:
+@pytest.mark.parametrize("result_id", ["lem-2.4", "cor-2.5", "conj-2.5-converse"])
+def test_batch_programs_take_the_runners_dimension(result_id, monkeypatch):
+    # The complementarity programs build their pairs at the dimension the
+    # runner hands them, not one derived again from the trial index: with the
+    # row's dims set to (8,) each passes (the probe reports "unknown").
     spec = SUITES[result_id].batched
-    return _Run(_rng(result_id, 7), trials, 1.0, 1.0).groups(spec.period, spec.dims, spec.public)
+    monkeypatch.setitem(SUITES, result_id, SUITES[result_id]._replace(batched=spec._replace(dims=(8,))))
+    report = run_suite(result_id, seed=7, trials=15)
+    assert report.status == ("unknown" if SUITES[result_id].tol is None else "pass")
+    assert 0 < report.trials <= 15
 
 
-@pytest.mark.parametrize("result_id", BATCHED)
-def test_batched_draws_are_the_public_generators_draws(result_id):
-    # Each trial's row of its group's stacked draws holds the outputs of the
-    # Generator calls that the trial's own public route makes from its
-    # generator state, bitwise, and in the same order; every trial of a group
-    # makes the same calls.
-    spec, trials, names = SUITES[result_id].batched, 13, {}
-    groups = _groups(result_id, trials)
-    assert len(groups) == min(spec.period, trials)
-    rng = _rng(result_id, 7)
-    for t in range(trials):
-        public = _Recorded(rng)
-        residuals = spec.public(public, t, spec.dims[t % len(spec.dims)])
-        called = [name for name, *_ in public.calls]
-        assert names.setdefault(t % spec.period, called) == called
-        first_residuals, calls, draws = groups[t % spec.period]
-        assert [name for name, *_ in calls] == called and len(draws) == len(public.outputs)
-        assert all(np.array_equal(stacked[t // spec.period], x) for stacked, x in zip(draws, public.outputs))
-        if t < spec.period:
-            assert first_residuals == residuals
-
-
-@pytest.mark.parametrize("result_id", BATCHED)
-def test_batched_trials_leave_the_generator_as_the_public_routes_do(result_id):
-    # A suite body that draws after its batched trials (thm-2.1's) starts from
-    # the state that running every trial's public route in turn leaves.
-    spec, trials = SUITES[result_id].batched, 13
-    run = _Run(_rng(result_id, 7), trials, 1.0, 1.0)
-    run.groups(spec.period, spec.dims, spec.public)
-    rng = _rng(result_id, 7)
-    for t, d in run.cases(*spec.dims):
-        spec.public(rng, t, d)
-    assert run.rng.bit_generator.state == rng.bit_generator.state
-
-
-def _trial_generators(result_id: str, trials: int) -> list:
-    """A copy of the suite's generator from before each trial's public route."""
+def _groups(result_id: str, trials: int) -> list:
+    """Each shape group of a run of ``trials`` trials at seed 7, in run order: its trials, its dimension, a copy
+    of the suite's generator from before the group's draws, and those draws, each stacked over its trials."""
     spec, rng, out = SUITES[result_id].batched, _rng(result_id, 7), []
-    for t in range(trials):
-        out.append(copy.deepcopy(rng))
-        spec.public(rng, t, spec.dims[t % len(spec.dims)])
+    for first in range(min(spec.period, trials)):
+        ts, d, before = np.arange(first, trials, spec.period), spec.dims[first % len(spec.dims)], copy.deepcopy(rng)
+        group = _Group(rng, len(ts), trial=0)
+        spec.public(group, first, d)
+        out.append((ts, d, before, group.draws))
     return out
+
+
+def _slice(group: tuple, i: int) -> _Group:
+    """Trial ``i``'s generator in a ``_groups`` entry: the group's draws from its state, each call returning slice ``i``."""
+    ts, _, before, _ = group
+    return _Group(copy.deepcopy(before), len(ts), trial=i)
+
+
+@pytest.mark.parametrize("result_id", BATCHED)
+def test_batched_draws_are_the_public_generators_draws(result_id, monkeypatch):
+    # A group's generator makes one draw per Generator call of the route, for
+    # every trial of the group at once, ``(trials, *size)``: the run's groups
+    # draw these stacks. Trial i's public route on slice i of the group's
+    # draws makes the same calls from the group's state, to the same stacks
+    # bitwise, and so does a stacked route.
+    spec, trials, run_draws = SUITES[result_id].batched, 13, []
+    groups = _groups(result_id, trials)
+
+    def public(rng, t, d):
+        values = spec.public(rng, t, d)
+        run_draws.append(rng.draws)
+        return values
+
+    monkeypatch.setitem(SUITES, result_id, SUITES[result_id]._replace(batched=spec._replace(public=public)))
+    run_suite(result_id, seed=7, trials=trials)
+    assert len(groups) == len(run_draws) == min(spec.period, trials)
+    for (_, _, _, draws), drawn in zip(groups, run_draws):
+        assert len(drawn) == len(draws) and all(np.array_equal(x, y) for x, y in zip(drawn, draws))
+    for group in groups:
+        ts, d, before, draws = group
+        assert all(len(x) == len(ts) for x in draws)
+        routes = [_slice(group, i) for i in range(len(ts))]
+        for t, rng in zip(ts, routes):
+            spec.public(rng, t, d)
+        if spec.batch is None:
+            routes.append(_Group(copy.deepcopy(before), len(ts)))
+            spec.public(routes[-1], ts[0], d)
+        for rng in routes:
+            assert len(rng.draws) == len(draws) and all(np.array_equal(x, y) for x, y in zip(rng.draws, draws))
+
+
+@pytest.mark.parametrize("result_id", BATCHED)
+def test_batched_trials_leave_the_generator_as_the_public_routes_do(result_id, monkeypatch):
+    # A suite body that draws after its batched trials (thm-2.1's) starts from
+    # the state that running each group's route in turn, in group order, leaves.
+    spec, trials, states = SUITES[result_id].batched, 13, []
+    body = SUITES[result_id]._replace(fn=lambda run: states.append(run.rng.bit_generator.state))
+    monkeypatch.setitem(SUITES, result_id, body)
+    run_suite(result_id, seed=7, trials=trials)
+    group = _groups(result_id, trials)[-1]
+    last = _slice(group, 0)
+    spec.public(last, group[0][0], group[1])
+    assert states == [last.rng.bit_generator.state]
 
 
 STACKED = sorted(result_id for result_id in BATCHED if SUITES[result_id].batched.batch is None)
@@ -319,62 +347,38 @@ def test_the_stacked_suites_are_those_whose_public_route_takes_a_stack():
 
 @pytest.mark.parametrize("result_id", STACKED)
 def test_a_stacked_route_gives_the_worst_of_its_trials(result_id):
-    # A suite with no array program runs its public route once more on each
-    # group's draws stacked over the group's trials (the public one included):
-    # each of its values is the worst of the trials' own public values.
+    # A suite with no array program runs its public route once on each group's
+    # draws stacked over the group's trials: each of its values is the worst
+    # of trial i's public values on slice i of the group's draws.
     spec, trials = SUITES[result_id].batched, 13
-    gens = _trial_generators(result_id, trials)
-    for first, (_, calls, draws) in enumerate(_groups(result_id, trials)):
-        d = spec.dims[first % len(spec.dims)]
-        stacked = spec.public(_Stacked(calls, draws), first, d)
-        ones = [spec.public(gens[t], t, d) for t in range(first, trials, spec.period)]
+    for group in _groups(result_id, trials):
+        ts, d, before, _ = group
+        stacked = spec.public(_Group(copy.deepcopy(before), len(ts)), ts[0], d)
+        ones = [spec.public(_slice(group, i), t, d) for i, t in enumerate(ts)]
         assert np.abs(np.subtract(stacked, np.max(ones, axis=0))).max() <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [0, 7, 94, 311])
 @pytest.mark.parametrize("result_id", STACKED)
-def test_a_stacked_route_makes_its_public_trials_eigensolves(result_id, seed, eig_calls, monkeypatch):
-    # Group by group, a stacked route makes exactly the eigh/eigvalsh calls of
-    # its group's public trial, each on matrices of the same order (batched
-    # over the group's trials): stacking solves no spectrum more, and skips
-    # no check that solves one.
-    spec, orders = SUITES[result_id].batched, {"public": [], "stacked": []}
+def test_a_stacked_route_makes_the_eigensolves_of_its_route_on_one_trial(result_id, seed, eig_calls, monkeypatch):
+    # Group by group, the run's stacked route makes exactly the eigh/eigvalsh
+    # calls of the same route on one trial's slice of the group's draws, each
+    # on matrices of the same order (batched over the group's trials):
+    # stacking solves no spectrum more, and skips no check that solves one.
+    spec, orders = SUITES[result_id].batched, {"stacked": [], "one": []}
 
     def counted(rng, t, d):
+        state, before = copy.deepcopy(rng.rng), len(eig_calls.calls)
+        values = spec.public(rng, t, d)
+        orders["stacked"].append(eig_calls.orders[before:])
         before = len(eig_calls.calls)
-        try:
-            return spec.public(rng, t, d)
-        finally:
-            orders["stacked" if isinstance(rng, _Stacked) else "public"].append(eig_calls.orders[before:])
+        spec.public(_Group(state, rng.trials, trial=0), t, d)
+        orders["one"].append(eig_calls.orders[before:])
+        return values
 
     monkeypatch.setitem(SUITES, result_id, SUITES[result_id]._replace(batched=spec._replace(public=counted)))
     run_suite(result_id, seed=seed)
-    assert orders["public"] and orders["stacked"] == orders["public"]
-
-
-@pytest.mark.parametrize("diverge", ["method", "arguments", "keyword", "past the end", "fewer", None])
-def test_a_stacked_route_that_draws_otherwise_than_its_public_trial_fails(monkeypatch, diverge):
-    # A stack replays its group's recorded Generator calls: a stacked route
-    # that calls another method, passes other arguments, draws past the last
-    # recorded call or leaves one unmade fails the suite, and one that makes
-    # exactly the recorded calls runs.
-    def route(rng, t, d):
-        other = isinstance(rng, _Stacked) and diverge
-        if other == "method":
-            rng.random(2)
-        else:
-            rng.standard_normal(3 if other == "arguments" else 2)
-        rng.dirichlet(np.ones(2), size=4 if other == "keyword" else d)
-        if other != "fewer":
-            rng.standard_normal((2, d))
-        if other == "past the end":
-            rng.standard_normal(1)
-        return (0.0,)
-
-    monkeypatch.setitem(SUITES, "ex-5", SUITES["ex-5"]._replace(batched=_Batched(2, (2, 3), route)))
-    report = run_suite("ex-5", seed=7)
-    expected = ("pass", "") if diverge is None else ("fail", "stacked draws diverge from the public trial's")
-    assert (report.status, report.note) == expected
+    assert orders["one"] and orders["stacked"] == orders["one"]
 
 
 def test_verify_describes_no_more_suites_twice():
@@ -391,15 +395,15 @@ def test_verify_describes_no_more_suites_twice():
 
 def test_batched_probabilities_are_the_public_ones():
     # lem-3.1's array program builds, trial by trial, the observables, the state
-    # and the two probability tables that the public functions build.
-    trials, gens = 13, _trial_generators("lem-3.1", 13)
-    for first, (_, _, (ga, gb, g, *_)) in enumerate(_groups("lem-3.1", trials)):
-        d = 2 + first % 3
+    # and the two probability tables that the public functions build on the
+    # trial's slice of its group's draws.
+    for group in _groups("lem-3.1", 13):
+        ts, d, _, (ga, gb, g, *_) = group
         a, b = (_valid_stack(_whitened_effects(s)) for s in (ga, gb))
         rho = _states(g)
         table = _probability_table(rho, seq_products(qinstr.verify._roots(a), b))
-        for i, t in enumerate(range(first, trials, 6)):
-            rng = gens[t]
+        for i, t in enumerate(ts):
+            rng = _slice(group, i)
             public_a, public_b = random_observable(d, 2 + t % 2, rng), random_observable(d, 2 + (t + 1) % 2, rng)
             public_rho = random_state(d, rng)
             assert np.abs(a[i] - public_a.stack).max() <= 1e-15 and np.abs(b[i] - public_b.stack).max() <= 1e-15
@@ -411,16 +415,16 @@ def test_batched_probabilities_are_the_public_ones():
 
 def test_batched_joint_observables_are_the_public_ones():
     # lem-1.1's array program draws, trial by trial, the commuting effect pair
-    # that the public generator draws, and its stacked witness check builds the
+    # that the public generator draws from the trial's slice of its group's
+    # draws, and its stacked witness check builds the
     # joint observable that binary_observables_from_coexistence builds.
-    trials, gens = 13, _trial_generators("lem-1.1", 13)
-    for first, (_, _, (g, x)) in enumerate(_groups("lem-1.1", trials)):
-        d = 2 + first % 3
+    for group in _groups("lem-1.1", 13):
+        ts, d, _, (g, x) = group
         a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
         ab = ensure_effects(hermitian_part(a @ b))
         joint = _witness_joints(a, b, CoexistenceWitness(a - ab, b - ab, ab))[0]
-        for i, t in enumerate(range(first, trials, 3)):
-            public_a, public_b = random_commuting_effect_pair(d, gens[t])
+        for i in range(len(ts)):
+            public_a, public_b = random_commuting_effect_pair(d, _slice(group, i))
             assert np.array_equal(a[i], public_a) and np.array_equal(b[i], public_b)
             public_ab = ensure_effect(hermitian_part(public_a @ public_b))
             witness = CoexistenceWitness(public_a - public_ab, public_b - public_ab, public_ab)
@@ -429,13 +433,12 @@ def test_batched_joint_observables_are_the_public_ones():
 
 def test_batched_tables_are_the_public_ones():
     # ex-8's array program builds, trial by trial, the two outcome tables that
-    # the public functions build from the same draws.
-    trials, gens = 13, _trial_generators("ex-8", 13)
-    for first, (_, _, (ga, gb, g)) in enumerate(_groups("ex-8", trials)):
-        d = 2 + first % 3
+    # the public functions build from the trial's slice of its group's draws.
+    for group in _groups("ex-8", 13):
+        ts, d, _, (ga, gb, g) = group
         p_instr, p_obs = qinstr.verify._luders_tables(ga, gb, g)
-        for i, t in enumerate(range(first, trials, 3)):
-            rng = gens[t]
+        for i in range(len(ts)):
+            rng = _slice(group, i)
             a, b, rho = random_observable(d, 2, rng), random_observable(d, 2, rng), random_state(d, rng)
             luders = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
             assert np.abs(p_instr[i] - luders).max() <= 1e-15
@@ -467,49 +470,46 @@ def test_the_probe_fold_counts_every_trial_of_every_group():
 
 
 def test_the_coexistence_folds_take_every_trial_of_a_group():
-    # thm-4.1's fold takes the public trial's values, then the stacked
-    # route's: a stacked pointer commutator above 1e-8 fails the run although
-    # it is within the tolerance, and a stacked marginal defect above run.tol
-    # ends the run with the suite's note, as the public trial's would.
-    values = (0.0, 0.0, 1e-9, 1e-9)
+    # thm-4.1's fold takes the stacked route's values, each the group's worst:
+    # a pointer commutator above 1e-8 fails the run although it is within the
+    # tolerance, and a marginal defect above run.tol ends the run with the
+    # suite's note.
     run = _Run(_rng("thm-4.1", 7), 5, 1.0, 1e-7)
-    qinstr.verify._fold_thm_4_1(run, *values, 0.0, 2e-8, 1e-9, 1e-9)
+    qinstr.verify._fold_thm_4_1(run, 0.0, 2e-8, 1e-9, 1e-9)
     assert (run.met, run.worst) == (False, 2e-8)
-    for public, stacked in ((values, (2e-7, 0.0, 0.0, 0.0)), ((2e-7, 0.0, 0.0, 0.0), values)):
-        with pytest.raises(qinstr.verify._Stop, match="converse marginals broken"):
-            qinstr.verify._fold_thm_4_1(_Run(_rng("thm-4.1", 7), 5, 1.0, 1e-7), *public, *stacked)
+    with pytest.raises(qinstr.verify._Stop, match="converse marginals broken"):
+        qinstr.verify._fold_thm_4_1(_Run(_rng("thm-4.1", 7), 5, 1.0, 1e-7), 2e-7, 0.0, 0.0, 0.0)
     with pytest.raises(qinstr.verify._Stop, match="measured joint observable broken"):
-        qinstr.verify._fold_cor_4_3(_Run(_rng("cor-4.3", 7), 5, 1.0, 1e-7), 0.0, 0.0, 0.0, 2e-7, 0.0, 0.0)
+        qinstr.verify._fold_cor_4_3(_Run(_rng("cor-4.3", 7), 5, 1.0, 1e-7), 2e-7, 0.0, 0.0)
 
 
 def test_batched_complementarity_decisions_are_the_public_ones():
     # lem-2.4's and cor-2.5's array program decides, trial by trial, both
-    # complementarity rules as the public functions decide them, for every
-    # kind and dimension (two trials of each of the 15 shapes).
-    trials, gens = 30, _trial_generators("lem-2.4", 30)
+    # complementarity rules as the public route decides them on the trial's
+    # slice of its group's draws, for every kind and dimension (two trials of
+    # each of the 15 shapes).
     spec = SUITES["lem-2.4"].batched
     assert SUITES["cor-2.5"].batched[:4] == spec[:4]
-    for first, (_, _, draws) in enumerate(_groups("lem-2.4", trials)):
-        t = np.arange(first, trials, 15)
-        decisions = np.stack(spec.batch(t, *draws), axis=1)
+    for group in _groups("lem-2.4", 30):
+        ts, d, _, draws = group
+        decisions = np.stack(spec.batch(ts, d, *draws), axis=1)
         for i, decided in enumerate(decisions):
-            assert tuple(decided) == spec.public(gens[t[i]], t[i], 2 + t[i] % 3)
+            assert tuple(decided) == spec.public(_slice(group, i), ts[i], d)
 
 
 def test_batched_prepared_probabilities_are_the_public_ones():
     # ex-7's array program builds, trial by trial, the probability of the first
     # outcome of a state preparation and then the second of another that
-    # joint_probability_instr computes.
-    trials, gens = 13, _trial_generators("ex-7", 13)
+    # joint_probability_instr computes on the trial's slice of its group's draws.
     trivial = qinstr.verify._trivial
-    for first, (_, _, (ga, gb, *g)) in enumerate(_groups("ex-7", trials)):
-        d = 2 + first % 2
+    for group in _groups("ex-7", 13):
+        ts, d, _, (ga, gb, *g) = group
         a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
         alpha, beta, rho = _states(np.stack(g))
         table = _pair_traces(_sandwich(trivial(a, alpha)[0], rho[:, None, None]), trivial(b, beta)[1])
         p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))
-        for k, t in enumerate(range(first, trials, 2)):
-            rng = gens[t]
+        for k in range(len(ts)):
+            rng = _slice(group, k)
             public_a, public_b = random_observable(d, 2, rng), random_observable(d, 2, rng)
             public_alpha, public_beta, public_rho = (random_state(d, rng) for _ in range(3))
             i, j = trivial_instrument(public_a, public_alpha), trivial_instrument(public_b, public_beta)
@@ -525,8 +525,8 @@ def test_batched_prepared_probabilities_are_the_public_ones():
     ],
 )
 def test_a_marginal_defect_in_a_stacked_trial_fails_its_suite(monkeypatch, result_id, swap_effects, note):
-    # The last trial of each shape group's stack, not the group's public
-    # trial, gets a first marginal that its joint does not have: the operators
+    # The last trial of each shape group's stack gets a first marginal that
+    # its joint does not have: the operators
     # of its first outcome permuted on the left (a valid instrument with the
     # same effects), or the two effects of its induced observable swapped (the
     # same sum). Each trial's marginal checks end the suite with their note.
@@ -551,8 +551,8 @@ def test_a_marginal_defect_in_a_stacked_trial_fails_its_suite(monkeypatch, resul
 
 
 def test_a_model_fault_in_a_batched_trial_fails_its_suite(monkeypatch):
-    # The last trial of each shape group's stack, not the group's public
-    # trial, gets a faulty von Neumann closed form: the dephasing channel is
+    # The last trial of each shape group's stack gets a faulty von Neumann
+    # closed form: the dephasing channel is
     # scaled by 1 + 4e-9, which misses idempotence by more than 1e-9 while
     # every distance stays within the 1e-8 tolerance.
     vn_forms = qinstr.models._vn_forms
@@ -571,8 +571,8 @@ def test_a_model_fault_in_a_batched_trial_fails_its_suite(monkeypatch):
 
 
 def test_a_model_fault_in_a_stacked_trial_fails_cor_4_5(monkeypatch):
-    # The last trial of each shape group's stack, not the group's public
-    # trial, gets a generic model (its probe basis drawn per trial) that
+    # The last trial of each shape group's stack gets a generic model (its
+    # probe basis drawn per trial) that
     # measures two effects that do not commute: two of a random three-outcome
     # observable's, past the sum check, as two effects that sum to the
     # identity always commute.
@@ -591,23 +591,21 @@ def test_a_model_fault_in_a_stacked_trial_fails_cor_4_5(monkeypatch):
     assert (report.status, report.note) == ("fail", "measured observable not commutative")
 
 
-@pytest.mark.parametrize("route", ["public", "stacked"])
-def test_an_eigenbasis_redraw_fails_cor_4_5(monkeypatch, route):
+@pytest.mark.parametrize("rejected", ["every trial", "last trial"])
+def test_an_eigenbasis_redraw_fails_cor_4_5(monkeypatch, rejected):
     # The public route would draw a rejected eigenbasis combination again, but
-    # a stacked trial replays the one combination its group's public trial
-    # drew. So a public trial that drew twice (its first draw rejected here),
-    # or a stacked trial whose combination does not diagonalize (the last of
-    # each group rejected here), fails the suite: no basis is taken unchecked.
+    # a group's route takes one stacked draw of combinations. So a route whose
+    # first draw is rejected in every trial (and a second would be accepted),
+    # or in the last trial of each group only, fails the suite: no basis is
+    # taken unchecked.
     eigenbasis, calls = qinstr.models._eigenbasis, []
 
     def rejecting(stack, x):
         v, diagonals, diagonalizes = eigenbasis(stack, x)
         calls.append(x)
-        if route == "public":
-            return v, diagonals, diagonalizes and len(calls) > 1
-        if diagonalizes.ndim:  # a stack: its last trial's combination rejected
-            diagonalizes = diagonalizes & (np.arange(diagonalizes.size) < diagonalizes.size - 1)
-        return v, diagonals, diagonalizes
+        if rejected == "every trial":
+            return v, diagonals, diagonalizes & (len(calls) > 1)
+        return v, diagonals, diagonalizes & (np.arange(diagonalizes.size) < diagonalizes.size - 1)
 
     monkeypatch.setattr(qinstr.models, "_eigenbasis", rejecting)
     report = run_suite("cor-4.5", seed=7)
@@ -713,13 +711,13 @@ def _left_rotated_last(slot_operators):
 )
 def test_a_dilation_fault_in_a_stacked_trial_fails_its_suite(monkeypatch, result_id, name, fault, error, note):
     # A dilation kernel of qinstr.models gets a fault in the last trial of
-    # each shape group's stack, not the group's public trial: a zero (rank-
+    # each shape group's stack: a zero (rank-
     # deficient) isometry, a negated extracted operator (the same effects, not
     # positive), an isometry scaled so that its extracted operators miss
     # completeness, or a product pointer's instrument whose marginals are not
     # the two models'. A group shares one pointer, so a pointer with every slot
     # on one outcome (not atomic) or with effects that are not projections
-    # (not sharp) is every trial's, the public one's too. Each is refused.
+    # (not sharp) is every trial's. Each is refused.
     monkeypatch.setattr(qinstr.models, name, fault(getattr(qinstr.models, name)))
     if error is not None:
         with pytest.raises(error, match=note):
