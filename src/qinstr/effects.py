@@ -72,8 +72,9 @@ def ensure_partial_state(m: object) -> Array:
 
 
 def ensure_state(m: object) -> Array:
-    """Validate a density matrix (PSD, unit trace)."""
-    a = ensure_hermitian(m)
+    """Validate a density matrix (PSD, unit trace), or each of a ``(t, d, d)`` stack."""
+    a = as_numbers(m)
+    a = ensure_hermitian(a, stack=a.ndim == 3)
     return _state_checks(a, np.linalg.eigvalsh(a))
 
 
@@ -143,7 +144,7 @@ def complement(a: object) -> Array:
 
 def occurrence_probability(rho: object, a: object) -> float:
     """Probability ``tr(rho a)`` that the effect occurs in the given state."""
-    r, ea = ensure_state(rho), ensure_effect(a)
+    r, ea = ensure_state(as_matrix(rho)), ensure_effect(a)
     _same_dim(r.shape[0], ea.shape[0])
     p = float(np.trace(r @ ea).real)
     return min(1.0, max(0.0, p))
@@ -211,16 +212,22 @@ def binary_observables_from_coexistence(a: object, b: object, w: CoexistenceWitn
     ``a`` and ``b`` are validated as effects, then the blocks and marginals by
     ``_witness_joints``.  Matrices of different shapes, ``a`` or ``b`` not an
     effect, blocks out of range or a marginal off raise ``InvalidWitness``.
+    Of ``(t, d, d)`` stacks of effects and witnesses, a stack of ``t`` joint
+    observables, each trial's checked.
     """
     from .observables import Observable
 
     try:
-        given = as_matrix([a, b, w.a1, w.b1, w.c], stack=True)
-        ea, eb = ensure_effects(given[:2])
+        given = as_numbers([a, b, w.a1, w.b1, w.c])
+        lead = given.shape[1:2] if given.ndim == 4 else ()  # a stack's trial axis
+        flat = as_matrix(given.reshape(5 * lead[0], *given.shape[2:]) if lead else given, stack=True)
+        given = flat.reshape(5, -1, *flat.shape[1:])
+        ea, eb = ensure_effects(given[:2].reshape(-1, *given.shape[-2:])).reshape(given[:2].shape)
     except (DimensionError, InvariantViolation) as exc:
         raise InvalidWitness(f"not two effects and a witness of one shape: {exc}") from exc
-    joint, spectrum, _ = _witness_joints(ea[None], eb[None], CoexistenceWitness(*given[2:, None]))
-    return Observable._checked([("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")], joint[0], spectrum)
+    joint, spectrum, _ = _witness_joints(ea, eb, CoexistenceWitness(*given[2:]))
+    labels = [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
+    return Observable._checked(labels, joint.reshape(*lead, *joint.shape[1:]), spectrum)
 
 
 # -- feasibility search -------------------------------------------------------

@@ -53,7 +53,7 @@ from .linalg import Array, as_matrix, as_numbers, completion, ensure_hermitian, 
 from .linalg import read_only
 from .observables import Label, LabelledFamily, Observable, StochasticMatrix, _set_probability, check_distinct_labels
 from .observables import check_weights, combine_labels, complementarity_defects, family_distance, marginal_defect
-from .observables import _common_trials, _mixture_weights, _pair_traces, row_positions, shared_value_space
+from .observables import _common_trials, _decisions, _mixture_weights, _pair_traces, row_positions, shared_value_space
 
 
 def _kraus_stack(ops: Sequence[object]) -> Array:
@@ -442,27 +442,26 @@ def trivial_instrument(a: Observable, alpha: object) -> Instrument:
     ``A_x^T (x) alpha``.  Every root comes from one batched eigensolve, whose
     spectrum of ``alpha`` is also its state check (``effects._state_checks``).
 
-    On a stack of observables and states over a leading trial axis, an
-    outcome keeps the columns any trial keeps (zero in the others).
+    On a stack of observables or of states over a leading trial axis (one
+    observable goes with a stack of states, and one state with a stack of
+    observables), an outcome keeps the columns any trial keeps (zero in the others).
     """
-    st = ensure_hermitian(alpha, stack=a.stack.ndim == 4)
-    if st.shape != (*a.stack.shape[:-3], a.dim, a.dim):
+    st = as_numbers(alpha)
+    st = ensure_hermitian(st, stack=st.ndim == 3)
+    if st.shape[-1] != a.dim:
         raise DimensionError(f"state dim {st.shape[-1]}, observable dim {a.dim}")
-    stack = np.concatenate([a.stack, st[..., None, :, :]], axis=-3)
+    _common_trials(st, a, what="states and families")
+    lead = max(st.shape[:-2], a.stack.shape[:-3], key=len)
+    effects, st = np.broadcast_to(a.stack, (*lead, *a.stack.shape[-3:])), np.broadcast_to(st, (*lead, a.dim, a.dim))
+    stack = np.concatenate([effects, st[..., None, :, :]], axis=-3)
     w, v = _eigh(stack)
     _state_checks(st, w[..., -1, :])
     f, keep = _eig_columns(*_psd_eig(stack, (w, v)))
     keep = keep.reshape(-1, *keep.shape[-2:]).any(0)
-    ops = _prepared(f[..., :-1, :, :], f[..., -1, :, :][..., keep[-1]])
+    ops = np.einsum("...ak,...xij->...xjkai", f[..., -1, :, :][..., keep[-1]], f[..., :-1, :, :].conj())
     if not keep[:-1].all():  # a gather only where an effect's column drops
         ops = ops[..., keep[:-1], :, :, :]
-    return _assembled(a.labels, ops.reshape(*a.stack.shape[:-3], -1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum())
-
-
-def _prepared(effect_columns: Array, state_columns: Array) -> Array:
-    """``trivial_instrument``'s operators ``r_k s_j^*``, ``(m, d, s, d, d)`` over the columns ``s_j``
-    of ``effect_columns`` ``(m, d, d)`` and ``r_k`` of ``state_columns`` ``(d, s)``, or per trial of a batch."""
-    return np.einsum("...ak,...xij->...xjkai", state_columns, effect_columns.conj())
+    return _assembled(a.labels, ops.reshape(*lead, -1, a.dim, a.dim), keep[:-1].sum(1) * keep[-1].sum())
 
 
 def identity_instrument(weights: Mapping[Label, float], dim: int) -> Instrument:
@@ -495,6 +494,7 @@ def compose_operations(second: Operation, first: Operation) -> Operation:
     ``instr_product``, completed (``_assembled``) if both are channels, else
     scaled by ``1 / sqrt(t)`` if its effect's top eigenvalue ``t`` exceeds 1 by at most ``MODEL_TOL``."""
     _same_dim(second.dim, first.dim)
+    _common_trials(second, first, what="operations")
     f, s = first._kraus, second._kraus
     ops, counts = _then(f[..., None, :, :, :], np.array([f.shape[-3]]), s[..., None, :, :, :], np.array([s.shape[-3]]))
     if first.is_channel() and second.is_channel():
@@ -587,15 +587,12 @@ def instr_complementary(i: Instrument, j: Instrument) -> bool:
     ``tr(s_k D_ab[x, y]) = 0`` for the defects of ``complementarity_defects``,
     and likewise with ``D_ba``.  The defects are exactly Hermitian, so the
     coefficients are their ``D_ii``, ``Re D_ij`` and ``-Im D_ij`` (``i < j``):
-    every real and imaginary part must be within ``CHOI_TOL``.
+    every real and imaginary part must be within ``CHOI_TOL``.  Of stacks
+    over ``t`` trials, one decision per trial, a ``(t,)`` array.
     """
-    return bool(_entrywise_complementary(complementarity_defects(induced_observable(i), induced_observable(j))))
-
-
-def _entrywise_complementary(defects: tuple[Array, Array]) -> Array:
-    """``instr_complementary``'s rule on the two defect stacks, or per trial of two batches."""
+    defects = complementarity_defects(induced_observable(i), induced_observable(j))
     small = [(np.abs(d.real) <= CHOI_TOL) & (np.abs(d.imag) <= CHOI_TOL) for d in defects]
-    return np.logical_and(*(s.all((-4, -3, -2, -1)) for s in small))
+    return _decisions(np.logical_and(*(s.all((-4, -3, -2, -1)) for s in small)))
 
 
 def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: float = CHOI_TOL) -> bool:
@@ -608,18 +605,22 @@ def instr_coexist_verify(i: Instrument, j: Instrument, joint: Instrument, tol: f
 def joint_probability_table_instr(rho: object, i: Instrument, j: Instrument) -> Array:
     """Outcome table ``p[x, y] = tr J_y(I_x(rho)) = tr(B_y I_x(rho))`` of
     performing ``i`` and then ``j``, with ``B`` the induced effects of ``j``:
-    an ``(m, n)`` array in label order, from one batched product."""
+    an ``(m, n)`` array in label order, from one batched product; of stacked
+    states or instruments over ``t`` trials, a ``(t, m, n)`` table."""
     r = ensure_state(rho)
-    _same_dim(r.shape[0], i.dim, j.dim)
-    return _pair_traces(_sandwich(i.kraus, r), j.effects)
+    _same_dim(r.shape[-1], i.dim, j.dim)
+    _common_trials(r, i, j, what="states and families")
+    return _pair_traces(_sandwich(i.kraus, r[..., None, None, :, :]), j.effects)
 
 
 def joint_probability_instr(
-    rho: object, i: Instrument, x_set: Iterable[Label], j: Instrument, y_set: Iterable[Label]
-) -> float:
+    rho: object, i: Instrument, x_set: Iterable[Label] | Array, j: Instrument, y_set: Iterable[Label] | Array
+) -> float | Array:
     """Probability of outcome set ``X`` for ``i`` and then ``Y`` for ``j``:
     the sum of ``joint_probability_table_instr`` over ``X x Y``.  Neither set
-    may repeat a label."""
+    may repeat a label; a set may also be a boolean mask over the labels,
+    ``(t, m)`` for one set per trial.  Of stacks, or of per-trial sets, the
+    ``(t,)`` probabilities."""
     return _set_probability(joint_probability_table_instr(rho, i, j), i, x_set, j, y_set)
 
 

@@ -167,12 +167,22 @@ def family_distance(a: LabelledFamily, b: LabelledFamily) -> float:
     return float(a._distances(np.arange(len(a))[:, None], b).max())
 
 
-def _common_trials(*families: LabelledFamily) -> None:
-    """Families stacked over trials must share their trial axes (one family, not a stack, goes with any):
-    ``DimensionError`` otherwise, before any array arithmetic meets them."""
-    trials = {(f.stack if isinstance(f, Observable) else f.effects).shape[:-3] for f in families} - {()}
+def _common_trials(*items: object, what: str = "families") -> None:
+    """Families, operations (their Kraus stacks) and matrices (states) stacked over trials must share their
+    trial axes (one not stacked goes with any): ``DimensionError`` naming ``what`` otherwise, before any
+    array arithmetic meets them."""
+    trials = {_trial_axes(x) for x in items} - {()}
     if len(trials) > 1:
-        raise DimensionError("families stacked over different trials: " + ", ".join(map(str, sorted(trials))))
+        raise DimensionError(f"{what} stacked over different trials: " + ", ".join(map(str, sorted(trials))))
+
+
+def _trial_axes(x: object) -> tuple[int, ...]:
+    """The leading trial axes of an observable, an instrument, an operation or a matrix stack."""
+    if isinstance(x, np.ndarray):
+        return x.shape[:-2]
+    if isinstance(x, LabelledFamily):
+        return (x.stack if isinstance(x, Observable) else x.effects).shape[:-3]
+    return x._kraus.shape[:-3]
 
 
 def marginal_defect(a: LabelledFamily, b: LabelledFamily, joint: LabelledFamily) -> float:
@@ -481,34 +491,26 @@ def complementarity_defects(a: Observable, b: Observable) -> tuple[Array, Array]
     ``D_ab[x, y] = A_x o B_y - A_x / n`` has shape ``(m, n, d, d)`` and
     ``D_ba[y, x] = B_y o A_x - B_y / m`` has shape ``(n, m, d, d)``, with
     ``m`` and ``n`` the outcome counts of ``a`` and ``b``; both product
-    stacks come from ``seq_products`` on the cached roots.
+    stacks come from ``seq_products`` on the cached roots.  Of stacks over
+    ``t`` trials, each has a leading trial axis.  Of one shape, both
+    directions come from one ``seq_products`` call on the pair stacked.
     """
-    return _defects(a.stack, a.roots, b.stack, b.roots)
-
-
-def _defects(ea: Array, ra: Array, eb: Array, rb: Array) -> tuple[Array, Array]:
-    """``complementarity_defects`` of two observables' effects and roots, or per trial of two batches;
-    of one shape, both directions from one ``seq_products`` call on the pair stacked."""
-    m, n = ea.shape[-3], eb.shape[-3]
+    _common_trials(a, b)
+    ea, eb, m, n = a.stack, b.stack, len(a), len(b)
     if ea.shape != eb.shape:
-        return seq_products(ra, eb) - ea[..., None, :, :] / n, seq_products(rb, ea) - eb[..., None, :, :] / m
-    both = seq_products(np.stack([ra, rb]), np.stack([eb, ea])) - np.stack([ea, eb])[..., None, :, :] / n
+        return seq_products(a.roots, eb) - ea[..., None, :, :] / n, seq_products(b.roots, ea) - eb[..., None, :, :] / m
+    both = seq_products(np.stack([a.roots, b.roots]), np.stack([eb, ea])) - np.stack([ea, eb])[..., None, :, :] / n
     return both[0], both[1]
 
 
 def complementarity_residual(a: Observable, b: Observable) -> float:
-    """Largest Frobenius norm among the defects of ``complementarity_defects``."""
-    return float(_defect_norms(complementarity_defects(a, b)))
+    """Largest Frobenius norm among the defects of ``complementarity_defects`` (of stacks, the worst trial's)."""
+    return float(_defect_norms(complementarity_defects(a, b)).max())
 
 
 def _defect_norms(defects: tuple[Array, Array]) -> Array:
-    """``complementarity_residual`` of the two defect stacks, or per trial of two batches."""
+    """``complementarity_residual`` of the two defect stacks, or per trial of two stacks."""
     return np.maximum(*(norms(d).max((-2, -1)) for d in defects))
-
-
-def _frobenius_complementary(defects: tuple[Array, Array]) -> Array:
-    """``obs_complementary``'s rule on the two defect stacks, or per trial of two batches."""
-    return _defect_norms(defects) <= SUM_TOL
 
 
 def obs_complementary(a: Observable, b: Observable) -> bool:
@@ -517,9 +519,14 @@ def obs_complementary(a: Observable, b: Observable) -> bool:
     Checks ``A_x o B_y = A_x / n`` and ``B_y o A_x = B_y / m`` for all pairs,
     with ``n`` and ``m`` the outcome counts of ``b`` and ``a``: every defect
     of ``complementarity_defects`` must be within ``SUM_TOL`` in Frobenius
-    norm.
+    norm.  Of stacks over ``t`` trials, one decision per trial, a ``(t,)`` array.
     """
-    return bool(_frobenius_complementary(complementarity_defects(a, b)))
+    return _decisions(_defect_norms(complementarity_defects(a, b)) <= SUM_TOL)
+
+
+def _decisions(decided: Array) -> bool | Array:
+    """A decision, or a stack's per-trial decisions as an array."""
+    return bool(decided) if decided.ndim == 0 else decided
 
 
 def fourier_mub(d: int) -> tuple[Array, Array]:
@@ -541,12 +548,17 @@ def _basis_projections(w: Array) -> Array:
 
 
 def atomic_observable(basis: Array, labels: Sequence[Label] | None = None) -> Observable:
-    """Sharp atomic observable built from the columns of a unitary matrix."""
-    b = as_matrix(basis)
-    d = b.shape[1]
-    if labels is None:
-        labels = [str(j) for j in range(d)]
-    return Observable(zip(labels, _basis_projections(b)))
+    """Sharp atomic observable built from the columns of a unitary matrix, one label per column; of a
+    ``(t, d, d)`` stack of bases, a stack of ``t`` observables, checked by one ``_checked_effects`` call."""
+    b = as_numbers(basis)
+    b = as_matrix(b, stack=b.ndim == 3)
+    projections = _basis_projections(b)
+    m, d = projections.shape[-3:-1]
+    labels = check_distinct_labels([str(j) for j in range(m)] if labels is None else labels)
+    if len(labels) != m:
+        raise LabelError(f"expected {m} labels, one for each column, got {len(labels)}")
+    stack, spectrum = _checked_effects(projections.reshape(-1, d, d), m)
+    return Observable._checked(labels, stack.reshape(projections.shape), spectrum)
 
 
 def identity_observable(weights: Mapping[Label, float], dim: int) -> Observable:
@@ -587,42 +599,47 @@ def obs_triple_joint(a: Observable, b: Observable, c: Observable) -> Observable:
 
 def joint_probability_table(rho: object, a: Observable, b: Observable) -> Array:
     """Outcome table ``p[x, y] = tr[rho (A_x o B_y)]`` of measuring ``a`` and
-    then ``b``, an ``(m, n)`` array in label order.  The products come from
-    one ``seq_products`` call, each checked as an effect."""
+    then ``b``, an ``(m, n)`` array in label order; of stacked states or
+    families over ``t`` trials, a ``(t, m, n)`` table.  The products come
+    from one ``seq_products`` call, each checked as an effect."""
     r = ensure_state(rho)
-    _same_dim(r.shape[0], a.dim, b.dim)
-    return _probability_table(r, seq_products(a.roots, b.stack))
+    _same_dim(r.shape[-1], a.dim, b.dim)
+    _common_trials(r, a, b, what="states and families")
+    products = seq_products(a.roots, b.stack)
+    table = _pair_traces(r[..., None, :, :], products.reshape(*products.shape[:-4], -1, a.dim, a.dim))
+    return table.reshape(*table.shape[:-2], len(a), len(b))
 
 
-def _probability_table(rho: Array, products: Array) -> Array:
-    """``tr(rho P_xy)`` of a state and an ``(m, n, d, d)`` stack of products, as an
-    ``(m, n)`` table, or per trial of a ``(t, d, d)`` and a ``(t, m, n, d, d)`` batch."""
-    flat = products.reshape(*products.shape[:-4], -1, *products.shape[-2:])
-    return _pair_traces(rho[..., None, :, :], flat).reshape(products.shape[:-2])
+def _set_probability(table: Array, a: LabelledFamily, x_set: object, b: LabelledFamily, y_set: object) -> float | Array:
+    """The sum of an outcome table of ``a`` then ``b`` over the block ``X x Y`` of two outcome sets
+    (``_outcome_mask``), clipped to ``[0, 1]``; of a ``(t, m, n)`` table or per-trial sets, the ``(t,)`` sums."""
+    x, y = _outcome_mask(a, x_set), _outcome_mask(b, y_set)
+    _common_trials(table, x[..., None], y[..., None], what="tables and outcome sets")  # each as a stack of matrices
+    p = np.clip(np.where(x[..., :, None] & y[..., None, :], table, 0.0).sum((-2, -1)), 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
-def _set_probability(
-    table: Array, a: LabelledFamily, x_set: Iterable[Label], b: LabelledFamily, y_set: Iterable[Label]
-) -> float:
-    """``_set_probabilities`` of one table, over two sets of distinct labels."""
-    x, y = np.zeros(len(a), dtype=bool), np.zeros(len(b), dtype=bool)
-    x[a._positions(x_set)], y[b._positions(y_set)] = True, True
-    return float(_set_probabilities(table, x, y))
-
-
-def _set_probabilities(table: Array, x: Array, y: Array) -> Array:
-    """Sums of outcome tables of ``a`` then ``b`` (any leading axes) over the
-    blocks ``X x Y`` of the boolean outcome masks ``x`` and ``y``, clipped to ``[0, 1]``."""
-    return np.clip(np.where(x[..., :, None] & y[..., None, :], table, 0.0).sum((-2, -1)), 0.0, 1.0)
+def _outcome_mask(family: LabelledFamily, subset: object) -> Array:
+    """An outcome set of ``family`` as a boolean mask in label order: a collection of distinct labels, or
+    a boolean array itself, ``(m,)`` or ``(t, m)`` with one set per trial (``ShapeError`` for another shape)."""
+    if isinstance(subset, np.ndarray) and subset.dtype == bool:
+        if subset.ndim > 2 or subset.shape[-1:] != (len(family),):
+            raise ShapeError(f"outcome mask shape {subset.shape} does not match {len(family)} outcomes")
+        return subset
+    mask = np.zeros(len(family), dtype=bool)
+    mask[family._positions(subset)] = True
+    return mask
 
 
 def joint_probability_then(
-    rho: object, a: Observable, x_set: Iterable[Label], b: Observable, y_set: Iterable[Label]
-) -> float:
+    rho: object, a: Observable, x_set: Iterable[Label] | Array, b: Observable, y_set: Iterable[Label] | Array
+) -> float | Array:
     """Probability of seeing ``a`` in ``X`` and then ``b`` in ``Y``: the sum
     of ``joint_probability_table`` over ``X x Y``, which equals
     ``tr[rho (A o B)_{X x Y}]`` as the product is linear in each outcome.
-    Neither set may repeat a label."""
+    Neither set may repeat a label; a set may also be a boolean mask over
+    the labels, ``(t, m)`` for one set per trial.  Of stacks, or of
+    per-trial sets, the ``(t,)`` probabilities."""
     return _set_probability(joint_probability_table(rho, a, b), a, x_set, b, y_set)
 
 

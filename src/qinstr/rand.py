@@ -5,11 +5,10 @@ verification suite and document is reproducible from a seed.
 
 ``random_observable``, ``random_instrument``, ``random_state`` and
 ``random_unitary`` each make one Generator call (``_normals``) and build from
-its numbers with ``_whitened_effects``, ``_whitened_kraus``, ``_states`` or
-``_unitaries``, which form the Ginibre matrices (``_ginibres_of``) themselves.
-These take leading trial axes, so a generator whose calls return draws stacked
-over trials (the catalog's) gives a stack of families.  Counts and labels are
-checked before anything is drawn.
+the Ginibre matrices of its numbers (``_ginibres_of``), over any leading trial
+axes, so a generator whose calls return draws stacked over trials (the
+catalog's) gives a stack of families.  Counts and labels are checked before
+anything is drawn.
 """
 
 from __future__ import annotations
@@ -55,14 +54,8 @@ def random_psd(dim: int, rng: np.random.Generator) -> Array:
 
 def random_state(dim: int, rng: np.random.Generator) -> Array:
     """Random density matrix ``g g^* / tr``: PSD with unit trace by
-    construction, so only symmetrized, not eigensolved (``_states``)."""
-    return _states(_normals(rng, dim, dim))
-
-
-def _states(normals: Array) -> Array:
-    """``random_state``'s density matrix ``g g^* / tr`` of the Ginibre matrix of its ``_normals``
-    draw, or of each of a stack."""
-    g = _ginibres_of(normals)
+    construction, so only symmetrized, not eigensolved."""
+    g = ginibre(dim, rng)
     rho = g @ g.conj().swapaxes(-1, -2)
     return hermitian_part(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
@@ -83,13 +76,8 @@ def random_effect(dim: int, rng: np.random.Generator) -> Array:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> Array:
-    return _unitaries(_normals(rng, dim, dim))
-
-
-def _unitaries(normals: Array) -> Array:
-    """``random_unitary``'s Haar unitary of the Ginibre matrix of its ``_normals`` draw, or of
-    each of a stack: the QR factor ``Q``, each column's phase fixed by the diagonal of ``R``."""
-    q, r = np.linalg.qr(_ginibres_of(normals))
+    """Haar unitary of a Ginibre matrix: the QR factor ``Q``, each column's phase fixed by the diagonal of ``R``."""
+    q, r = np.linalg.qr(ginibre(dim, rng))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (phases / np.abs(phases))[..., None, :]
 
@@ -112,30 +100,18 @@ def random_observable(
     labels = check_distinct_labels(default_labels(outcomes) if labels is None else labels)
     if not 0 < outcomes == len(labels):  # before the draw
         raise LabelError(f"need at least one outcome and one label for each, got {len(labels)} for {outcomes} outcomes")
-    return Observable._valid(labels, _whitened_effects(_normals(rng, outcomes, dim, dim)))
-
-
-def _whitened_effects(normals: Array) -> Array:
-    """``random_observable``'s effects from its ``_normals`` draw, ``(m, 2, d, d)``, or a
-    ``(t, m, 2, d, d)`` batch of ``t`` trials' draws: the positive parts ``g g^*`` of the
-    Ginibre blocks, whitened by the inverse square root of each family's sum."""
-    g = _ginibres_of(normals)
+    g = _ginibres_of(_normals(rng, outcomes, dim, dim))
     blocks = g @ g.conj().swapaxes(-1, -2)
     inv_root = inverse_root(blocks.sum(-3))[1][..., None, :, :]
-    return inv_root @ blocks @ inv_root
+    return Observable._valid(labels, inv_root @ blocks @ inv_root)
 
 
 def random_commuting_effect_pair(dim: int, rng: np.random.Generator) -> tuple[Array, Array]:
-    """Effects diagonal in one random basis, so they commute."""
+    """Effects diagonal in one random basis, so they commute; of stacked draws, two stacks of them."""
     u = random_unitary(dim, rng)
-    return tuple(_commuting_effects(u, rng.uniform(0.0, 1.0, size=(2, dim))))
-
-
-def _commuting_effects(u: Array, x: Array) -> Array:
-    """``random_commuting_effect_pair``'s effects ``u diag(x_k) u^*`` of a unitary and two
-    spectra ``x`` ``(2, d)``, or per trial of a batch, validated by one ``ensure_effects`` call."""
-    pair = _diagonal_in(u, x)
-    return ensure_effects(pair.reshape(-1, *pair.shape[-2:])).reshape(pair.shape)
+    pair = _diagonal_in(u, rng.uniform(0.0, 1.0, size=(2, dim)))
+    pair = ensure_effects(pair.reshape(-1, dim, dim)).reshape(pair.shape)  # both validated by one call
+    return pair[..., 0, :, :], pair[..., 1, :, :]
 
 
 def _diagonal_in(u: Array, x: Array) -> Array:
@@ -181,18 +157,9 @@ def random_instrument(
         raise LabelError(f"an instrument needs at least one outcome, got {outcomes}")
     if kraus_per_outcome < 1:
         raise DimensionError("need at least one Kraus operator")
-    raw = _normals(rng, outcomes, kraus_per_outcome, dim, dim)
-    return Instrument._from_kraus(default_labels(outcomes), _whitened_kraus(raw))
-
-
-def _whitened_kraus(normals: Array) -> Array:
-    """``random_instrument``'s Kraus array from its ``_normals`` draw, ``(m, r, 2, d, d)``
-    or a batch with leading trial axes: the Ginibre blocks of each family right-multiplied
-    by the inverse square root of their sum of ``K^* K``."""
-    raw = _ginibres_of(normals)
-    d = raw.shape[-1]
-    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(*raw.shape[:-4], -1, d, d).sum(-3)
-    return raw @ inverse_root(total)[1][..., None, None, :, :]
+    raw = _ginibres_of(_normals(rng, outcomes, kraus_per_outcome, dim, dim))
+    total = (raw.conj().swapaxes(-1, -2) @ raw).reshape(*raw.shape[:-4], -1, dim, dim).sum(-3)
+    return Instrument._from_kraus(default_labels(outcomes), raw @ inverse_root(total)[1][..., None, None, :, :])
 
 
 def random_fimm(

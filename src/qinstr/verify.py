@@ -22,30 +22,26 @@ its draws.  Each group draws from one generator (``_Group``) that answers
 each Generator call of the route with one draw for all the group's trials, of
 size ``(trials, *size)``: trial i's numbers are slice i of every draw.  They
 depend on the group's size, so a run of ``k`` trials is not a prefix of a
-longer one.  thm-2.1, thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4, ex-5, ex-6,
-cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, thm-4.4, cor-4.5, thm-4.6, cor-4.7
-and thm-4.8 run that route once per group, on the stacked draws: the families,
-combinators, stochastic matrices, mixture weights, models and operations they
-call take a leading trial axis (a group's dilations share one slot map, so one
-pointer), ``family_distance`` and ``marginal_defect`` take the worst trial, and
-a flag holds when every trial's does.  cor-4.5's eigenbasis draw is a redraw
-loop, which one stacked draw cannot follow trial by trial, so its route allows
-one draw (``_FirstDraw``): a trial whose first combination does not
-diagonalize fails ("eigenbasis redrawn").  The others (lem-1.1, the
-complementarity pair of lem-2.4 and cor-2.5, ex-7, ex-8, lem-3.1 and the
-conj-2.5-converse probe) run their public route on the first trial's slice of
-the group's draws, then one array program of the library's kernels on the
-full stacks (``_batch_*``), which keeps the checks on computed objects (sums,
-roots, ``d^2`` cuts, ranges, witnesses, complementarity) and checks the
-generators' own weights, states and bases in the first trial only (``rand``
-builds them valid).  A group's values enter the run as residuals, or through
-the suite's ``fold`` (cor-2.5 and the probe count their complementary pairs;
-lem-2.6, lem-4.2, thm-4.1 and cor-4.3 fail with their note when a trial's
-marginal defect exceeds the tolerance; thm-4.1 bounds its pointers'
-commutators, thm-4.4 its channel's idempotence defect).  The suite function
-then runs what is left one by one: the fixed counterexamples of thm-2.1,
-thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7, thm-4.6 and cor-4.7, ex-4's commuting
-pair, drawn where the groups leave the generator, and cor-2.5's count check.
+longer one.  Each suite runs that route once per group, on the stacked draws:
+the families, combinators, states, stochastic matrices, mixture weights,
+models and operations it calls take a leading trial axis (a group's dilations
+share one slot map, so one pointer), ``family_distance``, ``marginal_defect``
+and ``complementarity_residual`` take the worst trial, a flag holds when
+every trial's does, and complementarity decisions and set probabilities come
+back per trial.  So every check of the public functions, the generators'
+own weights, states and bases included, runs on every trial.  cor-4.5's
+eigenbasis draw is a redraw loop, which one stacked draw cannot follow trial
+by trial, so its route allows one draw (``_FirstDraw``): a trial whose first
+combination does not diagonalize fails ("eigenbasis redrawn").  A group's
+values enter the run as residuals, or through the suite's ``fold`` (lem-2.4,
+cor-2.5 and the probe take each trial's decisions, and cor-2.5 and the probe
+count the complementary pairs; lem-2.6, lem-4.2, thm-4.1 and cor-4.3 fail
+with their note when a trial's marginal defect exceeds the tolerance; thm-4.1
+bounds its pointers' commutators, thm-4.4 its channel's idempotence defect).
+The suite function then runs what is left one by one: the fixed
+counterexamples of thm-2.1, thm-2.2, thm-2.3, ex-3, ex-4, ex-6, ex-7, thm-4.6
+and cor-4.7, ex-4's commuting pair, drawn where the groups leave the
+generator, and cor-2.5's count check.
 """
 
 from __future__ import annotations
@@ -59,23 +55,15 @@ import numpy as np
 
 from .effects import (
     CoexistenceWitness,
-    _witness_joints,
     atom,
     binary_observables_from_coexistence,
-    ensure_effect,
     ensure_effects,
     seq_product,
-    seq_products,
 )
 from .errors import InvalidWitness, QinstrError
 from .instruments import (
     Instrument,
     Operation,
-    _checked_sum,
-    _effects,
-    _entrywise_complementary,
-    _prepared,
-    _reduced,
     choi_distances,
     compose_operations,
     identity_instrument,
@@ -96,8 +84,7 @@ from .instruments import (
     minimal_kraus,
     trivial_instrument,
 )
-from .linalg import CHOI_TOL, MODEL_TOL, _sandwich, frob, herm_sqrt
-from .linalg import _from_eig, _psd_eig, hermitian_part, identity, norms, root_columns, spectral_norm
+from .linalg import _sandwich, frob, hermitian_part, identity, norms, spectral_norm
 from .models import (
     FIMM,
     VonNeumannModel,
@@ -115,14 +102,6 @@ from .models import (
 from .observables import (
     Observable,
     StochasticMatrix,
-    _basis_projections,
-    _checked_effects,
-    _defects,
-    _frobenius_complementary,
-    _pair_traces,
-    _probability_table,
-    _set_probabilities,
-    _valid_stack,
     atomic_observable,
     check_distinct_labels,
     classify_observable,
@@ -142,11 +121,6 @@ from .observables import (
     obs_seq_product,
 )
 from .rand import (
-    _commuting_effects,
-    _states,
-    _unitaries,
-    _whitened_effects,
-    _whitened_kraus,
     random_commutative_observable,
     random_commuting_effect_pair,
     random_instrument,
@@ -222,18 +196,24 @@ class _Run:
 class _Group:
     """A shape group's generator: each Generator call of a route (``standard_normal(size=...)``,
     ``dirichlet(alpha, size=...)``, ``random(size=...)``, ``uniform(lo, hi, size=...)``) makes one draw
-    from ``rng`` for all the group's ``trials`` at once, of size ``(trials, *size)``, and keeps it in
-    ``draws``.  A call returns that stack, or with ``trial`` its slice for that one trial."""
+    from ``rng`` for all the group's ``trials`` at once, of size ``(trials, *size)``, keeps it in
+    ``draws`` and returns it."""
 
-    def __init__(self, rng: np.random.Generator, trials: int, trial: int | None = None):
-        self.rng, self.trials, self.trial, self.draws = rng, trials, trial, []
+    def __init__(self, rng: np.random.Generator, trials: int):
+        self.rng, self.trials, self.draws = rng, trials, []
 
     def __getattr__(self, name: str) -> Callable:
         def call(*args, size=()):
             self.draws.append(getattr(self.rng, name)(*args, size=(self.trials, *np.atleast_1d(size))))
-            return self.draws[-1] if self.trial is None else self.draws[-1][self.trial]
+            return self.draws[-1]
 
         return call
+
+
+def _trial_shape(rng: np.random.Generator) -> tuple[int, ...]:
+    """The trial axes of a route's draws, read off a draw of no numbers: ``()`` from a generator,
+    ``(trials,)`` from a shape group's."""
+    return rng.random(size=0).shape[:-1]
 
 
 def _worst(a: np.ndarray, b: np.ndarray) -> float:
@@ -302,62 +282,18 @@ def _suite_lem_1_2(run: _Run) -> None:
         run.require(residual >= 1e-3, run.note)
 
 
-def _checked(kraus: np.ndarray, bound: float = CHOI_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of padded Kraus arrays, ``(t, m, r, d, d)``, and its effects, each
-    trial's sum checked (``_checked_sum``) as ``Instrument._from_kraus`` checks it."""
-    return _checked_sum(kraus, _effects(kraus), bound)
-
-
-def _assembled_batch(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``instruments._assembled`` on a ``(t, m, r, d, d)`` batch: ``_reduced`` (each trial's outcomes cut at
-    ``d^2``), then the sum check up to ``MODEL_TOL``."""
-    return _checked(_reduced(ops, np.full(ops.shape[1], ops.shape[2]), ops.shape[-1] ** 2)[0], MODEL_TOL)
-
-
-def _roots(stack: np.ndarray) -> np.ndarray:
-    """The effects' roots of a ``(t, m, d, d)`` batch, from one ``herm_sqrt`` call."""
-    return herm_sqrt(stack.reshape(-1, *stack.shape[-2:])).reshape(stack.shape)
-
-
-def _columns(stack: np.ndarray) -> np.ndarray:
-    """The root columns ``R`` (``root_columns``, ``A = R R^*``) of a ``(t, m, d, d)`` batch, from one call."""
-    return root_columns(stack.reshape(-1, *stack.shape[-2:]))[0].reshape(stack.shape)
-
-
-def _luders(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``luders_instrument`` of each trial's effects: its Kraus array and effects (``_checked``)."""
-    return _checked(_roots(a)[..., None, :, :])
-
-
-def _trivial(effects: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``trivial_instrument`` of each trial's effects ``(t, m, d, d)`` and state ``(t, d, d)``: one
-    ``root_columns`` call over each trial's effects and its state, ``_prepared`` over every
-    column (one not counted is zero), then ``_assembled_batch``; its Kraus array and effects."""
-    f = _columns(np.concatenate([effects, states[:, None]], 1))
-    return _assembled_batch(_prepared(f[:, :-1], f[:, -1]).reshape(*effects.shape[:2], -1, *effects.shape[-2:]))
-
-
 def _public_lem_1_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     """Commuting effects coexist: the algebraic witness validates and the
     binary joint observable has the right marginals."""
     a, b = random_commuting_effect_pair(d, rng)
-    ab = ensure_effect(hermitian_part(a @ b))
+    ab = ensure_effects(hermitian_part(a @ b).reshape(-1, d, d)).reshape(a.shape)
     w = CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab)
     try:
-        joint = binary_observables_from_coexistence(a, b, w).stack.reshape(2, 2, d, d)
+        joint = binary_observables_from_coexistence(a, b, w).stack.reshape(*a.shape[:-2], 2, 2, d, d)
     except InvalidWitness:
         raise _Stop("witness rejected")
-    return _worst(joint.sum(1), np.stack([a, np.eye(d) - a])), _worst(joint.sum(0), np.stack([b, np.eye(d) - b]))
-
-
-def _batch_lem_1_1(t: np.ndarray, d: int, g: np.ndarray, x: np.ndarray) -> tuple[float, ...]:
-    a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
-    ab = ensure_effects(hermitian_part(a @ b))
-    try:
-        defects = _witness_joints(a, b, CoexistenceWitness(a1=a - ab, b1=b - ab, c=ab))[2]
-    except InvalidWitness:
-        raise _Stop("witness rejected")
-    return tuple(map(float, defects.max(0)))
+    rows, cols = (np.stack([e, np.eye(d) - e], -3) for e in (a, b))
+    return _worst(joint.sum(-3), rows), _worst(joint.sum(-4), cols)
 
 
 def _public_thm_2_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -393,27 +329,11 @@ def _public_lem_3_1(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     a = random_observable(d, m, rng)
     b = random_observable(d, n, rng)
     rho = random_state(d, rng)
-    x, y = rng.random(size=len(a)), rng.random(size=len(b))  # an outcome is in its set when its uniform is below 0.6
-    x_set = [lab for k, lab in enumerate(a.labels) if x[k] < 0.6 or k == 0]  # and the first outcome always is
-    y_set = [lab for k, lab in enumerate(b.labels) if y[k] < 0.6 or k == 0]
+    x, y = rng.random(size=len(a)), rng.random(size=len(b))  # each outcome's uniform
+    # an outcome is in its set when its uniform is below 0.6, and the first outcome always is: a mask per trial
+    x_set, y_set = ((u < 0.6) | (np.arange(u.shape[-1]) == 0) for u in (x, y))
     p_instr = joint_probability_instr(rho, luders_instrument(a), x_set, luders_instrument(b), y_set)
-    return (abs(p_instr - joint_probability_then(rho, a, x_set, b, y_set)),)
-
-
-def _luders_tables(ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The outcome tables of measuring ``a`` and then ``b``, through their measurement-update
-    instruments and through the observables, from the draws of ``a``, ``b`` and the state."""
-    a, b = (_valid_stack(_whitened_effects(s)) for s in (ga, gb))
-    rho = _states(g)
-    roots = _roots(a)
-    outputs = _sandwich(_checked(roots[..., None, :, :])[0], rho[:, None, None])
-    return _pair_traces(outputs, _luders(b)[1]), _probability_table(rho, seq_products(roots, b))
-
-
-def _batch_lem_3_1(t: np.ndarray, d: int, ga: np.ndarray, gb: np.ndarray, g: np.ndarray, *u: np.ndarray) -> tuple[float, ...]:
-    x, y = ((v < 0.6) | (np.arange(v.shape[-1]) == 0) for v in u)  # each outcome's uniform, a's then b's
-    p_instr, p_obs = (_set_probabilities(p, x, y) for p in _luders_tables(ga, gb, g))
-    return (float(np.abs(p_instr - p_obs).max()),)
+    return (float(np.abs(p_instr - joint_probability_then(rho, a, x_set, b, y_set)).max()),)
 
 
 def _public_ex_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -424,10 +344,6 @@ def _public_ex_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     rho = random_state(d, rng)
     p_instr = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
     return (float(np.abs(p_instr - joint_probability_table(rho, a, b)).max()),)
-
-
-def _batch_ex_8(t: np.ndarray, d: int, ga: np.ndarray, gb: np.ndarray, g: np.ndarray) -> tuple[float, ...]:
-    return (float(np.abs(np.subtract(*_luders_tables(ga, gb, g))).max()),)
 
 
 def _public_lem_3_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
@@ -443,13 +359,12 @@ def _public_lem_3_4(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
 
 
 class _Batched(NamedTuple):
-    """A suite's trials by shape: each group's draws (``_Group``) through ``public`` and any ``batch``."""
+    """A suite's trials by shape: each group's stacked draws (``_Group``) through ``public``."""
 
     period: int  # trials t and t + period share a shape
     dims: tuple[int, ...]
     public: Callable  # the route through the public functions, from a generator, its trial and d: its values
-    batch: Callable | None = None  # a group's values from its trials ``t``, ``d`` and its stacked draws
-    fold: Callable = _Run.residual  # how the run takes a group's values: the route's, then any batch's
+    fold: Callable = _Run.residual  # how the run takes a group's values
 
 
 def _suite_thm_2_1(run: _Run) -> None:
@@ -491,13 +406,14 @@ def _identity_pair(d: int) -> tuple[Observable, Observable]:
     return identity_observable({"0": 0.5, "1": 0.5}, d), identity_observable({"0": 1.0 / 3, "1": 1.0 / 3, "2": 1.0 / 3}, d)
 
 
-def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bool]:
+def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Trial ``t``'s instrument pair, by its kind ``t % 5``: the measurement-update
     instruments of a mutually unbiased pair (0; rotated by a random unitary, 2), state
     preparations over two identity observables (1), one measurement-update instrument
     twice (3), or two random instruments (4); decided complementary on the instrument
     side (entrywise within ``CHOI_TOL``) and on the observable side (in Frobenius norm
-    within ``SUM_TOL``)."""
+    within ``SUM_TOL``): each trial's decisions, kind 0's (which draws nothing) repeated
+    for every trial of the draws."""
     kind = t % 5
     if kind in (0, 2):
         b1, b2 = fourier_mub(d)
@@ -513,55 +429,24 @@ def _public_complementary(rng: np.random.Generator, t: int, d: int) -> tuple[boo
         i, j = luders_instrument(a), luders_instrument(a)
     else:
         i, j = random_instrument(d, 2, rng), random_instrument(d, 2, rng)
-    return instr_complementary(i, j), obs_complementary(induced_observable(i), induced_observable(j))
+    decisions = instr_complementary(i, j), obs_complementary(induced_observable(i), induced_observable(j))
+    return tuple(np.broadcast_to(x, _trial_shape(rng)) for x in decisions)
 
 
-def _batch_complementary(t: np.ndarray, d: int, *draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    kind = t[0] % 5  # every trial of a group has its first's
-    if kind in (0, 2):  # both bases' instruments stacked
-        u = _unitaries(draws[0]) if draws else np.broadcast_to(identity(d), (len(t), d, d))
-        effects = [_checked(_mub_projections(u)[1][..., None, :, :])[1]]
-    elif kind == 1:
-        alpha = _states(draws[0])
-        effects = [_trivial(np.broadcast_to(a.stack, (len(t), *a.stack.shape)), alpha)[1][None] for a in _identity_pair(d)]
-    elif kind == 3:
-        effects = [_luders(_valid_stack(_whitened_effects(draws[0])))[1][None]]  # one instrument twice
-    else:
-        effects = [_checked(_whitened_kraus(np.stack(draws)))[1]]  # both instruments' draws stacked
-    pair = _with_roots([_valid_stack(e) for e in effects])  # each instrument's induced observable
-    defects = _defects(*pair[0], *pair[-1])
-    return _entrywise_complementary(defects), _frobenius_complementary(defects)
+_COMPLEMENTARY = (15, (2, 3, 4), _public_complementary)  # kind t % 5
 
 
-def _mub_projections(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The projections onto the Fourier pair's bases rotated by each trial's unitary, ``(2, t, d, d, d)``, basis-major,
-    checked as ``atomic_observable`` checks them (``_checked_effects``), and their roots off that check's spectrum."""
-    d = u.shape[-1]
-    projections = _basis_projections(u @ np.stack(fourier_mub(d))[:, None])
-    checked, spectrum = _checked_effects(projections.reshape(-1, d, d), d)
-    return checked.reshape(projections.shape), _from_eig(*_psd_eig(checked, spectrum)).reshape(projections.shape)
-
-
-def _with_roots(stacks: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each batch of observables of a list of stacks ``(k, t, m, d, d)`` (of one or both of a pair) with
-    its roots, one ``_roots`` call per stack."""
-    return [p for e in stacks for p in zip(e, _roots(e))]
-
-
-_COMPLEMENTARY = (15, (2, 3, 4), _public_complementary, _batch_complementary)  # kind t % 5
-
-
-def _fold_lem_2_4(run: _Run, instr: bool, obs: bool, instrs: np.ndarray, obss: np.ndarray) -> None:
+def _fold_lem_2_4(run: _Run, instrs: np.ndarray, obss: np.ndarray) -> None:
     """Instrument-level complementarity agrees exactly with observable-level
-    complementarity of the induced observables."""
-    run.residual(float(instr != obs), float(np.count_nonzero(instrs != obss)))
+    complementarity of the induced observables, in every trial of a group."""
+    run.residual(float(np.count_nonzero(instrs != obss)))
     run.note = "boolean agreement"
 
 
-def _fold_cor_2_5(run: _Run, instr: bool, obs: bool, instrs: np.ndarray, obss: np.ndarray) -> None:
-    """Complementary instruments have complementary observables; the batch counts every trial."""
+def _fold_cor_2_5(run: _Run, instrs: np.ndarray, obss: np.ndarray) -> None:
+    """Complementary instruments have complementary observables; every trial of a group is counted."""
     run.count = (run.count or 0) + int(instrs.sum())
-    run.residual(float(instr and not obs), float(np.count_nonzero(instrs & ~obss)))
+    run.residual(float(np.count_nonzero(instrs & ~obss)))
 
 
 def _suite_cor_2_5(run: _Run) -> None:
@@ -703,17 +588,8 @@ def _public_ex_7(rng: np.random.Generator, t: int, d: int) -> tuple[float, ...]:
     j = trivial_instrument(b, beta)
     x_set, y_set = [a.labels[0]], [b.labels[1]]
     p = joint_probability_instr(rho, i, x_set, j, y_set)
-    expected = float(np.trace(rho @ a[x_set[0]]).real) * float(np.trace(alpha @ b[y_set[0]]).real)
-    return (abs(p - expected),)
-
-
-def _batch_ex_7(t: np.ndarray, d: int, ga: np.ndarray, gb: np.ndarray, *g: np.ndarray) -> tuple[float, ...]:
-    a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
-    alpha, beta, rho = _states(np.stack(g))
-    table = _pair_traces(_sandwich(_trivial(a, alpha)[0], rho[:, None, None]), _trivial(b, beta)[1])
-    p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))  # X = {a's first}, Y = {b's second}
-    expected = np.trace(rho @ a[:, 0], axis1=-2, axis2=-1).real * np.trace(alpha @ b[:, 1], axis1=-2, axis2=-1).real
-    return (float(np.abs(p - expected).max()),)
+    p_x, p_y = (np.trace(s @ e, axis1=-2, axis2=-1).real for s, e in ((rho, a[x_set[0]]), (alpha, b[y_set[0]])))
+    return (float(np.abs(p - p_x * p_y).max()),)
 
 
 def _suite_ex_7(run: _Run) -> None:
@@ -965,33 +841,25 @@ def _public_thm_4_8(rng: np.random.Generator, t: int, d: int) -> tuple[float, ..
     return measured, family_distance(model_instrument(trivial_fimm(alpha, a)), trivial_instrument(a, alpha))
 
 
-def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[bool, bool]:
+def _public_conj_2_5(rng: np.random.Generator, t: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A pair by its kind ``t % 2``: the atomic observables of a randomly
     rotated mutually unbiased pair (0), or the identity pair (1; the rotation
     is drawn, unused); whether it is complementary, and whether it then is a
-    counterexample: its measurement-update instruments are not."""
+    counterexample: its measurement-update instruments are not.  Each trial's
+    decisions, the identity pair's repeated for every trial of the draws."""
     b1, b2 = fourier_mub(d)
     u = random_unitary(d, rng)
     a, b = (atomic_observable(u @ b1), atomic_observable(u @ b2)) if t % 2 == 0 else _identity_pair(d)
     complementary = obs_complementary(a, b)
-    return complementary, complementary and not instr_complementary(luders_instrument(a), luders_instrument(b))
+    updates = instr_complementary(luders_instrument(a), luders_instrument(b))
+    found = np.logical_and(complementary, np.logical_not(updates))
+    return np.broadcast_to(complementary, u.shape[:-2]), np.broadcast_to(found, u.shape[:-2])
 
 
-def _batch_conj_2_5(t: np.ndarray, d: int, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if t[0] % 2 == 0:
-        pairs = [_mub_projections(_unitaries(g))]  # the pair stacked, with its roots
-    else:  # the identity pair's closed-form roots
-        pairs = [tuple(np.broadcast_to(x, (1, len(t), *x.shape)) for x in (a.stack, a.roots)) for a in _identity_pair(d)]
-    obs = [p for e, r in pairs for p in zip(e, r)]
-    induced = _with_roots([_valid_stack(_checked(r[..., None, :, :])[1]) for _, r in pairs])  # of the update instruments
-    complementary = _frobenius_complementary(_defects(*obs[0], *obs[1]))
-    return complementary, complementary & ~_entrywise_complementary(_defects(*induced[0], *induced[1]))
-
-
-def _fold_conj_2_5(run: _Run, public: bool, candidate: bool, complementary: np.ndarray, found: np.ndarray) -> None:
+def _fold_conj_2_5(run: _Run, complementary: np.ndarray, found: np.ndarray) -> None:
     """Probe for a complementary observable pair whose measurement-update instruments fail instrument-level
-    complementarity; reports only the search outcome, asserting nothing.  The batch's decisions cover every trial
-    of its group: the complementary pairs are counted, and the counterexample candidates add up in ``run.worst``."""
+    complementarity; reports only the search outcome, asserting nothing.  The decisions cover every trial of
+    a group: the complementary pairs are counted, and the counterexample candidates add up in ``run.worst``."""
     run.count = (run.count or 0) + int(complementary.sum())
     run.worst += int(found.sum())
     candidates = f"{run.worst:.0f} counterexample candidates" if run.worst else "no counterexample found"
@@ -1030,7 +898,7 @@ class _Suite(NamedTuple):
 
 SUITES: dict[str, _Suite] = {
     "ex-1": _Suite(_suite_ex_1, 1, 1e-10, fixed=True),
-    "lem-1.1": _Suite(None, 50, 1e-8, batched=_Batched(3, (2, 3, 4), _public_lem_1_1, _batch_lem_1_1)),
+    "lem-1.1": _Suite(None, 50, 1e-8, batched=_Batched(3, (2, 3, 4), _public_lem_1_1)),
     "lem-1.2": _Suite(_suite_lem_1_2, 6, 1e-9, fixed=True),
     "thm-2.1": _Suite(_suite_thm_2_1, 100, 1e-9, batched=_Batched(3, (2, 3, 4), _public_thm_2_1)),
     "thm-2.2": _Suite(_suite_thm_2_2, 100, 1e-9, batched=_Batched(6, (2, 3, 4), _public_thm_2_2)),
@@ -1043,9 +911,9 @@ SUITES: dict[str, _Suite] = {
     "ex-4": _Suite(_suite_ex_4, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_4)),
     "ex-5": _Suite(None, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_5)),
     "ex-6": _Suite(_suite_ex_6, 20, 1e-9, batched=_Batched(2, (2, 3), _public_ex_6)),
-    "ex-7": _Suite(_suite_ex_7, 20, 1e-10, batched=_Batched(2, (2, 3), _public_ex_7, _batch_ex_7)),
-    "ex-8": _Suite(None, 50, 1e-10, batched=_Batched(3, (2, 3, 4), _public_ex_8, _batch_ex_8)),
-    "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1, _batch_lem_3_1)),
+    "ex-7": _Suite(_suite_ex_7, 20, 1e-10, batched=_Batched(2, (2, 3), _public_ex_7)),
+    "ex-8": _Suite(None, 50, 1e-10, batched=_Batched(3, (2, 3, 4), _public_ex_8)),
+    "lem-3.1": _Suite(None, 100, 1e-10, batched=_Batched(6, (2, 3, 4), _public_lem_3_1)),
     "thm-3.2": _Suite(_suite_thm_3_2, 1, 1e-9, fixed=True),
     "cor-3.3": _Suite(None, 20, 1e-9, batched=_Batched(3, (2, 3, 4), _public_cor_3_3)),
     "lem-3.4": _Suite(None, 50, 1e-9, batched=_Batched(2, (2, 3), _public_lem_3_4)),
@@ -1057,9 +925,7 @@ SUITES: dict[str, _Suite] = {
     "thm-4.6": _Suite(_suite_thm_4_6, 10, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_6)),
     "cor-4.7": _Suite(_suite_cor_4_7, 10, 1e-8, batched=_Batched(2, (2, 3), _public_cor_4_7)),
     "thm-4.8": _Suite(None, 20, 1e-8, batched=_Batched(2, (2, 3), _public_thm_4_8)),
-    "conj-2.5-converse": _Suite(
-        None, 40, None, batched=_Batched(6, (2, 3, 4), _public_conj_2_5, _batch_conj_2_5, _fold_conj_2_5)
-    ),
+    "conj-2.5-converse": _Suite(None, 40, None, batched=_Batched(6, (2, 3, 4), _public_conj_2_5, _fold_conj_2_5)),
     "conj-3.3-converse": _Suite(_suite_conj_3_3, 40, None),
 }
 
@@ -1077,15 +943,10 @@ def run_suite(result_id: str, seed: int = 0, trials: int | None = None, tol_scal
     run = _Run(_rng(result_id, seed), n, tol_scale, tol)
     try:
         if suite.batched is not None:
-            period, dims, public, batch, fold = suite.batched
-            for first in range(min(period, n)):
-                ts, d = np.arange(first, n, period), dims[first % len(dims)]
-                if batch:  # the public route on the first trial's slice, then the program on the full stacks
-                    group = _Group(run.rng, len(ts), trial=0)
-                    values = public(group, first, d) + batch(ts, d, *group.draws)
-                else:  # the route once, on the group's stacked draws
-                    values = public(_Group(run.rng, len(ts)), first, d)
-                fold(run, *values)
+            period, dims, public, fold = suite.batched
+            for first in range(min(period, n)):  # the route once per group, on the group's stacked draws
+                group = _Group(run.rng, len(range(first, n, period)))
+                fold(run, *public(group, first, dims[first % len(dims)]))
         if suite.fn is not None:
             suite.fn(run)
     except _Stop as stop:

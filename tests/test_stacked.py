@@ -3,18 +3,19 @@
 A generator whose calls return each trial's draw of the same call, stacked,
 gives a stack of families; every public call on such a stack must equal its
 calls on the trials one by one, and a check on a stack holds when it holds for
-every trial.  The catalog runs thm-2.1, thm-2.2, thm-2.3, lem-2.6, ex-3, ex-4,
-ex-5, ex-6, cor-3.3, lem-3.4, thm-4.1, lem-4.2, cor-4.3, thm-4.4, cor-4.5,
-thm-4.6, cor-4.7 and thm-4.8 this way, on one draw per call for all of a shape
-group's trials (``verify._Group``); these tests
-replace the checks that their array programs built what the public functions
-build.
+every trial, while a decision or a set probability comes back per trial.
+The catalog runs every suite that draws trials (but conj-3.3-converse) this
+way, on one draw per call for all of a shape group's trials
+(``verify._Group``); these tests replace the checks that its former array
+programs built what the public functions build.
 """
 
 import numpy as np
 import pytest
 
-from qinstr.errors import DimensionError, InvariantViolation, NotIsometry, ShapeError, WeightError
+from qinstr.effects import CoexistenceWitness, binary_observables_from_coexistence, ensure_effects, ensure_state
+from qinstr.errors import DimensionError, InvalidWitness, InvariantViolation, LabelError, NotIsometry, ShapeError
+from qinstr.errors import WeightError
 from qinstr.instruments import (
     Instrument,
     _reduced,
@@ -27,7 +28,10 @@ from qinstr.instruments import (
     instr_convex_combo,
     instr_post_process,
     instr_product,
+    instr_complementary,
     is_identity_instrument,
+    joint_probability_instr,
+    joint_probability_table_instr,
     kraus_instrument,
     luders_instrument,
     trivial_instrument,
@@ -36,10 +40,13 @@ from qinstr.models import FIMM, VonNeumannModel, dilate_instrument, luders_posit
 from qinstr.models import model_instrument, normal_fimm_kraus_extract, simultaneous_fimms, trivial_fimm, vn_measured
 from qinstr.models import vn_model_for_commutative, von_neumann_unitary
 from qinstr.observables import Observable, StochasticMatrix, atomic_observable, classify_observable, combine_labels
-from qinstr.observables import family_distance, identity_observable, obs_commute, obs_conditioned, obs_convex_combo
-from qinstr.observables import marginal_defect, obs_post_process, obs_seq_product
-from qinstr.rand import random_commutative_observable, random_instrument, random_kraus_instrument, random_observable
-from qinstr.rand import random_simplex, random_state, random_stochastic, random_unitary
+from qinstr.observables import complementarity_defects, complementarity_residual, family_distance, fourier_mub
+from qinstr.observables import identity_observable, joint_probability_table, joint_probability_then, marginal_defect
+from qinstr.observables import obs_commute, obs_complementary, obs_conditioned, obs_convex_combo, obs_post_process
+from qinstr.observables import obs_seq_product
+from qinstr.rand import random_commutative_observable, random_commuting_effect_pair, random_instrument
+from qinstr.rand import random_kraus_instrument, random_observable, random_simplex, random_state, random_stochastic
+from qinstr.rand import random_unitary
 from qinstr.verify import _product_pointer_model
 
 SEEDS = (3, 5, 8, 13)
@@ -95,26 +102,31 @@ def test_stacked_products_and_conditionings_are_the_per_trial_ones(d):
 
 
 @pytest.mark.parametrize(
-    "combine, build",
+    "combine, build, kind",
     [
-        (family_distance, random_observable),
-        (family_distance, random_instrument),
-        (obs_seq_product, random_observable),
-        (instr_product, random_instrument),
-        (obs_conditioned, random_observable),
-        (instr_conditioned, random_instrument),
-        (lambda a, b: marginal_defect(a, a, obs_seq_product(b, b)), random_observable),
+        (family_distance, random_observable, "families"),
+        (family_distance, random_instrument, "families"),
+        (obs_seq_product, random_observable, "families"),
+        (instr_product, random_instrument, "families"),
+        (obs_conditioned, random_observable, "families"),
+        (instr_conditioned, random_instrument, "families"),
+        (lambda a, b: marginal_defect(a, a, obs_seq_product(b, b)), random_observable, "families"),
+        (lambda i, j: compose_operations(instr_channel(i), instr_channel(j)), random_instrument, "operations"),
+        (complementarity_defects, random_observable, "families"),
+        (obs_complementary, random_observable, "families"),
+        (lambda i, j: instr_complementary(luders_instrument(i), luders_instrument(j)), random_observable, "families"),
     ],
     ids=[
         "distance-observables", "distance-instruments", "obs-seq-product", "instr-product", "obs-conditioned",
-        "instr-conditioned", "marginal-defect",
+        "instr-conditioned", "marginal-defect", "compose-operations", "complementarity-defects", "obs-complementary",
+        "instr-complementary",
     ],
 )
-def test_families_stacked_over_different_trials_are_refused(combine, build):
+def test_families_stacked_over_different_trials_are_refused(combine, build, kind):
     # Two stacks over 4 and over 3 trials have no trial-by-trial pairing: a
     # typed DimensionError, not a numpy broadcast error.
     a, b = build(2, 2, StackedDraws(SEEDS)), build(2, 2, StackedDraws(SEEDS[:3]))
-    with pytest.raises(DimensionError, match="families stacked over different trials"):
+    with pytest.raises(DimensionError, match=f"{kind} stacked over different trials"):
         combine(a, b)
 
 
@@ -561,3 +573,106 @@ def test_a_von_neumann_model_of_one_basis_pair_measures_a_stacked_pointer():
     measured, closed = model_instrument(model), vn_measured(model)[0]
     assert_same_maps(measured, [vn_measured(one)[0] for one in ones], 2)
     assert all(choi_distances(measured.kraus[k], closed.kraus[k]).max() <= 1e-14 for k in range(len(SEEDS)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_atomic_observables_and_their_complementarity_are_the_per_trial_ones(d):
+    # lem-2.4, cor-2.5 and the probe: atomic_observable of a stack of bases,
+    # and the complementarity decisions of stacks, one per trial, on either
+    # side; complementarity_residual gives the worst trial. Trial 0 of the
+    # second pair turns one basis of a mutually unbiased pair, so it alone is
+    # not complementary.
+    b1, b2 = fourier_mub(d)
+    u = random_unitary(d, StackedDraws())
+    turned = np.stack([random_unitary(d, np.random.default_rng(9)) @ b2, *(u[1:] @ b2)])
+    for first, second in ((u @ b1, u @ b2), (u @ b1, turned)):
+        a, b = atomic_observable(first), atomic_observable(second)
+        ones = [(atomic_observable(x), atomic_observable(y)) for x, y in zip(first, second)]
+        assert a.labels == ones[0][0].labels and a.stack.shape == (len(SEEDS), d, d, d)
+        for k, (x, y) in enumerate(ones):
+            assert np.array_equal(a.stack[k], x.stack) and np.array_equal(b.stack[k], y.stack)
+
+        def decide(x, y):
+            return obs_complementary(x, y), instr_complementary(luders_instrument(x), luders_instrument(y))
+
+        decided, singles = decide(a, b), [decide(x, y) for x, y in ones]
+        assert [tuple(map(bool, pair)) for pair in zip(*decided)] == singles
+        assert complementarity_residual(a, b) == max(complementarity_residual(x, y) for x, y in ones)
+    assert [bool(x) for x in obs_complementary(a, b)] == [False, True, True, True]
+    with pytest.raises(LabelError, match=f"expected {d} labels"):
+        atomic_observable(u, ["x"])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_commuting_pairs_and_their_joint_observables_are_the_per_trial_ones(d):
+    # lem-1.1: random_commuting_effect_pair of stacked draws is two stacks of
+    # effects, and binary_observables_from_coexistence of stacked effects and
+    # witnesses is a stack of joint observables, each trial's checked.
+    def build(rng):
+        a, b = random_commuting_effect_pair(d, rng)
+        ab = ensure_effects(((a @ b + (a @ b).conj().swapaxes(-1, -2)) / 2).reshape(-1, d, d)).reshape(a.shape)
+        return a, b, CoexistenceWitness(a - ab, b - ab, ab)
+
+    (a, b, w), ones = build(StackedDraws()), per_trial(build)
+    assert a.shape == b.shape == (len(SEEDS), d, d)
+    joint = binary_observables_from_coexistence(a, b, w)
+    assert joint.stack.shape == (len(SEEDS), 4, d, d)
+    for k, (x, y, v) in enumerate(ones):
+        assert np.array_equal(a[k], x) and np.array_equal(b[k], y)
+        assert np.array_equal(joint.stack[k], binary_observables_from_coexistence(x, y, v).stack)
+    broken = CoexistenceWitness(w.a1, w.b1, np.concatenate([w.c[:-1], 2.0 * w.c[-1:]]))
+    with pytest.raises(InvalidWitness):
+        binary_observables_from_coexistence(a, b, broken)
+
+
+@pytest.mark.parametrize("d, m, n", [(2, 2, 3), (3, 3, 2)])
+def test_stacked_tables_and_set_probabilities_are_the_per_trial_ones(d, m, n):
+    # ex-7, ex-8 and lem-3.1: ensure_state of a stack, the outcome tables of
+    # stacked states and families, (t, m, n), and the set probabilities, (t,),
+    # over one set of labels or over boolean masks, one set per trial.
+    def build(rng):
+        a, b, rho = random_observable(d, m, rng), random_observable(d, n, rng), random_state(d, rng)
+        return a, b, rho, rng.random(size=m) < 0.5, rng.random(size=n) < 0.5
+
+    (a, b, rho, x, y), ones = build(StackedDraws()), per_trial(build)
+    assert np.array_equal(ensure_state(rho), np.stack([ensure_state(one[2]) for one in ones]))
+    halved = rho.copy()
+    halved[-1] *= 0.5
+    with pytest.raises(InvariantViolation, match="trace-one"):
+        ensure_state(halved)
+    i, j = luders_instrument(a), luders_instrument(b)
+    tables = joint_probability_table(rho, a, b), joint_probability_table_instr(rho, i, j)
+    assert tables[0].shape == tables[1].shape == (len(SEEDS), m, n)
+    labels = [a.labels[0]], list(b.labels[1:])
+    for k, (p, q, r, u, v) in enumerate(ones):
+        assert np.abs(tables[0][k] - joint_probability_table(r, p, q)).max() <= 1e-15
+        lu, lv = luders_instrument(p), luders_instrument(q)
+        assert np.abs(tables[1][k] - joint_probability_table_instr(r, lu, lv)).max() <= 1e-15
+        for sets, one_sets in (((x, y), (u, v)), (labels, labels)):
+            then = joint_probability_then(rho, a, sets[0], b, sets[1])
+            instr = joint_probability_instr(rho, i, sets[0], j, sets[1])
+            assert then.shape == instr.shape == (len(SEEDS),)
+            assert abs(then[k] - joint_probability_then(r, p, one_sets[0], q, one_sets[1])) <= 1e-15
+            assert abs(instr[k] - joint_probability_instr(r, lu, one_sets[0], lv, one_sets[1])) <= 1e-15
+    assert isinstance(joint_probability_then(ones[0][2], ones[0][0], ones[0][3], ones[0][1], labels[1]), float)
+    with pytest.raises(ShapeError, match="outcome mask"):
+        joint_probability_then(rho, a, x[:, :-1], b, y)
+    with pytest.raises(DimensionError, match="tables and outcome sets stacked over different trials"):
+        joint_probability_then(rho, a, x[:2], b, y)
+    with pytest.raises(DimensionError, match="states and families stacked over different trials"):
+        joint_probability_table(rho[:2], a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_state_preparation_of_one_observable_and_stacked_states_is_the_per_trial_ones(d):
+    # lem-2.4 and cor-2.5: trivial_instrument of one observable (not a stack)
+    # and a stack of states prepares each trial's state, as the observable
+    # with each state does; with a stack of observables, one state goes with each.
+    a = identity_observable({"0": 0.5, "1": 0.5}, d)
+    states = random_state(d, StackedDraws())
+    assert_same_maps(trivial_instrument(a, states), [trivial_instrument(a, s) for s in states], d)
+    observables = random_observable(d, 2, StackedDraws())
+    ones = per_trial(lambda rng: random_observable(d, 2, rng))
+    assert_same_maps(trivial_instrument(observables, states[0]), [trivial_instrument(o, states[0]) for o in ones], d)
+    with pytest.raises(DimensionError, match="states and families stacked over different trials"):
+        trivial_instrument(observables, states[:2])

@@ -6,22 +6,11 @@ import pytest
 
 import qinstr.verify
 from qinstr import cli
-from qinstr.effects import CoexistenceWitness, _witness_joints, binary_observables_from_coexistence, ensure_effect
-from qinstr.effects import ensure_effects, seq_products
 from qinstr.errors import NotIsometry, NotNormal, QinstrError
-from qinstr.instruments import (
-    Instrument,
-    joint_probability_instr,
-    joint_probability_table_instr,
-    luders_instrument,
-    trivial_instrument,
-)
-from qinstr.linalg import _sandwich, hermitian_part
-from qinstr.observables import Observable, _pair_traces, _probability_table, _set_probabilities, _valid_stack
-from qinstr.observables import joint_probability_table
-from qinstr.rand import _commuting_effects, _states, _unitaries, _whitened_effects
-from qinstr.rand import random_commuting_effect_pair, random_observable, random_state
-from qinstr.verify import SUITES, _Group, _rng, _Run, run_suite, run_suites
+from qinstr.instruments import Instrument
+from qinstr.observables import Observable
+from qinstr.rand import random_observable
+from qinstr.verify import SUITES, _Batched, _Group, _rng, _Run, run_suite, run_suites
 
 # (status, trials, tolerance, note) of every suite at seed 7; residuals are
 # left out, since their last bits depend on the BLAS build.
@@ -193,9 +182,9 @@ def test_different_seed_changes_draws():
 
 
 _BUDGETS = [
-    ("lem-1.1", 21), ("lem-2.4", 153), ("cor-2.5", 153), ("lem-3.1", 72), ("lem-3.4", 4), ("thm-2.3", 14), ("ex-8", 36),
-    ("lem-4.2", 8), ("ex-6", 13), ("thm-4.4", 6), ("cor-4.5", 28), ("thm-4.8", 16), ("conj-2.5-converse", 66),
-    ("cor-3.3", 0), ("thm-4.1", 2), ("cor-4.3", 3), ("thm-4.6", 10), ("cor-4.7", 10), ("lem-2.6", 4), ("ex-7", 23),
+    ("lem-1.1", 12), ("lem-2.4", 96), ("cor-2.5", 96), ("lem-3.1", 42), ("lem-3.4", 4), ("thm-2.3", 14), ("ex-8", 21),
+    ("lem-4.2", 8), ("ex-6", 13), ("thm-4.4", 6), ("cor-4.5", 28), ("thm-4.8", 16), ("conj-2.5-converse", 36),
+    ("cor-3.3", 0), ("thm-4.1", 2), ("cor-4.3", 3), ("thm-4.6", 10), ("cor-4.7", 10), ("lem-2.6", 4), ("ex-7", 15),
     ("thm-2.1", 12), ("ex-3", 7), ("ex-5", 2), ("thm-2.2", 22), ("ex-4", 20),
 ]
 
@@ -209,33 +198,9 @@ def test_eigensolve_budget(result_id, solves, eig_calls):
 
 
 def test_every_batched_suite_has_an_eigensolve_budget():
-    # A suite that runs its trials by shape group (a stacked route or an array
-    # program) has an exact budget row, so a later conversion cannot drop out.
+    # A suite that runs its trials by shape group (one stacked route per
+    # group) has an exact budget row, so a later change cannot drop out.
     assert sorted(k for k, suite in SUITES.items() if suite.batched) == sorted(k for k, _ in _BUDGETS)
-
-
-@pytest.mark.parametrize("result_id", sorted(k for k, suite in SUITES.items() if suite.batched and suite.batched.batch))
-def test_no_batch_program_solves_more_than_its_public_routes(result_id, eig_calls, monkeypatch):
-    # At seed 7, the eigh/eigvalsh calls of a suite's batch programs are at most
-    # those of its groups' public routes: a batch solves no spectrum that its
-    # public route reads again instead.
-    solves = {"public": 0, "batch": 0}
-
-    def counted(side, fn):
-        def call(*args):
-            before = len(eig_calls.calls)
-            try:
-                return fn(*args)
-            finally:
-                solves[side] += len(eig_calls.calls) - before
-
-        return call
-
-    spec = SUITES[result_id].batched
-    batched = spec._replace(public=counted("public", spec.public), batch=counted("batch", spec.batch))
-    monkeypatch.setitem(SUITES, result_id, SUITES[result_id]._replace(batched=batched))
-    run_suite(result_id, seed=7)
-    assert 0 < solves["public"] and solves["batch"] <= solves["public"]
 
 
 @pytest.mark.parametrize("seed", [94, 311])
@@ -259,8 +224,8 @@ def test_batched_suites_pass_with_groups_empty_or_of_one(result_id, trials):
 
 
 @pytest.mark.parametrize("result_id", ["lem-2.4", "cor-2.5", "conj-2.5-converse"])
-def test_batch_programs_take_the_runners_dimension(result_id, monkeypatch):
-    # The complementarity programs build their pairs at the dimension the
+def test_complementarity_routes_take_the_runners_dimension(result_id, monkeypatch):
+    # The complementarity routes build their pairs at the dimension the
     # runner hands them, not one derived again from the trial index: with the
     # row's dims set to (8,) each passes (the probe reports "unknown").
     spec = SUITES[result_id].batched
@@ -276,16 +241,34 @@ def _groups(result_id: str, trials: int) -> list:
     spec, rng, out = SUITES[result_id].batched, _rng(result_id, 7), []
     for first in range(min(spec.period, trials)):
         ts, d, before = np.arange(first, trials, spec.period), spec.dims[first % len(spec.dims)], copy.deepcopy(rng)
-        group = _Group(rng, len(ts), trial=0)
+        group = _Group(rng, len(ts))
         spec.public(group, first, d)
         out.append((ts, d, before, group.draws))
     return out
 
 
-def _slice(group: tuple, i: int) -> _Group:
+class _Slice(_Group):
+    """A shape group's generator whose calls return one trial's slice of each stacked draw."""
+
+    def __init__(self, rng: np.random.Generator, trials: int, trial: int):
+        super().__init__(rng, trials)
+        self.trial = trial
+
+    def __getattr__(self, name: str):
+        call = super().__getattr__(name)
+        return lambda *args, **kwargs: call(*args, **kwargs)[self.trial]
+
+
+def _slice(group: tuple, i: int) -> _Slice:
     """Trial ``i``'s generator in a ``_groups`` entry: the group's draws from its state, each call returning slice ``i``."""
     ts, _, before, _ = group
-    return _Group(copy.deepcopy(before), len(ts), trial=i)
+    return _Slice(copy.deepcopy(before), len(ts), i)
+
+
+def _stacked(group: tuple) -> _Group:
+    """The generator of a ``_groups`` entry's stacked route: the group's draws from its state."""
+    ts, _, before, _ = group
+    return _Group(copy.deepcopy(before), len(ts))
 
 
 @pytest.mark.parametrize("result_id", BATCHED)
@@ -309,14 +292,13 @@ def test_batched_draws_are_the_public_generators_draws(result_id, monkeypatch):
     for (_, _, _, draws), drawn in zip(groups, run_draws):
         assert len(drawn) == len(draws) and all(np.array_equal(x, y) for x, y in zip(drawn, draws))
     for group in groups:
-        ts, d, before, draws = group
+        ts, d, _, draws = group
         assert all(len(x) == len(ts) for x in draws)
         routes = [_slice(group, i) for i in range(len(ts))]
         for t, rng in zip(ts, routes):
             spec.public(rng, t, d)
-        if spec.batch is None:
-            routes.append(_Group(copy.deepcopy(before), len(ts)))
-            spec.public(routes[-1], ts[0], d)
+        routes.append(_stacked(group))
+        spec.public(routes[-1], ts[0], d)
         for rng in routes:
             assert len(rng.draws) == len(draws) and all(np.array_equal(x, y) for x, y in zip(rng.draws, draws))
 
@@ -335,31 +317,50 @@ def test_batched_trials_leave_the_generator_as_the_public_routes_do(result_id, m
     assert states == [last.rng.bit_generator.state]
 
 
-STACKED = sorted(result_id for result_id in BATCHED if SUITES[result_id].batched.batch is None)
+DECIDING = ["conj-2.5-converse", "cor-2.5", "lem-2.4"]  # routes that give each trial's decisions, not residuals
 
 
-def test_the_stacked_suites_are_those_whose_public_route_takes_a_stack():
-    assert STACKED == [
-        "cor-3.3", "cor-4.3", "cor-4.5", "cor-4.7", "ex-3", "ex-4", "ex-5", "ex-6", "lem-2.6", "lem-3.4", "lem-4.2",
-        "thm-2.1", "thm-2.2", "thm-2.3", "thm-4.1", "thm-4.4", "thm-4.6", "thm-4.8",
+def test_every_suite_that_draws_trials_runs_them_stacked():
+    # Every suite whose trials draw random numbers but conj-3.3-converse (which
+    # draws no instrument) runs its public route once per shape group on the
+    # group's stacked draws; no suite has another description of its trials.
+    assert BATCHED == [
+        "conj-2.5-converse", "cor-2.5", "cor-3.3", "cor-4.3", "cor-4.5", "cor-4.7", "ex-3", "ex-4", "ex-5", "ex-6",
+        "ex-7", "ex-8", "lem-1.1", "lem-2.4", "lem-2.6", "lem-3.1", "lem-3.4", "lem-4.2", "thm-2.1", "thm-2.2",
+        "thm-2.3", "thm-4.1", "thm-4.4", "thm-4.6", "thm-4.8",
     ]
+    assert _Batched._fields == ("period", "dims", "public", "fold")
 
 
-@pytest.mark.parametrize("result_id", STACKED)
+@pytest.mark.parametrize("result_id", [result_id for result_id in BATCHED if result_id not in DECIDING])
 def test_a_stacked_route_gives_the_worst_of_its_trials(result_id):
-    # A suite with no array program runs its public route once on each group's
-    # draws stacked over the group's trials: each of its values is the worst
-    # of trial i's public values on slice i of the group's draws.
+    # A suite runs its public route once on each group's draws stacked over
+    # the group's trials: each of its values is the worst of trial i's public
+    # values on slice i of the group's draws.
     spec, trials = SUITES[result_id].batched, 13
     for group in _groups(result_id, trials):
-        ts, d, before, _ = group
-        stacked = spec.public(_Group(copy.deepcopy(before), len(ts)), ts[0], d)
+        ts, d, _, _ = group
+        stacked = spec.public(_stacked(group), ts[0], d)
         ones = [spec.public(_slice(group, i), t, d) for i, t in enumerate(ts)]
         assert np.abs(np.subtract(stacked, np.max(ones, axis=0))).max() <= 1e-15
 
 
+@pytest.mark.parametrize("result_id", DECIDING)
+def test_a_stacked_route_gives_each_trials_decisions(result_id):
+    # The complementarity routes and the probe decide, trial by trial, as
+    # their public route decides on trial i's slice of its group's draws, for
+    # every kind and dimension (two trials of each shape).
+    spec = SUITES[result_id].batched
+    for group in _groups(result_id, 2 * spec.period):
+        ts, d, _, _ = group
+        stacked = spec.public(_stacked(group), ts[0], d)
+        assert all(np.shape(decisions) == ts.shape for decisions in stacked)
+        for i, t in enumerate(ts):
+            assert tuple(bool(x[i]) for x in stacked) == tuple(map(bool, spec.public(_slice(group, i), t, d)))
+
+
 @pytest.mark.parametrize("seed", [0, 7, 94, 311])
-@pytest.mark.parametrize("result_id", STACKED)
+@pytest.mark.parametrize("result_id", BATCHED)
 def test_a_stacked_route_makes_the_eigensolves_of_its_route_on_one_trial(result_id, seed, eig_calls, monkeypatch):
     # Group by group, the run's stacked route makes exactly the eigh/eigvalsh
     # calls of the same route on one trial's slice of the group's draws, each
@@ -372,7 +373,7 @@ def test_a_stacked_route_makes_the_eigensolves_of_its_route_on_one_trial(result_
         values = spec.public(rng, t, d)
         orders["stacked"].append(eig_calls.orders[before:])
         before = len(eig_calls.calls)
-        spec.public(_Group(state, rng.trials, trial=0), t, d)
+        spec.public(_Slice(state, rng.trials, 0), t, d)
         orders["one"].append(eig_calls.orders[before:])
         return values
 
@@ -382,90 +383,96 @@ def test_a_stacked_route_makes_the_eigensolves_of_its_route_on_one_trial(result_
 
 
 def test_verify_describes_no_more_suites_twice():
-    # At most 6 array programs (`_batch_*`) and 22 private library imports
-    # are left in verify.py, counted as CI's base-branch comparison counts
-    # them: a change may lower either count, never raise it.
+    # No array program (`_batch_*`) and at most 1 private library import are
+    # left in verify.py, counted as CI's base-branch comparison counts them:
+    # a change may lower the count, never raise it.
     with open(qinstr.verify.__file__) as f:
         tree = ast.parse(f.read())
     imports = [n for n in tree.body if isinstance(n, ast.ImportFrom) and n.level]
     private = [a for n in imports for a in n.names if a.name.startswith("_")]
     batch = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name.startswith("_batch_")]
-    assert len(batch) <= 6 and len(private) <= 22
+    assert not batch and len(private) <= 1
 
 
-def test_batched_probabilities_are_the_public_ones():
-    # lem-3.1's array program builds, trial by trial, the observables, the state
-    # and the two probability tables that the public functions build on the
-    # trial's slice of its group's draws.
-    for group in _groups("lem-3.1", 13):
-        ts, d, _, (ga, gb, g, *_) = group
-        a, b = (_valid_stack(_whitened_effects(s)) for s in (ga, gb))
-        rho = _states(g)
-        table = _probability_table(rho, seq_products(qinstr.verify._roots(a), b))
-        for i, t in enumerate(ts):
-            rng = _slice(group, i)
-            public_a, public_b = random_observable(d, 2 + t % 2, rng), random_observable(d, 2 + (t + 1) % 2, rng)
-            public_rho = random_state(d, rng)
-            assert np.abs(a[i] - public_a.stack).max() <= 1e-15 and np.abs(b[i] - public_b.stack).max() <= 1e-15
-            assert np.array_equal(rho[i], public_rho)
-            assert np.abs(table[i] - joint_probability_table(public_rho, public_a, public_b)).max() <= 1e-15
-            luders = joint_probability_table_instr(public_rho, luders_instrument(public_a), luders_instrument(public_b))
-            assert np.abs(table[i] - luders).max() <= 1e-14
+def _route_calls(monkeypatch, result_id: str, *names: str, trials: int = 13) -> list:
+    """Per shape group of ``result_id`` at seed 7, what each of ``names`` (functions ``qinstr.verify`` calls)
+    returned in the group's stacked route, and in the route on each trial's slice of the group's draws, one
+    ``{name: [returns]}`` for the stacked route and a list of them, one per trial."""
+    spec, groups, seen = SUITES[result_id].batched, _groups(result_id, trials), {name: [] for name in names}
+    for name in names:
+        def keep(*args, _fn=getattr(qinstr.verify, name), _out=seen[name]):
+            _out.append(_fn(*args))
+            return _out[-1]
+
+        monkeypatch.setattr(qinstr.verify, name, keep)
+    out = []
+    for group in groups:
+        ts, d, _, _ = group
+        runs = []
+        for rng, t in [(_stacked(group), ts[0]), *((_slice(group, i), t) for i, t in enumerate(ts))]:
+            for returns in seen.values():
+                returns.clear()
+            spec.public(rng, t, d)
+            runs.append({name: list(returns) for name, returns in seen.items()})
+        out.append((runs[0], runs[1:]))
+    return out
 
 
-def test_batched_joint_observables_are_the_public_ones():
-    # lem-1.1's array program draws, trial by trial, the commuting effect pair
-    # that the public generator draws from the trial's slice of its group's
-    # draws, and its stacked witness check builds the
-    # joint observable that binary_observables_from_coexistence builds.
-    for group in _groups("lem-1.1", 13):
-        ts, d, _, (g, x) = group
-        a, b = _commuting_effects(_unitaries(g), x).swapaxes(0, 1)
-        ab = ensure_effects(hermitian_part(a @ b))
-        joint = _witness_joints(a, b, CoexistenceWitness(a - ab, b - ab, ab))[0]
-        for i in range(len(ts)):
-            public_a, public_b = random_commuting_effect_pair(d, _slice(group, i))
-            assert np.array_equal(a[i], public_a) and np.array_equal(b[i], public_b)
-            public_ab = ensure_effect(hermitian_part(public_a @ public_b))
-            witness = CoexistenceWitness(public_a - public_ab, public_b - public_ab, public_ab)
-            assert np.array_equal(joint[i], binary_observables_from_coexistence(public_a, public_b, witness).stack)
+def test_stacked_set_probabilities_are_each_trials(monkeypatch):
+    # lem-3.1's stacked route gives, trial by trial, the set probabilities of
+    # the measurement-update instruments and of the observables, over each
+    # trial's own outcome sets, that its route gives on the trial's slice of
+    # its group's draws.
+    for stacked, ones in _route_calls(monkeypatch, "lem-3.1", "joint_probability_instr", "joint_probability_then"):
+        for name, (p,) in stacked.items():
+            assert p.shape == (len(ones),)
+            assert all(abs(p[i] - one[name][0]) <= 1e-15 for i, one in enumerate(ones))
 
 
-def test_batched_tables_are_the_public_ones():
-    # ex-8's array program builds, trial by trial, the two outcome tables that
-    # the public functions build from the trial's slice of its group's draws.
-    for group in _groups("ex-8", 13):
-        ts, d, _, (ga, gb, g) = group
-        p_instr, p_obs = qinstr.verify._luders_tables(ga, gb, g)
-        for i in range(len(ts)):
-            rng = _slice(group, i)
-            a, b, rho = random_observable(d, 2, rng), random_observable(d, 2, rng), random_state(d, rng)
-            luders = joint_probability_table_instr(rho, luders_instrument(a), luders_instrument(b))
-            assert np.abs(p_instr[i] - luders).max() <= 1e-15
-            assert np.abs(p_obs[i] - joint_probability_table(rho, a, b)).max() <= 1e-15
+def test_stacked_joint_observables_are_each_trials(monkeypatch):
+    # lem-1.1's stacked route draws, trial by trial, the commuting effect pair
+    # that its route draws from the trial's slice of its group's draws, and
+    # binary_observables_from_coexistence builds each trial's joint observable.
+    names = "random_commuting_effect_pair", "binary_observables_from_coexistence"
+    for stacked, ones in _route_calls(monkeypatch, "lem-1.1", *names):
+        (pair,), (joint,) = stacked.values()
+        assert joint.stack.shape == (len(ones), 4, *joint.stack.shape[-2:])
+        for i, one in enumerate(ones):
+            (one_pair,), (one_joint,) = one.values()
+            assert all(np.array_equal(x[i], y) for x, y in zip(pair, one_pair))
+            assert np.array_equal(joint.stack[i], one_joint.stack)
+
+
+def test_stacked_tables_are_each_trials(monkeypatch):
+    # ex-8's stacked route builds, trial by trial, the two outcome tables that
+    # its route builds from the trial's slice of its group's draws.
+    for stacked, ones in _route_calls(monkeypatch, "ex-8", "joint_probability_table_instr", "joint_probability_table"):
+        for name, (table,) in stacked.items():
+            assert table.shape == (len(ones), 2, 2)
+            assert all(np.abs(table[i] - one[name][0]).max() <= 1e-15 for i, one in enumerate(ones))
 
 
 def test_complementarity_folds_take_every_trial_of_a_group():
-    # The batch's decisions cover every trial of the group, the public one
-    # included: lem-2.4 counts the disagreeing ones, cor-2.5 the instrument-
-    # complementary ones and, of those, the observable failures.
+    # A group's decisions cover every trial of the group: lem-2.4 counts the
+    # disagreeing ones, cor-2.5 the instrument-complementary ones and, of
+    # those, the observable failures.
     instrs, obss = np.array([True, True, False, True]), np.array([False, True, True, True])
     lem, cor = (_Run(_rng(result_id, 7), 4, 1.0, 0.0) for result_id in ("lem-2.4", "cor-2.5"))
-    qinstr.verify._fold_lem_2_4(lem, True, True, instrs, obss)
-    qinstr.verify._fold_cor_2_5(cor, True, True, instrs, obss)
+    qinstr.verify._fold_lem_2_4(lem, instrs, obss)
+    qinstr.verify._fold_cor_2_5(cor, instrs, obss)
     assert (lem.worst, lem.note) == (2.0, "boolean agreement")
     assert (cor.worst, cor.count) == (1.0, 3)
 
 
 def test_the_probe_fold_counts_every_trial_of_every_group():
-    # conj-2.5-converse's fold takes the batch's decisions, which cover every
-    # trial of a group, the public one included: it counts the complementary
-    # pairs and adds up the counterexample candidates over the groups.
+    # conj-2.5-converse's fold takes a group's decisions, which cover every
+    # trial of the group: it counts the complementary pairs and adds up the
+    # counterexample candidates over the groups.
     run = _Run(_rng("conj-2.5-converse", 7), 8, 1.0, 0.0)
     complementary, found = np.array([True, True, False, True]), np.array([False, True, False, True])
-    qinstr.verify._fold_conj_2_5(run, True, False, complementary, np.zeros(4, dtype=bool))
+    qinstr.verify._fold_conj_2_5(run, complementary, np.zeros(4, dtype=bool))
     assert (run.count, run.worst, run.note) == (3, 0.0, "no counterexample found in 3 trials")
-    qinstr.verify._fold_conj_2_5(run, True, False, complementary, found)
+    qinstr.verify._fold_conj_2_5(run, complementary, found)
     assert (run.count, run.worst, run.note) == (6, 2.0, "2 counterexample candidates in 6 trials")
 
 
@@ -483,37 +490,14 @@ def test_the_coexistence_folds_take_every_trial_of_a_group():
         qinstr.verify._fold_cor_4_3(_Run(_rng("cor-4.3", 7), 5, 1.0, 1e-7), 2e-7, 0.0, 0.0)
 
 
-def test_batched_complementarity_decisions_are_the_public_ones():
-    # lem-2.4's and cor-2.5's array program decides, trial by trial, both
-    # complementarity rules as the public route decides them on the trial's
-    # slice of its group's draws, for every kind and dimension (two trials of
-    # each of the 15 shapes).
-    spec = SUITES["lem-2.4"].batched
-    assert SUITES["cor-2.5"].batched[:4] == spec[:4]
-    for group in _groups("lem-2.4", 30):
-        ts, d, _, draws = group
-        decisions = np.stack(spec.batch(ts, d, *draws), axis=1)
-        for i, decided in enumerate(decisions):
-            assert tuple(decided) == spec.public(_slice(group, i), ts[i], d)
-
-
-def test_batched_prepared_probabilities_are_the_public_ones():
-    # ex-7's array program builds, trial by trial, the probability of the first
-    # outcome of a state preparation and then the second of another that
-    # joint_probability_instr computes on the trial's slice of its group's draws.
-    trivial = qinstr.verify._trivial
-    for group in _groups("ex-7", 13):
-        ts, d, _, (ga, gb, *g) = group
-        a, b = (_valid_stack(_whitened_effects(x)) for x in (ga, gb))
-        alpha, beta, rho = _states(np.stack(g))
-        table = _pair_traces(_sandwich(trivial(a, alpha)[0], rho[:, None, None]), trivial(b, beta)[1])
-        p = _set_probabilities(table, np.array([True, False]), np.array([False, True]))
-        for k in range(len(ts)):
-            rng = _slice(group, k)
-            public_a, public_b = random_observable(d, 2, rng), random_observable(d, 2, rng)
-            public_alpha, public_beta, public_rho = (random_state(d, rng) for _ in range(3))
-            i, j = trivial_instrument(public_a, public_alpha), trivial_instrument(public_b, public_beta)
-            assert abs(p[k] - joint_probability_instr(public_rho, i, ["0"], j, ["1"])) <= 1e-15
+def test_stacked_prepared_probabilities_are_each_trials(monkeypatch):
+    # ex-7's stacked route gives, trial by trial, the probability of the first
+    # outcome of a state preparation and then the second of another that its
+    # route gives on the trial's slice of its group's draws.
+    for stacked, ones in _route_calls(monkeypatch, "ex-7", "joint_probability_instr"):
+        (p,) = stacked["joint_probability_instr"]
+        assert p.shape == (len(ones),)
+        assert all(abs(p[i] - one["joint_probability_instr"][0]) <= 1e-15 for i, one in enumerate(ones))
 
 
 @pytest.mark.parametrize(
